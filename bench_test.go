@@ -51,6 +51,7 @@ func BenchmarkFig2b(b *testing.B) {
 // (paper: 1140s / 773s / 561s / 479s).
 func BenchmarkFig9(b *testing.B) {
 	w := benchWorkload(b)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.Fig9(w)
 		if err != nil {

@@ -24,17 +24,19 @@ type CommonInput struct {
 	// decode for base tables, or a tag-stripping decode for intermediate
 	// files written by earlier common jobs).
 	Decode func(line string) (exec.Row, error)
-	// Key computes the partition-key values of a row. All streams of an
+	// Key computes the partition-key values of a row, one function per key
+	// column (none: every row shares the empty key). All streams of an
 	// input share the key — that is precisely the transit-correlation
 	// condition that allowed the merge.
-	Key func(exec.Row) ([]exec.Value, error)
+	Key []RowFn
 	// KeyEncode overrides the default injective key encoding. Distributed
 	// sort jobs use exec.EncodeOrderedKey so key byte-order equals value
 	// order; such keys are opaque (see CommonJob.OpaqueKeys).
 	KeyEncode func([]exec.Value) string
-	// Project reduces the decoded row to the union of the columns any
-	// stream needs; nil keeps the whole row.
-	Project func(exec.Row) exec.Row
+	// Project lists the decoded-row positions that make up the common
+	// value — the union of the columns any stream needs; nil keeps the
+	// whole row.
+	Project []int
 	Streams []Stream
 }
 
@@ -69,17 +71,12 @@ type CommonJob struct {
 	OpaqueKeys bool
 }
 
-// Build lowers the common job onto the MapReduce engine.
+// Build lowers the common job onto the MapReduce engine. The operator graph
+// is compiled here, once per job, and slot-indexed per key group from then
+// on; a cyclic graph is therefore a Build error.
 func (cj *CommonJob) Build() (*mapreduce.Job, error) {
 	if err := cj.validate(); err != nil {
 		return nil, err
-	}
-
-	streamInput := make(map[int]int) // stream ID -> input index
-	for ii, in := range cj.Inputs {
-		for _, st := range in.Streams {
-			streamInput[st.ID] = ii
-		}
 	}
 
 	job := &mapreduce.Job{
@@ -87,15 +84,34 @@ func (cj *CommonJob) Build() (*mapreduce.Job, error) {
 		Output:         cj.Output,
 		NumReduceTasks: cj.NumReduceTasks,
 	}
-	for ii := range cj.Inputs {
-		in := cj.Inputs[ii]
-		idx := ii
+	cr := &commonReducer{opaqueKeys: cj.OpaqueKeys}
+	var streamIDs []int
+	for ii, in := range cj.Inputs {
 		job.Inputs = append(job.Inputs, mapreduce.Input{
 			Path:   in.Path,
-			Mapper: commonMapper(idx, in),
+			Mapper: commonMapper(ii, in),
 		})
+		refs := make([]streamRef, len(in.Streams))
+		for i, st := range in.Streams {
+			refs[i] = streamRef{id: st.ID, slot: len(streamIDs)}
+			streamIDs = append(streamIDs, st.ID)
+		}
+		cr.inputs = append(cr.inputs, refs)
 	}
-	job.Reducer = &commonReducer{cj: cj}
+	var err error
+	if cr.graph, err = compileGraph(cj.Ops, streamIDs); err != nil {
+		return nil, fmt.Errorf("common job %s: %w", cj.Name, err)
+	}
+	slotOf := make(map[string]int, len(cr.graph.ops))
+	cr.dispatch = make([]mapreduce.OpDispatch, len(cr.graph.ops))
+	for i, gop := range cr.graph.ops {
+		slotOf[gop.op.Name()] = cr.graph.nStreams + i
+		cr.dispatch[i].Op = gop.op.Name()
+	}
+	for _, out := range cj.Outputs {
+		cr.outputs = append(cr.outputs, outputSlot{slot: slotOf[out.Op], tag: out.Tag})
+	}
+	job.Reducer = cr
 
 	if cj.CombineOp != "" {
 		comb, err := cj.buildCombiner()
@@ -116,8 +132,8 @@ func (cj *CommonJob) validate() error {
 	}
 	seenStream := make(map[int]bool)
 	for ii, in := range cj.Inputs {
-		if in.Decode == nil || in.Key == nil {
-			return fmt.Errorf("common job %s input %d needs Decode and Key", cj.Name, ii)
+		if in.Decode == nil {
+			return fmt.Errorf("common job %s input %d needs Decode", cj.Name, ii)
 		}
 		if len(in.Streams) == 0 {
 			return fmt.Errorf("common job %s input %d has no streams", cj.Name, ii)
@@ -171,6 +187,8 @@ func (cj *CommonJob) validate() error {
 
 // commonMapper implements §VI.A: decode, evaluate every stream's selection,
 // and emit one tagged common pair when at least one stream wants the row.
+// Key and value are rendered into one call-local buffer and emitted as two
+// halves of a single string, so a pair costs one allocation.
 func commonMapper(inputIdx int, in CommonInput) mapreduce.Mapper {
 	return mapreduce.MapperFunc(func(line string, emit mapreduce.Emit) error {
 		row, err := in.Decode(line)
@@ -180,40 +198,71 @@ func commonMapper(inputIdx int, in CommonInput) mapreduce.Mapper {
 		if row == nil {
 			return nil // decoder filtered the line (e.g. foreign tag)
 		}
-		var excluded []int
-		matched := 0
+		var exclBuf [8]int
+		excluded := exclBuf[:0]
 		for _, st := range in.Streams {
-			ok := true
-			if st.Filter != nil {
-				ok, err = st.Filter(row)
-				if err != nil {
-					return err
-				}
+			if st.Filter == nil {
+				continue
 			}
-			if ok {
-				matched++
-			} else {
+			ok, err := st.Filter(row)
+			if err != nil {
+				return err
+			}
+			if !ok {
 				excluded = append(excluded, st.ID)
 			}
 		}
-		if matched == 0 {
+		if len(excluded) == len(in.Streams) {
 			return nil
 		}
-		keyVals, err := in.Key(row)
-		if err != nil {
-			return err
+		var buf [512]byte
+		pair := buf[:0]
+		if in.KeyEncode != nil {
+			vals := make([]exec.Value, len(in.Key))
+			for i, fn := range in.Key {
+				if vals[i], err = fn(row); err != nil {
+					return err
+				}
+			}
+			pair = append(pair, in.KeyEncode(vals)...)
+		} else {
+			for i, fn := range in.Key {
+				v, err := fn(row)
+				if err != nil {
+					return err
+				}
+				if i > 0 {
+					pair = append(pair, '\t')
+				}
+				pair = exec.AppendField(pair, v)
+			}
 		}
-		common := row
-		if in.Project != nil {
-			common = in.Project(row)
+		keyLen := len(pair)
+		pair = appendTagHeader(pair, inputIdx, excluded)
+		if in.Project == nil {
+			pair = exec.AppendRow(pair, row)
 		}
-		encode := in.KeyEncode
-		if encode == nil {
-			encode = exec.EncodeKey
+		for i, c := range in.Project {
+			if i > 0 {
+				pair = append(pair, '\t')
+			}
+			pair = exec.AppendField(pair, row[c])
 		}
-		emit(encode(keyVals), EncodeTagged(inputIdx, excluded, common))
+		s := string(pair)
+		emit(s[:keyLen], s[keyLen:])
 		return nil
 	})
+}
+
+// streamRef is one stream of an input: its ID (what exclusion tags name)
+// and the graph slot its rows are bucketed into.
+type streamRef struct{ id, slot int }
+
+// outputSlot is one written operator: the slot holding its rows and the
+// tag that marks them in a shared output file.
+type outputSlot struct {
+	slot int
+	tag  string
 }
 
 // commonReducer implements Algorithm 1: bucket the key group's values into
@@ -223,18 +272,22 @@ func commonMapper(inputIdx int, in CommonInput) mapreduce.Mapper {
 // reducer's real computation (the paper's §VII.C observation that merged
 // reduce phases "execute more lines of code").
 type commonReducer struct {
-	cj *CommonJob
+	// Everything down to mu is fixed at Build.
+	graph      *graph
+	inputs     [][]streamRef // streams of each job input
+	outputs    []outputSlot
+	opaqueKeys bool
 	// mu guards the accounting below. Reduce itself is pure per key group —
-	// the operator graph evaluates on stack-local state — so the engine may
+	// the operator graph evaluates on call-local slots — so the engine may
 	// run key groups concurrently (see ConcurrentReduce); only the counter
 	// folds serialize, and sums commute, so totals are identical at any
 	// worker count.
 	mu   sync.Mutex
 	work int64
 	// dispatch accumulates cumulative per-operator row counts across all key
-	// groups; the engine snapshots it around a job to report the per-job
-	// delta (see mapreduce.DispatchReporter).
-	dispatch map[string]*mapreduce.OpDispatch
+	// groups, indexed like graph.ops; the engine snapshots it around a job
+	// to report the per-job delta (see mapreduce.DispatchReporter).
+	dispatch []mapreduce.OpDispatch
 }
 
 // ConcurrentReduce implements mapreduce.ConcurrentReducer: key groups are
@@ -243,41 +296,52 @@ func (cr *commonReducer) ConcurrentReduce() {}
 
 // Reduce implements mapreduce.Reducer.
 func (cr *commonReducer) Reduce(key string, values []string, emit func(string)) error {
-	cj := cr.cj
 	var keyRow exec.Row
-	if !cj.OpaqueKeys {
+	if !cr.opaqueKeys {
 		var err error
 		keyRow, err = exec.DecodeRowUntyped(key)
 		if err != nil {
 			return err
 		}
 	}
-	streams := make(map[int][]exec.Row)
+	g := cr.graph
+	slots, scratch := g.newSlots()
 	for _, v := range values {
 		tv, err := DecodeTagged(v)
 		if err != nil {
 			return err
 		}
-		if tv.Input < 0 || tv.Input >= len(cj.Inputs) {
-			return fmt.Errorf("value references input %d of %d", tv.Input, len(cj.Inputs))
+		if tv.Input < 0 || tv.Input >= len(cr.inputs) {
+			return fmt.Errorf("value references input %d of %d", tv.Input, len(cr.inputs))
 		}
-		for _, st := range cj.Inputs[tv.Input].Streams {
-			if tv.Sees(st.ID) {
-				streams[st.ID] = append(streams[st.ID], tv.Row)
+		for _, st := range cr.inputs[tv.Input] {
+			if !tv.Sees(st.id) {
+				continue
 			}
+			if slots[st.slot] == nil {
+				slots[st.slot] = make([]exec.Row, 0, len(values))
+			}
+			slots[st.slot] = append(slots[st.slot], tv.Row)
 		}
 	}
-	results, stats, err := evalGraph(cj.Ops, keyRow, streams)
-	if err != nil {
+	if err := g.eval(keyRow, slots, scratch); err != nil {
 		return err
 	}
 	cr.mu.Lock()
-	cr.work += stats.Work
-	cr.record(stats)
+	for i, gop := range g.ops {
+		in := g.inRows(i, slots)
+		cr.dispatch[i].InRows += in
+		cr.dispatch[i].OutRows += int64(len(slots[g.nStreams+i]))
+		if gop.relational {
+			cr.work += in
+		}
+	}
 	cr.mu.Unlock()
-	for _, out := range cj.Outputs {
-		for _, r := range results[out.Op] {
-			emit(TagLine(out.Tag, exec.EncodeRow(r)))
+	var buf [256]byte
+	for _, out := range cr.outputs {
+		line := AppendTag(buf[:0], out.tag)
+		for _, r := range slots[out.slot] {
+			emit(string(exec.AppendRow(line, r)))
 		}
 	}
 	return nil
@@ -290,33 +354,12 @@ func (cr *commonReducer) ReduceWork() int64 {
 	return cr.work
 }
 
-// record folds one key group's per-operator accounting into the cumulative
-// dispatch counts. The caller holds cr.mu.
-func (cr *commonReducer) record(stats evalStats) {
-	if cr.dispatch == nil {
-		cr.dispatch = make(map[string]*mapreduce.OpDispatch, len(cr.cj.Ops))
-	}
-	for _, op := range cr.cj.Ops {
-		name := op.Name()
-		d, ok := cr.dispatch[name]
-		if !ok {
-			d = &mapreduce.OpDispatch{Op: name}
-			cr.dispatch[name] = d
-		}
-		d.InRows += stats.InRows[name]
-		d.OutRows += stats.OutRows[name]
-	}
-}
-
 // DispatchCounts implements mapreduce.DispatchReporter: cumulative per-
 // operator row counts sorted by operator name.
 func (cr *commonReducer) DispatchCounts() []mapreduce.OpDispatch {
 	cr.mu.Lock()
-	defer cr.mu.Unlock()
-	out := make([]mapreduce.OpDispatch, 0, len(cr.dispatch))
-	for _, d := range cr.dispatch {
-		out = append(out, *d)
-	}
+	out := append([]mapreduce.OpDispatch(nil), cr.dispatch...)
+	cr.mu.Unlock()
 	sort.Slice(out, func(i, k int) bool { return out[i].Op < out[k].Op })
 	return out
 }

@@ -1,6 +1,7 @@
 package cmf
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -21,14 +22,12 @@ func decodeClicks(line string) (exec.Row, error) {
 	return exec.DecodeRow(line, clicksSchema)
 }
 
-func keyOn(idx ...int) func(exec.Row) ([]exec.Value, error) {
-	return func(r exec.Row) ([]exec.Value, error) {
-		out := make([]exec.Value, len(idx))
-		for i, x := range idx {
-			out[i] = r[x]
-		}
-		return out, nil
+func keyOn(idx ...int) []RowFn {
+	fns := make([]RowFn, len(idx))
+	for i, x := range idx {
+		fns[i] = col(x)
 	}
+	return fns
 }
 
 func writeClicks(dfs *mapreduce.DFS, path string, rows ...[4]int64) {
@@ -76,7 +75,7 @@ func TestAggregationJob(t *testing.T) {
 			Path:    "clicks",
 			Decode:  decodeClicks,
 			Key:     keyOn(2), // cid
-			Project: func(r exec.Row) exec.Row { return exec.Row{r[2]} },
+			Project: []int{2},
 			Streams: []Stream{{ID: 0}},
 		}},
 		Ops: []Op{&AggOp{
@@ -121,7 +120,7 @@ func TestCombinerEquivalence(t *testing.T) {
 				Path:    "clicks",
 				Decode:  decodeClicks,
 				Key:     keyOn(2),
-				Project: func(r exec.Row) exec.Row { return exec.Row{r[2], r[3]} },
+				Project: []int{2, 3},
 				Streams: []Stream{{ID: 0}},
 			}},
 			Ops:     []Op{agg},
@@ -171,7 +170,7 @@ func TestSelfJoinSingleScan(t *testing.T) {
 			Path:    "clicks",
 			Decode:  decodeClicks,
 			Key:     keyOn(0), // uid
-			Project: func(r exec.Row) exec.Row { return exec.Row{r[0], r[3]} },
+			Project: []int{0, 3},
 			Streams: []Stream{
 				{ID: 0, Filter: catX},
 				{ID: 1, Filter: catY},
@@ -289,7 +288,7 @@ func TestMultiOutputTags(t *testing.T) {
 			Path:    "clicks",
 			Decode:  decodeClicks,
 			Key:     keyOn(0),
-			Project: func(r exec.Row) exec.Row { return exec.Row{r[0], r[3]} },
+			Project: []int{0, 3},
 			Streams: []Stream{{ID: 0}},
 		}},
 		Ops: []Op{
@@ -355,6 +354,13 @@ func TestCommonJobValidation(t *testing.T) {
 			c.Ops = []Op{&FilterOp{OpName: "f", In: StreamSource(9),
 				Pred: func(exec.Row) (bool, error) { return true, nil }}}
 		}, "unknown stream"},
+		{"op cycle", func(c *CommonJob) {
+			pass := func(exec.Row) (bool, error) { return true, nil }
+			c.Ops = []Op{
+				&FilterOp{OpName: "f", In: OpSource("g"), Pred: pass},
+				&FilterOp{OpName: "g", In: OpSource("f"), Pred: pass},
+			}
+		}, "op cycle"},
 		{"no outputs", func(c *CommonJob) { c.Outputs = nil }, "writes nothing"},
 		{"multi-output needs tags", func(c *CommonJob) {
 			c.Outputs = []OutputSpec{{Op: "f"}, {Op: "f", Tag: "t"}}
@@ -414,8 +420,7 @@ func TestGlobalAggregationJob(t *testing.T) {
 		Inputs: []CommonInput{{
 			Path:    "in",
 			Decode:  func(l string) (exec.Row, error) { return exec.DecodeRow(l, schema) },
-			Key:     func(exec.Row) ([]exec.Value, error) { return nil, nil },
-			Streams: []Stream{{ID: 0}},
+			Streams: []Stream{{ID: 0}}, // no Key: every row shares the empty key
 		}},
 		Ops: []Op{&AggOp{
 			OpName: "AGG", In: StreamSource(0),
@@ -430,3 +435,111 @@ func TestGlobalAggregationJob(t *testing.T) {
 		t.Errorf("global avg = %v, want [20.0]", out)
 	}
 }
+
+// q17Job is the shape of TPC-H Q17's merged job (AGG1 + JOIN1 + JOIN2 over
+// one shared lineitem scan, paper Fig. 7): lineitem feeds two streams, part
+// a third, and five operators run per part key.
+func q17Job() *CommonJob {
+	pass := []int{0, 1, 2}
+	return &CommonJob{
+		Name: "q17",
+		Inputs: []CommonInput{
+			{Path: "lineitem", Decode: decodeClicks, Key: keyOn(0), Project: pass,
+				Streams: []Stream{{ID: 0}, {ID: 1}}},
+			{Path: "part", Decode: decodeClicks, Key: keyOn(0), Project: []int{0},
+				Streams: []Stream{{ID: 2}}},
+		},
+		Ops: []Op{
+			&AggOp{OpName: "AGG1", In: StreamSource(0), GroupBy: []RowFn{col(0)},
+				Aggs: []AggFunc{{Kind: exec.AggAvg, Arg: col(1)}}},
+			&ProjectOp{OpName: "inner_t", In: OpSource("AGG1"), Exprs: []RowFn{col(0),
+				func(r exec.Row) (exec.Value, error) { return exec.Float(0.25 * r[1].F), nil }}},
+			&JoinOp{OpName: "JOIN1", Left: StreamSource(1), Right: StreamSource(2),
+				LeftWidth: 3, RightWidth: 1, Type: sqlparser.InnerJoin},
+			&ProjectOp{OpName: "outer_t", In: OpSource("JOIN1"), Exprs: []RowFn{col(0), col(1), col(2)}},
+			&JoinOp{OpName: "JOIN2", Left: OpSource("inner_t"), Right: OpSource("outer_t"),
+				LeftWidth: 2, RightWidth: 3, Type: sqlparser.InnerJoin,
+				Residual: func(r exec.Row) (bool, error) { return float64(r[3].I) < r[1].F, nil }},
+		},
+		Outputs: []OutputSpec{{Op: "JOIN2"}},
+		Output:  "out",
+	}
+}
+
+// q17Group is one part key's reduce group: eight lineitems and the part.
+func q17Group() (key string, values []string) {
+	for q := int64(1); q <= 8; q++ {
+		values = append(values, EncodeTagged(0, nil, intRow(7, q*q, 1000+q)))
+	}
+	return "7", append(values, EncodeTagged(1, nil, intRow(7)))
+}
+
+// TestAllocBudgetReduce pins what a key group costs the common reducer:
+// decoding nine values, one slot table, five operators and two output
+// lines. The operator graph is compiled at Build, so the per-group graph
+// bookkeeping is that one slot table — the map-based evalGraph (op_test.go)
+// pays for its name maps, closure and Sources slices on every group, which
+// alone would overrun the budget.
+func TestAllocBudgetReduce(t *testing.T) {
+	job, err := q17Job().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, values := q17Group()
+	var out []string
+	emit := func(line string) { out = append(out, line) }
+	if err := job.Reducer.Reduce(key, values, emit); err != nil {
+		t.Fatal(err)
+	}
+	// AVG(quantity) = 25.5, so quantities 1 and 4 (< 0.25 * 25.5) survive JOIN2.
+	if want := []string{"7\t6.375\t7\t1\t1001", "7\t6.375\t7\t4\t1002"}; !reflect.DeepEqual(out, want) {
+		t.Fatalf("Q17-shaped group reduced to %q, want %q", out, want)
+	}
+
+	const budget = 32
+	got := testing.AllocsPerRun(100, func() {
+		out = out[:0]
+		if err := job.Reducer.Reduce(key, values, emit); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > budget {
+		t.Errorf("Reduce of a Q17-shaped key group: %v allocations, budget %d", got, budget)
+	}
+
+	// The same group through the map-based evaluator: bucket, evaluate.
+	cj := q17Job()
+	mapBased := testing.AllocsPerRun(100, func() {
+		streams := make(map[int][]exec.Row)
+		for _, v := range values {
+			tv, err := DecodeTagged(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, st := range cj.Inputs[tv.Input].Streams {
+				streams[st.ID] = append(streams[st.ID], tv.Row)
+			}
+		}
+		if _, _, err := evalGraph(cj.Ops, intRow(7), streams); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Reduce: %v allocations per key group; bucketing into a map and evalGraph: %v", got, mapBased)
+	if mapBased <= budget {
+		t.Errorf("the map-based path fits the budget (%v <= %d): the budget pins nothing", mapBased, budget)
+	}
+}
+
+func TestAllocBudgetEncodeTagged(t *testing.T) {
+	row := intRow(7, 30, 1003)
+	for name, fn := range map[string]func(){
+		"no exclusions": func() { sinkString = EncodeTagged(0, nil, row) },
+		"exclusions":    func() { sinkString = EncodeTagged(3, []int{1, 12}, row) },
+	} {
+		if got := testing.AllocsPerRun(200, fn); got > 1 {
+			t.Errorf("EncodeTagged, %s: %v allocations per run, budget 1", name, got)
+		}
+	}
+}
+
+var sinkString string

@@ -2,7 +2,9 @@ package cmf
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"ysmart/internal/exec"
 	"ysmart/internal/sqlparser"
@@ -80,19 +82,34 @@ func (j *JoinOp) Name() string { return j.OpName }
 // Sources implements Op.
 func (j *JoinOp) Sources() []Source { return []Source{j.Left, j.Right} }
 
-// Eval implements Op.
+// Eval implements Op. It runs in two passes: the first tests the residual
+// on every candidate pair — in one scratch row, so a rejected pair costs
+// nothing — and records which (left, right) pairs the output holds, -1
+// standing for an outer join's NULL side; the second copies exactly those
+// rows out of a single allocation.
 func (j *JoinOp) Eval(_ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
 	left := projectRows(inputs[0], j.LeftProj, !j.Left.IsOp())
 	right := projectRows(inputs[1], j.RightProj, !j.Right.IsOp())
+	leftOuter := j.Type == sqlparser.LeftOuterJoin || j.Type == sqlparser.FullOuterJoin
+	rightOuter := j.Type == sqlparser.RightOuterJoin || j.Type == sqlparser.FullOuterJoin
 
-	var out []exec.Row
-	rightMatched := make([]bool, len(right))
-	for _, l := range left {
-		matched := false
+	var rightMatched []bool
+	if rightOuter {
+		rightMatched = make([]bool, len(right))
+	}
+	var pairBuf [32]int
+	pairs := pairBuf[:0] // (left index, right index), in output order
+	values := 0          // total width of the output rows
+	var scratch exec.Row
+	for li, l := range left {
+		before := len(pairs)
 		for ri, r := range right {
-			pair := exec.Concat(l, r)
 			if j.Residual != nil {
-				ok, err := j.Residual(pair)
+				if len(scratch) != len(l)+len(r) {
+					scratch = make(exec.Row, len(l)+len(r))
+				}
+				copy(scratch[copy(scratch, l):], r)
+				ok, err := j.Residual(scratch)
 				if err != nil {
 					return nil, fmt.Errorf("join %s residual: %w", j.OpName, err)
 				}
@@ -100,20 +117,49 @@ func (j *JoinOp) Eval(_ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
 					continue
 				}
 			}
-			matched = true
-			rightMatched[ri] = true
-			out = append(out, pair)
+			if rightOuter {
+				rightMatched[ri] = true
+			}
+			pairs = append(pairs, li, ri)
+			values += len(l) + len(r)
 		}
-		if !matched && (j.Type == sqlparser.LeftOuterJoin || j.Type == sqlparser.FullOuterJoin) {
-			out = append(out, exec.Concat(l, exec.NullRow(j.RightWidth)))
+		if len(pairs) == before && leftOuter {
+			pairs = append(pairs, li, -1)
+			values += len(l) + j.RightWidth
 		}
 	}
-	if j.Type == sqlparser.RightOuterJoin || j.Type == sqlparser.FullOuterJoin {
-		for ri, r := range right {
-			if !rightMatched[ri] {
-				out = append(out, exec.Concat(exec.NullRow(j.LeftWidth), r))
-			}
+	for ri, matched := range rightMatched {
+		if !matched {
+			pairs = append(pairs, -1, ri)
+			values += j.LeftWidth + len(right[ri])
 		}
+	}
+	if len(pairs) == 0 {
+		return nil, nil
+	}
+
+	var leftNull, rightNull exec.Row
+	if rightOuter {
+		leftNull = exec.NullRow(j.LeftWidth)
+	}
+	if leftOuter {
+		rightNull = exec.NullRow(j.RightWidth)
+	}
+	out := make([]exec.Row, len(pairs)/2)
+	slab := make([]exec.Value, values)
+	for i := range out {
+		l, r := leftNull, rightNull
+		if li := pairs[2*i]; li >= 0 {
+			l = left[li]
+		}
+		if ri := pairs[2*i+1]; ri >= 0 {
+			r = right[ri]
+		}
+		// Capped at its own width, so an append to one row can never
+		// write into the next.
+		n := len(l) + len(r)
+		out[i], slab = slab[:n:n], slab[n:]
+		copy(out[i][copy(out[i], l):], r)
 	}
 	return out, nil
 }
@@ -175,62 +221,81 @@ func (a *AggOp) Eval(_ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
 		return a.evalFromPartials(rows)
 	}
 
+	// A group's row starts as its group values, with room for the results.
 	type group struct {
-		vals exec.Row
+		key  string
+		row  exec.Row
 		accs []exec.Accumulator
 	}
-	groups := make(map[string]*group)
-	var order []string
+	var groups []group
+	// index finds a group by key once there are several; a key group's rows
+	// mostly share one aggregation group, which cur remembers.
+	var index map[string]int
+	cur := -1
+	// Group values and their key are computed in scratch space and only
+	// copied when a row opens a new group.
+	var valBuf [8]exec.Value
+	var keyBuf [64]byte
 	for _, r := range rows {
-		gvals := make(exec.Row, len(a.GroupBy))
-		for i, fn := range a.GroupBy {
+		gvals := valBuf[:0]
+		for _, fn := range a.GroupBy {
 			v, err := fn(r)
 			if err != nil {
 				return nil, fmt.Errorf("agg %s group: %w", a.OpName, err)
 			}
-			gvals[i] = v
+			gvals = append(gvals, v)
 		}
-		key := exec.EncodeKey(gvals)
-		g, ok := groups[key]
-		if !ok {
-			g = &group{vals: gvals, accs: make([]exec.Accumulator, len(a.Aggs))}
-			for i, spec := range a.Aggs {
-				g.accs[i] = exec.NewAccumulator(spec.Kind)
+		key := exec.AppendRow(keyBuf[:0], gvals)
+		if cur < 0 || groups[cur].key != string(key) {
+			var ok bool
+			if cur, ok = index[string(key)]; !ok {
+				cur = len(groups)
+				g := group{
+					key:  string(key),
+					row:  append(make(exec.Row, 0, len(gvals)+len(a.Aggs)), gvals...),
+					accs: make([]exec.Accumulator, len(a.Aggs)),
+				}
+				for i, spec := range a.Aggs {
+					g.accs[i] = exec.NewAccumulator(spec.Kind)
+				}
+				groups = append(groups, g)
+				if cur == 1 {
+					index = map[string]int{groups[0].key: 0}
+				}
+				if cur > 0 {
+					index[g.key] = cur
+				}
 			}
-			groups[key] = g
-			order = append(order, key)
 		}
+		accs := groups[cur].accs
 		for i, spec := range a.Aggs {
 			if spec.Arg == nil {
-				g.accs[i].Add(exec.Int(1))
+				accs[i].Add(exec.Int(1))
 				continue
 			}
 			v, err := spec.Arg(r)
 			if err != nil {
 				return nil, fmt.Errorf("agg %s arg: %w", a.OpName, err)
 			}
-			g.accs[i].Add(v)
+			accs[i].Add(v)
 		}
 	}
 	// A global aggregate over zero rows still yields one row (SQL
 	// semantics); grouped aggregates yield no rows.
-	if len(order) == 0 && len(a.GroupBy) == 0 {
+	if len(groups) == 0 && len(a.GroupBy) == 0 {
 		out := make(exec.Row, len(a.Aggs))
 		for i, spec := range a.Aggs {
 			out[i] = exec.NewAccumulator(spec.Kind).Result()
 		}
 		return []exec.Row{out}, nil
 	}
-	sort.Strings(order)
-	out := make([]exec.Row, 0, len(order))
-	for _, key := range order {
-		g := groups[key]
-		row := make(exec.Row, 0, len(g.vals)+len(g.accs))
-		row = append(row, g.vals...)
+	slices.SortFunc(groups, func(x, y group) int { return strings.Compare(x.key, y.key) })
+	out := make([]exec.Row, len(groups))
+	for i, g := range groups {
 		for _, acc := range g.accs {
-			row = append(row, acc.Result())
+			g.row = append(g.row, acc.Result())
 		}
-		out = append(out, row)
+		out[i] = g.row
 	}
 	return out, nil
 }
@@ -320,8 +385,12 @@ func (p *ProjectOp) Sources() []Source { return []Source{p.In} }
 func (p *ProjectOp) Eval(_ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
 	rows := projectRows(inputs[0], p.InProj, !p.In.IsOp())
 	out := make([]exec.Row, 0, len(rows))
-	for _, r := range rows {
-		pr := make(exec.Row, len(p.Exprs))
+	// One backing array for the whole group's projected rows; each row is
+	// capped at its own width so an append to one cannot reach the next.
+	w := len(p.Exprs)
+	slab := make([]exec.Value, len(rows)*w)
+	for ri, r := range rows {
+		pr := exec.Row(slab[ri*w : (ri+1)*w : (ri+1)*w])
 		for i, fn := range p.Exprs {
 			v, err := fn(r)
 			if err != nil {
@@ -399,81 +468,127 @@ func (s *SortOp) Eval(_ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
 // Graph evaluation
 // ---------------------------------------------------------------------------
 
-// evalStats is the accounting of one evalGraph invocation: the billable
-// work (rows consumed by relational operators — the quantity the cost model
-// charges for the common reducer "executing more lines of code" than a
-// single-operation reducer, paper §VII.C) plus per-operator in/out row
-// counts the observability layer reports as dispatch counts.
-type evalStats struct {
-	Work    int64
-	InRows  map[string]int64
-	OutRows map[string]int64
+// graph is a common job's operator dataflow compiled once at Build: the
+// operators in evaluation order, every Source resolved to an integer slot.
+// Slots [0, nStreams) hold a key group's rows per mapper stream and slot
+// nStreams+i holds the result of ops[i], so evaluating a key group indexes
+// slices and builds no maps. A graph is immutable once compiled, which is
+// what lets one cached plan's reducers evaluate key groups concurrently.
+type graph struct {
+	ops      []graphOp
+	nStreams int
+	nSources int // sources summed over ops: the size of eval's input scratch
 }
 
-// evalGraph runs the operators over one key group. streams maps stream ID
-// to its rows. It returns each operator's result rows by name plus the
-// invocation's accounting.
-func evalGraph(ops []Op, key exec.Row, streams map[int][]exec.Row) (map[string][]exec.Row, evalStats, error) {
-	stats := evalStats{
-		InRows:  make(map[string]int64, len(ops)),
-		OutRows: make(map[string]int64, len(ops)),
+type graphOp struct {
+	op   Op
+	srcs []int // slot of each of op.Sources(), in order
+	// relational marks the operators whose consumed rows count as reduce
+	// work (the quantity the cost model charges for the common reducer
+	// "executing more lines of code" than a single-operation reducer, paper
+	// §VII.C). Chain filters and projections are the column-level plumbing
+	// a one-to-one translation runs, uncounted, in its map phases.
+	relational bool
+}
+
+// compileGraph orders ops so that every operator follows its inputs
+// (depth-first from each op in turn, so independent operators keep their
+// declaration order) and resolves sources to slots. streamIDs lists the
+// mapper streams in slot order.
+func compileGraph(ops []Op, streamIDs []int) (*graph, error) {
+	streamSlot := make(map[int]int, len(streamIDs))
+	for slot, id := range streamIDs {
+		streamSlot[id] = slot
 	}
 	byName := make(map[string]Op, len(ops))
 	for _, op := range ops {
 		if _, dup := byName[op.Name()]; dup {
-			return nil, stats, fmt.Errorf("duplicate op %q", op.Name())
+			return nil, fmt.Errorf("duplicate op %q", op.Name())
 		}
 		byName[op.Name()] = op
 	}
-	results := make(map[string][]exec.Row, len(ops))
-	state := make(map[string]int, len(ops)) // 1 visiting, 2 done
-
-	var eval func(name string) error
-	eval = func(name string) error {
-		switch state[name] {
-		case 2:
+	g := &graph{nStreams: len(streamIDs)}
+	opSlot := make(map[string]int, len(ops))
+	visiting := make(map[string]bool, len(ops))
+	var visit func(name string) error
+	visit = func(name string) error {
+		if _, done := opSlot[name]; done {
 			return nil
-		case 1:
+		}
+		if visiting[name] {
 			return fmt.Errorf("op cycle through %q", name)
 		}
 		op, ok := byName[name]
 		if !ok {
 			return fmt.Errorf("unknown op %q", name)
 		}
-		state[name] = 1
-		srcs := op.Sources()
-		inputs := make([][]exec.Row, len(srcs))
-		for i, s := range srcs {
+		visiting[name] = true
+		sources := op.Sources()
+		srcs := make([]int, len(sources))
+		for i, s := range sources {
 			if s.IsOp() {
-				if err := eval(s.Op); err != nil {
+				if err := visit(s.Op); err != nil {
 					return err
 				}
-				inputs[i] = results[s.Op]
-			} else {
-				inputs[i] = streams[s.Stream]
+				srcs[i] = opSlot[s.Op]
+				continue
 			}
-			stats.InRows[name] += int64(len(inputs[i]))
-			// Only relational operators count as work: chain filters and
-			// projections are the column-level plumbing a one-to-one
-			// translation runs (uncounted) in its map phases.
-			switch op.(type) {
-			case *JoinOp, *AggOp, *SortOp:
-				stats.Work += int64(len(inputs[i]))
+			slot, ok := streamSlot[s.Stream]
+			if !ok {
+				return fmt.Errorf("op %q reads unknown stream %d", name, s.Stream)
 			}
+			srcs[i] = slot
 		}
-		rows, err := op.Eval(key, inputs)
-		if err != nil {
-			return err
+		gop := graphOp{op: op, srcs: srcs}
+		switch op.(type) {
+		case *JoinOp, *AggOp, *SortOp:
+			gop.relational = true
 		}
-		results[op.Name()] = rows
-		stats.OutRows[name] += int64(len(rows))
-		state[name] = 2
+		opSlot[name] = g.nStreams + len(g.ops)
+		g.ops = append(g.ops, gop)
+		g.nSources += len(srcs)
 		return nil
 	}
 	for _, op := range ops {
-		if err := eval(op.Name()); err != nil {
-			return nil, stats, err
+		if err := visit(op.Name()); err != nil {
+			return nil, err
 		}
 	}
-	return results, stats, nil
+	return g, nil
+}
+
+// newSlots returns the slot table for one key group plus the scratch eval
+// hands operators their inputs in (one allocation for both).
+func (g *graph) newSlots() (slots, scratch [][]exec.Row) {
+	n := g.nStreams + len(g.ops)
+	buf := make([][]exec.Row, n+g.nSources)
+	return buf[:n:n], buf[n:]
+}
+
+// eval runs the operators over one key group whose stream rows are already
+// in slots (from newSlots), filling in every operator's result slot.
+func (g *graph) eval(key exec.Row, slots, scratch [][]exec.Row) error {
+	for i, gop := range g.ops {
+		inputs := scratch[:len(gop.srcs):len(gop.srcs)]
+		scratch = scratch[len(gop.srcs):]
+		for k, slot := range gop.srcs {
+			inputs[k] = slots[slot]
+		}
+		rows, err := gop.op.Eval(key, inputs)
+		if err != nil {
+			return err
+		}
+		slots[g.nStreams+i] = rows
+	}
+	return nil
+}
+
+// inRows is the number of rows op i consumed from slots, summed over its
+// sources; its output count is len(slots[g.nStreams+i]).
+func (g *graph) inRows(i int, slots [][]exec.Row) int64 {
+	var n int64
+	for _, slot := range g.ops[i].srcs {
+		n += int64(len(slots[slot]))
+	}
+	return n
 }

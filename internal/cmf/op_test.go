@@ -1,6 +1,10 @@
 package cmf
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -232,7 +236,7 @@ func TestFilterProjectSortOps(t *testing.T) {
 	streams := map[int][]exec.Row{
 		0: {intRow(1, 100), intRow(2, 300), intRow(3, 200)},
 	}
-	results, _, err := evalGraph([]Op{filter, project, sortOp}, nil, streams)
+	results, _, err := runGraph([]Op{filter, project, sortOp}, nil, streams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,24 +264,279 @@ func TestSortOpLimit(t *testing.T) {
 	}
 }
 
-func TestEvalGraphErrors(t *testing.T) {
+func TestCompileGraphErrors(t *testing.T) {
+	pass := func(exec.Row) (bool, error) { return true, nil }
 	// Unknown op source.
-	_, _, err := evalGraph([]Op{
-		&FilterOp{OpName: "f", In: OpSource("missing"), Pred: func(exec.Row) (bool, error) { return true, nil }},
-	}, nil, nil)
+	_, err := compileGraph([]Op{&FilterOp{OpName: "f", In: OpSource("missing"), Pred: pass}}, nil)
 	if err == nil || !strings.Contains(err.Error(), "unknown op") {
 		t.Errorf("err = %v, want unknown op", err)
 	}
+	// Unknown stream source.
+	_, err = compileGraph([]Op{&FilterOp{OpName: "f", In: StreamSource(3), Pred: pass}}, []int{0})
+	if err == nil || !strings.Contains(err.Error(), "unknown stream") {
+		t.Errorf("err = %v, want unknown stream", err)
+	}
 	// Cycle.
-	a := &FilterOp{OpName: "a", In: OpSource("b"), Pred: func(exec.Row) (bool, error) { return true, nil }}
-	b := &FilterOp{OpName: "b", In: OpSource("a"), Pred: func(exec.Row) (bool, error) { return true, nil }}
-	_, _, err = evalGraph([]Op{a, b}, nil, nil)
+	a := &FilterOp{OpName: "a", In: OpSource("b"), Pred: pass}
+	b := &FilterOp{OpName: "b", In: OpSource("a"), Pred: pass}
+	_, err = compileGraph([]Op{a, b}, nil)
 	if err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Errorf("err = %v, want cycle", err)
 	}
 	// Duplicate names.
-	_, _, err = evalGraph([]Op{a, a}, nil, nil)
+	_, err = compileGraph([]Op{a, a}, nil)
 	if err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("err = %v, want duplicate", err)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// The compiled graph against its map-based predecessor
+// ---------------------------------------------------------------------------
+
+// evalStats is the accounting of one graph evaluation: billable work plus
+// per-operator in/out row counts.
+type evalStats struct {
+	Work    int64
+	InRows  map[string]int64
+	OutRows map[string]int64
+}
+
+// evalGraph is the evaluator the compiled graph replaced, kept verbatim as
+// its reference: names resolved through maps and a recursive walk, anew
+// for every key group. Cycles, unknown and duplicate operators surface
+// here at evaluation; the compiled graph reports the same errors at Build.
+func evalGraph(ops []Op, key exec.Row, streams map[int][]exec.Row) (map[string][]exec.Row, evalStats, error) {
+	stats := evalStats{
+		InRows:  make(map[string]int64, len(ops)),
+		OutRows: make(map[string]int64, len(ops)),
+	}
+	byName := make(map[string]Op, len(ops))
+	for _, op := range ops {
+		if _, dup := byName[op.Name()]; dup {
+			return nil, stats, fmt.Errorf("duplicate op %q", op.Name())
+		}
+		byName[op.Name()] = op
+	}
+	results := make(map[string][]exec.Row, len(ops))
+	state := make(map[string]int, len(ops)) // 1 visiting, 2 done
+
+	var eval func(name string) error
+	eval = func(name string) error {
+		switch state[name] {
+		case 2:
+			return nil
+		case 1:
+			return fmt.Errorf("op cycle through %q", name)
+		}
+		op, ok := byName[name]
+		if !ok {
+			return fmt.Errorf("unknown op %q", name)
+		}
+		state[name] = 1
+		srcs := op.Sources()
+		inputs := make([][]exec.Row, len(srcs))
+		for i, s := range srcs {
+			if s.IsOp() {
+				if err := eval(s.Op); err != nil {
+					return err
+				}
+				inputs[i] = results[s.Op]
+			} else {
+				inputs[i] = streams[s.Stream]
+			}
+			stats.InRows[name] += int64(len(inputs[i]))
+			switch op.(type) {
+			case *JoinOp, *AggOp, *SortOp:
+				stats.Work += int64(len(inputs[i]))
+			}
+		}
+		rows, err := op.Eval(key, inputs)
+		if err != nil {
+			return err
+		}
+		results[op.Name()] = rows
+		stats.OutRows[name] += int64(len(rows))
+		state[name] = 2
+		return nil
+	}
+	for _, op := range ops {
+		if err := eval(op.Name()); err != nil {
+			return nil, stats, err
+		}
+	}
+	return results, stats, nil
+}
+
+// runGraph compiles ops and evaluates one key group, reporting in
+// evalGraph's shape.
+func runGraph(ops []Op, key exec.Row, streams map[int][]exec.Row) (map[string][]exec.Row, evalStats, error) {
+	ids := make([]int, 0, len(streams))
+	for id := range streams {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	stats := evalStats{InRows: map[string]int64{}, OutRows: map[string]int64{}}
+	g, err := compileGraph(ops, ids)
+	if err != nil {
+		return nil, stats, err
+	}
+	slots, scratch := g.newSlots()
+	for slot, id := range ids {
+		slots[slot] = streams[id]
+	}
+	if err := g.eval(key, slots, scratch); err != nil {
+		return nil, stats, err
+	}
+	results := make(map[string][]exec.Row, len(g.ops))
+	for i, gop := range g.ops {
+		name := gop.op.Name()
+		results[name] = slots[g.nStreams+i]
+		stats.InRows[name] = g.inRows(i, slots)
+		stats.OutRows[name] = int64(len(results[name]))
+		if gop.relational {
+			stats.Work += stats.InRows[name]
+		}
+	}
+	return results, stats, nil
+}
+
+// randomDAG builds a random operator graph over nStreams two-column
+// streams: every op reads streams or earlier ops, so the graph is acyclic
+// until a defect is injected; the ops are then shuffled, because
+// evaluation order must come from the sources, not the declaration order.
+func randomDAG(rng *rand.Rand, nStreams int) []Op {
+	type node struct {
+		src   Source
+		width int
+	}
+	var nodes []node
+	for id := 0; id < nStreams; id++ {
+		nodes = append(nodes, node{StreamSource(id), 2})
+	}
+	pick := func() node { return nodes[rng.Intn(len(nodes))] }
+	var ops []Op
+	for i, n := 0, 1+rng.Intn(8); i < n; i++ {
+		name := fmt.Sprintf("op%d", i)
+		in := pick()
+		width := in.width
+		var op Op
+		switch rng.Intn(5) {
+		case 0:
+			c, bound := rng.Intn(in.width), int64(rng.Intn(6))
+			op = &FilterOp{OpName: name, In: in.src, Pred: func(r exec.Row) (bool, error) {
+				return r[c].IsNull() || r[c].I >= bound, nil
+			}}
+		case 1:
+			width = 1 + rng.Intn(3)
+			exprs := make([]RowFn, width)
+			for e := range exprs {
+				exprs[e] = col(rng.Intn(in.width))
+			}
+			op = &ProjectOp{OpName: name, In: in.src, Exprs: exprs}
+		case 2:
+			agg := &AggOp{OpName: name, In: in.src, Aggs: []AggFunc{
+				{Kind: exec.AggCountStar}, {Kind: exec.AggMax, Arg: col(rng.Intn(in.width))},
+			}}
+			if rng.Intn(3) > 0 {
+				agg.GroupBy = []RowFn{col(rng.Intn(in.width))}
+			}
+			width = len(agg.GroupBy) + len(agg.Aggs)
+			op = agg
+		case 3:
+			right := pick()
+			j := &JoinOp{
+				OpName: name, Left: in.src, Right: right.src,
+				LeftWidth: in.width, RightWidth: right.width,
+				Type: []sqlparser.JoinType{sqlparser.InnerJoin, sqlparser.LeftOuterJoin,
+					sqlparser.RightOuterJoin, sqlparser.FullOuterJoin}[rng.Intn(4)],
+			}
+			if rng.Intn(2) == 0 {
+				lc, rc := rng.Intn(in.width), in.width+rng.Intn(right.width)
+				j.Residual = func(r exec.Row) (bool, error) {
+					return !r[lc].IsNull() && !r[rc].IsNull() && r[lc].I <= r[rc].I, nil
+				}
+			}
+			width = in.width + right.width
+			op = j
+		default:
+			op = &SortOp{OpName: name, In: in.src, Limit: rng.Intn(4),
+				Keys: []SortKey{{Fn: col(rng.Intn(in.width)), Desc: rng.Intn(2) == 0}}}
+		}
+		ops = append(ops, op)
+		nodes = append(nodes, node{OpSource(name), width})
+	}
+	rng.Shuffle(len(ops), func(i, k int) { ops[i], ops[k] = ops[k], ops[i] })
+	return ops
+}
+
+// setSource redirects op's (first) input.
+func setSource(op Op, src Source) {
+	switch o := op.(type) {
+	case *FilterOp:
+		o.In = src
+	case *ProjectOp:
+		o.In = src
+	case *AggOp:
+		o.In = src
+	case *SortOp:
+		o.In = src
+	case *JoinOp:
+		o.Left = src
+	}
+}
+
+// TestCompiledGraphMatchesEvalGraph is the equivalence oracle: on random
+// operator DAGs the compiled graph yields evalGraph's results, work and
+// per-operator counts, and on defective graphs (a cycle, an unknown source,
+// a duplicated operator) it fails with evalGraph's error — at compile time
+// instead of per key group.
+func TestCompiledGraphMatchesEvalGraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	outcomes := map[string]int{}
+	defer func() {
+		for _, kind := range []string{"ok", "op cycle through", "unknown op", "duplicate op"} {
+			if outcomes[kind] == 0 {
+				t.Errorf("no random graph ended in %q: %v", kind, outcomes)
+			}
+		}
+	}()
+	for iter := 0; iter < 400; iter++ {
+		nStreams := 1 + rng.Intn(3)
+		streams := make(map[int][]exec.Row, nStreams)
+		for id := 0; id < nStreams; id++ {
+			rows := make([]exec.Row, rng.Intn(5))
+			for i := range rows {
+				rows[i] = intRow(int64(rng.Intn(4)), int64(rng.Intn(8)))
+			}
+			streams[id] = rows
+		}
+		ops := randomDAG(rng, nStreams)
+		switch defect := rng.Intn(8); defect {
+		case 0: // a cycle: some op now reads itself
+			op := ops[rng.Intn(len(ops))]
+			setSource(op, OpSource(op.Name()))
+		case 1:
+			setSource(ops[rng.Intn(len(ops))], OpSource("missing"))
+		case 2:
+			ops = append(ops, ops[rng.Intn(len(ops))])
+		}
+
+		want, wantStats, wantErr := evalGraph(ops, intRow(1), streams)
+		got, gotStats, gotErr := runGraph(ops, intRow(1), streams)
+		if wantErr != nil || gotErr != nil {
+			if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
+				t.Fatalf("iter %d: compiled graph error %v, evalGraph error %v", iter, gotErr, wantErr)
+			}
+			outcomes[strings.SplitN(gotErr.Error(), " \"", 2)[0]]++
+			continue
+		}
+		outcomes["ok"]++
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("iter %d: results differ\n got %v\nwant %v", iter, got, want)
+		}
+		if !reflect.DeepEqual(gotStats, wantStats) {
+			t.Fatalf("iter %d: accounting differs\n got %+v\nwant %+v", iter, gotStats, wantStats)
+		}
 	}
 }

@@ -38,20 +38,21 @@ type TaggedValue struct {
 // exclusion list is omitted when empty, so the common case costs two bytes
 // of overhead ("0|").
 func EncodeTagged(input int, excluded []int, row exec.Row) string {
-	var sb strings.Builder
-	sb.WriteString(strconv.Itoa(input))
-	if len(excluded) > 0 {
-		sb.WriteByte('!')
-		for i, id := range excluded {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			sb.WriteString(strconv.Itoa(id))
+	var buf [256]byte // wider than any workload value: one allocation, the string
+	return string(exec.AppendRow(appendTagHeader(buf[:0], input, excluded), row))
+}
+
+// appendTagHeader appends everything of a tagged value but the row.
+func appendTagHeader(dst []byte, input int, excluded []int) []byte {
+	dst = strconv.AppendInt(dst, int64(input), 10)
+	for i, id := range excluded {
+		sep := byte(',')
+		if i == 0 {
+			sep = '!'
 		}
+		dst = strconv.AppendInt(append(dst, sep), int64(id), 10)
 	}
-	sb.WriteByte('|')
-	sb.WriteString(exec.EncodeRow(row))
-	return sb.String()
+	return append(dst, '|')
 }
 
 // DecodeTagged parses a tagged value produced by EncodeTagged.
@@ -63,22 +64,24 @@ func DecodeTagged(s string) (TaggedValue, error) {
 	head := s[:sep]
 	var exclPart string
 	if bang := strings.IndexByte(head, '!'); bang >= 0 {
-		exclPart = head[bang+1:]
-		head = head[:bang]
+		head, exclPart = head[:bang], head[bang+1:]
 	}
 	input, err := strconv.Atoi(head)
 	if err != nil {
 		return TaggedValue{}, fmt.Errorf("tagged value %q: bad input index %q", s, head)
 	}
 	var excluded []int
-	if exclPart != "" {
-		for _, part := range strings.Split(exclPart, ",") {
-			id, err := strconv.Atoi(part)
-			if err != nil {
-				return TaggedValue{}, fmt.Errorf("tagged value %q: bad stream id %q", s, part)
-			}
-			excluded = append(excluded, id)
+	for more := exclPart != ""; more; {
+		part := exclPart
+		comma := strings.IndexByte(exclPart, ',')
+		if more = comma >= 0; more {
+			part, exclPart = exclPart[:comma], exclPart[comma+1:]
 		}
+		id, err := strconv.Atoi(part)
+		if err != nil {
+			return TaggedValue{}, fmt.Errorf("tagged value %q: bad stream id %q", s, part)
+		}
+		excluded = append(excluded, id)
 	}
 	row, err := exec.DecodeRowUntyped(s[sep+1:])
 	if err != nil {
@@ -104,16 +107,17 @@ func (t TaggedValue) Sees(id int) bool {
 // its source", §VI.B).
 const outputTagSep = "\x01"
 
-// TagLine prefixes a row line with a source tag; with an empty tag the line
-// is returned unchanged.
-func TagLine(tag, line string) string {
+// AppendTag appends the prefix that marks a line as coming from the output
+// tagged tag; an empty tag has no prefix, so single-output jobs write bare
+// rows. The row payload follows it.
+func AppendTag(dst []byte, tag string) []byte {
 	if tag == "" {
-		return line
+		return dst
 	}
-	return tag + outputTagSep + line
+	return append(append(dst, tag...), outputTagSep...)
 }
 
-// SplitTag removes the source tag of a line written by TagLine, returning
+// SplitTag removes the source tag of a line written after AppendTag, returning
 // the tag ("" if none) and the payload.
 func SplitTag(line string) (tag, payload string) {
 	if i := strings.Index(line, outputTagSep); i >= 0 {

@@ -91,14 +91,14 @@ func TestTaggedRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestTagLineSplitTag(t *testing.T) {
-	line := TagLine("JOIN1", "1\t2")
+func TestAppendTagSplitTag(t *testing.T) {
+	line := string(append(AppendTag(nil, "JOIN1"), "1\t2"...))
 	tag, payload := SplitTag(line)
 	if tag != "JOIN1" || payload != "1\t2" {
 		t.Errorf("SplitTag = (%q, %q)", tag, payload)
 	}
-	if TagLine("", "x") != "x" {
-		t.Error("empty tag should leave the line unchanged")
+	if got := AppendTag([]byte("x"), ""); string(got) != "x" {
+		t.Errorf("empty tag appended %q, want nothing", got[1:])
 	}
 	tag, payload = SplitTag("plain")
 	if tag != "" || payload != "plain" {

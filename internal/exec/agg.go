@@ -128,7 +128,12 @@ func (a *countDistinctAcc) Add(v Value) {
 	if v.IsNull() {
 		return
 	}
-	a.seen[EncodeField(v)] = struct{}{}
+	// Only a value not seen before costs its key string.
+	var buf [encodeBuf]byte
+	field := AppendField(buf[:0], v)
+	if _, ok := a.seen[string(field)]; !ok {
+		a.seen[string(field)] = struct{}{}
+	}
 }
 func (a *countDistinctAcc) Result() Value { return Int(int64(len(a.seen))) }
 

@@ -14,52 +14,75 @@ import (
 
 const nullField = `\N`
 
-// EncodeField renders a single value as a codec field.
-func EncodeField(v Value) string {
+// AppendField appends a value's codec field to dst.
+func AppendField(dst []byte, v Value) []byte {
 	switch v.T {
-	case TypeNull:
-		return nullField
 	case TypeInt:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.AppendInt(dst, v.I, 10)
 	case TypeFloat:
-		s := strconv.FormatFloat(v.F, 'g', -1, 64)
-		if !strings.ContainsAny(s, ".eE") && !strings.Contains(s, "Inf") && s != "NaN" {
-			s += ".0"
+		start := len(dst)
+		dst = strconv.AppendFloat(dst, v.F, 'g', -1, 64)
+		// Digits-only renderings get a ".0" so the field still reads as a
+		// float; Inf and NaN are recognisable as they are.
+		for _, c := range dst[start:] {
+			if c == '.' || c == 'e' || c == 'E' || c == 'I' || c == 'N' {
+				return dst
+			}
 		}
-		return s
+		return append(dst, ".0"...)
 	case TypeString:
-		return escapeString(v.S)
+		return appendEscaped(dst, v.S)
 	case TypeBool:
 		if v.B {
-			return "true"
+			return append(dst, "true"...)
 		}
-		return "false"
+		return append(dst, "false"...)
 	default:
-		return nullField
+		return append(dst, nullField...)
 	}
 }
 
-func escapeString(s string) string {
-	if !strings.ContainsAny(s, "\\\t\n\r") {
-		return s
+// AppendRow appends a row's tab-separated fields to dst.
+func AppendRow(dst []byte, r Row) []byte {
+	for i, v := range r {
+		if i > 0 {
+			dst = append(dst, '\t')
+		}
+		dst = AppendField(dst, v)
 	}
-	var sb strings.Builder
-	sb.Grow(len(s) + 4)
+	return dst
+}
+
+// encodeBuf sizes the stack buffers the string-returning encoders render
+// into: wider than any workload row, so a row costs one allocation (the
+// returned string) and longer rows merely spill to the heap.
+const encodeBuf = 256
+
+// EncodeField renders a single value as a codec field.
+func EncodeField(v Value) string {
+	var buf [encodeBuf]byte
+	return string(AppendField(buf[:0], v))
+}
+
+func appendEscaped(dst []byte, s string) []byte {
+	if !strings.ContainsAny(s, "\\\t\n\r") {
+		return append(dst, s...)
+	}
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case '\\':
-			sb.WriteString(`\\`)
+			dst = append(dst, `\\`...)
 		case '\t':
-			sb.WriteString(`\t`)
+			dst = append(dst, `\t`...)
 		case '\n':
-			sb.WriteString(`\n`)
+			dst = append(dst, `\n`...)
 		case '\r':
-			sb.WriteString(`\r`)
+			dst = append(dst, `\r`...)
 		default:
-			sb.WriteByte(s[i])
+			dst = append(dst, s[i])
 		}
 	}
-	return sb.String()
+	return dst
 }
 
 func unescapeString(s string) (string, error) {
@@ -132,11 +155,14 @@ func DecodeField(field string, t Type) (Value, error) {
 		}
 		return Str(s), nil
 	case TypeNull:
-		// Untyped: infer from syntax.
-		if i, err := strconv.ParseInt(field, 10, 64); err == nil {
-			return Int(i), nil
+		// Untyped: infer from syntax. The parsers only see fields that can
+		// be numbers, so ordinary strings cost no *strconv.NumError.
+		if looksInt(field) {
+			if i, err := strconv.ParseInt(field, 10, 64); err == nil {
+				return Int(i), nil
+			}
 		}
-		if strings.ContainsAny(field, ".eE") || strings.Contains(field, "Inf") || field == "NaN" {
+		if looksFloat(field) {
 			if f, err := strconv.ParseFloat(field, 64); err == nil {
 				return Float(f), nil
 			}
@@ -157,37 +183,122 @@ func DecodeField(field string, t Type) (Value, error) {
 	}
 }
 
+// unsigned strips one leading sign.
+func unsigned(field string) string {
+	if field != "" && (field[0] == '+' || field[0] == '-') {
+		return field[1:]
+	}
+	return field
+}
+
+// looksInt reports whether field is an optionally signed run of digits —
+// everything strconv.ParseInt(field, 10, 64) accepts, bar the range check.
+func looksInt(field string) bool {
+	digits := unsigned(field)
+	for i := 0; i < len(digits); i++ {
+		if digits[i] < '0' || digits[i] > '9' {
+			return false
+		}
+	}
+	return digits != ""
+}
+
+// looksFloat reports whether field may be a float: it must carry the
+// marker AppendField guarantees ('.', an exponent, Inf or NaN), hold a
+// digit, and consist only of bytes strconv.ParseFloat can accept.
+// ParseFloat still decides; this only keeps it away from fields it would
+// reject with an allocated error.
+func looksFloat(field string) bool {
+	body := unsigned(field)
+	if body == "" {
+		return false
+	}
+	switch c := body[0]; {
+	case c == 'I':
+		return body == "Inf" || (strings.HasPrefix(body, "Inf") && strings.EqualFold(body, "infinity"))
+	case c == 'N':
+		return field == "NaN"
+	case c != '.' && (c < '0' || c > '9'):
+		return false
+	}
+	marked, digit := false, false
+	for i := 0; i < len(body); i++ {
+		switch c := body[i]; {
+		case c == '.' || c == 'e' || c == 'E':
+			marked = true
+		case c >= '0' && c <= '9':
+			digit = true
+		case c >= 'a' && c <= 'f', c >= 'A' && c <= 'F',
+			c == 'x', c == 'X', c == 'p', c == 'P', c == '_', c == '+', c == '-':
+		default:
+			return false
+		}
+	}
+	return marked && digit
+}
+
 // EncodeRow renders a row as tab-separated fields.
 func EncodeRow(r Row) string {
-	if len(r) == 0 {
-		return ""
-	}
-	var sb strings.Builder
-	for i, v := range r {
-		if i > 0 {
-			sb.WriteByte('\t')
-		}
-		sb.WriteString(EncodeField(v))
-	}
-	return sb.String()
+	var buf [encodeBuf]byte
+	return string(AppendRow(buf[:0], r))
 }
 
 // DecodeRow parses a tab-separated line into a row using the schema's
 // column types.
 func DecodeRow(line string, s *Schema) (Row, error) {
-	fields := strings.Split(line, "\t")
-	if len(fields) != len(s.Cols) {
-		return nil, fmt.Errorf("row has %d fields, schema %s has %d", len(fields), s, len(s.Cols))
+	return DecodeCols(line, s, nil)
+}
+
+// DecodeCols parses only the listed columns of a line (ascending schema
+// positions; nil means every column) straight into a row of that width, in
+// one pass over the line. The line must still have exactly the schema's
+// field count, and a malformed listed column is an error naming the
+// column; fields of unlisted columns are skipped unparsed, so a malformed
+// value there goes unnoticed — the lazy-SerDe contract: a reader only
+// vouches for the columns it reads.
+func DecodeCols(line string, s *Schema, cols []int) (Row, error) {
+	n := len(s.Cols)
+	if cols != nil {
+		n = len(cols)
 	}
-	row := make(Row, len(fields))
-	for i, f := range fields {
-		v, err := DecodeField(f, s.Cols[i].Type)
-		if err != nil {
-			return nil, fmt.Errorf("column %s: %w", s.Cols[i].QualifiedName(), err)
+	row := make(Row, n)
+	pos, fi := 0, 0 // line[pos:] starts field fi
+	for ci := range row {
+		col := ci
+		if cols != nil {
+			col = cols[ci]
 		}
-		row[i] = v
+		for ; fi < col; fi++ {
+			tab := strings.IndexByte(line[pos:], '\t')
+			if tab < 0 {
+				return nil, fieldCountError(line, s)
+			}
+			pos += tab + 1
+		}
+		end := len(line)
+		if tab := strings.IndexByte(line[pos:], '\t'); tab >= 0 {
+			end = pos + tab
+		}
+		v, err := DecodeField(line[pos:end], s.Cols[col].Type)
+		if err != nil {
+			if strings.Count(line, "\t")+1 != len(s.Cols) {
+				return nil, fieldCountError(line, s)
+			}
+			return nil, fmt.Errorf("column %s: %w", s.Cols[col].QualifiedName(), err)
+		}
+		row[ci] = v
+		if end < len(line) {
+			pos, fi = end+1, fi+1
+		}
+	}
+	if fi+1+strings.Count(line[pos:], "\t") != len(s.Cols) {
+		return nil, fieldCountError(line, s)
 	}
 	return row, nil
+}
+
+func fieldCountError(line string, s *Schema) error {
+	return fmt.Errorf("row has %d fields, schema %s has %d", strings.Count(line, "\t")+1, s, len(s.Cols))
 }
 
 // DecodeRowUntyped parses a tab-separated line inferring each field's type
@@ -197,10 +308,13 @@ func DecodeRowUntyped(line string) (Row, error) {
 	if line == "" {
 		return Row{}, nil
 	}
-	fields := strings.Split(line, "\t")
-	row := make(Row, len(fields))
-	for i, f := range fields {
-		v, err := DecodeField(f, TypeNull)
+	row := make(Row, strings.Count(line, "\t")+1)
+	for i := range row {
+		field := line
+		if tab := strings.IndexByte(line, '\t'); tab >= 0 {
+			field, line = line[:tab], line[tab+1:]
+		}
+		v, err := DecodeField(field, TypeNull)
 		if err != nil {
 			return nil, err
 		}

@@ -230,3 +230,122 @@ func rowsIdentical(a, b Row) bool {
 	}
 	return true
 }
+
+// tpchLineitem is TPC-H's 16-column lineitem layout, the widest row the
+// paper's workload scans.
+var tpchLineitem = NewSchema(
+	Column{Table: "l", Name: "l_orderkey", Type: TypeInt},
+	Column{Table: "l", Name: "l_partkey", Type: TypeInt},
+	Column{Table: "l", Name: "l_suppkey", Type: TypeInt},
+	Column{Table: "l", Name: "l_linenumber", Type: TypeInt},
+	Column{Table: "l", Name: "l_quantity", Type: TypeFloat},
+	Column{Table: "l", Name: "l_extendedprice", Type: TypeFloat},
+	Column{Table: "l", Name: "l_discount", Type: TypeFloat},
+	Column{Table: "l", Name: "l_tax", Type: TypeFloat},
+	Column{Table: "l", Name: "l_returnflag", Type: TypeString},
+	Column{Table: "l", Name: "l_linestatus", Type: TypeString},
+	Column{Table: "l", Name: "l_shipdate", Type: TypeString},
+	Column{Table: "l", Name: "l_commitdate", Type: TypeString},
+	Column{Table: "l", Name: "l_receiptdate", Type: TypeString},
+	Column{Table: "l", Name: "l_shipinstruct", Type: TypeString},
+	Column{Table: "l", Name: "l_shipmode", Type: TypeString},
+	Column{Table: "l", Name: "l_comment", Type: TypeString},
+)
+
+const tpchLineitemLine = "1\t1552\t93\t1\t17.0\t24710.35\t0.04\t0.02\tN\tO\t1996-03-13\t1996-02-12\t1996-03-22\tDELIVER IN PERSON\tTRUCK\tegular courts above the"
+
+// TestAllocBudgetCodec pins the codec's allocation counts: they are what
+// the append-style encoders and the demand-driven decoder exist for, and
+// they are deterministic, so they can gate.
+func TestAllocBudgetCodec(t *testing.T) {
+	row, err := DecodeRow(tpchLineitemLine, tpchLineitem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	demand := []int{0, 1, 4, 5} // l_orderkey, l_partkey, l_quantity, l_extendedprice
+	budgets := []struct {
+		name string
+		max  float64
+		fn   func()
+	}{
+		{"EncodeRow", 1, func() { sinkString = EncodeRow(row) }},
+		{"EncodeKey", 1, func() { sinkString = EncodeKey(row[:2]) }},
+		{"DecodeRow", 1, func() { sinkRow, _ = DecodeRow(tpchLineitemLine, tpchLineitem) }},
+		{"DecodeCols of 4 numeric columns", 1, func() { sinkRow, _ = DecodeCols(tpchLineitemLine, tpchLineitem, demand) }},
+		{"DecodeRowUntyped", 1, func() { sinkRow, _ = DecodeRowUntyped(tpchLineitemLine) }},
+	}
+	// An untyped string field must not cost a parser's error value,
+	// whatever number-like bytes it carries.
+	for _, field := range []string{"DELIVER IN PERSON", "3-MEDIUM", "1996-03-13", "Clerk#000000951", "e", ".", "-", "+Infinite", "NaNs"} {
+		field := field
+		budgets = append(budgets, struct {
+			name string
+			max  float64
+			fn   func()
+		}{"untyped decode of " + field, 0, func() { sinkValue, _ = DecodeField(field, TypeNull) }})
+	}
+	for _, b := range budgets {
+		if got := testing.AllocsPerRun(200, b.fn); got > b.max {
+			t.Errorf("%s: %v allocations per run, budget %v", b.name, got, b.max)
+		}
+	}
+}
+
+var (
+	sinkString string
+	sinkRow    Row
+	sinkValue  Value
+)
+
+// TestDecodeColsLazyContract pins what a demand-driven decode vouches for:
+// the line's field count always, the listed columns' syntax, and nothing
+// about the columns it was not asked to read (Hive's lazy SerDe and
+// MANIMAL's projection behave the same way).
+func TestDecodeColsLazyContract(t *testing.T) {
+	s := NewSchema(
+		Column{Table: "t", Name: "a", Type: TypeInt},
+		Column{Table: "t", Name: "b", Type: TypeFloat},
+		Column{Table: "t", Name: "c", Type: TypeString},
+		Column{Table: "t", Name: "d", Type: TypeInt},
+	)
+	got, err := DecodeCols("1\t2.5\tx\t4", s, []int{0, 3})
+	if err != nil || !reflect.DeepEqual(got, Row{Int(1), Int(4)}) {
+		t.Fatalf("DecodeCols = %v, %v; want [1 4]", got, err)
+	}
+	if got, err := DecodeCols("1\t2.5\tx\t4", s, []int{}); err != nil || len(got) != 0 {
+		t.Errorf("empty demand = %v, %v; want an empty row", got, err)
+	}
+
+	// A malformed column nobody demanded is not parsed.
+	got, err = DecodeCols("1\tnot-a-float\tx\t4", s, []int{0, 3})
+	if err != nil || !reflect.DeepEqual(got, Row{Int(1), Int(4)}) {
+		t.Errorf("malformed undemanded column: got %v, %v; want [1 4]", got, err)
+	}
+	// The full decode of the same line still rejects it.
+	if _, err := DecodeRow("1\tnot-a-float\tx\t4", s); err == nil {
+		t.Error("DecodeRow accepted a malformed float")
+	}
+
+	// A malformed demanded column is an error naming the column.
+	_, err = DecodeCols("1\t2.5\tx\tfour", s, []int{0, 3})
+	if err == nil || !strings.Contains(err.Error(), "column t.d") {
+		t.Errorf("malformed demanded column: err = %v, want one naming t.d", err)
+	}
+
+	// The field count is checked however little is demanded — short and
+	// long lines, and whether or not the demanded fields are present.
+	for _, line := range []string{"1\t2.5\tx", "1\t2.5\tx\t4\t5", "1", ""} {
+		for _, cols := range [][]int{nil, {}, {0}, {3}, {0, 3}} {
+			_, err := DecodeCols(line, s, cols)
+			if err == nil || !strings.Contains(err.Error(), "fields") {
+				t.Errorf("DecodeCols(%q, %v): err = %v, want a field-count error", line, cols, err)
+			}
+		}
+	}
+	// A wrong field count outranks a malformed demanded column, as in
+	// DecodeRow.
+	_, err = DecodeCols("one\t2.5\tx", s, []int{0})
+	if err == nil || !strings.Contains(err.Error(), "fields") {
+		t.Errorf("short line with a malformed column: err = %v, want a field-count error", err)
+	}
+}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -25,6 +26,23 @@ func FuzzDecodeRowUntyped(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, line string) {
 		row, err := DecodeRowUntyped(line)
+		if line != "" {
+			// Field by field, the split-free walk and the pre-checked
+			// parsers infer what Split and the bare parsers did.
+			fields := strings.Split(line, "\t")
+			for i, field := range fields {
+				want, wantErr := inferFieldReference(field)
+				if wantErr != nil {
+					if err == nil {
+						t.Fatalf("field %q of %q: decoded, reference fails with %v", field, line, wantErr)
+					}
+					break
+				}
+				if err == nil && (len(row) != len(fields) || !sameValue(row[i], want)) {
+					t.Fatalf("field %d of %q: got %v, reference infers %v", i, line, row, want)
+				}
+			}
+		}
 		if err != nil {
 			return
 		}
@@ -135,4 +153,132 @@ func sign(x int) int {
 		return 1
 	}
 	return 0
+}
+
+// inferFieldReference is untyped field inference as first written: offer
+// the field to ParseInt, then (if it carries a float marker) to ParseFloat,
+// and take whatever does not fail. DecodeField now pre-checks the syntax so
+// that ordinary strings never reach a parser; this is what it must equal.
+func inferFieldReference(field string) (Value, error) {
+	if field == nullField {
+		return Null(), nil
+	}
+	if i, err := strconv.ParseInt(field, 10, 64); err == nil {
+		return Int(i), nil
+	}
+	if strings.ContainsAny(field, ".eE") || strings.Contains(field, "Inf") || field == "NaN" {
+		if f, err := strconv.ParseFloat(field, 64); err == nil {
+			return Float(f), nil
+		}
+	}
+	if field == "true" || field == "false" {
+		return Bool(field == "true"), nil
+	}
+	s, err := unescapeString(field)
+	return Str(s), err
+}
+
+// sameValue is == on values, with NaN equal to itself.
+func sameValue(a, b Value) bool {
+	if a.T == TypeFloat && b.T == TypeFloat && math.IsNaN(a.F) && math.IsNaN(b.F) {
+		return true
+	}
+	return a == b
+}
+
+// FuzzAppendRow checks the append-style encoders against the per-field
+// one: AppendRow after any prefix is that prefix plus the EncodeField
+// renderings joined by tabs, EncodeRow and EncodeKey are the same bytes,
+// and the bytes survive a decode and re-encode.
+func FuzzAppendRow(f *testing.F) {
+	f.Add("", "")
+	f.Add("key|", "1\t2.5\ttext\ttrue\t\\N")
+	f.Add("x", "-0.0\tNaN\t+Inf\t1e300\t3.0")
+	f.Add("", `a\tb\\c\nd`+"\t\t")
+	f.Fuzz(func(t *testing.T, prefix, line string) {
+		row, err := DecodeRowUntyped(line)
+		if err != nil {
+			return
+		}
+		fields := make([]string, len(row))
+		for i, v := range row {
+			fields[i] = EncodeField(v)
+			if got := string(AppendField([]byte(prefix), v)); got != prefix+fields[i] {
+				t.Fatalf("AppendField(%q, %v) = %q, want %q", prefix, v, got, prefix+fields[i])
+			}
+		}
+		want := strings.Join(fields, "\t")
+		if got := string(AppendRow([]byte(prefix), row)); got != prefix+want {
+			t.Fatalf("AppendRow(%q, %v) = %q, want %q", prefix, row, got, prefix+want)
+		}
+		if got := EncodeRow(row); got != want {
+			t.Fatalf("EncodeRow(%v) = %q, want %q", row, got, want)
+		}
+		if got := EncodeKey(row); got != want {
+			t.Fatalf("EncodeKey(%v) = %q, want %q", row, got, want)
+		}
+		back, err := DecodeRowUntyped(want)
+		if err != nil {
+			t.Fatalf("own encoding %q does not decode: %v", want, err)
+		}
+		// Not the same values necessarily — a string spelled like a number
+		// decodes as one — but the same bytes.
+		if again := EncodeRow(back); again != want {
+			t.Fatalf("%v -> %q -> %v -> %q", row, want, back, again)
+		}
+	})
+}
+
+// FuzzDecodeCols checks the demand-driven decoder against the full one
+// over arbitrary lines, schemas and column demands: whenever DecodeRow
+// succeeds, DecodeCols returns exactly its projection; a wrong field count
+// fails in both; and DecodeCols never fails on a line DecodeRow accepts
+// (it may accept more — columns it was not asked to read go unparsed).
+func FuzzDecodeCols(f *testing.F) {
+	f.Add("1\t2.5\ttext\ttrue", uint32(0x1b), uint16(0x9), uint8(0))
+	f.Add("1\tx\t3", uint32(0), uint16(0x5), uint8(0))
+	f.Add("1\t2", uint32(0), uint16(0x3), uint8(1))
+	f.Add("", uint32(3), uint16(0), uint8(0))
+	f.Fuzz(func(t *testing.T, line string, typeBits uint32, demand uint16, extraCols uint8) {
+		// Mostly the line's own field count, sometimes up to 3 more.
+		n := strings.Count(line, "\t") + 1 + int(extraCols%4)
+		if n > 16 {
+			return
+		}
+		types := []Type{TypeInt, TypeFloat, TypeString, TypeBool}
+		s := &Schema{Cols: make([]Column, n)}
+		cols := []int{} // nil would demand every column
+		for i := range s.Cols {
+			s.Cols[i] = Column{Table: "t", Name: "c" + strconv.Itoa(i), Type: types[typeBits>>(2*i)&3]}
+			if demand&(1<<i) != 0 {
+				cols = append(cols, i)
+			}
+		}
+		full, fullErr := DecodeRow(line, s)
+		got, err := DecodeCols(line, s, cols)
+		if strings.Count(line, "\t")+1 != n {
+			if fullErr == nil || err == nil {
+				t.Fatalf("%d fields against %d columns: DecodeRow err %v, DecodeCols err %v", strings.Count(line, "\t")+1, n, fullErr, err)
+			}
+			return
+		}
+		if fullErr != nil {
+			return
+		}
+		if err != nil {
+			t.Fatalf("DecodeCols(%q, %v) fails with %v on a line DecodeRow accepts", line, cols, err)
+		}
+		want := make(Row, len(cols))
+		for i, c := range cols {
+			want[i] = full[c]
+		}
+		if len(got) != len(want) {
+			t.Fatalf("DecodeCols(%q, %v) = %v, want %v", line, cols, got, want)
+		}
+		for i := range want {
+			if !sameValue(got[i], want[i]) {
+				t.Fatalf("DecodeCols(%q, %v) = %v, want %v", line, cols, got, want)
+			}
+		}
+	})
 }

@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"sort"
@@ -405,19 +404,43 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 	return stats, nil
 }
 
-// combineTask groups one map task's output by key and applies the combiner.
+// combineTask groups one map task's output by key, in first-seen key order,
+// and applies the combiner. Every group is a window of one values slice
+// sized by len(pairs): a first pass numbers the keys and counts their
+// values, a second drops each value into its key's window.
 func combineTask(pairs []kv, c Combiner) ([]kv, error) {
-	byKey := make(map[string][]string)
-	order := make([]string, 0, len(byKey))
-	for _, p := range pairs {
-		if _, ok := byKey[p.key]; !ok {
+	index := make(map[string]int) // key -> position in order
+	var order []string
+	var counts []int
+	groupOf := make([]int, len(pairs))
+	for pi, p := range pairs {
+		g, ok := index[p.key]
+		if !ok {
+			g = len(order)
+			index[p.key] = g
 			order = append(order, p.key)
+			counts = append(counts, 0)
 		}
-		byKey[p.key] = append(byKey[p.key], p.value)
+		groupOf[pi] = g
+		counts[g]++
 	}
-	var out []kv
-	for _, k := range order {
-		vals, err := c.Combine(k, byKey[k])
+	starts := make([]int, len(order)+1)
+	for g, n := range counts {
+		starts[g+1] = starts[g] + n
+	}
+	values := make([]string, len(pairs))
+	next := counts // reused: where each group's next value goes
+	copy(next, starts)
+	for pi, p := range pairs {
+		g := groupOf[pi]
+		values[next[g]] = p.value
+		next[g]++
+	}
+	out := make([]kv, 0, len(order))
+	for g, k := range order {
+		// Capped, so a combiner appending to its input cannot reach the
+		// next group's values.
+		vals, err := c.Combine(k, values[starts[g]:starts[g+1]:starts[g+1]])
 		if err != nil {
 			return nil, err
 		}
@@ -452,11 +475,15 @@ func splitChunks(lines []string, n int) [][]string {
 }
 
 // partitionOf is the default hash partitioner (exported for tests of
-// grouping invariants).
+// grouping invariants): FNV-32a of the key, modulo the partition count,
+// computed over the string in place — the fault path calls it for every
+// key of every replayed reduce task.
 func partitionOf(key string, numReduce int) int {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key))
-	return int(h.Sum32() % uint32(numReduce))
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	return int(h % uint32(numReduce))
 }
 
 // ---------------------------------------------------------------------------

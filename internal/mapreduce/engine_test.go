@@ -538,3 +538,46 @@ func TestDFSBasics(t *testing.T) {
 		t.Error("SizeBytes of missing file should be 0")
 	}
 }
+
+// TestAllocBudgetPartitionOf pins the partitioner at zero allocations: the
+// fault path calls it for every key of every replayed reduce task.
+func TestAllocBudgetPartitionOf(t *testing.T) {
+	key := "the\tquick\x00fox"
+	if got := testing.AllocsPerRun(200, func() { sinkInt += partitionOf(key, 7) }); got != 0 {
+		t.Errorf("partitionOf: %v allocations per call, want 0", got)
+	}
+}
+
+// TestAllocBudgetCombineTask pins what combineTask's grouping is sized by:
+// the number of pairs (one values slice) and the number of keys, never the
+// number of values per key — sixteen times the values of the same four
+// keys must cost no further allocation.
+func TestAllocBudgetCombineTask(t *testing.T) {
+	one := []string{"1"}
+	count := CombinerFunc(func(string, []string) ([]string, error) { return one, nil })
+	pairsOf := func(perKey int) []kv {
+		var pairs []kv
+		for i := 0; i < 4*perKey; i++ {
+			pairs = append(pairs, kv{key: string(rune('a' + i%4)), value: "v"})
+		}
+		return pairs
+	}
+	allocs := func(pairs []kv) float64 {
+		return testing.AllocsPerRun(50, func() {
+			out, err := combineTask(pairs, count)
+			if err != nil || len(out) != 4 {
+				t.Fatalf("combineTask = %v, %v; want 4 pairs", out, err)
+			}
+		})
+	}
+	few, many := allocs(pairsOf(16)), allocs(pairsOf(256))
+	if many > few {
+		t.Errorf("combineTask: %v allocations for 256 values per key, %v for 16: grouping grows with the values", many, few)
+	}
+	const budget = 12
+	if few > budget {
+		t.Errorf("combineTask over 4 keys: %v allocations, budget %d", few, budget)
+	}
+}
+
+var sinkInt int

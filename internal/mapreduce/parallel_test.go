@@ -187,6 +187,10 @@ func BenchmarkRunChain(b *testing.B) {
 	var baseline []string
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			defer func() {
+				b.ReportMetric(float64(b.N*len(lines))/b.Elapsed().Seconds(), "rows/s")
+			}()
 			for i := 0; i < b.N; i++ {
 				dfs := NewDFS()
 				dfs.Write("in", lines)

@@ -171,6 +171,30 @@ func applyStages(stages []stage, r exec.Row) (exec.Row, error) {
 	return cur, nil
 }
 
+// scanDecoder is a base-table mapper's per-line work short of the emit:
+// decode only the demanded columns of the line, then run the map-side
+// stages; (nil, nil) means the line was filtered out.
+func scanDecoder(schema *exec.Schema, demand effView, stages []stage) func(line string) (exec.Row, error) {
+	return func(line string) (exec.Row, error) {
+		row, err := exec.DecodeCols(line, schema, demand.cols)
+		if err != nil {
+			return nil, err
+		}
+		return applyStages(stages, row)
+	}
+}
+
+// prefilterOf turns a mapper's decode-and-filter path into its raw-line
+// early filter: a nil row with no error is exactly a line the mapper
+// drops, and lines that fail are kept so the mapper still surfaces the
+// error.
+func prefilterOf(decode func(line string) (exec.Row, error)) func(line string) bool {
+	return func(line string) bool {
+		out, err := decode(line)
+		return err != nil || out != nil
+	}
+}
+
 // stagesToOps turns stages into reduce-side cmf operators chained after
 // src, returning the final source.
 func stagesToOps(stages []stage, src cmf.Source, namePrefix string, add func(cmf.Op)) cmf.Source {

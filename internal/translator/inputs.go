@@ -157,24 +157,10 @@ func (lw *lowerer) parallelSort(op *correlation.Operation) bool {
 	return !(op == lw.analysis.RootOp && lw.topLimit > 0)
 }
 
-func keyFromFns(fns []cmf.RowFn) func(exec.Row) ([]exec.Value, error) {
-	return func(r exec.Row) ([]exec.Value, error) {
-		out := make([]exec.Value, len(fns))
-		for i, fn := range fns {
-			v, err := fn(r)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-}
-
 // buildSimpleScanInput lowers a single-stream base-table input: the mapper
-// decodes the full row, prunes it, applies the whole transparent chain
-// (selection and projection in the map phase, §V.A), and emits the
-// chain-top row.
+// decodes only the columns the plan demands of the scan, applies the whole
+// transparent chain (selection and projection in the map phase, §V.A), and
+// emits the chain-top row.
 func (lw *lowerer) buildSimpleScanInput(cj *cmf.CommonJob, ss *sharedStream, slots map[slotKey]slot) error {
 	scanEff := lw.view(ss.scan)
 	stages, topEff, err := lowerChain(scanEff, ss.chain, lw.requiredOf)
@@ -186,19 +172,7 @@ func (lw *lowerer) buildSimpleScanInput(cj *cmf.CommonJob, ss *sharedStream, slo
 	if err != nil {
 		return err
 	}
-	decodeSchema := ss.scan.Schema()
-	pre := scanEff.cols
-	decode := func(line string) (exec.Row, error) {
-		row, err := exec.DecodeRow(line, decodeSchema)
-		if err != nil {
-			return nil, err
-		}
-		cur := make(exec.Row, len(pre))
-		for i, c := range pre {
-			cur[i] = row[c]
-		}
-		return applyStages(stages, cur)
-	}
+	decode := scanDecoder(ss.scan.Schema(), scanEff, stages)
 	if spec.encode != nil {
 		cj.OpaqueKeys = true
 	}
@@ -207,18 +181,13 @@ func (lw *lowerer) buildSimpleScanInput(cj *cmf.CommonJob, ss *sharedStream, slo
 		fact.Refusal = fmt.Sprintf("%s: no selection adjacent to the scan of %s", ss.op.Name(), ss.scan.Table)
 	} else {
 		fact.PredSQL = filterSQL(ss.chain[len(ss.chain)-n:])
-		// The prefilter replays the mapper's own decode-and-filter chain:
-		// a nil row with no error is exactly a line the mapper drops.
-		fact.Prefilter = func(line string) bool {
-			out, err := decode(line)
-			return err != nil || out != nil
-		}
+		fact.Prefilter = prefilterOf(decode)
 	}
 	lw.facts = append(lw.facts, fact)
 	cj.Inputs = append(cj.Inputs, cmf.CommonInput{
 		Path:      TablePath(ss.scan.Table),
 		Decode:    decode,
-		Key:       keyFromFns(spec.fns),
+		Key:       spec.fns,
 		KeyEncode: spec.encode,
 		Streams:   []cmf.Stream{{ID: ss.id}},
 	})
@@ -232,8 +201,10 @@ func (lw *lowerer) buildSimpleScanInput(cj *cmf.CommonJob, ss *sharedStream, slo
 // must not see the pair. Non-selection chain work runs reduce-side per
 // stream.
 func (lw *lowerer) buildSharedInput(cj *cmf.CommonJob, table string, streams []*sharedStream, slots map[slotKey]slot, addOp func(cmf.Op)) error {
-	// Union of required base columns across streams.
+	// Union of required base columns across streams: the common value. The
+	// mapper decodes those plus whatever only the map-side selections read.
 	unionSet := make(map[int]bool)
+	decodeSet := make(map[int]bool)
 	for _, ss := range streams {
 		for _, c := range ss.required {
 			unionSet[c] = true
@@ -241,39 +212,40 @@ func (lw *lowerer) buildSharedInput(cj *cmf.CommonJob, table string, streams []*
 		for _, c := range ss.keyBase {
 			unionSet[c] = true
 		}
+		for _, c := range lw.requiredOf(ss.scan) {
+			decodeSet[c] = true
+		}
 	}
-	unionCols := make([]int, 0, len(unionSet))
-	for c := range unionSet {
-		unionCols = append(unionCols, c)
-	}
-	sort.Ints(unionCols)
+	unionCols := sortedKeys(unionSet)
 	unionPos := make(map[int]int, len(unionCols))
 	for i, c := range unionCols {
 		unionPos[c] = i
+		decodeSet[c] = true
+	}
+	decodeCols := sortedKeys(decodeSet)
+	decodePos := make(map[int]int, len(decodeCols))
+	for i, c := range decodeCols {
+		decodePos[c] = i
+	}
+	// narrow maps base-table columns to positions in the decoded row.
+	narrow := func(cols []int) []int {
+		out := make([]int, len(cols))
+		for i, c := range cols {
+			out[i] = decodePos[c]
+		}
+		return out
 	}
 
 	decodeSchema := streams[0].scan.Schema()
-	keyBase := streams[0].keyBase
-
 	input := cmf.CommonInput{
 		Path: TablePath(table),
 		Decode: func(line string) (exec.Row, error) {
-			return exec.DecodeRow(line, decodeSchema)
+			return exec.DecodeCols(line, decodeSchema, decodeCols)
 		},
-		Key: func(r exec.Row) ([]exec.Value, error) {
-			out := make([]exec.Value, len(keyBase))
-			for i, c := range keyBase {
-				out[i] = r[c]
-			}
-			return out, nil
-		},
-		Project: func(r exec.Row) exec.Row {
-			out := make(exec.Row, len(unionCols))
-			for i, c := range unionCols {
-				out[i] = r[c]
-			}
-			return out
-		},
+		Key: projectionFns(narrow(streams[0].keyBase)),
+	}
+	if !intsEqual(unionCols, decodeCols) {
+		input.Project = narrow(unionCols)
 	}
 
 	fact := ScanFact{Job: cj.Name, InputIdx: len(cj.Inputs), Table: table, Path: TablePath(table)}
@@ -288,10 +260,12 @@ func (lw *lowerer) buildSharedInput(cj *cmf.CommonJob, table string, streams []*
 		mapFilterNodes := chain[len(chain)-nFilters:]
 		reduceChain := chain[:len(chain)-nFilters]
 
+		// The stream's own scan schema carries its alias bindings.
+		decoded := restrictView(ss.scan.Schema(), decodeCols).schema
 		var preds []cmf.RowPred
 		for _, n := range mapFilterNodes {
 			f := n.(*plan.Filter)
-			ev, err := exec.Compile(f.Cond, ss.scan.Schema())
+			ev, err := exec.Compile(f.Cond, decoded)
 			if err != nil {
 				return fmt.Errorf("%s selection %s: %w", ss.op.Name(), f.Cond.SQL(), err)
 			}
@@ -344,12 +318,12 @@ func (lw *lowerer) buildSharedInput(cj *cmf.CommonJob, table string, streams []*
 
 	if fact.Refusal == "" {
 		fact.PredSQL = []string{strings.Join(streamSQL, " OR ")}
-		decodeFull := input.Decode
+		decode := input.Decode
 		// A line is droppable only when every stream's selection rejects
 		// the decoded row; decode or evaluation errors keep the line so
 		// the mapper surfaces them.
 		fact.Prefilter = func(line string) bool {
-			r, err := decodeFull(line)
+			r, err := decode(line)
 			if err != nil || r == nil {
 				return true
 			}
@@ -404,7 +378,7 @@ func (lw *lowerer) buildIntermediateInput(cj *cmf.CommonJob, op *correlation.Ope
 	cj.Inputs = append(cj.Inputs, cmf.CommonInput{
 		Path:      ref.path,
 		Decode:    decode,
-		Key:       keyFromFns(spec.fns),
+		Key:       spec.fns,
 		KeyEncode: spec.encode,
 		Streams:   []cmf.Stream{{ID: streamID}},
 	})
@@ -429,4 +403,14 @@ func mapFilterPrefixLen(chain []plan.Node) int {
 		n++
 	}
 	return n
+}
+
+// sortedKeys lists a column set in ascending order.
+func sortedKeys(set map[int]bool) []int {
+	out := make([]int, 0, len(set))
+	for c := range set {
+		out = append(out, c)
+	}
+	sort.Ints(out)
+	return out
 }

@@ -81,18 +81,9 @@ func (lw *lowerer) lowerSPQuery() (*Translation, error) {
 	if err != nil {
 		return nil, err
 	}
-	decodeSchema := scan.Schema()
-	pre := scanEff.cols
+	decode := scanDecoder(scan.Schema(), scanEff, stages)
 	mapper := mapreduce.MapperFunc(func(line string, emit mapreduce.Emit) error {
-		row, err := exec.DecodeRow(line, decodeSchema)
-		if err != nil {
-			return err
-		}
-		cur := make(exec.Row, len(pre))
-		for i, c := range pre {
-			cur[i] = row[c]
-		}
-		out, err := applyStages(stages, cur)
+		out, err := decode(line)
 		if err != nil || out == nil {
 			return err
 		}
@@ -111,18 +102,7 @@ func (lw *lowerer) lowerSPQuery() (*Translation, error) {
 		fact.Refusal = "no selection adjacent to the scan: every input line can reach the output"
 	} else {
 		fact.PredSQL = filterSQL(in.Chain[len(in.Chain)-n:])
-		fact.Prefilter = func(line string) bool {
-			row, err := exec.DecodeRow(line, decodeSchema)
-			if err != nil {
-				return true
-			}
-			cur := make(exec.Row, len(pre))
-			for i, c := range pre {
-				cur[i] = row[c]
-			}
-			out, err := applyStages(stages, cur)
-			return err != nil || out != nil
-		}
+		fact.Prefilter = prefilterOf(decode)
 	}
 	return &Translation{
 		Mode:         lw.mode,
