@@ -4,8 +4,8 @@
 // rand, no map-ordered emission, transitively through the call graph),
 // common-MapReduce tag/dispatch agreement, paired trace spans, no fresh
 // uses of deprecated API, data-race freedom in parallel task bodies
-// (sharecheck), mutex discipline on ConcurrentReduce marker types
-// (concreduce), an acyclic lock-order graph over the serving stack's
+// (sharecheck), fresh reduce-task instances that write their parent only
+// in Done (concreduce), an acyclic lock-order graph over the serving stack's
 // identified mutexes (lockorder), provable goroutine termination at
 // every spawn site (goleak), and no blocking operations reachable under
 // a held mutex (lockheld). Every run also audits lint:ignore directives

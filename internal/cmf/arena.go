@@ -1,0 +1,73 @@
+package cmf
+
+import "ysmart/internal/exec"
+
+// arena is the row storage of one reducer instance: the rows a key group's
+// evaluation builds — decoded values, stream buckets, join and projection
+// results — are carved from it and all die together when the next key group
+// resets it. The lifetime rule: nothing that outlives Reduce(key) may alias
+// the arena. Output lines are freshly encoded strings, operator state that
+// spans rows (accumulators, sort buffers) lives on the heap, and a decoded
+// string value points into the shuffle value it came from, not into a chunk.
+//
+// The zero arena is ready to use; one that is never reset allocates exactly
+// what its callers ask for, so an operator evaluated on its own behaves as
+// if it called make.
+type arena struct {
+	vals slab[exec.Value] // row storage
+	rows slab[exec.Row]   // row headers: stream buckets, operator results
+	// ints is index scratch an operator uses within one Eval and hands back
+	// grown (JoinOp's matched-pair list).
+	ints []int
+}
+
+// reset recycles every carving.
+func (a *arena) reset() {
+	a.vals.reset()
+	a.rows.reset()
+}
+
+// maxChunks bounds the chunks a slab walks per key group before it trades
+// them for one that holds them all.
+const maxChunks = 8
+
+// slab hands out windows of chunks it keeps across resets. A chunk is
+// allocated only for a request no kept chunk has room for, and at exactly
+// the request's size: chunks grow from the demand actually seen, so a cold
+// slab costs what the same calls to make would, and a warm one nothing.
+type slab[T any] struct {
+	chunks [][]T
+	cur    int // chunk being carved
+	off    int // first free element of chunks[cur]
+}
+
+// take returns n elements to be overwritten (nil for none), capped so that
+// an append cannot reach the next carving.
+func (s *slab[T]) take(n int) []T {
+	if n == 0 {
+		return nil
+	}
+	for ; s.cur < len(s.chunks); s.cur, s.off = s.cur+1, 0 {
+		if c := s.chunks[s.cur]; len(c)-s.off >= n {
+			s.off += n
+			return c[s.off-n : s.off : s.off]
+		}
+	}
+	s.chunks = append(s.chunks, make([]T, n))
+	s.off = n
+	return s.chunks[s.cur]
+}
+
+func (s *slab[T]) reset() {
+	if len(s.chunks) > maxChunks {
+		// Key groups kept outgrowing the chunks: one chunk as large as all
+		// of them holds any group seen so far in a single carve sequence.
+		n := 0
+		for _, c := range s.chunks {
+			n += len(c)
+		}
+		clear(s.chunks)
+		s.chunks = append(s.chunks[:0], make([]T, n))
+	}
+	s.cur, s.off = 0, 0
+}

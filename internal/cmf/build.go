@@ -3,6 +3,7 @@ package cmf
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"ysmart/internal/exec"
@@ -271,17 +272,19 @@ type outputSlot struct {
 // rows consumed by every operator so the cost model can charge the merged
 // reducer's real computation (the paper's §VII.C observation that merged
 // reduce phases "execute more lines of code").
+//
+// The reducer itself is the immutable, shareable half: the compiled graph
+// and the job's wiring, plus cumulative counters. The evaluating half is a
+// reduceTask, one per engine reduce task (mapreduce.ReduceTaskFactory).
 type commonReducer struct {
 	// Everything down to mu is fixed at Build.
 	graph      *graph
 	inputs     [][]streamRef // streams of each job input
 	outputs    []outputSlot
 	opaqueKeys bool
-	// mu guards the accounting below. Reduce itself is pure per key group —
-	// the operator graph evaluates on call-local slots — so the engine may
-	// run key groups concurrently (see ConcurrentReduce); only the counter
-	// folds serialize, and sums commute, so totals are identical at any
-	// worker count.
+	// mu guards the accounting below, which instances fold their private
+	// counts into when their task is done. Sums commute, so totals are
+	// identical however the engine cut the keys into tasks.
 	mu   sync.Mutex
 	work int64
 	// dispatch accumulates cumulative per-operator row counts across all key
@@ -290,27 +293,63 @@ type commonReducer struct {
 	dispatch []mapreduce.OpDispatch
 }
 
-// ConcurrentReduce implements mapreduce.ConcurrentReducer: key groups are
-// independent and the shared counters above are mutex-folded.
-func (cr *commonReducer) ConcurrentReduce() {}
+// reduceTask is one reduce task's instance of the common reducer — the
+// paper's reducer object, whose scratch outlives a key: the slot table, the
+// exclusion scratch and the arena are reused from key group to key group,
+// and row counts stay private until Done.
+type reduceTask struct {
+	cr             *commonReducer
+	slots, scratch [][]exec.Row // the graph's slot table; see graph.newSlots
+	excluded       []int
+	arena          arena
+	work           int64
+	counts         [][2]int64 // rows in and out of every operator, indexed like graph.ops
+}
 
-// Reduce implements mapreduce.Reducer.
+// NewReduceTask implements mapreduce.ReduceTaskFactory.
+func (cr *commonReducer) NewReduceTask() mapreduce.ReduceTask {
+	t := &reduceTask{cr: cr, counts: make([][2]int64, len(cr.graph.ops))}
+	t.slots, t.scratch = cr.graph.newSlots()
+	return t
+}
+
+// Reduce implements mapreduce.Reducer for callers outside the engine's
+// reduce tasks: a one-key task.
 func (cr *commonReducer) Reduce(key string, values []string, emit func(string)) error {
+	t := cr.NewReduceTask()
+	defer t.Done()
+	return t.Reduce(key, values, emit)
+}
+
+// Reduce implements mapreduce.ReduceTask.
+func (t *reduceTask) Reduce(key string, values []string, emit func(string)) error {
+	cr, g, a := t.cr, t.cr.graph, &t.arena
+	a.reset()
+	clear(t.slots)
+	// The key and every value decode into one carving, sized by a count of
+	// their fields (a tagged value's header holds no tab).
+	n := 0
+	if !cr.opaqueKeys {
+		n = strings.Count(key, "\t") + 1
+	}
+	for _, v := range values {
+		n += strings.Count(v, "\t") + 1
+	}
+	decoded := a.vals.take(n)[:0]
 	var keyRow exec.Row
 	if !cr.opaqueKeys {
 		var err error
-		keyRow, err = exec.DecodeRowUntyped(key)
-		if err != nil {
+		if decoded, err = exec.AppendRowUntyped(decoded, key); err != nil {
 			return err
 		}
+		keyRow = decoded[:len(decoded):len(decoded)]
 	}
-	g := cr.graph
-	slots, scratch := g.newSlots()
 	for _, v := range values {
-		tv, err := DecodeTagged(v)
+		tv, err := appendTagged(v, t.excluded[:0], decoded)
 		if err != nil {
 			return err
 		}
+		decoded, t.excluded = decoded[:len(decoded)+len(tv.Row)], tv.Excluded
 		if tv.Input < 0 || tv.Input >= len(cr.inputs) {
 			return fmt.Errorf("value references input %d of %d", tv.Input, len(cr.inputs))
 		}
@@ -318,33 +357,44 @@ func (cr *commonReducer) Reduce(key string, values []string, emit func(string)) 
 			if !tv.Sees(st.id) {
 				continue
 			}
-			if slots[st.slot] == nil {
-				slots[st.slot] = make([]exec.Row, 0, len(values))
+			if t.slots[st.slot] == nil {
+				t.slots[st.slot] = a.rows.take(len(values))[:0]
 			}
-			slots[st.slot] = append(slots[st.slot], tv.Row)
+			t.slots[st.slot] = append(t.slots[st.slot], tv.Row)
 		}
 	}
-	if err := g.eval(keyRow, slots, scratch); err != nil {
+	if err := g.eval(a, keyRow, t.slots, t.scratch); err != nil {
 		return err
 	}
-	cr.mu.Lock()
 	for i, gop := range g.ops {
-		in := g.inRows(i, slots)
-		cr.dispatch[i].InRows += in
-		cr.dispatch[i].OutRows += int64(len(slots[g.nStreams+i]))
+		in := g.inRows(i, t.slots)
+		t.counts[i][0] += in
+		t.counts[i][1] += int64(len(t.slots[g.nStreams+i]))
 		if gop.relational {
-			cr.work += in
+			t.work += in
 		}
 	}
-	cr.mu.Unlock()
 	var buf [256]byte
 	for _, out := range cr.outputs {
 		line := AppendTag(buf[:0], out.tag)
-		for _, r := range slots[out.slot] {
+		for _, r := range t.slots[out.slot] {
 			emit(string(exec.AppendRow(line, r)))
 		}
 	}
 	return nil
+}
+
+// Done implements mapreduce.ReduceTask: the instance's counts move into the
+// reducer's cumulative ones.
+func (t *reduceTask) Done() {
+	cr := t.cr
+	cr.mu.Lock()
+	cr.work += t.work
+	for i, c := range t.counts {
+		cr.dispatch[i].InRows += c[0]
+		cr.dispatch[i].OutRows += c[1]
+	}
+	cr.mu.Unlock()
 }
 
 // ReduceWork implements mapreduce.ReduceWorkReporter.

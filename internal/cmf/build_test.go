@@ -474,12 +474,12 @@ func q17Group() (key string, values []string) {
 	return "7", append(values, EncodeTagged(1, nil, intRow(7)))
 }
 
-// TestAllocBudgetReduce pins what a key group costs the common reducer:
-// decoding nine values, one slot table, five operators and two output
-// lines. The operator graph is compiled at Build, so the per-group graph
-// bookkeeping is that one slot table — the map-based evalGraph (op_test.go)
-// pays for its name maps, closure and Sources slices on every group, which
-// alone would overrun the budget.
+// TestAllocBudgetReduce pins what a key group costs a warmed reducer
+// instance: the decoded values, stream buckets, join and projection results
+// of nine values and five operators all come out of the arena, so what is
+// left is the aggregation's group state and the two output lines. The same
+// group on a fresh instance per key — what every key group cost before
+// instances outlived a key — must overrun the budget, or it pins nothing.
 func TestAllocBudgetReduce(t *testing.T) {
 	job, err := q17Job().Build()
 	if err != nil {
@@ -488,7 +488,8 @@ func TestAllocBudgetReduce(t *testing.T) {
 	key, values := q17Group()
 	var out []string
 	emit := func(line string) { out = append(out, line) }
-	if err := job.Reducer.Reduce(key, values, emit); err != nil {
+	task := job.Reducer.(mapreduce.ReduceTaskFactory).NewReduceTask()
+	if err := task.Reduce(key, values, emit); err != nil {
 		t.Fatal(err)
 	}
 	// AVG(quantity) = 25.5, so quantities 1 and 4 (< 0.25 * 25.5) survive JOIN2.
@@ -496,37 +497,25 @@ func TestAllocBudgetReduce(t *testing.T) {
 		t.Fatalf("Q17-shaped group reduced to %q, want %q", out, want)
 	}
 
-	const budget = 32
-	got := testing.AllocsPerRun(100, func() {
+	const budget = 10
+	warm := testing.AllocsPerRun(100, func() {
+		out = out[:0]
+		if err := task.Reduce(key, values, emit); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if warm > budget {
+		t.Errorf("Reduce of a Q17-shaped key group on a warmed instance: %v allocations, budget %d", warm, budget)
+	}
+	fresh := testing.AllocsPerRun(100, func() {
 		out = out[:0]
 		if err := job.Reducer.Reduce(key, values, emit); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if got > budget {
-		t.Errorf("Reduce of a Q17-shaped key group: %v allocations, budget %d", got, budget)
-	}
-
-	// The same group through the map-based evaluator: bucket, evaluate.
-	cj := q17Job()
-	mapBased := testing.AllocsPerRun(100, func() {
-		streams := make(map[int][]exec.Row)
-		for _, v := range values {
-			tv, err := DecodeTagged(v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, st := range cj.Inputs[tv.Input].Streams {
-				streams[st.ID] = append(streams[st.ID], tv.Row)
-			}
-		}
-		if _, _, err := evalGraph(cj.Ops, intRow(7), streams); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("Reduce: %v allocations per key group; bucketing into a map and evalGraph: %v", got, mapBased)
-	if mapBased <= budget {
-		t.Errorf("the map-based path fits the budget (%v <= %d): the budget pins nothing", mapBased, budget)
+	t.Logf("Reduce: %v allocations per key group on a warmed instance, %v on a fresh one", warm, fresh)
+	if fresh <= budget {
+		t.Errorf("a fresh instance per key group fits the budget (%v <= %d): the budget pins nothing", fresh, budget)
 	}
 }
 

@@ -49,8 +49,10 @@ type Op interface {
 	// Sources lists the operator's inputs.
 	Sources() []Source
 	// Eval computes the operator's result rows for one key group. inputs
-	// holds the rows of each source in Sources() order.
-	Eval(key exec.Row, inputs [][]exec.Row) ([]exec.Row, error)
+	// holds the rows of each source in Sources() order. Result rows may be
+	// carved from a, the evaluating reducer instance's arena, and are then
+	// only valid until its next key group.
+	Eval(a *arena, key exec.Row, inputs [][]exec.Row) ([]exec.Row, error)
 }
 
 // ---------------------------------------------------------------------------
@@ -86,8 +88,8 @@ func (j *JoinOp) Sources() []Source { return []Source{j.Left, j.Right} }
 // on every candidate pair — in one scratch row, so a rejected pair costs
 // nothing — and records which (left, right) pairs the output holds, -1
 // standing for an outer join's NULL side; the second copies exactly those
-// rows out of a single allocation.
-func (j *JoinOp) Eval(_ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
+// rows out of one exactly-sized carving of the arena.
+func (j *JoinOp) Eval(a *arena, _ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
 	left := projectRows(inputs[0], j.LeftProj, !j.Left.IsOp())
 	right := projectRows(inputs[1], j.RightProj, !j.Right.IsOp())
 	leftOuter := j.Type == sqlparser.LeftOuterJoin || j.Type == sqlparser.FullOuterJoin
@@ -97,9 +99,8 @@ func (j *JoinOp) Eval(_ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
 	if rightOuter {
 		rightMatched = make([]bool, len(right))
 	}
-	var pairBuf [32]int
-	pairs := pairBuf[:0] // (left index, right index), in output order
-	values := 0          // total width of the output rows
+	pairs := a.ints[:0] // (left index, right index), in output order
+	values := 0         // total width of the output rows
 	var scratch exec.Row
 	for li, l := range left {
 		before := len(pairs)
@@ -134,6 +135,7 @@ func (j *JoinOp) Eval(_ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
 			values += j.LeftWidth + len(right[ri])
 		}
 	}
+	a.ints = pairs // keeps what the list grew to
 	if len(pairs) == 0 {
 		return nil, nil
 	}
@@ -145,8 +147,8 @@ func (j *JoinOp) Eval(_ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
 	if leftOuter {
 		rightNull = exec.NullRow(j.RightWidth)
 	}
-	out := make([]exec.Row, len(pairs)/2)
-	slab := make([]exec.Value, values)
+	out := a.rows.take(len(pairs) / 2)
+	slab := a.vals.take(values)
 	for i := range out {
 		l, r := leftNull, rightNull
 		if li := pairs[2*i]; li >= 0 {
@@ -215,7 +217,7 @@ func (a *AggOp) Name() string { return a.OpName }
 func (a *AggOp) Sources() []Source { return []Source{a.In} }
 
 // Eval implements Op.
-func (a *AggOp) Eval(_ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
+func (a *AggOp) Eval(_ *arena, _ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
 	rows := projectRows(inputs[0], a.InProj, !a.In.IsOp())
 	if a.FromPartials {
 		return a.evalFromPartials(rows)
@@ -352,9 +354,9 @@ func (f *FilterOp) Name() string { return f.OpName }
 func (f *FilterOp) Sources() []Source { return []Source{f.In} }
 
 // Eval implements Op.
-func (f *FilterOp) Eval(_ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
+func (f *FilterOp) Eval(a *arena, _ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
 	rows := projectRows(inputs[0], f.InProj, !f.In.IsOp())
-	var out []exec.Row
+	out := a.rows.take(len(rows))[:0]
 	for _, r := range rows {
 		ok, err := f.Pred(r)
 		if err != nil {
@@ -382,13 +384,13 @@ func (p *ProjectOp) Name() string { return p.OpName }
 func (p *ProjectOp) Sources() []Source { return []Source{p.In} }
 
 // Eval implements Op.
-func (p *ProjectOp) Eval(_ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
+func (p *ProjectOp) Eval(a *arena, _ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
 	rows := projectRows(inputs[0], p.InProj, !p.In.IsOp())
-	out := make([]exec.Row, 0, len(rows))
-	// One backing array for the whole group's projected rows; each row is
-	// capped at its own width so an append to one cannot reach the next.
+	out := a.rows.take(len(rows))[:0]
+	// One carving for the whole group's projected rows; each row is capped
+	// at its own width so an append to one cannot reach the next.
 	w := len(p.Exprs)
-	slab := make([]exec.Value, len(rows)*w)
+	slab := a.vals.take(len(rows) * w)
 	for ri, r := range rows {
 		pr := exec.Row(slab[ri*w : (ri+1)*w : (ri+1)*w])
 		for i, fn := range p.Exprs {
@@ -427,7 +429,7 @@ func (s *SortOp) Name() string { return s.OpName }
 func (s *SortOp) Sources() []Source { return []Source{s.In} }
 
 // Eval implements Op.
-func (s *SortOp) Eval(_ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
+func (s *SortOp) Eval(_ *arena, _ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
 	rows := projectRows(inputs[0], s.InProj, !s.In.IsOp())
 	out := make([]exec.Row, len(rows))
 	copy(out, rows)
@@ -473,7 +475,7 @@ func (s *SortOp) Eval(_ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
 // Slots [0, nStreams) hold a key group's rows per mapper stream and slot
 // nStreams+i holds the result of ops[i], so evaluating a key group indexes
 // slices and builds no maps. A graph is immutable once compiled, which is
-// what lets one cached plan's reducers evaluate key groups concurrently.
+// what lets the reducer instances of one cached plan share it.
 type graph struct {
 	ops      []graphOp
 	nStreams int
@@ -557,8 +559,9 @@ func compileGraph(ops []Op, streamIDs []int) (*graph, error) {
 	return g, nil
 }
 
-// newSlots returns the slot table for one key group plus the scratch eval
-// hands operators their inputs in (one allocation for both).
+// newSlots returns a slot table plus the scratch eval hands operators their
+// inputs in (one allocation for both). A reducer instance clears and refills
+// the table for every key group.
 func (g *graph) newSlots() (slots, scratch [][]exec.Row) {
 	n := g.nStreams + len(g.ops)
 	buf := make([][]exec.Row, n+g.nSources)
@@ -567,14 +570,14 @@ func (g *graph) newSlots() (slots, scratch [][]exec.Row) {
 
 // eval runs the operators over one key group whose stream rows are already
 // in slots (from newSlots), filling in every operator's result slot.
-func (g *graph) eval(key exec.Row, slots, scratch [][]exec.Row) error {
+func (g *graph) eval(a *arena, key exec.Row, slots, scratch [][]exec.Row) error {
 	for i, gop := range g.ops {
 		inputs := scratch[:len(gop.srcs):len(gop.srcs)]
 		scratch = scratch[len(gop.srcs):]
 		for k, slot := range gop.srcs {
 			inputs[k] = slots[slot]
 		}
-		rows, err := gop.op.Eval(key, inputs)
+		rows, err := gop.op.Eval(a, key, inputs)
 		if err != nil {
 			return err
 		}

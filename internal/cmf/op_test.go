@@ -33,7 +33,7 @@ func TestJoinOpInner(t *testing.T) {
 		0: {intRow(1, 10), intRow(1, 20)},
 		1: {intRow(1, 100), intRow(1, 200)},
 	}
-	out, err := j.Eval(intRow(1), [][]exec.Row{streams[0], streams[1]})
+	out, err := j.Eval(&arena{}, intRow(1), [][]exec.Row{streams[0], streams[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestJoinOpResidual(t *testing.T) {
 		LeftWidth: 2, RightWidth: 2, Type: sqlparser.InnerJoin,
 		Residual: func(r exec.Row) (bool, error) { return r[1].I < r[3].I, nil },
 	}
-	out, err := j.Eval(nil, [][]exec.Row{
+	out, err := j.Eval(&arena{}, nil, [][]exec.Row{
 		{intRow(1, 10), intRow(1, 300)},
 		{intRow(1, 100), intRow(1, 200)},
 	})
@@ -73,7 +73,7 @@ func TestJoinOpOuterVariants(t *testing.T) {
 				return !r[0].IsNull() && !r[1].IsNull() && r[0].I == r[1].I, nil
 			},
 		}
-		out, err := j.Eval(nil, [][]exec.Row{
+		out, err := j.Eval(&arena{}, nil, [][]exec.Row{
 			{intRow(1), intRow(2)},
 			{intRow(2), intRow(3)},
 		})
@@ -113,7 +113,7 @@ func TestJoinOpEmptySides(t *testing.T) {
 		LeftWidth: 1, RightWidth: 1, Type: sqlparser.LeftOuterJoin,
 	}
 	// Left rows, empty right: all null-extended.
-	out, err := j.Eval(nil, [][]exec.Row{{intRow(1), intRow(2)}, nil})
+	out, err := j.Eval(&arena{}, nil, [][]exec.Row{{intRow(1), intRow(2)}, nil})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestJoinOpEmptySides(t *testing.T) {
 	}
 	// Inner join with an empty side yields nothing.
 	j.Type = sqlparser.InnerJoin
-	out, err = j.Eval(nil, [][]exec.Row{{intRow(1)}, nil})
+	out, err = j.Eval(&arena{}, nil, [][]exec.Row{{intRow(1)}, nil})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestJoinOpProjection(t *testing.T) {
 		LeftProj: []int{1}, RightProj: []int{0},
 		LeftWidth: 1, RightWidth: 1, Type: sqlparser.InnerJoin,
 	}
-	out, err := j.Eval(nil, [][]exec.Row{
+	out, err := j.Eval(&arena{}, nil, [][]exec.Row{
 		{intRow(1, 10)},
 		{intRow(100, 7)},
 	})
@@ -159,7 +159,7 @@ func TestAggOpGrouped(t *testing.T) {
 			{Kind: exec.AggMin, Arg: col(1)},
 		},
 	}
-	out, err := a.Eval(nil, [][]exec.Row{{
+	out, err := a.Eval(&arena{}, nil, [][]exec.Row{{
 		intRow(1, 10), intRow(2, 5), intRow(1, 30), intRow(2, 7),
 	}})
 	if err != nil {
@@ -182,7 +182,7 @@ func TestAggOpGlobalEmptyInput(t *testing.T) {
 		OpName: "a", In: StreamSource(0),
 		Aggs: []AggFunc{{Kind: exec.AggCountStar}, {Kind: exec.AggSum, Arg: col(0)}},
 	}
-	out, err := a.Eval(nil, [][]exec.Row{nil})
+	out, err := a.Eval(&arena{}, nil, [][]exec.Row{nil})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestAggOpGlobalEmptyInput(t *testing.T) {
 
 	// Grouped aggregate over empty input yields no rows.
 	a.GroupBy = []RowFn{col(0)}
-	out, err = a.Eval(nil, [][]exec.Row{nil})
+	out, err = a.Eval(&arena{}, nil, [][]exec.Row{nil})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestAggOpCountDistinct(t *testing.T) {
 		GroupBy: []RowFn{col(0)},
 		Aggs:    []AggFunc{{Kind: exec.AggCountDistinct, Arg: col(1)}, {Kind: exec.AggMax, Arg: col(1)}},
 	}
-	out, err := a.Eval(nil, [][]exec.Row{{
+	out, err := a.Eval(&arena{}, nil, [][]exec.Row{{
 		intRow(1, 5), intRow(1, 5), intRow(1, 9),
 	}})
 	if err != nil {
@@ -255,7 +255,7 @@ func TestSortOpLimit(t *testing.T) {
 		Keys:  []SortKey{{Fn: col(0)}},
 		Limit: 2,
 	}
-	out, err := s.Eval(nil, [][]exec.Row{{intRow(3), intRow(1), intRow(2)}})
+	out, err := s.Eval(&arena{}, nil, [][]exec.Row{{intRow(3), intRow(1), intRow(2)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func evalGraph(ops []Op, key exec.Row, streams map[int][]exec.Row) (map[string][
 				stats.Work += int64(len(inputs[i]))
 			}
 		}
-		rows, err := op.Eval(key, inputs)
+		rows, err := op.Eval(&arena{}, key, inputs)
 		if err != nil {
 			return err
 		}
@@ -385,7 +385,7 @@ func runGraph(ops []Op, key exec.Row, streams map[int][]exec.Row) (map[string][]
 	for slot, id := range ids {
 		slots[slot] = streams[id]
 	}
-	if err := g.eval(key, slots, scratch); err != nil {
+	if err := g.eval(&arena{}, key, slots, scratch); err != nil {
 		return nil, stats, err
 	}
 	results := make(map[string][]exec.Row, len(g.ops))

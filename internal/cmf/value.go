@@ -57,6 +57,16 @@ func appendTagHeader(dst []byte, input int, excluded []int) []byte {
 
 // DecodeTagged parses a tagged value produced by EncodeTagged.
 func DecodeTagged(s string) (TaggedValue, error) {
+	// The header holds no tab, so the tabs of s are the row's.
+	return appendTagged(s, nil, make(exec.Row, 0, strings.Count(s, "\t")+1))
+}
+
+// appendTagged is DecodeTagged into caller-owned storage: the exclusions
+// are appended to excl and the row's values to vals, and the returned
+// value's Excluded and Row are those extensions (Row capped at its own
+// width). A reducer instance passes its exclusion scratch and the slab it
+// decodes a whole key group into.
+func appendTagged(s string, excl []int, vals exec.Row) (TaggedValue, error) {
 	sep := strings.IndexByte(s, '|')
 	if sep < 0 {
 		return TaggedValue{}, fmt.Errorf("tagged value %q has no separator", s)
@@ -70,7 +80,7 @@ func DecodeTagged(s string) (TaggedValue, error) {
 	if err != nil {
 		return TaggedValue{}, fmt.Errorf("tagged value %q: bad input index %q", s, head)
 	}
-	var excluded []int
+	excluded := excl[len(excl):]
 	for more := exclPart != ""; more; {
 		part := exclPart
 		comma := strings.IndexByte(exclPart, ',')
@@ -83,11 +93,11 @@ func DecodeTagged(s string) (TaggedValue, error) {
 		}
 		excluded = append(excluded, id)
 	}
-	row, err := exec.DecodeRowUntyped(s[sep+1:])
-	if err != nil {
+	start := len(vals)
+	if vals, err = exec.AppendRowUntyped(vals, s[sep+1:]); err != nil {
 		return TaggedValue{}, fmt.Errorf("tagged value %q: %w", s, err)
 	}
-	return TaggedValue{Input: input, Excluded: excluded, Row: row}, nil
+	return TaggedValue{Input: input, Excluded: excluded, Row: vals[start:len(vals):len(vals)]}, nil
 }
 
 // Sees reports whether stream id may see the value. The caller must already

@@ -308,19 +308,27 @@ func DecodeRowUntyped(line string) (Row, error) {
 	if line == "" {
 		return Row{}, nil
 	}
-	row := make(Row, strings.Count(line, "\t")+1)
-	for i := range row {
-		field := line
-		if tab := strings.IndexByte(line, '\t'); tab >= 0 {
-			field, line = line[:tab], line[tab+1:]
-		}
+	return AppendRowUntyped(make(Row, 0, strings.Count(line, "\t")+1), line)
+}
+
+// AppendRowUntyped is DecodeRowUntyped into caller-owned storage: the
+// line's values are appended to dst (strings.Count(line, "\t")+1 of them;
+// none for the empty line) and the extended slice is returned, so a caller
+// decoding many rows can carve them all out of one slab.
+func AppendRowUntyped(dst Row, line string) (Row, error) {
+	if line == "" {
+		return dst, nil
+	}
+	for more := true; more; {
+		var field string
+		field, line, more = strings.Cut(line, "\t")
 		v, err := DecodeField(field, TypeNull)
 		if err != nil {
 			return nil, err
 		}
-		row[i] = v
+		dst = append(dst, v)
 	}
-	return row, nil
+	return dst, nil
 }
 
 // EncodeKey renders a list of values as a grouping/partition key. The

@@ -101,6 +101,36 @@ func TestRowRoundTripTyped(t *testing.T) {
 	}
 }
 
+// TestAppendRowUntyped: decoding several lines into one slab yields, window
+// by window, what DecodeRowUntyped yields line by line — empty line, empty
+// fields and a trailing tab included — and never touches earlier windows.
+func TestAppendRowUntyped(t *testing.T) {
+	lines := []string{"1\t2.5\tx", "", "\\N", "a\t", "\t", "true\t-7"}
+	var slab Row
+	var windows [][2]int
+	for _, line := range lines {
+		start := len(slab)
+		var err error
+		if slab, err = AppendRowUntyped(slab, line); err != nil {
+			t.Fatalf("AppendRowUntyped(%q): %v", line, err)
+		}
+		windows = append(windows, [2]int{start, len(slab)})
+	}
+	for i, line := range lines {
+		want, err := DecodeRowUntyped(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := slab[windows[i][0]:windows[i][1]]
+		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Errorf("line %q: slab window %v, DecodeRowUntyped %v", line, got, want)
+		}
+	}
+	if _, err := AppendRowUntyped(slab, "bad\\q"); err == nil {
+		t.Error("AppendRowUntyped accepted an unknown escape")
+	}
+}
+
 func TestDecodeRowFieldCountMismatch(t *testing.T) {
 	s := NewSchema(Column{Name: "a", Type: TypeInt})
 	if _, err := DecodeRow("1\t2", s); err == nil {
@@ -263,6 +293,7 @@ func TestAllocBudgetCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 	demand := []int{0, 1, 4, 5} // l_orderkey, l_partkey, l_quantity, l_extendedprice
+	slab := make(Row, 0, len(row))
 	budgets := []struct {
 		name string
 		max  float64
@@ -273,6 +304,7 @@ func TestAllocBudgetCodec(t *testing.T) {
 		{"DecodeRow", 1, func() { sinkRow, _ = DecodeRow(tpchLineitemLine, tpchLineitem) }},
 		{"DecodeCols of 4 numeric columns", 1, func() { sinkRow, _ = DecodeCols(tpchLineitemLine, tpchLineitem, demand) }},
 		{"DecodeRowUntyped", 1, func() { sinkRow, _ = DecodeRowUntyped(tpchLineitemLine) }},
+		{"AppendRowUntyped into a slab", 0, func() { sinkRow, _ = AppendRowUntyped(slab[:0], tpchLineitemLine) }},
 	}
 	// An untyped string field must not cost a parser's error value,
 	// whatever number-like bytes it carries.

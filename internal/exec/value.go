@@ -40,13 +40,14 @@ func (t Type) String() string {
 }
 
 // Value is a dynamically typed SQL value. The zero Value is NOT valid; use
-// the constructors. NULL is represented by TypeNull.
+// the constructors. NULL is represented by TypeNull. The two one-byte fields
+// are declared together so they share a word: 40 bytes, not 48.
 type Value struct {
 	T Type
+	B bool
 	I int64
 	F float64
 	S string
-	B bool
 }
 
 // Null returns the SQL NULL value.

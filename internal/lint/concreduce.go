@@ -6,25 +6,29 @@ import (
 	"go/types"
 )
 
-// ConcReduce vets every type carrying the ConcurrentReduce marker — the
-// promise that its Reduce method is safe to run once per key group
-// concurrently under the engine's shared dispatch. The marker obliges
-// the type to:
+// ConcReduce vets the reduce-task contract (mapreduce.ReduceTaskFactory):
+// a type with a NewReduceTask method hands the engine one private reducer
+// instance per reduce task, built inside the task that uses it — which is
+// what lets sharecheck's ownership rule treat everything the instance
+// writes to itself as private. What that rule cannot see is the instance's
+// way back to its parent, the one object every sibling task shares. So the
+// contract obliges:
 //
-//   - actually have a Reduce method;
-//   - mutate receiver state (and package state, and state behind pointer
-//     parameters) only while a mutex is held or through sync/atomic —
-//     checked transitively through helper calls via the call graph;
-//   - never be copied by value while it carries a sync.Mutex: no value
-//     receivers on lock-bearing structs, no *recv copies inside methods.
-//
-// Dynamic calls the graph cannot bound to an in-module implementation
-// are conservatively assumed to write shared state.
+//   - NewReduceTask returns a fresh value: a composite literal or new(T),
+//     directly or through a local variable bound to one — never the
+//     receiver, something it stores, or a package variable;
+//   - the instance type writes its parent's state — anything reached
+//     through a value of the factory's type — only in Done, and there only
+//     with a mutex held; a parent method called with no lock held must not
+//     itself write unguarded (searched through the call graph). sync/atomic
+//     operations are calls, not writes, and pass.
 var ConcReduce = &Analyzer{
 	Name: "concreduce",
-	Doc:  "verify ConcurrentReduce-marked reducers fold shared state only under a held mutex or atomics",
+	Doc:  "verify NewReduceTask returns a fresh instance and instances write their parent only in Done, under its mutex",
 	Run:  runConcReduce,
 }
+
+const reduceFactoryMethod = "NewReduceTask"
 
 func runConcReduce(pass *Pass) {
 	g := pass.Prog.CallGraph()
@@ -34,147 +38,187 @@ func runConcReduce(pass *Pass) {
 		if !ok || tn.IsAlias() {
 			continue
 		}
-		named, ok := tn.Type().(*types.Named)
+		parent, ok := tn.Type().(*types.Named)
 		if !ok {
 			continue
 		}
-		if _, isIface := named.Underlying().(*types.Interface); isIface {
-			continue // the marker interface itself
+		if _, isIface := parent.Underlying().(*types.Interface); isIface {
+			continue // the contract's own interfaces
 		}
-		ms := types.NewMethodSet(types.NewPointer(named))
-		if ms.Lookup(pass.Pkg.Types, "ConcurrentReduce") == nil {
+		sel := types.NewMethodSet(types.NewPointer(parent)).Lookup(pass.Pkg.Types, reduceFactoryMethod)
+		if sel == nil {
 			continue
 		}
-		checkConcurrentReducer(pass, g, named, ms)
+		factory, ok := sel.Obj().(*types.Func)
+		if !ok {
+			continue
+		}
+		d, ok := g.Decls[factory]
+		if !ok {
+			continue
+		}
+		for _, inst := range freshInstances(pass, d, parent) {
+			for i := 0; i < inst.NumMethods(); i++ {
+				checkInstanceMethod(pass, g, parent, inst, inst.Method(i))
+			}
+		}
 	}
 }
 
-// checkConcurrentReducer applies the marker's obligations to one type.
-func checkConcurrentReducer(pass *Pass, g *CallGraph, named *types.Named, ms *types.MethodSet) {
-	tn := named.Obj()
-	sel := ms.Lookup(pass.Pkg.Types, "Reduce")
-	if sel == nil {
-		pass.Reportf(tn.Pos(),
-			"type %s carries the ConcurrentReduce marker but has no Reduce method; the marker promises a reducer safe to run concurrently", tn.Name())
-		return
+// freshInstances checks that every value the factory method returns is one
+// it just created, and returns the named types of those values.
+func freshInstances(pass *Pass, d declOf, parent *types.Named) []*types.Named {
+	info := d.Pkg.Info
+	var insts []*types.Named
+	seen := make(map[*types.Named]bool)
+	// created reports the named type of e when e builds a new value.
+	created := func(e ast.Expr) *types.Named {
+		e = ast.Unparen(e)
+		if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
+			e = ast.Unparen(u.X)
+		}
+		switch v := e.(type) {
+		case *ast.CompositeLit:
+		case *ast.CallExpr:
+			if id, ok := ast.Unparen(v.Fun).(*ast.Ident); !ok || info.Uses[id] != types.Universe.Lookup("new") {
+				return nil
+			}
+		default:
+			return nil
+		}
+		t := info.Types[e].Type
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		named, _ := t.(*types.Named)
+		return named
 	}
-
-	if hasMutexValue(named, 0) {
-		for i := 0; i < named.NumMethods(); i++ {
-			m := named.Method(i)
-			sig, _ := m.Type().(*types.Signature)
-			if sig == nil || sig.Recv() == nil {
+	// Locals bound (only ever) to a created value are as fresh as it is.
+	bound := make(map[types.Object]*types.Named)
+	stale := make(map[types.Object]bool)
+	ast.Inspect(d.Decl.Body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || len(as.Lhs) != len(as.Rhs) {
+			return true
+		}
+		for i, lh := range as.Lhs {
+			id, ok := lh.(*ast.Ident)
+			if !ok {
 				continue
 			}
-			if !isPointer(sig.Recv().Type()) {
-				pass.Reportf(m.Pos(),
-					"method %s.%s has a value receiver, copying the struct and the sync.Mutex inside it; use a pointer receiver", tn.Name(), m.Name())
+			obj := info.Defs[id]
+			if obj == nil {
+				obj = info.Uses[id]
+			}
+			if named := created(as.Rhs[i]); named != nil {
+				bound[obj] = named
+			} else {
+				stale[obj] = true
+			}
+		}
+		return true
+	})
+	ast.Inspect(d.Decl.Body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false // a nested literal's returns are its own
+		}
+		ret, ok := n.(*ast.ReturnStmt)
+		if !ok {
+			return true
+		}
+		for _, res := range ret.Results {
+			named := created(res)
+			if id, ok := ast.Unparen(res).(*ast.Ident); ok && named == nil && !stale[info.Uses[id]] {
+				named = bound[info.Uses[id]]
+			}
+			if named == nil {
+				pass.Reportf(res.Pos(),
+					"%s.%s returns a value it did not just create; every reduce task needs a fresh instance that shares nothing mutable with its parent or its siblings",
+					parent.Obj().Name(), reduceFactoryMethod)
 				continue
 			}
-			checkNoCopy(pass, g, tn, m)
+			if !seen[named] {
+				seen[named] = true
+				insts = append(insts, named)
+			}
 		}
-	}
-
-	reduceFn, ok := sel.Obj().(*types.Func)
-	if !ok {
-		return
-	}
-	eff := g.effectsOf(reduceFn)
-	reported := make(map[token.Pos]bool)
-	for _, w := range eff.writes {
-		if reported[w.pos] {
-			continue
-		}
-		reported[w.pos] = true
-		pass.Reportf(w.pos,
-			"%s.Reduce writes %s with no mutex held; key groups run concurrently under the ConcurrentReduce marker — fold under the receiver's mutex or use sync/atomic", tn.Name(), w.desc)
-	}
-	for _, u := range eff.unresolved {
-		if reported[u.Pos] {
-			continue
-		}
-		reported[u.Pos] = true
-		pass.Reportf(u.Pos,
-			"%s.Reduce makes an unresolvable dynamic call (%s); assume-shared — bound it to an in-module implementation or annotate the site", tn.Name(), u.Desc)
-	}
-	for _, e := range eff.calls {
-		if reported[e.Pos] {
-			continue
-		}
-		path, fact := g.reachSharedWrite(e.Callee, e.Recv == recvLocal)
-		if fact == nil {
-			continue
-		}
-		reported[e.Pos] = true
-		pass.Reportf(e.Pos,
-			"%s.Reduce calls %s, which writes %s with no lock held (path %s); everything Reduce mutates must be guarded", tn.Name(), shortFuncName(e.Callee), fact.Desc, pathString(path))
-	}
+		return true
+	})
+	return insts
 }
 
-// checkNoCopy flags *recv copies inside a pointer-receiver method of a
-// lock-bearing struct: `c := *cr` (or passing *cr by value) duplicates
-// the mutex, and the copy's lock state is meaningless.
-func checkNoCopy(pass *Pass, g *CallGraph, tn *types.TypeName, m *types.Func) {
+// checkInstanceMethod reports the writes one method of an instance type
+// makes to its parent outside the contract.
+func checkInstanceMethod(pass *Pass, g *CallGraph, parent, inst *types.Named, m *types.Func) {
 	d, ok := g.Decls[m]
 	if !ok {
 		return
 	}
-	sig, _ := m.Type().(*types.Signature)
-	if sig == nil || sig.Recv() == nil {
-		return
-	}
-	recv := sig.Recv()
-	// (*cr).field selects through the pointer without copying; remember
-	// the dereferences that are selector bases so only value copies flag.
-	selBase := make(map[ast.Node]bool)
-	ast.Inspect(d.Decl.Body, func(n ast.Node) bool {
-		if s, ok := n.(*ast.SelectorExpr); ok {
-			selBase[ast.Unparen(s.X)] = true
+	pkg := d.Pkg
+	isParent := func(e ast.Expr) bool {
+		t := pkg.Info.Types[e].Type
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
 		}
-		return true
+		return t != nil && types.Identical(t, parent)
+	}
+	// throughParent reports whether the lvalue stores into memory reached
+	// through a value of the parent's type (t.cr.work, cr.dispatch[i].N with
+	// cr := t.cr) rather than into the instance itself (t.cr = nil).
+	throughParent := func(lhs ast.Expr) bool {
+		for {
+			switch v := ast.Unparen(lhs).(type) {
+			case *ast.SelectorExpr:
+				lhs = v.X
+			case *ast.IndexExpr:
+				lhs = v.X
+			case *ast.StarExpr:
+				lhs = v.X
+			default:
+				return false
+			}
+			if isParent(lhs) {
+				return true
+			}
+		}
+	}
+	name := inst.Obj().Name() + "." + m.Name()
+	inDone := m.Name() == "Done"
+	write := func(lhs ast.Expr, held bool) {
+		switch {
+		case !throughParent(lhs):
+		case !inDone:
+			pass.Reportf(lhs.Pos(),
+				"%s writes parent state %s; sibling instances share the parent, so an instance counts privately and folds into it once, in Done", name, renderLHS(lhs))
+		case !held:
+			pass.Reportf(lhs.Pos(),
+				"%s writes parent state %s with no mutex held; sibling tasks finish concurrently — fold under the parent's mutex or use sync/atomic", name, renderLHS(lhs))
+		}
+	}
+	visitLocked(pkg, d.Decl.Body.List, 0, func(n ast.Node, held bool) {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				write(lhs, held)
+			}
+		case *ast.IncDecStmt:
+			write(n.X, held)
+		case *ast.CallExpr:
+			sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
+			if !ok || held || !isParent(sel.X) {
+				return
+			}
+			for _, e := range g.Nodes[m].Out {
+				if e.Pos != n.Pos() || e.Kind == EdgeRef {
+					continue
+				}
+				if path, fact := g.reachSharedWrite(e.Callee, false); fact != nil {
+					pass.Reportf(n.Pos(),
+						"%s calls %s on its parent with no lock held, which writes %s (path %s); everything an instance changes in its parent must be guarded",
+						name, shortFuncName(e.Callee), fact.Desc, pathString(path))
+					return
+				}
+			}
+		}
 	})
-	ast.Inspect(d.Decl.Body, func(n ast.Node) bool {
-		star, ok := n.(*ast.StarExpr)
-		if !ok || selBase[star] {
-			return true
-		}
-		id, ok := ast.Unparen(star.X).(*ast.Ident)
-		if !ok || d.Pkg.Info.Uses[id] != recv {
-			return true
-		}
-		pass.Reportf(star.Pos(),
-			"%s.%s copies the lock-bearing struct through *%s; a sync.Mutex must not be copied by value", tn.Name(), m.Name(), id.Name)
-		return false
-	})
-}
-
-// hasMutexValue reports whether the type embeds a sync.Mutex /
-// sync.RWMutex by value anywhere in its (nested) struct layout. A mutex
-// behind a pointer field is fine to copy.
-func hasMutexValue(t types.Type, depth int) bool {
-	if depth > 4 {
-		return false
-	}
-	if isSyncMutexValue(t) {
-		return true
-	}
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		if hasMutexValue(st.Field(i).Type(), depth+1) {
-			return true
-		}
-	}
-	return false
-}
-
-// isSyncMutexValue reports whether t itself — not behind a pointer — is
-// sync.Mutex or sync.RWMutex.
-func isSyncMutexValue(t types.Type) bool {
-	if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-		return false
-	}
-	return isSyncMutex(t)
 }

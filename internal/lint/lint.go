@@ -17,8 +17,8 @@
 //   - sharecheck: closures run concurrently by forEachTask (or spawned
 //     with go) may write captured state only into a task-index slot,
 //     under a mutex, or atomically — helpers included;
-//   - concreduce: types carrying the ConcurrentReduce marker must fold
-//     shared state under their mutex and never copy it;
+//   - concreduce: a NewReduceTask factory must return a fresh instance,
+//     and the instance may write its parent only in Done, under a mutex;
 //   - lockorder: the module-global acquired-while-holding graph over
 //     identified mutexes (package globals, struct fields keyed by type)
 //     must be acyclic; cycles are reported with a witness acquisition

@@ -87,7 +87,7 @@ func TestAnalyzerScopes(t *testing.T) {
 		t.Error("sharecheck must not cover the sequential translator")
 	}
 	if !ConcReduce.appliesTo("cmd/ysmart") {
-		t.Error("concreduce is unscoped; marker types may live anywhere")
+		t.Error("concreduce is unscoped; reduce-task factories may live anywhere")
 	}
 	if !LockOrder.appliesTo("internal/translator") {
 		t.Error("lockorder is unscoped; the lock graph is a whole-module property")

@@ -1,142 +1,190 @@
 // Package concreduce is the golden corpus for the concreduce analyzer:
-// a type carrying the ConcurrentReduce marker promises a Reduce safe to
-// run once per key group concurrently, so it must have a Reduce method,
-// fold shared state only under a held mutex (helpers included), and
-// never copy its lock-bearing struct by value.
+// a type with a NewReduceTask method hands the engine one private reducer
+// instance per reduce task, so the method must return a value it just
+// created, and the instance may write its parent — the one object sibling
+// tasks share — only in Done, with the parent's mutex held (helpers
+// included).
 package concreduce
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
-// markedNoReduce breaks the marker's first promise.
-type markedNoReduce struct{} // want "type markedNoReduce carries the ConcurrentReduce marker but has no Reduce method"
+// task is what a factory returns (mapreduce.ReduceTask in the real tree).
+type task interface {
+	Reduce(key string, vals []string, emit func(string)) error
+	Done()
+}
 
-func (markedNoReduce) ConcurrentReduce() {}
-
-// good is the exemplar: pointer receivers, mutex-folded state.
+// good is the exemplar: a fresh instance per call, private counts, one
+// mutex-held fold in Done.
 type good struct {
 	mu sync.Mutex
 	n  int
 }
 
-func (g *good) ConcurrentReduce() {}
+type goodTask struct {
+	parent *good
+	n      int
+	buf    []byte
+}
 
-func (g *good) Reduce(key string, vals []string, emit func(string)) error {
-	g.mu.Lock()
-	g.n += len(vals)
-	g.mu.Unlock()
-	for _, v := range vals {
-		emit(key + v)
-	}
+func (g *good) NewReduceTask() task { return &goodTask{parent: g} }
+
+func (t *goodTask) Reduce(key string, vals []string, emit func(string)) error {
+	t.n += len(vals)
+	t.buf = append(t.buf[:0], key...)
+	emit(string(t.buf))
 	return nil
 }
 
-// racy writes its receiver with no lock held.
-type racy struct {
+func (t *goodTask) Done() {
+	p := t.parent
+	p.mu.Lock()
+	p.n += t.n
+	p.mu.Unlock()
+	t.n = 0
+	t.parent = nil // rebinding the instance's own field is private
+}
+
+// viaLocal builds the instance in a local first; just as fresh.
+type viaLocal struct {
 	mu sync.Mutex
 	n  int
 }
 
-func (r *racy) ConcurrentReduce() {}
+type viaLocalTask struct{ parent *viaLocal }
 
-func (r *racy) Reduce(key string, vals []string, emit func(string)) error {
-	r.n += len(vals) // want "racy.Reduce writes receiver state r.n with no mutex held"
+func (v *viaLocal) NewReduceTask() task {
+	t := &viaLocalTask{}
+	t.parent = v
+	return t
+}
+
+func (t *viaLocalTask) Reduce(key string, vals []string, emit func(string)) error { return nil }
+
+func (t *viaLocalTask) Done() {}
+
+// cached hands every task the same instance.
+type cached struct {
+	mu   sync.Mutex
+	inst *cachedTask
+}
+
+type cachedTask struct{ n int }
+
+func (c *cached) NewReduceTask() task {
+	return c.inst // want "cached.NewReduceTask returns a value it did not just create"
+}
+
+func (t *cachedTask) Reduce(key string, vals []string, emit func(string)) error { return nil }
+
+func (t *cachedTask) Done() {}
+
+// rebound starts from a fresh value and then swaps in a shared one.
+type rebound struct{ spare *reboundTask }
+
+type reboundTask struct{ n int }
+
+func (r *rebound) NewReduceTask() task {
+	t := &reboundTask{}
+	if r.spare != nil {
+		t = r.spare
+	}
+	return t // want "rebound.NewReduceTask returns a value it did not just create"
+}
+
+func (t *reboundTask) Reduce(key string, vals []string, emit func(string)) error { return nil }
+
+func (t *reboundTask) Done() {}
+
+// eager folds into the parent per key group — the per-key mutex fold the
+// contract replaced — instead of once in Done.
+type eager struct {
+	mu sync.Mutex
+	n  int
+}
+
+type eagerTask struct{ parent *eager }
+
+func (e *eager) NewReduceTask() task { return &eagerTask{parent: e} }
+
+func (t *eagerTask) Reduce(key string, vals []string, emit func(string)) error {
+	t.parent.mu.Lock()
+	t.parent.n += len(vals) // want "eagerTask.Reduce writes parent state t.parent.n; sibling instances share the parent"
+	t.parent.mu.Unlock()
 	return nil
 }
 
-// lazy hides the unguarded write behind a helper; the diagnostic names
-// the path.
+func (t *eagerTask) Done() {}
+
+// racy folds in Done but forgets the lock; the write goes through a local
+// alias of the parent, which is still the parent.
+type racy struct {
+	mu     sync.Mutex
+	counts []int
+}
+
+type racyTask struct {
+	parent *racy
+	n      int
+}
+
+func (r *racy) NewReduceTask() task { return &racyTask{parent: r} }
+
+func (t *racyTask) Reduce(key string, vals []string, emit func(string)) error {
+	t.n += len(vals)
+	return nil
+}
+
+func (t *racyTask) Done() {
+	p := t.parent
+	p.counts[0] += t.n // want "racyTask.Done writes parent state p.counts\[...\] with no mutex held"
+}
+
+// lazy hides the unguarded write behind a parent method; the diagnostic
+// names the path. guardedFold locks for itself and passes.
 type lazy struct {
 	mu sync.Mutex
 	n  int
 }
 
-func (l *lazy) ConcurrentReduce() {}
+func (l *lazy) fold(n int) { l.n += n }
 
-func (l *lazy) bump() { l.n++ }
+func (l *lazy) guardedFold(n int) {
+	l.mu.Lock()
+	l.n += n
+	l.mu.Unlock()
+}
 
-func (l *lazy) Reduce(key string, vals []string, emit func(string)) error {
-	l.bump() // want "lazy.Reduce calls concreduce.lazy.bump, which writes receiver state l.n"
+type lazyTask struct {
+	parent *lazy
+	n      int
+}
+
+func (l *lazy) NewReduceTask() task { return &lazyTask{parent: l} }
+
+func (t *lazyTask) Reduce(key string, vals []string, emit func(string)) error { return nil }
+
+func (t *lazyTask) Done() {
+	t.parent.guardedFold(t.n)
+	t.parent.fold(t.n) // want "lazyTask.Done calls concreduce.lazy.fold on its parent with no lock held, which writes receiver state l.n"
+}
+
+// atomicFold counts through sync/atomic: a call, not a write.
+type atomicFold struct{ n atomic.Int64 }
+
+type atomicTask struct {
+	parent *atomicFold
+	n      int64
+}
+
+func (a *atomicFold) NewReduceTask() task { return &atomicTask{parent: a} }
+
+func (t *atomicTask) Reduce(key string, vals []string, emit func(string)) error {
+	t.n += int64(len(vals))
 	return nil
 }
 
-// guarded takes the lock before calling the helper; the consumed edge
-// is guarded and the search does not follow it.
-type guarded struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (g *guarded) ConcurrentReduce() {}
-
-func (g *guarded) bump() { g.n++ }
-
-func (g *guarded) Reduce(key string, vals []string, emit func(string)) error {
-	g.mu.Lock()
-	g.bump()
-	g.mu.Unlock()
-	return nil
-}
-
-// owned builds a scratch accumulator per call; its receiver writes are
-// private to this key group (the ownership rule).
-type scratch struct{ n int }
-
-func (s *scratch) add(v int) { s.n += v }
-
-type owned struct {
-	mu sync.Mutex
-}
-
-func (o *owned) ConcurrentReduce() {}
-
-func (o *owned) Reduce(key string, vals []string, emit func(string)) error {
-	s := &scratch{}
-	for _, v := range vals {
-		s.add(len(v))
-	}
-	emit(key)
-	return nil
-}
-
-// valrecv copies its sync.Mutex into every call frame.
-type valrecv struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (v valrecv) ConcurrentReduce() {} // want "method valrecv.ConcurrentReduce has a value receiver"
-
-func (v valrecv) Reduce(key string, vals []string, emit func(string)) error { // want "method valrecv.Reduce has a value receiver"
-	return nil
-}
-
-// copier snapshots the whole struct — mutex included — by value.
-type copier struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (c *copier) ConcurrentReduce() {}
-
-func (c *copier) Reduce(key string, vals []string, emit func(string)) error {
-	snap := *c // want "copier.Reduce copies the lock-bearing struct through"
-	_ = snap
-	return nil
-}
-
-// spooky dispatches through an interface nothing in the module
-// implements; assume-shared. (The determinism analyzer reports the same
-// site as unresolvable too.)
-type ghost interface{ Haunt() }
-
-type spooky struct {
-	mu sync.Mutex
-	g  ghost
-}
-
-func (s *spooky) ConcurrentReduce() {}
-
-func (s *spooky) Reduce(key string, vals []string, emit func(string)) error {
-	s.g.Haunt() // want "unresolvable"
-	return nil
-}
+func (t *atomicTask) Done() { t.parent.n.Add(t.n) }

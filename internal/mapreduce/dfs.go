@@ -135,10 +135,17 @@ func (d *DFS) Contention() int64 { return d.contention.Load() }
 func (d *DFS) Write(path string, lines []string) {
 	cp := make([]string, len(lines))
 	copy(cp, lines)
+	d.writeOwned(path, cp)
+}
+
+// writeOwned is Write without the copy: the DFS takes ownership of lines,
+// which the caller must never touch again. The engine stores job output —
+// slices it built itself and drops on return — this way.
+func (d *DFS) writeOwned(path string, lines []string) {
 	d.lock()
 	defer d.mu.Unlock()
-	d.files[path] = cp
-	d.observe("write", path, cp)
+	d.files[path] = lines
+	d.observe("write", path, lines)
 	d.notifyWrite(path)
 }
 

@@ -4,18 +4,18 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"ysmart/internal/obs"
 )
 
 // Engine executes jobs against a DFS and costs them against a cluster
 // model. It is not safe for concurrent use: callers drive one chain at a
-// time. Internally, however, the engine fans map tasks, combiners, reduce
-// key groups and fault-path re-executions out across a pool of worker
-// goroutines (see parallel.go); results are gathered in deterministic task
-// order, so output, stats and traces are byte-identical at any worker
-// count.
+// time. Internally, however, the engine fans map morsels, combiners,
+// shuffle partitions, reduce key runs and fault-path re-executions out
+// across a pool of worker goroutines (see parallel.go and shuffle.go);
+// every gather follows an order the data fixes, so output, stats and traces
+// are byte-identical at any worker count.
 type Engine struct {
 	dfs     *DFS
 	cluster *Cluster
@@ -185,16 +185,6 @@ type mapTask struct {
 	chunk []string
 }
 
-// mapTaskResult is one map task's contribution, produced on a worker and
-// gathered by the driver in task order. pairs holds post-combine output;
-// the pre-combine counters feed the cost model's sort/spill charges.
-type mapTaskResult struct {
-	pairs      []kv
-	preRecords int64
-	preBytes   int64
-	filtered   int64 // lines the input's Prefilter rejected before the mapper
-}
-
 // RunJob executes a single job: map over every input, optional combine per
 // map task, shuffle/group, reduce, and write the output file. It returns
 // the job's counters and simulated times, and advances the simulated clock
@@ -218,10 +208,6 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 	stats := &JobStats{Name: j.Name, MapOnly: j.Reducer == nil}
 
 	// ----- Map phase -----------------------------------------------------
-	var preCombineRecords, preCombineBytes int64
-	var mapOutput []kv // post-combine pairs from all tasks
-	var mapOnlyLines []string
-
 	var tasks []mapTask
 	for _, in := range j.Inputs {
 		lines, err := e.dfs.Read(in.Path)
@@ -246,61 +232,73 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 			tasks = append(tasks, mapTask{input: in, chunk: chunk})
 		}
 	}
-	// Map tasks (and their combiners) run concurrently on the worker pool:
-	// each task writes only its own mapResults slot, and the gather below
-	// walks slots in ascending task index, so map output order is exactly
-	// the sequential engine's.
-	mapResults := make([]mapTaskResult, len(tasks))
-	err := e.forEachTask(len(tasks), func(i int) error {
-		task := tasks[i]
-		var taskPairs []kv
-		emit := func(key, value string) {
-			taskPairs = append(taskPairs, kv{key, value})
+	// The mappers run morsel by morsel on the worker pool. Each morsel
+	// writes only its own slot of lists, and everything downstream walks the
+	// slots in ascending order — (task, line) order, the sequential
+	// engine's map output order.
+	morsels, first := tasks, []int(nil)
+	if e.workers > 1 {
+		morsels, first = cutMorsels(tasks)
+	}
+	lists := make([]pairList, len(morsels))
+	err := e.forEachTask(len(morsels), func(i int) error {
+		var err error
+		if lists[i], err = runMapper(morsels[i].input, morsels[i].chunk); err != nil {
+			return fmt.Errorf("map %s: %w", morsels[i].input.Path, err)
 		}
-		var filtered int64
-		for _, line := range task.chunk {
-			if task.input.Prefilter != nil && !task.input.Prefilter(line) {
-				filtered++
-				continue
-			}
-			if err := task.input.Mapper.Map(line, emit); err != nil {
-				return fmt.Errorf("map %s: %w", task.input.Path, err)
-			}
-		}
-		r := mapTaskResult{pairs: taskPairs, preRecords: int64(len(taskPairs)), filtered: filtered}
-		for _, p := range taskPairs {
-			r.preBytes += int64(len(p.key) + len(p.value) + 2)
-		}
-		if j.Reducer != nil && j.Combiner != nil {
-			combined, err := combineTask(taskPairs, j.Combiner)
-			if err != nil {
-				return fmt.Errorf("combine: %w", err)
-			}
-			r.pairs = combined
-		}
-		mapResults[i] = r
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range mapResults {
-		preCombineRecords += r.preRecords
-		preCombineBytes += r.preBytes
-		stats.MapRecordsFiltered += r.filtered
-		if j.Reducer == nil {
-			for _, p := range r.pairs {
-				mapOnlyLines = append(mapOnlyLines, p.value)
-			}
-			continue
+	var preCombineRecords, preCombineBytes int64
+	for i := range lists {
+		preCombineRecords += int64(len(lists[i].pairs))
+		preCombineBytes += lists[i].bytes
+		stats.MapRecordsFiltered += lists[i].filtered
+	}
+	// The combiner runs once per simulated task, over the task's morsels in
+	// order: what reaches the shuffle does not depend on how the host cut
+	// the task. (It runs once every map call has succeeded, so a failing
+	// mapper outranks a failing combiner whichever task either is in.)
+	if j.Reducer != nil && j.Combiner != nil {
+		combined := lists // one morsel per task: each task replaces its own slot
+		if first != nil {
+			combined = make([]pairList, len(tasks))
 		}
-		mapOutput = append(mapOutput, r.pairs...)
+		err := e.forEachTask(len(tasks), func(t int) error {
+			lo, hi := t, t+1
+			if first != nil {
+				lo, hi = first[t], first[t+1]
+			}
+			out, err := combineTask(lists[lo:hi], j.Combiner)
+			if err != nil {
+				return fmt.Errorf("combine: %w", err)
+			}
+			combined[t] = out
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		lists = combined
+	}
+	var nPairs int
+	for i := range lists {
+		nPairs += len(lists[i].pairs)
+		stats.MapOutputBytes += lists[i].bytes
 	}
 
 	// ----- Map-only jobs write straight to the DFS -----------------------
 	if j.Reducer == nil {
-		e.dfs.Write(j.Output, mapOnlyLines)
-		stats.MapOutputRecords = int64(len(mapOnlyLines))
+		mapOnlyLines := make([]string, 0, nPairs)
+		for i := range lists {
+			for _, p := range lists[i].pairs {
+				mapOnlyLines = append(mapOnlyLines, p.value)
+			}
+		}
+		e.dfs.writeOwned(j.Output, mapOnlyLines)
+		stats.MapOutputRecords = int64(nPairs)
 		stats.MapOutputBytes = linesBytes(mapOnlyLines)
 		stats.ReduceOutputRecords = stats.MapOutputRecords
 		stats.ReduceOutputBytes = stats.MapOutputBytes
@@ -314,10 +312,7 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 		return stats, nil
 	}
 
-	stats.MapOutputRecords = int64(len(mapOutput))
-	for _, p := range mapOutput {
-		stats.MapOutputBytes += int64(len(p.key) + len(p.value) + 2)
-	}
+	stats.MapOutputRecords = int64(nPairs)
 	stats.ShuffleBytes = stats.MapOutputBytes
 	if cl.Compress {
 		stats.ShuffleBytes = int64(float64(stats.ShuffleBytes) * cl.Cost.CompressionRatio)
@@ -330,17 +325,10 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 	}
 	stats.NumReduceTasks = numReduce
 
-	groups := make(map[string][]string)
-	for _, p := range mapOutput {
-		groups[p.key] = append(groups[p.key], p.value)
-	}
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	stats.ReduceGroups = int64(len(keys))
-	stats.ReduceInputRecords = int64(len(mapOutput))
+	groups := e.shuffle(lists, e.hostPartitions(nPairs))
+	stats.ReduceGroups = int64(len(groups))
+	stats.ReduceInputRecords = int64(nPairs)
+	stats.MaxPartitionGroups, stats.MaxPartitionValues = reducerSizes(groups, numReduce)
 
 	// ----- Reduce ---------------------------------------------------------
 	var workStart int64
@@ -351,34 +339,65 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 	if dr, ok := j.Reducer.(DispatchReporter); ok {
 		dispatchStart = dr.DispatchCounts()
 	}
-	// Key groups run concurrently only for reducers that declare themselves
-	// safe (ConcurrentReducer); each group emits into its own buffer and the
-	// gather concatenates buffers in global sorted-key order, reproducing
-	// the sequential engine's output exactly. Unmarked reducers may carry
-	// per-call state whose evolution depends on call order, so they always
-	// run sequentially over the sorted keys.
+	// A reducer that supplies instances (ReduceTaskFactory) has the sorted
+	// key list cut into runs: every run gets an instance of its own, built
+	// inside the task that uses it, and an output buffer of its own, and the
+	// buffers are concatenated in run order — the sequential engine's
+	// output exactly. Any other reducer may carry state whose evolution
+	// depends on call order, so it reduces every key itself, in order.
+	// Output buffers start at a line a key, which is what most reducers emit.
 	var outLines []string
-	if _, ok := j.Reducer.(ConcurrentReducer); ok && e.workers > 1 {
-		outs := make([][]string, len(keys))
-		err := e.forEachTask(len(keys), func(i int) error {
-			k := keys[i]
-			if err := j.Reducer.Reduce(k, groups[k], func(line string) { outs[i] = append(outs[i], line) }); err != nil {
-				return fmt.Errorf("reduce key %q: %w", k, err)
+	var cuts []int
+	factory, _ := j.Reducer.(ReduceTaskFactory)
+	if factory != nil {
+		cuts = e.cutRuns(groups, nPairs)
+	}
+	if cuts != nil {
+		outs := make([][]string, len(cuts)-1)
+		err := e.forEachTask(len(outs), func(r int) error {
+			task := factory.NewReduceTask()
+			out := make([]string, 0, cuts[r+1]-cuts[r])
+			emitLine := func(line string) { out = append(out, line) }
+			for _, g := range groups[cuts[r]:cuts[r+1]] {
+				if err := task.Reduce(g.key, g.values, emitLine); err != nil {
+					return fmt.Errorf("reduce key %q: %w", g.key, err)
+				}
 			}
+			task.Done()
+			outs[r] = out
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		for _, o := range outs {
-			outLines = append(outLines, o...)
+		n := 0
+		for _, out := range outs {
+			n += len(out)
+		}
+		outLines = make([]string, 0, n)
+		for _, out := range outs {
+			outLines = append(outLines, out...)
 		}
 	} else {
+		reducer := j.Reducer
+		var task ReduceTask // the one run's instance
+		if factory != nil {
+			task = factory.NewReduceTask()
+			reducer = task
+		}
+		outLines = make([]string, 0, len(groups))
 		emitLine := func(line string) { outLines = append(outLines, line) }
-		for _, k := range keys {
-			if err := j.Reducer.Reduce(k, groups[k], emitLine); err != nil {
-				return nil, fmt.Errorf("reduce key %q: %w", k, err)
+		for _, g := range groups {
+			if err := reducer.Reduce(g.key, g.values, emitLine); err != nil {
+				return nil, fmt.Errorf("reduce key %q: %w", g.key, err)
 			}
+		}
+		if task != nil {
+			task.Done()
+		}
+		// The DFS keeps this slice for good: not with mostly unused capacity.
+		if cap(outLines)-len(outLines) > len(outLines)/4 {
+			outLines = slices.Clone(outLines)
 		}
 	}
 	stats.ReduceWorkRecords = stats.ReduceInputRecords
@@ -390,12 +409,12 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 	if dr, ok := j.Reducer.(DispatchReporter); ok {
 		stats.Dispatch = dispatchDelta(dispatchStart, dr.DispatchCounts())
 	}
-	e.dfs.Write(j.Output, outLines)
+	e.dfs.writeOwned(j.Output, outLines)
 	stats.ReduceOutputRecords = int64(len(outLines))
 	stats.ReduceOutputBytes = linesBytes(outLines)
 
 	if e.faultsActive() {
-		if err := e.costJobFaulty(j, stats, preCombineRecords, preCombineBytes, tasks, keys, groups); err != nil {
+		if err := e.costJobFaulty(j, stats, preCombineRecords, preCombineBytes, tasks, groups); err != nil {
 			return nil, err
 		}
 	} else {
@@ -404,48 +423,40 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 	return stats, nil
 }
 
-// combineTask groups one map task's output by key, in first-seen key order,
-// and applies the combiner. Every group is a window of one values slice
-// sized by len(pairs): a first pass numbers the keys and counts their
-// values, a second drops each value into its key's window.
-func combineTask(pairs []kv, c Combiner) ([]kv, error) {
-	index := make(map[string]int) // key -> position in order
-	var order []string
-	var counts []int
-	groupOf := make([]int, len(pairs))
-	for pi, p := range pairs {
-		g, ok := index[p.key]
-		if !ok {
-			g = len(order)
-			index[p.key] = g
-			order = append(order, p.key)
-			counts = append(counts, 0)
+// runMapper runs one input's early filter and mapper over lines. The pairs
+// collect in a slab sized by the line count, which holds them all whenever
+// the mapper emits at most one pair a line.
+func runMapper(in Input, lines []string) (pairList, error) {
+	out := pairList{pairs: make([]kv, 0, len(lines))}
+	emit := func(key, value string) {
+		out.pairs = append(out.pairs, kv{key, value})
+		out.bytes += int64(len(key) + len(value) + 2)
+	}
+	for _, line := range lines {
+		if in.Prefilter != nil && !in.Prefilter(line) {
+			out.filtered++
+			continue
 		}
-		groupOf[pi] = g
-		counts[g]++
+		if err := in.Mapper.Map(line, emit); err != nil {
+			return out, err
+		}
 	}
-	starts := make([]int, len(order)+1)
-	for g, n := range counts {
-		starts[g+1] = starts[g] + n
-	}
-	values := make([]string, len(pairs))
-	next := counts // reused: where each group's next value goes
-	copy(next, starts)
-	for pi, p := range pairs {
-		g := groupOf[pi]
-		values[next[g]] = p.value
-		next[g]++
-	}
-	out := make([]kv, 0, len(order))
-	for g, k := range order {
-		// Capped, so a combiner appending to its input cannot reach the
-		// next group's values.
-		vals, err := c.Combine(k, values[starts[g]:starts[g+1]:starts[g+1]])
+	return out, nil
+}
+
+// combineTask groups one map task's output — the pair lists of its morsels,
+// in order — by key, in first-seen key order, and applies the combiner.
+func combineTask(lists []pairList, c Combiner) (pairList, error) {
+	groups := groupPairs(lists, nil, 0)
+	out := pairList{pairs: make([]kv, 0, len(groups))}
+	for _, g := range groups {
+		vals, err := c.Combine(g.key, g.values)
 		if err != nil {
-			return nil, err
+			return out, err
 		}
 		for _, v := range vals {
-			out = append(out, kv{k, v})
+			out.pairs = append(out.pairs, kv{g.key, v})
+			out.bytes += int64(len(g.key) + len(v) + 2)
 		}
 	}
 	return out, nil
@@ -474,10 +485,9 @@ func splitChunks(lines []string, n int) [][]string {
 	return out
 }
 
-// partitionOf is the default hash partitioner (exported for tests of
-// grouping invariants): FNV-32a of the key, modulo the partition count,
-// computed over the string in place — the fault path calls it for every
-// key of every replayed reduce task.
+// partitionOf is the hash partitioner, of simulated reduce tasks and host
+// shuffle partitions alike: FNV-32a of the key, modulo the partition count,
+// computed over the string in place.
 func partitionOf(key string, numReduce int) int {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {

@@ -564,9 +564,9 @@ func TestAllocBudgetCombineTask(t *testing.T) {
 	}
 	allocs := func(pairs []kv) float64 {
 		return testing.AllocsPerRun(50, func() {
-			out, err := combineTask(pairs, count)
-			if err != nil || len(out) != 4 {
-				t.Fatalf("combineTask = %v, %v; want 4 pairs", out, err)
+			out, err := combineTask([]pairList{{pairs: pairs}}, count)
+			if err != nil || len(out.pairs) != 4 {
+				t.Fatalf("combineTask = %v, %v; want 4 pairs", out.pairs, err)
 			}
 		})
 	}

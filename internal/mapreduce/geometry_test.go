@@ -1,0 +1,478 @@
+package mapreduce
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"sort"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+
+	"ysmart/internal/obs"
+)
+
+// The tests of the host's execution geometry (shuffle.go): whatever way the
+// worker count cuts a job into morsels, shuffle partitions and key runs,
+// rows, JobStats, attempt logs and trace bytes are those of the sequential
+// engine.
+
+// sumReducer is a ReduceTaskFactory in the shape of the CMF common reducer:
+// instances keep scratch across keys, count their work privately and fold
+// it into the parent at Done.
+type sumReducer struct {
+	mu    sync.Mutex
+	work  int64
+	tasks int
+}
+
+func (r *sumReducer) NewReduceTask() ReduceTask { return &sumTask{parent: r} }
+
+func (r *sumReducer) Reduce(key string, values []string, emit func(string)) error {
+	t := r.NewReduceTask()
+	defer t.Done()
+	return t.Reduce(key, values, emit)
+}
+
+func (r *sumReducer) ReduceWork() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.work
+}
+
+type sumTask struct {
+	parent *sumReducer
+	line   []byte // reused from key to key: emitted lines must not alias it
+	work   int64
+}
+
+func (t *sumTask) Reduce(key string, values []string, emit func(string)) error {
+	var sum int64
+	for _, v := range values {
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			return err
+		}
+		sum += n
+	}
+	t.work += 2 * int64(len(values))
+	t.line = append(t.line[:0], key...)
+	t.line = strconv.AppendInt(append(t.line, '\t'), sum, 10)
+	// The first and last value pin the values' map-output order.
+	t.line = append(append(t.line, '\t'), values[0]...)
+	t.line = append(append(t.line, '\t'), values[len(values)-1]...)
+	emit(string(t.line))
+	return nil
+}
+
+func (t *sumTask) Done() {
+	t.parent.mu.Lock()
+	t.parent.work += t.work
+	t.parent.tasks++
+	t.parent.mu.Unlock()
+	t.work = 0
+}
+
+// geometryInput is n lines "k<key> <i>" over nKeys keys, offset so that two
+// inputs interleave their keys.
+func geometryInput(n, nKeys, offset int) []string {
+	lines := make([]string, n)
+	for i := range lines {
+		lines[i] = fmt.Sprintf("k%03d %d", (i*7+offset)%nKeys, i+offset)
+	}
+	return lines
+}
+
+func geometryMapper(failAt ...string) Mapper {
+	return MapperFunc(func(line string, emit Emit) error {
+		for _, bad := range failAt {
+			if line == bad {
+				return fmt.Errorf("bad line %q", line)
+			}
+		}
+		key, value, _ := strings.Cut(line, " ")
+		emit(key, value)
+		return nil
+	})
+}
+
+// geometryCluster makes input "a" (5000 lines) two simulated map tasks of
+// three morsels each and input "b" (3000 lines) one task of three, with
+// four reduce tasks.
+func geometryCluster() *Cluster {
+	c := testFaultCluster()
+	c.Cost.SplitSize = 32 << 10
+	return c
+}
+
+func geometryJob(mapper Mapper) *Job {
+	return &Job{
+		Name: "geometry",
+		Inputs: []Input{
+			{Path: "a", Mapper: mapper},
+			{Path: "b", Mapper: mapper},
+		},
+		Reducer: &sumReducer{},
+		Output:  "out",
+	}
+}
+
+type geometryRun struct {
+	rows  []string
+	stats *JobStats
+	trace []byte
+	err   error
+}
+
+func runGeometry(t *testing.T, cluster *Cluster, job *Job, workers int) geometryRun {
+	t.Helper()
+	dfs := NewDFS()
+	dfs.Write("a", geometryInput(5000, 400, 0))
+	dfs.Write("b", geometryInput(3000, 400, 3))
+	e, err := NewEngine(dfs, cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetWorkers(workers)
+	col := obs.NewCollector()
+	e.Instrument(col, nil)
+	stats, err := e.RunJob(job)
+	if err != nil {
+		return geometryRun{err: err}
+	}
+	rows, err := dfs.Read(job.Output)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return geometryRun{rows: rows, stats: stats, trace: obs.ChromeTrace(col.Events())}
+}
+
+// TestGeometryInvariantAcrossWorkers runs one synthetic job, whose inputs
+// span several morsels, shuffle partitions and key runs, in every variant
+// the engine distinguishes, at 1, 2 and 8 workers.
+func TestGeometryInvariantAcrossWorkers(t *testing.T) {
+	sumCombiner := benchJob().Combiner
+	faulty := func() *Cluster {
+		c := geometryCluster()
+		c.Faults = &FaultPlan{Seed: 7, TaskFailureProb: 0.3, StragglerProb: 0.2, StragglerFactor: 5,
+			NodeFailures: []NodeFailure{{Node: 2, At: 14}}}
+		c.Speculation = Speculation{Enabled: true}
+		return c
+	}
+	variants := []struct {
+		name    string
+		cluster func() *Cluster
+		job     func() *Job
+	}{
+		{"plain", geometryCluster, func() *Job { return geometryJob(geometryMapper()) }},
+		{"combiner", geometryCluster, func() *Job {
+			j := geometryJob(geometryMapper())
+			j.Combiner = sumCombiner
+			return j
+		}},
+		{"prefilter", geometryCluster, func() *Job {
+			j := geometryJob(geometryMapper())
+			for i := range j.Inputs {
+				j.Inputs[i].Prefilter = func(line string) bool { return !strings.HasSuffix(line, "7") }
+			}
+			return j
+		}},
+		{"map-only", geometryCluster, func() *Job {
+			j := geometryJob(geometryMapper())
+			j.Reducer = nil
+			return j
+		}},
+		{"stateful reducer", geometryCluster, func() *Job {
+			j := geometryJob(geometryMapper())
+			calls := 0 // order-dependent state: only a sequential pass reproduces it
+			j.Reducer = ReducerFunc(func(key string, values []string, emit func(string)) error {
+				calls++
+				emit(fmt.Sprintf("%s\t%d\t%d", key, len(values), calls))
+				return nil
+			})
+			return j
+		}},
+		{"faults", faulty, func() *Job { return geometryJob(geometryMapper()) }},
+		{"faults, combiner, stateful reducer", faulty, func() *Job {
+			j := geometryJob(geometryMapper())
+			j.Combiner = sumCombiner
+			j.Reducer = wordCountJob("", "").Reducer
+			return j
+		}},
+	}
+	// The shape the variants share: three tasks of three morsels each, and
+	// 8000 pairs — several shuffle partitions at 2 and at 8 workers (that the
+	// keys are cut into several runs is TestGeometryReduceInstances').
+	a, b := geometryInput(5000, 400, 0), geometryInput(3000, 400, 3)
+	morsels, first := cutMorsels([]mapTask{{chunk: a[:2500]}, {chunk: a[2500:]}, {chunk: b}})
+	if len(morsels) != 9 || !reflect.DeepEqual(first, []int{0, 3, 6, 9}) {
+		t.Fatalf("cutMorsels: %d morsels, first = %v", len(morsels), first)
+	}
+	if p2, p8 := (&Engine{workers: 2}).hostPartitions(8000), (&Engine{workers: 8}).hostPartitions(8000); p2 != 2 || p8 != 3 {
+		t.Fatalf("8000 pairs shuffle in %d partitions at 2 workers and %d at 8, want 2 and 3", p2, p8)
+	}
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			base := runGeometry(t, v.cluster(), v.job(), 1)
+			if base.err != nil {
+				t.Fatal(base.err)
+			}
+			if len(base.rows) == 0 || base.stats.NumMapTasks != 3 {
+				t.Fatalf("%d rows from %d map tasks: the job is not the shape this test is about", len(base.rows), base.stats.NumMapTasks)
+			}
+			if strings.HasPrefix(v.name, "faults") && !base.stats.HasRecovery() {
+				t.Fatal("the fault plan injected nothing")
+			}
+			for _, workers := range []int{2, 8} {
+				got := runGeometry(t, v.cluster(), v.job(), workers)
+				if got.err != nil {
+					t.Fatal(got.err)
+				}
+				if !reflect.DeepEqual(got.rows, base.rows) {
+					t.Errorf("workers=%d: rows differ from the sequential run", workers)
+				}
+				if !reflect.DeepEqual(got.stats, base.stats) {
+					t.Errorf("workers=%d: JobStats differ\n got %+v\nwant %+v", workers, got.stats, base.stats)
+				}
+				if !bytes.Equal(got.trace, base.trace) {
+					t.Errorf("workers=%d: trace bytes differ", workers)
+				}
+			}
+		})
+	}
+}
+
+// TestGeometryReduceInstances: the factory's instances report, through
+// Done, the work of the sequential run at any worker count, and the host
+// really cut the job (several instances) when it had workers to cut for.
+func TestGeometryReduceInstances(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		job := geometryJob(geometryMapper())
+		got := runGeometry(t, geometryCluster(), job, workers)
+		if got.err != nil {
+			t.Fatal(got.err)
+		}
+		r := job.Reducer.(*sumReducer)
+		if want := 2 * got.stats.ReduceInputRecords; got.stats.ReduceWorkRecords != want || r.work != want {
+			t.Errorf("workers=%d: reduce work %d (reducer total %d), want %d", workers, got.stats.ReduceWorkRecords, r.work, want)
+		}
+		if (workers == 1) != (r.tasks == 1) {
+			t.Errorf("workers=%d: %d reducer instances", workers, r.tasks)
+		}
+	}
+}
+
+// TestGeometryLowestMapErrorSurfaces: a mapper failing on two lines in
+// different morsels reports the lower line at any worker count.
+func TestGeometryLowestMapErrorSurfaces(t *testing.T) {
+	a := geometryInput(5000, 400, 0)
+	// Lines 1500 and 4000 of "a": morsel 1 of task 0 and morsel 1 of task 1.
+	mapper := geometryMapper(a[4000], a[1500])
+	for _, workers := range []int{1, 2, 8} {
+		for trial := 0; trial < 5; trial++ {
+			got := runGeometry(t, geometryCluster(), geometryJob(mapper), workers)
+			if want := fmt.Sprintf("map a: bad line %q", a[1500]); got.err == nil || got.err.Error() != want {
+				t.Fatalf("workers=%d: err = %v, want %s", workers, got.err, want)
+			}
+		}
+	}
+}
+
+// TestGeometrySkewedKeyStillCuts: one key holding 90 % of the values makes
+// one long run; the cut still covers every group exactly once, in order,
+// with no empty run, and the job's output is the sequential run's.
+func TestGeometrySkewedKeyStillCuts(t *testing.T) {
+	var groups []keyGroup
+	n := 0
+	for k := 0; k < 200; k++ {
+		size := 10
+		if k == 60 {
+			size = 18000
+		}
+		groups = append(groups, keyGroup{key: fmt.Sprintf("k%03d", k), values: make([]string, size)})
+		n += size
+	}
+	e := &Engine{workers: 8}
+	cuts := e.cutRuns(groups, n)
+	if len(cuts) < 3 {
+		t.Fatalf("cuts = %v: a skewed key list must still be cut", cuts)
+	}
+	if cuts[0] != 0 || cuts[len(cuts)-1] != len(groups) {
+		t.Errorf("cuts = %v do not span the %d groups", cuts, len(groups))
+	}
+	for r := 1; r < len(cuts); r++ {
+		if cuts[r] <= cuts[r-1] {
+			t.Errorf("cuts = %v: run %d is empty or out of order", cuts, r-1)
+		}
+	}
+	if (&Engine{workers: 1}).cutRuns(groups, n) != nil || e.cutRuns(groups[:1], 18000) != nil {
+		t.Error("one worker, or one key, must be one run")
+	}
+
+	skewed := func(workers int) geometryRun {
+		dfs := NewDFS()
+		lines := geometryInput(20000, 400, 0)
+		for i := range lines {
+			if i%10 != 0 {
+				lines[i] = "hot " + strconv.Itoa(i)
+			}
+		}
+		dfs.Write("a", lines)
+		dfs.Write("b", nil)
+		e, err := NewEngine(dfs, geometryCluster())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetWorkers(workers)
+		job := geometryJob(geometryMapper())
+		stats, err := e.RunJob(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, _ := dfs.Read("out")
+		return geometryRun{rows: rows, stats: stats}
+	}
+	base, got := skewed(1), skewed(8)
+	if !reflect.DeepEqual(got.rows, base.rows) || !reflect.DeepEqual(got.stats, base.stats) {
+		t.Error("skewed job differs between 1 and 8 workers")
+	}
+	if s := base.stats; s.MaxPartitionValues < 18000 || s.PartitionSkew() < 3 {
+		t.Errorf("hot key holds 18000 of %d values on %d reduce tasks, yet max partition = %d values, skew %.2f",
+			s.ReduceInputRecords, s.NumReduceTasks, s.MaxPartitionValues, s.PartitionSkew())
+	}
+}
+
+// TestReducerSizes checks the per-reduce-task accounting against a direct
+// count, on both sides of its stack buffer.
+func TestReducerSizes(t *testing.T) {
+	var groups []keyGroup
+	for k := 0; k < 500; k++ {
+		groups = append(groups, keyGroup{key: fmt.Sprintf("key-%d", k*k), values: make([]string, 1+k%7)})
+	}
+	for _, numReduce := range []int{1, 4, 64, 65, 2988} {
+		perGroups, perValues := make([]int64, numReduce), make([]int64, numReduce)
+		for _, g := range groups {
+			p := partitionOf(g.key, numReduce)
+			perGroups[p]++
+			perValues[p] += int64(len(g.values))
+		}
+		var wantGroups, wantValues int64
+		for p := range perGroups {
+			wantGroups, wantValues = max(wantGroups, perGroups[p]), max(wantValues, perValues[p])
+		}
+		if gotGroups, gotValues := reducerSizes(groups, numReduce); gotGroups != wantGroups || gotValues != wantValues {
+			t.Errorf("reducerSizes over %d reduce tasks = %d groups, %d values; want %d, %d",
+				numReduce, gotGroups, gotValues, wantGroups, wantValues)
+		}
+	}
+	s := JobStats{MapInputRecords: 200, MapOutputRecords: 300, ReduceInputRecords: 300, ReduceGroups: 30,
+		NumReduceTasks: 4, MaxPartitionValues: 150, MaxPartitionGroups: 12}
+	if s.ReplicationRate() != 1.5 || s.MeanPartitionValues() != 75 || s.MeanPartitionGroups() != 7.5 || s.PartitionSkew() != 2 {
+		t.Errorf("r = %v, mean values = %v, mean groups = %v, skew = %v", s.ReplicationRate(),
+			s.MeanPartitionValues(), s.MeanPartitionGroups(), s.PartitionSkew())
+	}
+	if empty := (JobStats{}); empty.ReplicationRate() != 0 || empty.MeanPartitionValues() != 0 || empty.PartitionSkew() != 0 {
+		t.Error("an empty job's rates must be 0, not NaN")
+	}
+}
+
+// referenceShuffle is the shuffle the partitioned one replaced: one global
+// map, appended to in map-output order, and a sort over every key.
+func referenceShuffle(lists []pairList) []keyGroup {
+	byKey := make(map[string][]string)
+	for _, l := range lists {
+		for _, p := range l.pairs {
+			byKey[p.key] = append(byKey[p.key], p.value)
+		}
+	}
+	keys := make([]string, 0, len(byKey))
+	for k := range byKey {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	groups := make([]keyGroup, len(keys))
+	for i, k := range keys {
+		groups[i] = keyGroup{key: k, values: byKey[k]}
+	}
+	return groups
+}
+
+func sameGroups(got, want []keyGroup) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d groups, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].key != want[i].key || !reflect.DeepEqual(got[i].values, want[i].values) {
+			return fmt.Errorf("group %d = %q %q, want %q %q", i, got[i].key, got[i].values, want[i].key, want[i].values)
+		}
+		if cap(got[i].values) != len(got[i].values) {
+			return fmt.Errorf("group %d (%q) is not capped at its own values", i, got[i].key)
+		}
+	}
+	return nil
+}
+
+// FuzzShuffleGrouping: for any pair lists and any partition count, grouping
+// per hash partition and merging yields the reference shuffle's keys, in
+// its order, each with its values in map-output order.
+func FuzzShuffleGrouping(f *testing.F) {
+	f.Add([]byte(""), uint8(1), uint8(1))
+	f.Add([]byte("abcabcaab"), uint8(2), uint8(3))
+	f.Add([]byte("the quick brown fox jumps over the lazy dog\x00\xff"), uint8(16), uint8(5))
+	f.Add(bytes.Repeat([]byte{7, 7, 7, 7, 9}, 40), uint8(7), uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, parts, nLists uint8) {
+		nParts := int(parts)%maxPartitions + 1
+		lists := make([]pairList, int(nLists)%6+1)
+		for i, b := range data {
+			// Few distinct keys, so groups hold several values; the key's
+			// length varies so that sorted order is not insertion order.
+			key := strings.Repeat(string(rune('a'+b%5)), int(b>>5)%3+1)
+			l := &lists[(i*31+int(b))%len(lists)]
+			l.pairs = append(l.pairs, kv{key, strconv.Itoa(i)})
+		}
+		want := referenceShuffle(lists)
+		for _, workers := range []int{1, 4} {
+			e := &Engine{workers: workers}
+			if err := sameGroups(e.shuffle(lists, nParts), want); err != nil {
+				t.Fatalf("%d partitions, %d workers: %v", nParts, workers, err)
+			}
+		}
+	})
+}
+
+// TestAllocBudgetRunJob pins the engine's own containers: with the tasks,
+// partitions, runs and keys fixed, a job's allocations do not grow with its
+// pair count — every per-pair container is sized once from a count.
+func TestAllocBudgetRunJob(t *testing.T) {
+	mapper := MapperFunc(func(line string, emit Emit) error {
+		emit(line[:1], line)
+		return nil
+	})
+	discard := ReducerFunc(func(string, []string, func(string)) error { return nil })
+	allocs := func(nLines int, reducer Reducer) float64 {
+		lines := make([]string, nLines)
+		for i := range lines {
+			lines[i] = string(rune('a'+i%8)) + " payload"
+		}
+		e := newTestEngine(t)
+		e.SetWorkers(1)
+		e.DFS().Write("in", lines)
+		job := &Job{Name: "budget", Inputs: []Input{{Path: "in", Mapper: mapper}}, Reducer: reducer, Output: "out"}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := e.runJob(job); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for name, reducer := range map[string]Reducer{"reduce": discard, "map-only": nil} {
+		few, many := allocs(500, reducer), allocs(8000, reducer)
+		if many > few {
+			t.Errorf("%s: %v allocations for 8000 pairs, %v for 500: a container grows with the pairs", name, many, few)
+		}
+		const budget = 30
+		if few > budget {
+			t.Errorf("%s: %v allocations for a one-task job over 8 keys, budget %d", name, few, budget)
+		}
+	}
+}

@@ -11,8 +11,10 @@
 // The engine is deterministic: results, stats and traces are reproducible
 // byte-for-byte. Simulated parallelism enters through the cost model
 // (nodes × slots); host parallelism enters through the engine's worker
-// pool (Engine.SetWorkers), which executes tasks concurrently but gathers
-// every result in task order so the two notions never interact.
+// pool (Engine.SetWorkers), which cuts a job into host-sized units of its
+// own (map morsels, shuffle partitions, reduce key runs — never the
+// simulated cluster's tasks) and gathers every result in an order fixed by
+// the data, so the two notions never interact.
 package mapreduce
 
 import "fmt"
@@ -42,18 +44,36 @@ type Reducer interface {
 	Reduce(key string, values []string, emit func(line string)) error
 }
 
-// ConcurrentReducer marks a Reducer whose Reduce method is safe to call
-// from several goroutines at once. The engine then runs key groups
-// concurrently on its worker pool, each group emitting into a private
-// buffer that is reassembled in sorted-key order — output is byte-identical
-// to the sequential path. Reducers without the marker always run
-// sequentially over sorted keys, because interleaved calls would make any
-// internal state they keep (and therefore their output and reported
-// counters) depend on host scheduling.
-type ConcurrentReducer interface {
+// ReduceTaskFactory is implemented by a Reducer whose key groups are
+// independent of one another and of the order they are reduced in. The
+// engine then drives it the way Hadoop drives a reducer class (and the
+// paper's Algorithm 1 its common reducer): one private instance per reduce
+// task, fed that task's keys in sorted order, so scratch state can outlive
+// a key. On the host a task is a contiguous run of the sorted key list;
+// runs execute concurrently, each emitting into its own buffer, and the
+// buffers are concatenated in run order — output is byte-identical to one
+// instance reducing every key. Reducers without a factory always run
+// sequentially over the sorted keys, because interleaved calls would make
+// any state they keep (and therefore their output and reported counters)
+// depend on host scheduling.
+type ReduceTaskFactory interface {
 	Reducer
-	// ConcurrentReduce is a marker method; implementations are empty.
-	ConcurrentReduce()
+	// NewReduceTask returns a fresh instance sharing nothing mutable with
+	// its parent or its siblings.
+	NewReduceTask() ReduceTask
+}
+
+// ReduceTask is one reduce task's private reducer instance. It is used by
+// a single goroutine.
+type ReduceTask interface {
+	// Reduce processes one key group, like Reducer.Reduce. Nothing it hands
+	// to emit may alias scratch the instance reuses for the next key.
+	Reduce(key string, values []string, emit func(line string)) error
+	// Done ends the task: the instance folds whatever it counted (see
+	// ReduceWorkReporter, DispatchReporter) into its parent, once. Sums
+	// commute, so the parent's totals do not depend on how keys were cut
+	// into tasks.
+	Done()
 }
 
 // ReducerFunc adapts a function to the Reducer interface.

@@ -6,7 +6,8 @@ import (
 	"sync/atomic"
 )
 
-// The worker pool. Map tasks, per-task combiners, reduce key groups and
+// The worker pool. Map morsels, per-task combiners, shuffle partitions,
+// reduce key runs (see shuffle.go for how a job is cut into them) and
 // fault-path re-executions fan out across Engine.Workers goroutines. Every
 // parallel section follows the same discipline:
 //
@@ -15,7 +16,8 @@ import (
 //     worker starts);
 //   - each work item writes only into its own slot of a pre-sized result
 //     slice;
-//   - the driver gathers results by ascending task index after the join.
+//   - the driver gathers results after the join in an order the data
+//     fixes: ascending item index, or a merge by key.
 //
 // Host scheduling therefore never reaches anything observable: JobStats,
 // DFS contents, traces and fault replay are byte-identical at any worker

@@ -114,9 +114,9 @@ func TestSetWorkersClamps(t *testing.T) {
 	SetDefaultWorkers(0) // restore NumCPU
 }
 
-// benchReducer sums integer values per key. It is stateless, so it carries
-// the ConcurrentReduce marker and the engine may fan its key groups out
-// across workers.
+// benchReducer sums integer values per key. It is stateless, so it is its
+// own reduce-task instance and the engine may fan its key runs out across
+// workers.
 type benchReducer struct{}
 
 func (benchReducer) Reduce(key string, values []string, emit func(line string)) error {
@@ -132,7 +132,9 @@ func (benchReducer) Reduce(key string, values []string, emit func(line string)) 
 	return nil
 }
 
-func (benchReducer) ConcurrentReduce() {}
+func (r benchReducer) NewReduceTask() ReduceTask { return r }
+
+func (benchReducer) Done() {}
 
 // benchJob builds a deliberately CPU-heavy wordcount variant: the mapper
 // burns cycles per line (standing in for real deserialization + predicate

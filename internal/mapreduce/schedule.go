@@ -327,7 +327,7 @@ func (e *Engine) faultsActive() bool {
 // bases, but phase times come from scheduling every task attempt under the
 // cluster's FaultPlan, and every extra attempt re-executes the user's
 // map/reduce code (reading its input again from the DFS replicas).
-func (e *Engine) costJobFaulty(j *Job, s *JobStats, preCombineRecords, preCombineBytes int64, tasks []mapTask, keys []string, groups map[string][]string) error {
+func (e *Engine) costJobFaulty(j *Job, s *JobStats, preCombineRecords, preCombineBytes int64, tasks []mapTask, groups []keyGroup) error {
 	cl := e.cluster
 	cm := cl.Cost
 	scale := cl.DataScale
@@ -447,7 +447,7 @@ func (e *Engine) costJobFaulty(j *Job, s *JobStats, preCombineRecords, preCombin
 	if err := e.reexecuteMap(j, s, tasks, mp); err != nil {
 		return err
 	}
-	return e.reexecuteReduce(j, s, keys, groups, rp)
+	return e.reexecuteReduce(j, s, groups, rp)
 }
 
 // costMapOnlyFaulty is the event-level counterpart of costMapOnly. Map
@@ -541,22 +541,14 @@ func (e *Engine) reexecuteMap(j *Job, s *JobStats, tasks []mapTask, mp *phaseSch
 	}
 	return e.forEachTask(len(replays), func(i int) error {
 		mt := tasks[replays[i]]
-		var taskPairs []kv
-		emit := func(key, value string) {
-			taskPairs = append(taskPairs, kv{key, value})
-		}
-		for _, line := range mt.chunk {
-			// Retries skip prefiltered lines exactly like the primary pass,
-			// so replayed attempts run the same user code on the same rows.
-			if mt.input.Prefilter != nil && !mt.input.Prefilter(line) {
-				continue
-			}
-			if err := mt.input.Mapper.Map(line, emit); err != nil {
-				return fmt.Errorf("map retry %s: %w", mt.input.Path, err)
-			}
+		// Retries skip prefiltered lines exactly like the primary pass, so
+		// replayed attempts run the same user code on the same rows.
+		out, err := runMapper(mt.input, mt.chunk)
+		if err != nil {
+			return fmt.Errorf("map retry %s: %w", mt.input.Path, err)
 		}
 		if j.Reducer != nil && j.Combiner != nil {
-			if _, err := combineTask(taskPairs, j.Combiner); err != nil {
+			if _, err := combineTask([]pairList{out}, j.Combiner); err != nil {
 				return fmt.Errorf("combine retry: %w", err)
 			}
 		}
@@ -567,7 +559,7 @@ func (e *Engine) reexecuteMap(j *Job, s *JobStats, tasks []mapTask, mp *phaseSch
 // reexecuteReduce replays the reducer for every scheduled reduce execution
 // beyond each task's first, over the key groups hash-partitioned to that
 // task. Outputs are discarded — the primary pass's output is canonical.
-func (e *Engine) reexecuteReduce(j *Job, s *JobStats, keys []string, groups map[string][]string, rp *phaseSched) error {
+func (e *Engine) reexecuteReduce(j *Job, s *JobStats, groups []keyGroup, rp *phaseSched) error {
 	extra := make(map[int]int)
 	for _, a := range rp.attempts {
 		extra[a.Task]++
@@ -579,27 +571,32 @@ func (e *Engine) reexecuteReduce(j *Job, s *JobStats, keys []string, groups map[
 		}
 	}
 	discard := func(string) {}
-	replay := func(i int) error {
-		task := replays[i]
-		for _, k := range keys {
-			if partitionOf(k, s.NumReduceTasks) != task {
+	// Replays follow the primary reduce pass: a reducer that supplies
+	// instances gets a fresh one per replayed task, on the worker pool;
+	// a stateful order-dependent reducer replays sequentially.
+	if factory, ok := j.Reducer.(ReduceTaskFactory); ok {
+		return e.forEachTask(len(replays), func(i int) error {
+			task := factory.NewReduceTask()
+			for _, g := range groups {
+				if partitionOf(g.key, s.NumReduceTasks) != replays[i] {
+					continue
+				}
+				if err := task.Reduce(g.key, g.values, discard); err != nil {
+					return fmt.Errorf("reduce retry key %q: %w", g.key, err)
+				}
+			}
+			task.Done()
+			return nil
+		})
+	}
+	for _, part := range replays {
+		for _, g := range groups {
+			if partitionOf(g.key, s.NumReduceTasks) != part {
 				continue
 			}
-			if err := j.Reducer.Reduce(k, groups[k], discard); err != nil {
-				return fmt.Errorf("reduce retry key %q: %w", k, err)
+			if err := j.Reducer.Reduce(g.key, g.values, discard); err != nil {
+				return fmt.Errorf("reduce retry key %q: %w", g.key, err)
 			}
-		}
-		return nil
-	}
-	// Partition replays run concurrently only for reducers marked safe;
-	// stateful order-dependent reducers replay sequentially, like the
-	// primary reduce pass.
-	if _, ok := j.Reducer.(ConcurrentReducer); ok {
-		return e.forEachTask(len(replays), replay)
-	}
-	for i := range replays {
-		if err := replay(i); err != nil {
-			return err
 		}
 	}
 	return nil

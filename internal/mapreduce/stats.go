@@ -34,6 +34,15 @@ type JobStats struct {
 	NumMapTasks         int
 	NumReduceTasks      int
 	MapOnly             bool
+	// MaxPartitionGroups and MaxPartitionValues are the most key groups and
+	// the most values any one of the NumReduceTasks reduce tasks receives
+	// under the hash partitioner — the latter is the measured reducer size q
+	// of Afrati et al. (PAPERS.md), the quantity their lower bounds trade
+	// against the replication rate (see ReplicationRate). The means are
+	// ReduceGroups and ReduceInputRecords over NumReduceTasks; see
+	// PartitionSkew.
+	MaxPartitionGroups int64
+	MaxPartitionValues int64
 
 	// Dispatch holds per-operator row counts when the job's reducer is a
 	// common reducer running a merged operator graph (see DispatchReporter).
@@ -85,6 +94,44 @@ func (s *JobStats) Retries() int { return s.MapTaskRetries + s.ReduceTaskRetries
 // job (retries, recomputes or speculative backups).
 func (s *JobStats) HasRecovery() bool {
 	return s.Retries()+s.RecomputedMapTasks+s.SpeculativeTasks > 0
+}
+
+// ReplicationRate is Afrati et al.'s r: map-output records per map-input
+// record (after the combiner; 0 for an empty input). A merged job that
+// serves several queries from one shared scan keeps r near 1 where the
+// one-to-one translation pays a scan per query.
+func (s *JobStats) ReplicationRate() float64 {
+	if s.MapInputRecords == 0 {
+		return 0
+	}
+	return float64(s.MapOutputRecords) / float64(s.MapInputRecords)
+}
+
+// MeanPartitionValues is the mean number of values per reduce task; with
+// MaxPartitionValues it brackets the reducer size (0 for a map-only job).
+func (s *JobStats) MeanPartitionValues() float64 {
+	if s.NumReduceTasks == 0 {
+		return 0
+	}
+	return float64(s.ReduceInputRecords) / float64(s.NumReduceTasks)
+}
+
+// MeanPartitionGroups is the mean number of key groups per reduce task.
+func (s *JobStats) MeanPartitionGroups() float64 {
+	if s.NumReduceTasks == 0 {
+		return 0
+	}
+	return float64(s.ReduceGroups) / float64(s.NumReduceTasks)
+}
+
+// PartitionSkew is max ÷ mean of the values per reduce task: 1 when the
+// hash partitioner spreads the job's values evenly, NumReduceTasks when
+// one task receives them all (and 0 when there are none).
+func (s *JobStats) PartitionSkew() float64 {
+	if s.ReduceInputRecords == 0 {
+		return 0
+	}
+	return float64(s.MaxPartitionValues) / s.MeanPartitionValues()
 }
 
 // TotalTime is the job's end-to-end simulated duration including the
