@@ -47,7 +47,7 @@ func TestListAnalyzers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list exit = %d, want 0", code)
 	}
-	for _, name := range []string{"determinism", "tagdispatch", "spanpair", "deprecated", "sharecheck", "concreduce", "lockorder", "goleak", "lockheld"} {
+	for _, name := range []string{"determinism", "tagdispatch", "spanpair", "sharecheck", "concreduce", "lockorder", "goleak", "lockheld"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output missing analyzer %s:\n%s", name, out)
 		}

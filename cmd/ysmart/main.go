@@ -248,7 +248,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if res.Reuse != nil {
+	if *reuseIt {
 		fmt.Println("== reuse (warm) ==")
 		fmt.Println(res.Reuse.Summary())
 	}

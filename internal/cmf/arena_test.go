@@ -156,10 +156,24 @@ func TestReusedInstanceMatchesFreshInstances(t *testing.T) {
 			}
 			factory := job.Reducer.(mapreduce.ReduceTaskFactory)
 			var res result
+			// What the instances return from Done, summed index by index
+			// the way the engine sums a job's tasks.
+			done := func(task mapreduce.ReduceTask) {
+				c := task.Done()
+				res.work += c.Work
+				if res.dispatch == nil {
+					res.dispatch = make([]mapreduce.OpDispatch, len(c.Dispatch))
+				}
+				for i, d := range c.Dispatch {
+					res.dispatch[i].Op = d.Op
+					res.dispatch[i].InRows += d.InRows
+					res.dispatch[i].OutRows += d.OutRows
+				}
+			}
 			var task mapreduce.ReduceTask = factory.NewReduceTask()
 			for _, g := range groups {
 				if !reused {
-					task.Done()
+					done(task)
 					task = factory.NewReduceTask()
 				}
 				var lines []string
@@ -167,9 +181,7 @@ func TestReusedInstanceMatchesFreshInstances(t *testing.T) {
 				res.lines = append(res.lines, lines)
 				res.errs = append(res.errs, fmt.Sprint(err))
 			}
-			task.Done()
-			res.work = job.Reducer.(mapreduce.ReduceWorkReporter).ReduceWork()
-			res.dispatch = job.Reducer.(mapreduce.DispatchReporter).DispatchCounts()
+			done(task)
 			return res
 		}
 		fresh, reused := run(false), run(true)

@@ -2,9 +2,8 @@ package cmf
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 
 	"ysmart/internal/exec"
 	"ysmart/internal/mapreduce"
@@ -104,10 +103,10 @@ func (cj *CommonJob) Build() (*mapreduce.Job, error) {
 		return nil, fmt.Errorf("common job %s: %w", cj.Name, err)
 	}
 	slotOf := make(map[string]int, len(cr.graph.ops))
-	cr.dispatch = make([]mapreduce.OpDispatch, len(cr.graph.ops))
+	cr.opCounts = make([]mapreduce.OpDispatch, len(cr.graph.ops))
 	for i, gop := range cr.graph.ops {
 		slotOf[gop.op.Name()] = cr.graph.nStreams + i
-		cr.dispatch[i].Op = gop.op.Name()
+		cr.opCounts[i].Op = gop.op.Name()
 	}
 	for _, out := range cj.Outputs {
 		cr.outputs = append(cr.outputs, outputSlot{slot: slotOf[out.Op], tag: out.Tag})
@@ -273,52 +272,42 @@ type outputSlot struct {
 // reducer's real computation (the paper's §VII.C observation that merged
 // reduce phases "execute more lines of code").
 //
-// The reducer itself is the immutable, shareable half: the compiled graph
-// and the job's wiring, plus cumulative counters. The evaluating half is a
-// reduceTask, one per engine reduce task (mapreduce.ReduceTaskFactory).
+// The reducer itself is the paper's reducer class: the compiled graph and
+// the job's wiring, fixed at Build and never written again, so any number
+// of engines may run one job at once. The evaluating half is a reduceTask,
+// one per engine reduce task (mapreduce.ReduceTaskFactory), which returns
+// what it counted to the engine that ran it.
 type commonReducer struct {
-	// Everything down to mu is fixed at Build.
 	graph      *graph
 	inputs     [][]streamRef // streams of each job input
 	outputs    []outputSlot
+	opCounts   []mapreduce.OpDispatch // graph.ops' names with zero counts: what an instance starts from
 	opaqueKeys bool
-	// mu guards the accounting below, which instances fold their private
-	// counts into when their task is done. Sums commute, so totals are
-	// identical however the engine cut the keys into tasks.
-	mu   sync.Mutex
-	work int64
-	// dispatch accumulates cumulative per-operator row counts across all key
-	// groups, indexed like graph.ops; the engine snapshots it around a job
-	// to report the per-job delta (see mapreduce.DispatchReporter).
-	dispatch []mapreduce.OpDispatch
 }
 
 // reduceTask is one reduce task's instance of the common reducer — the
 // paper's reducer object, whose scratch outlives a key: the slot table, the
 // exclusion scratch and the arena are reused from key group to key group,
-// and row counts stay private until Done.
+// and the row counts are the task's own until Done hands them over.
 type reduceTask struct {
 	cr             *commonReducer
 	slots, scratch [][]exec.Row // the graph's slot table; see graph.newSlots
 	excluded       []int
 	arena          arena
-	work           int64
-	counts         [][2]int64 // rows in and out of every operator, indexed like graph.ops
+	counts         mapreduce.ReduceCounts // Dispatch indexed like graph.ops
 }
 
 // NewReduceTask implements mapreduce.ReduceTaskFactory.
 func (cr *commonReducer) NewReduceTask() mapreduce.ReduceTask {
-	t := &reduceTask{cr: cr, counts: make([][2]int64, len(cr.graph.ops))}
+	t := &reduceTask{cr: cr, counts: mapreduce.ReduceCounts{Dispatch: slices.Clone(cr.opCounts)}}
 	t.slots, t.scratch = cr.graph.newSlots()
 	return t
 }
 
 // Reduce implements mapreduce.Reducer for callers outside the engine's
-// reduce tasks: a one-key task.
+// reduce tasks: a one-key task whose counts nobody reads.
 func (cr *commonReducer) Reduce(key string, values []string, emit func(string)) error {
-	t := cr.NewReduceTask()
-	defer t.Done()
-	return t.Reduce(key, values, emit)
+	return cr.NewReduceTask().Reduce(key, values, emit)
 }
 
 // Reduce implements mapreduce.ReduceTask.
@@ -368,10 +357,10 @@ func (t *reduceTask) Reduce(key string, values []string, emit func(string)) erro
 	}
 	for i, gop := range g.ops {
 		in := g.inRows(i, t.slots)
-		t.counts[i][0] += in
-		t.counts[i][1] += int64(len(t.slots[g.nStreams+i]))
+		t.counts.Dispatch[i].InRows += in
+		t.counts.Dispatch[i].OutRows += int64(len(t.slots[g.nStreams+i]))
 		if gop.relational {
-			t.work += in
+			t.counts.Work += in
 		}
 	}
 	var buf [256]byte
@@ -384,35 +373,8 @@ func (t *reduceTask) Reduce(key string, values []string, emit func(string)) erro
 	return nil
 }
 
-// Done implements mapreduce.ReduceTask: the instance's counts move into the
-// reducer's cumulative ones.
-func (t *reduceTask) Done() {
-	cr := t.cr
-	cr.mu.Lock()
-	cr.work += t.work
-	for i, c := range t.counts {
-		cr.dispatch[i].InRows += c[0]
-		cr.dispatch[i].OutRows += c[1]
-	}
-	cr.mu.Unlock()
-}
-
-// ReduceWork implements mapreduce.ReduceWorkReporter.
-func (cr *commonReducer) ReduceWork() int64 {
-	cr.mu.Lock()
-	defer cr.mu.Unlock()
-	return cr.work
-}
-
-// DispatchCounts implements mapreduce.DispatchReporter: cumulative per-
-// operator row counts sorted by operator name.
-func (cr *commonReducer) DispatchCounts() []mapreduce.OpDispatch {
-	cr.mu.Lock()
-	out := append([]mapreduce.OpDispatch(nil), cr.dispatch...)
-	cr.mu.Unlock()
-	sort.Slice(out, func(i, k int) bool { return out[i].Op < out[k].Op })
-	return out
-}
+// Done implements mapreduce.ReduceTask.
+func (t *reduceTask) Done() mapreduce.ReduceCounts { return t.counts }
 
 // buildCombiner wires map-side partial aggregation for a single-aggregation
 // job (paper §I footnote 2 — the optimization that makes Hive competitive

@@ -30,6 +30,9 @@ type Run struct {
 	Jobs []*mapreduce.JobStats
 	// Trace is the Chrome trace-event JSON of the run, compared byte-wise.
 	Trace []byte
+	// Reuse is the cross-query rewrite the run executed (the identity
+	// rewrite when no store was attached).
+	Reuse *ysmart.ReusePlan
 }
 
 // SortedLines is the canonical sorted row encoding used to compare the
@@ -109,24 +112,12 @@ func Tables() (map[string][]ysmart.Row, error) {
 	return tables, nil
 }
 
-// Execute runs one workload query through the engine: fresh runtime, the
-// harness cluster with the given fault plan, the given worker count, and a
-// collector so the trace byte stream is part of the comparison surface.
-// The translation is rebuilt per run because jobs carry per-run reducer
-// state.
-func Execute(name, sql string, mode ysmart.Mode, workers int, plan *mapreduce.FaultPlan, tables map[string][]ysmart.Row) (*Run, error) {
-	return execute(name, sql, mode, workers, plan, tables, false)
-}
-
-// ExecuteManimal is Execute with the MANIMAL scan rewrites applied to the
-// translation before the run — the `-manimal` execution path. The rewrites
-// must be unobservable in the result rows at any worker count and under
-// any fault plan; only scan-side counters may move.
-func ExecuteManimal(name, sql string, mode ysmart.Mode, workers int, plan *mapreduce.FaultPlan, tables map[string][]ysmart.Row) (*Run, error) {
-	return execute(name, sql, mode, workers, plan, tables, true)
-}
-
-func execute(name, sql string, mode ysmart.Mode, workers int, plan *mapreduce.FaultPlan, tables map[string][]ysmart.Row, optimize bool) (*Run, error) {
+// Compile translates one workload query, with the MANIMAL scan rewrites
+// applied when optimize is set (the `-manimal` execution path). The matrix
+// compiles each (query, mode, optimize) once: a translation is immutable
+// once built, so every worker count, fault plan and concurrent runtime
+// executes the same one.
+func Compile(name, sql string, mode ysmart.Mode, optimize bool) (*ysmart.Translation, error) {
 	q, err := ysmart.Parse(sql, ysmart.WorkloadCatalog())
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
@@ -138,6 +129,18 @@ func execute(name, sql string, mode ysmart.Mode, workers int, plan *mapreduce.Fa
 	if optimize {
 		ysmart.ApplyManimal(tr)
 	}
+	return tr, nil
+}
+
+// Execute runs a compiled query through the engine: fresh runtime, the
+// harness cluster with the given fault plan, the given worker count, and a
+// collector so the trace byte stream is part of the comparison surface.
+func Execute(tr *ysmart.Translation, workers int, plan *mapreduce.FaultPlan, tables map[string][]ysmart.Row) (*Run, error) {
+	return execute(tr, workers, plan, tables, nil)
+}
+
+// execute is Execute with an optional cross-query reuse store attached.
+func execute(tr *ysmart.Translation, workers int, plan *mapreduce.FaultPlan, tables map[string][]ysmart.Row, store *ysmart.ReuseStore) (*Run, error) {
 	rt, err := ysmart.NewRuntime(Cluster(plan))
 	if err != nil {
 		return nil, err
@@ -145,11 +148,11 @@ func execute(name, sql string, mode ysmart.Mode, workers int, plan *mapreduce.Fa
 	rt.SetWorkers(workers)
 	rt.LoadTables(tables)
 	col := obs.NewCollector()
-	res, err := rt.Run(tr, ysmart.WithTracer(col))
+	res, err := rt.Run(tr, ysmart.WithTracer(col), ysmart.WithReuse(store))
 	if err != nil {
-		return nil, fmt.Errorf("%s (workers=%d, %s): %w", name, workers, PlanLabel(plan), err)
+		return nil, fmt.Errorf("workers=%d, %s: %w", workers, PlanLabel(plan), err)
 	}
-	return &Run{Rows: res.Rows, Jobs: res.Stats.Jobs, Trace: obs.ChromeTrace(col.Events())}, nil
+	return &Run{Rows: res.Rows, Jobs: res.Stats.Jobs, Trace: obs.ChromeTrace(col.Events()), Reuse: res.Reuse}, nil
 }
 
 // Oracle runs the query on the pipelined DBMS executor and returns its

@@ -3,6 +3,7 @@ package difftest
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,6 +19,26 @@ var update = flag.Bool("update", false, "rewrite golden files from current engin
 // workload is generated once; every run reads from its own runtime's DFS
 // copy, so sharing the row slices is safe.
 var workload map[string][]ysmart.Row
+
+// plans holds the one translation per (query, mode, optimize) the whole
+// matrix runs: every test, worker count and fault plan executes it, which
+// is itself part of the proof that running a translation leaves no trace
+// in it.
+var plans = map[string]*ysmart.Translation{}
+
+func compiled(t *testing.T, name, sql string, mode ysmart.Mode, optimize bool) *ysmart.Translation {
+	t.Helper()
+	key := fmt.Sprintf("%s/%v/%v", name, mode, optimize)
+	if tr, ok := plans[key]; ok {
+		return tr
+	}
+	tr, err := Compile(name, sql, mode, optimize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans[key] = tr
+	return tr
+}
 
 func TestMain(m *testing.M) {
 	flag.Parse()
@@ -40,7 +61,8 @@ func TestWorkersByteIdentical(t *testing.T) {
 		sql := named[name]
 		for _, plan := range FaultPlans(1, 2) {
 			t.Run(name+"/"+PlanLabel(plan), func(t *testing.T) {
-				base, err := Execute(name, sql, ysmart.YSmart, 1, plan, workload)
+				tr := compiled(t, name, sql, ysmart.YSmart, false)
+				base, err := Execute(tr, 1, plan, workload)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -48,7 +70,7 @@ func TestWorkersByteIdentical(t *testing.T) {
 					t.Fatalf("baseline produced no rows")
 				}
 				for _, w := range []int{2, 8} {
-					got, err := Execute(name, sql, ysmart.YSmart, w, plan, workload)
+					got, err := Execute(tr, w, plan, workload)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -85,7 +107,7 @@ func TestEngineMatchesOracle(t *testing.T) {
 	for _, name := range QueryNames() {
 		sql := named[name]
 		t.Run(name, func(t *testing.T) {
-			run, err := Execute(name, sql, ysmart.YSmart, 8, nil, workload)
+			run, err := Execute(compiled(t, name, sql, ysmart.YSmart, false), 8, nil, workload)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,11 +146,11 @@ func TestModesAgree(t *testing.T) {
 	for _, name := range QueryNames() {
 		sql := named[name]
 		t.Run(name, func(t *testing.T) {
-			merged, err := Execute(name, sql, ysmart.YSmart, 8, nil, workload)
+			merged, err := Execute(compiled(t, name, sql, ysmart.YSmart, false), 8, nil, workload)
 			if err != nil {
 				t.Fatal(err)
 			}
-			naive, err := Execute(name, sql, ysmart.OneToOne, 8, nil, workload)
+			naive, err := Execute(compiled(t, name, sql, ysmart.OneToOne, false), 8, nil, workload)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -30,7 +30,7 @@ func TestManimalByteIdentical(t *testing.T) {
 			}
 			for _, plan := range FaultPlans(7) {
 				t.Run(PlanLabel(plan), func(t *testing.T) {
-					base, err := Execute(name, sql, ysmart.YSmart, 1, plan, workload)
+					base, err := Execute(compiled(t, name, sql, ysmart.YSmart, false), 1, plan, workload)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -38,7 +38,7 @@ func TestManimalByteIdentical(t *testing.T) {
 						t.Fatalf("analysis-off rows diverge from oracle:\n got %v\nwant %v", got, oracle)
 					}
 					for _, workers := range []int{1, 2, 8} {
-						opt, err := ExecuteManimal(name, sql, ysmart.YSmart, workers, plan, workload)
+						opt, err := Execute(compiled(t, name, sql, ysmart.YSmart, true), workers, plan, workload)
 						if err != nil {
 							t.Fatal(err)
 						}

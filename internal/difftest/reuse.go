@@ -2,11 +2,9 @@ package difftest
 
 import (
 	"fmt"
-	"strings"
 
 	"ysmart"
 	"ysmart/internal/mapreduce"
-	"ysmart/internal/obs"
 	"ysmart/internal/translator"
 )
 
@@ -17,56 +15,29 @@ import (
 // server sessions exercise — and must be able to skip every job whose
 // artifact the store still holds.
 type ReuseRun struct {
-	Cold, Warm         *Run
-	ColdPlan, WarmPlan *ysmart.ReusePlan
+	Cold, Warm *Run
 }
 
-// ExecuteReuse runs one workload query twice through a private store:
+// ExecuteReuse runs one compiled query twice through a private store:
 // cold, then warm. partial forgets the result-producing job's artifact
 // between the rounds, so the warm chain must re-execute exactly the final
 // job against the restored intermediate artifacts.
-func ExecuteReuse(name, sql string, mode ysmart.Mode, workers int, plan *mapreduce.FaultPlan, tables map[string][]ysmart.Row, partial bool) (*ReuseRun, error) {
+func ExecuteReuse(tr *ysmart.Translation, workers int, plan *mapreduce.FaultPlan, tables map[string][]ysmart.Row, partial bool) (*ReuseRun, error) {
 	store := ysmart.NewReuseStore(0, nil)
-	cold, coldPlan, tr, err := reuseRound(name, sql, mode, workers, plan, tables, store)
+	cold, err := execute(tr, workers, plan, tables, store)
 	if err != nil {
 		return nil, fmt.Errorf("cold: %w", err)
 	}
 	if partial {
 		key, ok := translator.RootArtifactKey(tr)
 		if !ok {
-			return nil, fmt.Errorf("%s: translation carries no artifacts", name)
+			return nil, fmt.Errorf("translation carries no artifacts")
 		}
 		store.Forget(key)
 	}
-	warm, warmPlan, _, err := reuseRound(name, sql, mode, workers, plan, tables, store)
+	warm, err := execute(tr, workers, plan, tables, store)
 	if err != nil {
 		return nil, fmt.Errorf("warm: %w", err)
 	}
-	return &ReuseRun{Cold: cold, Warm: warm, ColdPlan: coldPlan, WarmPlan: warmPlan}, nil
-}
-
-// reuseRound is execute with the store attached: fresh runtime, fresh
-// translation (jobs carry per-run reducer state), collector for the trace
-// comparison surface.
-func reuseRound(name, sql string, mode ysmart.Mode, workers int, plan *mapreduce.FaultPlan, tables map[string][]ysmart.Row, store *ysmart.ReuseStore) (*Run, *ysmart.ReusePlan, *ysmart.Translation, error) {
-	q, err := ysmart.Parse(sql, ysmart.WorkloadCatalog())
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%s: %w", name, err)
-	}
-	tr, err := q.Translate(mode, ysmart.Options{QueryName: strings.ToLower(name)})
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%s: %w", name, err)
-	}
-	rt, err := ysmart.NewRuntime(Cluster(plan))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	rt.SetWorkers(workers)
-	rt.LoadTables(tables)
-	col := obs.NewCollector()
-	res, err := rt.Run(tr, ysmart.WithTracer(col), ysmart.WithReuse(store))
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%s (workers=%d, %s): %w", name, workers, PlanLabel(plan), err)
-	}
-	return &Run{Rows: res.Rows, Jobs: res.Stats.Jobs, Trace: obs.ChromeTrace(col.Events())}, res.Reuse, tr, nil
+	return &ReuseRun{Cold: cold, Warm: warm}, nil
 }

@@ -25,6 +25,7 @@ func TestReuseByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			tr := compiled(t, name, sql, ysmart.YSmart, false)
 			for _, plan := range FaultPlans(3) {
 				for _, partial := range []bool{false, true} {
 					label := PlanLabel(plan) + "/full"
@@ -32,7 +33,7 @@ func TestReuseByteIdentical(t *testing.T) {
 						label = PlanLabel(plan) + "/partial"
 					}
 					t.Run(label, func(t *testing.T) {
-						base, err := ExecuteReuse(name, sql, ysmart.YSmart, 1, plan, workload, partial)
+						base, err := ExecuteReuse(tr, 1, plan, workload, partial)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -46,10 +47,7 @@ func TestReuseByteIdentical(t *testing.T) {
 						// The skip accounting must prove reuse actually
 						// happened: a full warm replay runs nothing, a
 						// partial one re-runs exactly the final job.
-						rp := base.WarmPlan
-						if rp == nil {
-							t.Fatal("warm run carried no reuse plan")
-						}
+						rp := base.Warm.Reuse
 						wantJobs := 0
 						if partial {
 							wantJobs = 1
@@ -64,7 +62,7 @@ func TestReuseByteIdentical(t *testing.T) {
 						// The warm replay must be invariant under the worker
 						// count, exactly like a normal run.
 						for _, w := range []int{2, 8} {
-							got, err := ExecuteReuse(name, sql, ysmart.YSmart, w, plan, workload, partial)
+							got, err := ExecuteReuse(tr, w, plan, workload, partial)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -96,7 +94,7 @@ func TestReusePartialFinalJobStats(t *testing.T) {
 	for _, name := range QueryNames() {
 		sql := named[name]
 		t.Run(name, func(t *testing.T) {
-			run, err := ExecuteReuse(name, sql, ysmart.YSmart, 8, nil, workload, true)
+			run, err := ExecuteReuse(compiled(t, name, sql, ysmart.YSmart, false), 8, nil, workload, true)
 			if err != nil {
 				t.Fatal(err)
 			}

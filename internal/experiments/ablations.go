@@ -60,15 +60,11 @@ func Ablations(w *Workload) (*AblationsResult, error) {
 		}
 		cluster := mapreduce.SmallCluster()
 		cluster.DataScale = w.scaleFor(query, tpchSmallBytes)
-		eng, err := mapreduce.NewEngine(w.FreshDFS(), cluster)
+		res, err := runPlan(tr, w.FreshDFS(), cluster, nil)
 		if err != nil {
 			return nil, 0, err
 		}
-		stats, err := eng.RunChain(tr.Jobs)
-		if err != nil {
-			return nil, 0, err
-		}
-		return stats, tr.NumJobs(), nil
+		return res.Stats, tr.NumJobs(), nil
 	}
 
 	// 1. Shared scan off (Q-CSA).

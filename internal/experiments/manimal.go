@@ -74,12 +74,12 @@ func Manimal(w *Workload) (*ManimalResult, error) {
 	}
 
 	out := &ManimalResult{}
+	// Paper-scale costing (like the other figures): the off and on runs
+	// share the scale, so the predicted-time delta is the rewrites'.
+	cluster := mapreduce.SmallCluster()
+	cluster.DataScale = w.TPCHScale(tpchSmallBytes)
 	runJobs := func(jobs []*mapreduce.Job) (*mapreduce.ChainStats, *mapreduce.DFS, error) {
 		dfs := w.FreshDFS()
-		cluster := mapreduce.SmallCluster()
-		// Paper-scale costing (like the other figures): the off and on runs
-		// share the scale, so the predicted-time delta is the rewrites'.
-		cluster.DataScale = w.TPCHScale(tpchSmallBytes)
 		eng, err := mapreduce.NewEngine(dfs, cluster)
 		if err != nil {
 			return nil, nil, err
@@ -135,15 +135,11 @@ func Manimal(w *Workload) (*ManimalResult, error) {
 			a, _ := optanalysis.ApplyTranslation(tr)
 			applied = len(a)
 		}
-		stats, dfs, err := runJobs(tr.Jobs)
+		res, err := runPlan(tr, w.FreshDFS(), cluster, nil)
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		rows, err := tr.ReadResult(dfs)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		return stats, rows, applied, nil
+		return res.Stats, res.Rows, applied, nil
 	}
 	offStats, offRows, _, err := translated("manimal-off", false)
 	if err != nil {

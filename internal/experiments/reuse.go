@@ -72,45 +72,35 @@ func Reuse(w *Workload) (*ReuseResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		round := func(system string) (*translator.ReusePlan, *mapreduce.ChainStats, []string, error) {
+		round := func(system string) (*translator.Result, error) {
 			cluster := mapreduce.SmallCluster()
 			cluster.DataScale = w.scaleFor(name, tpchSmallBytes)
-			eng, err := mapreduce.NewEngine(dfs, cluster)
+			res, err := runPlan(tr, dfs, cluster, store)
 			if err != nil {
-				return nil, nil, nil, err
+				return nil, fmt.Errorf("%s %s: %w", name, system, err)
 			}
-			rp := translator.ApplyReuse(tr, store, dfs)
-			stats, err := eng.RunChain(rp.Jobs)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("%s %s: %w", name, system, err)
-			}
-			rows, err := rp.ReadResult(dfs)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("%s %s: %w", name, system, err)
-			}
-			rp.Record(store, dfs, stats)
-			return rp, stats, dbms.SortedLines(rows), nil
+			return res, nil
 		}
-		_, coldStats, coldRows, err := round("reuse-cold")
+		cold, err := round("reuse-cold")
 		if err != nil {
 			return nil, err
 		}
-		warmRP, warmStats, warmRows, err := round("reuse-warm")
+		warm, err := round("reuse-warm")
 		if err != nil {
 			return nil, err
 		}
 		out.Rows = append(out.Rows, ReuseRow{
 			Query:          name,
-			ColdJobs:       len(coldStats.Jobs),
-			WarmJobs:       len(warmStats.Jobs),
-			Skipped:        warmRP.Skipped,
-			ColdTime:       coldStats.TotalTime(),
-			WarmTime:       warmStats.TotalTime(),
-			BytesSaved:     warmRP.ArtifactBytes,
-			PredictedSaved: warmRP.PredictedSavedSeconds,
-			ResultOK:       sameLines(coldRows, warmRows),
-			RunCold:        runFromStats(name, "reuse-cold", coldStats),
-			RunWarm:        runFromStats(name, "reuse-warm", warmStats),
+			ColdJobs:       len(cold.Stats.Jobs),
+			WarmJobs:       len(warm.Stats.Jobs),
+			Skipped:        warm.Reuse.Skipped,
+			ColdTime:       cold.Stats.TotalTime(),
+			WarmTime:       warm.Stats.TotalTime(),
+			BytesSaved:     warm.Reuse.ArtifactBytes,
+			PredictedSaved: warm.Reuse.PredictedSavedSeconds,
+			ResultOK:       sameLines(dbms.SortedLines(cold.Rows), dbms.SortedLines(warm.Rows)),
+			RunCold:        runFromStats(name, "reuse-cold", cold.Stats),
+			RunWarm:        runFromStats(name, "reuse-warm", warm.Stats),
 		})
 	}
 	return out, nil

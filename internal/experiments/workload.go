@@ -16,6 +16,7 @@ import (
 	"ysmart/internal/handcoded"
 	"ysmart/internal/mapreduce"
 	"ysmart/internal/queries"
+	"ysmart/internal/reuse"
 	"ysmart/internal/translator"
 )
 
@@ -104,30 +105,22 @@ func (w *Workload) scaleFor(query string, tpchTarget float64) float64 {
 	return w.ClicksScale(clicksBytes)
 }
 
-// RunTranslated translates a named workload query and executes it on the
-// cluster.
-func (w *Workload) RunTranslated(query string, mode translator.Mode, cluster *mapreduce.Cluster, label string) (*mapreduce.ChainStats, error) {
-	sql, ok := queries.Named()[query]
-	if !ok {
-		return nil, fmt.Errorf("unknown workload query %q", query)
-	}
-	root, err := queries.Plan(sql)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", query, err)
-	}
-	tr, err := translator.Translate(root, mode, translator.Options{QueryName: label})
-	if err != nil {
-		return nil, fmt.Errorf("%s (%v): %w", query, mode, err)
-	}
-	eng, err := mapreduce.NewEngine(w.FreshDFS(), cluster)
+// runPlan executes a translation on a fresh engine over dfs — the one place
+// the figures build an engine for a Translation. store is translator.Run's:
+// nil runs the plan as compiled.
+func runPlan(tr *translator.Translation, dfs *mapreduce.DFS, cluster *mapreduce.Cluster, store *reuse.Store) (*translator.Result, error) {
+	eng, err := mapreduce.NewEngine(dfs, cluster)
 	if err != nil {
 		return nil, err
 	}
-	stats, err := eng.RunChain(tr.Jobs)
-	if err != nil {
-		return nil, fmt.Errorf("%s (%v): %w", query, mode, err)
-	}
-	return stats, nil
+	return translator.Run(tr, eng, store, nil)
+}
+
+// RunTranslated translates a named workload query and executes it on the
+// cluster.
+func (w *Workload) RunTranslated(query string, mode translator.Mode, cluster *mapreduce.Cluster, label string) (*mapreduce.ChainStats, error) {
+	stats, _, err := w.RunTranslatedResult(query, mode, cluster, label)
+	return stats, err
 }
 
 // RunTranslatedResult is RunTranslated plus the query's decoded output
@@ -146,20 +139,11 @@ func (w *Workload) RunTranslatedResult(query string, mode translator.Mode, clust
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s (%v): %w", query, mode, err)
 	}
-	dfs := w.FreshDFS()
-	eng, err := mapreduce.NewEngine(dfs, cluster)
-	if err != nil {
-		return nil, nil, err
-	}
-	stats, err := eng.RunChain(tr.Jobs)
+	res, err := runPlan(tr, w.FreshDFS(), cluster, nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s (%v): %w", query, mode, err)
 	}
-	rows, err := tr.ReadResult(dfs)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s (%v): %w", query, mode, err)
-	}
-	return stats, rows, nil
+	return res.Stats, res.Rows, nil
 }
 
 // RunHandCoded executes one of the hand-written programs on the cluster.

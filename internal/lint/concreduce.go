@@ -11,20 +11,19 @@ import (
 // instance per reduce task, built inside the task that uses it — which is
 // what lets sharecheck's ownership rule treat everything the instance
 // writes to itself as private. What that rule cannot see is the instance's
-// way back to its parent, the one object every sibling task shares. So the
-// contract obliges:
+// way back to its factory, the one object shared by every sibling task and
+// by every engine running the job. So the contract obliges:
 //
 //   - NewReduceTask returns a fresh value: a composite literal or new(T),
 //     directly or through a local variable bound to one — never the
 //     receiver, something it stores, or a package variable;
-//   - the instance type writes its parent's state — anything reached
-//     through a value of the factory's type — only in Done, and there only
-//     with a mutex held; a parent method called with no lock held must not
-//     itself write unguarded (searched through the call graph). sync/atomic
-//     operations are calls, not writes, and pass.
+//   - the instance type never writes its factory's state — anything
+//     reached through a value of the factory's type. What a task counts it
+//     returns from Done. The check is the assignment's own shape: calls
+//     made on the factory are not searched.
 var ConcReduce = &Analyzer{
 	Name: "concreduce",
-	Doc:  "verify NewReduceTask returns a fresh instance and instances write their parent only in Done, under its mutex",
+	Doc:  "verify NewReduceTask returns a fresh instance and instances never write state reached through their factory",
 	Run:  runConcReduce,
 }
 
@@ -148,7 +147,7 @@ func freshInstances(pass *Pass, d declOf, parent *types.Named) []*types.Named {
 }
 
 // checkInstanceMethod reports the writes one method of an instance type
-// makes to its parent outside the contract.
+// makes to its factory.
 func checkInstanceMethod(pass *Pass, g *CallGraph, parent, inst *types.Named, m *types.Func) {
 	d, ok := g.Decls[m]
 	if !ok {
@@ -163,7 +162,7 @@ func checkInstanceMethod(pass *Pass, g *CallGraph, parent, inst *types.Named, m 
 		return t != nil && types.Identical(t, parent)
 	}
 	// throughParent reports whether the lvalue stores into memory reached
-	// through a value of the parent's type (t.cr.work, cr.dispatch[i].N with
+	// through a value of the factory's type (t.cr.work, cr.dispatch[i].N with
 	// cr := t.cr) rather than into the instance itself (t.cr = nil).
 	throughParent := func(lhs ast.Expr) bool {
 		for {
@@ -182,43 +181,22 @@ func checkInstanceMethod(pass *Pass, g *CallGraph, parent, inst *types.Named, m 
 			}
 		}
 	}
-	name := inst.Obj().Name() + "." + m.Name()
-	inDone := m.Name() == "Done"
-	write := func(lhs ast.Expr, held bool) {
-		switch {
-		case !throughParent(lhs):
-		case !inDone:
+	write := func(lhs ast.Expr) {
+		if throughParent(lhs) {
 			pass.Reportf(lhs.Pos(),
-				"%s writes parent state %s; sibling instances share the parent, so an instance counts privately and folds into it once, in Done", name, renderLHS(lhs))
-		case !held:
-			pass.Reportf(lhs.Pos(),
-				"%s writes parent state %s with no mutex held; sibling tasks finish concurrently — fold under the parent's mutex or use sync/atomic", name, renderLHS(lhs))
+				"%s.%s writes factory state %s; the factory is shared by sibling tasks and by every engine running the job, so an instance counts privately and returns its counts from Done",
+				inst.Obj().Name(), m.Name(), renderLHS(lhs))
 		}
 	}
-	visitLocked(pkg, d.Decl.Body.List, 0, func(n ast.Node, held bool) {
+	ast.Inspect(d.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				write(lhs, held)
+				write(lhs)
 			}
 		case *ast.IncDecStmt:
-			write(n.X, held)
-		case *ast.CallExpr:
-			sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
-			if !ok || held || !isParent(sel.X) {
-				return
-			}
-			for _, e := range g.Nodes[m].Out {
-				if e.Pos != n.Pos() || e.Kind == EdgeRef {
-					continue
-				}
-				if path, fact := g.reachSharedWrite(e.Callee, false); fact != nil {
-					pass.Reportf(n.Pos(),
-						"%s calls %s on its parent with no lock held, which writes %s (path %s); everything an instance changes in its parent must be guarded",
-						name, shortFuncName(e.Callee), fact.Desc, pathString(path))
-					return
-				}
-			}
+			write(n.X)
 		}
+		return true
 	})
 }

@@ -9,8 +9,7 @@ import (
 // The fact-propagation layer: analyzers describe what a single function
 // does (a base fact), and the engine answers "is any such fact reachable
 // from here?" over the call graph, returning a witness path for the
-// diagnostic. Two fact families are built in, because three analyzers
-// share them:
+// diagnostic. Two fact families are built in:
 //
 //   - nondeterminism facts (computed in determinism.go): the function
 //     reads the wall clock, draws from the global math/rand generator,
@@ -20,12 +19,9 @@ import (
 //     parameters — at a point where it holds no mutex, and the calls it
 //     makes while unlocked.
 //
-// Lock tracking is a lexical approximation, not a proof: Lock/Unlock
-// calls on sync.Mutex / sync.RWMutex values are interpreted in statement
-// order, a deferred Unlock holds to function end, and a lock taken
-// inside a branch is dropped at the join (the conservative direction —
-// a write is only ever considered guarded when every path to it locked).
-// Any held mutex guards any write; the analyzers check the locking
+// Lock tracking is lockset.go's lexical approximation (visitHeld), not a
+// proof: a write is only ever considered guarded when every path to it
+// locked. Any held mutex guards any write; the analyzers check the locking
 // convention, they do not model which lock protects which field.
 
 // Fact is one terminal finding a reachability query can land on.
@@ -75,172 +71,6 @@ func (g *CallGraph) reachFact(start *types.Func, base func(*types.Func) *Fact, i
 		}
 	}
 	return nil, nil
-}
-
-// ---------------------------------------------------------------------------
-// Lock-aware traversal
-// ---------------------------------------------------------------------------
-
-// visitLocked walks stmts in source order, invoking visit on every node
-// with the number of mutexes held at that point, and returns the held
-// count after the list. Nested function literals inherit the lexical
-// lock state (an approximation: a closure built under a lock usually
-// runs under it or owns its own discipline, and the conservative
-// analyzers re-check writes inside it anyway).
-func visitLocked(pkg *Package, stmts []ast.Stmt, held int, visit func(n ast.Node, held bool)) int {
-	for _, s := range stmts {
-		held = visitLockedStmt(pkg, s, held, visit)
-	}
-	return held
-}
-
-// visitLockedStmt handles one statement.
-func visitLockedStmt(pkg *Package, s ast.Stmt, held int, visit func(n ast.Node, held bool)) int {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		visitExprLocked(pkg, s.X, held, visit)
-		switch lockDelta(pkg, s.X) {
-		case +1:
-			held++
-		case -1:
-			if held > 0 {
-				held--
-			}
-		}
-	case *ast.DeferStmt:
-		// A deferred Unlock keeps the lock held for the rest of the
-		// function; a deferred Lock (nonsense) is ignored.
-		visitExprLocked(pkg, s.Call, held, visit)
-	case *ast.BlockStmt:
-		held = visitLocked(pkg, s.List, held, visit)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			held = visitLockedStmt(pkg, s.Init, held, visit)
-		}
-		visitExprLocked(pkg, s.Cond, held, visit)
-		visitLocked(pkg, s.Body.List, held, visit)
-		if s.Else != nil {
-			visitLockedStmt(pkg, s.Else, held, visit)
-		}
-		// Lock state changes inside branches do not survive the join.
-	case *ast.ForStmt:
-		if s.Init != nil {
-			held = visitLockedStmt(pkg, s.Init, held, visit)
-		}
-		if s.Cond != nil {
-			visitExprLocked(pkg, s.Cond, held, visit)
-		}
-		visitLocked(pkg, s.Body.List, held, visit)
-		if s.Post != nil {
-			visitLockedStmt(pkg, s.Post, held, visit)
-		}
-	case *ast.RangeStmt:
-		visitExprLocked(pkg, s.X, held, visit)
-		visit(s, held > 0)
-		visitLocked(pkg, s.Body.List, held, visit)
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-		visit(s, held > 0)
-		var clauses []ast.Stmt
-		switch s := s.(type) {
-		case *ast.SwitchStmt:
-			clauses = s.Body.List
-		case *ast.TypeSwitchStmt:
-			clauses = s.Body.List
-		case *ast.SelectStmt:
-			clauses = s.Body.List
-		}
-		for _, c := range clauses {
-			switch c := c.(type) {
-			case *ast.CaseClause:
-				for _, e := range c.List {
-					visitExprLocked(pkg, e, held, visit)
-				}
-				visitLocked(pkg, c.Body, held, visit)
-			case *ast.CommClause:
-				if c.Comm != nil {
-					visitLockedStmt(pkg, c.Comm, held, visit)
-				}
-				visitLocked(pkg, c.Body, held, visit)
-			}
-		}
-	case *ast.LabeledStmt:
-		held = visitLockedStmt(pkg, s.Stmt, held, visit)
-	case *ast.GoStmt:
-		// The spawned body starts with no inherited lock: the goroutine
-		// runs after the spawner may have unlocked.
-		visit(s, held > 0)
-		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			for _, arg := range s.Call.Args {
-				visitExprLocked(pkg, arg, held, visit)
-			}
-			visit(s.Call, held > 0)
-			visitLocked(pkg, lit.Body.List, 0, visit)
-		} else {
-			visitExprLocked(pkg, s.Call, held, visit)
-		}
-	default:
-		// Leaf statements (assign, incdec, return, send, branch, decl):
-		// visit the statement and its expressions at the current state.
-		if s == nil {
-			return held
-		}
-		visit(s, held > 0)
-		ast.Inspect(s, func(n ast.Node) bool {
-			if n == nil || n == s {
-				return true
-			}
-			if lit, ok := n.(*ast.FuncLit); ok {
-				visitLocked(pkg, lit.Body.List, held, visit)
-				return false
-			}
-			visit(n, held > 0)
-			return true
-		})
-	}
-	return held
-}
-
-// visitExprLocked visits one expression tree at a fixed lock state,
-// recursing into function literals with visitLocked.
-func visitExprLocked(pkg *Package, e ast.Expr, held int, visit func(n ast.Node, held bool)) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		if n == nil {
-			return false
-		}
-		if lit, ok := n.(*ast.FuncLit); ok {
-			visitLocked(pkg, lit.Body.List, held, visit)
-			return false
-		}
-		visit(n, held > 0)
-		return true
-	})
-}
-
-// lockDelta reports +1 for expr being a Lock/RLock call on a sync mutex,
-// -1 for Unlock/RUnlock, 0 otherwise.
-func lockDelta(pkg *Package, e ast.Expr) int {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return 0
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return 0
-	}
-	recv := pkg.Info.Types[sel.X].Type
-	if recv == nil || !isSyncMutex(recv) {
-		return 0
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock":
-		return +1
-	case "Unlock", "RUnlock":
-		return -1
-	}
-	return 0
 }
 
 // isSyncMutex reports whether t (possibly behind a pointer) is
@@ -340,7 +170,8 @@ func (g *CallGraph) effectsOf(fn *types.Func) *fnEffects {
 			eff.calls = append(eff.calls, edges...)
 		}
 	}
-	visitLocked(pkg, d.Decl.Body.List, 0, func(n ast.Node, held bool) {
+	visitHeld(pkg, g.lockWrappers(), d.Decl.Body.List, &heldLocks{}, func(n ast.Node, locks *heldLocks) {
+		held := locks.any()
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			if held {

@@ -13,7 +13,6 @@
 //     must implement the full Name/Sources/Eval triple;
 //   - spanpair: every obs.Begin span must be Ended on every return path
 //     of its function;
-//   - deprecated: no new uses of identifiers documented "Deprecated:";
 //   - sharecheck: closures run concurrently by forEachTask (or spawned
 //     with go) may write captured state only into a task-index slot,
 //     under a mutex, or atomically — helpers included;
@@ -46,7 +45,7 @@ import (
 )
 
 // Analyzers is the full ysmart-vet suite in stable order.
-var Analyzers = []*Analyzer{Determinism, TagDispatch, SpanPair, Deprecated, ShareCheck, ConcReduce, LockOrder, GoLeak, LockHeld}
+var Analyzers = []*Analyzer{Determinism, TagDispatch, SpanPair, ShareCheck, ConcReduce, LockOrder, GoLeak, LockHeld}
 
 // StaleIgnoreCheck is the name the driver's suppression audit reports
 // under. It is not an Analyzer: the driver itself emits it after all
@@ -99,8 +98,8 @@ func (d Diagnostic) String() string {
 // Pass is one analyzer's view of one package under analysis.
 type Pass struct {
 	// Prog is the loaded program, giving cross-package context (the
-	// deprecated analyzer scans every module package for Deprecated:
-	// declarations regardless of which package it is vetting).
+	// call graph and lock graph span every module package regardless of
+	// which package is being vetted).
 	Prog *Program
 	// Pkg is the package under analysis.
 	Pkg      *Package

@@ -10,7 +10,7 @@ import (
 // and checks the diagnostics against the // want comments — both that
 // every finding is expected and that every expectation fires.
 func TestCorpora(t *testing.T) {
-	for _, corpus := range []string{"determinism", "tagdispatch", "spanpair", "deprecated", "sharecheck", "concreduce", "lockorder", "goleak", "lockheld"} {
+	for _, corpus := range []string{"determinism", "tagdispatch", "spanpair", "sharecheck", "concreduce", "lockorder", "goleak", "lockheld"} {
 		t.Run(corpus, func(t *testing.T) {
 			dir := filepath.Join("testdata", "src", corpus)
 			problems, err := CheckCorpus(dir, Analyzers)
@@ -28,7 +28,7 @@ func TestCorpora(t *testing.T) {
 // run through the public driver (the CLI's exit-1 path); a corpus that
 // goes silent means its analyzer regressed.
 func TestCorporaFail(t *testing.T) {
-	for _, corpus := range []string{"determinism", "tagdispatch", "spanpair", "deprecated", "sharecheck", "concreduce", "lockorder", "goleak", "lockheld"} {
+	for _, corpus := range []string{"determinism", "tagdispatch", "spanpair", "sharecheck", "concreduce", "lockorder", "goleak", "lockheld"} {
 		t.Run(corpus, func(t *testing.T) {
 			dir := filepath.Join("testdata", "src", corpus)
 			diags, err := Vet(dir, []string{"."}, Analyzers)
@@ -74,7 +74,7 @@ func TestAnalyzerScopes(t *testing.T) {
 	if Determinism.appliesTo("internal/obs") {
 		t.Error("determinism must not cover internal/obs (exporters sort maps themselves)")
 	}
-	if !SpanPair.appliesTo("internal/obs") || !Deprecated.appliesTo("cmd/ysmart") {
+	if !SpanPair.appliesTo("internal/obs") || !LockOrder.appliesTo("cmd/ysmart") {
 		t.Error("unscoped analyzers must cover every package")
 	}
 	if !TagDispatch.appliesTo("internal/cmf") || TagDispatch.appliesTo("internal/exec") {

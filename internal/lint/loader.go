@@ -39,9 +39,6 @@ type Program struct {
 	loading map[string]bool
 	std     types.ImporterFrom
 
-	deprecatedOnce bool
-	deprecated     map[types.Object]string
-
 	// Interprocedural caches, built lazily and shared by analyzers.
 	callgraph  *CallGraph
 	effects    map[*types.Func]*fnEffects

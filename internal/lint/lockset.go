@@ -7,11 +7,12 @@ import (
 	"sort"
 )
 
-// The lock-identity layer: where facts.go tracks *how many* mutexes are
-// held (enough to ask "is any lock held here?"), the analyzers that
-// reason about lock *ordering* need to know which lock object each
-// Lock() call touches. Lock objects are identified structurally, the
-// granularity the serving stack actually uses:
+// The lock-tracking layer, shared by every analyzer that asks what is
+// held at a program point. Some only ask "is any lock held here?"
+// (heldLocks.any: effect facts, sharecheck); the ones that reason about
+// lock *ordering* need to know which lock object each Lock() call
+// touches. Lock objects are identified structurally, the granularity the
+// serving stack actually uses:
 //
 //   - a package-level mutex variable -> "pkg.var";
 //   - a mutex field of a named struct, keyed by the type (not the
@@ -29,10 +30,10 @@ import (
 // sites acquisition sites of the argument's lock, so `lockBoth(&a.mu)`
 // is tracked like `a.mu.Lock()`.
 //
-// The traversal mirrors facts.go's lexical approximation: statement
-// order, deferred Unlock holds to function end, branch-local changes
-// do not survive the join (must-hold lexically), and a go-spawned body
-// starts with nothing held. Interprocedurally the propagation is
+// The traversal is a lexical approximation: Lock/Unlock calls are
+// interpreted in statement order, a deferred Unlock holds to function
+// end, branch-local changes do not survive the join (must-hold
+// lexically), and a go-spawned body starts with nothing held. Interprocedurally the propagation is
 // may-hold: a callee reachable through static or dynamic edges from a
 // locked call site is treated as entered with those locks held on at
 // least one path. Ref edges do not propagate hold state — a function
@@ -155,10 +156,10 @@ func lockEventOf(pkg *Package, e ast.Expr) (lockKey, int, bool) {
 }
 
 // visitHeld walks stmts in source order with the identified hold set,
-// invoking visit on every node. Semantics mirror facts.go's visitLocked:
-// deferred releases are ignored (the lock holds to function end),
-// branch-local changes die at the join, and a go-spawned literal body
-// is traversed with nothing held.
+// invoking visit on every node: deferred releases are ignored (the lock
+// holds to function end), branch-local changes die at the join, a nested
+// function literal inherits the lexical hold state, and a go-spawned
+// literal body is traversed with nothing held.
 func visitHeld(pkg *Package, wraps map[*types.Func]map[int]int, stmts []ast.Stmt, held *heldLocks, visit func(n ast.Node, held *heldLocks)) {
 	for _, s := range stmts {
 		visitHeldStmt(pkg, wraps, s, held, visit)

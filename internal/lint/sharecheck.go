@@ -144,7 +144,8 @@ func checkTaskRegion(pass *Pass, g *CallGraph, fn *types.Func, fd *ast.FuncDecl,
 				"unguarded write to %s inside a parallel task body; write into a per-task slot indexed by the task index, hold a mutex, or use sync/atomic", w)
 		}
 	}
-	visitLocked(pkg, lit.Body.List, 0, func(n ast.Node, held bool) {
+	visitHeld(pkg, g.lockWrappers(), lit.Body.List, &heldLocks{}, func(n ast.Node, locks *heldLocks) {
+		held := locks.any()
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			if held {

@@ -1,9 +1,9 @@
 // Package concreduce is the golden corpus for the concreduce analyzer:
 // a type with a NewReduceTask method hands the engine one private reducer
 // instance per reduce task, so the method must return a value it just
-// created, and the instance may write its parent — the one object sibling
-// tasks share — only in Done, with the parent's mutex held (helpers
-// included).
+// created, and the instance must never write state reached through its
+// factory — the one object shared by sibling tasks and by every engine
+// running the job. What a task counts it returns from Done.
 package concreduce
 
 import (
@@ -14,15 +14,12 @@ import (
 // task is what a factory returns (mapreduce.ReduceTask in the real tree).
 type task interface {
 	Reduce(key string, vals []string, emit func(string)) error
-	Done()
+	Done() int
 }
 
-// good is the exemplar: a fresh instance per call, private counts, one
-// mutex-held fold in Done.
-type good struct {
-	mu sync.Mutex
-	n  int
-}
+// good is the exemplar: a fresh instance per call that reads its factory,
+// counts privately and returns the count from Done.
+type good struct{ weight int }
 
 type goodTask struct {
 	parent *good
@@ -33,26 +30,19 @@ type goodTask struct {
 func (g *good) NewReduceTask() task { return &goodTask{parent: g} }
 
 func (t *goodTask) Reduce(key string, vals []string, emit func(string)) error {
-	t.n += len(vals)
+	t.n += t.parent.weight * len(vals)
 	t.buf = append(t.buf[:0], key...)
 	emit(string(t.buf))
 	return nil
 }
 
-func (t *goodTask) Done() {
-	p := t.parent
-	p.mu.Lock()
-	p.n += t.n
-	p.mu.Unlock()
-	t.n = 0
+func (t *goodTask) Done() int {
 	t.parent = nil // rebinding the instance's own field is private
+	return t.n
 }
 
 // viaLocal builds the instance in a local first; just as fresh.
-type viaLocal struct {
-	mu sync.Mutex
-	n  int
-}
+type viaLocal struct{ n int }
 
 type viaLocalTask struct{ parent *viaLocal }
 
@@ -64,13 +54,10 @@ func (v *viaLocal) NewReduceTask() task {
 
 func (t *viaLocalTask) Reduce(key string, vals []string, emit func(string)) error { return nil }
 
-func (t *viaLocalTask) Done() {}
+func (t *viaLocalTask) Done() int { return 0 }
 
 // cached hands every task the same instance.
-type cached struct {
-	mu   sync.Mutex
-	inst *cachedTask
-}
+type cached struct{ inst *cachedTask }
 
 type cachedTask struct{ n int }
 
@@ -80,7 +67,7 @@ func (c *cached) NewReduceTask() task {
 
 func (t *cachedTask) Reduce(key string, vals []string, emit func(string)) error { return nil }
 
-func (t *cachedTask) Done() {}
+func (t *cachedTask) Done() int { return t.n }
 
 // rebound starts from a fresh value and then swaps in a shared one.
 type rebound struct{ spare *reboundTask }
@@ -97,10 +84,11 @@ func (r *rebound) NewReduceTask() task {
 
 func (t *reboundTask) Reduce(key string, vals []string, emit func(string)) error { return nil }
 
-func (t *reboundTask) Done() {}
+func (t *reboundTask) Done() int { return t.n }
 
-// eager folds into the parent per key group — the per-key mutex fold the
-// contract replaced — instead of once in Done.
+// eager folds into the factory per key group, under its mutex: guarded
+// against its siblings, but not against another engine reading the totals
+// of its own run of the same job.
 type eager struct {
 	mu sync.Mutex
 	n  int
@@ -112,67 +100,45 @@ func (e *eager) NewReduceTask() task { return &eagerTask{parent: e} }
 
 func (t *eagerTask) Reduce(key string, vals []string, emit func(string)) error {
 	t.parent.mu.Lock()
-	t.parent.n += len(vals) // want "eagerTask.Reduce writes parent state t.parent.n; sibling instances share the parent"
+	t.parent.n += len(vals) // want "eagerTask.Reduce writes factory state t.parent.n; the factory is shared"
 	t.parent.mu.Unlock()
 	return nil
 }
 
-func (t *eagerTask) Done() {}
+func (t *eagerTask) Done() int { return 0 }
 
-// racy folds in Done but forgets the lock; the write goes through a local
-// alias of the parent, which is still the parent.
-type racy struct {
+// folded counts privately and folds into the factory once, in Done, under
+// its mutex — the contract this one replaced. The lock changes nothing, and
+// neither does going through a local alias of the factory.
+type folded struct {
 	mu     sync.Mutex
 	counts []int
+	tasks  int
 }
 
-type racyTask struct {
-	parent *racy
+type foldedTask struct {
+	parent *folded
 	n      int
 }
 
-func (r *racy) NewReduceTask() task { return &racyTask{parent: r} }
+func (f *folded) NewReduceTask() task { return &foldedTask{parent: f} }
 
-func (t *racyTask) Reduce(key string, vals []string, emit func(string)) error {
+func (t *foldedTask) Reduce(key string, vals []string, emit func(string)) error {
 	t.n += len(vals)
 	return nil
 }
 
-func (t *racyTask) Done() {
+func (t *foldedTask) Done() int {
 	p := t.parent
-	p.counts[0] += t.n // want "racyTask.Done writes parent state p.counts\[...\] with no mutex held"
+	p.mu.Lock()
+	p.counts[0] += t.n // want "foldedTask.Done writes factory state p.counts\[...\]; the factory is shared"
+	p.tasks++          // want "foldedTask.Done writes factory state p.tasks"
+	p.mu.Unlock()
+	return t.n
 }
 
-// lazy hides the unguarded write behind a parent method; the diagnostic
-// names the path. guardedFold locks for itself and passes.
-type lazy struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (l *lazy) fold(n int) { l.n += n }
-
-func (l *lazy) guardedFold(n int) {
-	l.mu.Lock()
-	l.n += n
-	l.mu.Unlock()
-}
-
-type lazyTask struct {
-	parent *lazy
-	n      int
-}
-
-func (l *lazy) NewReduceTask() task { return &lazyTask{parent: l} }
-
-func (t *lazyTask) Reduce(key string, vals []string, emit func(string)) error { return nil }
-
-func (t *lazyTask) Done() {
-	t.parent.guardedFold(t.n)
-	t.parent.fold(t.n) // want "lazyTask.Done calls concreduce.lazy.fold on its parent with no lock held, which writes receiver state l.n"
-}
-
-// atomicFold counts through sync/atomic: a call, not a write.
+// atomicFold counts through sync/atomic: a call, not a write, and calls on
+// the factory are not searched.
 type atomicFold struct{ n atomic.Int64 }
 
 type atomicTask struct {
@@ -187,4 +153,7 @@ func (t *atomicTask) Reduce(key string, vals []string, emit func(string)) error 
 	return nil
 }
 
-func (t *atomicTask) Done() { t.parent.n.Add(t.n) }
+func (t *atomicTask) Done() int {
+	t.parent.n.Add(t.n)
+	return int(t.n)
+}

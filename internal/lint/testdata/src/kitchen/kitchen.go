@@ -14,15 +14,6 @@ import (
 	"ysmart/internal/obs"
 )
 
-// retired is gone.
-//
-// Deprecated: use nothing.
-func retired() int { return 0 }
-
-func useRetired() int {
-	return retired() // lint:ignore deprecated exercising the trailing escape hatch
-}
-
 func clock() time.Time {
 	// lint:ignore determinism exercising the standalone escape hatch
 	return time.Now()

@@ -96,17 +96,6 @@ type Cluster struct {
 	// laptop-scale inputs exercise the cost model at paper-scale sizes.
 	DataScale  float64
 	Contention Contention
-	// TaskFailureRate is the fraction of tasks that fail and re-execute
-	// (MapReduce's per-task retry, the mechanism the intermediate
-	// materialization of §III exists to support). Each phase's execution
-	// time is inflated by the expected rework, 1/(1-rate). Must be in
-	// [0, 1).
-	//
-	// Deprecated: this analytic inflation is kept only as a documented
-	// fallback. Prefer Faults, which schedules and re-executes individual
-	// task attempts. When Faults is set, TaskFailureRate must be zero
-	// (Validate rejects both) and the inflation is never applied.
-	TaskFailureRate float64
 	// Faults, when non-nil and non-zero, switches the engine from the
 	// analytic cost path to event-level scheduling: task attempts are
 	// placed on concrete slots, injected failures/node deaths/stragglers
@@ -134,15 +123,8 @@ func (c *Cluster) Validate() error {
 		return fmt.Errorf("cluster %s: contention slot factor must be in (0,1]", c.Name)
 	case c.Contention.Enabled && c.Contention.LoadFactor < 1:
 		return fmt.Errorf("cluster %s: contention load factor must be >= 1", c.Name)
-	// lint:ignore deprecated Validate must range-check the fallback field
-	case c.TaskFailureRate < 0 || c.TaskFailureRate >= 1:
-		return fmt.Errorf("cluster %s: task failure rate must be in [0, 1)", c.Name)
 	}
 	if c.Faults != nil {
-		// lint:ignore deprecated enforcing the rate/Faults mutual exclusion
-		if c.TaskFailureRate > 0 {
-			return fmt.Errorf("cluster %s: TaskFailureRate and Faults are mutually exclusive; drop the deprecated rate when using a fault plan", c.Name)
-		}
 		if err := c.Faults.Validate(c.Nodes); err != nil {
 			return fmt.Errorf("cluster %s: %w", c.Name, err)
 		}
@@ -161,16 +143,6 @@ func (cm CostModel) prefilterFactor() float64 {
 		return defaultPrefilterCPUFactor
 	}
 	return cm.PrefilterCPUFactor
-}
-
-// reworkFactor is the expected execution inflation from task retries: with
-// failure probability p per attempt, a task runs 1/(1-p) times on average.
-// It is the deprecated analytic fallback and only ever runs on the analytic
-// cost path: the fault-path coster never calls it, and Validate rejects a
-// non-zero rate alongside a FaultPlan.
-func (c *Cluster) reworkFactor() float64 {
-	// lint:ignore deprecated this is the fallback's sole implementation site
-	return 1 / (1 - c.TaskFailureRate)
 }
 
 // loadFactor returns the contention execution multiplier (1 when idle).

@@ -81,7 +81,6 @@ func TestCostMonotoneRandomizedKnobs(t *testing.T) {
 		func(c *Cluster, f float64) { c.Cost.MapCPUPerRecord *= 1 + f },
 		func(c *Cluster, f float64) { c.Cost.ReduceCPUPerRecord *= 1 + f },
 		func(c *Cluster, f float64) { c.Cost.JobStartup *= 1 + f },
-		func(c *Cluster, f float64) { c.TaskFailureRate = f / (1 + f) * 0.9 },
 		func(c *Cluster, f float64) { c.DataScale *= 1 + f },
 	}
 	for trial := 0; trial < 40; trial++ {

@@ -251,9 +251,8 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	var preCombineRecords, preCombineBytes int64
+	var preCombineBytes int64
 	for i := range lists {
-		preCombineRecords += int64(len(lists[i].pairs))
 		preCombineBytes += lists[i].bytes
 		stats.MapRecordsFiltered += lists[i].filtered
 	}
@@ -302,12 +301,8 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 		stats.MapOutputBytes = linesBytes(mapOnlyLines)
 		stats.ReduceOutputRecords = stats.MapOutputRecords
 		stats.ReduceOutputBytes = stats.MapOutputBytes
-		if e.faultsActive() {
-			if err := e.costMapOnlyFaulty(j, stats, preCombineRecords, preCombineBytes, tasks); err != nil {
-				return nil, err
-			}
-		} else {
-			e.costMapOnly(j, stats, preCombineRecords, preCombineBytes)
+		if err := e.costJob(j, stats, preCombineBytes, tasks, nil); err != nil {
+			return nil, err
 		}
 		return stats, nil
 	}
@@ -331,14 +326,6 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 	stats.MaxPartitionGroups, stats.MaxPartitionValues = reducerSizes(groups, numReduce)
 
 	// ----- Reduce ---------------------------------------------------------
-	var workStart int64
-	if wr, ok := j.Reducer.(ReduceWorkReporter); ok {
-		workStart = wr.ReduceWork()
-	}
-	var dispatchStart []OpDispatch
-	if dr, ok := j.Reducer.(DispatchReporter); ok {
-		dispatchStart = dr.DispatchCounts()
-	}
 	// A reducer that supplies instances (ReduceTaskFactory) has the sorted
 	// key list cut into runs: every run gets an instance of its own, built
 	// inside the task that uses it, and an output buffer of its own, and the
@@ -346,15 +333,21 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 	// output exactly. Any other reducer may carry state whose evolution
 	// depends on call order, so it reduces every key itself, in order.
 	// Output buffers start at a line a key, which is what most reducers emit.
+	// What the instances counted is summed in run order.
 	var outLines []string
+	var counts ReduceCounts
 	var cuts []int
 	factory, _ := j.Reducer.(ReduceTaskFactory)
 	if factory != nil {
 		cuts = e.cutRuns(groups, nPairs)
 	}
 	if cuts != nil {
-		outs := make([][]string, len(cuts)-1)
-		err := e.forEachTask(len(outs), func(r int) error {
+		type runResult struct {
+			lines  []string
+			counts ReduceCounts
+		}
+		runs := make([]runResult, len(cuts)-1)
+		err := e.forEachTask(len(runs), func(r int) error {
 			task := factory.NewReduceTask()
 			out := make([]string, 0, cuts[r+1]-cuts[r])
 			emitLine := func(line string) { out = append(out, line) }
@@ -363,20 +356,20 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 					return fmt.Errorf("reduce key %q: %w", g.key, err)
 				}
 			}
-			task.Done()
-			outs[r] = out
+			runs[r] = runResult{lines: out, counts: task.Done()}
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
 		n := 0
-		for _, out := range outs {
-			n += len(out)
+		for _, run := range runs {
+			n += len(run.lines)
 		}
 		outLines = make([]string, 0, n)
-		for _, out := range outs {
-			outLines = append(outLines, out...)
+		for _, run := range runs {
+			outLines = append(outLines, run.lines...)
+			counts.add(run.counts)
 		}
 	} else {
 		reducer := j.Reducer
@@ -393,32 +386,21 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 			}
 		}
 		if task != nil {
-			task.Done()
+			counts = task.Done()
 		}
 		// The DFS keeps this slice for good: not with mostly unused capacity.
 		if cap(outLines)-len(outLines) > len(outLines)/4 {
 			outLines = slices.Clone(outLines)
 		}
 	}
-	stats.ReduceWorkRecords = stats.ReduceInputRecords
-	if wr, ok := j.Reducer.(ReduceWorkReporter); ok {
-		if delta := wr.ReduceWork() - workStart; delta > stats.ReduceWorkRecords {
-			stats.ReduceWorkRecords = delta
-		}
-	}
-	if dr, ok := j.Reducer.(DispatchReporter); ok {
-		stats.Dispatch = dispatchDelta(dispatchStart, dr.DispatchCounts())
-	}
+	stats.ReduceWorkRecords = max(stats.ReduceInputRecords, counts.Work)
+	stats.Dispatch = dispatchOf(counts.Dispatch)
 	e.dfs.writeOwned(j.Output, outLines)
 	stats.ReduceOutputRecords = int64(len(outLines))
 	stats.ReduceOutputBytes = linesBytes(outLines)
 
-	if e.faultsActive() {
-		if err := e.costJobFaulty(j, stats, preCombineRecords, preCombineBytes, tasks, groups); err != nil {
-			return nil, err
-		}
-	} else {
-		e.costJob(j, stats, preCombineRecords, preCombineBytes)
+	if err := e.costJob(j, stats, preCombineBytes, tasks, groups); err != nil {
+		return nil, err
 	}
 	return stats, nil
 }
@@ -512,18 +494,44 @@ func mapCPURecords(s *JobStats, cm CostModel, scale float64) float64 {
 	return inRecords - filtered*(1-cm.prefilterFactor())
 }
 
-// costJob fills the simulated phase times of a full map+reduce job from its
-// counters. All byte/record quantities are scaled by the cluster DataScale
-// first. Each phase is costed as the maximum of its disk-, network- and
-// CPU-bound times (a throughput bottleneck model) plus per-wave task
-// scheduling overhead.
-func (e *Engine) costJob(j *Job, s *JobStats, preCombineRecords, preCombineBytes int64) {
+// phaseBases is the cost model applied to one job's counters: what both
+// ways of timing a job start from. A phase's base is its work in seconds at
+// the cluster's throughput, without the per-wave task scheduling overhead.
+type phaseBases struct {
+	mapBase, mapWaves float64
+	shuffle           float64
+	redBase, redWaves float64 // zero for a map-only job
+}
+
+// phaseBases computes the job's phase bases from its counters and names the
+// resource that bounds each phase. All byte/record quantities are scaled by
+// the cluster DataScale first. Each phase is costed as the maximum of its
+// disk-, network- and CPU-bound times (a throughput bottleneck model).
+func (e *Engine) phaseBases(s *JobStats, preCombineBytes int64) phaseBases {
 	cl := e.cluster
 	cm := cl.Cost
 	scale := cl.DataScale
 	nodes := cl.effectiveNodes()
+	repl := float64(cm.HDFSReplication - 1)
 
+	var b phaseBases
 	inBytes := float64(s.MapInputBytes) * scale
+	b.mapWaves = math.Ceil(float64(s.NumMapTasks) / cl.mapSlots())
+	if s.MapOnly {
+		// Map output goes straight to the DFS with replication (one local
+		// replica on disk, the rest over the network).
+		outBytes := float64(s.ReduceOutputBytes) * scale
+		mapDisk := (inBytes + outBytes) / (nodes * cm.DiskBandwidth)
+		mapNet := outBytes * repl / (nodes * cm.NetworkBandwidth)
+		mapCPU := mapCPURecords(s, cm, scale) * cm.MapCPUPerRecord / cl.mapSlots()
+		b.mapBase = math.Max(mapDisk+mapNet, mapCPU) * cl.loadFactor()
+		s.MapBottleneck = "disk+net"
+		if mapCPU > mapDisk+mapNet {
+			s.MapBottleneck = "cpu"
+		}
+		return b
+	}
+
 	preBytes := float64(preCombineBytes) * scale
 	outBytes := float64(s.MapOutputBytes) * scale
 	spillBytes := outBytes
@@ -537,8 +545,7 @@ func (e *Engine) costJob(j *Job, s *JobStats, preCombineRecords, preCombineBytes
 	// adds to the phase rather than overlapping the disk time.
 	mapDisk := (inBytes + spillBytes) / (nodes * cm.DiskBandwidth)
 	mapCPU := (mapCPURecords(s, cm, scale)*cm.MapCPUPerRecord + preBytes*cm.SortCPUPerByte) / cl.mapSlots()
-	mapWaves := math.Ceil(float64(s.NumMapTasks) / cl.mapSlots())
-	s.MapTime = (math.Max(mapDisk, mapCPU)+compressCPU/cl.mapSlots())*cl.loadFactor()*cl.reworkFactor() + mapWaves*cm.TaskOverhead
+	b.mapBase = (math.Max(mapDisk, mapCPU) + compressCPU/cl.mapSlots()) * cl.loadFactor()
 	s.MapBottleneck = "disk"
 	if mapCPU > mapDisk {
 		s.MapBottleneck = "cpu"
@@ -551,51 +558,40 @@ func (e *Engine) costJob(j *Job, s *JobStats, preCombineRecords, preCombineBytes
 	if cl.Compress {
 		decompressCPU = shuffleBytes * cm.DecompressCPUPerByte / cl.reduceSlots()
 	}
-	s.ShuffleTime = (shuffleNet + decompressCPU) * cl.loadFactor()
+	b.shuffle = (shuffleNet + decompressCPU) * cl.loadFactor()
 
 	// Reduce phase: read merged input from local disk, run the reduce
-	// function, write output to the DFS (one local replica on disk, the
-	// rest over the network).
+	// function, write output to the DFS like a map-only job's map phase.
 	redInBytes := outBytes // decompressed size
 	redRecords := float64(s.ReduceWorkRecords) * scale
 	redOutBytes := float64(s.ReduceOutputBytes) * scale
-	repl := float64(cm.HDFSReplication - 1)
 	redDisk := (redInBytes + redOutBytes) / (nodes * cm.DiskBandwidth)
 	redNet := redOutBytes * repl / (nodes * cm.NetworkBandwidth)
 	redCPU := redRecords * cm.ReduceCPUPerRecord / cl.reduceSlots()
-	redWaves := math.Ceil(float64(s.NumReduceTasks) / cl.reduceSlots())
-	s.ReduceTime = math.Max(redDisk+redNet, redCPU)*cl.loadFactor()*cl.reworkFactor() + redWaves*cm.TaskOverhead
+	b.redBase = math.Max(redDisk+redNet, redCPU) * cl.loadFactor()
+	b.redWaves = math.Ceil(float64(s.NumReduceTasks) / cl.reduceSlots())
 	s.ReduceBottleneck = "disk+net"
 	if redCPU > redDisk+redNet {
 		s.ReduceBottleneck = "cpu"
 	}
-
-	s.StartupTime = cm.JobStartup
-	// The analytic path IS the prediction, so drift is exactly 1 here.
-	s.PredictedTime = s.StartupTime + s.MapTime + s.ShuffleTime + s.ReduceTime
+	return b
 }
 
-// costMapOnly fills times for a job without a reduce phase: map output goes
-// straight to the DFS with replication.
-func (e *Engine) costMapOnly(j *Job, s *JobStats, preCombineRecords, preCombineBytes int64) {
-	cl := e.cluster
-	cm := cl.Cost
-	scale := cl.DataScale
-	nodes := cl.effectiveNodes()
-
-	inBytes := float64(s.MapInputBytes) * scale
-	outBytes := float64(s.ReduceOutputBytes) * scale
-	repl := float64(cm.HDFSReplication - 1)
-
-	mapDisk := (inBytes + outBytes) / (nodes * cm.DiskBandwidth)
-	mapNet := outBytes * repl / (nodes * cm.NetworkBandwidth)
-	mapCPU := mapCPURecords(s, cm, scale) * cm.MapCPUPerRecord / cl.mapSlots()
-	mapWaves := math.Ceil(float64(s.NumMapTasks) / cl.mapSlots())
-	s.MapTime = math.Max(mapDisk+mapNet, mapCPU)*cl.loadFactor()*cl.reworkFactor() + mapWaves*cm.TaskOverhead
-	s.MapBottleneck = "disk+net"
-	if mapCPU > mapDisk+mapNet {
-		s.MapBottleneck = "cpu"
-	}
+// costJob fills the job's simulated times. Fault-free, a phase takes its
+// base plus the scheduling overhead of its waves, and that is the model's
+// prediction too, so drift is exactly 1. Under an active FaultPlan the same
+// bases become per-task durations for the event scheduler (scheduleJob),
+// which also replays every extra attempt's user code over tasks and groups.
+func (e *Engine) costJob(j *Job, s *JobStats, preCombineBytes int64, tasks []mapTask, groups []keyGroup) error {
+	b := e.phaseBases(s, preCombineBytes)
+	cm := e.cluster.Cost
 	s.StartupTime = cm.JobStartup
-	s.PredictedTime = s.StartupTime + s.MapTime
+	if e.faultsActive() {
+		return e.scheduleJob(j, s, b, tasks, groups)
+	}
+	s.MapTime = b.mapBase + b.mapWaves*cm.TaskOverhead
+	s.ShuffleTime = b.shuffle
+	s.ReduceTime = b.redBase + b.redWaves*cm.TaskOverhead
+	s.PredictedTime = s.StartupTime + s.MapTime + s.ShuffleTime + s.ReduceTime
+	return nil
 }

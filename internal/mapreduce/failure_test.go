@@ -141,50 +141,3 @@ func TestEmptyInputJob(t *testing.T) {
 		t.Errorf("map tasks = %d, want the minimum 1", stats.NumMapTasks)
 	}
 }
-
-// TestTaskFailureRateInflatesTime: a lossy cluster re-executes tasks, so
-// execution time grows by the expected rework while results are unchanged.
-func TestTaskFailureRateInflatesTime(t *testing.T) {
-	lines := make([]string, 500)
-	for i := range lines {
-		lines[i] = "word word word"
-	}
-	runWith := func(rate float64) (*JobStats, []string) {
-		cluster := SmallCluster()
-		cluster.DataScale = 10000
-		cluster.TaskFailureRate = rate
-		dfs := NewDFS()
-		dfs.Write("in", lines)
-		e, err := NewEngine(dfs, cluster)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := e.RunJob(wordCountJob("in", "out"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, _ := dfs.Read("out")
-		return s, out
-	}
-	clean, cleanOut := runWith(0)
-	lossy, lossyOut := runWith(0.2)
-	if lossy.TotalTime() <= clean.TotalTime() {
-		t.Errorf("failure rate should inflate time: %.1f <= %.1f",
-			lossy.TotalTime(), clean.TotalTime())
-	}
-	if strings.Join(cleanOut, "|") != strings.Join(lossyOut, "|") {
-		t.Error("failure rate must not change results")
-	}
-}
-
-func TestTaskFailureRateValidation(t *testing.T) {
-	c := SmallCluster()
-	c.TaskFailureRate = 1
-	if err := c.Validate(); err == nil {
-		t.Error("failure rate 1 should be rejected")
-	}
-	c.TaskFailureRate = -0.1
-	if err := c.Validate(); err == nil {
-		t.Error("negative failure rate should be rejected")
-	}
-}

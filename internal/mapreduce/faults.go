@@ -10,8 +10,7 @@ import (
 )
 
 // FaultPlan is a deterministic, seeded fault scenario injected into the
-// engine's wave scheduler. It replaces the deprecated analytic
-// Cluster.TaskFailureRate inflation with event-level recovery: failed task
+// engine's wave scheduler, recovered from at the event level: failed task
 // attempts are actually re-executed through the user's map/reduce code
 // (re-reading their input from the surviving DFS replicas), whole-node
 // failures kill in-flight attempts and force completed map tasks on the

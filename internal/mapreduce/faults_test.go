@@ -309,13 +309,6 @@ func TestTracedIdenticalToUntracedUnderFaults(t *testing.T) {
 }
 
 func TestFaultValidation(t *testing.T) {
-	c := testFaultCluster()
-	c.TaskFailureRate = 0.1
-	c.Faults = &FaultPlan{Seed: 1, TaskFailureProb: 0.1}
-	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Errorf("TaskFailureRate+Faults err = %v, want mutually exclusive", err)
-	}
-
 	cases := []FaultPlan{
 		{TaskFailureProb: 1},
 		{TaskFailureProb: -0.1},
@@ -339,23 +332,6 @@ func TestFaultValidation(t *testing.T) {
 		MaxAttempts: 3, NodeFailures: []NodeFailure{{Node: 3, At: 100}}}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid plan rejected: %v", err)
-	}
-}
-
-func TestDeprecatedRateStillWorksWithoutPlan(t *testing.T) {
-	c := testFaultCluster()
-	c.TaskFailureRate = 0.5
-	if err := c.Validate(); err != nil {
-		t.Fatalf("rate without plan rejected: %v", err)
-	}
-	if got := c.reworkFactor(); got != 2 {
-		t.Errorf("reworkFactor = %v, want 2", got)
-	}
-	// Attaching any plan disables the analytic inflation.
-	c.TaskFailureRate = 0
-	c.Faults = &FaultPlan{Seed: 1, TaskFailureProb: 0.5}
-	if got := c.reworkFactor(); got != 1 {
-		t.Errorf("reworkFactor with plan = %v, want 1", got)
 	}
 }
 

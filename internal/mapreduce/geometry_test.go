@@ -7,7 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ysmart/internal/obs"
@@ -19,32 +19,23 @@ import (
 // engine.
 
 // sumReducer is a ReduceTaskFactory in the shape of the CMF common reducer:
-// instances keep scratch across keys, count their work privately and fold
-// it into the parent at Done.
-type sumReducer struct {
-	mu    sync.Mutex
-	work  int64
-	tasks int
-}
+// instances keep scratch across keys, count their work privately and return
+// it at Done. The reducer itself only counts the instances it handed out
+// (the tests' probe, not part of the contract).
+type sumReducer struct{ tasks atomic.Int64 }
 
-func (r *sumReducer) NewReduceTask() ReduceTask { return &sumTask{parent: r} }
+func (r *sumReducer) NewReduceTask() ReduceTask {
+	r.tasks.Add(1)
+	return &sumTask{counts: ReduceCounts{Dispatch: []OpDispatch{{Op: "sum"}, {Op: "idle"}}}}
+}
 
 func (r *sumReducer) Reduce(key string, values []string, emit func(string)) error {
-	t := r.NewReduceTask()
-	defer t.Done()
-	return t.Reduce(key, values, emit)
-}
-
-func (r *sumReducer) ReduceWork() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.work
+	return r.NewReduceTask().Reduce(key, values, emit)
 }
 
 type sumTask struct {
-	parent *sumReducer
 	line   []byte // reused from key to key: emitted lines must not alias it
-	work   int64
+	counts ReduceCounts
 }
 
 func (t *sumTask) Reduce(key string, values []string, emit func(string)) error {
@@ -56,7 +47,9 @@ func (t *sumTask) Reduce(key string, values []string, emit func(string)) error {
 		}
 		sum += n
 	}
-	t.work += 2 * int64(len(values))
+	t.counts.Work += 2 * int64(len(values))
+	t.counts.Dispatch[0].InRows += int64(len(values))
+	t.counts.Dispatch[0].OutRows++
 	t.line = append(t.line[:0], key...)
 	t.line = strconv.AppendInt(append(t.line, '\t'), sum, 10)
 	// The first and last value pin the values' map-output order.
@@ -66,13 +59,7 @@ func (t *sumTask) Reduce(key string, values []string, emit func(string)) error {
 	return nil
 }
 
-func (t *sumTask) Done() {
-	t.parent.mu.Lock()
-	t.parent.work += t.work
-	t.parent.tasks++
-	t.parent.mu.Unlock()
-	t.work = 0
-}
+func (t *sumTask) Done() ReduceCounts { return t.counts }
 
 // geometryInput is n lines "k<key> <i>" over nKeys keys, offset so that two
 // inputs interleave their keys.
@@ -243,8 +230,8 @@ func TestGeometryInvariantAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestGeometryReduceInstances: the factory's instances report, through
-// Done, the work of the sequential run at any worker count, and the host
+// TestGeometryReduceInstances: what the factory's instances return from
+// Done sums to the sequential run's counts at any worker count, and the host
 // really cut the job (several instances) when it had workers to cut for.
 func TestGeometryReduceInstances(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
@@ -253,12 +240,46 @@ func TestGeometryReduceInstances(t *testing.T) {
 		if got.err != nil {
 			t.Fatal(got.err)
 		}
-		r := job.Reducer.(*sumReducer)
-		if want := 2 * got.stats.ReduceInputRecords; got.stats.ReduceWorkRecords != want || r.work != want {
-			t.Errorf("workers=%d: reduce work %d (reducer total %d), want %d", workers, got.stats.ReduceWorkRecords, r.work, want)
+		if want := 2 * got.stats.ReduceInputRecords; got.stats.ReduceWorkRecords != want {
+			t.Errorf("workers=%d: reduce work %d, want %d", workers, got.stats.ReduceWorkRecords, want)
 		}
-		if (workers == 1) != (r.tasks == 1) {
-			t.Errorf("workers=%d: %d reducer instances", workers, r.tasks)
+		// The operator that saw no rows is dropped.
+		want := []OpDispatch{{Op: "sum", InRows: got.stats.ReduceInputRecords, OutRows: got.stats.ReduceGroups}}
+		if !reflect.DeepEqual(got.stats.Dispatch, want) {
+			t.Errorf("workers=%d: dispatch %+v, want %+v", workers, got.stats.Dispatch, want)
+		}
+		if tasks := job.Reducer.(*sumReducer).tasks.Load(); (workers == 1) != (tasks == 1) {
+			t.Errorf("workers=%d: %d reducer instances", workers, tasks)
+		}
+	}
+}
+
+// TestReplayedReduceCountsDropped: under a fault plan that retries reduce
+// tasks the reducer hands out extra instances for the replays, and what
+// those return from Done never reaches JobStats — the counts are the
+// fault-free run's.
+func TestReplayedReduceCountsDropped(t *testing.T) {
+	clean := runGeometry(t, geometryCluster(), geometryJob(geometryMapper()), 1)
+	if clean.err != nil {
+		t.Fatal(clean.err)
+	}
+	for _, workers := range []int{1, 8} {
+		faulty := geometryCluster()
+		faulty.Faults = &FaultPlan{Seed: 2, TaskFailureProb: 0.5}
+		job := geometryJob(geometryMapper())
+		got := runGeometry(t, faulty, job, workers)
+		if got.err != nil {
+			t.Fatal(got.err)
+		}
+		if got.stats.ReduceTaskRetries == 0 {
+			t.Fatal("the fault plan retried no reduce task")
+		}
+		if tasks := job.Reducer.(*sumReducer).tasks.Load(); tasks < int64(1+got.stats.ReduceTaskRetries) {
+			t.Errorf("workers=%d: %d instances for %d reduce retries: the replays did not run", workers, tasks, got.stats.ReduceTaskRetries)
+		}
+		if got.stats.ReduceWorkRecords != clean.stats.ReduceWorkRecords || !reflect.DeepEqual(got.stats.Dispatch, clean.stats.Dispatch) {
+			t.Errorf("workers=%d: work %d dispatch %+v, want the fault-free run's %d %+v", workers,
+				got.stats.ReduceWorkRecords, got.stats.Dispatch, clean.stats.ReduceWorkRecords, clean.stats.Dispatch)
 		}
 	}
 }

@@ -17,7 +17,11 @@
 // the data, so the two notions never interact.
 package mapreduce
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"strings"
+)
 
 // Emit receives one output record from a mapper (key/value) or, with an
 // empty key, from a reducer (line).
@@ -69,11 +73,55 @@ type ReduceTask interface {
 	// Reduce processes one key group, like Reducer.Reduce. Nothing it hands
 	// to emit may alias scratch the instance reuses for the next key.
 	Reduce(key string, values []string, emit func(line string)) error
-	// Done ends the task: the instance folds whatever it counted (see
-	// ReduceWorkReporter, DispatchReporter) into its parent, once. Sums
-	// commute, so the parent's totals do not depend on how keys were cut
-	// into tasks.
-	Done()
+	// Done ends the task and returns what the instance counted; the instance
+	// is not used again. The engine sums the counts of a job's tasks (sums
+	// commute, so the totals do not depend on how keys were cut into tasks)
+	// and drops those of fault-path replays. Nothing flows back into the
+	// factory, which is what makes a job description a shareable value.
+	Done() ReduceCounts
+}
+
+// ReduceCounts is what one reduce task counted over its key groups.
+type ReduceCounts struct {
+	// Work is the number of row-processings. A reducer that handles each
+	// input value more than once (a common reducer dispatching values
+	// through several merged operators) reports more than its input record
+	// count, and the engine charges reduce CPU on the larger of the two.
+	Work int64
+	// Dispatch holds per-operator row counts, indexed like the reducer's
+	// operators: every instance of one reducer returns the same operators in
+	// the same order. Nil for reducers without an operator graph.
+	Dispatch []OpDispatch
+}
+
+// add folds another task's counts in.
+func (c *ReduceCounts) add(o ReduceCounts) {
+	c.Work += o.Work
+	if c.Dispatch == nil {
+		c.Dispatch = o.Dispatch
+		return
+	}
+	for i, d := range o.Dispatch {
+		c.Dispatch[i].InRows += d.InRows
+		c.Dispatch[i].OutRows += d.OutRows
+	}
+}
+
+// dispatchOf turns a job's summed per-operator counts into JobStats.Dispatch,
+// in place: operators that saw no rows are dropped and the rest sorted by
+// name (nil when none saw any).
+func dispatchOf(counts []OpDispatch) []OpDispatch {
+	out := counts[:0]
+	for _, d := range counts {
+		if d.InRows != 0 || d.OutRows != 0 {
+			out = append(out, d)
+		}
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	slices.SortFunc(out, func(a, b OpDispatch) int { return strings.Compare(a.Op, b.Op) })
+	return out
 }
 
 // ReducerFunc adapts a function to the Reducer interface.
@@ -84,15 +132,6 @@ func (f ReducerFunc) Reduce(key string, values []string, emit func(line string))
 	return f(key, values, emit)
 }
 
-// ReduceWorkReporter is optionally implemented by reducers that process
-// each input value more than once (e.g. a common reducer dispatching values
-// through several merged operators). ReduceWork returns the cumulative
-// number of row-processings; the engine charges reduce CPU on the delta
-// observed across a job instead of the raw input record count.
-type ReduceWorkReporter interface {
-	ReduceWork() int64
-}
-
 // OpDispatch counts the rows one merged operator consumed and produced
 // inside a common reducer — the per-merged-reducer dispatch accounting the
 // observability layer reports per job.
@@ -100,15 +139,6 @@ type OpDispatch struct {
 	Op      string
 	InRows  int64
 	OutRows int64
-}
-
-// DispatchReporter is optionally implemented by reducers that route each
-// key group through a graph of merged operators (the CMF common reducer).
-// DispatchCounts returns cumulative per-operator row counts sorted by
-// operator name; the engine records the delta observed across a job in
-// JobStats.Dispatch.
-type DispatchReporter interface {
-	DispatchCounts() []OpDispatch
 }
 
 // Combiner optionally folds a key's map-side values before the shuffle —

@@ -134,7 +134,7 @@ func (benchReducer) Reduce(key string, values []string, emit func(line string)) 
 
 func (r benchReducer) NewReduceTask() ReduceTask { return r }
 
-func (benchReducer) Done() {}
+func (benchReducer) Done() ReduceCounts { return ReduceCounts{} }
 
 // benchJob builds a deliberately CPU-heavy wordcount variant: the mapper
 // burns cycles per line (standing in for real deserialization + predicate

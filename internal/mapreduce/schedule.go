@@ -2,21 +2,20 @@ package mapreduce
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"ysmart/internal/obs"
 )
 
-// This file is the event-level wave scheduler behind FaultPlan. The
-// analytic cost path (costJob/costMapOnly) stays untouched for fault-free
-// runs; when a non-zero plan is attached the engine instead schedules
+// This file is the event-level wave scheduler behind FaultPlan. Fault-free
+// runs take their phase times straight from the cost model's phase bases
+// (costJob); when a non-zero plan is attached the engine instead schedules
 // every task attempt onto concrete slots and nodes, injects failures,
 // node deaths and stragglers, launches speculative backups, and derives
 // phase times from the resulting schedule. Per-task work is calibrated so
 // a fault-free schedule reproduces the analytic phase times: each task's
-// nominal duration is the analytic phase base divided by its wave count,
-// and every attempt pays the cost model's per-wave TaskOverhead.
+// nominal duration is the phase base divided by its wave count, and every
+// attempt pays the cost model's per-wave TaskOverhead.
 
 // slotPool tracks per-slot next-free times for one phase's slot class.
 // Slot s lives on node s % nodes; a node death permanently retires its
@@ -316,82 +315,49 @@ func (ps *phaseSched) recomputeLost(lo, hi float64) (int, error) {
 // Fault-path costing
 // ---------------------------------------------------------------------------
 
-// faultsActive reports whether the engine must take the event-level
-// scheduling path. A nil or zero plan keeps the analytic path, which makes
+// faultsActive reports whether the engine must schedule task attempts. A nil
+// or zero plan takes phase times from the bases directly, which makes
 // fault-free runs byte-identical to a plan-free engine.
 func (e *Engine) faultsActive() bool {
 	return e.cluster.Faults != nil && !e.cluster.Faults.IsZero()
 }
 
-// costJobFaulty is the event-level counterpart of costJob: identical phase
-// bases, but phase times come from scheduling every task attempt under the
-// cluster's FaultPlan, and every extra attempt re-executes the user's
-// map/reduce code (reading its input again from the DFS replicas).
-func (e *Engine) costJobFaulty(j *Job, s *JobStats, preCombineRecords, preCombineBytes int64, tasks []mapTask, groups []keyGroup) error {
+// scheduleJob times a job under the cluster's FaultPlan: the phase bases
+// become per-task durations, every task attempt is scheduled, and every extra
+// attempt re-executes the user's map/reduce code (reading its input again
+// from the DFS replicas).
+func (e *Engine) scheduleJob(j *Job, s *JobStats, b phaseBases, tasks []mapTask, groups []keyGroup) error {
 	cl := e.cluster
 	cm := cl.Cost
-	scale := cl.DataScale
-	nodes := cl.effectiveNodes()
 	plan := cl.Faults
 	deaths := plan.deathTimes()
 
-	inBytes := float64(s.MapInputBytes) * scale
-	preBytes := float64(preCombineBytes) * scale
-	outBytes := float64(s.MapOutputBytes) * scale
-	spillBytes := outBytes
-	var compressCPU float64
-	if cl.Compress {
-		spillBytes *= cm.CompressionRatio
-		compressCPU = outBytes * cm.CompressCPUPerByte
-	}
-
-	mapDisk := (inBytes + spillBytes) / (nodes * cm.DiskBandwidth)
-	mapCPU := (mapCPURecords(s, cm, scale)*cm.MapCPUPerRecord + preBytes*cm.SortCPUPerByte) / cl.mapSlots()
-	mapBase := (math.Max(mapDisk, mapCPU) + compressCPU/cl.mapSlots()) * cl.loadFactor()
-	mapWaves := math.Ceil(float64(s.NumMapTasks) / cl.mapSlots())
-	s.MapBottleneck = "disk"
-	if mapCPU > mapDisk {
-		s.MapBottleneck = "cpu"
-	}
-
-	shuffleBytes := float64(s.ShuffleBytes) * scale
-	shuffleNet := shuffleBytes / (nodes * cm.NetworkBandwidth)
-	var decompressCPU float64
-	if cl.Compress {
-		decompressCPU = shuffleBytes * cm.DecompressCPUPerByte / cl.reduceSlots()
-	}
-	shuffleTime := (shuffleNet + decompressCPU) * cl.loadFactor()
-
-	redInBytes := outBytes
-	redRecords := float64(s.ReduceWorkRecords) * scale
-	redOutBytes := float64(s.ReduceOutputBytes) * scale
-	repl := float64(cm.HDFSReplication - 1)
-	redDisk := (redInBytes + redOutBytes) / (nodes * cm.DiskBandwidth)
-	redNet := redOutBytes * repl / (nodes * cm.NetworkBandwidth)
-	redCPU := redRecords * cm.ReduceCPUPerRecord / cl.reduceSlots()
-	redBase := math.Max(redDisk+redNet, redCPU) * cl.loadFactor()
-	redWaves := math.Ceil(float64(s.NumReduceTasks) / cl.reduceSlots())
-	s.ReduceBottleneck = "disk+net"
-	if redCPU > redDisk+redNet {
-		s.ReduceBottleneck = "cpu"
-	}
-
-	s.StartupTime = cm.JobStartup
 	// The fault-free analytic equivalent of this job: what the cost model
-	// predicted before recovery stretched the schedule.
+	// predicted before recovery stretched the schedule. (Summed term by
+	// term, not phase by phase as costJob does: the two can differ in the
+	// last bit, and recorded drift ratios pin this one.)
 	s.PredictedTime = cm.JobStartup +
-		mapBase + mapWaves*cm.TaskOverhead +
-		shuffleTime +
-		redBase + redWaves*cm.TaskOverhead
+		b.mapBase + b.mapWaves*cm.TaskOverhead +
+		b.shuffle +
+		b.redBase + b.redWaves*cm.TaskOverhead
 	mapStart := e.simNow + s.StartupTime
 
-	// ----- Map phase, with in-phase recompute of output lost to node deaths.
 	mp := newPhaseSched(plan, cl.Speculation, j.Name, "map",
-		mapBase/mapWaves, cm.TaskOverhead,
+		b.mapBase/b.mapWaves, cm.TaskOverhead,
 		newSlotPool(int(cl.mapSlots()), cl.Nodes, mapStart, deaths))
 	if err := mp.run(mp.initial(s.NumMapTasks, mapStart)); err != nil {
 		return err
 	}
+	if s.MapOnly {
+		// Map output goes straight to the replicated DFS, so like reduce
+		// output it survives node deaths; only in-flight attempts are killed.
+		mapEnd := mp.end(mapStart)
+		s.MapTime = mapEnd - mapStart
+		e.fillFaultStats(s, mp, nil, e.simNow, mapEnd)
+		return e.reexecuteMap(j, s, tasks, mp)
+	}
+
+	// ----- Map phase: in-phase recompute of output lost to node deaths.
 	for {
 		n, err := mp.recomputeLost(mapStart, mp.end(mapStart))
 		if err != nil {
@@ -410,7 +376,7 @@ func (e *Engine) costJobFaulty(j *Job, s *JobStats, preCombineRecords, preCombin
 
 	// ----- Shuffle: node deaths in the shuffle window lose map output that
 	// the reducers have not fetched yet; recovery extends the barrier.
-	shuffleEnd := mapEnd + shuffleTime
+	shuffleEnd := mapEnd + b.shuffle
 	for {
 		n, err := mp.recomputeLost(mapEnd, shuffleEnd)
 		if err != nil {
@@ -432,7 +398,7 @@ func (e *Engine) costJobFaulty(j *Job, s *JobStats, preCombineRecords, preCombin
 	// ----- Reduce phase: completed output lives on the DFS, so deaths only
 	// kill in-flight attempts.
 	rp := newPhaseSched(plan, cl.Speculation, j.Name, "reduce",
-		redBase/redWaves, cm.TaskOverhead,
+		b.redBase/b.redWaves, cm.TaskOverhead,
 		newSlotPool(int(cl.reduceSlots()), cl.Nodes, shuffleEnd, deaths))
 	if err := rp.run(rp.initial(s.NumReduceTasks, shuffleEnd)); err != nil {
 		return err
@@ -448,45 +414,6 @@ func (e *Engine) costJobFaulty(j *Job, s *JobStats, preCombineRecords, preCombin
 		return err
 	}
 	return e.reexecuteReduce(j, s, groups, rp)
-}
-
-// costMapOnlyFaulty is the event-level counterpart of costMapOnly. Map
-// output goes straight to the replicated DFS, so like reduce output it
-// survives node deaths; only in-flight attempts are killed.
-func (e *Engine) costMapOnlyFaulty(j *Job, s *JobStats, preCombineRecords, preCombineBytes int64, tasks []mapTask) error {
-	cl := e.cluster
-	cm := cl.Cost
-	scale := cl.DataScale
-	nodes := cl.effectiveNodes()
-	plan := cl.Faults
-
-	inBytes := float64(s.MapInputBytes) * scale
-	outBytes := float64(s.ReduceOutputBytes) * scale
-	repl := float64(cm.HDFSReplication - 1)
-
-	mapDisk := (inBytes + outBytes) / (nodes * cm.DiskBandwidth)
-	mapNet := outBytes * repl / (nodes * cm.NetworkBandwidth)
-	mapCPU := mapCPURecords(s, cm, scale) * cm.MapCPUPerRecord / cl.mapSlots()
-	mapBase := math.Max(mapDisk+mapNet, mapCPU) * cl.loadFactor()
-	mapWaves := math.Ceil(float64(s.NumMapTasks) / cl.mapSlots())
-	s.MapBottleneck = "disk+net"
-	if mapCPU > mapDisk+mapNet {
-		s.MapBottleneck = "cpu"
-	}
-
-	s.StartupTime = cm.JobStartup
-	s.PredictedTime = cm.JobStartup + mapBase + mapWaves*cm.TaskOverhead
-	mapStart := e.simNow + s.StartupTime
-	mp := newPhaseSched(plan, cl.Speculation, j.Name, "map",
-		mapBase/mapWaves, cm.TaskOverhead,
-		newSlotPool(int(cl.mapSlots()), cl.Nodes, mapStart, plan.deathTimes()))
-	if err := mp.run(mp.initial(s.NumMapTasks, mapStart)); err != nil {
-		return err
-	}
-	mapEnd := mp.end(mapStart)
-	s.MapTime = mapEnd - mapStart
-	e.fillFaultStats(s, mp, nil, e.simNow, mapEnd)
-	return e.reexecuteMap(j, s, tasks, mp)
 }
 
 // fillFaultStats copies the schedulers' recovery accounting into JobStats.
@@ -558,7 +485,7 @@ func (e *Engine) reexecuteMap(j *Job, s *JobStats, tasks []mapTask, mp *phaseSch
 
 // reexecuteReduce replays the reducer for every scheduled reduce execution
 // beyond each task's first, over the key groups hash-partitioned to that
-// task. Outputs are discarded — the primary pass's output is canonical.
+// task. Outputs and counts are discarded — the primary pass's are canonical.
 func (e *Engine) reexecuteReduce(j *Job, s *JobStats, groups []keyGroup, rp *phaseSched) error {
 	extra := make(map[int]int)
 	for _, a := range rp.attempts {
@@ -585,7 +512,7 @@ func (e *Engine) reexecuteReduce(j *Job, s *JobStats, groups []keyGroup, rp *pha
 					return fmt.Errorf("reduce retry key %q: %w", g.key, err)
 				}
 			}
-			task.Done()
+			task.Done() // a replay's counts never reach JobStats
 			return nil
 		})
 	}

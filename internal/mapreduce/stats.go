@@ -27,7 +27,7 @@ type JobStats struct {
 	ReduceInputRecords int64
 	// ReduceWorkRecords counts row-processings inside the reducer; a common
 	// reducer running several merged operators reports more work than its
-	// input record count (see ReduceWorkReporter).
+	// input record count (see ReduceCounts).
 	ReduceWorkRecords   int64
 	ReduceOutputRecords int64
 	ReduceOutputBytes   int64
@@ -45,7 +45,7 @@ type JobStats struct {
 	MaxPartitionValues int64
 
 	// Dispatch holds per-operator row counts when the job's reducer is a
-	// common reducer running a merged operator graph (see DispatchReporter).
+	// common reducer running a merged operator graph (see ReduceCounts).
 	// It is collected on every run, traced or not, so instrumentation never
 	// changes observable stats.
 	Dispatch []OpDispatch

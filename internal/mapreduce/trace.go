@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"ysmart/internal/obs"
 )
@@ -285,23 +284,4 @@ func (e *Engine) recordJobMetrics(s *JobStats) {
 		m.Add("ysmart_engine_speculative_wins_total", float64(s.SpeculativeWins))
 		m.Add("ysmart_engine_node_failures_total", float64(s.NodeFailures))
 	}
-}
-
-// dispatchDelta subtracts a before-snapshot of cumulative dispatch counts
-// from an after-snapshot, dropping operators that saw no rows this job.
-func dispatchDelta(before, after []OpDispatch) []OpDispatch {
-	prev := make(map[string]OpDispatch, len(before))
-	for _, d := range before {
-		prev[d.Op] = d
-	}
-	var out []OpDispatch
-	for _, d := range after {
-		p := prev[d.Op]
-		delta := OpDispatch{Op: d.Op, InRows: d.InRows - p.InRows, OutRows: d.OutRows - p.OutRows}
-		if delta.InRows != 0 || delta.OutRows != 0 {
-			out = append(out, delta)
-		}
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i].Op < out[k].Op })
-	return out
 }

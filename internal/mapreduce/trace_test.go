@@ -277,20 +277,24 @@ func TestTasksElidedOverCap(t *testing.T) {
 	}
 }
 
-func TestDispatchDelta(t *testing.T) {
-	before := []OpDispatch{{Op: "AGG1", InRows: 10, OutRows: 4}, {Op: "JOIN1", InRows: 5, OutRows: 5}}
-	after := []OpDispatch{
-		{Op: "AGG1", InRows: 25, OutRows: 9},
-		{Op: "JOIN1", InRows: 5, OutRows: 5}, // untouched this job -> dropped
-		{Op: "SORT1", InRows: 3, OutRows: 3}, // new this job
+// TestReduceCountsSum: tasks' counts add up index by index, and the job's
+// dispatch is the sum without the operators that saw no rows, by name.
+func TestReduceCountsSum(t *testing.T) {
+	var sum ReduceCounts
+	sum.add(ReduceCounts{Work: 7, Dispatch: []OpDispatch{{Op: "SORT1", InRows: 3, OutRows: 3}, {Op: "JOIN1"}, {Op: "AGG1", InRows: 10, OutRows: 4}}})
+	sum.add(ReduceCounts{Work: 5, Dispatch: []OpDispatch{{Op: "SORT1"}, {Op: "JOIN1"}, {Op: "AGG1", InRows: 15, OutRows: 5}}})
+	if sum.Work != 12 {
+		t.Errorf("work = %d, want 12", sum.Work)
 	}
-	got := dispatchDelta(before, after)
 	want := []OpDispatch{
-		{Op: "AGG1", InRows: 15, OutRows: 5},
+		{Op: "AGG1", InRows: 25, OutRows: 9},
 		{Op: "SORT1", InRows: 3, OutRows: 3},
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("dispatchDelta = %+v, want %+v", got, want)
+	if got := dispatchOf(sum.Dispatch); !reflect.DeepEqual(got, want) {
+		t.Errorf("dispatchOf = %+v, want %+v", got, want)
+	}
+	if got := dispatchOf([]OpDispatch{{Op: "JOIN1"}}); got != nil {
+		t.Errorf("dispatchOf of idle operators = %+v, want nil", got)
 	}
 }
 

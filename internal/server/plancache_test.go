@@ -25,7 +25,6 @@ func TestPlanCacheHitOnNormalizedVariants(t *testing.T) {
 	if p1.Hit {
 		t.Fatal("first get reported a hit on an empty cache")
 	}
-	p1.Release()
 
 	// Same query, different whitespace, identifier case and a trailing
 	// semicolon: must normalize to the same cache entry.
@@ -40,7 +39,6 @@ func TestPlanCacheHitOnNormalizedVariants(t *testing.T) {
 	if p2.Normalized != p1.Normalized {
 		t.Fatalf("normalized forms differ: %q vs %q", p2.Normalized, p1.Normalized)
 	}
-	p2.Release()
 
 	entries, hits, misses, evictions := c.Stats()
 	if entries != 1 || hits != 1 || misses != 1 || evictions != 0 {
@@ -67,37 +65,24 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	c := newTestCache(2, reg)
 	q := queries.Named()
 
-	for _, name := range []string{"Q-AGG", "Q-CSA"} {
-		p, err := c.Get(q[name])
-		if err != nil {
+	// Q-AGG is touched again so Q-CSA is the LRU victim when Q17 arrives.
+	for _, name := range []string{"Q-AGG", "Q-CSA", "Q-AGG", "Q17"} {
+		if _, err := c.Get(q[name]); err != nil {
 			t.Fatalf("get %s: %v", name, err)
 		}
-		p.Release()
 	}
-	// Touch Q-AGG so Q-CSA is the LRU victim when Q17 arrives.
-	p, err := c.Get(q["Q-AGG"])
-	if err != nil {
-		t.Fatalf("touch Q-AGG: %v", err)
-	}
-	p.Release()
-	p, err = c.Get(q["Q17"])
-	if err != nil {
-		t.Fatalf("get Q17: %v", err)
-	}
-	p.Release()
 
 	entries, _, _, evictions := c.Stats()
 	if entries != 2 || evictions != 1 {
 		t.Fatalf("after overflow: entries %d evictions %v, want 2 and 1", entries, evictions)
 	}
-	p, err = c.Get(q["Q-AGG"])
+	p, err := c.Get(q["Q-AGG"])
 	if err != nil {
 		t.Fatalf("re-get Q-AGG: %v", err)
 	}
 	if !p.Hit {
 		t.Fatal("recently touched Q-AGG was evicted; LRU order is wrong")
 	}
-	p.Release()
 	p, err = c.Get(q["Q-CSA"])
 	if err != nil {
 		t.Fatalf("re-get Q-CSA: %v", err)
@@ -105,43 +90,55 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	if p.Hit {
 		t.Fatal("Q-CSA should have been the eviction victim")
 	}
-	p.Release()
 }
 
-// TestPlanCacheLeasing checks that concurrent leases of one entry never share
-// a translation, and that released translations are pooled for reuse.
+// TestPlanCacheLeasing pins what replaced the lease: there is none. Every
+// Get of a statement — concurrent first lookups that each build it included —
+// returns the entry's one translation, and the registry has no
+// retranslations family for a re-lowered copy to be counted in.
 func TestPlanCacheLeasing(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := newTestCache(4, reg)
 
-	p1, err := c.Get(queries.QAGG)
+	const gets = 8
+	plans := make([]*Plan, gets)
+	var wg sync.WaitGroup
+	for i := range plans {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			p, err := c.Get(queries.QAGG)
+			if err != nil {
+				t.Errorf("get %d: %v", i, err)
+			}
+			plans[i] = p
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	later, err := c.Get(queries.QAGG)
 	if err != nil {
-		t.Fatalf("get: %v", err)
+		t.Fatalf("later get: %v", err)
 	}
-	p2, err := c.Get(queries.QAGG) // pool empty: must re-lower, not share
-	if err != nil {
-		t.Fatalf("second get: %v", err)
+	if !later.Hit {
+		t.Fatal("get after the entry was built missed")
 	}
-	if p1.Translation == p2.Translation {
-		t.Fatal("two live leases share one translation")
+	for i, p := range plans {
+		if p.Translation != later.Translation {
+			t.Fatalf("get %d returned its own translation; every session must share the entry's", i)
+		}
 	}
-	if got := reg.Value("ysmart_server_plancache_retranslations_total"); got != 1 {
-		t.Fatalf("retranslations = %v, want 1", got)
+	entries, hits, misses, _ := c.Stats()
+	if entries != 1 || misses < 1 || hits+misses != gets+1 {
+		t.Fatalf("stats = entries %d, hits %v, misses %v; want 1 entry and %d lookups", entries, hits, misses, gets+1)
 	}
-
-	p1.Release()
-	p2.Release()
-	p3, err := c.Get(queries.QAGG)
-	if err != nil {
-		t.Fatalf("third get: %v", err)
+	for _, m := range reg.Snapshot() {
+		if strings.Contains(m.Name, "retranslations") {
+			t.Fatalf("registry still exports %s", m.Name)
+		}
 	}
-	if p3.Translation != p1.Translation && p3.Translation != p2.Translation {
-		t.Fatal("released translation was not pooled for reuse")
-	}
-	if got := reg.Value("ysmart_server_plancache_retranslations_total"); got != 1 {
-		t.Fatalf("pooled lease re-lowered anyway: retranslations = %v", got)
-	}
-	p3.Release()
 }
 
 // TestPlanCacheConcurrent hammers one cache from many goroutines (run under
@@ -160,12 +157,10 @@ func TestPlanCacheConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				p, err := c.Get(sqls[(g+i)%len(sqls)])
-				if err != nil {
+				if _, err := c.Get(sqls[(g+i)%len(sqls)]); err != nil {
 					t.Errorf("get: %v", err)
 					return
 				}
-				p.Release()
 			}
 		}(g)
 	}
@@ -183,7 +178,7 @@ func TestPlanCacheConcurrent(t *testing.T) {
 // TestPlanCacheManimalKeying is the optimizer-dimension correctness proof:
 // a cache serving MANIMAL-optimized plans and one serving plain plans must
 // never alias — different cache keys, different QueryTag-derived DFS
-// prefixes, no shared pooled translation — and both must stay
+// prefixes, no shared translation — and both must stay
 // byte-identical to the DBMS oracle. Without CacheKeyOpt the two
 // configurations would collide on normalized SQL and an optimized chain
 // could leak into a session that asked for plain execution (or write over
@@ -216,7 +211,7 @@ func TestPlanCacheManimalKeying(t *testing.T) {
 		t.Fatal(err)
 	}
 	if pp.Translation == po.Translation {
-		t.Fatal("optimized and plain leases share one translation")
+		t.Fatal("optimized and plain plans share one translation")
 	}
 	if pp.Translation.Output == po.Translation.Output {
 		t.Fatalf("optimized and plain chains share the DFS output path %s", pp.Translation.Output)
@@ -230,43 +225,41 @@ func TestPlanCacheManimalKeying(t *testing.T) {
 		}
 	}
 	if prefilters == 0 {
-		t.Fatal("optimized lease of a filtered scan carries no prefilter")
+		t.Fatal("optimized plan of a filtered scan carries no prefilter")
 	}
 	for _, j := range pp.Translation.Jobs {
 		for i := range j.Inputs {
 			if j.Inputs[i].Prefilter != nil {
-				t.Fatal("plain lease carries a prefilter")
+				t.Fatal("plain plan carries a prefilter")
 			}
 		}
 	}
 
-	plainLines := runLeased(t, pp)
-	optLines := runLeased(t, po)
-	pp.Release()
-	po.Release()
+	plainLines := runPlan(t, pp)
+	optLines := runPlan(t, po)
 	want := oracleLines(t, sql)
 	diffLines(t, "plain vs oracle", plainLines, want)
 	diffLines(t, "manimal vs oracle", optLines, want)
 
-	// A pooled optimized lease keeps its prefilters across reuse.
+	// A hit hands out the same optimized plan, and running it left its
+	// prefilters in place.
 	po2, err := opt.Get(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !po2.Hit {
-		t.Fatal("second optimized get missed its own cache")
+	if !po2.Hit || po2.Translation != po.Translation {
+		t.Fatal("second optimized get did not return the cached plan")
 	}
 	if po2.Translation.Jobs[0].Inputs[0].Prefilter == nil {
-		t.Fatal("pooled optimized translation lost its prefilter")
+		t.Fatal("the optimized translation lost its prefilter")
 	}
-	diffLines(t, "pooled manimal vs oracle", runLeased(t, po2), want)
-	po2.Release()
+	diffLines(t, "manimal rerun vs oracle", runPlan(t, po2), want)
 }
 
-// TestPlanCacheResultsByteIdentical is the cache's correctness oracle: a
-// fresh (uncached) plan, a cache-hit pooled lease and a re-lowered lease must
-// all produce byte-identical sorted results, and those must match the
-// single-node DBMS executor.
+// TestPlanCacheResultsByteIdentical is the cache's correctness oracle: the
+// plan a miss built and the plan a hit returned are one translation, every
+// run of it — the first and each rerun — produces byte-identical sorted
+// results, and those match the single-node DBMS executor.
 func TestPlanCacheResultsByteIdentical(t *testing.T) {
 	q := queries.Named()
 	for _, name := range []string{"Q-AGG", "Q-CSA"} {
@@ -277,28 +270,15 @@ func TestPlanCacheResultsByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s miss get: %v", name, err)
 		}
-		relowered, err := c.Get(sql) // pool empty while miss is leased
+		hit, err := c.Get(sql)
 		if err != nil {
-			t.Fatalf("%s re-lowered get: %v", name, err)
+			t.Fatalf("%s hit get: %v", name, err)
 		}
-		missLines := runLeased(t, miss)
-		reloweredLines := runLeased(t, relowered)
-		miss.Release()
-		relowered.Release()
-
-		pooled, err := c.Get(sql)
-		if err != nil {
-			t.Fatalf("%s pooled get: %v", name, err)
+		if miss.Hit || !hit.Hit || hit.Translation != miss.Translation {
+			t.Fatalf("%s: miss then hit must share one translation (hit flags %v, %v)", name, miss.Hit, hit.Hit)
 		}
-		if !pooled.Hit {
-			t.Fatalf("%s pooled get missed", name)
-		}
-		pooledLines := runLeased(t, pooled)
-		pooled.Release()
-
 		want := oracleLines(t, sql)
-		diffLines(t, name+" uncached vs oracle", missLines, want)
-		diffLines(t, name+" re-lowered vs oracle", reloweredLines, want)
-		diffLines(t, name+" pooled rerun vs oracle", pooledLines, want)
+		diffLines(t, name+" first run vs oracle", runPlan(t, miss), want)
+		diffLines(t, name+" rerun vs oracle", runPlan(t, hit), want)
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -224,6 +225,51 @@ func TestServerConcurrentClients(t *testing.T) {
 	}
 	if _, ok := srv.Registry().Quantile("ysmart_server_admission_wait_seconds", 0.5); !ok {
 		t.Fatal("admission wait histogram has no observations")
+	}
+}
+
+// TestServerSharedPlanBackToBack: two sessions issue one statement 200 times
+// each with no pause between a reply and the next request, so runs of the one
+// cached translation overlap all the time, and a session re-asks for the
+// plan the moment its previous reply lands. Every reply must match the
+// oracle, and the statement must have been compiled for the first lookups
+// only.
+func TestServerSharedPlanBackToBack(t *testing.T) {
+	srv, addr := startTestServer(t, nil)
+	sql := queries.Named()["Q-CSA"]
+	want := oracleWireLines(t, sql)
+
+	const sessions, rounds = 2, 200
+	var wg sync.WaitGroup
+	for s := 0; s < sessions; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			cli, err := Dial(addr, "test", "ysmart", 5*time.Second)
+			if err != nil {
+				t.Errorf("session %d dial: %v", s, err)
+				return
+			}
+			defer cli.Close()
+			for i := 0; i < rounds; i++ {
+				res, err := cli.Query(sql)
+				if err != nil {
+					t.Errorf("session %d query %d: %v", s, i, err)
+					return
+				}
+				if got := wireLines(res); !reflect.DeepEqual(got, want) {
+					t.Errorf("session %d query %d: %d rows differ from the oracle's %d", s, i, len(got), len(want))
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+
+	entries, hits, misses, _ := srv.Cache().Stats()
+	if entries != 1 || misses < 1 || misses > sessions || hits+misses != sessions*rounds {
+		t.Fatalf("cache: %d entries, %v hits, %v misses; want 1 entry built by at most %d first lookups of %d",
+			entries, hits, misses, sessions, sessions*rounds)
 	}
 }
 

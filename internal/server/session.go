@@ -296,44 +296,24 @@ func (s *session) runQuery(sql string, start time.Time) error {
 	}
 	release, err := srv.admission.Acquire(deadline)
 	if err != nil {
-		p.Release()
 		return err
 	}
 
 	// The engine cannot be interrupted mid-chain, so a timed-out run is
-	// abandoned, not aborted: the client gets its error now, and the slot,
-	// lease and session runtime are reclaimed when the run actually ends.
-	// The session waits for that before its next query (serial runtimes).
+	// abandoned, not aborted: the client gets its error now, and the slot
+	// and session runtime are reclaimed when the run actually ends. The
+	// session waits for that before its next query (serial runtimes). The
+	// cached plan is shared with every other session and only read; with
+	// reuse off the store is nil and the plan runs as compiled.
 	type outcome struct {
-		rows []exec.Row
-		err  error
+		res *translator.Result
+		err error
 	}
 	done := make(chan outcome, 1)
 	go func() {
 		defer release()
-		defer p.Release()
-		o := outcome{}
-		if srv.store != nil {
-			// Rewrite the leased translation against the reuse store
-			// (clones only — the cached Translation is never mutated, so
-			// lease pooling stays safe), run what survived, then record
-			// the executed jobs' outputs for future queries.
-			rp := translator.ApplyReuseAt(p.Translation, srv.store, s.dfs, s.reuseEpochs)
-			var stats *mapreduce.ChainStats
-			stats, o.err = s.engine.RunChain(rp.Jobs)
-			if o.err == nil {
-				o.rows, o.err = rp.ReadResult(s.dfs)
-			}
-			if o.err == nil {
-				rp.Record(srv.store, s.dfs, stats)
-			}
-		} else {
-			_, o.err = s.engine.RunChain(p.Translation.Jobs)
-			if o.err == nil {
-				o.rows, o.err = p.Translation.ReadResult(s.dfs)
-			}
-		}
-		done <- o
+		res, err := translator.Run(p.Translation, s.engine, srv.store, s.reuseEpochs)
+		done <- outcome{res, err}
 	}()
 
 	var timeout <-chan time.Time
@@ -350,7 +330,7 @@ func (s *session) runQuery(sql string, start time.Time) error {
 		lat := time.Since(start).Seconds()
 		srv.reg.Observe("ysmart_server_query_seconds", lat)
 		srv.reg.Add("ysmart_server_queries_total", 1)
-		return s.sendResult(p.Schema, o.rows)
+		return s.sendResult(p.Schema, o.res.Rows)
 	case <-timeout:
 		srv.reg.Add("ysmart_server_query_timeouts_total", 1)
 		finished := make(chan struct{})

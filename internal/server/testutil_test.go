@@ -84,10 +84,9 @@ func oracleLines(t *testing.T, sql string) []string {
 	return lines
 }
 
-// runLeased executes a leased plan on a fresh engine preloaded with the
-// fixture tables and returns the sorted codec lines of its result. The lease
-// stays with the caller.
-func runLeased(t *testing.T, p *Plan) []string {
+// runPlan executes a cached plan on a fresh engine preloaded with the
+// fixture tables and returns the sorted codec lines of its result.
+func runPlan(t *testing.T, p *Plan) []string {
 	t.Helper()
 	_, lines := fixture(t)
 	eng, err := mapreduce.NewEngine(mapreduce.NewDFS(), mapreduce.SmallCluster())
@@ -97,14 +96,11 @@ func runLeased(t *testing.T, p *Plan) []string {
 	for name, tableLines := range lines {
 		eng.DFS().Write(translator.TablePath(name), tableLines)
 	}
-	if _, err := eng.RunChain(p.Translation.Jobs); err != nil {
-		t.Fatalf("run chain: %v", err)
-	}
-	rows, err := p.Translation.ReadResult(eng.DFS())
+	res, err := translator.Run(p.Translation, eng, nil, nil)
 	if err != nil {
-		t.Fatalf("read result: %v", err)
+		t.Fatalf("run: %v", err)
 	}
-	return dbms.SortedLines(rows)
+	return dbms.SortedLines(res.Rows)
 }
 
 // wireLines renders a wire result the way the oracle comparison in the load

@@ -117,10 +117,11 @@ type reuseRecord struct {
 
 // ReusePlan is a translation rewritten against the materialized-output
 // store: the jobs that still need to run (clones — the source Translation
-// is never mutated, so plan-cache leasing stays safe), with inputs that
-// matched a stored artifact repointed at restore/ paths. Run rp.Jobs,
-// read the result via rp.ReadResult, then call rp.Record to materialize
-// the outputs of the jobs that did execute.
+// is never mutated, because a cached plan is shared by every session running
+// it), with inputs that matched a stored artifact repointed at restore/
+// paths. Run (run.go) executes rp.Jobs, reads the result via rp.ReadResult,
+// then calls rp.Record to materialize the outputs of the jobs that did
+// execute.
 type ReusePlan struct {
 	// Jobs is the rewritten chain (possibly empty when the whole query
 	// came from the store; RunChain of an empty chain is a no-op).
@@ -145,12 +146,6 @@ type ReusePlan struct {
 	epochs  map[string]int64
 }
 
-// ApplyReuse rewrites tr against the store, validating artifacts with the
-// store's current validity epochs. See ApplyReuseAt.
-func ApplyReuse(tr *Translation, store *reuse.Store, dfs *mapreduce.DFS) *ReusePlan {
-	return ApplyReuseAt(tr, store, dfs, nil)
-}
-
 // ApplyReuseAt rewrites tr against the store using a caller-captured
 // epoch snapshot (nil = snapshot now). The snapshot is taken before
 // lookup and kept for Record, so a table overwrite racing the run can
@@ -160,7 +155,8 @@ func ApplyReuse(tr *Translation, store *reuse.Store, dfs *mapreduce.DFS) *ReuseP
 // consumer of its output was dropped; surviving jobs are cloned with
 // their intermediate inputs repointed at the installed restore/ paths
 // (written into dfs here) and their DependsOn edges rebuilt among the
-// clones.
+// clones. With a nil store the rewrite is the identity: tr's own jobs, to
+// be run as compiled.
 func ApplyReuseAt(tr *Translation, store *reuse.Store, dfs *mapreduce.DFS, epochs map[string]int64) *ReusePlan {
 	rp := &ReusePlan{Output: tr.Output, OutputTag: tr.OutputTag, OutputSchema: tr.OutputSchema, Total: len(tr.Jobs)}
 	if store == nil || len(tr.Jobs) == 0 || len(tr.Artifacts) != len(tr.Jobs) {
@@ -244,10 +240,9 @@ func ApplyReuseAt(tr *Translation, store *reuse.Store, dfs *mapreduce.DFS, epoch
 		}
 	}
 
-	// Clone surviving jobs. Shallow copies share mapper/reducer instances
-	// with tr — safe because a leased Translation is executed by at most
-	// one engine at a time and the clones run in its place, never
-	// alongside it.
+	// Clone surviving jobs. Shallow copies share mappers and reducers with
+	// tr, which nothing writes once they are built (a reducer hands every
+	// reduce task an instance of its own).
 	cloneOf := make(map[*mapreduce.Job]*mapreduce.Job, n)
 	for i, j := range tr.Jobs {
 		if !needed[i] {
@@ -302,23 +297,7 @@ func RootArtifactKey(tr *Translation) (key string, ok bool) {
 // ReadResult decodes the query result rows from the DFS — the rewritten
 // chain's analogue of Translation.ReadResult.
 func (rp *ReusePlan) ReadResult(dfs *mapreduce.DFS) ([]exec.Row, error) {
-	lines, err := dfs.Read(rp.Output)
-	if err != nil {
-		return nil, err
-	}
-	var rows []exec.Row
-	for _, line := range lines {
-		tag, payload := cmf.SplitTag(line)
-		if tag != rp.OutputTag {
-			continue
-		}
-		row, err := exec.DecodeRow(payload, rp.OutputSchema)
-		if err != nil {
-			return nil, fmt.Errorf("result row %q: %w", line, err)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return readResult(dfs, rp.Output, rp.OutputTag, rp.OutputSchema)
 }
 
 // Record materializes the outputs of the jobs that executed into the

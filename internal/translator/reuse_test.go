@@ -45,7 +45,7 @@ func TestApplyReuseColdThenWarm(t *testing.T) {
 	sql := queries.Named()["Q18"]
 
 	tr := translate(t, sql, YSmart, Options{QueryName: "q18-cold"})
-	rp := ApplyReuse(tr, store, dfs)
+	rp := ApplyReuseAt(tr, store, dfs, nil)
 	if rp.Hits != 0 || rp.Skipped != 0 || len(rp.Jobs) != len(tr.Jobs) {
 		t.Fatalf("cold rewrite touched the chain: hits=%d skipped=%d jobs=%d/%d",
 			rp.Hits, rp.Skipped, len(rp.Jobs), len(tr.Jobs))
@@ -57,7 +57,7 @@ func TestApplyReuseColdThenWarm(t *testing.T) {
 	}
 
 	tr2 := translate(t, sql, YSmart, Options{QueryName: "q18-warm"})
-	rp2 := ApplyReuse(tr2, store, dfs)
+	rp2 := ApplyReuseAt(tr2, store, dfs, nil)
 	if len(rp2.Jobs) != 0 {
 		t.Fatalf("warm rewrite kept %d jobs, want 0", len(rp2.Jobs))
 	}
@@ -87,7 +87,7 @@ func TestApplyReusePartial(t *testing.T) {
 	sql := queries.Named()["Q18"]
 
 	tr := translate(t, sql, YSmart, Options{QueryName: "q18-cold"})
-	rp := ApplyReuse(tr, store, dfs)
+	rp := ApplyReuseAt(tr, store, dfs, nil)
 	coldLines, coldStats := runReuse(t, rp, dfs)
 	rp.Record(store, dfs, coldStats)
 
@@ -98,7 +98,7 @@ func TestApplyReusePartial(t *testing.T) {
 	store.Forget(key)
 
 	tr2 := translate(t, sql, YSmart, Options{QueryName: "q18-warm"})
-	rp2 := ApplyReuse(tr2, store, dfs)
+	rp2 := ApplyReuseAt(tr2, store, dfs, nil)
 	if len(rp2.Jobs) != 1 || rp2.Skipped != rp2.Total-1 {
 		t.Fatalf("partial rewrite ran %d of %d jobs (skipped %d), want exactly the final job",
 			len(rp2.Jobs), rp2.Total, rp2.Skipped)
@@ -115,14 +115,14 @@ func TestApplyReusePartial(t *testing.T) {
 	// Record after the partial run refreshes the root artifact: the next
 	// rewrite is fully warm again.
 	rp2.Record(store, dfs, nil)
-	rp3 := ApplyReuse(translate(t, sql, YSmart, Options{QueryName: "q18-warm2"}), store, dfs)
+	rp3 := ApplyReuseAt(translate(t, sql, YSmart, Options{QueryName: "q18-warm2"}), store, dfs, nil)
 	if len(rp3.Jobs) != 0 {
 		t.Errorf("chain not fully warm after partial run recorded (%d jobs left)", len(rp3.Jobs))
 	}
 }
 
-// TestApplyReuseNeverMutatesSource: the plan cache leases translations to
-// concurrent sessions, so the rewrite must clone — the source jobs' input
+// TestApplyReuseNeverMutatesSource: the plan cache hands one translation to
+// every concurrent session, so the rewrite must clone — the source jobs' input
 // paths and dependency edges stay exactly as lowered even when the
 // rewrite repoints inputs at restore/ artifacts.
 func TestApplyReuseNeverMutatesSource(t *testing.T) {
@@ -145,13 +145,13 @@ func TestApplyReuseNeverMutatesSource(t *testing.T) {
 		before = append(before, jobShape{inputs: ins, deps: append([]*mapreduce.Job(nil), j.DependsOn...), jobPtrs: j})
 	}
 
-	rp := ApplyReuse(tr, store, dfs)
+	rp := ApplyReuseAt(tr, store, dfs, nil)
 	_, stats := runReuse(t, rp, dfs)
 	rp.Record(store, dfs, stats)
 	if key, ok := RootArtifactKey(tr); ok {
 		store.Forget(key) // force a partial rewrite, the path that repoints inputs
 	}
-	ApplyReuse(tr, store, dfs)
+	ApplyReuseAt(tr, store, dfs, nil)
 
 	for i, j := range tr.Jobs {
 		if j != before[i].jobPtrs {
@@ -186,13 +186,13 @@ func TestOptimizedArtifactsDisjoint(t *testing.T) {
 	sql := queries.Named()["Q-AGG"]
 
 	tr := translate(t, sql, YSmart, Options{QueryName: "plain"})
-	rp := ApplyReuse(tr, store, dfs)
+	rp := ApplyReuseAt(tr, store, dfs, nil)
 	_, stats := runReuse(t, rp, dfs)
 	rp.Record(store, dfs, stats)
 
 	opt := translate(t, sql, YSmart, Options{QueryName: "optimized"})
 	opt.Optimized = true // what optanalysis.ApplyTranslation sets
-	rpOpt := ApplyReuse(opt, store, dfs)
+	rpOpt := ApplyReuseAt(opt, store, dfs, nil)
 	if rpOpt.Hits != 0 || len(rpOpt.Jobs) != len(opt.Jobs) {
 		t.Errorf("optimized translation consumed plain artifacts (hits=%d, jobs=%d/%d)",
 			rpOpt.Hits, len(rpOpt.Jobs), len(opt.Jobs))

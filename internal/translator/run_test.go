@@ -1,0 +1,105 @@
+package translator
+
+import (
+	"reflect"
+	"testing"
+
+	"ysmart/internal/exec"
+	"ysmart/internal/mapreduce"
+	"ysmart/internal/queries"
+	"ysmart/internal/reuse"
+)
+
+// TestRunMatchesHandWrittenSequence: without a store, Run is RunChain over
+// the translation's own jobs followed by ReadResult — the sequence every
+// surface used to spell out (runMR keeps one copy as the reference). Rows,
+// chain stats and everything the run left in the DFS must be equal.
+func TestRunMatchesHandWrittenSequence(t *testing.T) {
+	for _, name := range []string{"Q18", "Q-CSA"} {
+		for _, mode := range []Mode{YSmart, OneToOne} {
+			tr := translate(t, queries.Named()[name], mode, Options{QueryName: "run"})
+			wantDFS, _ := workload(t)
+			wantRows, wantStats := runMR(t, tr, wantDFS)
+
+			dfs, _ := workload(t)
+			eng, err := mapreduce.NewEngine(dfs, mapreduce.SmallCluster())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(tr, eng, nil, nil)
+			if err != nil {
+				t.Fatalf("%s/%v: %v", name, mode, err)
+			}
+			if !reflect.DeepEqual(res.Rows, wantRows) {
+				t.Errorf("%s/%v: rows differ from the hand-written sequence", name, mode)
+			}
+			if !reflect.DeepEqual(res.Stats, wantStats) {
+				t.Errorf("%s/%v: chain stats differ from the hand-written sequence", name, mode)
+			}
+			if !reflect.DeepEqual(dfs.List(), wantDFS.List()) {
+				t.Fatalf("%s/%v: DFS holds %v, want %v", name, mode, dfs.List(), wantDFS.List())
+			}
+			for _, path := range dfs.List() {
+				got, _ := dfs.Read(path)
+				want, _ := wantDFS.Read(path)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s/%v: DFS file %s differs", name, mode, path)
+				}
+			}
+			// The rewrite that ran is the identity: the plan's own jobs.
+			rp := res.Reuse
+			if rp.Skipped != 0 || rp.Hits != 0 || rp.Misses != 0 || !reflect.DeepEqual(rp.Jobs, tr.Jobs) {
+				t.Errorf("%s/%v: nil-store rewrite is not the identity (skipped %d, hits %d, misses %d, %d/%d jobs)",
+					name, mode, rp.Skipped, rp.Hits, rp.Misses, len(rp.Jobs), len(tr.Jobs))
+			}
+		}
+	}
+}
+
+// TestRunFailureRecordsNothing: Record is the last of Run's four steps, so a
+// chain that fails and a result that cannot be read both leave the store
+// empty — a failed query must never publish an artifact — while the same
+// plan, run to the end, records one artifact per job.
+func TestRunFailureRecordsNothing(t *testing.T) {
+	tr := translate(t, queries.Named()["Q18"], YSmart, Options{QueryName: "run"})
+	run := func(tr *Translation, dfs *mapreduce.DFS, store *reuse.Store) error {
+		eng, err := mapreduce.NewEngine(dfs, mapreduce.SmallCluster())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Run(tr, eng, store, nil)
+		return err
+	}
+
+	store := reuse.NewStore(0, nil)
+	dfs, _ := workload(t)
+	dfs.Delete(TablePath("orders"))
+	if err := run(tr, dfs, store); err == nil {
+		t.Fatal("chain over a missing table did not fail")
+	}
+	if store.Len() != 0 {
+		t.Errorf("failed chain recorded %d artifacts", store.Len())
+	}
+
+	// A result the schema cannot decode: the chain runs, ReadResult fails.
+	unreadable := *tr
+	unreadable.OutputSchema = &exec.Schema{Cols: tr.OutputSchema.Cols[:1]}
+	dfs, _ = workload(t)
+	if err := run(&unreadable, dfs, store); err == nil {
+		t.Fatal("result read with a one-column schema did not fail")
+	}
+	if !dfs.Exists(tr.Output) {
+		t.Fatal("the chain did not run before the result read failed")
+	}
+	if store.Len() != 0 {
+		t.Errorf("unreadable result recorded %d artifacts", store.Len())
+	}
+
+	dfs, _ = workload(t)
+	if err := run(tr, dfs, store); err != nil {
+		t.Fatal(err)
+	}
+	if store.Len() != len(tr.Jobs) {
+		t.Errorf("completed run recorded %d artifacts, want %d", store.Len(), len(tr.Jobs))
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"ysmart/internal/mapreduce"
 	"ysmart/internal/obs"
 	"ysmart/internal/plan"
+	"ysmart/internal/sqlparser"
 )
 
 // Mode selects the translation strategy.
@@ -117,23 +118,26 @@ func (t *Translation) Describe() string {
 
 // ReadResult decodes the query result rows from the DFS.
 func (t *Translation) ReadResult(dfs *mapreduce.DFS) ([]exec.Row, error) {
-	lines, err := dfs.Read(t.Output)
+	return readResult(dfs, t.Output, t.OutputTag, t.OutputSchema)
+}
+
+// Analyze is the front half every surface shares: parse the statement, build
+// its logical plan against the catalog, and run the correlation analysis.
+// The plan root is the analysis' Root.
+func Analyze(sql string, cat plan.Catalog) (*correlation.Analysis, error) {
+	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("parse: %w", err)
 	}
-	var rows []exec.Row
-	for _, line := range lines {
-		tag, payload := cmf.SplitTag(line)
-		if tag != t.OutputTag {
-			continue
-		}
-		row, err := exec.DecodeRow(payload, t.OutputSchema)
-		if err != nil {
-			return nil, fmt.Errorf("result row %q: %w", line, err)
-		}
-		rows = append(rows, row)
+	root, err := plan.Build(stmt, cat)
+	if err != nil {
+		return nil, fmt.Errorf("plan: %w", err)
 	}
-	return rows, nil
+	a, err := correlation.Analyze(root)
+	if err != nil {
+		return nil, fmt.Errorf("analyze: %w", err)
+	}
+	return a, nil
 }
 
 // Translate compiles a logical plan into MapReduce jobs under the given

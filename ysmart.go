@@ -35,7 +35,6 @@ import (
 	"ysmart/internal/plan"
 	"ysmart/internal/queries"
 	"ysmart/internal/reuse"
-	"ysmart/internal/sqlparser"
 	"ysmart/internal/translator"
 )
 
@@ -174,19 +173,11 @@ type Query struct {
 
 // Parse parses sql and builds its logical plan against the catalog.
 func Parse(sql string, cat Catalog) (*Query, error) {
-	stmt, err := sqlparser.Parse(sql)
+	a, err := translator.Analyze(sql, cat)
 	if err != nil {
-		return nil, fmt.Errorf("parse: %w", err)
+		return nil, err
 	}
-	root, err := plan.Build(stmt, cat)
-	if err != nil {
-		return nil, fmt.Errorf("plan: %w", err)
-	}
-	a, err := correlation.Analyze(root)
-	if err != nil {
-		return nil, fmt.Errorf("analyze: %w", err)
-	}
-	return &Query{SQL: sql, root: root, analysis: a}, nil
+	return &Query{SQL: sql, root: a.Root(), analysis: a}, nil
 }
 
 // Plan returns the logical plan root (for advanced callers).
@@ -278,9 +269,9 @@ type Result struct {
 	Schema *Schema
 	Rows   []Row
 	Stats  *ChainStats
-	// Reuse reports the cross-query rewrite of a WithReuse run (nil
-	// otherwise): jobs skipped, store hits/misses, bytes and predicted
-	// seconds saved.
+	// Reuse reports the cross-query rewrite the run executed: jobs skipped,
+	// store hits/misses, bytes and predicted seconds saved. Without
+	// WithReuse it is the identity rewrite — nothing looked up or skipped.
 	Reuse *ReusePlan
 }
 
@@ -325,7 +316,8 @@ func NewReuseStore(capBytes int64, reg *Registry) *ReuseStore {
 	return reuse.NewStore(capBytes, reg)
 }
 
-// Run executes a translation and reads back its result.
+// Run executes a translation and reads back its result. The translation is
+// only read: one Translation may run on any number of runtimes at once.
 func (r *Runtime) Run(t *Translation, opts ...RunOption) (*Result, error) {
 	var cfg runConfig
 	for _, o := range opts {
@@ -341,27 +333,12 @@ func (r *Runtime) Run(t *Translation, opts ...RunOption) (*Result, error) {
 	}
 	if cfg.reuse != nil {
 		cfg.reuse.WatchDFS(r.dfs)
-		rp := translator.ApplyReuse(t, cfg.reuse, r.dfs)
-		stats, err := r.engine.RunChain(rp.Jobs)
-		if err != nil {
-			return nil, err
-		}
-		rows, err := rp.ReadResult(r.dfs)
-		if err != nil {
-			return nil, err
-		}
-		rp.Record(cfg.reuse, r.dfs, stats)
-		return &Result{Schema: t.OutputSchema, Rows: rows, Stats: stats, Reuse: rp}, nil
 	}
-	stats, err := r.engine.RunChain(t.Jobs)
+	res, err := translator.Run(t, r.engine, cfg.reuse, nil)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := t.ReadResult(r.dfs)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Schema: t.OutputSchema, Rows: rows, Stats: stats}, nil
+	return &Result{Schema: t.OutputSchema, Rows: res.Rows, Stats: res.Stats, Reuse: res.Reuse}, nil
 }
 
 // ---------------------------------------------------------------------------
