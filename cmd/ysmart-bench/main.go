@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"ysmart/internal/experiments"
-	"ysmart/internal/mapreduce"
 	"ysmart/internal/obs"
 	"ysmart/internal/obs/httpserve"
 )
@@ -47,16 +46,12 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *workers > 0 {
-		// Figure harnesses build engines internally, so the knob is the
-		// package-wide default for engines constructed after this point.
-		mapreduce.SetDefaultWorkers(*workers)
-	}
 
 	w, err := experiments.NewWorkload()
 	if err != nil {
 		return err
 	}
+	w.Workers = *workers
 
 	type figure struct {
 		name string

@@ -95,11 +95,11 @@ func run(args []string, stdout io.Writer) error {
 	if *selfcheck && *listen == "" && *serverTo == "" {
 		return fmt.Errorf("-selfcheck requires -listen or -server")
 	}
-	mode, err := parseMode(*modeName)
+	mode, err := ysmart.ParseMode(*modeName)
 	if err != nil {
 		return err
 	}
-	if _, err := parseCluster(*clusterN); err != nil {
+	if _, err := ysmart.ParseCluster(*clusterN); err != nil {
 		return err
 	}
 	names := strings.Split(*queryList, ",")
@@ -253,7 +253,7 @@ func run(args []string, stdout io.Writer) error {
 			}
 			// A fresh cluster model per client: engines must not
 			// share mutable model state.
-			cluster, _ := parseCluster(*clusterN)
+			cluster, _ := ysmart.ParseCluster(*clusterN)
 			rt, err := ysmart.NewRuntime(cluster)
 			if err != nil {
 				errMu.Lock()
@@ -531,34 +531,4 @@ func probeAdmin(base string) error {
 		}
 	}
 	return nil
-}
-
-func parseMode(name string) (ysmart.Mode, error) {
-	switch name {
-	case "ysmart":
-		return ysmart.YSmart, nil
-	case "one-to-one", "hive":
-		return ysmart.OneToOne, nil
-	case "pig-like", "pig":
-		return ysmart.PigLike, nil
-	case "ic-tc-only", "ictc":
-		return ysmart.ICTCOnly, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q", name)
-	}
-}
-
-func parseCluster(name string) (*ysmart.Cluster, error) {
-	switch name {
-	case "small":
-		return ysmart.SmallCluster(), nil
-	case "ec2-11":
-		return ysmart.EC2Cluster(10), nil
-	case "ec2-101":
-		return ysmart.EC2Cluster(100), nil
-	case "facebook":
-		return ysmart.FacebookCluster(1), nil
-	default:
-		return nil, fmt.Errorf("unknown cluster %q", name)
-	}
 }

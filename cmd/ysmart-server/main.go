@@ -69,11 +69,11 @@ func run(args []string, stdout io.Writer, ready func(sqlAddr, adminAddr string) 
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	mode, err := parseMode(*modeName)
+	mode, err := ysmart.ParseMode(*modeName)
 	if err != nil {
 		return err
 	}
-	if _, err := parseCluster(*clusterN); err != nil {
+	if _, err := ysmart.ParseCluster(*clusterN); err != nil {
 		return err
 	}
 	if *faults != "" {
@@ -123,7 +123,7 @@ func run(args []string, stdout io.Writer, ready func(sqlAddr, adminAddr string) 
 		Cluster: func() *ysmart.Cluster {
 			// Each session runtime needs a private cluster model (and a
 			// private fault plan: engines must not share mutable state).
-			cluster, _ := parseCluster(*clusterN)
+			cluster, _ := ysmart.ParseCluster(*clusterN)
 			if *faults != "" {
 				plan, _ := ysmart.ParseFaultSpec(*faults)
 				plan.Seed = *faultSeed
@@ -203,34 +203,4 @@ func portOf(addr string) string {
 		}
 	}
 	return ""
-}
-
-func parseMode(name string) (ysmart.Mode, error) {
-	switch name {
-	case "ysmart":
-		return ysmart.YSmart, nil
-	case "one-to-one", "hive":
-		return ysmart.OneToOne, nil
-	case "pig-like", "pig":
-		return ysmart.PigLike, nil
-	case "ic-tc-only", "ictc":
-		return ysmart.ICTCOnly, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q", name)
-	}
-}
-
-func parseCluster(name string) (*ysmart.Cluster, error) {
-	switch name {
-	case "small":
-		return ysmart.SmallCluster(), nil
-	case "ec2-11":
-		return ysmart.EC2Cluster(10), nil
-	case "ec2-101":
-		return ysmart.EC2Cluster(100), nil
-	case "facebook":
-		return ysmart.FacebookCluster(1), nil
-	default:
-		return nil, fmt.Errorf("unknown cluster %q", name)
-	}
 }

@@ -2,13 +2,9 @@
 // analyzers in internal/lint that enforce the invariants the simulator's
 // correctness rests on — deterministic replay (no wall-clock, no global
 // rand, no map-ordered emission, transitively through the call graph),
-// common-MapReduce tag/dispatch agreement, paired trace spans, data-race
-// freedom in parallel task bodies (sharecheck), fresh reduce-task
-// instances that never write their factory (concreduce), an acyclic
-// lock-order graph over the serving stack's identified mutexes
-// (lockorder), provable goroutine termination at every spawn site
-// (goleak), and no blocking operations reachable under a held mutex
-// (lockheld). Every run also audits lint:ignore directives
+// data-race freedom in parallel task bodies (sharecheck), and fresh
+// reduce-task instances that never write their factory (concreduce).
+// Every run also audits lint:ignore directives
 // and reports the ones that silence nothing ([staleignore]).
 //
 // Usage:

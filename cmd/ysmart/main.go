@@ -95,7 +95,7 @@ func run(args []string) error {
 		sql = named
 	}
 
-	mode, err := parseMode(*modeName)
+	mode, err := ysmart.ParseMode(*modeName)
 	if err != nil {
 		return err
 	}
@@ -170,7 +170,7 @@ func run(args []string) error {
 		return nil
 	}
 
-	cluster, err := parseCluster(*clusterN)
+	cluster, err := ysmart.ParseCluster(*clusterN)
 	if err != nil {
 		return err
 	}
@@ -356,34 +356,4 @@ func loadDataDir(rt *ysmart.Runtime, dir string) error {
 		return fmt.Errorf("no .tsv tables found in %s", dir)
 	}
 	return nil
-}
-
-func parseMode(name string) (ysmart.Mode, error) {
-	switch name {
-	case "ysmart":
-		return ysmart.YSmart, nil
-	case "one-to-one", "hive":
-		return ysmart.OneToOne, nil
-	case "pig-like", "pig":
-		return ysmart.PigLike, nil
-	case "ic-tc-only", "ictc":
-		return ysmart.ICTCOnly, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q", name)
-	}
-}
-
-func parseCluster(name string) (*ysmart.Cluster, error) {
-	switch name {
-	case "small":
-		return ysmart.SmallCluster(), nil
-	case "ec2-11":
-		return ysmart.EC2Cluster(10), nil
-	case "ec2-101":
-		return ysmart.EC2Cluster(100), nil
-	case "facebook":
-		return ysmart.FacebookCluster(1), nil
-	default:
-		return nil, fmt.Errorf("unknown cluster %q", name)
-	}
 }

@@ -27,24 +27,24 @@ func TestParseMode(t *testing.T) {
 		{"ictc", ysmart.ICTCOnly},
 	}
 	for _, tt := range tests {
-		got, err := parseMode(tt.in)
+		got, err := ysmart.ParseMode(tt.in)
 		if err != nil || got != tt.want {
-			t.Errorf("parseMode(%q) = (%v, %v), want %v", tt.in, got, err, tt.want)
+			t.Errorf("ParseMode(%q) = (%v, %v), want %v", tt.in, got, err, tt.want)
 		}
 	}
-	if _, err := parseMode("nope"); err == nil {
+	if _, err := ysmart.ParseMode("nope"); err == nil {
 		t.Error("unknown mode should error")
 	}
 }
 
 func TestParseCluster(t *testing.T) {
 	for _, name := range []string{"small", "ec2-11", "ec2-101", "facebook"} {
-		c, err := parseCluster(name)
+		c, err := ysmart.ParseCluster(name)
 		if err != nil || c == nil {
-			t.Errorf("parseCluster(%q) = (%v, %v)", name, c, err)
+			t.Errorf("ParseCluster(%q) = (%v, %v)", name, c, err)
 		}
 	}
-	if _, err := parseCluster("nope"); err == nil {
+	if _, err := ysmart.ParseCluster("nope"); err == nil {
 		t.Error("unknown cluster should error")
 	}
 }

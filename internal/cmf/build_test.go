@@ -365,6 +365,9 @@ func TestCommonJobValidation(t *testing.T) {
 		{"multi-output needs tags", func(c *CommonJob) {
 			c.Outputs = []OutputSpec{{Op: "f"}, {Op: "f", Tag: "t"}}
 		}, "tags"},
+		{"duplicate output tag", func(c *CommonJob) {
+			c.Outputs = []OutputSpec{{Op: "f", Tag: "t"}, {Op: "f", Tag: "t"}}
+		}, "duplicate output tag"},
 		{"combiner needs agg", func(c *CommonJob) { c.CombineOp = "f" }, "not an aggregation"},
 		{"combiner unknown op", func(c *CommonJob) { c.CombineOp = "zzz" }, "not found"},
 	}

@@ -60,7 +60,7 @@ func Ablations(w *Workload) (*AblationsResult, error) {
 		}
 		cluster := mapreduce.SmallCluster()
 		cluster.DataScale = w.scaleFor(query, tpchSmallBytes)
-		res, err := runPlan(tr, w.FreshDFS(), cluster, nil)
+		res, err := w.runPlan(tr, w.FreshDFS(), cluster, nil)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+
+	"ysmart/internal/mapreduce"
 )
 
 // The workload is expensive to generate; share one across tests.
@@ -20,6 +23,21 @@ func testWorkload(t *testing.T) *Workload {
 		t.Fatal(sharedErr)
 	}
 	return sharedW
+}
+
+// TestWorkloadWorkersReachEngines: the -workers count travels on the
+// Workload to every engine a figure builds; zero keeps NewEngine's NumCPU.
+func TestWorkloadWorkersReachEngines(t *testing.T) {
+	for _, tt := range []struct{ set, want int }{{0, runtime.NumCPU()}, {3, 3}} {
+		w := &Workload{Workers: tt.set}
+		eng, err := w.newEngine(mapreduce.NewDFS(), mapreduce.SmallCluster())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eng.Workers() != tt.want {
+			t.Errorf("Workers = %d: engine has %d workers, want %d", tt.set, eng.Workers(), tt.want)
+		}
+	}
 }
 
 // TestFig2bShape: Hive is competitive with hand-coded MR on the simple

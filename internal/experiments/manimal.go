@@ -80,7 +80,7 @@ func Manimal(w *Workload) (*ManimalResult, error) {
 	cluster.DataScale = w.TPCHScale(tpchSmallBytes)
 	runJobs := func(jobs []*mapreduce.Job) (*mapreduce.ChainStats, *mapreduce.DFS, error) {
 		dfs := w.FreshDFS()
-		eng, err := mapreduce.NewEngine(dfs, cluster)
+		eng, err := w.newEngine(dfs, cluster)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -132,10 +132,10 @@ func Manimal(w *Workload) (*ManimalResult, error) {
 		}
 		applied := 0
 		if optimize {
-			a, _ := optanalysis.ApplyTranslation(tr)
+			a, _ := translator.ApplyScanFacts(tr)
 			applied = len(a)
 		}
-		res, err := runPlan(tr, w.FreshDFS(), cluster, nil)
+		res, err := w.runPlan(tr, w.FreshDFS(), cluster, nil)
 		if err != nil {
 			return nil, nil, 0, err
 		}

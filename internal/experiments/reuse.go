@@ -75,7 +75,7 @@ func Reuse(w *Workload) (*ReuseResult, error) {
 		round := func(system string) (*translator.Result, error) {
 			cluster := mapreduce.SmallCluster()
 			cluster.DataScale = w.scaleFor(name, tpchSmallBytes)
-			res, err := runPlan(tr, dfs, cluster, store)
+			res, err := w.runPlan(tr, dfs, cluster, store)
 			if err != nil {
 				return nil, fmt.Errorf("%s %s: %w", name, system, err)
 			}

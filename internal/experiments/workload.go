@@ -35,6 +35,11 @@ type Workload struct {
 	DB       *dbms.Database
 	tpchSize int64 // bytes of all TPC-H tables as stored in the DFS
 	clickSz  int64
+
+	// Workers is the goroutine count of every engine the figures build
+	// (ysmart-bench -workers); 0 keeps NewEngine's NumCPU. Figures are
+	// identical at any count.
+	Workers int
 }
 
 // NewWorkload generates the experiment data set (larger than the test
@@ -105,11 +110,22 @@ func (w *Workload) scaleFor(query string, tpchTarget float64) float64 {
 	return w.ClicksScale(clicksBytes)
 }
 
-// runPlan executes a translation on a fresh engine over dfs — the one place
-// the figures build an engine for a Translation. store is translator.Run's:
-// nil runs the plan as compiled.
-func runPlan(tr *translator.Translation, dfs *mapreduce.DFS, cluster *mapreduce.Cluster, store *reuse.Store) (*translator.Result, error) {
+// newEngine is the one place the figures build an engine.
+func (w *Workload) newEngine(dfs *mapreduce.DFS, cluster *mapreduce.Cluster) (*mapreduce.Engine, error) {
 	eng, err := mapreduce.NewEngine(dfs, cluster)
+	if err != nil {
+		return nil, err
+	}
+	if w.Workers > 0 {
+		eng.SetWorkers(w.Workers)
+	}
+	return eng, nil
+}
+
+// runPlan executes a translation on a fresh engine over dfs. store is
+// translator.Run's: nil runs the plan as compiled.
+func (w *Workload) runPlan(tr *translator.Translation, dfs *mapreduce.DFS, cluster *mapreduce.Cluster, store *reuse.Store) (*translator.Result, error) {
+	eng, err := w.newEngine(dfs, cluster)
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +155,7 @@ func (w *Workload) RunTranslatedResult(query string, mode translator.Mode, clust
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s (%v): %w", query, mode, err)
 	}
-	res, err := runPlan(tr, w.FreshDFS(), cluster, nil)
+	res, err := w.runPlan(tr, w.FreshDFS(), cluster, nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s (%v): %w", query, mode, err)
 	}
@@ -159,7 +175,7 @@ func (w *Workload) RunHandCoded(query string, cluster *mapreduce.Cluster, label 
 	default:
 		return nil, fmt.Errorf("no hand-coded program for %q", query)
 	}
-	eng, err := mapreduce.NewEngine(w.FreshDFS(), cluster)
+	eng, err := w.newEngine(w.FreshDFS(), cluster)
 	if err != nil {
 		return nil, err
 	}

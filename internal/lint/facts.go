@@ -90,21 +90,6 @@ func isSyncMutex(t types.Type) bool {
 	return name == "Mutex" || name == "RWMutex"
 }
 
-// isAtomicCall reports whether the call goes to sync/atomic — either a
-// package function (atomic.AddInt64) or a method on an atomic type
-// (counter.Add). Atomic operations are commutative folds, the sanctioned
-// lock-free write.
-func isAtomicCall(pkg *Package, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	if fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil {
-		return fn.Pkg().Path() == "sync/atomic"
-	}
-	return false
-}
-
 // ---------------------------------------------------------------------------
 // Effect facts: unguarded shared writes and unguarded calls
 // ---------------------------------------------------------------------------

@@ -8,26 +8,12 @@
 //     no map-iteration-ordered emission in the simulator's data paths —
 //     including through any chain of in-module helper calls, resolved
 //     over the module call graph (callgraph.go, facts.go);
-//   - tagdispatch: a CommonJob built from literals must write only ops
-//     it evaluates, with distinct tags, and every would-be cmf.Op type
-//     must implement the full Name/Sources/Eval triple;
-//   - spanpair: every obs.Begin span must be Ended on every return path
-//     of its function;
 //   - sharecheck: closures run concurrently by forEachTask (or spawned
 //     with go) may write captured state only into a task-index slot,
 //     under a mutex, or atomically — helpers included;
 //   - concreduce: a NewReduceTask factory must return a fresh instance,
-//     and the instance may write its parent only in Done, under a mutex;
-//   - lockorder: the module-global acquired-while-holding graph over
-//     identified mutexes (package globals, struct fields keyed by type)
-//     must be acyclic; cycles are reported with a witness acquisition
-//     path per edge (lockset.go);
-//   - goleak: every go statement must reach a provable exit — a spawn
-//     whose body (directly or through calls) loops forever with no
-//     return, break, or goto is reported at the spawn site;
-//   - lockheld: no blocking operation (channel send/receive without a
-//     default, select without default, Wait, time.Sleep, network I/O)
-//     may be reachable while a mutex is held.
+//     and the instance never writes state reached through its factory —
+//     what a task counts it returns from Done.
 //
 // A diagnostic on a deliberate exception is silenced with a trailing or
 // preceding `// lint:ignore <check> reason` comment. The driver audits
@@ -45,7 +31,7 @@ import (
 )
 
 // Analyzers is the full ysmart-vet suite in stable order.
-var Analyzers = []*Analyzer{Determinism, TagDispatch, SpanPair, ShareCheck, ConcReduce, LockOrder, GoLeak, LockHeld}
+var Analyzers = []*Analyzer{Determinism, ShareCheck, ConcReduce}
 
 // StaleIgnoreCheck is the name the driver's suppression audit reports
 // under. It is not an Analyzer: the driver itself emits it after all
@@ -98,8 +84,8 @@ func (d Diagnostic) String() string {
 // Pass is one analyzer's view of one package under analysis.
 type Pass struct {
 	// Prog is the loaded program, giving cross-package context (the
-	// call graph and lock graph span every module package regardless of
-	// which package is being vetted).
+	// call graph spans every module package regardless of which package
+	// is being vetted).
 	Prog *Program
 	// Pkg is the package under analysis.
 	Pkg      *Package

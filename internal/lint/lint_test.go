@@ -10,7 +10,7 @@ import (
 // and checks the diagnostics against the // want comments — both that
 // every finding is expected and that every expectation fires.
 func TestCorpora(t *testing.T) {
-	for _, corpus := range []string{"determinism", "tagdispatch", "spanpair", "sharecheck", "concreduce", "lockorder", "goleak", "lockheld"} {
+	for _, corpus := range []string{"determinism", "sharecheck", "concreduce"} {
 		t.Run(corpus, func(t *testing.T) {
 			dir := filepath.Join("testdata", "src", corpus)
 			problems, err := CheckCorpus(dir, Analyzers)
@@ -28,7 +28,7 @@ func TestCorpora(t *testing.T) {
 // run through the public driver (the CLI's exit-1 path); a corpus that
 // goes silent means its analyzer regressed.
 func TestCorporaFail(t *testing.T) {
-	for _, corpus := range []string{"determinism", "tagdispatch", "spanpair", "sharecheck", "concreduce", "lockorder", "goleak", "lockheld"} {
+	for _, corpus := range []string{"determinism", "sharecheck", "concreduce"} {
 		t.Run(corpus, func(t *testing.T) {
 			dir := filepath.Join("testdata", "src", corpus)
 			diags, err := Vet(dir, []string{"."}, Analyzers)
@@ -74,12 +74,6 @@ func TestAnalyzerScopes(t *testing.T) {
 	if Determinism.appliesTo("internal/obs") {
 		t.Error("determinism must not cover internal/obs (exporters sort maps themselves)")
 	}
-	if !SpanPair.appliesTo("internal/obs") || !LockOrder.appliesTo("cmd/ysmart") {
-		t.Error("unscoped analyzers must cover every package")
-	}
-	if !TagDispatch.appliesTo("internal/cmf") || TagDispatch.appliesTo("internal/exec") {
-		t.Error("tagdispatch scope must be exactly internal/cmf")
-	}
 	if !ShareCheck.appliesTo("internal/mapreduce") || !ShareCheck.appliesTo("internal/difftest") {
 		t.Error("sharecheck must cover the packages that spawn parallel tasks")
 	}
@@ -88,21 +82,6 @@ func TestAnalyzerScopes(t *testing.T) {
 	}
 	if !ConcReduce.appliesTo("cmd/ysmart") {
 		t.Error("concreduce is unscoped; reduce-task factories may live anywhere")
-	}
-	if !LockOrder.appliesTo("internal/translator") {
-		t.Error("lockorder is unscoped; the lock graph is a whole-module property")
-	}
-	if !GoLeak.appliesTo("internal/server") || !GoLeak.appliesTo("cmd/ysmart-loadgen") {
-		t.Error("goleak must cover the goroutine-dense serving and load packages")
-	}
-	if GoLeak.appliesTo("internal/translator") {
-		t.Error("goleak must not cover the sequential translator")
-	}
-	if !LockHeld.appliesTo("internal/server") || !LockHeld.appliesTo("internal/reuse") || !LockHeld.appliesTo("internal/obs") {
-		t.Error("lockheld must cover the serving stack")
-	}
-	if LockHeld.appliesTo("internal/mapreduce") {
-		t.Error("lockheld must not cover the engine's own barrier internals")
 	}
 }
 
@@ -143,9 +122,8 @@ func TestStaleIgnoreAudit(t *testing.T) {
 }
 
 // BenchmarkVetModule guards the CI gate's latency: one full-module vet
-// — load, type-check, call graph, every analyzer (the lock-order,
-// goleak, and lockheld passes included via Analyzers) — must stay
-// within a few seconds on one core. CI runs it with -benchtime=1x under
+// — load, type-check, call graph, every analyzer — must stay within a
+// few seconds on one core. CI runs it with -benchtime=1x under
 // the job's -timeout budget, so a pathological slowdown fails the gate.
 func BenchmarkVetModule(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -155,22 +133,6 @@ func BenchmarkVetModule(b *testing.B) {
 		}
 		if len(diags) != 0 {
 			b.Fatalf("tree not vet-clean: %s", diags[0])
-		}
-	}
-}
-
-// BenchmarkVetLockSuite isolates the marginal cost of the concurrency
-// analyzers (lock graph, entry propagation, lifecycle facts) so a
-// regression in the new passes is visible apart from load/type-check
-// time.
-func BenchmarkVetLockSuite(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		diags, err := Vet(filepath.Join("..", ".."), []string{"./..."}, []*Analyzer{LockOrder, GoLeak, LockHeld})
-		if err != nil {
-			b.Fatalf("Vet(./...): %v", err)
-		}
-		if len(diags) != 0 {
-			b.Fatalf("tree not clean under the lock suite: %s", diags[0])
 		}
 	}
 }

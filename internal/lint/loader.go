@@ -45,16 +45,8 @@ type Program struct {
 	nondetOnce bool
 	nondet     map[*types.Func]*Fact
 
-	// Lock- and lifecycle-analysis caches (lockset.go and friends).
-	lockWraps      map[*types.Func]map[int]int
-	lockFacts      map[*types.Func]*lockFacts
-	entryHeld      map[*types.Func]map[string]heldVia
-	lockCyclesOnce bool
-	lockCycles     []lockCycle
-	leakOnce       bool
-	leak           map[*types.Func]*Fact
-	blockOnce      bool
-	block          map[*types.Func]*Fact
+	// lockWraps caches CallGraph.lockWrappers (lockset.go).
+	lockWraps map[*types.Func]map[int]int
 }
 
 // Target is one package selected by the command-line patterns. Explicit

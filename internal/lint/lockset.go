@@ -7,23 +7,16 @@ import (
 	"sort"
 )
 
-// The lock-tracking layer, shared by every analyzer that asks what is
-// held at a program point. Some only ask "is any lock held here?"
-// (heldLocks.any: effect facts, sharecheck); the ones that reason about
-// lock *ordering* need to know which lock object each Lock() call
-// touches. Lock objects are identified structurally, the granularity the
-// serving stack actually uses:
+// The lock-tracking layer behind the effect facts (facts.go) and
+// sharecheck, which ask "is any lock held at this program point?"
+// (heldLocks.any). Lock objects are identified structurally so that a
+// release drops the hold it pairs with:
 //
 //   - a package-level mutex variable -> "pkg.var";
 //   - a mutex field of a named struct, keyed by the type (not the
-//     instance) -> "pkg.Type.field", so reuse.Store.mu is one lock no
-//     matter how many stores exist. Type-keying over-approximates
-//     (two instances of one type collapse), which is the sound
-//     direction for deadlock detection;
+//     instance) -> "pkg.Type.field";
 //   - anything else (a local mutex, a parameter with no resolvable
-//     argument) has no identity: it still counts as "a lock is held"
-//     but produces no ordering edges, since it cannot alias a lock in
-//     another function.
+//     argument) has no identity and is matched by mode alone.
 //
 // One extra hop is resolved lexically: a helper whose body net-locks a
 // *sync.Mutex / *sync.RWMutex parameter (a lock wrapper) makes its call
@@ -33,11 +26,7 @@ import (
 // The traversal is a lexical approximation: Lock/Unlock calls are
 // interpreted in statement order, a deferred Unlock holds to function
 // end, branch-local changes do not survive the join (must-hold
-// lexically), and a go-spawned body starts with nothing held. Interprocedurally the propagation is
-// may-hold: a callee reachable through static or dynamic edges from a
-// locked call site is treated as entered with those locks held on at
-// least one path. Ref edges do not propagate hold state — a function
-// value bound under a lock usually runs long after the unlock.
+// lexically), and a go-spawned body starts with nothing held.
 
 // lockKey identifies one lock object and acquisition mode. Read
 // acquisitions (RLock) are tracked distinctly from write acquisitions:
@@ -52,7 +41,7 @@ type lockKey struct {
 }
 
 // heldLock is one entry of the lexical hold multiset: the lock plus the
-// position where it was acquired (for witness rendering).
+// position where it was acquired.
 type heldLock struct {
 	Key lockKey
 	Pos token.Pos
@@ -426,192 +415,4 @@ func (g *CallGraph) lockWrappers() map[*types.Func]map[int]int {
 	}
 	g.prog.lockWraps = wraps
 	return wraps
-}
-
-// ---------------------------------------------------------------------------
-// Per-function lock facts and may-hold propagation
-// ---------------------------------------------------------------------------
-
-// lockAcquire is one acquisition site with the locks lexically held
-// just before it.
-type lockAcquire struct {
-	Key  lockKey
-	Pos  token.Pos
-	Held []heldLock
-}
-
-// lockCall is one outgoing call edge with the locks lexically held at
-// the call site.
-type lockCall struct {
-	Edge CallEdge
-	Held []heldLock
-}
-
-// lockFacts summarizes one function's lock behavior.
-type lockFacts struct {
-	Acquires []lockAcquire
-	Calls    []lockCall
-}
-
-// lockFactsOf computes (and caches) the function's lock facts.
-func (g *CallGraph) lockFactsOf(fn *types.Func) *lockFacts {
-	if g.prog.lockFacts == nil {
-		g.prog.lockFacts = make(map[*types.Func]*lockFacts)
-	}
-	if lf, ok := g.prog.lockFacts[fn]; ok {
-		return lf
-	}
-	lf := &lockFacts{}
-	g.prog.lockFacts[fn] = lf
-	d, ok := g.Decls[fn]
-	if !ok {
-		return lf
-	}
-	pkg := d.Pkg
-	wraps := g.lockWrappers()
-	node := g.Nodes[fn]
-	edgesAt := make(map[token.Pos][]CallEdge)
-	if node != nil {
-		for _, e := range node.Out {
-			edgesAt[e.Pos] = append(edgesAt[e.Pos], e)
-		}
-	}
-	held := &heldLocks{}
-	visitHeld(pkg, wraps, d.Decl.Body.List, held, func(n ast.Node, held *heldLocks) {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if k, delta, ok := lockEventOf(pkg, n); ok && delta > 0 {
-				lf.Acquires = append(lf.Acquires, lockAcquire{Key: k, Pos: n.Pos(), Held: held.snapshot()})
-			}
-			for _, eff := range wrapperEffects(pkg, wraps, n) {
-				if eff.delta > 0 {
-					lf.Acquires = append(lf.Acquires, lockAcquire{Key: eff.key, Pos: n.Pos(), Held: held.snapshot()})
-				}
-			}
-			takeLockEdges(lf, edgesAt, n.Pos(), held)
-		case *ast.SelectorExpr:
-			takeLockEdges(lf, edgesAt, n.Pos(), held)
-		case *ast.Ident:
-			takeLockEdges(lf, edgesAt, n.Pos(), held)
-		}
-	})
-	sort.Slice(lf.Acquires, func(i, k int) bool { return lf.Acquires[i].Pos < lf.Acquires[k].Pos })
-	sort.Slice(lf.Calls, func(i, k int) bool {
-		a, b := lf.Calls[i], lf.Calls[k]
-		if a.Edge.Pos != b.Edge.Pos {
-			return a.Edge.Pos < b.Edge.Pos
-		}
-		return a.Edge.Callee.FullName() < b.Edge.Callee.FullName()
-	})
-	return lf
-}
-
-// takeLockEdges consumes the call edges keyed at pos, recording each
-// with the current hold snapshot.
-func takeLockEdges(lf *lockFacts, edgesAt map[token.Pos][]CallEdge, pos token.Pos, held *heldLocks) {
-	edges, ok := edgesAt[pos]
-	if !ok {
-		return
-	}
-	delete(edgesAt, pos)
-	for _, e := range edges {
-		lf.Calls = append(lf.Calls, lockCall{Edge: e, Held: held.snapshot()})
-	}
-}
-
-// heldVia records how a lock came to be held on entry to a function:
-// inherited from Caller, whose call at Pos carried it.
-type heldVia struct {
-	Key    lockKey
-	Caller *types.Func
-	Pos    token.Pos
-}
-
-// entryHeld is the may-hold-on-entry relation: for each function, the
-// identified locks some caller chain holds when the function starts.
-// Propagation follows static and dynamic edges only (a ref edge binds a
-// value that usually runs after the unlock) and skips go-spawned calls
-// (visitHeld already clears their hold state).
-func (g *CallGraph) entryHeld() map[*types.Func]map[string]heldVia {
-	if g.prog.entryHeld != nil {
-		return g.prog.entryHeld
-	}
-	entry := make(map[*types.Func]map[string]heldVia)
-	fns := g.sortedFuncs()
-	queue := append([]*types.Func(nil), fns...)
-	queued := make(map[*types.Func]bool, len(fns))
-	for _, fn := range fns {
-		queued[fn] = true
-	}
-	for len(queue) > 0 {
-		fn := queue[0]
-		queue = queue[1:]
-		queued[fn] = false
-		lf := g.lockFactsOf(fn)
-		for _, c := range lf.Calls {
-			if c.Edge.Kind == EdgeRef {
-				continue
-			}
-			callee := c.Edge.Callee
-			add := func(key lockKey) {
-				if key.ID == "" {
-					return
-				}
-				m := entry[callee]
-				if m == nil {
-					m = make(map[string]heldVia)
-					entry[callee] = m
-				}
-				if _, ok := m[key.ID]; ok {
-					return
-				}
-				m[key.ID] = heldVia{Key: key, Caller: fn, Pos: c.Edge.Pos}
-				if !queued[callee] {
-					queued[callee] = true
-					queue = append(queue, callee)
-				}
-			}
-			for _, h := range c.Held {
-				add(h.Key)
-			}
-			ids := make([]string, 0, len(entry[fn]))
-			for id := range entry[fn] {
-				ids = append(ids, id)
-			}
-			sort.Strings(ids)
-			for _, id := range ids {
-				add(entry[fn][id].Key)
-			}
-		}
-	}
-	g.prog.entryHeld = entry
-	return entry
-}
-
-// entryChain renders the caller chain through which fn inherits the
-// lock id, outermost caller first, ending at fn. The chain terminates
-// at the function that holds the lock lexically.
-func (g *CallGraph) entryChain(entry map[*types.Func]map[string]heldVia, fn *types.Func, id string) []*types.Func {
-	chain := []*types.Func{fn}
-	cur := fn
-	for hop := 0; hop < 32; hop++ {
-		via, ok := entry[cur][id]
-		if !ok {
-			break
-		}
-		chain = append([]*types.Func{via.Caller}, chain...)
-		cur = via.Caller
-	}
-	return chain
-}
-
-// sortedFuncs returns every graphed function in FullName order, the
-// deterministic iteration the lock passes rely on.
-func (g *CallGraph) sortedFuncs() []*types.Func {
-	fns := make([]*types.Func, 0, len(g.Nodes))
-	for fn := range g.Nodes {
-		fns = append(fns, fn)
-	}
-	sort.Slice(fns, func(i, k int) bool { return fns[i].FullName() < fns[k].FullName() })
-	return fns
 }

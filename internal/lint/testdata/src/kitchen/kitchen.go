@@ -9,9 +9,6 @@ import (
 	"math/rand"
 	"sync"
 	"time"
-
-	"ysmart/internal/cmf"
-	"ysmart/internal/obs"
 )
 
 func clock() time.Time {
@@ -26,21 +23,6 @@ func roll() int {
 func emitMap(m map[string]int, emit func(string)) {
 	for k := range m { // lint:ignore determinism deliberate for the corpus
 		emit(k)
-	}
-}
-
-func leakySpan(t obs.Tracer) {
-	sp := obs.Begin(t, "job", "k", "driver", 0) // lint:ignore spanpair deliberate for the corpus
-	_ = sp
-}
-
-func badJob() cmf.CommonJob {
-	return cmf.CommonJob{
-		Name: "kitchen",
-		Ops:  []cmf.Op{&cmf.AggOp{OpName: "a"}},
-		Outputs: []cmf.OutputSpec{
-			{Op: "missing"}, // lint:ignore tagdispatch deliberate for the corpus
-		},
 	}
 }
 
@@ -77,42 +59,6 @@ func gather(p *pool, lines []string) error {
 		out = append(out, lines[i])
 		return nil
 	})
-}
-
-var (
-	kmuA sync.Mutex
-	kmuB sync.Mutex
-	kmuC sync.Mutex
-)
-
-// lockKitchenAB and lockKitchenBA seed a two-mutex cycle; the one
-// diagnostic anchors at the smaller edge's acquisition below.
-func lockKitchenAB() {
-	kmuA.Lock()
-	kmuB.Lock() // lint:ignore lockorder deliberate for the corpus
-	kmuB.Unlock()
-	kmuA.Unlock()
-}
-
-func lockKitchenBA() {
-	kmuB.Lock()
-	kmuA.Lock()
-	kmuA.Unlock()
-	kmuB.Unlock()
-}
-
-func leakyLoop() {
-	// lint:ignore goleak exercising the standalone escape hatch
-	go func() {
-		for {
-		}
-	}()
-}
-
-func blockUnderLock(ch chan int) {
-	kmuC.Lock()
-	<-ch // lint:ignore lockheld deliberate for the corpus
-	kmuC.Unlock()
 }
 
 type folder struct {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"ysmart/internal/obs"
 )
@@ -13,25 +12,20 @@ import (
 // text lines. The zero value is not usable; call NewDFS.
 //
 // All methods are safe for concurrent use: the engine's worker pool may
-// read while the driver writes other paths. Write and Append never share
-// backing arrays with slices handed out by earlier Reads, and observation
+// read while the driver writes other paths. Write never shares a backing
+// array with slices handed out by earlier Reads, and observation
 // (trace instants, counters) happens under the same lock as the file-map
 // access so readers never see a torn path/length pair.
 type DFS struct {
 	mu    sync.RWMutex
 	files map[string][]string
-	// contention counts lock acquisitions that found the lock held. It is a
-	// host-scheduling artifact, so it is exposed only through Contention()
-	// and deliberately never reaches metrics or traces — those must stay
-	// byte-identical across runs and worker counts.
-	contention atomic.Int64
 
 	tracer  obs.Tracer
 	metrics *obs.Registry
 	clock   func() float64
 
-	// writeObs, when set, is invoked with the path of every Write, Append
-	// and Delete — the hook validity-epoch tracking (internal/reuse) hangs
+	// writeObs, when set, is invoked with the path of every Write and
+	// Delete — the hook validity-epoch tracking (internal/reuse) hangs
 	// off so materialized artifacts derived from a path stop being served
 	// the moment the path's content changes. Called under the DFS lock:
 	// observers must be fast and must never call back into the DFS.
@@ -91,26 +85,10 @@ func (e *FileNotFoundError) Error() string {
 	return fmt.Sprintf("dfs: file %q not found", e.Path)
 }
 
-// lock acquires the write lock, counting contended acquisitions.
-func (d *DFS) lock() {
-	if !d.mu.TryLock() {
-		d.contention.Add(1)
-		d.mu.Lock()
-	}
-}
-
-// rlock acquires the read lock, counting contended acquisitions.
-func (d *DFS) rlock() {
-	if !d.mu.TryRLock() {
-		d.contention.Add(1)
-		d.mu.RLock()
-	}
-}
-
 // SetWriteObserver registers fn to be called with the path of every
-// subsequent Write, Append and Delete (nil unregisters). The callback
-// runs under the DFS write lock so mutation and notification are atomic;
-// it must not call back into the DFS.
+// subsequent Write and Delete (nil unregisters). The callback runs under
+// the DFS write lock so mutation and notification are atomic; it must not
+// call back into the DFS.
 func (d *DFS) SetWriteObserver(fn func(path string)) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -124,12 +102,6 @@ func (d *DFS) notifyWrite(path string) {
 	}
 }
 
-// Contention reports how many lock acquisitions found the lock held — a
-// measure of real concurrent pressure on the DFS. The count depends on
-// host scheduling and worker count, so it is diagnostic only: it never
-// feeds stats, metrics or traces.
-func (d *DFS) Contention() int64 { return d.contention.Load() }
-
 // Write stores lines at path, replacing any previous content. The slice is
 // copied.
 func (d *DFS) Write(path string, lines []string) {
@@ -142,23 +114,9 @@ func (d *DFS) Write(path string, lines []string) {
 // which the caller must never touch again. The engine stores job output —
 // slices it built itself and drops on return — this way.
 func (d *DFS) writeOwned(path string, lines []string) {
-	d.lock()
+	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.files[path] = lines
-	d.observe("write", path, lines)
-	d.notifyWrite(path)
-}
-
-// Append adds lines to path, creating it if absent. The three-index slice
-// caps the existing content at its length, forcing append to allocate a
-// fresh backing array instead of growing in place — growth in place would
-// write into an array shared with slices earlier Reads handed out, the
-// classic torn-read hazard once readers run on other goroutines.
-func (d *DFS) Append(path string, lines []string) {
-	d.lock()
-	defer d.mu.Unlock()
-	cur := d.files[path]
-	d.files[path] = append(cur[:len(cur):len(cur)], lines...)
 	d.observe("write", path, lines)
 	d.notifyWrite(path)
 }
@@ -166,7 +124,7 @@ func (d *DFS) Append(path string, lines []string) {
 // Read returns the lines of path. The returned slice is shared; callers
 // must not mutate it.
 func (d *DFS) Read(path string) ([]string, error) {
-	d.rlock()
+	d.mu.RLock()
 	defer d.mu.RUnlock()
 	lines, ok := d.files[path]
 	if !ok {
@@ -178,7 +136,7 @@ func (d *DFS) Read(path string) ([]string, error) {
 
 // Exists reports whether path is present.
 func (d *DFS) Exists(path string) bool {
-	d.rlock()
+	d.mu.RLock()
 	defer d.mu.RUnlock()
 	_, ok := d.files[path]
 	return ok
@@ -186,7 +144,7 @@ func (d *DFS) Exists(path string) bool {
 
 // Delete removes path; deleting a missing path is a no-op.
 func (d *DFS) Delete(path string) {
-	d.lock()
+	d.mu.Lock()
 	defer d.mu.Unlock()
 	delete(d.files, path)
 	d.notifyWrite(path)
@@ -195,7 +153,7 @@ func (d *DFS) Delete(path string) {
 // SizeBytes returns the byte size of path's content (line bytes plus one
 // newline per line), or 0 if absent.
 func (d *DFS) SizeBytes(path string) int64 {
-	d.rlock()
+	d.mu.RLock()
 	defer d.mu.RUnlock()
 	var n int64
 	for _, l := range d.files[path] {
@@ -206,7 +164,7 @@ func (d *DFS) SizeBytes(path string) int64 {
 
 // List returns all paths in sorted order.
 func (d *DFS) List() []string {
-	d.rlock()
+	d.mu.RLock()
 	defer d.mu.RUnlock()
 	out := make([]string, 0, len(d.files))
 	for p := range d.files {

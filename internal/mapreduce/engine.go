@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 
 	"ysmart/internal/obs"
@@ -43,7 +44,7 @@ func NewEngine(dfs *DFS, cluster *Cluster) (*Engine, error) {
 		dfs:     dfs,
 		cluster: cluster,
 		gapRNG:  rand.New(rand.NewSource(cluster.Contention.Seed)),
-		workers: DefaultWorkers(),
+		workers: runtime.NumCPU(),
 		tracer:  obs.Nop,
 	}, nil
 }
@@ -85,9 +86,9 @@ func (e *Engine) RunChain(jobs []*Job) (*ChainStats, error) {
 	chainStart := e.simNow
 	e.logger.Info("chain.start",
 		obs.F("jobs", int64(len(ordered))), obs.F("sim_s", chainStart))
-	// The chain span brackets every job (and survives early error returns
-	// thanks to the deferred End — the pairing the spanpair analyzer
-	// enforces); its byte totals are only known once the jobs have run.
+	// The chain span brackets every job and survives early error returns
+	// thanks to the deferred End (TestFailedChainClosesItsSpan); its byte
+	// totals are only known once the jobs have run.
 	span := obs.Begin(e.tracer, "chain", fmt.Sprintf("chain(%d jobs)", len(ordered)),
 		"driver", e.simNow, obs.F("jobs", int64(len(ordered))))
 	defer func() {

@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -25,29 +24,10 @@ import (
 // carry the deterministic simulated slot instead (see emitWaves) — because
 // a host goroutine id would differ between runs and break replay.
 
-// defaultWorkers is the worker count engines start with; NumCPU unless
-// overridden by SetDefaultWorkers (the -workers CLI flag).
-var defaultWorkers atomic.Int64
-
-func init() { defaultWorkers.Store(int64(runtime.NumCPU())) }
-
-// SetDefaultWorkers sets the worker count newly built engines use. n <= 0
-// restores the NumCPU default. It exists for CLIs whose engines are
-// constructed deep inside harnesses (ysmart-bench); code holding an Engine
-// should call SetWorkers instead.
-func SetDefaultWorkers(n int) {
-	if n <= 0 {
-		n = runtime.NumCPU()
-	}
-	defaultWorkers.Store(int64(n))
-}
-
-// DefaultWorkers returns the worker count newly built engines use.
-func DefaultWorkers() int { return int(defaultWorkers.Load()) }
-
-// SetWorkers sets how many goroutines execute this engine's tasks. n <= 1
-// means fully sequential execution on the calling goroutine. Results are
-// byte-identical at any worker count; only host wall-clock changes.
+// SetWorkers sets how many goroutines execute this engine's tasks (a new
+// engine starts with runtime.NumCPU). n <= 1 means fully sequential
+// execution on the calling goroutine. Results are byte-identical at any
+// worker count; only host wall-clock changes.
 func (e *Engine) SetWorkers(n int) {
 	if n < 1 {
 		n = 1

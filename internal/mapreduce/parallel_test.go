@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,7 +26,7 @@ func TestDFSConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			own := fmt.Sprintf("f%d", g)
 			for i := 0; i < 200; i++ {
-				d.Append(own, []string{fmt.Sprintf("line-%d-%d", g, i)})
+				d.Write(own, []string{fmt.Sprintf("line-%d-%d", g, i)})
 				if lines, err := d.Read(fmt.Sprintf("f%d", (g+i)%8)); err != nil || len(lines) == 0 {
 					t.Errorf("read: %v (%d lines)", err, len(lines))
 					return
@@ -42,37 +43,9 @@ func TestDFSConcurrentAccess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(lines) != 201 {
-			t.Errorf("f%d has %d lines, want 201", g, len(lines))
+		if want := fmt.Sprintf("line-%d-199", g); len(lines) != 1 || lines[0] != want {
+			t.Errorf("f%d = %v, want [%s]", g, lines, want)
 		}
-	}
-	if d.Contention() < 0 {
-		t.Errorf("negative contention count %d", d.Contention())
-	}
-}
-
-// TestDFSAppendDoesNotAliasReadSnapshots pins the torn-read fix: a slice
-// returned by Read must not observe a later Append, even when the append
-// fits the original backing array's capacity.
-func TestDFSAppendDoesNotAliasReadSnapshots(t *testing.T) {
-	d := NewDFS()
-	d.Write("f", []string{"a", "b"})
-	before, err := d.Read("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapshot := append([]string(nil), before...)
-	d.Append("f", []string{"c"})
-	d.Append("f", []string{"d"})
-	if !reflect.DeepEqual(before, snapshot) {
-		t.Fatalf("Append mutated an earlier Read result: %v", before)
-	}
-	after, err := d.Read("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []string{"a", "b", "c", "d"}; !reflect.DeepEqual(after, want) {
-		t.Fatalf("Read after appends = %v, want %v", after, want)
 	}
 }
 
@@ -96,6 +69,9 @@ func TestForEachTaskDeterministicError(t *testing.T) {
 // TestSetWorkersClamps checks worker-count plumbing and clamping.
 func TestSetWorkersClamps(t *testing.T) {
 	e := newTestEngine(t)
+	if e.Workers() != runtime.NumCPU() {
+		t.Errorf("new engine has %d workers, want NumCPU = %d", e.Workers(), runtime.NumCPU())
+	}
 	e.SetWorkers(-3)
 	if e.Workers() != 1 {
 		t.Errorf("SetWorkers(-3) -> %d, want 1", e.Workers())
@@ -104,14 +80,6 @@ func TestSetWorkersClamps(t *testing.T) {
 	if e.Workers() != 6 {
 		t.Errorf("SetWorkers(6) -> %d, want 6", e.Workers())
 	}
-	if DefaultWorkers() < 1 {
-		t.Errorf("DefaultWorkers() = %d, want >= 1", DefaultWorkers())
-	}
-	SetDefaultWorkers(3)
-	if DefaultWorkers() != 3 {
-		t.Errorf("after SetDefaultWorkers(3): %d", DefaultWorkers())
-	}
-	SetDefaultWorkers(0) // restore NumCPU
 }
 
 // benchReducer sums integer values per key. It is stateless, so it is its

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -147,6 +148,43 @@ func TestTracedRunIdenticalToUntraced(t *testing.T) {
 	}
 	if reg.Value("ysmart_engine_jobs_total") != 3 {
 		t.Errorf("jobs_total = %v, want 3", reg.Value("ysmart_engine_jobs_total"))
+	}
+}
+
+// TestFailedChainClosesItsSpan: a chain that fails part-way still emits
+// exactly one chain span, ended at the simulated time of the failure.
+func TestFailedChainClosesItsSpan(t *testing.T) {
+	col := obs.NewCollector()
+	dfs := NewDFS()
+	dfs.Write("in", []string{"a b c"})
+	e, err := NewEngine(dfs, SmallCluster())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Instrument(col, nil)
+	j1 := wordCountJob("in", "out1")
+	j1.Name = "j1"
+	j2 := wordCountJob("missing", "out2")
+	j2.Name = "j2"
+	j2.DependsOn = []*Job{j1}
+
+	_, err = e.RunChain([]*Job{j1, j2})
+	var notFound *FileNotFoundError
+	if !errors.As(err, &notFound) || notFound.Path != "missing" {
+		t.Fatalf("RunChain err = %v, want FileNotFoundError for %q", err, "missing")
+	}
+	var chains []obs.Event
+	for _, ev := range col.Events() {
+		if ev.Cat == "chain" {
+			chains = append(chains, ev)
+		}
+	}
+	if len(chains) != 1 {
+		t.Fatalf("failed chain emitted %d chain spans, want 1", len(chains))
+	}
+	if e.Now() <= 0 || chains[0].Time != 0 || chains[0].End() != e.Now() {
+		t.Errorf("chain span [%v, %v], want [0, %v] (the failure's simulated time)",
+			chains[0].Time, chains[0].End(), e.Now())
 	}
 }
 

@@ -7,10 +7,10 @@ package obs
 // for example, knows its job count up front but its byte totals only
 // after the last job.
 //
-// The contract, enforced statically by the ysmart-vet `spanpair`
-// analyzer, is that every Begin is matched by exactly one End on every
+// The contract is that every Begin is matched by exactly one End on every
 // return path of the enclosing function; `defer span.End(...)` is the
-// idiomatic way to satisfy it. A second End is a no-op, so an early
+// idiomatic way to satisfy it (mapreduce's TestFailedChainClosesItsSpan
+// pins it for the chain driver). A second End is a no-op, so an early
 // explicit End composes safely with a deferred one.
 type ActiveSpan struct {
 	t     Tracer

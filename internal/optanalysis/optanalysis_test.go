@@ -280,7 +280,7 @@ func TestApplyTranslation(t *testing.T) {
 			if len(applied) == 0 {
 				t.Fatal("no scan facts applied to a filtered scan")
 			}
-			if text := FormatScanFacts(applied, nil); !strings.Contains(text, "early-filter") {
+			if text := translator.FormatScanFacts(applied, nil); !strings.Contains(text, "early-filter") {
 				t.Errorf("FormatScanFacts missing the applied filter: %s", text)
 			}
 		}

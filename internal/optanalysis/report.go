@@ -3,11 +3,9 @@ package optanalysis
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 
 	"ysmart/internal/exec"
-	"ysmart/internal/translator"
 )
 
 // Report is the full result of one Analyze call: every job literal
@@ -135,34 +133,6 @@ func (r *Report) Format() string {
 			}
 			fmt.Fprintf(&b, "  - refused %s%s: %s (%s)\n", rf.Kind, at, rf.Reason, rf.Pos)
 		}
-	}
-	return b.String()
-}
-
-// FormatScanFacts renders the translator's scan facts the same way the
-// static report renders rewrites, for `-explain`-style output on
-// translated queries.
-func FormatScanFacts(applied, refused []translator.ScanFact) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "manimal: %d scan prefilter(s) applied, %d refused\n", len(applied), len(refused))
-	all := append(append([]translator.ScanFact{}, applied...), refused...)
-	sort.Slice(all, func(i, k int) bool {
-		if all[i].Job != all[k].Job {
-			return all[i].Job < all[k].Job
-		}
-		return all[i].InputIdx < all[k].InputIdx
-	})
-	for _, f := range all {
-		if f.Refusal != "" || f.Prefilter == nil {
-			reason := f.Refusal
-			if reason == "" {
-				reason = "no prefilter derived"
-			}
-			fmt.Fprintf(&b, "  - refused %s input[%d] (%s): %s\n", f.Job, f.InputIdx, f.Table, reason)
-			continue
-		}
-		fmt.Fprintf(&b, "  + early-filter %s input[%d] on %s: %s\n",
-			f.Job, f.InputIdx, f.Table, strings.Join(f.PredSQL, " AND "))
 	}
 	return b.String()
 }

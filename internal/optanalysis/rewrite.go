@@ -117,27 +117,9 @@ func trimValue(v string, width int, dead map[int]bool) string {
 	return strings.Join(fields, "\t")
 }
 
-// ApplyTranslation installs the translator's own scan facts as raw-line
-// prefilters on the translated jobs — the MANIMAL pipeline applied to
-// generated code, where the facts come from the plan instead of the AST.
-// It returns the facts it applied and the ones the translator refused.
+// ApplyTranslation forwards to translator.ApplyScanFacts, where the
+// rewrite of generated code lives. Its one caller is bench/replica.go:177,
+// frozen outside benchmark PRs; it goes with Plan.Release in the next one.
 func ApplyTranslation(tr *translator.Translation) (applied, refused []translator.ScanFact) {
-	// The translation now carries rewrites: reuse artifact keys must fold
-	// in the optimizer dimension so optimized and plain artifacts never
-	// mix (translator.ArtifactKey, mirroring CacheKeyOpt).
-	tr.Optimized = true
-	byName := map[string]*mapreduce.Job{}
-	for _, j := range tr.Jobs {
-		byName[j.Name] = j
-	}
-	for _, f := range tr.ScanFacts {
-		job := byName[f.Job]
-		if f.Refusal != "" || f.Prefilter == nil || job == nil || f.InputIdx < 0 || f.InputIdx >= len(job.Inputs) {
-			refused = append(refused, f)
-			continue
-		}
-		job.Inputs[f.InputIdx].Prefilter = f.Prefilter
-		applied = append(applied, f)
-	}
-	return applied, refused
+	return translator.ApplyScanFacts(tr)
 }

@@ -237,8 +237,8 @@ func (s *Store) BumpPath(path string) {
 	s.epochs[path]++
 }
 
-// WatchDFS registers the store as d's write observer: any write, append
-// or delete on a base-table path ("tables/...") bumps that path's epoch.
+// WatchDFS registers the store as d's write observer: any write or
+// delete on a base-table path ("tables/...") bumps that path's epoch.
 // Job outputs under other prefixes (tmp/, restore/) are ignored — they
 // are products of the inputs, not inputs themselves.
 func (s *Store) WatchDFS(d *mapreduce.DFS) {

@@ -139,7 +139,6 @@ func TestStalenessGuard(t *testing.T) {
 
 	mutations := map[string]func(d *mapreduce.DFS){
 		"write":  func(d *mapreduce.DFS) { d.Write("tables/clicks", []string{"new"}) },
-		"append": func(d *mapreduce.DFS) { d.Append("tables/clicks", []string{"more"}) },
 		"delete": func(d *mapreduce.DFS) { d.Delete("tables/clicks") },
 	}
 	for name, mutate := range mutations {

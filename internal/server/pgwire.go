@@ -348,10 +348,10 @@ func (w *wireWriter) errorResponse(sqlstate, message string) error {
 
 // SQLSTATE codes the server emits.
 const (
-	sqlstateSyntaxError         = "42601" // syntax_error: parse/plan/translate failures
-	sqlstateQueryCanceled       = "57014" // query_canceled: per-query timeout
-	sqlstateTooManyConns        = "53300" // too_many_connections: admission queue full
-	sqlstateShutdown            = "57P01" // admin_shutdown: graceful drain
-	sqlstateProtocolViolation   = "08P01" // protocol_violation: unsupported message
-	sqlstateFeatureNotSupported = "0A000" // feature_not_supported
+	sqlstateSyntaxError       = "42601" // syntax_error: parse/plan/translate failures
+	sqlstateInternalError     = "XX000" // internal_error: the compiled plan failed to execute
+	sqlstateQueryCanceled     = "57014" // query_canceled: per-query timeout
+	sqlstateTooManyConns      = "53300" // too_many_connections: admission queue full
+	sqlstateShutdown          = "57P01" // admin_shutdown: graceful drain
+	sqlstateProtocolViolation = "08P01" // protocol_violation: unsupported message
 )

@@ -7,7 +7,6 @@ import (
 
 	"ysmart/internal/exec"
 	"ysmart/internal/obs"
-	"ysmart/internal/optanalysis"
 	"ysmart/internal/plan"
 	"ysmart/internal/translator"
 )
@@ -151,7 +150,7 @@ func (c *PlanCache) build(sql, key string) (*cacheEntry, error) {
 		return nil, fmt.Errorf("translate: %w", err)
 	}
 	if c.optimize {
-		optanalysis.ApplyTranslation(tr)
+		translator.ApplyScanFacts(tr)
 	}
 	norm, _ := translator.NormalizeSQL(sql)
 	return &cacheEntry{key: key, plan: Plan{Translation: tr, Schema: a.Root().Schema(), Normalized: norm}}, nil

@@ -49,6 +49,19 @@ func oracleWireLinesOver(t *testing.T, sql string, rows map[string][]exec.Row) [
 	return out
 }
 
+// halvedClicks returns the fixture with the second half of the click
+// stream gone — the other dataset version of the re-registration tests.
+func halvedClicks(t *testing.T) map[string][]exec.Row {
+	t.Helper()
+	rows, _ := fixture(t)
+	out := make(map[string][]exec.Row, len(rows))
+	for name, r := range rows {
+		out[name] = r
+	}
+	out["clicks"] = rows["clicks"][:len(rows["clicks"])/2]
+	return out
+}
+
 // TestServerReuseAcrossSessions: with Config.Reuse on, a second session's
 // identical query is served from artifacts the first session's run
 // materialized — zero jobs re-executed, identical rows, hit counters on
@@ -87,7 +100,6 @@ func TestServerReuseAcrossSessions(t *testing.T) {
 // against the DBMS oracle over that data), while a session opened before
 // keeps answering from the data it actually copied.
 func TestServerReuseRegisterDatasetInvalidation(t *testing.T) {
-	rows, _ := fixture(t)
 	srv, addr := startTestServer(t, func(c *Config) { c.Reuse = true })
 
 	// Session A runs cold over the fixture clicks and seeds the store.
@@ -99,16 +111,11 @@ func TestServerReuseRegisterDatasetInvalidation(t *testing.T) {
 	diffLines(t, "session A vs fixture oracle", wireLines(resA), oracleWireLines(t, queries.QAGG))
 
 	// The dataset changes: half the click stream disappears.
-	newClicks := rows["clicks"][:len(rows["clicks"])/2]
-	srv.RegisterDataset("clicks", EncodeTables(map[string][]exec.Row{"clicks": newClicks})["clicks"])
+	newRows := halvedClicks(t)
+	srv.RegisterDataset("clicks", EncodeTables(newRows)["clicks"])
 
 	// Session B, opened after the re-registration, must not see session
 	// A's artifacts: its rows must match the oracle over the NEW data.
-	newRows := map[string][]exec.Row{}
-	for name, r := range rows {
-		newRows[name] = r
-	}
-	newRows["clicks"] = newClicks
 	cliB := dialTest(t, addr)
 	resB, err := cliB.Query(queries.QAGG)
 	if err != nil {

@@ -128,6 +128,32 @@ func TestServerErrorsKeepConnectionUsable(t *testing.T) {
 	}
 }
 
+// TestServerEngineFaultIsInternalError: a statement that compiles but cannot
+// run — its table is in the catalog with no dataset registered, so the
+// first job's DFS read fails — is the server's fault, not a syntax error,
+// and leaves the connection usable.
+func TestServerEngineFaultIsInternalError(t *testing.T) {
+	srv, addr := startTestServer(t, nil)
+	srv.mu.Lock()
+	delete(srv.tables, "clicks")
+	srv.mu.Unlock()
+	cli := dialTest(t, addr)
+
+	_, err := cli.Query(queries.QAGG)
+	var srvErr *ServerError
+	if !errors.As(err, &srvErr) {
+		t.Fatalf("query over a missing dataset: err = %v, want *ServerError", err)
+	}
+	if srvErr.Code != sqlstateInternalError || !strings.Contains(srvErr.Message, "not found") {
+		t.Fatalf("got %v, want SQLSTATE %s naming the missing file", srvErr, sqlstateInternalError)
+	}
+	res, err := cli.Query(queries.Q17)
+	if err != nil {
+		t.Fatalf("query after the engine fault: %v", err)
+	}
+	diffLines(t, "Q17 after the engine fault", wireLines(res), oracleWireLines(t, queries.Q17))
+}
+
 // TestServerSessionCommands checks psql's housekeeping statements are
 // accepted as no-ops and empty queries get EmptyQueryResponse.
 func TestServerSessionCommands(t *testing.T) {

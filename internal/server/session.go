@@ -246,7 +246,10 @@ func (s *session) handleQuery(sql string) error {
 		s.errors++
 		s.mu.Unlock()
 		sqlstate := sqlstateSyntaxError
+		var execErr runError
 		switch {
+		case errors.As(err, &execErr):
+			sqlstate = sqlstateInternalError
 		case errors.Is(err, ErrQueryTimeout):
 			sqlstate = sqlstateQueryCanceled
 		case errors.Is(err, ErrQueueFull):
@@ -261,6 +264,10 @@ func (s *session) handleQuery(sql string) error {
 	}
 	return s.writer.readyForQuery()
 }
+
+// runError marks a failure of translator.Run: the statement compiled, so
+// what went wrong is the server's (internal_error), not the client's SQL.
+type runError struct{ error }
 
 // runQuery resolves, admits and executes one statement, streaming its
 // result. Client-facing failures come back as errors; wire-level write
@@ -325,7 +332,7 @@ func (s *session) runQuery(sql string, start time.Time) error {
 	select {
 	case o := <-done:
 		if o.err != nil {
-			return o.err
+			return runError{o.err}
 		}
 		lat := time.Since(start).Seconds()
 		srv.reg.Observe("ysmart_server_query_seconds", lat)

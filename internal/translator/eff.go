@@ -70,11 +70,6 @@ func (v effView) concat(o effView, leftFullWidth int) effView {
 	return effView{schema: s, cols: cols}
 }
 
-// rebind re-qualifies the view's columns.
-func (v effView) rebind(binding string) effView {
-	return effView{schema: v.schema.Rebind(binding), cols: v.cols}
-}
-
 // stage is one step of a lowered transparent chain.
 type stage struct {
 	pred  cmf.RowPred // filter stage when non-nil

@@ -31,7 +31,6 @@ import (
 	"ysmart/internal/exec"
 	"ysmart/internal/mapreduce"
 	"ysmart/internal/obs"
-	"ysmart/internal/optanalysis"
 	"ysmart/internal/plan"
 	"ysmart/internal/queries"
 	"ysmart/internal/reuse"
@@ -160,6 +159,40 @@ func TablePath(table string) string { return translator.TablePath(table) }
 // (e.g. "task=0.1,straggler=0.05x6,node=2@500") into a FaultPlan.
 func ParseFaultSpec(spec string) (*FaultPlan, error) { return mapreduce.ParseFaultSpec(spec) }
 
+// ParseMode maps a -mode CLI name ("ysmart", "one-to-one"/"hive",
+// "pig-like"/"pig", "ic-tc-only"/"ictc") to its translation Mode.
+func ParseMode(name string) (Mode, error) {
+	switch name {
+	case "ysmart":
+		return YSmart, nil
+	case "one-to-one", "hive":
+		return OneToOne, nil
+	case "pig-like", "pig":
+		return PigLike, nil
+	case "ic-tc-only", "ictc":
+		return ICTCOnly, nil
+	default:
+		return 0, fmt.Errorf("unknown mode %q", name)
+	}
+}
+
+// ParseCluster maps a -cluster CLI name ("small", "ec2-11", "ec2-101",
+// "facebook") to a fresh instance of that cluster preset.
+func ParseCluster(name string) (*Cluster, error) {
+	switch name {
+	case "small":
+		return SmallCluster(), nil
+	case "ec2-11":
+		return EC2Cluster(10), nil
+	case "ec2-101":
+		return EC2Cluster(100), nil
+	case "facebook":
+		return FacebookCluster(1), nil
+	default:
+		return nil, fmt.Errorf("unknown cluster %q", name)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Query: parse + plan + analyze
 // ---------------------------------------------------------------------------
@@ -205,8 +238,8 @@ func (q *Query) Translate(mode Mode, opts Options) (*Translation, error) {
 // installed plus a human-readable report of every decision. Results stay
 // byte-identical; only scanned-versus-mapped work changes.
 func ApplyManimal(tr *Translation) (applied int, report string) {
-	a, r := optanalysis.ApplyTranslation(tr)
-	return len(a), optanalysis.FormatScanFacts(a, r)
+	a, r := translator.ApplyScanFacts(tr)
+	return len(a), translator.FormatScanFacts(a, r)
 }
 
 // ---------------------------------------------------------------------------
