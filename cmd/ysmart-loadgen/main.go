@@ -3,24 +3,24 @@
 // quantiles (p50/p90/p99) read back from the shared observability
 // registry's latency histograms.
 //
-// It has two modes. In-process (the default), each client owns a private
-// Runtime (the engine is single-chain) and latency is parse-free query
-// execution (translate + simulated run). In wire mode (-server), each
-// client dials a running ysmart-server over the PostgreSQL wire protocol
-// and latency is true end-to-end: protocol round trip, plan cache,
-// admission queueing, execution, result streaming.
+// Every client is a PostgreSQL wire connection, so latency is end to end:
+// protocol round trip, plan cache, admission, execution, result
+// streaming. Without -server the harness serves the workload datasets
+// from an embedded ysmart server on a loopback port (-mode, -cluster and
+// -workers configure it; admission admits every client, so nothing
+// queues); with -server it drives a running ysmart-server instead.
 //
 //	ysmart-loadgen -clients 4 -requests 64                 # quick local run
 //	ysmart-loadgen -requests 200 -listen 127.0.0.1:8080    # live /metrics, /jobs
 //	ysmart-loadgen -requests 20 -json - -log events.jsonl  # bench rows + event log
 //	ysmart-loadgen -requests 10 -listen 127.0.0.1:0 -selfcheck   # CI smoke
 //	ysmart-loadgen -server 127.0.0.1:5433 -clients 8 -requests 200   # drive a server
-//	ysmart-loadgen -server 127.0.0.1:5433 -requests 20 -selfcheck    # + oracle check
 //
-// In either mode all clients record into one obs.Registry, so the admin
-// HTTP plane serves a live, merged view of the run. Wire-mode -selfcheck
-// additionally replays every query through the single-node DBMS oracle and
-// fails unless the server's rows match exactly.
+// All clients (and the embedded server) record into one obs.Registry, so
+// the admin HTTP plane serves a live, merged view of the run. -selfcheck
+// replays every query through the single-node DBMS oracle and fails
+// unless the server's rows match exactly, then probes the admin endpoints
+// when -listen is set.
 package main
 
 import (
@@ -45,7 +45,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout, ysmart.NewRegistry()); err != nil {
 		fmt.Fprintln(os.Stderr, "ysmart-loadgen:", err)
 		os.Exit(1)
 	}
@@ -57,43 +57,31 @@ type clientStatus struct {
 	Query       string  `json:"query"`
 	Done        int     `json:"done"`
 	LastSeconds float64 `json:"last_seconds"`
-	LastRows    int     `json:"last_rows,omitempty"` // wire mode: rows in the last result
+	LastRows    int     `json:"last_rows,omitempty"`
 }
 
-// queryTotals accumulates per-query aggregates outside the registry (the
-// registry holds the latency histograms; these are the bench-row counters).
-type queryTotals struct {
-	requests     int
-	jobs         int
-	simSeconds   float64
-	scanBytes    int64
-	shuffleBytes int64
-}
-
-func run(args []string, stdout io.Writer) error {
+// run replays the stream; every recording lands in reg.
+func run(args []string, stdout io.Writer, reg *ysmart.Registry) error {
 	fs := flag.NewFlagSet("ysmart-loadgen", flag.ContinueOnError)
 	var (
 		queryList = fs.String("queries", "Q17,Q18,Q21,Q-CSA,Q-AGG", "comma-separated workload query names to replay round-robin")
-		clients   = fs.Int("clients", 4, "concurrent clients, each with a private runtime (or wire connection with -server)")
+		clients   = fs.Int("clients", 4, "concurrent clients, one wire connection each")
 		requests  = fs.Int("requests", 32, "total requests across all clients")
-		serverTo  = fs.String("server", "", "drive a running ysmart-server at this host:port over the wire protocol instead of running in-process")
-		modeName  = fs.String("mode", "ysmart", "translation mode: ysmart, one-to-one, pig-like, ic-tc-only (in-process only)")
-		clusterN  = fs.String("cluster", "small", "cluster model: small, ec2-11, ec2-101, facebook (in-process only)")
-		workers   = fs.Int("workers", 0, "goroutines per engine (0 = NumCPU; in-process only)")
+		serverTo  = fs.String("server", "", "drive a running ysmart-server at this host:port instead of the embedded one")
+		modeName  = fs.String("mode", "ysmart", "translation mode: ysmart, one-to-one, pig-like, ic-tc-only (embedded server only)")
+		clusterN  = fs.String("cluster", "small", "cluster model: small, ec2-11, ec2-101, facebook (embedded server only)")
+		workers   = fs.Int("workers", 0, "goroutines per session engine (0 = NumCPU; embedded server only)")
 		listen    = fs.String("listen", "", "serve the admin HTTP plane (/metrics, /jobs, /debug/pprof) on this address during the run")
 		jsonTo    = fs.String("json", "", "write bench-JSON rows to <file> (- for stdout)")
 		logTo     = fs.String("log", "", "write the structured JSON event stream to <file> (- for stderr)")
 		logLevel  = fs.String("log-level", "info", "minimum event level: debug, info, warn, error")
-		selfcheck = fs.Bool("selfcheck", false, "after the run, probe the admin endpoints (requires -listen) and, with -server, replay every query through the DBMS oracle and fail on any row mismatch")
+		selfcheck = fs.Bool("selfcheck", false, "after the run, replay every query through the DBMS oracle and fail on any row mismatch, then probe the admin endpoints when -listen is set")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *clients < 1 || *requests < 1 {
 		return fmt.Errorf("-clients and -requests must be at least 1")
-	}
-	if *selfcheck && *listen == "" && *serverTo == "" {
-		return fmt.Errorf("-selfcheck requires -listen or -server")
 	}
 	mode, err := ysmart.ParseMode(*modeName)
 	if err != nil {
@@ -103,7 +91,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	names := strings.Split(*queryList, ",")
-	catalog := ysmart.WorkloadCatalog()
 	workload := ysmart.WorkloadQueries()
 	for i, n := range names {
 		names[i] = strings.TrimSpace(n)
@@ -112,28 +99,11 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	var logger *ysmart.Logger
-	if *logTo != "" {
-		min, ok := ysmart.ParseLogLevel(*logLevel)
-		if !ok {
-			return fmt.Errorf("unknown log level %q", *logLevel)
-		}
-		w := io.Writer(os.Stderr)
-		if *logTo != "-" {
-			f, err := os.Create(*logTo)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
-		}
-		logger = ysmart.NewLogger(w, min)
+	logger, closeLog, err := ysmart.OpenLog(*logTo, *logLevel)
+	if err != nil {
+		return err
 	}
-
-	// One registry merges every client's recordings; the engine's
-	// per-job histograms and the harness's query-latency histogram
-	// land side by side on /metrics.
-	reg := ysmart.NewRegistry()
+	defer closeLog()
 
 	var statusMu sync.Mutex
 	status := make([]clientStatus, *clients)
@@ -141,43 +111,60 @@ func run(args []string, stdout io.Writer) error {
 		status[i] = clientStatus{Client: i, Query: "idle"}
 	}
 
-	var srv *httpserve.Server
 	baseURL := ""
 	if *listen != "" {
-		srv = httpserve.New(reg, nil, func() any {
+		admin := httpserve.New(reg, nil, func() any {
 			statusMu.Lock()
 			defer statusMu.Unlock()
 			out := make([]clientStatus, len(status))
 			copy(out, status)
 			return out
 		})
-		addr, err := srv.Start(*listen)
+		adminAddr, err := admin.Start(*listen)
 		if err != nil {
 			return err
 		}
-		defer srv.Close()
-		baseURL = "http://" + addr
+		defer admin.Close()
+		baseURL = "http://" + adminAddr
 		fmt.Fprintf(stdout, "admin plane listening on %s\n", baseURL)
 	}
 
-	// Generate the workload data once; runtimes share the immutable rows.
-	// Wire mode only needs it for the oracle selfcheck: the server owns
-	// the served data.
-	var tpch, clicks map[string][]ysmart.Row
+	// The workload data feeds the embedded server and the oracle; a run
+	// against -server without -selfcheck needs neither.
+	var tables map[string][]ysmart.Row
 	if *serverTo == "" || *selfcheck {
-		if tpch, err = ysmart.GenerateTPCH(ysmart.DefaultTPCH()); err != nil {
-			return err
-		}
-		if clicks, err = ysmart.GenerateClicks(ysmart.DefaultClicks()); err != nil {
+		if tables, err = ysmart.WorkloadTables(); err != nil {
 			return err
 		}
 	}
 
-	totals := make(map[string]*queryTotals, len(names))
-	for _, n := range names {
-		totals[n] = &queryTotals{}
+	// Without -server the harness serves the data itself, over the same
+	// wire path a deployed ysmart-server runs; rows then name the mode it
+	// was given, where a running server chose its own.
+	addr, system := *serverTo, "server"
+	if addr == "" {
+		srv, err := server.New(server.Config{
+			Catalog: ysmart.WorkloadCatalog(),
+			Cluster: func() *ysmart.Cluster {
+				cluster, _ := ysmart.ParseCluster(*clusterN)
+				return cluster
+			},
+			Mode:        mode,
+			Workers:     *workers,
+			MaxInflight: *clients,
+			CacheSize:   len(names),
+			Registry:    reg,
+			Logger:      logger,
+		}, server.EncodeTables(tables))
+		if err != nil {
+			return err
+		}
+		if addr, err = srv.Listen("127.0.0.1:0"); err != nil {
+			return err
+		}
+		defer srv.Shutdown(10 * time.Second)
+		system = *modeName
 	}
-	var totalsMu sync.Mutex
 
 	var next int64 // atomically claimed global request index
 	var firstErr error
@@ -190,15 +177,15 @@ func run(args []string, stdout io.Writer) error {
 		errMu.Unlock()
 	}
 
-	// wireClient is one wire-mode client: a persistent connection replaying
-	// queries against a running ysmart-server. Latency covers the full
-	// round trip (protocol, plan cache, admission queue, execution, result
-	// streaming). A server-side query error keeps the connection (the
-	// protocol resyncs on ReadyForQuery); a transport error ends the client.
+	// wireClient is one client: a persistent connection replaying queries.
+	// Latency covers the full round trip (protocol, plan cache, admission
+	// queue, execution, result streaming). A server-side query error keeps
+	// the connection (the protocol resyncs on ReadyForQuery); a transport
+	// error ends the client.
 	wireClient := func(client int) {
-		cli, err := server.Dial(*serverTo, "loadgen", "ysmart", 30*time.Second)
+		cli, err := server.Dial(addr, "loadgen", "ysmart", 30*time.Second)
 		if err != nil {
-			fail(fmt.Errorf("client %d: dial %s: %w", client, *serverTo, err))
+			fail(fmt.Errorf("client %d: dial %s: %w", client, addr, err))
 			return
 		}
 		defer cli.Close()
@@ -230,9 +217,6 @@ func run(args []string, stdout io.Writer) error {
 			reg.Observe("ysmart_query_latency_seconds", lat)
 			reg.Observe("ysmart_query_latency_seconds", lat, "query", name)
 			reg.Add("ysmart_loadgen_requests_total", 1, "query", name)
-			totalsMu.Lock()
-			totals[name].requests++
-			totalsMu.Unlock()
 			statusMu.Lock()
 			status[client].Done++
 			status[client].LastSeconds = lat
@@ -245,100 +229,10 @@ func run(args []string, stdout io.Writer) error {
 	wallStart := time.Now()
 	for c := 0; c < *clients; c++ {
 		wg.Add(1)
-		go func(client int) {
+		go func() {
 			defer wg.Done()
-			if *serverTo != "" {
-				wireClient(client)
-				return
-			}
-			// A fresh cluster model per client: engines must not
-			// share mutable model state.
-			cluster, _ := ysmart.ParseCluster(*clusterN)
-			rt, err := ysmart.NewRuntime(cluster)
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("client %d: %w", client, err)
-				}
-				errMu.Unlock()
-				return
-			}
-			if *workers > 0 {
-				rt.SetWorkers(*workers)
-			}
-			rt.LoadTables(tpch)
-			rt.LoadTables(clicks)
-			// Parse once per client so no query state is shared
-			// across goroutines; translation runs per request (it
-			// is part of the serving path being measured).
-			queries := make(map[string]*ysmart.Query, len(names))
-			for _, n := range names {
-				q, err := ysmart.Parse(workload[n], catalog)
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("parse %s: %w", n, err)
-					}
-					errMu.Unlock()
-					return
-				}
-				queries[n] = q
-			}
-			runOpts := []ysmart.RunOption{ysmart.WithMetrics(reg)}
-			if logger != nil {
-				runOpts = append(runOpts, ysmart.WithLogger(logger))
-			}
-			for {
-				idx := atomic.AddInt64(&next, 1) - 1
-				if idx >= int64(*requests) {
-					return
-				}
-				name := names[idx%int64(len(names))]
-				statusMu.Lock()
-				status[client].Query = name
-				statusMu.Unlock()
-
-				start := time.Now()
-				tr, err := queries[name].Translate(mode, ysmart.Options{
-					QueryName: strings.ToLower(name),
-					Logger:    logger,
-				})
-				if err == nil {
-					var res *ysmart.Result
-					res, err = rt.Run(tr, runOpts...)
-					if err == nil {
-						totalsMu.Lock()
-						t := totals[name]
-						t.requests++
-						t.jobs = res.Stats.NumJobs()
-						t.simSeconds += res.Stats.TotalTime()
-						t.scanBytes += res.Stats.TotalMapInputBytes()
-						t.shuffleBytes += res.Stats.TotalShuffleBytes()
-						totalsMu.Unlock()
-					}
-				}
-				lat := time.Since(start).Seconds()
-				if err != nil {
-					reg.Add("ysmart_loadgen_errors_total", 1, "query", name)
-					if logger.Enabled(ysmart.LogError) {
-						logger.Error("loadgen.error", obs.F("query", name), obs.F("error", err.Error()))
-					}
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("%s: %w", name, err)
-					}
-					errMu.Unlock()
-					continue
-				}
-				reg.Observe("ysmart_query_latency_seconds", lat)
-				reg.Observe("ysmart_query_latency_seconds", lat, "query", name)
-				reg.Add("ysmart_loadgen_requests_total", 1, "query", name)
-				statusMu.Lock()
-				status[client].Done++
-				status[client].LastSeconds = lat
-				statusMu.Unlock()
-			}
-		}(c)
+			wireClient(c)
+		}()
 	}
 	wg.Wait()
 	elapsed := time.Since(wallStart).Seconds()
@@ -351,11 +245,7 @@ func run(args []string, stdout io.Writer) error {
 		return firstErr
 	}
 
-	system := *modeName
-	if *serverTo != "" {
-		system = "server" // the server chose its own mode; rows measure the wire path
-	}
-	rows := benchRows(reg, totals, names, system, *clients, *workers, *requests, elapsed)
+	rows := benchRows(reg, names, system, *clients, *workers, *requests, elapsed)
 	printReport(stdout, rows, *requests, elapsed)
 
 	if *jsonTo != "" {
@@ -373,19 +263,10 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *selfcheck {
-		if *serverTo != "" {
-			tables := make(map[string][]ysmart.Row, len(tpch)+len(clicks))
-			for n, t := range tpch {
-				tables[n] = t
-			}
-			for n, t := range clicks {
-				tables[n] = t
-			}
-			if err := wireOracleCheck(*serverTo, names, workload, tables); err != nil {
-				return fmt.Errorf("selfcheck: %w", err)
-			}
-			fmt.Fprintf(stdout, "selfcheck: server rows match the DBMS oracle for %s\n", strings.Join(names, ", "))
+		if err := wireOracleCheck(addr, names, workload, tables); err != nil {
+			return fmt.Errorf("selfcheck: %w", err)
 		}
+		fmt.Fprintf(stdout, "selfcheck: server rows match the DBMS oracle for %s\n", strings.Join(names, ", "))
 		if baseURL != "" {
 			if err := probeAdmin(baseURL); err != nil {
 				return fmt.Errorf("selfcheck: %w", err)
@@ -458,14 +339,14 @@ func wireOracleCheck(addr string, names []string, workload map[string]string, ta
 
 // benchRows builds one "loadgen" bench row per query plus an aggregate
 // "all" row, with quantiles read back from the registry's histograms.
-func benchRows(reg *ysmart.Registry, totals map[string]*queryTotals, names []string,
+func benchRows(reg *ysmart.Registry, names []string,
 	mode string, clients, workers, requests int, elapsed float64) []experiments.BenchRow {
 	sorted := append([]string(nil), names...)
 	sort.Strings(sorted)
 	var rows []experiments.BenchRow
 	for _, n := range sorted {
-		t := totals[n]
-		if t.requests == 0 {
+		served := int(reg.Value("ysmart_loadgen_requests_total", "query", n))
+		if served == 0 {
 			continue
 		}
 		p50, _ := reg.Quantile("ysmart_query_latency_seconds", 0.50, "query", n)
@@ -474,9 +355,7 @@ func benchRows(reg *ysmart.Registry, totals map[string]*queryTotals, names []str
 		rows = append(rows, experiments.BenchRow{
 			Figure: "loadgen", Query: n, System: mode,
 			Workers: workers, Clients: clients,
-			Jobs: t.jobs, Seconds: t.simSeconds / float64(t.requests),
-			ScanBytes: t.scanBytes, ShuffleBytes: t.shuffleBytes,
-			Requests: t.requests, QPS: float64(t.requests) / elapsed,
+			Requests: served, QPS: float64(served) / elapsed,
 			P50: p50, P90: p90, P99: p99,
 		})
 	}

@@ -14,14 +14,16 @@ import (
 	"ysmart/internal/server"
 )
 
-// TestLoadgenEndToEnd replays a short stream with the admin plane up and
-// asserts the bench rows carry non-zero quantiles from the histogram and
-// the selfcheck probe passes against the live endpoints.
+// TestLoadgenEndToEnd replays a short stream against the embedded server
+// with the admin plane up and asserts the bench rows carry non-zero
+// quantiles from the histogram, the run went through the server's plan
+// cache, and both selfchecks (oracle, live endpoints) pass.
 func TestLoadgenEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	jsonPath := filepath.Join(dir, "rows.json")
 	logPath := filepath.Join(dir, "events.jsonl")
 	var out strings.Builder
+	reg := ysmart.NewRegistry()
 	err := run([]string{
 		"-queries", "Q17,Q21",
 		"-clients", "2",
@@ -30,9 +32,15 @@ func TestLoadgenEndToEnd(t *testing.T) {
 		"-selfcheck",
 		"-json", jsonPath,
 		"-log", logPath,
-	}, &out)
+	}, &out, reg)
 	if err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
+	}
+	if hits := reg.Value("ysmart_server_plancache_hits_total"); hits <= 0 {
+		t.Errorf("plan cache hits = %v, want > 0: the run did not go through the server", hits)
+	}
+	if !strings.Contains(out.String(), "selfcheck: server rows match the DBMS oracle") {
+		t.Errorf("oracle selfcheck line missing without -server:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "selfcheck: all admin endpoints healthy") {
 		t.Errorf("selfcheck line missing from output:\n%s", out.String())
@@ -99,7 +107,6 @@ func TestLoadgenEndToEnd(t *testing.T) {
 func TestLoadgenFlagErrors(t *testing.T) {
 	cases := [][]string{
 		{"-queries", "Q99"},              // unknown query
-		{"-selfcheck"},                   // selfcheck without -listen
 		{"-clients", "0"},                // invalid client count
 		{"-requests", "0"},               // invalid request count
 		{"-mode", "nope"},                // unknown mode
@@ -108,7 +115,7 @@ func TestLoadgenFlagErrors(t *testing.T) {
 	}
 	for _, args := range cases {
 		var out strings.Builder
-		if err := run(args, &out); err == nil {
+		if err := run(args, &out, ysmart.NewRegistry()); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
 	}
@@ -158,7 +165,7 @@ func TestLoadgenWireMode(t *testing.T) {
 		"-requests", "6",
 		"-selfcheck",
 		"-json", jsonPath,
-	}, &out)
+	}, &out, ysmart.NewRegistry())
 	if err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
 	}
@@ -199,7 +206,7 @@ func TestLoadgenWireMode(t *testing.T) {
 // TestLoadgenWireModeDialError checks a dead server address fails fast.
 func TestLoadgenWireModeDialError(t *testing.T) {
 	var out strings.Builder
-	err := run([]string{"-server", "127.0.0.1:1", "-requests", "2"}, &out)
+	err := run([]string{"-server", "127.0.0.1:1", "-requests", "2"}, &out, ysmart.NewRegistry())
 	if err == nil {
 		t.Fatal("run against a dead address succeeded")
 	}

@@ -82,47 +82,24 @@ func run(args []string, stdout io.Writer, ready func(sqlAddr, adminAddr string) 
 		}
 	}
 
-	var logger *ysmart.Logger
-	if *logTo != "" {
-		min, ok := ysmart.ParseLogLevel(*logLevel)
-		if !ok {
-			return fmt.Errorf("unknown log level %q", *logLevel)
-		}
-		w := io.Writer(os.Stderr)
-		if *logTo != "-" {
-			f, err := os.Create(*logTo)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
-		}
-		logger = ysmart.NewLogger(w, min)
+	logger, closeLog, err := ysmart.OpenLog(*logTo, *logLevel)
+	if err != nil {
+		return err
 	}
+	defer closeLog()
 
 	fmt.Fprintln(stdout, "generating workload datasets...")
-	tpch, err := ysmart.GenerateTPCH(ysmart.DefaultTPCH())
+	rows, err := ysmart.WorkloadTables()
 	if err != nil {
 		return err
-	}
-	clicks, err := ysmart.GenerateClicks(ysmart.DefaultClicks())
-	if err != nil {
-		return err
-	}
-	rows := make(map[string][]ysmart.Row, len(tpch)+len(clicks))
-	for name, t := range tpch {
-		rows[name] = t
-	}
-	for name, t := range clicks {
-		rows[name] = t
 	}
 
 	reg := ysmart.NewRegistry()
 	cfg := server.Config{
 		Catalog: ysmart.WorkloadCatalog(),
 		Cluster: func() *ysmart.Cluster {
-			// Each session runtime needs a private cluster model (and a
-			// private fault plan: engines must not share mutable state).
+			// Called once per session runtime, with flags validated
+			// above. Nothing writes a Cluster or FaultPlan after NewEngine.
 			cluster, _ := ysmart.ParseCluster(*clusterN)
 			if *faults != "" {
 				plan, _ := ysmart.ParseFaultSpec(*faults)

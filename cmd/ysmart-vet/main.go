@@ -9,16 +9,14 @@
 //
 // Usage:
 //
-//	ysmart-vet [-list] [-check a,b] [-json | -sarif] [package patterns]
+//	ysmart-vet [-list] [-check a,b] [-json] [package patterns]
 //	ysmart-vet -optimize [-json] [package patterns]
 //
 // With no patterns it vets ./... from the current directory, applying
 // each analyzer's package scope. Explicit directory patterns bypass the
 // scopes (used by the golden corpora). -json emits the diagnostics as a
 // JSON array on stdout (one object per finding: file, line, col, check,
-// message) for CI annotation tooling. -sarif emits the same findings as
-// a SARIF 2.1.0 log for GitHub code-scanning annotations; the two
-// output modes are mutually exclusive. Exit status is 1 when any
+// message) for CI annotation tooling. Exit status is 1 when any
 // diagnostic is reported and 2 on a driver error.
 //
 // -optimize switches to report-only MANIMAL mode: instead of vetting, it
@@ -60,13 +58,8 @@ func run(args []string, stdout, stderr *os.File) int {
 	list := fs.Bool("list", false, "list the registered analyzers and exit")
 	check := fs.String("check", "", "comma-separated analyzer names to run (default: all)")
 	asJSON := fs.Bool("json", false, "emit diagnostics as a JSON array for CI annotations")
-	asSARIF := fs.Bool("sarif", false, "emit diagnostics as a SARIF 2.1.0 log for GitHub code scanning")
 	optimize := fs.Bool("optimize", false, "report the MANIMAL rewrites provable for each mapreduce.Job literal instead of vetting")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *asJSON && *asSARIF {
-		fmt.Fprintln(stderr, "ysmart-vet: -json and -sarif are mutually exclusive")
 		return 2
 	}
 
@@ -126,8 +119,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintf(stderr, "ysmart-vet: %v\n", err)
 		return 2
 	}
-	switch {
-	case *asJSON:
+	if *asJSON {
 		out := make([]jsonDiag, 0, len(diags))
 		for _, d := range diags {
 			out = append(out, jsonDiag{
@@ -144,12 +136,7 @@ func run(args []string, stdout, stderr *os.File) int {
 			fmt.Fprintf(stderr, "ysmart-vet: %v\n", err)
 			return 2
 		}
-	case *asSARIF:
-		if err := writeSARIF(stdout, analyzers, diags); err != nil {
-			fmt.Fprintf(stderr, "ysmart-vet: %v\n", err)
-			return 2
-		}
-	default:
+	} else {
 		for _, d := range diags {
 			fmt.Fprintln(stdout, d)
 		}

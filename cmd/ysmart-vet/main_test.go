@@ -119,124 +119,6 @@ func TestJSONCleanRun(t *testing.T) {
 	}
 }
 
-// sarifLogShape mirrors the subset of SARIF 2.1.0 the tests assert on.
-type sarifLogShape struct {
-	Version string `json:"version"`
-	Schema  string `json:"$schema"`
-	Runs    []struct {
-		Tool struct {
-			Driver struct {
-				Name  string `json:"name"`
-				Rules []struct {
-					ID string `json:"id"`
-				} `json:"rules"`
-			} `json:"driver"`
-		} `json:"tool"`
-		Results []struct {
-			RuleID  string `json:"ruleId"`
-			Level   string `json:"level"`
-			Message struct {
-				Text string `json:"text"`
-			} `json:"message"`
-			Locations []struct {
-				PhysicalLocation struct {
-					ArtifactLocation struct {
-						URI string `json:"uri"`
-					} `json:"artifactLocation"`
-					Region struct {
-						StartLine   int `json:"startLine"`
-						StartColumn int `json:"startColumn"`
-					} `json:"region"`
-				} `json:"physicalLocation"`
-			} `json:"locations"`
-		} `json:"results"`
-	} `json:"runs"`
-}
-
-// TestSARIFOutput: -sarif over the sharecheck corpus emits a valid SARIF
-// 2.1.0 log — driver name, rules for the selected analyzers, and one
-// result per finding with a slash-separated relative URI and a region.
-func TestSARIFOutput(t *testing.T) {
-	dir := filepath.Join("..", "..", "internal", "lint", "testdata", "src", "sharecheck")
-	code, out, errOut := capture(t, []string{"-sarif", "-check", "sharecheck", dir})
-	if code != 1 {
-		t.Fatalf("-sarif corpus exit = %d, want 1 (stderr: %s)", code, errOut)
-	}
-	var log sarifLogShape
-	if err := json.Unmarshal([]byte(out), &log); err != nil {
-		t.Fatalf("-sarif output is not valid JSON: %v\n%s", err, out)
-	}
-	if log.Version != "2.1.0" || !strings.Contains(log.Schema, "sarif-schema-2.1.0") {
-		t.Errorf("wrong SARIF version/schema: %s / %s", log.Version, log.Schema)
-	}
-	if len(log.Runs) != 1 {
-		t.Fatalf("SARIF log has %d runs, want 1", len(log.Runs))
-	}
-	run := log.Runs[0]
-	if run.Tool.Driver.Name != "ysmart-vet" {
-		t.Errorf("driver name = %q, want ysmart-vet", run.Tool.Driver.Name)
-	}
-	ruleIDs := make(map[string]bool)
-	for _, r := range run.Tool.Driver.Rules {
-		ruleIDs[r.ID] = true
-	}
-	if !ruleIDs["sharecheck"] || !ruleIDs["staleignore"] {
-		t.Errorf("rules missing sharecheck or staleignore: %v", ruleIDs)
-	}
-	if len(run.Results) == 0 {
-		t.Fatal("-sarif produced no results for a corpus full of findings")
-	}
-	for _, r := range run.Results {
-		if r.RuleID == "" || r.Message.Text == "" || r.Level != "error" {
-			t.Errorf("incomplete SARIF result: %+v", r)
-		}
-		if len(r.Locations) != 1 {
-			t.Fatalf("result has %d locations, want 1", len(r.Locations))
-		}
-		loc := r.Locations[0].PhysicalLocation
-		if loc.ArtifactLocation.URI == "" || strings.Contains(loc.ArtifactLocation.URI, "\\") {
-			t.Errorf("bad artifact URI %q", loc.ArtifactLocation.URI)
-		}
-		if loc.Region.StartLine == 0 || loc.Region.StartColumn == 0 {
-			t.Errorf("result missing region: %+v", loc.Region)
-		}
-	}
-}
-
-// TestSARIFCleanRun: a clean run still emits a complete SARIF log with
-// an empty results array, so uploaders never see a truncated file.
-func TestSARIFCleanRun(t *testing.T) {
-	dir := filepath.Join("..", "..", "internal", "lint", "testdata", "src", "kitchen")
-	code, out, errOut := capture(t, []string{"-sarif", dir})
-	if code != 0 {
-		t.Fatalf("-sarif kitchen exit = %d, want 0 (stderr: %s, stdout: %s)", code, errOut, out)
-	}
-	var log sarifLogShape
-	if err := json.Unmarshal([]byte(out), &log); err != nil {
-		t.Fatalf("clean -sarif output is not valid JSON: %v\n%s", err, out)
-	}
-	if len(log.Runs) != 1 {
-		t.Fatalf("clean SARIF log has %d runs, want 1", len(log.Runs))
-	}
-	if log.Runs[0].Results == nil {
-		t.Error("clean SARIF run must carry an empty results array, not null")
-	}
-	if len(log.Runs[0].Results) != 0 {
-		t.Errorf("clean run reported %d results", len(log.Runs[0].Results))
-	}
-}
-
-// TestJSONSarifConflict: the two machine formats are mutually exclusive.
-func TestJSONSarifConflict(t *testing.T) {
-	code, _, errOut := capture(t, []string{"-json", "-sarif", "."})
-	if code != 2 {
-		t.Fatalf("-json -sarif exit = %d, want 2", code)
-	}
-	if !strings.Contains(errOut, "mutually exclusive") {
-		t.Errorf("stderr missing mutual-exclusion explanation: %s", errOut)
-	}
-}
-
 // TestDriverErrorExitsTwo: a pattern naming a directory with no Go files
 // is a driver error, not a clean run.
 func TestDriverErrorExitsTwo(t *testing.T) {

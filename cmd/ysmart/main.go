@@ -33,7 +33,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -121,23 +120,11 @@ func run(args []string) error {
 	if *metricsTo != "" || *listen != "" {
 		registry = ysmart.NewRegistry()
 	}
-	var logger *ysmart.Logger
-	if *logTo != "" {
-		min, ok := ysmart.ParseLogLevel(*logLevel)
-		if !ok {
-			return fmt.Errorf("unknown log level %q", *logLevel)
-		}
-		w := io.Writer(os.Stderr)
-		if *logTo != "-" {
-			f, err := os.Create(*logTo)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
-		}
-		logger = ysmart.NewLogger(w, min)
+	logger, closeLog, err := ysmart.OpenLog(*logTo, *logLevel)
+	if err != nil {
+		return err
 	}
+	defer closeLog()
 	opts := ysmart.Options{QueryName: strings.ToLower(label), Metrics: registry, Logger: logger}
 	if collector != nil {
 		opts.Tracer = collector
@@ -197,16 +184,11 @@ func run(args []string) error {
 			return err
 		}
 	} else {
-		tpch, err := ysmart.GenerateTPCH(ysmart.DefaultTPCH())
+		tables, err := ysmart.WorkloadTables()
 		if err != nil {
 			return err
 		}
-		clicks, err := ysmart.GenerateClicks(ysmart.DefaultClicks())
-		if err != nil {
-			return err
-		}
-		rt.LoadTables(tpch)
-		rt.LoadTables(clicks)
+		rt.LoadTables(tables)
 	}
 
 	// The admin plane comes up before the run so a watcher can scrape

@@ -95,23 +95,6 @@ func PlanLabel(plan *mapreduce.FaultPlan) string {
 	return fmt.Sprintf("faults-seed%d", plan.Seed)
 }
 
-// Tables generates the deterministic workload data set shared by every
-// execution of the harness.
-func Tables() (map[string][]ysmart.Row, error) {
-	tables, err := ysmart.GenerateTPCH(ysmart.DefaultTPCH())
-	if err != nil {
-		return nil, err
-	}
-	clicks, err := ysmart.GenerateClicks(ysmart.DefaultClicks())
-	if err != nil {
-		return nil, err
-	}
-	for name, rows := range clicks {
-		tables[name] = rows
-	}
-	return tables, nil
-}
-
 // Compile translates one workload query, with the MANIMAL scan rewrites
 // applied when optimize is set (the `-manimal` execution path). The matrix
 // compiles each (query, mode, optimize) once: a translation is immutable

@@ -43,7 +43,7 @@ func compiled(t *testing.T, name, sql string, mode ysmart.Mode, optimize bool) *
 func TestMain(m *testing.M) {
 	flag.Parse()
 	var err error
-	workload, err = Tables()
+	workload, err = ysmart.WorkloadTables()
 	if err != nil {
 		panic(err)
 	}

@@ -16,13 +16,8 @@ import (
 //     or emits in map-iteration order;
 //   - effect facts (this file): the function writes shared state —
 //     package-level variables, receiver fields, or memory behind pointer
-//     parameters — at a point where it holds no mutex, and the calls it
-//     makes while unlocked.
-//
-// Lock tracking is lockset.go's lexical approximation (visitHeld), not a
-// proof: a write is only ever considered guarded when every path to it
-// locked. Any held mutex guards any write; the analyzers check the locking
-// convention, they do not model which lock protects which field.
+//     parameters. A mutex around the write changes nothing: it makes the
+//     write race-free, not independent of the order tasks ran in.
 
 // Fact is one terminal finding a reachability query can land on.
 type Fact struct {
@@ -73,118 +68,49 @@ func (g *CallGraph) reachFact(start *types.Func, base func(*types.Func) *Fact, i
 	return nil, nil
 }
 
-// isSyncMutex reports whether t (possibly behind a pointer) is
-// sync.Mutex or sync.RWMutex.
-func isSyncMutex(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	if named.Obj().Pkg().Path() != "sync" {
-		return false
-	}
-	name := named.Obj().Name()
-	return name == "Mutex" || name == "RWMutex"
-}
-
-// ---------------------------------------------------------------------------
-// Effect facts: unguarded shared writes and unguarded calls
-// ---------------------------------------------------------------------------
-
-// sharedWrite is one write to caller-visible state made with no lock
-// held. Writes rooted in the receiver or a pointer parameter are
-// suppressible: when the calling context provably owns the object the
-// method runs on (a local it just created), those writes are private and
-// the reachability search skips them. Package-variable writes never are.
+// sharedWrite is one write to caller-visible state. Writes rooted in the
+// receiver or a pointer parameter are suppressible: when the calling
+// context provably owns the object the method runs on (a local it just
+// created), those writes are private and the reachability search skips
+// them. Package-variable writes never are.
 type sharedWrite struct {
 	pos          token.Pos
 	desc         string
 	suppressible bool
 }
 
-// fnEffects summarizes one function's lock-free behavior.
-type fnEffects struct {
-	writes     []sharedWrite
-	calls      []CallEdge
-	unresolved []UnresolvedCall
-}
-
-// effectsOf computes (and caches) the function's effect facts. Shared
-// roots are package-level variables, the method receiver, and pointer-
-// typed parameters — everything a concurrent caller could also see.
-func (g *CallGraph) effectsOf(fn *types.Func) *fnEffects {
-	if g.prog.effects == nil {
-		g.prog.effects = make(map[*types.Func]*fnEffects)
+// sharedWritesOf computes (and caches) the function's effect facts: its
+// writes to shared roots — package-level variables, the method receiver,
+// and pointer-typed parameters, everything a concurrent caller could also
+// see. Nested literals are part of the function.
+func (g *CallGraph) sharedWritesOf(fn *types.Func) []sharedWrite {
+	if writes, ok := g.prog.effects[fn]; ok {
+		return writes
 	}
-	if eff, ok := g.prog.effects[fn]; ok {
-		return eff
-	}
-	eff := &fnEffects{}
-	g.prog.effects[fn] = eff // pre-store: cycles see an empty summary
-	d, ok := g.Decls[fn]
-	if !ok {
-		return eff
-	}
-	pkg := d.Pkg
-	node := g.Nodes[fn]
-	// Call edges (static, dynamic) are keyed at their CallExpr position;
-	// ref edges at the referencing expression's position. Each is
-	// consumed once, at the lock state the traversal observes there.
-	edgesAt := make(map[token.Pos][]CallEdge)
-	if node != nil {
-		for _, e := range node.Out {
-			edgesAt[e.Pos] = append(edgesAt[e.Pos], e)
-		}
-	}
-	unresAt := make(map[token.Pos]UnresolvedCall)
-	if node != nil {
-		for _, u := range node.Unresolved {
-			unresAt[u.Pos] = u
-		}
-	}
-	takeEdges := func(pos token.Pos, held bool) {
-		edges, ok := edgesAt[pos]
-		if !ok {
-			return
-		}
-		delete(edgesAt, pos)
-		if !held {
-			eff.calls = append(eff.calls, edges...)
-		}
-	}
-	visitHeld(pkg, g.lockWrappers(), d.Decl.Body.List, &heldLocks{}, func(n ast.Node, locks *heldLocks) {
-		held := locks.any()
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			if held {
-				return
+	var writes []sharedWrite
+	if d, ok := g.Decls[fn]; ok {
+		record := func(lhs ast.Expr) {
+			if w := g.sharedWriteTo(d.Pkg, fn, lhs); w != nil {
+				writes = append(writes, *w)
 			}
-			for _, lhs := range n.Lhs {
-				if w := g.sharedWriteTo(pkg, fn, lhs); w != nil {
-					eff.writes = append(eff.writes, *w)
+		}
+		ast.Inspect(d.Decl.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					record(lhs)
 				}
+			case *ast.IncDecStmt:
+				record(n.X)
 			}
-		case *ast.IncDecStmt:
-			if held {
-				return
-			}
-			if w := g.sharedWriteTo(pkg, fn, n.X); w != nil {
-				eff.writes = append(eff.writes, *w)
-			}
-		case *ast.CallExpr:
-			takeEdges(n.Pos(), held)
-			if u, ok := unresAt[n.Pos()]; ok && !held {
-				eff.unresolved = append(eff.unresolved, u)
-			}
-		case *ast.SelectorExpr, *ast.Ident:
-			// Function references (EdgeRef) escaping at this point.
-			takeEdges(n.(ast.Expr).Pos(), held)
-		}
-	})
-	return eff
+			return true
+		})
+	}
+	if g.prog.effects == nil {
+		g.prog.effects = make(map[*types.Func][]sharedWrite)
+	}
+	g.prog.effects[fn] = writes
+	return writes
 }
 
 // sharedWriteTo reports the write when lhs stores into shared state, nil
@@ -288,10 +214,8 @@ func isPointer(t types.Type) bool {
 	return ok
 }
 
-// reachSharedWrite searches breadth-first from start (inclusive),
-// following only calls made without a lock held, for an unguarded shared
-// write or an unresolved dynamic call — a callee locking around its own
-// writes (or around its own calls) terminates the search down that arm.
+// reachSharedWrite searches breadth-first from start (inclusive), over
+// every edge kind, for a shared write or an unresolved dynamic call.
 //
 // The owned flag threads RacerD-style ownership through the chain: when
 // the calling context created the object a method runs on (startOwned, or
@@ -322,18 +246,21 @@ func (g *CallGraph) reachSharedWrite(start *types.Func, startOwned bool) ([]*typ
 	for len(queue) > 0 {
 		it := queue[0]
 		queue = queue[1:]
-		eff := g.effectsOf(it.fn)
-		for _, w := range eff.writes {
+		for _, w := range g.sharedWritesOf(it.fn) {
 			if it.owned && w.suppressible {
 				continue
 			}
 			return expand(it), &Fact{Pos: w.pos, Desc: w.desc}
 		}
-		if len(eff.unresolved) > 0 {
-			u := eff.unresolved[0]
+		node := g.Nodes[it.fn]
+		if node == nil {
+			continue
+		}
+		if len(node.Unresolved) > 0 {
+			u := node.Unresolved[0]
 			return expand(it), &Fact{Pos: u.Pos, Desc: "an unresolved dynamic call (" + u.Desc + ")"}
 		}
-		for _, e := range eff.calls {
+		for _, e := range node.Out {
 			next := it.owned
 			switch e.Recv {
 			case recvLocal:

@@ -9,8 +9,8 @@
 //     including through any chain of in-module helper calls, resolved
 //     over the module call graph (callgraph.go, facts.go);
 //   - sharecheck: closures run concurrently by forEachTask (or spawned
-//     with go) may write captured state only into a task-index slot,
-//     under a mutex, or atomically — helpers included;
+//     with go) may write captured state only into a task-index slot or
+//     atomically, never merely under a mutex — helpers included;
 //   - concreduce: a NewReduceTask factory must return a fresh instance,
 //     and the instance never writes state reached through its factory —
 //     what a task counts it returns from Done.

@@ -41,12 +41,9 @@ type Program struct {
 
 	// Interprocedural caches, built lazily and shared by analyzers.
 	callgraph  *CallGraph
-	effects    map[*types.Func]*fnEffects
+	effects    map[*types.Func][]sharedWrite
 	nondetOnce bool
 	nondet     map[*types.Func]*Fact
-
-	// lockWraps caches CallGraph.lockWrappers (lockset.go).
-	lockWraps map[*types.Func]map[int]int
 }
 
 // Target is one package selected by the command-line patterns. Explicit

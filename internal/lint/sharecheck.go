@@ -6,19 +6,21 @@ import (
 	"go/types"
 )
 
-// ShareCheck enforces PR 4's slot-write discipline inside parallel task
-// bodies: a closure handed to forEachTask (or spawned with go) runs
-// concurrently with its siblings, so a write to anything it captured is
-// a race unless one of the sanctioned patterns applies —
+// ShareCheck enforces the engine's slot-write discipline inside parallel
+// task bodies: a closure handed to forEachTask (or spawned with go) runs
+// concurrently with its siblings, so a write to anything it captured
+// makes host scheduling observable unless one of the sanctioned patterns
+// applies —
 //
 //   - the write lands in the task's own slot of a pre-sized slice,
 //     indexed by the closure's task-index parameter (slots[i] = ...);
-//   - a mutex is held on every path to the write;
 //   - the operation goes through sync/atomic.
 //
-// The check is interprocedural: a helper the task body calls is searched
-// (through the call graph, ownership-aware) for unguarded shared writes,
-// and a dynamic call the graph cannot bound to an in-module
+// A mutex is not a sanction: a guarded append is race-free but lands in
+// the order tasks happened to run, so a body that needs one says why with
+// a lint:ignore. The check is interprocedural: a helper the task body
+// calls is searched (through the call graph, ownership-aware) for shared
+// writes, and a dynamic call the graph cannot bound to an in-module
 // implementation is conservatively assumed to write shared state.
 var ShareCheck = &Analyzer{
 	Name: "sharecheck",
@@ -130,10 +132,8 @@ func taskIndexParam(pkg *Package, lit *ast.FuncLit) types.Object {
 	return pkg.Info.Defs[params.List[0].Names[0]]
 }
 
-// checkTaskRegion vets one parallel task body. Lock state starts at zero
-// — the closure runs on its own goroutine regardless of what the spawner
-// held — and nested literals (emit callbacks and the like) are part of
-// the region.
+// checkTaskRegion vets one parallel task body; nested literals (emit
+// callbacks and the like) are part of the region.
 func checkTaskRegion(pass *Pass, g *CallGraph, fn *types.Func, fd *ast.FuncDecl, lit *ast.FuncLit, indexObj types.Object) {
 	pkg := pass.Pkg
 	reported := make(map[token.Pos]bool)
@@ -141,36 +141,23 @@ func checkTaskRegion(pass *Pass, g *CallGraph, fn *types.Func, fd *ast.FuncDecl,
 		if w := capturedWrite(pkg, fd, lit, indexObj, lhs); w != "" && !reported[lhs.Pos()] {
 			reported[lhs.Pos()] = true
 			pass.Reportf(lhs.Pos(),
-				"unguarded write to %s inside a parallel task body; write into a per-task slot indexed by the task index, hold a mutex, or use sync/atomic", w)
+				"unguarded write to %s inside a parallel task body; write into a per-task slot indexed by the task index or use sync/atomic", w)
 		}
 	}
-	visitHeld(pkg, g.lockWrappers(), lit.Body.List, &heldLocks{}, func(n ast.Node, locks *heldLocks) {
-		held := locks.any()
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			if held {
-				return
-			}
 			for _, lhs := range n.Lhs {
 				checkWrite(lhs)
 			}
 		case *ast.IncDecStmt:
-			if !held {
-				checkWrite(n.X)
-			}
+			checkWrite(n.X)
 		case *ast.CallExpr:
-			if !held {
-				checkCallSite(pass, g, fn, fd, lit, n, reported)
-			}
-		case *ast.SelectorExpr:
-			if !held {
-				checkRefSite(pass, g, fn, n.Pos(), reported)
-			}
-		case *ast.Ident:
-			if !held {
-				checkRefSite(pass, g, fn, n.Pos(), reported)
-			}
+			checkCallSite(pass, g, fn, fd, lit, n, reported)
+		case *ast.SelectorExpr, *ast.Ident:
+			checkRefSite(pass, g, fn, n.Pos(), reported)
 		}
+		return true
 	})
 }
 
@@ -249,8 +236,8 @@ func isReceiverOf(pkg *Package, fd *ast.FuncDecl, v *types.Var) bool {
 }
 
 // checkCallSite reports helpers a task body calls that transitively
-// write shared state without a lock, and dynamic calls the graph could
-// not bound (assume-shared).
+// write shared state, and dynamic calls the graph could not bound
+// (assume-shared).
 func checkCallSite(pass *Pass, g *CallGraph, fn *types.Func, fd *ast.FuncDecl, lit *ast.FuncLit, call *ast.CallExpr, reported map[token.Pos]bool) {
 	node := g.Nodes[fn]
 	if node == nil {
@@ -286,7 +273,7 @@ func checkCallSite(pass *Pass, g *CallGraph, fn *types.Func, fd *ast.FuncDecl, l
 		}
 		reported[pos] = true
 		pass.Reportf(pos,
-			"parallel task body calls %s, which writes %s with no lock held (path %s); guard the shared state or keep task helpers pure",
+			"parallel task body calls %s, which writes %s (path %s); keep task helpers pure",
 			shortFuncName(e.Callee), fact.Desc, pathString(path))
 	}
 }
@@ -309,14 +296,14 @@ func checkRefSite(pass *Pass, g *CallGraph, fn *types.Func, pos token.Pos, repor
 		}
 		reported[pos] = true
 		pass.Reportf(pos,
-			"parallel task body hands off %s, which writes %s with no lock held (path %s); guard the shared state or keep task helpers pure",
+			"parallel task body hands off %s, which writes %s (path %s); keep task helpers pure",
 			shortFuncName(e.Callee), fact.Desc, pathString(path))
 	}
 }
 
 // checkRegionCallees vets the callees of a `go f(...)` statement whose
 // body is a named function rather than a literal: every edge in the span
-// is searched for unguarded shared writes.
+// is searched for shared writes.
 func checkRegionCallees(pass *Pass, g *CallGraph, fn *types.Func, fd *ast.FuncDecl, from, to token.Pos) {
 	node := g.Nodes[fn]
 	if node == nil {
@@ -333,7 +320,7 @@ func checkRegionCallees(pass *Pass, g *CallGraph, fn *types.Func, fd *ast.FuncDe
 		}
 		reported[e.Pos] = true
 		pass.Reportf(e.Pos,
-			"goroutine body %s writes %s with no lock held (path %s); guard the shared state or keep spawned code pure",
+			"goroutine body %s writes %s (path %s); keep spawned code pure",
 			shortFuncName(e.Callee), fact.Desc, pathString(path))
 	}
 	for _, u := range node.Unresolved {

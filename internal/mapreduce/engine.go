@@ -87,14 +87,16 @@ func (e *Engine) RunChain(jobs []*Job) (*ChainStats, error) {
 	e.logger.Info("chain.start",
 		obs.F("jobs", int64(len(ordered))), obs.F("sim_s", chainStart))
 	// The chain span brackets every job and survives early error returns
-	// thanks to the deferred End (TestFailedChainClosesItsSpan); its byte
-	// totals are only known once the jobs have run.
-	span := obs.Begin(e.tracer, "chain", fmt.Sprintf("chain(%d jobs)", len(ordered)),
-		"driver", e.simNow, obs.F("jobs", int64(len(ordered))))
+	// (TestFailedChainClosesItsSpan); its byte totals are only known once
+	// the jobs have run.
 	defer func() {
-		span.End(e.simNow,
-			obs.F("map_input_bytes", stats.TotalMapInputBytes()),
-			obs.F("shuffle_bytes", stats.TotalShuffleBytes()))
+		if e.tracer.Enabled() {
+			e.tracer.Emit(obs.SpanEvent("chain", fmt.Sprintf("chain(%d jobs)", len(ordered)),
+				"driver", chainStart, e.simNow-chainStart,
+				obs.F("jobs", int64(len(ordered))),
+				obs.F("map_input_bytes", stats.TotalMapInputBytes()),
+				obs.F("shuffle_bytes", stats.TotalShuffleBytes())))
+		}
 	}()
 	for i, j := range ordered {
 		var gap float64

@@ -79,35 +79,3 @@ func TestChromeTraceEmptyAndZeroDuration(t *testing.T) {
 		t.Errorf("zero-duration span missing from trace:\n%s", out)
 	}
 }
-
-func TestActiveSpanBeginWithoutEnd(t *testing.T) {
-	c := NewCollector()
-	_ = Begin(c, "job", "j", "driver", 0) // never Ended
-	if c.Len() != 0 {
-		t.Errorf("unended span emitted %d events, want 0", c.Len())
-	}
-}
-
-func TestActiveSpanDoubleEndEmitsOnce(t *testing.T) {
-	c := NewCollector()
-	sp := Begin(c, "job", "j", "driver", 0)
-	sp.End(1)
-	sp.End(2, F("late", true))
-	events := c.Events()
-	if len(events) != 1 {
-		t.Fatalf("double End emitted %d events, want 1", len(events))
-	}
-	if events[0].Dur != 1 {
-		t.Errorf("span duration = %v, want 1 (first End wins)", events[0].Dur)
-	}
-}
-
-func TestActiveSpanDisabledTracerInert(t *testing.T) {
-	sp := Begin(Nop, "job", "j", "driver", 0)
-	sp.End(1) // must not panic or emit
-	sp2 := Begin(nil, "job", "j", "driver", 0)
-	sp2.End(1)
-	if sp != sp2 {
-		t.Error("disabled Begins should share the inert span")
-	}
-}

@@ -96,7 +96,9 @@ func (s *Store) Lookup(key string) (*Entry, bool) {
 // instead of the store's current epochs. A server session that copied its
 // input tables at connect time passes the snapshot it took then, so it
 // only ever reuses artifacts consistent with the data it is actually
-// serving — never artifacts produced from a later re-registration.
+// serving — never artifacts produced from a later re-registration. An
+// entry that mismatches the snapshot but is valid at the current epochs
+// belongs to sessions connected since: it is a plain miss and stays.
 func (s *Store) LookupAt(key string, epochs map[string]int64) (*Entry, bool) {
 	return s.lookup(key, epochs)
 }
@@ -106,10 +108,12 @@ func (s *Store) lookup(key string, at map[string]int64) (*Entry, bool) {
 	defer s.mu.Unlock()
 	e, ok := s.entries[key]
 	if ok && !s.validLocked(e, at) {
-		delete(s.entries, key)
-		s.bytes -= e.Bytes
-		s.add("ysmart_reuse_invalidations_total", 1)
-		s.gaugesLocked()
+		if at == nil || !s.validLocked(e, nil) {
+			delete(s.entries, key)
+			s.bytes -= e.Bytes
+			s.add("ysmart_reuse_invalidations_total", 1)
+			s.gaugesLocked()
+		}
 		ok = false
 	}
 	if !ok {
@@ -143,8 +147,11 @@ func (s *Store) validLocked(e *Entry, at map[string]int64) bool {
 // validity snapshot of the tables the job read, captured when the plan
 // was rewritten (before execution) so a concurrent table overwrite can
 // only make the entry look stale, never fresh. Existing entries are
-// replaced but keep their hit history. Recording may evict other entries
-// (or the new one) to respect the byte cap.
+// replaced but keep their hit history — except that an entry valid at the
+// current epochs is never displaced by an artifact that is not (a session
+// still serving pre-bump data must not cost newer sessions their reuse).
+// Recording may evict other entries (or the new one) to respect the byte
+// cap.
 func (s *Store) Record(key, fingerprint string, tables []string, epochs map[string]int64, lines []string, predictedSeconds float64) {
 	cp := make([]string, len(lines))
 	copy(cp, lines)
@@ -158,16 +165,7 @@ func (s *Store) Record(key, fingerprint string, tables []string, epochs map[stri
 	for _, p := range sortedTables {
 		ep[p] = epochs[p]
 	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var hits int64
-	if old, ok := s.entries[key]; ok {
-		hits = old.Hits
-		s.bytes -= old.Bytes
-	}
-	s.seq++
-	s.entries[key] = &Entry{
+	e := &Entry{
 		Key:              key,
 		Fingerprint:      fingerprint,
 		Tables:           sortedTables,
@@ -176,9 +174,20 @@ func (s *Store) Record(key, fingerprint string, tables []string, epochs map[stri
 		Bytes:            bytes,
 		Rows:             int64(len(cp)),
 		PredictedSeconds: predictedSeconds,
-		Hits:             hits,
-		seq:              s.seq,
 	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if old, ok := s.entries[key]; ok {
+		if s.validLocked(old, nil) && !s.validLocked(e, nil) {
+			return
+		}
+		e.Hits = old.Hits
+		s.bytes -= old.Bytes
+	}
+	s.seq++
+	e.seq = s.seq
+	s.entries[key] = e
 	s.bytes += bytes
 	s.add("ysmart_reuse_records_total", 1)
 	s.evictLocked()

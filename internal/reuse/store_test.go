@@ -201,6 +201,35 @@ func TestLookupAtSnapshot(t *testing.T) {
 	}
 }
 
+// TestCrossSnapshotLookupKeepsCurrentArtifact: session A connected before
+// a re-registration, session B after. A's miss on B's artifact is a plain
+// miss — not an invalidation — and A's own pre-bump artifact must not
+// displace B's, or the two sessions rerun the job in turns forever.
+func TestCrossSnapshotLookupKeepsCurrentArtifact(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := NewStore(0, reg)
+	tables := []string{"tables/clicks"}
+	a := s.SnapshotEpochs(tables)
+	s.BumpPath("tables/clicks")
+	b := s.SnapshotEpochs(tables)
+	s.Record("k", "fp", tables, b, []string{"from-b"}, 1)
+
+	if _, ok := s.LookupAt("k", a); ok {
+		t.Fatal("pre-bump session served a post-bump artifact")
+	}
+	if s.Len() != 1 {
+		t.Error("A's miss deleted B's valid artifact")
+	}
+	s.Record("k", "fp", tables, a, []string{"from-a"}, 1)
+	e, ok := s.LookupAt("k", b)
+	if !ok || e.Lines[0] != "from-b" {
+		t.Errorf("A's record displaced B's current artifact: hit=%v entry=%+v", ok, e)
+	}
+	if got := reg.Value("ysmart_reuse_invalidations_total"); got != 0 {
+		t.Errorf("invalidations counter = %v, want 0: nothing went stale", got)
+	}
+}
+
 // TestStoreConcurrent hammers lookup/insert/evict/bump from many
 // goroutines; run under -race this is the data-race proof for the shared
 // server store.

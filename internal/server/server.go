@@ -20,8 +20,9 @@ type Config struct {
 	// Catalog resolves table names for planning. Required.
 	Catalog plan.Catalog
 	// Cluster builds the simulated cluster model of one session runtime
-	// (each session gets a private engine; cluster models hold mutable
-	// state and must not be shared). Required.
+	// (each session gets a private engine; the engine only reads the
+	// model, so the factory may hand every session the same one).
+	// Required.
 	Cluster func() *mapreduce.Cluster
 	// Mode is the translation mode (defaults to YSmart).
 	Mode translator.Mode

@@ -24,6 +24,7 @@ package ysmart
 import (
 	"fmt"
 	"io"
+	"os"
 
 	"ysmart/internal/correlation"
 	"ysmart/internal/datagen"
@@ -151,6 +152,23 @@ var (
 // (Q17, Q18, Q21, Q-CSA, Q-AGG).
 func WorkloadCatalog() Catalog           { return queries.Catalog() }
 func WorkloadQueries() map[string]string { return queries.Named() }
+
+// WorkloadTables generates the data the workload queries run over: the
+// default TPC-H subset and click stream, keyed by table name.
+func WorkloadTables() (map[string][]Row, error) {
+	tables, err := GenerateTPCH(DefaultTPCH())
+	if err != nil {
+		return nil, err
+	}
+	clicks, err := GenerateClicks(DefaultClicks())
+	if err != nil {
+		return nil, err
+	}
+	for name, rows := range clicks {
+		tables[name] = rows
+	}
+	return tables, nil
+}
 
 // TablePath is the DFS path a base table is loaded at.
 func TablePath(table string) string { return translator.TablePath(table) }
@@ -390,6 +408,28 @@ func NewLogger(w io.Writer, min LogLevel) *Logger { return obs.NewLogger(w, min)
 
 // ParseLogLevel maps "debug", "info", "warn" or "error" to its LogLevel.
 func ParseLogLevel(name string) (LogLevel, bool) { return obs.ParseLevel(name) }
+
+// OpenLog resolves the CLIs' -log / -log-level pair: a logger writing
+// events at or above the named level to the file at path ("-" = stderr),
+// and the function that closes the file. An empty path is logging off: a
+// nil logger and a no-op close.
+func OpenLog(path, level string) (*Logger, func(), error) {
+	if path == "" {
+		return nil, func() {}, nil
+	}
+	min, ok := ParseLogLevel(level)
+	if !ok {
+		return nil, nil, fmt.Errorf("unknown log level %q", level)
+	}
+	if path == "-" {
+		return NewLogger(os.Stderr, min), func() {}, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	return NewLogger(f, min), func() { f.Close() }, nil
+}
 
 // ChromeTrace renders collected events as Chrome trace-event JSON, loadable
 // in Perfetto (ui.perfetto.dev) or chrome://tracing.
