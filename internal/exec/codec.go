@@ -297,6 +297,34 @@ func DecodeCols(line string, s *Schema, cols []int) (Row, error) {
 	return row, nil
 }
 
+// ScanRow is DecodeRow's single pass without the row: it hands field each
+// column's position and raw codec text, left to right, and ranks and words
+// failures exactly as DecodeRow does — a wrong field count outranks
+// everything, and field's own error comes back as "column <name>: <err>".
+// It is how a consumer that wants a line's cells in some other form (or
+// only wants to know the line is well-formed) reads a row without building
+// one.
+func ScanRow(line string, s *Schema, field func(col int, text string) error) error {
+	rest, more := line, true
+	for col := range s.Cols {
+		if !more {
+			return fieldCountError(line, s)
+		}
+		var text string
+		text, rest, more = strings.Cut(rest, "\t")
+		if err := field(col, text); err != nil {
+			if strings.Count(line, "\t")+1 != len(s.Cols) {
+				return fieldCountError(line, s)
+			}
+			return fmt.Errorf("column %s: %w", s.Cols[col].QualifiedName(), err)
+		}
+	}
+	if more {
+		return fieldCountError(line, s)
+	}
+	return nil
+}
+
 func fieldCountError(line string, s *Schema) error {
 	return fmt.Errorf("row has %d fields, schema %s has %d", strings.Count(line, "\t")+1, s, len(s.Cols))
 }

@@ -234,7 +234,11 @@ func FuzzAppendRow(f *testing.F) {
 // succeeds, DecodeCols returns exactly its projection; a wrong field count
 // fails in both; and DecodeCols never fails on a line DecodeRow accepts
 // (it may accept more — columns it was not asked to read go unparsed).
+// ScanRow, the same walk with no row, is held to DecodeRow exactly: the same
+// values field by field, the same error text.
 func FuzzDecodeCols(f *testing.F) {
+	f.Add("x\t2\t3", uint32(0), uint16(0), uint8(0))
+	f.Add("x\t2", uint32(0), uint16(0), uint8(1))
 	f.Add("1\t2.5\ttext\ttrue", uint32(0x1b), uint16(0x9), uint8(0))
 	f.Add("1\tx\t3", uint32(0), uint16(0x5), uint8(0))
 	f.Add("1\t2", uint32(0), uint16(0x3), uint8(1))
@@ -255,6 +259,26 @@ func FuzzDecodeCols(f *testing.F) {
 			}
 		}
 		full, fullErr := DecodeRow(line, s)
+		// ScanRow is the same pass without the row: it sees DecodeRow's
+		// values and fails with DecodeRow's text.
+		var scanned Row
+		scanErr := ScanRow(line, s, func(col int, text string) error {
+			v, err := DecodeField(text, s.Cols[col].Type)
+			scanned = append(scanned, v)
+			return err
+		})
+		switch {
+		case fullErr != nil && (scanErr == nil || scanErr.Error() != fullErr.Error()):
+			t.Fatalf("ScanRow(%q) fails with %v, DecodeRow with %v", line, scanErr, fullErr)
+		case fullErr == nil && (scanErr != nil || len(scanned) != len(full)):
+			t.Fatalf("ScanRow(%q) = %v, %v on a line DecodeRow reads as %v", line, scanned, scanErr, full)
+		case fullErr == nil:
+			for i := range full {
+				if !sameValue(scanned[i], full[i]) {
+					t.Fatalf("ScanRow(%q) saw %v, DecodeRow %v", line, scanned, full)
+				}
+			}
+		}
 		got, err := DecodeCols(line, s, cols)
 		if strings.Count(line, "\t")+1 != n {
 			if fullErr == nil || err == nil {

@@ -139,7 +139,11 @@ func Manimal(w *Workload) (*ManimalResult, error) {
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		return res.Stats, res.Rows, applied, nil
+		rows, err := res.Rows()
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		return res.Stats, rows, applied, nil
 	}
 	offStats, offRows, _, err := translated("manimal-off", false)
 	if err != nil {

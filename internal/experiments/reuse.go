@@ -72,20 +72,24 @@ func Reuse(w *Workload) (*ReuseResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		round := func(system string) (*translator.Result, error) {
+		round := func(system string) (*translator.Result, []string, error) {
 			cluster := mapreduce.SmallCluster()
 			cluster.DataScale = w.scaleFor(name, tpchSmallBytes)
 			res, err := w.runPlan(tr, dfs, cluster, store)
 			if err != nil {
-				return nil, fmt.Errorf("%s %s: %w", name, system, err)
+				return nil, nil, fmt.Errorf("%s %s: %w", name, system, err)
 			}
-			return res, nil
+			rows, err := res.Rows()
+			if err != nil {
+				return nil, nil, fmt.Errorf("%s %s: %w", name, system, err)
+			}
+			return res, dbms.SortedLines(rows), nil
 		}
-		cold, err := round("reuse-cold")
+		cold, coldLines, err := round("reuse-cold")
 		if err != nil {
 			return nil, err
 		}
-		warm, err := round("reuse-warm")
+		warm, warmLines, err := round("reuse-warm")
 		if err != nil {
 			return nil, err
 		}
@@ -98,7 +102,7 @@ func Reuse(w *Workload) (*ReuseResult, error) {
 			WarmTime:       warm.Stats.TotalTime(),
 			BytesSaved:     warm.Reuse.ArtifactBytes,
 			PredictedSaved: warm.Reuse.PredictedSavedSeconds,
-			ResultOK:       sameLines(dbms.SortedLines(cold.Rows), dbms.SortedLines(warm.Rows)),
+			ResultOK:       sameLines(coldLines, warmLines),
 			RunCold:        runFromStats(name, "reuse-cold", cold.Stats),
 			RunWarm:        runFromStats(name, "reuse-warm", warm.Stats),
 		})

@@ -159,7 +159,11 @@ func (w *Workload) RunTranslatedResult(query string, mode translator.Mode, clust
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s (%v): %w", query, mode, err)
 	}
-	return res.Stats, res.Rows, nil
+	rows, err := res.Rows()
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s (%v): %w", query, mode, err)
+	}
+	return res.Stats, rows, nil
 }
 
 // RunHandCoded executes one of the hand-written programs on the cluster.

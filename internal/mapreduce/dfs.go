@@ -11,11 +11,18 @@ import (
 // DFS is the simulated distributed file system. Files are ordered lists of
 // text lines. The zero value is not usable; call NewDFS.
 //
+// Ownership rule: a file's line slice is immutable from the moment it is
+// installed. Nothing in the tree writes through a slice it got from Read or
+// passed to WriteShared; replacing a file's content replaces the map entry
+// (Write, WriteShared, Delete), never the elements. That is what lets one
+// slice back any number of files in any number of DFSs at once — a base
+// table under every session, a reuse artifact under every query it serves —
+// and lets a reader keep iterating a file that has since been replaced.
+//
 // All methods are safe for concurrent use: the engine's worker pool may
-// read while the driver writes other paths. Write never shares a backing
-// array with slices handed out by earlier Reads, and observation
-// (trace instants, counters) happens under the same lock as the file-map
-// access so readers never see a torn path/length pair.
+// read while the driver writes other paths. Observation (trace instants,
+// counters) happens under the same lock as the file-map access so readers
+// never see a torn path/length pair.
 type DFS struct {
 	mu    sync.RWMutex
 	files map[string][]string
@@ -103,17 +110,20 @@ func (d *DFS) notifyWrite(path string) {
 }
 
 // Write stores lines at path, replacing any previous content. The slice is
-// copied.
+// copied, so the caller stays free to reuse it.
 func (d *DFS) Write(path string, lines []string) {
 	cp := make([]string, len(lines))
 	copy(cp, lines)
-	d.writeOwned(path, cp)
+	d.WriteShared(path, cp)
 }
 
-// writeOwned is Write without the copy: the DFS takes ownership of lines,
-// which the caller must never touch again. The engine stores job output —
-// slices it built itself and drops on return — this way.
-func (d *DFS) writeOwned(path string, lines []string) {
+// WriteShared is Write without the copy: lines itself becomes the file, under
+// the ownership rule above — the caller may keep reading it and may install
+// it elsewhere, but nobody may ever write to it again. The engine stores job
+// output this way (slices it built and drops on return), the reuse rewrite
+// installs stored artifacts, and the server preloads every session with its
+// base tables, so those cost O(1) per file instead of O(lines).
+func (d *DFS) WriteShared(path string, lines []string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.files[path] = lines

@@ -299,7 +299,7 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 				mapOnlyLines = append(mapOnlyLines, p.value)
 			}
 		}
-		e.dfs.writeOwned(j.Output, mapOnlyLines)
+		e.dfs.WriteShared(j.Output, mapOnlyLines)
 		stats.MapOutputRecords = int64(nPairs)
 		stats.MapOutputBytes = linesBytes(mapOnlyLines)
 		stats.ReduceOutputRecords = stats.MapOutputRecords
@@ -398,7 +398,7 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 	}
 	stats.ReduceWorkRecords = max(stats.ReduceInputRecords, counts.Work)
 	stats.Dispatch = dispatchOf(counts.Dispatch)
-	e.dfs.writeOwned(j.Output, outLines)
+	e.dfs.WriteShared(j.Output, outLines)
 	stats.ReduceOutputRecords = int64(len(outLines))
 	stats.ReduceOutputBytes = linesBytes(outLines)
 

@@ -102,7 +102,7 @@ func TestServerChaosQuiesce(t *testing.T) {
 					t.Errorf("client %d dial %d: %v", c, conn, err)
 					return
 				}
-				// A session copies its tables at connect, so every clicks
+				// A session takes its tables at connect, so every clicks
 				// reply on one connection is over the same version.
 				version := -1
 				for op := 0; op < opsPerConn; op++ {

@@ -51,7 +51,7 @@ func Dial(addr, user, database string, timeout time.Duration) (*Client, error) {
 	}
 	c := &Client{
 		conn:   conn,
-		reader: newWireReader(conn),
+		reader: newWireReader(conn, clientReadBufSize),
 		writer: newWireWriter(conn),
 		params: map[string]string{},
 	}
@@ -180,42 +180,50 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
-// decodeDataRow parses a DataRow body into text cells (nil = NULL).
+// decodeDataRow parses a DataRow body into text cells (nil = NULL). A row
+// costs three allocations whatever its width: one string holding the whole
+// body, which every cell is a substring of, one []string for the cells and
+// the []*string that points into it. Nothing returned aliases body.
 func decodeDataRow(body []byte) ([]*string, error) {
 	if len(body) < 2 {
 		return nil, fmt.Errorf("short DataRow")
 	}
 	n := int(binary.BigEndian.Uint16(body[:2]))
-	rest := body[2:]
-	row := make([]*string, 0, n)
-	for i := 0; i < n; i++ {
-		if len(rest) < 4 {
+	if n > (len(body)-2)/4 {
+		return nil, fmt.Errorf("short DataRow cell header")
+	}
+	text := string(body)
+	cells := make([]string, n)
+	row := make([]*string, n)
+	off := 2
+	for i := range row {
+		if len(body)-off < 4 {
 			return nil, fmt.Errorf("short DataRow cell header")
 		}
-		l := int32(binary.BigEndian.Uint32(rest[:4]))
-		rest = rest[4:]
+		l := int32(binary.BigEndian.Uint32(body[off:]))
+		off += 4
 		if l < 0 {
-			row = append(row, nil)
 			continue
 		}
-		if int(l) > len(rest) {
+		if int(l) > len(body)-off {
 			return nil, fmt.Errorf("short DataRow cell")
 		}
-		s := string(rest[:l])
-		row = append(row, &s)
-		rest = rest[l:]
+		cells[i] = text[off : off+int(l)]
+		row[i] = &cells[i]
+		off += int(l)
 	}
 	return row, nil
 }
 
-// decodeError parses an ErrorResponse body's tagged fields.
+// decodeError parses an ErrorResponse body's tagged fields; a body cut short
+// of its last terminator yields the fields it does hold.
 func decodeError(body []byte) *ServerError {
 	e := &ServerError{}
 	rest := body
 	for len(rest) > 0 && rest[0] != 0 {
 		tag := rest[0]
 		val := cString(rest[1:])
-		rest = rest[1+len(val)+1:]
+		rest = rest[min(len(rest), 1+len(val)+1):]
 		switch tag {
 		case 'S':
 			e.Severity = val

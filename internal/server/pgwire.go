@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"strconv"
 
 	"ysmart/internal/exec"
 )
@@ -83,6 +84,21 @@ const (
 // treated as a malformed or hostile stream and the connection is dropped.
 const maxMessageLen = 1 << 20
 
+// Fixed buffer sizes (constants, not knobs), picked on the wire_results
+// benchmark: 4 KiB writes cost about a tenth of the throughput, 8-16 KiB sit
+// inside the run-to-run noise without ever reading best, and from 32 KiB up
+// the curve is flat while every doubling adds its size to each session's
+// live heap. A wireWriter hands its buffered messages to the connection once
+// they pass writeBufSize, so a large result's first rows are on the socket
+// long before its last line is parsed. A server session reads one short
+// Query at a time and keeps bufio's default; the client reads whole results
+// (16-128 KiB read alike, about 2 % above 4 KiB).
+const (
+	writeBufSize      = 32 << 10
+	serverReadBufSize = 4 << 10
+	clientReadBufSize = 64 << 10
+)
+
 // typeOID maps a simulator value type to its wire OID. Untyped (all-NULL)
 // columns travel as text.
 func typeOID(t exec.Type) (oid int32, size int16) {
@@ -119,23 +135,41 @@ func textValue(v exec.Value) string {
 	return v.String()
 }
 
-// wireReader decodes frontend messages from a connection.
-type wireReader struct {
-	r *bufio.Reader
+// appendTextValue appends textValue(v) to dst without building the string —
+// the DataRow writer's form of the same rendering (the two are held equal by
+// the wire golden and FuzzDataRowLine).
+func appendTextValue(dst []byte, v exec.Value) []byte {
+	switch v.T {
+	case exec.TypeInt:
+		return strconv.AppendInt(dst, v.I, 10)
+	case exec.TypeFloat:
+		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
+	case exec.TypeString:
+		return append(dst, v.S...)
+	default:
+		return append(dst, textValue(v)...)
+	}
 }
 
-func newWireReader(r io.Reader) *wireReader {
-	return &wireReader{r: bufio.NewReader(r)}
+// wireReader decodes messages from a connection.
+type wireReader struct {
+	r    *bufio.Reader
+	hdr  [5]byte // a message's type byte + length, kept here so reading it is not a heap allocation per message
+	body []byte  // next's reused message body
+}
+
+func newWireReader(r io.Reader, bufSize int) *wireReader {
+	return &wireReader{r: bufio.NewReaderSize(r, bufSize)}
 }
 
 // startup reads one startup-phase packet: length + payload with no type
 // byte. It returns the protocol "version" code and the remaining payload.
 func (w *wireReader) startup() (code int32, payload []byte, err error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(w.r, lenBuf[:]); err != nil {
+	lenBuf := w.hdr[:4]
+	if _, err := io.ReadFull(w.r, lenBuf); err != nil {
 		return 0, nil, err
 	}
-	n := int32(binary.BigEndian.Uint32(lenBuf[:]))
+	n := int32(binary.BigEndian.Uint32(lenBuf))
 	if n < 8 || n > maxMessageLen {
 		return 0, nil, fmt.Errorf("startup packet length %d out of range", n)
 	}
@@ -146,21 +180,23 @@ func (w *wireReader) startup() (code int32, payload []byte, err error) {
 	return int32(binary.BigEndian.Uint32(body[:4])), body[4:], nil
 }
 
-// next reads one regular frontend message (type byte + length + payload).
+// next reads one regular message (type byte + length + payload). The payload
+// aliases a buffer the reader reuses: it is valid until the next call, and
+// every caller copies what it keeps (cString, splitCStrings, decodeDataRow).
+// The buffer grows to the largest message seen, never past maxMessageLen.
 func (w *wireReader) next() (typ byte, payload []byte, err error) {
-	t, err := w.r.ReadByte()
-	if err != nil {
+	if _, err := io.ReadFull(w.r, w.hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(w.r, lenBuf[:]); err != nil {
-		return 0, nil, err
-	}
-	n := int32(binary.BigEndian.Uint32(lenBuf[:]))
+	t := w.hdr[0]
+	n := int32(binary.BigEndian.Uint32(w.hdr[1:]))
 	if n < 4 || n > maxMessageLen {
 		return 0, nil, fmt.Errorf("message %q length %d out of range", t, n)
 	}
-	body := make([]byte, n-4)
+	if int(n-4) > cap(w.body) {
+		w.body = make([]byte, n-4)
+	}
+	body := w.body[:n-4]
 	if _, err := io.ReadFull(w.r, body); err != nil {
 		return 0, nil, err
 	}
@@ -209,42 +245,53 @@ func cString(payload []byte) string {
 	return string(payload)
 }
 
-// wireWriter encodes backend messages onto a connection. Messages
-// accumulate in the bufio layer; flush sends them in one segment, which is
-// what keeps a query's RowDescription/DataRow/CommandComplete/ReadyForQuery
-// train a single write.
+// wireWriter encodes messages onto a connection. Messages are framed in
+// place in one buffer — begin reserves the five header bytes, the append
+// helpers add the payload, end fills the header in — and the buffer goes to
+// the connection in a single Write when flush is called (which is what keeps
+// a short query's RowDescription/DataRow/CommandComplete/ReadyForQuery train
+// one segment) or as soon as it passes writeBufSize, so a long result streams:
+// nothing about a result is held here beyond the rows not yet written. The
+// first write error sticks in err and every later end and flush reports it;
+// it is how a caller tells a dead connection from a message it could not
+// build.
 type wireWriter struct {
-	w   *bufio.Writer
-	buf []byte
+	w     io.Writer
+	buf   []byte // whole framed messages not yet written, then the one being built
+	start int    // offset in buf of the message being built
+	err   error
 }
 
-func newWireWriter(w io.Writer) *wireWriter {
-	return &wireWriter{w: bufio.NewWriter(w)}
-}
+func newWireWriter(w io.Writer) *wireWriter { return &wireWriter{w: w} }
 
-// message begins a backend message of the given type; the returned slice
-// accumulates the payload via the append helpers and end() frames it.
-func (w *wireWriter) begin() { w.buf = w.buf[:0] }
+// begin starts a message: the append helpers accumulate its payload and
+// end(typ) frames it.
+func (w *wireWriter) begin() {
+	w.start = len(w.buf)
+	w.buf = append(w.buf, 0, 0, 0, 0, 0)
+}
 
 func (w *wireWriter) end(typ byte) error {
-	var hdr [5]byte
-	hdr[0] = typ
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(w.buf)+4))
-	if _, err := w.w.Write(hdr[:]); err != nil {
-		return err
+	msg := w.buf[w.start:]
+	msg[0] = typ
+	binary.BigEndian.PutUint32(msg[1:], uint32(len(msg)-1))
+	if len(w.buf) >= writeBufSize {
+		return w.flush()
 	}
-	_, err := w.w.Write(w.buf)
-	return err
+	return w.err
 }
 
-func (w *wireWriter) flush() error { return w.w.Flush() }
+func (w *wireWriter) flush() error {
+	if w.err == nil && len(w.buf) > 0 {
+		_, w.err = w.w.Write(w.buf)
+	}
+	w.buf = w.buf[:0]
+	return w.err
+}
 
 func (w *wireWriter) int16(v int16) { w.buf = binary.BigEndian.AppendUint16(w.buf, uint16(v)) }
 func (w *wireWriter) int32(v int32) { w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(v)) }
 func (w *wireWriter) cstr(s string) { w.buf = append(append(w.buf, s...), 0) }
-func (w *wireWriter) bytes(b []byte) {
-	w.buf = append(w.buf, b...)
-}
 
 // authenticationOk writes AuthenticationOk (trust auth: no password round
 // trip).
@@ -299,18 +346,36 @@ func (w *wireWriter) rowDescription(schema *exec.Schema) error {
 	return w.end(msgRowDescription)
 }
 
-// dataRow writes one result row in text format.
-func (w *wireWriter) dataRow(row exec.Row) error {
+// dataRow writes one result row in text format straight from its codec line
+// (exec.EncodeRow's format): each field is parsed by its column's type — the
+// parse is the check, and a line exec.DecodeRow would refuse is refused here
+// with the same error — and re-rendered into the buffer as the wire spells
+// it. The two formats differ in four places: a float's ".0" marker is the
+// file's alone, bools are true/false there and t/f here, NULL is the `\N`
+// field there and length -1 here, and strings are escaped there and raw
+// here. An untyped (all-NULL) column lets the field's own syntax decide, as
+// the codec does. A refused line leaves no partial message behind.
+func (w *wireWriter) dataRow(payload string, schema *exec.Schema) error {
 	w.begin()
-	w.int16(int16(len(row)))
-	for _, v := range row {
+	w.int16(int16(len(schema.Cols)))
+	err := exec.ScanRow(payload, schema, func(col int, field string) error {
+		v, err := exec.DecodeField(field, schema.Cols[col].Type)
+		if err != nil {
+			return err
+		}
 		if v.IsNull() {
 			w.int32(-1)
-			continue
+			return nil
 		}
-		s := textValue(v)
-		w.int32(int32(len(s)))
-		w.bytes([]byte(s))
+		at := len(w.buf)
+		w.int32(0)
+		w.buf = appendTextValue(w.buf, v)
+		binary.BigEndian.PutUint32(w.buf[at:], uint32(len(w.buf)-at-4))
+		return nil
+	})
+	if err != nil {
+		w.buf = w.buf[:w.start] // drop the partial row; the finished messages before it stand
+		return err
 	}
 	return w.end(msgDataRow)
 }

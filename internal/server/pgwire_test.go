@@ -20,7 +20,7 @@ func TestWireMessageRoundTrip(t *testing.T) {
 		t.Fatalf("rowDescription: %v", err)
 	}
 	row := exec.Row{exec.Int(42), exec.Float(1.5), exec.Null(), exec.Bool(true)}
-	if err := w.dataRow(row); err != nil {
+	if err := w.dataRow(exec.EncodeRow(row), schema); err != nil {
 		t.Fatalf("dataRow: %v", err)
 	}
 	if err := w.commandComplete("SELECT 1"); err != nil {
@@ -30,7 +30,7 @@ func TestWireMessageRoundTrip(t *testing.T) {
 		t.Fatalf("readyForQuery: %v", err)
 	}
 
-	r := newWireReader(&buf)
+	r := newWireReader(&buf, serverReadBufSize)
 	typ, body, err := r.next()
 	if err != nil || typ != msgRowDescription {
 		t.Fatalf("first message: type %q err %v, want RowDescription", typ, err)
@@ -79,7 +79,7 @@ func TestErrorResponseRoundTrip(t *testing.T) {
 	if err := w.flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	r := newWireReader(&buf)
+	r := newWireReader(&buf, serverReadBufSize)
 	typ, body, err := r.next()
 	if err != nil || typ != msgErrorResponse {
 		t.Fatalf("message: type %q err %v, want ErrorResponse", typ, err)
@@ -102,13 +102,13 @@ func TestMessageLengthBounds(t *testing.T) {
 	// A hostile length field must not allocate; both readers reject it.
 	var buf bytes.Buffer
 	buf.Write([]byte{0x7f, 0xff, 0xff, 0xff})
-	if _, _, err := newWireReader(&buf).startup(); err == nil {
+	if _, _, err := newWireReader(&buf, serverReadBufSize).startup(); err == nil {
 		t.Fatal("oversized startup length accepted")
 	}
 	buf.Reset()
 	buf.WriteByte(msgQuery)
 	buf.Write([]byte{0x7f, 0xff, 0xff, 0xff})
-	if _, _, err := newWireReader(&buf).next(); err == nil {
+	if _, _, err := newWireReader(&buf, serverReadBufSize).next(); err == nil {
 		t.Fatal("oversized message length accepted")
 	}
 }

@@ -69,8 +69,11 @@ type Server struct {
 	admission *Admission
 	reg       *obs.Registry
 	logger    *obs.Logger
-	store     *reuse.Store        // nil unless Config.Reuse
-	tables    map[string][]string // pre-encoded base table lines; guarded by mu
+	store     *reuse.Store // nil unless Config.Reuse
+	// tables holds the pre-encoded base table lines. The map is guarded by
+	// mu; the slices are immutable — every session's DFS holds them by
+	// reference — so a dataset changes by replacing its entry.
+	tables map[string][]string
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -80,8 +83,10 @@ type Server struct {
 	wg       sync.WaitGroup
 }
 
-// New builds a server from cfg and the datasets to register (row form;
-// encoded once, shared by every session). It does not listen yet.
+// New builds a server from cfg and the datasets to register (pre-encoded
+// lines, as from EncodeTables; encoded once, shared by every session — the
+// server keeps the slices and nobody, the caller included, may write to
+// them afterwards). It does not listen yet.
 func New(cfg Config, tables map[string][]string) (*Server, error) {
 	if cfg.Catalog == nil {
 		return nil, fmt.Errorf("server: Config.Catalog is required")
@@ -124,12 +129,13 @@ func New(cfg Config, tables map[string][]string) (*Server, error) {
 func (s *Server) ReuseStore() *reuse.Store { return s.store }
 
 // RegisterDataset registers or replaces a dataset (pre-encoded lines, as
-// from EncodeTables). Sessions opened after the call are preloaded with
-// the new content; with reuse enabled, the table's validity epoch is
-// bumped under the same lock, so artifacts derived from the old content
-// are never served against the new data (and vice versa — each session
-// validates lookups against the epoch snapshot taken when its tables
-// were copied).
+// from EncodeTables; copied, so the caller keeps its slice). Sessions
+// opened after the call are preloaded with the new content, sessions
+// already open keep the slice they hold; with reuse enabled, the table's
+// validity epoch is bumped under the same lock, so artifacts derived from
+// the old content are never served against the new data (and vice versa —
+// each session validates lookups against the epoch snapshot taken when its
+// tables were installed).
 func (s *Server) RegisterDataset(name string, lines []string) {
 	cp := append([]string(nil), lines...)
 	s.mu.Lock()

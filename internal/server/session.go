@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -16,12 +17,16 @@ import (
 )
 
 // session is one client connection: its wire codec, its private simulated
-// runtime (DFS + engine preloaded with the server's datasets) and its live
-// status counters. The simple query protocol is strictly serial per
-// connection, so the runtime never sees concurrent chains — with one
-// exception: a timed-out query's run is abandoned, and the session waits
-// for it to finish before executing the next query (the engine has no
-// cancellation; see runQuery).
+// runtime (DFS + engine) and its live status counters. The private DFS holds
+// the server's base tables by reference — the line slices registered with
+// the server, shared by every session and never written (DFS ownership
+// rule) — so opening a session costs one map entry per table, not one string
+// header per line; what is private is the namespace: the session's own tmp/
+// and restore/ files and its view of the tables as they were at connect. The
+// simple query protocol is strictly serial per connection, so the runtime
+// never sees concurrent chains — with one exception: a timed-out query's run
+// is abandoned, and the session waits for it to finish before executing the
+// next query (the engine has no cancellation; see runQuery).
 type session struct {
 	id     int64
 	srv    *Server
@@ -33,7 +38,7 @@ type session struct {
 	engine *mapreduce.Engine
 
 	// reuseEpochs is the validity-epoch snapshot taken when this session
-	// copied its base tables (nil when reuse is off). Lookups validate
+	// installed its base tables (nil when reuse is off). Lookups validate
 	// against it, so the session only reuses artifacts consistent with
 	// the data it actually serves — a dataset re-registered after connect
 	// neither poisons nor borrows this session's artifacts. Immutable
@@ -108,17 +113,18 @@ func newSession(srv *Server, id int64, conn net.Conn) (*session, error) {
 		id:      id,
 		srv:     srv,
 		conn:    conn,
-		reader:  newWireReader(conn),
+		reader:  newWireReader(conn, serverReadBufSize),
 		writer:  newWireWriter(conn),
 		dfs:     eng.DFS(),
 		engine:  eng,
 		remote:  conn.RemoteAddr().String(),
 		started: time.Now(),
 	}
-	// The caller (acceptLoop) holds srv.mu, so the table copy and — with
-	// reuse on — the epoch snapshot are atomic against RegisterDataset.
+	// The caller (acceptLoop) holds srv.mu, so the table install and — with
+	// reuse on — the epoch snapshot are atomic against RegisterDataset, which
+	// replaces a table's slice and never writes to one.
 	for name, lines := range srv.tables {
-		s.dfs.Write(translator.TablePath(name), lines)
+		s.dfs.WriteShared(translator.TablePath(name), lines)
 	}
 	if srv.store != nil {
 		paths := make([]string, 0, len(srv.tables))
@@ -241,6 +247,10 @@ func (s *session) handleQuery(sql string) error {
 
 	start := time.Now()
 	err := s.runQuery(trimmed, start)
+	var dead connError
+	if errors.As(err, &dead) {
+		return err
+	}
 	if err != nil {
 		s.mu.Lock()
 		s.errors++
@@ -265,13 +275,19 @@ func (s *session) handleQuery(sql string) error {
 	return s.writer.readyForQuery()
 }
 
-// runError marks a failure of translator.Run: the statement compiled, so
-// what went wrong is the server's (internal_error), not the client's SQL.
+// runError marks a failure of translator.Run or of reading its result: the
+// statement compiled, so what went wrong is the server's (internal_error),
+// not the client's SQL.
 type runError struct{ error }
 
+// connError marks a failed write to the client connection. There is nobody
+// left to report it to: the session ends without attempting an
+// ErrorResponse.
+type connError struct{ error }
+
 // runQuery resolves, admits and executes one statement, streaming its
-// result. Client-facing failures come back as errors; wire-level write
-// failures during streaming also surface here and end the session upstream.
+// result. Client-facing failures come back as errors to be reported in an
+// ErrorResponse; a connError ends the session instead.
 func (s *session) runQuery(sql string, start time.Time) error {
 	srv := s.srv
 	if s.pending != nil {
@@ -337,7 +353,7 @@ func (s *session) runQuery(sql string, start time.Time) error {
 		lat := time.Since(start).Seconds()
 		srv.reg.Observe("ysmart_server_query_seconds", lat)
 		srv.reg.Add("ysmart_server_queries_total", 1)
-		return s.sendResult(p.Schema, o.res.Rows)
+		return s.streamResult(p.Schema, o.res)
 	case <-timeout:
 		srv.reg.Add("ysmart_server_query_timeouts_total", 1)
 		finished := make(chan struct{})
@@ -348,17 +364,34 @@ func (s *session) runQuery(sql string, start time.Time) error {
 	}
 }
 
-// sendResult streams RowDescription + DataRows + CommandComplete.
-func (s *session) sendResult(schema *exec.Schema, rows []exec.Row) error {
-	if err := s.writer.rowDescription(schema); err != nil {
-		return err
+// streamResult sends RowDescription, one DataRow per line of the result file
+// — rendered from the line's text straight into the write buffer, which goes
+// to the socket every time it fills, so no row set is ever built and the
+// client is reading the first rows while the last are still being parsed —
+// and CommandComplete with the row count taken on the way. A line the schema
+// cannot parse ends the result as a runError after the rows already sent
+// (the admission slot was released when the run ended, so a slow reader
+// holds only its own session).
+func (s *session) streamResult(schema *exec.Schema, res *translator.Result) error {
+	w := s.writer
+	if err := w.rowDescription(schema); err != nil {
+		return connError{err}
 	}
-	for _, row := range rows {
-		if err := s.writer.dataRow(row); err != nil {
-			return err
-		}
+	n := 0
+	err := res.EachRow(func(payload string) error {
+		n++
+		return w.dataRow(payload, schema)
+	})
+	if w.err != nil {
+		return connError{w.err}
 	}
-	return s.writer.commandComplete(fmt.Sprintf("SELECT %d", len(rows)))
+	if err != nil {
+		return runError{err}
+	}
+	if err := w.commandComplete("SELECT " + strconv.Itoa(n)); err != nil {
+		return connError{err}
+	}
+	return nil
 }
 
 // sessionCommand recognizes statements a SQL client sends for session

@@ -100,7 +100,11 @@ func runPlan(t *testing.T, p *Plan) []string {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return dbms.SortedLines(res.Rows)
+	rows, err := res.Rows()
+	if err != nil {
+		t.Fatalf("result: %v", err)
+	}
+	return dbms.SortedLines(rows)
 }
 
 // wireLines renders a wire result the way the oracle comparison in the load

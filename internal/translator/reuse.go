@@ -119,7 +119,7 @@ type reuseRecord struct {
 // store: the jobs that still need to run (clones — the source Translation
 // is never mutated, because a cached plan is shared by every session running
 // it), with inputs that matched a stored artifact repointed at restore/
-// paths. Run (run.go) executes rp.Jobs, reads the result via rp.ReadResult,
+// paths. Run (run.go) executes rp.Jobs, opens the result file at rp.Output,
 // then calls rp.Record to materialize the outputs of the jobs that did
 // execute.
 type ReusePlan struct {
@@ -154,7 +154,9 @@ type ReusePlan struct {
 // chain when its own artifact is valid in the store, or when every chain
 // consumer of its output was dropped; surviving jobs are cloned with
 // their intermediate inputs repointed at the installed restore/ paths
-// (written into dfs here) and their DependsOn edges rebuilt among the
+// (installed into dfs here by reference — the store copied the lines when it
+// recorded them and never writes them again, so every query an artifact
+// serves shares the one slice) and their DependsOn edges rebuilt among the
 // clones. With a nil store the rewrite is the identity: tr's own jobs, to
 // be run as compiled.
 func ApplyReuseAt(tr *Translation, store *reuse.Store, dfs *mapreduce.DFS, epochs map[string]int64) *ReusePlan {
@@ -232,7 +234,7 @@ func ApplyReuseAt(tr *Translation, store *reuse.Store, dfs *mapreduce.DFS, epoch
 
 	for i := 0; i < n; i++ {
 		if used[i] {
-			dfs.Write(ArtifactPath(tr.Artifacts[i].Fingerprint, tr.Optimized), hit[i].Lines)
+			dfs.WriteShared(ArtifactPath(tr.Artifacts[i].Fingerprint, tr.Optimized), hit[i].Lines)
 		}
 		if !needed[i] && hit[i] != nil {
 			rp.ArtifactBytes += hit[i].Bytes

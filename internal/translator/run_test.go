@@ -2,6 +2,7 @@ package translator
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"ysmart/internal/exec"
@@ -30,7 +31,7 @@ func TestRunMatchesHandWrittenSequence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, mode, err)
 			}
-			if !reflect.DeepEqual(res.Rows, wantRows) {
+			if rows, err := res.Rows(); err != nil || !reflect.DeepEqual(rows, wantRows) {
 				t.Errorf("%s/%v: rows differ from the hand-written sequence", name, mode)
 			}
 			if !reflect.DeepEqual(res.Stats, wantStats) {
@@ -102,4 +103,67 @@ func TestRunFailureRecordsNothing(t *testing.T) {
 	if store.Len() != len(tr.Jobs) {
 		t.Errorf("completed run recorded %d artifacts, want %d", store.Len(), len(tr.Jobs))
 	}
+}
+
+// TestRunVerifiesOnlyWhatItPublishes: the check that guards the store runs
+// exactly when there is something to record. A fresh result whose fields
+// the schema cannot parse is refused in the decoder's own words and records
+// nothing; a full-chain hit publishes nothing, so Run does not parse what it
+// serves — its reader does.
+func TestRunVerifiesOnlyWhatItPublishes(t *testing.T) {
+	tr := translate(t, queries.Named()["Q18"], YSmart, Options{QueryName: "run"})
+	mistyped := *tr
+	cols := append([]exec.Column(nil), tr.OutputSchema.Cols...)
+	for i := range cols {
+		if cols[i].Type == exec.TypeString {
+			cols[i].Type = exec.TypeInt
+		}
+	}
+	mistyped.OutputSchema = &exec.Schema{Cols: cols}
+
+	store := reuse.NewStore(0, nil)
+	dfs, _ := workload(t)
+	_, err := Run(&mistyped, newEngine(t, dfs), store, nil)
+	_, readErr := mistyped.ReadResult(dfs)
+	if err == nil || readErr == nil || err.Error() != readErr.Error() || !strings.Contains(err.Error(), "parse int field") {
+		t.Fatalf("mistyped result: Run fails with %v, ReadResult with %v; want one parse-int error", err, readErr)
+	}
+	if store.Len() != 0 {
+		t.Errorf("unverifiable result recorded %d artifacts", store.Len())
+	}
+
+	dfs, _ = workload(t)
+	cold, err := Run(tr, newEngine(t, dfs), store, nil)
+	if err != nil || store.Len() != len(tr.Jobs) {
+		t.Fatalf("cold run: %v, %d of %d artifacts recorded", err, store.Len(), len(tr.Jobs))
+	}
+
+	// The mistyped schema, which no line of the root artifact satisfies, runs
+	// clean on a full-chain hit; the true schema reads back the cold rows.
+	dfs, _ = workload(t)
+	hit, err := Run(&mistyped, newEngine(t, dfs), store, nil)
+	if err != nil || hit.Reuse.Skipped != len(tr.Jobs) {
+		t.Fatalf("full-chain hit under an unparseable schema: %v; Run verified a result it had nothing to record for", err)
+	}
+	if _, err := hit.Rows(); err == nil || err.Error() != readErr.Error() {
+		t.Errorf("reading the hit under the mistyped schema: %v, want %v", err, readErr)
+	}
+	warm, err := Run(tr, newEngine(t, dfs), store, nil)
+	if err != nil || len(warm.Reuse.Jobs) != 0 {
+		t.Fatalf("warm run: %v, %d jobs ran", err, len(warm.Reuse.Jobs))
+	}
+	coldRows, _ := cold.Rows()
+	warmRows, err := warm.Rows()
+	if err != nil || len(warmRows) == 0 || !reflect.DeepEqual(warmRows, coldRows) {
+		t.Errorf("full-chain hit serves %d rows (%v), the cold run %d", len(warmRows), err, len(coldRows))
+	}
+}
+
+func newEngine(t *testing.T, dfs *mapreduce.DFS) *mapreduce.Engine {
+	t.Helper()
+	eng, err := mapreduce.NewEngine(dfs, mapreduce.SmallCluster())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
 }

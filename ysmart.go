@@ -389,7 +389,11 @@ func (r *Runtime) Run(t *Translation, opts ...RunOption) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Schema: t.OutputSchema, Rows: res.Rows, Stats: res.Stats, Reuse: res.Reuse}, nil
+	rows, err := res.Rows()
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Schema: t.OutputSchema, Rows: rows, Stats: res.Stats, Reuse: res.Reuse}, nil
 }
 
 // ---------------------------------------------------------------------------
