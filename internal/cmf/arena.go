@@ -3,12 +3,14 @@ package cmf
 import "ysmart/internal/exec"
 
 // arena is the row storage of one reducer instance: the rows a key group's
-// evaluation builds — decoded values, stream buckets, join and projection
-// results — are carved from it and all die together when the next key group
-// resets it. The lifetime rule: nothing that outlives Reduce(key) may alias
-// the arena. Output lines are freshly encoded strings, operator state that
-// spans rows (accumulators, sort buffers) lives on the heap, and a decoded
-// string value points into the shuffle value it came from, not into a chunk.
+// evaluation builds — decoded values, stream buckets, projected, joined,
+// filtered and aggregated rows, operator result slices — are carved from it
+// and all die together when the next key group resets it. The lifetime
+// rule: nothing that outlives Reduce(key) may alias the arena. Output lines
+// are freshly encoded strings, a sort buffer lives on the heap, and a
+// decoded string value points into the shuffle value it came from, not
+// into a chunk. (The map side has the same rule for its scratch row: see
+// mapTask.)
 //
 // The zero arena is ready to use; one that is never reset allocates exactly
 // what its callers ask for, so an operator evaluated on its own behaves as
@@ -16,9 +18,10 @@ import "ysmart/internal/exec"
 type arena struct {
 	vals slab[exec.Value] // row storage
 	rows slab[exec.Row]   // row headers: stream buckets, operator results
-	// ints is index scratch an operator uses within one Eval and hands back
-	// grown (JoinOp's matched-pair list).
+	// ints and accs are scratch an operator uses within one Eval and hands
+	// back grown: JoinOp's matched-pair list, AggOp's accumulators.
 	ints []int
+	accs []exec.Acc
 }
 
 // reset recycles every carving.

@@ -202,9 +202,10 @@ func TestReusedInstanceMatchesFreshInstances(t *testing.T) {
 // TestAllocBudgetTinyJob is the guard for per-job fixed cost: a 30-line,
 // six-key, one-worker job — the size of the benchmark's plan_cold tables,
 // where every per-job constant is paid several times per statement — must
-// not allocate more than it did before reducers had instances and arenas
-// (300 allocations, measured on the parent commit). Chunks, slabs and
-// tables grow from the demand seen; nothing has a floor.
+// not allocate more than it did before mappers had task instances (168
+// allocations; 300 before reducers had instances and arenas). Chunks,
+// slabs, scratch rows and tables grow from the demand seen; nothing has a
+// floor.
 func TestAllocBudgetTinyJob(t *testing.T) {
 	dfs := mapreduce.NewDFS()
 	var lineitem, part [][4]int64
@@ -234,9 +235,9 @@ func TestAllocBudgetTinyJob(t *testing.T) {
 	if stats.ReduceGroups != 6 || stats.ReduceOutputRecords == 0 {
 		t.Fatalf("job reduced %d groups to %d rows: not the job this budget is about", stats.ReduceGroups, stats.ReduceOutputRecords)
 	}
-	const parent = 300
-	t.Logf("30-line Q17-shaped job: %v allocations (parent commit: %d)", got, parent)
-	if got > parent {
-		t.Errorf("30-line Q17-shaped job: %v allocations, the parent commit's %d is the budget", got, parent)
+	const before = 168
+	t.Logf("30-line Q17-shaped job: %v allocations (before map task instances: %d)", got, before)
+	if got > before {
+		t.Errorf("30-line Q17-shaped job: %v allocations, the %d before map task instances is the budget", got, before)
 	}
 }

@@ -22,8 +22,15 @@ type CommonInput struct {
 	Path string
 	// Decode parses one input line into a row (typically a schema-typed
 	// decode for base tables, or a tag-stripping decode for intermediate
-	// files written by earlier common jobs).
-	Decode func(line string) (exec.Row, error)
+	// files written by earlier common jobs); a nil row with no error drops
+	// the line. scratch is the calling map task's scratch row (empty at
+	// first): a decoder may build its row anywhere in
+	// (*scratch)[:cap(*scratch)] instead of allocating, and grows the
+	// scratch by storing larger storage in *scratch — which the task keeps
+	// whether or not the line passes, so a task whose first lines are all
+	// filtered out allocates once, not per line. The returned row is only
+	// valid until the task's next call.
+	Decode func(scratch *exec.Row, line string) (exec.Row, error)
 	// Key computes the partition-key values of a row, one function per key
 	// column (none: every row shares the empty key). All streams of an
 	// input share the key — that is precisely the transit-correlation
@@ -89,7 +96,7 @@ func (cj *CommonJob) Build() (*mapreduce.Job, error) {
 	for ii, in := range cj.Inputs {
 		job.Inputs = append(job.Inputs, mapreduce.Input{
 			Path:   in.Path,
-			Mapper: commonMapper(ii, in),
+			Mapper: &commonMapper{input: ii, in: in},
 		})
 		refs := make([]streamRef, len(in.Streams))
 		for i, st := range in.Streams {
@@ -187,71 +194,104 @@ func (cj *CommonJob) validate() error {
 
 // commonMapper implements §VI.A: decode, evaluate every stream's selection,
 // and emit one tagged common pair when at least one stream wants the row.
-// Key and value are rendered into one call-local buffer and emitted as two
-// halves of a single string, so a pair costs one allocation.
-func commonMapper(inputIdx int, in CommonInput) mapreduce.Mapper {
-	return mapreduce.MapperFunc(func(line string, emit mapreduce.Emit) error {
-		row, err := in.Decode(line)
+// Like the common reducer it comes as a class and its instances:
+// commonMapper is one input's wiring, fixed at Build and never written
+// again, and a mapTask (mapreduce.MapTaskFactory), one per map morsel, owns
+// the scratch a line's work reuses.
+type commonMapper struct {
+	input int // the input's index within the job: the tag every pair carries
+	in    CommonInput
+}
+
+// NewMapTask implements mapreduce.MapTaskFactory.
+func (m *commonMapper) NewMapTask() mapreduce.Mapper { return &mapTask{m: m} }
+
+// Map implements mapreduce.Mapper for callers outside the engine's map
+// tasks: a one-line task.
+func (m *commonMapper) Map(line string, emit mapreduce.Emit) error {
+	t := m.NewMapTask()
+	return t.Map(line, emit)
+}
+
+// mapTask is one map morsel's instance of the common mapper. It decodes
+// every line into the same scratch row and keys through the same value
+// slice. The lifetime rule, the reducer arena's restated for mappers:
+// nothing that outlives Map(line) may alias the scratch. Key and tagged
+// value are rendered into one call-local buffer and emitted as two halves
+// of a single fresh string — one allocation per pair — and a decoded string
+// value points into the input line, not into the scratch row.
+type mapTask struct {
+	m    *commonMapper
+	row  exec.Row     // Decode's scratch
+	vals []exec.Value // key values for a KeyEncode input
+}
+
+// Map implements mapreduce.Mapper.
+func (t *mapTask) Map(line string, emit mapreduce.Emit) error {
+	in := &t.m.in
+	row, err := in.Decode(&t.row, line)
+	if err != nil {
+		return err
+	}
+	if row == nil {
+		return nil // decoder filtered the line (e.g. foreign tag)
+	}
+	var exclBuf [8]int
+	excluded := exclBuf[:0]
+	for _, st := range in.Streams {
+		if st.Filter == nil {
+			continue
+		}
+		ok, err := st.Filter(row)
 		if err != nil {
 			return err
 		}
-		if row == nil {
-			return nil // decoder filtered the line (e.g. foreign tag)
+		if !ok {
+			excluded = append(excluded, st.ID)
 		}
-		var exclBuf [8]int
-		excluded := exclBuf[:0]
-		for _, st := range in.Streams {
-			if st.Filter == nil {
-				continue
+	}
+	if len(excluded) == len(in.Streams) {
+		return nil
+	}
+	var buf [512]byte
+	pair := buf[:0]
+	if in.KeyEncode != nil {
+		if cap(t.vals) < len(in.Key) {
+			t.vals = make([]exec.Value, len(in.Key))
+		}
+		vals := t.vals[:len(in.Key)]
+		for i, fn := range in.Key {
+			if vals[i], err = fn(row); err != nil {
+				return err
 			}
-			ok, err := st.Filter(row)
+		}
+		pair = append(pair, in.KeyEncode(vals)...)
+	} else {
+		for i, fn := range in.Key {
+			v, err := fn(row)
 			if err != nil {
 				return err
 			}
-			if !ok {
-				excluded = append(excluded, st.ID)
-			}
-		}
-		if len(excluded) == len(in.Streams) {
-			return nil
-		}
-		var buf [512]byte
-		pair := buf[:0]
-		if in.KeyEncode != nil {
-			vals := make([]exec.Value, len(in.Key))
-			for i, fn := range in.Key {
-				if vals[i], err = fn(row); err != nil {
-					return err
-				}
-			}
-			pair = append(pair, in.KeyEncode(vals)...)
-		} else {
-			for i, fn := range in.Key {
-				v, err := fn(row)
-				if err != nil {
-					return err
-				}
-				if i > 0 {
-					pair = append(pair, '\t')
-				}
-				pair = exec.AppendField(pair, v)
-			}
-		}
-		keyLen := len(pair)
-		pair = appendTagHeader(pair, inputIdx, excluded)
-		if in.Project == nil {
-			pair = exec.AppendRow(pair, row)
-		}
-		for i, c := range in.Project {
 			if i > 0 {
 				pair = append(pair, '\t')
 			}
-			pair = exec.AppendField(pair, row[c])
+			pair = exec.AppendField(pair, v)
 		}
-		s := string(pair)
-		emit(s[:keyLen], s[keyLen:])
-		return nil
-	})
+	}
+	keyLen := len(pair)
+	pair = appendTagHeader(pair, t.m.input, excluded)
+	if in.Project == nil {
+		pair = exec.AppendRow(pair, row)
+	}
+	for i, c := range in.Project {
+		if i > 0 {
+			pair = append(pair, '\t')
+		}
+		pair = exec.AppendField(pair, row[c])
+	}
+	s := string(pair)
+	emit(s[:keyLen], s[keyLen:])
+	return nil
 }
 
 // streamRef is one stream of an input: its ID (what exclusion tags name)
@@ -407,20 +447,33 @@ func (cj *CommonJob) buildCombiner() (mapreduce.Combiner, error) {
 		return nil, fmt.Errorf("common job %s: aggregates are not decomposable", cj.Name)
 	}
 	inputIdx := 0
+	partialWidth := 0
+	for _, k := range kinds {
+		partialWidth += k.PartialWidth()
+	}
 	return mapreduce.CombinerFunc(func(key string, values []string) ([]string, error) {
-		groupVals, err := exec.DecodeRowUntyped(key)
+		// The key and every value decode into one slab, as in a reducer
+		// instance, with room after them for the partial row (the key's
+		// values again, then the partial fields); a tagged value's header
+		// holds no tab.
+		n := 2*(strings.Count(key, "\t")+1) + partialWidth
+		for _, v := range values {
+			n += strings.Count(v, "\t") + 1
+		}
+		slab, err := exec.AppendRowUntyped(make(exec.Row, 0, n), key)
 		if err != nil {
 			return nil, err
 		}
-		rows := make([]exec.Row, 0, len(values))
-		for _, v := range values {
-			tv, err := DecodeTagged(v)
+		groupVals := slab[:len(slab):len(slab)]
+		rows := make([]exec.Row, len(values))
+		for i, v := range values {
+			tv, err := appendTagged(v, nil, slab)
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, tv.Row)
+			slab, rows[i] = slab[:len(slab)+len(tv.Row)], tv.Row
 		}
-		partial, err := buildPartialRow(groupVals, agg.Aggs, rows)
+		partial, err := appendPartialRow(slab[len(slab):], groupVals, agg.Aggs, rows)
 		if err != nil {
 			return nil, err
 		}

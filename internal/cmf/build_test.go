@@ -18,8 +18,17 @@ var clicksSchema = exec.NewSchema(
 	exec.Column{Name: "ts", Type: exec.TypeInt},
 )
 
-func decodeClicks(line string) (exec.Row, error) {
-	return exec.DecodeRow(line, clicksSchema)
+func decodeClicks(scratch *exec.Row, line string) (exec.Row, error) {
+	return decodeInto(scratch, line, clicksSchema)
+}
+
+// decodeInto is a CommonInput.Decode over every column of s.
+func decodeInto(scratch *exec.Row, line string, s *exec.Schema) (exec.Row, error) {
+	row, err := exec.DecodeColsInto(*scratch, line, s, nil)
+	if row != nil {
+		*scratch = row
+	}
+	return row, err
 }
 
 func keyOn(idx ...int) []RowFn {
@@ -224,13 +233,13 @@ func TestMergedJobWithPostJoin(t *testing.T) {
 		Inputs: []CommonInput{
 			{
 				Path:    "lineitem",
-				Decode:  func(l string) (exec.Row, error) { return exec.DecodeRow(l, liSchema) },
+				Decode:  func(scratch *exec.Row, l string) (exec.Row, error) { return decodeInto(scratch, l, liSchema) },
 				Key:     keyOn(0),
 				Streams: []Stream{{ID: 0}},
 			},
 			{
 				Path:    "part",
-				Decode:  func(l string) (exec.Row, error) { return exec.DecodeRow(l, partSchema) },
+				Decode:  func(scratch *exec.Row, l string) (exec.Row, error) { return decodeInto(scratch, l, partSchema) },
 				Key:     keyOn(0),
 				Streams: []Stream{{ID: 1}},
 			},
@@ -422,7 +431,7 @@ func TestGlobalAggregationJob(t *testing.T) {
 		Name: "global",
 		Inputs: []CommonInput{{
 			Path:    "in",
-			Decode:  func(l string) (exec.Row, error) { return exec.DecodeRow(l, schema) },
+			Decode:  func(scratch *exec.Row, l string) (exec.Row, error) { return decodeInto(scratch, l, schema) },
 			Streams: []Stream{{ID: 0}}, // no Key: every row shares the empty key
 		}},
 		Ops: []Op{&AggOp{
@@ -478,9 +487,10 @@ func q17Group() (key string, values []string) {
 }
 
 // TestAllocBudgetReduce pins what a key group costs a warmed reducer
-// instance: the decoded values, stream buckets, join and projection results
-// of nine values and five operators all come out of the arena, so what is
-// left is the aggregation's group state and the two output lines. The same
+// instance: the decoded values, stream buckets, join, projection and
+// aggregation results of nine values and five operators all come out of
+// the arena and the aggregation's accumulators out of its scratch, so what
+// is left is the two output lines. The same
 // group on a fresh instance per key — what every key group cost before
 // instances outlived a key — must overrun the budget, or it pins nothing.
 func TestAllocBudgetReduce(t *testing.T) {
@@ -500,7 +510,7 @@ func TestAllocBudgetReduce(t *testing.T) {
 		t.Fatalf("Q17-shaped group reduced to %q, want %q", out, want)
 	}
 
-	const budget = 10
+	const budget = 2
 	warm := testing.AllocsPerRun(100, func() {
 		out = out[:0]
 		if err := task.Reduce(key, values, emit); err != nil {
@@ -535,3 +545,58 @@ func TestAllocBudgetEncodeTagged(t *testing.T) {
 }
 
 var sinkString string
+
+// TestAllocBudgetMapTask pins what a line costs a warmed map task: the
+// decode goes into the task's scratch row and the key values into its
+// scratch slice, so an emitted line costs its pair string — plus, with an
+// ordered (KeyEncode) key, the string the encoder returns — and a line
+// every stream's selection rejects costs nothing.
+func TestAllocBudgetMapTask(t *testing.T) {
+	keep := func(r exec.Row) (bool, error) { return r[2].I == 10, nil }
+	for _, ordered := range []bool{false, true} {
+		in := CommonInput{
+			Path: "clicks", Decode: decodeClicks, Key: keyOn(0, 3), Project: []int{0, 3},
+			Streams: []Stream{{ID: 0, Filter: keep}, {ID: 1, Filter: keep}},
+		}
+		if ordered {
+			in.KeyEncode = func(vals []exec.Value) string { return exec.EncodeOrderedKey(vals, nil) }
+		}
+		job, err := (&CommonJob{
+			Name: "scan", Inputs: []CommonInput{in}, Output: "out",
+			Ops:     []Op{&FilterOp{OpName: "f", In: StreamSource(0), Pred: keep}},
+			Outputs: []OutputSpec{{Op: "f"}},
+		}).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		task := job.Inputs[0].Mapper.(mapreduce.MapTaskFactory).NewMapTask()
+		pairs := 0
+		emit := func(k, v string) { pairs++ }
+		emitted, filtered := "7\t1\t10\t100", "7\t1\t20\t100"
+		for _, line := range []string{emitted, filtered} {
+			if err := task.Map(line, emit); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if pairs != 1 {
+			t.Fatalf("ordered=%v: %d pairs for one selected and one rejected line", ordered, pairs)
+		}
+		pairBudget := 1.0
+		if ordered {
+			pairBudget = 2
+		}
+		for _, c := range []struct {
+			line   string
+			budget float64
+		}{{emitted, pairBudget}, {filtered, 0}} {
+			got := testing.AllocsPerRun(200, func() {
+				if err := task.Map(c.line, emit); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got > c.budget {
+				t.Errorf("ordered=%v, line %q: %v allocations on a warmed map task, budget %v", ordered, c.line, got, c.budget)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package cmf
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -90,8 +91,8 @@ func (j *JoinOp) Sources() []Source { return []Source{j.Left, j.Right} }
 // standing for an outer join's NULL side; the second copies exactly those
 // rows out of one exactly-sized carving of the arena.
 func (j *JoinOp) Eval(a *arena, _ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
-	left := projectRows(inputs[0], j.LeftProj, !j.Left.IsOp())
-	right := projectRows(inputs[1], j.RightProj, !j.Right.IsOp())
+	left := projectRows(a, inputs[0], j.LeftProj, !j.Left.IsOp())
+	right := projectRows(a, inputs[1], j.RightProj, !j.Right.IsOp())
 	leftOuter := j.Type == sqlparser.LeftOuterJoin || j.Type == sqlparser.FullOuterJoin
 	rightOuter := j.Type == sqlparser.RightOuterJoin || j.Type == sqlparser.FullOuterJoin
 
@@ -107,7 +108,7 @@ func (j *JoinOp) Eval(a *arena, _ exec.Row, inputs [][]exec.Row) ([]exec.Row, er
 		for ri, r := range right {
 			if j.Residual != nil {
 				if len(scratch) != len(l)+len(r) {
-					scratch = make(exec.Row, len(l)+len(r))
+					scratch = a.vals.take(len(l) + len(r))
 				}
 				copy(scratch[copy(scratch, l):], r)
 				ok, err := j.Residual(scratch)
@@ -166,13 +167,17 @@ func (j *JoinOp) Eval(a *arena, _ exec.Row, inputs [][]exec.Row) ([]exec.Row, er
 	return out, nil
 }
 
-func projectRows(rows []exec.Row, proj []int, apply bool) []exec.Row {
+// projectRows applies a stream projection, carving the projected rows from
+// the arena.
+func projectRows(a *arena, rows []exec.Row, proj []int, apply bool) []exec.Row {
 	if !apply || proj == nil {
 		return rows
 	}
-	out := make([]exec.Row, len(rows))
+	out := a.rows.take(len(rows))
+	w := len(proj)
+	slab := a.vals.take(len(rows) * w)
 	for i, r := range rows {
-		pr := make(exec.Row, len(proj))
+		pr := exec.Row(slab[i*w : (i+1)*w : (i+1)*w])
 		for pi, idx := range proj {
 			pr[pi] = r[idx]
 		}
@@ -216,20 +221,29 @@ func (a *AggOp) Name() string { return a.OpName }
 // Sources implements Op.
 func (a *AggOp) Sources() []Source { return []Source{a.In} }
 
-// Eval implements Op.
-func (a *AggOp) Eval(_ *arena, _ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
-	rows := projectRows(inputs[0], a.InProj, !a.In.IsOp())
+// Eval implements Op. The group rows and the output slice are carved from
+// the arena and the accumulators kept in its Acc scratch. A row whose
+// group values are identical to the current group's — same types, same
+// bits, hence the same encoding — is that group's without rendering its
+// key; any other row renders the key and looks it up, so NaN payloads and
+// -0.0 group by their encodings as always.
+func (a *AggOp) Eval(ar *arena, _ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
+	rows := projectRows(ar, inputs[0], a.InProj, !a.In.IsOp())
 	if a.FromPartials {
-		return a.evalFromPartials(rows)
+		return a.evalFromPartials(ar, rows)
 	}
+	nGroup, nAggs := len(a.GroupBy), len(a.Aggs)
 
-	// A group's row starts as its group values, with room for the results.
+	// A group's row starts as its group values, with room for the results;
+	// its accumulators are accs[i*nAggs:(i+1)*nAggs] for group i.
 	type group struct {
-		key  string
-		row  exec.Row
-		accs []exec.Accumulator
+		key   string
+		keyed bool // false only for the first group until a second one opens
+		row   exec.Row
 	}
-	var groups []group
+	var groupBuf [1]group
+	groups := groupBuf[:0]
+	accs := ar.accs[:0]
 	// index finds a group by key once there are several; a key group's rows
 	// mostly share one aggregation group, which cur remembers.
 	var index map[string]int
@@ -238,6 +252,12 @@ func (a *AggOp) Eval(_ *arena, _ exec.Row, inputs [][]exec.Row) ([]exec.Row, err
 	// copied when a row opens a new group.
 	var valBuf [8]exec.Value
 	var keyBuf [64]byte
+	keyOf := func(g *group) string {
+		if !g.keyed {
+			g.key, g.keyed = exec.EncodeKey(g.row[:nGroup]), true
+		}
+		return g.key
+	}
 	for _, r := range rows {
 		gvals := valBuf[:0]
 		for _, fn := range a.GroupBy {
@@ -247,92 +267,138 @@ func (a *AggOp) Eval(_ *arena, _ exec.Row, inputs [][]exec.Row) ([]exec.Row, err
 			}
 			gvals = append(gvals, v)
 		}
-		key := exec.AppendRow(keyBuf[:0], gvals)
-		if cur < 0 || groups[cur].key != string(key) {
-			var ok bool
-			if cur, ok = index[string(key)]; !ok {
-				cur = len(groups)
-				g := group{
-					key:  string(key),
-					row:  append(make(exec.Row, 0, len(gvals)+len(a.Aggs)), gvals...),
-					accs: make([]exec.Accumulator, len(a.Aggs)),
-				}
-				for i, spec := range a.Aggs {
-					g.accs[i] = exec.NewAccumulator(spec.Kind)
-				}
-				groups = append(groups, g)
-				if cur == 1 {
-					index = map[string]int{groups[0].key: 0}
-				}
-				if cur > 0 {
-					index[g.key] = cur
+		if cur < 0 || !identical(gvals, groups[cur].row[:nGroup]) {
+			key := exec.AppendRow(keyBuf[:0], gvals)
+			if cur < 0 || keyOf(&groups[cur]) != string(key) {
+				var ok bool
+				if cur, ok = index[string(key)]; !ok {
+					cur = len(groups)
+					row := ar.vals.take(nGroup + nAggs)
+					copy(row, gvals)
+					g := group{row: row}
+					if cur > 0 {
+						g.key, g.keyed = string(key), true
+					}
+					for _, spec := range a.Aggs {
+						accs = append(accs, exec.NewAcc(spec.Kind))
+					}
+					groups = append(groups, g)
+					if cur == 1 {
+						index = map[string]int{keyOf(&groups[0]): 0}
+					}
+					if cur > 0 {
+						index[g.key] = cur
+					}
 				}
 			}
 		}
-		accs := groups[cur].accs
+		ga := accs[cur*nAggs : (cur+1)*nAggs]
 		for i, spec := range a.Aggs {
 			if spec.Arg == nil {
-				accs[i].Add(exec.Int(1))
+				ga[i].Add(exec.Int(1))
 				continue
 			}
 			v, err := spec.Arg(r)
 			if err != nil {
 				return nil, fmt.Errorf("agg %s arg: %w", a.OpName, err)
 			}
-			accs[i].Add(v)
+			ga[i].Add(v)
 		}
 	}
 	// A global aggregate over zero rows still yields one row (SQL
 	// semantics); grouped aggregates yield no rows.
-	if len(groups) == 0 && len(a.GroupBy) == 0 {
-		out := make(exec.Row, len(a.Aggs))
+	if len(groups) == 0 && nGroup == 0 {
+		row := ar.vals.take(nAggs)
 		for i, spec := range a.Aggs {
-			out[i] = exec.NewAccumulator(spec.Kind).Result()
+			acc := exec.NewAcc(spec.Kind)
+			row[i] = acc.Result()
 		}
-		return []exec.Row{out}, nil
+		out := ar.rows.take(1)
+		out[0] = row
+		return out, nil
 	}
-	slices.SortFunc(groups, func(x, y group) int { return strings.Compare(x.key, y.key) })
-	out := make([]exec.Row, len(groups))
 	for i, g := range groups {
-		for _, acc := range g.accs {
-			g.row = append(g.row, acc.Result())
+		for k := range a.Aggs {
+			g.row[nGroup+k] = accs[i*nAggs+k].Result()
 		}
+	}
+	// Handed back grown, with no COUNT(DISTINCT) set kept alive.
+	clear(accs)
+	ar.accs = accs[:0]
+	if len(groups) > 1 {
+		slices.SortFunc(groups, func(x, y group) int { return strings.Compare(x.key, y.key) })
+	}
+	out := ar.rows.take(len(groups))
+	for i, g := range groups {
 		out[i] = g.row
 	}
 	return out, nil
 }
 
+// identical reports whether two value lists are the same values bit for
+// bit, which implies the same codec encoding.
+func identical(a, b []exec.Value) bool {
+	for i := range a {
+		x, y := &a[i], &b[i]
+		if x.T != y.T {
+			return false
+		}
+		switch x.T {
+		case exec.TypeInt:
+			if x.I != y.I {
+				return false
+			}
+		case exec.TypeFloat:
+			if math.Float64bits(x.F) != math.Float64bits(y.F) {
+				return false
+			}
+		case exec.TypeString:
+			if x.S != y.S {
+				return false
+			}
+		case exec.TypeBool:
+			if x.B != y.B {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // evalFromPartials merges partial rows (see partial.go) that all belong to
 // one final group: the reduce key of a combined aggregation job is the full
 // grouping key, so every partial row in the group shares its group values.
-func (a *AggOp) evalFromPartials(rows []exec.Row) ([]exec.Row, error) {
+func (a *AggOp) evalFromPartials(ar *arena, rows []exec.Row) ([]exec.Row, error) {
 	if len(rows) == 0 {
 		return nil, nil
 	}
 	nGroup := len(a.GroupBy)
-	states := make([]partialState, len(a.Aggs))
-	for i, spec := range a.Aggs {
-		states[i] = newPartialState(spec.Kind)
+	accs := ar.accs[:0]
+	for _, spec := range a.Aggs {
+		accs = append(accs, exec.NewAcc(spec.Kind))
 	}
+	ar.accs = accs[:0]
 	for _, r := range rows {
 		off := nGroup
 		for i, spec := range a.Aggs {
-			w := partialWidth(spec.Kind)
+			w := spec.Kind.PartialWidth()
 			if off+w > len(r) {
 				return nil, fmt.Errorf("agg %s: partial row too short (%d cols)", a.OpName, len(r))
 			}
-			if err := states[i].merge(r[off : off+w]); err != nil {
+			if err := accs[i].MergePartial(r[off : off+w]); err != nil {
 				return nil, fmt.Errorf("agg %s: %w", a.OpName, err)
 			}
 			off += w
 		}
 	}
-	out := make(exec.Row, 0, nGroup+len(a.Aggs))
-	out = append(out, rows[0][:nGroup]...)
-	for _, st := range states {
-		out = append(out, st.result())
+	row := ar.vals.take(nGroup + len(a.Aggs))
+	copy(row, rows[0][:nGroup])
+	for i := range accs {
+		row[nGroup+i] = accs[i].Result()
 	}
-	return []exec.Row{out}, nil
+	out := ar.rows.take(1)
+	out[0] = row
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -355,7 +421,7 @@ func (f *FilterOp) Sources() []Source { return []Source{f.In} }
 
 // Eval implements Op.
 func (f *FilterOp) Eval(a *arena, _ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
-	rows := projectRows(inputs[0], f.InProj, !f.In.IsOp())
+	rows := projectRows(a, inputs[0], f.InProj, !f.In.IsOp())
 	out := a.rows.take(len(rows))[:0]
 	for _, r := range rows {
 		ok, err := f.Pred(r)
@@ -385,7 +451,7 @@ func (p *ProjectOp) Sources() []Source { return []Source{p.In} }
 
 // Eval implements Op.
 func (p *ProjectOp) Eval(a *arena, _ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
-	rows := projectRows(inputs[0], p.InProj, !p.In.IsOp())
+	rows := projectRows(a, inputs[0], p.InProj, !p.In.IsOp())
 	out := a.rows.take(len(rows))[:0]
 	// One carving for the whole group's projected rows; each row is capped
 	// at its own width so an append to one cannot reach the next.
@@ -429,8 +495,8 @@ func (s *SortOp) Name() string { return s.OpName }
 func (s *SortOp) Sources() []Source { return []Source{s.In} }
 
 // Eval implements Op.
-func (s *SortOp) Eval(_ *arena, _ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
-	rows := projectRows(inputs[0], s.InProj, !s.In.IsOp())
+func (s *SortOp) Eval(a *arena, _ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
+	rows := projectRows(a, inputs[0], s.InProj, !s.In.IsOp())
 	out := make([]exec.Row, len(rows))
 	copy(out, rows)
 	var evalErr error

@@ -2,6 +2,7 @@ package cmf
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -537,6 +538,125 @@ func TestCompiledGraphMatchesEvalGraph(t *testing.T) {
 		}
 		if !reflect.DeepEqual(gotStats, wantStats) {
 			t.Fatalf("iter %d: accounting differs\n got %+v\nwant %+v", iter, gotStats, wantStats)
+		}
+	}
+}
+
+// TestAllocBudgetOps pins what operators cost a warmed reducer arena: an
+// AggOp key group holding one aggregation group costs the same whether it
+// computes one aggregate or four (the accumulators are values in the
+// arena's scratch, not heap objects), and the InProj projection of JoinOp
+// and AggOp costs nothing per input row.
+func TestAllocBudgetOps(t *testing.T) {
+	rows := func(n int) []exec.Row {
+		out := make([]exec.Row, n)
+		for i := range out {
+			out[i] = intRow(1, int64(i), int64(i%3))
+		}
+		return out
+	}
+	warm := func(op Op, inputs [][]exec.Row) float64 {
+		var a arena
+		for i := 0; i < 3; i++ {
+			a.reset()
+			if _, err := op.Eval(&a, nil, inputs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(100, func() {
+			a.reset()
+			if _, err := op.Eval(&a, nil, inputs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one := &AggOp{OpName: "a", In: StreamSource(0), GroupBy: []RowFn{col(0)},
+		Aggs: []AggFunc{{Kind: exec.AggSum, Arg: col(1)}}}
+	four := &AggOp{OpName: "a", In: StreamSource(0), GroupBy: []RowFn{col(0)},
+		Aggs: []AggFunc{{Kind: exec.AggCountStar}, {Kind: exec.AggSum, Arg: col(1)},
+			{Kind: exec.AggAvg, Arg: col(1)}, {Kind: exec.AggMax, Arg: col(2)}}}
+	if a1, a4 := warm(one, [][]exec.Row{rows(20)}), warm(four, [][]exec.Row{rows(20)}); a1 != a4 {
+		t.Errorf("AggOp, one aggregation group: %v allocations with 1 aggregate, %v with 4", a1, a4)
+	}
+
+	proj := &AggOp{OpName: "a", In: StreamSource(0), InProj: []int{0, 1}, GroupBy: []RowFn{col(0)},
+		Aggs: []AggFunc{{Kind: exec.AggSum, Arg: col(1)}}}
+	join := &JoinOp{OpName: "j", Left: StreamSource(0), Right: StreamSource(1),
+		LeftProj: []int{1}, RightProj: []int{0, 2}, LeftWidth: 1, RightWidth: 2, Type: sqlparser.InnerJoin}
+	for name, run := range map[string]func(n int) float64{
+		"AggOp": func(n int) float64 { return warm(proj, [][]exec.Row{rows(n)}) },
+		"JoinOp": func(n int) float64 {
+			return warm(join, [][]exec.Row{rows(n), rows(2)})
+		},
+	} {
+		if small, large := run(4), run(64); small != large {
+			t.Errorf("%s with InProj: %v allocations for 4 input rows, %v for 64", name, small, large)
+		}
+	}
+}
+
+// TestAggOpGroupsByEncoding holds AggOp's same-group shortcut to the rule
+// it shortcuts: rows group by the codec encoding of their group values.
+// The values are chosen to defeat a shortcut that compares by value — 0.0
+// and -0.0 (equal, encoded apart), NaNs with different payloads (unequal
+// bits, one encoding), an int beside the float of the same number — and
+// the key group is reduced on one reused arena, so stale accumulator
+// scratch would show too.
+func TestAggOpGroupsByEncoding(t *testing.T) {
+	vals := []exec.Value{
+		exec.Float(0), exec.Float(math.Copysign(0, -1)),
+		exec.Float(math.NaN()), exec.Float(math.Float64frombits(0x7ff8000000000001)),
+		exec.Int(1), exec.Float(1), exec.Str("1"), exec.Null(),
+	}
+	op := &AggOp{OpName: "a", In: StreamSource(0), GroupBy: []RowFn{col(0)},
+		Aggs: []AggFunc{{Kind: exec.AggCountStar}, {Kind: exec.AggCountDistinct, Arg: col(1)}, {Kind: exec.AggSum, Arg: col(1)}}}
+	rng := rand.New(rand.NewSource(9))
+	var a arena
+	for trial := 0; trial < 300; trial++ {
+		rows := make([]exec.Row, rng.Intn(12))
+		for i := range rows {
+			g := vals[rng.Intn(len(vals))]
+			if i > 0 && rng.Intn(2) == 0 {
+				g = rows[i-1][0] // runs of one group, as key groups mostly are
+			}
+			rows[i] = exec.Row{g, exec.Int(int64(rng.Intn(3)))}
+		}
+		// The reference: group by encoding, output in key order.
+		type ref struct {
+			first exec.Value
+			accs  []exec.Acc
+		}
+		byKey := map[string]*ref{}
+		var keys []string
+		for _, r := range rows {
+			k := exec.EncodeKey(r[:1])
+			g := byKey[k]
+			if g == nil {
+				g = &ref{first: r[0], accs: []exec.Acc{exec.NewAcc(exec.AggCountStar), exec.NewAcc(exec.AggCountDistinct), exec.NewAcc(exec.AggSum)}}
+				byKey[k] = g
+				keys = append(keys, k)
+			}
+			g.accs[0].Add(exec.Int(1))
+			g.accs[1].Add(r[1])
+			g.accs[2].Add(r[1])
+		}
+		sort.Strings(keys)
+		var want []string
+		for _, k := range keys {
+			g := byKey[k]
+			want = append(want, exec.EncodeRow(exec.Row{g.first, g.accs[0].Result(), g.accs[1].Result(), g.accs[2].Result()}))
+		}
+		a.reset()
+		out, err := op.Eval(&a, nil, [][]exec.Row{rows})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, r := range out {
+			got = append(got, exec.EncodeRow(r))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d over %v:\n got %q\nwant %q", trial, rows, got, want)
 		}
 	}
 }

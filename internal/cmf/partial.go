@@ -23,161 +23,28 @@ func Decomposable(kinds []exec.AggKind) bool {
 	return true
 }
 
-// partialWidth is the number of row fields a kind's partial state occupies.
-func partialWidth(k exec.AggKind) int {
-	if k == exec.AggAvg {
-		return 2 // sum, count
-	}
-	return 1
-}
-
-// partialState merges partial fields and produces the final value.
-type partialState interface {
-	merge(fields exec.Row) error
-	result() exec.Value
-}
-
-func newPartialState(k exec.AggKind) partialState {
-	switch k {
-	case exec.AggCountStar, exec.AggCount:
-		return &countState{}
-	case exec.AggSum:
-		return &sumState{}
-	case exec.AggMin:
-		return &extState{min: true}
-	case exec.AggMax:
-		return &extState{}
-	case exec.AggAvg:
-		return &avgState{}
-	default:
-		return nil
-	}
-}
-
-type countState struct{ n int64 }
-
-func (s *countState) merge(f exec.Row) error {
-	if f[0].T != exec.TypeInt {
-		return fmt.Errorf("count partial is %v, want int", f[0].T)
-	}
-	s.n += f[0].I
-	return nil
-}
-func (s *countState) result() exec.Value { return exec.Int(s.n) }
-
-type sumState struct{ acc exec.Accumulator }
-
-func (s *sumState) merge(f exec.Row) error {
-	if s.acc == nil {
-		s.acc = exec.NewAccumulator(exec.AggSum)
-	}
-	s.acc.Add(f[0])
-	return nil
-}
-func (s *sumState) result() exec.Value {
-	if s.acc == nil {
-		return exec.Null()
-	}
-	return s.acc.Result()
-}
-
-type extState struct {
-	min bool
-	acc exec.Accumulator
-}
-
-func (s *extState) merge(f exec.Row) error {
-	if s.acc == nil {
-		if s.min {
-			s.acc = exec.NewAccumulator(exec.AggMin)
-		} else {
-			s.acc = exec.NewAccumulator(exec.AggMax)
-		}
-	}
-	s.acc.Add(f[0])
-	return nil
-}
-func (s *extState) result() exec.Value {
-	if s.acc == nil {
-		return exec.Null()
-	}
-	return s.acc.Result()
-}
-
-type avgState struct {
-	sum float64
-	n   int64
-}
-
-func (s *avgState) merge(f exec.Row) error {
-	if f[1].T != exec.TypeInt {
-		return fmt.Errorf("avg partial count is %v, want int", f[1].T)
-	}
-	if sum, ok := f[0].AsFloat(); ok {
-		s.sum += sum
-	} else if !f[0].IsNull() {
-		return fmt.Errorf("avg partial sum is %v, want numeric", f[0].T)
-	}
-	s.n += f[1].I
-	return nil
-}
-func (s *avgState) result() exec.Value {
-	if s.n == 0 {
-		return exec.Null()
-	}
-	return exec.Float(s.sum / float64(s.n))
-}
-
-// buildPartialRow computes one partial row for a group: group values
-// followed by each aggregate's partial fields, fed from the raw rows.
-func buildPartialRow(groupVals exec.Row, aggs []AggFunc, rows []exec.Row) (exec.Row, error) {
-	out := make(exec.Row, 0, len(groupVals)+len(aggs)+1)
-	out = append(out, groupVals...)
+// appendPartialRow appends one partial row for a group to dst: the group
+// values followed by each aggregate's partial fields (exec.Acc's
+// AppendPartial), fed from the raw rows.
+func appendPartialRow(dst, groupVals exec.Row, aggs []AggFunc, rows []exec.Row) (exec.Row, error) {
+	dst = append(dst, groupVals...)
 	for _, spec := range aggs {
-		switch spec.Kind {
-		case exec.AggCountStar, exec.AggCount:
-			var n int64
-			for _, r := range rows {
-				if spec.Arg == nil {
-					n++
-					continue
-				}
-				v, err := spec.Arg(r)
-				if err != nil {
-					return nil, err
-				}
-				if !v.IsNull() {
-					n++
-				}
-			}
-			out = append(out, exec.Int(n))
-		case exec.AggSum, exec.AggMin, exec.AggMax:
-			acc := exec.NewAccumulator(spec.Kind)
-			for _, r := range rows {
-				v, err := spec.Arg(r)
-				if err != nil {
-					return nil, err
-				}
-				acc.Add(v)
-			}
-			out = append(out, acc.Result())
-		case exec.AggAvg:
-			var sum float64
-			var n int64
-			for _, r := range rows {
-				v, err := spec.Arg(r)
-				if err != nil {
-					return nil, err
-				}
-				if f, ok := v.AsFloat(); ok {
-					sum += f
-					n++
-				}
-			}
-			out = append(out, exec.Float(sum), exec.Int(n))
-		default:
+		if spec.Kind == exec.AggCountDistinct {
 			return nil, fmt.Errorf("aggregate %v is not decomposable", spec.Kind)
 		}
+		acc := exec.NewAcc(spec.Kind)
+		for _, r := range rows {
+			if spec.Arg == nil {
+				acc.Add(exec.Int(1))
+				continue
+			}
+			v, err := spec.Arg(r)
+			if err != nil {
+				return nil, err
+			}
+			acc.Add(v)
+		}
+		dst = acc.AppendPartial(dst)
 	}
-	return out, nil
+	return dst, nil
 }

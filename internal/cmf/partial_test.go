@@ -34,13 +34,13 @@ func TestPartialStatesMergeAndFinalize(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			st := newPartialState(tt.kind)
+			st := exec.NewAcc(tt.kind)
 			for _, p := range tt.partials {
-				if err := st.merge(p); err != nil {
+				if err := st.MergePartial(p); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if got := st.result(); got != tt.want {
+			if got := st.Result(); got != tt.want {
 				t.Errorf("result = %v, want %v", got, tt.want)
 			}
 		})
@@ -48,26 +48,28 @@ func TestPartialStatesMergeAndFinalize(t *testing.T) {
 }
 
 func TestPartialStateMergeErrors(t *testing.T) {
-	count := newPartialState(exec.AggCount)
-	if err := count.merge(exec.Row{exec.Str("x")}); err == nil {
+	count := exec.NewAcc(exec.AggCount)
+	if err := count.MergePartial(exec.Row{exec.Str("x")}); err == nil {
 		t.Error("count partial should reject non-int")
 	}
-	avg := newPartialState(exec.AggAvg)
-	if err := avg.merge(exec.Row{exec.Float(1), exec.Str("x")}); err == nil {
+	avg := exec.NewAcc(exec.AggAvg)
+	if err := avg.MergePartial(exec.Row{exec.Float(1), exec.Str("x")}); err == nil {
 		t.Error("avg partial should reject non-int count")
 	}
-	if err := avg.merge(exec.Row{exec.Str("x"), exec.Int(1)}); err == nil {
+	if err := avg.MergePartial(exec.Row{exec.Str("x"), exec.Int(1)}); err == nil {
 		t.Error("avg partial should reject non-numeric sum")
 	}
 }
 
 func TestEmptyPartialStatesAreNull(t *testing.T) {
 	for _, kind := range []exec.AggKind{exec.AggSum, exec.AggMin, exec.AggMax, exec.AggAvg} {
-		if got := newPartialState(kind).result(); !got.IsNull() {
+		acc := exec.NewAcc(kind)
+		if got := acc.Result(); !got.IsNull() {
 			t.Errorf("%v empty state result = %v, want NULL", kind, got)
 		}
 	}
-	if got := newPartialState(exec.AggCount).result(); got != exec.Int(0) {
+	acc := exec.NewAcc(exec.AggCount)
+	if got := acc.Result(); got != exec.Int(0) {
 		t.Errorf("empty count = %v, want 0", got)
 	}
 }
@@ -84,7 +86,7 @@ func TestSourceString(t *testing.T) {
 func TestBuildPartialRowCountWithArg(t *testing.T) {
 	// COUNT(col) skips NULL arguments in the partial.
 	rows := []exec.Row{{exec.Int(1)}, {exec.Null()}, {exec.Int(3)}}
-	partial, err := buildPartialRow(exec.Row{exec.Str("g")}, []AggFunc{
+	partial, err := appendPartialRow(nil, exec.Row{exec.Str("g")}, []AggFunc{
 		{Kind: exec.AggCount, Arg: col(0)},
 		{Kind: exec.AggCountStar},
 	}, rows)

@@ -55,17 +55,12 @@ func appendTagHeader(dst []byte, input int, excluded []int) []byte {
 	return append(dst, '|')
 }
 
-// DecodeTagged parses a tagged value produced by EncodeTagged.
-func DecodeTagged(s string) (TaggedValue, error) {
-	// The header holds no tab, so the tabs of s are the row's.
-	return appendTagged(s, nil, make(exec.Row, 0, strings.Count(s, "\t")+1))
-}
-
-// appendTagged is DecodeTagged into caller-owned storage: the exclusions
-// are appended to excl and the row's values to vals, and the returned
-// value's Excluded and Row are those extensions (Row capped at its own
-// width). A reducer instance passes its exclusion scratch and the slab it
-// decodes a whole key group into.
+// appendTagged parses a tagged value produced by EncodeTagged into
+// caller-owned storage: the exclusions are appended to excl and the row's
+// values to vals, and the returned value's Excluded and Row are those
+// extensions (Row capped at its own width). A reducer instance passes its
+// exclusion scratch, and it and the combiner the slab they decode a whole
+// key group into.
 func appendTagged(s string, excl []int, vals exec.Row) (TaggedValue, error) {
 	sep := strings.IndexByte(s, '|')
 	if sep < 0 {

@@ -28,7 +28,7 @@ func TestEncodeDecodeTagged(t *testing.T) {
 			if enc != tt.wantRaw {
 				t.Errorf("encoded %q, want %q", enc, tt.wantRaw)
 			}
-			tv, err := DecodeTagged(enc)
+			tv, err := appendTagged(enc, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,8 +47,8 @@ func TestEncodeDecodeTagged(t *testing.T) {
 
 func TestDecodeTaggedErrors(t *testing.T) {
 	for _, s := range []string{"", "noseparator", "x|row", "0!a|row"} {
-		if _, err := DecodeTagged(s); err == nil {
-			t.Errorf("DecodeTagged(%q) succeeded, want error", s)
+		if _, err := appendTagged(s, nil, nil); err == nil {
+			t.Errorf("appendTagged(%q) succeeded, want error", s)
 		}
 	}
 }
@@ -76,7 +76,7 @@ func TestTaggedRoundTripProperty(t *testing.T) {
 			}
 		}
 		row := exec.Row{exec.Int(int64(a)), exec.Int(int64(b))}
-		tv, err := DecodeTagged(EncodeTagged(int(input), excluded, row))
+		tv, err := appendTagged(EncodeTagged(int(input), excluded, row), nil, nil)
 		if err != nil {
 			return false
 		}

@@ -140,13 +140,13 @@ func (ex *executor) eval(n plan.Node) ([]exec.Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		pred, err := exec.Compile(x.Cond, x.Child.Schema())
+		pred, err := exec.CompilePredicate(x.Cond, x.Child.Schema())
 		if err != nil {
 			return nil, fmt.Errorf("filter: %w", err)
 		}
 		var out []exec.Row
 		for _, r := range in {
-			ok, err := exec.EvalPredicate(pred, r)
+			ok, err := pred(r)
 			if err != nil {
 				return nil, fmt.Errorf("filter: %w", err)
 			}
@@ -221,9 +221,9 @@ func (ex *executor) evalJoin(x *plan.Join) ([]exec.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	var residual exec.Evaluator
+	var residual func(exec.Row) (bool, error)
 	if x.Residual != nil {
-		residual, err = exec.Compile(x.Residual, x.Schema())
+		residual, err = exec.CompilePredicate(x.Residual, x.Schema())
 		if err != nil {
 			return nil, fmt.Errorf("join residual: %w", err)
 		}
@@ -246,7 +246,7 @@ func (ex *executor) evalJoin(x *plan.Join) ([]exec.Row, error) {
 		for _, ri := range ht[key] {
 			pair := exec.Concat(l, right[ri])
 			if residual != nil {
-				ok, err := exec.EvalPredicate(residual, pair)
+				ok, err := residual(pair)
 				if err != nil {
 					return nil, fmt.Errorf("join residual: %w", err)
 				}
@@ -309,7 +309,7 @@ func (ex *executor) evalAggregate(x *plan.Aggregate) ([]exec.Row, error) {
 
 	type group struct {
 		vals exec.Row
-		accs []exec.Accumulator
+		accs []exec.Acc
 	}
 	groups := make(map[string]*group)
 	var order []string
@@ -325,9 +325,9 @@ func (ex *executor) evalAggregate(x *plan.Aggregate) ([]exec.Row, error) {
 		key := exec.EncodeKey(gvals)
 		g, ok := groups[key]
 		if !ok {
-			g = &group{vals: gvals, accs: make([]exec.Accumulator, len(x.Aggs))}
+			g = &group{vals: gvals, accs: make([]exec.Acc, len(x.Aggs))}
 			for i, spec := range x.Aggs {
-				g.accs[i] = exec.NewAccumulator(spec.Kind)
+				g.accs[i] = exec.NewAcc(spec.Kind)
 			}
 			groups[key] = g
 			order = append(order, key)
@@ -349,7 +349,8 @@ func (ex *executor) evalAggregate(x *plan.Aggregate) ([]exec.Row, error) {
 	if len(order) == 0 && len(x.GroupBy) == 0 {
 		out := make(exec.Row, len(x.Aggs))
 		for i, spec := range x.Aggs {
-			out[i] = exec.NewAccumulator(spec.Kind).Result()
+			acc := exec.NewAcc(spec.Kind)
+			out[i] = acc.Result()
 		}
 		return []exec.Row{out}, nil
 	}
@@ -359,8 +360,8 @@ func (ex *executor) evalAggregate(x *plan.Aggregate) ([]exec.Row, error) {
 		g := groups[key]
 		row := make(exec.Row, 0, len(g.vals)+len(g.accs))
 		row = append(row, g.vals...)
-		for _, acc := range g.accs {
-			row = append(row, acc.Result())
+		for i := range g.accs {
+			row = append(row, g.accs[i].Result())
 		}
 		out = append(out, row)
 	}

@@ -78,146 +78,141 @@ func (k AggKind) ResultType(input Type) Type {
 	}
 }
 
-// Accumulator accumulates values for one group of one aggregate.
-type Accumulator interface {
-	// Add feeds one input value. For COUNT(*) the value is ignored.
-	Add(v Value)
-	// Result returns the aggregate for the values added so far.
-	Result() Value
+// Acc accumulates one aggregate over one group. It is a value — the kind
+// and its running state — not an interface over heap objects, so the
+// accumulators of a group are one slice that a reducer can reuse from key
+// group to key group; only COUNT(DISTINCT) allocates, its set on the first
+// non-NULL input.
+type Acc struct {
+	kind AggKind
+	n    int64 // COUNT(*), COUNT and AVG: the inputs counted
+	// v is SUM's running total and MIN's or MAX's extremum — its zero T
+	// means no input yet — and, in F, AVG's running sum.
+	v    Value
+	seen map[string]struct{} // COUNT(DISTINCT): the encoded values seen
 }
 
-// NewAccumulator creates an accumulator for the kind.
-func NewAccumulator(k AggKind) Accumulator {
-	switch k {
+// NewAcc returns an empty accumulator for the kind.
+func NewAcc(k AggKind) Acc { return Acc{kind: k} }
+
+// Add feeds one input value; COUNT(*) counts every call whatever the value.
+// SUM keeps integer sums integral and switches to float on the first float
+// input (Hive semantics: SUM(int) is bigint, SUM(double) is double).
+func (a *Acc) Add(v Value) {
+	switch a.kind {
 	case AggCountStar:
-		return &countStarAcc{}
+		a.n++
 	case AggCount:
-		return &countAcc{}
+		if !v.IsNull() {
+			a.n++
+		}
 	case AggCountDistinct:
-		return &countDistinctAcc{seen: make(map[string]struct{})}
+		if v.IsNull() {
+			return
+		}
+		// Only a value not seen before costs its key string.
+		var buf [encodeBuf]byte
+		field := AppendField(buf[:0], v)
+		if _, ok := a.seen[string(field)]; !ok {
+			if a.seen == nil {
+				a.seen = make(map[string]struct{})
+			}
+			a.seen[string(field)] = struct{}{}
+		}
 	case AggSum:
-		return &sumAcc{}
+		switch {
+		case v.T == TypeInt && a.v.T == TypeFloat:
+			a.v.F += float64(v.I)
+		case v.T == TypeInt:
+			a.v = Int(a.v.I + v.I)
+		case v.T == TypeFloat && a.v.T == TypeFloat:
+			a.v.F += v.F
+		case v.T == TypeFloat:
+			// The integral total so far (0 before any input) becomes the
+			// float one, so a lone -0.0 sums to +0.0.
+			a.v = Float(float64(a.v.I) + v.F)
+		}
 	case AggAvg:
-		return &avgAcc{}
-	case AggMin:
-		return &minMaxAcc{min: true}
-	case AggMax:
-		return &minMaxAcc{}
+		if f, ok := v.AsFloat(); ok {
+			a.n++
+			a.v.F += f
+		}
+	case AggMin, AggMax:
+		if v.IsNull() {
+			return
+		}
+		if a.v.T == 0 {
+			a.v = v
+			return
+		}
+		c := Compare(v, a.v)
+		if (a.kind == AggMin && c < 0) || (a.kind == AggMax && c > 0) {
+			a.v = v
+		}
+	}
+}
+
+// Result returns the aggregate of the values added so far. SUM, AVG, MIN
+// and MAX of no values are NULL; the COUNT kinds are 0.
+func (a *Acc) Result() Value {
+	switch a.kind {
+	case AggCountStar, AggCount:
+		return Int(a.n)
+	case AggCountDistinct:
+		return Int(int64(len(a.seen)))
+	case AggAvg:
+		if a.n == 0 {
+			return Null()
+		}
+		return Float(a.v.F / float64(a.n))
+	}
+	if a.v.T == 0 {
+		return Null()
+	}
+	return a.v
+}
+
+// PartialWidth is the number of row fields the kind's partial state
+// occupies (see AppendPartial).
+func (k AggKind) PartialWidth() int {
+	if k == AggAvg {
+		return 2 // sum, count
+	}
+	return 1
+}
+
+// AppendPartial appends the accumulator's partial state to dst — what a
+// map-side combiner ships for it: the count for the COUNT kinds, the
+// result so far for SUM, MIN and MAX, and the sum then the count for AVG.
+// COUNT(DISTINCT) has no bounded partial state and is never combined.
+func (a *Acc) AppendPartial(dst Row) Row {
+	if a.kind == AggAvg {
+		return append(dst, Float(a.v.F), Int(a.n))
+	}
+	return append(dst, a.Result())
+}
+
+// MergePartial folds in the PartialWidth fields of one partial state that
+// AppendPartial wrote for an accumulator of the same kind.
+func (a *Acc) MergePartial(f Row) error {
+	switch a.kind {
+	case AggCountStar, AggCount:
+		if f[0].T != TypeInt {
+			return fmt.Errorf("count partial is %v, want int", f[0].T)
+		}
+		a.n += f[0].I
+	case AggAvg:
+		if f[1].T != TypeInt {
+			return fmt.Errorf("avg partial count is %v, want int", f[1].T)
+		}
+		if sum, ok := f[0].AsFloat(); ok {
+			a.v.F += sum
+		} else if !f[0].IsNull() {
+			return fmt.Errorf("avg partial sum is %v, want numeric", f[0].T)
+		}
+		a.n += f[1].I
 	default:
-		return nil
+		a.Add(f[0])
 	}
-}
-
-type countStarAcc struct{ n int64 }
-
-func (a *countStarAcc) Add(Value)     { a.n++ }
-func (a *countStarAcc) Result() Value { return Int(a.n) }
-
-type countAcc struct{ n int64 }
-
-func (a *countAcc) Add(v Value) {
-	if !v.IsNull() {
-		a.n++
-	}
-}
-func (a *countAcc) Result() Value { return Int(a.n) }
-
-type countDistinctAcc struct{ seen map[string]struct{} }
-
-func (a *countDistinctAcc) Add(v Value) {
-	if v.IsNull() {
-		return
-	}
-	// Only a value not seen before costs its key string.
-	var buf [encodeBuf]byte
-	field := AppendField(buf[:0], v)
-	if _, ok := a.seen[string(field)]; !ok {
-		a.seen[string(field)] = struct{}{}
-	}
-}
-func (a *countDistinctAcc) Result() Value { return Int(int64(len(a.seen))) }
-
-// sumAcc keeps integer sums integral and switches to float on the first
-// float input (Hive semantics: SUM(int) is bigint, SUM(double) is double).
-type sumAcc struct {
-	any     bool
-	isFloat bool
-	i       int64
-	f       float64
-}
-
-func (a *sumAcc) Add(v Value) {
-	switch v.T {
-	case TypeInt:
-		a.any = true
-		if a.isFloat {
-			a.f += float64(v.I)
-		} else {
-			a.i += v.I
-		}
-	case TypeFloat:
-		a.any = true
-		if !a.isFloat {
-			a.isFloat = true
-			a.f = float64(a.i)
-		}
-		a.f += v.F
-	}
-}
-
-func (a *sumAcc) Result() Value {
-	if !a.any {
-		return Null() // SUM of no rows is NULL
-	}
-	if a.isFloat {
-		return Float(a.f)
-	}
-	return Int(a.i)
-}
-
-type avgAcc struct {
-	n   int64
-	sum float64
-}
-
-func (a *avgAcc) Add(v Value) {
-	if f, ok := v.AsFloat(); ok {
-		a.n++
-		a.sum += f
-	}
-}
-
-func (a *avgAcc) Result() Value {
-	if a.n == 0 {
-		return Null()
-	}
-	return Float(a.sum / float64(a.n))
-}
-
-type minMaxAcc struct {
-	min bool
-	any bool
-	cur Value
-}
-
-func (a *minMaxAcc) Add(v Value) {
-	if v.IsNull() {
-		return
-	}
-	if !a.any {
-		a.any = true
-		a.cur = v
-		return
-	}
-	c := Compare(v, a.cur)
-	if (a.min && c < 0) || (!a.min && c > 0) {
-		a.cur = v
-	}
-}
-
-func (a *minMaxAcc) Result() Value {
-	if !a.any {
-		return Null()
-	}
-	return a.cur
+	return nil
 }

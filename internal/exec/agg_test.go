@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -41,7 +42,7 @@ func TestAggKindOf(t *testing.T) {
 }
 
 func feed(k AggKind, vals ...Value) Value {
-	acc := NewAccumulator(k)
+	acc := NewAcc(k)
 	for _, v := range vals {
 		acc.Add(v)
 	}
@@ -111,9 +112,9 @@ func TestAggResultType(t *testing.T) {
 // int slices with NULLs sprinkled in.
 func TestAggProperty(t *testing.T) {
 	f := func(xs []int16, nullMask []bool) bool {
-		sum := NewAccumulator(AggSum)
-		count := NewAccumulator(AggCount)
-		avg := NewAccumulator(AggAvg)
+		sum := NewAcc(AggSum)
+		count := NewAcc(AggCount)
+		avg := NewAcc(AggAvg)
 		var wantSum int64
 		var wantN int64
 		for i, x := range xs {
@@ -149,8 +150,8 @@ func TestMinMaxProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 500; trial++ {
 		n := 1 + r.Intn(20)
-		minAcc := NewAccumulator(AggMin)
-		maxAcc := NewAccumulator(AggMax)
+		minAcc := NewAcc(AggMin)
+		maxAcc := NewAcc(AggMax)
 		vals := make([]Value, n)
 		for i := range vals {
 			vals[i] = Int(r.Int63n(1000))
@@ -179,7 +180,7 @@ func TestMinMaxProperty(t *testing.T) {
 // Property: COUNT DISTINCT equals the size of a reference set.
 func TestCountDistinctProperty(t *testing.T) {
 	f := func(xs []uint8) bool {
-		acc := NewAccumulator(AggCountDistinct)
+		acc := NewAcc(AggCountDistinct)
 		ref := make(map[uint8]struct{})
 		for _, x := range xs {
 			acc.Add(Int(int64(x)))
@@ -189,5 +190,81 @@ func TestCountDistinctProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAccSumOfNegativeZero: a float SUM starts from the integral total
+// zero, so a lone -0.0 sums to +0.0, as the heap accumulators it replaced
+// computed it.
+func TestAccSumOfNegativeZero(t *testing.T) {
+	got := feed(AggSum, Float(math.Copysign(0, -1)))
+	if got.T != TypeFloat || math.Signbit(got.F) {
+		t.Errorf("SUM(-0.0) = %v (signbit %v), want +0.0", got, math.Signbit(got.F))
+	}
+}
+
+// TestAccPartialRoundTrip: cutting the inputs anywhere, shipping each
+// piece's partial state and merging the pieces gives the result of one
+// accumulator fed everything — the combiner's correctness condition.
+func TestAccPartialRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	kinds := []AggKind{AggCountStar, AggCount, AggSum, AggAvg, AggMin, AggMax}
+	for trial := 0; trial < 300; trial++ {
+		vals := make([]Value, rng.Intn(12))
+		for i := range vals {
+			switch rng.Intn(4) {
+			case 0:
+				vals[i] = Null()
+			case 1:
+				vals[i] = Float(float64(rng.Intn(9)) / 4)
+			default:
+				vals[i] = Int(int64(rng.Intn(19) - 9))
+			}
+		}
+		cut := 0
+		if len(vals) > 0 {
+			cut = rng.Intn(len(vals) + 1)
+		}
+		for _, k := range kinds {
+			whole := NewAcc(k)
+			merged := NewAcc(k)
+			for _, piece := range [][]Value{vals[:cut], vals[cut:]} {
+				acc := NewAcc(k)
+				for _, v := range piece {
+					whole.Add(v)
+					acc.Add(v)
+				}
+				fields := acc.AppendPartial(nil)
+				if len(fields) != k.PartialWidth() {
+					t.Fatalf("%v partial has %d fields, PartialWidth %d", k, len(fields), k.PartialWidth())
+				}
+				if err := merged.MergePartial(fields); err != nil {
+					t.Fatalf("%v: %v", k, err)
+				}
+			}
+			want, got := whole.Result(), merged.Result()
+			if k == AggAvg && !want.IsNull() && math.Abs(got.F-want.F) < 1e-12 {
+				continue // the sums add in another order
+			}
+			if got != want {
+				t.Fatalf("%v over %v cut at %d: merged %v, whole %v", k, vals, cut, got, want)
+			}
+		}
+	}
+}
+
+// TestAllocBudgetAcc: feeding a value accumulator allocates nothing;
+// COUNT(DISTINCT) pays for its set once and for a new value's key only.
+func TestAllocBudgetAcc(t *testing.T) {
+	for _, k := range []AggKind{AggCountStar, AggCount, AggSum, AggAvg, AggMin, AggMax} {
+		acc := NewAcc(k)
+		if got := testing.AllocsPerRun(100, func() { acc.Add(Int(3)); acc.Add(Float(1.5)) }); got != 0 {
+			t.Errorf("%v: %v allocations per Add pair, budget 0", k, got)
+		}
+	}
+	distinct := NewAcc(AggCountDistinct)
+	distinct.Add(Int(3))
+	if got := testing.AllocsPerRun(100, func() { distinct.Add(Int(3)) }); got != 0 {
+		t.Errorf("COUNT(DISTINCT) of a value seen before: %v allocations, budget 0", got)
 	}
 }

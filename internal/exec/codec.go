@@ -257,11 +257,23 @@ func DecodeRow(line string, s *Schema) (Row, error) {
 // value there goes unnoticed — the lazy-SerDe contract: a reader only
 // vouches for the columns it reads.
 func DecodeCols(line string, s *Schema, cols []int) (Row, error) {
+	return DecodeColsInto(nil, line, s, cols)
+}
+
+// DecodeColsInto is DecodeCols into caller-owned storage: the row is built
+// in dst's storage — overwritten from its first element, not appended to —
+// when it has room, and in a fresh row otherwise, so a map task decoding
+// line after line into one scratch row allocates nothing. The row is never
+// nil, even when no column is listed.
+func DecodeColsInto(dst Row, line string, s *Schema, cols []int) (Row, error) {
 	n := len(s.Cols)
 	if cols != nil {
 		n = len(cols)
 	}
-	row := make(Row, n)
+	if dst == nil || cap(dst) < n {
+		dst = make(Row, n)
+	}
+	row := dst[:n]
 	pos, fi := 0, 0 // line[pos:] starts field fi
 	for ci := range row {
 		col := ci

@@ -294,6 +294,7 @@ func TestAllocBudgetCodec(t *testing.T) {
 	}
 	demand := []int{0, 1, 4, 5} // l_orderkey, l_partkey, l_quantity, l_extendedprice
 	slab := make(Row, 0, len(row))
+	scratch := make(Row, len(demand))
 	budgets := []struct {
 		name string
 		max  float64
@@ -303,6 +304,8 @@ func TestAllocBudgetCodec(t *testing.T) {
 		{"EncodeKey", 1, func() { sinkString = EncodeKey(row[:2]) }},
 		{"DecodeRow", 1, func() { sinkRow, _ = DecodeRow(tpchLineitemLine, tpchLineitem) }},
 		{"DecodeCols of 4 numeric columns", 1, func() { sinkRow, _ = DecodeCols(tpchLineitemLine, tpchLineitem, demand) }},
+		{"DecodeColsInto a scratch row", 0, func() { sinkRow, _ = DecodeColsInto(scratch, tpchLineitemLine, tpchLineitem, demand) }},
+		{"DecodeColsInto a scratch row, every column", 0, func() { sinkRow, _ = DecodeColsInto(slab, tpchLineitemLine, tpchLineitem, nil) }},
 		{"DecodeRowUntyped", 1, func() { sinkRow, _ = DecodeRowUntyped(tpchLineitemLine) }},
 		{"AppendRowUntyped into a slab", 0, func() { sinkRow, _ = AppendRowUntyped(slab[:0], tpchLineitemLine) }},
 	}

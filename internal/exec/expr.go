@@ -482,25 +482,6 @@ func compileScalarFunc(x *sqlparser.FuncCall, s *Schema) (Evaluator, error) {
 	}
 }
 
-// EvalPredicate runs a compiled predicate and reports whether the row
-// passes: only a non-NULL TRUE passes (SQL WHERE semantics).
-func EvalPredicate(ev Evaluator, r Row) (bool, error) {
-	if ev == nil {
-		return true, nil
-	}
-	v, err := ev(r)
-	if err != nil {
-		return false, err
-	}
-	if v.IsNull() {
-		return false, nil
-	}
-	if v.T != TypeBool {
-		return false, fmt.Errorf("predicate evaluated to %s, want bool", v.T)
-	}
-	return v.B, nil
-}
-
 // InferType predicts the runtime type of an expression against a schema.
 // It mirrors the evaluator's promotion rules and is used to type derived
 // schemas. NULL literals infer as TypeNull.

@@ -231,26 +231,6 @@ func TestEvalErrors(t *testing.T) {
 	}
 }
 
-func TestEvalPredicate(t *testing.T) {
-	s := testSchema()
-	truthy := compileExpr(t, "i > 5", s)
-	falsy := compileExpr(t, "i > 50", s)
-	nully := compileExpr(t, "n = 0", s)
-
-	if ok, err := EvalPredicate(truthy, sampleRow); err != nil || !ok {
-		t.Errorf("truthy = (%v, %v), want (true, nil)", ok, err)
-	}
-	if ok, err := EvalPredicate(falsy, sampleRow); err != nil || ok {
-		t.Errorf("falsy = (%v, %v), want (false, nil)", ok, err)
-	}
-	if ok, err := EvalPredicate(nully, sampleRow); err != nil || ok {
-		t.Errorf("NULL predicate = (%v, %v), want (false, nil)", ok, err)
-	}
-	if ok, err := EvalPredicate(nil, sampleRow); err != nil || !ok {
-		t.Errorf("nil predicate = (%v, %v), want (true, nil)", ok, err)
-	}
-}
-
 func TestAmbiguousAndUnknownColumns(t *testing.T) {
 	s := NewSchema(
 		Column{Table: "a", Name: "x", Type: TypeInt},

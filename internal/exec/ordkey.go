@@ -17,7 +17,8 @@ import (
 // float64, so integers beyond 2^53 may collide; the workload's keys are
 // far below that.
 func EncodeOrderedKey(vals []Value, desc []bool) string {
-	var b []byte
+	var buf [encodeBuf]byte
+	b := buf[:0]
 	for i, v := range vals {
 		start := len(b)
 		b = appendOrdered(b, v)

@@ -6,28 +6,30 @@ import (
 	"go/types"
 )
 
-// ConcReduce vets the reduce-task contract (mapreduce.ReduceTaskFactory):
-// a type with a NewReduceTask method hands the engine one private reducer
-// instance per reduce task, built inside the task that uses it — which is
-// what lets sharecheck's ownership rule treat everything the instance
-// writes to itself as private. What that rule cannot see is the instance's
-// way back to its factory, the one object shared by every sibling task and
-// by every engine running the job. So the contract obliges:
+// ConcReduce vets the task-factory contract (mapreduce.ReduceTaskFactory
+// and its map-side twin, MapTaskFactory): a type with a NewReduceTask or
+// NewMapTask method hands the engine one private instance per task, built
+// inside the task that uses it — which is what lets sharecheck's ownership
+// rule treat everything the instance writes to itself as private. What
+// that rule cannot see is the instance's way back to its factory, the one
+// object shared by every sibling task and by every engine running the job.
+// So the contract obliges:
 //
-//   - NewReduceTask returns a fresh value: a composite literal or new(T),
-//     directly or through a local variable bound to one — never the
-//     receiver, something it stores, or a package variable;
+//   - the factory method returns a fresh value: a composite literal or
+//     new(T), directly or through a local variable bound to one — never
+//     the receiver, something it stores, or a package variable;
 //   - the instance type never writes its factory's state — anything
-//     reached through a value of the factory's type. What a task counts it
-//     returns from Done. The check is the assignment's own shape: calls
-//     made on the factory are not searched.
+//     reached through a value of the factory's type. What a reduce task
+//     counts it returns from Done. The check is the assignment's own shape:
+//     calls made on the factory are not searched.
 var ConcReduce = &Analyzer{
 	Name: "concreduce",
-	Doc:  "verify NewReduceTask returns a fresh instance and instances never write state reached through their factory",
+	Doc:  "verify NewReduceTask and NewMapTask return a fresh instance and instances never write state reached through their factory",
 	Run:  runConcReduce,
 }
 
-const reduceFactoryMethod = "NewReduceTask"
+// factoryMethods are the contract's factory methods, one per task kind.
+var factoryMethods = []string{"NewReduceTask", "NewMapTask"}
 
 func runConcReduce(pass *Pass) {
 	g := pass.Prog.CallGraph()
@@ -44,21 +46,23 @@ func runConcReduce(pass *Pass) {
 		if _, isIface := parent.Underlying().(*types.Interface); isIface {
 			continue // the contract's own interfaces
 		}
-		sel := types.NewMethodSet(types.NewPointer(parent)).Lookup(pass.Pkg.Types, reduceFactoryMethod)
-		if sel == nil {
-			continue
-		}
-		factory, ok := sel.Obj().(*types.Func)
-		if !ok {
-			continue
-		}
-		d, ok := g.Decls[factory]
-		if !ok {
-			continue
-		}
-		for _, inst := range freshInstances(pass, d, parent) {
-			for i := 0; i < inst.NumMethods(); i++ {
-				checkInstanceMethod(pass, g, parent, inst, inst.Method(i))
+		for _, method := range factoryMethods {
+			sel := types.NewMethodSet(types.NewPointer(parent)).Lookup(pass.Pkg.Types, method)
+			if sel == nil {
+				continue
+			}
+			factory, ok := sel.Obj().(*types.Func)
+			if !ok {
+				continue
+			}
+			d, ok := g.Decls[factory]
+			if !ok {
+				continue
+			}
+			for _, inst := range freshInstances(pass, d, parent, method) {
+				for i := 0; i < inst.NumMethods(); i++ {
+					checkInstanceMethod(pass, g, parent, inst, inst.Method(i))
+				}
 			}
 		}
 	}
@@ -66,7 +70,7 @@ func runConcReduce(pass *Pass) {
 
 // freshInstances checks that every value the factory method returns is one
 // it just created, and returns the named types of those values.
-func freshInstances(pass *Pass, d declOf, parent *types.Named) []*types.Named {
+func freshInstances(pass *Pass, d declOf, parent *types.Named, method string) []*types.Named {
 	info := d.Pkg.Info
 	var insts []*types.Named
 	seen := make(map[*types.Named]bool)
@@ -132,8 +136,8 @@ func freshInstances(pass *Pass, d declOf, parent *types.Named) []*types.Named {
 			}
 			if named == nil {
 				pass.Reportf(res.Pos(),
-					"%s.%s returns a value it did not just create; every reduce task needs a fresh instance that shares nothing mutable with its parent or its siblings",
-					parent.Obj().Name(), reduceFactoryMethod)
+					"%s.%s returns a value it did not just create; every task needs a fresh instance that shares nothing mutable with its parent or its siblings",
+					parent.Obj().Name(), method)
 				continue
 			}
 			if !seen[named] {
@@ -184,7 +188,7 @@ func checkInstanceMethod(pass *Pass, g *CallGraph, parent, inst *types.Named, m 
 	write := func(lhs ast.Expr) {
 		if throughParent(lhs) {
 			pass.Reportf(lhs.Pos(),
-				"%s.%s writes factory state %s; the factory is shared by sibling tasks and by every engine running the job, so an instance counts privately and returns its counts from Done",
+				"%s.%s writes factory state %s; the factory is shared by sibling tasks and by every engine running the job, so an instance keeps its state to itself (a reduce task returns its counts from Done)",
 				inst.Obj().Name(), m.Name(), renderLHS(lhs))
 		}
 	}

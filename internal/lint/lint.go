@@ -11,9 +11,9 @@
 //   - sharecheck: closures run concurrently by forEachTask (or spawned
 //     with go) may write captured state only into a task-index slot or
 //     atomically, never merely under a mutex — helpers included;
-//   - concreduce: a NewReduceTask factory must return a fresh instance,
-//     and the instance never writes state reached through its factory —
-//     what a task counts it returns from Done.
+//   - concreduce: a NewReduceTask or NewMapTask factory must return a
+//     fresh instance, and the instance never writes state reached through
+//     its factory — what a reduce task counts it returns from Done.
 //
 // A diagnostic on a deliberate exception is silenced with a trailing or
 // preceding `// lint:ignore <check> reason` comment. The driver audits

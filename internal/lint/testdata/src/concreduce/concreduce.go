@@ -1,9 +1,10 @@
 // Package concreduce is the golden corpus for the concreduce analyzer:
-// a type with a NewReduceTask method hands the engine one private reducer
-// instance per reduce task, so the method must return a value it just
-// created, and the instance must never write state reached through its
-// factory — the one object shared by sibling tasks and by every engine
-// running the job. What a task counts it returns from Done.
+// a type with a NewReduceTask (or NewMapTask) method hands the engine one
+// private instance per reduce (or map) task, so the method must return a
+// value it just created, and the instance must never write state reached
+// through its factory — the one object shared by sibling tasks and by
+// every engine running the job. What a reduce task counts it returns from
+// Done.
 package concreduce
 
 import (
@@ -156,4 +157,60 @@ func (t *atomicTask) Reduce(key string, vals []string, emit func(string)) error 
 func (t *atomicTask) Done() int {
 	t.parent.n.Add(t.n)
 	return int(t.n)
+}
+
+// mapper is what a map-task factory returns (mapreduce.Mapper in the real
+// tree).
+type mapper interface {
+	Map(line string, emit func(k, v string)) error
+}
+
+// goodMap is the map-side exemplar: a fresh instance per call whose scratch
+// is its own, reading its factory's wiring.
+type goodMap struct{ sep byte }
+
+type goodMapTask struct {
+	parent  *goodMap
+	scratch []byte
+}
+
+func (g *goodMap) Map(line string, emit func(k, v string)) error {
+	t := g.NewMapTask()
+	return t.Map(line, emit)
+}
+
+func (g *goodMap) NewMapTask() mapper { return &goodMapTask{parent: g} }
+
+func (t *goodMapTask) Map(line string, emit func(k, v string)) error {
+	t.scratch = append(append(t.scratch[:0], line...), t.parent.sep)
+	emit(string(t.scratch), "")
+	return nil
+}
+
+// pooledMap hands every map task the one instance it keeps.
+type pooledMap struct{ inst *pooledMapTask }
+
+type pooledMapTask struct{ scratch []byte }
+
+func (p *pooledMap) Map(line string, emit func(k, v string)) error { return nil }
+
+func (p *pooledMap) NewMapTask() mapper {
+	return p.inst // want "pooledMap.NewMapTask returns a value it did not just create"
+}
+
+func (t *pooledMapTask) Map(line string, emit func(k, v string)) error { return nil }
+
+// sharedScratchMap keeps its scratch on the factory: every sibling task
+// decodes into the same row.
+type sharedScratchMap struct{ scratch []byte }
+
+type sharedScratchTask struct{ parent *sharedScratchMap }
+
+func (s *sharedScratchMap) Map(line string, emit func(k, v string)) error { return nil }
+
+func (s *sharedScratchMap) NewMapTask() mapper { return &sharedScratchTask{parent: s} }
+
+func (t *sharedScratchTask) Map(line string, emit func(k, v string)) error {
+	t.parent.scratch = append(t.parent.scratch[:0], line...) // want "sharedScratchTask.Map writes factory state t.parent.scratch; the factory is shared"
+	return nil
 }

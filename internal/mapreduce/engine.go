@@ -408,10 +408,15 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 	return stats, nil
 }
 
-// runMapper runs one input's early filter and mapper over lines. The pairs
+// runMapper runs one input's early filter and mapper over lines — on an
+// instance of its own when the mapper is a MapTaskFactory. The pairs
 // collect in a slab sized by the line count, which holds them all whenever
 // the mapper emits at most one pair a line.
 func runMapper(in Input, lines []string) (pairList, error) {
+	mapper := in.Mapper
+	if f, ok := mapper.(MapTaskFactory); ok {
+		mapper = f.NewMapTask()
+	}
 	out := pairList{pairs: make([]kv, 0, len(lines))}
 	emit := func(key, value string) {
 		out.pairs = append(out.pairs, kv{key, value})
@@ -422,7 +427,7 @@ func runMapper(in Input, lines []string) (pairList, error) {
 			out.filtered++
 			continue
 		}
-		if err := in.Mapper.Map(line, emit); err != nil {
+		if err := mapper.Map(line, emit); err != nil {
 			return out, err
 		}
 	}

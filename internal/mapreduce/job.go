@@ -29,11 +29,28 @@ type Emit func(key, value string)
 
 // Mapper transforms one input record into zero or more key/value pairs.
 // Map tasks execute concurrently on the engine's worker pool, so Map must
-// be safe for concurrent calls with distinct emit functions — in practice
-// mappers are stateless closures over pure decode/filter/project logic,
-// exactly as Hadoop mappers are instantiated per task.
+// be safe for concurrent calls with distinct emit functions — a stateless
+// closure over pure decode/filter/project logic is. A mapper that keeps
+// scratch from line to line instead hands the engine one instance per map
+// task (MapTaskFactory), exactly as Hadoop instantiates a mapper class per
+// task.
 type Mapper interface {
 	Map(line string, emit Emit) error
+}
+
+// MapTaskFactory is the map-side twin of ReduceTaskFactory: a Mapper whose
+// per-line work reuses scratch (a decode row, key buffers). The engine
+// builds one private instance per map morsel — and per fault-path replay of
+// a task — inside the task body that uses it, and feeds it the morsel's
+// lines in order; its own Map stays the concurrent-safe entry point for
+// callers outside the engine.
+type MapTaskFactory interface {
+	Mapper
+	// NewMapTask returns a fresh instance sharing nothing mutable with its
+	// parent or its siblings. The instance is used by a single goroutine,
+	// and nothing it hands to emit may alias scratch it reuses for the
+	// next line.
+	NewMapTask() Mapper
 }
 
 // MapperFunc adapts a function to the Mapper interface.

@@ -79,27 +79,6 @@ type stage struct {
 
 func (s stage) isFilter() bool { return s.pred != nil }
 
-// apply runs the stage over one row; a filter stage returns (nil, nil) for
-// rejected rows.
-func (s stage) apply(r exec.Row) (exec.Row, error) {
-	if s.pred != nil {
-		ok, err := s.pred(r)
-		if err != nil || !ok {
-			return nil, err
-		}
-		return r, nil
-	}
-	out := make(exec.Row, len(s.exprs))
-	for i, fn := range s.exprs {
-		v, err := fn(r)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
 // lowerChain lowers a transparent chain (Filter/Project/Rebind nodes
 // between an operation and its input, ordered top-down) into stages over
 // the input view. required supplies per-node column demands so projections
@@ -111,14 +90,11 @@ func lowerChain(in effView, chain []plan.Node, required func(plan.Node) []int) (
 	for i := len(chain) - 1; i >= 0; i-- {
 		switch n := chain[i].(type) {
 		case *plan.Filter:
-			ev, err := exec.Compile(n.Cond, cur.schema)
+			pred, err := exec.CompilePredicate(n.Cond, cur.schema)
 			if err != nil {
 				return nil, effView{}, fmt.Errorf("chain filter %s: %w", n.Cond.SQL(), err)
 			}
-			stages = append(stages, stage{
-				pred: func(r exec.Row) (bool, error) { return exec.EvalPredicate(ev, r) },
-				out:  cur,
-			})
+			stages = append(stages, stage{pred: pred, out: cur})
 		case *plan.Project:
 			req := required(n)
 			if req == nil {
@@ -152,40 +128,74 @@ func lowerChain(in effView, chain []plan.Node, required func(plan.Node) []int) (
 	return stages, cur, nil
 }
 
-// applyStages runs stages over a row at map time; (nil, nil) means the row
-// was filtered out.
-func applyStages(stages []stage, r exec.Row) (exec.Row, error) {
-	cur := r
-	for _, s := range stages {
-		out, err := s.apply(cur)
-		if err != nil || out == nil {
-			return nil, err
-		}
-		cur = out
-	}
-	return cur, nil
+// mapChain is a mapper's per-line work short of the emit: decode the
+// demanded columns of a line (cols nil: all of them), then run the
+// map-side stages; a nil row means the line was filtered out. It works in
+// the map task's scratch row (cmf.CommonInput.Decode): the decoded row at
+// the scratch's start and each projection's output right after its input,
+// so need is the width of them all together.
+type mapChain struct {
+	schema *exec.Schema
+	cols   []int
+	stages []stage
+	width  int // decoded row width
+	need   int // scratch width: the decoded row plus every projection
 }
 
-// scanDecoder is a base-table mapper's per-line work short of the emit:
-// decode only the demanded columns of the line, then run the map-side
-// stages; (nil, nil) means the line was filtered out.
-func scanDecoder(schema *exec.Schema, demand effView, stages []stage) func(line string) (exec.Row, error) {
-	return func(line string) (exec.Row, error) {
-		row, err := exec.DecodeCols(line, schema, demand.cols)
-		if err != nil {
-			return nil, err
-		}
-		return applyStages(stages, row)
+func newMapChain(schema *exec.Schema, cols []int, stages []stage) *mapChain {
+	c := &mapChain{schema: schema, cols: cols, stages: stages, width: len(cols)}
+	if cols == nil {
+		c.width = schema.Len()
 	}
+	c.need = c.width
+	for _, s := range stages {
+		c.need += len(s.exprs)
+	}
+	return c
+}
+
+// decode is a cmf.CommonInput.Decode.
+func (c *mapChain) decode(scratch *exec.Row, line string) (exec.Row, error) {
+	if cap(*scratch) < c.need {
+		*scratch = make(exec.Row, c.need)
+	}
+	dst := (*scratch)[:c.need]
+	row, err := exec.DecodeColsInto(dst[:c.width], line, c.schema, c.cols)
+	if err != nil {
+		return nil, err
+	}
+	off := c.width
+	for _, s := range c.stages {
+		if s.pred != nil {
+			ok, err := s.pred(row)
+			if err != nil || !ok {
+				return nil, err
+			}
+			continue
+		}
+		out := dst[off : off+len(s.exprs)]
+		off += len(s.exprs)
+		for i, fn := range s.exprs {
+			v, err := fn(row)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = v
+		}
+		row = out
+	}
+	return row, nil
 }
 
 // prefilterOf turns a mapper's decode-and-filter path into its raw-line
 // early filter: a nil row with no error is exactly a line the mapper
 // drops, and lines that fail are kept so the mapper still surfaces the
-// error.
-func prefilterOf(decode func(line string) (exec.Row, error)) func(line string) bool {
+// error. Prefilters of one input run in concurrent map tasks, so each call
+// decodes into storage of its own.
+func prefilterOf(decode func(scratch *exec.Row, line string) (exec.Row, error)) func(line string) bool {
 	return func(line string) bool {
-		out, err := decode(line)
+		var scratch exec.Row
+		out, err := decode(&scratch, line)
 		return err != nil || out != nil
 	}
 }

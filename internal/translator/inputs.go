@@ -172,7 +172,7 @@ func (lw *lowerer) buildSimpleScanInput(cj *cmf.CommonJob, ss *sharedStream, slo
 	if err != nil {
 		return err
 	}
-	decode := scanDecoder(ss.scan.Schema(), scanEff, stages)
+	decode := newMapChain(ss.scan.Schema(), scanEff.cols, stages).decode
 	if spec.encode != nil {
 		cj.OpaqueKeys = true
 	}
@@ -239,8 +239,12 @@ func (lw *lowerer) buildSharedInput(cj *cmf.CommonJob, table string, streams []*
 	decodeSchema := streams[0].scan.Schema()
 	input := cmf.CommonInput{
 		Path: TablePath(table),
-		Decode: func(line string) (exec.Row, error) {
-			return exec.DecodeCols(line, decodeSchema, decodeCols)
+		Decode: func(scratch *exec.Row, line string) (exec.Row, error) {
+			row, err := exec.DecodeColsInto(*scratch, line, decodeSchema, decodeCols)
+			if row != nil {
+				*scratch = row
+			}
+			return row, err
 		},
 		Key: projectionFns(narrow(streams[0].keyBase)),
 	}
@@ -265,13 +269,11 @@ func (lw *lowerer) buildSharedInput(cj *cmf.CommonJob, table string, streams []*
 		var preds []cmf.RowPred
 		for _, n := range mapFilterNodes {
 			f := n.(*plan.Filter)
-			ev, err := exec.Compile(f.Cond, decoded)
+			pred, err := exec.CompilePredicate(f.Cond, decoded)
 			if err != nil {
 				return fmt.Errorf("%s selection %s: %w", ss.op.Name(), f.Cond.SQL(), err)
 			}
-			preds = append(preds, func(r exec.Row) (bool, error) {
-				return exec.EvalPredicate(ev, r)
-			})
+			preds = append(preds, pred)
 		}
 		var filter cmf.RowPred
 		if len(preds) > 0 {
@@ -323,7 +325,8 @@ func (lw *lowerer) buildSharedInput(cj *cmf.CommonJob, table string, streams []*
 		// the decoded row; decode or evaluation errors keep the line so
 		// the mapper surfaces them.
 		fact.Prefilter = func(line string) bool {
-			r, err := decode(line)
+			var scratch exec.Row
+			r, err := decode(&scratch, line)
 			if err != nil || r == nil {
 				return true
 			}
@@ -360,17 +363,13 @@ func (lw *lowerer) buildIntermediateInput(cj *cmf.CommonJob, op *correlation.Ope
 		return err
 	}
 	wantTag := ref.tag
-	effSchema := ref.eff.schema
-	decode := func(line string) (exec.Row, error) {
+	chain := newMapChain(ref.eff.schema, nil, stages)
+	decode := func(scratch *exec.Row, line string) (exec.Row, error) {
 		tag, payload := cmf.SplitTag(line)
 		if tag != wantTag {
 			return nil, nil // another merged job's rows in the shared file
 		}
-		row, err := exec.DecodeRow(payload, effSchema)
-		if err != nil {
-			return nil, err
-		}
-		return applyStages(stages, row)
+		return chain.decode(scratch, payload)
 	}
 	if spec.encode != nil {
 		cj.OpaqueKeys = true

@@ -81,9 +81,10 @@ func (lw *lowerer) lowerSPQuery() (*Translation, error) {
 	if err != nil {
 		return nil, err
 	}
-	decode := scanDecoder(scan.Schema(), scanEff, stages)
+	decode := newMapChain(scan.Schema(), scanEff.cols, stages).decode
 	mapper := mapreduce.MapperFunc(func(line string, emit mapreduce.Emit) error {
-		out, err := decode(line)
+		var scratch exec.Row
+		out, err := decode(&scratch, line)
 		if err != nil || out == nil {
 			return err
 		}

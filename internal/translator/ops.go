@@ -16,13 +16,11 @@ func (lw *lowerer) buildOp(cj *cmf.CommonJob, jb *jobBuild, op *correlation.Oper
 		effConcat := effs[0].concat(effs[1], j.Left.Schema().Len())
 		var residual cmf.RowPred
 		if j.Residual != nil {
-			ev, err := exec.Compile(j.Residual, effConcat.schema)
+			pred, err := exec.CompilePredicate(j.Residual, effConcat.schema)
 			if err != nil {
 				return fmt.Errorf("%s residual: %w", op.Name(), err)
 			}
-			residual = func(r exec.Row) (bool, error) {
-				return exec.EvalPredicate(ev, r)
-			}
+			residual = pred
 		}
 		addOp(&cmf.JoinOp{
 			OpName:     op.Name(),
