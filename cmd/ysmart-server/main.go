@@ -54,7 +54,7 @@ func run(args []string, stdout io.Writer, ready func(sqlAddr, adminAddr string) 
 		workers   = fs.Int("workers", 0, "goroutines per session engine (0 = NumCPU)")
 		inflight  = fs.Int("max-inflight", 4, "queries executing concurrently across all sessions")
 		queued    = fs.Int("max-queued", 64, "queries waiting in the admission FIFO before new ones are rejected")
-		timeout   = fs.Duration("query-timeout", 0, "per-query bound on admission wait + execution (0 = unlimited); timed-out runs are abandoned, not aborted")
+		timeout   = fs.Duration("query-timeout", 0, "per-query bound on admission wait + execution (0 = unlimited); a timed-out run stops at its next work item and answers SQLSTATE 57014")
 		cacheSize = fs.Int("cache-size", 128, "plan cache capacity in distinct normalized queries")
 		manimal   = fs.Bool("manimal", false, "apply MANIMAL-style scan rewrites to every translated plan (optimized plans cache under separate keys)")
 		reuseOn   = fs.Bool("reuse", false, "enable the cross-query materialized-output store: later queries skip jobs whose sub-plan artifacts are still valid")
@@ -64,7 +64,7 @@ func run(args []string, stdout io.Writer, ready func(sqlAddr, adminAddr string) 
 		listen    = fs.String("listen", "", "serve the admin HTTP plane (/metrics, /sessions, /jobs, /debug/pprof) on this address")
 		logTo     = fs.String("log", "", "write the structured JSON event stream to <file> (- for stderr)")
 		logLevel  = fs.String("log-level", "info", "minimum event level: debug, info, warn, error")
-		drainFor  = fs.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight queries before closing connections")
+		drainFor  = fs.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight queries before cancelling them (SQLSTATE 57P01) and closing connections")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -159,7 +159,7 @@ func run(args []string, stdout io.Writer, ready func(sqlAddr, adminAddr string) 
 
 	fmt.Fprintln(stdout, "shutting down...")
 	if !srv.Shutdown(*drainFor) {
-		fmt.Fprintln(stdout, "drain timeout: in-flight queries abandoned")
+		fmt.Fprintln(stdout, "drain timeout: in-flight queries cancelled")
 	}
 	return nil
 }

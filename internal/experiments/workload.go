@@ -8,6 +8,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"ysmart/internal/datagen"
@@ -129,7 +130,7 @@ func (w *Workload) runPlan(tr *translator.Translation, dfs *mapreduce.DFS, clust
 	if err != nil {
 		return nil, err
 	}
-	return translator.Run(tr, eng, store, nil)
+	return translator.Run(context.Background(), tr, eng, store, nil)
 }
 
 // RunTranslated translates a named workload query and executes it on the

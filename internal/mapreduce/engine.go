@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -33,6 +34,9 @@ type Engine struct {
 	// far on this engine. Span events are stamped with it, so traces from
 	// successive chains on one engine share a single timeline.
 	simNow float64
+	// ctx is the context of the chain being run, checked before every work
+	// item (forEachTask); nil outside RunChainContext means never cancelled.
+	ctx context.Context
 }
 
 // NewEngine builds an engine. The cluster must validate.
@@ -75,13 +79,27 @@ func (e *Engine) SetLogger(l *obs.Logger) { e.logger = l }
 // Now returns the simulated clock in seconds.
 func (e *Engine) Now() float64 { return e.simNow }
 
-// RunChain executes jobs sequentially in dependency order (the way Hive
-// drove its job chains) and returns per-job stats in execution order.
+// RunChain is RunChainContext under a context that is never cancelled.
 func (e *Engine) RunChain(jobs []*Job) (*ChainStats, error) {
+	return e.RunChainContext(context.Background(), jobs)
+}
+
+// RunChainContext executes jobs sequentially in dependency order (the way
+// Hive drove its job chains) and returns per-job stats in execution order.
+// ctx stops the chain at the engine's work-item boundaries — before every
+// job, map morsel, combiner task, shuffle partition, reduce key run and
+// fault replay, never per row — and the chain then fails with ctx's error
+// and no stats. A check that does not fire changes nothing: output, stats
+// and traces are those of a run that cannot be stopped. A panic in user
+// code, on a worker or on this goroutine, fails the job it ran in with an
+// error naming the panic.
+func (e *Engine) RunChainContext(ctx context.Context, jobs []*Job) (*ChainStats, error) {
 	ordered, err := topoSort(jobs)
 	if err != nil {
 		return nil, err
 	}
+	e.ctx = ctx
+	defer func() { e.ctx = nil }()
 	stats := &ChainStats{}
 	chainStart := e.simNow
 	e.logger.Info("chain.start",
@@ -99,6 +117,9 @@ func (e *Engine) RunChain(jobs []*Job) (*ChainStats, error) {
 		}
 	}()
 	for i, j := range ordered {
+		if err := ctx.Err(); err != nil {
+			return nil, e.chainFailed(j, err)
+		}
 		var gap float64
 		if i > 0 {
 			gap = e.nextGap()
@@ -109,11 +130,9 @@ func (e *Engine) RunChain(jobs []*Job) (*ChainStats, error) {
 			}
 			e.simNow += gap
 		}
-		js, err := e.RunJob(j)
+		js, err := e.runJobRecovered(j)
 		if err != nil {
-			e.logger.Error("chain.failed",
-				obs.F("job", j.Name), obs.F("error", err.Error()), obs.F("sim_s", e.simNow))
-			return nil, fmt.Errorf("job %s: %w", j.Name, err)
+			return nil, e.chainFailed(j, err)
 		}
 		js.GapBefore = gap
 		stats.Jobs = append(stats.Jobs, js)
@@ -131,6 +150,25 @@ func (e *Engine) RunChain(jobs []*Job) (*ChainStats, error) {
 		obs.F("scan_bytes", stats.TotalMapInputBytes()),
 		obs.F("shuffle_bytes", stats.TotalShuffleBytes()))
 	return stats, nil
+}
+
+// chainFailed logs the chain's failure at job j and attributes err to it.
+func (e *Engine) chainFailed(j *Job, err error) error {
+	e.logger.Error("chain.failed",
+		obs.F("job", j.Name), obs.F("error", err.Error()), obs.F("sim_s", e.simNow))
+	return fmt.Errorf("job %s: %w", j.Name, err)
+}
+
+// runJobRecovered is RunJob with a panic on the driver goroutine — in a
+// reducer without a task factory, a sequential fault replay, any inline
+// phase code — turned into the job's error.
+func (e *Engine) runJobRecovered(j *Job) (js *JobStats, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			js, err = nil, panicError(r)
+		}
+	}()
+	return e.RunJob(j)
 }
 
 // nextGap draws the contention-induced delay inserted before a job.
@@ -323,7 +361,10 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 	}
 	stats.NumReduceTasks = numReduce
 
-	groups := e.shuffle(lists, e.hostPartitions(nPairs))
+	groups, err := e.shuffle(lists, e.hostPartitions(nPairs))
+	if err != nil {
+		return nil, err
+	}
 	stats.ReduceGroups = int64(len(groups))
 	stats.ReduceInputRecords = int64(nPairs)
 	stats.MaxPartitionGroups, stats.MaxPartitionValues = reducerSizes(groups, numReduce)

@@ -1,9 +1,15 @@
 package mapreduce
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"ysmart/internal/obs"
 )
 
 // Failure injection: user-code errors at every stage must abort the job
@@ -139,5 +145,159 @@ func TestEmptyInputJob(t *testing.T) {
 	}
 	if stats.NumMapTasks != 1 {
 		t.Errorf("map tasks = %d, want the minimum 1", stats.NumMapTasks)
+	}
+}
+
+// manyTaskEngine is an engine whose small SplitSize cuts a few thousand
+// lines into many map tasks, so map morsels and combiners fan out at
+// workers > 1 and run one after another at workers 1.
+func manyTaskEngine(t *testing.T, workers int, lines []string) *Engine {
+	t.Helper()
+	cluster := SmallCluster()
+	cluster.Cost.SplitSize = 1024
+	e, err := NewEngine(NewDFS(), cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetWorkers(workers)
+	e.DFS().Write("in", lines)
+	return e
+}
+
+func wordLines(n int) []string {
+	lines := make([]string, n)
+	for i := range lines {
+		lines[i] = fmt.Sprintf("w%d w%d", i%13, i%7)
+	}
+	return lines
+}
+
+// TestUserCodePanicFailsTheJob: a panic in a mapper, a combiner or a reducer
+// — on a worker goroutine or on the driver — fails its job with an error
+// naming the panic, writes no output, and leaves the engine usable.
+func TestUserCodePanicFailsTheJob(t *testing.T) {
+	lines := wordLines(3000)
+	lines[2500] = "boom"
+	panicky := func(stage string) *Job {
+		j := wordCountJob("in", "out")
+		switch stage {
+		case "mapper":
+			inner := j.Inputs[0].Mapper
+			j.Inputs[0].Mapper = MapperFunc(func(line string, emit Emit) error {
+				if line == "boom" {
+					panic("mapper boom")
+				}
+				return inner.Map(line, emit)
+			})
+		case "combiner":
+			j.Combiner = CombinerFunc(func(key string, values []string) ([]string, error) {
+				if key == "boom" {
+					panic("combiner boom")
+				}
+				return values, nil
+			})
+		case "reducer":
+			inner := j.Reducer
+			j.Reducer = ReducerFunc(func(key string, values []string, emit func(string)) error {
+				if key == "boom" {
+					panic("reducer boom")
+				}
+				return inner.Reduce(key, values, emit)
+			})
+		}
+		return j
+	}
+	for _, workers := range []int{1, 4} {
+		for _, stage := range []string{"mapper", "combiner", "reducer"} {
+			e := manyTaskEngine(t, workers, lines)
+			_, err := e.RunChain([]*Job{panicky(stage)})
+			if err == nil || !strings.Contains(err.Error(), "job wordcount") || !strings.Contains(err.Error(), "panic: "+stage+" boom") {
+				t.Errorf("workers %d, panicking %s: err = %v, want the job's error naming the panic", workers, stage, err)
+			}
+			if e.DFS().Exists("out") {
+				t.Errorf("workers %d, panicking %s: the failed job wrote output", workers, stage)
+			}
+			if _, err := e.RunChain([]*Job{wordCountJob("in", "out")}); err != nil {
+				t.Errorf("workers %d: chain after a %s panic: %v", workers, stage, err)
+			}
+		}
+	}
+}
+
+// TestForEachTaskStopsAtCancel: every item checks the chain's context before
+// it runs, so once one item cancels, no worker starts another — at most the
+// items already under way finish — and the pool reports the cancellation.
+func TestForEachTaskStopsAtCancel(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		ctx, cancel := context.WithCancel(context.Background())
+		e := &Engine{workers: workers, ctx: ctx}
+		cancelled := make(chan struct{})
+		var ran atomic.Int64
+		err := e.forEachTask(64, func(i int) error {
+			ran.Add(1)
+			if i == 0 {
+				cancel()
+				close(cancelled)
+			}
+			<-cancelled
+			return nil
+		})
+		if !errors.Is(err, context.Canceled) || ran.Load() > int64(workers) {
+			t.Errorf("workers %d: err %v after %d items ran, want context.Canceled after at most %d", workers, err, ran.Load(), workers)
+		}
+	}
+}
+
+// TestRunChainContextStops: a context that is never cancelled changes
+// nothing — the same stats and output as RunChain — while a cancelled one
+// runs no job, and one cancelled by a mapper mid-chain stops the chain
+// before its next work item, so the dependent job never starts.
+func TestRunChainContextStops(t *testing.T) {
+	lines := wordLines(3000)
+	chain := func(mapper Mapper) []*Job {
+		j1 := wordCountJob("in", "mid")
+		if mapper != nil {
+			j1.Inputs[0].Mapper = mapper
+		}
+		j2 := wordCountJob("mid", "out")
+		j2.Name = "recount"
+		j2.DependsOn = []*Job{j1}
+		return []*Job{j1, j2}
+	}
+	for _, workers := range []int{1, 4} {
+		plain := manyTaskEngine(t, workers, lines)
+		want, err := plain.RunChain(chain(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantOut, _ := plain.DFS().Read("out")
+		live, cancel := context.WithCancel(context.Background())
+		e := manyTaskEngine(t, workers, lines)
+		got, err := e.RunChainContext(live, chain(nil))
+		cancel()
+		gotOut, _ := e.DFS().Read("out")
+		if err != nil || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotOut, wantOut) {
+			t.Errorf("workers %d: a live context changed the chain (err %v)", workers, err)
+		}
+
+		e = manyTaskEngine(t, workers, lines)
+		reg := obs.NewRegistry()
+		e.Instrument(nil, reg)
+		stats, err := e.RunChainContext(live, chain(nil)) // cancelled above
+		if stats != nil || !errors.Is(err, context.Canceled) || reg.Value("ysmart_dfs_reads_total") != 0 || e.Now() != 0 {
+			t.Errorf("workers %d: cancelled context: stats %v, err %v, %v DFS reads; want no job started",
+				workers, stats, err, reg.Value("ysmart_dfs_reads_total"))
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		inner := wordCountJob("in", "mid").Inputs[0].Mapper
+		e = manyTaskEngine(t, workers, lines)
+		stats, err = e.RunChainContext(ctx, chain(MapperFunc(func(line string, emit Emit) error {
+			cancel()
+			return inner.Map(line, emit)
+		})))
+		if stats != nil || !errors.Is(err, context.Canceled) || e.DFS().Exists("out") {
+			t.Errorf("workers %d: cancelled mid-chain: stats %v, err %v, out written %v", workers, stats, err, e.DFS().Exists("out"))
+		}
 	}
 }

@@ -455,7 +455,11 @@ func FuzzShuffleGrouping(f *testing.F) {
 		want := referenceShuffle(lists)
 		for _, workers := range []int{1, 4} {
 			e := &Engine{workers: workers}
-			if err := sameGroups(e.shuffle(lists, nParts), want); err != nil {
+			groups, err := e.shuffle(lists, nParts)
+			if err == nil {
+				err = sameGroups(groups, want)
+			}
+			if err != nil {
 				t.Fatalf("%d partitions, %d workers: %v", nParts, workers, err)
 			}
 		}

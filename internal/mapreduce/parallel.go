@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -43,7 +44,8 @@ func (e *Engine) Workers() int { return e.workers }
 // returned error is the lowest-indexed failure, matching what a sequential
 // loop that stops at the first error would report; on the inline (single
 // worker) path later tasks are genuinely not run, which is indistinguishable
-// because a failed job contributes no stats or output.
+// because a failed job contributes no stats or output. Every item goes
+// through runItem, so a stopped context or a panic is that item's failure.
 func (e *Engine) forEachTask(n int, fn func(i int) error) error {
 	workers := e.workers
 	if workers > n {
@@ -51,7 +53,7 @@ func (e *Engine) forEachTask(n int, fn func(i int) error) error {
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
+			if err := e.runItem(fn, i); err != nil {
 				return err
 			}
 		}
@@ -70,7 +72,7 @@ func (e *Engine) forEachTask(n int, fn func(i int) error) error {
 					return
 				}
 				// lint:ignore sharecheck the atomic fetch-add hands each iteration a unique index, so errs[i] slots are disjoint
-				errs[i] = fn(i)
+				errs[i] = e.runItem(fn, i)
 			}
 		}()
 	}
@@ -82,3 +84,23 @@ func (e *Engine) forEachTask(n int, fn func(i int) error) error {
 	}
 	return nil
 }
+
+// runItem runs work item i unless the chain's context is done, and turns a
+// panic in it into its error: one check and one deferred recover per item,
+// nothing per row.
+func (e *Engine) runItem(fn func(i int) error, i int) (err error) {
+	if e.ctx != nil {
+		if err := e.ctx.Err(); err != nil {
+			return err
+		}
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = panicError(r)
+		}
+	}()
+	return fn(i)
+}
+
+// panicError is the error a recovered panic in user code becomes.
+func panicError(r any) error { return fmt.Errorf("panic: %v", r) }

@@ -50,18 +50,27 @@ func TestDFSConcurrentAccess(t *testing.T) {
 }
 
 // TestForEachTaskDeterministicError checks the worker pool reports the
-// lowest-index error regardless of which goroutine hits its error first.
+// lowest-index failure regardless of which goroutine hits its failure first,
+// a panicking item failing with its panic like any other error.
 func TestForEachTaskDeterministicError(t *testing.T) {
 	e := &Engine{workers: 8}
-	for trial := 0; trial < 20; trial++ {
-		err := e.forEachTask(64, func(i int) error {
-			if i%7 == 3 {
-				return fmt.Errorf("task %d failed", i)
+	for _, c := range []struct {
+		firstError int
+		want       string
+	}{{3, "task 3 failed"}, {10, "panic: task 5"}} {
+		for trial := 0; trial < 20; trial++ {
+			err := e.forEachTask(64, func(i int) error {
+				switch {
+				case i%7 == 3 && i >= c.firstError:
+					return fmt.Errorf("task %d failed", i)
+				case i%9 == 5:
+					panic(fmt.Sprintf("task %d", i))
+				}
+				return nil
+			})
+			if err == nil || err.Error() != c.want {
+				t.Fatalf("trial %d: err = %v, want %q (lowest index)", trial, err, c.want)
 			}
-			return nil
-		})
-		if err == nil || err.Error() != "task 3 failed" {
-			t.Fatalf("trial %d: err = %v, want task 3 (lowest index)", trial, err)
 		}
 	}
 }

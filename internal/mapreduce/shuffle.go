@@ -159,17 +159,18 @@ func (e *Engine) hostPartitions(n int) int {
 // hash-partitioned by key into nParts host partitions (hostPartitions of
 // the pair count; at most maxPartitions); each partition groups and sorts
 // its own keys on the worker pool, and since partitions share no key a
-// merge of their sorted lists is the global order.
-func (e *Engine) shuffle(lists []pairList, nParts int) []keyGroup {
+// merge of their sorted lists is the global order. The bodies cannot fail:
+// an error is the run's context stopping the shuffle.
+func (e *Engine) shuffle(lists []pairList, nParts int) ([]keyGroup, error) {
 	if nParts == 1 {
 		groups := groupPairs(lists, nil, 0)
 		sortGroups(groups)
-		return groups
+		return groups, nil
 	}
 	// Every key is hashed once, list by list; a partition then picks its
 	// pairs out of every list, in list order, by the recorded byte.
 	parts := make([][]uint8, len(lists))
-	_ = e.forEachTask(len(lists), func(l int) error { // the body cannot fail
+	err := e.forEachTask(len(lists), func(l int) error {
 		part := make([]uint8, len(lists[l].pairs))
 		for i := range part {
 			part[i] = uint8(partitionOf(lists[l].pairs[i].key, nParts))
@@ -177,14 +178,20 @@ func (e *Engine) shuffle(lists []pairList, nParts int) []keyGroup {
 		parts[l] = part
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	parted := make([][]keyGroup, nParts)
-	_ = e.forEachTask(nParts, func(p int) error { // the body cannot fail
+	err = e.forEachTask(nParts, func(p int) error {
 		groups := groupPairs(lists, parts, uint8(p))
 		sortGroups(groups)
 		parted[p] = groups
 		return nil
 	})
-	return mergeGroups(parted)
+	if err != nil {
+		return nil, err
+	}
+	return mergeGroups(parted), nil
 }
 
 func sortGroups(groups []keyGroup) {

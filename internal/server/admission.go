@@ -13,10 +13,10 @@ var (
 	// ErrQueueFull rejects a query when the FIFO wait queue is at capacity
 	// (SQLSTATE 53300 on the wire).
 	ErrQueueFull = errors.New("admission queue full")
-	// ErrQueryTimeout rejects a query whose deadline expired while it was
-	// still waiting for a slot (SQLSTATE 57014 on the wire).
-	ErrQueryTimeout = errors.New("query timeout expired while queued")
-	// ErrDraining rejects queries arriving or waiting during graceful
+	// ErrQueryTimeout fails a query whose deadline expired while it was
+	// waiting for a slot or running (SQLSTATE 57014 on the wire).
+	ErrQueryTimeout = errors.New("query timeout expired")
+	// ErrDraining fails queries arriving, waiting or running during graceful
 	// shutdown (SQLSTATE 57P01 on the wire).
 	ErrDraining = errors.New("server is draining")
 )
@@ -65,8 +65,8 @@ func NewAdmission(maxInflight, maxQueued int, reg *obs.Registry) *Admission {
 
 // Acquire blocks until a slot is granted, the deadline expires, or the
 // controller drains. A zero deadline means wait forever. On success the
-// returned release function must be called exactly once when the query
-// finishes (or its abandoned run completes).
+// returned release function must be called when the query's run ends,
+// however it ends; calls after the first do nothing.
 func (a *Admission) Acquire(deadline time.Time) (release func(), err error) {
 	start := time.Now()
 	a.mu.Lock()

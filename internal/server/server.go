@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"sort"
@@ -33,9 +34,8 @@ type Config struct {
 	// MaxQueued bounds the admission FIFO queue (< 0 means 0).
 	MaxQueued int
 	// QueryTimeout bounds one query's admission wait + execution
-	// (0 = unlimited). A run that exceeds it is abandoned, not aborted:
-	// the client gets SQLSTATE 57014 immediately and the slot frees when
-	// the run completes.
+	// (0 = unlimited). A run that exceeds it stops at the engine's next work
+	// item and frees its slot; then the client gets SQLSTATE 57014.
 	QueryTimeout time.Duration
 	// CacheSize bounds the plan cache's entry count (< 1 means 1).
 	CacheSize int
@@ -74,6 +74,10 @@ type Server struct {
 	// mu; the slices are immutable — every session's DFS holds them by
 	// reference — so a dataset changes by replacing its entry.
 	tables map[string][]string
+	// ctx is every run's base context; Shutdown cancels it when the drain
+	// times out, which stops the runs still in flight.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -108,7 +112,10 @@ func New(cfg Config, tables map[string][]string) (*Server, error) {
 		cp[name] = lines
 	}
 	tables = cp
+	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
+		ctx:       ctx,
+		cancel:    cancel,
 		cfg:       cfg,
 		reg:       reg,
 		logger:    cfg.Logger,
@@ -231,8 +238,10 @@ func (s *Server) Sessions() []SessionStatus {
 
 // Shutdown stops the server gracefully: the listener closes, the admission
 // controller drains (queued queries rejected, in-flight queries given up to
-// timeout to finish), and every session connection is closed. It reports
-// whether the drain reached idle within the timeout.
+// timeout to finish, then cancelled at their engine's next work item), and
+// once every slot is back every session connection is closed. It reports
+// whether the drain reached idle within the timeout; when it returns,
+// nothing the server started is still running.
 func (s *Server) Shutdown(timeout time.Duration) bool {
 	s.mu.Lock()
 	if s.closed {
@@ -246,6 +255,10 @@ func (s *Server) Shutdown(timeout time.Duration) bool {
 		ln.Close()
 	}
 	idle := s.admission.Drain(timeout)
+	if !idle {
+		s.cancel()
+		s.admission.Drain(0)
+	}
 	s.mu.Lock()
 	for _, sess := range s.sessions {
 		sess.conn.Close()

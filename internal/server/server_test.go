@@ -1,17 +1,22 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"ysmart/internal/exec"
 	"ysmart/internal/mapreduce"
 	"ysmart/internal/obs"
+	"ysmart/internal/plan"
 	"ysmart/internal/queries"
+	"ysmart/internal/translator"
 )
 
 // startTestServer boots a server on a free port over the shared fixture and
@@ -299,25 +304,154 @@ func TestServerSharedPlanBackToBack(t *testing.T) {
 	}
 }
 
-// TestServerQueryTimeout forces every query past its deadline and checks the
-// client receives SQLSTATE 57014 while the session stays orderly.
+// TestServerQueryTimeout forces every query past its deadline: each run stops
+// at its first check, and by the time the client reads SQLSTATE 57014 the
+// query's admission slot is free again, so the session stays orderly and
+// the drain has nothing to wait for.
 func TestServerQueryTimeout(t *testing.T) {
 	srv, addr := startTestServer(t, func(cfg *Config) { cfg.QueryTimeout = time.Nanosecond })
 	cli := dialTest(t, addr)
 
-	for i := 0; i < 2; i++ { // the second query exercises the abandoned-run wait
+	for i := 0; i < 2; i++ {
 		_, err := cli.Query(queries.QAGG)
 		var srvErr *ServerError
 		if !errors.As(err, &srvErr) || srvErr.Code != sqlstateQueryCanceled {
 			t.Fatalf("query %d: err = %v, want SQLSTATE %s", i, err, sqlstateQueryCanceled)
 		}
+		if n := srv.Admission().Inflight(); n != 0 {
+			t.Fatalf("query %d: %d admission slots held when its 57014 arrived", i, n)
+		}
 	}
 	if got := srv.Registry().Value("ysmart_server_query_timeouts_total"); got != 2 {
 		t.Fatalf("query_timeouts_total = %v, want 2", got)
 	}
-	// Graceful drain waits for the abandoned runs to finish.
 	if !srv.Shutdown(10 * time.Second) {
-		t.Fatal("shutdown did not drain after abandoned runs")
+		t.Fatal("shutdown did not drain after timed-out runs")
+	}
+}
+
+// TestShutdownCancelsInflight: a drain that times out cancels the run still
+// in flight. A cold Q21 (one job per operator, one worker) is held right
+// after its first job until Shutdown(1ms) has given up waiting and cancelled
+// the server's base context; the run then stops before its next job, the
+// chain never completes, Shutdown returns at once, and the client reads
+// 57P01 or the closed connection — never a hang.
+func TestShutdownCancelsInflight(t *testing.T) {
+	firstJob, resume := make(chan struct{}), make(chan struct{})
+	var hold sync.Once
+	srv, addr := startTestServer(t, func(c *Config) {
+		c.Mode = translator.OneToOne
+		c.Workers = 1
+		c.Logger = obs.NewLogger(writerFunc(func(p []byte) (int, error) {
+			if bytes.Contains(p, []byte(`"event":"job.done"`)) {
+				hold.Do(func() { close(firstJob); <-resume })
+			}
+			return len(p), nil
+		}), obs.LevelInfo)
+	})
+	cli := dialTest(t, addr)
+	_ = cli.conn.SetDeadline(time.Now().Add(10 * time.Second))
+	reply := make(chan error, 1)
+	go func() {
+		_, err := cli.Query(queries.Q21)
+		reply <- err
+	}()
+	select {
+	case <-firstJob:
+	case err := <-reply:
+		t.Fatalf("Q21 answered before its first job finished: %v", err)
+	}
+
+	start := time.Now()
+	drained := make(chan bool, 1)
+	go func() { drained <- srv.Shutdown(time.Millisecond) }()
+	select {
+	case <-srv.ctx.Done():
+	case <-time.After(10 * time.Second):
+		t.Error("Shutdown never cancelled the run in flight")
+	}
+	close(resume)
+	if <-drained {
+		t.Error("Shutdown reports a drain, with a run in flight past its timeout")
+	}
+	took := time.Since(start)
+	t.Logf("Shutdown(1ms) returned after %s", took)
+	if took > 5*time.Second {
+		t.Errorf("Shutdown(1ms) took %s", took)
+	}
+	if n := srv.Registry().Value("ysmart_engine_chains_total"); n != 0 {
+		t.Errorf("%v chains completed: the run was not stopped", n)
+	}
+	err := <-reply
+	var srvErr *ServerError
+	switch {
+	case errors.As(err, &srvErr) && srvErr.Code == sqlstateShutdown:
+	case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF):
+	default:
+		t.Errorf("client read %v, want SQLSTATE %s or EOF", err, sqlstateShutdown)
+	}
+	if n := srv.Admission().Inflight(); n != 0 {
+		t.Errorf("%d admission slots held after Shutdown", n)
+	}
+}
+
+// writerFunc adapts a function to io.Writer.
+type writerFunc func(p []byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// panickyCatalog is the workload catalog, except that looking up the table
+// "boom" panics.
+type panickyCatalog struct{ plan.Catalog }
+
+func (c panickyCatalog) Table(name string) (*exec.Schema, bool) {
+	if name == "boom" {
+		panic("catalog lookup of boom")
+	}
+	return c.Catalog.Table(name)
+}
+
+// TestServerPanicCostsOneSession: a panic in the engine's user code costs
+// one query (XX000, the session goes on); a panic anywhere else on a
+// session's goroutine costs that session — a best-effort XX000, then the
+// connection closes — and never the server: a second connection still
+// answers, and no admission slot is held.
+func TestServerPanicCostsOneSession(t *testing.T) {
+	srv, addr := startTestServer(t, func(c *Config) { c.Catalog = panickyCatalog{queries.Catalog()} })
+
+	// A mapper that panics, planted in a cached plan before any run.
+	const sql = "SELECT cid, count(*) AS n FROM clicks GROUP BY cid"
+	p, err := srv.Cache().Get(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := &p.Translation.Jobs[0].Inputs[0]
+	in.Mapper = mapreduce.MapperFunc(func(string, mapreduce.Emit) error { panic("mapper exploded") })
+	cli := dialTest(t, addr)
+	_, err = cli.Query(sql)
+	var srvErr *ServerError
+	if !errors.As(err, &srvErr) || srvErr.Code != sqlstateInternalError || !strings.Contains(srvErr.Message, "panic: mapper exploded") {
+		t.Fatalf("panicking mapper: err = %v, want SQLSTATE %s naming the panic", err, sqlstateInternalError)
+	}
+	if _, err := cli.Query(queries.QAGG); err != nil {
+		t.Fatalf("query after a panicking mapper: %v", err)
+	}
+
+	_, err = cli.Query("SELECT x FROM boom")
+	if !(errors.As(err, &srvErr) && srvErr.Code == sqlstateInternalError) && !errors.Is(err, io.EOF) {
+		t.Fatalf("panicking catalog: err = %v, want SQLSTATE %s or EOF", err, sqlstateInternalError)
+	}
+	if _, err := cli.Query(queries.QAGG); err == nil {
+		t.Fatal("the session that panicked still answers")
+	}
+
+	res, err := dialTest(t, addr).Query(queries.QAGG)
+	if err != nil {
+		t.Fatalf("second connection after a session panic: %v", err)
+	}
+	diffLines(t, "Q-AGG after a session panic", wireLines(res), oracleWireLines(t, queries.QAGG))
+	if n := srv.Admission().Inflight(); n != 0 {
+		t.Errorf("%d admission slots held after the panics", n)
 	}
 }
 

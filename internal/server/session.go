@@ -1,9 +1,11 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,10 +25,9 @@ import (
 // rule) — so opening a session costs one map entry per table, not one string
 // header per line; what is private is the namespace: the session's own tmp/
 // and restore/ files and its view of the tables as they were at connect. The
-// simple query protocol is strictly serial per connection, so the runtime
-// never sees concurrent chains — with one exception: a timed-out query's run
-// is abandoned, and the session waits for it to finish before executing the
-// next query (the engine has no cancellation; see runQuery).
+// simple query protocol is strictly serial per connection, and a query runs
+// on the session's own goroutine — a timeout or a drain stops the run rather
+// than leaving it behind — so the runtime never sees concurrent chains.
 type session struct {
 	id     int64
 	srv    *Server
@@ -44,12 +45,6 @@ type session struct {
 	// neither poisons nor borrows this session's artifacts. Immutable
 	// after newSession.
 	reuseEpochs map[string]int64
-
-	// pending, when non-nil, is the completion signal of a timed-out,
-	// abandoned run still executing on this session's engine; the next
-	// query waits on it (the engine is single-chain). Only the session's
-	// serve goroutine touches it.
-	pending <-chan struct{}
 
 	mu       sync.Mutex // guards the status fields below
 	remote   string
@@ -137,10 +132,18 @@ func newSession(srv *Server, id int64, conn net.Conn) (*session, error) {
 }
 
 // serve runs the whole connection: startup negotiation, the query loop,
-// teardown. It never panics the server; any protocol or IO error just ends
-// the session.
+// teardown. It never panics the server: any protocol or IO error just ends
+// the session, and so does a panic, after a best-effort XX000 (a query's
+// admission slot comes back through its deferred release).
 func (s *session) serve() {
 	defer s.conn.Close()
+	defer func() {
+		if r := recover(); r != nil {
+			s.srv.logf(obs.LevelError, "session.panic", s.id, fmt.Sprintf("%v\n%s", r, debug.Stack()))
+			_ = s.writer.errorResponse(sqlstateInternalError, fmt.Sprintf("internal error: %v", r))
+			_ = s.writer.flush()
+		}
+	}()
 	if err := s.handshake(); err != nil {
 		s.srv.logf(obs.LevelWarn, "session.handshake_failed", s.id, err.Error())
 		return
@@ -290,12 +293,6 @@ type connError struct{ error }
 // ErrorResponse; a connError ends the session instead.
 func (s *session) runQuery(sql string, start time.Time) error {
 	srv := s.srv
-	if s.pending != nil {
-		// An abandoned run is still using this session's engine; the
-		// protocol already delivered its timeout error, so just wait.
-		<-s.pending
-		s.pending = nil
-	}
 	p, err := srv.cache.Get(sql)
 	if err != nil {
 		return err
@@ -313,55 +310,42 @@ func (s *session) runQuery(sql string, start time.Time) error {
 		s.mu.Unlock()
 	}()
 
+	// Without a timeout the run takes the server's base context as is; with
+	// one, a deadline under it. Either way Shutdown's cancel reaches it.
+	ctx := srv.ctx
 	var deadline time.Time
 	if srv.cfg.QueryTimeout > 0 {
 		deadline = start.Add(srv.cfg.QueryTimeout)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, deadline)
+		defer cancel()
 	}
 	release, err := srv.admission.Acquire(deadline)
 	if err != nil {
 		return err
 	}
-
-	// The engine cannot be interrupted mid-chain, so a timed-out run is
-	// abandoned, not aborted: the client gets its error now, and the slot
-	// and session runtime are reclaimed when the run actually ends. The
-	// session waits for that before its next query (serial runtimes). The
-	// cached plan is shared with every other session and only read; with
-	// reuse off the store is nil and the plan runs as compiled.
-	type outcome struct {
-		res *translator.Result
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		defer release()
-		res, err := translator.Run(p.Translation, s.engine, srv.store, s.reuseEpochs)
-		done <- outcome{res, err}
-	}()
-
-	var timeout <-chan time.Time
-	if !deadline.IsZero() {
-		t := time.NewTimer(time.Until(deadline))
-		defer t.Stop()
-		timeout = t.C
-	}
-	select {
-	case o := <-done:
-		if o.err != nil {
-			return runError{o.err}
-		}
-		lat := time.Since(start).Seconds()
-		srv.reg.Observe("ysmart_server_query_seconds", lat)
-		srv.reg.Add("ysmart_server_queries_total", 1)
-		return s.streamResult(p.Schema, o.res)
-	case <-timeout:
+	res, err := s.run(ctx, p, release)
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
 		srv.reg.Add("ysmart_server_query_timeouts_total", 1)
-		finished := make(chan struct{})
-		go func() { <-done; close(finished) }()
-		s.pending = finished
-		s.srv.logf(obs.LevelWarn, "session.query_abandoned", s.id, p.Normalized)
-		return fmt.Errorf("%w after %s (run abandoned)", ErrQueryTimeout, srv.cfg.QueryTimeout)
+		srv.logf(obs.LevelWarn, "session.query_timeout", s.id, p.Normalized)
+		return fmt.Errorf("%w after %s, run stopped: %v", ErrQueryTimeout, srv.cfg.QueryTimeout, err)
+	case errors.Is(err, context.Canceled):
+		return fmt.Errorf("%w, run stopped: %v", ErrDraining, err)
+	case err != nil:
+		return runError{err}
 	}
+	srv.reg.Observe("ysmart_server_query_seconds", time.Since(start).Seconds())
+	srv.reg.Add("ysmart_server_queries_total", 1)
+	return s.streamResult(p.Schema, res)
+}
+
+// run executes the shared, read-only plan on the session's runtime (as
+// compiled when reuse is off: the store is nil) and returns the admission
+// slot on every way out, a panic included, before any reply is written.
+func (s *session) run(ctx context.Context, p *Plan, release func()) (*translator.Result, error) {
+	defer release()
+	return translator.Run(ctx, p.Translation, s.engine, s.srv.store, s.reuseEpochs)
 }
 
 // streamResult sends RowDescription, one DataRow per line of the result file

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -29,7 +30,7 @@ func resultOver(t testing.TB, lines []string, tag string, schema *exec.Schema) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := translator.Run(&translator.Translation{Output: "out", OutputTag: tag, OutputSchema: schema}, eng, nil, nil)
+	res, err := translator.Run(context.Background(), &translator.Translation{Output: "out", OutputTag: tag, OutputSchema: schema}, eng, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,6 +375,43 @@ func TestAllocBudgetServing(t *testing.T) {
 	}
 	if few, many := connect(10), connect(100000); few != many {
 		t.Errorf("opening a session costs %v allocations over 10-line tables, %v over 100 000-line ones: want equal", few, many)
+	}
+
+	// A query's fixed cost: a warmed statement answered as a full-chain reuse
+	// hit — plan-cache hit, admission, the run, the stream — into io.Discard.
+	// The run is a call on the session's goroutine, so a goroutine, channel
+	// or timer per query would show here.
+	_, lines := fixture(t)
+	srv, err := New(Config{
+		Catalog:  queries.Catalog(),
+		Cluster:  func() *mapreduce.Cluster { return mapreduce.SmallCluster() },
+		Reuse:    true,
+		Registry: obs.NewRegistry(),
+	}, lines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, peer := net.Pipe()
+	defer conn.Close()
+	defer peer.Close()
+	s, err := newSession(srv, 1, conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.writer = newWireWriter(io.Discard)
+	query := func() {
+		if err := s.handleQuery(queries.QAGG); err != nil {
+			t.Fatal(err)
+		}
+	}
+	query() // cold: translates, runs, records
+	records := srv.Registry().Value("ysmart_reuse_records_total")
+	const queryBudget = 38
+	if got := testing.AllocsPerRun(50, query); got > queryBudget {
+		t.Errorf("a warmed full-chain reuse hit costs %v allocations, budget %d", got, queryBudget)
+	}
+	if srv.Registry().Value("ysmart_reuse_records_total") != records || srv.Registry().Value("ysmart_server_query_errors_total") != 0 {
+		t.Error("the measured queries were not all clean full-chain hits")
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"sync"
@@ -96,7 +97,7 @@ func runPlan(t *testing.T, p *Plan) []string {
 	for name, tableLines := range lines {
 		eng.DFS().Write(translator.TablePath(name), tableLines)
 	}
-	res, err := translator.Run(p.Translation, eng, nil, nil)
+	res, err := translator.Run(context.Background(), p.Translation, eng, nil, nil)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

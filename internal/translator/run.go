@@ -1,6 +1,7 @@
 package translator
 
 import (
+	"context"
 	"fmt"
 
 	"ysmart/internal/cmf"
@@ -41,15 +42,18 @@ func (r *Result) Rows() ([]exec.Row, error) { return r.file.rows() }
 // built), so the store only ever holds root artifacts that passed. A run
 // that publishes nothing — no store, or a full-chain hit on an artifact that
 // was verified when it was recorded — leaves the parse to the result's
-// reader.
+// reader. ctx stops the chain at the engine's work-item boundaries
+// (Engine.RunChainContext); a stopped run fails with ctx's error and, like
+// any failed chain, records nothing, so an artifact is only ever served for
+// the input state it was computed from.
 //
 // The four calls are the benchmark ledger's rows translator.apply_reuse,
 // mapreduce.run_chain, translator.read_result and translator.reuse_record,
 // in that order.
-func Run(tr *Translation, eng *mapreduce.Engine, store *reuse.Store, epochs map[string]int64) (*Result, error) {
+func Run(ctx context.Context, tr *Translation, eng *mapreduce.Engine, store *reuse.Store, epochs map[string]int64) (*Result, error) {
 	dfs := eng.DFS()
 	rp := ApplyReuseAt(tr, store, dfs, epochs)
-	stats, err := eng.RunChain(rp.Jobs)
+	stats, err := eng.RunChainContext(ctx, rp.Jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
 package translator
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -27,7 +29,7 @@ func TestRunMatchesHandWrittenSequence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Run(tr, eng, nil, nil)
+			res, err := Run(context.Background(), tr, eng, nil, nil)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, mode, err)
 			}
@@ -58,9 +60,10 @@ func TestRunMatchesHandWrittenSequence(t *testing.T) {
 }
 
 // TestRunFailureRecordsNothing: Record is the last of Run's four steps, so a
-// chain that fails and a result that cannot be read both leave the store
-// empty — a failed query must never publish an artifact — while the same
-// plan, run to the end, records one artifact per job.
+// chain that fails, a result that cannot be read and a run whose context
+// stops it all leave the store as it was — a failed query must never publish
+// an artifact — while the same plan, run to the end, records one artifact
+// per job.
 func TestRunFailureRecordsNothing(t *testing.T) {
 	tr := translate(t, queries.Named()["Q18"], YSmart, Options{QueryName: "run"})
 	run := func(tr *Translation, dfs *mapreduce.DFS, store *reuse.Store) error {
@@ -68,7 +71,7 @@ func TestRunFailureRecordsNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = Run(tr, eng, store, nil)
+		_, err = Run(context.Background(), tr, eng, store, nil)
 		return err
 	}
 
@@ -103,6 +106,57 @@ func TestRunFailureRecordsNothing(t *testing.T) {
 	if store.Len() != len(tr.Jobs) {
 		t.Errorf("completed run recorded %d artifacts, want %d", store.Len(), len(tr.Jobs))
 	}
+
+	// A stopped run is a failed chain. A context done before the run starts
+	// runs no job. One that the chain's first job cancels from inside a
+	// mapper stops the chain before its next work item: no dependent job
+	// starts, and the store holds what it held — the run above's artifacts,
+	// which share no table with this chain, so none of its jobs is skipped.
+	multi := translate(t, queries.Named()["Q-CSA"], OneToOne, Options{QueryName: "stop"})
+	dependents := 0
+	for _, j := range multi.Jobs {
+		if len(j.DependsOn) > 0 {
+			dependents++
+		}
+	}
+	if dependents == 0 {
+		t.Fatalf("Q-CSA one-to-one is %d independent jobs, want a chain", len(multi.Jobs))
+	}
+	keys, bytes := store.Keys(), store.BytesStored()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	dfs, _ = workload(t)
+	eng := newEngine(t, dfs)
+	if res, err := Run(ctx, multi, eng, store, nil); res != nil || !errors.Is(err, context.Canceled) || eng.Now() != 0 {
+		t.Errorf("cancelled context: result %v, err %v, simulated clock %v; want no job run", res, err, eng.Now())
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	for _, j := range multi.Jobs {
+		if len(j.DependsOn) > 0 {
+			continue
+		}
+		for i := range j.Inputs {
+			inner := j.Inputs[i].Mapper
+			j.Inputs[i].Mapper = mapreduce.MapperFunc(func(line string, emit mapreduce.Emit) error {
+				cancel()
+				return inner.Map(line, emit)
+			})
+		}
+	}
+	dfs, _ = workload(t)
+	if res, err := Run(ctx, multi, newEngine(t, dfs), store, nil); res != nil || !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled mid-chain: result %v, err %v", res, err)
+	}
+	for _, j := range multi.Jobs {
+		if len(j.DependsOn) > 0 && dfs.Exists(j.Output) {
+			t.Errorf("job %s ran after the chain was cancelled", j.Name)
+		}
+	}
+	if !reflect.DeepEqual(store.Keys(), keys) || store.BytesStored() != bytes {
+		t.Errorf("a stopped run changed the store: %d keys, %d bytes; want %d, %d", len(store.Keys()), store.BytesStored(), len(keys), bytes)
+	}
 }
 
 // TestRunVerifiesOnlyWhatItPublishes: the check that guards the store runs
@@ -123,7 +177,7 @@ func TestRunVerifiesOnlyWhatItPublishes(t *testing.T) {
 
 	store := reuse.NewStore(0, nil)
 	dfs, _ := workload(t)
-	_, err := Run(&mistyped, newEngine(t, dfs), store, nil)
+	_, err := Run(context.Background(), &mistyped, newEngine(t, dfs), store, nil)
 	_, readErr := mistyped.ReadResult(dfs)
 	if err == nil || readErr == nil || err.Error() != readErr.Error() || !strings.Contains(err.Error(), "parse int field") {
 		t.Fatalf("mistyped result: Run fails with %v, ReadResult with %v; want one parse-int error", err, readErr)
@@ -133,7 +187,7 @@ func TestRunVerifiesOnlyWhatItPublishes(t *testing.T) {
 	}
 
 	dfs, _ = workload(t)
-	cold, err := Run(tr, newEngine(t, dfs), store, nil)
+	cold, err := Run(context.Background(), tr, newEngine(t, dfs), store, nil)
 	if err != nil || store.Len() != len(tr.Jobs) {
 		t.Fatalf("cold run: %v, %d of %d artifacts recorded", err, store.Len(), len(tr.Jobs))
 	}
@@ -141,14 +195,14 @@ func TestRunVerifiesOnlyWhatItPublishes(t *testing.T) {
 	// The mistyped schema, which no line of the root artifact satisfies, runs
 	// clean on a full-chain hit; the true schema reads back the cold rows.
 	dfs, _ = workload(t)
-	hit, err := Run(&mistyped, newEngine(t, dfs), store, nil)
+	hit, err := Run(context.Background(), &mistyped, newEngine(t, dfs), store, nil)
 	if err != nil || hit.Reuse.Skipped != len(tr.Jobs) {
 		t.Fatalf("full-chain hit under an unparseable schema: %v; Run verified a result it had nothing to record for", err)
 	}
 	if _, err := hit.Rows(); err == nil || err.Error() != readErr.Error() {
 		t.Errorf("reading the hit under the mistyped schema: %v, want %v", err, readErr)
 	}
-	warm, err := Run(tr, newEngine(t, dfs), store, nil)
+	warm, err := Run(context.Background(), tr, newEngine(t, dfs), store, nil)
 	if err != nil || len(warm.Reuse.Jobs) != 0 {
 		t.Fatalf("warm run: %v, %d jobs ran", err, len(warm.Reuse.Jobs))
 	}

@@ -22,6 +22,7 @@
 package ysmart
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -385,7 +386,7 @@ func (r *Runtime) Run(t *Translation, opts ...RunOption) (*Result, error) {
 	if cfg.reuse != nil {
 		cfg.reuse.WatchDFS(r.dfs)
 	}
-	res, err := translator.Run(t, r.engine, cfg.reuse, nil)
+	res, err := translator.Run(context.Background(), t, r.engine, cfg.reuse, nil)
 	if err != nil {
 		return nil, err
 	}
