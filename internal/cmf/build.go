@@ -347,7 +347,8 @@ func (cr *commonReducer) NewReduceTask() mapreduce.ReduceTask {
 // Reduce implements mapreduce.Reducer for callers outside the engine's
 // reduce tasks: a one-key task whose counts nobody reads.
 func (cr *commonReducer) Reduce(key string, values []string, emit func(string)) error {
-	return cr.NewReduceTask().Reduce(key, values, emit)
+	t := cr.NewReduceTask()
+	return t.Reduce(key, values, emit)
 }
 
 // Reduce implements mapreduce.ReduceTask.

@@ -67,11 +67,8 @@ type Op interface {
 type JoinOp struct {
 	OpName      string
 	Left, Right Source
-	// LeftProj/RightProj select columns of stream rows (nil = identity).
-	// Projections are ignored for op sources, whose rows are already shaped.
-	LeftProj, RightProj []int
-	// LeftWidth/RightWidth are the input row widths after projection, used
-	// for null extension in outer joins.
+	// LeftWidth/RightWidth are the input row widths, used for null
+	// extension in outer joins.
 	LeftWidth, RightWidth int
 	Type                  sqlparser.JoinType
 	// Residual, if non-nil, must pass for a pair to match; it sees the
@@ -91,8 +88,7 @@ func (j *JoinOp) Sources() []Source { return []Source{j.Left, j.Right} }
 // standing for an outer join's NULL side; the second copies exactly those
 // rows out of one exactly-sized carving of the arena.
 func (j *JoinOp) Eval(a *arena, _ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
-	left := projectRows(a, inputs[0], j.LeftProj, !j.Left.IsOp())
-	right := projectRows(a, inputs[1], j.RightProj, !j.Right.IsOp())
+	left, right := inputs[0], inputs[1]
 	leftOuter := j.Type == sqlparser.LeftOuterJoin || j.Type == sqlparser.FullOuterJoin
 	rightOuter := j.Type == sqlparser.RightOuterJoin || j.Type == sqlparser.FullOuterJoin
 
@@ -167,25 +163,6 @@ func (j *JoinOp) Eval(a *arena, _ exec.Row, inputs [][]exec.Row) ([]exec.Row, er
 	return out, nil
 }
 
-// projectRows applies a stream projection, carving the projected rows from
-// the arena.
-func projectRows(a *arena, rows []exec.Row, proj []int, apply bool) []exec.Row {
-	if !apply || proj == nil {
-		return rows
-	}
-	out := a.rows.take(len(rows))
-	w := len(proj)
-	slab := a.vals.take(len(rows) * w)
-	for i, r := range rows {
-		pr := exec.Row(slab[i*w : (i+1)*w : (i+1)*w])
-		for pi, idx := range proj {
-			pr[pi] = r[idx]
-		}
-		out[i] = pr
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // AggOp
 // ---------------------------------------------------------------------------
@@ -205,7 +182,6 @@ type AggFunc struct {
 type AggOp struct {
 	OpName string
 	In     Source
-	InProj []int // projection applied to stream rows (nil = identity)
 	// GroupBy computes the grouping values from an input row; empty means a
 	// single (global-within-key) group.
 	GroupBy []RowFn
@@ -228,7 +204,7 @@ func (a *AggOp) Sources() []Source { return []Source{a.In} }
 // key; any other row renders the key and looks it up, so NaN payloads and
 // -0.0 group by their encodings as always.
 func (a *AggOp) Eval(ar *arena, _ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
-	rows := projectRows(ar, inputs[0], a.InProj, !a.In.IsOp())
+	rows := inputs[0]
 	if a.FromPartials {
 		return a.evalFromPartials(ar, rows)
 	}
@@ -409,7 +385,6 @@ func (a *AggOp) evalFromPartials(ar *arena, rows []exec.Row) ([]exec.Row, error)
 type FilterOp struct {
 	OpName string
 	In     Source
-	InProj []int
 	Pred   RowPred
 }
 
@@ -421,7 +396,7 @@ func (f *FilterOp) Sources() []Source { return []Source{f.In} }
 
 // Eval implements Op.
 func (f *FilterOp) Eval(a *arena, _ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
-	rows := projectRows(a, inputs[0], f.InProj, !f.In.IsOp())
+	rows := inputs[0]
 	out := a.rows.take(len(rows))[:0]
 	for _, r := range rows {
 		ok, err := f.Pred(r)
@@ -439,7 +414,6 @@ func (f *FilterOp) Eval(a *arena, _ exec.Row, inputs [][]exec.Row) ([]exec.Row, 
 type ProjectOp struct {
 	OpName string
 	In     Source
-	InProj []int
 	Exprs  []RowFn
 }
 
@@ -451,7 +425,7 @@ func (p *ProjectOp) Sources() []Source { return []Source{p.In} }
 
 // Eval implements Op.
 func (p *ProjectOp) Eval(a *arena, _ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
-	rows := projectRows(a, inputs[0], p.InProj, !p.In.IsOp())
+	rows := inputs[0]
 	out := a.rows.take(len(rows))[:0]
 	// One carving for the whole group's projected rows; each row is capped
 	// at its own width so an append to one cannot reach the next.
@@ -482,7 +456,6 @@ type SortKey struct {
 type SortOp struct {
 	OpName string
 	In     Source
-	InProj []int
 	Keys   []SortKey
 	// Limit keeps only the first Limit rows after sorting (0 = all).
 	Limit int
@@ -496,7 +469,7 @@ func (s *SortOp) Sources() []Source { return []Source{s.In} }
 
 // Eval implements Op.
 func (s *SortOp) Eval(a *arena, _ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
-	rows := projectRows(a, inputs[0], s.InProj, !s.In.IsOp())
+	rows := inputs[0]
 	out := make([]exec.Row, len(rows))
 	copy(out, rows)
 	var evalErr error

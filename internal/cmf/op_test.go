@@ -132,24 +132,6 @@ func TestJoinOpEmptySides(t *testing.T) {
 	}
 }
 
-func TestJoinOpProjection(t *testing.T) {
-	j := &JoinOp{
-		OpName: "j", Left: StreamSource(0), Right: StreamSource(1),
-		LeftProj: []int{1}, RightProj: []int{0},
-		LeftWidth: 1, RightWidth: 1, Type: sqlparser.InnerJoin,
-	}
-	out, err := j.Eval(&arena{}, nil, [][]exec.Row{
-		{intRow(1, 10)},
-		{intRow(100, 7)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 || out[0][0].I != 10 || out[0][1].I != 100 {
-		t.Errorf("projected join = %v, want [[10 100]]", out)
-	}
-}
-
 func TestAggOpGrouped(t *testing.T) {
 	a := &AggOp{
 		OpName: "a", In: StreamSource(0),
@@ -545,17 +527,13 @@ func TestCompiledGraphMatchesEvalGraph(t *testing.T) {
 // TestAllocBudgetOps pins what operators cost a warmed reducer arena: an
 // AggOp key group holding one aggregation group costs the same whether it
 // computes one aggregate or four (the accumulators are values in the
-// arena's scratch, not heap objects), and the InProj projection of JoinOp
-// and AggOp costs nothing per input row.
+// arena's scratch, not heap objects).
 func TestAllocBudgetOps(t *testing.T) {
-	rows := func(n int) []exec.Row {
-		out := make([]exec.Row, n)
-		for i := range out {
-			out[i] = intRow(1, int64(i), int64(i%3))
-		}
-		return out
+	inputs := [][]exec.Row{make([]exec.Row, 20)}
+	for i := range inputs[0] {
+		inputs[0][i] = intRow(1, int64(i), int64(i%3))
 	}
-	warm := func(op Op, inputs [][]exec.Row) float64 {
+	warm := func(op Op) float64 {
 		var a arena
 		for i := 0; i < 3; i++ {
 			a.reset()
@@ -575,23 +553,8 @@ func TestAllocBudgetOps(t *testing.T) {
 	four := &AggOp{OpName: "a", In: StreamSource(0), GroupBy: []RowFn{col(0)},
 		Aggs: []AggFunc{{Kind: exec.AggCountStar}, {Kind: exec.AggSum, Arg: col(1)},
 			{Kind: exec.AggAvg, Arg: col(1)}, {Kind: exec.AggMax, Arg: col(2)}}}
-	if a1, a4 := warm(one, [][]exec.Row{rows(20)}), warm(four, [][]exec.Row{rows(20)}); a1 != a4 {
+	if a1, a4 := warm(one), warm(four); a1 != a4 {
 		t.Errorf("AggOp, one aggregation group: %v allocations with 1 aggregate, %v with 4", a1, a4)
-	}
-
-	proj := &AggOp{OpName: "a", In: StreamSource(0), InProj: []int{0, 1}, GroupBy: []RowFn{col(0)},
-		Aggs: []AggFunc{{Kind: exec.AggSum, Arg: col(1)}}}
-	join := &JoinOp{OpName: "j", Left: StreamSource(0), Right: StreamSource(1),
-		LeftProj: []int{1}, RightProj: []int{0, 2}, LeftWidth: 1, RightWidth: 2, Type: sqlparser.InnerJoin}
-	for name, run := range map[string]func(n int) float64{
-		"AggOp": func(n int) float64 { return warm(proj, [][]exec.Row{rows(n)}) },
-		"JoinOp": func(n int) float64 {
-			return warm(join, [][]exec.Row{rows(n), rows(2)})
-		},
-	} {
-		if small, large := run(4), run(64); small != large {
-			t.Errorf("%s with InProj: %v allocations for 4 input rows, %v for 64", name, small, large)
-		}
 	}
 }
 

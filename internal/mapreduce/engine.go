@@ -159,9 +159,8 @@ func (e *Engine) chainFailed(j *Job, err error) error {
 	return fmt.Errorf("job %s: %w", j.Name, err)
 }
 
-// runJobRecovered is RunJob with a panic on the driver goroutine — in a
-// reducer without a task factory, a sequential fault replay, any inline
-// phase code — turned into the job's error.
+// runJobRecovered is RunJob with a panic on the driver goroutine, outside
+// any work item, turned into the job's error.
 func (e *Engine) runJobRecovered(j *Job) (js *JobStats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -370,42 +369,34 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 	stats.MaxPartitionGroups, stats.MaxPartitionValues = reducerSizes(groups, numReduce)
 
 	// ----- Reduce ---------------------------------------------------------
-	// A reducer that supplies instances (ReduceTaskFactory) has the sorted
-	// key list cut into runs: every run gets an instance of its own, built
-	// inside the task that uses it, and an output buffer of its own, and the
-	// buffers are concatenated in run order — the sequential engine's
-	// output exactly. Any other reducer may carry state whose evolution
-	// depends on call order, so it reduces every key itself, in order.
-	// Output buffers start at a line a key, which is what most reducers emit.
-	// What the instances counted is summed in run order.
-	var outLines []string
-	var counts ReduceCounts
-	var cuts []int
-	factory, _ := j.Reducer.(ReduceTaskFactory)
-	if factory != nil {
-		cuts = e.cutRuns(groups, nPairs)
-	}
-	if cuts != nil {
-		type runResult struct {
-			lines  []string
-			counts ReduceCounts
-		}
-		runs := make([]runResult, len(cuts)-1)
-		err := e.forEachTask(len(runs), func(r int) error {
-			task := factory.NewReduceTask()
-			out := make([]string, 0, cuts[r+1]-cuts[r])
-			emitLine := func(line string) { out = append(out, line) }
-			for _, g := range groups[cuts[r]:cuts[r+1]] {
-				if err := task.Reduce(g.key, g.values, emitLine); err != nil {
-					return fmt.Errorf("reduce key %q: %w", g.key, err)
-				}
+	// The sorted key list is cut into runs. Every run gets a reducer
+	// instance of its own (newReduceTask), built inside the task that uses
+	// it, and an output buffer of its own that starts at a line a key, which
+	// is what most reducers emit. The buffers are concatenated and what the
+	// instances counted is summed, both in run order: the output of one
+	// instance reducing every key.
+	runs := e.cutRuns(groups, nPairs)
+	err = e.forEachTask(len(runs), func(r int) error {
+		task := newReduceTask(j)
+		out := make([]string, 0, len(runs[r].groups))
+		emitLine := func(line string) { out = append(out, line) }
+		for _, g := range runs[r].groups {
+			if err := task.Reduce(g.key, g.values, emitLine); err != nil {
+				return fmt.Errorf("reduce key %q: %w", g.key, err)
 			}
-			runs[r] = runResult{lines: out, counts: task.Done()}
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
+		runs[r].lines, runs[r].counts = out, task.Done()
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var counts ReduceCounts
+	for _, run := range runs {
+		counts.add(run.counts)
+	}
+	outLines := runs[0].lines
+	if len(runs) > 1 {
 		n := 0
 		for _, run := range runs {
 			n += len(run.lines)
@@ -413,29 +404,10 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 		outLines = make([]string, 0, n)
 		for _, run := range runs {
 			outLines = append(outLines, run.lines...)
-			counts.add(run.counts)
 		}
-	} else {
-		reducer := j.Reducer
-		var task ReduceTask // the one run's instance
-		if factory != nil {
-			task = factory.NewReduceTask()
-			reducer = task
-		}
-		outLines = make([]string, 0, len(groups))
-		emitLine := func(line string) { outLines = append(outLines, line) }
-		for _, g := range groups {
-			if err := reducer.Reduce(g.key, g.values, emitLine); err != nil {
-				return nil, fmt.Errorf("reduce key %q: %w", g.key, err)
-			}
-		}
-		if task != nil {
-			counts = task.Done()
-		}
+	} else if cap(outLines)-len(outLines) > len(outLines)/4 {
 		// The DFS keeps this slice for good: not with mostly unused capacity.
-		if cap(outLines)-len(outLines) > len(outLines)/4 {
-			outLines = slices.Clone(outLines)
-		}
+		outLines = slices.Clone(outLines)
 	}
 	stats.ReduceWorkRecords = max(stats.ReduceInputRecords, counts.Work)
 	stats.Dispatch = dispatchOf(counts.Dispatch)

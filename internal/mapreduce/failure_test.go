@@ -173,11 +173,24 @@ func wordLines(n int) []string {
 }
 
 // TestUserCodePanicFailsTheJob: a panic in a mapper, a combiner or a reducer
-// — on a worker goroutine or on the driver — fails its job with an error
-// naming the panic, writes no output, and leaves the engine usable.
+// — on a worker goroutine or inline on the driver — fails its job with an
+// error naming the panic, writes no output, and leaves the engine usable.
+// The "late reducer", which has no factory, panics only on the first key of
+// the second key run at 4 workers: on a worker, inside that run's work item.
 func TestUserCodePanicFailsTheJob(t *testing.T) {
 	lines := wordLines(3000)
 	lines[2500] = "boom"
+	var pairs pairList
+	for _, line := range lines {
+		_ = wordCountJob("", "").Inputs[0].Mapper.Map(line, func(key, value string) {
+			pairs.pairs = append(pairs.pairs, kv{key, value})
+		})
+	}
+	runs := (&Engine{workers: 4}).cutRuns(referenceShuffle([]pairList{pairs}), len(pairs.pairs))
+	if len(runs) < 2 {
+		t.Fatalf("%d key runs at 4 workers: the late reducer needs a second", len(runs))
+	}
+	lateKey := runs[1].groups[0].key
 	panicky := func(stage string) *Job {
 		j := wordCountJob("in", "out")
 		switch stage {
@@ -204,11 +217,19 @@ func TestUserCodePanicFailsTheJob(t *testing.T) {
 				}
 				return inner.Reduce(key, values, emit)
 			})
+		case "late reducer":
+			inner := j.Reducer
+			j.Reducer = ReducerFunc(func(key string, values []string, emit func(string)) error {
+				if key == lateKey {
+					panic("late reducer boom")
+				}
+				return inner.Reduce(key, values, emit)
+			})
 		}
 		return j
 	}
 	for _, workers := range []int{1, 4} {
-		for _, stage := range []string{"mapper", "combiner", "reducer"} {
+		for _, stage := range []string{"mapper", "combiner", "reducer", "late reducer"} {
 			e := manyTaskEngine(t, workers, lines)
 			_, err := e.RunChain([]*Job{panicky(stage)})
 			if err == nil || !strings.Contains(err.Error(), "job wordcount") || !strings.Contains(err.Error(), "panic: "+stage+" boom") {

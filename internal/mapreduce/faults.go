@@ -56,22 +56,21 @@ type NodeFailure struct {
 }
 
 // Speculation configures backup attempts for stragglers (MapReduce's
-// "backup tasks"). When enabled, a successful attempt running slower than
-// SlowdownThreshold times its nominal duration gets a backup attempt once
-// a slot frees after the task's expected completion; the first finisher
-// wins and the loser is killed.
+// "backup tasks"). When enabled, a successful attempt running at least
+// slowdownThreshold (1.5) times its nominal duration gets a backup attempt
+// once a slot frees after the task's expected completion; the first
+// finisher wins and the loser is killed.
 type Speculation struct {
 	Enabled bool
-	// SlowdownThreshold is the slowdown factor beyond which an attempt is
-	// considered straggling (default 1.5).
-	SlowdownThreshold float64
 }
 
-// Default fault-plan tuning constants.
+// Fault-plan tuning constants.
 const (
-	defaultStragglerFactor   = 4
-	defaultMaxAttempts       = 4
-	defaultSlowdownThreshold = 1.5
+	defaultStragglerFactor = 4
+	defaultMaxAttempts     = 4
+	// slowdownThreshold is the slowdown factor from which an attempt is
+	// considered straggling.
+	slowdownThreshold = 1.5
 )
 
 // stragglerFactor returns the configured factor or its default.
@@ -88,14 +87,6 @@ func (p *FaultPlan) maxAttempts() int {
 		return defaultMaxAttempts
 	}
 	return p.MaxAttempts
-}
-
-// threshold returns the speculation slowdown threshold or its default.
-func (sp Speculation) threshold() float64 {
-	if sp.SlowdownThreshold <= 0 {
-		return defaultSlowdownThreshold
-	}
-	return sp.SlowdownThreshold
 }
 
 // IsZero reports whether the plan injects no events at all. An engine with

@@ -170,18 +170,16 @@ func TestGeometryInvariantAcrossWorkers(t *testing.T) {
 			j.Reducer = nil
 			return j
 		}},
-		{"stateful reducer", geometryCluster, func() *Job {
+		{"plain reducer", geometryCluster, func() *Job {
 			j := geometryJob(geometryMapper())
-			calls := 0 // order-dependent state: only a sequential pass reproduces it
 			j.Reducer = ReducerFunc(func(key string, values []string, emit func(string)) error {
-				calls++
-				emit(fmt.Sprintf("%s\t%d\t%d", key, len(values), calls))
+				emit(fmt.Sprintf("%s\t%d\t%s", key, len(values), values[len(values)-1]))
 				return nil
 			})
 			return j
 		}},
 		{"faults", faulty, func() *Job { return geometryJob(geometryMapper()) }},
-		{"faults, combiner, stateful reducer", faulty, func() *Job {
+		{"faults, combiner, plain reducer", faulty, func() *Job {
 			j := geometryJob(geometryMapper())
 			j.Combiner = sumCombiner
 			j.Reducer = wordCountJob("", "").Reducer
@@ -189,8 +187,9 @@ func TestGeometryInvariantAcrossWorkers(t *testing.T) {
 		}},
 	}
 	// The shape the variants share: three tasks of three morsels each, and
-	// 8000 pairs — several shuffle partitions at 2 and at 8 workers (that the
-	// keys are cut into several runs is TestGeometryReduceInstances').
+	// 8000 pairs over 400 keys — several shuffle partitions and several key
+	// runs at 2 and at 8 workers, whichever reducer reduces them (that a
+	// factory hands out an instance per run is TestGeometryReduceInstances').
 	a, b := geometryInput(5000, 400, 0), geometryInput(3000, 400, 3)
 	morsels, first := cutMorsels([]mapTask{{chunk: a[:2500]}, {chunk: a[2500:]}, {chunk: b}})
 	if len(morsels) != 9 || !reflect.DeepEqual(first, []int{0, 3, 6, 9}) {
@@ -198,6 +197,13 @@ func TestGeometryInvariantAcrossWorkers(t *testing.T) {
 	}
 	if p2, p8 := (&Engine{workers: 2}).hostPartitions(8000), (&Engine{workers: 8}).hostPartitions(8000); p2 != 2 || p8 != 3 {
 		t.Fatalf("8000 pairs shuffle in %d partitions at 2 workers and %d at 8, want 2 and 3", p2, p8)
+	}
+	groups := make([]keyGroup, 400)
+	for k := range groups {
+		groups[k] = keyGroup{key: fmt.Sprintf("k%03d", k), values: make([]string, 20)}
+	}
+	if r2, r8 := len((&Engine{workers: 2}).cutRuns(groups, 8000)), len((&Engine{workers: 8}).cutRuns(groups, 8000)); r2 != 8 || r8 != 15 {
+		t.Fatalf("400 keys of 20 values reduce in %d runs at 2 workers and %d at 8, want 8 and 15", r2, r8)
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
@@ -301,7 +307,7 @@ func TestGeometryLowestMapErrorSurfaces(t *testing.T) {
 }
 
 // TestGeometrySkewedKeyStillCuts: one key holding 90 % of the values makes
-// one long run; the cut still covers every group exactly once, in order,
+// one long run; the runs still cover every group exactly once, in order,
 // with no empty run, and the job's output is the sequential run's.
 func TestGeometrySkewedKeyStillCuts(t *testing.T) {
 	var groups []keyGroup
@@ -315,20 +321,32 @@ func TestGeometrySkewedKeyStillCuts(t *testing.T) {
 		n += size
 	}
 	e := &Engine{workers: 8}
-	cuts := e.cutRuns(groups, n)
-	if len(cuts) < 3 {
-		t.Fatalf("cuts = %v: a skewed key list must still be cut", cuts)
+	runs := e.cutRuns(groups, n)
+	if len(runs) < 2 {
+		t.Fatalf("%d runs: a skewed key list must still be cut", len(runs))
 	}
-	if cuts[0] != 0 || cuts[len(cuts)-1] != len(groups) {
-		t.Errorf("cuts = %v do not span the %d groups", cuts, len(groups))
-	}
-	for r := 1; r < len(cuts); r++ {
-		if cuts[r] <= cuts[r-1] {
-			t.Errorf("cuts = %v: run %d is empty or out of order", cuts, r-1)
+	var covered []keyGroup
+	for r, run := range runs {
+		if len(run.groups) == 0 {
+			t.Errorf("run %d of %d is empty", r, len(runs))
 		}
+		covered = append(covered, run.groups...)
 	}
-	if (&Engine{workers: 1}).cutRuns(groups, n) != nil || e.cutRuns(groups[:1], 18000) != nil {
-		t.Error("one worker, or one key, must be one run")
+	if !reflect.DeepEqual(covered, groups) {
+		t.Errorf("the %d runs do not cover the %d groups in order", len(runs), len(groups))
+	}
+	// One worker, one key or no key at all is one run over every group.
+	for _, c := range []struct {
+		runs   []keyRun
+		groups []keyGroup
+	}{
+		{(&Engine{workers: 1}).cutRuns(groups, n), groups},
+		{e.cutRuns(groups[:1], 18000), groups[:1]},
+		{e.cutRuns(nil, 0), nil},
+	} {
+		if len(c.runs) != 1 || !reflect.DeepEqual(c.runs[0].groups, c.groups) {
+			t.Errorf("%d runs over %d groups, want one run of all of them", len(c.runs), len(c.groups))
+		}
 	}
 
 	skewed := func(workers int) geometryRun {

@@ -59,8 +59,12 @@ type MapperFunc func(line string, emit Emit) error
 // Map implements Mapper.
 func (f MapperFunc) Map(line string, emit Emit) error { return f(line, emit) }
 
-// Reducer processes all values of one key and emits output lines (the key
-// argument of emit is ignored for reducer output).
+// Reducer processes all values of one key and emits output lines. Like a
+// Mapper's, its key runs execute concurrently on the engine's worker pool,
+// so Reduce must be safe for concurrent calls with distinct emit functions
+// and keep no state from key to key — a stateless closure over the key's
+// values is. A reducer that keeps scratch across keys instead hands the
+// engine one instance per reduce task (ReduceTaskFactory).
 type Reducer interface {
 	Reduce(key string, values []string, emit func(line string)) error
 }
@@ -73,10 +77,7 @@ type Reducer interface {
 // a key. On the host a task is a contiguous run of the sorted key list;
 // runs execute concurrently, each emitting into its own buffer, and the
 // buffers are concatenated in run order — output is byte-identical to one
-// instance reducing every key. Reducers without a factory always run
-// sequentially over the sorted keys, because interleaved calls would make
-// any state they keep (and therefore their output and reported counters)
-// depend on host scheduling.
+// instance reducing every key.
 type ReduceTaskFactory interface {
 	Reducer
 	// NewReduceTask returns a fresh instance sharing nothing mutable with
@@ -97,6 +98,29 @@ type ReduceTask interface {
 	// factory, which is what makes a job description a shareable value.
 	Done() ReduceCounts
 }
+
+// newReduceTask returns the instance that reduces one key run, or one
+// replayed reduce task, of j: a fresh one from a ReduceTaskFactory, or else
+// the stateless reducer itself, counting nothing.
+func newReduceTask(j *Job) ReduceTask {
+	if f, ok := j.Reducer.(ReduceTaskFactory); ok {
+		return f.NewReduceTask()
+	}
+	return statelessTask{j}
+}
+
+// statelessTask is a Reducer without a factory as a ReduceTask. It holds
+// the job rather than the reducer so that, one pointer wide, it becomes a
+// ReduceTask without an allocation.
+type statelessTask struct{ job *Job }
+
+// Reduce implements ReduceTask.
+func (t statelessTask) Reduce(key string, values []string, emit func(line string)) error {
+	return t.job.Reducer.Reduce(key, values, emit)
+}
+
+// Done implements ReduceTask: a stateless reducer counts nothing.
+func (statelessTask) Done() ReduceCounts { return ReduceCounts{} }
 
 // ReduceCounts is what one reduce task counted over its key groups.
 type ReduceCounts struct {

@@ -200,7 +200,7 @@ func (ps *phaseSched) run(pending []pendingEntry) error {
 		switch outcome {
 		case OutcomeOK:
 			ps.completions[e.task] = completion{at: end, node: slot % ps.pool.nodes}
-			if ps.spec.Enabled && slow >= ps.spec.threshold() && !ps.specDone[e.task] {
+			if ps.spec.Enabled && slow >= slowdownThreshold && !ps.specDone[e.task] {
 				ps.specDone[e.task] = true
 				pending = append(pending, pendingEntry{
 					task: e.task, ready: start + ps.overhead + ps.taskDur, seq: ps.nextSeq,
@@ -498,33 +498,19 @@ func (e *Engine) reexecuteReduce(j *Job, s *JobStats, groups []keyGroup, rp *pha
 		}
 	}
 	discard := func(string) {}
-	// Replays follow the primary reduce pass: a reducer that supplies
-	// instances gets a fresh one per replayed task, on the worker pool;
-	// a stateful order-dependent reducer replays sequentially.
-	if factory, ok := j.Reducer.(ReduceTaskFactory); ok {
-		return e.forEachTask(len(replays), func(i int) error {
-			task := factory.NewReduceTask()
-			for _, g := range groups {
-				if partitionOf(g.key, s.NumReduceTasks) != replays[i] {
-					continue
-				}
-				if err := task.Reduce(g.key, g.values, discard); err != nil {
-					return fmt.Errorf("reduce retry key %q: %w", g.key, err)
-				}
-			}
-			task.Done() // a replay's counts never reach JobStats
-			return nil
-		})
-	}
-	for _, part := range replays {
+	// Replays follow the primary reduce pass: an instance of its own per
+	// replayed task, on the worker pool.
+	return e.forEachTask(len(replays), func(i int) error {
+		task := newReduceTask(j)
 		for _, g := range groups {
-			if partitionOf(g.key, s.NumReduceTasks) != part {
+			if partitionOf(g.key, s.NumReduceTasks) != replays[i] {
 				continue
 			}
-			if err := j.Reducer.Reduce(g.key, g.values, discard); err != nil {
+			if err := task.Reduce(g.key, g.values, discard); err != nil {
 				return fmt.Errorf("reduce retry key %q: %w", g.key, err)
 			}
 		}
-	}
-	return nil
+		task.Done() // a replay's counts never reach JobStats
+		return nil
+	})
 }

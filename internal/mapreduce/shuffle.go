@@ -240,23 +240,33 @@ func reducerSizes(groups []keyGroup, numReduce int) (maxGroups, maxValues int64)
 	return maxGroups, maxValues
 }
 
+// keyRun is one contiguous run of the sorted key list, the unit one reducer
+// instance reduces, with the lines it emitted and what the instance counted.
+type keyRun struct {
+	groups []keyGroup
+	lines  []string
+	counts ReduceCounts
+}
+
 // cutRuns cuts the sorted key list into contiguous runs of about equal
-// value count, never splitting a key: run r is groups[cuts[r]:cuts[r+1]].
-// It returns nil when the n values are one run's worth. A key holding most
-// of the values makes one long run and the others share the rest.
-func (e *Engine) cutRuns(groups []keyGroup, n int) []int {
-	nRuns := min(e.workers*runsPerWorker, n/runValues, len(groups))
-	if e.workers <= 1 || nRuns <= 1 {
-		return nil
+// value count, never splitting a key, and returns at least one run: with
+// one worker, or when the n values are one run's worth, the one run is
+// every group. A key holding most of the values makes one long run and the
+// others share the rest.
+func (e *Engine) cutRuns(groups []keyGroup, n int) []keyRun {
+	nRuns := 1
+	if e.workers > 1 {
+		nRuns = max(1, min(e.workers*runsPerWorker, n/runValues, len(groups)))
 	}
-	cuts := make([]int, 1, nRuns+1)
-	seen := 0 // values in groups[:i]
+	runs := make([]keyRun, 0, nRuns)
+	lo, seen := 0, 0 // the open run's first group; values in groups[:i]
 	for i := range groups {
 		// Cut before group i once the runs so far hold their share.
-		if r := len(cuts); r < nRuns && seen >= r*n/nRuns {
-			cuts = append(cuts, i)
+		if r := len(runs) + 1; r < nRuns && seen >= r*n/nRuns {
+			runs = append(runs, keyRun{groups: groups[lo:i]})
+			lo = i
 		}
 		seen += len(groups[i].values)
 	}
-	return append(cuts, len(groups))
+	return append(runs, keyRun{groups: groups[lo:]})
 }

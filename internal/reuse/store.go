@@ -151,12 +151,12 @@ func (s *Store) validLocked(e *Entry, at map[string]int64) bool {
 // current epochs is never displaced by an artifact that is not (a session
 // still serving pre-bump data must not cost newer sessions their reuse).
 // Recording may evict other entries (or the new one) to respect the byte
-// cap.
+// cap. The entry keeps lines itself, not a copy: like a DFS file's lines
+// (the ownership rule on mapreduce.DFS, which is where recorded artifacts
+// come from), they must never be written again.
 func (s *Store) Record(key, fingerprint string, tables []string, epochs map[string]int64, lines []string, predictedSeconds float64) {
-	cp := make([]string, len(lines))
-	copy(cp, lines)
 	var bytes int64
-	for _, l := range cp {
+	for _, l := range lines {
 		bytes += int64(len(l)) + 1
 	}
 	sortedTables := append([]string(nil), tables...)
@@ -170,9 +170,9 @@ func (s *Store) Record(key, fingerprint string, tables []string, epochs map[stri
 		Fingerprint:      fingerprint,
 		Tables:           sortedTables,
 		Epochs:           ep,
-		Lines:            cp,
+		Lines:            lines,
 		Bytes:            bytes,
-		Rows:             int64(len(cp)),
+		Rows:             int64(len(lines)),
 		PredictedSeconds: predictedSeconds,
 	}
 

@@ -113,6 +113,30 @@ func TestRecordReplaceKeepsHits(t *testing.T) {
 	}
 }
 
+// TestRecordKeepsDFSLines: an artifact recorded from a DFS read is that
+// file's slice, which the DFS ownership rule already makes immutable, so
+// the entry aliases it instead of copying it.
+func TestRecordKeepsDFSLines(t *testing.T) {
+	dfs := mapreduce.NewDFS()
+	dfs.Write("out/q", []string{"a\t1", "b\t2"})
+	lines, err := dfs.Read("out/q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStore(0, nil)
+	s.Record("k", "fp", nil, nil, lines, 1)
+	e, ok := s.Lookup("k")
+	if !ok {
+		t.Fatal("recorded entry missing")
+	}
+	if len(e.Lines) != len(lines) || &e.Lines[0] != &lines[0] {
+		t.Error("the entry copied the recorded lines instead of keeping them")
+	}
+	if e.Rows != 2 || e.Bytes != int64(len("a\t1\n")+len("b\t2\n")) {
+		t.Errorf("Rows = %d, Bytes = %d; want 2 and 8", e.Rows, e.Bytes)
+	}
+}
+
 // TestStalenessGuard is the ISSUE's latent-hazard fix, proven from the
 // failure side first: a DFS write to a base-table path must not leave
 // dependent materialized outputs silently reusable. An unwatched store
