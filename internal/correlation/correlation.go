@@ -199,58 +199,133 @@ func (a *Analysis) collectOps() {
 
 // choosePartitionKeys fixes join partition keys and runs the heuristic for
 // aggregations: among an aggregation's candidates (non-empty subsets of its
-// grouping columns), pick the one whose partition key matches the largest
-// number of other operations. Two passes let aggregation choices reinforce
-// each other; ties keep the earliest (smallest) candidate.
+// grouping columns, in plan.Aggregate.CandidatePKs order), pick the one
+// whose partition key matches the largest number of other operations. Two
+// passes let aggregation choices reinforce each other; ties keep the
+// earliest (smallest) candidate. Each aggregation's key components are
+// built once, for all its grouping columns, and every candidate's key
+// indexes into them.
 func (a *Analysis) choosePartitionKeys() {
 	for _, op := range a.Ops {
 		if op.Kind == KindJoin {
 			a.pks[op] = op.Join.PartKey()
 		}
 	}
+	comps := make(map[*Operation]plan.PartKey)
 	for pass := 0; pass < 2; pass++ {
 		for _, op := range a.Ops {
 			if op.Kind != KindAgg {
 				continue
 			}
-			cands := op.Agg.CandidatePKs()
-			if len(cands) == 0 {
+			n := len(op.Agg.GroupBy)
+			if n == 0 {
 				delete(a.pks, op) // global aggregation: no partition key
 				continue
 			}
-			best := cands[0]
-			bestScore := a.scoreCandidate(op, op.Agg.PartKeyFor(cands[0]))
-			for _, cand := range cands[1:] {
-				score := a.scoreCandidate(op, op.Agg.PartKeyFor(cand))
-				if score > bestScore {
-					best, bestScore = cand, score
+			all, ok := comps[op]
+			if !ok {
+				cols := make([]int, n)
+				for i := range cols {
+					cols[i] = i
 				}
+				all = op.Agg.PartKeyFor(cols)
+				comps[op] = all
 			}
+			best := a.bestCandidate(op, all)
 			op.Agg.PKChoice = best
-			a.pks[op] = op.Agg.PartKeyFor(best)
+			a.pks[op] = keyOf(all, best, nil)
 		}
 	}
 }
 
-// scoreCandidate counts how many operations a candidate key would connect.
-// Only operations that can actually form a correlation with op count:
-// operations sharing an input table (IC, the precondition of TC) and op's
-// parent and input operations (the endpoints of JFC).
-func (a *Analysis) scoreCandidate(op *Operation, pk plan.PartKey) int {
-	score := 0
+// bestCandidate runs the heuristic for one aggregation whose grouping
+// columns have the key components all. A candidate scores one for every
+// operation it would connect; only operations that can actually form a
+// correlation with op count: operations sharing an input table (IC, the
+// precondition of TC) and op's parent and input operations (the endpoints
+// of JFC).
+//
+// Keys of different sizes never match (plan.PartKey.Equal), so a candidate
+// of a size no partner's key has scores 0 and cannot displace the first
+// candidate: those sizes are never enumerated. The 2^n subsets of n
+// grouping columns would otherwise let one hostile GROUP BY stall the
+// front end.
+func (a *Analysis) bestCandidate(op *Operation, all plan.PartKey) []int {
+	var partners []plan.PartKey
+	sizes := make([]bool, len(all)+1)
 	for _, other := range a.Ops {
 		if other == op || !a.canCorrelate(op, other) {
 			continue
 		}
-		opk, ok := a.pks[other]
-		if !ok {
-			continue
-		}
-		if pk.Equal(opk) {
-			score++
+		if pk, ok := a.pks[other]; ok {
+			partners = append(partners, pk)
+			if len(pk) < len(sizes) {
+				sizes[len(pk)] = true
+			}
 		}
 	}
-	return score
+	best, bestScore := []int{0}, 0
+	key := make(plan.PartKey, 0, len(all))
+	for size := 1; size < len(sizes); size++ {
+		if !sizes[size] {
+			continue
+		}
+		eachSubset(len(all), size, func(cand []int) {
+			key = keyOf(all, cand, key[:0])
+			score := 0
+			for _, pk := range partners {
+				if key.Equal(pk) {
+					score++
+				}
+			}
+			if score > bestScore {
+				best, bestScore = append([]int(nil), cand...), score
+			}
+		})
+	}
+	return best
+}
+
+// keyOf appends to dst the key components of a candidate's grouping
+// columns.
+func keyOf(all plan.PartKey, cand []int, dst plan.PartKey) plan.PartKey {
+	for _, gi := range cand {
+		dst = append(dst, all[gi])
+	}
+	return dst
+}
+
+// eachSubset calls fn with every size-element subset of 0..n-1, as ascending
+// indices, in ascending order of the subset's bit mask — the order
+// plan.Aggregate.CandidatePKs lists one size in. fn must not keep the slice.
+func eachSubset(n, size int, fn func([]int)) {
+	c := make([]int, size)
+	for i := range c {
+		c[i] = i
+	}
+	for {
+		fn(c)
+		// The next mask moves up the lowest element that has room, and packs
+		// the elements below it back at the bottom.
+		j := 0
+		for j < size {
+			next := n
+			if j+1 < size {
+				next = c[j+1]
+			}
+			if c[j]+1 < next {
+				break
+			}
+			j++
+		}
+		if j == size {
+			return
+		}
+		c[j]++
+		for i := 0; i < j; i++ {
+			c[i] = i
+		}
+	}
 }
 
 // canCorrelate reports whether x and y could have any of the three

@@ -1,11 +1,13 @@
 package correlation
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"ysmart/internal/plan"
 	"ysmart/internal/queries"
+	"ysmart/internal/sqlparser"
 )
 
 func analyze(t *testing.T, sql string) *Analysis {
@@ -271,5 +273,122 @@ func TestInputIsTableAndOverridePK(t *testing.T) {
 	}
 	if err := a.OverridePK(join2, []int{0}); err == nil {
 		t.Error("join PK override should fail")
+	}
+}
+
+// choosePartitionKeysExhaustive is the heuristic without its shortcuts: it
+// scores every candidate CandidatePKs lists, building each key from scratch
+// and re-deciding per candidate which operations can correlate. It is the
+// oracle choosePartitionKeys must agree with.
+func (a *Analysis) choosePartitionKeysExhaustive() {
+	for _, op := range a.Ops {
+		if op.Kind == KindJoin {
+			a.pks[op] = op.Join.PartKey()
+		}
+	}
+	score := func(op *Operation, pk plan.PartKey) int {
+		n := 0
+		for _, other := range a.Ops {
+			if opk, ok := a.pks[other]; ok && other != op && a.canCorrelate(op, other) && pk.Equal(opk) {
+				n++
+			}
+		}
+		return n
+	}
+	for pass := 0; pass < 2; pass++ {
+		for _, op := range a.Ops {
+			if op.Kind != KindAgg {
+				continue
+			}
+			cands := op.Agg.CandidatePKs()
+			if len(cands) == 0 {
+				delete(a.pks, op)
+				continue
+			}
+			best, bestScore := cands[0], score(op, op.Agg.PartKeyFor(cands[0]))
+			for _, cand := range cands[1:] {
+				if s := score(op, op.Agg.PartKeyFor(cand)); s > bestScore {
+					best, bestScore = cand, s
+				}
+			}
+			op.Agg.PKChoice = best
+			a.pks[op] = op.Agg.PartKeyFor(best)
+		}
+	}
+}
+
+// TestPartitionKeyChoiceMatchesExhaustive: building each aggregation's key
+// components once and enumerating only the candidate sizes some partner's
+// key has picks the same candidate as scoring every subset — on the
+// workload queries and on shapes where wide GROUP BYs meet one- and
+// two-column keys, self-joins, aggregations that key each other, and a tie
+// the earliest candidate must win.
+func TestPartitionKeyChoiceMatchesExhaustive(t *testing.T) {
+	sqls := []string{
+		"SELECT l_orderkey, l_partkey, l_suppkey, l_shipmode, o_custkey, o_orderstatus, o_clerk, count(*) AS n " +
+			"FROM lineitem, orders WHERE l_orderkey = o_orderkey " +
+			"GROUP BY l_shipmode, l_suppkey, o_clerk, l_partkey, o_orderstatus, o_custkey, l_orderkey",
+		"SELECT a.l_suppkey, a.l_partkey, a.l_orderkey, a.l_shipmode, count(*) AS n " +
+			"FROM lineitem AS a, lineitem AS b WHERE a.l_orderkey = b.l_orderkey AND a.l_partkey = b.l_partkey " +
+			"GROUP BY a.l_suppkey, a.l_shipmode, a.l_partkey, a.l_orderkey",
+		"SELECT x.l_partkey, x.l_suppkey, x.n, y.m FROM " +
+			"(SELECT l_shipmode, l_suppkey, l_partkey, count(*) AS n FROM lineitem GROUP BY l_shipmode, l_suppkey, l_partkey) AS x, " +
+			"(SELECT l_suppkey, l_partkey, sum(l_quantity) AS m FROM lineitem GROUP BY l_suppkey, l_partkey) AS y " +
+			"WHERE x.l_partkey = y.l_partkey AND x.l_suppkey = y.l_suppkey",
+		// x's two one-column candidates tie at one partner each (y, z):
+		// the first must win.
+		"SELECT x.l_partkey, y.m, z.k FROM " +
+			"(SELECT l_partkey, l_orderkey, count(*) AS n FROM lineitem GROUP BY l_partkey, l_orderkey) AS x, " +
+			"(SELECT l_orderkey, count(*) AS m FROM lineitem GROUP BY l_orderkey) AS y, " +
+			"(SELECT l_partkey, count(*) AS k FROM lineitem GROUP BY l_partkey) AS z WHERE x.n = y.m AND x.n = z.k",
+	}
+	for _, sql := range queries.Named() {
+		sqls = append(sqls, sql)
+	}
+	// extractOps replays Analyze up to the heuristic, so both runs see the
+	// operations in the order Analyze chooses keys in.
+	extractOps := func(sql string) *Analysis {
+		root, err := queries.Plan(sql)
+		if err != nil {
+			t.Fatalf("plan %q: %v", sql, err)
+		}
+		a := &Analysis{root: root, pks: make(map[*Operation]plan.PartKey)}
+		a.RootOp = a.extract(root, nil).Op
+		a.collectOps()
+		return a
+	}
+	for _, sql := range sqls {
+		got, want := extractOps(sql), extractOps(sql)
+		got.choosePartitionKeys()
+		want.choosePartitionKeysExhaustive()
+		for i, op := range got.Ops {
+			w := want.Ops[i]
+			if op.Kind != KindAgg {
+				continue
+			}
+			if !reflect.DeepEqual(op.Agg.PKChoice, w.Agg.PKChoice) || got.pks[op].String() != want.pks[w].String() {
+				t.Errorf("%q op %d: chose %v %v, exhaustive %v %v", sql, i, op.Agg.PKChoice, got.pks[op], w.Agg.PKChoice, want.pks[w])
+			}
+		}
+	}
+}
+
+// TestEachSubsetFollowsCandidateOrder: one size's subsets come out in the
+// order CandidatePKs lists that size.
+func TestEachSubsetFollowsCandidateOrder(t *testing.T) {
+	for n := 1; n <= 8; n++ {
+		all := (&plan.Aggregate{GroupBy: make([]sqlparser.Expr, n)}).CandidatePKs()
+		for size := 1; size <= n; size++ {
+			var want, got [][]int
+			for _, c := range all {
+				if len(c) == size {
+					want = append(want, c)
+				}
+			}
+			eachSubset(n, size, func(c []int) { got = append(got, append([]int(nil), c...)) })
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("n=%d size=%d: got %v, want %v", n, size, got, want)
+			}
+		}
 	}
 }

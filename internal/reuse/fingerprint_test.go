@@ -23,10 +23,11 @@ func artifacts(t *testing.T, sql, label string, mode translator.Mode) []translat
 	if err != nil {
 		t.Fatalf("translate %q: %v", sql, err)
 	}
-	if len(tr.Artifacts) != len(tr.Jobs) {
-		t.Fatalf("%d artifacts for %d jobs", len(tr.Artifacts), len(tr.Jobs))
+	arts := tr.Artifacts()
+	if len(arts) != len(tr.Jobs) {
+		t.Fatalf("%d artifacts for %d jobs", len(arts), len(tr.Jobs))
 	}
-	return tr.Artifacts
+	return arts
 }
 
 // fps projects the fingerprints of an artifact slice.

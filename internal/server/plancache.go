@@ -8,6 +8,7 @@ import (
 	"ysmart/internal/exec"
 	"ysmart/internal/obs"
 	"ysmart/internal/plan"
+	"ysmart/internal/sqlparser"
 	"ysmart/internal/translator"
 )
 
@@ -89,7 +90,13 @@ func (p *Plan) Release() {}
 // Get resolves sql to its plan, consulting the cache first. Errors are
 // client errors (bad SQL) — the cache itself never fails.
 func (c *PlanCache) Get(sql string) (*Plan, error) {
-	key, err := translator.CacheKeyOpt(sql, c.mode, c.optimize)
+	// One lex per statement: the key is rendered from the tokens, and a miss
+	// parses the same tokens.
+	toks, err := sqlparser.Tokenize(sql)
+	if err != nil {
+		return nil, fmt.Errorf("normalize: %w", err)
+	}
+	key, norm, err := translator.TokensKey(toks, c.mode, c.optimize)
 	if err != nil {
 		return nil, fmt.Errorf("normalize: %w", err)
 	}
@@ -105,7 +112,7 @@ func (c *PlanCache) Get(sql string) (*Plan, error) {
 
 	// Miss: run the whole pipeline outside the lock (parsing concurrent
 	// queries must not serialize), then insert.
-	e, err := c.build(sql, key)
+	e, err := c.build(toks, key, norm)
 	if err != nil {
 		return nil, err
 	}
@@ -140,8 +147,8 @@ func (e *cacheEntry) get(hit bool) *Plan {
 // build runs the full pipeline for a miss: parse, plan, analyze, lower and,
 // under SetOptimize, the MANIMAL rewrite. The query tag keys the chain's DFS
 // paths.
-func (c *PlanCache) build(sql, key string) (*cacheEntry, error) {
-	a, err := translator.Analyze(sql, c.cat)
+func (c *PlanCache) build(toks []sqlparser.Token, key, norm string) (*cacheEntry, error) {
+	a, err := translator.AnalyzeTokens(toks, c.cat)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +159,6 @@ func (c *PlanCache) build(sql, key string) (*cacheEntry, error) {
 	if c.optimize {
 		translator.ApplyScanFacts(tr)
 	}
-	norm, _ := translator.NormalizeSQL(sql)
 	return &cacheEntry{key: key, plan: Plan{Translation: tr, Schema: a.Root().Schema(), Normalized: norm}}, nil
 }
 

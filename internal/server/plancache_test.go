@@ -10,6 +10,9 @@ import (
 	"ysmart/internal/translator"
 )
 
+// raceEnabled is set by race_test.go in race-detector builds.
+var raceEnabled bool
+
 func newTestCache(capacity int, reg *obs.Registry) *PlanCache {
 	return NewPlanCache(capacity, translator.YSmart, queries.Catalog(), reg)
 }
@@ -280,5 +283,62 @@ func TestPlanCacheResultsByteIdentical(t *testing.T) {
 		want := oracleLines(t, sql)
 		diffLines(t, name+" first run vs oracle", runPlan(t, miss), want)
 		diffLines(t, name+" rerun vs oracle", runPlan(t, hit), want)
+	}
+}
+
+// TestAllocBudgetPlanMiss pins what a cache miss allocates for each of the
+// seven workload query shapes, the templates of the plan_cold benchmark: one
+// lex, one parse of the same tokens, the plan, the correlation analysis with
+// each aggregation's key components built once, and the lowering — and no
+// fingerprinting, which waits for a reuse lookup. The budgets are the
+// measured counts plus 2 % for map growth, which varies with the hash seed
+// by an allocation or two.
+func TestAllocBudgetPlanMiss(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	budget := map[string]float64{ // measured: 190, 1116, 706, 1080, 898, 1132, 1700
+		"Q-AGG": 194, "Q-CSA": 1138, "Q17": 720, "Q18": 1102,
+		"Q18-orig": 916, "Q21": 1155, "Q21-full": 1734,
+	}
+	for name, sql := range queries.Named() {
+		const runs = 10
+		caches := make([]*PlanCache, runs+1) // AllocsPerRun adds a warm-up call
+		for i := range caches {
+			caches[i] = newTestCache(4, nil)
+		}
+		next := 0
+		got := testing.AllocsPerRun(runs, func() {
+			p, err := caches[next].Get(sql)
+			if err != nil || p.Hit {
+				t.Fatalf("%s: get %v, hit %v; want a miss", name, err, p != nil && p.Hit)
+			}
+			next++
+		})
+		if want, ok := budget[name]; !ok || got > want {
+			t.Errorf("%s: a plan-cache miss costs %v allocations, budget %v", name, got, want)
+		}
+	}
+}
+
+// TestAllocBudgetPlanHit: a hit only normalizes — the token slice, the key
+// string and the caller's copy of the plan, whatever the statement's size.
+func TestAllocBudgetPlanHit(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	c := newTestCache(8, nil)
+	for name, sql := range queries.Named() {
+		if _, err := c.Get(sql); err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(20, func() {
+			if p, err := c.Get(sql); err != nil || !p.Hit {
+				t.Fatalf("%s: get %v; want a hit", name, err)
+			}
+		})
+		if got > 3 {
+			t.Errorf("%s: a plan-cache hit costs %v allocations, budget 3", name, got)
+		}
 	}
 }

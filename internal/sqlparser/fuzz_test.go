@@ -5,9 +5,11 @@ import (
 	"testing"
 )
 
-// FuzzParse asserts the parser is total: any input either parses or returns
-// an error — it never panics — and anything that parses round-trips through
-// SQL() to an equivalent statement.
+// FuzzParse asserts the lexer and parser are total: any input either parses
+// or returns an error — it never panics — and anything that parses
+// round-trips through SQL() to an equivalent statement. Every word and string
+// literal the lexer returns must also match the reference reading of its
+// source text (checkToken).
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"SELECT a FROM t",
@@ -21,11 +23,19 @@ func FuzzParse(f *testing.F) {
 		"SELECT 'it''s' FROM t;",
 		"\x00\xff SELECT",
 		strings.Repeat("(", 50) + "a" + strings.Repeat(")", 50),
+		"SeLeCt _a, a_B, Distinct_, distinctx FROM t_1 wHeRe x iS nUlL",
+		"SELECT " + strings.Repeat("Ab_", 12) + " FROM " + strings.Repeat("SELECT", 6) + "x",
+		"SELECT 'it''s', '''', '' FROM t WHERE a = 'x''''y'",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, sql string) {
+		if toks, err := Tokenize(sql); err == nil {
+			for _, tok := range toks {
+				checkToken(t, sql, tok)
+			}
+		}
 		stmt, err := Parse(sql)
 		if err != nil {
 			return // rejecting is always acceptable
@@ -40,4 +50,46 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("round trip unstable:\n first: %s\nsecond: %s", rendered, again.SQL())
 		}
 	})
+}
+
+// checkToken compares a word or string-literal token with the reference
+// reading of the source text at its position: a word is a keyword exactly
+// when strings.ToUpper of it IsKeyword, and then carries that upper-cased
+// text; otherwise it is an identifier spelled as in the source. A string
+// literal's text is its body with every doubled quote read as one.
+func checkToken(t *testing.T, sql string, tok Token) {
+	t.Helper()
+	switch tok.Kind {
+	case KindKeyword, KindIdent:
+		end := tok.Pos
+		for end < len(sql) && (isLetter(sql[end]) || isDigit(sql[end])) {
+			end++
+		}
+		word := sql[tok.Pos:end]
+		upper := strings.ToUpper(word)
+		wantKind, wantText := KindIdent, word
+		if IsKeyword(upper) {
+			wantKind, wantText = KindKeyword, upper
+		}
+		if tok.Kind != wantKind || tok.Text != wantText {
+			t.Fatalf("word %q at %d lexed as %v %q, want %v %q", word, tok.Pos, tok.Kind, tok.Text, wantKind, wantText)
+		}
+	case KindString:
+		var sb strings.Builder
+		for i := tok.Pos + 1; i < len(sql); i++ {
+			if sql[i] != '\'' {
+				sb.WriteByte(sql[i])
+				continue
+			}
+			if i+1 < len(sql) && sql[i+1] == '\'' {
+				sb.WriteByte('\'')
+				i++
+				continue
+			}
+			break
+		}
+		if tok.Text != sb.String() {
+			t.Fatalf("string literal at %d lexed as %q, want %q", tok.Pos, tok.Text, sb.String())
+		}
+	}
 }

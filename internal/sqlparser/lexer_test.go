@@ -199,3 +199,14 @@ func TestSyntaxErrorMessage(t *testing.T) {
 		t.Errorf("message %q lacks position", se.Error())
 	}
 }
+
+// TestKeywordsFitTheLexerBuffer: keywordOf upper-cases into a
+// maxKeywordLen-byte buffer and calls any longer word an identifier, which
+// is only right while no keyword is longer.
+func TestKeywordsFitTheLexerBuffer(t *testing.T) {
+	for kw := range keywords {
+		if len(kw) > maxKeywordLen {
+			t.Errorf("keyword %s is longer than maxKeywordLen %d", kw, maxKeywordLen)
+		}
+	}
+}

@@ -13,7 +13,8 @@ type Parser struct {
 	i    int
 }
 
-// NewParser returns a parser over pre-lexed tokens.
+// NewParser returns a parser over pre-lexed tokens: a Tokenize result, which
+// ends in the KindEOF token.
 func NewParser(toks []Token) *Parser { return &Parser{toks: toks} }
 
 // Parse lexes and parses a single SELECT statement, allowing a trailing
@@ -23,7 +24,12 @@ func Parse(sql string) (*SelectStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := NewParser(toks)
+	return NewParser(toks).ParseStatement()
+}
+
+// ParseStatement is Parse over the parser's tokens: a single SELECT
+// statement, allowing a trailing semicolon, with nothing after it.
+func (p *Parser) ParseStatement() (*SelectStmt, error) {
 	stmt, err := p.parseSelect()
 	if err != nil {
 		return nil, err

@@ -59,21 +59,52 @@ func (t Token) String() string {
 	return fmt.Sprintf("%q", t.Text)
 }
 
-// keywords is the set of reserved words recognized by the lexer. Everything
-// else alphanumeric is an identifier. Aggregate function names (COUNT, SUM,
-// AVG, MIN, MAX) are deliberately NOT keywords: they are ordinary
-// identifiers followed by '(' so that they can also be used as column names.
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true,
-	"BY": true, "HAVING": true, "ORDER": true, "LIMIT": true,
-	"AS": true, "AND": true, "OR": true, "NOT": true,
-	"JOIN": true, "INNER": true, "LEFT": true, "RIGHT": true,
-	"FULL": true, "OUTER": true, "ON": true, "CROSS": true,
-	"ASC": true, "DESC": true, "DISTINCT": true, "ALL": true,
-	"IS": true, "NULL": true, "BETWEEN": true, "IN": true,
-	"TRUE": true, "FALSE": true, "CASE": true, "WHEN": true,
-	"THEN": true, "ELSE": true, "END": true, "UNION": true,
-}
+// keywords is the set of reserved words recognized by the lexer, each mapped
+// to itself so a token can carry the map's copy of its text. Everything else
+// alphanumeric is an identifier. Aggregate function names (COUNT, SUM, AVG,
+// MIN, MAX) are deliberately NOT keywords: they are ordinary identifiers
+// followed by '(' so that they can also be used as column names.
+var keywords = func() map[string]string {
+	m := make(map[string]string)
+	for _, kw := range []string{
+		"SELECT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER", "LIMIT",
+		"AS", "AND", "OR", "NOT", "JOIN", "INNER", "LEFT", "RIGHT",
+		"FULL", "OUTER", "ON", "CROSS", "ASC", "DESC", "DISTINCT", "ALL",
+		"IS", "NULL", "BETWEEN", "IN", "TRUE", "FALSE", "CASE", "WHEN",
+		"THEN", "ELSE", "END", "UNION",
+	} {
+		m[kw] = kw
+	}
+	return m
+}()
+
+// maxKeywordLen is at least the longest keyword's length (a test holds it
+// there), so the lexer can upper-case a word on the stack and call anything
+// longer an identifier unseen.
+const maxKeywordLen = 16
 
 // IsKeyword reports whether the upper-cased word is reserved.
-func IsKeyword(upper string) bool { return keywords[upper] }
+func IsKeyword(upper string) bool {
+	_, ok := keywords[upper]
+	return ok
+}
+
+// keywordOf returns the reserved word that word — letters, digits and '_',
+// as the lexer reads them — spells in any letter case, without allocating:
+// the word is upper-cased into a stack buffer and the token takes the map's
+// copy of the text.
+func keywordOf(word string) (string, bool) {
+	if len(word) > maxKeywordLen {
+		return "", false
+	}
+	var buf [maxKeywordLen]byte
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	kw, ok := keywords[string(buf[:len(word)])]
+	return kw, ok
+}

@@ -1,7 +1,9 @@
 package translator
 
 import (
+	"reflect"
 	"testing"
+	"time"
 
 	"ysmart/internal/correlation"
 	"ysmart/internal/dbms"
@@ -123,5 +125,30 @@ func TestOverridePKValidation(t *testing.T) {
 	}
 	if err := a.OverridePK(agg, []int{0, 1}); err != nil {
 		t.Errorf("valid candidate rejected: %v", err)
+	}
+}
+
+// TestWideGroupByTranslatesQuickly: the partition-key heuristic cannot be
+// made to stall the front end. A GROUP BY over 17 columns of lineitem ⋈
+// orders has 2^17 candidate keys, about a second's work to score them all.
+// Only one size can match a partner's key — the join's, one column — so the
+// translation takes well under a millisecond, and still keys the
+// aggregation on the join column.
+func TestWideGroupByTranslatesQuickly(t *testing.T) {
+	cols := "l_orderkey, l_partkey, l_suppkey, l_quantity, l_extendedprice, l_receiptdate, l_commitdate, l_shipdate, " +
+		"l_returnflag, l_shipmode, l_comment, o_custkey, o_orderstatus, o_totalprice, o_orderdate, o_clerk, o_comment"
+	sql := "SELECT " + cols + ", count(*) AS n FROM lineitem, orders WHERE l_orderkey = o_orderkey GROUP BY " + cols
+	start := time.Now()
+	tr := translate(t, sql, YSmart, Options{QueryName: "wide"})
+	if took := time.Since(start); took > 50*time.Millisecond {
+		t.Errorf("a 17-column GROUP BY took %v to translate, budget 50ms", took)
+	}
+	for _, op := range tr.Analysis.Ops {
+		if op.Kind == correlation.KindAgg && (len(op.Agg.GroupBy) != 17 || !reflect.DeepEqual(op.Agg.PKChoice, []int{0})) {
+			t.Errorf("aggregation over %d columns keyed on %v, want 17 columns keyed on [0] (l_orderkey)", len(op.Agg.GroupBy), op.Agg.PKChoice)
+		}
+	}
+	if tr.NumJobs() != 1 {
+		t.Errorf("%d jobs, want the aggregation merged into the join's one job", tr.NumJobs())
 	}
 }

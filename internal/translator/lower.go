@@ -45,15 +45,19 @@ type lowerer struct {
 
 // requiredOf returns the pruned column demand of a node, or every column
 // when pruning is off (the PigLike mode's fat intermediates).
-func (lw *lowerer) requiredOf(n plan.Node) []int {
-	if !lw.prune {
+func (lw *lowerer) requiredOf(n plan.Node) []int { return requiredCols(lw.analysis, lw.prune, n) }
+
+// requiredCols is the column demand of n under analysis a: pruned, or every
+// column.
+func requiredCols(a *correlation.Analysis, prune bool, n plan.Node) []int {
+	if !prune {
 		all := make([]int, n.Schema().Len())
 		for i := range all {
 			all[i] = i
 		}
 		return all
 	}
-	return lw.analysis.Required[n]
+	return a.Required[n]
 }
 
 // view builds the effective view of a plan node.
@@ -114,7 +118,7 @@ func (lw *lowerer) lowerSPQuery() (*Translation, error) {
 		Output:       path,
 		OutputSchema: topEff.schema,
 		ScanFacts:    []ScanFact{fact},
-		Artifacts:    []JobArtifact{lw.rootArtifact()},
+		fp:           lw.fingerprint(nil),
 	}, nil
 }
 
@@ -139,7 +143,7 @@ func (lw *lowerer) lowerJobs(g *grouping) (*Translation, error) {
 
 	tr := &Translation{Mode: lw.mode, Analysis: lw.analysis}
 	mrOf := make(map[*jobBuild]*mapreduce.Job, len(order))
-	artOf := make(map[*jobBuild]JobArtifact, len(order))
+	jobOps := make([][]*correlation.Operation, 0, len(order))
 	for idx, jb := range order {
 		cj, err := lw.lowerJob(jb, idx+1, g, topChain, topLimit, tr)
 		if err != nil {
@@ -149,8 +153,7 @@ func (lw *lowerer) lowerJobs(g *grouping) (*Translation, error) {
 		if err != nil {
 			return nil, fmt.Errorf("job %s: %w", cj.Name, err)
 		}
-		deps := jobDeps(jb, g)
-		for _, dep := range deps {
+		for _, dep := range jobDeps(jb, g) {
 			mr.DependsOn = append(mr.DependsOn, mrOf[dep])
 		}
 		mrOf[jb] = mr
@@ -161,16 +164,10 @@ func (lw *lowerer) lowerJobs(g *grouping) (*Translation, error) {
 			group[i] = op.Name()
 		}
 		tr.Groups = append(tr.Groups, group)
-
-		depFPs := make([]string, len(deps))
-		for i, dep := range deps {
-			depFPs[i] = artOf[dep].Fingerprint
-		}
-		art := lw.artifactFor(jb, cj, depFPs)
-		artOf[jb] = art
-		tr.Artifacts = append(tr.Artifacts, art)
+		jobOps = append(jobOps, jb.ops)
 	}
 	tr.ScanFacts = lw.facts
+	tr.fp = lw.fingerprint(jobOps)
 	return tr, nil
 }
 

@@ -25,39 +25,14 @@ func NormalizeSQL(sql string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	parts := make([]string, 0, len(toks))
-	for _, t := range toks {
-		switch t.Kind {
-		case sqlparser.KindEOF:
-		case sqlparser.KindIdent:
-			parts = append(parts, strings.ToLower(t.Text))
-		case sqlparser.KindString:
-			parts = append(parts, "'"+strings.ReplaceAll(t.Text, "'", "''")+"'")
-		default:
-			// Keywords arrive upper-cased from the lexer; numbers and
-			// symbols keep their source spelling (the lexer already folds
-			// != to <>).
-			parts = append(parts, t.Text)
-		}
-	}
-	for len(parts) > 0 && parts[len(parts)-1] == ";" {
-		parts = parts[:len(parts)-1]
-	}
-	if len(parts) == 0 {
-		return "", fmt.Errorf("empty statement")
-	}
-	return strings.Join(parts, " "), nil
+	return normalize(toks)
 }
 
 // CacheKey builds the plan-cache key of a query: its normalized SQL scoped
 // by translation mode, so one cache can serve servers running in different
 // modes without mixing their job chains.
 func CacheKey(sql string, mode Mode) (string, error) {
-	norm, err := NormalizeSQL(sql)
-	if err != nil {
-		return "", err
-	}
-	return mode.String() + "\x00" + norm, nil
+	return CacheKeyOpt(sql, mode, false)
 }
 
 // CacheKeyOpt builds the plan-cache key of a query with the optimizer
@@ -65,14 +40,80 @@ func CacheKey(sql string, mode Mode) (string, error) {
 // never share a cache entry (or a QueryTag-derived DFS prefix) with
 // plain translations of the same SQL.
 func CacheKeyOpt(sql string, mode Mode, optimize bool) (string, error) {
-	key, err := CacheKey(sql, mode)
+	toks, err := sqlparser.Tokenize(sql)
 	if err != nil {
 		return "", err
 	}
+	key, _, err := TokensKey(toks, mode, optimize)
+	return key, err
+}
+
+// TokensKey is CacheKeyOpt over a statement already lexed by
+// sqlparser.Tokenize, so a caller that parses the statement on a miss lexes
+// it once. normalized is NormalizeSQL's text, a suffix of key.
+func TokensKey(toks []sqlparser.Token, mode Mode, optimize bool) (key, normalized string, err error) {
+	opt := ""
 	if optimize {
-		return "manimal\x00" + key, nil
+		opt = "manimal\x00"
 	}
-	return key, nil
+	m := mode.String()
+	key, err = normalize(toks, opt, m, "\x00")
+	if err != nil {
+		return "", "", err
+	}
+	return key, key[len(opt)+len(m)+1:], nil
+}
+
+// normalize renders the prefix strings followed by the NormalizeSQL text of
+// toks, in one allocation.
+func normalize(toks []sqlparser.Token, prefix ...string) (string, error) {
+	end := len(toks)
+	for end > 0 && (toks[end-1].Kind == sqlparser.KindEOF || toks[end-1].Kind == sqlparser.KindSymbol && toks[end-1].Text == ";") {
+		end--
+	}
+	if end == 0 {
+		return "", fmt.Errorf("empty statement")
+	}
+	size := end - 1 // the separating spaces
+	for _, p := range prefix {
+		size += len(p)
+	}
+	for _, t := range toks[:end] {
+		size += len(t.Text)
+		if t.Kind == sqlparser.KindString {
+			size += 2 + strings.Count(t.Text, "'")
+		}
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	for _, p := range prefix {
+		sb.WriteString(p)
+	}
+	for i, t := range toks[:end] {
+		if i > 0 {
+			sb.WriteByte(' ')
+		}
+		switch t.Kind {
+		case sqlparser.KindIdent:
+			for j := 0; j < len(t.Text); j++ {
+				c := t.Text[j]
+				if 'A' <= c && c <= 'Z' {
+					c += 'a' - 'A'
+				}
+				sb.WriteByte(c)
+			}
+		case sqlparser.KindString:
+			sb.WriteByte('\'')
+			sb.WriteString(strings.ReplaceAll(t.Text, "'", "''"))
+			sb.WriteByte('\'')
+		default:
+			// Keywords arrive upper-cased from the lexer; numbers and
+			// symbols keep their source spelling (the lexer already folds
+			// != to <>).
+			sb.WriteString(t.Text)
+		}
+	}
+	return sb.String(), nil
 }
 
 // QueryTag derives a short stable job/DFS label from a cache key, so every

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ysmart/internal/queries"
+	"ysmart/internal/sqlparser"
 )
 
 func TestNormalizeSQLCollapsesEquivalentSpellings(t *testing.T) {
@@ -99,5 +100,47 @@ func TestQueryTagStableAndDistinct(t *testing.T) {
 	}
 	if len(t1) != 13 || t1[0] != 'q' {
 		t.Fatalf("tag %q is not in q<12 hex> form", t1)
+	}
+}
+
+// TestNormalizeMatchesTokenJoin: the one-allocation renderer writes what
+// joining each token's canonical spelling with spaces writes, and a cache key
+// is that text behind its mode and optimizer scope.
+func TestNormalizeMatchesTokenJoin(t *testing.T) {
+	sqls := []string{
+		"SeLeCt CiD, 'It''s', '', x != 1.50 FROM Clicks WHERE s = '''' ; ;",
+		"select a_B from T_1 -- note\n/* block */ where b <= .5",
+	}
+	for _, sql := range queries.Named() {
+		sqls = append(sqls, sql)
+	}
+	for _, sql := range sqls {
+		toks, err := sqlparser.Tokenize(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var parts []string
+		for _, tok := range toks {
+			switch tok.Kind {
+			case sqlparser.KindEOF:
+			case sqlparser.KindIdent:
+				parts = append(parts, strings.ToLower(tok.Text))
+			case sqlparser.KindString:
+				parts = append(parts, "'"+strings.ReplaceAll(tok.Text, "'", "''")+"'")
+			default:
+				parts = append(parts, tok.Text)
+			}
+		}
+		for len(parts) > 0 && parts[len(parts)-1] == ";" {
+			parts = parts[:len(parts)-1]
+		}
+		want := strings.Join(parts, " ")
+		if got, err := NormalizeSQL(sql); err != nil || got != want {
+			t.Errorf("NormalizeSQL(%q) = %q, %v; want %q", sql, got, err, want)
+		}
+		key, norm, err := TokensKey(toks, ICTCOnly, true)
+		if err != nil || norm != want || key != "manimal\x00ic-tc-only\x00"+want {
+			t.Errorf("TokensKey(%q) = %q, %q, %v; want the normalized text behind its scope", sql, key, norm, err)
+		}
 	}
 }

@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
-	"ysmart/internal/cmf"
+	"ysmart/internal/correlation"
 	"ysmart/internal/exec"
 	"ysmart/internal/mapreduce"
 	"ysmart/internal/obs"
@@ -45,55 +46,92 @@ func ArtifactPath(fingerprint string, optimized bool) string {
 	return "restore/" + fingerprint
 }
 
-// artifactHeader writes the descriptor preamble: every knob that changes
-// generated job bytes (mode and the lowering toggles) scopes the hash.
-func (lw *lowerer) artifactHeader(sb *strings.Builder) {
-	fmt.Fprintf(sb, "v1;mode=%s;prune=%t;combine=%t;share=%t\n", lw.mode, lw.prune, lw.combine, lw.share)
+// fingerprint is what a translation's artifacts are hashed from, kept from
+// lowering so that only a translation looked up in a reuse store pays for
+// the hashing: the operations lowered into each job (parallel to Jobs; none
+// for the map-only job of a selection-projection query), the LIMIT folded
+// into the root sort, and the lowering toggles that change generated job
+// bytes. The rest — mode, analysis, output tags, job dependencies — the
+// translation carries anyway.
+type fingerprint struct {
+	jobOps                [][]*correlation.Operation
+	topLimit              int
+	prune, combine, share bool
+
+	once      sync.Once
+	artifacts []JobArtifact
 }
 
-// artifactFor fingerprints one lowered job: the canonical rendering of
-// every operation it executes (with the pruned column demand that shapes
-// its written rows), its output tags, and — Merkle-style — the
-// fingerprints of the jobs it reads intermediate results from, so an
-// artifact is only ever reused when its whole upstream computation
-// matches. The job that produces the query result hashes the full plan
-// root instead, covering the top chain and LIMIT.
-func (lw *lowerer) artifactFor(jb *jobBuild, cj *cmf.CommonJob, depFPs []string) JobArtifact {
-	var sb strings.Builder
-	lw.artifactHeader(&sb)
-	tables := make(map[string]bool)
-	for _, op := range jb.ops {
-		if op == lw.analysis.RootOp {
-			fmt.Fprintf(&sb, "root;limit=%d;%s\n", lw.topLimit, reuse.CanonPlan(lw.analysis.Root()))
-			for t := range plan.BaseTables(lw.analysis.Root()) {
-				tables[t] = true
+// fingerprint keeps the lowering's fingerprint inputs for the translation.
+func (lw *lowerer) fingerprint(jobOps [][]*correlation.Operation) *fingerprint {
+	return &fingerprint{jobOps: jobOps, topLimit: lw.topLimit, prune: lw.prune, combine: lw.combine, share: lw.share}
+}
+
+// Artifacts describes each job's output for the cross-query reuse store,
+// parallel to Jobs: a canonical fingerprint of the sub-plan the job computes
+// plus the base-table DFS paths the output depends on. The first call
+// computes them, once per translation; every caller then shares the one
+// slice, so read it, never write it. A translation built by hand, not by
+// Translate, has none.
+func (t *Translation) Artifacts() []JobArtifact {
+	fp := t.fp
+	if fp == nil {
+		return nil
+	}
+	fp.once.Do(func() { fp.artifacts = fp.compute(t) })
+	return fp.artifacts
+}
+
+// compute fingerprints every job of t. A job hashes the canonical rendering
+// of every operation it executes (with the pruned column demand that shapes
+// its written rows), its output tags, and — Merkle-style — the fingerprints
+// of the jobs it reads intermediate results from, so an artifact is only
+// ever reused when its whole upstream computation matches. The job that
+// produces the query result hashes the full plan root instead, covering the
+// top chain and LIMIT; so does the single map-only job of a pure
+// selection-projection query.
+func (fp *fingerprint) compute(t *Translation) []JobArtifact {
+	a := t.Analysis
+	header := fmt.Sprintf("v1;mode=%s;prune=%t;combine=%t;share=%t\n", t.Mode, fp.prune, fp.combine, fp.share)
+	rootLine := func(sb *strings.Builder) {
+		fmt.Fprintf(sb, "root;limit=%d;%s\n", fp.topLimit, reuse.CanonPlan(a.Root()))
+	}
+	if a.RootOp == nil {
+		var sb strings.Builder
+		sb.WriteString(header)
+		rootLine(&sb)
+		return []JobArtifact{{Fingerprint: reuse.Fingerprint(sb.String()), Tables: tablePathsOf(plan.BaseTables(a.Root()))}}
+	}
+	index := make(map[*mapreduce.Job]int, len(t.Jobs))
+	arts := make([]JobArtifact, len(t.Jobs))
+	for i, j := range t.Jobs {
+		index[j] = i
+		var sb strings.Builder
+		sb.WriteString(header)
+		tables := make(map[string]bool)
+		for _, op := range fp.jobOps[i] {
+			n := op.Node()
+			if op == a.RootOp {
+				rootLine(&sb)
+				n = a.Root()
+			} else {
+				fmt.Fprintf(&sb, "op;req=%v;%s\n", requiredCols(a, fp.prune, n), reuse.CanonPlan(n))
 			}
-			continue
+			for tb := range plan.BaseTables(n) {
+				tables[tb] = true
+			}
 		}
-		fmt.Fprintf(&sb, "op;req=%v;%s\n", lw.requiredOf(op.Node()), reuse.CanonPlan(op.Node()))
-		for t := range plan.BaseTables(op.Node()) {
-			tables[t] = true
+		for _, out := range t.CommonJobs[i].Outputs {
+			fmt.Fprintf(&sb, "out;%s\n", out.Tag)
 		}
+		// Lowering wires DependsOn in the order the jobs are read from, and
+		// a job's dependencies precede it in Jobs.
+		for _, d := range j.DependsOn {
+			fmt.Fprintf(&sb, "dep;%s\n", arts[index[d]].Fingerprint)
+		}
+		arts[i] = JobArtifact{Fingerprint: reuse.Fingerprint(sb.String()), Tables: tablePathsOf(tables)}
 	}
-	for _, out := range cj.Outputs {
-		fmt.Fprintf(&sb, "out;%s\n", out.Tag)
-	}
-	for _, fp := range depFPs {
-		fmt.Fprintf(&sb, "dep;%s\n", fp)
-	}
-	return JobArtifact{Fingerprint: reuse.Fingerprint(sb.String()), Tables: tablePathsOf(tables)}
-}
-
-// rootArtifact fingerprints the single map-only job of a pure
-// selection-projection query: the full plan root.
-func (lw *lowerer) rootArtifact() JobArtifact {
-	var sb strings.Builder
-	lw.artifactHeader(&sb)
-	fmt.Fprintf(&sb, "root;limit=%d;%s\n", lw.topLimit, reuse.CanonPlan(lw.analysis.Root()))
-	return JobArtifact{
-		Fingerprint: reuse.Fingerprint(sb.String()),
-		Tables:      tablePathsOf(plan.BaseTables(lw.analysis.Root())),
-	}
+	return arts
 }
 
 // tablePathsOf converts a base-table set to sorted DFS paths.
@@ -161,14 +199,15 @@ type ReusePlan struct {
 // be run as compiled.
 func ApplyReuseAt(tr *Translation, store *reuse.Store, dfs *mapreduce.DFS, epochs map[string]int64) *ReusePlan {
 	rp := &ReusePlan{Output: tr.Output, OutputTag: tr.OutputTag, OutputSchema: tr.OutputSchema, Total: len(tr.Jobs)}
-	if store == nil || len(tr.Jobs) == 0 || len(tr.Artifacts) != len(tr.Jobs) {
+	if store == nil || len(tr.Jobs) == 0 || len(tr.Artifacts()) != len(tr.Jobs) {
 		rp.Jobs = tr.Jobs
 		return rp
 	}
+	arts := tr.Artifacts()
 	if epochs == nil {
 		seen := make(map[string]bool)
 		var all []string
-		for _, a := range tr.Artifacts {
+		for _, a := range arts {
 			for _, t := range a.Tables {
 				if !seen[t] {
 					seen[t] = true
@@ -183,7 +222,7 @@ func ApplyReuseAt(tr *Translation, store *reuse.Store, dfs *mapreduce.DFS, epoch
 	n := len(tr.Jobs)
 	keys := make([]string, n)
 	hit := make([]*reuse.Entry, n)
-	for i, a := range tr.Artifacts {
+	for i, a := range arts {
 		keys[i] = ArtifactKey(a.Fingerprint, tr.Optimized)
 		if e, ok := store.LookupAt(keys[i], epochs); ok {
 			hit[i] = e
@@ -234,7 +273,7 @@ func ApplyReuseAt(tr *Translation, store *reuse.Store, dfs *mapreduce.DFS, epoch
 
 	for i := 0; i < n; i++ {
 		if used[i] {
-			dfs.WriteShared(ArtifactPath(tr.Artifacts[i].Fingerprint, tr.Optimized), hit[i].Lines)
+			dfs.WriteShared(ArtifactPath(arts[i].Fingerprint, tr.Optimized), hit[i].Lines)
 		}
 		if !needed[i] && hit[i] != nil {
 			rp.ArtifactBytes += hit[i].Bytes
@@ -254,7 +293,7 @@ func ApplyReuseAt(tr *Translation, store *reuse.Store, dfs *mapreduce.DFS, epoch
 		cp.Inputs = append([]mapreduce.Input(nil), j.Inputs...)
 		for k := range cp.Inputs {
 			if pi, ok := producer[cp.Inputs[k].Path]; ok && hit[pi] != nil {
-				cp.Inputs[k].Path = ArtifactPath(tr.Artifacts[pi].Fingerprint, tr.Optimized)
+				cp.Inputs[k].Path = ArtifactPath(arts[pi].Fingerprint, tr.Optimized)
 			}
 		}
 		cp.DependsOn = nil
@@ -268,14 +307,14 @@ func ApplyReuseAt(tr *Translation, store *reuse.Store, dfs *mapreduce.DFS, epoch
 		rp.records = append(rp.records, reuseRecord{
 			jobName:     j.Name,
 			key:         keys[i],
-			fingerprint: tr.Artifacts[i].Fingerprint,
-			tables:      tr.Artifacts[i].Tables,
+			fingerprint: arts[i].Fingerprint,
+			tables:      arts[i].Tables,
 			outPath:     j.Output,
 		})
 	}
 	rp.Skipped = rp.Total - len(rp.Jobs)
 	if hit[rootIdx] != nil {
-		rp.Output = ArtifactPath(tr.Artifacts[rootIdx].Fingerprint, tr.Optimized)
+		rp.Output = ArtifactPath(arts[rootIdx].Fingerprint, tr.Optimized)
 	}
 	return rp
 }
@@ -285,12 +324,13 @@ func ApplyReuseAt(tr *Translation, store *reuse.Store, dfs *mapreduce.DFS, epoch
 // partial-reuse scenario of the differential harness). ok is false when
 // the translation carries no artifacts.
 func RootArtifactKey(tr *Translation) (key string, ok bool) {
-	if len(tr.Artifacts) != len(tr.Jobs) {
+	arts := tr.Artifacts()
+	if len(arts) != len(tr.Jobs) {
 		return "", false
 	}
 	for i, j := range tr.Jobs {
 		if j.Output == tr.Output {
-			return ArtifactKey(tr.Artifacts[i].Fingerprint, tr.Optimized), true
+			return ArtifactKey(arts[i].Fingerprint, tr.Optimized), true
 		}
 	}
 	return "", false

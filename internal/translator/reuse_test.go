@@ -3,6 +3,7 @@ package translator
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"ysmart/internal/exec"
@@ -199,6 +200,54 @@ func TestOptimizedArtifactsDisjoint(t *testing.T) {
 	}
 }
 
+// TestArtifactsOnDemandShared: a translation fingerprints its jobs on the
+// first reuse lookup, not when lowered, and the plan cache hands one
+// translation to every session, so first lookups race. Eight goroutines
+// calling ApplyReuseAt on one fresh translation all read the one artifact
+// slice, computed once, and it equals the fingerprints computed eagerly from
+// a second translation of the same statement.
+func TestArtifactsOnDemandShared(t *testing.T) {
+	store := reuse.NewStore(0, nil)
+	dfs := mapreduce.NewDFS()
+	for name, sql := range queries.Named() {
+		tr := translate(t, sql, YSmart, Options{QueryName: "shared"})
+		ref := translate(t, sql, YSmart, Options{QueryName: "shared"})
+		want := ref.fp.compute(ref)
+		if tr.fp.artifacts != nil {
+			t.Fatalf("%s: artifacts computed at translation time", name)
+		}
+		const sessions = 8
+		got := make([][]JobArtifact, sessions)
+		plans := make([]*ReusePlan, sessions)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				plans[g] = ApplyReuseAt(tr, store, dfs, nil)
+				got[g] = tr.Artifacts()
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if !reflect.DeepEqual(tr.fp.artifacts, want) {
+			t.Errorf("%s: on-demand artifacts %v, eager %v", name, tr.fp.artifacts, want)
+		}
+		for g := range got {
+			if &got[g][0] != &tr.fp.artifacts[0] {
+				t.Errorf("%s: session %d read its own artifact slice, not the translation's one", name, g)
+			}
+			for i, rec := range plans[g].records {
+				if rec.key != ArtifactKey(want[i].Fingerprint, false) {
+					t.Errorf("%s: session %d looked job %d up under %q, want %q", name, g, i, rec.key, ArtifactKey(want[i].Fingerprint, false))
+				}
+			}
+		}
+	}
+}
+
 // TestArtifactParity: every translation of every workload query under
 // every mode carries exactly one artifact per job, each with a fingerprint
 // and its base-table closure.
@@ -206,11 +255,12 @@ func TestArtifactParity(t *testing.T) {
 	for name, sql := range queries.Named() {
 		for _, mode := range []Mode{OneToOne, PigLike, ICTCOnly, YSmart} {
 			tr := translate(t, sql, mode, Options{QueryName: "parity"})
-			if len(tr.Artifacts) != len(tr.Jobs) {
-				t.Errorf("%s/%v: %d artifacts for %d jobs", name, mode, len(tr.Artifacts), len(tr.Jobs))
+			arts := tr.Artifacts()
+			if len(arts) != len(tr.Jobs) {
+				t.Errorf("%s/%v: %d artifacts for %d jobs", name, mode, len(arts), len(tr.Jobs))
 				continue
 			}
-			for i, a := range tr.Artifacts {
+			for i, a := range arts {
 				if a.Fingerprint == "" {
 					t.Errorf("%s/%v job %d: empty fingerprint", name, mode, i)
 				}

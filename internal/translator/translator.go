@@ -93,14 +93,13 @@ type Translation struct {
 	// MANIMAL rewrite stage may discharge as an early prefilter — or why
 	// it refused (see ScanFact).
 	ScanFacts []ScanFact
-	// Artifacts describes each job's output for the cross-query reuse
-	// store, parallel to Jobs: a canonical fingerprint of the sub-plan the
-	// job computes plus the base-table DFS paths the output depends on.
-	Artifacts []JobArtifact
 	// Optimized marks a translation carrying the MANIMAL scan rewrites.
 	// Reuse keys fold it in (ArtifactKey) so optimized and plain
 	// artifacts never mix, mirroring the plan cache's CacheKeyOpt.
 	Optimized bool
+
+	// fp is what Artifacts hashes, and its result once a reuse lookup asked.
+	fp *fingerprint
 }
 
 // NumJobs returns the number of generated jobs.
@@ -125,7 +124,17 @@ func (t *Translation) ReadResult(dfs *mapreduce.DFS) ([]exec.Row, error) {
 // its logical plan against the catalog, and run the correlation analysis.
 // The plan root is the analysis' Root.
 func Analyze(sql string, cat plan.Catalog) (*correlation.Analysis, error) {
-	stmt, err := sqlparser.Parse(sql)
+	toks, err := sqlparser.Tokenize(sql)
+	if err != nil {
+		return nil, fmt.Errorf("parse: %w", err)
+	}
+	return AnalyzeTokens(toks, cat)
+}
+
+// AnalyzeTokens is Analyze over a statement already lexed by
+// sqlparser.Tokenize (the plan cache keys on the tokens, then parses them).
+func AnalyzeTokens(toks []sqlparser.Token, cat plan.Catalog) (*correlation.Analysis, error) {
+	stmt, err := sqlparser.NewParser(toks).ParseStatement()
 	if err != nil {
 		return nil, fmt.Errorf("parse: %w", err)
 	}
