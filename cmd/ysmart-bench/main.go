@@ -111,10 +111,8 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("fig %s: %w", f.name, err)
 		}
-		if reg != nil {
-			reg.Observe("ysmart_bench_figure_seconds", time.Since(figStart).Seconds(), "figure", f.name)
-			reg.Add("ysmart_bench_figures_total", 1)
-		}
+		reg.Observe("ysmart_bench_figure_seconds", time.Since(figStart).Seconds(), "figure", f.name)
+		reg.Add("ysmart_bench_figures_total", 1)
 		progressMu.Lock()
 		progress[f.name] = "done"
 		progressMu.Unlock()

@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"os/signal"
 	"syscall"
@@ -130,8 +131,7 @@ func run(args []string, stdout io.Writer, ready func(sqlAddr, adminAddr string) 
 		return err
 	}
 	fmt.Fprintf(stdout, "serving the PostgreSQL wire protocol on %s\n", sqlAddr)
-	fmt.Fprintf(stdout, "try: psql -h %s -p %s -c 'SELECT cid, count(*) AS n FROM clicks GROUP BY cid'\n",
-		hostOf(sqlAddr), portOf(sqlAddr))
+	fmt.Fprintln(stdout, psqlHint(sqlAddr))
 
 	adminAddr := ""
 	if *listen != "" {
@@ -164,20 +164,10 @@ func run(args []string, stdout io.Writer, ready func(sqlAddr, adminAddr string) 
 	return nil
 }
 
-func hostOf(addr string) string {
-	for i := len(addr) - 1; i >= 0; i-- {
-		if addr[i] == ':' {
-			return addr[:i]
-		}
-	}
-	return addr
-}
-
-func portOf(addr string) string {
-	for i := len(addr) - 1; i >= 0; i-- {
-		if addr[i] == ':' {
-			return addr[i+1:]
-		}
-	}
-	return ""
+// psqlHint is the psql command line that reaches the server bound at addr.
+// The host goes out without the brackets of an IPv6 literal, which libpq
+// does not accept.
+func psqlHint(addr string) string {
+	host, port, _ := net.SplitHostPort(addr)
+	return fmt.Sprintf("try: psql -h %s -p %s -c 'SELECT cid, count(*) AS n FROM clicks GROUP BY cid'", host, port)
 }

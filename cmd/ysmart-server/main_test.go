@@ -270,3 +270,15 @@ func TestServerMainManimal(t *testing.T) {
 		t.Fatal("server did not shut down")
 	}
 }
+
+func TestPsqlHintSplitsHostAndPort(t *testing.T) {
+	for _, tc := range []struct{ addr, host, port string }{
+		{"127.0.0.1:5433", "127.0.0.1", "5433"},
+		{"[::1]:5433", "::1", "5433"},
+	} {
+		want := fmt.Sprintf("try: psql -h %s -p %s -c ", tc.host, tc.port)
+		if got := psqlHint(tc.addr); !strings.HasPrefix(got, want) {
+			t.Errorf("psqlHint(%q) = %q, want prefix %q", tc.addr, got, want)
+		}
+	}
+}

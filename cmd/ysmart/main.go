@@ -125,10 +125,7 @@ func run(args []string) error {
 		return err
 	}
 	defer closeLog()
-	opts := ysmart.Options{QueryName: strings.ToLower(label), Metrics: registry, Logger: logger}
-	if collector != nil {
-		opts.Tracer = collector
-	}
+	opts := ysmart.Options{QueryName: strings.ToLower(label), Tracer: collector, Metrics: registry, Logger: logger}
 	tr, err := q.Translate(mode, opts)
 	if err != nil {
 		return err
@@ -205,15 +202,8 @@ func run(args []string) error {
 		fmt.Printf("admin plane listening on http://%s\n", addr)
 	}
 
-	var runOpts []ysmart.RunOption
-	if collector != nil {
-		runOpts = append(runOpts, ysmart.WithTracer(collector))
-	}
-	if registry != nil {
-		runOpts = append(runOpts, ysmart.WithMetrics(registry))
-	}
-	if logger != nil {
-		runOpts = append(runOpts, ysmart.WithLogger(logger))
+	runOpts := []ysmart.RunOption{
+		ysmart.WithTracer(collector), ysmart.WithMetrics(registry), ysmart.WithLogger(logger),
 	}
 	var store *ysmart.ReuseStore
 	if *reuseIt {

@@ -27,7 +27,7 @@ type DFS struct {
 	mu    sync.RWMutex
 	files map[string][]string
 
-	tracer  obs.Tracer
+	tracer  *obs.Collector
 	metrics *obs.Registry
 	clock   func() float64
 
@@ -41,19 +41,16 @@ type DFS struct {
 
 // NewDFS returns an empty file system.
 func NewDFS() *DFS {
-	return &DFS{files: make(map[string][]string), tracer: obs.Nop}
+	return &DFS{files: make(map[string][]string)}
 }
 
 // Instrument attaches a tracer and metrics registry. Read and write
 // instants are stamped with clock() — the engine passes its simulated
-// clock, so DFS events line up with job spans. A nil tracer restores the
-// no-op default.
-func (d *DFS) Instrument(t obs.Tracer, r *obs.Registry, clock func() float64) {
+// clock, so DFS events line up with job spans. A nil tracer or registry
+// turns that sink off.
+func (d *DFS) Instrument(t *obs.Collector, r *obs.Registry, clock func() float64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if t == nil {
-		t = obs.Nop
-	}
 	d.tracer = t
 	d.metrics = r
 	d.clock = clock
@@ -67,7 +64,8 @@ func (d *DFS) now() float64 {
 	return d.clock()
 }
 
-// observe records one DFS access on the tracer and registry.
+// observe records one DFS access on the tracer and registry. With both
+// off it returns before sizing the lines, which costs O(lines).
 func (d *DFS) observe(op, path string, lines []string) {
 	traced := d.tracer.Enabled()
 	if !traced && d.metrics == nil {
@@ -78,10 +76,8 @@ func (d *DFS) observe(op, path string, lines []string) {
 		d.tracer.Emit(obs.InstantEvent("dfs", "dfs."+op, "dfs", d.now(),
 			obs.F("path", path), obs.F("records", int64(len(lines))), obs.F("bytes", bytes)))
 	}
-	if d.metrics != nil {
-		d.metrics.Add("ysmart_dfs_"+op+"s_total", 1)
-		d.metrics.Add("ysmart_dfs_"+op+"_bytes_total", float64(bytes))
-	}
+	d.metrics.Add("ysmart_dfs_"+op+"s_total", 1)
+	d.metrics.Add("ysmart_dfs_"+op+"_bytes_total", float64(bytes))
 }
 
 // FileNotFoundError reports a read of a missing path.

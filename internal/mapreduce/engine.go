@@ -24,12 +24,12 @@ type Engine struct {
 	gapRNG  *rand.Rand
 	workers int
 
-	tracer  obs.Tracer
+	// tracer, metrics and logger only observe and never change execution;
+	// a nil one is off. logger receives structured lifecycle events
+	// (chains, jobs, retries, recomputes, node deaths).
+	tracer  *obs.Collector
 	metrics *obs.Registry
-	// logger receives structured lifecycle events (chains, jobs, retries,
-	// recomputes, node deaths). A nil logger is a no-op; like tracing,
-	// logging only observes and never changes execution.
-	logger *obs.Logger
+	logger  *obs.Logger
 	// simNow is the simulated clock: the end time of everything executed so
 	// far on this engine. Span events are stamped with it, so traces from
 	// successive chains on one engine share a single timeline.
@@ -49,7 +49,6 @@ func NewEngine(dfs *DFS, cluster *Cluster) (*Engine, error) {
 		cluster: cluster,
 		gapRNG:  rand.New(rand.NewSource(cluster.Contention.Seed)),
 		workers: runtime.NumCPU(),
-		tracer:  obs.Nop,
 	}, nil
 }
 
@@ -61,11 +60,8 @@ func (e *Engine) Cluster() *Cluster { return e.cluster }
 
 // Instrument attaches a tracer and metrics registry to the engine and its
 // DFS. Execution and counters are unaffected — tracing only observes. A
-// nil tracer restores the no-op default.
-func (e *Engine) Instrument(t obs.Tracer, r *obs.Registry) {
-	if t == nil {
-		t = obs.Nop
-	}
+// nil tracer or registry turns that sink off.
+func (e *Engine) Instrument(t *obs.Collector, r *obs.Registry) {
 	e.tracer = t
 	e.metrics = r
 	e.dfs.Instrument(t, r, e.Now)
@@ -137,12 +133,10 @@ func (e *Engine) RunChainContext(ctx context.Context, jobs []*Job) (*ChainStats,
 		js.GapBefore = gap
 		stats.Jobs = append(stats.Jobs, js)
 	}
-	if e.metrics != nil {
-		e.metrics.Add("ysmart_engine_chains_total", 1)
-		// The chain's end-to-end simulated latency distribution: the per-query
-		// histogram behind the p50/p99 figures the load harness reports.
-		e.metrics.Observe("ysmart_chain_sim_seconds", e.simNow-chainStart)
-	}
+	e.metrics.Add("ysmart_engine_chains_total", 1)
+	// The chain's end-to-end simulated latency distribution: the per-query
+	// histogram behind the p50/p99 figures the load harness reports.
+	e.metrics.Observe("ysmart_chain_sim_seconds", e.simNow-chainStart)
 	e.logger.Info("chain.done",
 		obs.F("jobs", int64(len(ordered))),
 		obs.F("sim_s", e.simNow),

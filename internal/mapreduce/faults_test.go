@@ -35,7 +35,7 @@ func faultTestLines() []string {
 
 // runFaultChain executes the three-job wordcount chain on a fresh DFS
 // under the given cluster, returning stats and the final output lines.
-func runFaultChain(t *testing.T, cluster *Cluster, tracer obs.Tracer) (*ChainStats, []string) {
+func runFaultChain(t *testing.T, cluster *Cluster, tracer *obs.Collector) (*ChainStats, []string) {
 	t.Helper()
 	dfs := NewDFS()
 	dfs.Write("in", faultTestLines())
@@ -43,9 +43,7 @@ func runFaultChain(t *testing.T, cluster *Cluster, tracer obs.Tracer) (*ChainSta
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tracer != nil {
-		e.Instrument(tracer, nil)
-	}
+	e.Instrument(tracer, nil)
 	stats, err := e.RunChain(chainJobs())
 	if err != nil {
 		t.Fatal(err)

@@ -20,9 +20,7 @@ func (e *Engine) finishJob(j *Job, s *JobStats, start float64) {
 	if e.tracer.Enabled() {
 		e.emitJobTrace(j, s, start)
 	}
-	if e.metrics != nil {
-		e.recordJobMetrics(s)
-	}
+	e.recordJobMetrics(s)
 	e.logJob(j, s, end)
 	e.simNow = end
 }
@@ -238,7 +236,8 @@ func (e *Engine) emitAttempts(track string, s *JobStats, start, end float64) {
 	}
 }
 
-// recordJobMetrics adds one job's counters to the registry.
+// recordJobMetrics adds one job's counters to the registry (nothing when
+// metrics are off).
 func (e *Engine) recordJobMetrics(s *JobStats) {
 	m := e.metrics
 	m.Add("ysmart_engine_jobs_total", 1)

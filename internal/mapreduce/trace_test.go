@@ -107,7 +107,7 @@ func TestChainStatsTotalsIncludeGaps(t *testing.T) {
 
 // runChainOnce executes the canonical chain on a fresh engine, optionally
 // instrumented, and returns its stats plus final output.
-func runChainOnce(t *testing.T, tracer obs.Tracer, metrics *obs.Registry) (*ChainStats, []string) {
+func runChainOnce(t *testing.T, tracer *obs.Collector, metrics *obs.Registry) (*ChainStats, []string) {
 	t.Helper()
 	cluster := FacebookCluster(3)
 	cluster.DataScale = 1
@@ -117,9 +117,7 @@ func runChainOnce(t *testing.T, tracer obs.Tracer, metrics *obs.Registry) (*Chai
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tracer != nil || metrics != nil {
-		e.Instrument(tracer, metrics)
-	}
+	e.Instrument(tracer, metrics)
 	st, err := e.RunChain(chainJobs())
 	if err != nil {
 		t.Fatal(err)

@@ -133,6 +133,9 @@ func (h *Histogram) Quantile(q float64) float64 {
 // key,value pairs. Recording a histogram under a name previously used as a
 // counter or gauge converts the metric (last kind wins, like Set).
 func (r *Registry) Observe(name string, v float64, labels ...string) {
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	m := r.metric(name, HistogramKind, labels)
@@ -147,6 +150,9 @@ func (r *Registry) Observe(name string, v float64, labels ...string) {
 // false when no such histogram exists. Like Value, it is a non-mutating
 // read: a miss does not create the metric.
 func (r *Registry) Quantile(name string, q float64, labels ...string) (float64, bool) {
+	if r == nil {
+		return 0, false
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	m, ok := r.metrics[metricKey(name, pairLabels(labels))]

@@ -137,9 +137,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	reg := s.reg
 	s.mu.Unlock()
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = obs.WritePrometheus(w, reg)
 }
@@ -149,13 +146,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	col := s.col
 	s.mu.Unlock()
-	var events []obs.Event
-	if col != nil {
-		events = col.Events()
-	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", `attachment; filename="ysmart-trace.json"`)
-	_, _ = w.Write(obs.ChromeTrace(events))
+	_, _ = w.Write(obs.ChromeTrace(col.Events()))
 }
 
 // handleJobs serves the host's live status snapshot as indented JSON.

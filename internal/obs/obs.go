@@ -1,15 +1,19 @@
 // Package obs is the zero-dependency tracing and metrics layer of the
 // simulated MapReduce stack. Producers (the engine, the DFS, the common
 // reducer, the translator's merging rules) emit typed events stamped with
-// the *simulated* clock through a Tracer; a Registry accumulates named
-// counters and gauges. Exporters render collected events as Chrome
-// trace-event JSON (chrome.go, loadable in Perfetto), an ASCII Gantt
-// timeline (timeline.go), and a Prometheus-style text dump (prom.go).
+// the *simulated* clock into a Collector; a Registry accumulates named
+// counters, gauges and histograms; a Logger streams JSON events. Exporters
+// render collected events as Chrome trace-event JSON (chrome.go, loadable
+// in Perfetto), an ASCII Gantt timeline (timeline.go), and a
+// Prometheus-style text dump (prom.go).
 //
-// The default Nop tracer makes untraced runs byte-for-byte identical to
-// instrumented builds: producers guard event construction behind
-// Tracer.Enabled, so the only cost of the layer when disabled is one
-// interface call per site.
+// A nil sink is off. A nil *Collector, *Registry or *Logger is a valid
+// receiver whose methods record nothing and read back zero, so producers
+// hold the sinks they were given and never ask whether one is there —
+// the rule the reuse store and the engine's context follow too. Producers
+// guard event construction behind Collector.Enabled, so an untraced run
+// pays one nil check per site and stays byte-for-byte identical to a
+// traced one.
 //
 // Everything in this package is deterministic: events carry no wall-clock
 // reads, collectors preserve emission order, and every exporter sorts any
@@ -81,25 +85,9 @@ func InstantEvent(cat, name, track string, at float64, args ...Field) Event {
 	return Event{Name: name, Cat: cat, Kind: Instant, Track: track, Time: at, Args: args}
 }
 
-// Tracer receives events. Implementations must be safe for use from a
-// single producer goroutine; the Collector is additionally safe for
-// concurrent use.
-type Tracer interface {
-	Emit(Event)
-	// Enabled reports whether events are recorded; producers skip building
-	// events entirely when it returns false.
-	Enabled() bool
-}
-
-// Nop is the default tracer: it records nothing and reports disabled.
-var Nop Tracer = nopTracer{}
-
-type nopTracer struct{}
-
-func (nopTracer) Emit(Event)    {}
-func (nopTracer) Enabled() bool { return false }
-
-// Collector is a Tracer that records every event in emission order.
+// Collector is the tracer: it records every event in emission order and is
+// safe for concurrent use. A nil *Collector is tracing off: Enabled reports
+// false, Emit and Reset do nothing, and Events and Len read back empty.
 type Collector struct {
 	mu     sync.Mutex
 	events []Event
@@ -108,18 +96,25 @@ type Collector struct {
 // NewCollector returns an empty collector.
 func NewCollector() *Collector { return &Collector{} }
 
-// Emit implements Tracer.
+// Emit records e.
 func (c *Collector) Emit(e Event) {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.events = append(c.events, e)
 }
 
-// Enabled implements Tracer.
-func (c *Collector) Enabled() bool { return true }
+// Enabled reports whether events are recorded; producers skip building
+// events entirely when it returns false.
+func (c *Collector) Enabled() bool { return c != nil }
 
 // Events returns a copy of the recorded events in emission order.
 func (c *Collector) Events() []Event {
+	if c == nil {
+		return nil
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]Event, len(c.events))
@@ -129,6 +124,9 @@ func (c *Collector) Events() []Event {
 
 // Len reports the number of recorded events.
 func (c *Collector) Len() int {
+	if c == nil {
+		return 0
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.events)
@@ -136,6 +134,9 @@ func (c *Collector) Len() int {
 
 // Reset discards all recorded events.
 func (c *Collector) Reset() {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.events = nil

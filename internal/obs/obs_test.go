@@ -7,11 +7,43 @@ import (
 	"testing"
 )
 
-func TestNopTracerDisabled(t *testing.T) {
-	if Nop.Enabled() {
-		t.Error("Nop tracer must report disabled")
+// TestNilSinksAreOff pins the rule every producer relies on: a nil
+// *Collector or *Registry is a valid receiver whose writes do nothing and
+// whose reads report zero.
+func TestNilSinksAreOff(t *testing.T) {
+	var c *Collector
+	var r *Registry
+	cases := []struct {
+		name string
+		call func() any
+		want any
+	}{
+		{"Collector.Enabled", func() any { return c.Enabled() }, false},
+		{"Collector.Emit", func() any { c.Emit(SpanEvent("job", "j", "job:j", 0, 1)); return nil }, nil},
+		{"Collector.Events", func() any { return len(c.Events()) }, 0},
+		{"Collector.Len", func() any { return c.Len() }, 0},
+		{"Collector.Reset", func() any { c.Reset(); return nil }, nil},
+		{"Registry.Add", func() any { r.Add("n_total", 1, "k", "v"); return nil }, nil},
+		{"Registry.Set", func() any { r.Set("g", 2); return nil }, nil},
+		{"Registry.Observe", func() any { r.Observe("h", 3); return nil }, nil},
+		{"Registry.Value", func() any { return r.Value("n_total", "k", "v") }, 0.0},
+		{"Registry.Quantile", func() any { v, ok := r.Quantile("h", 0.5); return [2]any{v, ok} }, [2]any{0.0, false}},
+		{"Registry.Snapshot", func() any { return len(r.Snapshot()) }, 0},
+		{"WritePrometheus", func() any {
+			var buf bytes.Buffer
+			if err := WritePrometheus(&buf, r); err != nil {
+				return err
+			}
+			return buf.String()
+		}, ""},
 	}
-	Nop.Emit(Event{Name: "x"}) // must not panic
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := tc.call(); got != tc.want {
+				t.Errorf("got %v, want %v", got, tc.want)
+			}
+		})
+	}
 }
 
 func TestCollectorRecordsInOrder(t *testing.T) {

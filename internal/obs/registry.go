@@ -54,8 +54,10 @@ func (m Metric) LabelString() string {
 	return "{" + strings.Join(parts, ",") + "}"
 }
 
-// Registry accumulates named counters and gauges. It is safe for
-// concurrent use. The zero value is not usable; call NewRegistry.
+// Registry accumulates named counters, gauges and histograms. It is safe
+// for concurrent use. The zero value is not usable; call NewRegistry. A nil
+// *Registry is metrics off: Add, Set and Observe do nothing, and Value,
+// Quantile and Snapshot read back zero.
 type Registry struct {
 	mu      sync.Mutex
 	metrics map[string]*Metric
@@ -104,6 +106,9 @@ func (r *Registry) metric(name string, kind MetricKind, labels []string) *Metric
 // Add accumulates delta into the named counter. labels are alternating
 // key,value pairs.
 func (r *Registry) Add(name string, delta float64, labels ...string) {
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.metric(name, CounterKind, labels).Value += delta
@@ -111,6 +116,9 @@ func (r *Registry) Add(name string, delta float64, labels ...string) {
 
 // Set stores v into the named gauge. labels are alternating key,value pairs.
 func (r *Registry) Set(name string, v float64, labels ...string) {
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	m := r.metric(name, GaugeKind, labels)
@@ -124,6 +132,9 @@ func (r *Registry) Set(name string, v float64, labels ...string) {
 // absent names. (Histograms report 0 here; read them via Quantile or
 // Snapshot.)
 func (r *Registry) Value(name string, labels ...string) float64 {
+	if r == nil {
+		return 0
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m, ok := r.metrics[metricKey(name, pairLabels(labels))]; ok {
@@ -135,6 +146,9 @@ func (r *Registry) Value(name string, labels ...string) float64 {
 // Snapshot returns every metric sorted by name, then label string — a
 // deterministic order for exporters and tests.
 func (r *Registry) Snapshot() []Metric {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]Metric, 0, len(r.metrics))

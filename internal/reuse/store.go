@@ -70,19 +70,10 @@ func NewStore(capBytes int64, reg *obs.Registry) *Store {
 	}
 }
 
-// add is a nil-safe counter bump.
-func (s *Store) add(name string, delta float64) {
-	if s.reg != nil {
-		s.reg.Add(name, delta)
-	}
-}
-
 // gaugesLocked refreshes the size gauges; callers hold s.mu.
 func (s *Store) gaugesLocked() {
-	if s.reg != nil {
-		s.reg.Set("ysmart_reuse_entries", float64(len(s.entries)))
-		s.reg.Set("ysmart_reuse_store_bytes", float64(s.bytes))
-	}
+	s.reg.Set("ysmart_reuse_entries", float64(len(s.entries)))
+	s.reg.Set("ysmart_reuse_store_bytes", float64(s.bytes))
 }
 
 // Lookup returns the entry for key if one exists and is still valid
@@ -111,19 +102,19 @@ func (s *Store) lookup(key string, at map[string]int64) (*Entry, bool) {
 		if at == nil || !s.validLocked(e, nil) {
 			delete(s.entries, key)
 			s.bytes -= e.Bytes
-			s.add("ysmart_reuse_invalidations_total", 1)
+			s.reg.Add("ysmart_reuse_invalidations_total", 1)
 			s.gaugesLocked()
 		}
 		ok = false
 	}
 	if !ok {
-		s.add("ysmart_reuse_misses_total", 1)
+		s.reg.Add("ysmart_reuse_misses_total", 1)
 		return nil, false
 	}
 	e.Hits++
-	s.add("ysmart_reuse_hits_total", 1)
-	s.add("ysmart_reuse_bytes_saved_total", float64(e.Bytes))
-	s.add("ysmart_reuse_predicted_saved_seconds_total", e.PredictedSeconds)
+	s.reg.Add("ysmart_reuse_hits_total", 1)
+	s.reg.Add("ysmart_reuse_bytes_saved_total", float64(e.Bytes))
+	s.reg.Add("ysmart_reuse_predicted_saved_seconds_total", e.PredictedSeconds)
 	return e, true
 }
 
@@ -189,7 +180,7 @@ func (s *Store) Record(key, fingerprint string, tables []string, epochs map[stri
 	e.seq = s.seq
 	s.entries[key] = e
 	s.bytes += bytes
-	s.add("ysmart_reuse_records_total", 1)
+	s.reg.Add("ysmart_reuse_records_total", 1)
 	s.evictLocked()
 	s.gaugesLocked()
 }
@@ -213,7 +204,7 @@ func (s *Store) evictLocked() {
 		}
 		delete(s.entries, victim.Key)
 		s.bytes -= victim.Bytes
-		s.add("ysmart_reuse_evictions_total", 1)
+		s.reg.Add("ysmart_reuse_evictions_total", 1)
 	}
 }
 

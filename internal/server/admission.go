@@ -214,23 +214,16 @@ func (a *Admission) QueueDepth() int {
 
 // gauges refreshes the inflight/queue-depth gauges. Callers hold a.mu.
 func (a *Admission) gauges() {
-	if a.reg == nil {
-		return
-	}
 	a.reg.Set("ysmart_server_inflight", float64(a.inflight))
 	a.reg.Set("ysmart_server_queue_depth", float64(len(a.queue)))
 }
 
 // observeWait records one admitted query's time-to-slot.
 func (a *Admission) observeWait(seconds float64) {
-	if a.reg != nil {
-		a.reg.Observe("ysmart_server_admission_wait_seconds", seconds)
-	}
+	a.reg.Observe("ysmart_server_admission_wait_seconds", seconds)
 }
 
 // reject counts one rejected acquisition by reason.
 func (a *Admission) reject(reason string) {
-	if a.reg != nil {
-		a.reg.Add("ysmart_server_admission_rejected_total", 1, "reason", reason)
-	}
+	a.reg.Add("ysmart_server_admission_rejected_total", 1, "reason", reason)
 }

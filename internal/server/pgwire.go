@@ -37,39 +37,22 @@ const (
 
 // Backend (server -> client) message type bytes.
 const (
-	msgAuthentication   = 'R'
-	msgParameterStatus  = 'S'
-	msgBackendKeyData   = 'K'
-	msgReadyForQuery    = 'Z'
-	msgRowDescription   = 'T'
-	msgDataRow          = 'D'
-	msgCommandComplete  = 'C'
-	msgEmptyQuery       = 'I'
-	msgErrorResponse    = 'E'
-	msgNoticeResponse   = 'N'
-	msgParameterDesc    = 't'
-	msgParseComplete    = '1'
-	msgNoData           = 'n'
-	msgPortalSuspended  = 's'
-	msgBindComplete     = '2'
-	msgCloseComplete    = '3'
-	msgCopyInResponse   = 'G'
-	msgCopyOutResponse  = 'H'
-	msgFunctionCallResp = 'V'
+	msgAuthentication  = 'R'
+	msgParameterStatus = 'S'
+	msgBackendKeyData  = 'K'
+	msgReadyForQuery   = 'Z'
+	msgRowDescription  = 'T'
+	msgDataRow         = 'D'
+	msgCommandComplete = 'C'
+	msgEmptyQuery      = 'I'
+	msgErrorResponse   = 'E'
+	msgNoticeResponse  = 'N'
 )
 
 // Frontend (client -> server) message type bytes.
 const (
 	msgQuery     = 'Q'
 	msgTerminate = 'X'
-	msgPassword  = 'p'
-	msgParse     = 'P'
-	msgBind      = 'B'
-	msgExecute   = 'E'
-	msgSync      = 'S'
-	msgFlush     = 'H'
-	msgDescribe  = 'D'
-	msgClose     = 'C'
 )
 
 // PostgreSQL type OIDs for the simulator's value types (text format).

@@ -104,7 +104,7 @@ func (c *PlanCache) Get(sql string) (*Plan, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)
-		c.count("hits")
+		c.reg.Add("ysmart_server_plancache_hits_total", 1)
 		c.mu.Unlock()
 		return el.Value.(*cacheEntry).get(true), nil
 	}
@@ -119,7 +119,7 @@ func (c *PlanCache) Get(sql string) (*Plan, error) {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.count("misses")
+	c.reg.Add("ysmart_server_plancache_misses_total", 1)
 	if el, ok := c.entries[key]; ok {
 		// Another session built the same entry concurrently; the winner's
 		// is the one every session shares.
@@ -131,9 +131,9 @@ func (c *PlanCache) Get(sql string) (*Plan, error) {
 		back := c.lru.Back()
 		c.lru.Remove(back)
 		delete(c.entries, back.Value.(*cacheEntry).key)
-		c.count("evictions")
+		c.reg.Add("ysmart_server_plancache_evictions_total", 1)
 	}
-	c.gauge()
+	c.reg.Set("ysmart_server_plancache_entries", float64(c.lru.Len()))
 	return e.get(false), nil
 }
 
@@ -167,25 +167,8 @@ func (c *PlanCache) Stats() (entries int, hits, misses, evictions float64) {
 	c.mu.Lock()
 	entries = c.lru.Len()
 	c.mu.Unlock()
-	if c.reg == nil {
-		return entries, 0, 0, 0
-	}
 	return entries,
 		c.reg.Value("ysmart_server_plancache_hits_total"),
 		c.reg.Value("ysmart_server_plancache_misses_total"),
 		c.reg.Value("ysmart_server_plancache_evictions_total")
-}
-
-// count bumps one lifetime cache counter.
-func (c *PlanCache) count(which string) {
-	if c.reg != nil {
-		c.reg.Add("ysmart_server_plancache_"+which+"_total", 1)
-	}
-}
-
-// gauge refreshes the live entry-count gauge. Callers hold c.mu.
-func (c *PlanCache) gauge() {
-	if c.reg != nil {
-		c.reg.Set("ysmart_server_plancache_entries", float64(c.lru.Len()))
-	}
 }

@@ -192,11 +192,11 @@ type ReusePlan struct {
 // chain when its own artifact is valid in the store, or when every chain
 // consumer of its output was dropped; surviving jobs are cloned with
 // their intermediate inputs repointed at the installed restore/ paths
-// (installed into dfs here by reference — the store copied the lines when it
-// recorded them and never writes them again, so every query an artifact
-// serves shares the one slice) and their DependsOn edges rebuilt among the
-// clones. With a nil store the rewrite is the identity: tr's own jobs, to
-// be run as compiled.
+// (installed into dfs here by reference — the store keeps the slice the
+// producing job wrote, which nobody writes again under the DFS ownership
+// rule, so every query an artifact serves shares the one slice) and their
+// DependsOn edges rebuilt among the clones. With a nil store the rewrite
+// is the identity: tr's own jobs, to be run as compiled.
 func ApplyReuseAt(tr *Translation, store *reuse.Store, dfs *mapreduce.DFS, epochs map[string]int64) *ReusePlan {
 	rp := &ReusePlan{Output: tr.Output, OutputTag: tr.OutputTag, OutputSchema: tr.OutputSchema, Total: len(tr.Jobs)}
 	if store == nil || len(tr.Jobs) == 0 || len(tr.Artifacts()) != len(tr.Jobs) {

@@ -62,7 +62,7 @@ type Options struct {
 	// Tracer receives rule-application events (which merging rule fired on
 	// which operations, and which merges were blocked) stamped at time 0,
 	// before execution starts. Nil means no tracing.
-	Tracer obs.Tracer
+	Tracer *obs.Collector
 	// Metrics, when non-nil, counts rule firings
 	// (ysmart_translator_rule_firings_total{rule=...}).
 	Metrics *obs.Registry
@@ -221,7 +221,7 @@ type grouping struct {
 	jobs  []*jobBuild
 	jobOf map[*correlation.Operation]*jobBuild
 
-	tracer  obs.Tracer
+	tracer  *obs.Collector
 	metrics *obs.Registry
 	logger  *obs.Logger
 }
@@ -233,9 +233,7 @@ func (g *grouping) fireRule(rule string, args ...obs.Field) {
 	if g.tracer.Enabled() {
 		g.tracer.Emit(obs.InstantEvent("translator", rule, "translator", 0, args...))
 	}
-	if g.metrics != nil {
-		g.metrics.Add("ysmart_translator_rule_firings_total", 1, "rule", rule)
-	}
+	g.metrics.Add("ysmart_translator_rule_firings_total", 1, "rule", rule)
 	if g.logger.Enabled(obs.LevelInfo) {
 		g.logger.Info("plan.merge", append([]obs.Field{obs.F("decision", rule)}, args...)...)
 	}
@@ -252,10 +250,7 @@ func opNames(jb *jobBuild) string {
 
 // buildJobs produces the job grouping for a mode: per-op jobs, then Rule 1
 // (step one) for ICTCOnly and YSmart, then Rules 2-4 (step two) for YSmart.
-func buildJobs(a *correlation.Analysis, mode Mode, tracer obs.Tracer, metrics *obs.Registry, logger *obs.Logger) *grouping {
-	if tracer == nil {
-		tracer = obs.Nop
-	}
+func buildJobs(a *correlation.Analysis, mode Mode, tracer *obs.Collector, metrics *obs.Registry, logger *obs.Logger) *grouping {
 	g := &grouping{a: a, jobOf: make(map[*correlation.Operation]*jobBuild), tracer: tracer, metrics: metrics, logger: logger}
 	for _, op := range a.Ops {
 		jb := &jobBuild{ops: []*correlation.Operation{op}, pk: a.PK(op)}

@@ -72,14 +72,13 @@ type (
 	// TaskAttempt is one scheduled execution attempt in a fault-injected
 	// run (JobStats.Attempts).
 	TaskAttempt = mapreduce.TaskAttempt
-	// Tracer receives span and instant events from an instrumented run.
-	Tracer = obs.Tracer
 	// TraceEvent is one emitted span or instant.
 	TraceEvent = obs.Event
-	// Collector is an in-memory Tracer recording events in emission order.
+	// Collector is the in-memory tracer recording events in emission order.
+	// A nil *Collector is tracing off.
 	Collector = obs.Collector
 	// Registry accumulates named counters, gauges and latency/byte/row
-	// histograms (Observe/Quantile).
+	// histograms (Observe/Quantile). A nil *Registry is metrics off.
 	Registry = obs.Registry
 	// Logger is the leveled structured JSON event logger (one event per
 	// line, deterministic field order).
@@ -331,7 +330,7 @@ type Result struct {
 type RunOption func(*runConfig)
 
 type runConfig struct {
-	tracer  obs.Tracer
+	tracer  *obs.Collector
 	metrics *obs.Registry
 	logger  *obs.Logger
 	reuse   *reuse.Store
@@ -339,8 +338,8 @@ type runConfig struct {
 
 // WithTracer attaches a tracer to the run: the engine emits job/phase/wave
 // spans and DFS/CMF instants stamped with the simulated clock. Execution
-// results and stats are unchanged.
-func WithTracer(t Tracer) RunOption { return func(c *runConfig) { c.tracer = t } }
+// results and stats are unchanged; a nil collector is tracing off.
+func WithTracer(t *Collector) RunOption { return func(c *runConfig) { c.tracer = t } }
 
 // WithMetrics attaches a registry accumulating engine, DFS and CMF
 // counters, gauges and distribution histograms (job phase durations,
@@ -375,14 +374,10 @@ func (r *Runtime) Run(t *Translation, opts ...RunOption) (*Result, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.tracer != nil || cfg.metrics != nil {
-		r.engine.Instrument(cfg.tracer, cfg.metrics)
-		defer r.engine.Instrument(nil, nil)
-	}
-	if cfg.logger != nil {
-		r.engine.SetLogger(cfg.logger)
-		defer r.engine.SetLogger(nil)
-	}
+	r.engine.Instrument(cfg.tracer, cfg.metrics)
+	defer r.engine.Instrument(nil, nil)
+	r.engine.SetLogger(cfg.logger)
+	defer r.engine.SetLogger(nil)
 	if cfg.reuse != nil {
 		cfg.reuse.WatchDFS(r.dfs)
 	}

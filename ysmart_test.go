@@ -1,6 +1,7 @@
 package ysmart_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -113,5 +114,48 @@ func TestModeComparison(t *testing.T) {
 	}
 	if len(ys.Rows) != 1 || len(oto.Rows) != 1 {
 		t.Fatalf("Q17 returns one row; got %d and %d", len(ys.Rows), len(oto.Rows))
+	}
+}
+
+// TestNilTracerIsOff pins "a nil sink is off" at the public API: a nil
+// *Collector as the translation tracer and as the run tracer, and a nil
+// *Registry as the run registry, behave exactly like passing none.
+func TestNilTracerIsOff(t *testing.T) {
+	q, err := ysmart.Parse(ysmart.WorkloadQueries()["Q21"], ysmart.WorkloadCatalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables, err := ysmart.WorkloadTables()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(opts ysmart.Options, runOpts ...ysmart.RunOption) *ysmart.Result {
+		t.Helper()
+		tr, err := q.Translate(ysmart.YSmart, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := ysmart.NewRuntime(ysmart.SmallCluster())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.SetWorkers(1)
+		rt.LoadTables(tables)
+		res, err := rt.Run(tr, runOpts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	plain := run(ysmart.Options{QueryName: "q21"})
+	var nilCollector *ysmart.Collector
+	got := run(ysmart.Options{QueryName: "q21", Tracer: nilCollector},
+		ysmart.WithTracer(nilCollector), ysmart.WithMetrics(nil))
+	if !reflect.DeepEqual(plain.Rows, got.Rows) {
+		t.Errorf("nil sinks changed the rows:\nplain %v\ngot   %v", plain.Rows, got.Rows)
+	}
+	if !reflect.DeepEqual(plain.Stats, got.Stats) {
+		t.Errorf("nil sinks changed ChainStats:\nplain %+v\ngot   %+v", plain.Stats, got.Stats)
 	}
 }
