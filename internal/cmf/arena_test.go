@@ -92,7 +92,7 @@ func arenaJob(ops []Op, nStreams int) *CommonJob {
 	}
 	return &CommonJob{
 		Name:    "arena",
-		Inputs:  []CommonInput{{Path: "in", Decode: decodeClicks, Streams: streams}},
+		Inputs:  []CommonInput{{Path: "in", Decode: decodeClicks, Schema: ints(2), Streams: streams}},
 		Ops:     ops,
 		Outputs: outputs,
 		Output:  "out",

@@ -38,12 +38,16 @@ type CommonInput struct {
 	Key []RowFn
 	// KeyEncode overrides the default injective key encoding. Distributed
 	// sort jobs use exec.EncodeOrderedKey so key byte-order equals value
-	// order; such keys are opaque (see CommonJob.OpaqueKeys).
+	// order. Keys are only partitioned and compared, never decoded.
 	KeyEncode func([]exec.Value) string
 	// Project lists the decoded-row positions that make up the common
 	// value — the union of the columns any stream needs; nil keeps the
 	// whole row.
 	Project []int
+	// Schema types the value row the mapper emits (the decoded row, or its
+	// Project columns): the reducer and the combiner decode every shipped
+	// field by it.
+	Schema  *exec.Schema
 	Streams []Stream
 }
 
@@ -67,15 +71,11 @@ type CommonJob struct {
 	// Output is the DFS path the job writes.
 	Output         string
 	NumReduceTasks int
-	// CombineOp optionally names a FromPartials AggOp to drive map-side
+	// CombineOp optionally names an AggOp with Partials to drive map-side
 	// partial aggregation (Hive's hash-aggregate map phase). It requires a
 	// single input with a single unfiltered-or-filtered stream and
 	// decomposable aggregates.
 	CombineOp string
-	// OpaqueKeys marks the reduce keys as non-decodable (order-preserving
-	// binary encodings); the reducer then passes a nil key row to the
-	// operator graph, which none of the operators consult.
-	OpaqueKeys bool
 }
 
 // Build lowers the common job onto the MapReduce engine. The operator graph
@@ -91,7 +91,7 @@ func (cj *CommonJob) Build() (*mapreduce.Job, error) {
 		Output:         cj.Output,
 		NumReduceTasks: cj.NumReduceTasks,
 	}
-	cr := &commonReducer{opaqueKeys: cj.OpaqueKeys}
+	cr := &commonReducer{schemas: make([]*exec.Schema, len(cj.Inputs))}
 	var streamIDs []int
 	for ii, in := range cj.Inputs {
 		job.Inputs = append(job.Inputs, mapreduce.Input{
@@ -104,6 +104,7 @@ func (cj *CommonJob) Build() (*mapreduce.Job, error) {
 			streamIDs = append(streamIDs, st.ID)
 		}
 		cr.inputs = append(cr.inputs, refs)
+		cr.schemas[ii] = in.Schema
 	}
 	var err error
 	if cr.graph, err = compileGraph(cj.Ops, streamIDs); err != nil {
@@ -121,11 +122,12 @@ func (cj *CommonJob) Build() (*mapreduce.Job, error) {
 	job.Reducer = cr
 
 	if cj.CombineOp != "" {
-		comb, err := cj.buildCombiner()
+		comb, partials, err := cj.buildCombiner()
 		if err != nil {
 			return nil, err
 		}
 		job.Combiner = comb
+		cr.schemas[0] = partials // what the combiner ships in place of the mapper's rows
 	}
 	return job, nil
 }
@@ -141,6 +143,9 @@ func (cj *CommonJob) validate() error {
 	for ii, in := range cj.Inputs {
 		if in.Decode == nil {
 			return fmt.Errorf("common job %s input %d needs Decode", cj.Name, ii)
+		}
+		if in.Schema == nil {
+			return fmt.Errorf("common job %s input %d needs Schema", cj.Name, ii)
 		}
 		if len(in.Streams) == 0 {
 			return fmt.Errorf("common job %s input %d has no streams", cj.Name, ii)
@@ -318,11 +323,11 @@ type outputSlot struct {
 // one per engine reduce task (mapreduce.ReduceTaskFactory), which returns
 // what it counted to the engine that ran it.
 type commonReducer struct {
-	graph      *graph
-	inputs     [][]streamRef // streams of each job input
-	outputs    []outputSlot
-	opCounts   []mapreduce.OpDispatch // graph.ops' names with zero counts: what an instance starts from
-	opaqueKeys bool
+	graph    *graph
+	inputs   [][]streamRef  // streams of each job input
+	schemas  []*exec.Schema // the value rows of each job input, as they reach the reducer
+	outputs  []outputSlot
+	opCounts []mapreduce.OpDispatch // graph.ops' names with zero counts: what an instance starts from
 }
 
 // reduceTask is one reduce task's instance of the common reducer — the
@@ -351,38 +356,25 @@ func (cr *commonReducer) Reduce(key string, values []string, emit func(string)) 
 	return t.Reduce(key, values, emit)
 }
 
-// Reduce implements mapreduce.ReduceTask.
-func (t *reduceTask) Reduce(key string, values []string, emit func(string)) error {
+// Reduce implements mapreduce.ReduceTask. The key is never decoded: no
+// operator reads it.
+func (t *reduceTask) Reduce(_ string, values []string, emit func(string)) error {
 	cr, g, a := t.cr, t.cr.graph, &t.arena
 	a.reset()
 	clear(t.slots)
-	// The key and every value decode into one carving, sized by a count of
-	// their fields (a tagged value's header holds no tab).
+	// Every value decodes into one carving, sized by a count of their
+	// fields (a tagged value's header holds no tab).
 	n := 0
-	if !cr.opaqueKeys {
-		n = strings.Count(key, "\t") + 1
-	}
 	for _, v := range values {
 		n += strings.Count(v, "\t") + 1
 	}
 	decoded := a.vals.take(n)[:0]
-	var keyRow exec.Row
-	if !cr.opaqueKeys {
-		var err error
-		if decoded, err = exec.AppendRowUntyped(decoded, key); err != nil {
-			return err
-		}
-		keyRow = decoded[:len(decoded):len(decoded)]
-	}
 	for _, v := range values {
-		tv, err := appendTagged(v, t.excluded[:0], decoded)
+		tv, err := appendTagged(v, cr.schemas, t.excluded[:0], decoded)
 		if err != nil {
 			return err
 		}
 		decoded, t.excluded = decoded[:len(decoded)+len(tv.Row)], tv.Excluded
-		if tv.Input < 0 || tv.Input >= len(cr.inputs) {
-			return fmt.Errorf("value references input %d of %d", tv.Input, len(cr.inputs))
-		}
 		for _, st := range cr.inputs[tv.Input] {
 			if !tv.Sees(st.id) {
 				continue
@@ -393,7 +385,7 @@ func (t *reduceTask) Reduce(key string, values []string, emit func(string)) erro
 			t.slots[st.slot] = append(t.slots[st.slot], tv.Row)
 		}
 	}
-	if err := g.eval(a, keyRow, t.slots, t.scratch); err != nil {
+	if err := g.eval(a, t.slots, t.scratch); err != nil {
 		return err
 	}
 	for i, gop := range g.ops {
@@ -419,65 +411,62 @@ func (t *reduceTask) Done() mapreduce.ReduceCounts { return t.counts }
 
 // buildCombiner wires map-side partial aggregation for a single-aggregation
 // job (paper §I footnote 2 — the optimization that makes Hive competitive
-// on plain aggregation queries).
-func (cj *CommonJob) buildCombiner() (mapreduce.Combiner, error) {
+// on plain aggregation queries). It returns the schema of the partial rows
+// the combiner ships, which the reducer then reads in place of the input's.
+func (cj *CommonJob) buildCombiner() (mapreduce.Combiner, *exec.Schema, error) {
 	if len(cj.Inputs) != 1 || len(cj.Inputs[0].Streams) != 1 {
-		return nil, fmt.Errorf("common job %s: combiner requires a single input with one stream", cj.Name)
+		return nil, nil, fmt.Errorf("common job %s: combiner requires a single input with one stream", cj.Name)
 	}
 	var agg *AggOp
 	for _, op := range cj.Ops {
 		if op.Name() == cj.CombineOp {
 			a, ok := op.(*AggOp)
 			if !ok {
-				return nil, fmt.Errorf("common job %s: combine op %q is not an aggregation", cj.Name, cj.CombineOp)
+				return nil, nil, fmt.Errorf("common job %s: combine op %q is not an aggregation", cj.Name, cj.CombineOp)
 			}
 			agg = a
 		}
 	}
 	if agg == nil {
-		return nil, fmt.Errorf("common job %s: combine op %q not found", cj.Name, cj.CombineOp)
+		return nil, nil, fmt.Errorf("common job %s: combine op %q not found", cj.Name, cj.CombineOp)
 	}
-	if !agg.FromPartials {
-		return nil, fmt.Errorf("common job %s: combine op %q must consume partials", cj.Name, cj.CombineOp)
+	if agg.Partials == nil {
+		return nil, nil, fmt.Errorf("common job %s: combine op %q must consume partials", cj.Name, cj.CombineOp)
 	}
 	kinds := make([]exec.AggKind, len(agg.Aggs))
 	for i, a := range agg.Aggs {
 		kinds[i] = a.Kind
 	}
 	if !Decomposable(kinds) {
-		return nil, fmt.Errorf("common job %s: aggregates are not decomposable", cj.Name)
+		return nil, nil, fmt.Errorf("common job %s: aggregates are not decomposable", cj.Name)
 	}
 	inputIdx := 0
-	partialWidth := 0
+	schemas := []*exec.Schema{cj.Inputs[inputIdx].Schema}
+	partialWidth := len(agg.GroupBy)
 	for _, k := range kinds {
 		partialWidth += k.PartialWidth()
 	}
-	return mapreduce.CombinerFunc(func(key string, values []string) ([]string, error) {
-		// The key and every value decode into one slab, as in a reducer
-		// instance, with room after them for the partial row (the key's
-		// values again, then the partial fields); a tagged value's header
-		// holds no tab.
-		n := 2*(strings.Count(key, "\t")+1) + partialWidth
+	return mapreduce.CombinerFunc(func(_ string, values []string) ([]string, error) {
+		// Every value decodes into one slab, as in a reducer instance, with
+		// room after them for the partial row; a tagged value's header holds
+		// no tab. The key is not decoded (see appendPartialRow).
+		n := partialWidth
 		for _, v := range values {
 			n += strings.Count(v, "\t") + 1
 		}
-		slab, err := exec.AppendRowUntyped(make(exec.Row, 0, n), key)
-		if err != nil {
-			return nil, err
-		}
-		groupVals := slab[:len(slab):len(slab)]
+		slab := make(exec.Row, 0, n)
 		rows := make([]exec.Row, len(values))
 		for i, v := range values {
-			tv, err := appendTagged(v, nil, slab)
+			tv, err := appendTagged(v, schemas, nil, slab)
 			if err != nil {
 				return nil, err
 			}
 			slab, rows[i] = slab[:len(slab)+len(tv.Row)], tv.Row
 		}
-		partial, err := appendPartialRow(slab[len(slab):], groupVals, agg.Aggs, rows)
+		partial, err := appendPartialRow(slab[len(slab):], agg, rows)
 		if err != nil {
 			return nil, err
 		}
 		return []string{EncodeTagged(inputIdx, nil, partial)}, nil
-	}), nil
+	}), agg.Partials, nil
 }

@@ -1,6 +1,7 @@
 package cmf
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -17,6 +18,25 @@ var clicksSchema = exec.NewSchema(
 	exec.Column{Name: "cid", Type: exec.TypeInt},
 	exec.Column{Name: "ts", Type: exec.TypeInt},
 )
+
+// ints is a schema of n INT columns: the value rows of the clicks inputs
+// below, which project INT columns only.
+func ints(n int) *exec.Schema {
+	types := make([]exec.Type, n)
+	for i := range types {
+		types[i] = exec.TypeInt
+	}
+	return typed(types...)
+}
+
+// typed is a schema of anonymous columns of the given types.
+func typed(types ...exec.Type) *exec.Schema {
+	s := &exec.Schema{Cols: make([]exec.Column, len(types))}
+	for i, t := range types {
+		s.Cols[i] = exec.Column{Name: fmt.Sprint("c", i), Type: t}
+	}
+	return s
+}
 
 func decodeClicks(scratch *exec.Row, line string) (exec.Row, error) {
 	return decodeInto(scratch, line, clicksSchema)
@@ -85,6 +105,7 @@ func TestAggregationJob(t *testing.T) {
 			Decode:  decodeClicks,
 			Key:     keyOn(2), // cid
 			Project: []int{2},
+			Schema:  ints(1),
 			Streams: []Stream{{ID: 0}},
 		}},
 		Ops: []Op{&AggOp{
@@ -130,6 +151,7 @@ func TestCombinerEquivalence(t *testing.T) {
 				Decode:  decodeClicks,
 				Key:     keyOn(2),
 				Project: []int{2, 3},
+				Schema:  ints(2),
 				Streams: []Stream{{ID: 0}},
 			}},
 			Ops:     []Op{agg},
@@ -137,7 +159,8 @@ func TestCombinerEquivalence(t *testing.T) {
 			Output:  "out",
 		}
 		if withCombiner {
-			agg.FromPartials = true
+			// cid, then count(*), sum, avg's (sum, count) and max.
+			agg.Partials = typed(exec.TypeInt, exec.TypeInt, exec.TypeInt, exec.TypeFloat, exec.TypeInt, exec.TypeInt)
 			cj.CombineOp = "AGG"
 		}
 		return cj
@@ -180,6 +203,7 @@ func TestSelfJoinSingleScan(t *testing.T) {
 			Decode:  decodeClicks,
 			Key:     keyOn(0), // uid
 			Project: []int{0, 3},
+			Schema:  ints(2),
 			Streams: []Stream{
 				{ID: 0, Filter: catX},
 				{ID: 1, Filter: catY},
@@ -235,12 +259,14 @@ func TestMergedJobWithPostJoin(t *testing.T) {
 				Path:    "lineitem",
 				Decode:  func(scratch *exec.Row, l string) (exec.Row, error) { return decodeInto(scratch, l, liSchema) },
 				Key:     keyOn(0),
+				Schema:  liSchema,
 				Streams: []Stream{{ID: 0}},
 			},
 			{
 				Path:    "part",
 				Decode:  func(scratch *exec.Row, l string) (exec.Row, error) { return decodeInto(scratch, l, partSchema) },
 				Key:     keyOn(0),
+				Schema:  partSchema,
 				Streams: []Stream{{ID: 1}},
 			},
 		},
@@ -298,6 +324,7 @@ func TestMultiOutputTags(t *testing.T) {
 			Decode:  decodeClicks,
 			Key:     keyOn(0),
 			Project: []int{0, 3},
+			Schema:  ints(2),
 			Streams: []Stream{{ID: 0}},
 		}},
 		Ops: []Op{
@@ -337,7 +364,7 @@ func TestCommonJobValidation(t *testing.T) {
 		return &CommonJob{
 			Name: "x",
 			Inputs: []CommonInput{{
-				Path: "p", Decode: decodeClicks, Key: keyOn(0),
+				Path: "p", Decode: decodeClicks, Key: keyOn(0), Schema: clicksSchema,
 				Streams: []Stream{{ID: 0}},
 			}},
 			Ops: []Op{&FilterOp{OpName: "f", In: StreamSource(0),
@@ -354,6 +381,7 @@ func TestCommonJobValidation(t *testing.T) {
 		{"no name", func(c *CommonJob) { c.Name = "" }, "no name"},
 		{"no inputs", func(c *CommonJob) { c.Inputs = nil }, "no inputs"},
 		{"no decode", func(c *CommonJob) { c.Inputs[0].Decode = nil }, "Decode"},
+		{"no schema", func(c *CommonJob) { c.Inputs[0].Schema = nil }, "Schema"},
 		{"no streams", func(c *CommonJob) { c.Inputs[0].Streams = nil }, "no streams"},
 		{"dup stream", func(c *CommonJob) {
 			c.Inputs[0].Streams = []Stream{{ID: 0}, {ID: 0}}
@@ -398,14 +426,14 @@ func TestCommonJobValidation(t *testing.T) {
 func TestCombinerRequiresDecomposable(t *testing.T) {
 	agg := &AggOp{
 		OpName: "AGG", In: StreamSource(0),
-		GroupBy:      []RowFn{col(0)},
-		Aggs:         []AggFunc{{Kind: exec.AggCountDistinct, Arg: col(1)}},
-		FromPartials: true,
+		GroupBy:  []RowFn{col(0)},
+		Aggs:     []AggFunc{{Kind: exec.AggCountDistinct, Arg: col(1)}},
+		Partials: ints(2),
 	}
 	cj := &CommonJob{
 		Name: "x",
 		Inputs: []CommonInput{{
-			Path: "p", Decode: decodeClicks, Key: keyOn(0),
+			Path: "p", Decode: decodeClicks, Key: keyOn(0), Schema: clicksSchema,
 			Streams: []Stream{{ID: 0}},
 		}},
 		Ops:       []Op{agg},
@@ -432,6 +460,7 @@ func TestGlobalAggregationJob(t *testing.T) {
 		Inputs: []CommonInput{{
 			Path:    "in",
 			Decode:  func(scratch *exec.Row, l string) (exec.Row, error) { return decodeInto(scratch, l, schema) },
+			Schema:  schema,
 			Streams: []Stream{{ID: 0}}, // no Key: every row shares the empty key
 		}},
 		Ops: []Op{&AggOp{
@@ -456,9 +485,9 @@ func q17Job() *CommonJob {
 	return &CommonJob{
 		Name: "q17",
 		Inputs: []CommonInput{
-			{Path: "lineitem", Decode: decodeClicks, Key: keyOn(0), Project: pass,
+			{Path: "lineitem", Decode: decodeClicks, Key: keyOn(0), Project: pass, Schema: ints(3),
 				Streams: []Stream{{ID: 0}, {ID: 1}}},
-			{Path: "part", Decode: decodeClicks, Key: keyOn(0), Project: []int{0},
+			{Path: "part", Decode: decodeClicks, Key: keyOn(0), Project: []int{0}, Schema: ints(1),
 				Streams: []Stream{{ID: 2}}},
 		},
 		Ops: []Op{
@@ -555,7 +584,7 @@ func TestAllocBudgetMapTask(t *testing.T) {
 	keep := func(r exec.Row) (bool, error) { return r[2].I == 10, nil }
 	for _, ordered := range []bool{false, true} {
 		in := CommonInput{
-			Path: "clicks", Decode: decodeClicks, Key: keyOn(0, 3), Project: []int{0, 3},
+			Path: "clicks", Decode: decodeClicks, Key: keyOn(0, 3), Project: []int{0, 3}, Schema: ints(2),
 			Streams: []Stream{{ID: 0, Filter: keep}, {ID: 1, Filter: keep}},
 		}
 		if ordered {

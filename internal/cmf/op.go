@@ -53,7 +53,7 @@ type Op interface {
 	// holds the rows of each source in Sources() order. Result rows may be
 	// carved from a, the evaluating reducer instance's arena, and are then
 	// only valid until its next key group.
-	Eval(a *arena, key exec.Row, inputs [][]exec.Row) ([]exec.Row, error)
+	Eval(a *arena, inputs [][]exec.Row) ([]exec.Row, error)
 }
 
 // ---------------------------------------------------------------------------
@@ -87,7 +87,7 @@ func (j *JoinOp) Sources() []Source { return []Source{j.Left, j.Right} }
 // nothing — and records which (left, right) pairs the output holds, -1
 // standing for an outer join's NULL side; the second copies exactly those
 // rows out of one exactly-sized carving of the arena.
-func (j *JoinOp) Eval(a *arena, _ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
+func (j *JoinOp) Eval(a *arena, inputs [][]exec.Row) ([]exec.Row, error) {
 	left, right := inputs[0], inputs[1]
 	leftOuter := j.Type == sqlparser.LeftOuterJoin || j.Type == sqlparser.FullOuterJoin
 	rightOuter := j.Type == sqlparser.RightOuterJoin || j.Type == sqlparser.FullOuterJoin
@@ -186,9 +186,11 @@ type AggOp struct {
 	// single (global-within-key) group.
 	GroupBy []RowFn
 	Aggs    []AggFunc
-	// FromPartials switches the op to merge combiner-produced partial rows
-	// (group values ++ partial fields) instead of raw rows.
-	FromPartials bool
+	// Partials, when set, switches the op to merge combiner-produced partial
+	// rows instead of raw rows, and is their schema: the group values, then
+	// each aggregate's partial fields as exec.Acc.AppendPartial lays them
+	// out. The reducer decodes its input by it.
+	Partials *exec.Schema
 }
 
 // Name implements Op.
@@ -203,9 +205,9 @@ func (a *AggOp) Sources() []Source { return []Source{a.In} }
 // bits, hence the same encoding — is that group's without rendering its
 // key; any other row renders the key and looks it up, so NaN payloads and
 // -0.0 group by their encodings as always.
-func (a *AggOp) Eval(ar *arena, _ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
+func (a *AggOp) Eval(ar *arena, inputs [][]exec.Row) ([]exec.Row, error) {
 	rows := inputs[0]
-	if a.FromPartials {
+	if a.Partials != nil {
 		return a.evalFromPartials(ar, rows)
 	}
 	nGroup, nAggs := len(a.GroupBy), len(a.Aggs)
@@ -344,6 +346,7 @@ func identical(a, b []exec.Value) bool {
 // evalFromPartials merges partial rows (see partial.go) that all belong to
 // one final group: the reduce key of a combined aggregation job is the full
 // grouping key, so every partial row in the group shares its group values.
+// Each row has the width of a.Partials, by which the reducer decoded it.
 func (a *AggOp) evalFromPartials(ar *arena, rows []exec.Row) ([]exec.Row, error) {
 	if len(rows) == 0 {
 		return nil, nil
@@ -358,9 +361,6 @@ func (a *AggOp) evalFromPartials(ar *arena, rows []exec.Row) ([]exec.Row, error)
 		off := nGroup
 		for i, spec := range a.Aggs {
 			w := spec.Kind.PartialWidth()
-			if off+w > len(r) {
-				return nil, fmt.Errorf("agg %s: partial row too short (%d cols)", a.OpName, len(r))
-			}
 			if err := accs[i].MergePartial(r[off : off+w]); err != nil {
 				return nil, fmt.Errorf("agg %s: %w", a.OpName, err)
 			}
@@ -395,7 +395,7 @@ func (f *FilterOp) Name() string { return f.OpName }
 func (f *FilterOp) Sources() []Source { return []Source{f.In} }
 
 // Eval implements Op.
-func (f *FilterOp) Eval(a *arena, _ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
+func (f *FilterOp) Eval(a *arena, inputs [][]exec.Row) ([]exec.Row, error) {
 	rows := inputs[0]
 	out := a.rows.take(len(rows))[:0]
 	for _, r := range rows {
@@ -424,7 +424,7 @@ func (p *ProjectOp) Name() string { return p.OpName }
 func (p *ProjectOp) Sources() []Source { return []Source{p.In} }
 
 // Eval implements Op.
-func (p *ProjectOp) Eval(a *arena, _ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
+func (p *ProjectOp) Eval(a *arena, inputs [][]exec.Row) ([]exec.Row, error) {
 	rows := inputs[0]
 	out := a.rows.take(len(rows))[:0]
 	// One carving for the whole group's projected rows; each row is capped
@@ -468,7 +468,7 @@ func (s *SortOp) Name() string { return s.OpName }
 func (s *SortOp) Sources() []Source { return []Source{s.In} }
 
 // Eval implements Op.
-func (s *SortOp) Eval(a *arena, _ exec.Row, inputs [][]exec.Row) ([]exec.Row, error) {
+func (s *SortOp) Eval(a *arena, inputs [][]exec.Row) ([]exec.Row, error) {
 	rows := inputs[0]
 	out := make([]exec.Row, len(rows))
 	copy(out, rows)
@@ -609,14 +609,14 @@ func (g *graph) newSlots() (slots, scratch [][]exec.Row) {
 
 // eval runs the operators over one key group whose stream rows are already
 // in slots (from newSlots), filling in every operator's result slot.
-func (g *graph) eval(a *arena, key exec.Row, slots, scratch [][]exec.Row) error {
+func (g *graph) eval(a *arena, slots, scratch [][]exec.Row) error {
 	for i, gop := range g.ops {
 		inputs := scratch[:len(gop.srcs):len(gop.srcs)]
 		scratch = scratch[len(gop.srcs):]
 		for k, slot := range gop.srcs {
 			inputs[k] = slots[slot]
 		}
-		rows, err := gop.op.Eval(a, key, inputs)
+		rows, err := gop.op.Eval(a, inputs)
 		if err != nil {
 			return err
 		}

@@ -34,7 +34,7 @@ func TestJoinOpInner(t *testing.T) {
 		0: {intRow(1, 10), intRow(1, 20)},
 		1: {intRow(1, 100), intRow(1, 200)},
 	}
-	out, err := j.Eval(&arena{}, intRow(1), [][]exec.Row{streams[0], streams[1]})
+	out, err := j.Eval(&arena{}, [][]exec.Row{streams[0], streams[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestJoinOpResidual(t *testing.T) {
 		LeftWidth: 2, RightWidth: 2, Type: sqlparser.InnerJoin,
 		Residual: func(r exec.Row) (bool, error) { return r[1].I < r[3].I, nil },
 	}
-	out, err := j.Eval(&arena{}, nil, [][]exec.Row{
+	out, err := j.Eval(&arena{}, [][]exec.Row{
 		{intRow(1, 10), intRow(1, 300)},
 		{intRow(1, 100), intRow(1, 200)},
 	})
@@ -74,7 +74,7 @@ func TestJoinOpOuterVariants(t *testing.T) {
 				return !r[0].IsNull() && !r[1].IsNull() && r[0].I == r[1].I, nil
 			},
 		}
-		out, err := j.Eval(&arena{}, nil, [][]exec.Row{
+		out, err := j.Eval(&arena{}, [][]exec.Row{
 			{intRow(1), intRow(2)},
 			{intRow(2), intRow(3)},
 		})
@@ -114,7 +114,7 @@ func TestJoinOpEmptySides(t *testing.T) {
 		LeftWidth: 1, RightWidth: 1, Type: sqlparser.LeftOuterJoin,
 	}
 	// Left rows, empty right: all null-extended.
-	out, err := j.Eval(&arena{}, nil, [][]exec.Row{{intRow(1), intRow(2)}, nil})
+	out, err := j.Eval(&arena{}, [][]exec.Row{{intRow(1), intRow(2)}, nil})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestJoinOpEmptySides(t *testing.T) {
 	}
 	// Inner join with an empty side yields nothing.
 	j.Type = sqlparser.InnerJoin
-	out, err = j.Eval(&arena{}, nil, [][]exec.Row{{intRow(1)}, nil})
+	out, err = j.Eval(&arena{}, [][]exec.Row{{intRow(1)}, nil})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestAggOpGrouped(t *testing.T) {
 			{Kind: exec.AggMin, Arg: col(1)},
 		},
 	}
-	out, err := a.Eval(&arena{}, nil, [][]exec.Row{{
+	out, err := a.Eval(&arena{}, [][]exec.Row{{
 		intRow(1, 10), intRow(2, 5), intRow(1, 30), intRow(2, 7),
 	}})
 	if err != nil {
@@ -165,7 +165,7 @@ func TestAggOpGlobalEmptyInput(t *testing.T) {
 		OpName: "a", In: StreamSource(0),
 		Aggs: []AggFunc{{Kind: exec.AggCountStar}, {Kind: exec.AggSum, Arg: col(0)}},
 	}
-	out, err := a.Eval(&arena{}, nil, [][]exec.Row{nil})
+	out, err := a.Eval(&arena{}, [][]exec.Row{nil})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestAggOpGlobalEmptyInput(t *testing.T) {
 
 	// Grouped aggregate over empty input yields no rows.
 	a.GroupBy = []RowFn{col(0)}
-	out, err = a.Eval(&arena{}, nil, [][]exec.Row{nil})
+	out, err = a.Eval(&arena{}, [][]exec.Row{nil})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestAggOpCountDistinct(t *testing.T) {
 		GroupBy: []RowFn{col(0)},
 		Aggs:    []AggFunc{{Kind: exec.AggCountDistinct, Arg: col(1)}, {Kind: exec.AggMax, Arg: col(1)}},
 	}
-	out, err := a.Eval(&arena{}, nil, [][]exec.Row{{
+	out, err := a.Eval(&arena{}, [][]exec.Row{{
 		intRow(1, 5), intRow(1, 5), intRow(1, 9),
 	}})
 	if err != nil {
@@ -219,7 +219,7 @@ func TestFilterProjectSortOps(t *testing.T) {
 	streams := map[int][]exec.Row{
 		0: {intRow(1, 100), intRow(2, 300), intRow(3, 200)},
 	}
-	results, _, err := runGraph([]Op{filter, project, sortOp}, nil, streams)
+	results, _, err := runGraph([]Op{filter, project, sortOp}, streams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestSortOpLimit(t *testing.T) {
 		Keys:  []SortKey{{Fn: col(0)}},
 		Limit: 2,
 	}
-	out, err := s.Eval(&arena{}, nil, [][]exec.Row{{intRow(3), intRow(1), intRow(2)}})
+	out, err := s.Eval(&arena{}, [][]exec.Row{{intRow(3), intRow(1), intRow(2)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ type evalStats struct {
 // its reference: names resolved through maps and a recursive walk, anew
 // for every key group. Cycles, unknown and duplicate operators surface
 // here at evaluation; the compiled graph reports the same errors at Build.
-func evalGraph(ops []Op, key exec.Row, streams map[int][]exec.Row) (map[string][]exec.Row, evalStats, error) {
+func evalGraph(ops []Op, streams map[int][]exec.Row) (map[string][]exec.Row, evalStats, error) {
 	stats := evalStats{
 		InRows:  make(map[string]int64, len(ops)),
 		OutRows: make(map[string]int64, len(ops)),
@@ -334,7 +334,7 @@ func evalGraph(ops []Op, key exec.Row, streams map[int][]exec.Row) (map[string][
 				stats.Work += int64(len(inputs[i]))
 			}
 		}
-		rows, err := op.Eval(&arena{}, key, inputs)
+		rows, err := op.Eval(&arena{}, inputs)
 		if err != nil {
 			return err
 		}
@@ -353,7 +353,7 @@ func evalGraph(ops []Op, key exec.Row, streams map[int][]exec.Row) (map[string][
 
 // runGraph compiles ops and evaluates one key group, reporting in
 // evalGraph's shape.
-func runGraph(ops []Op, key exec.Row, streams map[int][]exec.Row) (map[string][]exec.Row, evalStats, error) {
+func runGraph(ops []Op, streams map[int][]exec.Row) (map[string][]exec.Row, evalStats, error) {
 	ids := make([]int, 0, len(streams))
 	for id := range streams {
 		ids = append(ids, id)
@@ -368,7 +368,7 @@ func runGraph(ops []Op, key exec.Row, streams map[int][]exec.Row) (map[string][]
 	for slot, id := range ids {
 		slots[slot] = streams[id]
 	}
-	if err := g.eval(&arena{}, key, slots, scratch); err != nil {
+	if err := g.eval(&arena{}, slots, scratch); err != nil {
 		return nil, stats, err
 	}
 	results := make(map[string][]exec.Row, len(g.ops))
@@ -505,8 +505,8 @@ func TestCompiledGraphMatchesEvalGraph(t *testing.T) {
 			ops = append(ops, ops[rng.Intn(len(ops))])
 		}
 
-		want, wantStats, wantErr := evalGraph(ops, intRow(1), streams)
-		got, gotStats, gotErr := runGraph(ops, intRow(1), streams)
+		want, wantStats, wantErr := evalGraph(ops, streams)
+		got, gotStats, gotErr := runGraph(ops, streams)
 		if wantErr != nil || gotErr != nil {
 			if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
 				t.Fatalf("iter %d: compiled graph error %v, evalGraph error %v", iter, gotErr, wantErr)
@@ -537,13 +537,13 @@ func TestAllocBudgetOps(t *testing.T) {
 		var a arena
 		for i := 0; i < 3; i++ {
 			a.reset()
-			if _, err := op.Eval(&a, nil, inputs); err != nil {
+			if _, err := op.Eval(&a, inputs); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return testing.AllocsPerRun(100, func() {
 			a.reset()
-			if _, err := op.Eval(&a, nil, inputs); err != nil {
+			if _, err := op.Eval(&a, inputs); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -610,7 +610,7 @@ func TestAggOpGroupsByEncoding(t *testing.T) {
 			want = append(want, exec.EncodeRow(exec.Row{g.first, g.accs[0].Result(), g.accs[1].Result(), g.accs[2].Result()}))
 		}
 		a.reset()
-		out, err := op.Eval(&a, nil, [][]exec.Row{rows})
+		out, err := op.Eval(&a, [][]exec.Row{rows})
 		if err != nil {
 			t.Fatal(err)
 		}

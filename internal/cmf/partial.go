@@ -23,15 +23,20 @@ func Decomposable(kinds []exec.AggKind) bool {
 	return true
 }
 
-// appendPartialRow appends one partial row for a group to dst: the group
-// values followed by each aggregate's partial fields (exec.Acc's
-// AppendPartial), fed from the raw rows.
-func appendPartialRow(dst, groupVals exec.Row, aggs []AggFunc, rows []exec.Row) (exec.Row, error) {
-	dst = append(dst, groupVals...)
-	for _, spec := range aggs {
-		if spec.Kind == exec.AggCountDistinct {
-			return nil, fmt.Errorf("aggregate %v is not decomposable", spec.Kind)
+// appendPartialRow appends one partial row for a key group of a combined
+// job to dst: the group values followed by each aggregate's partial fields
+// (exec.Acc's AppendPartial), fed from the raw rows. A combined job keys on
+// its full grouping expressions, so every row of the key group yields the
+// same group values, and agg's GroupBy over the first row computes them.
+func appendPartialRow(dst exec.Row, agg *AggOp, rows []exec.Row) (exec.Row, error) {
+	for _, fn := range agg.GroupBy {
+		v, err := fn(rows[0])
+		if err != nil {
+			return nil, fmt.Errorf("agg %s group: %w", agg.OpName, err)
 		}
+		dst = append(dst, v)
+	}
+	for _, spec := range agg.Aggs {
 		acc := exec.NewAcc(spec.Kind)
 		for _, r := range rows {
 			if spec.Arg == nil {

@@ -86,10 +86,13 @@ func TestSourceString(t *testing.T) {
 func TestBuildPartialRowCountWithArg(t *testing.T) {
 	// COUNT(col) skips NULL arguments in the partial.
 	rows := []exec.Row{{exec.Int(1)}, {exec.Null()}, {exec.Int(3)}}
-	partial, err := appendPartialRow(nil, exec.Row{exec.Str("g")}, []AggFunc{
-		{Kind: exec.AggCount, Arg: col(0)},
-		{Kind: exec.AggCountStar},
-	}, rows)
+	agg := &AggOp{OpName: "a",
+		GroupBy: []RowFn{func(exec.Row) (exec.Value, error) { return exec.Str("g"), nil }},
+		Aggs: []AggFunc{
+			{Kind: exec.AggCount, Arg: col(0)},
+			{Kind: exec.AggCountStar},
+		}}
+	partial, err := appendPartialRow(nil, agg, rows)
 	if err != nil {
 		t.Fatal(err)
 	}

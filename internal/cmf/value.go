@@ -56,12 +56,14 @@ func appendTagHeader(dst []byte, input int, excluded []int) []byte {
 }
 
 // appendTagged parses a tagged value produced by EncodeTagged into
-// caller-owned storage: the exclusions are appended to excl and the row's
-// values to vals, and the returned value's Excluded and Row are those
+// caller-owned storage, decoding its row by schemas[input], the schema of
+// the rows that input ships: the exclusions are appended to excl and the
+// row is built in vals' spare capacity (room for a value per field of s
+// suffices), and the returned value's Excluded and Row are those
 // extensions (Row capped at its own width). A reducer instance passes its
 // exclusion scratch, and it and the combiner the slab they decode a whole
 // key group into.
-func appendTagged(s string, excl []int, vals exec.Row) (TaggedValue, error) {
+func appendTagged(s string, schemas []*exec.Schema, excl []int, vals exec.Row) (TaggedValue, error) {
 	sep := strings.IndexByte(s, '|')
 	if sep < 0 {
 		return TaggedValue{}, fmt.Errorf("tagged value %q has no separator", s)
@@ -74,6 +76,9 @@ func appendTagged(s string, excl []int, vals exec.Row) (TaggedValue, error) {
 	input, err := strconv.Atoi(head)
 	if err != nil {
 		return TaggedValue{}, fmt.Errorf("tagged value %q: bad input index %q", s, head)
+	}
+	if input < 0 || input >= len(schemas) {
+		return TaggedValue{}, fmt.Errorf("value references input %d of %d", input, len(schemas))
 	}
 	excluded := excl[len(excl):]
 	for more := exclPart != ""; more; {
@@ -88,11 +93,11 @@ func appendTagged(s string, excl []int, vals exec.Row) (TaggedValue, error) {
 		}
 		excluded = append(excluded, id)
 	}
-	start := len(vals)
-	if vals, err = exec.AppendRowUntyped(vals, s[sep+1:]); err != nil {
+	row, err := exec.DecodeColsInto(vals[len(vals):cap(vals)], s[sep+1:], schemas[input], nil)
+	if err != nil {
 		return TaggedValue{}, fmt.Errorf("tagged value %q: %w", s, err)
 	}
-	return TaggedValue{Input: input, Excluded: excluded, Row: vals[start:len(vals):len(vals)]}, nil
+	return TaggedValue{Input: input, Excluded: excluded, Row: row[:len(row):len(row)]}, nil
 }
 
 // Sees reports whether stream id may see the value. The caller must already

@@ -9,18 +9,29 @@ import (
 	"ysmart/internal/exec"
 )
 
+// at puts schema at index input of an input-schema table, so a tagged value
+// of that input decodes by it.
+func at(input int, schema *exec.Schema) []*exec.Schema {
+	schemas := make([]*exec.Schema, input+1)
+	schemas[input] = schema
+	return schemas
+}
+
 func TestEncodeDecodeTagged(t *testing.T) {
 	tests := []struct {
 		name     string
 		input    int
 		excluded []int
+		schema   *exec.Schema
 		row      exec.Row
 		wantRaw  string
 	}{
-		{"no exclusions", 0, nil, exec.Row{exec.Int(1), exec.Str("x")}, "0|1\tx"},
-		{"one exclusion", 1, []int{3}, exec.Row{exec.Int(7)}, "1!3|7"},
-		{"many exclusions", 2, []int{1, 4, 9}, exec.Row{exec.Null()}, `2!1,4,9|\N`},
-		{"empty row", 0, nil, exec.Row{}, "0|"},
+		{"no exclusions", 0, nil, typed(exec.TypeInt, exec.TypeString), exec.Row{exec.Int(1), exec.Str("x")}, "0|1\tx"},
+		{"one exclusion", 1, []int{3}, ints(1), exec.Row{exec.Int(7)}, "1!3|7"},
+		{"many exclusions", 2, []int{1, 4, 9}, ints(1), exec.Row{exec.Null()}, `2!1,4,9|\N`},
+		{"empty row", 0, nil, typed(), exec.Row{}, "0|"},
+		{"empty string", 0, nil, typed(exec.TypeString), exec.Row{exec.Str("")}, "0|"},
+		{"digits in a string", 0, nil, typed(exec.TypeString, exec.TypeString), exec.Row{exec.Str("007"), exec.Str("true")}, "0|007\ttrue"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -28,7 +39,7 @@ func TestEncodeDecodeTagged(t *testing.T) {
 			if enc != tt.wantRaw {
 				t.Errorf("encoded %q, want %q", enc, tt.wantRaw)
 			}
-			tv, err := appendTagged(enc, nil, nil)
+			tv, err := appendTagged(enc, at(tt.input, tt.schema), nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -38,7 +49,7 @@ func TestEncodeDecodeTagged(t *testing.T) {
 			if !reflect.DeepEqual(tv.Excluded, tt.excluded) {
 				t.Errorf("excluded = %v, want %v", tv.Excluded, tt.excluded)
 			}
-			if len(tv.Row) != len(tt.row) {
+			if !reflect.DeepEqual(tv.Row, tt.row) {
 				t.Errorf("row = %v, want %v", tv.Row, tt.row)
 			}
 		})
@@ -46,8 +57,9 @@ func TestEncodeDecodeTagged(t *testing.T) {
 }
 
 func TestDecodeTaggedErrors(t *testing.T) {
-	for _, s := range []string{"", "noseparator", "x|row", "0!a|row"} {
-		if _, err := appendTagged(s, nil, nil); err == nil {
+	schemas := []*exec.Schema{ints(1)}
+	for _, s := range []string{"", "noseparator", "x|row", "0!a|row", "1|7", "-1|7", "0|row", "0|1\t2", "0|"} {
+		if _, err := appendTagged(s, schemas, nil, nil); err == nil {
 			t.Errorf("appendTagged(%q) succeeded, want error", s)
 		}
 	}
@@ -66,6 +78,10 @@ func TestSees(t *testing.T) {
 // Property: round trip preserves input index and exclusion list for random
 // shapes.
 func TestTaggedRoundTripProperty(t *testing.T) {
+	schemas := make([]*exec.Schema, 256)
+	for i := range schemas {
+		schemas[i] = ints(2)
+	}
 	f := func(input uint8, exclRaw []uint8, a, b int32) bool {
 		var excluded []int
 		seen := map[int]bool{}
@@ -76,7 +92,7 @@ func TestTaggedRoundTripProperty(t *testing.T) {
 			}
 		}
 		row := exec.Row{exec.Int(int64(a)), exec.Int(int64(b))}
-		tv, err := appendTagged(EncodeTagged(int(input), excluded, row), nil, nil)
+		tv, err := appendTagged(EncodeTagged(int(input), excluded, row), schemas, nil, nil)
 		if err != nil {
 			return false
 		}

@@ -9,8 +9,8 @@ import (
 // The row codec renders rows as tab-separated fields, one row per line,
 // in the style of Hive's default text SerDe: NULL is `\N`, and tab,
 // newline, carriage return and backslash are backslash-escaped so the
-// encoding is injective. Floats always carry a '.' or exponent so that
-// DecodeField can recover their type without a schema.
+// encoding is injective. Floats always carry a '.' or exponent, so that a
+// TypeNull column — one the plan could not type — reads them as floats.
 
 const nullField = `\N`
 
@@ -120,9 +120,9 @@ func unescapeString(s string) (string, error) {
 }
 
 // DecodeField parses a field produced by EncodeField into a value of the
-// given type. With TypeNull as the expected type the field's own syntax
-// decides (used for schema-less intermediate data): integers, floats,
-// true/false and NULL are recognized, anything else is a string.
+// given type. Only TypeNull, the type of a column the plan could not type,
+// lets the field's own syntax decide: integers, floats, true/false and NULL
+// are recognized, anything else is a string.
 func DecodeField(field string, t Type) (Value, error) {
 	if field == nullField {
 		return Null(), nil
@@ -264,7 +264,8 @@ func DecodeCols(line string, s *Schema, cols []int) (Row, error) {
 // in dst's storage — overwritten from its first element, not appended to —
 // when it has room, and in a fresh row otherwise, so a map task decoding
 // line after line into one scratch row allocates nothing. The row is never
-// nil, even when no column is listed.
+// nil, even when no column is listed. A zero-column schema reads the empty
+// line as the empty row, which a one-column schema reads as one empty field.
 func DecodeColsInto(dst Row, line string, s *Schema, cols []int) (Row, error) {
 	n := len(s.Cols)
 	if cols != nil {
@@ -274,6 +275,9 @@ func DecodeColsInto(dst Row, line string, s *Schema, cols []int) (Row, error) {
 		dst = make(Row, n)
 	}
 	row := dst[:n]
+	if len(s.Cols) == 0 && line == "" {
+		return row, nil
+	}
 	pos, fi := 0, 0 // line[pos:] starts field fi
 	for ci := range row {
 		col := ci
@@ -317,7 +321,7 @@ func DecodeColsInto(dst Row, line string, s *Schema, cols []int) (Row, error) {
 // only wants to know the line is well-formed) reads a row without building
 // one.
 func ScanRow(line string, s *Schema, field func(col int, text string) error) error {
-	rest, more := line, true
+	rest, more := line, len(s.Cols) > 0 || line != ""
 	for col := range s.Cols {
 		if !more {
 			return fieldCountError(line, s)
@@ -339,36 +343,6 @@ func ScanRow(line string, s *Schema, field func(col int, text string) error) err
 
 func fieldCountError(line string, s *Schema) error {
 	return fmt.Errorf("row has %d fields, schema %s has %d", strings.Count(line, "\t")+1, s, len(s.Cols))
-}
-
-// DecodeRowUntyped parses a tab-separated line inferring each field's type
-// from its syntax. Used for intermediate MapReduce values where only field
-// count is known.
-func DecodeRowUntyped(line string) (Row, error) {
-	if line == "" {
-		return Row{}, nil
-	}
-	return AppendRowUntyped(make(Row, 0, strings.Count(line, "\t")+1), line)
-}
-
-// AppendRowUntyped is DecodeRowUntyped into caller-owned storage: the
-// line's values are appended to dst (strings.Count(line, "\t")+1 of them;
-// none for the empty line) and the extended slice is returned, so a caller
-// decoding many rows can carve them all out of one slab.
-func AppendRowUntyped(dst Row, line string) (Row, error) {
-	if line == "" {
-		return dst, nil
-	}
-	for more := true; more; {
-		var field string
-		field, line, more = strings.Cut(line, "\t")
-		v, err := DecodeField(field, TypeNull)
-		if err != nil {
-			return nil, err
-		}
-		dst = append(dst, v)
-	}
-	return dst, nil
 }
 
 // EncodeKey renders a list of values as a grouping/partition key. The

@@ -101,33 +101,61 @@ func TestRowRoundTripTyped(t *testing.T) {
 	}
 }
 
-// TestAppendRowUntyped: decoding several lines into one slab yields, window
-// by window, what DecodeRowUntyped yields line by line — empty line, empty
-// fields and a trailing tab included — and never touches earlier windows.
-func TestAppendRowUntyped(t *testing.T) {
+// TestDecodeColsIntoSlab: decoding several lines into the tail of one slab
+// — each row built in place where the previous one ends, as a reducer
+// decodes a key group — yields, window by window, what DecodeRow yields line
+// by line (empty line, empty fields and a trailing tab included), and never
+// touches earlier windows.
+func TestDecodeColsIntoSlab(t *testing.T) {
 	lines := []string{"1\t2.5\tx", "", "\\N", "a\t", "\t", "true\t-7"}
-	var slab Row
+	slab := make(Row, 0, 16)
 	var windows [][2]int
 	for _, line := range lines {
 		start := len(slab)
-		var err error
-		if slab, err = AppendRowUntyped(slab, line); err != nil {
-			t.Fatalf("AppendRowUntyped(%q): %v", line, err)
+		row, err := DecodeColsInto(slab[start:cap(slab)], line, nullSchema(fieldsOf(line)), nil)
+		if err != nil {
+			t.Fatalf("DecodeColsInto(%q): %v", line, err)
 		}
+		slab = slab[:start+len(row)]
 		windows = append(windows, [2]int{start, len(slab)})
 	}
 	for i, line := range lines {
-		want, err := DecodeRowUntyped(line)
+		want, err := decodeNullCols(line)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := slab[windows[i][0]:windows[i][1]]
 		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-			t.Errorf("line %q: slab window %v, DecodeRowUntyped %v", line, got, want)
+			t.Errorf("line %q: slab window %v, DecodeRow %v", line, got, want)
 		}
 	}
-	if _, err := AppendRowUntyped(slab, "bad\\q"); err == nil {
-		t.Error("AppendRowUntyped accepted an unknown escape")
+	if _, err := DecodeColsInto(slab[len(slab):cap(slab)], "bad\\q", nullSchema(1), nil); err == nil {
+		t.Error("DecodeColsInto accepted an unknown escape")
+	}
+}
+
+// TestZeroColumnSchema: the empty line is the empty row to a zero-column
+// schema and one empty string to a one-column STRING schema — the schema,
+// not the text, settles which — for DecodeRow and ScanRow alike.
+func TestZeroColumnSchema(t *testing.T) {
+	none, one := NewSchema(), NewSchema(Column{Name: "s", Type: TypeString})
+	noField := func(int, string) error { return nil }
+	if got, err := DecodeRow("", none); err != nil || got == nil || len(got) != 0 {
+		t.Errorf("zero columns, empty line: %v, %v; want the empty row", got, err)
+	}
+	if err := ScanRow("", none, noField); err != nil {
+		t.Errorf("ScanRow, zero columns, empty line: %v", err)
+	}
+	if got, err := DecodeRow("", one); err != nil || !reflect.DeepEqual(got, Row{Str("")}) {
+		t.Errorf("one STRING column, empty line: %v, %v; want ['']", got, err)
+	}
+	for _, line := range []string{"x", "\t"} {
+		if _, err := DecodeRow(line, none); err == nil || !strings.Contains(err.Error(), "fields") {
+			t.Errorf("zero columns, line %q: err = %v, want a field-count error", line, err)
+		}
+		if err := ScanRow(line, none, noField); err == nil || !strings.Contains(err.Error(), "fields") {
+			t.Errorf("ScanRow, zero columns, line %q: err = %v, want a field-count error", line, err)
+		}
 	}
 }
 
@@ -138,14 +166,14 @@ func TestDecodeRowFieldCountMismatch(t *testing.T) {
 	}
 }
 
-// Property: EncodeRow/DecodeRowUntyped round-trips any row of random values
-// (strings that look like numbers excepted — untyped decode infers type from
-// syntax, so we regenerate those as typed checks below).
+// Property: EncodeRow and a decode over TypeNull columns round-trip any row
+// of random values (strings that look like numbers excepted — such columns
+// infer the type from syntax; typed decoding is checked below).
 func TestUntypedRoundTripProperty(t *testing.T) {
 	f := func(g1, g2, g3 valueGen) bool {
 		row := Row{g1.V, g2.V, g3.V}
 		line := EncodeRow(row)
-		got, err := DecodeRowUntyped(line)
+		got, err := decodeNullCols(line)
 		if err != nil {
 			return false
 		}
@@ -155,7 +183,7 @@ func TestUntypedRoundTripProperty(t *testing.T) {
 		for i := range row {
 			want := row[i]
 			// A string whose text parses as a number/bool/null legitimately
-			// decodes as that type under untyped decoding; skip those.
+			// decodes as that type in a TypeNull column; skip those.
 			if want.T == TypeString && looksTyped(want.S) {
 				continue
 			}
@@ -294,6 +322,8 @@ func TestAllocBudgetCodec(t *testing.T) {
 	}
 	demand := []int{0, 1, 4, 5} // l_orderkey, l_partkey, l_quantity, l_extendedprice
 	slab := make(Row, 0, len(row))
+	tail := make(Row, 2*len(row)) // a reducer's slab, one row already decoded
+	untyped := nullSchema(len(row))
 	scratch := make(Row, len(demand))
 	budgets := []struct {
 		name string
@@ -306,10 +336,10 @@ func TestAllocBudgetCodec(t *testing.T) {
 		{"DecodeCols of 4 numeric columns", 1, func() { sinkRow, _ = DecodeCols(tpchLineitemLine, tpchLineitem, demand) }},
 		{"DecodeColsInto a scratch row", 0, func() { sinkRow, _ = DecodeColsInto(scratch, tpchLineitemLine, tpchLineitem, demand) }},
 		{"DecodeColsInto a scratch row, every column", 0, func() { sinkRow, _ = DecodeColsInto(slab, tpchLineitemLine, tpchLineitem, nil) }},
-		{"DecodeRowUntyped", 1, func() { sinkRow, _ = DecodeRowUntyped(tpchLineitemLine) }},
-		{"AppendRowUntyped into a slab", 0, func() { sinkRow, _ = AppendRowUntyped(slab[:0], tpchLineitemLine) }},
+		{"DecodeRow over TypeNull columns", 1, func() { sinkRow, _ = DecodeRow(tpchLineitemLine, untyped) }},
+		{"DecodeColsInto the tail of a slab", 0, func() { sinkRow, _ = DecodeColsInto(tail[len(row):], tpchLineitemLine, tpchLineitem, nil) }},
 	}
-	// An untyped string field must not cost a parser's error value,
+	// A string field in a TypeNull column must not cost a parser's error value,
 	// whatever number-like bytes it carries.
 	for _, field := range []string{"DELIVER IN PERSON", "3-MEDIUM", "1996-03-13", "Clerk#000000951", "e", ".", "-", "+Infinite", "NaNs"} {
 		field := field
@@ -317,7 +347,7 @@ func TestAllocBudgetCodec(t *testing.T) {
 			name string
 			max  float64
 			fn   func()
-		}{"untyped decode of " + field, 0, func() { sinkValue, _ = DecodeField(field, TypeNull) }})
+		}{"TypeNull decode of " + field, 0, func() { sinkValue, _ = DecodeField(field, TypeNull) }})
 	}
 	for _, b := range budgets {
 		if got := testing.AllocsPerRun(200, b.fn); got > b.max {

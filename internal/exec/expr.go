@@ -536,11 +536,20 @@ func InferType(e sqlparser.Expr, s *Schema) (Type, error) {
 			return TypeInt, nil
 		case "AVG":
 			return TypeFloat, nil
-		case "SUM", "MIN", "MAX", "ABS", "COALESCE":
+		case "SUM", "MIN", "MAX", "ABS":
 			if x.Star || len(x.Args) == 0 {
 				return TypeInt, nil
 			}
 			return InferType(x.Args[0], s)
+		case "COALESCE":
+			// The first argument that can be non-NULL types it, as the
+			// first typed THEN arm types a CASE.
+			for _, a := range x.Args {
+				if t, err := InferType(a, s); err != nil || t != TypeNull {
+					return t, err
+				}
+			}
+			return TypeNull, nil
 		case "LOWER", "UPPER":
 			return TypeString, nil
 		default:

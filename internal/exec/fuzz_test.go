@@ -7,10 +7,36 @@ import (
 	"testing"
 )
 
-// FuzzDecodeRowUntyped asserts the codec is total on arbitrary input
-// (decode either succeeds or errors, never panics) and idempotent on its
-// own output: re-encoding a decoded row and decoding again is stable.
-func FuzzDecodeRowUntyped(f *testing.F) {
+// nullSchema is n columns the plan could not type: DecodeRow over it reads
+// every field by its syntax.
+func nullSchema(n int) *Schema {
+	s := &Schema{Cols: make([]Column, n)}
+	for i := range s.Cols {
+		s.Cols[i] = Column{Table: "t", Name: "c" + strconv.Itoa(i), Type: TypeNull}
+	}
+	return s
+}
+
+// decodeNullCols decodes a line over TypeNull columns, one per field and
+// none for the empty line: the one way the tests turn arbitrary text into
+// rows of arbitrary types.
+func decodeNullCols(line string) (Row, error) {
+	return DecodeRow(line, nullSchema(fieldsOf(line)))
+}
+
+// fieldsOf is the field count decodeNullCols gives a line.
+func fieldsOf(line string) int {
+	if line == "" {
+		return 0
+	}
+	return strings.Count(line, "\t") + 1
+}
+
+// FuzzDecodeNullColumns asserts the codec is total on arbitrary input over
+// TypeNull columns (decode either succeeds or errors, never panics), types
+// every field as the reference inference does, and is idempotent on its own
+// output: re-encoding a decoded row and decoding again is stable.
+func FuzzDecodeNullColumns(f *testing.F) {
 	seeds := []string{
 		"",
 		"1\t2.5\ttext\ttrue",
@@ -25,7 +51,7 @@ func FuzzDecodeRowUntyped(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, line string) {
-		row, err := DecodeRowUntyped(line)
+		row, err := decodeNullCols(line)
 		if line != "" {
 			// Field by field, the split-free walk and the pre-checked
 			// parsers infer what Split and the bare parsers did.
@@ -47,7 +73,7 @@ func FuzzDecodeRowUntyped(f *testing.F) {
 			return
 		}
 		enc := EncodeRow(row)
-		again, err := DecodeRowUntyped(enc)
+		again, err := decodeNullCols(enc)
 		if err != nil {
 			t.Fatalf("re-decode of own encoding failed: %q -> %q: %v", line, enc, err)
 		}
@@ -123,7 +149,7 @@ func FuzzOrderedKey(f *testing.F) {
 // normalizedRow decodes a fuzz line and rewrites it into the domain where
 // the ordered-key encoding is injective on Compare classes.
 func normalizedRow(line string) (Row, bool) {
-	row, err := DecodeRowUntyped(line)
+	row, err := decodeNullCols(line)
 	if err != nil {
 		return nil, false
 	}
@@ -155,7 +181,7 @@ func sign(x int) int {
 	return 0
 }
 
-// inferFieldReference is untyped field inference as first written: offer
+// inferFieldReference is TypeNull field inference as first written: offer
 // the field to ParseInt, then (if it carries a float marker) to ParseFloat,
 // and take whatever does not fail. DecodeField now pre-checks the syntax so
 // that ordinary strings never reach a parser; this is what it must equal.
@@ -196,7 +222,7 @@ func FuzzAppendRow(f *testing.F) {
 	f.Add("x", "-0.0\tNaN\t+Inf\t1e300\t3.0")
 	f.Add("", `a\tb\\c\nd`+"\t\t")
 	f.Fuzz(func(t *testing.T, prefix, line string) {
-		row, err := DecodeRowUntyped(line)
+		row, err := decodeNullCols(line)
 		if err != nil {
 			return
 		}
@@ -217,7 +243,7 @@ func FuzzAppendRow(f *testing.F) {
 		if got := EncodeKey(row); got != want {
 			t.Fatalf("EncodeKey(%v) = %q, want %q", row, got, want)
 		}
-		back, err := DecodeRowUntyped(want)
+		back, err := decodeNullCols(want)
 		if err != nil {
 			t.Fatalf("own encoding %q does not decode: %v", want, err)
 		}
@@ -302,6 +328,82 @@ func FuzzDecodeCols(f *testing.F) {
 		for i := range want {
 			if !sameValue(got[i], want[i]) {
 				t.Fatalf("DecodeCols(%q, %v) = %v, want %v", line, cols, got, want)
+			}
+		}
+	})
+}
+
+// FuzzRowRoundTrip is the typed codec's contract, the one every reader of
+// intermediate data — the shuffle included — relies on: a schema of 0–16
+// columns and a row of it, both drawn from the fuzz bytes, come back from
+// DecodeRow(EncodeRow(r), s) bit for bit (NaN payloads aside: every NaN
+// encodes as "NaN").
+func FuzzRowRoundTrip(f *testing.F) {
+	f.Add([]byte{0})          // zero columns: the empty line is the empty row
+	f.Add([]byte{1, 2, 1, 0}) // one STRING column holding ''
+	f.Add([]byte{1, 2, 1, 2, '\\', 'N'})
+	f.Add([]byte{4, 0, 1, 2, 3, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+		1, 0x80, 0, 0, 0, 0, 0, 0, 0, 1, 3, '0', '\t', '7', 1, 1})
+	f.Add([]byte{3, 1, 1, 1, // a NaN with a payload, +Inf and the least subnormal
+		1, 0x7f, 0xf8, 0, 0, 0, 0, 0, 1, 1, 0x7f, 0xf0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		word := func() uint64 {
+			var w uint64
+			for i := 0; i < 8; i++ {
+				w = w<<8 | uint64(next())
+			}
+			return w
+		}
+		types := []Type{TypeInt, TypeFloat, TypeString, TypeBool}
+		s := &Schema{Cols: make([]Column, next()%17)}
+		for i := range s.Cols {
+			s.Cols[i] = Column{Table: "t", Name: "c" + strconv.Itoa(i), Type: types[next()%4]}
+		}
+		row := make(Row, len(s.Cols))
+		for i, c := range s.Cols {
+			if next()%8 == 0 {
+				row[i] = Null()
+				continue
+			}
+			switch c.Type {
+			case TypeInt:
+				row[i] = Int(int64(word()))
+			case TypeFloat:
+				row[i] = Float(math.Float64frombits(word()))
+			case TypeString:
+				b := make([]byte, next()%12)
+				for k := range b {
+					b[k] = next()
+				}
+				row[i] = Str(string(b))
+			default:
+				row[i] = Bool(next()&1 == 1)
+			}
+		}
+		line := EncodeRow(row)
+		got, err := DecodeRow(line, s)
+		if err != nil {
+			t.Fatalf("DecodeRow(%q, %s) of EncodeRow(%v): %v", line, s, row, err)
+		}
+		if len(got) != len(row) {
+			t.Fatalf("%v -> %q -> %v", row, line, got)
+		}
+		for i := range row {
+			same := got[i] == row[i]
+			if row[i].T == TypeFloat && got[i].T == TypeFloat {
+				same = math.Float64bits(got[i].F) == math.Float64bits(row[i].F) ||
+					math.IsNaN(got[i].F) && math.IsNaN(row[i].F)
+			}
+			if !same {
+				t.Fatalf("column %d: %v -> %q -> %v", i, row, line, got)
 			}
 		}
 	})

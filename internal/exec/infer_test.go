@@ -22,6 +22,9 @@ func TestInferTypeEdgeBranches(t *testing.T) {
 		{"count(distinct s)", TypeInt},
 		{"min(f)", TypeFloat},
 		{"coalesce(i, 2)", TypeInt},
+		{"coalesce(NULL, s)", TypeString}, // the first argument that can be non-NULL
+		{"coalesce(NULL, NULL, f)", TypeFloat},
+		{"coalesce(NULL)", TypeNull},
 		{"length(s)", TypeInt},
 		{"abs(i)", TypeInt},
 		{"lower(s)", TypeString},
@@ -52,6 +55,7 @@ func TestInferTypeErrors(t *testing.T) {
 		"nosuchfunc(i)",
 		"sum(nosuchcol)",
 		"CASE WHEN b THEN nosuchcol END",
+		"coalesce(NULL, nosuchcol)",
 	}
 	for _, exprSQL := range bad {
 		stmt, err := sqlparser.Parse("SELECT " + exprSQL + " FROM t")

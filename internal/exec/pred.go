@@ -66,11 +66,11 @@ type predNode func(Row) (truth, error)
 // equal).
 //
 // Comparisons dispatch on the operands' run-time types, never on the
-// schema's: rows decoded by syntax (the reduce side's AppendRowUntyped)
-// carry an int where the schema says string whenever the text is digits,
-// so a comparison typed at compile time would be wrong on them. Same-typed
-// ints, floats and strings compare in place; every other pairing goes
-// through the generic comparison.
+// schema's: a column the plan could not type (TypeNull) is decoded by its
+// text, row by row an int, a string or a bool, and the generic evaluator
+// mixes types too, so a comparison typed at compile time would be wrong on
+// them. Same-typed ints, floats and strings compare in place; every other
+// pairing goes through the generic comparison.
 func CompilePredicate(e sqlparser.Expr, s *Schema) (func(Row) (bool, error), error) {
 	node, err := compileTruth(e, s)
 	if err != nil {

@@ -249,15 +249,15 @@ func TestCompilePredicateMatchesGeneric(t *testing.T) {
 }
 
 // FuzzCompilePredicate drives the differential check with fuzzed rows: the
-// line decodes by syntax (so column types follow the text, not the schema)
-// and the seed picks the predicate.
+// line decodes over TypeNull columns (so column types follow the text, not
+// predSchema) and the seed picks the predicate.
 func FuzzCompilePredicate(f *testing.F) {
 	f.Add(int64(1), "1\t2.5\tabc\ttrue\t\\N\t7")
 	f.Add(int64(2), "NaN\t-0.0\t123\tfalse\t3")
 	f.Add(int64(3), "")
 	f.Add(int64(4), "a\tb\tc\td\te\tf\tg")
 	f.Fuzz(func(t *testing.T, seed int64, line string) {
-		row, err := DecodeRowUntyped(line)
+		row, err := decodeNullCols(line)
 		if err != nil {
 			return
 		}

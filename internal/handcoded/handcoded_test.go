@@ -1,6 +1,8 @@
 package handcoded
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"ysmart/internal/datagen"
@@ -64,6 +66,16 @@ func oracle(t *testing.T, db *dbms.Database, sql string) []exec.Row {
 	return res.Rows
 }
 
+// nullSchema is one TypeNull column per field of line: decoded over it, each
+// field is typed by its syntax, so numbers compare as numbers.
+func nullSchema(line string) *exec.Schema {
+	s := &exec.Schema{Cols: make([]exec.Column, strings.Count(line, "\t")+1)}
+	for i := range s.Cols {
+		s.Cols[i] = exec.Column{Name: fmt.Sprint("c", i), Type: exec.TypeNull}
+	}
+	return s
+}
+
 // sameMultiset compares rows up to order with float tolerance.
 func sameMultiset(t *testing.T, got, want []exec.Row) {
 	t.Helper()
@@ -74,8 +86,8 @@ func sameMultiset(t *testing.T, got, want []exec.Row) {
 	for i := range gl {
 		if gl[i] != wl[i] {
 			// Allow float wobble: parse and compare numerically.
-			g, errG := exec.DecodeRowUntyped(gl[i])
-			w, errW := exec.DecodeRowUntyped(wl[i])
+			g, errG := exec.DecodeRow(gl[i], nullSchema(gl[i]))
+			w, errW := exec.DecodeRow(wl[i], nullSchema(wl[i]))
 			if errG != nil || errW != nil || len(g) != len(w) {
 				t.Fatalf("row %d: got %q, want %q", i, gl[i], wl[i])
 			}

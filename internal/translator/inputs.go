@@ -83,7 +83,7 @@ func (lw *lowerer) traceKeyToBase(op *correlation.Operation, inputIdx int) ([]in
 
 // keySpec describes how an input keys its map output: the key value
 // functions plus an optional non-default encoding (order-preserving keys
-// for distributed sorts are opaque to the reducer).
+// for distributed sorts).
 type keySpec struct {
 	fns    []cmf.RowFn
 	encode func([]exec.Value) string
@@ -173,9 +173,6 @@ func (lw *lowerer) buildSimpleScanInput(cj *cmf.CommonJob, ss *sharedStream, slo
 		return err
 	}
 	decode := newMapChain(ss.scan.Schema(), scanEff.cols, stages).decode
-	if spec.encode != nil {
-		cj.OpaqueKeys = true
-	}
 	fact := ScanFact{Job: cj.Name, InputIdx: len(cj.Inputs), Table: ss.scan.Table, Path: TablePath(ss.scan.Table)}
 	if n := mapFilterPrefixLen(ss.chain); n == 0 {
 		fact.Refusal = fmt.Sprintf("%s: no selection adjacent to the scan of %s", ss.op.Name(), ss.scan.Table)
@@ -189,6 +186,7 @@ func (lw *lowerer) buildSimpleScanInput(cj *cmf.CommonJob, ss *sharedStream, slo
 		Decode:    decode,
 		Key:       spec.fns,
 		KeyEncode: spec.encode,
+		Schema:    topEff.schema,
 		Streams:   []cmf.Stream{{ID: ss.id}},
 	})
 	slots[ss.key] = slot{src: cmf.StreamSource(ss.id), eff: topEff}
@@ -246,7 +244,8 @@ func (lw *lowerer) buildSharedInput(cj *cmf.CommonJob, table string, streams []*
 			}
 			return row, err
 		},
-		Key: projectionFns(narrow(streams[0].keyBase)),
+		Key:    projectionFns(narrow(streams[0].keyBase)),
+		Schema: restrictView(decodeSchema, unionCols).schema,
 	}
 	if !intsEqual(unionCols, decodeCols) {
 		input.Project = narrow(unionCols)
@@ -371,14 +370,12 @@ func (lw *lowerer) buildIntermediateInput(cj *cmf.CommonJob, op *correlation.Ope
 		}
 		return chain.decode(scratch, payload)
 	}
-	if spec.encode != nil {
-		cj.OpaqueKeys = true
-	}
 	cj.Inputs = append(cj.Inputs, cmf.CommonInput{
 		Path:      ref.path,
 		Decode:    decode,
 		Key:       spec.fns,
 		KeyEncode: spec.encode,
+		Schema:    topEff.schema,
 		Streams:   []cmf.Stream{{ID: streamID}},
 	})
 	slots[slotKey{op.ID, inputIdx}] = slot{src: cmf.StreamSource(streamID), eff: topEff}

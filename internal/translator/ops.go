@@ -69,7 +69,19 @@ func (lw *lowerer) buildOp(cj *cmf.CommonJob, jb *jobBuild, op *correlation.Oper
 		// applies to standalone aggregation jobs with decomposable
 		// aggregates whose input is a mapper stream.
 		if lw.combine && len(jb.ops) == 1 && !srcs[0].IsOp() && cmf.Decomposable(kinds) {
-			aggOp.FromPartials = true
+			// The combiner ships exec.Acc.AppendPartial's layout: the output
+			// row, but for AVG's running (FLOAT sum, INT count).
+			out := agg.Schema().Cols
+			partials := append(make([]exec.Column, 0, len(out)+len(kinds)), out[:len(agg.GroupBy)]...)
+			for i, c := range out[len(agg.GroupBy):] {
+				if kinds[i] == exec.AggAvg {
+					c.Type = exec.TypeFloat
+					partials = append(partials, c)
+					c.Type = exec.TypeInt
+				}
+				partials = append(partials, c)
+			}
+			aggOp.Partials = &exec.Schema{Cols: partials}
 			cj.CombineOp = op.Name()
 		}
 		addOp(aggOp)
