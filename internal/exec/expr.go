@@ -188,7 +188,7 @@ func Compile(e sqlparser.Expr, s *Schema) (Evaluator, error) {
 			}
 			elseEv = ev
 		}
-		return func(r Row) (Value, error) {
+		return widenArms(func(r Row) (Value, error) {
 			for _, a := range arms {
 				cv, err := a.cond(r)
 				if err != nil {
@@ -202,7 +202,7 @@ func Compile(e sqlparser.Expr, s *Schema) (Evaluator, error) {
 				return elseEv(r)
 			}
 			return Null(), nil
-		}, nil
+		}, x, s)
 
 	case *sqlparser.InSubqueryExpr:
 		return nil, fmt.Errorf("IN (SELECT ...) is only supported as a top-level WHERE conjunct")
@@ -465,7 +465,7 @@ func compileScalarFunc(x *sqlparser.FuncCall, s *Schema) (Evaluator, error) {
 		if len(args) == 0 {
 			return nil, fmt.Errorf("COALESCE needs at least one argument")
 		}
-		return func(r Row) (Value, error) {
+		return widenArms(func(r Row) (Value, error) {
 			for _, a := range args {
 				v, err := a(r)
 				if err != nil {
@@ -476,7 +476,7 @@ func compileScalarFunc(x *sqlparser.FuncCall, s *Schema) (Evaluator, error) {
 				}
 			}
 			return Null(), nil
-		}, nil
+		}, x, s)
 	default:
 		return nil, fmt.Errorf("unknown function %s", x.Name)
 	}
@@ -542,14 +542,7 @@ func InferType(e sqlparser.Expr, s *Schema) (Type, error) {
 			}
 			return InferType(x.Args[0], s)
 		case "COALESCE":
-			// The first argument that can be non-NULL types it, as the
-			// first typed THEN arm types a CASE.
-			for _, a := range x.Args {
-				if t, err := InferType(a, s); err != nil || t != TypeNull {
-					return t, err
-				}
-			}
-			return TypeNull, nil
+			return armsType(x.Args, s)
 		case "LOWER", "UPPER":
 			return TypeString, nil
 		default:
@@ -558,20 +551,50 @@ func InferType(e sqlparser.Expr, s *Schema) (Type, error) {
 	case *sqlparser.IsNullExpr, *sqlparser.BetweenExpr, *sqlparser.InListExpr, *sqlparser.InSubqueryExpr:
 		return TypeBool, nil
 	case *sqlparser.CaseExpr:
+		arms := make([]sqlparser.Expr, 0, len(x.Whens)+1)
 		for _, w := range x.Whens {
-			t, err := InferType(w.Then, s)
-			if err != nil {
-				return 0, err
-			}
-			if t != TypeNull {
-				return t, nil
-			}
+			arms = append(arms, w.Then)
 		}
 		if x.Else != nil {
-			return InferType(x.Else, s)
+			arms = append(arms, x.Else)
 		}
-		return TypeNull, nil
+		return armsType(arms, s)
 	default:
 		return 0, fmt.Errorf("cannot infer type of %T", e)
 	}
+}
+
+// armsType types a CASE from its THEN and ELSE arms, or a COALESCE from its
+// arguments: the first arm that can be non-NULL types it, except that INT
+// arms mixed with FLOAT ones make it FLOAT (Compile widens the INT results
+// to match, see widenArms).
+func armsType(arms []sqlparser.Expr, s *Schema) (Type, error) {
+	t := TypeNull
+	for _, a := range arms {
+		at, err := InferType(a, s)
+		if err != nil {
+			return 0, err
+		}
+		if t == TypeNull || t == TypeInt && at == TypeFloat {
+			t = at
+		}
+	}
+	return t, nil
+}
+
+// widenArms returns ev, the evaluator of the CASE or COALESCE e, converting
+// its INT results to FLOAT when armsType types e FLOAT, so every row carries
+// the type its schema column declares.
+func widenArms(ev Evaluator, e sqlparser.Expr, s *Schema) (Evaluator, error) {
+	t, err := InferType(e, s)
+	if err != nil || t != TypeFloat {
+		return ev, err
+	}
+	return func(r Row) (Value, error) {
+		v, err := ev(r)
+		if err == nil && v.T == TypeInt {
+			v = Float(float64(v.I))
+		}
+		return v, err
+	}, nil
 }

@@ -166,6 +166,10 @@ func TestIsNullBetweenInCase(t *testing.T) {
 		{"CASE WHEN i > 5 THEN 'big' ELSE 'small' END", Str("big")},
 		{"CASE WHEN i > 50 THEN 'big' END", Null()},
 		{"CASE WHEN n = 0 THEN 'x' ELSE 'y' END", Str("y")}, // NULL cond not taken
+		// INT arms of a CASE typed FLOAT by a FLOAT arm evaluate as FLOAT.
+		{"CASE WHEN i > 5 THEN 1 ELSE 2.5 END", Float(1)},
+		{"CASE WHEN i > 50 THEN 1 ELSE 2.5 END", Float(2.5)},
+		{"CASE WHEN i > 5 THEN i WHEN b THEN f END", Float(10)},
 	}
 	for _, tt := range tests {
 		if got := evalOn(t, tt.expr, sampleRow); got != tt.want {
@@ -186,6 +190,9 @@ func TestScalarFuncs(t *testing.T) {
 		{"length(s)", Int(3)},
 		{"coalesce(n, i)", Int(10)},
 		{"coalesce(n, n)", Null()},
+		{"coalesce(i, 2.5)", Float(10)}, // typed FLOAT: the INT argument widens
+		{"coalesce(n, 2.5)", Float(2.5)},
+		{"coalesce(n, 3, f)", Float(3)},
 	}
 	for _, tt := range tests {
 		if got := evalOn(t, tt.expr, sampleRow); got != tt.want {

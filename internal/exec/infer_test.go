@@ -31,6 +31,16 @@ func TestInferTypeEdgeBranches(t *testing.T) {
 		{"i AND b", TypeBool}, // typing is structural; evaluation rejects it
 		{"CASE WHEN b THEN NULL ELSE 'x' END", TypeString},
 		{"CASE WHEN b THEN NULL END", TypeNull},
+		// INT arms mixed with FLOAT ones type FLOAT, in either order; every
+		// other mix keeps the first typed arm.
+		{"CASE WHEN b THEN 1 ELSE 2.5 END", TypeFloat},
+		{"CASE WHEN b THEN 2.5 ELSE 1 END", TypeFloat},
+		{"CASE WHEN b THEN NULL WHEN i > 1 THEN i ELSE f END", TypeFloat},
+		{"CASE WHEN b THEN 'x' ELSE 2.5 END", TypeString},
+		{"CASE WHEN b THEN 1 ELSE 'x' END", TypeInt},
+		{"coalesce(i, 2.5)", TypeFloat},
+		{"coalesce(NULL, f, i)", TypeFloat},
+		{"coalesce(i, s)", TypeInt},
 	}
 	for _, tt := range tests {
 		stmt, err := sqlparser.Parse("SELECT " + tt.expr + " FROM t")

@@ -48,11 +48,10 @@ type ReuseResult struct {
 // and whether the warm rows stayed byte-identical to the cold ones.
 func Reuse(w *Workload) (*ReuseResult, error) {
 	// One DFS and one store span the whole stream of queries — that is the
-	// point of cross-query reuse. The store watches the DFS so any base
-	// table overwrite would invalidate dependent artifacts.
+	// point of cross-query reuse. Each run versions the base tables by
+	// their content, so an overwritten table would miss.
 	dfs := w.FreshDFS()
 	store := reuse.NewStore(0, nil)
-	store.WatchDFS(dfs)
 
 	named := queries.Named()
 	names := make([]string, 0, len(named))

@@ -1,6 +1,8 @@
 package mapreduce
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -19,6 +21,9 @@ import (
 // table under every session, a reuse artifact under every query it serves —
 // and lets a reader keep iterating a file that has since been replaced.
 //
+// Writes notify nobody: whoever must know whether a file still holds the
+// bytes it once read compares Digest values.
+//
 // All methods are safe for concurrent use: the engine's worker pool may
 // read while the driver writes other paths. Observation (trace instants,
 // counters) happens under the same lock as the file-map access so readers
@@ -30,13 +35,6 @@ type DFS struct {
 	tracer  *obs.Collector
 	metrics *obs.Registry
 	clock   func() float64
-
-	// writeObs, when set, is invoked with the path of every Write and
-	// Delete — the hook validity-epoch tracking (internal/reuse) hangs
-	// off so materialized artifacts derived from a path stop being served
-	// the moment the path's content changes. Called under the DFS lock:
-	// observers must be fast and must never call back into the DFS.
-	writeObs func(path string)
 }
 
 // NewDFS returns an empty file system.
@@ -64,20 +62,22 @@ func (d *DFS) now() float64 {
 	return d.clock()
 }
 
-// observe records one DFS access on the tracer and registry. With both
-// off it returns before sizing the lines, which costs O(lines).
-func (d *DFS) observe(op, path string, lines []string) {
+// observe records one DFS access on the tracer (instant) and registry (the
+// count and bytes counters; callers spell the names out, so observing
+// builds no string). With both off it returns before sizing the lines,
+// which costs O(lines).
+func (d *DFS) observe(path string, lines []string, instant, count, bytes string) {
 	traced := d.tracer.Enabled()
 	if !traced && d.metrics == nil {
 		return
 	}
-	bytes := linesBytes(lines)
+	n := linesBytes(lines)
 	if traced {
-		d.tracer.Emit(obs.InstantEvent("dfs", "dfs."+op, "dfs", d.now(),
-			obs.F("path", path), obs.F("records", int64(len(lines))), obs.F("bytes", bytes)))
+		d.tracer.Emit(obs.InstantEvent("dfs", instant, "dfs", d.now(),
+			obs.F("path", path), obs.F("records", int64(len(lines))), obs.F("bytes", n)))
 	}
-	d.metrics.Add("ysmart_dfs_"+op+"s_total", 1)
-	d.metrics.Add("ysmart_dfs_"+op+"_bytes_total", float64(bytes))
+	d.metrics.Add(count, 1)
+	d.metrics.Add(bytes, float64(n))
 }
 
 // FileNotFoundError reports a read of a missing path.
@@ -86,23 +86,6 @@ type FileNotFoundError struct{ Path string }
 // Error implements the error interface.
 func (e *FileNotFoundError) Error() string {
 	return fmt.Sprintf("dfs: file %q not found", e.Path)
-}
-
-// SetWriteObserver registers fn to be called with the path of every
-// subsequent Write and Delete (nil unregisters). The callback runs under
-// the DFS write lock so mutation and notification are atomic; it must not
-// call back into the DFS.
-func (d *DFS) SetWriteObserver(fn func(path string)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.writeObs = fn
-}
-
-// notifyWrite invokes the write observer; callers hold the write lock.
-func (d *DFS) notifyWrite(path string) {
-	if d.writeObs != nil {
-		d.writeObs(path)
-	}
 }
 
 // Write stores lines at path, replacing any previous content. The slice is
@@ -123,8 +106,7 @@ func (d *DFS) WriteShared(path string, lines []string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.files[path] = lines
-	d.observe("write", path, lines)
-	d.notifyWrite(path)
+	d.observe(path, lines, "dfs.write", "ysmart_dfs_writes_total", "ysmart_dfs_write_bytes_total")
 }
 
 // Read returns the lines of path. The returned slice is shared; callers
@@ -136,7 +118,7 @@ func (d *DFS) Read(path string) ([]string, error) {
 	if !ok {
 		return nil, &FileNotFoundError{Path: path}
 	}
-	d.observe("read", path, lines)
+	d.observe(path, lines, "dfs.read", "ysmart_dfs_reads_total", "ysmart_dfs_read_bytes_total")
 	return lines, nil
 }
 
@@ -153,7 +135,6 @@ func (d *DFS) Delete(path string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	delete(d.files, path)
-	d.notifyWrite(path)
 }
 
 // SizeBytes returns the byte size of path's content (line bytes plus one
@@ -161,11 +142,30 @@ func (d *DFS) Delete(path string) {
 func (d *DFS) SizeBytes(path string) int64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	var n int64
-	for _, l := range d.files[path] {
-		n += int64(len(l)) + 1
+	return linesBytes(d.files[path])
+}
+
+// Digest returns a non-zero 64-bit digest of path's content — the first 8
+// bytes of the SHA-256 of its lines, each followed by a newline (the bytes
+// SizeBytes counts) — or false if path is absent. Like Exists and SizeBytes
+// it is unobserved: no trace instant, no counter.
+func (d *DFS) Digest(path string) (int64, bool) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	lines, ok := d.files[path]
+	if !ok {
+		return 0, false
 	}
-	return n
+	h := sha256.New()
+	var line []byte
+	for _, l := range lines {
+		line = append(append(line[:0], l...), '\n')
+		h.Write(line)
+	}
+	if v := int64(binary.BigEndian.Uint64(h.Sum(nil))); v != 0 {
+		return v, true
+	}
+	return 1, true
 }
 
 // List returns all paths in sorted order.

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"ysmart/internal/obs"
 )
 
 func newTestEngine(t *testing.T) *Engine {
@@ -535,6 +537,67 @@ func TestDFSBasics(t *testing.T) {
 	}
 	if d.SizeBytes("missing") != 0 {
 		t.Error("SizeBytes of missing file should be 0")
+	}
+}
+
+// TestDFSDigest: a file's digest follows its bytes, not its slice — the
+// same lines in a fresh slice digest equal, any changed line or line
+// boundary digests apart — and an absent path has none.
+func TestDFSDigest(t *testing.T) {
+	d := NewDFS()
+	col := obs.NewCollector()
+	reg := obs.NewRegistry()
+	d.Instrument(col, reg, nil)
+	digest := func(path string, lines ...string) int64 {
+		t.Helper()
+		d.Write(path, lines)
+		col.Reset()
+		v, ok := d.Digest(path)
+		if !ok || v == 0 {
+			t.Fatalf("Digest(%q) = %d, %v; want a non-zero digest", path, v, ok)
+		}
+		if col.Len() != 0 {
+			t.Errorf("Digest emitted %d trace events; it must be unobserved", col.Len())
+		}
+		return v
+	}
+	base := digest("a", "x\t1", "y\t2")
+	if got := digest("b", "x\t1", "y\t2"); got != base {
+		t.Errorf("equal lines digest %d and %d", base, got)
+	}
+	for _, lines := range [][]string{{"x\t1", "y\t3"}, {"x\t1y\t2"}, {"x\t1", "y\t2", ""}, {}} {
+		if got := digest("c", lines...); got == base {
+			t.Errorf("lines %q digest like %q", lines, []string{"x\t1", "y\t2"})
+		}
+	}
+	long := make([]string, 5000)
+	for i := range long {
+		long[i] = strings.Repeat("z", i%17)
+	}
+	if digest("d", long...) != digest("e", long...) {
+		t.Error("a file larger than the hash buffer digests unstably")
+	}
+	if reg.Value("ysmart_dfs_reads_total") != 0 {
+		t.Error("Digest counted as a read")
+	}
+	if v, ok := d.Digest("missing"); ok || v != 0 {
+		t.Errorf("Digest of an absent path = %d, %v; want 0, false", v, ok)
+	}
+}
+
+// TestAllocBudgetDFS: reading and installing a file on an instrumented DFS
+// allocates nothing — every served query does both, with a registry
+// attached.
+func TestAllocBudgetDFS(t *testing.T) {
+	d := NewDFS()
+	d.Instrument(nil, obs.NewRegistry(), nil)
+	lines := []string{"a\t1", "b\t2"}
+	d.WriteShared("f", lines)
+	if got := testing.AllocsPerRun(100, func() { d.WriteShared("f", lines) }); got != 0 {
+		t.Errorf("WriteShared: %v allocations per call, budget 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { _, _ = d.Read("f") }); got != 0 {
+		t.Errorf("Read: %v allocations per call, budget 0", got)
 	}
 }
 

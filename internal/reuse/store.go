@@ -2,10 +2,8 @@ package reuse
 
 import (
 	"sort"
-	"strings"
 	"sync"
 
-	"ysmart/internal/mapreduce"
 	"ysmart/internal/obs"
 )
 
@@ -24,8 +22,9 @@ type Entry struct {
 	// derived from, sorted.
 	Tables []string
 	// Epochs records the validity epoch of each table path at the time
-	// the artifact was produced. The entry is served only while the
-	// store's current epochs still match.
+	// the artifact was produced: a session's snapshot of the store's
+	// epochs, or the tables' content digests. The entry is served only
+	// while the lookup's reference epochs still match.
 	Epochs map[string]int64
 	// Lines is the materialized job output, byte-for-byte.
 	Lines []string
@@ -235,18 +234,6 @@ func (s *Store) BumpPath(path string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.epochs[path]++
-}
-
-// WatchDFS registers the store as d's write observer: any write or
-// delete on a base-table path ("tables/...") bumps that path's epoch.
-// Job outputs under other prefixes (tmp/, restore/) are ignored — they
-// are products of the inputs, not inputs themselves.
-func (s *Store) WatchDFS(d *mapreduce.DFS) {
-	d.SetWriteObserver(func(path string) {
-		if strings.HasPrefix(path, "tables/") {
-			s.BumpPath(path)
-		}
-	})
 }
 
 // Forget drops the entry for key if present. Tests use it to force

@@ -137,70 +137,26 @@ func TestRecordKeepsDFSLines(t *testing.T) {
 	}
 }
 
-// TestStalenessGuard is the ISSUE's latent-hazard fix, proven from the
-// failure side first: a DFS write to a base-table path must not leave
-// dependent materialized outputs silently reusable. An unwatched store
-// demonstrates the hazard; the write observer (WatchDFS) is the guard.
+// TestStalenessGuard pins where staleness is decided: not in the store.
+// The store versions a table only by the epochs its callers hand it — a
+// server session's snapshot of the epochs BumpPath advances, or the content
+// digests the reuse rewrite takes without one (translator's
+// TestReuseContentRule holds the DFS-level cases). It watches no file
+// system, so a caller that snapshots the store's own epochs must bump them
+// whenever it replaces a table.
 func TestStalenessGuard(t *testing.T) {
-	record := func(s *Store) {
-		ep := s.SnapshotEpochs([]string{"tables/clicks"})
-		s.Record("k", "fp", []string{"tables/clicks"}, ep, []string{"out"}, 1)
-	}
-
-	// The hazard: without the observer the store cannot see the overwrite
-	// and happily serves an artifact computed from data that no longer
-	// exists. This is why every runtime attaches WatchDFS before running.
 	t.Run("unwatched-store-serves-stale", func(t *testing.T) {
 		dfs := mapreduce.NewDFS()
 		dfs.Write("tables/clicks", []string{"old"})
 		s := NewStore(0, nil)
-		record(s)
+		s.Record("k", "fp", []string{"tables/clicks"}, s.SnapshotEpochs([]string{"tables/clicks"}), []string{"out"}, 1)
 		dfs.Write("tables/clicks", []string{"new"})
 		if _, ok := s.Lookup("k"); !ok {
-			t.Fatal("unwatched store missed — the hazard this test documents no longer reproduces; update the guard test")
+			t.Fatal("a DFS write reached the store: it is meant to see only the epochs its callers pass")
 		}
-	})
-
-	mutations := map[string]func(d *mapreduce.DFS){
-		"write":  func(d *mapreduce.DFS) { d.Write("tables/clicks", []string{"new"}) },
-		"delete": func(d *mapreduce.DFS) { d.Delete("tables/clicks") },
-	}
-	for name, mutate := range mutations {
-		t.Run("watched-store-invalidates-on-"+name, func(t *testing.T) {
-			reg := obs.NewRegistry()
-			dfs := mapreduce.NewDFS()
-			dfs.Write("tables/clicks", []string{"old"})
-			s := NewStore(0, reg)
-			s.WatchDFS(dfs)
-			record(s)
-			if _, ok := s.Lookup("k"); !ok {
-				t.Fatal("fresh entry missed before any mutation")
-			}
-			mutate(dfs)
-			if _, ok := s.Lookup("k"); ok {
-				t.Fatalf("stale artifact served after base-table %s", name)
-			}
-			if s.Len() != 0 {
-				t.Errorf("stale entry still stored")
-			}
-			if got := reg.Value("ysmart_reuse_invalidations_total"); got != 1 {
-				t.Errorf("invalidations counter = %v, want 1", got)
-			}
-		})
-	}
-
-	// Job outputs are products of the inputs, not inputs: writes under
-	// tmp/ or restore/ must not invalidate anything.
-	t.Run("non-table-writes-are-ignored", func(t *testing.T) {
-		dfs := mapreduce.NewDFS()
-		dfs.Write("tables/clicks", []string{"old"})
-		s := NewStore(0, nil)
-		s.WatchDFS(dfs)
-		record(s)
-		dfs.Write("tmp/q/job-1", []string{"x"})
-		dfs.Write("restore/abc", []string{"y"})
-		if _, ok := s.Lookup("k"); !ok {
-			t.Error("intermediate-output writes invalidated a base-table artifact")
+		s.BumpPath("tables/clicks")
+		if _, ok := s.Lookup("k"); ok {
+			t.Error("entry served after its table's epoch was bumped")
 		}
 	})
 }
@@ -259,8 +215,6 @@ func TestCrossSnapshotLookupKeepsCurrentArtifact(t *testing.T) {
 // server store.
 func TestStoreConcurrent(t *testing.T) {
 	s := NewStore(500, obs.NewRegistry())
-	dfs := mapreduce.NewDFS()
-	s.WatchDFS(dfs)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -278,7 +232,7 @@ func TestStoreConcurrent(t *testing.T) {
 					s.LookupAt(key, map[string]int64{"tables/t": int64(i)})
 				case 3:
 					if i%50 == 3 {
-						dfs.Write("tables/t", []string{"new"})
+						s.BumpPath("tables/t")
 					} else {
 						s.Keys()
 					}

@@ -180,23 +180,26 @@ type ReusePlan struct {
 	ArtifactBytes         int64
 	PredictedSavedSeconds float64
 
-	records []reuseRecord
-	epochs  map[string]int64
+	records  []reuseRecord
+	epochs   map[string]int64
+	digested bool // epochs are the tables' content digests
 }
 
-// ApplyReuseAt rewrites tr against the store using a caller-captured
-// epoch snapshot (nil = snapshot now). The snapshot is taken before
-// lookup and kept for Record, so a table overwrite racing the run can
-// only make artifacts look stale — recorded entries never claim epochs
-// newer than the data they were computed from. A job is dropped from the
-// chain when its own artifact is valid in the store, or when every chain
-// consumer of its output was dropped; surviving jobs are cloned with
-// their intermediate inputs repointed at the installed restore/ paths
-// (installed into dfs here by reference — the store keeps the slice the
-// producing job wrote, which nobody writes again under the DFS ownership
-// rule, so every query an artifact serves shares the one slice) and their
-// DependsOn edges rebuilt among the clones. With a nil store the rewrite
-// is the identity: tr's own jobs, to be run as compiled.
+// ApplyReuseAt rewrites tr against the store at a caller-captured epoch
+// snapshot: a server session's, taken at connect. Without one (nil) each
+// base table is versioned by its DFS.Digest in dfs (0 if absent), so an
+// artifact is served only for the bytes it was computed from, whichever
+// runtime computed it. The snapshot is taken before lookup and kept for
+// Record, so a table overwrite racing the run can only make artifacts look
+// stale (Record takes digests again after the run). A job is
+// dropped from the chain when its own artifact is valid in the store, or
+// when every chain consumer of its output was dropped; surviving jobs are
+// cloned with their intermediate inputs repointed at the installed
+// restore/ paths (installed into dfs here by reference — the store keeps
+// the slice the producing job wrote, which nobody writes again under the
+// DFS ownership rule, so every query an artifact serves shares the one
+// slice) and their DependsOn edges rebuilt among the clones. With a nil
+// store the rewrite is the identity: tr's own jobs, to be run as compiled.
 func ApplyReuseAt(tr *Translation, store *reuse.Store, dfs *mapreduce.DFS, epochs map[string]int64) *ReusePlan {
 	rp := &ReusePlan{Output: tr.Output, OutputTag: tr.OutputTag, OutputSchema: tr.OutputSchema, Total: len(tr.Jobs)}
 	if store == nil || len(tr.Jobs) == 0 || len(tr.Artifacts()) != len(tr.Jobs) {
@@ -205,17 +208,15 @@ func ApplyReuseAt(tr *Translation, store *reuse.Store, dfs *mapreduce.DFS, epoch
 	}
 	arts := tr.Artifacts()
 	if epochs == nil {
-		seen := make(map[string]bool)
-		var all []string
+		epochs = make(map[string]int64)
 		for _, a := range arts {
 			for _, t := range a.Tables {
-				if !seen[t] {
-					seen[t] = true
-					all = append(all, t)
+				if _, ok := epochs[t]; !ok {
+					epochs[t], _ = dfs.Digest(t)
 				}
 			}
 		}
-		epochs = store.SnapshotEpochs(all)
+		rp.digested = true
 	}
 	rp.epochs = epochs
 
@@ -345,10 +346,19 @@ func (rp *ReusePlan) ReadResult(dfs *mapreduce.DFS) ([]exec.Row, error) {
 // Record materializes the outputs of the jobs that executed into the
 // store, under the epoch snapshot captured at rewrite time and with each
 // job's cost-model PredictedTime as the rebuild cost the store's eviction
-// policy weighs against storage.
+// policy weighs against storage. Under content digests it records nothing
+// if a table changed since they were taken: the outputs may have been
+// computed from either content.
 func (rp *ReusePlan) Record(store *reuse.Store, dfs *mapreduce.DFS, stats *mapreduce.ChainStats) {
 	if store == nil {
 		return
+	}
+	if rp.digested {
+		for t, d := range rp.epochs {
+			if now, _ := dfs.Digest(t); now != d {
+				return
+			}
+		}
 	}
 	predicted := make(map[string]float64)
 	if stats != nil {

@@ -1,6 +1,7 @@
 package translator
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"sync"
@@ -8,6 +9,7 @@ import (
 
 	"ysmart/internal/exec"
 	"ysmart/internal/mapreduce"
+	"ysmart/internal/obs"
 	"ysmart/internal/queries"
 	"ysmart/internal/reuse"
 )
@@ -42,7 +44,6 @@ func runReuse(t *testing.T, rp *ReusePlan, dfs *mapreduce.DFS) ([]string, *mapre
 func TestApplyReuseColdThenWarm(t *testing.T) {
 	dfs, _ := workload(t)
 	store := reuse.NewStore(0, nil)
-	store.WatchDFS(dfs)
 	sql := queries.Named()["Q18"]
 
 	tr := translate(t, sql, YSmart, Options{QueryName: "q18-cold"})
@@ -268,6 +269,108 @@ func TestArtifactParity(t *testing.T) {
 					t.Errorf("%s/%v job %d: no base tables", name, mode, i)
 				}
 			}
+		}
+	}
+}
+
+// TestReuseContentRule: without a caller snapshot the rewrite versions each
+// base table by the digest of its current lines, so an artifact is served
+// exactly while the tables it was computed from hold the bytes it was
+// computed from. Q18's first job reads lineitem and orders; the two after
+// it also read customer.
+func TestReuseContentRule(t *testing.T) {
+	sql := queries.Named()["Q18"]
+	customer := TablePath("customer")
+	cases := []struct {
+		name   string
+		mutate func(dfs *mapreduce.DFS)
+		// hits is the number of jobs still served from the store; with
+		// fewer than all, the surviving chain re-runs and must reproduce a
+		// plain run over the mutated tables — or fail if a table is gone.
+		hits    int
+		missing bool
+	}{
+		{"rewritten-lines-miss", func(dfs *mapreduce.DFS) {
+			lines, _ := dfs.Read(customer)
+			dfs.Write(customer, lines[:len(lines)-1])
+		}, 1, false},
+		{"deleted-table-misses", func(dfs *mapreduce.DFS) {
+			dfs.Delete(customer)
+		}, 1, true},
+		{"same-lines-fresh-slice-hit", func(dfs *mapreduce.DFS) {
+			lines, _ := dfs.Read(customer)
+			dfs.Write(customer, append([]string(nil), lines...))
+		}, 3, false},
+		{"job-output-writes-hit", func(dfs *mapreduce.DFS) {
+			dfs.Write("tmp/other/job-1", []string{"x"})
+			dfs.Write("restore/other", []string{"y"})
+		}, 3, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dfs, _ := workload(t)
+			reg := obs.NewRegistry()
+			store := reuse.NewStore(0, reg)
+			tr := translate(t, sql, YSmart, Options{QueryName: "q18"})
+			rp := ApplyReuseAt(tr, store, dfs, nil)
+			_, stats := runReuse(t, rp, dfs)
+			rp.Record(store, dfs, stats)
+
+			tc.mutate(dfs)
+			warm := ApplyReuseAt(translate(t, sql, YSmart, Options{QueryName: "q18-warm"}), store, dfs, nil)
+			if warm.Hits != tc.hits || warm.Misses != len(tr.Jobs)-tc.hits {
+				t.Fatalf("hits=%d misses=%d, want %d hit(s) of %d", warm.Hits, warm.Misses, tc.hits, len(tr.Jobs))
+			}
+			if got := reg.Value("ysmart_reuse_invalidations_total"); got != float64(warm.Misses) {
+				t.Errorf("invalidations = %v, want one per missed artifact (%d)", got, warm.Misses)
+			}
+			if tc.missing {
+				eng, err := mapreduce.NewEngine(dfs, mapreduce.SmallCluster())
+				if err != nil {
+					t.Fatal(err)
+				}
+				var nf *mapreduce.FileNotFoundError
+				if _, err := eng.RunChain(warm.Jobs); !errors.As(err, &nf) || nf.Path != customer {
+					t.Fatalf("chain over a deleted table: err = %v, want %s not found", err, customer)
+				}
+				return
+			}
+			got, _ := runReuse(t, warm, dfs)
+			plain, _ := runMR(t, translate(t, sql, YSmart, Options{QueryName: "q18-plain"}), dfs)
+			want := make([]string, len(plain))
+			for i, r := range plain {
+				want[i] = exec.EncodeRow(r)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("rows differ from a plain run over the current tables:\n got  %v\n want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestReuseRecordAfterOverwrite: a table overwritten while a
+// content-versioned run reads it leaves the run's outputs computed from
+// either content, so Record stores none of them — under the digest taken
+// before the run they could be served to a runtime still holding the old
+// lines. Equal lines rewritten mid-run change nothing.
+func TestReuseRecordAfterOverwrite(t *testing.T) {
+	for _, changed := range []bool{true, false} {
+		dfs, _ := workload(t)
+		store := reuse.NewStore(0, nil)
+		rp := ApplyReuseAt(translate(t, queries.Named()["Q-AGG"], YSmart, Options{QueryName: "agg"}), store, dfs, nil)
+		_, stats := runReuse(t, rp, dfs)
+		clicks, _ := dfs.Read(TablePath("clicks"))
+		if changed {
+			clicks = clicks[1:]
+		}
+		dfs.Write(TablePath("clicks"), clicks)
+		rp.Record(store, dfs, stats)
+		want := len(rp.Jobs)
+		if changed {
+			want = 0
+		}
+		if got := store.Len(); got != want {
+			t.Errorf("table changed during the run = %v: %d entries recorded, want %d", changed, got, want)
 		}
 	}
 }

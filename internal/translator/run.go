@@ -35,17 +35,17 @@ func (r *Result) Rows() ([]exec.Row, error) { return r.file.rows() }
 // Run executes a compiled plan on an engine — the one way every surface
 // (facade, server session, experiment harnesses) runs a Translation. tr is
 // only read, so any number of engines may run it at once. store and epochs
-// are ApplyReuseAt's: a nil store runs the plan as compiled and records
-// nothing. A failed chain or an unreadable result records nothing either:
-// whenever the run is about to publish artifacts, the fresh result file is
-// verified first (every line's field count and every field's parse, no row
-// built), so the store only ever holds root artifacts that passed. A run
-// that publishes nothing — no store, or a full-chain hit on an artifact that
-// was verified when it was recorded — leaves the parse to the result's
-// reader. ctx stops the chain at the engine's work-item boundaries
-// (Engine.RunChainContext); a stopped run fails with ctx's error and, like
-// any failed chain, records nothing, so an artifact is only ever served for
-// the input state it was computed from.
+// are ApplyReuseAt's: nil epochs version the tables by content, a nil store
+// runs the plan as compiled and records nothing. A failed chain or an
+// unreadable result records nothing either: whenever the run is about to
+// publish artifacts, the fresh result file is verified first (every line's
+// field count and every field's parse, no row built), so the store only ever
+// holds root artifacts that passed. A run that publishes nothing — no store,
+// or a full-chain hit on an artifact that was verified when it was recorded
+// — leaves the parse to the result's reader. ctx stops the chain at the
+// engine's work-item boundaries (Engine.RunChainContext); a stopped run
+// fails with ctx's error and, like any failed chain, records nothing, so an
+// artifact is only ever served for the input state it was computed from.
 //
 // The four calls are the benchmark ledger's rows translator.apply_reuse,
 // mapreduce.run_chain, translator.read_result and translator.reuse_record,

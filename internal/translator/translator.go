@@ -159,9 +159,11 @@ func Translate(root plan.Node, mode Mode, opts Options) (*Translation, error) {
 	return TranslateAnalyzed(a, mode, opts)
 }
 
-// TranslateAnalyzed compiles an already analyzed plan. It exists so
-// ablation studies can adjust the analysis (e.g. override a partition-key
-// choice) before job generation.
+// TranslateAnalyzed compiles an already analyzed plan, which it only
+// reads: callers that analyzed once (the plan cache, the ysmart facade's
+// Query) translate it in any mode without analyzing again, and ablation
+// studies adjust the analysis (e.g. override a partition-key choice)
+// before job generation.
 func TranslateAnalyzed(a *correlation.Analysis, mode Mode, opts Options) (*Translation, error) {
 	switch mode {
 	case OneToOne, PigLike, ICTCOnly, YSmart:

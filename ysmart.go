@@ -246,7 +246,7 @@ func (q *Query) ExplainCorrelations() string { return q.analysis.Report() }
 
 // Translate compiles the query into MapReduce jobs under a mode.
 func (q *Query) Translate(mode Mode, opts Options) (*Translation, error) {
-	return translator.Translate(q.root, mode, opts)
+	return translator.TranslateAnalyzed(q.analysis, mode, opts)
 }
 
 // ApplyManimal installs the MANIMAL-style scan rewrites on a translation
@@ -355,9 +355,12 @@ func WithLogger(l *Logger) RunOption { return func(c *runConfig) { c.logger = l 
 // (the -reuse CLI flag): sub-plans whose fingerprints match a valid
 // stored artifact are served from the store instead of re-executed, and
 // the outputs of the jobs that do run are recorded for future queries.
-// The store watches this runtime's DFS so later base-table writes
-// invalidate dependent artifacts. Result rows are byte-identical with and
-// without reuse; Result.Reuse carries the accounting.
+// An artifact is served only while the base tables it was computed from
+// hold the same lines in this runtime's DFS: each run versions its tables
+// by a digest of their content, so reloading a table with other data
+// misses, and any number of runtimes may share one store without serving
+// each other's answers. Result rows are byte-identical with and without
+// reuse; Result.Reuse carries the accounting.
 func WithReuse(s *ReuseStore) RunOption { return func(c *runConfig) { c.reuse = s } }
 
 // NewReuseStore returns an empty cross-query reuse store. capBytes bounds
@@ -378,9 +381,6 @@ func (r *Runtime) Run(t *Translation, opts ...RunOption) (*Result, error) {
 	defer r.engine.Instrument(nil, nil)
 	r.engine.SetLogger(cfg.logger)
 	defer r.engine.SetLogger(nil)
-	if cfg.reuse != nil {
-		cfg.reuse.WatchDFS(r.dfs)
-	}
 	res, err := translator.Run(context.Background(), t, r.engine, cfg.reuse, nil)
 	if err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ysmart"
+	"ysmart/internal/translator"
 )
 
 // TestPublicAPIQuickstart drives the whole public surface the way the
@@ -68,6 +69,44 @@ func TestCorrelationExplain(t *testing.T) {
 	for _, want := range []string{"AGG1", "JOIN1", "TC", "JFC"} {
 		if !strings.Contains(report, want) {
 			t.Errorf("correlation report missing %q:\n%s", want, report)
+		}
+	}
+}
+
+// TestTranslateReusesAnalysis: Query.Translate compiles the analysis Parse
+// made instead of analyzing the plan again. Every workload query translates,
+// in every mode and in two mode orders from one Query, to what a fresh
+// analysis of its plan gives: the same job description, DOT and artifact
+// fingerprints.
+func TestTranslateReusesAnalysis(t *testing.T) {
+	modes := []ysmart.Mode{ysmart.OneToOne, ysmart.PigLike, ysmart.ICTCOnly, ysmart.YSmart}
+	for name, sql := range ysmart.WorkloadQueries() {
+		q, err := ysmart.Parse(sql, ysmart.WorkloadCatalog())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 2; round++ {
+			for k := range modes {
+				mode := modes[k]
+				if round == 1 {
+					mode = modes[len(modes)-1-k]
+				}
+				opts := ysmart.Options{QueryName: "once"}
+				got, err := q.Translate(mode, opts)
+				if err != nil {
+					t.Fatalf("%s/%v: %v", name, mode, err)
+				}
+				want, err := translator.Translate(q.Plan(), mode, opts)
+				if err != nil {
+					t.Fatalf("%s/%v: %v", name, mode, err)
+				}
+				if got.Describe() != want.Describe() || got.DOT() != want.DOT() {
+					t.Errorf("%s/%v round %d: jobs differ from a fresh analysis:\n%s\nwant\n%s", name, mode, round, got.Describe(), want.Describe())
+				}
+				if !reflect.DeepEqual(got.Artifacts(), want.Artifacts()) {
+					t.Errorf("%s/%v round %d: artifacts %v, want %v", name, mode, round, got.Artifacts(), want.Artifacts())
+				}
+			}
 		}
 	}
 }
