@@ -12,6 +12,7 @@
 package ysmart_test
 
 import (
+	"sort"
 	"sync"
 	"testing"
 
@@ -180,6 +181,51 @@ func BenchmarkEngineQAGG(b *testing.B) {
 		rt.LoadTables(clicks)
 		if _, err := rt.Run(tr); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWorkloadWarm measures the row data path the way a warm server
+// session runs it: the seven workload queries, translated once in YSmart
+// mode, run one after another on one Runtime over WorkloadTables with two
+// workers. One op is the seven runs; with -memprofile or -cpuprofile it is
+// the in-tree profile of the engine's map, shuffle and reduce.
+func BenchmarkWorkloadWarm(b *testing.B) {
+	tables, err := ysmart.WorkloadTables()
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt, err := ysmart.NewRuntime(ysmart.SmallCluster())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt.LoadTables(tables)
+	rt.SetWorkers(2)
+	named := ysmart.WorkloadQueries()
+	names := make([]string, 0, len(named))
+	for name := range named {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var trs []*ysmart.Translation
+	for _, name := range names {
+		q, err := ysmart.Parse(named[name], ysmart.WorkloadCatalog())
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr, err := q.Translate(ysmart.YSmart, ysmart.Options{QueryName: name})
+		if err != nil {
+			b.Fatal(err)
+		}
+		trs = append(trs, tr)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, tr := range trs {
+			if _, err := rt.Run(tr); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ysmart/internal/exec"
@@ -68,6 +69,42 @@ func TestSlabGrowsFromDemand(t *testing.T) {
 	group(1)
 	if len(s.chunks) != 1 || len(s.chunks[0]) != total {
 		t.Errorf("after outgrowing %d chunks the slab holds %d, want one of %d elements", maxChunks, len(s.chunks), total)
+	}
+}
+
+// TestCutterGrowsFromDemand pins the chunk cutter's policy: the first chunk
+// is the first request, a cut that does not fit starts a chunk the size of
+// the request or of everything cut so far, whichever is larger, capped at
+// maxChunkBytes unless the request alone is larger — and no string it
+// handed out ever changes.
+func TestCutterGrowsFromDemand(t *testing.T) {
+	var c cutter
+	var got, want []string
+	total, chunks := 0, 0
+	for i, n := range []int{5, 3, 8, 20, 100, 1000, 3000, 5000, 9000, 7, 4100, 4100} {
+		p := []byte(strings.Repeat(string(rune('a'+i)), n))
+		got, want = append(got, c.cut(p)), append(want, string(p))
+		p[0] = '!' // the cut is a copy
+		// The builder holds nothing but this cut when the cut started a chunk.
+		if c.b.Len() == n {
+			chunks++
+			// The allocator may round a chunk up to its size class.
+			if size := max(n, min(total, maxChunkBytes)); c.b.Cap() < size || c.b.Cap() > size+size/4+16 {
+				t.Errorf("cut of %d after %d bytes started a %d-byte chunk, want about %d", n, total, c.b.Cap(), size)
+			}
+		}
+		total += n
+	}
+	if chunks < 8 {
+		t.Errorf("%d chunks for cuts that outgrow every chunk so far: the sizing went unchecked", chunks)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("cut %d changed: %.20q, want %.20q", i, got[i], want[i])
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { sinkString = c.cut([]byte("abc")) }); allocs != 0 {
+		t.Errorf("a short cut costs %v allocations amortised, want 0", allocs)
 	}
 }
 

@@ -90,6 +90,9 @@ func (cj *CommonJob) Build() (*mapreduce.Job, error) {
 		Name:           cj.Name,
 		Output:         cj.Output,
 		NumReduceTasks: cj.NumReduceTasks,
+		// No input keys its rows: a global aggregation, which answers
+		// even an empty input.
+		GlobalReduce: !slices.ContainsFunc(cj.Inputs, func(in CommonInput) bool { return len(in.Key) > 0 }),
 	}
 	cr := &commonReducer{schemas: make([]*exec.Schema, len(cj.Inputs))}
 	var streamIDs []int
@@ -222,13 +225,18 @@ func (m *commonMapper) Map(line string, emit mapreduce.Emit) error {
 // every line into the same scratch row and keys through the same value
 // slice. The lifetime rule, the reducer arena's restated for mappers:
 // nothing that outlives Map(line) may alias the scratch. Key and tagged
-// value are rendered into one call-local buffer and emitted as two halves
-// of a single fresh string — one allocation per pair — and a decoded string
-// value points into the input line, not into the scratch row.
+// value are rendered into one call-local buffer, cut as one string from
+// the task's pair chunks and emitted as its two halves — a pair costs no
+// allocation of its own, a chunk one per up to 4 KB of pairs — and a
+// decoded string value points into the input line, not into the scratch
+// row. The chunks are append-only, so an emitted pair never changes; they
+// die with the job's shuffle, since a common job always reduces and its
+// pairs never reach the DFS.
 type mapTask struct {
-	m    *commonMapper
-	row  exec.Row     // Decode's scratch
-	vals []exec.Value // key values for a KeyEncode input
+	m     *commonMapper
+	row   exec.Row     // Decode's scratch
+	vals  []exec.Value // key values for a KeyEncode input
+	pairs cutter       // the emitted pairs
 }
 
 // Map implements mapreduce.Mapper.
@@ -294,7 +302,7 @@ func (t *mapTask) Map(line string, emit mapreduce.Emit) error {
 		}
 		pair = exec.AppendField(pair, row[c])
 	}
-	s := string(pair)
+	s := t.pairs.cut(pair)
 	emit(s[:keyLen], s[keyLen:])
 	return nil
 }

@@ -2,6 +2,7 @@ package cmf
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -576,10 +577,11 @@ func TestAllocBudgetEncodeTagged(t *testing.T) {
 var sinkString string
 
 // TestAllocBudgetMapTask pins what a line costs a warmed map task: the
-// decode goes into the task's scratch row and the key values into its
-// scratch slice, so an emitted line costs its pair string — plus, with an
-// ordered (KeyEncode) key, the string the encoder returns — and a line
-// every stream's selection rejects costs nothing.
+// decode goes into the task's scratch row, the key values into its scratch
+// slice and the pair into its pair chunks, so an emitted line costs nothing
+// but its share of a chunk — plus, with an ordered (KeyEncode) key, the
+// string the encoder returns — and a line every stream's selection rejects
+// costs nothing.
 func TestAllocBudgetMapTask(t *testing.T) {
 	keep := func(r exec.Row) (bool, error) { return r[2].I == 10, nil }
 	for _, ordered := range []bool{false, true} {
@@ -610,9 +612,9 @@ func TestAllocBudgetMapTask(t *testing.T) {
 		if pairs != 1 {
 			t.Fatalf("ordered=%v: %d pairs for one selected and one rejected line", ordered, pairs)
 		}
-		pairBudget := 1.0
+		pairBudget := 0.0
 		if ordered {
-			pairBudget = 2
+			pairBudget = 1
 		}
 		for _, c := range []struct {
 			line   string
@@ -627,5 +629,55 @@ func TestAllocBudgetMapTask(t *testing.T) {
 				t.Errorf("ordered=%v, line %q: %v allocations on a warmed map task, budget %v", ordered, c.line, got, c.budget)
 			}
 		}
+	}
+}
+
+// TestMapTaskPairsStayPut is the pair chunks' lifetime proof: every pair a
+// map task emitted still equals the copy taken when it was emitted after
+// the task has mapped thousands more lines — pairs of random sizes, some
+// longer than a chunk's cap, between lines the selection rejects.
+func TestMapTaskPairsStayPut(t *testing.T) {
+	schema := typed(exec.TypeInt, exec.TypeString)
+	keep := func(r exec.Row) (bool, error) { return r[0].I%5 != 0, nil }
+	job, err := (&CommonJob{
+		Name: "pairs", Output: "out",
+		Inputs: []CommonInput{{
+			Path: "in", Key: keyOn(0), Schema: schema,
+			Decode:  func(scratch *exec.Row, line string) (exec.Row, error) { return decodeInto(scratch, line, schema) },
+			Streams: []Stream{{ID: 0, Filter: keep}},
+		}},
+		Ops:     []Op{&FilterOp{OpName: "f", In: StreamSource(0), Pred: keep}},
+		Outputs: []OutputSpec{{Op: "f"}},
+	}).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	task := job.Inputs[0].Mapper.(mapreduce.MapTaskFactory).NewMapTask()
+	type pair struct{ k, v, wantK, wantV string }
+	var pairs []pair
+	emit := func(k, v string) { pairs = append(pairs, pair{k, v, strings.Clone(k), strings.Clone(v)}) }
+	long := 0
+	for i := 0; i < 5000; i++ {
+		n := rng.Intn(40)
+		if rng.Intn(200) == 0 {
+			n = maxChunkBytes + rng.Intn(2*maxChunkBytes)
+		}
+		line := fmt.Sprintf("%d\t%s", rng.Intn(1000), strings.Repeat(string(rune('a'+i%26)), n))
+		before := len(pairs)
+		if err := task.Map(line, emit); err != nil {
+			t.Fatal(err)
+		}
+		if len(pairs) > before && len(pairs[before].k)+len(pairs[before].v) > maxChunkBytes {
+			long++
+		}
+	}
+	for i, p := range pairs {
+		if p.k != p.wantK || p.v != p.wantV {
+			t.Fatalf("pair %d of %d changed after later lines: %q|%.40q, emitted as %q|%.40q", i, len(pairs), p.k, p.v, p.wantK, p.wantV)
+		}
+	}
+	if long == 0 || len(pairs) == 5000 || len(pairs) == 0 {
+		t.Fatalf("%d pairs, %d longer than a chunk's cap: not the mix this test is about", len(pairs), long)
 	}
 }

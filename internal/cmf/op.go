@@ -139,10 +139,10 @@ func (j *JoinOp) Eval(a *arena, inputs [][]exec.Row) ([]exec.Row, error) {
 
 	var leftNull, rightNull exec.Row
 	if rightOuter {
-		leftNull = exec.NullRow(j.LeftWidth)
+		leftNull = nulls(a.vals.take(j.LeftWidth))
 	}
 	if leftOuter {
-		rightNull = exec.NullRow(j.RightWidth)
+		rightNull = nulls(a.vals.take(j.RightWidth))
 	}
 	out := a.rows.take(len(pairs) / 2)
 	slab := a.vals.take(values)
@@ -161,6 +161,14 @@ func (j *JoinOp) Eval(a *arena, inputs [][]exec.Row) ([]exec.Row, error) {
 		copy(out[i][copy(out[i], l):], r)
 	}
 	return out, nil
+}
+
+// nulls fills r with NULLs and returns it.
+func nulls(r exec.Row) exec.Row {
+	for i := range r {
+		r[i] = exec.Null()
+	}
+	return r
 }
 
 // ---------------------------------------------------------------------------
@@ -199,40 +207,58 @@ func (a *AggOp) Name() string { return a.OpName }
 // Sources implements Op.
 func (a *AggOp) Sources() []Source { return []Source{a.In} }
 
-// Eval implements Op. The group rows and the output slice are carved from
-// the arena and the accumulators kept in its Acc scratch. A row whose
-// group values are identical to the current group's — same types, same
-// bits, hence the same encoding — is that group's without rendering its
-// key; any other row renders the key and looks it up, so NaN payloads and
-// -0.0 group by their encodings as always.
+// aggGroup is one aggregation group of an AggOp key group. Its row starts
+// as its group values, with room for the results.
+type aggGroup struct {
+	key   string
+	keyed bool // false only for the first group until a second one opens
+	row   exec.Row
+}
+
+// Eval implements Op. Nothing it builds per key group comes from the heap
+// once the arena is warm: the group rows and the output slice are carved
+// from the arena, the accumulators, the group list and the group index are
+// its scratch, handed back cleared, and the group keys are cut from its key
+// chunks. A row whose group values are identical to the current group's —
+// same types, same bits, hence the same encoding — is that group's without
+// rendering its key; any other row renders the key and looks it up, so NaN
+// payloads and -0.0 group by their encodings as always.
 func (a *AggOp) Eval(ar *arena, inputs [][]exec.Row) ([]exec.Row, error) {
 	rows := inputs[0]
 	if a.Partials != nil {
 		return a.evalFromPartials(ar, rows)
 	}
 	nGroup, nAggs := len(a.GroupBy), len(a.Aggs)
-
-	// A group's row starts as its group values, with room for the results;
-	// its accumulators are accs[i*nAggs:(i+1)*nAggs] for group i.
-	type group struct {
-		key   string
-		keyed bool // false only for the first group until a second one opens
-		row   exec.Row
+	// A global aggregate over zero rows still yields one row (SQL
+	// semantics); grouped aggregates yield no rows.
+	if len(rows) == 0 && nGroup == 0 {
+		row := ar.vals.take(nAggs)
+		for i, spec := range a.Aggs {
+			acc := exec.NewAcc(spec.Kind)
+			row[i] = acc.Result()
+		}
+		out := ar.rows.take(1)
+		out[0] = row
+		return out, nil
 	}
-	var groupBuf [1]group
-	groups := groupBuf[:0]
+
+	// Group i's accumulators are accs[i*nAggs:(i+1)*nAggs].
+	groups := ar.groups[:0]
 	accs := ar.accs[:0]
-	// index finds a group by key once there are several; a key group's rows
-	// mostly share one aggregation group, which cur remembers.
-	var index map[string]int
+	// index finds a group by key once there are several; a key group's
+	// rows mostly share one aggregation group, which cur remembers. The
+	// arena gets it back empty, so an Eval that fails drops it.
+	index := ar.index
+	ar.index = nil
 	cur := -1
 	// Group values and their key are computed in scratch space and only
 	// copied when a row opens a new group.
 	var valBuf [8]exec.Value
 	var keyBuf [64]byte
-	keyOf := func(g *group) string {
+	keyOf := func(g *aggGroup) string {
 		if !g.keyed {
-			g.key, g.keyed = exec.EncodeKey(g.row[:nGroup]), true
+			var buf [64]byte
+			g.key, g.keyed = ar.keys.cut(exec.AppendRow(buf[:0], g.row[:nGroup])), true
 		}
 		return g.key
 	}
@@ -253,16 +279,19 @@ func (a *AggOp) Eval(ar *arena, inputs [][]exec.Row) ([]exec.Row, error) {
 					cur = len(groups)
 					row := ar.vals.take(nGroup + nAggs)
 					copy(row, gvals)
-					g := group{row: row}
+					g := aggGroup{row: row}
 					if cur > 0 {
-						g.key, g.keyed = string(key), true
+						g.key, g.keyed = ar.keys.cut(key), true
 					}
 					for _, spec := range a.Aggs {
 						accs = append(accs, exec.NewAcc(spec.Kind))
 					}
 					groups = append(groups, g)
 					if cur == 1 {
-						index = map[string]int{keyOf(&groups[0]): 0}
+						if index == nil {
+							index = make(map[string]int)
+						}
+						index[keyOf(&groups[0])] = 0
 					}
 					if cur > 0 {
 						index[g.key] = cur
@@ -283,33 +312,24 @@ func (a *AggOp) Eval(ar *arena, inputs [][]exec.Row) ([]exec.Row, error) {
 			ga[i].Add(v)
 		}
 	}
-	// A global aggregate over zero rows still yields one row (SQL
-	// semantics); grouped aggregates yield no rows.
-	if len(groups) == 0 && nGroup == 0 {
-		row := ar.vals.take(nAggs)
-		for i, spec := range a.Aggs {
-			acc := exec.NewAcc(spec.Kind)
-			row[i] = acc.Result()
-		}
-		out := ar.rows.take(1)
-		out[0] = row
-		return out, nil
-	}
 	for i, g := range groups {
 		for k := range a.Aggs {
 			g.row[nGroup+k] = accs[i*nAggs+k].Result()
 		}
 	}
-	// Handed back grown, with no COUNT(DISTINCT) set kept alive.
-	clear(accs)
-	ar.accs = accs[:0]
 	if len(groups) > 1 {
-		slices.SortFunc(groups, func(x, y group) int { return strings.Compare(x.key, y.key) })
+		slices.SortFunc(groups, func(x, y aggGroup) int { return strings.Compare(x.key, y.key) })
 	}
 	out := ar.rows.take(len(groups))
 	for i, g := range groups {
 		out[i] = g.row
 	}
+	// Handed back grown, with no COUNT(DISTINCT) set or group key kept
+	// alive.
+	clear(accs)
+	clear(groups)
+	clear(index)
+	ar.accs, ar.groups, ar.index = accs[:0], groups[:0], index
 	return out, nil
 }
 
@@ -348,10 +368,10 @@ func identical(a, b []exec.Value) bool {
 // grouping key, so every partial row in the group shares its group values.
 // Each row has the width of a.Partials, by which the reducer decoded it.
 func (a *AggOp) evalFromPartials(ar *arena, rows []exec.Row) ([]exec.Row, error) {
-	if len(rows) == 0 {
-		return nil, nil
-	}
 	nGroup := len(a.GroupBy)
+	if len(rows) == 0 && nGroup > 0 {
+		return nil, nil // no group; a global aggregate still yields its row
+	}
 	accs := ar.accs[:0]
 	for _, spec := range a.Aggs {
 		accs = append(accs, exec.NewAcc(spec.Kind))
@@ -368,7 +388,9 @@ func (a *AggOp) evalFromPartials(ar *arena, rows []exec.Row) ([]exec.Row, error)
 		}
 	}
 	row := ar.vals.take(nGroup + len(a.Aggs))
-	copy(row, rows[0][:nGroup])
+	if nGroup > 0 {
+		copy(row, rows[0][:nGroup])
+	}
 	for i := range accs {
 		row[nGroup+i] = accs[i].Result()
 	}

@@ -172,15 +172,27 @@ func TestAggOpGlobalEmptyInput(t *testing.T) {
 	if len(out) != 1 || out[0][0].I != 0 || !out[0][1].IsNull() {
 		t.Errorf("global agg over empty input = %v, want [0 NULL]", out)
 	}
-
-	// Grouped aggregate over empty input yields no rows.
-	a.GroupBy = []RowFn{col(0)}
+	// So does one merging a combiner's partials, of which there are none.
+	a.Partials = ints(2)
 	out, err = a.Eval(&arena{}, [][]exec.Row{nil})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 0 {
-		t.Errorf("grouped agg over empty input = %v, want none", out)
+	if len(out) != 1 || out[0][0].I != 0 || !out[0][1].IsNull() {
+		t.Errorf("global agg over no partials = %v, want [0 NULL]", out)
+	}
+
+	// Grouped aggregates over empty input yield no rows.
+	a.GroupBy = []RowFn{col(0)}
+	for _, partials := range []*exec.Schema{nil, ints(3)} {
+		a.Partials = partials
+		out, err = a.Eval(&arena{}, [][]exec.Row{nil})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != 0 {
+			t.Errorf("grouped agg (partials %v) over empty input = %v, want none", partials != nil, out)
+		}
 	}
 }
 
@@ -527,7 +539,8 @@ func TestCompiledGraphMatchesEvalGraph(t *testing.T) {
 // TestAllocBudgetOps pins what operators cost a warmed reducer arena: an
 // AggOp key group holding one aggregation group costs the same whether it
 // computes one aggregate or four (the accumulators are values in the
-// arena's scratch, not heap objects).
+// arena's scratch, not heap objects), and one holding three aggregation
+// groups costs nothing (their list, index and keys are arena scratch too).
 func TestAllocBudgetOps(t *testing.T) {
 	inputs := [][]exec.Row{make([]exec.Row, 20)}
 	for i := range inputs[0] {
@@ -555,6 +568,12 @@ func TestAllocBudgetOps(t *testing.T) {
 			{Kind: exec.AggAvg, Arg: col(1)}, {Kind: exec.AggMax, Arg: col(2)}}}
 	if a1, a4 := warm(one), warm(four); a1 != a4 {
 		t.Errorf("AggOp, one aggregation group: %v allocations with 1 aggregate, %v with 4", a1, a4)
+	}
+	// Column 2 cycles through three values.
+	three := &AggOp{OpName: "a", In: StreamSource(0), GroupBy: []RowFn{col(0), col(2)},
+		Aggs: []AggFunc{{Kind: exec.AggCountStar}, {Kind: exec.AggSum, Arg: col(1)}}}
+	if got := warm(three); got != 0 {
+		t.Errorf("AggOp, three aggregation groups: %v allocations on a warm arena, budget 0", got)
 	}
 }
 

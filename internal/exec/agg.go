@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"strconv"
 
 	"ysmart/internal/sqlparser"
 )
@@ -81,15 +82,21 @@ func (k AggKind) ResultType(input Type) Type {
 // Acc accumulates one aggregate over one group. It is a value — the kind
 // and its running state — not an interface over heap objects, so the
 // accumulators of a group are one slice that a reducer can reuse from key
-// group to key group; only COUNT(DISTINCT) allocates, its set on the first
-// non-NULL input.
+// group to key group; only COUNT(DISTINCT) allocates: its set on the first
+// non-NULL input, and then the growth of the set — a new value costs no
+// string of its own while every value so far is an INT.
 type Acc struct {
 	kind AggKind
 	n    int64 // COUNT(*), COUNT and AVG: the inputs counted
 	// v is SUM's running total and MIN's or MAX's extremum — its zero T
 	// means no input yet — and, in F, AVG's running sum.
-	v    Value
-	seen map[string]struct{} // COUNT(DISTINCT): the encoded values seen
+	v Value
+	// COUNT(DISTINCT) counts distinct encodings. While every value is an
+	// INT, whose encoding is its decimal text, ints holds them as numbers;
+	// the first other value moves them into seen as text, which holds the
+	// encoded values from then on.
+	ints map[int64]struct{}
+	seen map[string]struct{}
 }
 
 // NewAcc returns an empty accumulator for the kind.
@@ -110,13 +117,24 @@ func (a *Acc) Add(v Value) {
 		if v.IsNull() {
 			return
 		}
+		if v.T == TypeInt && a.seen == nil {
+			if a.ints == nil {
+				a.ints = make(map[int64]struct{})
+			}
+			a.ints[v.I] = struct{}{}
+			return
+		}
+		if a.seen == nil {
+			a.seen = make(map[string]struct{}, len(a.ints)+1)
+			for i := range a.ints {
+				a.seen[strconv.FormatInt(i, 10)] = struct{}{}
+			}
+			a.ints = nil
+		}
 		// Only a value not seen before costs its key string.
 		var buf [encodeBuf]byte
 		field := AppendField(buf[:0], v)
 		if _, ok := a.seen[string(field)]; !ok {
-			if a.seen == nil {
-				a.seen = make(map[string]struct{})
-			}
 			a.seen[string(field)] = struct{}{}
 		}
 	case AggSum:
@@ -159,7 +177,7 @@ func (a *Acc) Result() Value {
 	case AggCountStar, AggCount:
 		return Int(a.n)
 	case AggCountDistinct:
-		return Int(int64(len(a.seen)))
+		return Int(int64(len(a.ints) + len(a.seen)))
 	case AggAvg:
 		if a.n == 0 {
 			return Null()

@@ -61,6 +61,10 @@ func TestAccumulators(t *testing.T) {
 		{"count empty", AggCount, nil, Int(0)},
 		{"count distinct", AggCountDistinct, []Value{Int(1), Int(2), Int(1), Null(), Int(2)}, Int(2)},
 		{"count distinct strings", AggCountDistinct, []Value{Str("a"), Str("a"), Str("b")}, Int(2)},
+		{"count distinct int then its text", AggCountDistinct, []Value{Int(1), Str("1")}, Int(1)},
+		{"count distinct text then its int", AggCountDistinct, []Value{Str("1"), Int(1)}, Int(1)},
+		{"count distinct ints then others", AggCountDistinct,
+			[]Value{Int(1), Int(2), Int(2), Float(1), Str("2"), Null(), Bool(true), Int(3)}, Int(5)},
 		{"sum ints", AggSum, []Value{Int(1), Int(2), Int(3)}, Int(6)},
 		{"sum with null", AggSum, []Value{Int(1), Null(), Int(2)}, Int(3)},
 		{"sum promotes to float", AggSum, []Value{Int(1), Float(0.5)}, Float(1.5)},
@@ -193,6 +197,31 @@ func TestCountDistinctProperty(t *testing.T) {
 	}
 }
 
+// TestCountDistinctCountsEncodings: whatever the mix and order of INT and
+// other values, COUNT(DISTINCT) counts distinct encodings — the set keyed
+// by int64 while only INTs came moves to text without changing the count.
+func TestCountDistinctCountsEncodings(t *testing.T) {
+	vals := []Value{Int(0), Int(1), Int(-1), Int(10), Str("1"), Str("10"), Str(""), Float(1), Float(0), Bool(false), Null()}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 2000; trial++ {
+		acc := NewAcc(AggCountDistinct)
+		ref := make(map[string]struct{})
+		for n := rng.Intn(12); n > 0; n-- {
+			v := vals[rng.Intn(len(vals))]
+			if rng.Intn(2) == 0 {
+				v = vals[rng.Intn(4)] // runs of INTs before anything else
+			}
+			acc.Add(v)
+			if !v.IsNull() {
+				ref[string(AppendField(nil, v))] = struct{}{}
+			}
+			if got := acc.Result(); got != Int(int64(len(ref))) {
+				t.Fatalf("trial %d: count %v, want %d distinct encodings %q", trial, got, len(ref), ref)
+			}
+		}
+	}
+}
+
 // TestAccSumOfNegativeZero: a float SUM starts from the integral total
 // zero, so a lone -0.0 sums to +0.0, as the heap accumulators it replaced
 // computed it.
@@ -266,5 +295,16 @@ func TestAllocBudgetAcc(t *testing.T) {
 	distinct.Add(Int(3))
 	if got := testing.AllocsPerRun(100, func() { distinct.Add(Int(3)) }); got != 0 {
 		t.Errorf("COUNT(DISTINCT) of a value seen before: %v allocations, budget 0", got)
+	}
+	// New INT values cost the set's growth, amortised to nothing: no string.
+	for i := int64(0); i < 1000; i++ {
+		distinct.Add(Int(i))
+	}
+	next := int64(1000)
+	if got := testing.AllocsPerRun(100, func() { distinct.Add(Int(next)); next++ }); got != 0 {
+		t.Errorf("COUNT(DISTINCT) of a new INT value on a warmed set: %v allocations, budget 0", got)
+	}
+	if got := distinct.Result(); got != Int(next) {
+		t.Fatalf("COUNT(DISTINCT) of 0..%d = %v", next-1, got)
 	}
 }

@@ -358,6 +358,9 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 	if err != nil {
 		return nil, err
 	}
+	if len(groups) == 0 && j.GlobalReduce {
+		groups = []keyGroup{{}} // the empty key's group, with no values
+	}
 	stats.ReduceGroups = int64(len(groups))
 	stats.ReduceInputRecords = int64(nPairs)
 	stats.MaxPartitionGroups, stats.MaxPartitionValues = reducerSizes(groups, numReduce)

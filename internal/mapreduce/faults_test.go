@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"ysmart/internal/obs"
@@ -417,5 +418,62 @@ func TestMapOnlyJobUnderFaults(t *testing.T) {
 	got := mk(faulty)
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("map-only output under faults differs from fault-free run")
+	}
+}
+
+// TestGlobalReduceOverEmptyShuffle: a GlobalReduce job whose mapper emits
+// nothing still reduces the empty key's group once, with no values — a
+// plain job reduces nothing — and under faults the replays of that group's
+// reduce task find it, on the empty key's partition, without changing the
+// output.
+func TestGlobalReduceOverEmptyShuffle(t *testing.T) {
+	var calls atomic.Int64
+	run := func(c *Cluster, global bool) ([]string, *JobStats) {
+		dfs := NewDFS()
+		dfs.Write("in", faultTestLines())
+		e, err := NewEngine(dfs, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := &Job{
+			Name:   "global",
+			Inputs: []Input{{Path: "in", Mapper: MapperFunc(func(string, Emit) error { return nil })}},
+			Reducer: ReducerFunc(func(key string, values []string, emit func(string)) error {
+				calls.Add(1)
+				emit(fmt.Sprintf("%q:%d", key, len(values)))
+				return nil
+			}),
+			Output:       "out",
+			GlobalReduce: global,
+		}
+		stats, err := e.RunJob(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := dfs.Read("out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, stats
+	}
+	if out, stats := run(testFaultCluster(), false); len(out) != 0 || stats.ReduceGroups != 0 {
+		t.Errorf("plain job over an empty shuffle wrote %q from %d groups, want nothing", out, stats.ReduceGroups)
+	}
+	want := []string{`"":0`}
+	if out, stats := run(testFaultCluster(), true); !reflect.DeepEqual(out, want) || stats.ReduceGroups != 1 {
+		t.Errorf("global job over an empty shuffle wrote %q from %d groups, want %q from 1", out, stats.ReduceGroups, want)
+	}
+	replayed := false
+	for seed := int64(1); seed <= 20; seed++ {
+		c := testFaultCluster()
+		c.Faults = &FaultPlan{Seed: seed, TaskFailureProb: 0.5}
+		calls.Store(0)
+		if out, _ := run(c, true); !reflect.DeepEqual(out, want) {
+			t.Fatalf("seed %d: global job under faults wrote %q, want %q", seed, out, want)
+		}
+		replayed = replayed || calls.Load() > 1
+	}
+	if !replayed {
+		t.Error("no seed replayed the empty key's reduce task: the fault path went untested")
 	}
 }

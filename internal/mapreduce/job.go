@@ -234,6 +234,12 @@ type Job struct {
 	// NumReduceTasks overrides the cluster default when > 0. Sort jobs set
 	// it to 1 for a total order.
 	NumReduceTasks int
+	// GlobalReduce marks a job whose every map pair carries the empty key,
+	// so its reduce is one key group. An empty shuffle still reduces that
+	// group once, with no values, on the partition of the empty key: a
+	// global aggregate over no rows yields its one row (SQL). Lowering sets
+	// it (cmf.CommonJob.Build).
+	GlobalReduce bool
 	// DependsOn lists jobs that must complete before this one starts.
 	DependsOn []*Job
 }

@@ -69,7 +69,8 @@ func TestMapTaskMatchesOneLineMapper(t *testing.T) {
 // TestAllocBudgetScanMapTask holds generated scan mappers — shared scans
 // with per-stream selections, a single-stream scan with a map-side filter
 // stage — to the map task's budget: once warmed, a line that emits costs
-// its pair string and a line that is filtered out costs nothing. Warmed
+// only its share of a pair chunk, none amortised, and a line that is
+// filtered out costs nothing. Warmed
 // means by any line, filtered or not: a fresh task fed nothing but
 // filtered lines keeps the scratch its first one grew, as a morsel of a
 // selective scan that emits nothing for a while must.
@@ -109,7 +110,7 @@ func TestAllocBudgetScanMapTask(t *testing.T) {
 					line   string
 					budget float64
 					count  *int
-				}{{emitted, 1, &emittedChecked}, {filtered, 0, &filteredChecked}} {
+				}{{emitted, 0, &emittedChecked}, {filtered, 0, &filteredChecked}} {
 					if c.line == "" {
 						continue // a scan with an unfiltered stream emits every line
 					}
