@@ -14,7 +14,7 @@ import (
 type Stream struct {
 	ID int
 	// Filter is the stream's selection; nil accepts every row.
-	Filter RowPred
+	Filter exec.Predicate
 }
 
 // CommonInput describes one map-side input of a common job.
@@ -35,7 +35,7 @@ type CommonInput struct {
 	// column (none: every row shares the empty key). All streams of an
 	// input share the key — that is precisely the transit-correlation
 	// condition that allowed the merge.
-	Key []RowFn
+	Key []exec.Evaluator
 	// KeyEncode overrides the default injective key encoding. Distributed
 	// sort jobs use exec.EncodeOrderedKey so key byte-order equals value
 	// order. Keys are only partitioned and compared, never decoded.

@@ -52,8 +52,8 @@ func decodeInto(scratch *exec.Row, line string, s *exec.Schema) (exec.Row, error
 	return row, err
 }
 
-func keyOn(idx ...int) []RowFn {
-	fns := make([]RowFn, len(idx))
+func keyOn(idx ...int) []exec.Evaluator {
+	fns := make([]exec.Evaluator, len(idx))
 	for i, x := range idx {
 		fns[i] = col(x)
 	}
@@ -112,7 +112,7 @@ func TestAggregationJob(t *testing.T) {
 		Ops: []Op{&AggOp{
 			OpName:  "AGG",
 			In:      StreamSource(0),
-			GroupBy: []RowFn{col(0)},
+			GroupBy: []exec.Evaluator{col(0)},
 			Aggs:    []AggFunc{{Kind: exec.AggCountStar}},
 		}},
 		Outputs: []OutputSpec{{Op: "AGG"}},
@@ -137,7 +137,7 @@ func TestCombinerEquivalence(t *testing.T) {
 		agg := &AggOp{
 			OpName:  "AGG",
 			In:      StreamSource(0),
-			GroupBy: []RowFn{col(0)},
+			GroupBy: []exec.Evaluator{col(0)},
 			Aggs: []AggFunc{
 				{Kind: exec.AggCountStar},
 				{Kind: exec.AggSum, Arg: col(1)},
@@ -275,7 +275,7 @@ func TestMergedJobWithPostJoin(t *testing.T) {
 			// inner: avg(qty) per partkey over the lineitem stream.
 			&AggOp{
 				OpName: "AGG1", In: StreamSource(0),
-				GroupBy: []RowFn{col(0)},
+				GroupBy: []exec.Evaluator{col(0)},
 				Aggs:    []AggFunc{{Kind: exec.AggAvg, Arg: col(1)}},
 			},
 			// outer: lineitem ⋈ part within the key group.
@@ -330,10 +330,10 @@ func TestMultiOutputTags(t *testing.T) {
 		}},
 		Ops: []Op{
 			&AggOp{OpName: "AGG1", In: StreamSource(0),
-				GroupBy: []RowFn{col(0)},
+				GroupBy: []exec.Evaluator{col(0)},
 				Aggs:    []AggFunc{{Kind: exec.AggCountStar}}},
 			&AggOp{OpName: "AGG2", In: StreamSource(0),
-				GroupBy: []RowFn{col(0)},
+				GroupBy: []exec.Evaluator{col(0)},
 				Aggs:    []AggFunc{{Kind: exec.AggMax, Arg: col(1)}}},
 		},
 		Outputs: []OutputSpec{{Op: "AGG1", Tag: "A1"}, {Op: "AGG2", Tag: "A2"}},
@@ -427,7 +427,7 @@ func TestCommonJobValidation(t *testing.T) {
 func TestCombinerRequiresDecomposable(t *testing.T) {
 	agg := &AggOp{
 		OpName: "AGG", In: StreamSource(0),
-		GroupBy:  []RowFn{col(0)},
+		GroupBy:  []exec.Evaluator{col(0)},
 		Aggs:     []AggFunc{{Kind: exec.AggCountDistinct, Arg: col(1)}},
 		Partials: ints(2),
 	}
@@ -492,13 +492,13 @@ func q17Job() *CommonJob {
 				Streams: []Stream{{ID: 2}}},
 		},
 		Ops: []Op{
-			&AggOp{OpName: "AGG1", In: StreamSource(0), GroupBy: []RowFn{col(0)},
+			&AggOp{OpName: "AGG1", In: StreamSource(0), GroupBy: []exec.Evaluator{col(0)},
 				Aggs: []AggFunc{{Kind: exec.AggAvg, Arg: col(1)}}},
-			&ProjectOp{OpName: "inner_t", In: OpSource("AGG1"), Exprs: []RowFn{col(0),
+			&ProjectOp{OpName: "inner_t", In: OpSource("AGG1"), Exprs: []exec.Evaluator{col(0),
 				func(r exec.Row) (exec.Value, error) { return exec.Float(0.25 * r[1].F), nil }}},
 			&JoinOp{OpName: "JOIN1", Left: StreamSource(1), Right: StreamSource(2),
 				LeftWidth: 3, RightWidth: 1, Type: sqlparser.InnerJoin},
-			&ProjectOp{OpName: "outer_t", In: OpSource("JOIN1"), Exprs: []RowFn{col(0), col(1), col(2)}},
+			&ProjectOp{OpName: "outer_t", In: OpSource("JOIN1"), Exprs: []exec.Evaluator{col(0), col(1), col(2)}},
 			&JoinOp{OpName: "JOIN2", Left: OpSource("inner_t"), Right: OpSource("outer_t"),
 				LeftWidth: 2, RightWidth: 3, Type: sqlparser.InnerJoin,
 				Residual: func(r exec.Row) (bool, error) { return float64(r[3].I) < r[1].F, nil }},

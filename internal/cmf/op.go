@@ -36,12 +36,6 @@ func (s Source) String() string {
 	return fmt.Sprintf("stream:%d", s.Stream)
 }
 
-// RowPred evaluates a predicate over a row.
-type RowPred func(exec.Row) (bool, error)
-
-// RowFn computes a value from a row.
-type RowFn func(exec.Row) (exec.Value, error)
-
 // Op is one operator of a common job's per-key dataflow. Operators are
 // evaluated once per reduce key over the rows of that key group.
 type Op interface {
@@ -73,7 +67,7 @@ type JoinOp struct {
 	Type                  sqlparser.JoinType
 	// Residual, if non-nil, must pass for a pair to match; it sees the
 	// concatenated (left ++ right) row.
-	Residual RowPred
+	Residual exec.Predicate
 }
 
 // Name implements Op.
@@ -179,7 +173,7 @@ func nulls(r exec.Row) exec.Row {
 type AggFunc struct {
 	Kind exec.AggKind
 	// Arg computes the aggregate input from a row; nil for COUNT(*).
-	Arg RowFn
+	Arg exec.Evaluator
 }
 
 // AggOp groups its input rows (within the key group) by the GroupBy columns
@@ -192,7 +186,7 @@ type AggOp struct {
 	In     Source
 	// GroupBy computes the grouping values from an input row; empty means a
 	// single (global-within-key) group.
-	GroupBy []RowFn
+	GroupBy []exec.Evaluator
 	Aggs    []AggFunc
 	// Partials, when set, switches the op to merge combiner-produced partial
 	// rows instead of raw rows, and is their schema: the group values, then
@@ -407,7 +401,7 @@ func (a *AggOp) evalFromPartials(ar *arena, rows []exec.Row) ([]exec.Row, error)
 type FilterOp struct {
 	OpName string
 	In     Source
-	Pred   RowPred
+	Pred   exec.Predicate
 }
 
 // Name implements Op.
@@ -436,7 +430,7 @@ func (f *FilterOp) Eval(a *arena, inputs [][]exec.Row) ([]exec.Row, error) {
 type ProjectOp struct {
 	OpName string
 	In     Source
-	Exprs  []RowFn
+	Exprs  []exec.Evaluator
 }
 
 // Name implements Op.
@@ -469,7 +463,7 @@ func (p *ProjectOp) Eval(a *arena, inputs [][]exec.Row) ([]exec.Row, error) {
 
 // SortKey is one ordering key of a SortOp.
 type SortKey struct {
-	Fn   RowFn
+	Fn   exec.Evaluator
 	Desc bool
 }
 

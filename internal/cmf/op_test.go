@@ -21,7 +21,7 @@ func intRow(vals ...int64) exec.Row {
 	return r
 }
 
-func col(i int) RowFn {
+func col(i int) exec.Evaluator {
 	return func(r exec.Row) (exec.Value, error) { return r[i], nil }
 }
 
@@ -135,7 +135,7 @@ func TestJoinOpEmptySides(t *testing.T) {
 func TestAggOpGrouped(t *testing.T) {
 	a := &AggOp{
 		OpName: "a", In: StreamSource(0),
-		GroupBy: []RowFn{col(0)},
+		GroupBy: []exec.Evaluator{col(0)},
 		Aggs: []AggFunc{
 			{Kind: exec.AggCountStar},
 			{Kind: exec.AggSum, Arg: col(1)},
@@ -183,7 +183,7 @@ func TestAggOpGlobalEmptyInput(t *testing.T) {
 	}
 
 	// Grouped aggregates over empty input yield no rows.
-	a.GroupBy = []RowFn{col(0)}
+	a.GroupBy = []exec.Evaluator{col(0)}
 	for _, partials := range []*exec.Schema{nil, ints(3)} {
 		a.Partials = partials
 		out, err = a.Eval(&arena{}, [][]exec.Row{nil})
@@ -199,7 +199,7 @@ func TestAggOpGlobalEmptyInput(t *testing.T) {
 func TestAggOpCountDistinct(t *testing.T) {
 	a := &AggOp{
 		OpName: "a", In: StreamSource(0),
-		GroupBy: []RowFn{col(0)},
+		GroupBy: []exec.Evaluator{col(0)},
 		Aggs:    []AggFunc{{Kind: exec.AggCountDistinct, Arg: col(1)}, {Kind: exec.AggMax, Arg: col(1)}},
 	}
 	out, err := a.Eval(&arena{}, [][]exec.Row{{
@@ -220,7 +220,7 @@ func TestFilterProjectSortOps(t *testing.T) {
 	}
 	project := &ProjectOp{
 		OpName: "p", In: OpSource("f"),
-		Exprs: []RowFn{col(1), func(r exec.Row) (exec.Value, error) {
+		Exprs: []exec.Evaluator{col(1), func(r exec.Row) (exec.Value, error) {
 			return exec.Int(r[0].I * 10), nil
 		}},
 	}
@@ -424,7 +424,7 @@ func randomDAG(rng *rand.Rand, nStreams int) []Op {
 			}}
 		case 1:
 			width = 1 + rng.Intn(3)
-			exprs := make([]RowFn, width)
+			exprs := make([]exec.Evaluator, width)
 			for e := range exprs {
 				exprs[e] = col(rng.Intn(in.width))
 			}
@@ -434,7 +434,7 @@ func randomDAG(rng *rand.Rand, nStreams int) []Op {
 				{Kind: exec.AggCountStar}, {Kind: exec.AggMax, Arg: col(rng.Intn(in.width))},
 			}}
 			if rng.Intn(3) > 0 {
-				agg.GroupBy = []RowFn{col(rng.Intn(in.width))}
+				agg.GroupBy = []exec.Evaluator{col(rng.Intn(in.width))}
 			}
 			width = len(agg.GroupBy) + len(agg.Aggs)
 			op = agg
@@ -561,16 +561,16 @@ func TestAllocBudgetOps(t *testing.T) {
 			}
 		})
 	}
-	one := &AggOp{OpName: "a", In: StreamSource(0), GroupBy: []RowFn{col(0)},
+	one := &AggOp{OpName: "a", In: StreamSource(0), GroupBy: []exec.Evaluator{col(0)},
 		Aggs: []AggFunc{{Kind: exec.AggSum, Arg: col(1)}}}
-	four := &AggOp{OpName: "a", In: StreamSource(0), GroupBy: []RowFn{col(0)},
+	four := &AggOp{OpName: "a", In: StreamSource(0), GroupBy: []exec.Evaluator{col(0)},
 		Aggs: []AggFunc{{Kind: exec.AggCountStar}, {Kind: exec.AggSum, Arg: col(1)},
 			{Kind: exec.AggAvg, Arg: col(1)}, {Kind: exec.AggMax, Arg: col(2)}}}
 	if a1, a4 := warm(one), warm(four); a1 != a4 {
 		t.Errorf("AggOp, one aggregation group: %v allocations with 1 aggregate, %v with 4", a1, a4)
 	}
 	// Column 2 cycles through three values.
-	three := &AggOp{OpName: "a", In: StreamSource(0), GroupBy: []RowFn{col(0), col(2)},
+	three := &AggOp{OpName: "a", In: StreamSource(0), GroupBy: []exec.Evaluator{col(0), col(2)},
 		Aggs: []AggFunc{{Kind: exec.AggCountStar}, {Kind: exec.AggSum, Arg: col(1)}}}
 	if got := warm(three); got != 0 {
 		t.Errorf("AggOp, three aggregation groups: %v allocations on a warm arena, budget 0", got)
@@ -590,7 +590,7 @@ func TestAggOpGroupsByEncoding(t *testing.T) {
 		exec.Float(math.NaN()), exec.Float(math.Float64frombits(0x7ff8000000000001)),
 		exec.Int(1), exec.Float(1), exec.Str("1"), exec.Null(),
 	}
-	op := &AggOp{OpName: "a", In: StreamSource(0), GroupBy: []RowFn{col(0)},
+	op := &AggOp{OpName: "a", In: StreamSource(0), GroupBy: []exec.Evaluator{col(0)},
 		Aggs: []AggFunc{{Kind: exec.AggCountStar}, {Kind: exec.AggCountDistinct, Arg: col(1)}, {Kind: exec.AggSum, Arg: col(1)}}}
 	rng := rand.New(rand.NewSource(9))
 	var a arena

@@ -87,7 +87,7 @@ func TestBuildPartialRowCountWithArg(t *testing.T) {
 	// COUNT(col) skips NULL arguments in the partial.
 	rows := []exec.Row{{exec.Int(1)}, {exec.Null()}, {exec.Int(3)}}
 	agg := &AggOp{OpName: "a",
-		GroupBy: []RowFn{func(exec.Row) (exec.Value, error) { return exec.Str("g"), nil }},
+		GroupBy: []exec.Evaluator{func(exec.Row) (exec.Value, error) { return exec.Str("g"), nil }},
 		Aggs: []AggFunc{
 			{Kind: exec.AggCount, Arg: col(0)},
 			{Kind: exec.AggCountStar},

@@ -12,10 +12,39 @@ import (
 // the row and are safe for concurrent use.
 type Evaluator func(Row) (Value, error)
 
+// Predicate reports whether a row passes a selection, join residual or
+// WHERE condition.
+type Predicate func(Row) (bool, error)
+
+// CompilePredicate compiles a condition into a Predicate: Compile's
+// evaluator judged by the WHERE rule, under which only a non-NULL TRUE
+// passes and any other non-NULL value is an error.
+func CompilePredicate(e sqlparser.Expr, s *Schema) (Predicate, error) {
+	ev, err := Compile(e, s)
+	if err != nil {
+		return nil, err
+	}
+	return func(r Row) (bool, error) {
+		v, err := ev(r)
+		switch {
+		case err != nil:
+			return false, err
+		case v.T == TypeBool:
+			return v.B, nil
+		case v.T == TypeNull:
+			return false, nil
+		}
+		return false, fmt.Errorf("predicate evaluated to %s, want bool", v.T)
+	}, nil
+}
+
 // Compile translates a scalar sqlparser expression into an evaluator bound
-// to the given schema. Aggregate function calls are rejected: the planner
-// rewrites them into column references of aggregation outputs before any
-// expression reaches Compile.
+// to the given schema: a closure tree returning Values. A comparison or an
+// IS [NOT] NULL reads its column and literal operands in place, so testing
+// a column against a constant or another column builds no Value but its
+// result and allocates nothing. Aggregate function calls are rejected: the planner rewrites them
+// into column references of aggregation outputs before any expression
+// reaches Compile.
 func Compile(e sqlparser.Expr, s *Schema) (Evaluator, error) {
 	switch x := e.(type) {
 	case *sqlparser.ColumnRef:
@@ -85,13 +114,14 @@ func Compile(e sqlparser.Expr, s *Schema) (Evaluator, error) {
 		return compileScalarFunc(x, s)
 
 	case *sqlparser.IsNullExpr:
-		inner, err := Compile(x.X, s)
+		o, err := compileOperand(x.X, s)
 		if err != nil {
 			return nil, err
 		}
 		not := x.Not
 		return func(r Row) (Value, error) {
-			v, err := inner(r)
+			var tmp Value
+			v, err := o.get(r, &tmp)
 			if err != nil {
 				return Value{}, err
 			}
@@ -228,6 +258,9 @@ func literalValue(l *sqlparser.Literal) Value {
 }
 
 func compileBinary(x *sqlparser.BinaryExpr, s *Schema) (Evaluator, error) {
+	if x.Op.IsComparison() {
+		return compileComparison(x.Op, x.L, x.R, s)
+	}
 	left, err := Compile(x.L, s)
 	if err != nil {
 		return nil, err
@@ -299,11 +332,115 @@ func compileBinary(x *sqlparser.BinaryExpr, s *Schema) (Evaluator, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		if op.IsComparison() {
-			return compareValues(op, lv, rv)
-		}
 		return arithmetic(op, lv, rv)
 	}, nil
+}
+
+// operand is one side of a comparison, resolved at compile time: a column
+// read in place, a constant, or — any other expression — its evaluator.
+type operand struct {
+	col int // column position, or -1
+	c   Value
+	ev  Evaluator
+}
+
+func compileOperand(e sqlparser.Expr, s *Schema) (operand, error) {
+	switch x := e.(type) {
+	case *sqlparser.ColumnRef:
+		idx, err := s.Resolve(x.Qualifier, x.Name)
+		return operand{col: idx}, err
+	case *sqlparser.Literal:
+		return operand{col: -1, c: literalValue(x)}, nil
+	}
+	ev, err := Compile(e, s)
+	return operand{col: -1, ev: ev}, err
+}
+
+// get returns the operand's value for r: in place for a column or a
+// constant, through *tmp for an evaluated expression.
+func (o *operand) get(r Row, tmp *Value) (*Value, error) {
+	switch {
+	case o.col >= 0:
+		if o.col >= len(r) {
+			return nil, fmt.Errorf("row too short: index %d, len %d", o.col, len(r))
+		}
+		return &r[o.col], nil
+	case o.ev != nil:
+		v, err := o.ev(r)
+		*tmp = v
+		return tmp, err
+	}
+	return &o.c, nil
+}
+
+// outcomes is a comparison operator's result for the comparison results
+// -1, 0 and +1.
+type outcomes [3]bool
+
+func outcomesOf(op sqlparser.BinaryOp) outcomes {
+	var o outcomes
+	for c := -1; c <= 1; c++ {
+		v, _ := compareValues(op, Int(int64(c)), Int(0))
+		o[c+1] = v.B
+	}
+	return o
+}
+
+// comparison is a compiled comparison. Its evaluator points to it, so the
+// node costs two allocations, not one per value the evaluator reads by
+// address.
+type comparison struct {
+	left, right operand
+	op          sqlparser.BinaryOp
+	want        outcomes
+}
+
+func compileComparison(op sqlparser.BinaryOp, le, re sqlparser.Expr, s *Schema) (Evaluator, error) {
+	c := &comparison{op: op, want: outcomesOf(op)}
+	var err error
+	if c.left, err = compileOperand(le, s); err != nil {
+		return nil, err
+	}
+	if c.right, err = compileOperand(re, s); err != nil {
+		return nil, err
+	}
+	return func(r Row) (Value, error) {
+		var lv, rv Value
+		a, err := c.left.get(r, &lv)
+		if err != nil {
+			return Value{}, err
+		}
+		b, err := c.right.get(r, &rv)
+		if err != nil {
+			return Value{}, err
+		}
+		return c.compare(a, b)
+	}, nil
+}
+
+// compare is compareValues over operands read in place: same-typed ints,
+// floats and strings compare without copying either Value; any other
+// pairing — NULLs, mixed numerics, bools, a type mismatch and its error —
+// is compareValues'.
+func (c *comparison) compare(a, b *Value) (Value, error) {
+	want := &c.want
+	if a.T == b.T {
+		switch a.T {
+		case TypeInt:
+			switch {
+			case a.I < b.I:
+				return Bool(want[0]), nil
+			case a.I > b.I:
+				return Bool(want[2]), nil
+			}
+			return Bool(want[1]), nil
+		case TypeFloat:
+			return Bool(want[compareFloat(a.F, b.F)+1]), nil
+		case TypeString:
+			return Bool(want[strings.Compare(a.S, b.S)+1]), nil
+		}
+	}
+	return compareValues(c.op, *a, *b)
 }
 
 // compareValues implements SQL comparison with three-valued logic: any NULL
@@ -542,7 +679,7 @@ func InferType(e sqlparser.Expr, s *Schema) (Type, error) {
 			}
 			return InferType(x.Args[0], s)
 		case "COALESCE":
-			return armsType(x.Args, s)
+			return armsType("COALESCE", x.Args, s)
 		case "LOWER", "UPPER":
 			return TypeString, nil
 		default:
@@ -558,25 +695,30 @@ func InferType(e sqlparser.Expr, s *Schema) (Type, error) {
 		if x.Else != nil {
 			arms = append(arms, x.Else)
 		}
-		return armsType(arms, s)
+		return armsType("CASE", arms, s)
 	default:
 		return 0, fmt.Errorf("cannot infer type of %T", e)
 	}
 }
 
-// armsType types a CASE from its THEN and ELSE arms, or a COALESCE from its
-// arguments: the first arm that can be non-NULL types it, except that INT
-// arms mixed with FLOAT ones make it FLOAT (Compile widens the INT results
-// to match, see widenArms).
-func armsType(arms []sqlparser.Expr, s *Schema) (Type, error) {
+// armsType types a CASE from its THEN and ELSE arms, or a COALESCE (what)
+// from its arguments: the arms that can be non-NULL must share one type,
+// except that INT arms mixed with FLOAT ones make it FLOAT (Compile widens
+// the INT results to match, see widenArms). Any other mix is an error, as
+// in PostgreSQL.
+func armsType(what string, arms []sqlparser.Expr, s *Schema) (Type, error) {
 	t := TypeNull
 	for _, a := range arms {
 		at, err := InferType(a, s)
 		if err != nil {
 			return 0, err
 		}
-		if t == TypeNull || t == TypeInt && at == TypeFloat {
+		switch {
+		case at == TypeNull || at == t || t == TypeFloat && at == TypeInt:
+		case t == TypeNull || t == TypeInt && at == TypeFloat:
 			t = at
+		default:
+			return 0, fmt.Errorf("%s types %s and %s cannot be matched", what, t, at)
 		}
 	}
 	return t, nil

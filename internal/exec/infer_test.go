@@ -31,16 +31,13 @@ func TestInferTypeEdgeBranches(t *testing.T) {
 		{"i AND b", TypeBool}, // typing is structural; evaluation rejects it
 		{"CASE WHEN b THEN NULL ELSE 'x' END", TypeString},
 		{"CASE WHEN b THEN NULL END", TypeNull},
-		// INT arms mixed with FLOAT ones type FLOAT, in either order; every
-		// other mix keeps the first typed arm.
+		// INT arms mixed with FLOAT ones type FLOAT, in either order; any
+		// other mix is an error (TestInferTypeErrors).
 		{"CASE WHEN b THEN 1 ELSE 2.5 END", TypeFloat},
 		{"CASE WHEN b THEN 2.5 ELSE 1 END", TypeFloat},
 		{"CASE WHEN b THEN NULL WHEN i > 1 THEN i ELSE f END", TypeFloat},
-		{"CASE WHEN b THEN 'x' ELSE 2.5 END", TypeString},
-		{"CASE WHEN b THEN 1 ELSE 'x' END", TypeInt},
 		{"coalesce(i, 2.5)", TypeFloat},
 		{"coalesce(NULL, f, i)", TypeFloat},
-		{"coalesce(i, s)", TypeInt},
 	}
 	for _, tt := range tests {
 		stmt, err := sqlparser.Parse("SELECT " + tt.expr + " FROM t")
@@ -59,21 +56,30 @@ func TestInferTypeEdgeBranches(t *testing.T) {
 
 func TestInferTypeErrors(t *testing.T) {
 	s := testSchema()
-	bad := []string{
-		"nosuchcol",
-		"nosuchcol + 1",
-		"nosuchfunc(i)",
-		"sum(nosuchcol)",
-		"CASE WHEN b THEN nosuchcol END",
-		"coalesce(NULL, nosuchcol)",
+	bad := []struct{ expr, errHas string }{
+		{"nosuchcol", ""},
+		{"nosuchcol + 1", ""},
+		{"nosuchfunc(i)", ""},
+		{"sum(nosuchcol)", ""},
+		{"CASE WHEN b THEN nosuchcol END", ""},
+		{"coalesce(NULL, nosuchcol)", ""},
+		// Arms that are neither one type nor an INT/FLOAT mix do not unify.
+		{"CASE WHEN b THEN 'x' ELSE 2.5 END", "CASE types string and float cannot be matched"},
+		{"CASE WHEN b THEN 1 ELSE 'x' END", "CASE types int and string cannot be matched"},
+		{"coalesce(i, s)", "COALESCE types int and string cannot be matched"},
+		{"CASE WHEN b THEN 1 WHEN i > 1 THEN 2.5 ELSE b END", "CASE types float and bool cannot be matched"},
 	}
-	for _, exprSQL := range bad {
-		stmt, err := sqlparser.Parse("SELECT " + exprSQL + " FROM t")
+	for _, tt := range bad {
+		stmt, err := sqlparser.Parse("SELECT " + tt.expr + " FROM t")
 		if err != nil {
-			t.Fatalf("parse %q: %v", exprSQL, err)
+			t.Fatalf("parse %q: %v", tt.expr, err)
 		}
-		if _, err := InferType(stmt.Select[0].Expr, s); err == nil {
-			t.Errorf("InferType(%q) succeeded, want error", exprSQL)
+		_, err = InferType(stmt.Select[0].Expr, s)
+		switch {
+		case err == nil:
+			t.Errorf("InferType(%q) succeeded, want error", tt.expr)
+		case tt.errHas != "" && err.Error() != tt.errHas:
+			t.Errorf("InferType(%q): %v, want %q", tt.expr, err, tt.errHas)
 		}
 	}
 }

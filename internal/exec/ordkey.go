@@ -15,7 +15,8 @@ import (
 // desc[i] inverts the i-th component's order; a nil desc means all
 // ascending. Numeric components compare int/float uniformly through
 // float64, so integers beyond 2^53 may collide; the workload's keys are
-// far below that.
+// far below that. Every NaN encodes as one canonical NaN, above +Inf, and
+// -0.0 as 0.0, so values Compare calls equal encode identically.
 func EncodeOrderedKey(vals []Value, desc []bool) string {
 	var buf [encodeBuf]byte
 	b := buf[:0]
@@ -50,6 +51,12 @@ func appendOrdered(b []byte, v Value) []byte {
 		return append(b, ordTagBool, 0x00)
 	case TypeInt, TypeFloat:
 		f, _ := v.AsFloat()
+		switch {
+		case math.IsNaN(f):
+			f = math.NaN()
+		case f == 0:
+			f = 0
+		}
 		bits := math.Float64bits(f)
 		// Flip so that bigger floats get bigger unsigned bit patterns:
 		// negative numbers invert entirely, non-negatives set the sign bit.

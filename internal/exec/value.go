@@ -7,6 +7,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -123,9 +124,12 @@ func typeRank(t Type) int {
 }
 
 // Compare imposes a total order for sorting and grouping: NULL sorts before
-// everything; ints and floats compare numerically with each other; bools
-// order false < true; strings order lexicographically. Values of different
-// non-numeric types order by an arbitrary fixed type rank.
+// everything; ints and floats compare numerically with each other, -0.0
+// equal to 0.0 and, as in PostgreSQL, NaN equal to NaN and above every
+// other number; bools order false < true; strings order lexicographically.
+// Values of different non-numeric types order by an arbitrary fixed type
+// rank. The comparison operators are Compare's order too, so NaN = NaN and
+// NaN > 1 are TRUE.
 func Compare(a, b Value) int {
 	ra, rb := typeRank(a.T), typeRank(b.T)
 	if ra != rb {
@@ -181,9 +185,17 @@ func compareFloat(a, b float64) int {
 		return -1
 	case a > b:
 		return 1
-	default:
+	case a == b:
 		return 0
 	}
+	// At least one side is NaN, which equals itself and sorts above all.
+	if math.IsNaN(a) {
+		if math.IsNaN(b) {
+			return 0
+		}
+		return 1
+	}
+	return -1
 }
 
 // Equal reports SQL equality treating NULL = NULL as true. Use Compare==0

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -61,6 +62,14 @@ func TestCompareOrdering(t *testing.T) {
 		{Null(), Null(), 0},         // NULL == NULL for sorting
 		{Bool(true), Int(-100), -1}, // type rank: bool < numeric
 		{Int(5), Str("0"), -1},      // numeric < string
+		// NaN equals NaN and sorts above every other number; -0.0 = 0.0.
+		{Float(math.NaN()), Float(math.NaN()), 0},
+		{Float(math.NaN()), Float(math.Inf(1)), 1},
+		{Int(math.MaxInt64), Float(math.NaN()), -1},
+		{Float(math.NaN()), Null(), 1},
+		{Float(math.NaN()), Str(""), -1},
+		{Float(math.Copysign(0, -1)), Float(0), 0},
+		{Float(math.Copysign(0, -1)), Int(0), 0},
 	}
 	for _, tt := range tests {
 		if got := Compare(tt.a, tt.b); got != tt.want {

@@ -1,6 +1,7 @@
 package translator
 
 import (
+	"strings"
 	"testing"
 
 	"ysmart/internal/datagen"
@@ -89,5 +90,35 @@ func TestMixedNumericArms(t *testing.T) {
 				assertSameRows(t, tr.OutputSchema, rows, tc.want)
 			}
 		})
+	}
+}
+
+// TestUnmatchedArmsFailAtPlanTime: a CASE or COALESCE whose arms are
+// neither one type nor an INT/FLOAT mix is refused, naming both types,
+// when the plan is typed — or, inside a condition, which no schema column
+// types, when the translation compiles it — rather than typed by its first
+// arm and failing mid-run on the rows of the other.
+func TestUnmatchedArmsFailAtPlanTime(t *testing.T) {
+	cat := plan.MapCatalog{"t": exec.NewSchema(
+		exec.Column{Name: "id", Type: exec.TypeInt},
+		exec.Column{Name: "x", Type: exec.TypeFloat},
+		exec.Column{Name: "s", Type: exec.TypeString},
+	)}
+	for sql, want := range map[string]string{
+		"SELECT id, CASE WHEN x > 5 THEN 1 ELSE 'a' END AS c FROM t":     "CASE types int and string cannot be matched",
+		"SELECT id, COALESCE(x, s) AS c FROM t":                          "COALESCE types float and string cannot be matched",
+		"SELECT id FROM t WHERE CASE WHEN x > 5 THEN s ELSE 2 END = 'a'": "CASE types string and int cannot be matched",
+	} {
+		stmt, err := sqlparser.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, err := plan.Build(stmt, cat)
+		if err == nil {
+			_, err = Translate(root, YSmart, Options{QueryName: "arms"})
+		}
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: plan error %v, want one containing %q", sql, err, want)
+		}
 	}
 }

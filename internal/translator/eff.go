@@ -72,8 +72,8 @@ func (v effView) concat(o effView, leftFullWidth int) effView {
 
 // stage is one step of a lowered transparent chain.
 type stage struct {
-	pred  cmf.RowPred // filter stage when non-nil
-	exprs []cmf.RowFn // projection stage when non-nil
+	pred  exec.Predicate   // filter stage when non-nil
+	exprs []exec.Evaluator // projection stage when non-nil
 	out   effView
 }
 
@@ -100,13 +100,13 @@ func lowerChain(in effView, chain []plan.Node, required func(plan.Node) []int) (
 			if req == nil {
 				return nil, effView{}, fmt.Errorf("chain project %s has no required-columns entry", n.Describe())
 			}
-			exprs := make([]cmf.RowFn, len(req))
+			exprs := make([]exec.Evaluator, len(req))
 			for ei, colIdx := range req {
 				ev, err := exec.Compile(n.Exprs[colIdx], cur.schema)
 				if err != nil {
 					return nil, effView{}, fmt.Errorf("chain project %s: %w", n.Exprs[colIdx].SQL(), err)
 				}
-				exprs[ei] = cmf.RowFn(ev)
+				exprs[ei] = ev
 			}
 			out := restrictView(n.Schema(), req)
 			stages = append(stages, stage{exprs: exprs, out: out})
@@ -216,8 +216,8 @@ func stagesToOps(stages []stage, src cmf.Source, namePrefix string, add func(cmf
 }
 
 // projectionFns builds index-getter row functions for a projection.
-func projectionFns(indices []int) []cmf.RowFn {
-	fns := make([]cmf.RowFn, len(indices))
+func projectionFns(indices []int) []exec.Evaluator {
+	fns := make([]exec.Evaluator, len(indices))
 	for i, idx := range indices {
 		idx := idx
 		fns[i] = func(r exec.Row) (exec.Value, error) {

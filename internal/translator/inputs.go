@@ -85,7 +85,7 @@ func (lw *lowerer) traceKeyToBase(op *correlation.Operation, inputIdx int) ([]in
 // functions plus an optional non-default encoding (order-preserving keys
 // for distributed sorts).
 type keySpec struct {
-	fns    []cmf.RowFn
+	fns    []exec.Evaluator
 	encode func([]exec.Value) string
 }
 
@@ -99,7 +99,7 @@ func (lw *lowerer) keyFns(jb *jobBuild, op *correlation.Operation, inputIdx int,
 	switch op.Kind {
 	case correlation.KindJoin:
 		positions, _ := keyPositions(op, inputIdx)
-		fns := make([]cmf.RowFn, len(positions))
+		fns := make([]exec.Evaluator, len(positions))
 		for i, pos := range positions {
 			effIdx, err := eff.index(pos)
 			if err != nil {
@@ -116,13 +116,13 @@ func (lw *lowerer) keyFns(jb *jobBuild, op *correlation.Operation, inputIdx int,
 				exprs[i] = op.Agg.GroupBy[gi]
 			}
 		}
-		fns := make([]cmf.RowFn, len(exprs))
+		fns := make([]exec.Evaluator, len(exprs))
 		for i, e := range exprs {
 			ev, err := exec.Compile(e, eff.schema)
 			if err != nil {
 				return keySpec{}, fmt.Errorf("%s key %s: %w", op.Name(), e.SQL(), err)
 			}
-			fns[i] = cmf.RowFn(ev)
+			fns[i] = ev
 		}
 		return keySpec{fns: fns}, nil
 	case correlation.KindSort:
@@ -132,14 +132,14 @@ func (lw *lowerer) keyFns(jb *jobBuild, op *correlation.Operation, inputIdx int,
 			return keySpec{}, nil
 		}
 		keys := op.Sort.Keys
-		fns := make([]cmf.RowFn, len(keys))
+		fns := make([]exec.Evaluator, len(keys))
 		desc := make([]bool, len(keys))
 		for i, k := range keys {
 			ev, err := exec.Compile(k.Expr, eff.schema)
 			if err != nil {
 				return keySpec{}, fmt.Errorf("%s key %s: %w", op.Name(), k.Expr.SQL(), err)
 			}
-			fns[i] = cmf.RowFn(ev)
+			fns[i] = ev
 			desc[i] = k.Desc
 		}
 		return keySpec{
@@ -252,7 +252,7 @@ func (lw *lowerer) buildSharedInput(cj *cmf.CommonJob, table string, streams []*
 	}
 
 	fact := ScanFact{Job: cj.Name, InputIdx: len(cj.Inputs), Table: table, Path: TablePath(table)}
-	var streamPreds []cmf.RowPred
+	var streamPreds []exec.Predicate
 	var streamSQL []string
 
 	for _, ss := range streams {
@@ -265,7 +265,7 @@ func (lw *lowerer) buildSharedInput(cj *cmf.CommonJob, table string, streams []*
 
 		// The stream's own scan schema carries its alias bindings.
 		decoded := restrictView(ss.scan.Schema(), decodeCols).schema
-		var preds []cmf.RowPred
+		var preds []exec.Predicate
 		for _, n := range mapFilterNodes {
 			f := n.(*plan.Filter)
 			pred, err := exec.CompilePredicate(f.Cond, decoded)
@@ -274,7 +274,7 @@ func (lw *lowerer) buildSharedInput(cj *cmf.CommonJob, table string, streams []*
 			}
 			preds = append(preds, pred)
 		}
-		var filter cmf.RowPred
+		var filter exec.Predicate
 		if len(preds) > 0 {
 			preds := preds
 			filter = func(r exec.Row) (bool, error) {

@@ -14,7 +14,7 @@ func (lw *lowerer) buildOp(cj *cmf.CommonJob, jb *jobBuild, op *correlation.Oper
 	case correlation.KindJoin:
 		j := op.Join
 		effConcat := effs[0].concat(effs[1], j.Left.Schema().Len())
-		var residual cmf.RowPred
+		var residual exec.Predicate
 		if j.Residual != nil {
 			pred, err := exec.CompilePredicate(j.Residual, effConcat.schema)
 			if err != nil {
@@ -37,13 +37,13 @@ func (lw *lowerer) buildOp(cj *cmf.CommonJob, jb *jobBuild, op *correlation.Oper
 	case correlation.KindAgg:
 		agg := op.Agg
 		childSchema := effs[0].schema
-		groupFns := make([]cmf.RowFn, len(agg.GroupBy))
+		groupFns := make([]exec.Evaluator, len(agg.GroupBy))
 		for i, g := range agg.GroupBy {
 			ev, err := exec.Compile(g, childSchema)
 			if err != nil {
 				return fmt.Errorf("%s group %s: %w", op.Name(), g.SQL(), err)
 			}
-			groupFns[i] = cmf.RowFn(ev)
+			groupFns[i] = ev
 		}
 		aggFns := make([]cmf.AggFunc, len(agg.Aggs))
 		kinds := make([]exec.AggKind, len(agg.Aggs))
@@ -55,7 +55,7 @@ func (lw *lowerer) buildOp(cj *cmf.CommonJob, jb *jobBuild, op *correlation.Oper
 				if err != nil {
 					return fmt.Errorf("%s aggregate %s: %w", op.Name(), spec.Name, err)
 				}
-				fn.Arg = cmf.RowFn(ev)
+				fn.Arg = ev
 			}
 			aggFns[i] = fn
 		}
@@ -99,7 +99,7 @@ func (lw *lowerer) buildOp(cj *cmf.CommonJob, jb *jobBuild, op *correlation.Oper
 			if err != nil {
 				return fmt.Errorf("%s key %s: %w", op.Name(), k.Expr.SQL(), err)
 			}
-			keys[i] = cmf.SortKey{Fn: cmf.RowFn(ev), Desc: k.Desc}
+			keys[i] = cmf.SortKey{Fn: ev, Desc: k.Desc}
 		}
 		limit := 0
 		if op == lw.analysis.RootOp {
