@@ -1,19 +1,17 @@
 // Command ysmart-vet runs the repo's custom static-analysis suite: the
-// analyzers in internal/lint that enforce the invariants the simulator's
-// correctness rests on — deterministic replay (no wall-clock, no global
-// rand, no map-ordered emission, transitively through the call graph),
-// data-race freedom in parallel task bodies (sharecheck), and fresh
-// reduce-task instances that never write their factory (concreduce).
-// Every run also audits lint:ignore directives
-// and reports the ones that silence nothing ([staleignore]).
+// determinism analyzer in internal/lint, which keeps the simulator's
+// replay byte-identical — no wall-clock reads, no global rand, no
+// map-ordered emission, transitively through the call graph. It is the
+// one check kept because it catches what `go test` and `go test -race`
+// cannot: output whose order differs from run to run.
 //
 // Usage:
 //
-//	ysmart-vet [-list] [-check a,b] [-json] [package patterns]
+//	ysmart-vet [-json] [package patterns]
 //	ysmart-vet -optimize [-json] [package patterns]
 //
 // With no patterns it vets ./... from the current directory, applying
-// each analyzer's package scope. Explicit directory patterns bypass the
+// the analyzer's package scope. Explicit directory patterns bypass the
 // scopes (used by the golden corpora). -json emits the diagnostics as a
 // JSON array on stdout (one object per finding: file, line, col, check,
 // message) for CI annotation tooling. Exit status is 1 when any
@@ -33,7 +31,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"ysmart/internal/lint"
 	"ysmart/internal/optanalysis"
@@ -55,19 +52,17 @@ func main() {
 func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("ysmart-vet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	list := fs.Bool("list", false, "list the registered analyzers and exit")
-	check := fs.String("check", "", "comma-separated analyzer names to run (default: all)")
 	asJSON := fs.Bool("json", false, "emit diagnostics as a JSON array for CI annotations")
 	optimize := fs.Bool("optimize", false, "report the MANIMAL rewrites provable for each mapreduce.Job literal instead of vetting")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
+	patterns := fs.Args()
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
+	}
 	if *optimize {
-		patterns := fs.Args()
-		if len(patterns) == 0 {
-			patterns = []string{"./..."}
-		}
 		rep, err := optanalysis.Analyze(".", patterns)
 		if err != nil {
 			fmt.Fprintf(stderr, "ysmart-vet: %v\n", err)
@@ -81,40 +76,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 0
 	}
 
-	if *list {
-		for _, a := range lint.Analyzers {
-			scope := "all packages"
-			if len(a.Packages) > 0 {
-				scope = strings.Join(a.Packages, ", ")
-			}
-			fmt.Fprintf(stdout, "%-12s %s (%s)\n", a.Name, a.Doc, scope)
-		}
-		return 0
-	}
-
-	analyzers := lint.Analyzers
-	if *check != "" {
-		byName := make(map[string]*lint.Analyzer)
-		for _, a := range lint.Analyzers {
-			byName[a.Name] = a
-		}
-		analyzers = nil
-		for _, name := range strings.Split(*check, ",") {
-			name = strings.TrimSpace(name)
-			a, ok := byName[name]
-			if !ok {
-				fmt.Fprintf(stderr, "ysmart-vet: unknown analyzer %q (use -list)\n", name)
-				return 2
-			}
-			analyzers = append(analyzers, a)
-		}
-	}
-
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	diags, err := lint.Vet(".", patterns, analyzers)
+	diags, err := lint.Vet(".", patterns, lint.Analyzers)
 	if err != nil {
 		fmt.Fprintf(stderr, "ysmart-vet: %v\n", err)
 		return 2

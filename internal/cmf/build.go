@@ -288,7 +288,7 @@ func (t *mapTask) Map(line string, emit mapreduce.Emit) error {
 			if i > 0 {
 				pair = append(pair, '\t')
 			}
-			pair = exec.AppendField(pair, v)
+			pair = exec.AppendKeyField(pair, v)
 		}
 	}
 	keyLen := len(pair)

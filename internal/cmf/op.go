@@ -215,8 +215,9 @@ type aggGroup struct {
 // its scratch, handed back cleared, and the group keys are cut from its key
 // chunks. A row whose group values are identical to the current group's —
 // same types, same bits, hence the same encoding — is that group's without
-// rendering its key; any other row renders the key and looks it up, so NaN
-// payloads and -0.0 group by their encodings as always.
+// rendering its key; any other row renders the key (exec.AppendKey) and
+// looks it up, so NaN payloads group by their encodings and -0.0 joins
+// 0.0's group.
 func (a *AggOp) Eval(ar *arena, inputs [][]exec.Row) ([]exec.Row, error) {
 	rows := inputs[0]
 	if a.Partials != nil {
@@ -252,7 +253,7 @@ func (a *AggOp) Eval(ar *arena, inputs [][]exec.Row) ([]exec.Row, error) {
 	keyOf := func(g *aggGroup) string {
 		if !g.keyed {
 			var buf [64]byte
-			g.key, g.keyed = ar.keys.cut(exec.AppendRow(buf[:0], g.row[:nGroup])), true
+			g.key, g.keyed = ar.keys.cut(exec.AppendKey(buf[:0], g.row[:nGroup])), true
 		}
 		return g.key
 	}
@@ -266,7 +267,7 @@ func (a *AggOp) Eval(ar *arena, inputs [][]exec.Row) ([]exec.Row, error) {
 			gvals = append(gvals, v)
 		}
 		if cur < 0 || !identical(gvals, groups[cur].row[:nGroup]) {
-			key := exec.AppendRow(keyBuf[:0], gvals)
+			key := exec.AppendKey(keyBuf[:0], gvals)
 			if cur < 0 || keyOf(&groups[cur]) != string(key) {
 				var ok bool
 				if cur, ok = index[string(key)]; !ok {

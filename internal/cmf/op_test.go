@@ -578,12 +578,12 @@ func TestAllocBudgetOps(t *testing.T) {
 }
 
 // TestAggOpGroupsByEncoding holds AggOp's same-group shortcut to the rule
-// it shortcuts: rows group by the codec encoding of their group values.
-// The values are chosen to defeat a shortcut that compares by value — 0.0
-// and -0.0 (equal, encoded apart), NaNs with different payloads (unequal
-// bits, one encoding), an int beside the float of the same number — and
-// the key group is reduced on one reused arena, so stale accumulator
-// scratch would show too.
+// it shortcuts: rows group by the key encoding of their group values
+// (exec.EncodeKey). The values are chosen to defeat a shortcut that
+// compares bits or values — 0.0 and -0.0 (unequal bits, one key), NaNs
+// with different payloads (unequal bits, one encoding), an int beside the
+// float of the same number — and the key group is reduced on one reused
+// arena, so stale accumulator scratch would show too.
 func TestAggOpGroupsByEncoding(t *testing.T) {
 	vals := []exec.Value{
 		exec.Float(0), exec.Float(math.Copysign(0, -1)),

@@ -27,7 +27,8 @@ func Decomposable(kinds []exec.AggKind) bool {
 // job to dst: the group values followed by each aggregate's partial fields
 // (exec.Acc's AppendPartial), fed from the raw rows. A combined job keys on
 // its full grouping expressions, so every row of the key group yields the
-// same group values, and agg's GroupBy over the first row computes them.
+// same group values (up to the sign of a zero, which keys ignore), and
+// agg's GroupBy over the first row computes them.
 func appendPartialRow(dst exec.Row, agg *AggOp, rows []exec.Row) (exec.Row, error) {
 	for _, fn := range agg.GroupBy {
 		v, err := fn(rows[0])

@@ -37,7 +37,7 @@ func floatTable() map[string][]ysmart.Row {
 
 // floatQueries carry hand-computed results, "id x" per row, under
 // PostgreSQL's rule: NaN equals NaN and sorts above every other number,
-// and -0.0 equals 0.0. The oracle shares the engine's evaluator, so it is
+// and -0.0 equals 0.0, in comparisons and as a key. The oracle shares the engine's evaluator, so it is
 // held to these rows too rather than trusted. ordered queries are checked
 // row by row in order.
 var floatQueries = []struct {
@@ -52,6 +52,14 @@ var floatQueries = []struct {
 		[]string{"11 NULL", "6 -Inf", "3 0", "4 -0", "7 5e-324", "2 1", "10 1.5", "9 2", "5 +Inf", "1 NaN", "8 NaN"}},
 	{"order-desc", "SELECT id, x FROM f ORDER BY x DESC, id", true,
 		[]string{"1 NaN", "8 NaN", "5 +Inf", "9 2", "10 1.5", "2 1", "7 5e-324", "3 0", "4 -0", "6 -Inf", "11 NULL"}},
+	// Keys: 0.0 and -0.0 are one group, one distinct value and one join
+	// key; so are the two NaNs. The zeros' group prints 0.0, its first
+	// row's value.
+	{"group", "SELECT x, COUNT(*) AS n FROM f GROUP BY x", false,
+		[]string{"+Inf 1", "-Inf 1", "0 2", "1 1", "1.5 1", "2 1", "5e-324 1", "NULL 1", "NaN 2"}},
+	{"distinct", "SELECT COUNT(DISTINCT x) AS n FROM f", false, []string{"8"}},
+	{"join", "SELECT a.id, b.id FROM f a JOIN f b ON a.x = b.x WHERE a.id < b.id", false,
+		[]string{"1 8", "3 4"}},
 }
 
 func renderRows(rows []ysmart.Row, ordered bool) []string {
@@ -72,8 +80,9 @@ func renderRows(rows []ysmart.Row, ordered bool) []string {
 // TestHostileFloats holds every translation mode, at one and eight
 // workers, fault-free and under a fault seed, and the DBMS oracle to
 // hand-computed rows over NaN, -0.0, the infinities and a subnormal: a
-// comparison with NaN is not always FALSE, and ORDER BY breaks the tie
-// between -0.0 and 0.0 by its next key.
+// comparison with NaN is not always FALSE, ORDER BY breaks the tie
+// between -0.0 and 0.0 by its next key, and GROUP BY, COUNT(DISTINCT) and
+// an equi-join take the two zeros as one key.
 func TestHostileFloats(t *testing.T) {
 	tables := floatTable()
 	for _, q := range floatQueries {

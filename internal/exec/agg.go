@@ -133,7 +133,7 @@ func (a *Acc) Add(v Value) {
 		}
 		// Only a value not seen before costs its key string.
 		var buf [encodeBuf]byte
-		field := AppendField(buf[:0], v)
+		field := AppendKeyField(buf[:0], v)
 		if _, ok := a.seen[string(field)]; !ok {
 			a.seen[string(field)] = struct{}{}
 		}

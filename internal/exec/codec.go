@@ -42,6 +42,29 @@ func AppendField(dst []byte, v Value) []byte {
 	}
 }
 
+// AppendKeyField appends a value's field as a key — a grouping, DISTINCT
+// or equi-join key: the codec field, except that -0.0 is written as 0.0,
+// so the two zeros Compare calls equal are one key. Row text keeps the
+// sign.
+func AppendKeyField(dst []byte, v Value) []byte {
+	if v.T == TypeFloat && v.F == 0 {
+		v.F = 0
+	}
+	return AppendField(dst, v)
+}
+
+// AppendKey appends a list of values as a key: tab-separated like
+// AppendRow, each field by AppendKeyField.
+func AppendKey(dst []byte, vals []Value) []byte {
+	for i, v := range vals {
+		if i > 0 {
+			dst = append(dst, '\t')
+		}
+		dst = AppendKeyField(dst, v)
+	}
+	return dst
+}
+
 // AppendRow appends a row's tab-separated fields to dst.
 func AppendRow(dst []byte, r Row) []byte {
 	for i, v := range r {
@@ -345,7 +368,11 @@ func fieldCountError(line string, s *Schema) error {
 	return fmt.Errorf("row has %d fields, schema %s has %d", strings.Count(line, "\t")+1, s, len(s.Cols))
 }
 
-// EncodeKey renders a list of values as a grouping/partition key. The
-// encoding is injective (delegates to EncodeRow) and preserves nothing
-// about ordering; use Compare on decoded values to sort keys.
-func EncodeKey(vals []Value) string { return EncodeRow(Row(vals)) }
+// EncodeKey renders a list of values as a grouping/partition key
+// (AppendKey). The encoding is injective up to the sign of zero and
+// preserves nothing about ordering; use Compare on decoded values to sort
+// keys.
+func EncodeKey(vals []Value) string {
+	var buf [encodeBuf]byte
+	return string(AppendKey(buf[:0], vals))
+}

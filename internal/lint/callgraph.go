@@ -20,8 +20,8 @@ import (
 //     deliberately bounded to the module: interfaces declared outside it
 //     (error, io.Writer, ...) produce no edges, and an in-module
 //     interface with zero in-module implementations is recorded as an
-//     unresolved call — analyzers treat those conservatively
-//     (assume-impure for determinism, assume-shared for sharecheck).
+//     unresolved call — determinism treats those conservatively, as
+//     assume-impure.
 //   - EdgeRef: an in-module function or method referenced as a value
 //     (passed as an argument, stored, returned, or taken as a method
 //     value). Whoever receives the value may call it, so its effects are
@@ -30,8 +30,8 @@ import (
 //     own — the binding site already carries one.
 //
 // Function literals are inlined into the function that declares them:
-// the closure passed to forEachTask is analyzed as part of its enclosing
-// method, which is exactly the scope its captured variables live in.
+// a closure is analyzed as part of its enclosing function, which is
+// exactly the scope its captured variables live in.
 //
 // Implementation-candidate search skips package main: programs at the
 // module edge register their callbacks through the public API (covered
@@ -61,32 +61,12 @@ func (k EdgeKind) String() string {
 	return "unknown"
 }
 
-// recvClass is a coarse ownership class for a method call's receiver,
-// the RacerD-style signal that lets effect propagation skip writes to
-// objects the calling context provably created itself.
-type recvClass int
-
-const (
-	// recvShared: the receiver is rooted in state a concurrent peer
-	// could also reach (package variable, captured value, unknown).
-	recvShared recvClass = iota
-	// recvParam: the receiver is the caller's own receiver or parameter
-	// — ownership is whatever the caller's caller says it is.
-	recvParam
-	// recvLocal: the receiver is rooted in a variable the caller
-	// created locally; the callee's receiver writes are private.
-	recvLocal
-)
-
 // CallEdge is one caller→callee edge at a concrete source position.
 type CallEdge struct {
 	Caller *types.Func
 	Callee *types.Func
 	Pos    token.Pos
 	Kind   EdgeKind
-	// Recv classifies the receiver for method calls; plain calls and
-	// references inherit the caller's ownership context (recvParam).
-	Recv recvClass
 }
 
 // UnresolvedCall records a dynamic call the builder could not bound to
@@ -146,7 +126,7 @@ func (prog *Program) CallGraph() *CallGraph {
 					continue
 				}
 				g.Decls[fn] = declOf{Pkg: pkg, File: file, Decl: fd}
-				g.collect(pkg, fn, fd, impls)
+				g.collect(pkg, fn, fd.Body, impls)
 			}
 		}
 	}
@@ -245,37 +225,18 @@ func (g *CallGraph) node(fn *types.Func) *CallNode {
 }
 
 // addEdge appends an edge when the callee is an in-module function.
-func (g *CallGraph) addEdge(from *types.Func, callee *types.Func, pos token.Pos, kind EdgeKind, recv recvClass) {
+func (g *CallGraph) addEdge(from *types.Func, callee *types.Func, pos token.Pos, kind EdgeKind) {
 	if !g.prog.inModule(callee) {
 		return
 	}
 	n := g.node(from)
-	n.Out = append(n.Out, CallEdge{Caller: from, Callee: callee, Pos: pos, Kind: kind, Recv: recv})
+	n.Out = append(n.Out, CallEdge{Caller: from, Callee: callee, Pos: pos, Kind: kind})
 }
 
 // collect walks one function body (closures included) and records its
 // edges and unresolved calls.
-func (g *CallGraph) collect(pkg *Package, fn *types.Func, fd *ast.FuncDecl, impls []*types.Named) {
+func (g *CallGraph) collect(pkg *Package, fn *types.Func, body *ast.BlockStmt, impls []*types.Named) {
 	g.node(fn)
-	body := fd.Body
-
-	// Range key/value variables alias elements of the ranged expression;
-	// calls on them own whatever the ranged container owns.
-	rangeSrc := make(map[*types.Var]ast.Expr)
-	ast.Inspect(body, func(n ast.Node) bool {
-		if r, ok := n.(*ast.RangeStmt); ok {
-			for _, k := range []ast.Expr{r.Key, r.Value} {
-				id, ok := k.(*ast.Ident)
-				if !ok {
-					continue
-				}
-				if v, ok := pkg.Info.Defs[id].(*types.Var); ok {
-					rangeSrc[v] = r.X
-				}
-			}
-		}
-		return true
-	})
 
 	// First pass: remember which expressions are the operator of a call
 	// and which idents are selector fields, so the reference pass below
@@ -295,14 +256,14 @@ func (g *CallGraph) collect(pkg *Package, fn *types.Func, fd *ast.FuncDecl, impl
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			g.classifyCall(pkg, fn, fd, rangeSrc, n, impls)
+			g.classifyCall(pkg, fn, n, impls)
 		case *ast.SelectorExpr:
 			if callFun[n] {
 				return true
 			}
 			// Method value / qualified function reference.
 			if callee, ok := pkg.Info.Uses[n.Sel].(*types.Func); ok {
-				g.addEdge(fn, callee, n.Pos(), EdgeRef, recvParam)
+				g.addEdge(fn, callee, n.Pos(), EdgeRef)
 			}
 		case *ast.Ident:
 			if callFun[n] || selIdent[n] {
@@ -312,7 +273,7 @@ func (g *CallGraph) collect(pkg *Package, fn *types.Func, fd *ast.FuncDecl, impl
 				return true
 			}
 			if callee, ok := pkg.Info.Uses[n].(*types.Func); ok {
-				g.addEdge(fn, callee, n.Pos(), EdgeRef, recvParam)
+				g.addEdge(fn, callee, n.Pos(), EdgeRef)
 			}
 		}
 		return true
@@ -320,11 +281,11 @@ func (g *CallGraph) collect(pkg *Package, fn *types.Func, fd *ast.FuncDecl, impl
 }
 
 // classifyCall resolves one call expression into edges.
-func (g *CallGraph) classifyCall(pkg *Package, fn *types.Func, fd *ast.FuncDecl, rangeSrc map[*types.Var]ast.Expr, call *ast.CallExpr, impls []*types.Named) {
+func (g *CallGraph) classifyCall(pkg *Package, fn *types.Func, call *ast.CallExpr, impls []*types.Named) {
 	switch f := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if callee, ok := pkg.Info.Uses[f].(*types.Func); ok {
-			g.addEdge(fn, callee, call.Pos(), EdgeStatic, recvParam)
+			g.addEdge(fn, callee, call.Pos(), EdgeStatic)
 		}
 		// Vars (func values), builtins and conversions carry no edge:
 		// func-value bindings are covered by EdgeRef at the bind site.
@@ -337,76 +298,20 @@ func (g *CallGraph) classifyCall(pkg *Package, fn *types.Func, fd *ast.FuncDecl,
 			if !ok {
 				return
 			}
-			rc := recvClassOf(pkg, fd, rangeSrc, f.X)
 			if iface, _ := sel.Recv().Underlying().(*types.Interface); iface != nil {
-				g.dispatch(fn, call, sel.Recv(), callee, impls, rc)
+				g.dispatch(fn, call, sel.Recv(), callee, impls)
 				return
 			}
-			g.addEdge(fn, callee, call.Pos(), EdgeStatic, rc)
+			g.addEdge(fn, callee, call.Pos(), EdgeStatic)
 			return
 		}
 		// Qualified call: pkg.Func (or a conversion, which has no Func).
 		if callee, ok := pkg.Info.Uses[f.Sel].(*types.Func); ok {
-			g.addEdge(fn, callee, call.Pos(), EdgeStatic, recvParam)
+			g.addEdge(fn, callee, call.Pos(), EdgeStatic)
 		}
 	}
 	// Any other operator shape (index expression, call result, func
 	// literal) is a func value whose binding sites carry EdgeRef.
-}
-
-// recvClassOf classifies the ownership of a method-call receiver
-// expression relative to the enclosing declaration: rooted in a local the
-// function created (recvLocal), in its own receiver/parameters
-// (recvParam), or in anything a concurrent peer could reach (recvShared —
-// package variables, call results, unknown shapes). Range variables
-// resolve through to the ranged expression's root.
-func recvClassOf(pkg *Package, fd *ast.FuncDecl, rangeSrc map[*types.Var]ast.Expr, e ast.Expr) recvClass {
-	for hop := 0; hop < 8; hop++ {
-		root := rootIdent(e)
-		if root == nil {
-			return recvShared
-		}
-		obj, _ := pkg.Info.Uses[root].(*types.Var)
-		if obj == nil {
-			return recvShared // package-qualified value, func result, ...
-		}
-		if src, ok := rangeSrc[obj]; ok && src != e {
-			e = src
-			continue
-		}
-		switch {
-		case isPkgLevel(obj):
-			return recvShared
-		case isSigVar(pkg, fd, obj):
-			return recvParam
-		case obj.Pos() >= fd.Pos() && obj.Pos() < fd.End():
-			return recvLocal
-		}
-		return recvShared // captured from an enclosing scope
-	}
-	return recvShared
-}
-
-// isPkgLevel reports whether the variable is declared at package scope.
-func isPkgLevel(obj *types.Var) bool {
-	return obj.Parent() != nil && obj.Parent().Parent() == types.Universe
-}
-
-// isSigVar reports whether obj is the declared function's receiver or one
-// of its parameters.
-func isSigVar(pkg *Package, fd *ast.FuncDecl, obj *types.Var) bool {
-	fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-	if fn == nil {
-		return false
-	}
-	sig, _ := fn.Type().(*types.Signature)
-	if sig == nil {
-		return false
-	}
-	if sig.Recv() != nil && sig.Recv() == obj {
-		return true
-	}
-	return isParamOf(sig, obj)
 }
 
 // dispatch resolves an interface method call against the in-module
@@ -414,7 +319,7 @@ func isSigVar(pkg *Package, fd *ast.FuncDecl, obj *types.Var) bool {
 // skipped entirely — their behavior is outside the invariants this suite
 // checks — while an in-module interface with no in-module implementation
 // becomes an unresolved call, the conservative default.
-func (g *CallGraph) dispatch(fn *types.Func, call *ast.CallExpr, recv types.Type, method *types.Func, impls []*types.Named, rc recvClass) {
+func (g *CallGraph) dispatch(fn *types.Func, call *ast.CallExpr, recv types.Type, method *types.Func, impls []*types.Named) {
 	ifaceName := "interface"
 	if named, ok := recv.(*types.Named); ok {
 		if named.Obj().Pkg() != nil && g.prog.relOf(named.Obj().Pkg()) == "" {
@@ -435,7 +340,7 @@ func (g *CallGraph) dispatch(fn *types.Func, call *ast.CallExpr, recv types.Type
 			continue
 		}
 		if callee, ok := sel.Obj().(*types.Func); ok {
-			g.addEdge(fn, callee, call.Pos(), EdgeDynamic, rc)
+			g.addEdge(fn, callee, call.Pos(), EdgeDynamic)
 			found++
 		}
 	}

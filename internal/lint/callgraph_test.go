@@ -135,7 +135,4 @@ func TestReachFactTerminates(t *testing.T) {
 	if path, fact := g.reachFact(even, func(*types.Func) *Fact { return nil }, false); fact != nil {
 		t.Errorf("no base facts, but reachFact found %v via %v", fact, path)
 	}
-	if path, fact := g.reachSharedWrite(even, false); fact != nil {
-		t.Errorf("no shared writes, but reachSharedWrite found %v via %v", fact, path)
-	}
 }

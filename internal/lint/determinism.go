@@ -24,7 +24,6 @@ import (
 // as nondeterministic too.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "flag time.Now, global math/rand, and unsorted map-range emission reachable from replayed packages",
 	Packages: []string{
 		"internal/mapreduce",
 		"internal/cmf",
@@ -312,7 +311,8 @@ func mapDerived(pkg *Package, be *ast.BinaryExpr) bool {
 
 // nondetMapRange classifies `range m` over a map whose body emits (calls
 // an emit/output/write function or appends to a result declared outside
-// the loop) when the enclosing function does not sort afterward. Map
+// the loop) when the enclosing function does not sort afterward — the
+// appended slice itself, for an append. Map
 // iteration order is randomized per run, so such a loop makes the
 // emission order — and therefore the simulated byte stream — differ
 // between identical runs.
@@ -324,11 +324,11 @@ func nondetMapRange(pkg *Package, file *ast.File, rng *ast.RangeStmt) (msg, shor
 	if _, isMap := t.Underlying().(*types.Map); !isMap {
 		return "", ""
 	}
-	how := emissionIn(pkg, rng)
+	how, dest := emissionIn(pkg, rng)
 	if how == "" {
 		return "", ""
 	}
-	if sortsAfter(pkg, file, rng) {
+	if sortsAfter(pkg, file, rng, dest) {
 		return "", ""
 	}
 	return fmt.Sprintf("map iteration order feeds %s without a later sort; iterate sorted keys so emission order replays", how),
@@ -336,9 +336,9 @@ func nondetMapRange(pkg *Package, file *ast.File, rng *ast.RangeStmt) (msg, shor
 }
 
 // emissionIn scans the range body for an order-sensitive emission and
-// describes the first one found ("" when none).
-func emissionIn(pkg *Package, rng *ast.RangeStmt) string {
-	var how string
+// describes the first one found ("" when none). For an append it also
+// returns the grown variable, the one a later sort must order.
+func emissionIn(pkg *Package, rng *ast.RangeStmt) (how string, dest types.Object) {
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		if how != "" {
 			return false
@@ -353,15 +353,15 @@ func emissionIn(pkg *Package, rng *ast.RangeStmt) string {
 				return false
 			}
 			if name == "append" {
-				if dest := appendTarget(pkg, n, rng); dest != "" {
-					how = "an append to " + dest
+				if obj := appendTarget(pkg, n, rng); obj != nil {
+					how, dest = "an append to "+obj.Name(), obj
 					return false
 				}
 			}
 		}
 		return true
 	})
-	return how
+	return how, dest
 }
 
 // calleeName extracts the called function or method name.
@@ -375,31 +375,34 @@ func calleeName(call *ast.CallExpr) string {
 	return ""
 }
 
-// appendTarget reports the name of the slice being grown when the
-// append's first argument is a variable declared outside the range
-// statement (an accumulating result), "" otherwise.
-func appendTarget(pkg *Package, call *ast.CallExpr, rng *ast.RangeStmt) string {
+// appendTarget returns the slice being grown when the append's first
+// argument is a variable declared outside the range statement (an
+// accumulating result), nil otherwise.
+func appendTarget(pkg *Package, call *ast.CallExpr, rng *ast.RangeStmt) types.Object {
 	if len(call.Args) == 0 {
-		return ""
+		return nil
 	}
 	id, ok := call.Args[0].(*ast.Ident)
 	if !ok {
-		return ""
+		return nil
 	}
 	obj := pkg.Info.Uses[id]
 	if obj == nil || obj.Pos() == 0 {
-		return ""
+		return nil
 	}
 	if obj.Pos() >= rng.Pos() && obj.Pos() < rng.End() {
-		return "" // loop-local scratch
+		return nil // loop-local scratch
 	}
-	return id.Name
+	return obj
 }
 
 // sortsAfter reports whether the enclosing function calls into package
-// sort lexically after the range statement — the collect-then-sort
-// idiom that restores a deterministic order before anything escapes.
-func sortsAfter(pkg *Package, file *ast.File, rng *ast.RangeStmt) bool {
+// sort or slices lexically after the range statement — the
+// collect-then-sort idiom that restores a deterministic order before
+// anything escapes. When dest is set (the loop appends to it), only a
+// call whose first argument is dest counts: sorting some other slice
+// leaves dest in map order.
+func sortsAfter(pkg *Package, file *ast.File, rng *ast.RangeStmt, dest types.Object) bool {
 	body := enclosingFuncBody(file, rng.Pos())
 	if body == nil {
 		return false
@@ -417,12 +420,23 @@ func sortsAfter(pkg *Package, file *ast.File, rng *ast.RangeStmt) bool {
 			if fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil {
 				switch fn.Pkg().Path() {
 				case "sort", "slices":
-					found = true
-					return false
+					if dest == nil || firstArgIs(pkg, call, dest) {
+						found = true
+						return false
+					}
 				}
 			}
 		}
 		return true
 	})
 	return found
+}
+
+// firstArgIs reports whether the call's first argument is the variable obj.
+func firstArgIs(pkg *Package, call *ast.CallExpr, obj types.Object) bool {
+	if len(call.Args) == 0 {
+		return false
+	}
+	id, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
+	return ok && pkg.Info.Uses[id] == obj
 }

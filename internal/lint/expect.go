@@ -29,7 +29,7 @@ func CheckCorpus(dir string, analyzers []*Analyzer) ([]string, error) {
 	pkg := targets[0].Pkg
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		diags = append(diags, runOne(prog, pkg, a, nil)...)
+		diags = append(diags, runOne(prog, pkg, a)...)
 	}
 	wants := corpusWants(prog.Fset, pkg)
 

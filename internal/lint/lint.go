@@ -1,25 +1,21 @@
 // Package lint is ysmart's project-specific static-analysis suite: a
 // small go/parser + go/types analyzer framework (stdlib only, no
-// golang.org/x/tools dependency) plus the analyzers behind the
-// `ysmart-vet` CI gate. The analyzers machine-check invariants the Go
-// compiler cannot see but replay and CMF correctness depend on:
+// golang.org/x/tools dependency) plus the analyzer behind the
+// `ysmart-vet` CI gate. It machine-checks that every run replays byte
+// for byte:
 //
 //   - determinism: no wall-clock reads, no unseeded global math/rand,
 //     no map-iteration-ordered emission in the simulator's data paths —
 //     including through any chain of in-module helper calls, resolved
-//     over the module call graph (callgraph.go, facts.go);
-//   - sharecheck: closures run concurrently by forEachTask (or spawned
-//     with go) may write captured state only into a task-index slot or
-//     atomically, never merely under a mutex — helpers included;
-//   - concreduce: a NewReduceTask or NewMapTask factory must return a
-//     fresh instance, and the instance never writes state reached through
-//     its factory — what a reduce task counts it returns from Done.
+//     over the module call graph (callgraph.go, facts.go).
 //
-// A diagnostic on a deliberate exception is silenced with a trailing or
-// preceding `// lint:ignore <check> reason` comment. The driver audits
-// the directives themselves: one that silences zero diagnostics (while
-// every check it names has run) is reported as `staleignore`, so dead
-// suppressions cannot linger after the code they excused is gone.
+// An analyzer earns its place here only by flagging a bug that both
+// `go test ./...` and `go test -race ./...` miss: an unsorted map range
+// changes output order from run to run while every single run stays
+// correct. What parallel task bodies may write is held by the race
+// detector over the engine's geometry and shared-plan tests instead.
+//
+// There is no suppression directive: a finding is fixed, not silenced.
 package lint
 
 import (
@@ -30,21 +26,13 @@ import (
 	"strings"
 )
 
-// Analyzers is the full ysmart-vet suite in stable order.
-var Analyzers = []*Analyzer{Determinism, ShareCheck, ConcReduce}
-
-// StaleIgnoreCheck is the name the driver's suppression audit reports
-// under. It is not an Analyzer: the driver itself emits it after all
-// selected analyzers ran over a package.
-const StaleIgnoreCheck = "staleignore"
+// Analyzers is the full ysmart-vet suite.
+var Analyzers = []*Analyzer{Determinism}
 
 // Analyzer is one named check over a type-checked package.
 type Analyzer struct {
-	// Name is the check's identifier, used in diagnostics, -check
-	// selection, and lint:ignore directives.
+	// Name is the check's identifier, used in diagnostics.
 	Name string
-	// Doc is a one-line description shown by `ysmart-vet -list`.
-	Doc string
 	// Packages restricts the analyzer to module packages whose
 	// module-relative import path starts with one of these prefixes. An
 	// empty list applies the analyzer to every package. Explicitly named
@@ -103,9 +91,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Vet runs the analyzers over the packages matched by patterns (./...
-// or explicit directory paths) under the module rooted at or above dir.
-// Diagnostics silenced by lint:ignore directives are dropped; the rest
-// come back sorted by position.
+// or explicit directory paths) under the module rooted at or above dir,
+// and returns their diagnostics sorted by position.
 func Vet(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	prog, targets, err := Load(dir, patterns)
 	if err != nil {
@@ -113,16 +100,11 @@ func Vet(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, er
 	}
 	var diags []Diagnostic
 	for _, t := range targets {
-		ig := ignoresOf(prog.Fset, t.Pkg)
-		ran := make(map[string]bool)
 		for _, a := range analyzers {
-			if !t.Explicit && !a.appliesTo(t.Pkg.Rel) {
-				continue
+			if t.Explicit || a.appliesTo(t.Pkg.Rel) {
+				diags = append(diags, runOne(prog, t.Pkg, a)...)
 			}
-			ran[a.Name] = true
-			diags = append(diags, runOne(prog, t.Pkg, a, ig)...)
 		}
-		diags = append(diags, ig.stale(ran)...)
 	}
 	sort.Slice(diags, func(i, k int) bool {
 		a, b := diags[i], diags[k]
@@ -140,133 +122,11 @@ func Vet(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, er
 	return diags, nil
 }
 
-// runOne applies one analyzer to one package and filters ignored
-// diagnostics, marking the directives it consumes. A nil ignore set is
-// built on the spot (the corpus checker runs analyzers one at a time).
-func runOne(prog *Program, pkg *Package, a *Analyzer, ig *ignoreSet) []Diagnostic {
+// runOne applies one analyzer to one package.
+func runOne(prog *Program, pkg *Package, a *Analyzer) []Diagnostic {
 	pass := &Pass{Prog: prog, Pkg: pkg, analyzer: a}
 	a.Run(pass)
-	if len(pass.diags) == 0 {
-		return nil
-	}
-	if ig == nil {
-		ig = ignoresOf(prog.Fset, pkg)
-	}
-	out := pass.diags[:0]
-	for _, d := range pass.diags {
-		if !ig.silences(d) {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// ignoreDirective is one lint:ignore comment, tracked through a whole
-// vet run so the driver can tell which directives earned their keep.
-type ignoreDirective struct {
-	pos    token.Position
-	checks []string
-	used   bool
-}
-
-// ignoreSet indexes a package's directives by the file:line pairs they
-// cover.
-type ignoreSet struct {
-	byLine map[string]map[int][]*ignoreDirective
-	all    []*ignoreDirective
-}
-
-// ignoresOf collects the package's lint:ignore directives. A directive
-// silences matching diagnostics on its own line; a directive whose
-// comment group stands alone (no code before it on its last line) also
-// silences the line immediately below the group, the staticcheck
-// convention for annotating a whole statement.
-func ignoresOf(fset *token.FileSet, pkg *Package) *ignoreSet {
-	ig := &ignoreSet{byLine: make(map[string]map[int][]*ignoreDirective)}
-	add := func(d *ignoreDirective, line int) {
-		file := d.pos.Filename
-		if ig.byLine[file] == nil {
-			ig.byLine[file] = make(map[int][]*ignoreDirective)
-		}
-		ig.byLine[file][line] = append(ig.byLine[file][line], d)
-	}
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				text = strings.TrimSpace(text)
-				if !strings.HasPrefix(text, "lint:ignore") {
-					continue
-				}
-				fields := strings.Fields(strings.TrimPrefix(text, "lint:ignore"))
-				if len(fields) == 0 {
-					continue
-				}
-				d := &ignoreDirective{
-					pos:    fset.Position(c.Pos()),
-					checks: strings.Split(fields[0], ","),
-				}
-				ig.all = append(ig.all, d)
-				add(d, d.pos.Line)
-				add(d, d.pos.Line+1)
-			}
-		}
-	}
-	return ig
-}
-
-// silences reports whether the diagnostic is covered by a directive,
-// marking every directive that covers it as used.
-func (ig *ignoreSet) silences(d Diagnostic) bool {
-	lines := ig.byLine[d.Pos.Filename]
-	if lines == nil {
-		return false
-	}
-	hit := false
-	for _, dir := range lines[d.Pos.Line] {
-		for _, c := range dir.checks {
-			if c == d.Check || c == "*" {
-				dir.used = true
-				hit = true
-			}
-		}
-	}
-	return hit
-}
-
-// stale reports the directives that silenced nothing even though every
-// check they name ran over the package — dead suppressions. A directive
-// naming a check that did not run is left alone (it may yet earn its
-// keep), and a wildcard is only judged when the entire registered suite
-// ran, since any absent analyzer could have been its target.
-func (ig *ignoreSet) stale(ran map[string]bool) []Diagnostic {
-	var out []Diagnostic
-	for _, d := range ig.all {
-		if d.used {
-			continue
-		}
-		judgeable := true
-		for _, c := range d.checks {
-			if c == "*" {
-				for _, a := range Analyzers {
-					if !ran[a.Name] {
-						judgeable = false
-					}
-				}
-			} else if !ran[c] {
-				judgeable = false
-			}
-		}
-		if !judgeable {
-			continue
-		}
-		out = append(out, Diagnostic{
-			Pos:     d.pos,
-			Check:   StaleIgnoreCheck,
-			Message: fmt.Sprintf("lint:ignore %s silences no diagnostic; remove the stale directive", strings.Join(d.checks, ",")),
-		})
-	}
-	return out
+	return pass.diags
 }
 
 // enclosingFuncBody returns the body of the innermost function (decl or

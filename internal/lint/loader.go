@@ -41,7 +41,6 @@ type Program struct {
 
 	// Interprocedural caches, built lazily and shared by analyzers.
 	callgraph  *CallGraph
-	effects    map[*types.Func][]sharedWrite
 	nondetOnce bool
 	nondet     map[*types.Func]*Fact
 }

@@ -143,3 +143,27 @@ func sortInts(xs []int) {
 func callsNaNSort(xs []float64) {
 	sortScores(xs) // want "call to determinism.sortScores reaches a NaN-unsafe float sort comparator via determinism.sortScores"
 }
+
+// --- collect-then-sort must sort the collected slice ---
+
+// sortsOtherSlice sorts after the loop, but not the slice the loop grew:
+// tables keeps the map's order.
+func sortsOtherSlice(shared map[string]int, scans []int) ([]string, []int) {
+	tables := make([]string, 0, len(shared))
+	for t := range shared { // want "map iteration order feeds an append to tables without a later sort"
+		tables = append(tables, t)
+	}
+	sort.Ints(scans)
+	return tables, scans
+}
+
+// sortsBothSlices orders the grown slice as well: clean.
+func sortsBothSlices(shared map[string]int, scans []int) ([]string, []int) {
+	tables := make([]string, 0, len(shared))
+	for t := range shared {
+		tables = append(tables, t)
+	}
+	sort.Ints(scans)
+	sort.Strings(tables)
+	return tables, scans
+}

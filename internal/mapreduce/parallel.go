@@ -71,7 +71,8 @@ func (e *Engine) forEachTask(n int, fn func(i int) error) error {
 				if i >= n {
 					return
 				}
-				// lint:ignore sharecheck the atomic fetch-add hands each iteration a unique index, so errs[i] slots are disjoint
+				// The atomic fetch-add hands each iteration a unique index,
+				// so the errs[i] slots are disjoint.
 				errs[i] = e.runItem(fn, i)
 			}
 		}()

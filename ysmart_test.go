@@ -1,7 +1,9 @@
 package ysmart_test
 
 import (
+	"bytes"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -197,4 +199,70 @@ func TestNilTracerIsOff(t *testing.T) {
 	if !reflect.DeepEqual(plain.Stats, got.Stats) {
 		t.Errorf("nil sinks changed ChainStats:\nplain %+v\ngot   %+v", plain.Stats, got.Stats)
 	}
+}
+
+// TestEventLogReplays: the structured event log (-log) replays byte for
+// byte, like everything else the simulator prints. Each workload query is
+// parsed, translated and run several times in this one process, each time
+// on a fresh runtime, and every run must log exactly the bytes of the
+// first. Map iteration order changes from run to run inside a process, so
+// an unsorted map range that reaches a logged field (a partition key's
+// components in a plan.merge event, say) fails here.
+func TestEventLogReplays(t *testing.T) {
+	const runs = 6
+	tables, err := ysmart.WorkloadTables()
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := ysmart.WorkloadQueries()
+	names := make([]string, 0, len(queries))
+	for name := range queries {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		var first []byte
+		for i := 0; i < runs; i++ {
+			var buf bytes.Buffer
+			logger := ysmart.NewLogger(&buf, ysmart.LogDebug)
+			q, err := ysmart.Parse(queries[name], ysmart.WorkloadCatalog())
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			tr, err := q.Translate(ysmart.YSmart, ysmart.Options{QueryName: name, Logger: logger})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			rt, err := ysmart.NewRuntime(ysmart.SmallCluster())
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt.LoadTables(tables)
+			if _, err := rt.Run(tr, ysmart.WithLogger(logger)); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if i == 0 {
+				if buf.Len() == 0 {
+					t.Fatalf("%s: the run logged nothing", name)
+				}
+				first = buf.Bytes()
+				continue
+			}
+			if !bytes.Equal(buf.Bytes(), first) {
+				t.Errorf("%s: run %d logged other bytes than run 1:\n%s", name, i+1, firstLineDiff(first, buf.Bytes()))
+				break
+			}
+		}
+	}
+}
+
+// firstLineDiff renders the first line at which two logs differ.
+func firstLineDiff(a, b []byte) string {
+	al, bl := strings.Split(string(a), "\n"), strings.Split(string(b), "\n")
+	for i := 0; i < len(al) && i < len(bl); i++ {
+		if al[i] != bl[i] {
+			return "run 1: " + al[i] + "\nother: " + bl[i]
+		}
+	}
+	return "one log is a prefix of the other"
 }
