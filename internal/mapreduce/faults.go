@@ -1,10 +1,11 @@
 package mapreduce
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -100,8 +101,7 @@ func (p *FaultPlan) IsZero() bool {
 func (p *FaultPlan) Validate(nodes int) error {
 	// The range checks below are written as negated closed-interval tests
 	// on purpose: NaN compares false against everything, so `< 0 || >= 1`
-	// would wave a NaN probability through and later feed the scheduler's
-	// sort a value no total order can place.
+	// would wave a NaN probability through.
 	switch {
 	case !(p.TaskFailureProb >= 0 && p.TaskFailureProb < 1):
 		return fmt.Errorf("fault plan: task failure probability must be in [0, 1)")
@@ -112,6 +112,7 @@ func (p *FaultPlan) Validate(nodes int) error {
 	case p.MaxAttempts < 0:
 		return fmt.Errorf("fault plan: max attempts must be positive")
 	}
+	listed := make(map[int]bool, len(p.NodeFailures))
 	for _, nf := range p.NodeFailures {
 		if nf.Node < 0 || nf.Node >= nodes {
 			return fmt.Errorf("fault plan: node %d out of range [0, %d)", nf.Node, nodes)
@@ -119,21 +120,24 @@ func (p *FaultPlan) Validate(nodes int) error {
 		if !(nf.At >= 0 && !math.IsInf(nf.At, 1)) {
 			return fmt.Errorf("fault plan: node %d failure time must be finite and >= 0", nf.Node)
 		}
+		// A node dies once: a second entry would be counted and traced as
+		// a death that never happens.
+		if listed[nf.Node] {
+			return fmt.Errorf("fault plan: node %d listed twice", nf.Node)
+		}
+		listed[nf.Node] = true
 	}
 	return nil
 }
 
-// deathTimes returns the earliest death time per node (a node can only die
-// once; duplicate entries keep the earliest).
+// deathTimes returns each listed node's death time.
 func (p *FaultPlan) deathTimes() map[int]float64 {
 	if len(p.NodeFailures) == 0 {
 		return nil
 	}
 	out := make(map[int]float64, len(p.NodeFailures))
 	for _, nf := range p.NodeFailures {
-		if t, ok := out[nf.Node]; !ok || nf.At < t {
-			out[nf.Node] = nf.At
-		}
+		out[nf.Node] = nf.At
 	}
 	return out
 }
@@ -257,18 +261,10 @@ func ParseFaultSpec(spec string) (*FaultPlan, error) {
 			return nil, fmt.Errorf("fault spec: unknown key %q (have task, straggler, node, attempts)", key)
 		}
 	}
-	sort.Slice(p.NodeFailures, func(i, k int) bool {
-		a, b := p.NodeFailures[i], p.NodeFailures[k]
-		// Validate and parseFinite reject NaN times, but the comparator
-		// must be a total order regardless of its inputs: NaN sorts first,
-		// deterministically, instead of poisoning the whole ordering.
-		if math.IsNaN(a.At) || math.IsNaN(b.At) {
-			if math.IsNaN(a.At) != math.IsNaN(b.At) {
-				return math.IsNaN(a.At)
-			}
-			return a.Node < b.Node
-		}
-		return a.At < b.At || (a.At == b.At && a.Node < b.Node)
+	// cmp.Compare is a total order on floats, NaN included, though
+	// parseFinite has already rejected non-finite times.
+	slices.SortFunc(p.NodeFailures, func(a, b NodeFailure) int {
+		return cmp.Or(cmp.Compare(a.At, b.At), cmp.Compare(a.Node, b.Node))
 	})
 	return p, nil
 }

@@ -316,6 +316,7 @@ func TestFaultValidation(t *testing.T) {
 		{MaxAttempts: -1},
 		{NodeFailures: []NodeFailure{{Node: 99, At: 1}}},
 		{NodeFailures: []NodeFailure{{Node: 0, At: -3}}},
+		{NodeFailures: []NodeFailure{{Node: 1, At: 14}, {Node: 1, At: 15}}},
 	}
 	for i, plan := range cases {
 		c := testFaultCluster()

@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"fmt"
-	"sort"
 
 	"ysmart/internal/obs"
 )
@@ -16,6 +15,13 @@ import (
 // a fault-free schedule reproduces the analytic phase times: each task's
 // nominal duration is the phase base divided by its wave count, and every
 // attempt pays the cost model's per-wave TaskOverhead.
+//
+// One routine (phaseSched.run) launches every attempt: primaries, retries,
+// recomputes and speculative backups alike, the backup-only rules being
+// branches of it. The attempt log it appends to is the single record of
+// the schedule: the recovery counters in JobStats are read off it, and
+// per-task state (launch count, failures, standing attempt) sits in one
+// slice indexed by task, which the replays of the user code also read.
 
 // slotPool tracks per-slot next-free times for one phase's slot class.
 // Slot s lives on node s % nodes; a node death permanently retires its
@@ -70,24 +76,22 @@ func (p *slotPool) acquire(ready float64) (slot int, start float64, ok bool) {
 	return best, bestStart, true
 }
 
-// completion records where and when a task's winning attempt finished.
-type completion struct {
-	at   float64
-	node int
+// taskState is one task's record within a phase.
+type taskState struct {
+	launches int  // attempts launched so far: the next attempt's index
+	fails    int  // injected failures so far, capped at MaxAttempts-1
+	out      int  // index into phaseSched.attempts of the attempt whose output stands
+	slot     int  // the slot that attempt ran on
+	backedUp bool // a speculative backup has been queued
 }
 
 // pendingEntry is one task execution waiting for a slot.
 type pendingEntry struct {
-	task      int
-	ready     float64 // earliest start time
-	seq       int     // enqueue order, the deterministic tie-breaker
-	recompute bool
-
-	// Speculative backups carry their straggling original's coordinates.
-	speculative bool
-	origEnd     float64
-	origIdx     int // index into phaseSched.attempts
-	origSlot    int
+	task        int
+	ready       float64 // earliest start time
+	seq         int     // enqueue order, the deterministic tie-breaker
+	recompute   bool
+	speculative bool // a backup racing the task's standing (straggling) attempt
 }
 
 // phaseSched schedules one phase (map or reduce) of one job under a fault
@@ -102,37 +106,27 @@ type phaseSched struct {
 	overhead float64
 	pool     *slotPool
 
-	attempts    []TaskAttempt
-	completions map[int]completion
-	nextAttempt map[int]int
-	fails       map[int]int
-	specDone    map[int]bool
-	nextSeq     int
-
-	relaunches int // failed + node-lost attempts that spawned a retry
-	specCount  int // backups launched
-	specWins   int // backups that finished first
+	attempts []TaskAttempt
+	tasks    []taskState
+	nextSeq  int
 }
 
-func newPhaseSched(plan *FaultPlan, spec Speculation, job, phase string, taskDur, overhead float64, pool *slotPool) *phaseSched {
-	return &phaseSched{
-		plan: plan, spec: spec, job: job, phase: phase,
-		taskDur: taskDur, overhead: overhead, pool: pool,
-		completions: make(map[int]completion),
-		nextAttempt: make(map[int]int),
-		fails:       make(map[int]int),
-		specDone:    make(map[int]bool),
-	}
-}
-
-// enqueue builds the initial pending list for n fresh tasks.
+// initial sizes the per-task state and builds the pending list for n
+// fresh tasks.
 func (ps *phaseSched) initial(n int, ready float64) []pendingEntry {
+	ps.tasks = make([]taskState, n)
 	entries := make([]pendingEntry, n)
 	for i := range entries {
-		entries[i] = pendingEntry{task: i, ready: ready, seq: ps.nextSeq}
-		ps.nextSeq++
+		entries[i] = ps.entry(i, ready, false, false)
 	}
 	return entries
+}
+
+// entry numbers one pending execution.
+func (ps *phaseSched) entry(task int, ready float64, recompute, speculative bool) pendingEntry {
+	ps.nextSeq++
+	return pendingEntry{task: task, ready: ready, seq: ps.nextSeq - 1,
+		recompute: recompute, speculative: speculative}
 }
 
 // end returns the phase end: the latest attempt end, floored at start.
@@ -146,8 +140,9 @@ func (ps *phaseSched) end(start float64) float64 {
 	return end
 }
 
-// run drains the pending list, launching every attempt (and the retries,
-// recomputes and backups it spawns) onto the slot pool. It errors only
+// run drains the pending list, launching every attempt — primaries,
+// retries, recomputes and the speculative backups they spawn — onto the
+// slot pool. It returns once every task has completed, and errors only
 // when no surviving slot exists for a required (non-speculative) attempt.
 func (ps *phaseSched) run(pending []pendingEntry) error {
 	for len(pending) > 0 {
@@ -162,23 +157,30 @@ func (ps *phaseSched) run(pending []pendingEntry) error {
 		}
 		e := pending[best]
 		pending = append(pending[:best], pending[best+1:]...)
-
-		if e.speculative {
-			ps.launchBackup(e)
-			continue
-		}
+		ts := &ps.tasks[e.task]
 
 		slot, start, ok := ps.pool.acquire(e.ready)
-		if !ok {
+		var origEnd float64
+		if e.speculative {
+			// A backup that cannot start before its original finishes is
+			// silently dropped.
+			orig := ps.attempts[ts.out]
+			origEnd = orig.Start + orig.Dur
+			if !ok || start >= origEnd {
+				continue
+			}
+		} else if !ok {
 			return fmt.Errorf("%s phase of %s: no surviving nodes to run task %d", ps.phase, ps.job, e.task)
 		}
-		attemptIdx := ps.nextAttempt[e.task]
-		ps.nextAttempt[e.task]++
+		attemptIdx := ts.launches
+		ts.launches++
 
 		slow := ps.slowFactor(e.task, attemptIdx)
 		dur := ps.overhead + ps.taskDur*slow
 		outcome := OutcomeOK
-		if ps.plan.TaskFailureProb > 0 && ps.fails[e.task] < ps.plan.maxAttempts()-1 &&
+		// Only the original line of attempts counts toward the failure cap,
+		// so a backup can fail whatever its task's history.
+		if ps.plan.TaskFailureProb > 0 && (e.speculative || ts.fails < ps.plan.maxAttempts()-1) &&
 			ps.plan.roll("fail", ps.job, ps.phase, e.task, attemptIdx) < ps.plan.TaskFailureProb {
 			frac := 0.25 + 0.5*ps.plan.roll("frac", ps.job, ps.phase, e.task, attemptIdx)
 			dur = ps.overhead + ps.taskDur*slow*frac
@@ -188,92 +190,46 @@ func (ps *phaseSched) run(pending []pendingEntry) error {
 			dur = d - start
 			outcome = OutcomeNodeLost
 		}
+		if e.speculative && start+dur >= origEnd {
+			// The original finishes first: the backup is killed then.
+			outcome = OutcomeKilled
+			dur = origEnd - start
+		}
 		end := start + dur
 		ps.pool.free[slot] = end
-		recIdx := len(ps.attempts)
 		ps.attempts = append(ps.attempts, TaskAttempt{
 			Phase: ps.phase, Task: e.task, Attempt: attemptIdx,
 			Node: slot % ps.pool.nodes, Start: start, Dur: dur,
-			Outcome: outcome, Recompute: e.recompute,
+			Outcome: outcome, Speculative: e.speculative, Recompute: e.recompute,
 		})
 
-		switch outcome {
-		case OutcomeOK:
-			ps.completions[e.task] = completion{at: end, node: slot % ps.pool.nodes}
-			if ps.spec.Enabled && slow >= slowdownThreshold && !ps.specDone[e.task] {
-				ps.specDone[e.task] = true
-				pending = append(pending, pendingEntry{
-					task: e.task, ready: start + ps.overhead + ps.taskDur, seq: ps.nextSeq,
-					speculative: true, origEnd: end, origIdx: recIdx, origSlot: slot,
-					recompute: e.recompute,
-				})
-				ps.nextSeq++
+		switch {
+		case outcome == OutcomeOK && e.speculative:
+			// The backup won the race: the original is killed, freeing its
+			// slot early.
+			orig := &ps.attempts[ts.out]
+			orig.Outcome = OutcomeKilled
+			orig.Dur = end - orig.Start
+			if ps.pool.free[ts.slot] > end {
+				ps.pool.free[ts.slot] = end
 			}
-		default: // failed or node-lost: relaunch from the failure instant
+			ts.out, ts.slot = len(ps.attempts)-1, slot
+		case outcome == OutcomeOK:
+			ts.out, ts.slot = len(ps.attempts)-1, slot
+			if ps.spec.Enabled && slow >= slowdownThreshold && !ts.backedUp {
+				ts.backedUp = true
+				pending = append(pending, ps.entry(e.task, start+ps.overhead+ps.taskDur, e.recompute, true))
+			}
+		case !e.speculative:
+			// Failed or node-lost: relaunch from the failure instant. A
+			// failed backup is not relaunched; its original still runs.
 			if outcome == OutcomeFailed {
-				ps.fails[e.task]++
+				ts.fails++
 			}
-			ps.relaunches++
-			pending = append(pending, pendingEntry{
-				task: e.task, ready: end, seq: ps.nextSeq, recompute: e.recompute,
-			})
-			ps.nextSeq++
+			pending = append(pending, ps.entry(e.task, end, e.recompute, false))
 		}
 	}
 	return nil
-}
-
-// launchBackup runs one speculative attempt racing its straggling
-// original. A backup that cannot start before the original finishes is
-// silently dropped; a backup overtaken by the original is killed at the
-// original's completion.
-func (ps *phaseSched) launchBackup(e pendingEntry) {
-	slot, start, ok := ps.pool.acquire(e.ready)
-	if !ok || start >= e.origEnd {
-		return
-	}
-	attemptIdx := ps.nextAttempt[e.task]
-	ps.nextAttempt[e.task]++
-	ps.specCount++
-
-	slow := ps.slowFactor(e.task, attemptIdx)
-	dur := ps.overhead + ps.taskDur*slow
-	outcome := OutcomeOK
-	if ps.plan.TaskFailureProb > 0 &&
-		ps.plan.roll("fail", ps.job, ps.phase, e.task, attemptIdx) < ps.plan.TaskFailureProb {
-		frac := 0.25 + 0.5*ps.plan.roll("frac", ps.job, ps.phase, e.task, attemptIdx)
-		dur = ps.overhead + ps.taskDur*slow*frac
-		outcome = OutcomeFailed
-	}
-	if d, dead := ps.pool.deathOf(slot); dead && start+dur > d {
-		dur = d - start
-		outcome = OutcomeNodeLost
-	}
-	end := start + dur
-	if end >= e.origEnd {
-		// The original finishes first: the backup is killed then.
-		outcome = OutcomeKilled
-		dur = e.origEnd - start
-		end = e.origEnd
-	}
-	ps.pool.free[slot] = end
-	ps.attempts = append(ps.attempts, TaskAttempt{
-		Phase: ps.phase, Task: e.task, Attempt: attemptIdx,
-		Node: slot % ps.pool.nodes, Start: start, Dur: dur,
-		Outcome: outcome, Speculative: true, Recompute: e.recompute,
-	})
-	if outcome == OutcomeOK {
-		// Backup won the race: it defines the completion and the original
-		// is killed, freeing its slot early.
-		ps.specWins++
-		ps.completions[e.task] = completion{at: end, node: slot % ps.pool.nodes}
-		orig := &ps.attempts[e.origIdx]
-		orig.Outcome = OutcomeKilled
-		orig.Dur = end - orig.Start
-		if ps.pool.free[e.origSlot] > end {
-			ps.pool.free[e.origSlot] = end
-		}
-	}
 }
 
 // slowFactor draws the straggler multiplier for one attempt.
@@ -286,24 +242,16 @@ func (ps *phaseSched) slowFactor(task, attempt int) float64 {
 }
 
 // recomputeLost relaunches map tasks whose completed output died with its
-// node: any completion on a node whose death falls inside (lo, hi]. It
-// returns the number of tasks relaunched this round.
+// node: any task whose standing attempt ran on a node whose death falls
+// inside (lo, hi]. It returns the number of tasks relaunched this round.
 func (ps *phaseSched) recomputeLost(lo, hi float64) (int, error) {
-	// Walk completed tasks in sorted order so the enqueue order (and the
-	// seq numbers it assigns) never depends on map iteration order.
-	tasks := make([]int, 0, len(ps.completions))
-	for task := range ps.completions {
-		tasks = append(tasks, task)
-	}
-	sort.Ints(tasks)
 	var entries []pendingEntry
-	for _, task := range tasks {
-		d, dead := ps.pool.deaths[ps.completions[task].node]
+	for task, ts := range ps.tasks {
+		d, dead := ps.pool.deaths[ps.attempts[ts.out].Node]
 		if !dead || d <= lo || d > hi {
 			continue
 		}
-		entries = append(entries, pendingEntry{task: task, ready: d, seq: ps.nextSeq, recompute: true})
-		ps.nextSeq++
+		entries = append(entries, ps.entry(task, d, true, false))
 	}
 	if len(entries) == 0 {
 		return 0, nil
@@ -342,9 +290,9 @@ func (e *Engine) scheduleJob(j *Job, s *JobStats, b phaseBases, tasks []mapTask,
 		b.redBase + b.redWaves*cm.TaskOverhead
 	mapStart := e.simNow + s.StartupTime
 
-	mp := newPhaseSched(plan, cl.Speculation, j.Name, "map",
-		b.mapBase/b.mapWaves, cm.TaskOverhead,
-		newSlotPool(int(cl.mapSlots()), cl.Nodes, mapStart, deaths))
+	mp := &phaseSched{plan: plan, spec: cl.Speculation, job: j.Name, phase: "map",
+		taskDur: b.mapBase / b.mapWaves, overhead: cm.TaskOverhead,
+		pool: newSlotPool(int(cl.mapSlots()), cl.Nodes, mapStart, deaths)}
 	if err := mp.run(mp.initial(s.NumMapTasks, mapStart)); err != nil {
 		return err
 	}
@@ -354,7 +302,7 @@ func (e *Engine) scheduleJob(j *Job, s *JobStats, b phaseBases, tasks []mapTask,
 		mapEnd := mp.end(mapStart)
 		s.MapTime = mapEnd - mapStart
 		e.fillFaultStats(s, mp, nil, e.simNow, mapEnd)
-		return e.reexecuteMap(j, s, tasks, mp)
+		return e.reexecuteMap(j, tasks, mp)
 	}
 
 	// ----- Map phase: in-phase recompute of output lost to node deaths.
@@ -397,9 +345,9 @@ func (e *Engine) scheduleJob(j *Job, s *JobStats, b phaseBases, tasks []mapTask,
 
 	// ----- Reduce phase: completed output lives on the DFS, so deaths only
 	// kill in-flight attempts.
-	rp := newPhaseSched(plan, cl.Speculation, j.Name, "reduce",
-		b.redBase/b.redWaves, cm.TaskOverhead,
-		newSlotPool(int(cl.reduceSlots()), cl.Nodes, shuffleEnd, deaths))
+	rp := &phaseSched{plan: plan, spec: cl.Speculation, job: j.Name, phase: "reduce",
+		taskDur: b.redBase / b.redWaves, overhead: cm.TaskOverhead,
+		pool: newSlotPool(int(cl.reduceSlots()), cl.Nodes, shuffleEnd, deaths)}
 	if err := rp.run(rp.initial(s.NumReduceTasks, shuffleEnd)); err != nil {
 		return err
 	}
@@ -410,23 +358,35 @@ func (e *Engine) scheduleJob(j *Job, s *JobStats, b phaseBases, tasks []mapTask,
 	s.ReduceTime = reduceEnd - shuffleEnd
 	e.fillFaultStats(s, mp, rp, e.simNow, reduceEnd)
 
-	if err := e.reexecuteMap(j, s, tasks, mp); err != nil {
+	if err := e.reexecuteMap(j, tasks, mp); err != nil {
 		return err
 	}
 	return e.reexecuteReduce(j, s, groups, rp)
 }
 
-// fillFaultStats copies the schedulers' recovery accounting into JobStats.
+// fillFaultStats moves the schedulers' attempt logs into JobStats and reads
+// the recovery counters off them: a non-speculative attempt that failed or
+// lost its node was relaunched, and a speculative one that completed won
+// its race.
 func (e *Engine) fillFaultStats(s *JobStats, mp, rp *phaseSched, jobStart, jobEnd float64) {
-	s.MapTaskRetries = mp.relaunches
-	s.SpeculativeTasks = mp.specCount
-	s.SpeculativeWins = mp.specWins
 	s.Attempts = append(s.Attempts, mp.attempts...)
 	if rp != nil {
-		s.ReduceTaskRetries = rp.relaunches
-		s.SpeculativeTasks += rp.specCount
-		s.SpeculativeWins += rp.specWins
 		s.Attempts = append(s.Attempts, rp.attempts...)
+	}
+	for _, a := range s.Attempts {
+		switch {
+		case a.Speculative:
+			s.SpeculativeTasks++
+			if a.Outcome == OutcomeOK {
+				s.SpeculativeWins++
+			}
+		case a.Outcome == OutcomeFailed || a.Outcome == OutcomeNodeLost:
+			if a.Phase == "map" {
+				s.MapTaskRetries++
+			} else {
+				s.ReduceTaskRetries++
+			}
+		}
 	}
 	for _, nf := range e.cluster.Faults.NodeFailures {
 		if nf.At >= jobStart && nf.At <= jobEnd {
@@ -445,20 +405,16 @@ func (e *Engine) fillFaultStats(s *JobStats, mp, rp *phaseSched, jobStart, jobEn
 // replicas) and run the real user code again. The first execution's
 // output — already collected by the primary pass — stays canonical, so a
 // fault-injected run is byte-identical to a fault-free one.
-func (e *Engine) reexecuteMap(j *Job, s *JobStats, tasks []mapTask, mp *phaseSched) error {
-	extra := make(map[int]int)
-	for _, a := range mp.attempts {
-		extra[a.Task]++
-	}
+func (e *Engine) reexecuteMap(j *Job, tasks []mapTask, mp *phaseSched) error {
 	// The DFS re-reads run here on the driver goroutine, in ascending task
 	// order, so their trace instants keep one deterministic sequence; only
 	// the pure mapper/combiner re-execution fans out to the worker pool.
 	var replays []int // task index, one entry per extra execution
-	for task := 0; task < s.NumMapTasks; task++ {
+	for task, ts := range mp.tasks {
 		if task >= len(tasks) {
 			break // phantom cost-model task with no data of its own
 		}
-		for n := extra[task] - 1; n > 0; n-- {
+		for n := ts.launches - 1; n > 0; n-- {
 			mt := tasks[task]
 			if _, err := e.dfs.Read(mt.input.Path); err != nil {
 				return fmt.Errorf("map retry %s: %w", mt.input.Path, err)
@@ -487,13 +443,9 @@ func (e *Engine) reexecuteMap(j *Job, s *JobStats, tasks []mapTask, mp *phaseSch
 // beyond each task's first, over the key groups hash-partitioned to that
 // task. Outputs and counts are discarded — the primary pass's are canonical.
 func (e *Engine) reexecuteReduce(j *Job, s *JobStats, groups []keyGroup, rp *phaseSched) error {
-	extra := make(map[int]int)
-	for _, a := range rp.attempts {
-		extra[a.Task]++
-	}
 	var replays []int // reduce partition, one entry per extra execution
-	for task := 0; task < s.NumReduceTasks; task++ {
-		for n := extra[task] - 1; n > 0; n-- {
+	for task, ts := range rp.tasks {
+		for n := ts.launches - 1; n > 0; n-- {
 			replays = append(replays, task)
 		}
 	}

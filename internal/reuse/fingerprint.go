@@ -128,33 +128,25 @@ func canonNode(sb *strings.Builder, n plan.Node) {
 }
 
 // CanonExpr renders an expression canonically by re-lexing its SQL text
-// with the NormalizeSQL token discipline: identifiers lower-cased,
-// strings re-quoted, keywords upper-cased by the lexer, != folded to <>,
-// whitespace collapsed. nil (no expression) renders as "-".
+// and rendering the tokens with sqlparser.Canonical, as NormalizeSQL does:
+// identifiers lower-cased, strings re-quoted, keywords upper-cased by the
+// lexer, != folded to <>, whitespace collapsed. nil (no expression)
+// renders as "-".
 func CanonExpr(e sqlparser.Expr) string {
 	if e == nil {
 		return "-"
 	}
+	// Expression text produced by the planner always re-lexes; the raw
+	// text is a safe (over-discriminating) fallback.
 	src := e.SQL()
 	toks, err := sqlparser.Tokenize(src)
 	if err != nil {
-		// Expression text produced by the planner always re-lexes; keep
-		// the raw text as a safe (over-discriminating) fallback.
 		return src
 	}
-	parts := make([]string, 0, len(toks))
-	for _, t := range toks {
-		switch t.Kind {
-		case sqlparser.KindEOF:
-		case sqlparser.KindIdent:
-			parts = append(parts, strings.ToLower(t.Text))
-		case sqlparser.KindString:
-			parts = append(parts, "'"+strings.ReplaceAll(t.Text, "'", "''")+"'")
-		default:
-			parts = append(parts, t.Text)
-		}
+	if canon, err := sqlparser.Canonical(toks); err == nil {
+		return canon
 	}
-	return strings.Join(parts, " ")
+	return src
 }
 
 // Fingerprint hashes a canonical descriptor to a short stable hex string.

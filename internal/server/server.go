@@ -98,6 +98,11 @@ func New(cfg Config, tables map[string][]string) (*Server, error) {
 	if cfg.Cluster == nil {
 		return nil, fmt.Errorf("server: Config.Cluster is required")
 	}
+	// Every session builds its engine from this factory; a model no engine
+	// accepts would fail each accept instead of this call.
+	if err := cfg.Cluster().Validate(); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
+	}
 	if cfg.Mode == 0 {
 		cfg.Mode = translator.YSmart
 	}

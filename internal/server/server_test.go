@@ -159,6 +159,23 @@ func TestServerEngineFaultIsInternalError(t *testing.T) {
 	diffLines(t, "Q17 after the engine fault", wireLines(res), oracleWireLines(t, queries.Q17))
 }
 
+// TestServerRejectsInvalidCluster: a cluster model no engine accepts fails
+// New, instead of every later connection.
+func TestServerRejectsInvalidCluster(t *testing.T) {
+	_, lines := fixture(t)
+	cfg := Config{
+		Catalog: queries.Catalog(),
+		Cluster: func() *mapreduce.Cluster {
+			c := mapreduce.SmallCluster()
+			c.Faults = &mapreduce.FaultPlan{NodeFailures: []mapreduce.NodeFailure{{Node: 9, At: 1}}}
+			return c
+		},
+	}
+	if _, err := New(cfg, lines); err == nil || !strings.Contains(err.Error(), "node 9 out of range") {
+		t.Fatalf("New with a fault plan naming node 9 of a one-node cluster: err = %v", err)
+	}
+}
+
 // TestServerSessionCommands checks psql's housekeeping statements are
 // accepted as no-ops and empty queries get EmptyQueryResponse.
 func TestServerSessionCommands(t *testing.T) {

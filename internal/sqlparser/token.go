@@ -5,7 +5,10 @@
 // and implicit comma joins whose join predicates live in WHERE.
 package sqlparser
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // TokenKind identifies the lexical class of a token.
 type TokenKind int
@@ -107,4 +110,58 @@ func keywordOf(word string) (string, bool) {
 	}
 	kw, ok := keywords[string(buf[:len(word)])]
 	return kw, ok
+}
+
+// Canonical renders the prefix strings followed by the canonical text of
+// toks, in one allocation: identifiers lower-cased, strings re-quoted with
+// each embedded quote doubled, every other token verbatim (keywords arrive upper-cased and
+// != folded to <>), joined by single spaces, with trailing semicolons and
+// the EOF token dropped. Two token streams render alike exactly when they
+// are equal up to identifier case. It errors on a stream with no tokens.
+func Canonical(toks []Token, prefix ...string) (string, error) {
+	end := len(toks)
+	for end > 0 && (toks[end-1].Kind == KindEOF || toks[end-1].Kind == KindSymbol && toks[end-1].Text == ";") {
+		end--
+	}
+	if end == 0 {
+		return "", fmt.Errorf("empty statement")
+	}
+	size := end - 1 // the separating spaces
+	for _, p := range prefix {
+		size += len(p)
+	}
+	for _, t := range toks[:end] {
+		size += len(t.Text)
+		if t.Kind == KindString {
+			size += 2 + strings.Count(t.Text, "'")
+		}
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	for _, p := range prefix {
+		sb.WriteString(p)
+	}
+	for i, t := range toks[:end] {
+		if i > 0 {
+			sb.WriteByte(' ')
+		}
+		switch t.Kind {
+		case KindIdent:
+			// The lexer's identifiers are ASCII.
+			for j := 0; j < len(t.Text); j++ {
+				c := t.Text[j]
+				if 'A' <= c && c <= 'Z' {
+					c += 'a' - 'A'
+				}
+				sb.WriteByte(c)
+			}
+		case KindString:
+			sb.WriteByte('\'')
+			sb.WriteString(strings.ReplaceAll(t.Text, "'", "''"))
+			sb.WriteByte('\'')
+		default:
+			sb.WriteString(t.Text)
+		}
+	}
+	return sb.String(), nil
 }

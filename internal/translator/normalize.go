@@ -3,7 +3,6 @@ package translator
 import (
 	"fmt"
 	"hash/fnv"
-	"strings"
 
 	"ysmart/internal/sqlparser"
 )
@@ -25,7 +24,7 @@ func NormalizeSQL(sql string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return normalize(toks)
+	return sqlparser.Canonical(toks)
 }
 
 // CacheKey builds the plan-cache key of a query: its normalized SQL scoped
@@ -57,63 +56,11 @@ func TokensKey(toks []sqlparser.Token, mode Mode, optimize bool) (key, normalize
 		opt = "manimal\x00"
 	}
 	m := mode.String()
-	key, err = normalize(toks, opt, m, "\x00")
+	key, err = sqlparser.Canonical(toks, opt, m, "\x00")
 	if err != nil {
 		return "", "", err
 	}
 	return key, key[len(opt)+len(m)+1:], nil
-}
-
-// normalize renders the prefix strings followed by the NormalizeSQL text of
-// toks, in one allocation.
-func normalize(toks []sqlparser.Token, prefix ...string) (string, error) {
-	end := len(toks)
-	for end > 0 && (toks[end-1].Kind == sqlparser.KindEOF || toks[end-1].Kind == sqlparser.KindSymbol && toks[end-1].Text == ";") {
-		end--
-	}
-	if end == 0 {
-		return "", fmt.Errorf("empty statement")
-	}
-	size := end - 1 // the separating spaces
-	for _, p := range prefix {
-		size += len(p)
-	}
-	for _, t := range toks[:end] {
-		size += len(t.Text)
-		if t.Kind == sqlparser.KindString {
-			size += 2 + strings.Count(t.Text, "'")
-		}
-	}
-	var sb strings.Builder
-	sb.Grow(size)
-	for _, p := range prefix {
-		sb.WriteString(p)
-	}
-	for i, t := range toks[:end] {
-		if i > 0 {
-			sb.WriteByte(' ')
-		}
-		switch t.Kind {
-		case sqlparser.KindIdent:
-			for j := 0; j < len(t.Text); j++ {
-				c := t.Text[j]
-				if 'A' <= c && c <= 'Z' {
-					c += 'a' - 'A'
-				}
-				sb.WriteByte(c)
-			}
-		case sqlparser.KindString:
-			sb.WriteByte('\'')
-			sb.WriteString(strings.ReplaceAll(t.Text, "'", "''"))
-			sb.WriteByte('\'')
-		default:
-			// Keywords arrive upper-cased from the lexer; numbers and
-			// symbols keep their source spelling (the lexer already folds
-			// != to <>).
-			sb.WriteString(t.Text)
-		}
-	}
-	return sb.String(), nil
 }
 
 // QueryTag derives a short stable job/DFS label from a cache key, so every
