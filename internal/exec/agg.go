@@ -68,14 +68,22 @@ func AggKindOf(f *sqlparser.FuncCall) (AggKind, error) {
 }
 
 // ResultType reports the output type of the aggregate for an input type.
-func (k AggKind) ResultType(input Type) Type {
+// SUM and AVG want a number or NULL, as in PostgreSQL; over any other type
+// they are an error, not a column of NULLs.
+func (k AggKind) ResultType(input Type) (Type, error) {
 	switch k {
 	case AggCountStar, AggCount, AggCountDistinct:
-		return TypeInt
-	case AggAvg:
-		return TypeFloat
+		return TypeInt, nil
+	case AggSum, AggAvg:
+		if !numericOrNull(input) {
+			return 0, fmt.Errorf("%s over %s, want a numeric argument", k, input)
+		}
+		if k == AggAvg {
+			return TypeFloat, nil
+		}
+		return input, nil
 	default:
-		return input
+		return input, nil
 	}
 }
 

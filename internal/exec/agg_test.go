@@ -102,12 +102,23 @@ func TestAggResultType(t *testing.T) {
 		{AggAvg, TypeInt, TypeFloat},
 		{AggSum, TypeInt, TypeInt},
 		{AggSum, TypeFloat, TypeFloat},
+		{AggSum, TypeNull, TypeNull},
+		{AggAvg, TypeNull, TypeFloat},
 		{AggMin, TypeString, TypeString},
 		{AggMax, TypeFloat, TypeFloat},
 	}
 	for _, tt := range tests {
-		if got := tt.kind.ResultType(tt.input); got != tt.want {
-			t.Errorf("%v.ResultType(%v) = %v, want %v", tt.kind, tt.input, got, tt.want)
+		if got, err := tt.kind.ResultType(tt.input); err != nil || got != tt.want {
+			t.Errorf("%v.ResultType(%v) = %v, %v; want %v", tt.kind, tt.input, got, err, tt.want)
+		}
+	}
+	// SUM and AVG want a number or NULL.
+	for _, tt := range []struct {
+		kind  AggKind
+		input Type
+	}{{AggSum, TypeString}, {AggAvg, TypeString}, {AggSum, TypeBool}, {AggAvg, TypeBool}} {
+		if got, err := tt.kind.ResultType(tt.input); err == nil {
+			t.Errorf("%v.ResultType(%v) = %v, want an error", tt.kind, tt.input, got)
 		}
 	}
 }

@@ -621,7 +621,9 @@ func compileScalarFunc(x *sqlparser.FuncCall, s *Schema) (Evaluator, error) {
 
 // InferType predicts the runtime type of an expression against a schema.
 // It mirrors the evaluator's promotion rules and is used to type derived
-// schemas. NULL literals infer as TypeNull.
+// schemas; arithmetic or unary minus on an operand that is neither numeric
+// nor NULL, which the evaluator would reject row by row, is an error here.
+// NULL literals infer as TypeNull.
 func InferType(e sqlparser.Expr, s *Schema) (Type, error) {
 	switch x := e.(type) {
 	case *sqlparser.ColumnRef:
@@ -655,6 +657,9 @@ func InferType(e sqlparser.Expr, s *Schema) (Type, error) {
 		if err != nil {
 			return 0, err
 		}
+		if !numericOrNull(lt) || !numericOrNull(rt) {
+			return 0, fmt.Errorf("arithmetic on %s and %s", lt, rt)
+		}
 		if x.Op == sqlparser.OpDiv {
 			return TypeFloat, nil
 		}
@@ -666,7 +671,14 @@ func InferType(e sqlparser.Expr, s *Schema) (Type, error) {
 		if x.Op == sqlparser.OpNot {
 			return TypeBool, nil
 		}
-		return InferType(x.X, s)
+		t, err := InferType(x.X, s)
+		if err != nil {
+			return 0, err
+		}
+		if !numericOrNull(t) {
+			return 0, fmt.Errorf("cannot negate %s", t)
+		}
+		return t, nil
 	case *sqlparser.FuncCall:
 		switch x.Name {
 		case "COUNT", "LENGTH":
@@ -700,6 +712,10 @@ func InferType(e sqlparser.Expr, s *Schema) (Type, error) {
 		return 0, fmt.Errorf("cannot infer type of %T", e)
 	}
 }
+
+// numericOrNull reports whether arithmetic accepts operands of type t:
+// INT and FLOAT compute, and NULL propagates.
+func numericOrNull(t Type) bool { return t == TypeInt || t == TypeFloat || t == TypeNull }
 
 // armsType types a CASE from its THEN and ELSE arms, or a COALESCE (what)
 // from its arguments: the arms that can be non-NULL must share one type,

@@ -17,6 +17,8 @@ func TestInferTypeEdgeBranches(t *testing.T) {
 		{"NOT b", TypeBool},
 		{"-i", TypeInt},
 		{"-f", TypeFloat},
+		{"-NULL", TypeNull},
+		{"NULL + i", TypeInt},
 		{"i BETWEEN 1 AND 2", TypeBool},
 		{"i IN (1, 2)", TypeBool},
 		{"count(distinct s)", TypeInt},
@@ -68,6 +70,12 @@ func TestInferTypeErrors(t *testing.T) {
 		{"CASE WHEN b THEN 1 ELSE 'x' END", "CASE types int and string cannot be matched"},
 		{"coalesce(i, s)", "COALESCE types int and string cannot be matched"},
 		{"CASE WHEN b THEN 1 WHEN i > 1 THEN 2.5 ELSE b END", "CASE types float and bool cannot be matched"},
+		// Arithmetic and unary minus want numbers or NULL, as the evaluator does.
+		{"s + 1", "arithmetic on string and int"},
+		{"i * b", "arithmetic on int and bool"},
+		{"NULL - s", "arithmetic on null and string"},
+		{"-s", "cannot negate string"},
+		{"-(i > 1)", "cannot negate bool"},
 	}
 	for _, tt := range bad {
 		stmt, err := sqlparser.Parse("SELECT " + tt.expr + " FROM t")

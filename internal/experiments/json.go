@@ -26,15 +26,6 @@ type BenchRow struct {
 	// artifact bytes read instead of recomputing them.
 	JobsSkipped int   `json:"jobs_skipped,omitempty"`
 	BytesSaved  int64 `json:"bytes_saved,omitempty"`
-	// Load-harness fields, set only by ysmart-loadgen rows (figure
-	// "loadgen"): wall-clock latency quantiles in seconds read from the
-	// shared query-latency histogram, and sustained queries per second.
-	Clients  int     `json:"clients,omitempty"`
-	Requests int     `json:"requests,omitempty"`
-	QPS      float64 `json:"qps,omitempty"`
-	P50      float64 `json:"p50,omitempty"`
-	P90      float64 `json:"p90,omitempty"`
-	P99      float64 `json:"p99,omitempty"`
 }
 
 // benchRow flattens a Run into one figure's row.

@@ -134,8 +134,8 @@ func (e *Engine) RunChainContext(ctx context.Context, jobs []*Job) (*ChainStats,
 		stats.Jobs = append(stats.Jobs, js)
 	}
 	e.metrics.Add("ysmart_engine_chains_total", 1)
-	// The chain's end-to-end simulated latency distribution: the per-query
-	// histogram behind the p50/p99 figures the load harness reports.
+	// The chain's end-to-end simulated latency distribution, exported as
+	// the ysmart_chain_sim_seconds _bucket/_sum/_count families.
 	e.metrics.Observe("ysmart_chain_sim_seconds", e.simNow-chainStart)
 	e.logger.Info("chain.done",
 		obs.F("jobs", int64(len(ordered))),

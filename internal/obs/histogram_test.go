@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -43,79 +42,12 @@ func TestValueIsNonMutating(t *testing.T) {
 	if v := r.Value("present_total", "extra", "label"); v != 0 {
 		t.Errorf("Value(present, wrong labels) = %v, want 0", v)
 	}
-	if _, ok := r.Quantile("absent_seconds", 0.5); ok {
-		t.Error("Quantile(absent) reported ok")
-	}
 	// None of the misses may have created a metric.
 	if snap := r.Snapshot(); len(snap) != 1 {
 		t.Fatalf("reads mutated the registry: snapshot has %d metrics, want 1", len(snap))
 	}
 	if v := r.Value("present_total"); v != 2 {
 		t.Errorf("Value(present) = %v, want 2", v)
-	}
-}
-
-func TestHistogramExactQuantiles(t *testing.T) {
-	r := NewRegistry()
-	for i := 1; i <= 100; i++ {
-		r.Observe("lat_seconds", float64(i))
-	}
-	for _, tc := range []struct {
-		q    float64
-		want float64
-	}{{0, 1}, {0.5, 50}, {0.9, 90}, {0.99, 99}, {1, 100}} {
-		got, ok := r.Quantile("lat_seconds", tc.q)
-		if !ok || got != tc.want {
-			t.Errorf("Quantile(%v) = %v, %v; want %v, true", tc.q, got, ok, tc.want)
-		}
-	}
-}
-
-func TestHistogramInterpolatedQuantilesPastCap(t *testing.T) {
-	r := NewRegistry()
-	n := maxExactSamples + 1000
-	for i := 0; i < n; i++ {
-		r.Observe("big_seconds", 1.0) // bucket (0.512, 1.024]
-	}
-	got, ok := r.Quantile("big_seconds", 0.99)
-	if !ok {
-		t.Fatal("Quantile reported missing histogram")
-	}
-	if got < 0.512 || got > 1.024 {
-		t.Errorf("interpolated p99 = %v, want within bucket (0.512, 1.024]", got)
-	}
-	// The sample set must have been dropped once incomplete.
-	for _, m := range r.Snapshot() {
-		if m.Name == "big_seconds" && m.Hist != nil && m.Hist.Samples != nil {
-			t.Errorf("histogram past cap still retains %d samples", len(m.Hist.Samples))
-		}
-	}
-}
-
-func TestHistogramQuantileEdgeCases(t *testing.T) {
-	var nilH *Histogram
-	if got := nilH.Quantile(0.5); got != 0 {
-		t.Errorf("nil histogram Quantile = %v, want 0", got)
-	}
-	if got := newHistogram().Quantile(0.5); got != 0 {
-		t.Errorf("empty histogram Quantile = %v, want 0", got)
-	}
-	h := newHistogram()
-	h.observe(5)
-	if got := h.Quantile(-1); got != 5 {
-		t.Errorf("Quantile(-1) = %v, want clamped 5", got)
-	}
-	if got := h.Quantile(2); got != 5 {
-		t.Errorf("Quantile(2) = %v, want clamped 5", got)
-	}
-	// An observation beyond the last finite bound lands in +Inf and
-	// quantile falls back to the last finite bound once interpolating.
-	h2 := newHistogram()
-	for i := 0; i < maxExactSamples+10; i++ {
-		h2.observe(math.MaxFloat64 / 2)
-	}
-	if got := h2.Quantile(0.5); got != bucketBounds[numBuckets-1] {
-		t.Errorf("+Inf-bucket quantile = %v, want last bound %v", got, bucketBounds[numBuckets-1])
 	}
 }
 
@@ -176,7 +108,7 @@ func TestRegistryConcurrentRecorders(t *testing.T) {
 				r.Observe("conc_seconds", float64(i%10), "worker", fmt.Sprint(g%2))
 				r.Add("conc_total", 1)
 				_ = r.Value("conc_total")
-				_, _ = r.Quantile("conc_seconds", 0.99, "worker", fmt.Sprint(g%2))
+				_ = r.Snapshot()
 			}
 		}(g)
 	}

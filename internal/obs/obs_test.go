@@ -27,7 +27,6 @@ func TestNilSinksAreOff(t *testing.T) {
 		{"Registry.Set", func() any { r.Set("g", 2); return nil }, nil},
 		{"Registry.Observe", func() any { r.Observe("h", 3); return nil }, nil},
 		{"Registry.Value", func() any { return r.Value("n_total", "k", "v") }, 0.0},
-		{"Registry.Quantile", func() any { v, ok := r.Quantile("h", 0.5); return [2]any{v, ok} }, [2]any{0.0, false}},
 		{"Registry.Snapshot", func() any { return len(r.Snapshot()) }, 0},
 		{"WritePrometheus", func() any {
 			var buf bytes.Buffer

@@ -17,7 +17,7 @@ const (
 	// GaugeKind is a last-write-wins value.
 	GaugeKind
 	// HistogramKind is a distribution: fixed exponential buckets plus
-	// exact-count quantile estimation (see Histogram).
+	// the observations' sum and count (see Histogram).
 	HistogramKind
 )
 
@@ -56,8 +56,8 @@ func (m Metric) LabelString() string {
 
 // Registry accumulates named counters, gauges and histograms. It is safe
 // for concurrent use. The zero value is not usable; call NewRegistry. A nil
-// *Registry is metrics off: Add, Set and Observe do nothing, and Value,
-// Quantile and Snapshot read back zero.
+// *Registry is metrics off: Add, Set and Observe do nothing, and Value
+// and Snapshot read back zero.
 type Registry struct {
 	mu      sync.Mutex
 	metrics map[string]*Metric
@@ -129,8 +129,7 @@ func (r *Registry) Set(name string, v float64, labels ...string) {
 // Value returns the current value of a counter or gauge. It is a strictly
 // non-mutating read: a metric that was never recorded reports 0 and is NOT
 // created — Snapshot and the Prometheus dump are unaffected by reads of
-// absent names. (Histograms report 0 here; read them via Quantile or
-// Snapshot.)
+// absent names. (Histograms report 0 here; read them via Snapshot.)
 func (r *Registry) Value(name string, labels ...string) float64 {
 	if r == nil {
 		return 0

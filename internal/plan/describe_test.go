@@ -98,43 +98,6 @@ func TestNewJoinValidation(t *testing.T) {
 	}
 }
 
-func TestSelfJoinTableThroughChain(t *testing.T) {
-	// Scans wrapped in project + rebind still count as the same table.
-	root := mustBuild(t, `
-		SELECT a.u FROM
-		  (SELECT uid AS u FROM clicks WHERE cid = 1) AS a,
-		  (SELECT uid AS u2, ts FROM clicks) AS b
-		WHERE a.u = b.u2`)
-	j, ok := findNode[*Join](root)
-	if !ok {
-		t.Fatal("no join")
-	}
-	table, self := j.SelfJoinTable()
-	if !self || table != "clicks" {
-		t.Errorf("SelfJoinTable = (%q, %v), want (clicks, true)", table, self)
-	}
-
-	// A join input is not a sole base table.
-	root2 := mustBuild(t, `
-		SELECT c1.uid FROM clicks c1,
-		  (SELECT c2.uid AS u FROM clicks c2, part WHERE c2.cid = p_partkey) AS x
-		WHERE c1.uid = x.u`)
-	var outer *Join
-	Walk(root2, func(n Node) {
-		if j, ok := n.(*Join); ok {
-			if _, isScan := j.Left.(*Scan); isScan {
-				outer = j
-			}
-		}
-	})
-	if outer == nil {
-		t.Fatal("outer join not found")
-	}
-	if _, self := outer.SelfJoinTable(); self {
-		t.Error("join-fed input must not report a self-join")
-	}
-}
-
 // TestRewriteExprCoversAllNodeKinds pushes a substitution through every
 // expression node type.
 func TestRewriteExprCoversAllNodeKinds(t *testing.T) {

@@ -252,35 +252,6 @@ func (j *Join) PartKey() PartKey {
 	return pk
 }
 
-// SelfJoinTable reports the physical table name if both join inputs scan
-// the same single base table (possibly through filters/projections), which
-// enables the single-scan self-join optimization (paper §V.A).
-func (j *Join) SelfJoinTable() (string, bool) {
-	lt, lok := soleBaseTable(j.Left)
-	rt, rok := soleBaseTable(j.Right)
-	if lok && rok && lt == rt {
-		return lt, true
-	}
-	return "", false
-}
-
-// soleBaseTable returns the physical table when the subtree reads exactly
-// one base table and contains no join/aggregate boundary.
-func soleBaseTable(n Node) (string, bool) {
-	switch x := n.(type) {
-	case *Scan:
-		return x.Table, true
-	case *Filter:
-		return soleBaseTable(x.Child)
-	case *Project:
-		return soleBaseTable(x.Child)
-	case *Rebind:
-		return soleBaseTable(x.Child)
-	default:
-		return "", false
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Aggregate
 // ---------------------------------------------------------------------------
@@ -347,7 +318,11 @@ func NewAggregate(child Node, groupBy []sqlparser.Expr, groupNames []string, agg
 		} else {
 			argType = exec.TypeInt
 		}
-		a.schema.Cols = append(a.schema.Cols, exec.Column{Name: spec.Name, Type: spec.Kind.ResultType(argType)})
+		rt, err := spec.Kind.ResultType(argType)
+		if err != nil {
+			return nil, fmt.Errorf("aggregate %s: %w", spec.Name, err)
+		}
+		a.schema.Cols = append(a.schema.Cols, exec.Column{Name: spec.Name, Type: rt})
 		a.lineage = append(a.lineage, ColumnID{})
 	}
 	a.PKChoice = make([]int, len(groupBy))

@@ -251,13 +251,3 @@ func Plan(sql string) (plan.Node, error) {
 	}
 	return root, nil
 }
-
-// MustPlan is Plan for the package's own constants; it panics on error and
-// exists for tests and examples.
-func MustPlan(sql string) plan.Node {
-	root, err := Plan(sql)
-	if err != nil {
-		panic(err)
-	}
-	return root
-}

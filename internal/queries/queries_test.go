@@ -61,18 +61,9 @@ func TestPlanErrors(t *testing.T) {
 	}
 }
 
-func TestMustPlanPanicsOnBadSQL(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustPlan should panic on invalid SQL")
-		}
-	}()
-	MustPlan("SELECT FROM")
-}
-
 // TestQCSAMatchesPaperPlanShape pins the Fig. 2(a) operation structure.
 func TestQCSAMatchesPaperPlanShape(t *testing.T) {
-	root := MustPlan(QCSA)
+	root := mustPlan(t, QCSA)
 	var joins, aggs int
 	plan.Walk(root, func(n plan.Node) {
 		switch n.(type) {
@@ -89,7 +80,7 @@ func TestQCSAMatchesPaperPlanShape(t *testing.T) {
 
 // TestQ21UsesLeftOuterJoin pins the appendix sub-tree's outer join.
 func TestQ21UsesLeftOuterJoin(t *testing.T) {
-	root := MustPlan(Q21)
+	root := mustPlan(t, Q21)
 	found := false
 	plan.Walk(root, func(n plan.Node) {
 		if j, ok := n.(*plan.Join); ok && j.Type == sqlparser.LeftOuterJoin {
@@ -99,4 +90,13 @@ func TestQ21UsesLeftOuterJoin(t *testing.T) {
 	if !found {
 		t.Error("Q21 must contain a left outer join")
 	}
+}
+
+func mustPlan(t *testing.T, sql string) plan.Node {
+	t.Helper()
+	root, err := Plan(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return root
 }

@@ -98,11 +98,11 @@ func typeOID(t exec.Type) (oid int32, size int16) {
 }
 
 // TextValue renders a value in the PostgreSQL text result format — the
-// exact cell bytes a DataRow carries. Exported so wire clients (loadgen's
-// oracle selfcheck, tests) can render expected rows the way the server
-// does and compare byte-for-byte. NULLs never reach this function on the
-// wire (they travel as a -1 length); a null value renders as "NULL", the
-// spelling clients use for the nil cell in comparisons.
+// exact cell bytes a DataRow carries. Exported so wire clients (the
+// benchmark's oracle check, tests) can render expected rows the way the
+// server does and compare byte-for-byte. NULLs never reach this function
+// on the wire (they travel as a -1 length); a null value renders as
+// "NULL", the spelling clients use for the nil cell in comparisons.
 func TextValue(v exec.Value) string { return textValue(v) }
 
 // textValue renders a value in the PostgreSQL text result format. The bool

@@ -27,17 +27,11 @@ func NormalizeSQL(sql string) (string, error) {
 	return sqlparser.Canonical(toks)
 }
 
-// CacheKey builds the plan-cache key of a query: its normalized SQL scoped
-// by translation mode, so one cache can serve servers running in different
-// modes without mixing their job chains.
-func CacheKey(sql string, mode Mode) (string, error) {
-	return CacheKeyOpt(sql, mode, false)
-}
-
-// CacheKeyOpt builds the plan-cache key of a query with the optimizer
-// dimension folded in: translations carrying the MANIMAL rewrites must
-// never share a cache entry (or a QueryTag-derived DFS prefix) with
-// plain translations of the same SQL.
+// CacheKeyOpt builds the plan-cache key of a query: its normalized SQL
+// scoped by translation mode and by the optimizer setting, so one cache can
+// serve servers running in different modes without mixing their job chains,
+// and translations carrying the MANIMAL rewrites never share a cache entry
+// (or a QueryTag-derived DFS prefix) with plain translations of the same SQL.
 func CacheKeyOpt(sql string, mode Mode, optimize bool) (string, error) {
 	toks, err := sqlparser.Tokenize(sql)
 	if err != nil {

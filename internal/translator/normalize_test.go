@@ -71,26 +71,26 @@ func TestNormalizeSQLErrors(t *testing.T) {
 
 func TestCacheKeyScopedByMode(t *testing.T) {
 	sql := queries.QAGG
-	kYSmart, err := CacheKey(sql, YSmart)
+	kYSmart, err := CacheKeyOpt(sql, YSmart, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kOneToOne, err := CacheKey(sql, OneToOne)
+	kOneToOne, err := CacheKeyOpt(sql, OneToOne, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if kYSmart == kOneToOne {
 		t.Fatal("cache keys for different modes collide")
 	}
-	again, _ := CacheKey(strings.ToLower(sql)+" ;", YSmart)
+	again, _ := CacheKeyOpt(strings.ToLower(sql)+" ;", YSmart, false)
 	if again != kYSmart {
 		t.Fatalf("equivalent spelling produced a different key:\n%q\n%q", again, kYSmart)
 	}
 }
 
 func TestQueryTagStableAndDistinct(t *testing.T) {
-	k1, _ := CacheKey(queries.QAGG, YSmart)
-	k2, _ := CacheKey(queries.QCSA, YSmart)
+	k1, _ := CacheKeyOpt(queries.QAGG, YSmart, false)
+	k2, _ := CacheKeyOpt(queries.QCSA, YSmart, false)
 	t1, t2 := QueryTag(k1), QueryTag(k2)
 	if t1 != QueryTag(k1) {
 		t.Fatal("QueryTag is not deterministic")

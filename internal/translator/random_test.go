@@ -17,7 +17,9 @@ import (
 // table — selections, grouped aggregations (including COUNT DISTINCT and
 // HAVING), self-joins with residual predicates, derived-table joins, and
 // aggregations stacked on joins — and every translation mode must produce
-// exactly the oracle's rows for each of them.
+// exactly the oracle's rows for each of them. It also holds the paper's
+// promise on every query: YSmart runs no more jobs than the one-to-one
+// translation and reads no more map input.
 func TestRandomQueriesAllModesMatchOracle(t *testing.T) {
 	clicksCfg := datagen.ClickConfig{Users: 40, ClicksPerUser: 12, Categories: 4, Seed: 5}
 	clicks, err := datagen.Clickstream(clicksCfg)
@@ -44,6 +46,7 @@ func TestRandomQueriesAllModesMatchOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("oracle %q: %v", sql, err)
 			}
+			stats := map[Mode]*mapreduce.ChainStats{}
 			for _, mode := range allModes {
 				tr, err := Translate(root, mode, Options{
 					QueryName: fmt.Sprintf("rand%02d-%s", trial, mode),
@@ -55,7 +58,7 @@ func TestRandomQueriesAllModesMatchOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := eng.RunChain(tr.Jobs); err != nil {
+				if stats[mode], err = eng.RunChain(tr.Jobs); err != nil {
 					t.Fatalf("run %q (%v): %v", sql, mode, err)
 				}
 				rows, err := tr.ReadResult(dfs)
@@ -75,6 +78,14 @@ func TestRandomQueriesAllModesMatchOracle(t *testing.T) {
 						}
 					}
 				}
+			}
+			ys, one := stats[YSmart], stats[OneToOne]
+			if ys.NumJobs() > one.NumJobs() {
+				t.Errorf("YSmart ran %d jobs, one-to-one %d\nquery: %s", ys.NumJobs(), one.NumJobs(), sql)
+			}
+			if ys.TotalMapInputBytes() > one.TotalMapInputBytes() {
+				t.Errorf("YSmart read %d map-input bytes, one-to-one %d\nquery: %s",
+					ys.TotalMapInputBytes(), one.TotalMapInputBytes(), sql)
 			}
 		})
 	}

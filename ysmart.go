@@ -78,7 +78,8 @@ type (
 	// A nil *Collector is tracing off.
 	Collector = obs.Collector
 	// Registry accumulates named counters, gauges and latency/byte/row
-	// histograms (Observe/Quantile). A nil *Registry is metrics off.
+	// histograms (Observe; read back with Snapshot or WriteMetrics).
+	// A nil *Registry is metrics off.
 	Registry = obs.Registry
 	// Logger is the leveled structured JSON event logger (one event per
 	// line, deterministic field order).
