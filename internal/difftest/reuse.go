@@ -2,10 +2,10 @@ package difftest
 
 import (
 	"fmt"
+	"slices"
 
 	"ysmart"
 	"ysmart/internal/mapreduce"
-	"ysmart/internal/translator"
 )
 
 // ReuseRun is one cold-then-warm execution pair through a shared
@@ -29,11 +29,12 @@ func ExecuteReuse(tr *ysmart.Translation, workers int, plan *mapreduce.FaultPlan
 		return nil, fmt.Errorf("cold: %w", err)
 	}
 	if partial {
-		key, ok := translator.RootArtifactKey(tr)
-		if !ok {
+		root := slices.IndexFunc(tr.Jobs, func(j *mapreduce.Job) bool { return j.Output == tr.Output })
+		arts := tr.Artifacts()
+		if root < 0 || root >= len(arts) {
 			return nil, fmt.Errorf("translation carries no artifacts")
 		}
-		store.Forget(key)
+		store.Forget(arts[root].Fingerprint)
 	}
 	warm, err := execute(tr, workers, plan, tables, store)
 	if err != nil {

@@ -621,9 +621,12 @@ func compileScalarFunc(x *sqlparser.FuncCall, s *Schema) (Evaluator, error) {
 
 // InferType predicts the runtime type of an expression against a schema.
 // It mirrors the evaluator's promotion rules and is used to type derived
-// schemas; arithmetic or unary minus on an operand that is neither numeric
-// nor NULL, which the evaluator would reject row by row, is an error here.
-// NULL literals infer as TypeNull.
+// schemas and conditions. What the evaluator would reject row by row is an
+// error here, as PostgreSQL rejects it while planning: arithmetic or unary
+// minus on an operand that is neither numeric nor NULL, a comparison (also
+// inside IN and BETWEEN) of types compareValues cannot compare, and AND,
+// OR, NOT or a CASE WHEN condition on an operand that is neither BOOL nor
+// NULL. NULL literals infer as TypeNull.
 func InferType(e sqlparser.Expr, s *Schema) (Type, error) {
 	switch x := e.(type) {
 	case *sqlparser.ColumnRef:
@@ -646,9 +649,6 @@ func InferType(e sqlparser.Expr, s *Schema) (Type, error) {
 			return TypeNull, nil
 		}
 	case *sqlparser.BinaryExpr:
-		if x.Op == sqlparser.OpAnd || x.Op == sqlparser.OpOr || x.Op.IsComparison() {
-			return TypeBool, nil
-		}
 		lt, err := InferType(x.L, s)
 		if err != nil {
 			return 0, err
@@ -656,6 +656,15 @@ func InferType(e sqlparser.Expr, s *Schema) (Type, error) {
 		rt, err := InferType(x.R, s)
 		if err != nil {
 			return 0, err
+		}
+		switch {
+		case x.Op == sqlparser.OpAnd || x.Op == sqlparser.OpOr:
+			if !boolOrNull(lt) || !boolOrNull(rt) {
+				return 0, fmt.Errorf("%s requires booleans, got %s and %s", x.Op, lt, rt)
+			}
+			return TypeBool, nil
+		case x.Op.IsComparison():
+			return TypeBool, comparable(lt, rt)
 		}
 		if !numericOrNull(lt) || !numericOrNull(rt) {
 			return 0, fmt.Errorf("arithmetic on %s and %s", lt, rt)
@@ -668,12 +677,15 @@ func InferType(e sqlparser.Expr, s *Schema) (Type, error) {
 		}
 		return TypeInt, nil
 	case *sqlparser.UnaryExpr:
-		if x.Op == sqlparser.OpNot {
-			return TypeBool, nil
-		}
 		t, err := InferType(x.X, s)
 		if err != nil {
 			return 0, err
+		}
+		if x.Op == sqlparser.OpNot {
+			if !boolOrNull(t) {
+				return 0, fmt.Errorf("NOT applied to %s", t)
+			}
+			return TypeBool, nil
 		}
 		if !numericOrNull(t) {
 			return 0, fmt.Errorf("cannot negate %s", t)
@@ -697,11 +709,25 @@ func InferType(e sqlparser.Expr, s *Schema) (Type, error) {
 		default:
 			return 0, fmt.Errorf("unknown function %s", x.Name)
 		}
-	case *sqlparser.IsNullExpr, *sqlparser.BetweenExpr, *sqlparser.InListExpr, *sqlparser.InSubqueryExpr:
+	case *sqlparser.IsNullExpr:
+		_, err := InferType(x.X, s)
+		return TypeBool, err
+	case *sqlparser.BetweenExpr:
+		return TypeBool, comparableAll(x.X, []sqlparser.Expr{x.Lo, x.Hi}, s)
+	case *sqlparser.InListExpr:
+		return TypeBool, comparableAll(x.X, x.Items, s)
+	case *sqlparser.InSubqueryExpr:
 		return TypeBool, nil
 	case *sqlparser.CaseExpr:
 		arms := make([]sqlparser.Expr, 0, len(x.Whens)+1)
 		for _, w := range x.Whens {
+			t, err := InferType(w.Cond, s)
+			if err != nil {
+				return 0, err
+			}
+			if !boolOrNull(t) {
+				return 0, fmt.Errorf("CASE WHEN condition is %s, not bool", t)
+			}
 			arms = append(arms, w.Then)
 		}
 		if x.Else != nil {
@@ -716,6 +742,38 @@ func InferType(e sqlparser.Expr, s *Schema) (Type, error) {
 // numericOrNull reports whether arithmetic accepts operands of type t:
 // INT and FLOAT compute, and NULL propagates.
 func numericOrNull(t Type) bool { return t == TypeInt || t == TypeFloat || t == TypeNull }
+
+// boolOrNull reports whether AND, OR, NOT and CASE WHEN accept an operand
+// of type t.
+func boolOrNull(t Type) bool { return t == TypeBool || t == TypeNull }
+
+// comparable is compareValues' rule applied to types: NULL compares with
+// anything, numbers with numbers, and any other type only with itself.
+func comparable(a, b Type) error {
+	if a == TypeNull || b == TypeNull || numericOrNull(a) && numericOrNull(b) || a == b {
+		return nil
+	}
+	return fmt.Errorf("cannot compare %s with %s", a, b)
+}
+
+// comparableAll types x and each of items (IN's list, BETWEEN's bounds)
+// and requires x to compare with every one.
+func comparableAll(x sqlparser.Expr, items []sqlparser.Expr, s *Schema) error {
+	xt, err := InferType(x, s)
+	if err != nil {
+		return err
+	}
+	for _, it := range items {
+		t, err := InferType(it, s)
+		if err != nil {
+			return err
+		}
+		if err := comparable(xt, t); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // armsType types a CASE from its THEN and ELSE arms, or a COALESCE (what)
 // from its arguments: the arms that can be non-NULL must share one type,

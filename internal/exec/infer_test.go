@@ -30,7 +30,14 @@ func TestInferTypeEdgeBranches(t *testing.T) {
 		{"length(s)", TypeInt},
 		{"abs(i)", TypeInt},
 		{"lower(s)", TypeString},
-		{"i AND b", TypeBool}, // typing is structural; evaluation rejects it
+		{"b AND NULL", TypeBool},
+		{"NOT NULL", TypeBool},
+		{"i = f", TypeBool},
+		{"s < NULL", TypeBool},
+		{"s IS NULL", TypeBool},
+		{"s IN ('x', NULL)", TypeBool},
+		{"f BETWEEN 1 AND 2.5", TypeBool},
+		{"CASE WHEN NULL THEN 1 END", TypeInt},
 		{"CASE WHEN b THEN NULL ELSE 'x' END", TypeString},
 		{"CASE WHEN b THEN NULL END", TypeNull},
 		// INT arms mixed with FLOAT ones type FLOAT, in either order; any
@@ -76,6 +83,18 @@ func TestInferTypeErrors(t *testing.T) {
 		{"NULL - s", "arithmetic on null and string"},
 		{"-s", "cannot negate string"},
 		{"-(i > 1)", "cannot negate bool"},
+		// Comparisons follow compareValues; AND, OR, NOT and CASE WHEN
+		// conditions want BOOL or NULL, as the evaluator does.
+		{"i AND b", "AND requires booleans, got int and bool"},
+		{"b OR s", "OR requires booleans, got bool and string"},
+		{"NOT f", "NOT applied to float"},
+		{"s > 2", "cannot compare string with int"},
+		{"b = i", "cannot compare bool with int"},
+		{"s IN (1, 2)", "cannot compare string with int"},
+		{"i IN (1, 's')", "cannot compare int with string"},
+		{"s BETWEEN 'a' AND 2", "cannot compare string with int"},
+		{"nosuchcol IS NULL", ""},
+		{"CASE WHEN i THEN 1 END", "CASE WHEN condition is int, not bool"},
 	}
 	for _, tt := range bad {
 		stmt, err := sqlparser.Parse("SELECT " + tt.expr + " FROM t")

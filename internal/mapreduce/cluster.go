@@ -14,11 +14,6 @@ type CostModel struct {
 	NetworkBandwidth float64
 	// MapCPUPerRecord is the map-function CPU cost per input record (s).
 	MapCPUPerRecord float64
-	// PrefilterCPUFactor is the fraction of MapCPUPerRecord charged for a
-	// record rejected by an early filter (Input.Prefilter): the record is
-	// still decoded far enough to evaluate the predicate, but the full map
-	// function never runs. Values outside (0, 1] fall back to the default.
-	PrefilterCPUFactor float64
 	// ReduceCPUPerRecord is the reduce-function CPU cost per input value (s).
 	ReduceCPUPerRecord float64
 	// SortCPUPerByte is the map-output sort cost (s/B).
@@ -48,7 +43,6 @@ func DefaultCostModel() CostModel {
 		DiskBandwidth:      60e6,
 		NetworkBandwidth:   100e6,
 		MapCPUPerRecord:    3e-6,
-		PrefilterCPUFactor: defaultPrefilterCPUFactor,
 		ReduceCPUPerRecord: 2e-6,
 		SortCPUPerByte:     10e-9,
 		// Codec throughput reflects zlib on 2009-era cores oversubscribed by
@@ -130,19 +124,6 @@ func (c *Cluster) Validate() error {
 		}
 	}
 	return nil
-}
-
-// defaultPrefilterCPUFactor is the per-record CPU fraction a prefiltered
-// line costs when the cost model does not set its own factor: roughly the
-// decode-and-compare share of a typical map function.
-const defaultPrefilterCPUFactor = 0.15
-
-// prefilterFactor returns the clamped PrefilterCPUFactor.
-func (cm CostModel) prefilterFactor() float64 {
-	if cm.PrefilterCPUFactor <= 0 || cm.PrefilterCPUFactor > 1 {
-		return defaultPrefilterCPUFactor
-	}
-	return cm.PrefilterCPUFactor
 }
 
 // loadFactor returns the contention execution multiplier (1 when idle).

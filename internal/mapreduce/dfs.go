@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"sync"
 
 	"ysmart/internal/obs"
@@ -16,7 +15,7 @@ import (
 // Ownership rule: a file's line slice is immutable from the moment it is
 // installed. Nothing in the tree writes through a slice it got from Read or
 // passed to WriteShared; replacing a file's content replaces the map entry
-// (Write, WriteShared, Delete), never the elements. That is what lets one
+// (Write, WriteShared), never the elements. That is what lets one
 // slice back any number of files in any number of DFSs at once — a base
 // table under every session, a reuse artifact under every query it serves —
 // and lets a reader keep iterating a file that has since been replaced.
@@ -122,21 +121,6 @@ func (d *DFS) Read(path string) ([]string, error) {
 	return lines, nil
 }
 
-// Exists reports whether path is present.
-func (d *DFS) Exists(path string) bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	_, ok := d.files[path]
-	return ok
-}
-
-// Delete removes path; deleting a missing path is a no-op.
-func (d *DFS) Delete(path string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.files, path)
-}
-
 // SizeBytes returns the byte size of path's content (line bytes plus one
 // newline per line), or 0 if absent.
 func (d *DFS) SizeBytes(path string) int64 {
@@ -147,8 +131,8 @@ func (d *DFS) SizeBytes(path string) int64 {
 
 // Digest returns a non-zero 64-bit digest of path's content — the first 8
 // bytes of the SHA-256 of its lines, each followed by a newline (the bytes
-// SizeBytes counts) — or false if path is absent. Like Exists and SizeBytes
-// it is unobserved: no trace instant, no counter.
+// SizeBytes counts) — or false if path is absent. Like SizeBytes it is
+// unobserved: no trace instant, no counter.
 func (d *DFS) Digest(path string) (int64, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -166,18 +150,6 @@ func (d *DFS) Digest(path string) (int64, bool) {
 		return v, true
 	}
 	return 1, true
-}
-
-// List returns all paths in sorted order.
-func (d *DFS) List() []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make([]string, 0, len(d.files))
-	for p := range d.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // linesBytes computes the encoded size of a line batch.

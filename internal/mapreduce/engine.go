@@ -418,8 +418,9 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 	return stats, nil
 }
 
-// runMapper runs one input's early filter and mapper over lines — on an
-// instance of its own when the mapper is a MapTaskFactory. The pairs
+// runMapper runs one input's mapper over lines — on an instance of its
+// own when the mapper is a MapTaskFactory — counting the lines it reports
+// as ErrFiltered. The pairs
 // collect in a slab sized by the line count, which holds them all whenever
 // the mapper emits at most one pair a line.
 func runMapper(in Input, lines []string) (pairList, error) {
@@ -433,11 +434,9 @@ func runMapper(in Input, lines []string) (pairList, error) {
 		out.bytes += int64(len(key) + len(value) + 2)
 	}
 	for _, line := range lines {
-		if in.Prefilter != nil && !in.Prefilter(line) {
+		if err := mapper.Map(line, emit); err == ErrFiltered {
 			out.filtered++
-			continue
-		}
-		if err := mapper.Map(line, emit); err != nil {
+		} else if err != nil {
 			return out, err
 		}
 	}
@@ -500,16 +499,21 @@ func partitionOf(key string, numReduce int) int {
 // Cost model application
 // ---------------------------------------------------------------------------
 
+// filteredCPUFactor is the fraction of MapCPUPerRecord a line costs when
+// its mapper drops it early (ErrFiltered): the line is still decoded far
+// enough to evaluate the filter, but the rest of the map function never
+// runs — roughly the decode-and-compare share of a typical map function.
+const filteredCPUFactor = 0.15
+
 // mapCPURecords returns the effective record count charged the full
-// MapCPUPerRecord: records an early filter rejected cost only the
-// prefilter fraction of a map invocation, so installed prefilters lower
-// the predicted map CPU (and PredictedTime) in proportion to their
-// selectivity. With no prefilter installed it is exactly the scaled input
-// record count, keeping fault-free costing byte-identical.
+// MapCPUPerRecord: filtered records cost only filteredCPUFactor of a map
+// invocation, so early filters lower the predicted map CPU (and
+// PredictedTime) in proportion to their selectivity. With no line
+// filtered it is exactly the scaled input record count.
 func mapCPURecords(s *JobStats, cm CostModel, scale float64) float64 {
 	inRecords := float64(s.MapInputRecords) * scale
 	filtered := float64(s.MapRecordsFiltered) * scale
-	return inRecords - filtered*(1-cm.prefilterFactor())
+	return inRecords - filtered*(1-filteredCPUFactor)
 }
 
 // phaseBases is the cost model applied to one job's counters: what both

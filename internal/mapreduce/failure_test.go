@@ -12,6 +12,14 @@ import (
 	"ysmart/internal/obs"
 )
 
+// absent reports whether path is missing from d: Read fails with a
+// *FileNotFoundError.
+func absent(d *DFS, path string) bool {
+	var nf *FileNotFoundError
+	_, err := d.Read(path)
+	return errors.As(err, &nf)
+}
+
 // Failure injection: user-code errors at every stage must abort the job
 // with context, never panic, and never write partial output.
 
@@ -49,7 +57,7 @@ func TestMapperErrorAborts(t *testing.T) {
 	if !strings.Contains(err.Error(), "map in") {
 		t.Errorf("error lacks input context: %v", err)
 	}
-	if e.DFS().Exists("out") {
+	if !absent(e.DFS(), "out") {
 		t.Error("failed job must not write output")
 	}
 }
@@ -80,7 +88,7 @@ func TestReducerErrorAborts(t *testing.T) {
 	if !strings.Contains(err.Error(), `reduce key "poison"`) {
 		t.Errorf("error lacks key context: %v", err)
 	}
-	if e.DFS().Exists("out") {
+	if !absent(e.DFS(), "out") {
 		t.Error("failed job must not write output")
 	}
 }
@@ -122,7 +130,7 @@ func TestChainStopsAtFirstFailure(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "job j1") {
 		t.Fatalf("err = %v, want failure attributed to j1", err)
 	}
-	if e.DFS().Exists("out") || e.DFS().Exists("mid") {
+	if !absent(e.DFS(), "out") || !absent(e.DFS(), "mid") {
 		t.Error("downstream outputs must not exist after upstream failure")
 	}
 }
@@ -235,7 +243,7 @@ func TestUserCodePanicFailsTheJob(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "job wordcount") || !strings.Contains(err.Error(), "panic: "+stage+" boom") {
 				t.Errorf("workers %d, panicking %s: err = %v, want the job's error naming the panic", workers, stage, err)
 			}
-			if e.DFS().Exists("out") {
+			if !absent(e.DFS(), "out") {
 				t.Errorf("workers %d, panicking %s: the failed job wrote output", workers, stage)
 			}
 			if _, err := e.RunChain([]*Job{wordCountJob("in", "out")}); err != nil {
@@ -317,8 +325,8 @@ func TestRunChainContextStops(t *testing.T) {
 			cancel()
 			return inner.Map(line, emit)
 		})))
-		if stats != nil || !errors.Is(err, context.Canceled) || e.DFS().Exists("out") {
-			t.Errorf("workers %d: cancelled mid-chain: stats %v, err %v, out written %v", workers, stats, err, e.DFS().Exists("out"))
+		if stats != nil || !errors.Is(err, context.Canceled) || !absent(e.DFS(), "out") {
+			t.Errorf("workers %d: cancelled mid-chain: stats %v, err %v, out written %v", workers, stats, err, !absent(e.DFS(), "out"))
 		}
 	}
 }

@@ -159,11 +159,13 @@ func TestGeometryInvariantAcrossWorkers(t *testing.T) {
 			return j
 		}},
 		{"prefilter", geometryCluster, func() *Job {
-			j := geometryJob(geometryMapper())
-			for i := range j.Inputs {
-				j.Inputs[i].Prefilter = func(line string) bool { return !strings.HasSuffix(line, "7") }
-			}
-			return j
+			inner := geometryMapper()
+			return geometryJob(MapperFunc(func(line string, emit Emit) error {
+				if strings.HasSuffix(line, "7") {
+					return ErrFiltered
+				}
+				return inner.Map(line, emit)
+			}))
 		}},
 		{"map-only", geometryCluster, func() *Job {
 			j := geometryJob(geometryMapper())

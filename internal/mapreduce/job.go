@@ -18,6 +18,7 @@
 package mapreduce
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -52,6 +53,15 @@ type MapTaskFactory interface {
 	// next line.
 	NewMapTask() Mapper
 }
+
+// ErrFiltered is returned, unwrapped, by a Mapper for a line an early
+// filter dropped, on the model of filepath.SkipDir: it is not an error,
+// and the engine counts the line in JobStats.MapRecordsFiltered. A mapper
+// returns it only for a line it would otherwise have produced no output
+// and no error for, so filtered and unfiltered runs stay byte-identical. Filtered lines
+// still count as map input — the scan reads them — but the cost model
+// charges them only filteredCPUFactor of the per-record map CPU.
+var ErrFiltered = errors.New("mapreduce: line filtered")
 
 // MapperFunc adapts a function to the Mapper interface.
 type MapperFunc func(line string, emit Emit) error
@@ -205,16 +215,6 @@ func (f CombinerFunc) Combine(key string, values []string) ([]string, error) {
 type Input struct {
 	Path   string
 	Mapper Mapper
-	// Prefilter, when non-nil, is an early filter consulted once per input
-	// line before the mapper runs: lines for which it returns false are
-	// skipped entirely and counted in JobStats.MapRecordsFiltered. An
-	// installer must guarantee the mapper would have produced no output and
-	// no error for every skipped line (the optanalysis rewriter only injects
-	// predicates it can discharge statically), so filtered and unfiltered
-	// runs stay byte-identical. Skipped lines still count as map input —
-	// the scan reads them — but the cost model charges them only
-	// CostModel.PrefilterCPUFactor of the per-record map CPU.
-	Prefilter func(line string) bool
 }
 
 // Job describes one MapReduce job.

@@ -31,9 +31,8 @@ func TestDFSConcurrentAccess(t *testing.T) {
 					t.Errorf("read: %v (%d lines)", err, len(lines))
 					return
 				}
-				d.Exists(own)
 				d.SizeBytes(own)
-				d.List()
+				d.Digest(own)
 			}
 		}(g)
 	}

@@ -3,41 +3,43 @@ package mapreduce
 import (
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// grepJob counts lines containing "x", with an optional early filter that
-// discharges the mapper's own guard.
+// grepJob counts lines containing "x". With prefilter set, the mapper
+// reports the lines its guard drops as ErrFiltered.
 func grepJob(in, out string, prefilter bool) *Job {
+	dropped := error(nil)
+	if prefilter {
+		dropped = ErrFiltered
+	}
 	input := Input{
 		Path: in,
 		Mapper: MapperFunc(func(line string, emit Emit) error {
 			if !strings.Contains(line, "x") {
-				return nil
+				return dropped
 			}
 			emit("x", "1")
 			return nil
 		}),
 	}
-	if prefilter {
-		input.Prefilter = func(line string) bool { return strings.Contains(line, "x") }
-	}
 	return &Job{
 		Name:   "grep",
 		Inputs: []Input{input},
 		Reducer: ReducerFunc(func(key string, values []string, emit func(string)) error {
-			emit(key + "\t" + FormatBytes(int64(len(values))))
+			emit(key + "\t" + strconv.Itoa(len(values)))
 			return nil
 		}),
 		Output: out,
 	}
 }
 
-// TestPrefilterByteIdenticalAndCheaper checks the contract of Input.Prefilter:
-// a filter that exactly discharges the mapper's guard leaves output and every
-// shuffle counter byte-identical, counts the skipped lines, and lowers the
-// predicted map CPU.
+// TestPrefilterByteIdenticalAndCheaper checks the contract of ErrFiltered:
+// a mapper reporting the lines its guard drops leaves output and every
+// shuffle counter byte-identical, the engine counts those lines, and the
+// predicted map CPU drops.
 func TestPrefilterByteIdenticalAndCheaper(t *testing.T) {
 	lines := []string{"ax", "b", "cx", "d", "e", "fx", "g", "h"}
 
@@ -78,14 +80,14 @@ func TestPrefilterByteIdenticalAndCheaper(t *testing.T) {
 	// The CPU charge must drop by exactly (1-factor) per filtered record.
 	cm := DefaultCostModel()
 	saved := mapCPURecords(plain, cm, 1) - mapCPURecords(filt, cm, 1)
-	want := float64(filt.MapRecordsFiltered) * (1 - cm.prefilterFactor())
+	want := float64(filt.MapRecordsFiltered) * (1 - filteredCPUFactor)
 	if math.Abs(saved-want) > 1e-9 {
 		t.Fatalf("mapCPURecords saving = %v, want %v", saved, want)
 	}
 }
 
 // TestPrefilterFaultPath runs the same job under a fault plan at several
-// worker counts: retries re-execute through the same prefilter, and output
+// worker counts: retries re-execute through the same early filter, and output
 // stays byte-identical to the unfiltered fault-free run.
 func TestPrefilterFaultPath(t *testing.T) {
 	lines := []string{"ax", "b", "cx", "d", "e", "fx", "g", "h", "ix", "j"}

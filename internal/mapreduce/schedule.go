@@ -424,8 +424,9 @@ func (e *Engine) reexecuteMap(j *Job, tasks []mapTask, mp *phaseSched) error {
 	}
 	return e.forEachTask(len(replays), func(i int) error {
 		mt := tasks[replays[i]]
-		// Retries skip prefiltered lines exactly like the primary pass, so
-		// replayed attempts run the same user code on the same rows.
+		// Retries run the same mapper over the same lines as the primary
+		// pass, early filters included, so replayed attempts see the same
+		// rows.
 		out, err := runMapper(mt.input, mt.chunk)
 		if err != nil {
 			return fmt.Errorf("map retry %s: %w", mt.input.Path, err)

@@ -37,7 +37,7 @@ const (
 type pairList struct {
 	pairs    []kv
 	bytes    int64 // encoded size of pairs
-	filtered int64 // lines the input's Prefilter rejected before the mapper
+	filtered int64 // lines the mapper reported as ErrFiltered
 }
 
 // keyGroup is one reduce key with its values in map-output order: a capped

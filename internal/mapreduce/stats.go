@@ -15,8 +15,8 @@ type JobStats struct {
 	// Raw counters measured during execution.
 	MapInputRecords int64
 	MapInputBytes   int64
-	// MapRecordsFiltered counts input lines an Input.Prefilter rejected
-	// before the mapper ran (zero when no early filters are installed).
+	// MapRecordsFiltered counts input lines a mapper dropped early with
+	// ErrFiltered (zero when no early filters are installed).
 	// Filtered lines are included in MapInputRecords/Bytes — the scan still
 	// reads them — but pay only a fraction of the per-record map CPU.
 	MapRecordsFiltered int64
@@ -239,7 +239,3 @@ func (c *ChainStats) String() string {
 	fmt.Fprintf(&sb, "  total: %d jobs, %.0fs", c.NumJobs(), c.TotalTime())
 	return sb.String()
 }
-
-// FormatBytes is re-exported from the observability layer so existing
-// callers keep one canonical byte formatter.
-var FormatBytes = obs.FormatBytes

@@ -55,6 +55,8 @@ func TestChainStatsAggregates(t *testing.T) {
 	}
 }
 
+// TestFmtBytes: the per-job summary renders its byte counts in the
+// canonical units.
 func TestFmtBytes(t *testing.T) {
 	for in, want := range map[int64]string{
 		17:          "17B",
@@ -63,8 +65,9 @@ func TestFmtBytes(t *testing.T) {
 		2 << 30:     "2.00GB",
 		1<<30 + 512: "1.00GB",
 	} {
-		if got := FormatBytes(in); got != want {
-			t.Errorf("FormatBytes(%d) = %q, want %q", in, got, want)
+		s := &JobStats{Name: "j", MapInputBytes: in, MapOutputBytes: in}
+		if got, sub := s.String(), "in "+want+", out "+want+")"; !strings.Contains(got, sub) {
+			t.Errorf("String() with %d bytes = %q, want it to contain %q", in, got, sub)
 		}
 	}
 }

@@ -190,10 +190,12 @@ func TestTimelineRendersPhases(t *testing.T) {
 
 func TestFormatBytes(t *testing.T) {
 	cases := map[int64]string{
-		512:     "512B",
-		2048:    "2.00KB",
-		3 << 20: "3.00MB",
-		5 << 30: "5.00GB",
+		17:          "17B",
+		512:         "512B",
+		2048:        "2.00KB",
+		3 << 20:     "3.00MB",
+		5 << 30:     "5.00GB",
+		1<<30 + 512: "1.00GB",
 	}
 	for in, want := range cases {
 		if got := FormatBytes(in); got != want {

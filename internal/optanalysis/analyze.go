@@ -20,8 +20,8 @@
 // Each fact funds a rewrite applied at run time, matched to jobs by their
 // literal name:
 //
-//   - early-filter: a raw-line Input.Prefilter that skips lines the
-//     mapper's own guard would drop, before the mapper runs;
+//   - early-filter: lines the mapper's own guard would drop are reported
+//     as mapreduce.ErrFiltered before the mapper runs;
 //   - reducer-pushdown: map-output pairs the reducer's guard would skip
 //     are dropped at the map side;
 //   - projection-trim: dead value columns are rewritten to NULL, so the
@@ -193,13 +193,8 @@ func (an *analyzer) assemble(jr *JobReport, idx int, mf mapperFacts, rf reducerF
 			Table:     mf.table,
 			Predicate: keep.render(schema),
 			Path:      strings.Join(keep.path, " -> "),
-			prefilter: func(line string) bool {
-				r, err := exec.DecodeRow(line, schema)
-				if err != nil {
-					return true // the mapper must surface the error
-				}
-				return keep.eval(r)
-			},
+			schema:    schema,
+			guard:     keep,
 		})
 	} else {
 		jr.refuse(KindEarlyFilter, idx, mf.guardRefusal, mf.pos)
@@ -362,7 +357,7 @@ func (an *analyzer) analyzeInput(pkg *lint.Package, inLit *ast.CompositeLit) map
 
 	// Leading guards: `if <cond> { return nil }` runs dropping lines
 	// before anything can emit, so the negated conjunction is a sound
-	// prefilter.
+	// early filter.
 	idx := 2
 	for idx < len(stmts) {
 		ifs, ok := stmts[idx].(*ast.IfStmt)
@@ -821,7 +816,7 @@ func (an *analyzer) guardPred(pkg *lint.Package, e ast.Expr, rowVar *types.Var, 
 			}
 			return l.and(r), nil
 		case x.Op == token.LAND, x.Op == token.LOR:
-			return nil, fmt.Errorf("the guard needs a disjunction, which the prefilter cannot represent as a conjunction")
+			return nil, fmt.Errorf("the guard needs a disjunction, which the early filter cannot represent as a conjunction")
 		default:
 			a, err := an.atomOf(pkg, x, rowVar)
 			if err != nil {

@@ -100,7 +100,7 @@ func TestAnalyzeUserjobs(t *testing.T) {
 	}
 
 	// lateship-naive: the mapper's date guard discharges through the
-	// shippedRecently helper into a raw-line prefilter; the count(*)
+	// shippedRecently helper into an early filter; the count(*)
 	// reducer trims all eleven columns.
 	ls := jobReport(t, rep, "lateship-naive-j1")
 	ef := findRewrite(ls, KindEarlyFilter)
@@ -113,8 +113,8 @@ func TestAnalyzeUserjobs(t *testing.T) {
 	if ef.Path != "shippedRecently" {
 		t.Errorf("early-filter path = %q, want shippedRecently", ef.Path)
 	}
-	if ef.prefilter == nil {
-		t.Error("early-filter carries no runtime prefilter")
+	if ef.guard == nil || ef.schema == nil {
+		t.Error("early-filter carries no runtime guard")
 	}
 	trim = findRewrite(ls, KindTrim)
 	if trim == nil || len(trim.Columns) != 11 {

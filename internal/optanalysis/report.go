@@ -59,10 +59,9 @@ type Rewrite struct {
 
 	// Runtime hooks, populated by the analyzer and consumed by Apply;
 	// excluded from JSON.
-	prefilter func(string) bool
-	guard     *pred
-	schema    *exec.Schema
-	dead      []int
+	guard  *pred
+	schema *exec.Schema
+	dead   []int
 }
 
 // Refusal is one declined rewrite with its blocking reason.

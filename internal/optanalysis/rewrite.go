@@ -10,11 +10,12 @@ import (
 
 // Apply installs every rewrite of the report into the matching runtime
 // jobs (matched by Job.Name) and returns how many rewrites it applied.
-// Early filters become Input.Prefilter hooks; reducer-pushdown and
-// projection-trim wrap the input's mapper so pairs the reducer would
-// skip are dropped at the map side and dead value columns are blanked to
-// NULL before the shuffle. Applied rewrites are marked Applied in place,
-// so a report formatted after Apply shows what actually happened.
+// All three kinds wrap the input's mapper: lines the mapper's guard would
+// drop are reported as mapreduce.ErrFiltered before it runs, pairs the
+// reducer would skip are dropped at the map side, and dead value columns
+// are blanked to NULL before the shuffle. Applied rewrites are marked
+// Applied in place, so a report formatted after Apply shows what actually
+// happened.
 func (r *Report) Apply(jobs []*mapreduce.Job) int {
 	byName := map[string]*mapreduce.Job{}
 	for _, j := range jobs {
@@ -26,51 +27,42 @@ func (r *Report) Apply(jobs []*mapreduce.Job) int {
 		if jr.Name == "" || job == nil {
 			continue
 		}
-		// The mapper wrap combines pushdown and trim per input, so
-		// collect both before touching the job.
-		type valueRewrite struct {
-			schema *exec.Schema
-			guard  *pred
-			dead   map[int]bool
-			marks  []*Rewrite
+		// The mapper wrap combines every rewrite of an input, so collect
+		// them before touching the job.
+		type mapperRewrite struct {
+			schema        *exec.Schema
+			filter, guard *pred
+			dead          map[int]bool
+			marks         []*Rewrite
 		}
-		wraps := map[int]*valueRewrite{}
+		wraps := map[int]*mapperRewrite{}
 		for _, rw := range jr.Rewrites {
-			if rw.Input < 0 || rw.Input >= len(job.Inputs) {
+			if rw.Input < 0 || rw.Input >= len(job.Inputs) || rw.schema == nil {
 				continue
+			}
+			w := wraps[rw.Input]
+			if w == nil {
+				w = &mapperRewrite{schema: rw.schema, dead: map[int]bool{}}
+				wraps[rw.Input] = w
 			}
 			switch rw.Kind {
 			case KindEarlyFilter:
-				if rw.prefilter != nil {
-					job.Inputs[rw.Input].Prefilter = rw.prefilter
-					rw.Applied = true
-					applied++
+				w.filter = rw.guard
+			case KindPushdown:
+				w.guard = rw.guard
+			case KindTrim:
+				for _, c := range rw.dead {
+					w.dead[c] = true
 				}
-			case KindPushdown, KindTrim:
-				if rw.schema == nil {
-					continue
-				}
-				w := wraps[rw.Input]
-				if w == nil {
-					w = &valueRewrite{schema: rw.schema, dead: map[int]bool{}}
-					wraps[rw.Input] = w
-				}
-				if rw.Kind == KindPushdown {
-					w.guard = rw.guard
-				} else {
-					for _, c := range rw.dead {
-						w.dead[c] = true
-					}
-				}
-				w.marks = append(w.marks, rw)
 			}
+			w.marks = append(w.marks, rw)
 		}
 		for idx, w := range wraps {
 			orig := job.Inputs[idx].Mapper
-			if orig == nil || (w.guard == nil && len(w.dead) == 0) {
+			if orig == nil || (w.filter == nil && w.guard == nil && len(w.dead) == 0) {
 				continue
 			}
-			job.Inputs[idx].Mapper = wrapMapper(orig, w.schema, w.guard, w.dead)
+			job.Inputs[idx].Mapper = wrapMapper(orig, w.schema, w.filter, w.guard, w.dead)
 			for _, rw := range w.marks {
 				rw.Applied = true
 				applied++
@@ -80,13 +72,25 @@ func (r *Report) Apply(jobs []*mapreduce.Job) int {
 	return applied
 }
 
-// wrapMapper interposes on the original mapper's emit: drop pairs the
-// reducer's guard would skip, then blank dead columns. The original map
-// function is untouched — its decode errors, its own filters, and its
-// key derivation all run exactly as written.
-func wrapMapper(orig mapreduce.Mapper, schema *exec.Schema, keep *pred, dead map[int]bool) mapreduce.Mapper {
+// wrapMapper runs the original mapper behind the input's rewrites: a line
+// the mapper's own guard (filter) drops is reported as
+// mapreduce.ErrFiltered without running it, and on its emit, pairs the
+// reducer's guard (keep) would skip are dropped and dead columns blanked.
+// The original map function is untouched — its decode errors, its own
+// filters, and its key derivation all run exactly as written.
+func wrapMapper(orig mapreduce.Mapper, schema *exec.Schema, filter, keep *pred, dead map[int]bool) mapreduce.Mapper {
 	width := schema.Len()
 	return mapreduce.MapperFunc(func(line string, emit mapreduce.Emit) error {
+		if filter != nil {
+			// A line that fails to decode runs the mapper, which
+			// surfaces the error.
+			if r, err := exec.DecodeRow(line, schema); err == nil && !filter.eval(r) {
+				return mapreduce.ErrFiltered
+			}
+		}
+		if keep == nil && len(dead) == 0 {
+			return orig.Map(line, emit)
+		}
 		return orig.Map(line, func(k, v string) {
 			if keep != nil {
 				if r, err := exec.DecodeRow(v, schema); err == nil && !keep.eval(r) {

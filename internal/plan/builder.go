@@ -76,6 +76,9 @@ func (b *builder) buildSelect(stmt *sqlparser.SelectStmt) (Node, error) {
 			}
 		}
 		if count == 1 {
+			if err := checkCondition("WHERE clause", c, fromNodes[resolvesAt].Schema()); err != nil {
+				return nil, err
+			}
 			fromNodes[resolvesAt] = &Filter{Child: fromNodes[resolvesAt], Cond: c}
 			used[ci] = true
 		}
@@ -116,11 +119,8 @@ func (b *builder) buildSelect(stmt *sqlparser.SelectStmt) (Node, error) {
 	}
 	if len(rest) > 0 {
 		cond := sqlparser.JoinConjuncts(rest)
-		if !exprResolves(cond, cur.Schema()) {
-			// Surface the resolution error with context.
-			if _, err := exec.Compile(cond, cur.Schema()); err != nil {
-				return nil, fmt.Errorf("WHERE clause: %w", err)
-			}
+		if err := checkCondition("WHERE clause", cond, cur.Schema()); err != nil {
+			return nil, err
 		}
 		cur = &Filter{Child: cur, Cond: cond}
 	}
@@ -172,10 +172,8 @@ func (b *builder) buildSelect(stmt *sqlparser.SelectStmt) (Node, error) {
 		keys := make([]SortKey, len(stmt.OrderBy))
 		for i, o := range stmt.OrderBy {
 			e := RewriteExpr(o.Expr, projSubs)
-			if !exprResolves(e, cur.Schema()) {
-				if _, cerr := exec.Compile(e, cur.Schema()); cerr != nil {
-					return nil, fmt.Errorf("ORDER BY %s: %w", e.SQL(), cerr)
-				}
+			if _, err := exec.InferType(e, cur.Schema()); err != nil {
+				return nil, fmt.Errorf("ORDER BY %s: %w", e.SQL(), err)
 			}
 			keys[i] = SortKey{Expr: e, Desc: o.Desc}
 		}
@@ -237,9 +235,9 @@ func (b *builder) buildExplicitJoin(x *sqlparser.Join) (Node, error) {
 		return nil, fmt.Errorf("%s requires at least one equi-join condition", x.Type)
 	}
 	res := sqlparser.JoinConjuncts(residual)
-	if res != nil && !exprResolves(res, left.Schema().Concat(right.Schema())) {
-		if _, cerr := exec.Compile(res, left.Schema().Concat(right.Schema())); cerr != nil {
-			return nil, fmt.Errorf("ON clause: %w", cerr)
+	if res != nil {
+		if err := checkCondition("ON clause", res, left.Schema().Concat(right.Schema())); err != nil {
+			return nil, err
 		}
 	}
 	return NewJoin(x.Type, left, right, leftKeys, rightKeys, res)
@@ -375,8 +373,22 @@ func rejectNestedSubquery(e sqlparser.Expr) error {
 	return nil
 }
 
+// checkCondition types cond — a WHERE conjunct, an ON residual or a
+// HAVING clause (what) — against s: it must resolve, type-check and be
+// BOOL or NULL, as PostgreSQL requires of a condition while planning.
+func checkCondition(what string, cond sqlparser.Expr, s *exec.Schema) error {
+	t, err := exec.InferType(cond, s)
+	if err != nil {
+		return fmt.Errorf("%s: %w", what, err)
+	}
+	if t != exec.TypeBool && t != exec.TypeNull {
+		return fmt.Errorf("%s: condition is %s, not bool", what, t)
+	}
+	return nil
+}
+
 // exprResolves reports whether every column reference in e resolves
-// unambiguously against s.
+// unambiguously against s: where a WHERE conjunct can be pushed down.
 func exprResolves(e sqlparser.Expr, s *exec.Schema) bool {
 	ok := true
 	for _, ref := range sqlparser.ColumnRefs(e) {
@@ -434,7 +446,7 @@ func (b *builder) buildAggregation(cur Node, stmt *sqlparser.SelectStmt) (Node, 
 	for i, g := range stmt.GroupBy {
 		aliasKey := ""
 		if ref, ok := g.(*sqlparser.ColumnRef); ok && ref.Qualifier == "" {
-			if !exprResolves(g, cur.Schema()) {
+			if _, err := cur.Schema().Resolve("", ref.Name); err != nil {
 				if sub, ok := aliasSubs[strings.ToLower(ref.Name)]; ok {
 					if sqlparser.ContainsAggregate(sub) {
 						return nil, nil, fmt.Errorf("GROUP BY %s refers to an aggregate", ref.Name)
@@ -444,10 +456,8 @@ func (b *builder) buildAggregation(cur Node, stmt *sqlparser.SelectStmt) (Node, 
 				}
 			}
 		}
-		if !exprResolves(g, cur.Schema()) {
-			if _, err := exec.Compile(g, cur.Schema()); err != nil {
-				return nil, nil, fmt.Errorf("GROUP BY %s: %w", g.SQL(), err)
-			}
+		if _, err := exec.InferType(g, cur.Schema()); err != nil {
+			return nil, nil, fmt.Errorf("GROUP BY %s: %w", g.SQL(), err)
 		}
 		if seenGroup[g.SQL()] {
 			continue
@@ -489,11 +499,9 @@ func (b *builder) buildAggregation(cur Node, stmt *sqlparser.SelectStmt) (Node, 
 					werr = fmt.Errorf("nested aggregate in %s", key)
 					return false
 				}
-				if !exprResolves(arg, cur.Schema()) {
-					if _, cerr := exec.Compile(arg, cur.Schema()); cerr != nil {
-						werr = fmt.Errorf("aggregate %s: %w", key, cerr)
-						return false
-					}
+				if _, err := exec.InferType(arg, cur.Schema()); err != nil {
+					werr = fmt.Errorf("aggregate %s: %w", key, err)
+					return false
 				}
 			}
 			name := "_a" + strconv.Itoa(len(aggs))
@@ -557,8 +565,8 @@ func (b *builder) buildAggregation(cur Node, stmt *sqlparser.SelectStmt) (Node, 
 	var out Node = agg
 	if stmt.Having != nil {
 		having := RewriteExpr(stmt.Having, subs)
-		if _, err := exec.Compile(having, out.Schema()); err != nil {
-			return nil, nil, fmt.Errorf("HAVING: %w", err)
+		if err := checkCondition("HAVING", having, out.Schema()); err != nil {
+			return nil, nil, err
 		}
 		out = &Filter{Child: out, Cond: having}
 	}

@@ -318,6 +318,36 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsIllTypedConditions: a condition whose operands the
+// evaluator cannot compare, or that is not a truth value, is a planning
+// error, as in PostgreSQL — wherever it sits: a WHERE conjunct pushed down
+// to its scan or filtering a join, an ON residual, or HAVING. Planning it
+// instead fails the query as a job, and only when a row reaches it.
+func TestBuildRejectsIllTypedConditions(t *testing.T) {
+	tests := []struct{ sql, want string }{
+		{"SELECT o_orderkey FROM orders WHERE o_orderstatus > 2", "WHERE clause: cannot compare string with int"},
+		{"SELECT o_orderkey FROM orders WHERE o_totalprice", "WHERE clause: condition is float, not bool"},
+		{"SELECT o_custkey FROM orders GROUP BY o_custkey HAVING max(o_orderstatus) > 1", "HAVING: cannot compare string with int"},
+		{"SELECT o_orderkey FROM orders WHERE o_orderstatus IN (1, 2)", "WHERE clause: cannot compare string with int"},
+		{"SELECT o_orderkey FROM orders WHERE o_orderkey > 1 AND o_custkey", "WHERE clause: condition is int, not bool"},
+		{"SELECT o_orderkey FROM orders WHERE NOT o_orderstatus", "WHERE clause: NOT applied to string"},
+		{"SELECT o_orderkey FROM orders WHERE o_totalprice BETWEEN 'a' AND 'b'", "WHERE clause: cannot compare float with string"},
+		{"SELECT l_orderkey FROM lineitem, orders WHERE l_orderkey = o_orderkey AND l_quantity > o_orderstatus",
+			"WHERE clause: cannot compare float with string"},
+		{"SELECT l_orderkey FROM lineitem JOIN orders ON l_orderkey = o_orderkey AND o_orderstatus < l_partkey",
+			"ON clause: cannot compare string with int"},
+	}
+	for _, tt := range tests {
+		stmt, err := sqlparser.Parse(tt.sql)
+		if err != nil {
+			t.Fatalf("parse %q: %v", tt.sql, err)
+		}
+		if _, err := Build(stmt, testCatalog()); err == nil || err.Error() != tt.want {
+			t.Errorf("Build(%q): %v, want %q", tt.sql, err, tt.want)
+		}
+	}
+}
+
 func TestFormatRendersTree(t *testing.T) {
 	n := mustBuild(t, "SELECT cid, count(*) FROM clicks WHERE uid > 0 GROUP BY cid")
 	out := Format(n)

@@ -50,11 +50,14 @@ func rootFP(t *testing.T, sql string) string {
 	if err != nil {
 		t.Fatalf("translate %q: %v", sql, err)
 	}
-	key, ok := translator.RootArtifactKey(tr)
-	if !ok {
-		t.Fatalf("no root artifact for %q", sql)
+	arts := tr.Artifacts()
+	for i, j := range tr.Jobs {
+		if j.Output == tr.Output && i < len(arts) {
+			return arts[i].Fingerprint
+		}
 	}
-	return key
+	t.Fatalf("no root artifact for %q", sql)
+	return ""
 }
 
 // TestEquivalentSpellingsCollide: different spellings of the same query —

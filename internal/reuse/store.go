@@ -12,9 +12,9 @@ import (
 // readers on other goroutines consume Lines/Bytes/PredictedSeconds
 // without holding the store lock.
 type Entry struct {
-	// Key is the store key: the job fingerprint, prefixed with the
-	// optimizer dimension (translator.ArtifactKey) so MANIMAL-rewritten
-	// and plain artifacts never mix.
+	// Key is the store key: the job fingerprint. An optimized plan writes
+	// the plain plan's bytes exactly (its early filters drop only lines
+	// the mapper drops anyway), so both share artifacts.
 	Key string
 	// Fingerprint is the canonical sub-plan fingerprint.
 	Fingerprint string

@@ -64,9 +64,9 @@ func NewPlanCache(capacity int, mode translator.Mode, cat plan.Catalog, reg *obs
 // SetOptimize switches the cache to the MANIMAL pipeline: cache keys gain
 // the optimizer dimension (translator.CacheKeyOpt, so optimized and plain
 // plans of the same SQL never share an entry or a QueryTag-derived DFS
-// path), and every translation gets the prefilters its scan facts prove
-// sound before it is cached. Call it before the first Get; it is not safe to
-// flip on a cache already serving sessions.
+// path), and every translation gets the early filters its scan facts
+// prove sound before it is cached. Call it before the first Get; it is not
+// safe to flip on a cache already serving sessions.
 func (c *PlanCache) SetOptimize(on bool) { c.optimize = on }
 
 // Plan is one statement's executable plan, shared with every other session

@@ -219,33 +219,21 @@ func TestPlanCacheManimalKeying(t *testing.T) {
 	if pp.Translation.Output == po.Translation.Output {
 		t.Fatalf("optimized and plain chains share the DFS output path %s", pp.Translation.Output)
 	}
-	prefilters := 0
-	for _, j := range po.Translation.Jobs {
-		for i := range j.Inputs {
-			if j.Inputs[i].Prefilter != nil {
-				prefilters++
-			}
-		}
+	// The optimized plan filters early; the plain one never does.
+	plainLines, plainFiltered := runPlanFiltered(t, pp)
+	optLines, optFiltered := runPlanFiltered(t, po)
+	if optFiltered == 0 {
+		t.Fatal("optimized plan of a filtered scan filtered no line early")
 	}
-	if prefilters == 0 {
-		t.Fatal("optimized plan of a filtered scan carries no prefilter")
+	if plainFiltered != 0 {
+		t.Fatalf("plain plan filtered %d lines early", plainFiltered)
 	}
-	for _, j := range pp.Translation.Jobs {
-		for i := range j.Inputs {
-			if j.Inputs[i].Prefilter != nil {
-				t.Fatal("plain plan carries a prefilter")
-			}
-		}
-	}
-
-	plainLines := runPlan(t, pp)
-	optLines := runPlan(t, po)
 	want := oracleLines(t, sql)
 	diffLines(t, "plain vs oracle", plainLines, want)
 	diffLines(t, "manimal vs oracle", optLines, want)
 
 	// A hit hands out the same optimized plan, and running it left its
-	// prefilters in place.
+	// early filters in place.
 	po2, err := opt.Get(sql)
 	if err != nil {
 		t.Fatal(err)
@@ -253,10 +241,11 @@ func TestPlanCacheManimalKeying(t *testing.T) {
 	if !po2.Hit || po2.Translation != po.Translation {
 		t.Fatal("second optimized get did not return the cached plan")
 	}
-	if po2.Translation.Jobs[0].Inputs[0].Prefilter == nil {
-		t.Fatal("the optimized translation lost its prefilter")
+	rerunLines, rerunFiltered := runPlanFiltered(t, po2)
+	if rerunFiltered != optFiltered {
+		t.Fatalf("the optimized rerun filtered %d lines early, the first run %d", rerunFiltered, optFiltered)
 	}
-	diffLines(t, "manimal rerun vs oracle", runPlan(t, po2), want)
+	diffLines(t, "manimal rerun vs oracle", rerunLines, want)
 }
 
 // TestPlanCacheResultsByteIdentical is the cache's correctness oracle: the

@@ -44,9 +44,10 @@ type Config struct {
 	// Logger receives structured server events (nil: silent).
 	Logger *obs.Logger
 	// Manimal enables the MANIMAL-style scan rewrites on translated
-	// plans: every lowered chain gets the early-filter prefilters its
-	// scan facts prove sound, and optimized plans are cached under keys
-	// (and DFS path prefixes) disjoint from plain ones.
+	// plans: every lowered chain gets the early filters its scan facts
+	// prove sound, and optimized plans are cached under keys (and DFS
+	// path prefixes) disjoint from plain ones. Reuse artifacts are shared
+	// with plain plans, whose bytes optimized plans write exactly.
 	Manimal bool
 	// Reuse enables the cross-query materialized-output store: job
 	// outputs are recorded under canonical sub-plan fingerprints and

@@ -141,6 +141,32 @@ func TestServerErrorsKeepConnectionUsable(t *testing.T) {
 	}
 }
 
+// TestServerIllTypedConditionsAreSyntaxErrors: conditions that compare a
+// string with a number, or are not truth values, answer 42601 while
+// planning, as in PostgreSQL, not XX000 from a failed job — and the
+// session stays usable.
+func TestServerIllTypedConditionsAreSyntaxErrors(t *testing.T) {
+	_, addr := startTestServer(t, nil)
+	cli := dialTest(t, addr)
+	for _, sql := range []string{
+		"SELECT o_orderkey FROM orders WHERE o_clerk > 2",
+		"SELECT o_orderkey FROM orders WHERE o_totalprice",
+		"SELECT o_custkey FROM orders GROUP BY o_custkey HAVING max(o_clerk) > 1",
+		"SELECT o_orderkey FROM orders WHERE o_clerk IN (1, 2)",
+	} {
+		_, err := cli.Query(sql)
+		var srvErr *ServerError
+		if !errors.As(err, &srvErr) || srvErr.Code != sqlstateSyntaxError {
+			t.Fatalf("%s: err = %v, want SQLSTATE %s", sql, err, sqlstateSyntaxError)
+		}
+	}
+	res, err := cli.Query(queries.Q17)
+	if err != nil {
+		t.Fatalf("query after the rejected conditions: %v", err)
+	}
+	diffLines(t, "Q17 after the rejected conditions", wireLines(res), oracleWireLines(t, queries.Q17))
+}
+
 // TestServerEngineFaultIsInternalError: a statement that compiles but cannot
 // run — its table is in the catalog with no dataset registered, so the
 // first job's DFS read fails — is the server's fault, not a syntax error,

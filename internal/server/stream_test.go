@@ -586,9 +586,12 @@ func TestMalformedResultLineMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, ok := translator.RootArtifactKey(p.Translation)
-	if !ok {
-		t.Fatal("plan carries no artifacts")
+	var key string
+	arts := p.Translation.Artifacts()
+	for i, j := range p.Translation.Jobs {
+		if j.Output == p.Translation.Output && i < len(arts) {
+			key = arts[i].Fingerprint
+		}
 	}
 	store := srv.ReuseStore()
 	e, ok := store.Lookup(key)

@@ -89,6 +89,14 @@ func oracleLines(t *testing.T, sql string) []string {
 // fixture tables and returns the sorted codec lines of its result.
 func runPlan(t *testing.T, p *Plan) []string {
 	t.Helper()
+	lines, _ := runPlanFiltered(t, p)
+	return lines
+}
+
+// runPlanFiltered is runPlan that also returns how many input lines the
+// chain's mappers filtered early (JobStats.MapRecordsFiltered).
+func runPlanFiltered(t *testing.T, p *Plan) ([]string, int64) {
+	t.Helper()
 	_, lines := fixture(t)
 	eng, err := mapreduce.NewEngine(mapreduce.NewDFS(), mapreduce.SmallCluster())
 	if err != nil {
@@ -105,7 +113,11 @@ func runPlan(t *testing.T, p *Plan) []string {
 	if err != nil {
 		t.Fatalf("result: %v", err)
 	}
-	return dbms.SortedLines(rows)
+	var filtered int64
+	for _, js := range res.Stats.Jobs {
+		filtered += js.MapRecordsFiltered
+	}
+	return dbms.SortedLines(rows), filtered
 }
 
 // wireLines renders a wire result the way the oracle comparison in the load

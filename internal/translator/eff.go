@@ -187,19 +187,6 @@ func (c *mapChain) decode(scratch *exec.Row, line string) (exec.Row, error) {
 	return row, nil
 }
 
-// prefilterOf turns a mapper's decode-and-filter path into its raw-line
-// early filter: a nil row with no error is exactly a line the mapper
-// drops, and lines that fail are kept so the mapper still surfaces the
-// error. Prefilters of one input run in concurrent map tasks, so each call
-// decodes into storage of its own.
-func prefilterOf(decode func(scratch *exec.Row, line string) (exec.Row, error)) func(line string) bool {
-	return func(line string) bool {
-		var scratch exec.Row
-		out, err := decode(&scratch, line)
-		return err != nil || out != nil
-	}
-}
-
 // stagesToOps turns stages into reduce-side cmf operators chained after
 // src, returning the final source.
 func stagesToOps(stages []stage, src cmf.Source, namePrefix string, add func(cmf.Op)) cmf.Source {

@@ -178,7 +178,6 @@ func (lw *lowerer) buildSimpleScanInput(cj *cmf.CommonJob, ss *sharedStream, slo
 		fact.Refusal = fmt.Sprintf("%s: no selection adjacent to the scan of %s", ss.op.Name(), ss.scan.Table)
 	} else {
 		fact.PredSQL = filterSQL(ss.chain[len(ss.chain)-n:])
-		fact.Prefilter = prefilterOf(decode)
 	}
 	lw.facts = append(lw.facts, fact)
 	cj.Inputs = append(cj.Inputs, cmf.CommonInput{
@@ -252,7 +251,6 @@ func (lw *lowerer) buildSharedInput(cj *cmf.CommonJob, table string, streams []*
 	}
 
 	fact := ScanFact{Job: cj.Name, InputIdx: len(cj.Inputs), Table: table, Path: TablePath(table)}
-	var streamPreds []exec.Predicate
 	var streamSQL []string
 
 	for _, ss := range streams {
@@ -286,7 +284,6 @@ func (lw *lowerer) buildSharedInput(cj *cmf.CommonJob, table string, streams []*
 				}
 				return true, nil
 			}
-			streamPreds = append(streamPreds, filter)
 			streamSQL = append(streamSQL, "("+strings.Join(filterSQL(mapFilterNodes), " AND ")+")")
 		} else if fact.Refusal == "" {
 			// One unfiltered stream wants every line, so no early filter
@@ -318,25 +315,9 @@ func (lw *lowerer) buildSharedInput(cj *cmf.CommonJob, table string, streams []*
 	}
 
 	if fact.Refusal == "" {
+		// The common mapper drops a line exactly when every stream's
+		// selection rejects it.
 		fact.PredSQL = []string{strings.Join(streamSQL, " OR ")}
-		decode := input.Decode
-		// A line is droppable only when every stream's selection rejects
-		// the decoded row; decode or evaluation errors keep the line so
-		// the mapper surfaces them.
-		fact.Prefilter = func(line string) bool {
-			var scratch exec.Row
-			r, err := decode(&scratch, line)
-			if err != nil || r == nil {
-				return true
-			}
-			for _, p := range streamPreds {
-				ok, err := p(r)
-				if err != nil || ok {
-					return true
-				}
-			}
-			return false
-		}
 	}
 	lw.facts = append(lw.facts, fact)
 

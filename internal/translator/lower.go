@@ -35,8 +35,8 @@ type lowerer struct {
 	effOf     map[*correlation.Operation]effView
 	written   map[*correlation.Operation]outputRef
 	jobLookup map[*correlation.Operation]*jobBuild
-	// facts accumulates per-scan prefilter facts while jobs lower; they
-	// land on Translation.ScanFacts.
+	// facts accumulates per-scan early-filter facts while jobs lower;
+	// they land on Translation.ScanFacts.
 	facts []ScanFact
 	// topLimit is the LIMIT stripped from above the root sort (0 if none);
 	// it decides whether that sort can run range-partitioned.
@@ -107,7 +107,6 @@ func (lw *lowerer) lowerSPQuery() (*Translation, error) {
 		fact.Refusal = "no selection adjacent to the scan: every input line can reach the output"
 	} else {
 		fact.PredSQL = filterSQL(in.Chain[len(in.Chain)-n:])
-		fact.Prefilter = prefilterOf(decode)
 	}
 	return &Translation{
 		Mode:         lw.mode,

@@ -150,3 +150,67 @@ func TestAllocBudgetScanMapTask(t *testing.T) {
 		t.Errorf("checked %d emitted, %d filtered and %d fresh-task filtered lines: the scans no longer select", emittedChecked, filteredChecked, freshChecked)
 	}
 }
+
+// TestAllocBudgetEarlyFilter holds the MANIMAL early filter to the map
+// task's budget: a warmed optimized task drops a line with ErrFiltered at
+// no allocation, for a single-stream scan and for a shared scan, and emits
+// a passing line at no more allocations than the unwrapped task.
+func TestAllocBudgetEarlyFilter(t *testing.T) {
+	dfs, _ := workload(t)
+	checked := 0
+	for _, sql := range []string{
+		`SELECT l_orderkey, count(*) AS n FROM lineitem WHERE l_quantity > 40 GROUP BY l_orderkey`,
+		`SELECT a.l_orderkey, a.l_quantity, b.l_quantity FROM lineitem a, lineitem b
+			WHERE a.l_orderkey = b.l_orderkey AND a.l_quantity > 40 AND b.l_quantity > 45`,
+	} {
+		plain := translate(t, sql, YSmart, Options{QueryName: "budget"})
+		opt := translate(t, sql, YSmart, Options{QueryName: "budget"})
+		applied, _ := ApplyScanFacts(opt)
+		for _, fact := range applied {
+			if fact.Table != "lineitem" {
+				continue
+			}
+			var plainTask, optTask mapreduce.Mapper
+			for i, j := range opt.Jobs {
+				if j.Name == fact.Job {
+					plainTask = plain.Jobs[i].Inputs[fact.InputIdx].Mapper.(mapreduce.MapTaskFactory).NewMapTask()
+					optTask = j.Inputs[fact.InputIdx].Mapper.(mapreduce.MapTaskFactory).NewMapTask()
+				}
+			}
+			lines, err := dfs.Read(fact.Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var emitted, filtered string
+			for _, line := range lines {
+				pairs := 0
+				err := optTask.Map(line, func(string, string) { pairs++ })
+				switch {
+				case err == mapreduce.ErrFiltered && pairs == 0:
+					filtered = line
+				case err == nil && pairs > 0:
+					emitted = line
+				default:
+					t.Fatalf("%s input %d, line %q: %d pairs, err %v", fact.Job, fact.InputIdx, line, pairs, err)
+				}
+				plainTask.Map(line, func(string, string) {})
+			}
+			if emitted == "" || filtered == "" {
+				t.Fatalf("%s input %d: the scan no longer both selects and rejects", fact.Job, fact.InputIdx)
+			}
+			checked++
+			allocs := func(m mapreduce.Mapper, line string) float64 {
+				return testing.AllocsPerRun(200, func() { m.Map(line, func(string, string) {}) })
+			}
+			if got := allocs(optTask, filtered); got > 0 {
+				t.Errorf("%s input %d: %v allocations per filtered line, budget 0", fact.Job, fact.InputIdx, got)
+			}
+			if got, want := allocs(optTask, emitted), allocs(plainTask, emitted); got > want {
+				t.Errorf("%s input %d: %v allocations per emitted line, the unwrapped task %v", fact.Job, fact.InputIdx, got, want)
+			}
+		}
+	}
+	if checked < 2 {
+		t.Errorf("checked %d early-filtered lineitem scans, want a single-stream and a shared one", checked)
+	}
+}

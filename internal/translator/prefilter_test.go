@@ -1,19 +1,23 @@
 package translator
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"ysmart/internal/mapreduce"
 )
 
-// TestPrefilterAgreesWithLazyDecode pins the lazy-decode contract where it
-// matters most: a MANIMAL prefilter may drop a line only if the mapper
-// would have produced nothing and no error for it, and both sides run the
-// same demand-driven decoder, so they must agree on lines whose trouble
-// sits in a column the plan never reads. Covered: a map-only
-// selection-projection job, a single-stream scan feeding an aggregation,
-// and a shared scan whose two streams both select.
+// TestPrefilterAgreesWithLazyDecode pins the MANIMAL early filter to the
+// lazy-decode contract: the optimized mapper reports a line as
+// mapreduce.ErrFiltered exactly when the plain mapper produces nothing and
+// no error for it, and otherwise passes the plain mapper's pairs and error
+// through — including on lines whose trouble sits in a column the plan
+// never reads. Covered: a map-only selection-projection job, a
+// single-stream scan feeding an aggregation, and a shared scan whose two
+// streams both select; each through the mapper's one-line entry point and
+// through one map task fed every line in turn.
 func TestPrefilterAgreesWithLazyDecode(t *testing.T) {
 	// lineitem fields: l_orderkey l_partkey l_suppkey l_quantity
 	// l_extendedprice l_receiptdate l_commitdate l_shipdate l_returnflag
@@ -31,7 +35,7 @@ func TestPrefilterAgreesWithLazyDecode(t *testing.T) {
 	}
 	cases := []struct {
 		name, line string
-		emits      bool   // the mapper emits a pair
+		emits      bool   // the plain mapper emits a pair
 		errHas     string // or fails with an error containing this
 	}{
 		{"selected", line("48.0", "900.5"), true, ""},
@@ -42,48 +46,62 @@ func TestPrefilterAgreesWithLazyDecode(t *testing.T) {
 		{"short line", "7\t11\t3\t48.0", false, "fields"},
 		{"long line", line("2.0", "900.5") + "\textra", false, "fields"},
 	}
+	// mapOne runs one line and collects its pairs.
+	mapOne := func(m mapreduce.Mapper, line string) ([]string, error) {
+		var pairs []string
+		err := m.Map(line, func(k, v string) { pairs = append(pairs, k+"|"+v) })
+		return pairs, err
+	}
+	mapperOf := func(tr *Translation, fact ScanFact) mapreduce.Mapper {
+		for _, j := range tr.Jobs {
+			if j.Name == fact.Job {
+				return j.Inputs[fact.InputIdx].Mapper
+			}
+		}
+		t.Fatalf("fact names unknown job %q", fact.Job)
+		return nil
+	}
 	for qname, sql := range queries {
-		tr := translate(t, sql, YSmart, Options{QueryName: "lazy"})
+		plain := translate(t, sql, YSmart, Options{QueryName: "lazy"})
+		opt := translate(t, sql, YSmart, Options{QueryName: "lazy"})
+		applied, _ := ApplyScanFacts(opt)
 		checked := 0
-		for _, fact := range tr.ScanFacts {
+		for _, fact := range applied {
 			if fact.Table != "lineitem" {
 				continue
 			}
-			if fact.Prefilter == nil {
-				t.Fatalf("%s: no prefilter for the lineitem scan: %s", qname, fact.Refusal)
-			}
-			var mapper mapreduce.Mapper
-			for _, j := range tr.Jobs {
-				if j.Name == fact.Job {
-					mapper = j.Inputs[fact.InputIdx].Mapper
-				}
-			}
-			if mapper == nil {
-				t.Fatalf("%s: fact names unknown job %q", qname, fact.Job)
-			}
 			checked++
+			plainMapper := mapperOf(plain, fact)
+			f, ok := mapperOf(opt, fact).(mapreduce.MapTaskFactory)
+			if !ok {
+				t.Fatalf("%s: the optimized mapper is not a map-task factory", qname)
+			}
+			task := f.NewMapTask()
 			for _, c := range cases {
-				emitted := 0
-				err := mapper.Map(c.line, func(string, string) { emitted++ })
+				want, wantErr := mapOne(plainMapper, c.line)
 				switch {
 				case c.errHas != "":
-					if err == nil || !strings.Contains(err.Error(), c.errHas) {
-						t.Errorf("%s, %s: mapper err = %v, want one containing %q", qname, c.name, err, c.errHas)
+					if wantErr == nil || !strings.Contains(wantErr.Error(), c.errHas) {
+						t.Errorf("%s, %s: mapper err = %v, want one containing %q", qname, c.name, wantErr, c.errHas)
 					}
-				case err != nil:
-					t.Errorf("%s, %s: mapper failed: %v", qname, c.name, err)
-				case (emitted > 0) != c.emits:
-					t.Errorf("%s, %s: mapper emitted %d pairs, want emits=%v", qname, c.name, emitted, c.emits)
+				case wantErr != nil:
+					t.Errorf("%s, %s: mapper failed: %v", qname, c.name, wantErr)
+				case (len(want) > 0) != c.emits:
+					t.Errorf("%s, %s: mapper emitted %d pairs, want emits=%v", qname, c.name, len(want), c.emits)
 				}
-				// The prefilter keeps exactly the lines the mapper has
-				// something to say about: output or an error.
-				if keep, want := fact.Prefilter(c.line), emitted > 0 || err != nil; keep != want {
-					t.Errorf("%s, %s: prefilter keeps=%v, mapper emitted %d pairs with error %v", qname, c.name, keep, emitted, err)
+				if wantErr == nil && len(want) == 0 {
+					wantErr = mapreduce.ErrFiltered
+				}
+				for entry, m := range map[string]mapreduce.Mapper{"Map": f, "task": task} {
+					got, err := mapOne(m, c.line)
+					if !reflect.DeepEqual(got, want) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+						t.Errorf("%s, %s, %s: optimized mapper gave %q, %v; want %q, %v", qname, c.name, entry, got, err, want, wantErr)
+					}
 				}
 			}
 		}
 		if checked == 0 {
-			t.Errorf("%s: no lineitem scan fact", qname)
+			t.Errorf("%s: no early filter applied to a lineitem scan", qname)
 		}
 	}
 }

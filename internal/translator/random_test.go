@@ -19,7 +19,8 @@ import (
 // aggregations stacked on joins — and every translation mode must produce
 // exactly the oracle's rows for each of them. It also holds the paper's
 // promise on every query: YSmart runs no more jobs than the one-to-one
-// translation and reads no more map input.
+// translation and reads no more map input, and ICTCOnly, where only the
+// input- and transit-correlation merges fire, shuffles no more bytes.
 func TestRandomQueriesAllModesMatchOracle(t *testing.T) {
 	clicksCfg := datagen.ClickConfig{Users: 40, ClicksPerUser: 12, Categories: 4, Seed: 5}
 	clicks, err := datagen.Clickstream(clicksCfg)
@@ -86,6 +87,10 @@ func TestRandomQueriesAllModesMatchOracle(t *testing.T) {
 			if ys.TotalMapInputBytes() > one.TotalMapInputBytes() {
 				t.Errorf("YSmart read %d map-input bytes, one-to-one %d\nquery: %s",
 					ys.TotalMapInputBytes(), one.TotalMapInputBytes(), sql)
+			}
+			if ictc := stats[ICTCOnly]; ictc.TotalShuffleBytes() > one.TotalShuffleBytes() {
+				t.Errorf("ic-tc-only shuffled %d bytes, one-to-one %d\nquery: %s",
+					ictc.TotalShuffleBytes(), one.TotalShuffleBytes(), sql)
 			}
 		})
 	}

@@ -27,24 +27,9 @@ type JobArtifact struct {
 	Tables []string
 }
 
-// ArtifactKey scopes a fingerprint by the optimizer dimension, following
-// the CacheKeyOpt discipline: MANIMAL-rewritten translations must never
-// share artifacts with plain translations of the same sub-plan.
-func ArtifactKey(fingerprint string, optimized bool) string {
-	if optimized {
-		return "manimal\x00" + fingerprint
-	}
-	return fingerprint
-}
-
 // ArtifactPath is the DFS path a reused artifact is installed under
-// before the rewritten chain runs (a NUL-free rendering of ArtifactKey).
-func ArtifactPath(fingerprint string, optimized bool) string {
-	if optimized {
-		return "restore/manimal-" + fingerprint
-	}
-	return "restore/" + fingerprint
-}
+// before the rewritten chain runs.
+func ArtifactPath(fingerprint string) string { return "restore/" + fingerprint }
 
 // fingerprint is what a translation's artifacts are hashed from, kept from
 // lowering so that only a translation looked up in a reuse store pays for
@@ -147,7 +132,6 @@ func tablePathsOf(tables map[string]bool) []string {
 // reuseRecord remembers what to materialize after an executed job's run.
 type reuseRecord struct {
 	jobName     string
-	key         string
 	fingerprint string
 	tables      []string
 	outPath     string
@@ -221,11 +205,9 @@ func ApplyReuseAt(tr *Translation, store *reuse.Store, dfs *mapreduce.DFS, epoch
 	rp.epochs = epochs
 
 	n := len(tr.Jobs)
-	keys := make([]string, n)
 	hit := make([]*reuse.Entry, n)
 	for i, a := range arts {
-		keys[i] = ArtifactKey(a.Fingerprint, tr.Optimized)
-		if e, ok := store.LookupAt(keys[i], epochs); ok {
+		if e, ok := store.LookupAt(a.Fingerprint, epochs); ok {
 			hit[i] = e
 			rp.Hits++
 		} else {
@@ -274,7 +256,7 @@ func ApplyReuseAt(tr *Translation, store *reuse.Store, dfs *mapreduce.DFS, epoch
 
 	for i := 0; i < n; i++ {
 		if used[i] {
-			dfs.WriteShared(ArtifactPath(arts[i].Fingerprint, tr.Optimized), hit[i].Lines)
+			dfs.WriteShared(ArtifactPath(arts[i].Fingerprint), hit[i].Lines)
 		}
 		if !needed[i] && hit[i] != nil {
 			rp.ArtifactBytes += hit[i].Bytes
@@ -294,7 +276,7 @@ func ApplyReuseAt(tr *Translation, store *reuse.Store, dfs *mapreduce.DFS, epoch
 		cp.Inputs = append([]mapreduce.Input(nil), j.Inputs...)
 		for k := range cp.Inputs {
 			if pi, ok := producer[cp.Inputs[k].Path]; ok && hit[pi] != nil {
-				cp.Inputs[k].Path = ArtifactPath(arts[pi].Fingerprint, tr.Optimized)
+				cp.Inputs[k].Path = ArtifactPath(arts[pi].Fingerprint)
 			}
 		}
 		cp.DependsOn = nil
@@ -307,7 +289,6 @@ func ApplyReuseAt(tr *Translation, store *reuse.Store, dfs *mapreduce.DFS, epoch
 		rp.Jobs = append(rp.Jobs, &cp)
 		rp.records = append(rp.records, reuseRecord{
 			jobName:     j.Name,
-			key:         keys[i],
 			fingerprint: arts[i].Fingerprint,
 			tables:      arts[i].Tables,
 			outPath:     j.Output,
@@ -315,26 +296,9 @@ func ApplyReuseAt(tr *Translation, store *reuse.Store, dfs *mapreduce.DFS, epoch
 	}
 	rp.Skipped = rp.Total - len(rp.Jobs)
 	if hit[rootIdx] != nil {
-		rp.Output = ArtifactPath(arts[rootIdx].Fingerprint, tr.Optimized)
+		rp.Output = ArtifactPath(arts[rootIdx].Fingerprint)
 	}
 	return rp
-}
-
-// RootArtifactKey returns the store key of the job that produces the
-// query result, so callers can evict exactly the final artifact (the
-// partial-reuse scenario of the differential harness). ok is false when
-// the translation carries no artifacts.
-func RootArtifactKey(tr *Translation) (key string, ok bool) {
-	arts := tr.Artifacts()
-	if len(arts) != len(tr.Jobs) {
-		return "", false
-	}
-	for i, j := range tr.Jobs {
-		if j.Output == tr.Output {
-			return ArtifactKey(arts[i].Fingerprint, tr.Optimized), true
-		}
-	}
-	return "", false
 }
 
 // ReadResult decodes the query result rows from the DFS — the rewritten
@@ -371,7 +335,7 @@ func (rp *ReusePlan) Record(store *reuse.Store, dfs *mapreduce.DFS, stats *mapre
 		if err != nil {
 			continue
 		}
-		store.Record(rec.key, rec.fingerprint, rec.tables, rp.epochs, lines, predicted[rec.jobName])
+		store.Record(rec.fingerprint, rec.fingerprint, rec.tables, rp.epochs, lines, predicted[rec.jobName])
 	}
 }
 

@@ -15,6 +15,19 @@ import (
 )
 
 // runReuse executes a reuse-rewritten chain and returns its result rows.
+// rootFingerprint is the store key of the job that produces tr's result.
+func rootFingerprint(t *testing.T, tr *Translation) string {
+	t.Helper()
+	arts := tr.Artifacts()
+	for i, j := range tr.Jobs {
+		if j.Output == tr.Output && i < len(arts) {
+			return arts[i].Fingerprint
+		}
+	}
+	t.Fatal("no root artifact")
+	return ""
+}
+
 func runReuse(t *testing.T, rp *ReusePlan, dfs *mapreduce.DFS) ([]string, *mapreduce.ChainStats) {
 	t.Helper()
 	eng, err := mapreduce.NewEngine(dfs, mapreduce.SmallCluster())
@@ -93,11 +106,7 @@ func TestApplyReusePartial(t *testing.T) {
 	coldLines, coldStats := runReuse(t, rp, dfs)
 	rp.Record(store, dfs, coldStats)
 
-	key, ok := RootArtifactKey(tr)
-	if !ok {
-		t.Fatal("no root artifact key")
-	}
-	store.Forget(key)
+	store.Forget(rootFingerprint(t, tr))
 
 	tr2 := translate(t, sql, YSmart, Options{QueryName: "q18-warm"})
 	rp2 := ApplyReuseAt(tr2, store, dfs, nil)
@@ -150,9 +159,7 @@ func TestApplyReuseNeverMutatesSource(t *testing.T) {
 	rp := ApplyReuseAt(tr, store, dfs, nil)
 	_, stats := runReuse(t, rp, dfs)
 	rp.Record(store, dfs, stats)
-	if key, ok := RootArtifactKey(tr); ok {
-		store.Forget(key) // force a partial rewrite, the path that repoints inputs
-	}
+	store.Forget(rootFingerprint(t, tr)) // force a partial rewrite, the path that repoints inputs
 	ApplyReuseAt(tr, store, dfs, nil)
 
 	for i, j := range tr.Jobs {
@@ -172,32 +179,41 @@ func TestApplyReuseNeverMutatesSource(t *testing.T) {
 	}
 }
 
-// TestOptimizedArtifactsDisjoint: a MANIMAL-optimized translation must
-// never consume artifacts recorded by a plain one (or vice versa) — the
-// optimizer dimension is part of the store key, mirroring CacheKeyOpt.
-func TestOptimizedArtifactsDisjoint(t *testing.T) {
-	if ArtifactKey("fp", true) == ArtifactKey("fp", false) {
-		t.Fatal("optimized and plain keys collide")
+// TestOptimizedAndPlainShareArtifacts: an optimized translation's early
+// filters drop only lines its mappers drop anyway, so it writes the plain
+// translation's bytes exactly, and either serves the other's artifacts with
+// identical rows.
+func TestOptimizedAndPlainShareArtifacts(t *testing.T) {
+	sql := queries.Named()["Q21"]
+	plain := func(name string) *Translation { return translate(t, sql, YSmart, Options{QueryName: name}) }
+	optimized := func(name string) *Translation {
+		tr := plain(name)
+		if applied, _ := ApplyScanFacts(tr); len(applied) == 0 {
+			t.Fatal("Q21: no early filter applied")
+		}
+		return tr
 	}
-	if ArtifactPath("fp", true) == ArtifactPath("fp", false) {
-		t.Fatal("optimized and plain artifact paths collide")
-	}
+	for _, c := range []struct {
+		name          string
+		first, second func(string) *Translation
+	}{
+		{"plain-serves-optimized", plain, optimized},
+		{"optimized-serves-plain", optimized, plain},
+	} {
+		dfs, _ := workload(t)
+		store := reuse.NewStore(0, nil)
+		rp := ApplyReuseAt(c.first("first"), store, dfs, nil)
+		want, stats := runReuse(t, rp, dfs)
+		rp.Record(store, dfs, stats)
 
-	dfs, _ := workload(t)
-	store := reuse.NewStore(0, nil)
-	sql := queries.Named()["Q-AGG"]
-
-	tr := translate(t, sql, YSmart, Options{QueryName: "plain"})
-	rp := ApplyReuseAt(tr, store, dfs, nil)
-	_, stats := runReuse(t, rp, dfs)
-	rp.Record(store, dfs, stats)
-
-	opt := translate(t, sql, YSmart, Options{QueryName: "optimized"})
-	opt.Optimized = true // what optanalysis.ApplyTranslation sets
-	rpOpt := ApplyReuseAt(opt, store, dfs, nil)
-	if rpOpt.Hits != 0 || len(rpOpt.Jobs) != len(opt.Jobs) {
-		t.Errorf("optimized translation consumed plain artifacts (hits=%d, jobs=%d/%d)",
-			rpOpt.Hits, len(rpOpt.Jobs), len(opt.Jobs))
+		tr := c.second("second")
+		warm := ApplyReuseAt(tr, store, dfs, nil)
+		if warm.Hits != len(tr.Jobs) || len(warm.Jobs) != 0 {
+			t.Errorf("%s: hits=%d, %d of %d jobs still run; want every artifact served", c.name, warm.Hits, len(warm.Jobs), len(tr.Jobs))
+		}
+		if got, _ := runReuse(t, warm, dfs); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: served rows differ:\n got  %v\n want %v", c.name, got, want)
+		}
 	}
 }
 
@@ -241,8 +257,8 @@ func TestArtifactsOnDemandShared(t *testing.T) {
 				t.Errorf("%s: session %d read its own artifact slice, not the translation's one", name, g)
 			}
 			for i, rec := range plans[g].records {
-				if rec.key != ArtifactKey(want[i].Fingerprint, false) {
-					t.Errorf("%s: session %d looked job %d up under %q, want %q", name, g, i, rec.key, ArtifactKey(want[i].Fingerprint, false))
+				if rec.fingerprint != want[i].Fingerprint {
+					t.Errorf("%s: session %d looked job %d up under %q, want %q", name, g, i, rec.fingerprint, want[i].Fingerprint)
 				}
 			}
 		}
@@ -282,28 +298,33 @@ func TestReuseContentRule(t *testing.T) {
 	sql := queries.Named()["Q18"]
 	customer := TablePath("customer")
 	cases := []struct {
-		name   string
-		mutate func(dfs *mapreduce.DFS)
+		name string
+		// mutate changes the tables and returns the DFS the warm run reads.
+		mutate func(dfs *mapreduce.DFS) *mapreduce.DFS
 		// hits is the number of jobs still served from the store; with
 		// fewer than all, the surviving chain re-runs and must reproduce a
 		// plain run over the mutated tables — or fail if a table is gone.
 		hits    int
 		missing bool
 	}{
-		{"rewritten-lines-miss", func(dfs *mapreduce.DFS) {
+		{"rewritten-lines-miss", func(dfs *mapreduce.DFS) *mapreduce.DFS {
 			lines, _ := dfs.Read(customer)
 			dfs.Write(customer, lines[:len(lines)-1])
+			return dfs
 		}, 1, false},
-		{"deleted-table-misses", func(dfs *mapreduce.DFS) {
-			dfs.Delete(customer)
+		{"deleted-table-misses", func(*mapreduce.DFS) *mapreduce.DFS {
+			dfs, _ := workload(t, "customer")
+			return dfs
 		}, 1, true},
-		{"same-lines-fresh-slice-hit", func(dfs *mapreduce.DFS) {
+		{"same-lines-fresh-slice-hit", func(dfs *mapreduce.DFS) *mapreduce.DFS {
 			lines, _ := dfs.Read(customer)
 			dfs.Write(customer, append([]string(nil), lines...))
+			return dfs
 		}, 3, false},
-		{"job-output-writes-hit", func(dfs *mapreduce.DFS) {
+		{"job-output-writes-hit", func(dfs *mapreduce.DFS) *mapreduce.DFS {
 			dfs.Write("tmp/other/job-1", []string{"x"})
 			dfs.Write("restore/other", []string{"y"})
+			return dfs
 		}, 3, false},
 	}
 	for _, tc := range cases {
@@ -316,7 +337,7 @@ func TestReuseContentRule(t *testing.T) {
 			_, stats := runReuse(t, rp, dfs)
 			rp.Record(store, dfs, stats)
 
-			tc.mutate(dfs)
+			dfs = tc.mutate(dfs)
 			warm := ApplyReuseAt(translate(t, sql, YSmart, Options{QueryName: "q18-warm"}), store, dfs, nil)
 			if warm.Hits != tc.hits || warm.Misses != len(tr.Jobs)-tc.hits {
 				t.Fatalf("hits=%d misses=%d, want %d hit(s) of %d", warm.Hits, warm.Misses, tc.hits, len(tr.Jobs))

@@ -39,14 +39,18 @@ func TestRunMatchesHandWrittenSequence(t *testing.T) {
 			if !reflect.DeepEqual(res.Stats, wantStats) {
 				t.Errorf("%s/%v: chain stats differ from the hand-written sequence", name, mode)
 			}
-			if !reflect.DeepEqual(dfs.List(), wantDFS.List()) {
-				t.Fatalf("%s/%v: DFS holds %v, want %v", name, mode, dfs.List(), wantDFS.List())
-			}
-			for _, path := range dfs.List() {
-				got, _ := dfs.Read(path)
-				want, _ := wantDFS.Read(path)
+			for _, j := range tr.Jobs {
+				got, _ := dfs.Read(j.Output)
+				want, _ := wantDFS.Read(j.Output)
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s/%v: DFS file %s differs", name, mode, path)
+					t.Errorf("%s/%v: DFS file %s differs", name, mode, j.Output)
+				}
+			}
+			// Nothing was installed from a store.
+			var nf *mapreduce.FileNotFoundError
+			for _, a := range tr.Artifacts() {
+				if _, err := dfs.Read(ArtifactPath(a.Fingerprint)); !errors.As(err, &nf) {
+					t.Errorf("%s/%v: DFS holds a reuse artifact (err %v)", name, mode, err)
 				}
 			}
 			// The rewrite that ran is the identity: the plan's own jobs.
@@ -76,8 +80,7 @@ func TestRunFailureRecordsNothing(t *testing.T) {
 	}
 
 	store := reuse.NewStore(0, nil)
-	dfs, _ := workload(t)
-	dfs.Delete(TablePath("orders"))
+	dfs, _ := workload(t, "orders")
 	if err := run(tr, dfs, store); err == nil {
 		t.Fatal("chain over a missing table did not fail")
 	}
@@ -92,7 +95,7 @@ func TestRunFailureRecordsNothing(t *testing.T) {
 	if err := run(&unreadable, dfs, store); err == nil {
 		t.Fatal("result read with a one-column schema did not fail")
 	}
-	if !dfs.Exists(tr.Output) {
+	if _, err := dfs.Read(tr.Output); err != nil {
 		t.Fatal("the chain did not run before the result read failed")
 	}
 	if store.Len() != 0 {
@@ -149,8 +152,9 @@ func TestRunFailureRecordsNothing(t *testing.T) {
 	if res, err := Run(ctx, multi, newEngine(t, dfs), store, nil); res != nil || !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled mid-chain: result %v, err %v", res, err)
 	}
+	var nf *mapreduce.FileNotFoundError
 	for _, j := range multi.Jobs {
-		if len(j.DependsOn) > 0 && dfs.Exists(j.Output) {
+		if _, err := dfs.Read(j.Output); len(j.DependsOn) > 0 && !errors.As(err, &nf) {
 			t.Errorf("job %s ran after the chain was cancelled", j.Name)
 		}
 	}

@@ -10,13 +10,12 @@ import (
 )
 
 // ScanFact describes the map-side selection of one base-table input of a
-// lowered job: either a raw-line Prefilter that discharges exactly the
-// filters the mapper evaluates adjacent to the scan, or the reason no
-// safe prefilter exists. ApplyScanFacts consumes these facts to install
-// mapreduce.Input.Prefilter early filters under -manimal, and
-// FormatScanFacts prints them verbatim.
+// lowered job: the filters the mapper evaluates adjacent to the scan, or
+// the reason no early filter exists. ApplyScanFacts reports the lines
+// those filters drop as mapreduce.ErrFiltered under -manimal, and
+// FormatScanFacts prints the facts verbatim.
 // Facts cover base-table inputs only; intermediate inputs read other
-// jobs' outputs and are never prefiltered.
+// jobs' outputs and are never filtered early.
 type ScanFact struct {
 	// Job names the mapreduce.Job owning the input (CommonJob inputs
 	// build 1:1, in order, onto the job's Inputs).
@@ -26,16 +25,11 @@ type ScanFact struct {
 	// Table is the base table the input scans; Path is its DFS path.
 	Table string
 	Path  string
-	// PredSQL renders the discharged predicates in SQL, one conjunct per
-	// entry (a shared scan contributes one OR-across-streams entry).
+	// PredSQL renders the scan-adjacent predicates in SQL, one conjunct
+	// per entry (a shared scan contributes one OR-across-streams entry).
 	PredSQL []string
-	// Prefilter is the raw-line early filter, nil when refused. It wraps
-	// the mapper's own decode-and-filter path, so it skips a line exactly
-	// when the mapper would have produced no output and no error for it;
-	// lines that fail to decode or evaluate are kept so the mapper still
-	// surfaces the error.
-	Prefilter func(line string) bool
-	// Refusal explains a nil Prefilter.
+	// Refusal explains why the input gets no early filter ("" when it
+	// does).
 	Refusal string
 }
 
@@ -48,30 +42,63 @@ func filterSQL(nodes []plan.Node) []string {
 	return out
 }
 
-// ApplyScanFacts installs the translation's scan facts as raw-line
-// prefilters on its jobs — the MANIMAL pipeline applied to generated
-// code, where the facts come from the plan instead of the AST
-// (internal/optanalysis derives them for hand-written jobs). It returns
-// the facts it applied and the ones the translator refused.
+// ApplyScanFacts makes the translation's applicable scan facts early
+// filters — the MANIMAL pipeline applied to generated code, where the
+// facts come from the plan instead of the AST (internal/optanalysis
+// derives them for hand-written jobs). It wraps each such input's mapper
+// in an earlyFilter and returns the facts it applied and the ones the
+// translator refused.
 func ApplyScanFacts(tr *Translation) (applied, refused []ScanFact) {
-	// The translation now carries rewrites: reuse artifact keys must fold
-	// in the optimizer dimension so optimized and plain artifacts never
-	// mix (ArtifactKey, mirroring CacheKeyOpt).
-	tr.Optimized = true
 	byName := map[string]*mapreduce.Job{}
 	for _, j := range tr.Jobs {
 		byName[j.Name] = j
 	}
 	for _, f := range tr.ScanFacts {
 		job := byName[f.Job]
-		if f.Refusal != "" || f.Prefilter == nil || job == nil || f.InputIdx < 0 || f.InputIdx >= len(job.Inputs) {
+		if f.Refusal != "" || job == nil || f.InputIdx < 0 || f.InputIdx >= len(job.Inputs) {
 			refused = append(refused, f)
 			continue
 		}
-		job.Inputs[f.InputIdx].Prefilter = f.Prefilter
+		job.Inputs[f.InputIdx].Mapper = &earlyFilter{job.Inputs[f.InputIdx].Mapper}
 		applied = append(applied, f)
 	}
 	return applied, refused
+}
+
+// earlyFilter reports the lines a generated mapper drops silently as
+// mapreduce.ErrFiltered. That is exact by construction: a generated
+// mapper emits nothing, with no error, exactly when the selection it
+// evaluates adjacent to the scan (ScanFact.PredSQL) rejects the line.
+type earlyFilter struct{ mapper mapreduce.Mapper }
+
+// NewMapTask implements mapreduce.MapTaskFactory, over a task of the
+// generated mapper's own when it has one. The tee it passes that mapper,
+// built once per task, forwards each pair to the current line's emit and
+// notes that the line produced one.
+func (f *earlyFilter) NewMapTask() mapreduce.Mapper {
+	m := f.mapper
+	if tf, ok := m.(mapreduce.MapTaskFactory); ok {
+		m = tf.NewMapTask()
+	}
+	var emit mapreduce.Emit
+	var emitted bool
+	tee := func(key, value string) {
+		emitted = true
+		emit(key, value)
+	}
+	return mapreduce.MapperFunc(func(line string, lineEmit mapreduce.Emit) error {
+		emit, emitted = lineEmit, false
+		if err := m.Map(line, tee); err != nil || emitted {
+			return err
+		}
+		return mapreduce.ErrFiltered
+	})
+}
+
+// Map implements mapreduce.Mapper for callers outside the engine's map
+// tasks: a one-line task.
+func (f *earlyFilter) Map(line string, emit mapreduce.Emit) error {
+	return f.NewMapTask().Map(line, emit)
 }
 
 // FormatScanFacts renders scan facts the way optanalysis's static report
@@ -87,12 +114,8 @@ func FormatScanFacts(applied, refused []ScanFact) string {
 		return all[i].InputIdx < all[k].InputIdx
 	})
 	for _, f := range all {
-		if f.Refusal != "" || f.Prefilter == nil {
-			reason := f.Refusal
-			if reason == "" {
-				reason = "no prefilter derived"
-			}
-			fmt.Fprintf(&b, "  - refused %s input[%d] (%s): %s\n", f.Job, f.InputIdx, f.Table, reason)
+		if f.Refusal != "" {
+			fmt.Fprintf(&b, "  - refused %s input[%d] (%s): %s\n", f.Job, f.InputIdx, f.Table, f.Refusal)
 			continue
 		}
 		fmt.Fprintf(&b, "  + early-filter %s input[%d] on %s: %s\n",

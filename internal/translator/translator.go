@@ -90,13 +90,9 @@ type Translation struct {
 	// OutputSchema types the final result rows.
 	OutputSchema *exec.Schema
 	// ScanFacts records, per base-table input, the map-side selection the
-	// MANIMAL rewrite stage may discharge as an early prefilter — or why
-	// it refused (see ScanFact).
+	// MANIMAL rewrite stage may report as an early filter — or why it
+	// refused (see ScanFact).
 	ScanFacts []ScanFact
-	// Optimized marks a translation carrying the MANIMAL scan rewrites.
-	// Reuse keys fold it in (ArtifactKey) so optimized and plain
-	// artifacts never mix, mirroring the plan cache's CacheKeyOpt.
-	Optimized bool
 
 	// fp is what Artifacts hashes, and its result once a reuse lookup asked.
 	fp *fingerprint

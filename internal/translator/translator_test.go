@@ -2,6 +2,7 @@ package translator
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,8 +13,9 @@ import (
 	"ysmart/internal/queries"
 )
 
-// workload loads the standard data set into a fresh DFS and database.
-func workload(t *testing.T) (*mapreduce.DFS, *dbms.Database) {
+// workload loads the standard data set into a fresh DFS and database,
+// leaving out the tables named in skip.
+func workload(t *testing.T, skip ...string) (*mapreduce.DFS, *dbms.Database) {
 	t.Helper()
 	dfs := mapreduce.NewDFS()
 	db := dbms.NewDatabase()
@@ -28,6 +30,9 @@ func workload(t *testing.T) (*mapreduce.DFS, *dbms.Database) {
 	}
 	for _, tables := range []datagen.Tables{tpch, clicks} {
 		for name, rows := range tables {
+			if slices.Contains(skip, name) {
+				continue
+			}
 			schema, ok := cat.Table(name)
 			if !ok {
 				t.Fatalf("no schema for %s", name)

@@ -157,7 +157,7 @@ func HighValueNaive() *Program {
 // LateShipNaive counts recently shipped lineitems per ship mode. The
 // mapper's date guard — reached through the shippedRecently helper — is
 // a selection on a decoded field against a constant, so the analyzer
-// hoists it into a raw-line prefilter on the scan; the reducer reads no
+// hoists it into an early filter on the scan; the reducer reads no
 // value columns, so all eleven trim away.
 func LateShipNaive() *Program {
 	out := "tmp/lateship-naive/result"

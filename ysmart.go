@@ -251,9 +251,9 @@ func (q *Query) Translate(mode Mode, opts Options) (*Translation, error) {
 }
 
 // ApplyManimal installs the MANIMAL-style scan rewrites on a translation
-// (the -manimal CLI flag): every base-table input whose scan facts prove
-// a sound raw-line predicate gets an early-filter prefilter, and the rest
-// are refused with recorded reasons. It returns how many filters were
+// (the -manimal CLI flag): every base-table input with a selection
+// adjacent to its scan reports the lines that selection drops as
+// filtered early, and the rest are refused with recorded reasons. It returns how many filters were
 // installed plus a human-readable report of every decision. Results stay
 // byte-identical; only scanned-versus-mapped work changes.
 func ApplyManimal(tr *Translation) (applied int, report string) {
