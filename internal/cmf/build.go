@@ -328,8 +328,8 @@ type outputSlot struct {
 // The reducer itself is the paper's reducer class: the compiled graph and
 // the job's wiring, fixed at Build and never written again, so any number
 // of engines may run one job at once. The evaluating half is a reduceTask,
-// one per engine reduce task (mapreduce.ReduceTaskFactory), which returns
-// what it counted to the engine that ran it.
+// one per engine worker per reduce phase (mapreduce.ReduceTaskFactory),
+// which returns what it counted to the engine that ran it.
 type commonReducer struct {
 	graph    *graph
 	inputs   [][]streamRef  // streams of each job input
@@ -338,10 +338,11 @@ type commonReducer struct {
 	opCounts []mapreduce.OpDispatch // graph.ops' names with zero counts: what an instance starts from
 }
 
-// reduceTask is one reduce task's instance of the common reducer — the
-// paper's reducer object, whose scratch outlives a key: the slot table, the
-// exclusion scratch and the arena are reused from key group to key group,
-// and the row counts are the task's own until Done hands them over.
+// reduceTask is one instance of the common reducer — the paper's reducer
+// object, whose scratch outlives a key: the slot table, the exclusion
+// scratch and the arena are reused from key group to key group, across
+// every key run its engine worker takes, and the row counts are the
+// instance's own until Done hands them over.
 type reduceTask struct {
 	cr             *commonReducer
 	slots, scratch [][]exec.Row // the graph's slot table; see graph.newSlots
@@ -448,33 +449,71 @@ func (cj *CommonJob) buildCombiner() (mapreduce.Combiner, *exec.Schema, error) {
 	if !Decomposable(kinds) {
 		return nil, nil, fmt.Errorf("common job %s: aggregates are not decomposable", cj.Name)
 	}
-	inputIdx := 0
-	schemas := []*exec.Schema{cj.Inputs[inputIdx].Schema}
-	partialWidth := len(agg.GroupBy)
+	c := &combiner{agg: agg, schemas: []*exec.Schema{cj.Inputs[0].Schema}, partialWidth: len(agg.GroupBy)}
 	for _, k := range kinds {
-		partialWidth += k.PartialWidth()
+		c.partialWidth += k.PartialWidth()
 	}
-	return mapreduce.CombinerFunc(func(_ string, values []string) ([]string, error) {
-		// Every value decodes into one slab, as in a reducer instance, with
-		// room after them for the partial row; a tagged value's header holds
-		// no tab. The key is not decoded (see appendPartialRow).
-		n := partialWidth
-		for _, v := range values {
-			n += strings.Count(v, "\t") + 1
-		}
-		slab := make(exec.Row, 0, n)
-		rows := make([]exec.Row, len(values))
-		for i, v := range values {
-			tv, err := appendTagged(v, schemas, nil, slab)
-			if err != nil {
-				return nil, err
-			}
-			slab, rows[i] = slab[:len(slab)+len(tv.Row)], tv.Row
-		}
-		partial, err := appendPartialRow(slab[len(slab):], agg, rows)
+	return c, agg.Partials, nil
+}
+
+// combiner is the map-side partial aggregation of a combined job, as a
+// class and its instances like the common reducer: combiner is the wiring,
+// fixed at Build, and a combineTask (mapreduce.CombineTaskFactory), one per
+// engine worker per combine phase, owns the scratch a key group's work
+// reuses.
+type combiner struct {
+	agg          *AggOp
+	schemas      []*exec.Schema // the job's one input's value rows
+	partialWidth int            // the fields of one partial row
+}
+
+// NewCombineTask implements mapreduce.CombineTaskFactory.
+func (c *combiner) NewCombineTask() mapreduce.Combiner { return &combineTask{c: c} }
+
+// Combine implements mapreduce.Combiner for callers outside the engine's
+// combine phase: a one-group instance.
+func (c *combiner) Combine(key string, values []string) ([]string, error) {
+	return c.NewCombineTask().Combine(key, values)
+}
+
+// combineTask is one instance of the combiner. A key group's values decode
+// into one slab, with room after them for the partial row, and their row
+// headers into one slice; both are kept and regrown only for a group larger
+// than any before, so the lifetime rule is the reducer arena's: nothing
+// that outlives Combine(key) may alias them. The partial row leaves as a
+// freshly encoded string, and a decoded string value points into the map
+// output it came from, which outlives the combine phase.
+type combineTask struct {
+	c    *combiner
+	slab exec.Row
+	rows []exec.Row
+}
+
+// Combine implements mapreduce.Combiner. The key is not decoded (see
+// appendPartialRow); a tagged value's header holds no tab.
+func (t *combineTask) Combine(_ string, values []string) ([]string, error) {
+	c := t.c
+	n := c.partialWidth
+	for _, v := range values {
+		n += strings.Count(v, "\t") + 1
+	}
+	if cap(t.slab) < n {
+		t.slab = make(exec.Row, n)
+	}
+	if cap(t.rows) < len(values) {
+		t.rows = make([]exec.Row, len(values))
+	}
+	slab, rows := t.slab[:0], t.rows[:len(values)]
+	for i, v := range values {
+		tv, err := appendTagged(v, c.schemas, nil, slab)
 		if err != nil {
 			return nil, err
 		}
-		return []string{EncodeTagged(inputIdx, nil, partial)}, nil
-	}), agg.Partials, nil
+		slab, rows[i] = slab[:len(slab)+len(tv.Row)], tv.Row
+	}
+	partial, err := appendPartialRow(slab[len(slab):], c.agg, rows)
+	if err != nil {
+		return nil, err
+	}
+	return []string{EncodeTagged(0, nil, partial)}, nil
 }

@@ -262,9 +262,7 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 
 		// Split actual lines into task chunks so per-task combining matches
 		// Hadoop's per-task partial aggregation.
-		for _, chunk := range splitChunks(lines, nTasks) {
-			tasks = append(tasks, mapTask{input: in, chunk: chunk})
-		}
+		tasks = appendChunks(tasks, in, lines, nTasks)
 	}
 	// The mappers run morsel by morsel on the worker pool. Each morsel
 	// writes only its own slot of lists, and everything downstream walks the
@@ -275,7 +273,7 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 		morsels, first = cutMorsels(tasks)
 	}
 	lists := make([]pairList, len(morsels))
-	err := e.forEachTask(len(morsels), func(i int) error {
+	err := e.forEachTask(len(morsels), func(_, i int) error {
 		var err error
 		if lists[i], err = runMapper(morsels[i].input, morsels[i].chunk); err != nil {
 			return fmt.Errorf("map %s: %w", morsels[i].input.Path, err)
@@ -290,21 +288,30 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 		preCombineBytes += lists[i].bytes
 		stats.MapRecordsFiltered += lists[i].filtered
 	}
+	// What every pool worker keeps through the combine and reduce phases.
+	var workers []jobWorker
 	// The combiner runs once per simulated task, over the task's morsels in
 	// order: what reaches the shuffle does not depend on how the host cut
 	// the task. (It runs once every map call has succeeded, so a failing
-	// mapper outranks a failing combiner whichever task either is in.)
+	// mapper outranks a failing combiner whichever task either is in.) Every
+	// worker combines the tasks it takes on one combiner instance of its own
+	// (newCombiner), built on its first task.
 	if j.Reducer != nil && j.Combiner != nil {
 		combined := lists // one morsel per task: each task replaces its own slot
 		if first != nil {
 			combined = make([]pairList, len(tasks))
 		}
-		err := e.forEachTask(len(tasks), func(t int) error {
+		workers = make([]jobWorker, min(e.workers, len(tasks)))
+		err := e.forEachTask(len(tasks), func(w, t int) error {
 			lo, hi := t, t+1
 			if first != nil {
 				lo, hi = first[t], first[t+1]
 			}
-			out, err := combineTask(lists[lo:hi], j.Combiner)
+			jw := &workers[w]
+			if jw.combiner == nil {
+				jw.combiner = newCombiner(j.Combiner)
+			}
+			out, err := combineTask(lists[lo:hi], jw.combiner)
 			if err != nil {
 				return fmt.Errorf("combine: %w", err)
 			}
@@ -366,45 +373,9 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 	stats.MaxPartitionGroups, stats.MaxPartitionValues = reducerSizes(groups, numReduce)
 
 	// ----- Reduce ---------------------------------------------------------
-	// The sorted key list is cut into runs. Every run gets a reducer
-	// instance of its own (newReduceTask), built inside the task that uses
-	// it, and an output buffer of its own that starts at a line a key, which
-	// is what most reducers emit. The buffers are concatenated and what the
-	// instances counted is summed, both in run order: the output of one
-	// instance reducing every key.
-	runs := e.cutRuns(groups, nPairs)
-	err = e.forEachTask(len(runs), func(r int) error {
-		task := newReduceTask(j)
-		out := make([]string, 0, len(runs[r].groups))
-		emitLine := func(line string) { out = append(out, line) }
-		for _, g := range runs[r].groups {
-			if err := task.Reduce(g.key, g.values, emitLine); err != nil {
-				return fmt.Errorf("reduce key %q: %w", g.key, err)
-			}
-		}
-		runs[r].lines, runs[r].counts = out, task.Done()
-		return nil
-	})
+	outLines, counts, err := e.reduce(j, groups, nPairs, workers)
 	if err != nil {
 		return nil, err
-	}
-	var counts ReduceCounts
-	for _, run := range runs {
-		counts.add(run.counts)
-	}
-	outLines := runs[0].lines
-	if len(runs) > 1 {
-		n := 0
-		for _, run := range runs {
-			n += len(run.lines)
-		}
-		outLines = make([]string, 0, n)
-		for _, run := range runs {
-			outLines = append(outLines, run.lines...)
-		}
-	} else if cap(outLines)-len(outLines) > len(outLines)/4 {
-		// The DFS keeps this slice for good: not with mostly unused capacity.
-		outLines = slices.Clone(outLines)
 	}
 	stats.ReduceWorkRecords = max(stats.ReduceInputRecords, counts.Work)
 	stats.Dispatch = dispatchOf(counts.Dispatch)
@@ -416,6 +387,93 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 		return nil, err
 	}
 	return stats, nil
+}
+
+// jobWorker is what one pool worker keeps through a job's combine and
+// reduce phases: the combiner and reducer instances it builds on its first
+// item of each, and the emit function that appends to the lines of the key
+// run it is reducing. The reduce phase reuses the combine phase's slots when
+// there are enough of them, and every slot dies with the job.
+type jobWorker struct {
+	combiner Combiner
+	reducer  ReduceTask
+	lines    []string
+	emit     func(line string)
+}
+
+// reduce runs j's reducer over the sorted key groups, which hold n values,
+// and returns the output lines in key order with what the reducer counted.
+// The key list is cut into runs (cutRuns) for the worker pool, and every
+// worker reduces the runs it takes on one instance of its own
+// (newReduceTask), in ascending run order. A run emits into its keys'
+// window of one output slice, a line a key being what most reducers emit;
+// only a run that emits more lines than it has keys outgrows its window
+// into a slice of its own. So the phase allocates per worker and never per
+// run, and when every run filled its window exactly the slice is the
+// output as it stands. Otherwise the runs' lines are concatenated in run
+// order. Either way the instances' counts are summed after the join: the
+// output and counts of one instance reducing every key. workers holds the
+// combine phase's slots, if any.
+func (e *Engine) reduce(j *Job, groups []keyGroup, n int, workers []jobWorker) ([]string, ReduceCounts, error) {
+	runs := e.cutRuns(groups, n)
+	nw := min(e.workers, len(runs))
+	if len(workers) < nw {
+		workers = make([]jobWorker, nw)
+	}
+	workers = workers[:nw]
+	for w := range workers {
+		jw := &workers[w]
+		jw.emit = func(line string) { jw.lines = append(jw.lines, line) }
+	}
+	out := make([]string, len(groups))
+	for r, lo := 0, 0; r < len(runs); r++ {
+		hi := lo + len(runs[r].groups)
+		runs[r].lines, lo = out[lo:lo:hi], hi
+	}
+	err := e.forEachTask(len(runs), func(w, r int) error {
+		jw := &workers[w]
+		if jw.reducer == nil {
+			jw.reducer = newReduceTask(j)
+		}
+		jw.lines = runs[r].lines
+		for _, g := range runs[r].groups {
+			if err := jw.reducer.Reduce(g.key, g.values, jw.emit); err != nil {
+				return fmt.Errorf("reduce key %q: %w", g.key, err)
+			}
+		}
+		runs[r].lines = jw.lines
+		return nil
+	})
+	if err != nil {
+		return nil, ReduceCounts{}, err
+	}
+	var counts ReduceCounts
+	for _, jw := range workers {
+		if jw.reducer != nil {
+			counts.add(jw.reducer.Done())
+		}
+	}
+	if len(runs) == 1 {
+		lines := runs[0].lines
+		if cap(lines)-len(lines) > len(lines)/4 {
+			// The DFS keeps this slice for good: not with mostly unused capacity.
+			lines = slices.Clone(lines)
+		}
+		return lines, counts, nil
+	}
+	total, inPlace := 0, true
+	for _, run := range runs {
+		total += len(run.lines)
+		inPlace = inPlace && len(run.lines) == len(run.groups)
+	}
+	if inPlace {
+		return out, counts, nil
+	}
+	lines := make([]string, 0, total)
+	for _, run := range runs {
+		lines = append(lines, run.lines...)
+	}
+	return lines, counts, nil
 }
 
 // runMapper runs one input's mapper over lines — on an instance of its
@@ -444,7 +502,8 @@ func runMapper(in Input, lines []string) (pairList, error) {
 }
 
 // combineTask groups one map task's output — the pair lists of its morsels,
-// in order — by key, in first-seen key order, and applies the combiner.
+// in order — by key, in first-seen key order, and applies the combiner
+// instance c to every group.
 func combineTask(lists []pairList, c Combiner) (pairList, error) {
 	groups := groupPairs(lists, nil, 0)
 	out := pairList{pairs: make([]kv, 0, len(groups))}
@@ -461,27 +520,20 @@ func combineTask(lists []pairList, c Combiner) (pairList, error) {
 	return out, nil
 }
 
-// splitChunks divides lines into n nearly equal contiguous chunks.
-func splitChunks(lines []string, n int) [][]string {
-	if n <= 1 || len(lines) <= 1 {
-		return [][]string{lines}
-	}
-	if n > len(lines) {
-		n = len(lines)
-	}
-	out := make([][]string, 0, n)
-	per := len(lines) / n
-	rem := len(lines) % n
-	i := 0
+// appendChunks appends in's lines to tasks as n map tasks of nearly equal
+// contiguous chunks (fewer when there are fewer lines).
+func appendChunks(tasks []mapTask, in Input, lines []string, n int) []mapTask {
+	n = max(1, min(n, len(lines)))
+	per, rem := len(lines)/n, len(lines)%n
 	for c := 0; c < n; c++ {
 		size := per
 		if c < rem {
 			size++
 		}
-		out = append(out, lines[i:i+size])
-		i += size
+		tasks = append(tasks, mapTask{input: in, chunk: lines[:size]})
+		lines = lines[size:]
 	}
-	return out
+	return tasks
 }
 
 // partitionOf is the hash partitioner, of simulated reduce tasks and host

@@ -458,7 +458,13 @@ func TestSplitChunksProperties(t *testing.T) {
 		if n == 0 {
 			n = 1
 		}
-		chunks := splitChunks(lines, n)
+		var chunks [][]string
+		for _, task := range appendChunks(nil, Input{}, lines, n) {
+			chunks = append(chunks, task.chunk)
+		}
+		if len(chunks) != max(1, min(n, len(lines))) {
+			return false
+		}
 		// Concatenation preserves order and content.
 		var rejoined []string
 		for _, c := range chunks {

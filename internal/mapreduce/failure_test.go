@@ -262,7 +262,7 @@ func TestForEachTaskStopsAtCancel(t *testing.T) {
 		e := &Engine{workers: workers, ctx: ctx}
 		cancelled := make(chan struct{})
 		var ran atomic.Int64
-		err := e.forEachTask(64, func(i int) error {
+		err := e.forEachTask(64, func(_, i int) error {
 			ran.Add(1)
 			if i == 0 {
 				cancel()

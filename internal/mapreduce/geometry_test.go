@@ -20,13 +20,15 @@ import (
 
 // sumReducer is a ReduceTaskFactory in the shape of the CMF common reducer:
 // instances keep scratch across keys, count their work privately and return
-// it at Done. The reducer itself only counts the instances it handed out
-// (the tests' probe, not part of the contract).
-type sumReducer struct{ tasks atomic.Int64 }
+// it at Done. The reducer itself counts the instances it handed out, the
+// Done calls they received, and the broken promises it saw: a key an
+// instance received not above the one before, an instance ended twice (the
+// tests' probes, not part of the contract).
+type sumReducer struct{ tasks, dones, unsorted, redone atomic.Int64 }
 
 func (r *sumReducer) NewReduceTask() ReduceTask {
 	r.tasks.Add(1)
-	return &sumTask{counts: ReduceCounts{Dispatch: []OpDispatch{{Op: "sum"}, {Op: "idle"}}}}
+	return &sumTask{r: r, counts: ReduceCounts{Dispatch: []OpDispatch{{Op: "sum"}, {Op: "idle"}}}}
 }
 
 func (r *sumReducer) Reduce(key string, values []string, emit func(string)) error {
@@ -34,11 +36,20 @@ func (r *sumReducer) Reduce(key string, values []string, emit func(string)) erro
 }
 
 type sumTask struct {
+	r      *sumReducer
 	line   []byte // reused from key to key: emitted lines must not alias it
+	last   string // the previous key
+	keys   int
+	done   bool
 	counts ReduceCounts
 }
 
 func (t *sumTask) Reduce(key string, values []string, emit func(string)) error {
+	if t.keys > 0 && key <= t.last {
+		t.r.unsorted.Add(1)
+	}
+	t.last = key
+	t.keys++
 	var sum int64
 	for _, v := range values {
 		n, err := strconv.ParseInt(v, 10, 64)
@@ -59,7 +70,43 @@ func (t *sumTask) Reduce(key string, values []string, emit func(string)) error {
 	return nil
 }
 
-func (t *sumTask) Done() ReduceCounts { return t.counts }
+func (t *sumTask) Done() ReduceCounts {
+	if t.done {
+		t.r.redone.Add(1)
+	}
+	t.done = true
+	t.r.dones.Add(1)
+	return t.counts
+}
+
+// sumCombiner is a CombineTaskFactory: its instances sum a key's values in
+// a buffer they keep across key groups, and it counts the instances it
+// handed out.
+type sumCombiner struct{ tasks atomic.Int64 }
+
+func (c *sumCombiner) NewCombineTask() Combiner {
+	c.tasks.Add(1)
+	return &sumCombineTask{}
+}
+
+func (c *sumCombiner) Combine(key string, values []string) ([]string, error) {
+	return c.NewCombineTask().Combine(key, values)
+}
+
+type sumCombineTask struct{ buf []byte } // returned values must not alias it
+
+func (t *sumCombineTask) Combine(_ string, values []string) ([]string, error) {
+	var sum int64
+	for _, v := range values {
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			return nil, err
+		}
+		sum += n
+	}
+	t.buf = strconv.AppendInt(t.buf[:0], sum, 10)
+	return []string{string(t.buf)}, nil
+}
 
 // geometryInput is n lines "k<key> <i>" over nKeys keys, offset so that two
 // inputs interleave their keys.
@@ -114,9 +161,15 @@ type geometryRun struct {
 
 func runGeometry(t *testing.T, cluster *Cluster, job *Job, workers int) geometryRun {
 	t.Helper()
+	return runGeometryOn(t, cluster, job, workers, geometryInput(5000, 400, 0), geometryInput(3000, 400, 3))
+}
+
+// runGeometryOn runs job over inputs a and b.
+func runGeometryOn(t *testing.T, cluster *Cluster, job *Job, workers int, a, b []string) geometryRun {
+	t.Helper()
 	dfs := NewDFS()
-	dfs.Write("a", geometryInput(5000, 400, 0))
-	dfs.Write("b", geometryInput(3000, 400, 3))
+	dfs.Write("a", a)
+	dfs.Write("b", b)
 	e, err := NewEngine(dfs, cluster)
 	if err != nil {
 		t.Fatal(err)
@@ -180,6 +233,18 @@ func TestGeometryInvariantAcrossWorkers(t *testing.T) {
 			})
 			return j
 		}},
+		{"uneven reducer", geometryCluster, func() *Job {
+			// Zero to three lines a key: runs that leave their window short
+			// and runs that outgrow it.
+			j := geometryJob(geometryMapper())
+			j.Reducer = ReducerFunc(func(key string, values []string, emit func(string)) error {
+				for i := 0; i < int(key[len(key)-1])%4; i++ {
+					emit(fmt.Sprintf("%s\t%d\t%s", key, i, values[i%len(values)]))
+				}
+				return nil
+			})
+			return j
+		}},
 		{"faults", faulty, func() *Job { return geometryJob(geometryMapper()) }},
 		{"faults, combiner, plain reducer", faulty, func() *Job {
 			j := geometryJob(geometryMapper())
@@ -190,8 +255,9 @@ func TestGeometryInvariantAcrossWorkers(t *testing.T) {
 	}
 	// The shape the variants share: three tasks of three morsels each, and
 	// 8000 pairs over 400 keys — several shuffle partitions and several key
-	// runs at 2 and at 8 workers, whichever reducer reduces them (that a
-	// factory hands out an instance per run is TestGeometryReduceInstances').
+	// runs at 2 and at 8 workers, whichever reducer reduces them (how many
+	// instances a factory hands out is TestGeometryReduceInstances' and
+	// TestGeometryInstancesPerWorker's).
 	a, b := geometryInput(5000, 400, 0), geometryInput(3000, 400, 3)
 	morsels, first := cutMorsels([]mapTask{{chunk: a[:2500]}, {chunk: a[2500:]}, {chunk: b}})
 	if len(morsels) != 9 || !reflect.DeepEqual(first, []int{0, 3, 6, 9}) {
@@ -239,8 +305,11 @@ func TestGeometryInvariantAcrossWorkers(t *testing.T) {
 }
 
 // TestGeometryReduceInstances: what the factory's instances return from
-// Done sums to the sequential run's counts at any worker count, and the host
-// really cut the job (several instances) when it had workers to cut for.
+// Done sums to the sequential run's counts at any worker count. One worker
+// builds one instance; more build one per worker that took a key run, so
+// between one (a worker may drain every run before another starts) and the
+// worker count (the job's 8 and 15 runs at 2 and 8 workers are more than
+// that: see TestGeometryInvariantAcrossWorkers).
 func TestGeometryReduceInstances(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		job := geometryJob(geometryMapper())
@@ -256,8 +325,60 @@ func TestGeometryReduceInstances(t *testing.T) {
 		if !reflect.DeepEqual(got.stats.Dispatch, want) {
 			t.Errorf("workers=%d: dispatch %+v, want %+v", workers, got.stats.Dispatch, want)
 		}
-		if tasks := job.Reducer.(*sumReducer).tasks.Load(); (workers == 1) != (tasks == 1) {
-			t.Errorf("workers=%d: %d reducer instances", workers, tasks)
+		tasks := job.Reducer.(*sumReducer).tasks.Load()
+		if workers == 1 && tasks != 1 || tasks < 1 || tasks > int64(workers) {
+			t.Errorf("workers=%d: %d reducer instances, want 1 at one worker and 1 to %d otherwise", workers, tasks, workers)
+		}
+	}
+}
+
+// TestGeometryInstancesPerWorker pins the instances' lifetime: a job cut
+// into at least 8 key runs and at least 4 combine tasks builds at most one
+// reducer and one combiner instance per worker — min(workers, items) — and
+// Done ends every reducer instance exactly once, after an instance saw its
+// keys in ascending order; rows, JobStats and trace bytes are the
+// sequential run's.
+func TestGeometryInstancesPerWorker(t *testing.T) {
+	// 18000 lines over 1000 keys: six map tasks, whose combiners fold each
+	// key's three values into one and leave 6000 pairs to reduce.
+	a, b := geometryInput(12000, 1000, 0), geometryInput(6000, 1000, 3)
+	var base geometryRun
+	for _, workers := range []int{1, 2, 8} {
+		job := geometryJob(geometryMapper())
+		job.Combiner = &sumCombiner{}
+		got := runGeometryOn(t, geometryCluster(), job, workers, a, b)
+		if got.err != nil {
+			t.Fatal(got.err)
+		}
+		s := got.stats
+		if s.NumMapTasks < 4 || s.ReduceInputRecords/runValues < 8 || s.ReduceGroups < 8 {
+			t.Fatalf("%d map tasks, %d pairs over %d keys: the job is not the shape this test is about",
+				s.NumMapTasks, s.ReduceInputRecords, s.ReduceGroups)
+		}
+		r := job.Reducer.(*sumReducer)
+		runs := 1 // cutRuns: the pairs and keys above make at least 8 runs at 2 workers and up
+		if workers > 1 {
+			runs = min(workers*runsPerWorker, int(s.ReduceInputRecords)/runValues, int(s.ReduceGroups))
+		}
+		if n, most := r.tasks.Load(), min(workers, runs); n < 1 || n > int64(most) {
+			t.Errorf("workers=%d: %d reducer instances for %d key runs, want 1 to %d", workers, n, runs, most)
+		}
+		if n, most := job.Combiner.(*sumCombiner).tasks.Load(), min(workers, s.NumMapTasks); n < 1 || n > int64(most) {
+			t.Errorf("workers=%d: %d combiner instances for %d combine tasks, want 1 to %d", workers, n, s.NumMapTasks, most)
+		}
+		if r.dones.Load() != r.tasks.Load() || r.redone.Load() != 0 {
+			t.Errorf("workers=%d: %d Done calls for %d reducer instances, %d of them ended twice",
+				workers, r.dones.Load(), r.tasks.Load(), r.redone.Load())
+		}
+		if n := r.unsorted.Load(); n != 0 {
+			t.Errorf("workers=%d: %d keys reached an instance out of ascending order", workers, n)
+		}
+		if workers == 1 {
+			base = got
+			continue
+		}
+		if !reflect.DeepEqual(got.rows, base.rows) || !reflect.DeepEqual(got.stats, base.stats) || !bytes.Equal(got.trace, base.trace) {
+			t.Errorf("workers=%d: rows, JobStats or trace differ from the sequential run", workers)
 		}
 	}
 }
@@ -488,7 +609,9 @@ func FuzzShuffleGrouping(f *testing.F) {
 
 // TestAllocBudgetRunJob pins the engine's own containers: with the tasks,
 // partitions, runs and keys fixed, a job's allocations do not grow with its
-// pair count — every per-pair container is sized once from a count.
+// pair count — every per-pair container is sized once from a count. And at
+// 2 workers, with the keys fixed, more key runs cost no more allocations:
+// the reduce phase allocates per worker, never per run.
 func TestAllocBudgetRunJob(t *testing.T) {
 	mapper := MapperFunc(func(line string, emit Emit) error {
 		emit(line[:1], line)
@@ -519,5 +642,27 @@ func TestAllocBudgetRunJob(t *testing.T) {
 		if few > budget {
 			t.Errorf("%s: %v allocations for a one-task job over 8 keys, budget %d", name, few, budget)
 		}
+	}
+
+	e := &Engine{workers: 2}
+	job := &Job{Reducer: discard}
+	reduceAllocs := func(perKey int) (runs int, allocs float64) {
+		groups := make([]keyGroup, 8)
+		for k := range groups {
+			groups[k] = keyGroup{key: string(rune('a' + k)), values: make([]string, perKey)}
+		}
+		return len(e.cutRuns(groups, 8*perKey)), testing.AllocsPerRun(20, func() {
+			if _, _, err := e.reduce(job, groups, 8*perKey, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	fewRuns, few := reduceAllocs(128)
+	manyRuns, many := reduceAllocs(1000)
+	if fewRuns != 2 || manyRuns != 8 {
+		t.Fatalf("8 keys reduce in %d and %d runs, want 2 and 8", fewRuns, manyRuns)
+	}
+	if many > few {
+		t.Errorf("workers 2: %v allocations for 8 key runs, %v for 2: the reduce phase allocates per run", many, few)
 	}
 }

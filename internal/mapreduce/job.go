@@ -40,11 +40,12 @@ type Mapper interface {
 }
 
 // MapTaskFactory is the map-side twin of ReduceTaskFactory: a Mapper whose
-// per-line work reuses scratch (a decode row, key buffers). The engine
-// builds one private instance per map morsel — and per fault-path replay of
-// a task — inside the task body that uses it, and feeds it the morsel's
-// lines in order; its own Map stays the concurrent-safe entry point for
-// callers outside the engine.
+// per-line work reuses scratch (a decode row, key buffers). Unlike a
+// reducer's, its instances are per work item: the engine builds one private
+// instance per map morsel — and per fault-path replay of a task — inside
+// the task body that uses it, and feeds it the morsel's lines in order; its
+// own Map stays the concurrent-safe entry point for callers outside the
+// engine.
 type MapTaskFactory interface {
 	Mapper
 	// NewMapTask returns a fresh instance sharing nothing mutable with its
@@ -74,7 +75,7 @@ func (f MapperFunc) Map(line string, emit Emit) error { return f(line, emit) }
 // so Reduce must be safe for concurrent calls with distinct emit functions
 // and keep no state from key to key — a stateless closure over the key's
 // values is. A reducer that keeps scratch across keys instead hands the
-// engine one instance per reduce task (ReduceTaskFactory).
+// engine private instances (ReduceTaskFactory).
 type Reducer interface {
 	Reduce(key string, values []string, emit func(line string)) error
 }
@@ -82,12 +83,15 @@ type Reducer interface {
 // ReduceTaskFactory is implemented by a Reducer whose key groups are
 // independent of one another and of the order they are reduced in. The
 // engine then drives it the way Hadoop drives a reducer class (and the
-// paper's Algorithm 1 its common reducer): one private instance per reduce
-// task, fed that task's keys in sorted order, so scratch state can outlive
-// a key. On the host a task is a contiguous run of the sorted key list;
-// runs execute concurrently, each emitting into its own buffer, and the
-// buffers are concatenated in run order — output is byte-identical to one
-// instance reducing every key.
+// paper's Algorithm 1 its common reducer): private instances fed their keys
+// in sorted order, so scratch state can outlive a key. On the host a job's
+// sorted key list is cut into contiguous runs that execute concurrently,
+// and the engine builds one instance per pool worker per reduce phase: a
+// worker reduces every run it takes, in ascending order, on its instance,
+// so an instance sees a sorted subsequence of the keys — which one depends
+// on scheduling. Each run's lines are gathered in run order, so output is
+// byte-identical to one instance reducing every key. An instance serves one
+// phase of one job; nothing is kept across jobs.
 type ReduceTaskFactory interface {
 	Reducer
 	// NewReduceTask returns a fresh instance sharing nothing mutable with
@@ -95,23 +99,25 @@ type ReduceTaskFactory interface {
 	NewReduceTask() ReduceTask
 }
 
-// ReduceTask is one reduce task's private reducer instance. It is used by
-// a single goroutine.
+// ReduceTask is one private reducer instance: one pool worker's for a
+// job's reduce phase, or one fault-path replay's. It is used by a single
+// goroutine.
 type ReduceTask interface {
 	// Reduce processes one key group, like Reducer.Reduce. Nothing it hands
 	// to emit may alias scratch the instance reuses for the next key.
 	Reduce(key string, values []string, emit func(line string)) error
-	// Done ends the task and returns what the instance counted; the instance
-	// is not used again. The engine sums the counts of a job's tasks (sums
-	// commute, so the totals do not depend on how keys were cut into tasks)
-	// and drops those of fault-path replays. Nothing flows back into the
-	// factory, which is what makes a job description a shareable value.
+	// Done ends the instance and returns what it counted; the instance is
+	// not used again. The engine calls it once per instance after the
+	// phase's join and sums the counts (sums commute, so the totals do not
+	// depend on which worker reduced which keys), and drops those of
+	// fault-path replays. Nothing flows back into the factory, which is what
+	// makes a job description a shareable value.
 	Done() ReduceCounts
 }
 
-// newReduceTask returns the instance that reduces one key run, or one
-// replayed reduce task, of j: a fresh one from a ReduceTaskFactory, or else
-// the stateless reducer itself, counting nothing.
+// newReduceTask returns the instance one worker reduces a job's key runs
+// on, or one replayed reduce task of j runs on: a fresh one from a
+// ReduceTaskFactory, or else the stateless reducer itself, counting nothing.
 func newReduceTask(j *Job) ReduceTask {
 	if f, ok := j.Reducer.(ReduceTaskFactory); ok {
 		return f.NewReduceTask()
@@ -196,9 +202,34 @@ type OpDispatch struct {
 // Hive's map-phase hash aggregation (paper §I footnote 2) is modelled this
 // way. It must be algebraically compatible with the job's reducer. Like
 // Map, Combine runs inside concurrent map tasks and must be safe for
-// concurrent calls.
+// concurrent calls. A combiner that keeps scratch across key groups instead
+// hands the engine private instances (CombineTaskFactory).
 type Combiner interface {
 	Combine(key string, values []string) ([]string, error)
+}
+
+// CombineTaskFactory is the combine-side twin of ReduceTaskFactory: a
+// Combiner whose key groups are independent of one another. The engine
+// builds one private instance per pool worker per combine phase, and the
+// worker folds every key group of every map task it takes on it; a
+// fault-path replay of a map task gets a fresh instance of its own. The
+// instance is used by a single goroutine for one phase of one job and counts
+// nothing; nothing it returns may alias scratch it reuses for the next group.
+type CombineTaskFactory interface {
+	Combiner
+	// NewCombineTask returns a fresh instance sharing nothing mutable with
+	// its parent or its siblings.
+	NewCombineTask() Combiner
+}
+
+// newCombiner returns the instance one worker combines a job's map tasks
+// on, or one replayed map task is combined on: a fresh one from a
+// CombineTaskFactory, or else the stateless combiner itself.
+func newCombiner(c Combiner) Combiner {
+	if f, ok := c.(CombineTaskFactory); ok {
+		return f.NewCombineTask()
+	}
+	return c
 }
 
 // CombinerFunc adapts a function to the Combiner interface.

@@ -16,6 +16,12 @@ import (
 //     worker starts);
 //   - each work item writes only into its own slot of a pre-sized result
 //     slice;
+//   - a phase's task instances (ReduceTaskFactory, CombineTaskFactory) are
+//     per worker, not per item: a worker builds its instance on its first
+//     item of the phase and feeds it every item it takes, in ascending
+//     order. Which items share an instance is host scheduling, so the
+//     factory contracts make an instance's output independent of it, and
+//     what the instances counted is summed after the join;
 //   - the driver gathers results after the join in an order the data
 //     fixes: ascending item index, or a merge by key.
 //
@@ -39,21 +45,25 @@ func (e *Engine) SetWorkers(n int) {
 // Workers returns the engine's worker count.
 func (e *Engine) Workers() int { return e.workers }
 
-// forEachTask runs fn(0..n-1) across the engine's workers and joins before
-// returning. Each call must confine its writes to per-index state. The
+// forEachTask runs fn(w, i) for i in 0..n-1 across the engine's workers and
+// joins before returning. w is the worker running item i: below
+// min(workers, n), and 0 on the inline path. A worker takes its items in
+// ascending order, so state indexed by w belongs to one goroutine and sees
+// its items sorted: that is how a phase keeps one task instance per worker.
+// Each call must confine its writes to per-index and per-worker state. The
 // returned error is the lowest-indexed failure, matching what a sequential
 // loop that stops at the first error would report; on the inline (single
 // worker) path later tasks are genuinely not run, which is indistinguishable
 // because a failed job contributes no stats or output. Every item goes
 // through runItem, so a stopped context or a panic is that item's failure.
-func (e *Engine) forEachTask(n int, fn func(i int) error) error {
+func (e *Engine) forEachTask(n int, fn func(w, i int) error) error {
 	workers := e.workers
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			if err := e.runItem(fn, i); err != nil {
+			if err := e.runItem(fn, 0, i); err != nil {
 				return err
 			}
 		}
@@ -73,7 +83,7 @@ func (e *Engine) forEachTask(n int, fn func(i int) error) error {
 				}
 				// The atomic fetch-add hands each iteration a unique index,
 				// so the errs[i] slots are disjoint.
-				errs[i] = e.runItem(fn, i)
+				errs[i] = e.runItem(fn, w, i)
 			}
 		}()
 	}
@@ -86,10 +96,10 @@ func (e *Engine) forEachTask(n int, fn func(i int) error) error {
 	return nil
 }
 
-// runItem runs work item i unless the chain's context is done, and turns a
-// panic in it into its error: one check and one deferred recover per item,
-// nothing per row.
-func (e *Engine) runItem(fn func(i int) error, i int) (err error) {
+// runItem runs work item i on worker w unless the chain's context is done,
+// and turns a panic in it into its error: one check and one deferred
+// recover per item, nothing per row.
+func (e *Engine) runItem(fn func(w, i int) error, w, i int) (err error) {
 	if e.ctx != nil {
 		if err := e.ctx.Err(); err != nil {
 			return err
@@ -100,7 +110,7 @@ func (e *Engine) runItem(fn func(i int) error, i int) (err error) {
 			err = panicError(r)
 		}
 	}()
-	return fn(i)
+	return fn(w, i)
 }
 
 // panicError is the error a recovered panic in user code becomes.

@@ -58,7 +58,7 @@ func TestForEachTaskDeterministicError(t *testing.T) {
 		want       string
 	}{{3, "task 3 failed"}, {10, "panic: task 5"}} {
 		for trial := 0; trial < 20; trial++ {
-			err := e.forEachTask(64, func(i int) error {
+			err := e.forEachTask(64, func(_, i int) error {
 				switch {
 				case i%7 == 3 && i >= c.firstError:
 					return fmt.Errorf("task %d failed", i)
@@ -91,8 +91,7 @@ func TestSetWorkersClamps(t *testing.T) {
 }
 
 // benchReducer sums integer values per key. It is stateless, so it is its
-// own reduce-task instance and the engine may fan its key runs out across
-// workers.
+// own reducer instance, whichever workers take its key runs.
 type benchReducer struct{}
 
 func (benchReducer) Reduce(key string, values []string, emit func(line string)) error {

@@ -422,7 +422,7 @@ func (e *Engine) reexecuteMap(j *Job, tasks []mapTask, mp *phaseSched) error {
 			replays = append(replays, task)
 		}
 	}
-	return e.forEachTask(len(replays), func(i int) error {
+	return e.forEachTask(len(replays), func(_, i int) error {
 		mt := tasks[replays[i]]
 		// Retries run the same mapper over the same lines as the primary
 		// pass, early filters included, so replayed attempts see the same
@@ -432,7 +432,7 @@ func (e *Engine) reexecuteMap(j *Job, tasks []mapTask, mp *phaseSched) error {
 			return fmt.Errorf("map retry %s: %w", mt.input.Path, err)
 		}
 		if j.Reducer != nil && j.Combiner != nil {
-			if _, err := combineTask([]pairList{out}, j.Combiner); err != nil {
+			if _, err := combineTask([]pairList{out}, newCombiner(j.Combiner)); err != nil {
 				return fmt.Errorf("combine retry: %w", err)
 			}
 		}
@@ -451,9 +451,10 @@ func (e *Engine) reexecuteReduce(j *Job, s *JobStats, groups []keyGroup, rp *pha
 		}
 	}
 	discard := func(string) {}
-	// Replays follow the primary reduce pass: an instance of its own per
-	// replayed task, on the worker pool.
-	return e.forEachTask(len(replays), func(i int) error {
+	// Replays run on the worker pool, like the primary reduce pass, but on
+	// a fresh instance per replayed task: a replay reduces a simulated
+	// task's keys, so it reruns user code as that task's own attempt would.
+	return e.forEachTask(len(replays), func(_, i int) error {
 		task := newReduceTask(j)
 		for _, g := range groups {
 			if partitionOf(g.key, s.NumReduceTasks) != replays[i] {

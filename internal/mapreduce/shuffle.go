@@ -23,8 +23,9 @@ const (
 	// partition of their own.
 	partitionPairs = 2048
 	// runValues is the least number of reduce-input values worth a key run
-	// (and a reducer instance) of their own; runsPerWorker oversubscribes
-	// the pool so uneven runs still balance.
+	// of their own; runsPerWorker oversubscribes the pool so uneven runs
+	// still balance. Runs cost no reducer instance: a worker reduces all the
+	// runs it takes on one (Engine.reduce).
 	runValues     = 512
 	runsPerWorker = 4
 	// maxPartitions keeps a partition id in a byte and the merge's scan over
@@ -170,7 +171,7 @@ func (e *Engine) shuffle(lists []pairList, nParts int) ([]keyGroup, error) {
 	// Every key is hashed once, list by list; a partition then picks its
 	// pairs out of every list, in list order, by the recorded byte.
 	parts := make([][]uint8, len(lists))
-	err := e.forEachTask(len(lists), func(l int) error {
+	err := e.forEachTask(len(lists), func(_, l int) error {
 		part := make([]uint8, len(lists[l].pairs))
 		for i := range part {
 			part[i] = uint8(partitionOf(lists[l].pairs[i].key, nParts))
@@ -182,7 +183,7 @@ func (e *Engine) shuffle(lists []pairList, nParts int) ([]keyGroup, error) {
 		return nil, err
 	}
 	parted := make([][]keyGroup, nParts)
-	err = e.forEachTask(nParts, func(p int) error {
+	err = e.forEachTask(nParts, func(_, p int) error {
 		groups := groupPairs(lists, parts, uint8(p))
 		sortGroups(groups)
 		parted[p] = groups
@@ -240,12 +241,12 @@ func reducerSizes(groups []keyGroup, numReduce int) (maxGroups, maxValues int64)
 	return maxGroups, maxValues
 }
 
-// keyRun is one contiguous run of the sorted key list, the unit one reducer
-// instance reduces, with the lines it emitted and what the instance counted.
+// keyRun is one contiguous run of the sorted key list, the reduce phase's
+// work item, with the lines its worker's reducer instance emitted for it
+// (see Engine.reduce).
 type keyRun struct {
 	groups []keyGroup
 	lines  []string
-	counts ReduceCounts
 }
 
 // cutRuns cuts the sorted key list into contiguous runs of about equal

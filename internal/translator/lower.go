@@ -85,16 +85,7 @@ func (lw *lowerer) lowerSPQuery() (*Translation, error) {
 	if err != nil {
 		return nil, err
 	}
-	decode := newMapChain(scan.Schema(), scanEff.cols, stages).decode
-	mapper := mapreduce.MapperFunc(func(line string, emit mapreduce.Emit) error {
-		var scratch exec.Row
-		out, err := decode(&scratch, line)
-		if err != nil || out == nil {
-			return err
-		}
-		emit("", exec.EncodeRow(out))
-		return nil
-	})
+	mapper := spMapper{newMapChain(scan.Schema(), scanEff.cols, stages)}
 	path := lw.jobPath(1)
 	name := fmt.Sprintf("%s-%s-j1[SP]", lw.opts.QueryName, lw.mode)
 	job := &mapreduce.Job{
@@ -119,6 +110,39 @@ func (lw *lowerer) lowerSPQuery() (*Translation, error) {
 		ScanFacts:    []ScanFact{fact},
 		fp:           lw.fingerprint(nil),
 	}, nil
+}
+
+// spMapper is the SP job's mapper: the scan's decode and map-side chain,
+// each surviving row re-encoded as an output line. Like cmf's common mapper
+// it comes as a class and its instances (mapreduce.MapTaskFactory): an
+// spTask, one per map morsel, keeps the chain's scratch row from line to
+// line, dropped lines included.
+type spMapper struct{ chain *mapChain }
+
+// NewMapTask implements mapreduce.MapTaskFactory.
+func (m spMapper) NewMapTask() mapreduce.Mapper { return &spTask{chain: m.chain} }
+
+// Map implements mapreduce.Mapper for callers outside the engine's map
+// tasks: a one-line task.
+func (m spMapper) Map(line string, emit mapreduce.Emit) error {
+	return m.NewMapTask().Map(line, emit)
+}
+
+// spTask is one map morsel's instance of the SP mapper. The emitted line is
+// freshly encoded, so nothing outliving Map(line) aliases the scratch row.
+type spTask struct {
+	chain *mapChain
+	row   exec.Row // the chain's scratch
+}
+
+// Map implements mapreduce.Mapper.
+func (t *spTask) Map(line string, emit mapreduce.Emit) error {
+	out, err := t.chain.decode(&t.row, line)
+	if err != nil || out == nil {
+		return err
+	}
+	emit("", exec.EncodeRow(out))
+	return nil
 }
 
 // ---------------------------------------------------------------------------

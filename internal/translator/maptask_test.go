@@ -214,3 +214,55 @@ func TestAllocBudgetEarlyFilter(t *testing.T) {
 		t.Errorf("checked %d early-filtered lineitem scans, want a single-stream and a shared one", checked)
 	}
 }
+
+// TestAllocBudgetSPMapTask holds the SP job's map task, a selection and a
+// projection over the scan, to its budget: once warmed by any line, a line
+// the selection drops costs nothing and a line it keeps costs its output
+// line, the one string the job writes.
+func TestAllocBudgetSPMapTask(t *testing.T) {
+	dfs, _ := workload(t)
+	tr := translate(t, `SELECT l_orderkey, l_quantity * 2 AS q2 FROM lineitem WHERE l_quantity > 40`, YSmart, Options{QueryName: "sp"})
+	if len(tr.Jobs) != 1 || tr.Jobs[0].Reducer != nil {
+		t.Fatalf("%d jobs: the query no longer lowers to one map-only SP job", len(tr.Jobs))
+	}
+	in := tr.Jobs[0].Inputs[0]
+	lines, err := dfs.Read(in.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := in.Mapper.(mapreduce.MapTaskFactory).NewMapTask()
+	var emitted, dropped string
+	for _, line := range lines {
+		pairs := 0
+		if err := task.Map(line, func(string, string) { pairs++ }); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := mapLine(task, line), mapLine(in.Mapper, line); got != want {
+			t.Fatalf("line %q: task %s, one-line mapper %s", line, got, want)
+		}
+		switch {
+		case pairs == 1 && emitted == "":
+			emitted = line
+		case pairs == 0 && dropped == "":
+			dropped = line
+		}
+	}
+	if emitted == "" || dropped == "" {
+		t.Fatal("the scan no longer both keeps and drops lines")
+	}
+	for _, c := range []struct {
+		line   string
+		budget float64
+	}{{dropped, 0}, {emitted, 1}} {
+		fresh := in.Mapper.(mapreduce.MapTaskFactory).NewMapTask()
+		// AllocsPerRun's warm-up call is the task's first line.
+		got := testing.AllocsPerRun(200, func() {
+			if err := fresh.Map(c.line, func(string, string) {}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > c.budget {
+			t.Errorf("line %q: %v allocations, budget %v", c.line, got, c.budget)
+		}
+	}
+}
