@@ -191,7 +191,7 @@ func TestReusedInstanceMatchesFreshInstances(t *testing.T) {
 			if err != nil {
 				t.Fatalf("iter %d: %v", iter, err)
 			}
-			factory := job.Reducer.(mapreduce.ReduceTaskFactory)
+			factory := job.Reducer
 			var res result
 			// What the instances return from Done, summed index by index
 			// the way the engine sums a job's tasks.

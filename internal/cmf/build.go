@@ -23,13 +23,13 @@ type CommonInput struct {
 	// Decode parses one input line into a row (typically a schema-typed
 	// decode for base tables, or a tag-stripping decode for intermediate
 	// files written by earlier common jobs); a nil row with no error drops
-	// the line. scratch is the calling map task's scratch row (empty at
-	// first): a decoder may build its row anywhere in
+	// the line. scratch is the calling map instance's scratch row (empty
+	// at first): a decoder may build its row anywhere in
 	// (*scratch)[:cap(*scratch)] instead of allocating, and grows the
-	// scratch by storing larger storage in *scratch — which the task keeps
-	// whether or not the line passes, so a task whose first lines are all
-	// filtered out allocates once, not per line. The returned row is only
-	// valid until the task's next call.
+	// scratch by storing larger storage in *scratch — which the instance
+	// keeps whether or not the line passes, so an instance whose first
+	// lines are all filtered out allocates once, not per line. The returned
+	// row is only valid until the instance's next call.
 	Decode func(scratch *exec.Row, line string) (exec.Row, error)
 	// Key computes the partition-key values of a row, one function per key
 	// column (none: every row shares the empty key). All streams of an
@@ -202,29 +202,21 @@ func (cj *CommonJob) validate() error {
 
 // commonMapper implements §VI.A: decode, evaluate every stream's selection,
 // and emit one tagged common pair when at least one stream wants the row.
-// Like the common reducer it comes as a class and its instances:
-// commonMapper is one input's wiring, fixed at Build and never written
-// again, and a mapTask (mapreduce.MapTaskFactory), one per map morsel, owns
-// the scratch a line's work reuses.
+// It is the mapper class (see mapreduce's stage contract): one input's
+// wiring, fixed at Build and never written again; its instances (mapTask)
+// own the scratch a line's work reuses.
 type commonMapper struct {
 	input int // the input's index within the job: the tag every pair carries
 	in    CommonInput
 }
 
-// NewMapTask implements mapreduce.MapTaskFactory.
-func (m *commonMapper) NewMapTask() mapreduce.Mapper { return &mapTask{m: m} }
+// NewMapTask implements mapreduce.Mapper.
+func (m *commonMapper) NewMapTask() mapreduce.MapTask { return &mapTask{m: m} }
 
-// Map implements mapreduce.Mapper for callers outside the engine's map
-// tasks: a one-line task.
-func (m *commonMapper) Map(line string, emit mapreduce.Emit) error {
-	t := m.NewMapTask()
-	return t.Map(line, emit)
-}
-
-// mapTask is one map morsel's instance of the common mapper. It decodes
-// every line into the same scratch row and keys through the same value
-// slice. The lifetime rule, the reducer arena's restated for mappers:
-// nothing that outlives Map(line) may alias the scratch. Key and tagged
+// mapTask is one instance of the common mapper. It decodes every line into
+// the same scratch row and keys through the same value slice. The lifetime
+// rule, the reducer arena's restated for mappers: nothing that outlives
+// Map(line) may alias the scratch. Key and tagged
 // value are rendered into one call-local buffer, cut as one string from
 // the task's pair chunks and emitted as its two halves — a pair costs no
 // allocation of its own, a chunk one per up to 4 KB of pairs — and a
@@ -239,7 +231,7 @@ type mapTask struct {
 	pairs cutter       // the emitted pairs
 }
 
-// Map implements mapreduce.Mapper.
+// Map implements mapreduce.MapTask.
 func (t *mapTask) Map(line string, emit mapreduce.Emit) error {
 	in := &t.m.in
 	row, err := in.Decode(&t.row, line)
@@ -327,9 +319,8 @@ type outputSlot struct {
 //
 // The reducer itself is the paper's reducer class: the compiled graph and
 // the job's wiring, fixed at Build and never written again, so any number
-// of engines may run one job at once. The evaluating half is a reduceTask,
-// one per engine worker per reduce phase (mapreduce.ReduceTaskFactory),
-// which returns what it counted to the engine that ran it.
+// of engines may run one job at once. The evaluating half is its instance,
+// a reduceTask, which returns what it counted to the engine that ran it.
 type commonReducer struct {
 	graph    *graph
 	inputs   [][]streamRef  // streams of each job input
@@ -351,18 +342,11 @@ type reduceTask struct {
 	counts         mapreduce.ReduceCounts // Dispatch indexed like graph.ops
 }
 
-// NewReduceTask implements mapreduce.ReduceTaskFactory.
+// NewReduceTask implements mapreduce.Reducer.
 func (cr *commonReducer) NewReduceTask() mapreduce.ReduceTask {
 	t := &reduceTask{cr: cr, counts: mapreduce.ReduceCounts{Dispatch: slices.Clone(cr.opCounts)}}
 	t.slots, t.scratch = cr.graph.newSlots()
 	return t
-}
-
-// Reduce implements mapreduce.Reducer for callers outside the engine's
-// reduce tasks: a one-key task whose counts nobody reads.
-func (cr *commonReducer) Reduce(key string, values []string, emit func(string)) error {
-	t := cr.NewReduceTask()
-	return t.Reduce(key, values, emit)
 }
 
 // Reduce implements mapreduce.ReduceTask. The key is never decoded: no
@@ -456,25 +440,17 @@ func (cj *CommonJob) buildCombiner() (mapreduce.Combiner, *exec.Schema, error) {
 	return c, agg.Partials, nil
 }
 
-// combiner is the map-side partial aggregation of a combined job, as a
-// class and its instances like the common reducer: combiner is the wiring,
-// fixed at Build, and a combineTask (mapreduce.CombineTaskFactory), one per
-// engine worker per combine phase, owns the scratch a key group's work
-// reuses.
+// combiner is the map-side partial aggregation of a combined job, a class
+// like the common reducer: combiner is the wiring, fixed at Build, and its
+// instances (combineTask) own the scratch a key group's work reuses.
 type combiner struct {
 	agg          *AggOp
 	schemas      []*exec.Schema // the job's one input's value rows
 	partialWidth int            // the fields of one partial row
 }
 
-// NewCombineTask implements mapreduce.CombineTaskFactory.
-func (c *combiner) NewCombineTask() mapreduce.Combiner { return &combineTask{c: c} }
-
-// Combine implements mapreduce.Combiner for callers outside the engine's
-// combine phase: a one-group instance.
-func (c *combiner) Combine(key string, values []string) ([]string, error) {
-	return c.NewCombineTask().Combine(key, values)
-}
+// NewCombineTask implements mapreduce.Combiner.
+func (c *combiner) NewCombineTask() mapreduce.CombineTask { return &combineTask{c: c} }
 
 // combineTask is one instance of the combiner. A key group's values decode
 // into one slab, with room after them for the partial row, and their row
@@ -489,7 +465,7 @@ type combineTask struct {
 	rows []exec.Row
 }
 
-// Combine implements mapreduce.Combiner. The key is not decoded (see
+// Combine implements mapreduce.CombineTask. The key is not decoded (see
 // appendPartialRow); a tagged value's header holds no tab.
 func (t *combineTask) Combine(_ string, values []string) ([]string, error) {
 	c := t.c

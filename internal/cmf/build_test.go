@@ -531,7 +531,7 @@ func TestAllocBudgetReduce(t *testing.T) {
 	key, values := q17Group()
 	var out []string
 	emit := func(line string) { out = append(out, line) }
-	task := job.Reducer.(mapreduce.ReduceTaskFactory).NewReduceTask()
+	task := job.Reducer.NewReduceTask()
 	if err := task.Reduce(key, values, emit); err != nil {
 		t.Fatal(err)
 	}
@@ -552,7 +552,7 @@ func TestAllocBudgetReduce(t *testing.T) {
 	}
 	fresh := testing.AllocsPerRun(100, func() {
 		out = out[:0]
-		if err := job.Reducer.Reduce(key, values, emit); err != nil {
+		if err := job.Reducer.NewReduceTask().Reduce(key, values, emit); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -600,7 +600,7 @@ func TestAllocBudgetMapTask(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		task := job.Inputs[0].Mapper.(mapreduce.MapTaskFactory).NewMapTask()
+		task := job.Inputs[0].Mapper.NewMapTask()
 		pairs := 0
 		emit := func(k, v string) { pairs++ }
 		emitted, filtered := "7\t1\t10\t100", "7\t1\t20\t100"
@@ -653,7 +653,7 @@ func TestMapTaskPairsStayPut(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
-	task := job.Inputs[0].Mapper.(mapreduce.MapTaskFactory).NewMapTask()
+	task := job.Inputs[0].Mapper.NewMapTask()
 	type pair struct{ k, v, wantK, wantV string }
 	var pairs []pair
 	emit := func(k, v string) { pairs = append(pairs, pair{k, v, strings.Clone(k), strings.Clone(v)}) }

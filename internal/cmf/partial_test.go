@@ -155,14 +155,14 @@ func combinedJob(t *testing.T) *mapreduce.Job {
 // proof, in the shape of TestReusedInstanceMatchesFreshInstances: one
 // instance folding a few hundred random key groups of very different sizes
 // — its slab and row headers recycled every time, also after a failed group
-// — returns, group by group, the values and error text of the stateless
-// Combine, which builds a fresh instance per group. What it returned for
+// — returns, group by group, the values and error text of a fresh instance
+// per group. What it returned for
 // earlier groups is compared only at the end, so a value aliasing the
 // recycled scratch would show.
 func TestCombineInstanceMatchesStatelessCombine(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	job := combinedJob(t)
-	task := job.Combiner.(mapreduce.CombineTaskFactory).NewCombineTask()
+	task := job.Combiner.NewCombineTask()
 	type result struct {
 		vals []string
 		err  error
@@ -189,7 +189,7 @@ func TestCombineInstanceMatchesStatelessCombine(t *testing.T) {
 		key := fmt.Sprint(cid)
 		vals, err := task.Combine(key, values)
 		reused = append(reused, result{vals, err})
-		vals, err = job.Combiner.Combine(key, values)
+		vals, err = job.Combiner.NewCombineTask().Combine(key, values)
 		fresh = append(fresh, result{vals, err})
 		if err != nil {
 			failures++
@@ -210,7 +210,7 @@ func TestCombineInstanceMatchesStatelessCombine(t *testing.T) {
 // and that line's one-element slice — whatever its size.
 func TestAllocBudgetCombineInstance(t *testing.T) {
 	job := combinedJob(t)
-	task := job.Combiner.(mapreduce.CombineTaskFactory).NewCombineTask()
+	task := job.Combiner.NewCombineTask()
 	for _, size := range []int{1, 8, 64} {
 		values := make([]string, size)
 		for v := range values {

@@ -212,10 +212,11 @@ func topoSort(jobs []*Job) ([]*Job, error) {
 // kv is one map output pair.
 type kv struct{ key, value string }
 
-// mapTask is one map task's share of a job input, kept so the fault path
-// can re-execute the task's user code on retries and recomputes.
+// mapTask is one map task's share of a job input (in indexes Job.Inputs),
+// kept so the fault path can re-execute the task's user code on retries and
+// recomputes.
 type mapTask struct {
-	input Input
+	in    int
 	chunk []string
 }
 
@@ -243,7 +244,7 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 
 	// ----- Map phase -----------------------------------------------------
 	var tasks []mapTask
-	for _, in := range j.Inputs {
+	for ii, in := range j.Inputs {
 		lines, err := e.dfs.Read(in.Path)
 		if err != nil {
 			return nil, err
@@ -262,24 +263,28 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 
 		// Split actual lines into task chunks so per-task combining matches
 		// Hadoop's per-task partial aggregation.
-		tasks = appendChunks(tasks, in, lines, nTasks)
+		tasks = appendChunks(tasks, ii, lines, nTasks)
 	}
-	// The mappers run morsel by morsel on the worker pool. Each morsel
-	// writes only its own slot of lists, and everything downstream walks the
-	// slots in ascending order — (task, line) order, the sequential
-	// engine's map output order.
+	workers := make([]jobWorker, e.workers) // every phase's instances (job.go)
+	// The mappers run morsel by morsel on the worker pool, each worker on
+	// its instance of the morsel's input's mapper. Each morsel writes only
+	// its own slot of lists, and everything downstream walks the slots in
+	// ascending order — (task, line) order, the sequential engine's map
+	// output order.
 	morsels, first := tasks, []int(nil)
 	if e.workers > 1 {
 		morsels, first = cutMorsels(tasks)
 	}
 	lists := make([]pairList, len(morsels))
-	err := e.forEachTask(len(morsels), func(_, i int) error {
+	err := e.forEachTask(len(morsels), func(w, i int) error {
+		m := morsels[i]
 		var err error
-		if lists[i], err = runMapper(morsels[i].input, morsels[i].chunk); err != nil {
-			return fmt.Errorf("map %s: %w", morsels[i].input.Path, err)
+		if lists[i], err = runMapper(workers[w].mapTask(j, m.in), m.chunk); err != nil {
+			return fmt.Errorf("map %s: %w", j.Inputs[m.in].Path, err)
 		}
 		return nil
 	})
+	endPhase(workers)
 	if err != nil {
 		return nil, err
 	}
@@ -288,36 +293,28 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 		preCombineBytes += lists[i].bytes
 		stats.MapRecordsFiltered += lists[i].filtered
 	}
-	// What every pool worker keeps through the combine and reduce phases.
-	var workers []jobWorker
 	// The combiner runs once per simulated task, over the task's morsels in
 	// order: what reaches the shuffle does not depend on how the host cut
 	// the task. (It runs once every map call has succeeded, so a failing
-	// mapper outranks a failing combiner whichever task either is in.) Every
-	// worker combines the tasks it takes on one combiner instance of its own
-	// (newCombiner), built on its first task.
+	// mapper outranks a failing combiner whichever task either is in.)
 	if j.Reducer != nil && j.Combiner != nil {
 		combined := lists // one morsel per task: each task replaces its own slot
 		if first != nil {
 			combined = make([]pairList, len(tasks))
 		}
-		workers = make([]jobWorker, min(e.workers, len(tasks)))
 		err := e.forEachTask(len(tasks), func(w, t int) error {
 			lo, hi := t, t+1
 			if first != nil {
 				lo, hi = first[t], first[t+1]
 			}
-			jw := &workers[w]
-			if jw.combiner == nil {
-				jw.combiner = newCombiner(j.Combiner)
-			}
-			out, err := combineTask(lists[lo:hi], jw.combiner)
+			out, err := combineTask(lists[lo:hi], workers[w].combineTask(j))
 			if err != nil {
 				return fmt.Errorf("combine: %w", err)
 			}
 			combined[t] = out
 			return nil
 		})
+		endPhase(workers)
 		if err != nil {
 			return nil, err
 		}
@@ -342,7 +339,7 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 		stats.MapOutputBytes = linesBytes(mapOnlyLines)
 		stats.ReduceOutputRecords = stats.MapOutputRecords
 		stats.ReduceOutputBytes = stats.MapOutputBytes
-		if err := e.costJob(j, stats, preCombineBytes, tasks, nil); err != nil {
+		if err := e.costJob(j, stats, preCombineBytes, tasks, nil, workers); err != nil {
 			return nil, err
 		}
 		return stats, nil
@@ -383,45 +380,27 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 	stats.ReduceOutputRecords = int64(len(outLines))
 	stats.ReduceOutputBytes = linesBytes(outLines)
 
-	if err := e.costJob(j, stats, preCombineBytes, tasks, groups); err != nil {
+	if err := e.costJob(j, stats, preCombineBytes, tasks, groups, workers); err != nil {
 		return nil, err
 	}
 	return stats, nil
 }
 
-// jobWorker is what one pool worker keeps through a job's combine and
-// reduce phases: the combiner and reducer instances it builds on its first
-// item of each, and the emit function that appends to the lines of the key
-// run it is reducing. The reduce phase reuses the combine phase's slots when
-// there are enough of them, and every slot dies with the job.
-type jobWorker struct {
-	combiner Combiner
-	reducer  ReduceTask
-	lines    []string
-	emit     func(line string)
-}
-
 // reduce runs j's reducer over the sorted key groups, which hold n values,
 // and returns the output lines in key order with what the reducer counted.
 // The key list is cut into runs (cutRuns) for the worker pool, and every
-// worker reduces the runs it takes on one instance of its own
-// (newReduceTask), in ascending run order. A run emits into its keys'
-// window of one output slice, a line a key being what most reducers emit;
-// only a run that emits more lines than it has keys outgrows its window
-// into a slice of its own. So the phase allocates per worker and never per
-// run, and when every run filled its window exactly the slice is the
-// output as it stands. Otherwise the runs' lines are concatenated in run
-// order. Either way the instances' counts are summed after the join: the
-// output and counts of one instance reducing every key. workers holds the
-// combine phase's slots, if any.
+// worker reduces the runs it takes on its reducer instance, in ascending
+// run order. A run emits into its keys' window of one output slice, a line
+// a key being what most reducers emit; only a run that emits more lines
+// than it has keys outgrows its window into a slice of its own. So the
+// phase allocates per worker and never per run, and when every run filled
+// its window exactly the slice is the output as it stands. Otherwise the
+// runs' lines are concatenated in run order. Either way the instances'
+// counts are summed after the join: the output and counts of one instance
+// reducing every key. workers holds the job's slots.
 func (e *Engine) reduce(j *Job, groups []keyGroup, n int, workers []jobWorker) ([]string, ReduceCounts, error) {
 	runs := e.cutRuns(groups, n)
-	nw := min(e.workers, len(runs))
-	if len(workers) < nw {
-		workers = make([]jobWorker, nw)
-	}
-	workers = workers[:nw]
-	for w := range workers {
+	for w := range workers[:min(len(workers), len(runs))] {
 		jw := &workers[w]
 		jw.emit = func(line string) { jw.lines = append(jw.lines, line) }
 	}
@@ -432,26 +411,19 @@ func (e *Engine) reduce(j *Job, groups []keyGroup, n int, workers []jobWorker) (
 	}
 	err := e.forEachTask(len(runs), func(w, r int) error {
 		jw := &workers[w]
-		if jw.reducer == nil {
-			jw.reducer = newReduceTask(j)
-		}
+		reducer := jw.reduceTask(j)
 		jw.lines = runs[r].lines
 		for _, g := range runs[r].groups {
-			if err := jw.reducer.Reduce(g.key, g.values, jw.emit); err != nil {
+			if err := reducer.Reduce(g.key, g.values, jw.emit); err != nil {
 				return fmt.Errorf("reduce key %q: %w", g.key, err)
 			}
 		}
 		runs[r].lines = jw.lines
 		return nil
 	})
+	counts := endPhase(workers)
 	if err != nil {
 		return nil, ReduceCounts{}, err
-	}
-	var counts ReduceCounts
-	for _, jw := range workers {
-		if jw.reducer != nil {
-			counts.add(jw.reducer.Done())
-		}
 	}
 	if len(runs) == 1 {
 		lines := runs[0].lines
@@ -476,16 +448,10 @@ func (e *Engine) reduce(j *Job, groups []keyGroup, n int, workers []jobWorker) (
 	return lines, counts, nil
 }
 
-// runMapper runs one input's mapper over lines — on an instance of its
-// own when the mapper is a MapTaskFactory — counting the lines it reports
-// as ErrFiltered. The pairs
-// collect in a slab sized by the line count, which holds them all whenever
-// the mapper emits at most one pair a line.
-func runMapper(in Input, lines []string) (pairList, error) {
-	mapper := in.Mapper
-	if f, ok := mapper.(MapTaskFactory); ok {
-		mapper = f.NewMapTask()
-	}
+// runMapper runs a map instance over lines, counting the lines it reports
+// as ErrFiltered. The pairs collect in a slab sized by the line count,
+// which holds them all whenever the mapper emits at most one pair a line.
+func runMapper(mapper MapTask, lines []string) (pairList, error) {
 	out := pairList{pairs: make([]kv, 0, len(lines))}
 	emit := func(key, value string) {
 		out.pairs = append(out.pairs, kv{key, value})
@@ -504,7 +470,7 @@ func runMapper(in Input, lines []string) (pairList, error) {
 // combineTask groups one map task's output — the pair lists of its morsels,
 // in order — by key, in first-seen key order, and applies the combiner
 // instance c to every group.
-func combineTask(lists []pairList, c Combiner) (pairList, error) {
+func combineTask(lists []pairList, c CombineTask) (pairList, error) {
 	groups := groupPairs(lists, nil, 0)
 	out := pairList{pairs: make([]kv, 0, len(groups))}
 	for _, g := range groups {
@@ -520,9 +486,9 @@ func combineTask(lists []pairList, c Combiner) (pairList, error) {
 	return out, nil
 }
 
-// appendChunks appends in's lines to tasks as n map tasks of nearly equal
-// contiguous chunks (fewer when there are fewer lines).
-func appendChunks(tasks []mapTask, in Input, lines []string, n int) []mapTask {
+// appendChunks appends input in's lines to tasks as n map tasks of nearly
+// equal contiguous chunks (fewer when there are fewer lines).
+func appendChunks(tasks []mapTask, in int, lines []string, n int) []mapTask {
 	n = max(1, min(n, len(lines)))
 	per, rem := len(lines)/n, len(lines)%n
 	for c := 0; c < n; c++ {
@@ -530,7 +496,7 @@ func appendChunks(tasks []mapTask, in Input, lines []string, n int) []mapTask {
 		if c < rem {
 			size++
 		}
-		tasks = append(tasks, mapTask{input: in, chunk: lines[:size]})
+		tasks = append(tasks, mapTask{in: in, chunk: lines[:size]})
 		lines = lines[size:]
 	}
 	return tasks
@@ -656,12 +622,12 @@ func (e *Engine) phaseBases(s *JobStats, preCombineBytes int64) phaseBases {
 // prediction too, so drift is exactly 1. Under an active FaultPlan the same
 // bases become per-task durations for the event scheduler (scheduleJob),
 // which also replays every extra attempt's user code over tasks and groups.
-func (e *Engine) costJob(j *Job, s *JobStats, preCombineBytes int64, tasks []mapTask, groups []keyGroup) error {
+func (e *Engine) costJob(j *Job, s *JobStats, preCombineBytes int64, tasks []mapTask, groups []keyGroup, workers []jobWorker) error {
 	b := e.phaseBases(s, preCombineBytes)
 	cm := e.cluster.Cost
 	s.StartupTime = cm.JobStartup
 	if e.faultsActive() {
-		return e.scheduleJob(j, s, b, tasks, groups)
+		return e.scheduleJob(j, s, b, tasks, groups, workers)
 	}
 	s.MapTime = b.mapBase + b.mapWaves*cm.TaskOverhead
 	s.ShuffleTime = b.shuffle

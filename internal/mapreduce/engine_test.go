@@ -459,7 +459,7 @@ func TestSplitChunksProperties(t *testing.T) {
 			n = 1
 		}
 		var chunks [][]string
-		for _, task := range appendChunks(nil, Input{}, lines, n) {
+		for _, task := range appendChunks(nil, 0, lines, n) {
 			chunks = append(chunks, task.chunk)
 		}
 		if len(chunks) != max(1, min(n, len(lines))) {

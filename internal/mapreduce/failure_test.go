@@ -190,7 +190,7 @@ func TestUserCodePanicFailsTheJob(t *testing.T) {
 	lines[2500] = "boom"
 	var pairs pairList
 	for _, line := range lines {
-		_ = wordCountJob("", "").Inputs[0].Mapper.Map(line, func(key, value string) {
+		_ = wordCountJob("", "").Inputs[0].Mapper.NewMapTask().Map(line, func(key, value string) {
 			pairs.pairs = append(pairs.pairs, kv{key, value})
 		})
 	}
@@ -203,7 +203,7 @@ func TestUserCodePanicFailsTheJob(t *testing.T) {
 		j := wordCountJob("in", "out")
 		switch stage {
 		case "mapper":
-			inner := j.Inputs[0].Mapper
+			inner := j.Inputs[0].Mapper.NewMapTask() // a stateless MapperFunc: its own instance
 			j.Inputs[0].Mapper = MapperFunc(func(line string, emit Emit) error {
 				if line == "boom" {
 					panic("mapper boom")
@@ -218,7 +218,7 @@ func TestUserCodePanicFailsTheJob(t *testing.T) {
 				return values, nil
 			})
 		case "reducer":
-			inner := j.Reducer
+			inner := j.Reducer.NewReduceTask() // a stateless ReducerFunc: its own instance
 			j.Reducer = ReducerFunc(func(key string, values []string, emit func(string)) error {
 				if key == "boom" {
 					panic("reducer boom")
@@ -226,7 +226,7 @@ func TestUserCodePanicFailsTheJob(t *testing.T) {
 				return inner.Reduce(key, values, emit)
 			})
 		case "late reducer":
-			inner := j.Reducer
+			inner := j.Reducer.NewReduceTask() // a stateless ReducerFunc: its own instance
 			j.Reducer = ReducerFunc(func(key string, values []string, emit func(string)) error {
 				if key == lateKey {
 					panic("late reducer boom")
@@ -319,7 +319,7 @@ func TestRunChainContextStops(t *testing.T) {
 		}
 
 		ctx, cancel := context.WithCancel(context.Background())
-		inner := wordCountJob("in", "mid").Inputs[0].Mapper
+		inner := wordCountJob("in", "mid").Inputs[0].Mapper.NewMapTask()
 		e = manyTaskEngine(t, workers, lines)
 		stats, err = e.RunChainContext(ctx, chain(MapperFunc(func(line string, emit Emit) error {
 			cancel()

@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"strconv"
@@ -18,21 +19,24 @@ import (
 // rows, JobStats, attempt logs and trace bytes are those of the sequential
 // engine.
 
-// sumReducer is a ReduceTaskFactory in the shape of the CMF common reducer:
+// sumReducer is a reducer class in the shape of the CMF common reducer:
 // instances keep scratch across keys, count their work privately and return
-// it at Done. The reducer itself counts the instances it handed out, the
-// Done calls they received, and the broken promises it saw: a key an
-// instance received not above the one before, an instance ended twice (the
-// tests' probes, not part of the contract).
-type sumReducer struct{ tasks, dones, unsorted, redone atomic.Int64 }
+// it at Done. The class counts the instances it handed out, the keys they
+// reduced and the Done calls they received, the most instances one phase
+// built, and the broken promises it saw: a key an instance received not
+// above the one before, an instance ended twice (the tests' probes, not
+// part of the contract). Every Done of a phase comes after the phase's
+// last NewReduceTask and before the next phase's first (endPhase), so the
+// first Done of a phase closes its instance count.
+type sumReducer struct {
+	tasks, keys, dones, unsorted, redone atomic.Int64
+	phase, mostPerPhase                  atomic.Int64
+}
 
 func (r *sumReducer) NewReduceTask() ReduceTask {
 	r.tasks.Add(1)
+	r.phase.Add(1)
 	return &sumTask{r: r, counts: ReduceCounts{Dispatch: []OpDispatch{{Op: "sum"}, {Op: "idle"}}}}
-}
-
-func (r *sumReducer) Reduce(key string, values []string, emit func(string)) error {
-	return r.NewReduceTask().Reduce(key, values, emit)
 }
 
 type sumTask struct {
@@ -50,6 +54,7 @@ func (t *sumTask) Reduce(key string, values []string, emit func(string)) error {
 	}
 	t.last = key
 	t.keys++
+	t.r.keys.Add(1)
 	var sum int64
 	for _, v := range values {
 		n, err := strconv.ParseInt(v, 10, 64)
@@ -76,21 +81,20 @@ func (t *sumTask) Done() ReduceCounts {
 	}
 	t.done = true
 	t.r.dones.Add(1)
+	if n := t.r.phase.Swap(0); n > t.r.mostPerPhase.Load() {
+		t.r.mostPerPhase.Store(n)
+	}
 	return t.counts
 }
 
-// sumCombiner is a CombineTaskFactory: its instances sum a key's values in
-// a buffer they keep across key groups, and it counts the instances it
+// sumCombiner is a combiner class: its instances sum a key's values in a
+// buffer they keep across key groups, and it counts the instances it
 // handed out.
 type sumCombiner struct{ tasks atomic.Int64 }
 
-func (c *sumCombiner) NewCombineTask() Combiner {
+func (c *sumCombiner) NewCombineTask() CombineTask {
 	c.tasks.Add(1)
 	return &sumCombineTask{}
-}
-
-func (c *sumCombiner) Combine(key string, values []string) ([]string, error) {
-	return c.NewCombineTask().Combine(key, values)
 }
 
 type sumCombineTask struct{ buf []byte } // returned values must not alias it
@@ -116,6 +120,38 @@ func geometryInput(n, nKeys, offset int) []string {
 		lines[i] = fmt.Sprintf("k%03d %d", (i*7+offset)%nKeys, i+offset)
 	}
 	return lines
+}
+
+// countingMapper is geometryMapper as a mapper class whose instances keep
+// the line's value in scratch. The class counts the instances it handed
+// out and the lines an instance received out of input order: the value
+// after a line's key grows with its line number.
+type countingMapper struct{ tasks, unsorted atomic.Int64 }
+
+func (m *countingMapper) NewMapTask() MapTask {
+	m.tasks.Add(1)
+	return &countingTask{m: m, last: -1}
+}
+
+type countingTask struct {
+	m     *countingMapper
+	value []byte // reused from line to line: emitted pairs must not alias it
+	last  int
+}
+
+func (t *countingTask) Map(line string, emit Emit) error {
+	key, value, _ := strings.Cut(line, " ")
+	n, err := strconv.Atoi(value)
+	if err != nil {
+		return err
+	}
+	if n <= t.last {
+		t.m.unsorted.Add(1)
+	}
+	t.last = n
+	t.value = append(t.value[:0], value...)
+	emit(key, string(t.value))
+	return nil
 }
 
 func geometryMapper(failAt ...string) Mapper {
@@ -212,7 +248,7 @@ func TestGeometryInvariantAcrossWorkers(t *testing.T) {
 			return j
 		}},
 		{"prefilter", geometryCluster, func() *Job {
-			inner := geometryMapper()
+			inner := geometryMapper().NewMapTask()
 			return geometryJob(MapperFunc(func(line string, emit Emit) error {
 				if strings.HasSuffix(line, "7") {
 					return ErrFiltered
@@ -332,59 +368,126 @@ func TestGeometryReduceInstances(t *testing.T) {
 	}
 }
 
-// TestGeometryInstancesPerWorker pins the instances' lifetime: a job cut
-// into at least 8 key runs and at least 4 combine tasks builds at most one
-// reducer and one combiner instance per worker — min(workers, items) — and
-// Done ends every reducer instance exactly once, after an instance saw its
-// keys in ascending order; rows, JobStats and trace bytes are the
-// sequential run's.
+// TestGeometryInstancesPerWorker pins the lifetime rule. A job cut into many
+// morsels over two inputs, at least 4 combine tasks and at least 8 key runs
+// builds at most one instance per worker per phase — min(workers, items),
+// and per input for mappers — and Done ends every reducer instance exactly
+// once, after it saw its keys in ascending order, as a map instance saw its
+// lines; rows, JobStats and trace bytes are the sequential run's. Under a
+// fault plan each replay phase builds at most one instance per worker
+// (per input for mappers) as well, where an instance per replayed task
+// would build more at one worker.
 func TestGeometryInstancesPerWorker(t *testing.T) {
 	// 18000 lines over 1000 keys: six map tasks, whose combiners fold each
 	// key's three values into one and leave 6000 pairs to reduce.
 	a, b := geometryInput(12000, 1000, 0), geometryInput(6000, 1000, 3)
-	var base geometryRun
-	for _, workers := range []int{1, 2, 8} {
-		job := geometryJob(geometryMapper())
-		job.Combiner = &sumCombiner{}
-		got := runGeometryOn(t, geometryCluster(), job, workers, a, b)
-		if got.err != nil {
-			t.Fatal(got.err)
-		}
-		s := got.stats
-		if s.NumMapTasks < 4 || s.ReduceInputRecords/runValues < 8 || s.ReduceGroups < 8 {
-			t.Fatalf("%d map tasks, %d pairs over %d keys: the job is not the shape this test is about",
-				s.NumMapTasks, s.ReduceInputRecords, s.ReduceGroups)
-		}
-		r := job.Reducer.(*sumReducer)
-		runs := 1 // cutRuns: the pairs and keys above make at least 8 runs at 2 workers and up
-		if workers > 1 {
-			runs = min(workers*runsPerWorker, int(s.ReduceInputRecords)/runValues, int(s.ReduceGroups))
-		}
-		if n, most := r.tasks.Load(), min(workers, runs); n < 1 || n > int64(most) {
-			t.Errorf("workers=%d: %d reducer instances for %d key runs, want 1 to %d", workers, n, runs, most)
-		}
-		if n, most := job.Combiner.(*sumCombiner).tasks.Load(), min(workers, s.NumMapTasks); n < 1 || n > int64(most) {
-			t.Errorf("workers=%d: %d combiner instances for %d combine tasks, want 1 to %d", workers, n, s.NumMapTasks, most)
-		}
-		if r.dones.Load() != r.tasks.Load() || r.redone.Load() != 0 {
-			t.Errorf("workers=%d: %d Done calls for %d reducer instances, %d of them ended twice",
-				workers, r.dones.Load(), r.tasks.Load(), r.redone.Load())
-		}
-		if n := r.unsorted.Load(); n != 0 {
-			t.Errorf("workers=%d: %d keys reached an instance out of ascending order", workers, n)
-		}
+	// The map tasks and the morsels of an input's lines, cut as the engine
+	// cuts them.
+	cut := func(lines []string, workers int) (tasks, morsels int) {
+		c := geometryCluster()
+		chunks := appendChunks(nil, 0, lines, int(math.Ceil(float64(linesBytes(lines))*c.DataScale/float64(c.Cost.SplitSize))))
 		if workers == 1 {
-			base = got
-			continue
+			return len(chunks), len(chunks)
 		}
-		if !reflect.DeepEqual(got.rows, base.rows) || !reflect.DeepEqual(got.stats, base.stats) || !bytes.Equal(got.trace, base.trace) {
-			t.Errorf("workers=%d: rows, JobStats or trace differ from the sequential run", workers)
+		m, _ := cutMorsels(chunks)
+		return len(chunks), len(m)
+	}
+	faulty := func() *Cluster {
+		c := geometryCluster()
+		c.Faults = &FaultPlan{Seed: 4, TaskFailureProb: 0.5, StragglerProb: 0.2, StragglerFactor: 5,
+			NodeFailures: []NodeFailure{{Node: 2, At: 14}}}
+		c.Speculation = Speculation{Enabled: true}
+		return c
+	}
+	for _, faults := range []bool{false, true} {
+		cluster := geometryCluster
+		if faults {
+			cluster = faulty
+		}
+		var base geometryRun
+		for _, workers := range []int{1, 2, 8} {
+			name := fmt.Sprintf("faults=%v workers=%d", faults, workers)
+			mappers := []*countingMapper{{}, {}}
+			job := geometryJob(mappers[0])
+			job.Inputs[1].Mapper = mappers[1]
+			job.Combiner = &sumCombiner{}
+			got := runGeometryOn(t, cluster(), job, workers, a, b)
+			if got.err != nil {
+				t.Fatal(got.err)
+			}
+			s := got.stats
+			if s.NumMapTasks < 4 || s.ReduceInputRecords/runValues < 8 || s.ReduceGroups < 8 {
+				t.Fatalf("%d map tasks, %d pairs over %d keys: the job is not the shape this test is about",
+					s.NumMapTasks, s.ReduceInputRecords, s.ReduceGroups)
+			}
+			// Every attempt past a task's first is a replay: one item of
+			// the map or the reduce replay phase.
+			tasksA, _ := cut(a, workers)
+			var mapReplays [2]int
+			var reduceReplays int
+			for _, at := range s.Attempts {
+				switch {
+				case at.Attempt == 0:
+				case at.Phase == "reduce":
+					reduceReplays++
+				case at.Task < tasksA:
+					mapReplays[0]++
+				default:
+					mapReplays[1]++
+				}
+			}
+			if faults && (mapReplays[0] < 3 || mapReplays[1] < 3 || reduceReplays < 3) {
+				t.Fatalf("%s: %v map and %d reduce replays: the fault plan does not replay enough", name, mapReplays, reduceReplays)
+			}
+			// At most min(workers, items) instances a phase; no phase with
+			// no items builds one.
+			bound := func(items ...int) int64 {
+				n := 0
+				for _, i := range items {
+					n += min(workers, i)
+				}
+				return int64(n)
+			}
+			r := job.Reducer.(*sumReducer)
+			runs := 1 // cutRuns: the pairs and keys above make at least 8 runs at 2 workers and up
+			if workers > 1 {
+				runs = min(workers*runsPerWorker, int(s.ReduceInputRecords)/runValues, int(s.ReduceGroups))
+			}
+			if n, most := r.mostPerPhase.Load(), max(bound(runs), bound(reduceReplays)); n < 1 || n > most {
+				t.Errorf("%s: a phase built %d reducer instances for %d key runs and %d replays, want 1 to %d", name, n, runs, reduceReplays, most)
+			}
+			if n, most := job.Combiner.(*sumCombiner).tasks.Load(), bound(s.NumMapTasks, mapReplays[0]+mapReplays[1]); n < 1 || n > most {
+				t.Errorf("%s: %d combiner instances for %d combine tasks and %v replays, want 1 to %d", name, n, s.NumMapTasks, mapReplays, most)
+			}
+			for in, lines := range [][]string{a, b} {
+				_, morsels := cut(lines, workers)
+				if n, most := mappers[in].tasks.Load(), bound(morsels, mapReplays[in]); n < 1 || n > most {
+					t.Errorf("%s: %d mapper instances for the %d morsels and %d replays of input %d, want 1 to %d", name, n, morsels, mapReplays[in], in, most)
+				}
+				if n := mappers[in].unsorted.Load(); n != 0 && !faults {
+					t.Errorf("%s: %d lines of input %d reached an instance out of order", name, n, in)
+				}
+			}
+			if r.dones.Load() != r.tasks.Load() || r.redone.Load() != 0 {
+				t.Errorf("%s: %d Done calls for %d reducer instances, %d of them ended twice",
+					name, r.dones.Load(), r.tasks.Load(), r.redone.Load())
+			}
+			if n := r.unsorted.Load(); n != 0 && !faults {
+				t.Errorf("%s: %d keys reached an instance out of ascending order", name, n)
+			}
+			if workers == 1 {
+				base = got
+				continue
+			}
+			if !reflect.DeepEqual(got.rows, base.rows) || !reflect.DeepEqual(got.stats, base.stats) || !bytes.Equal(got.trace, base.trace) {
+				t.Errorf("%s: rows, JobStats or trace differ from the sequential run", name)
+			}
 		}
 	}
 }
 
 // TestReplayedReduceCountsDropped: under a fault plan that retries reduce
-// tasks the reducer hands out extra instances for the replays, and what
+// tasks the replays reduce keys again, on instances of their own, and what
 // those return from Done never reaches JobStats — the counts are the
 // fault-free run's.
 func TestReplayedReduceCountsDropped(t *testing.T) {
@@ -403,8 +506,12 @@ func TestReplayedReduceCountsDropped(t *testing.T) {
 		if got.stats.ReduceTaskRetries == 0 {
 			t.Fatal("the fault plan retried no reduce task")
 		}
-		if tasks := job.Reducer.(*sumReducer).tasks.Load(); tasks < int64(1+got.stats.ReduceTaskRetries) {
-			t.Errorf("workers=%d: %d instances for %d reduce retries: the replays did not run", workers, tasks, got.stats.ReduceTaskRetries)
+		r := job.Reducer.(*sumReducer)
+		if keys := r.keys.Load(); keys <= got.stats.ReduceGroups {
+			t.Errorf("workers=%d: %d keys reduced for %d key groups: the replays reduced nothing", workers, keys, got.stats.ReduceGroups)
+		}
+		if r.dones.Load() != r.tasks.Load() {
+			t.Errorf("workers=%d: %d Done calls for %d reducer instances", workers, r.dones.Load(), r.tasks.Load())
 		}
 		if got.stats.ReduceWorkRecords != clean.stats.ReduceWorkRecords || !reflect.DeepEqual(got.stats.Dispatch, clean.stats.Dispatch) {
 			t.Errorf("workers=%d: work %d dispatch %+v, want the fault-free run's %d %+v", workers,
@@ -652,7 +759,7 @@ func TestAllocBudgetRunJob(t *testing.T) {
 			groups[k] = keyGroup{key: string(rune('a' + k)), values: make([]string, perKey)}
 		}
 		return len(e.cutRuns(groups, 8*perKey)), testing.AllocsPerRun(20, func() {
-			if _, _, err := e.reduce(job, groups, 8*perKey, nil); err != nil {
+			if _, _, err := e.reduce(job, groups, 8*perKey, make([]jobWorker, e.workers)); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -28,34 +28,39 @@ import (
 // empty key, from a reducer (line).
 type Emit func(key, value string)
 
-// Mapper transforms one input record into zero or more key/value pairs.
-// Map tasks execute concurrently on the engine's worker pool, so Map must
-// be safe for concurrent calls with distinct emit functions — a stateless
-// closure over pure decode/filter/project logic is. A mapper that keeps
-// scratch from line to line instead hands the engine one instance per map
-// task (MapTaskFactory), exactly as Hadoop instantiates a mapper class per
-// task.
+// The stage contract. A job's mappers, combiner and reducer are classes, as
+// the paper's common mapper (§VI.A) and common reducer (Algorithm 1) are:
+// the job holds the class — its wiring, fixed when the job is built and
+// never written again, so any number of engines may run one job at once —
+// and the engine asks it for instances, which hold the scratch a record's
+// work reuses. The lifetime rule is one for every stage and every phase
+// (map, combine, reduce, and each fault-path replay of map or reduce): a
+// pool worker builds an instance on the first item of the phase it takes
+// and feeds it every item it takes, in ascending order (jobWorker). A map
+// instance serves one input: a worker moving on to the next input builds
+// that input's instance, and since morsels are ordered by input that is at
+// most one instance per input per worker. Which items share an instance is
+// host scheduling, so a stage's output must depend on each item alone, and
+// what instances count is summed after the phase's join. An instance is
+// used by one goroutine for one phase of one job; nothing it emits or
+// returns may alias scratch it reuses for the next record. MapperFunc,
+// ReducerFunc and CombinerFunc are stateless classes that are their own
+// instances, so their functions must be safe for concurrent calls.
+
+// Mapper is a map class: one job input's wiring.
 type Mapper interface {
+	// NewMapTask returns a fresh instance sharing nothing mutable with its
+	// class or its siblings.
+	NewMapTask() MapTask
+}
+
+// MapTask is one map instance.
+type MapTask interface {
+	// Map transforms one input line into zero or more key/value pairs.
 	Map(line string, emit Emit) error
 }
 
-// MapTaskFactory is the map-side twin of ReduceTaskFactory: a Mapper whose
-// per-line work reuses scratch (a decode row, key buffers). Unlike a
-// reducer's, its instances are per work item: the engine builds one private
-// instance per map morsel — and per fault-path replay of a task — inside
-// the task body that uses it, and feeds it the morsel's lines in order; its
-// own Map stays the concurrent-safe entry point for callers outside the
-// engine.
-type MapTaskFactory interface {
-	Mapper
-	// NewMapTask returns a fresh instance sharing nothing mutable with its
-	// parent or its siblings. The instance is used by a single goroutine,
-	// and nothing it hands to emit may alias scratch it reuses for the
-	// next line.
-	NewMapTask() Mapper
-}
-
-// ErrFiltered is returned, unwrapped, by a Mapper for a line an early
+// ErrFiltered is returned, unwrapped, by a MapTask for a line an early
 // filter dropped, on the model of filepath.SkipDir: it is not an error,
 // and the engine counts the line in JobStats.MapRecordsFiltered. A mapper
 // returns it only for a line it would otherwise have produced no output
@@ -64,81 +69,42 @@ type MapTaskFactory interface {
 // charges them only filteredCPUFactor of the per-record map CPU.
 var ErrFiltered = errors.New("mapreduce: line filtered")
 
-// MapperFunc adapts a function to the Mapper interface.
+// MapperFunc is a stateless Mapper: the function is its own instance.
 type MapperFunc func(line string, emit Emit) error
 
-// Map implements Mapper.
+// NewMapTask implements Mapper.
+func (f MapperFunc) NewMapTask() MapTask { return f }
+
+// Map implements MapTask.
 func (f MapperFunc) Map(line string, emit Emit) error { return f(line, emit) }
 
-// Reducer processes all values of one key and emits output lines. Like a
-// Mapper's, its key runs execute concurrently on the engine's worker pool,
-// so Reduce must be safe for concurrent calls with distinct emit functions
-// and keep no state from key to key — a stateless closure over the key's
-// values is. A reducer that keeps scratch across keys instead hands the
-// engine private instances (ReduceTaskFactory).
+// Reducer is a reduce class. Scratch may outlive a key, but key groups
+// must be independent of one another: the host cuts the sorted key list
+// into runs that workers reduce concurrently, each run's lines gathered in
+// run order, so the output is byte-identical to one instance reducing
+// every key. In the reduce phase an instance sees its keys in ascending
+// order; in a replay phase, each replayed task's keys in ascending order,
+// task after task.
 type Reducer interface {
-	Reduce(key string, values []string, emit func(line string)) error
-}
-
-// ReduceTaskFactory is implemented by a Reducer whose key groups are
-// independent of one another and of the order they are reduced in. The
-// engine then drives it the way Hadoop drives a reducer class (and the
-// paper's Algorithm 1 its common reducer): private instances fed their keys
-// in sorted order, so scratch state can outlive a key. On the host a job's
-// sorted key list is cut into contiguous runs that execute concurrently,
-// and the engine builds one instance per pool worker per reduce phase: a
-// worker reduces every run it takes, in ascending order, on its instance,
-// so an instance sees a sorted subsequence of the keys — which one depends
-// on scheduling. Each run's lines are gathered in run order, so output is
-// byte-identical to one instance reducing every key. An instance serves one
-// phase of one job; nothing is kept across jobs.
-type ReduceTaskFactory interface {
-	Reducer
 	// NewReduceTask returns a fresh instance sharing nothing mutable with
-	// its parent or its siblings.
+	// its class or its siblings.
 	NewReduceTask() ReduceTask
 }
 
-// ReduceTask is one private reducer instance: one pool worker's for a
-// job's reduce phase, or one fault-path replay's. It is used by a single
-// goroutine.
+// ReduceTask is one reduce instance.
 type ReduceTask interface {
-	// Reduce processes one key group, like Reducer.Reduce. Nothing it hands
-	// to emit may alias scratch the instance reuses for the next key.
+	// Reduce processes all values of one key and emits output lines.
 	Reduce(key string, values []string, emit func(line string)) error
 	// Done ends the instance and returns what it counted; the instance is
-	// not used again. The engine calls it once per instance after the
-	// phase's join and sums the counts (sums commute, so the totals do not
+	// not used again. The engine calls it once per instance at the end of
+	// its phase and sums the counts (sums commute, so the totals do not
 	// depend on which worker reduced which keys), and drops those of
-	// fault-path replays. Nothing flows back into the factory, which is what
+	// fault-path replays. Nothing flows back into the class, which is what
 	// makes a job description a shareable value.
 	Done() ReduceCounts
 }
 
-// newReduceTask returns the instance one worker reduces a job's key runs
-// on, or one replayed reduce task of j runs on: a fresh one from a
-// ReduceTaskFactory, or else the stateless reducer itself, counting nothing.
-func newReduceTask(j *Job) ReduceTask {
-	if f, ok := j.Reducer.(ReduceTaskFactory); ok {
-		return f.NewReduceTask()
-	}
-	return statelessTask{j}
-}
-
-// statelessTask is a Reducer without a factory as a ReduceTask. It holds
-// the job rather than the reducer so that, one pointer wide, it becomes a
-// ReduceTask without an allocation.
-type statelessTask struct{ job *Job }
-
-// Reduce implements ReduceTask.
-func (t statelessTask) Reduce(key string, values []string, emit func(line string)) error {
-	return t.job.Reducer.Reduce(key, values, emit)
-}
-
-// Done implements ReduceTask: a stateless reducer counts nothing.
-func (statelessTask) Done() ReduceCounts { return ReduceCounts{} }
-
-// ReduceCounts is what one reduce task counted over its key groups.
+// ReduceCounts is what one reduce instance counted over its key groups.
 type ReduceCounts struct {
 	// Work is the number of row-processings. A reducer that handles each
 	// input value more than once (a common reducer dispatching values
@@ -151,7 +117,7 @@ type ReduceCounts struct {
 	Dispatch []OpDispatch
 }
 
-// add folds another task's counts in.
+// add folds another instance's counts in.
 func (c *ReduceCounts) add(o ReduceCounts) {
 	c.Work += o.Work
 	if c.Dispatch == nil {
@@ -181,13 +147,20 @@ func dispatchOf(counts []OpDispatch) []OpDispatch {
 	return out
 }
 
-// ReducerFunc adapts a function to the Reducer interface.
+// ReducerFunc is a stateless Reducer: the function is its own instance,
+// and counts nothing.
 type ReducerFunc func(key string, values []string, emit func(line string)) error
 
-// Reduce implements Reducer.
+// NewReduceTask implements Reducer.
+func (f ReducerFunc) NewReduceTask() ReduceTask { return f }
+
+// Reduce implements ReduceTask.
 func (f ReducerFunc) Reduce(key string, values []string, emit func(line string)) error {
 	return f(key, values, emit)
 }
+
+// Done implements ReduceTask.
+func (ReducerFunc) Done() ReduceCounts { return ReduceCounts{} }
 
 // OpDispatch counts the rows one merged operator consumed and produced
 // inside a common reducer — the per-merged-reducer dispatch accounting the
@@ -198,46 +171,86 @@ type OpDispatch struct {
 	OutRows int64
 }
 
-// Combiner optionally folds a key's map-side values before the shuffle —
-// Hive's map-phase hash aggregation (paper §I footnote 2) is modelled this
-// way. It must be algebraically compatible with the job's reducer. Like
-// Map, Combine runs inside concurrent map tasks and must be safe for
-// concurrent calls. A combiner that keeps scratch across key groups instead
-// hands the engine private instances (CombineTaskFactory).
+// Combiner is a combine class: it optionally folds a key's map-side values
+// before the shuffle — Hive's map-phase hash aggregation (paper §I footnote
+// 2) is modelled this way. It must be algebraically compatible with the
+// job's reducer. The combine phase runs once per simulated map task, and
+// its instances count nothing.
 type Combiner interface {
+	// NewCombineTask returns a fresh instance sharing nothing mutable with
+	// its class or its siblings.
+	NewCombineTask() CombineTask
+}
+
+// CombineTask is one combine instance.
+type CombineTask interface {
+	// Combine folds one key group's values.
 	Combine(key string, values []string) ([]string, error)
 }
 
-// CombineTaskFactory is the combine-side twin of ReduceTaskFactory: a
-// Combiner whose key groups are independent of one another. The engine
-// builds one private instance per pool worker per combine phase, and the
-// worker folds every key group of every map task it takes on it; a
-// fault-path replay of a map task gets a fresh instance of its own. The
-// instance is used by a single goroutine for one phase of one job and counts
-// nothing; nothing it returns may alias scratch it reuses for the next group.
-type CombineTaskFactory interface {
-	Combiner
-	// NewCombineTask returns a fresh instance sharing nothing mutable with
-	// its parent or its siblings.
-	NewCombineTask() Combiner
-}
-
-// newCombiner returns the instance one worker combines a job's map tasks
-// on, or one replayed map task is combined on: a fresh one from a
-// CombineTaskFactory, or else the stateless combiner itself.
-func newCombiner(c Combiner) Combiner {
-	if f, ok := c.(CombineTaskFactory); ok {
-		return f.NewCombineTask()
-	}
-	return c
-}
-
-// CombinerFunc adapts a function to the Combiner interface.
+// CombinerFunc is a stateless Combiner: the function is its own instance.
 type CombinerFunc func(key string, values []string) ([]string, error)
 
-// Combine implements Combiner.
+// NewCombineTask implements Combiner.
+func (f CombinerFunc) NewCombineTask() CombineTask { return f }
+
+// Combine implements CombineTask.
 func (f CombinerFunc) Combine(key string, values []string) ([]string, error) {
 	return f(key, values)
+}
+
+// jobWorker is one pool worker's slot through a job: the instances it
+// builds under the lifetime rule, and the emit function that appends to the
+// lines of the key run it is reducing. A job allocates its slots once
+// (Engine.runJob) and shares them across its phases; every slot dies with
+// the job.
+type jobWorker struct {
+	mapIn    int // the input mapper is an instance of
+	mapper   MapTask
+	combiner CombineTask
+	reducer  ReduceTask
+	lines    []string
+	emit     func(line string)
+}
+
+// mapTask returns the worker's instance of input in's mapper in the current
+// phase, built when the worker reaches the input.
+func (w *jobWorker) mapTask(j *Job, in int) MapTask {
+	if w.mapper == nil || w.mapIn != in {
+		w.mapIn, w.mapper = in, j.Inputs[in].Mapper.NewMapTask()
+	}
+	return w.mapper
+}
+
+// combineTask returns the worker's combiner instance in the current phase.
+func (w *jobWorker) combineTask(j *Job) CombineTask {
+	if w.combiner == nil {
+		w.combiner = j.Combiner.NewCombineTask()
+	}
+	return w.combiner
+}
+
+// reduceTask returns the worker's reducer instance in the current phase.
+func (w *jobWorker) reduceTask(j *Job) ReduceTask {
+	if w.reducer == nil {
+		w.reducer = j.Reducer.NewReduceTask()
+	}
+	return w.reducer
+}
+
+// endPhase ends a phase after its join: it calls Done once on every reducer
+// instance and returns the sum, and it drops every instance, so the next
+// phase builds its own.
+func endPhase(workers []jobWorker) ReduceCounts {
+	var counts ReduceCounts
+	for i := range workers {
+		w := &workers[i]
+		if w.reducer != nil {
+			counts.add(w.reducer.Done())
+		}
+		w.mapper, w.combiner, w.reducer = nil, nil, nil
+	}
+	return counts
 }
 
 // Input is one map-side input of a job: a DFS path processed by a mapper.

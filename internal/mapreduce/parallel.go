@@ -16,12 +16,13 @@ import (
 //     worker starts);
 //   - each work item writes only into its own slot of a pre-sized result
 //     slice;
-//   - a phase's task instances (ReduceTaskFactory, CombineTaskFactory) are
-//     per worker, not per item: a worker builds its instance on its first
-//     item of the phase and feeds it every item it takes, in ascending
+//   - a phase's stage instances are per worker, not per item (the lifetime
+//     rule of the stage contract in job.go): a worker builds its instance
+//     on its first item of the phase, keeps it in its slot of the job's
+//     jobWorker slice and feeds it every item it takes, in ascending
 //     order. Which items share an instance is host scheduling, so the
-//     factory contracts make an instance's output independent of it, and
-//     what the instances counted is summed after the join;
+//     contract makes an instance's output independent of it, and what the
+//     instances counted is summed after the join (endPhase);
 //   - the driver gathers results after the join in an order the data
 //     fixes: ascending item index, or a merge by key.
 //
@@ -49,7 +50,7 @@ func (e *Engine) Workers() int { return e.workers }
 // joins before returning. w is the worker running item i: below
 // min(workers, n), and 0 on the inline path. A worker takes its items in
 // ascending order, so state indexed by w belongs to one goroutine and sees
-// its items sorted: that is how a phase keeps one task instance per worker.
+// its items sorted: that is how a phase keeps one stage instance per worker.
 // Each call must confine its writes to per-index and per-worker state. The
 // returned error is the lowest-indexed failure, matching what a sequential
 // loop that stops at the first error would report; on the inline (single

@@ -107,7 +107,7 @@ func (benchReducer) Reduce(key string, values []string, emit func(line string)) 
 	return nil
 }
 
-func (r benchReducer) NewReduceTask() ReduceTask { return r }
+func (r benchReducer) NewReduceTask() ReduceTask { return r } // stateless: its own instance
 
 func (benchReducer) Done() ReduceCounts { return ReduceCounts{} }
 

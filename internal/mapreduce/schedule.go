@@ -274,7 +274,7 @@ func (e *Engine) faultsActive() bool {
 // become per-task durations, every task attempt is scheduled, and every extra
 // attempt re-executes the user's map/reduce code (reading its input again
 // from the DFS replicas).
-func (e *Engine) scheduleJob(j *Job, s *JobStats, b phaseBases, tasks []mapTask, groups []keyGroup) error {
+func (e *Engine) scheduleJob(j *Job, s *JobStats, b phaseBases, tasks []mapTask, groups []keyGroup, workers []jobWorker) error {
 	cl := e.cluster
 	cm := cl.Cost
 	plan := cl.Faults
@@ -302,7 +302,7 @@ func (e *Engine) scheduleJob(j *Job, s *JobStats, b phaseBases, tasks []mapTask,
 		mapEnd := mp.end(mapStart)
 		s.MapTime = mapEnd - mapStart
 		e.fillFaultStats(s, mp, nil, e.simNow, mapEnd)
-		return e.reexecuteMap(j, tasks, mp)
+		return e.reexecuteMap(j, tasks, mp, workers)
 	}
 
 	// ----- Map phase: in-phase recompute of output lost to node deaths.
@@ -358,10 +358,10 @@ func (e *Engine) scheduleJob(j *Job, s *JobStats, b phaseBases, tasks []mapTask,
 	s.ReduceTime = reduceEnd - shuffleEnd
 	e.fillFaultStats(s, mp, rp, e.simNow, reduceEnd)
 
-	if err := e.reexecuteMap(j, tasks, mp); err != nil {
+	if err := e.reexecuteMap(j, tasks, mp, workers); err != nil {
 		return err
 	}
-	return e.reexecuteReduce(j, s, groups, rp)
+	return e.reexecuteReduce(j, s, groups, rp, workers)
 }
 
 // fillFaultStats moves the schedulers' attempt logs into JobStats and reads
@@ -404,8 +404,9 @@ func (e *Engine) fillFaultStats(s *JobStats, mp, rp *phaseSched, jobStart, jobEn
 // backups all re-read the task's input from the DFS (the surviving
 // replicas) and run the real user code again. The first execution's
 // output — already collected by the primary pass — stays canonical, so a
-// fault-injected run is byte-identical to a fault-free one.
-func (e *Engine) reexecuteMap(j *Job, tasks []mapTask, mp *phaseSched) error {
+// fault-injected run is byte-identical to a fault-free one. The replays are
+// a phase of their own: each worker runs them on fresh instances.
+func (e *Engine) reexecuteMap(j *Job, tasks []mapTask, mp *phaseSched, workers []jobWorker) error {
 	// The DFS re-reads run here on the driver goroutine, in ascending task
 	// order, so their trace instants keep one deterministic sequence; only
 	// the pure mapper/combiner re-execution fans out to the worker pool.
@@ -415,35 +416,39 @@ func (e *Engine) reexecuteMap(j *Job, tasks []mapTask, mp *phaseSched) error {
 			break // phantom cost-model task with no data of its own
 		}
 		for n := ts.launches - 1; n > 0; n-- {
-			mt := tasks[task]
-			if _, err := e.dfs.Read(mt.input.Path); err != nil {
-				return fmt.Errorf("map retry %s: %w", mt.input.Path, err)
+			path := j.Inputs[tasks[task].in].Path
+			if _, err := e.dfs.Read(path); err != nil {
+				return fmt.Errorf("map retry %s: %w", path, err)
 			}
 			replays = append(replays, task)
 		}
 	}
-	return e.forEachTask(len(replays), func(_, i int) error {
+	err := e.forEachTask(len(replays), func(w, i int) error {
 		mt := tasks[replays[i]]
 		// Retries run the same mapper over the same lines as the primary
 		// pass, early filters included, so replayed attempts see the same
 		// rows.
-		out, err := runMapper(mt.input, mt.chunk)
+		out, err := runMapper(workers[w].mapTask(j, mt.in), mt.chunk)
 		if err != nil {
-			return fmt.Errorf("map retry %s: %w", mt.input.Path, err)
+			return fmt.Errorf("map retry %s: %w", j.Inputs[mt.in].Path, err)
 		}
 		if j.Reducer != nil && j.Combiner != nil {
-			if _, err := combineTask([]pairList{out}, newCombiner(j.Combiner)); err != nil {
+			if _, err := combineTask([]pairList{out}, workers[w].combineTask(j)); err != nil {
 				return fmt.Errorf("combine retry: %w", err)
 			}
 		}
 		return nil
 	})
+	endPhase(workers)
+	return err
 }
 
 // reexecuteReduce replays the reducer for every scheduled reduce execution
 // beyond each task's first, over the key groups hash-partitioned to that
-// task. Outputs and counts are discarded — the primary pass's are canonical.
-func (e *Engine) reexecuteReduce(j *Job, s *JobStats, groups []keyGroup, rp *phaseSched) error {
+// task, on the worker pool like the primary reduce pass: a phase of its own,
+// whose instances are fresh. Outputs and counts are discarded — the primary
+// pass's are canonical.
+func (e *Engine) reexecuteReduce(j *Job, s *JobStats, groups []keyGroup, rp *phaseSched, workers []jobWorker) error {
 	var replays []int // reduce partition, one entry per extra execution
 	for task, ts := range rp.tasks {
 		for n := ts.launches - 1; n > 0; n-- {
@@ -451,20 +456,18 @@ func (e *Engine) reexecuteReduce(j *Job, s *JobStats, groups []keyGroup, rp *pha
 		}
 	}
 	discard := func(string) {}
-	// Replays run on the worker pool, like the primary reduce pass, but on
-	// a fresh instance per replayed task: a replay reduces a simulated
-	// task's keys, so it reruns user code as that task's own attempt would.
-	return e.forEachTask(len(replays), func(_, i int) error {
-		task := newReduceTask(j)
+	err := e.forEachTask(len(replays), func(w, i int) error {
+		reducer := workers[w].reduceTask(j)
 		for _, g := range groups {
 			if partitionOf(g.key, s.NumReduceTasks) != replays[i] {
 				continue
 			}
-			if err := task.Reduce(g.key, g.values, discard); err != nil {
+			if err := reducer.Reduce(g.key, g.values, discard); err != nil {
 				return fmt.Errorf("reduce retry key %q: %w", g.key, err)
 			}
 		}
-		task.Done() // a replay's counts never reach JobStats
 		return nil
 	})
+	endPhase(workers) // a replay's counts never reach JobStats
+	return err
 }

@@ -66,10 +66,10 @@ func cutMorsels(tasks []mapTask) (morsels []mapTask, first []int) {
 		first = append(first, len(morsels))
 		chunk := t.chunk
 		for len(chunk) > morselLines {
-			morsels = append(morsels, mapTask{input: t.input, chunk: chunk[:morselLines]})
+			morsels = append(morsels, mapTask{in: t.in, chunk: chunk[:morselLines]})
 			chunk = chunk[morselLines:]
 		}
-		morsels = append(morsels, mapTask{input: t.input, chunk: chunk})
+		morsels = append(morsels, mapTask{in: t.in, chunk: chunk})
 	}
 	return morsels, append(first, len(morsels))
 }

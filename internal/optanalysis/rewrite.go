@@ -79,6 +79,21 @@ func (r *Report) Apply(jobs []*mapreduce.Job) int {
 // The original map function is untouched — its decode errors, its own
 // filters, and its key derivation all run exactly as written.
 func wrapMapper(orig mapreduce.Mapper, schema *exec.Schema, filter, keep *pred, dead map[int]bool) mapreduce.Mapper {
+	return &rewrittenMapper{orig: orig, schema: schema, filter: filter, keep: keep, dead: dead}
+}
+
+// rewrittenMapper is wrapMapper's mapper class; each of its instances runs
+// an instance of the original.
+type rewrittenMapper struct {
+	orig         mapreduce.Mapper
+	schema       *exec.Schema
+	filter, keep *pred
+	dead         map[int]bool
+}
+
+// NewMapTask implements mapreduce.Mapper.
+func (w *rewrittenMapper) NewMapTask() mapreduce.MapTask {
+	orig, schema, filter, keep, dead := w.orig.NewMapTask(), w.schema, w.filter, w.keep, w.dead
 	width := schema.Len()
 	return mapreduce.MapperFunc(func(line string, emit mapreduce.Emit) error {
 		if filter != nil {

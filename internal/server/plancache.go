@@ -18,9 +18,10 @@ import (
 //
 // An entry holds the statement's one compiled *translator.Translation, and
 // every Get of the statement returns it: a Translation is immutable once
-// built (MANIMAL's rewrite runs before the entry is published; reducers hand
-// each reduce task a private instance and report counts to the engine that
-// ran them), so any number of sessions execute it at once.
+// built (MANIMAL's rewrite runs before the entry is published; its jobs'
+// mappers, combiners and reducers are classes whose scratch and counts live
+// in the instances each engine builds, see mapreduce's stage contract), so
+// any number of sessions execute it at once.
 //
 // Eviction is LRU over whole entries; counters land in the registry as
 // ysmart_server_plancache_{hits,misses,evictions}_total plus the

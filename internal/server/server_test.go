@@ -221,6 +221,10 @@ func TestServerSessionCommands(t *testing.T) {
 		"BEGIN":                             "BEGIN",
 		"COMMIT":                            "COMMIT",
 		"ROLLBACK":                          "ROLLBACK",
+		"set client_min_messages = warning": "SET",
+		"Begin":                             "BEGIN",
+		"sTaRt TRANSACTION":                 "BEGIN",
+		"discard ALL":                       "DISCARD",
 	} {
 		res, err := cli.Query(stmt)
 		if err != nil {
@@ -236,6 +240,17 @@ func TestServerSessionCommands(t *testing.T) {
 	}
 	if res.Tag != "" || len(res.Rows) != 0 {
 		t.Fatalf("empty query result = %+v, want empty", res)
+	}
+}
+
+// TestAllocBudgetSessionCommand: telling a query from a session statement
+// reads the first word in place, so it allocates nothing, for a statement
+// that is one or not.
+func TestAllocBudgetSessionCommand(t *testing.T) {
+	for _, sql := range []string{queries.QAGG, "select 1 from t", "Begin", "set x = 1"} {
+		if got := testing.AllocsPerRun(100, func() { sessionCommand(sql) }); got != 0 {
+			t.Errorf("sessionCommand(%.20q): %v allocations, budget 0", sql, got)
+		}
 	}
 }
 

@@ -379,27 +379,32 @@ func (s *session) streamResult(schema *exec.Schema, res *translator.Result) erro
 }
 
 // sessionCommand recognizes statements a SQL client sends for session
-// management; they are accepted as no-ops with their usual command tag.
+// management; they are accepted as no-ops with their usual command tag. It
+// reads the first word in place, case-insensitively, so a query that is
+// not one costs no allocation.
 func sessionCommand(sql string) (tag string, ok bool) {
-	first := strings.ToUpper(sql)
-	if i := strings.IndexAny(first, " \t\r\n"); i >= 0 {
-		first = first[:i]
+	first := sql
+	if i := strings.IndexAny(sql, " \t\r\n"); i >= 0 {
+		first = sql[:i]
 	}
-	switch first {
-	case "SET":
-		return "SET", true
-	case "BEGIN", "START":
-		return "BEGIN", true
-	case "COMMIT", "END":
-		return "COMMIT", true
-	case "ROLLBACK", "ABORT":
-		return "ROLLBACK", true
-	case "RESET":
-		return "RESET", true
-	case "DISCARD", "DEALLOCATE":
-		return first, true
+	for _, c := range sessionCommands {
+		if strings.EqualFold(first, c.word) {
+			return c.tag, true
+		}
 	}
 	return "", false
+}
+
+// sessionCommands maps the first word of each session statement to its
+// command tag.
+var sessionCommands = [...]struct{ word, tag string }{
+	{"SET", "SET"},
+	{"BEGIN", "BEGIN"}, {"START", "BEGIN"},
+	{"COMMIT", "COMMIT"}, {"END", "COMMIT"},
+	{"ROLLBACK", "ROLLBACK"}, {"ABORT", "ROLLBACK"},
+	{"RESET", "RESET"},
+	{"DISCARD", "DISCARD"},
+	{"DEALLOCATE", "DEALLOCATE"},
 }
 
 // EncodeTables renders every table's rows in the engine row codec once, so

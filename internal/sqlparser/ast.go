@@ -260,8 +260,9 @@ func (e *Literal) SQL() string {
 	case LitInt:
 		return strconv.FormatInt(e.Int, 10)
 	case LitFloat:
-		// Plain decimal notation with a mandatory '.': the lexer has no
-		// exponent syntax, and "−0" must stay recognizably a float so the
+		// Plain decimal notation with a mandatory '.', also for a literal
+		// written with an exponent: the shortest decimal re-parses to the
+		// same float, and "−0" must stay recognizably a float so the
 		// rendering re-parses to the same literal.
 		s := strconv.FormatFloat(e.Float, 'f', -1, 64)
 		if !strings.ContainsAny(s, ".") {

@@ -155,6 +155,19 @@ func (l *Lexer) Next() (Token, error) {
 			}
 			l.advance()
 		}
+		// An exponent, [eE][+-]?digits, only when a digit follows: "1e",
+		// "1ex" and "1e+" are the number 1 followed by a word.
+		if c, ok := l.peekByte(); ok && (c == 'e' || c == 'E') {
+			digits := l.pos + 1
+			if digits < len(l.src) && (l.src[digits] == '+' || l.src[digits] == '-') {
+				digits++
+			}
+			if digits < len(l.src) && isDigit(l.src[digits]) {
+				for l.pos < digits || l.pos < len(l.src) && isDigit(l.src[l.pos]) {
+					l.advance()
+				}
+			}
+		}
 		return Token{Kind: KindNumber, Text: l.src[start:l.pos], Pos: start, Line: line, Col: col}, nil
 
 	case c == '\'':

@@ -45,6 +45,35 @@ func TestTokenizeBasics(t *testing.T) {
 			},
 		},
 		{
+			name: "exponents",
+			src:  "1e5 2.5E-3 .5e+2 7E07",
+			want: []Token{
+				{Kind: KindNumber, Text: "1e5"},
+				{Kind: KindNumber, Text: "2.5E-3"},
+				{Kind: KindNumber, Text: ".5e+2"},
+				{Kind: KindNumber, Text: "7E07"},
+				{Kind: KindEOF},
+			},
+		},
+		{
+			name: "no digit after the exponent marker",
+			src:  "1e 1ex 1e+ 2E-x",
+			want: []Token{
+				{Kind: KindNumber, Text: "1"},
+				{Kind: KindIdent, Text: "e"},
+				{Kind: KindNumber, Text: "1"},
+				{Kind: KindIdent, Text: "ex"},
+				{Kind: KindNumber, Text: "1"},
+				{Kind: KindIdent, Text: "e"},
+				{Kind: KindSymbol, Text: "+"},
+				{Kind: KindNumber, Text: "2"},
+				{Kind: KindIdent, Text: "E"},
+				{Kind: KindSymbol, Text: "-"},
+				{Kind: KindIdent, Text: "x"},
+				{Kind: KindEOF},
+			},
+		},
+		{
 			name: "leading-dot float",
 			src:  ".5",
 			want: []Token{

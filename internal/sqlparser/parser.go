@@ -590,8 +590,8 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	switch t.Kind {
 	case KindNumber:
 		p.next()
-		if strings.Contains(t.Text, ".") {
-			f, err := strconv.ParseFloat(t.Text, 64)
+		if strings.ContainsAny(t.Text, ".eE") {
+			f, err := strconv.ParseFloat(t.Text, 64) // out of range is an error too
 			if err != nil {
 				return nil, p.errorf("invalid number %q", t.Text)
 			}

@@ -211,6 +211,49 @@ func TestParseNegativeNumberFolding(t *testing.T) {
 	}
 }
 
+// TestParseExponentLiterals: a number with an exponent is a float literal,
+// wherever a number may stand; an exponent marker with no digit after it is
+// not part of the number, and a value out of float range is an error.
+func TestParseExponentLiterals(t *testing.T) {
+	for _, c := range []struct {
+		sql  string
+		want float64
+	}{
+		{"SELECT 1e5 FROM t", 1e5},
+		{"SELECT 2.5E-3 FROM t", 2.5e-3},
+		{"SELECT .5e+2 FROM t", 50},
+		{"SELECT -1E2 FROM t", -100},
+		{"SELECT 1e200 FROM t", 1e200},
+	} {
+		stmt := mustParse(t, c.sql)
+		if lit, ok := stmt.Select[0].Expr.(*Literal); !ok || lit.Kind != LitFloat || lit.Float != c.want || stmt.Select[0].Alias != "" {
+			t.Errorf("%s: item %+v, want the float %v with no alias", c.sql, stmt.Select[0], c.want)
+		}
+		again := mustParse(t, stmt.SQL())
+		if lit := again.Select[0].Expr.(*Literal); lit.Float != c.want {
+			t.Errorf("%s renders as %s, which reads %v", c.sql, stmt.SQL(), lit.Float)
+		}
+	}
+	where := mustParse(t, "SELECT a FROM t WHERE a > 1e5")
+	if got := where.Where.SQL(); got != "(a > 100000.0)" {
+		t.Errorf("WHERE a > 1e5 parses as %s", got)
+	}
+	for _, c := range []struct{ sql, alias string }{
+		{"SELECT 1e FROM t", "e"},
+		{"SELECT 1ex FROM t", "ex"},
+	} {
+		stmt := mustParse(t, c.sql)
+		if lit, ok := stmt.Select[0].Expr.(*Literal); !ok || lit.Kind != LitInt || lit.Int != 1 || stmt.Select[0].Alias != c.alias {
+			t.Errorf("%s: item %+v, want 1 AS %s", c.sql, stmt.Select[0], c.alias)
+		}
+	}
+	for _, sql := range []string{"SELECT 1e+ FROM t", "SELECT 1e400 FROM t", "SELECT a FROM t WHERE a > 2E-x"} {
+		if _, err := Parse(sql); err == nil {
+			t.Errorf("Parse(%q) succeeded, want error", sql)
+		}
+	}
+}
+
 func TestParseIsNullBetweenIn(t *testing.T) {
 	stmt := mustParse(t, `SELECT a FROM t WHERE x IS NULL AND y IS NOT NULL
 		AND z BETWEEN 1 AND 10 AND w NOT BETWEEN 2 AND 3

@@ -112,30 +112,23 @@ func (lw *lowerer) lowerSPQuery() (*Translation, error) {
 	}, nil
 }
 
-// spMapper is the SP job's mapper: the scan's decode and map-side chain,
-// each surviving row re-encoded as an output line. Like cmf's common mapper
-// it comes as a class and its instances (mapreduce.MapTaskFactory): an
-// spTask, one per map morsel, keeps the chain's scratch row from line to
-// line, dropped lines included.
+// spMapper is the SP job's mapper class: the scan's decode and map-side
+// chain, each surviving row re-encoded as an output line. Its instances
+// (spTask) keep the chain's scratch row from line to line, dropped lines
+// included.
 type spMapper struct{ chain *mapChain }
 
-// NewMapTask implements mapreduce.MapTaskFactory.
-func (m spMapper) NewMapTask() mapreduce.Mapper { return &spTask{chain: m.chain} }
+// NewMapTask implements mapreduce.Mapper.
+func (m spMapper) NewMapTask() mapreduce.MapTask { return &spTask{chain: m.chain} }
 
-// Map implements mapreduce.Mapper for callers outside the engine's map
-// tasks: a one-line task.
-func (m spMapper) Map(line string, emit mapreduce.Emit) error {
-	return m.NewMapTask().Map(line, emit)
-}
-
-// spTask is one map morsel's instance of the SP mapper. The emitted line is
-// freshly encoded, so nothing outliving Map(line) aliases the scratch row.
+// spTask is one instance of the SP mapper. The emitted line is freshly
+// encoded, so nothing outliving Map(line) aliases the scratch row.
 type spTask struct {
 	chain *mapChain
 	row   exec.Row // the chain's scratch
 }
 
-// Map implements mapreduce.Mapper.
+// Map implements mapreduce.MapTask.
 func (t *spTask) Map(line string, emit mapreduce.Emit) error {
 	out, err := t.chain.decode(&t.row, line)
 	if err != nil || out == nil {

@@ -9,8 +9,8 @@ import (
 	"ysmart/internal/queries"
 )
 
-// mapLine runs one line through a mapper and renders what it did.
-func mapLine(m mapreduce.Mapper, line string) string {
+// mapLine runs one line through a map instance and renders what it did.
+func mapLine(m mapreduce.MapTask, line string) string {
 	var out []string
 	err := m.Map(line, func(k, v string) { out = append(out, k+"|"+v) })
 	return fmt.Sprintf("%q %v", out, err)
@@ -18,9 +18,9 @@ func mapLine(m mapreduce.Mapper, line string) string {
 
 // TestMapTaskMatchesOneLineMapper is the map side's lifetime proof, the
 // twin of cmf's reused-reducer test: for every workload query in every
-// mode, each input's mapper run as one task instance over the input file —
-// its scratch reused line after line, through malformed lines and errors —
-// emits exactly the pairs and errors a fresh one-line Map gives each line.
+// mode, each input's mapper run as one instance over the input file — its
+// scratch reused line after line, through malformed lines and errors —
+// emits exactly the pairs and errors a fresh instance gives each line.
 func TestMapTaskMatchesOneLineMapper(t *testing.T) {
 	for name, sql := range queries.Named() {
 		for _, mode := range []Mode{OneToOne, PigLike, ICTCOnly, YSmart} {
@@ -29,10 +29,6 @@ func TestMapTaskMatchesOneLineMapper(t *testing.T) {
 			runMR(t, tr, dfs) // writes the intermediate files the later jobs read
 			for _, j := range tr.Jobs {
 				for ii, in := range j.Inputs {
-					factory, ok := in.Mapper.(mapreduce.MapTaskFactory)
-					if !ok {
-						continue
-					}
 					lines, err := dfs.Read(in.Path)
 					if err != nil {
 						t.Fatal(err)
@@ -54,10 +50,10 @@ func TestMapTaskMatchesOneLineMapper(t *testing.T) {
 							feed = append(feed, "")
 						}
 					}
-					task := factory.NewMapTask()
+					task := in.Mapper.NewMapTask()
 					for _, line := range feed {
-						if got, want := mapLine(task, line), mapLine(in.Mapper, line); got != want {
-							t.Fatalf("%s/%v %s input %d, line %q:\n task     %s\n one-line %s", name, mode, j.Name, ii, line, got, want)
+						if got, want := mapLine(task, line), mapLine(in.Mapper.NewMapTask(), line); got != want {
+							t.Fatalf("%s/%v %s input %d, line %q:\n reused %s\n fresh  %s", name, mode, j.Name, ii, line, got, want)
 						}
 					}
 				}
@@ -92,7 +88,7 @@ func TestAllocBudgetScanMapTask(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				task := in.Mapper.(mapreduce.MapTaskFactory).NewMapTask()
+				task := in.Mapper.NewMapTask()
 				var emitted, filtered string
 				for _, line := range lines {
 					pairs := 0
@@ -128,7 +124,7 @@ func TestAllocBudgetScanMapTask(t *testing.T) {
 					continue
 				}
 				freshChecked++
-				fresh := in.Mapper.(mapreduce.MapTaskFactory).NewMapTask()
+				fresh := in.Mapper.NewMapTask()
 				pairs := 0
 				count := func(string, string) { pairs++ }
 				// AllocsPerRun's warm-up call is the task's first line.
@@ -170,11 +166,11 @@ func TestAllocBudgetEarlyFilter(t *testing.T) {
 			if fact.Table != "lineitem" {
 				continue
 			}
-			var plainTask, optTask mapreduce.Mapper
+			var plainTask, optTask mapreduce.MapTask
 			for i, j := range opt.Jobs {
 				if j.Name == fact.Job {
-					plainTask = plain.Jobs[i].Inputs[fact.InputIdx].Mapper.(mapreduce.MapTaskFactory).NewMapTask()
-					optTask = j.Inputs[fact.InputIdx].Mapper.(mapreduce.MapTaskFactory).NewMapTask()
+					plainTask = plain.Jobs[i].Inputs[fact.InputIdx].Mapper.NewMapTask()
+					optTask = j.Inputs[fact.InputIdx].Mapper.NewMapTask()
 				}
 			}
 			lines, err := dfs.Read(fact.Path)
@@ -199,7 +195,7 @@ func TestAllocBudgetEarlyFilter(t *testing.T) {
 				t.Fatalf("%s input %d: the scan no longer both selects and rejects", fact.Job, fact.InputIdx)
 			}
 			checked++
-			allocs := func(m mapreduce.Mapper, line string) float64 {
+			allocs := func(m mapreduce.MapTask, line string) float64 {
 				return testing.AllocsPerRun(200, func() { m.Map(line, func(string, string) {}) })
 			}
 			if got := allocs(optTask, filtered); got > 0 {
@@ -230,15 +226,15 @@ func TestAllocBudgetSPMapTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	task := in.Mapper.(mapreduce.MapTaskFactory).NewMapTask()
+	task := in.Mapper.NewMapTask()
 	var emitted, dropped string
 	for _, line := range lines {
 		pairs := 0
 		if err := task.Map(line, func(string, string) { pairs++ }); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := mapLine(task, line), mapLine(in.Mapper, line); got != want {
-			t.Fatalf("line %q: task %s, one-line mapper %s", line, got, want)
+		if got, want := mapLine(task, line), mapLine(in.Mapper.NewMapTask(), line); got != want {
+			t.Fatalf("line %q: reused instance %s, fresh instance %s", line, got, want)
 		}
 		switch {
 		case pairs == 1 && emitted == "":
@@ -254,7 +250,7 @@ func TestAllocBudgetSPMapTask(t *testing.T) {
 		line   string
 		budget float64
 	}{{dropped, 0}, {emitted, 1}} {
-		fresh := in.Mapper.(mapreduce.MapTaskFactory).NewMapTask()
+		fresh := in.Mapper.NewMapTask()
 		// AllocsPerRun's warm-up call is the task's first line.
 		got := testing.AllocsPerRun(200, func() {
 			if err := fresh.Map(c.line, func(string, string) {}); err != nil {

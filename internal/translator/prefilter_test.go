@@ -16,8 +16,8 @@ import (
 // through — including on lines whose trouble sits in a column the plan
 // never reads. Covered: a map-only selection-projection job, a
 // single-stream scan feeding an aggregation, and a shared scan whose two
-// streams both select; each through the mapper's one-line entry point and
-// through one map task fed every line in turn.
+// streams both select; each through a fresh instance per line and
+// through one instance fed every line in turn.
 func TestPrefilterAgreesWithLazyDecode(t *testing.T) {
 	// lineitem fields: l_orderkey l_partkey l_suppkey l_quantity
 	// l_extendedprice l_receiptdate l_commitdate l_shipdate l_returnflag
@@ -46,8 +46,8 @@ func TestPrefilterAgreesWithLazyDecode(t *testing.T) {
 		{"short line", "7\t11\t3\t48.0", false, "fields"},
 		{"long line", line("2.0", "900.5") + "\textra", false, "fields"},
 	}
-	// mapOne runs one line and collects its pairs.
-	mapOne := func(m mapreduce.Mapper, line string) ([]string, error) {
+	// mapOne runs one line on a map instance and collects its pairs.
+	mapOne := func(m mapreduce.MapTask, line string) ([]string, error) {
 		var pairs []string
 		err := m.Map(line, func(k, v string) { pairs = append(pairs, k+"|"+v) })
 		return pairs, err
@@ -72,13 +72,10 @@ func TestPrefilterAgreesWithLazyDecode(t *testing.T) {
 			}
 			checked++
 			plainMapper := mapperOf(plain, fact)
-			f, ok := mapperOf(opt, fact).(mapreduce.MapTaskFactory)
-			if !ok {
-				t.Fatalf("%s: the optimized mapper is not a map-task factory", qname)
-			}
+			f := mapperOf(opt, fact)
 			task := f.NewMapTask()
 			for _, c := range cases {
-				want, wantErr := mapOne(plainMapper, c.line)
+				want, wantErr := mapOne(plainMapper.NewMapTask(), c.line)
 				switch {
 				case c.errHas != "":
 					if wantErr == nil || !strings.Contains(wantErr.Error(), c.errHas) {
@@ -92,7 +89,7 @@ func TestPrefilterAgreesWithLazyDecode(t *testing.T) {
 				if wantErr == nil && len(want) == 0 {
 					wantErr = mapreduce.ErrFiltered
 				}
-				for entry, m := range map[string]mapreduce.Mapper{"Map": f, "task": task} {
+				for entry, m := range map[string]mapreduce.MapTask{"fresh": f.NewMapTask(), "reused": task} {
 					got, err := mapOne(m, c.line)
 					if !reflect.DeepEqual(got, want) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
 						t.Errorf("%s, %s, %s: optimized mapper gave %q, %v; want %q, %v", qname, c.name, entry, got, err, want, wantErr)

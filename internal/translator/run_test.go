@@ -141,11 +141,7 @@ func TestRunFailureRecordsNothing(t *testing.T) {
 			continue
 		}
 		for i := range j.Inputs {
-			inner := j.Inputs[i].Mapper
-			j.Inputs[i].Mapper = mapreduce.MapperFunc(func(line string, emit mapreduce.Emit) error {
-				cancel()
-				return inner.Map(line, emit)
-			})
+			j.Inputs[i].Mapper = hookedMapper{j.Inputs[i].Mapper, cancel}
 		}
 	}
 	dfs, _ = workload(t)
@@ -224,4 +220,19 @@ func newEngine(t *testing.T, dfs *mapreduce.DFS) *mapreduce.Engine {
 		t.Fatal(err)
 	}
 	return eng
+}
+
+// hookedMapper is a mapper class whose instances call hook before each line
+// their instance of mapper maps.
+type hookedMapper struct {
+	mapper mapreduce.Mapper
+	hook   func()
+}
+
+func (m hookedMapper) NewMapTask() mapreduce.MapTask {
+	task := m.mapper.NewMapTask()
+	return mapreduce.MapperFunc(func(line string, emit mapreduce.Emit) error {
+		m.hook()
+		return task.Map(line, emit)
+	})
 }

@@ -71,15 +71,12 @@ func ApplyScanFacts(tr *Translation) (applied, refused []ScanFact) {
 // evaluates adjacent to the scan (ScanFact.PredSQL) rejects the line.
 type earlyFilter struct{ mapper mapreduce.Mapper }
 
-// NewMapTask implements mapreduce.MapTaskFactory, over a task of the
-// generated mapper's own when it has one. The tee it passes that mapper,
-// built once per task, forwards each pair to the current line's emit and
-// notes that the line produced one.
-func (f *earlyFilter) NewMapTask() mapreduce.Mapper {
-	m := f.mapper
-	if tf, ok := m.(mapreduce.MapTaskFactory); ok {
-		m = tf.NewMapTask()
-	}
+// NewMapTask implements mapreduce.Mapper: an instance over an instance of
+// the generated mapper. The tee it passes that instance, built once,
+// forwards each pair to the current line's emit and notes that the line
+// produced one.
+func (f *earlyFilter) NewMapTask() mapreduce.MapTask {
+	m := f.mapper.NewMapTask()
 	var emit mapreduce.Emit
 	var emitted bool
 	tee := func(key, value string) {
@@ -93,12 +90,6 @@ func (f *earlyFilter) NewMapTask() mapreduce.Mapper {
 		}
 		return mapreduce.ErrFiltered
 	})
-}
-
-// Map implements mapreduce.Mapper for callers outside the engine's map
-// tasks: a one-line task.
-func (f *earlyFilter) Map(line string, emit mapreduce.Emit) error {
-	return f.NewMapTask().Map(line, emit)
 }
 
 // FormatScanFacts renders scan facts the way optanalysis's static report

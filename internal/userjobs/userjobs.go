@@ -18,6 +18,7 @@ import (
 	"strconv"
 
 	"ysmart/internal/exec"
+	"ysmart/internal/handcoded"
 	"ysmart/internal/mapreduce"
 	"ysmart/internal/queries"
 	"ysmart/internal/translator"
@@ -26,31 +27,12 @@ import (
 // Program is a runnable naive user program plus the SQL oracle its
 // result rows must match.
 type Program struct {
-	// Jobs are the executable jobs in dependency order.
-	Jobs []*mapreduce.Job
-	// Output is the DFS path of the result; OutputSchema types its rows.
-	Output       string
-	OutputSchema *exec.Schema
+	// Program holds the executable jobs in dependency order, the DFS path
+	// of the result and its row schema, and reads the result.
+	handcoded.Program
 	// OracleSQL is the equivalent SQL query, run against the DBMS oracle
 	// to check the program (optimized or not) byte-for-byte.
 	OracleSQL string
-}
-
-// ReadResult decodes the program's result rows.
-func (p *Program) ReadResult(dfs *mapreduce.DFS) ([]exec.Row, error) {
-	lines, err := dfs.Read(p.Output)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]exec.Row, 0, len(lines))
-	for _, line := range lines {
-		row, err := exec.DecodeRow(line, p.OutputSchema)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }
 
 // All returns every naive program, freshly built.
@@ -99,12 +81,14 @@ func AggNaive() *Program {
 		Output: out,
 	}
 	return &Program{
-		Jobs:   []*mapreduce.Job{job},
-		Output: out,
-		OutputSchema: exec.NewSchema(
-			exec.Column{Name: "cid", Type: exec.TypeInt},
-			exec.Column{Name: "click_count", Type: exec.TypeInt},
-		),
+		Program: handcoded.Program{
+			Jobs:   []*mapreduce.Job{job},
+			Output: out,
+			OutputSchema: exec.NewSchema(
+				exec.Column{Name: "cid", Type: exec.TypeInt},
+				exec.Column{Name: "click_count", Type: exec.TypeInt},
+			),
+		},
 		OracleSQL: "SELECT cid, count(*) AS click_count FROM clicks GROUP BY cid",
 	}
 }
@@ -144,12 +128,14 @@ func HighValueNaive() *Program {
 		Output: out,
 	}
 	return &Program{
-		Jobs:   []*mapreduce.Job{job},
-		Output: out,
-		OutputSchema: exec.NewSchema(
-			exec.Column{Name: "o_custkey", Type: exec.TypeInt},
-			exec.Column{Name: "o_totalprice", Type: exec.TypeFloat},
-		),
+		Program: handcoded.Program{
+			Jobs:   []*mapreduce.Job{job},
+			Output: out,
+			OutputSchema: exec.NewSchema(
+				exec.Column{Name: "o_custkey", Type: exec.TypeInt},
+				exec.Column{Name: "o_totalprice", Type: exec.TypeFloat},
+			),
+		},
 		OracleSQL: "SELECT o_custkey, o_totalprice FROM orders WHERE o_totalprice > 30000",
 	}
 }
@@ -184,12 +170,14 @@ func LateShipNaive() *Program {
 		Output: out,
 	}
 	return &Program{
-		Jobs:   []*mapreduce.Job{job},
-		Output: out,
-		OutputSchema: exec.NewSchema(
-			exec.Column{Name: "l_shipmode", Type: exec.TypeString},
-			exec.Column{Name: "ship_count", Type: exec.TypeInt},
-		),
+		Program: handcoded.Program{
+			Jobs:   []*mapreduce.Job{job},
+			Output: out,
+			OutputSchema: exec.NewSchema(
+				exec.Column{Name: "l_shipmode", Type: exec.TypeString},
+				exec.Column{Name: "ship_count", Type: exec.TypeInt},
+			),
+		},
 		OracleSQL: "SELECT l_shipmode, count(*) AS ship_count FROM lineitem WHERE l_shipdate >= 9300 GROUP BY l_shipmode",
 	}
 }
