@@ -11,11 +11,12 @@ import (
 // filtered and aggregated rows, operator result slices — are carved from it
 // and all die together when the next key group resets it. The lifetime
 // rule: nothing that outlives Reduce(key) may alias the arena. Output lines
-// are freshly encoded strings, one exact string each and never cut from a
-// chunk, since the DFS keeps job output and would keep a chunk's slack with
-// it; a sort buffer lives on the heap, and a decoded string value points
-// into the shuffle value it came from, not into a slab. (The map side has
-// the same rule for its scratch row: see mapTask.)
+// outlive it, so they are cut from the instance's own line chunks, not from
+// the arena: a chunk holds lines of one job's output, written by one
+// instance in one phase, and dies with that output (see reduceTask). A
+// sort buffer lives on the heap, and a decoded string value points into the
+// shuffle value it came from, not into a slab. (The map side has the same
+// rule for its scratch row: see mapTask.)
 //
 // The zero arena is ready to use; one that is never reset allocates exactly
 // what its callers ask for, so an operator evaluated on its own behaves as
@@ -24,8 +25,10 @@ type arena struct {
 	vals slab[exec.Value] // row storage
 	rows slab[exec.Row]   // row headers: stream buckets, operator results
 	// The rest is scratch an operator uses within one Eval and hands back
-	// grown: JoinOp's matched-pair list; AggOp's accumulators, aggregation
-	// groups and group index, handed back cleared, and its group keys.
+	// grown: JoinOp's matched-pair list; AggOp's accumulators, reset in
+	// place by the next Eval so COUNT(DISTINCT) sets carry over, its
+	// aggregation groups and group index, handed back cleared, and its
+	// group keys.
 	ints   []int
 	accs   []exec.Acc
 	groups []aggGroup
@@ -47,7 +50,8 @@ const maxChunkBytes = 4 << 10
 // strings.Builder that only ever appends, so a string cut earlier never
 // changes, and a string keeps its whole chunk alive — a cutter serves
 // strings that die together: a map task's pairs, which die with the job's
-// shuffle, and an AggOp's group keys, which die with its Eval. A cut that
+// shuffle, a reducer instance's output lines, which die with the job's
+// output, and an AggOp's group keys, which die with its Eval. A cut that
 // does not fit starts a new chunk sized by demand: the request, or every
 // byte cut so far if that is larger, capped at maxChunkBytes. Like the
 // slabs it has no floor: the first chunk is the first request, and a cold

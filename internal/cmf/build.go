@@ -331,14 +331,21 @@ type commonReducer struct {
 
 // reduceTask is one instance of the common reducer — the paper's reducer
 // object, whose scratch outlives a key: the slot table, the exclusion
-// scratch and the arena are reused from key group to key group, across
-// every key run its engine worker takes, and the row counts are the
-// instance's own until Done hands them over.
+// scratch, the line buffer and the arena are reused from key group to key
+// group, across every key run its engine worker takes, and the row counts
+// are the instance's own until Done hands them over. Output lines are
+// encoded into the line buffer and cut from the instance's line chunks, so
+// a line costs no allocation of its own, a chunk one per up to 4 KB of
+// lines. A chunk holds lines of this job's output only, written by this
+// instance in one phase: it lives and dies with the job's DFS file, or
+// with a replay's discarded output, never with another job's.
 type reduceTask struct {
 	cr             *commonReducer
 	slots, scratch [][]exec.Row // the graph's slot table; see graph.newSlots
 	excluded       []int
 	arena          arena
+	line           []byte                 // the output line being encoded
+	lines          cutter                 // the emitted output lines
 	counts         mapreduce.ReduceCounts // Dispatch indexed like graph.ops
 }
 
@@ -389,11 +396,12 @@ func (t *reduceTask) Reduce(_ string, values []string, emit func(string)) error 
 			t.counts.Work += in
 		}
 	}
-	var buf [256]byte
 	for _, out := range cr.outputs {
-		line := AppendTag(buf[:0], out.tag)
+		t.line = AppendTag(t.line[:0], out.tag)
+		tagged := len(t.line)
 		for _, r := range t.slots[out.slot] {
-			emit(string(exec.AppendRow(line, r)))
+			t.line = exec.AppendRow(t.line[:tagged], r)
+			emit(t.lines.cut(t.line))
 		}
 	}
 	return nil

@@ -517,12 +517,12 @@ func q17Group() (key string, values []string) {
 }
 
 // TestAllocBudgetReduce pins what a key group costs a warmed reducer
-// instance: the decoded values, stream buckets, join, projection and
-// aggregation results of nine values and five operators all come out of
-// the arena and the aggregation's accumulators out of its scratch, so what
-// is left is the two output lines. The same
-// group on a fresh instance per key — what every key group cost before
-// instances outlived a key — must overrun the budget, or it pins nothing.
+// instance: nothing. The decoded values, stream buckets, join, projection
+// and aggregation results of nine values and five operators all come out
+// of the arena, the aggregation's accumulators out of its scratch, and the
+// two output lines out of the instance's line chunks. The same group on a
+// fresh instance per key — what every key group cost before instances
+// outlived a key — must overrun the budget, or it pins nothing.
 func TestAllocBudgetReduce(t *testing.T) {
 	job, err := q17Job().Build()
 	if err != nil {
@@ -540,7 +540,7 @@ func TestAllocBudgetReduce(t *testing.T) {
 		t.Fatalf("Q17-shaped group reduced to %q, want %q", out, want)
 	}
 
-	const budget = 2
+	const budget = 0
 	warm := testing.AllocsPerRun(100, func() {
 		out = out[:0]
 		if err := task.Reduce(key, values, emit); err != nil {
@@ -679,5 +679,62 @@ func TestMapTaskPairsStayPut(t *testing.T) {
 	}
 	if long == 0 || len(pairs) == 5000 || len(pairs) == 0 {
 		t.Fatalf("%d pairs, %d longer than a chunk's cap: not the mix this test is about", len(pairs), long)
+	}
+}
+
+// TestReduceLinesStayPut is the line chunks' lifetime proof, the reduce
+// side's TestMapTaskPairsStayPut: every output line a reducer instance
+// emitted still equals the copy taken when it was emitted after the
+// instance has reduced the later key groups — 5 000 lines of random sizes,
+// some longer than a chunk's cap, in key groups of random sizes, between
+// values the operator drops.
+func TestReduceLinesStayPut(t *testing.T) {
+	schema := typed(exec.TypeInt, exec.TypeString)
+	keep := func(r exec.Row) (bool, error) { return r[0].I%5 != 0, nil }
+	job, err := (&CommonJob{
+		Name: "lines", Output: "out",
+		Inputs: []CommonInput{{
+			Path: "in", Key: keyOn(0), Schema: schema,
+			Decode:  func(scratch *exec.Row, line string) (exec.Row, error) { return decodeInto(scratch, line, schema) },
+			Streams: []Stream{{ID: 0}},
+		}},
+		Ops:     []Op{&FilterOp{OpName: "f", In: StreamSource(0), Pred: keep}},
+		Outputs: []OutputSpec{{Op: "f"}},
+	}).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(6))
+	task := job.Reducer.NewReduceTask()
+	type line struct{ got, want string }
+	var lines []line
+	long := 0
+	emit := func(l string) {
+		lines = append(lines, line{l, strings.Clone(l)})
+		if len(l) > maxChunkBytes {
+			long++
+		}
+	}
+	for key := 0; len(lines) < 5000; key++ {
+		values := make([]string, 1+rng.Intn(6))
+		for i := range values {
+			n := rng.Intn(40)
+			if rng.Intn(200) == 0 {
+				n = maxChunkBytes + rng.Intn(2*maxChunkBytes)
+			}
+			s := strings.Repeat(string(rune('a'+(key+i)%26)), n)
+			values[i] = EncodeTagged(0, nil, exec.Row{exec.Int(int64(rng.Intn(1000))), exec.Str(s)})
+		}
+		if err := task.Reduce(fmt.Sprint(key), values, emit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, l := range lines {
+		if l.got != l.want {
+			t.Fatalf("line %d of %d changed after later key groups: %.40q, emitted as %.40q", i, len(lines), l.got, l.want)
+		}
+	}
+	if long == 0 {
+		t.Fatalf("%d lines, none longer than a chunk's cap: not the mix this test is about", len(lines))
 	}
 }

@@ -211,9 +211,11 @@ type aggGroup struct {
 
 // Eval implements Op. Nothing it builds per key group comes from the heap
 // once the arena is warm: the group rows and the output slice are carved
-// from the arena, the accumulators, the group list and the group index are
-// its scratch, handed back cleared, and the group keys are cut from its key
-// chunks. A row whose group values are identical to the current group's —
+// from the arena; the accumulators are its scratch, reset in place, so a
+// COUNT(DISTINCT) reuses a set an earlier group left there rather than
+// building one per group; the group list and the group index are scratch
+// handed back cleared, and the group keys are cut from its key chunks. A
+// row whose group values are identical to the current group's —
 // same types, same bits, hence the same encoding — is that group's without
 // rendering its key; any other row renders the key (exec.AppendKey) and
 // looks it up, so NaN payloads group by their encodings and -0.0 joins
@@ -278,9 +280,7 @@ func (a *AggOp) Eval(ar *arena, inputs [][]exec.Row) ([]exec.Row, error) {
 					if cur > 0 {
 						g.key, g.keyed = ar.keys.cut(key), true
 					}
-					for _, spec := range a.Aggs {
-						accs = append(accs, exec.NewAcc(spec.Kind))
-					}
+					accs = appendAccs(accs, a.Aggs)
 					groups = append(groups, g)
 					if cur == 1 {
 						if index == nil {
@@ -319,13 +319,24 @@ func (a *AggOp) Eval(ar *arena, inputs [][]exec.Row) ([]exec.Row, error) {
 	for i, g := range groups {
 		out[i] = g.row
 	}
-	// Handed back grown, with no COUNT(DISTINCT) set or group key kept
-	// alive.
-	clear(accs)
+	// Handed back grown: the accumulators with the COUNT(DISTINCT) sets
+	// their resets keep, the groups and index with no group key alive.
 	clear(groups)
 	clear(index)
 	ar.accs, ar.groups, ar.index = accs[:0], groups[:0], index
 	return out, nil
+}
+
+// appendAccs extends accs by one empty accumulator per aggregate. They are
+// reset in place within accs' capacity, so an accumulator reused from an
+// earlier group or Eval keeps its COUNT(DISTINCT) set (exec.Acc.Reset).
+func appendAccs(accs []exec.Acc, aggs []AggFunc) []exec.Acc {
+	n := len(accs)
+	accs = slices.Grow(accs, len(aggs))[:n+len(aggs)]
+	for i, spec := range aggs {
+		accs[n+i].Reset(spec.Kind)
+	}
+	return accs
 }
 
 // identical reports whether two value lists are the same values bit for
@@ -367,10 +378,7 @@ func (a *AggOp) evalFromPartials(ar *arena, rows []exec.Row) ([]exec.Row, error)
 	if len(rows) == 0 && nGroup > 0 {
 		return nil, nil // no group; a global aggregate still yields its row
 	}
-	accs := ar.accs[:0]
-	for _, spec := range a.Aggs {
-		accs = append(accs, exec.NewAcc(spec.Kind))
-	}
+	accs := appendAccs(ar.accs[:0], a.Aggs)
 	ar.accs = accs[:0]
 	for _, r := range rows {
 		off := nGroup

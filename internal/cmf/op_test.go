@@ -539,8 +539,10 @@ func TestCompiledGraphMatchesEvalGraph(t *testing.T) {
 // TestAllocBudgetOps pins what operators cost a warmed reducer arena: an
 // AggOp key group holding one aggregation group costs the same whether it
 // computes one aggregate or four (the accumulators are values in the
-// arena's scratch, not heap objects), and one holding three aggregation
-// groups costs nothing (their list, index and keys are arena scratch too).
+// arena's scratch, not heap objects), one holding three aggregation groups
+// costs nothing (their list, index and keys are arena scratch too), and
+// neither do COUNT(DISTINCT)s over several key groups of different sizes
+// (each resets a set an earlier group left in the scratch).
 func TestAllocBudgetOps(t *testing.T) {
 	inputs := [][]exec.Row{make([]exec.Row, 20)}
 	for i := range inputs[0] {
@@ -574,6 +576,29 @@ func TestAllocBudgetOps(t *testing.T) {
 		Aggs: []AggFunc{{Kind: exec.AggCountStar}, {Kind: exec.AggSum, Arg: col(1)}}}
 	if got := warm(three); got != 0 {
 		t.Errorf("AggOp, three aggregation groups: %v allocations on a warm arena, budget 0", got)
+	}
+
+	// Key groups of 20, 7 and 13 rows, reduced in turn on one arena; the
+	// counted column is distinct per row, and in each of three aggregation
+	// groups.
+	distinct := &AggOp{OpName: "a", In: StreamSource(0), GroupBy: []exec.Evaluator{col(2)},
+		Aggs: []AggFunc{{Kind: exec.AggCountDistinct, Arg: col(1)}, {Kind: exec.AggCountDistinct, Arg: col(2)}}}
+	var a arena
+	keyGroups := func() {
+		for _, n := range []int{20, 7, 13} {
+			a.reset()
+			out, err := distinct.Eval(&a, [][]exec.Row{inputs[0][:n]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out) != 3 || out[0][1].I != int64((n+2)/3) || out[0][2].I != 1 {
+				t.Fatalf("COUNT(DISTINCT)s over %d rows: %v", n, out)
+			}
+		}
+	}
+	keyGroups()
+	if got := testing.AllocsPerRun(100, keyGroups); got != 0 {
+		t.Errorf("AggOp, COUNT(DISTINCT)s over three key groups: %v allocations on a warm arena, budget 0", got)
 	}
 }
 

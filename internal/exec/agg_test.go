@@ -293,6 +293,66 @@ func TestAccPartialRoundTrip(t *testing.T) {
 	}
 }
 
+// identicalValue reports whether two values are identical, NaN payloads and
+// the sign of zero included.
+func identicalValue(a, b Value) bool {
+	return a.T == b.T && a.B == b.B && a.I == b.I && a.S == b.S && math.Float64bits(a.F) == math.Float64bits(b.F)
+}
+
+// TestAccResetMatchesFreshAcc is Reset's proof: one accumulator per kind,
+// reset before every group, gives every group the result and the
+// COUNT(DISTINCT) mode (INT or text) of a fresh accumulator. The groups
+// mix INT, STRING, NULL, NaN and ±0 values or hold INTs only, and hold
+// fewer distinct values than a reset keeps or more, so kept and dropped
+// sets both meet groups that are INT-only and groups that go to text.
+func TestAccResetMatchesFreshAcc(t *testing.T) {
+	mixed := []Value{Int(0), Int(1), Int(-1), Str("1"), Str(""), Str("NaN"), Null(),
+		Float(math.NaN()), Float(math.Float64frombits(0x7ff8000000000001)),
+		Float(0), Float(math.Copysign(0, -1)), Float(1), Bool(true)}
+	kinds := []AggKind{AggCountStar, AggCount, AggCountDistinct, AggSum, AggAvg, AggMin, AggMax}
+	rng := rand.New(rand.NewSource(11))
+	reused := make([]Acc, len(kinds))
+	text, intAfterText, large := false, 0, 0
+	for g := 0; g < 600; g++ {
+		n := rng.Intn(maxKeptDistinct)
+		if rng.Intn(4) == 0 {
+			n = maxKeptDistinct + 1 + rng.Intn(2*maxKeptDistinct)
+			large++
+		}
+		intsOnly := rng.Intn(2) == 0
+		group := make([]Value, n)
+		for i := range group {
+			if intsOnly || rng.Intn(3) == 0 {
+				group[i] = Int(int64(rng.Intn(4 * maxKeptDistinct)))
+			} else {
+				group[i] = mixed[rng.Intn(len(mixed))]
+			}
+		}
+		for k, kind := range kinds {
+			acc := &reused[k]
+			acc.Reset(kind)
+			fresh := NewAcc(kind)
+			for _, v := range group {
+				acc.Add(v)
+				fresh.Add(v)
+			}
+			if got, want := acc.Result(), fresh.Result(); !identicalValue(got, want) {
+				t.Fatalf("group %d, %v over %v: reset accumulator %v, fresh %v", g, kind, group, got, want)
+			}
+			if got, want := len(acc.seen) > 0, len(fresh.seen) > 0; got != want {
+				t.Fatalf("group %d, %v over %v: reset accumulator in text mode %v, fresh %v", g, kind, group, got, want)
+			}
+		}
+		if intsOnly && text {
+			intAfterText++
+		}
+		text = len(reused[2].seen) > 0
+	}
+	if intAfterText == 0 || large == 0 {
+		t.Fatalf("%d INT groups after a text-mode group, %d groups past the bound: not the mix this test is about", intAfterText, large)
+	}
+}
+
 // TestAllocBudgetAcc: feeding a value accumulator allocates nothing;
 // COUNT(DISTINCT) pays for its set once and for a new value's key only.
 func TestAllocBudgetAcc(t *testing.T) {
@@ -317,5 +377,30 @@ func TestAllocBudgetAcc(t *testing.T) {
 	}
 	if got := distinct.Result(); got != Int(next) {
 		t.Fatalf("COUNT(DISTINCT) of 0..%d = %v", next-1, got)
+	}
+	// A reset keeps a set of up to maxKeptDistinct values: a group of that
+	// many new INT values on it costs nothing, also after a group that went
+	// to text.
+	distinct = NewAcc(AggCountDistinct)
+	distinct.Add(Str("x"))
+	for i := int64(0); i < maxKeptDistinct-1; i++ {
+		distinct.Add(Int(i))
+	}
+	distinct.Reset(AggCountDistinct)
+	for i := int64(0); i < maxKeptDistinct; i++ {
+		distinct.Add(Int(i))
+	}
+	base := int64(0)
+	if got := testing.AllocsPerRun(100, func() {
+		distinct.Reset(AggCountDistinct)
+		base += maxKeptDistinct
+		for i := base; i < base+maxKeptDistinct; i++ {
+			distinct.Add(Int(i))
+		}
+	}); got != 0 {
+		t.Errorf("COUNT(DISTINCT) reset, then %d new INT values: %v allocations, budget 0", maxKeptDistinct, got)
+	}
+	if got := distinct.Result(); got != Int(maxKeptDistinct) {
+		t.Fatalf("COUNT(DISTINCT) of %d values after a reset = %v", maxKeptDistinct, got)
 	}
 }

@@ -68,8 +68,9 @@ func NewRegistry() *Registry {
 	return &Registry{metrics: make(map[string]*Metric)}
 }
 
-// pairLabels turns alternating key,value strings into sorted pairs;
-// a trailing unpaired key is dropped.
+// pairLabels turns alternating key,value strings into pairs sorted by key,
+// in their given order where keys repeat; a trailing unpaired key is
+// dropped.
 func pairLabels(labels []string) [][2]string {
 	n := len(labels) / 2
 	if n == 0 {
@@ -79,26 +80,44 @@ func pairLabels(labels []string) [][2]string {
 	for i := 0; i < n; i++ {
 		out[i] = [2]string{labels[2*i], labels[2*i+1]}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	sort.SliceStable(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
 }
 
-// metricKey builds the registry map key of a name + sorted label set.
-func metricKey(name string, pairs [][2]string) string {
-	key := name
-	for _, kv := range pairs {
-		key += "\x00" + kv[0] + "\x01" + kv[1]
+// appendMetricKey appends the registry map key of a name and its labels
+// (alternating key,value strings) to dst: the name, then each pair of
+// pairLabels' order as "\x00key\x01value". It orders the pairs by index,
+// so up to eight pairs cost no allocation.
+func appendMetricKey(dst []byte, name string, labels []string) []byte {
+	var buf [8]int
+	order := buf[:0]
+	for i := 0; i < len(labels)/2; i++ {
+		// An insertion sort, stable like pairLabels'.
+		j := len(order)
+		order = append(order, i)
+		for ; j > 0 && labels[2*i] < labels[2*order[j-1]]; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = i
 	}
-	return key
+	dst = append(dst, name...)
+	for _, i := range order {
+		dst = append(append(dst, 0), labels[2*i]...)
+		dst = append(append(dst, 1), labels[2*i+1]...)
+	}
+	return dst
 }
 
+// metric returns the series of a name and labels, created with the kind if
+// it is new. Finding an existing series renders its key on the stack and
+// allocates nothing; only a new series allocates its pairs and key.
 func (r *Registry) metric(name string, kind MetricKind, labels []string) *Metric {
-	pairs := pairLabels(labels)
-	key := metricKey(name, pairs)
-	m, ok := r.metrics[key]
+	var buf [128]byte
+	key := appendMetricKey(buf[:0], name, labels)
+	m, ok := r.metrics[string(key)]
 	if !ok {
-		m = &Metric{Name: name, Labels: pairs, Kind: kind}
-		r.metrics[key] = m
+		m = &Metric{Name: name, Labels: pairLabels(labels), Kind: kind}
+		r.metrics[string(key)] = m
 	}
 	return m
 }
@@ -136,7 +155,8 @@ func (r *Registry) Value(name string, labels ...string) float64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.metrics[metricKey(name, pairLabels(labels))]; ok {
+	var buf [128]byte
+	if m, ok := r.metrics[string(appendMetricKey(buf[:0], name, labels))]; ok {
 		return m.Value
 	}
 	return 0
