@@ -18,9 +18,10 @@ import (
 // shuffle value it came from, not into a slab. (The map side has the same
 // rule for its scratch row: see mapTask.)
 //
-// The zero arena is ready to use; one that is never reset allocates exactly
-// what its callers ask for, so an operator evaluated on its own behaves as
-// if it called make.
+// The zero arena is ready to use. Its slabs size chunks by the demand
+// seen, doubling (see slab), so one that is never reset, as when an
+// operator is evaluated on its own, allocates its first request exactly and
+// then a chunk per doubling of what it holds.
 type arena struct {
 	vals slab[exec.Value] // row storage
 	rows slab[exec.Row]   // row headers: stream buckets, operator results
@@ -73,16 +74,18 @@ func (c *cutter) cut(p []byte) string {
 	return s[len(s)-len(p):]
 }
 
-// maxChunks bounds the chunks a slab walks per key group before it trades
-// them for one that holds them all.
-const maxChunks = 8
-
-// slab hands out windows of chunks it keeps across resets. A chunk is
-// allocated only for a request no kept chunk has room for, and at exactly
-// the request's size: chunks grow from the demand actually seen, so a cold
-// slab costs what the same calls to make would, and a warm one nothing.
+// slab hands out windows of chunks it keeps across resets and never
+// consolidates. A chunk is allocated only for a request no kept chunk has
+// room for, and then at the request's size or at everything the slab
+// already holds, whichever is larger, so capacity doubles with each chunk:
+// a slab whose key groups spanned at most n elements (what they took plus
+// the slack they skipped at the ends of chunks) holds at most
+// ceil(log2(n/first request))+1 chunks. There is no floor: a cold slab's
+// first chunk is exactly its first request, and a warm one allocates
+// nothing.
 type slab[T any] struct {
 	chunks [][]T
+	held   int // elements in chunks
 	cur    int // chunk being carved
 	off    int // first free element of chunks[cur]
 }
@@ -99,21 +102,11 @@ func (s *slab[T]) take(n int) []T {
 			return c[s.off-n : s.off : s.off]
 		}
 	}
-	s.chunks = append(s.chunks, make([]T, n))
+	c := make([]T, max(n, s.held))
+	s.chunks = append(s.chunks, c)
+	s.held += len(c)
 	s.off = n
-	return s.chunks[s.cur]
+	return c[:n:n]
 }
 
-func (s *slab[T]) reset() {
-	if len(s.chunks) > maxChunks {
-		// Key groups kept outgrowing the chunks: one chunk as large as all
-		// of them holds any group seen so far in a single carve sequence.
-		n := 0
-		for _, c := range s.chunks {
-			n += len(c)
-		}
-		clear(s.chunks)
-		s.chunks = append(s.chunks[:0], make([]T, n))
-	}
-	s.cur, s.off = 0, 0
-}
+func (s *slab[T]) reset() { s.cur, s.off = 0, 0 }

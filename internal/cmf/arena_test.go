@@ -3,6 +3,7 @@ package cmf
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -12,63 +13,84 @@ import (
 	"ysmart/internal/mapreduce"
 )
 
-// TestSlabGrowsFromDemand pins the arena's allocation policy: a cold slab
-// allocates exactly the requests it is given, a warm one nothing, carvings
-// never overlap or reach one another, and a slab whose key groups keep
-// outgrowing its chunks ends up with one chunk that holds them all.
+// TestSlabGrowsFromDemand pins the arena's growth rule: a cold slab's first
+// chunk is its first request; a request no kept chunk has room for appends
+// a chunk of the request or of the capacity already held, whichever is
+// larger; chunks are never consolidated, so a group's carving extent (its
+// elements plus the slack it skipped at the ends of chunks) bounds the
+// chunk count at ceil(log2(extent/first request)) + 1; carvings never
+// overlap or reach one another; and a warm slab allocates nothing.
 func TestSlabGrowsFromDemand(t *testing.T) {
-	var s slab[int]
-	group := func(sizes ...int) [][]int {
-		s.reset()
-		out := make([][]int, len(sizes))
-		for i, n := range sizes {
-			out[i] = s.take(n)
-			if len(out[i]) != n || cap(out[i]) != n {
-				t.Fatalf("take(%d): len %d cap %d", n, len(out[i]), cap(out[i]))
+	rng := rand.New(rand.NewSource(43))
+	for seq := 0; seq < 200; seq++ {
+		var s slab[int]
+		var groups [][]int
+		first, peak := 0, 0
+		for g := 0; g < 1+rng.Intn(12); g++ {
+			sizes := make([]int, 1+rng.Intn(6))
+			for i := range sizes {
+				sizes[i] = rng.Intn(1 + rng.Intn(200))
 			}
-			for k := range out[i] {
-				out[i][k] = i
+			groups = append(groups, sizes)
+			s.reset()
+			out := make([][]int, len(sizes))
+			for i, n := range sizes {
+				chunks, held := len(s.chunks), s.held
+				out[i] = s.take(n)
+				if n == 0 {
+					if out[i] != nil {
+						t.Fatal("take(0) must not carve")
+					}
+					continue
+				}
+				if len(out[i]) != n || cap(out[i]) != n {
+					t.Fatalf("take(%d): len %d cap %d", n, len(out[i]), cap(out[i]))
+				}
+				switch {
+				case len(s.chunks) == chunks:
+				case len(s.chunks) != chunks+1:
+					t.Fatalf("take(%d) appended %d chunks", n, len(s.chunks)-chunks)
+				case chunks == 0 && len(s.chunks[0]) != n:
+					t.Fatalf("a cold slab's first chunk holds %d, want the request %d", len(s.chunks[0]), n)
+				case len(s.chunks[chunks]) != max(n, held):
+					t.Fatalf("take(%d) holding %d appended a chunk of %d, want %d", n, held, len(s.chunks[chunks]), max(n, held))
+				}
+				if first == 0 {
+					first = n
+				}
+				extent := s.off
+				for _, c := range s.chunks[:s.cur] {
+					extent += len(c)
+				}
+				peak = max(peak, extent)
+				for k := range out[i] {
+					out[i][k] = i
+				}
 			}
-		}
-		for i, w := range out {
-			for _, v := range w {
-				if v != i {
-					t.Fatalf("carving %d of %v was overwritten by carving %d", i, sizes, v)
+			for i, w := range out {
+				for _, v := range w {
+					if v != i {
+						t.Fatalf("carving %d of %v was overwritten by carving %d", i, sizes, v)
+					}
+				}
+			}
+			if first > 0 {
+				if bound := int(math.Ceil(math.Log2(float64(peak)/float64(first)))) + 1; len(s.chunks) > bound {
+					t.Fatalf("%d chunks after groups %v: first request %d, peak extent %d, bound %d", len(s.chunks), groups, first, peak, bound)
 				}
 			}
 		}
-		return out
-	}
-	group(5, 3, 8)
-	if got := []int{len(s.chunks[0]), len(s.chunks[1]), len(s.chunks[2])}; !reflect.DeepEqual(got, []int{5, 3, 8}) {
-		t.Errorf("cold slab holds chunks of %v, want the three requests", got)
-	}
-	if s.take(0) != nil {
-		t.Error("take(0) must not carve")
-	}
-	warm := testing.AllocsPerRun(20, func() {
-		s.reset()
-		s.take(5)
-		s.take(3)
-		s.take(8)
-	})
-	if warm != 0 {
-		t.Errorf("a warm slab allocated %v times for requests it has served", warm)
-	}
-	group(2, 2, 2, 2) // all four fit the first chunk and the second
-	if len(s.chunks) != 3 {
-		t.Errorf("smaller requests grew the slab to %d chunks", len(s.chunks))
-	}
-	for n := 9; len(s.chunks) <= maxChunks; n++ {
-		group(n) // each outgrows every chunk so far
-	}
-	total := 0
-	for _, c := range s.chunks {
-		total += len(c)
-	}
-	group(1)
-	if len(s.chunks) != 1 || len(s.chunks[0]) != total {
-		t.Errorf("after outgrowing %d chunks the slab holds %d, want one of %d elements", maxChunks, len(s.chunks), total)
+		warm := testing.AllocsPerRun(5, func() {
+			for _, sizes := range groups {
+				s.reset()
+				for _, n := range sizes {
+					s.take(n)
+				}
+			}
+		})
+		if warm != 0 {
+			t.Fatalf("a warm slab allocated %v times for groups %v it has served", warm, groups)
+		}
 	}
 }
 
@@ -150,13 +172,10 @@ func TestReusedInstanceMatchesFreshInstances(t *testing.T) {
 	failures := 0
 	for iter := 0; iter < 400; iter++ {
 		nStreams := 1 + rng.Intn(3)
-		ops := randomDAG(rng, nStreams)
+		ops := randomDAG(rng, nStreams, 9) // the largest key group below
 		for _, op := range ops {
 			if a, ok := op.(*AggOp); ok && iter%2 == 1 {
-				// As wide as the MAX it replaces, and drawing nothing from
-				// rng, so the DAGs stay the ones this seed always drew: the
-				// generator bounds no join's fan-out, and other draws chain
-				// joins whose output exhausts memory.
+				// As wide as the MAX it replaces.
 				a.Aggs[1].Kind = exec.AggCountDistinct
 			}
 			if f, ok := op.(*FilterOp); ok && rng.Intn(4) == 0 {

@@ -441,10 +441,7 @@ func (cj *CommonJob) buildCombiner() (mapreduce.Combiner, *exec.Schema, error) {
 	if !Decomposable(kinds) {
 		return nil, nil, fmt.Errorf("common job %s: aggregates are not decomposable", cj.Name)
 	}
-	c := &combiner{agg: agg, schemas: []*exec.Schema{cj.Inputs[0].Schema}, partialWidth: len(agg.GroupBy)}
-	for _, k := range kinds {
-		c.partialWidth += k.PartialWidth()
-	}
+	c := &combiner{agg: agg, schemas: []*exec.Schema{cj.Inputs[0].Schema}}
 	return c, agg.Partials, nil
 }
 
@@ -452,52 +449,48 @@ func (cj *CommonJob) buildCombiner() (mapreduce.Combiner, *exec.Schema, error) {
 // like the common reducer: combiner is the wiring, fixed at Build, and its
 // instances (combineTask) own the scratch a key group's work reuses.
 type combiner struct {
-	agg          *AggOp
-	schemas      []*exec.Schema // the job's one input's value rows
-	partialWidth int            // the fields of one partial row
+	agg     *AggOp
+	schemas []*exec.Schema // the job's one input's value rows
 }
 
 // NewCombineTask implements mapreduce.Combiner.
 func (c *combiner) NewCombineTask() mapreduce.CombineTask { return &combineTask{c: c} }
 
-// combineTask is one instance of the combiner. A key group's values decode
-// into one slab, with room after them for the partial row, and their row
-// headers into one slice; both are kept and regrown only for a group larger
-// than any before, so the lifetime rule is the reducer arena's: nothing
-// that outlives Combine(key) may alias them. The partial row leaves as a
+// combineTask is one instance of the combiner: Hive's map-side hash
+// aggregation, which holds one accumulator per aggregate, not the key
+// group. Each value of a key group is decoded into the instance's one-row
+// scratch and folded into its accumulators (appendPartialRow) before the
+// next is decoded, so the lifetime rule is the mapper's: nothing that
+// outlives the value's fold may alias the scratch row. The accumulators
+// are reset in place for every group and the partial row is built in its
+// own scratch, all kept from group to group; the partial row leaves as a
 // freshly encoded string, and a decoded string value points into the map
-// output it came from, which outlives the combine phase.
+// output it came from, which outlives the combine phase. Of a group's
+// values, the first that fails, in value order, fails the group, whether
+// it fails to decode or in an aggregate's argument.
 type combineTask struct {
 	c    *combiner
-	slab exec.Row
-	rows []exec.Row
+	row  exec.Row   // the value being folded
+	accs []exec.Acc // the group's accumulators
+	out  exec.Row   // the partial row
 }
 
 // Combine implements mapreduce.CombineTask. The key is not decoded (see
-// appendPartialRow); a tagged value's header holds no tab.
+// appendPartialRow).
 func (t *combineTask) Combine(_ string, values []string) ([]string, error) {
 	c := t.c
-	n := c.partialWidth
-	for _, v := range values {
-		n += strings.Count(v, "\t") + 1
-	}
-	if cap(t.slab) < n {
-		t.slab = make(exec.Row, n)
-	}
-	if cap(t.rows) < len(values) {
-		t.rows = make([]exec.Row, len(values))
-	}
-	slab, rows := t.slab[:0], t.rows[:len(values)]
-	for i, v := range values {
-		tv, err := appendTagged(v, c.schemas, nil, slab)
+	partial, accs, err := appendPartialRow(t.out[:0], c.agg, t.accs, len(values), func(i int) (exec.Row, error) {
+		tv, err := appendTagged(values[i], c.schemas, nil, t.row[:0])
 		if err != nil {
 			return nil, err
 		}
-		slab, rows[i] = slab[:len(slab)+len(tv.Row)], tv.Row
-	}
-	partial, err := appendPartialRow(slab[len(slab):], c.agg, rows)
+		t.row = tv.Row // grown by the first decode, reused by the rest
+		return tv.Row, nil
+	})
+	t.accs = accs
 	if err != nil {
 		return nil, err
 	}
+	t.out = partial[:0]
 	return []string{EncodeTagged(0, nil, partial)}, nil
 }

@@ -396,73 +396,138 @@ func runGraph(ops []Op, streams map[int][]exec.Row) (map[string][]exec.Row, eval
 	return results, stats, nil
 }
 
+// maxDAGRows caps the rows any operator of a randomDAG may yield for one
+// key group, so that no seed chains joins whose output exhausts memory.
+const maxDAGRows = 4096
+
+// joinRows bounds the rows of a join of l and r rows: every pair matches,
+// or, under an outer join, none does and every row is kept alone.
+func joinRows(l, r int) int { return max(l*r, l+r) }
+
 // randomDAG builds a random operator graph over nStreams two-column
-// streams: every op reads streams or earlier ops, so the graph is acyclic
-// until a defect is injected; the ops are then shuffled, because
-// evaluation order must come from the sources, not the declaration order.
-func randomDAG(rng *rand.Rand, nStreams int) []Op {
+// streams of at most maxGroup rows each: every op reads streams or earlier
+// ops, so the graph is acyclic until a defect is injected; the ops are
+// then shuffled, because evaluation order must come from the sources, not
+// the declaration order. It tracks a bound on each node's rows — a join's
+// is joinRows of its inputs', an aggregation's at least 1, any other op's
+// its input's — and draws another op where a join would pass maxDAGRows.
+func randomDAG(rng *rand.Rand, nStreams, maxGroup int) []Op {
 	type node struct {
 		src   Source
 		width int
+		rows  int // bound on the rows per key group
 	}
 	var nodes []node
 	for id := 0; id < nStreams; id++ {
-		nodes = append(nodes, node{StreamSource(id), 2})
+		nodes = append(nodes, node{StreamSource(id), 2, maxGroup})
 	}
 	pick := func() node { return nodes[rng.Intn(len(nodes))] }
 	var ops []Op
 	for i, n := 0, 1+rng.Intn(8); i < n; i++ {
 		name := fmt.Sprintf("op%d", i)
 		in := pick()
-		width := in.width
+		width, rows := in.width, in.rows
 		var op Op
-		switch rng.Intn(5) {
-		case 0:
-			c, bound := rng.Intn(in.width), int64(rng.Intn(6))
-			op = &FilterOp{OpName: name, In: in.src, Pred: func(r exec.Row) (bool, error) {
-				return r[c].IsNull() || r[c].I >= bound, nil
-			}}
-		case 1:
-			width = 1 + rng.Intn(3)
-			exprs := make([]exec.Evaluator, width)
-			for e := range exprs {
-				exprs[e] = col(rng.Intn(in.width))
-			}
-			op = &ProjectOp{OpName: name, In: in.src, Exprs: exprs}
-		case 2:
-			agg := &AggOp{OpName: name, In: in.src, Aggs: []AggFunc{
-				{Kind: exec.AggCountStar}, {Kind: exec.AggMax, Arg: col(rng.Intn(in.width))},
-			}}
-			if rng.Intn(3) > 0 {
-				agg.GroupBy = []exec.Evaluator{col(rng.Intn(in.width))}
-			}
-			width = len(agg.GroupBy) + len(agg.Aggs)
-			op = agg
-		case 3:
-			right := pick()
-			j := &JoinOp{
-				OpName: name, Left: in.src, Right: right.src,
-				LeftWidth: in.width, RightWidth: right.width,
-				Type: []sqlparser.JoinType{sqlparser.InnerJoin, sqlparser.LeftOuterJoin,
-					sqlparser.RightOuterJoin, sqlparser.FullOuterJoin}[rng.Intn(4)],
-			}
-			if rng.Intn(2) == 0 {
-				lc, rc := rng.Intn(in.width), in.width+rng.Intn(right.width)
-				j.Residual = func(r exec.Row) (bool, error) {
-					return !r[lc].IsNull() && !r[rc].IsNull() && r[lc].I <= r[rc].I, nil
+		for op == nil {
+			switch rng.Intn(5) {
+			case 0:
+				c, bound := rng.Intn(in.width), int64(rng.Intn(6))
+				op = &FilterOp{OpName: name, In: in.src, Pred: func(r exec.Row) (bool, error) {
+					return r[c].IsNull() || r[c].I >= bound, nil
+				}}
+			case 1:
+				width = 1 + rng.Intn(3)
+				exprs := make([]exec.Evaluator, width)
+				for e := range exprs {
+					exprs[e] = col(rng.Intn(in.width))
 				}
+				op = &ProjectOp{OpName: name, In: in.src, Exprs: exprs}
+			case 2:
+				agg := &AggOp{OpName: name, In: in.src, Aggs: []AggFunc{
+					{Kind: exec.AggCountStar}, {Kind: exec.AggMax, Arg: col(rng.Intn(in.width))},
+				}}
+				if rng.Intn(3) > 0 {
+					agg.GroupBy = []exec.Evaluator{col(rng.Intn(in.width))}
+				}
+				width, rows = len(agg.GroupBy)+len(agg.Aggs), max(in.rows, 1)
+				op = agg
+			case 3:
+				right := pick()
+				if joinRows(in.rows, right.rows) > maxDAGRows {
+					continue
+				}
+				j := &JoinOp{
+					OpName: name, Left: in.src, Right: right.src,
+					LeftWidth: in.width, RightWidth: right.width,
+					Type: []sqlparser.JoinType{sqlparser.InnerJoin, sqlparser.LeftOuterJoin,
+						sqlparser.RightOuterJoin, sqlparser.FullOuterJoin}[rng.Intn(4)],
+				}
+				if rng.Intn(2) == 0 {
+					lc, rc := rng.Intn(in.width), in.width+rng.Intn(right.width)
+					j.Residual = func(r exec.Row) (bool, error) {
+						return !r[lc].IsNull() && !r[rc].IsNull() && r[lc].I <= r[rc].I, nil
+					}
+				}
+				width, rows = in.width+right.width, joinRows(in.rows, right.rows)
+				op = j
+			default:
+				op = &SortOp{OpName: name, In: in.src, Limit: rng.Intn(4),
+					Keys: []SortKey{{Fn: col(rng.Intn(in.width)), Desc: rng.Intn(2) == 0}}}
 			}
-			width = in.width + right.width
-			op = j
-		default:
-			op = &SortOp{OpName: name, In: in.src, Limit: rng.Intn(4),
-				Keys: []SortKey{{Fn: col(rng.Intn(in.width)), Desc: rng.Intn(2) == 0}}}
 		}
 		ops = append(ops, op)
-		nodes = append(nodes, node{OpSource(name), width})
+		nodes = append(nodes, node{OpSource(name), width, rows})
 	}
 	rng.Shuffle(len(ops), func(i, k int) { ops[i], ops[k] = ops[k], ops[i] })
 	return ops
+}
+
+// TestRandomDAGBoundsFanOut: over seeds 1-10 000, no operator randomDAG
+// emits can yield more than maxDAGRows rows for a key group of streams of
+// up to 9 rows (the largest the tests feed it), bounded here from the ops
+// themselves, while joins of joins still chain.
+func TestRandomDAGBoundsFanOut(t *testing.T) {
+	const maxGroup = 9
+	peak := 0
+	for seed := int64(1); seed <= 10000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ops := randomDAG(rng, 1+rng.Intn(3), maxGroup)
+		byName := make(map[string]Op, len(ops))
+		for _, op := range ops {
+			byName[op.Name()] = op
+		}
+		memo := map[string]int{}
+		var rows func(src Source) int
+		rows = func(src Source) int {
+			if !src.IsOp() {
+				return maxGroup
+			}
+			if n, ok := memo[src.Op]; ok {
+				return n
+			}
+			var n int
+			switch o := byName[src.Op].(type) {
+			case *JoinOp:
+				n = joinRows(rows(o.Left), rows(o.Right))
+			case *AggOp:
+				n = max(rows(o.In), 1)
+			default:
+				n = rows(o.Sources()[0])
+			}
+			memo[src.Op] = n
+			return n
+		}
+		for _, op := range ops {
+			n := rows(OpSource(op.Name()))
+			if n > maxDAGRows {
+				t.Fatalf("seed %d: %s may yield %d rows, cap %d", seed, op.Name(), n, maxDAGRows)
+			}
+			peak = max(peak, n)
+		}
+	}
+	if peak < maxGroup*maxGroup*maxGroup {
+		t.Errorf("no operator may yield more than %d rows: no seed chained joins", peak)
+	}
 }
 
 // setSource redirects op's (first) input.
@@ -506,7 +571,7 @@ func TestCompiledGraphMatchesEvalGraph(t *testing.T) {
 			}
 			streams[id] = rows
 		}
-		ops := randomDAG(rng, nStreams)
+		ops := randomDAG(rng, nStreams, 4) // streams of up to 4 rows
 		switch defect := rng.Intn(8); defect {
 		case 0: // a cycle: some op now reads itself
 			op := ops[rng.Intn(len(ops))]

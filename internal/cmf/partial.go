@@ -23,34 +23,49 @@ func Decomposable(kinds []exec.AggKind) bool {
 	return true
 }
 
-// appendPartialRow appends one partial row for a key group of a combined
-// job to dst: the group values followed by each aggregate's partial fields
-// (exec.Acc's AppendPartial), fed from the raw rows. A combined job keys on
-// its full grouping expressions, so every row of the key group yields the
-// same group values (up to the sign of a zero, which keys ignore), and
-// agg's GroupBy over the first row computes them.
-func appendPartialRow(dst exec.Row, agg *AggOp, rows []exec.Row) (exec.Row, error) {
-	for _, fn := range agg.GroupBy {
-		v, err := fn(rows[0])
+// appendPartialRow folds one key group of a combined job into a partial
+// row appended to dst: the group values followed by each aggregate's
+// partial fields (exec.Acc's AppendPartial). row(i) returns the group's
+// i-th raw row, i < n, valid only until the next call: the fold feeds each
+// row to every accumulator before it asks for the next, so an accumulator
+// sees the rows in order and a combiner decodes them one at a time into
+// the same scratch row. A combined job keys on its full grouping
+// expressions, so every row of the key group yields the same group values
+// (up to the sign of a zero, which keys ignore), and agg's GroupBy over the
+// first row computes them. accs is scratch, reset in place (appendAccs) and
+// handed back grown whether or not the fold fails. The first row that
+// fails, in value order, fails the fold, whether its decode or one of its
+// arguments fails.
+func appendPartialRow(dst exec.Row, agg *AggOp, accs []exec.Acc, n int, row func(int) (exec.Row, error)) (exec.Row, []exec.Acc, error) {
+	accs = appendAccs(accs[:0], agg.Aggs)
+	for i := 0; i < n; i++ {
+		r, err := row(i)
 		if err != nil {
-			return nil, fmt.Errorf("agg %s group: %w", agg.OpName, err)
+			return nil, accs, err
 		}
-		dst = append(dst, v)
-	}
-	for _, spec := range agg.Aggs {
-		acc := exec.NewAcc(spec.Kind)
-		for _, r := range rows {
+		if i == 0 {
+			for _, fn := range agg.GroupBy {
+				v, err := fn(r)
+				if err != nil {
+					return nil, accs, fmt.Errorf("agg %s group: %w", agg.OpName, err)
+				}
+				dst = append(dst, v)
+			}
+		}
+		for k, spec := range agg.Aggs {
 			if spec.Arg == nil {
-				acc.Add(exec.Int(1))
+				accs[k].Add(exec.Int(1))
 				continue
 			}
 			v, err := spec.Arg(r)
 			if err != nil {
-				return nil, err
+				return nil, accs, err
 			}
-			acc.Add(v)
+			accs[k].Add(v)
 		}
-		dst = acc.AppendPartial(dst)
 	}
-	return dst, nil
+	for k := range accs {
+		dst = accs[k].AppendPartial(dst)
+	}
+	return dst, accs, nil
 }

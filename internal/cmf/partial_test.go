@@ -2,7 +2,9 @@ package cmf
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -96,7 +98,7 @@ func TestBuildPartialRowCountWithArg(t *testing.T) {
 			{Kind: exec.AggCount, Arg: col(0)},
 			{Kind: exec.AggCountStar},
 		}}
-	partial, err := appendPartialRow(nil, agg, rows)
+	partial, _, err := appendPartialRow(nil, agg, nil, len(rows), func(i int) (exec.Row, error) { return rows[i], nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,6 +133,13 @@ func combinedJob(t *testing.T) *mapreduce.Job {
 		// cid, then count(*), sum, avg's (sum, count) and max.
 		Partials: typed(exec.TypeInt, exec.TypeInt, exec.TypeFloat, exec.TypeFloat, exec.TypeInt, exec.TypeString),
 	}
+	return combineJob(t, schema, agg)
+}
+
+// combineJob is a single-input, single-stream job keyed on column 0 whose
+// combiner is agg over rows of schema.
+func combineJob(t *testing.T, schema *exec.Schema, agg *AggOp) *mapreduce.Job {
+	t.Helper()
 	job, err := (&CommonJob{
 		Name: "combined",
 		Inputs: []CommonInput{{
@@ -154,8 +163,8 @@ func combinedJob(t *testing.T) *mapreduce.Job {
 // TestCombineInstanceMatchesStatelessCombine is the combiner's lifetime
 // proof, in the shape of TestReusedInstanceMatchesFreshInstances: one
 // instance folding a few hundred random key groups of very different sizes
-// — its slab and row headers recycled every time, also after a failed group
-// — returns, group by group, the values and error text of a fresh instance
+// — its scratch row, accumulators and partial row recycled every time, also
+// after a failed group — returns, group by group, the values and error text of a fresh instance
 // per group. What it returned for
 // earlier groups is compared only at the end, so a value aliasing the
 // recycled scratch would show.
@@ -205,9 +214,9 @@ func TestCombineInstanceMatchesStatelessCombine(t *testing.T) {
 	}
 }
 
-// TestAllocBudgetCombineInstance: once an instance has seen a group as
-// large, a key group costs only what it returns — its partial row's line
-// and that line's one-element slice — whatever its size.
+// TestAllocBudgetCombineInstance: on a warm instance a key group costs only
+// what it returns — its partial row's line and that line's one-element
+// slice — whatever its size.
 func TestAllocBudgetCombineInstance(t *testing.T) {
 	job := combinedJob(t)
 	task := job.Combiner.NewCombineTask()
@@ -230,5 +239,184 @@ func TestAllocBudgetCombineInstance(t *testing.T) {
 		if got > 2 {
 			t.Errorf("%d values: %v allocations per key group, budget 2", size, got)
 		}
+	}
+}
+
+// TestCombineFoldMatchesPartialRow holds the row-by-row fold to the batch
+// partial row it replaced: over random key groups of values holding NULL,
+// NaN, ±0, ±Inf and mixed INT and FLOAT, one instance's line for a group
+// is byte-equal to the encoding of the reference below over the group's
+// rows decoded up front. A group's value-order first failing value, in
+// decode or in an argument, is its error. Group values vary in the sign of
+// a zero, as a key group's may, so a fold that read the first row after a
+// later decode would show.
+func TestCombineFoldMatchesPartialRow(t *testing.T) {
+	// reference is the batch partial row: every row materialised, the
+	// group values from the first, then every aggregate over all rows.
+	reference := func(agg *AggOp, rows []exec.Row) (exec.Row, error) {
+		var dst exec.Row
+		for _, fn := range agg.GroupBy {
+			v, err := fn(rows[0])
+			if err != nil {
+				return nil, err
+			}
+			dst = append(dst, v)
+		}
+		for _, spec := range agg.Aggs {
+			acc := exec.NewAcc(spec.Kind)
+			for _, r := range rows {
+				if spec.Arg == nil {
+					acc.Add(exec.Int(1))
+					continue
+				}
+				v, err := spec.Arg(r)
+				if err != nil {
+					return nil, err
+				}
+				acc.Add(v)
+			}
+			dst = acc.AppendPartial(dst)
+		}
+		return dst, nil
+	}
+	poisoned := func(r exec.Row) (exec.Value, error) {
+		if r[2].T == exec.TypeFloat && r[2].F == 13 {
+			return exec.Value{}, errPoison
+		}
+		return r[2], nil
+	}
+	// g and x untyped, so INT and FLOAT fields mix; y FLOAT; z INT, which
+	// "oops" fails to decode.
+	schema := typed(exec.TypeNull, exec.TypeNull, exec.TypeFloat, exec.TypeInt)
+	agg := &AggOp{
+		OpName:  "AGG",
+		In:      StreamSource(0),
+		GroupBy: []exec.Evaluator{col(0)},
+		Aggs: []AggFunc{
+			{Kind: exec.AggCountStar},
+			{Kind: exec.AggCount, Arg: col(1)},
+			{Kind: exec.AggSum, Arg: col(1)},
+			{Kind: exec.AggAvg, Arg: col(1)},
+			{Kind: exec.AggMin, Arg: col(1)},
+			{Kind: exec.AggMax, Arg: col(1)},
+			{Kind: exec.AggSum, Arg: poisoned},
+			{Kind: exec.AggMax, Arg: col(3)},
+		},
+		Partials: typed(exec.TypeNull, exec.TypeInt, exec.TypeInt, exec.TypeNull, exec.TypeFloat, exec.TypeInt,
+			exec.TypeNull, exec.TypeNull, exec.TypeFloat, exec.TypeInt),
+	}
+	job := combineJob(t, schema, agg)
+	task := job.Combiner.NewCombineTask()
+	specials := []exec.Value{exec.Null(), exec.Float(math.NaN()), exec.Float(0), exec.Float(math.Copysign(0, -1)),
+		exec.Float(math.Inf(1)), exec.Float(math.Inf(-1)), exec.Int(0), exec.Int(-3), exec.Int(math.MaxInt64), exec.Float(2.5)}
+	// Each group draws its group values from one class that keys as one.
+	classes := [][]exec.Value{
+		{exec.Float(0), exec.Float(math.Copysign(0, -1))},
+		{exec.Float(math.NaN())}, {exec.Float(math.Inf(1))}, {exec.Float(math.Inf(-1))}, {exec.Null()},
+		{exec.Int(7)}, {exec.Float(-1.25)},
+	}
+	rng := rand.New(rand.NewSource(43))
+	var lines, wantLines []string
+	var errs, wantErrs []string
+	signs, twoFailures := 0, 0
+	for g := 0; g < 400; g++ {
+		class := classes[rng.Intn(len(classes))]
+		values := make([]string, 1+rng.Intn(12))
+		failing := 0
+		for v := range values {
+			row := exec.Row{class[rng.Intn(len(class))], specials[rng.Intn(len(specials))],
+				exec.Float(float64(rng.Intn(30)) / 2), exec.Int(int64(rng.Intn(5)))}
+			if rng.Intn(4) == 0 {
+				row[2] = specials[rng.Intn(len(specials))]
+				if row[2].T == exec.TypeInt {
+					row[2] = exec.Null() // y is FLOAT
+				}
+			}
+			values[v] = EncodeTagged(0, nil, row)
+			if rng.Intn(40) == 0 {
+				values[v] = values[v][:strings.LastIndexByte(values[v], '\t')+1] + "oops"
+			}
+		}
+		// The reference's rows and error: the first value, in value
+		// order, that fails to decode or fails an argument.
+		rows := make([]exec.Row, len(values))
+		var wantErr error
+		for i, v := range values {
+			tv, err := appendTagged(v, []*exec.Schema{schema}, nil, nil)
+			if err == nil {
+				_, err = poisoned(tv.Row)
+			}
+			if err != nil {
+				failing++
+				if wantErr == nil {
+					wantErr = err
+				}
+				continue
+			}
+			rows[i] = tv.Row
+		}
+		if failing >= 2 {
+			twoFailures++
+		}
+		want := ""
+		if wantErr == nil {
+			partial, err := reference(agg, rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = EncodeTagged(0, nil, partial)
+			if !identical(rows[0][:1], rows[len(rows)-1][:1]) {
+				signs++
+			}
+		}
+		vals, err := task.Combine("k", values)
+		if err == nil && len(vals) != 1 {
+			t.Fatalf("group %d: %d lines, want 1", g, len(vals))
+		}
+		got := ""
+		if err == nil {
+			got = vals[0]
+		}
+		lines, errs = append(lines, got), append(errs, fmt.Sprint(err))
+		wantLines, wantErrs = append(wantLines, want), append(wantErrs, fmt.Sprint(wantErr))
+	}
+	for g := range lines {
+		if lines[g] != wantLines[g] || errs[g] != wantErrs[g] {
+			t.Fatalf("group %d: the fold returned %q (%s), the batch partial row %q (%s)", g, lines[g], errs[g], wantLines[g], wantErrs[g])
+		}
+	}
+	if signs == 0 || twoFailures == 0 {
+		t.Errorf("%d groups whose first and last group values differ, %d with two failing values: the fold went untested", signs, twoFailures)
+	}
+}
+
+// TestAllocBudgetCombineFold: a fresh combine instance folding a
+// 1 000-value key group holds one decoded row and one accumulator per
+// aggregate, not the group: it allocates under 4 KB, where decoding the
+// group up front took a 3 000-value slab and 1 000 row headers.
+func TestAllocBudgetCombineFold(t *testing.T) {
+	job := combinedJob(t)
+	values := make([]string, 1000)
+	for v := range values {
+		values[v] = EncodeTagged(0, nil, exec.Row{exec.Int(7), exec.Float(float64(v) + 0.5), exec.Str("tag")})
+	}
+	combine := func() {
+		if _, err := job.Combiner.NewCombineTask().Combine("7", values); err != nil {
+			t.Fatal(err)
+		}
+	}
+	combine()
+	const runs = 20
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		combine()
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got >= 4<<10 {
+		t.Errorf("a fresh instance folding %d values allocated %d bytes, budget 4 KB", len(values), got)
+	} else {
+		t.Logf("a fresh instance folding %d values: %d bytes", len(values), got)
 	}
 }

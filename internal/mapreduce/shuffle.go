@@ -92,7 +92,9 @@ func groupPairs(lists []pairList, parts [][]uint8, p uint8) []keyGroup {
 	index := make(map[string]int) // key -> position in groups
 	var groups []keyGroup
 	var next []int // per group: its value count, then where its next value goes
-	groupOf := make([]int, 0, n)
+	// Per selected pair, its key's group: 4 bytes a pair, since a job that
+	// could number its keys past an int32 would not fit in memory anyway.
+	groupOf := make([]int32, 0, n)
 	g := -1
 	for l := range lists {
 		var part []uint8
@@ -114,7 +116,7 @@ func groupPairs(lists []pairList, parts [][]uint8, p uint8) []keyGroup {
 					next = append(next, 0)
 				}
 			}
-			groupOf = append(groupOf, g)
+			groupOf = append(groupOf, int32(g))
 			next[g]++
 		}
 	}
