@@ -14,10 +14,10 @@ import (
 // Engine executes jobs against a DFS and costs them against a cluster
 // model. It is not safe for concurrent use: callers drive one chain at a
 // time. Internally, however, the engine fans map morsels, combiners,
-// shuffle partitions, reduce key runs and fault-path re-executions out
-// across a pool of worker goroutines (see parallel.go and shuffle.go);
-// every gather follows an order the data fixes, so output, stats and traces
-// are byte-identical at any worker count.
+// reduce key runs and fault-path re-executions out across a pool of
+// worker goroutines (see parallel.go and shuffle.go); every gather follows
+// an order the data fixes, so output, stats and traces are byte-identical
+// at any worker count.
 type Engine struct {
 	dfs     *DFS
 	cluster *Cluster
@@ -83,8 +83,8 @@ func (e *Engine) RunChain(jobs []*Job) (*ChainStats, error) {
 // RunChainContext executes jobs sequentially in dependency order (the way
 // Hive drove its job chains) and returns per-job stats in execution order.
 // ctx stops the chain at the engine's work-item boundaries — before every
-// job, map morsel, combiner task, shuffle partition, reduce key run and
-// fault replay, never per row — and the chain then fails with ctx's error
+// job, map morsel, combiner task, reduce key run and fault replay, never
+// per row — and the chain then fails with ctx's error
 // and no stats. A check that does not fire changes nothing: output, stats
 // and traces are those of a run that cannot be stopped. A panic in user
 // code, on a worker or on this goroutine, fails the job it ran in with an
@@ -351,17 +351,14 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 		stats.ShuffleBytes = int64(float64(stats.ShuffleBytes) * cl.Cost.CompressionRatio)
 	}
 
-	// ----- Shuffle: partition and group ----------------------------------
+	// ----- Shuffle: group and sort ----------------------------------------
 	numReduce := j.NumReduceTasks
 	if numReduce <= 0 {
 		numReduce = cl.DefaultReduceTasks()
 	}
 	stats.NumReduceTasks = numReduce
 
-	groups, err := e.shuffle(lists, e.hostPartitions(nPairs))
-	if err != nil {
-		return nil, err
-	}
+	groups := e.shuffle(lists)
 	if len(groups) == 0 && j.GlobalReduce {
 		groups = []keyGroup{{}} // the empty key's group, with no values
 	}
@@ -471,7 +468,7 @@ func runMapper(mapper MapTask, lines []string) (pairList, error) {
 // in order — by key, in first-seen key order, and applies the combiner
 // instance c to every group.
 func combineTask(lists []pairList, c CombineTask) (pairList, error) {
-	groups := groupPairs(lists, nil, 0)
+	groups := groupPairs(lists)
 	out := pairList{pairs: make([]kv, 0, len(groups))}
 	for _, g := range groups {
 		vals, err := c.Combine(g.key, g.values)
@@ -502,9 +499,9 @@ func appendChunks(tasks []mapTask, in int, lines []string, n int) []mapTask {
 	return tasks
 }
 
-// partitionOf is the hash partitioner, of simulated reduce tasks and host
-// shuffle partitions alike: FNV-32a of the key, modulo the partition count,
-// computed over the string in place.
+// partitionOf is the hash partitioner of simulated reduce tasks: FNV-32a
+// of the key, modulo the partition count, computed over the string in
+// place.
 func partitionOf(key string, numReduce int) int {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {

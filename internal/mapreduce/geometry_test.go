@@ -15,7 +15,7 @@ import (
 )
 
 // The tests of the host's execution geometry (shuffle.go): whatever way the
-// worker count cuts a job into morsels, shuffle partitions and key runs,
+// worker count cuts a job into morsels and key runs,
 // rows, JobStats, attempt logs and trace bytes are those of the sequential
 // engine.
 
@@ -225,7 +225,7 @@ func runGeometryOn(t *testing.T, cluster *Cluster, job *Job, workers int, a, b [
 }
 
 // TestGeometryInvariantAcrossWorkers runs one synthetic job, whose inputs
-// span several morsels, shuffle partitions and key runs, in every variant
+// span several morsels and key runs, in every variant
 // the engine distinguishes, at 1, 2 and 8 workers.
 func TestGeometryInvariantAcrossWorkers(t *testing.T) {
 	sumCombiner := benchJob().Combiner
@@ -290,17 +290,14 @@ func TestGeometryInvariantAcrossWorkers(t *testing.T) {
 		}},
 	}
 	// The shape the variants share: three tasks of three morsels each, and
-	// 8000 pairs over 400 keys — several shuffle partitions and several key
-	// runs at 2 and at 8 workers, whichever reducer reduces them (how many
-	// instances a factory hands out is TestGeometryReduceInstances' and
+	// 8000 pairs over 400 keys — several key runs at 2 and at 8 workers,
+	// whichever reducer reduces them (how many instances a factory hands
+	// out is TestGeometryReduceInstances' and
 	// TestGeometryInstancesPerWorker's).
 	a, b := geometryInput(5000, 400, 0), geometryInput(3000, 400, 3)
 	morsels, first := cutMorsels([]mapTask{{chunk: a[:2500]}, {chunk: a[2500:]}, {chunk: b}})
 	if len(morsels) != 9 || !reflect.DeepEqual(first, []int{0, 3, 6, 9}) {
 		t.Fatalf("cutMorsels: %d morsels, first = %v", len(morsels), first)
-	}
-	if p2, p8 := (&Engine{workers: 2}).hostPartitions(8000), (&Engine{workers: 8}).hostPartitions(8000); p2 != 2 || p8 != 3 {
-		t.Fatalf("8000 pairs shuffle in %d partitions at 2 workers and %d at 8, want 2 and 3", p2, p8)
 	}
 	groups := make([]keyGroup, 400)
 	for k := range groups {
@@ -646,8 +643,8 @@ func TestReducerSizes(t *testing.T) {
 	}
 }
 
-// referenceShuffle is the shuffle the partitioned one replaced: one global
-// map, appended to in map-output order, and a sort over every key.
+// referenceShuffle is the shuffle's specification: one global map,
+// appended to in map-output order, and a sort over every key.
 func referenceShuffle(lists []pairList) []keyGroup {
 	byKey := make(map[string][]string)
 	for _, l := range lists {
@@ -682,16 +679,15 @@ func sameGroups(got, want []keyGroup) error {
 	return nil
 }
 
-// FuzzShuffleGrouping: for any pair lists and any partition count, grouping
-// per hash partition and merging yields the reference shuffle's keys, in
-// its order, each with its values in map-output order.
+// FuzzShuffleGrouping: for any pair lists, the shuffle yields the reference
+// shuffle's keys, in its order, each with its values in map-output order
+// and capped at them.
 func FuzzShuffleGrouping(f *testing.F) {
-	f.Add([]byte(""), uint8(1), uint8(1))
-	f.Add([]byte("abcabcaab"), uint8(2), uint8(3))
-	f.Add([]byte("the quick brown fox jumps over the lazy dog\x00\xff"), uint8(16), uint8(5))
-	f.Add(bytes.Repeat([]byte{7, 7, 7, 7, 9}, 40), uint8(7), uint8(2))
-	f.Fuzz(func(t *testing.T, data []byte, parts, nLists uint8) {
-		nParts := int(parts)%maxPartitions + 1
+	f.Add([]byte(""), uint8(1))
+	f.Add([]byte("abcabcaab"), uint8(3))
+	f.Add([]byte("the quick brown fox jumps over the lazy dog\x00\xff"), uint8(5))
+	f.Add(bytes.Repeat([]byte{7, 7, 7, 7, 9}, 40), uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, nLists uint8) {
 		lists := make([]pairList, int(nLists)%6+1)
 		for i, b := range data {
 			// Few distinct keys, so groups hold several values; the key's
@@ -700,25 +696,18 @@ func FuzzShuffleGrouping(f *testing.F) {
 			l := &lists[(i*31+int(b))%len(lists)]
 			l.pairs = append(l.pairs, kv{key, strconv.Itoa(i)})
 		}
-		want := referenceShuffle(lists)
-		for _, workers := range []int{1, 4} {
-			e := &Engine{workers: workers}
-			groups, err := e.shuffle(lists, nParts)
-			if err == nil {
-				err = sameGroups(groups, want)
-			}
-			if err != nil {
-				t.Fatalf("%d partitions, %d workers: %v", nParts, workers, err)
-			}
+		if err := sameGroups(new(Engine).shuffle(lists), referenceShuffle(lists)); err != nil {
+			t.Fatal(err)
 		}
 	})
 }
 
 // TestAllocBudgetRunJob pins the engine's own containers: with the tasks,
-// partitions, runs and keys fixed, a job's allocations do not grow with its
-// pair count — every per-pair container is sized once from a count. And at
-// 2 workers, with the keys fixed, more key runs cost no more allocations:
-// the reduce phase allocates per worker, never per run.
+// runs and keys fixed, a job's allocations do not grow with its pair count
+// — every per-pair container is sized once from a count. At 2 workers,
+// with the keys fixed, more pairs cost the shuffle no more allocations (it
+// groups on the driver whatever the worker count) and more key runs cost
+// the reduce phase none (it allocates per worker, never per run).
 func TestAllocBudgetRunJob(t *testing.T) {
 	mapper := MapperFunc(func(line string, emit Emit) error {
 		emit(line[:1], line)
@@ -752,6 +741,17 @@ func TestAllocBudgetRunJob(t *testing.T) {
 	}
 
 	e := &Engine{workers: 2}
+	shuffleAllocs := func(nPairs int) float64 {
+		lists := []pairList{{pairs: make([]kv, nPairs)}}
+		for i := range lists[0].pairs {
+			lists[0].pairs[i] = kv{string(rune('a' + i%8)), "payload"}
+		}
+		return testing.AllocsPerRun(20, func() { e.shuffle(lists) })
+	}
+	if few, many := shuffleAllocs(500), shuffleAllocs(8000); many > few {
+		t.Errorf("workers 2: %v allocations to shuffle 8000 pairs over 8 keys, %v for 500", many, few)
+	}
+
 	job := &Job{Reducer: discard}
 	reduceAllocs := func(perKey int) (runs int, allocs float64) {
 		groups := make([]keyGroup, 8)

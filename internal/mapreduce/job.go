@@ -12,9 +12,9 @@
 // byte-for-byte. Simulated parallelism enters through the cost model
 // (nodes × slots); host parallelism enters through the engine's worker
 // pool (Engine.SetWorkers), which cuts a job into host-sized units of its
-// own (map morsels, shuffle partitions, reduce key runs — never the
-// simulated cluster's tasks) and gathers every result in an order fixed by
-// the data, so the two notions never interact.
+// own (map morsels and reduce key runs — never the simulated cluster's
+// tasks) and gathers every result in an order fixed by the data, so the
+// two notions never interact.
 package mapreduce
 
 import (

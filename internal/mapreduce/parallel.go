@@ -6,10 +6,10 @@ import (
 	"sync/atomic"
 )
 
-// The worker pool. Map morsels, per-task combiners, shuffle partitions,
-// reduce key runs (see shuffle.go for how a job is cut into them) and
-// fault-path re-executions fan out across Engine.Workers goroutines. Every
-// parallel section follows the same discipline:
+// The worker pool. Map morsels, per-task combiners, reduce key runs (see
+// shuffle.go for how a job is cut into them) and fault-path re-executions
+// fan out across Engine.Workers goroutines. Every parallel section follows
+// the same discipline:
 //
 //   - the driver builds the complete work list up front (DFS reads and
 //     trace emission happen on the driver, in task order, before any
@@ -24,7 +24,7 @@ import (
 //     contract makes an instance's output independent of it, and what the
 //     instances counted is summed after the join (endPhase);
 //   - the driver gathers results after the join in an order the data
-//     fixes: ascending item index, or a merge by key.
+//     fixes: ascending item index.
 //
 // Host scheduling therefore never reaches anything observable: JobStats,
 // DFS contents, traces and fault replay are byte-identical at any worker

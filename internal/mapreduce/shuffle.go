@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"bytes"
 	"slices"
 	"strings"
 )
@@ -11,26 +10,20 @@ import (
 // charges and the fault plan schedules; it says nothing about the machine
 // the engine runs on (at test scale every input is one simulated task, and
 // FacebookCluster has 2 988 reduce tasks). Host work is therefore cut by
-// the three sizes below, from Engine.workers and the sizes actually
-// observed, and never from NumMapTasks, NumReduceTasks or the Cluster. A
-// job too small to cut runs as one morsel per task, one partition and one
-// run, inline on the driver.
+// the sizes below, from Engine.workers and the sizes actually observed,
+// and never from NumMapTasks, NumReduceTasks or the Cluster. A job too
+// small to cut runs as one morsel per task and one run, inline on the
+// driver.
 const (
 	// morselLines is the map phase's unit: a task's chunk is cut into
 	// morsels of this many input lines.
 	morselLines = 1024
-	// partitionPairs is the least number of map-output pairs worth a shuffle
-	// partition of their own.
-	partitionPairs = 2048
 	// runValues is the least number of reduce-input values worth a key run
 	// of their own; runsPerWorker oversubscribes the pool so uneven runs
 	// still balance. Runs cost no reducer instance: a worker reduces all the
 	// runs it takes on one (Engine.reduce).
 	runValues     = 512
 	runsPerWorker = 4
-	// maxPartitions keeps a partition id in a byte and the merge's scan over
-	// partition heads short.
-	maxPartitions = 16
 )
 
 // pairList is the map output of one unit of host work — a morsel, or a
@@ -42,7 +35,7 @@ type pairList struct {
 }
 
 // keyGroup is one reduce key with its values in map-output order: a capped
-// window of its partition's values slab.
+// window of one values slab shared by the job's groups.
 type keyGroup struct {
 	key    string
 	values []string
@@ -74,37 +67,24 @@ func cutMorsels(tasks []mapTask) (morsels []mapTask, first []int) {
 	return morsels, append(first, len(morsels))
 }
 
-// groupPairs groups pairs by key, keys in first-seen order and every key's
-// values in list order. parts selects the pairs: with parts[l][i] the
-// partition of lists[l].pairs[i], only partition p's pairs are grouped; nil
-// parts selects them all. A first pass numbers the keys and counts their
-// values, a second drops each value into its key's window of one values
-// slab sized by the number of selected pairs.
-func groupPairs(lists []pairList, parts [][]uint8, p uint8) []keyGroup {
-	n := 0 // selected pairs
+// groupPairs groups every pair of lists by key, keys in first-seen order
+// and every key's values in list order. A first pass numbers the keys and
+// counts their values, a second drops each value into its key's window of
+// one values slab sized by the number of pairs.
+func groupPairs(lists []pairList) []keyGroup {
+	n := 0
 	for l := range lists {
-		if parts == nil {
-			n += len(lists[l].pairs)
-		} else {
-			n += bytes.Count(parts[l], []byte{p})
-		}
+		n += len(lists[l].pairs)
 	}
 	index := make(map[string]int) // key -> position in groups
 	var groups []keyGroup
 	var next []int // per group: its value count, then where its next value goes
-	// Per selected pair, its key's group: 4 bytes a pair, since a job that
-	// could number its keys past an int32 would not fit in memory anyway.
+	// Per pair, its key's group: 4 bytes a pair, since a job that could
+	// number its keys past an int32 would not fit in memory anyway.
 	groupOf := make([]int32, 0, n)
 	g := -1
 	for l := range lists {
-		var part []uint8
-		if parts != nil {
-			part = parts[l]
-		}
 		for i := range lists[l].pairs {
-			if part != nil && part[i] != p {
-				continue
-			}
 			// Sorted inputs emit a key's pairs back to back; only a change
 			// of key pays for the map.
 			if key := lists[l].pairs[i].key; g < 0 || groups[g].key != key {
@@ -125,20 +105,13 @@ func groupPairs(lists []pairList, parts [][]uint8, p uint8) []keyGroup {
 		next[g], sum = sum, sum+c
 	}
 	values := make([]string, n)
-	sel := 0
+	pair := 0
 	for l := range lists {
-		var part []uint8
-		if parts != nil {
-			part = parts[l]
-		}
 		for i := range lists[l].pairs {
-			if part != nil && part[i] != p {
-				continue
-			}
-			g := groupOf[sel]
+			g := groupOf[pair]
 			values[next[g]] = lists[l].pairs[i].value
 			next[g]++
-			sel++
+			pair++
 		}
 	}
 	lo := 0
@@ -151,76 +124,13 @@ func groupPairs(lists []pairList, parts [][]uint8, p uint8) []keyGroup {
 	return groups
 }
 
-// hostPartitions is the number of shuffle partitions n map-output pairs
-// are grouped in.
-func (e *Engine) hostPartitions(n int) int {
-	return max(1, min(e.workers, n/partitionPairs, maxPartitions))
-}
-
 // shuffle groups the job's map-output pairs by key and returns the groups
-// in sorted key order, every key's values in map-output order. Pairs are
-// hash-partitioned by key into nParts host partitions (hostPartitions of
-// the pair count; at most maxPartitions); each partition groups and sorts
-// its own keys on the worker pool, and since partitions share no key a
-// merge of their sorted lists is the global order. The bodies cannot fail:
-// an error is the run's context stopping the shuffle.
-func (e *Engine) shuffle(lists []pairList, nParts int) ([]keyGroup, error) {
-	if nParts == 1 {
-		groups := groupPairs(lists, nil, 0)
-		sortGroups(groups)
-		return groups, nil
-	}
-	// Every key is hashed once, list by list; a partition then picks its
-	// pairs out of every list, in list order, by the recorded byte.
-	parts := make([][]uint8, len(lists))
-	err := e.forEachTask(len(lists), func(_, l int) error {
-		part := make([]uint8, len(lists[l].pairs))
-		for i := range part {
-			part[i] = uint8(partitionOf(lists[l].pairs[i].key, nParts))
-		}
-		parts[l] = part
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	parted := make([][]keyGroup, nParts)
-	err = e.forEachTask(nParts, func(_, p int) error {
-		groups := groupPairs(lists, parts, uint8(p))
-		sortGroups(groups)
-		parted[p] = groups
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeGroups(parted), nil
-}
-
-func sortGroups(groups []keyGroup) {
+// in sorted key order, every key's values in map-output order. It runs on
+// the driver at any worker count: one grouping pass and one sort.
+func (e *Engine) shuffle(lists []pairList) []keyGroup {
+	groups := groupPairs(lists)
 	slices.SortFunc(groups, func(a, b keyGroup) int { return strings.Compare(a.key, b.key) })
-}
-
-// mergeGroups merges sorted group lists that share no key into one sorted
-// list.
-func mergeGroups(parted [][]keyGroup) []keyGroup {
-	n := 0
-	for _, groups := range parted {
-		n += len(groups)
-	}
-	out := make([]keyGroup, 0, n)
-	heads := make([]int, len(parted))
-	for len(out) < n {
-		best := -1
-		for p, h := range heads {
-			if h < len(parted[p]) && (best < 0 || parted[p][h].key < parted[best][heads[best]].key) {
-				best = p
-			}
-		}
-		out = append(out, parted[best][heads[best]])
-		heads[best]++
-	}
-	return out
+	return groups
 }
 
 // reducerSizes reports the largest share of groups and of values any one

@@ -12,11 +12,10 @@ import (
 // readers on other goroutines consume Lines/Bytes/PredictedSeconds
 // without holding the store lock.
 type Entry struct {
-	// Key is the store key: the job fingerprint. An optimized plan writes
-	// the plain plan's bytes exactly (its early filters drop only lines
-	// the mapper drops anyway), so both share artifacts.
-	Key string
-	// Fingerprint is the canonical sub-plan fingerprint.
+	// Fingerprint is the store key: the job's canonical sub-plan
+	// fingerprint. An optimized plan writes the plain plan's bytes exactly
+	// (its early filters drop only lines the mapper drops anyway), so both
+	// share artifacts.
 	Fingerprint string
 	// Tables lists the DFS paths of every base table the artifact was
 	// derived from, sorted.
@@ -30,8 +29,6 @@ type Entry struct {
 	Lines []string
 	// Bytes is the encoded size of Lines (line bytes + newline each).
 	Bytes int64
-	// Rows is len(Lines) at record time.
-	Rows int64
 	// PredictedSeconds is the cost model's prediction for the producing
 	// job (JobStats.PredictedTime) — the time a future query saves by
 	// reading the artifact instead of re-running the job.
@@ -133,7 +130,7 @@ func (s *Store) validLocked(e *Entry, at map[string]int64) bool {
 	return true
 }
 
-// Record stores the output lines of a job run under key. epochs is the
+// Record stores the output lines of a job run under its fingerprint. epochs is the
 // validity snapshot of the tables the job read, captured when the plan
 // was rewritten (before execution) so a concurrent table overwrite can
 // only make the entry look stale, never fresh. Existing entries are
@@ -144,7 +141,7 @@ func (s *Store) validLocked(e *Entry, at map[string]int64) bool {
 // cap. The entry keeps lines itself, not a copy: like a DFS file's lines
 // (the ownership rule on mapreduce.DFS, which is where recorded artifacts
 // come from), they must never be written again.
-func (s *Store) Record(key, fingerprint string, tables []string, epochs map[string]int64, lines []string, predictedSeconds float64) {
+func (s *Store) Record(fingerprint string, tables []string, epochs map[string]int64, lines []string, predictedSeconds float64) {
 	var bytes int64
 	for _, l := range lines {
 		bytes += int64(len(l)) + 1
@@ -156,19 +153,17 @@ func (s *Store) Record(key, fingerprint string, tables []string, epochs map[stri
 		ep[p] = epochs[p]
 	}
 	e := &Entry{
-		Key:              key,
 		Fingerprint:      fingerprint,
 		Tables:           sortedTables,
 		Epochs:           ep,
 		Lines:            lines,
 		Bytes:            bytes,
-		Rows:             int64(len(lines)),
 		PredictedSeconds: predictedSeconds,
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old, ok := s.entries[key]; ok {
+	if old, ok := s.entries[fingerprint]; ok {
 		if s.validLocked(old, nil) && !s.validLocked(e, nil) {
 			return
 		}
@@ -177,7 +172,7 @@ func (s *Store) Record(key, fingerprint string, tables []string, epochs map[stri
 	}
 	s.seq++
 	e.seq = s.seq
-	s.entries[key] = e
+	s.entries[fingerprint] = e
 	s.bytes += bytes
 	s.reg.Add("ysmart_reuse_records_total", 1)
 	s.evictLocked()
@@ -201,7 +196,7 @@ func (s *Store) evictLocked() {
 				victim, victimScore = e, score
 			}
 		}
-		delete(s.entries, victim.Key)
+		delete(s.entries, victim.Fingerprint)
 		s.bytes -= victim.Bytes
 		s.reg.Add("ysmart_reuse_evictions_total", 1)
 	}

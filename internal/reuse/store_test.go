@@ -14,7 +14,7 @@ import (
 // rec stores one entry under key whose encoded size is exactly bytes
 // (one line of bytes-1 characters plus the newline the store accounts).
 func rec(s *Store, key string, bytes int, predicted float64) {
-	s.Record(key, key, nil, nil, []string{strings.Repeat("x", bytes-1)}, predicted)
+	s.Record(key, nil, nil, []string{strings.Repeat("x", bytes-1)}, predicted)
 }
 
 // hitN looks key up n times to build demonstrated demand.
@@ -124,7 +124,7 @@ func TestRecordKeepsDFSLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewStore(0, nil)
-	s.Record("k", "fp", nil, nil, lines, 1)
+	s.Record("k", nil, nil, lines, 1)
 	e, ok := s.Lookup("k")
 	if !ok {
 		t.Fatal("recorded entry missing")
@@ -132,8 +132,8 @@ func TestRecordKeepsDFSLines(t *testing.T) {
 	if len(e.Lines) != len(lines) || &e.Lines[0] != &lines[0] {
 		t.Error("the entry copied the recorded lines instead of keeping them")
 	}
-	if e.Rows != 2 || e.Bytes != int64(len("a\t1\n")+len("b\t2\n")) {
-		t.Errorf("Rows = %d, Bytes = %d; want 2 and 8", e.Rows, e.Bytes)
+	if e.Fingerprint != "k" || e.Bytes != int64(len("a\t1\n")+len("b\t2\n")) {
+		t.Errorf("Fingerprint = %q, Bytes = %d; want \"k\" and 8", e.Fingerprint, e.Bytes)
 	}
 }
 
@@ -149,7 +149,7 @@ func TestStalenessGuard(t *testing.T) {
 		dfs := mapreduce.NewDFS()
 		dfs.Write("tables/clicks", []string{"old"})
 		s := NewStore(0, nil)
-		s.Record("k", "fp", []string{"tables/clicks"}, s.SnapshotEpochs([]string{"tables/clicks"}), []string{"out"}, 1)
+		s.Record("k", []string{"tables/clicks"}, s.SnapshotEpochs([]string{"tables/clicks"}), []string{"out"}, 1)
 		dfs.Write("tables/clicks", []string{"new"})
 		if _, ok := s.Lookup("k"); !ok {
 			t.Fatal("a DFS write reached the store: it is meant to see only the epochs its callers pass")
@@ -168,7 +168,7 @@ func TestStalenessGuard(t *testing.T) {
 func TestLookupAtSnapshot(t *testing.T) {
 	s := NewStore(0, nil)
 	old := s.SnapshotEpochs([]string{"tables/clicks"})
-	s.Record("k", "fp", []string{"tables/clicks"}, old, []string{"out"}, 1)
+	s.Record("k", []string{"tables/clicks"}, old, []string{"out"}, 1)
 	s.BumpPath("tables/clicks")
 	if _, ok := s.LookupAt("k", old); !ok {
 		t.Error("session holding pre-registration data lost its consistent artifact")
@@ -192,7 +192,7 @@ func TestCrossSnapshotLookupKeepsCurrentArtifact(t *testing.T) {
 	a := s.SnapshotEpochs(tables)
 	s.BumpPath("tables/clicks")
 	b := s.SnapshotEpochs(tables)
-	s.Record("k", "fp", tables, b, []string{"from-b"}, 1)
+	s.Record("k", tables, b, []string{"from-b"}, 1)
 
 	if _, ok := s.LookupAt("k", a); ok {
 		t.Fatal("pre-bump session served a post-bump artifact")
@@ -200,7 +200,7 @@ func TestCrossSnapshotLookupKeepsCurrentArtifact(t *testing.T) {
 	if s.Len() != 1 {
 		t.Error("A's miss deleted B's valid artifact")
 	}
-	s.Record("k", "fp", tables, a, []string{"from-a"}, 1)
+	s.Record("k", tables, a, []string{"from-a"}, 1)
 	e, ok := s.LookupAt("k", b)
 	if !ok || e.Lines[0] != "from-b" {
 		t.Errorf("A's record displaced B's current artifact: hit=%v entry=%+v", ok, e)
@@ -225,7 +225,7 @@ func TestStoreConcurrent(t *testing.T) {
 				switch i % 5 {
 				case 0:
 					ep := s.SnapshotEpochs([]string{"tables/t"})
-					s.Record(key, key, []string{"tables/t"}, ep, []string{"line", "line2"}, float64(i))
+					s.Record(key, []string{"tables/t"}, ep, []string{"line", "line2"}, float64(i))
 				case 1:
 					s.Lookup(key)
 				case 2:

@@ -601,7 +601,7 @@ func TestMalformedResultLineMidStream(t *testing.T) {
 	poisoned := append([]string(nil), e.Lines...)
 	at := len(poisoned) / 2
 	poisoned[at] += "\toops"
-	store.Record(key, e.Fingerprint, e.Tables, e.Epochs, poisoned, e.PredictedSeconds)
+	store.Record(key, e.Tables, e.Epochs, poisoned, e.PredictedSeconds)
 
 	// Read the reply message by message: the rows before the bad line, then
 	// the error, then ReadyForQuery — nothing after the error but that.
@@ -644,7 +644,7 @@ func TestMalformedResultLineMidStream(t *testing.T) {
 
 	// And the statement itself is fine once the artifact is: same rows as
 	// before the poisoning.
-	store.Record(key, e.Fingerprint, e.Tables, e.Epochs, e.Lines, e.PredictedSeconds)
+	store.Record(key, e.Tables, e.Epochs, e.Lines, e.PredictedSeconds)
 	again, err := cli.Query(bigResultSQL)
 	if err != nil {
 		t.Fatal(err)

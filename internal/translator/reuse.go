@@ -335,7 +335,7 @@ func (rp *ReusePlan) Record(store *reuse.Store, dfs *mapreduce.DFS, stats *mapre
 		if err != nil {
 			continue
 		}
-		store.Record(rec.fingerprint, rec.fingerprint, rec.tables, rp.epochs, lines, predicted[rec.jobName])
+		store.Record(rec.fingerprint, rec.tables, rp.epochs, lines, predicted[rec.jobName])
 	}
 }
 
