@@ -206,6 +206,98 @@ func DecodeField(field string, t Type) (Value, error) {
 	}
 }
 
+// CanonicalText is DecodeField followed by Value.String without either, for
+// the fields where the pair is a byte copy: when field is inside a grammar
+// narrow enough that the text spelling of the value it decodes to is a
+// substring of it, it returns that substring and true; otherwise "" and
+// false, and the caller parses and renders as before. An accepted number is
+// spelled exactly as AppendField writes its value, and an accepted field
+// always decodes, so the caller may also take acceptance as the parse check.
+// The grammar:
+//
+//   - TypeInt: -?(0|[1-9][0-9]{0,17}), except -0 — at most 18 digits, so
+//     never out of range.
+//   - TypeFloat, integer-valued: -?(0|[1-9][0-9]{0,5})\.0; the text drops
+//     the ".0" marker.
+//   - TypeFloat, fractional: -?(0|[1-9][0-9]{0,5})\.[0-9]+, where a "0"
+//     integer part is followed by at most three zeros, the last digit is
+//     not 0 and there are at most 15 significant digits.
+//   - TypeString: no backslash, so nothing is escaped.
+//
+// Every other field — `\N`, E-form, more digits, NaN and ±Inf, leading or
+// trailing zeros, a '+', bools, an untyped column — is refused.
+//
+// Why the float rule is exact: AppendFloat(f, 'g', -1) prints the shortest
+// decimal that parses back to f, in F-form when f's magnitude is in
+// [1e-4, 1e6) — the range the integer part and the three-zero cap keep to.
+// Two different decimals of at most 15 significant digits never parse to one
+// double (DBL_DIG = 15: such a decimal survives the round trip through a
+// double), so the shortest decimal of the double the field parses to is the
+// field's own digits, and F-form puts them back as the field spells them.
+func CanonicalText(field string, t Type) (string, bool) {
+	switch t {
+	case TypeInt:
+		if canonicalInt(field) {
+			return field, true
+		}
+	case TypeFloat:
+		return canonicalFloat(field)
+	case TypeString:
+		if strings.IndexByte(field, '\\') < 0 {
+			return field, true
+		}
+	}
+	return "", false
+}
+
+// canonicalInt reports whether field matches -?(0|[1-9][0-9]{0,17}) and is
+// not -0.
+func canonicalInt(field string) bool {
+	digits := strings.TrimPrefix(field, "-")
+	if digits == "" || len(digits) > 18 || !allDigits(digits) {
+		return false
+	}
+	return digits[0] != '0' || field == "0"
+}
+
+// canonicalFloat is CanonicalText's TypeFloat grammar.
+func canonicalFloat(field string) (string, bool) {
+	body := strings.TrimPrefix(field, "-")
+	intPart, frac, ok := strings.Cut(body, ".")
+	if !ok || intPart == "" || len(intPart) > 6 || !allDigits(intPart) ||
+		(intPart[0] == '0' && intPart != "0") || frac == "" || !allDigits(frac) {
+		return "", false
+	}
+	if frac == "0" {
+		return field[:len(field)-2], true
+	}
+	if frac[len(frac)-1] == '0' {
+		return "", false
+	}
+	sig := len(intPart) + len(frac)
+	if intPart == "0" {
+		zeros := len(frac) - len(strings.TrimLeft(frac, "0"))
+		if zeros > 3 {
+			return "", false
+		}
+		sig = len(frac) - zeros
+	}
+	if sig > 15 {
+		return "", false
+	}
+	return field, true
+}
+
+// allDigits reports whether s is made of ASCII digits only.
+func allDigits(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return true
+}
+
 // unsigned strips one leading sign.
 func unsigned(field string) string {
 	if field != "" && (field[0] == '+' || field[0] == '-') {
@@ -218,12 +310,7 @@ func unsigned(field string) string {
 // everything strconv.ParseInt(field, 10, 64) accepts, bar the range check.
 func looksInt(field string) bool {
 	digits := unsigned(field)
-	for i := 0; i < len(digits); i++ {
-		if digits[i] < '0' || digits[i] > '9' {
-			return false
-		}
-	}
-	return digits != ""
+	return digits != "" && allDigits(digits)
 }
 
 // looksFloat reports whether field may be a float: it must carry the

@@ -119,8 +119,9 @@ func textValue(v exec.Value) string {
 }
 
 // appendTextValue appends textValue(v) to dst without building the string —
-// the DataRow writer's form of the same rendering (the two are held equal by
-// the wire golden and FuzzDataRowLine).
+// the DataRow writer's form of the same rendering for the fields
+// exec.CanonicalText refuses (the wire golden and FuzzDataRowLine hold both
+// renderings, and the copy of an accepted field, to the same bytes).
 func appendTextValue(dst []byte, v exec.Value) []byte {
 	switch v.T {
 	case exec.TypeInt:
@@ -330,19 +331,27 @@ func (w *wireWriter) rowDescription(schema *exec.Schema) error {
 }
 
 // dataRow writes one result row in text format straight from its codec line
-// (exec.EncodeRow's format): each field is parsed by its column's type — the
-// parse is the check, and a line exec.DecodeRow would refuse is refused here
-// with the same error — and re-rendered into the buffer as the wire spells
-// it. The two formats differ in four places: a float's ".0" marker is the
-// file's alone, bools are true/false there and t/f here, NULL is the `\N`
-// field there and length -1 here, and strings are escaped there and raw
-// here. An untyped (all-NULL) column lets the field's own syntax decide, as
-// the codec does. A refused line leaves no partial message behind.
+// (exec.EncodeRow's format). A field exec.CanonicalText accepts — nearly
+// every Int, Float and String field a plan writes — is copied: its wire
+// spelling is a substring of it. Every other field is parsed by its column's
+// type — the parse is the check, and a line exec.DecodeRow would refuse is
+// refused here with the same error — and re-rendered into the buffer as the
+// wire spells it. The two formats differ in four places: a float's ".0"
+// marker is the file's alone, bools are true/false there and t/f here, NULL
+// is the `\N` field there and length -1 here, and strings are escaped there
+// and raw here. An untyped (all-NULL) column lets the field's own syntax
+// decide, as the codec does. A refused line leaves no partial message behind.
 func (w *wireWriter) dataRow(payload string, schema *exec.Schema) error {
 	w.begin()
 	w.int16(int16(len(schema.Cols)))
 	err := exec.ScanRow(payload, schema, func(col int, field string) error {
-		v, err := exec.DecodeField(field, schema.Cols[col].Type)
+		typ := schema.Cols[col].Type
+		if text, ok := exec.CanonicalText(field, typ); ok {
+			w.int32(int32(len(text)))
+			w.buf = append(w.buf, text...)
+			return nil
+		}
+		v, err := exec.DecodeField(field, typ)
 		if err != nil {
 			return err
 		}

@@ -320,14 +320,18 @@ func TestServerConcurrentClients(t *testing.T) {
 	if got := srv.Registry().Value("ysmart_server_queries_total"); got != clients*3 {
 		t.Fatalf("queries_total = %v, want %d", got, clients*3)
 	}
-	var waits uint64
+	var waits, streams uint64
 	for _, m := range srv.Registry().Snapshot() {
-		if m.Name == "ysmart_server_admission_wait_seconds" && m.Hist != nil {
+		switch {
+		case m.Hist == nil:
+		case m.Name == "ysmart_server_admission_wait_seconds":
 			waits += m.Hist.Count
+		case m.Name == "ysmart_server_stream_seconds":
+			streams += m.Hist.Count
 		}
 	}
-	if waits != clients*3 {
-		t.Fatalf("admission wait histogram count = %d, want one observation per query (%d)", waits, clients*3)
+	if waits != clients*3 || streams != clients*3 {
+		t.Fatalf("admission wait and stream histogram counts = %d and %d, want one observation per query (%d)", waits, streams, clients*3)
 	}
 }
 

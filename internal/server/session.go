@@ -337,7 +337,12 @@ func (s *session) runQuery(sql string, start time.Time) error {
 	}
 	srv.reg.Observe("ysmart_server_query_seconds", time.Since(start).Seconds())
 	srv.reg.Add("ysmart_server_queries_total", 1)
-	return s.streamResult(p.Schema, res)
+	streamed := time.Now()
+	if err := s.streamResult(p.Schema, res); err != nil {
+		return err
+	}
+	srv.reg.Observe("ysmart_server_stream_seconds", time.Since(streamed).Seconds())
+	return nil
 }
 
 // run executes the shared, read-only plan on the session's runtime (as

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"ysmart/internal/datagen"
 	"ysmart/internal/exec"
 	"ysmart/internal/mapreduce"
 	"ysmart/internal/obs"
@@ -244,12 +245,133 @@ func FuzzDataRowLine(f *testing.F) {
 	f.Add("007", []byte{2, 2})
 	f.Add("", []byte{})
 	f.Add("a\tb", []byte{0, 6})
+	// The edges of exec.CanonicalText's float grammar, copied or not.
+	f.Add("999999.0\t1000000.0\t0.0001\t0.00001", []byte{3, 3, 3, 3})
+	f.Add("-0.0\t0.10\t123456.789012345\t1234567.5", []byte{3, 3, 3, 3})
 	f.Fuzz(func(t *testing.T, line string, types []byte) {
 		if len(types) > 64 {
 			types = types[:64]
 		}
 		checkDataRowLine(t, line, fuzzSchema(types))
 	})
+}
+
+// TestWireResultFieldsAreCanonical: every field the three large-result
+// statements of the wire_results benchmark workload select over datagen's
+// lineitem and orders (four times the default size, seed 1) — Int, Float
+// and String columns all — is one exec.CanonicalText copies, so their
+// DataRows never take the parse-and-render fallback, and a change to the
+// data or the grammar that would quietly move them there fails here.
+func TestWireResultFieldsAreCanonical(t *testing.T) {
+	statements := []string{
+		`SELECT l_orderkey, l_partkey, l_suppkey, l_quantity, l_extendedprice, l_shipmode, l_returnflag FROM lineitem WHERE l_quantity > 12`,
+		`SELECT o_orderkey, o_custkey, o_totalprice, o_orderdate, o_clerk FROM orders WHERE o_totalprice > 2000`,
+		`SELECT l_orderkey, l_partkey, l_quantity, o_custkey, o_totalprice FROM lineitem, orders WHERE o_orderkey = l_orderkey`,
+	}
+	cfg := datagen.DefaultTPCH()
+	cfg.Orders, cfg.Parts, cfg.Customers, cfg.Suppliers = 4*cfg.Orders, 4*cfg.Parts, 4*cfg.Customers, 4*cfg.Suppliers
+	cfg.Seed = 1
+	tables, err := datagen.TPCH(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dfs := mapreduce.NewDFS()
+	for _, name := range []string{"lineitem", "orders"} {
+		dfs.WriteShared(translator.TablePath(name), datagen.Lines(tables[name]))
+	}
+	eng, err := mapreduce.NewEngine(dfs, mapreduce.SmallCluster())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewPlanCache(len(statements), translator.YSmart, queries.Catalog(), nil)
+	fields := map[exec.Type]int{}
+	for _, sql := range statements {
+		p, err := cache.Get(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := translator.Run(context.Background(), p.Translation, eng, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = res.EachRow(func(payload string) error {
+			return exec.ScanRow(payload, p.Schema, func(col int, field string) error {
+				typ := p.Schema.Cols[col].Type
+				fields[typ]++
+				if _, ok := exec.CanonicalText(field, typ); !ok {
+					return fmt.Errorf("%v field %q takes the fallback", typ, field)
+				}
+				return nil
+			})
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	for _, typ := range []exec.Type{exec.TypeInt, exec.TypeFloat, exec.TypeString} {
+		if fields[typ] == 0 {
+			t.Errorf("no %v field was served: the statements no longer cover the type", typ)
+		}
+	}
+}
+
+// BenchmarkStreamResult streams 10 000 result lines shaped like the
+// wire_results lineitem statement's into io.Discard: "canonical" lines are
+// datagen's rows as a plan writes them, every field copied; in "mixed" every
+// other line also carries a NULL, an E-form price and an escaped string,
+// which are parsed and rendered.
+func BenchmarkStreamResult(b *testing.B) {
+	cols := []string{"l_orderkey", "l_partkey", "l_suppkey", "l_quantity", "l_extendedprice", "l_shipmode", "l_returnflag"}
+	full := queries.Catalog()["lineitem"]
+	schema := &exec.Schema{}
+	var at []int
+	for _, name := range cols {
+		i, err := full.Resolve("", name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		at = append(at, i)
+		schema.Cols = append(schema.Cols, full.Cols[i])
+	}
+	cfg := datagen.DefaultTPCH()
+	cfg.Seed = 1
+	tables, err := datagen.TPCH(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	source := tables["lineitem"]
+	for _, variant := range []struct {
+		name  string
+		mixed bool
+	}{{"canonical", false}, {"mixed", true}} {
+		lines := make([]string, 10000)
+		for i := range lines {
+			row := make(exec.Row, len(at))
+			for j, c := range at {
+				row[j] = source[i%len(source)][c]
+			}
+			if variant.mixed && i%2 == 1 {
+				row[1] = exec.Null()
+				row[4] = exec.Float(row[4].F * 1000)
+				row[5] = exec.Str("DELIVER\tIN PERSON")
+			}
+			lines[i] = exec.EncodeRow(row)
+		}
+		res := resultOver(b, lines, "", schema)
+		s := &session{writer: newWireWriter(io.Discard)}
+		b.Run(variant.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := s.streamResult(schema, res); err != nil {
+					b.Fatal(err)
+				}
+				_ = s.writer.flush()
+			}
+			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N*len(lines))
+			b.ReportMetric(ns, "ns/row")
+			b.ReportMetric(1e9/ns, "rows/s")
+		})
+	}
 }
 
 // streamBytes renders a result the way a session does, into memory.
