@@ -127,11 +127,17 @@ func AppendTag(dst []byte, tag string) []byte {
 	return append(append(dst, tag...), outputTagSep...)
 }
 
-// SplitTag removes the source tag of a line written after AppendTag, returning
-// the tag ("" if none) and the payload.
-func SplitTag(line string) (tag, payload string) {
-	if i := strings.Index(line, outputTagSep); i >= 0 {
-		return line[:i], line[i+len(outputTagSep):]
+// CutTag returns the payload of a line written after AppendTag(tag), and
+// false for a line of another output. An empty tag marks a file with one
+// output, whose lines are bare rows taken whole — a string value holding
+// the separator byte included; a non-empty one is matched as a prefix of
+// the line, followed by the separator.
+func CutTag(line, tag string) (payload string, ok bool) {
+	if tag == "" {
+		return line, true
 	}
-	return "", line
+	if rest, ok := strings.CutPrefix(line, tag); ok {
+		return strings.CutPrefix(rest, outputTagSep)
+	}
+	return "", false
 }

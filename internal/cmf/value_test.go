@@ -107,17 +107,25 @@ func TestTaggedRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestAppendTagSplitTag(t *testing.T) {
+// TestAppendTagCutTag: a line reads back under its own tag only, and an
+// untagged file's lines are taken whole, the separator byte inside a value
+// included.
+func TestAppendTagCutTag(t *testing.T) {
 	line := string(append(AppendTag(nil, "JOIN1"), "1\t2"...))
-	tag, payload := SplitTag(line)
-	if tag != "JOIN1" || payload != "1\t2" {
-		t.Errorf("SplitTag = (%q, %q)", tag, payload)
+	if payload, ok := CutTag(line, "JOIN1"); !ok || payload != "1\t2" {
+		t.Errorf("CutTag(%q, JOIN1) = %q, %v", line, payload, ok)
+	}
+	for _, other := range []string{"JOIN", "JOIN12", "AGG1"} {
+		if payload, ok := CutTag(line, other); ok {
+			t.Errorf("CutTag(%q, %s) = %q, true; want another output's line refused", line, other, payload)
+		}
 	}
 	if got := AppendTag([]byte("x"), ""); string(got) != "x" {
 		t.Errorf("empty tag appended %q, want nothing", got[1:])
 	}
-	tag, payload = SplitTag("plain")
-	if tag != "" || payload != "plain" {
-		t.Errorf("untagged SplitTag = (%q, %q)", tag, payload)
+	for _, bare := range []string{"plain", "a\x01b\t2", "JOIN1\x01x", ""} {
+		if payload, ok := CutTag(bare, ""); !ok || payload != bare {
+			t.Errorf("untagged CutTag(%q) = %q, %v; want the whole line", bare, payload, ok)
+		}
 	}
 }

@@ -14,12 +14,14 @@ import (
 )
 
 // hostileCodes are strings whose text reads as something else — a number,
-// a boolean, NULL, nothing at all — or that need the codec's escapes. A
-// reader that typed shipped fields by their text instead of their column
-// would turn "007" into 7 and the empty string into no field at all.
+// a boolean, NULL, nothing at all — or that need the codec's escapes, or
+// that hold \x01, the byte after a shared job's output tag. A reader that
+// typed shipped fields by their text instead of their column would turn
+// "007" into 7 and the empty string into no field at all; one that cut every
+// line at its first \x01 would read "a\x01b" as another output's row.
 var hostileCodes = []string{
 	"", "007", "1e3", "-0", "+5", "Inf", "NaN", "true", "false", `\N`,
-	"12345678901234567890", "tab\there", "new\nline", `back\slash`,
+	"12345678901234567890", "tab\there", "new\nline", `back\slash`, "a\x01b",
 }
 
 // hostileCatalog is t(id, code, v) and u(id, w).

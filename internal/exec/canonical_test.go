@@ -8,32 +8,106 @@ import (
 	"testing"
 )
 
-// checkCanonical holds CanonicalText to DecodeField + Value.String on one
+// canonicalText is CutField's verdict on one field: its copy text and
+// whether it is canonical. A string holding a tab is not one field, and is
+// refused.
+func canonicalText(field string, typ Type) (string, bool) {
+	_, text, ok, _, found := CutField(field, typ)
+	if found {
+		return "", false
+	}
+	return text, ok
+}
+
+// checkCanonical holds CutField's grammar to DecodeField + Value.String on one
 // field: where it accepts, the field decodes to a non-NULL value whose text
 // is the accepted bytes, and an accepted number is the very field AppendField
 // writes for that value. It reports whether the field was accepted.
 func checkCanonical(t testing.TB, field string, typ Type) bool {
 	t.Helper()
-	text, ok := CanonicalText(field, typ)
+	text, ok := canonicalText(field, typ)
 	if !ok {
 		if text != "" {
-			t.Fatalf("CanonicalText(%q, %v) refused but returned %q", field, typ, text)
+			t.Fatalf("CutField(%q, %v) refused but returned %q", field, typ, text)
 		}
 		return false
 	}
 	v, err := DecodeField(field, typ)
 	if err != nil || v.IsNull() {
-		t.Fatalf("CanonicalText(%q, %v) accepted a field that decodes to %v, %v", field, typ, v, err)
+		t.Fatalf("CutField(%q, %v) accepted a field that decodes to %v, %v", field, typ, v, err)
 	}
 	if want := v.String(); text != want {
-		t.Fatalf("CanonicalText(%q, %v) = %q, parse-then-render gives %q", field, typ, text, want)
+		t.Fatalf("CutField(%q, %v) = %q, parse-then-render gives %q", field, typ, text, want)
 	}
 	if typ != TypeString {
 		if enc := EncodeField(v); enc != field {
-			t.Fatalf("CanonicalText(%q, %v) accepted a field AppendField spells %q", field, typ, enc)
+			t.Fatalf("CutField(%q, %v) accepted a field AppendField spells %q", field, typ, enc)
 		}
 	}
 	return true
+}
+
+// canonicalTextReference is CutField's grammar as two passes over a field
+// already cut from its line, the form CutField's single scan replaced;
+// FuzzCutField and checkMutated hold the scan to it.
+func canonicalTextReference(field string, t Type) (string, bool) {
+	switch t {
+	case TypeInt:
+		digits := strings.TrimPrefix(field, "-")
+		if digits == "" || len(digits) > 18 || !allDigits(digits) || digits[0] == '0' && field != "0" {
+			return "", false
+		}
+		return field, true
+	case TypeFloat:
+		return canonicalFloatReference(field)
+	case TypeString:
+		if strings.IndexByte(field, '\\') < 0 {
+			return field, true
+		}
+	}
+	return "", false
+}
+
+// canonicalFloatReference is canonicalTextReference's TypeFloat grammar.
+func canonicalFloatReference(field string) (string, bool) {
+	body := strings.TrimPrefix(field, "-")
+	intPart, frac, ok := strings.Cut(body, ".")
+	if !ok || intPart == "" || len(intPart) > 6 || !allDigits(intPart) ||
+		(intPart[0] == '0' && intPart != "0") || frac == "" || !allDigits(frac) {
+		return "", false
+	}
+	if frac == "0" {
+		return field[:len(field)-2], true
+	}
+	if frac[len(frac)-1] == '0' {
+		return "", false
+	}
+	sig := len(intPart) + len(frac)
+	if intPart == "0" {
+		zeros := len(frac) - len(strings.TrimLeft(frac, "0"))
+		if zeros > 3 {
+			return "", false
+		}
+		sig = len(frac) - zeros
+	}
+	if sig > 15 {
+		return "", false
+	}
+	return field, true
+}
+
+// checkCutField holds CutField(s, typ) to strings.Cut(s, "\t") followed by
+// canonicalTextReference on the field, byte for byte.
+func checkCutField(t testing.TB, s string, typ Type) {
+	t.Helper()
+	field, text, ok, rest, found := CutField(s, typ)
+	wantField, wantRest, wantFound := strings.Cut(s, "\t")
+	if field != wantField || rest != wantRest || found != wantFound {
+		t.Fatalf("CutField(%q, %v) cuts %q | %q, %v; strings.Cut gives %q | %q, %v", s, typ, field, rest, found, wantField, wantRest, wantFound)
+	}
+	if wantText, wantOK := canonicalTextReference(wantField, typ); text != wantText || ok != wantOK {
+		t.Fatalf("CutField(%q, %v) = %q, %v; the two-pass grammar gives %q, %v", s, typ, text, ok, wantText, wantOK)
+	}
 }
 
 // canonicalTypes are the column types every field is tried under: the three
@@ -55,6 +129,8 @@ func checkMutated(t testing.TB, field string) {
 	for _, m := range muts {
 		for _, typ := range canonicalTypes {
 			checkCanonical(t, m, typ)
+			checkCutField(t, m, typ)
+			checkCutField(t, m+"\t"+field, typ)
 		}
 	}
 }
@@ -69,7 +145,7 @@ func digitString(r *rand.Rand, n int) string {
 	return string(b)
 }
 
-// TestCanonicalTextMatchesParse: wherever CanonicalText accepts a field, its
+// TestCanonicalTextMatchesParse: wherever CutField accepts a field, its
 // bytes are DecodeField + Value.String's, over prices, normal and random-bit
 // floats, the F-form range's edges, decimals of 15 to 17 significant digits,
 // integers and strings, each with its mutations — and the fields a plan
@@ -84,7 +160,7 @@ func TestCanonicalTextMatchesParse(t *testing.T) {
 	mustAccept := func(field string, typ Type) {
 		t.Helper()
 		if !checkCanonical(t, field, typ) {
-			t.Fatalf("CanonicalText(%q, %v) refused a canonical field", field, typ)
+			t.Fatalf("CutField(%q, %v) refused a canonical field", field, typ)
 		}
 		checkMutated(t, field)
 	}
@@ -194,11 +270,12 @@ func TestCanonicalTextGrammar(t *testing.T) {
 		{TypeNull, "5", "", false},
 	}
 	for _, c := range cases {
-		text, ok := CanonicalText(c.field, c.typ)
+		text, ok := canonicalText(c.field, c.typ)
 		if text != c.text || ok != c.ok {
-			t.Errorf("CanonicalText(%q, %v) = %q, %v; want %q, %v", c.field, c.typ, text, ok, c.text, c.ok)
+			t.Errorf("CutField(%q, %v) = %q, %v; want %q, %v", c.field, c.typ, text, ok, c.text, c.ok)
 		}
 		checkCanonical(t, c.field, c.typ)
+		checkCutField(t, c.field+"\tnext", c.typ)
 	}
 }
 
@@ -214,5 +291,23 @@ func FuzzCanonicalText(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, field string, typ byte) {
 		checkCanonical(t, field, Type(typ%7))
+	})
+}
+
+// FuzzCutField: for any line and column type, the one-pass scan cuts the
+// first field where strings.Cut does and judges it as the two-pass grammar
+// does.
+func FuzzCutField(f *testing.F) {
+	for _, s := range []string{"007", "+5", "-0", "-0.0", "1.50", "0.00001", "1234567.5",
+		"999999999999999999", "1000000000000000000", "10000000000000000000",
+		"-999999999999999999", "0", "0.0001", "24710.35", "a\\tb", `\N`, "", "\t", "-", "5."} {
+		for _, line := range []string{s, s + "\t", s + "\tx\t1", s + "x\t"} {
+			f.Add(line, byte(TypeInt))
+			f.Add(line, byte(TypeFloat))
+			f.Add(line, byte(TypeString))
+		}
+	}
+	f.Fuzz(func(t *testing.T, line string, typ byte) {
+		checkCutField(t, line, Type(typ%7))
 	})
 }

@@ -12,7 +12,8 @@ import (
 // encoding is injective. Floats always carry a '.' or exponent, so that a
 // TypeNull column — one the plan could not type — reads them as floats.
 
-const nullField = `\N`
+// NullField is the codec field that stands for NULL in a column of any type.
+const NullField = `\N`
 
 // AppendField appends a value's codec field to dst.
 func AppendField(dst []byte, v Value) []byte {
@@ -38,7 +39,7 @@ func AppendField(dst []byte, v Value) []byte {
 		}
 		return append(dst, "false"...)
 	default:
-		return append(dst, nullField...)
+		return append(dst, NullField...)
 	}
 }
 
@@ -109,37 +110,49 @@ func appendEscaped(dst []byte, s string) []byte {
 }
 
 func unescapeString(s string) (string, error) {
-	if !strings.Contains(s, `\`) {
+	if strings.IndexByte(s, '\\') < 0 {
 		return s, nil
 	}
-	var sb strings.Builder
-	sb.Grow(len(s))
-	for i := 0; i < len(s); i++ {
-		if s[i] != '\\' {
-			sb.WriteByte(s[i])
-			continue
+	var buf [encodeBuf]byte
+	b, err := AppendUnescaped(buf[:0], s)
+	if err != nil {
+		return "", err
+	}
+	return string(b), nil
+}
+
+// AppendUnescaped appends the value of a String field to dst: the field
+// with the codec's escapes undone, as DecodeField reads it, except that the
+// field NullField alone — NULL to DecodeField — is the caller's to test.
+// It is how a writer that wants the bytes, not a string, reads an escaped
+// field without allocating.
+func AppendUnescaped(dst []byte, field string) ([]byte, error) {
+	for i := 0; ; i++ {
+		j := strings.IndexByte(field[i:], '\\')
+		if j < 0 {
+			return append(dst, field[i:]...), nil
 		}
-		i++
-		if i >= len(s) {
-			return "", fmt.Errorf("dangling escape in field %q", s)
+		dst = append(dst, field[i:i+j]...)
+		i += j + 1
+		if i >= len(field) {
+			return dst, fmt.Errorf("dangling escape in field %q", field)
 		}
-		switch s[i] {
+		switch field[i] {
 		case '\\':
-			sb.WriteByte('\\')
+			dst = append(dst, '\\')
 		case 't':
-			sb.WriteByte('\t')
+			dst = append(dst, '\t')
 		case 'n':
-			sb.WriteByte('\n')
+			dst = append(dst, '\n')
 		case 'r':
-			sb.WriteByte('\r')
+			dst = append(dst, '\r')
 		case 'N':
 			// `\N` alone means NULL; embedded it round-trips as literal.
-			sb.WriteString("N")
+			dst = append(dst, 'N')
 		default:
-			return "", fmt.Errorf("unknown escape %q in field %q", s[i], s)
+			return dst, fmt.Errorf("unknown escape %q in field %q", field[i], field)
 		}
 	}
-	return sb.String(), nil
 }
 
 // DecodeField parses a field produced by EncodeField into a value of the
@@ -147,7 +160,7 @@ func unescapeString(s string) (string, error) {
 // lets the field's own syntax decide: integers, floats, true/false and NULL
 // are recognized, anything else is a string.
 func DecodeField(field string, t Type) (Value, error) {
-	if field == nullField {
+	if field == NullField {
 		return Null(), nil
 	}
 	switch t {
@@ -206,14 +219,20 @@ func DecodeField(field string, t Type) (Value, error) {
 	}
 }
 
-// CanonicalText is DecodeField followed by Value.String without either, for
-// the fields where the pair is a byte copy: when field is inside a grammar
-// narrow enough that the text spelling of the value it decodes to is a
-// substring of it, it returns that substring and true; otherwise "" and
-// false, and the caller parses and renders as before. An accepted number is
-// spelled exactly as AppendField writes its value, and an accepted field
-// always decodes, so the caller may also take acceptance as the parse check.
-// The grammar:
+// CutField is the codec's field scanner. One pass over s finds where its
+// first field ends — at the first tab, or at the end of s — while it checks
+// whether that field is canonical for column type t: field, rest and found
+// are strings.Cut(s, "\t")'s. A field the grammar refuses finishes its tab
+// search with strings.IndexByte from the byte that refused it, and a column
+// type the grammar never accepts is cut by strings.Cut alone.
+//
+// A canonical field is one where DecodeField followed by Value.String is a
+// byte copy: the field is inside a grammar narrow enough that the text
+// spelling of the value it decodes to is a substring of it, and text is that
+// substring. Otherwise text is "" and the caller parses and renders. An
+// accepted number is spelled exactly as AppendField writes its value, and an
+// accepted field always decodes, so the caller may also take acceptance as
+// the parse check. The grammar:
 //
 //   - TypeInt: -?(0|[1-9][0-9]{0,17}), except -0 — at most 18 digits, so
 //     never out of range.
@@ -234,58 +253,112 @@ func DecodeField(field string, t Type) (Value, error) {
 // double (DBL_DIG = 15: such a decimal survives the round trip through a
 // double), so the shortest decimal of the double the field parses to is the
 // field's own digits, and F-form puts them back as the field spells them.
-func CanonicalText(field string, t Type) (string, bool) {
+func CutField(s string, t Type) (field, text string, canonical bool, rest string, found bool) {
 	switch t {
 	case TypeInt:
-		if canonicalInt(field) {
-			return field, true
-		}
+		return cutInt(s)
 	case TypeFloat:
-		return canonicalFloat(field)
+		return cutFloat(s)
 	case TypeString:
-		if strings.IndexByte(field, '\\') < 0 {
-			return field, true
+		for i := 0; i < len(s); i++ {
+			switch s[i] {
+			case '\t':
+				return s[:i], s[:i], true, s[i+1:], true
+			case '\\':
+				field, rest, found = cutFrom(s, i)
+				return field, "", false, rest, found
+			}
 		}
+		return s, s, true, "", false
 	}
-	return "", false
+	field, rest, found = strings.Cut(s, "\t")
+	return field, "", false, rest, found
 }
 
-// canonicalInt reports whether field matches -?(0|[1-9][0-9]{0,17}) and is
-// not -0.
-func canonicalInt(field string) bool {
-	digits := strings.TrimPrefix(field, "-")
-	if digits == "" || len(digits) > 18 || !allDigits(digits) {
-		return false
+// cutInt is CutField's TypeInt scan.
+func cutInt(s string) (field, text string, canonical bool, rest string, found bool) {
+	i := 0
+	if s != "" && s[0] == '-' {
+		i = 1
 	}
-	return digits[0] != '0' || field == "0"
+	start := i
+	for i < len(s) && s[i]-'0' <= 9 && i-start < 18 {
+		i++
+	}
+	if i < len(s) && s[i] != '\t' {
+		field, rest, found = cutFrom(s, i)
+		return field, "", false, rest, found
+	}
+	field, rest, found = cutAt(s, i)
+	if i == start || s[start] == '0' && (i-start > 1 || start > 0) {
+		return field, "", false, rest, found
+	}
+	return field, field, true, rest, found
 }
 
-// canonicalFloat is CanonicalText's TypeFloat grammar.
-func canonicalFloat(field string) (string, bool) {
-	body := strings.TrimPrefix(field, "-")
-	intPart, frac, ok := strings.Cut(body, ".")
-	if !ok || intPart == "" || len(intPart) > 6 || !allDigits(intPart) ||
-		(intPart[0] == '0' && intPart != "0") || frac == "" || !allDigits(frac) {
-		return "", false
+// cutFloat is CutField's TypeFloat scan.
+func cutFloat(s string) (field, text string, canonical bool, rest string, found bool) {
+	i := 0
+	if s != "" && s[0] == '-' {
+		i = 1
 	}
-	if frac == "0" {
-		return field[:len(field)-2], true
+	start := i
+	for i < len(s) && s[i]-'0' <= 9 {
+		i++
 	}
-	if frac[len(frac)-1] == '0' {
-		return "", false
+	intLen := i - start
+	if intLen == 0 || intLen > 6 || s[start] == '0' && intLen > 1 || i == len(s) || s[i] != '.' {
+		field, rest, found = cutFrom(s, i)
+		return field, "", false, rest, found
 	}
-	sig := len(intPart) + len(frac)
-	if intPart == "0" {
-		zeros := len(frac) - len(strings.TrimLeft(frac, "0"))
+	i++
+	fracStart := i
+	for i < len(s) && s[i]-'0' <= 9 {
+		i++
+	}
+	if i < len(s) && s[i] != '\t' {
+		field, rest, found = cutFrom(s, i)
+		return field, "", false, rest, found
+	}
+	field, rest, found = cutAt(s, i)
+	frac := s[fracStart:i]
+	switch {
+	case frac == "0":
+		return field, field[:len(field)-2], true, rest, found
+	case frac == "" || frac[len(frac)-1] == '0':
+		return field, "", false, rest, found
+	}
+	sig := intLen + len(frac)
+	if intLen == 1 && s[start] == '0' {
+		zeros := 0
+		for frac[zeros] == '0' {
+			zeros++
+		}
 		if zeros > 3 {
-			return "", false
+			return field, "", false, rest, found
 		}
 		sig = len(frac) - zeros
 	}
 	if sig > 15 {
-		return "", false
+		return field, "", false, rest, found
 	}
-	return field, true
+	return field, field, true, rest, found
+}
+
+// cutAt cuts s at i, where s holds a tab or ends.
+func cutAt(s string, i int) (field, rest string, found bool) {
+	if i == len(s) {
+		return s, "", false
+	}
+	return s[:i], s[i+1:], true
+}
+
+// cutFrom cuts s at its first tab, which is not before i.
+func cutFrom(s string, i int) (field, rest string, found bool) {
+	if j := strings.IndexByte(s[i:], '\t'); j >= 0 {
+		return s[:i+j], s[i+j+1:], true
+	}
+	return s, "", false
 }
 
 // allDigits reports whether s is made of ASCII digits only.
@@ -423,22 +496,24 @@ func DecodeColsInto(dst Row, line string, s *Schema, cols []int) (Row, error) {
 	return row, nil
 }
 
-// ScanRow is DecodeRow's single pass without the row: it hands field each
-// column's position and raw codec text, left to right, and ranks and words
-// failures exactly as DecodeRow does — a wrong field count outranks
-// everything, and field's own error comes back as "column <name>: <err>".
-// It is how a consumer that wants a line's cells in some other form (or
-// only wants to know the line is well-formed) reads a row without building
-// one.
-func ScanRow(line string, s *Schema, field func(col int, text string) error) error {
+// ScanRow is DecodeRow's single pass without the row: it cuts each field
+// with CutField under its column's type and hands fn the column's position,
+// the field and CutField's copy text and verdict, left to right, and ranks
+// and words failures exactly as DecodeRow does — a wrong field count
+// outranks everything, and fn's own error comes back as "column <name>:
+// <err>". It is how a consumer that wants a line's cells in some other form
+// (or only wants to know the line is well-formed) reads a row without
+// building one.
+func ScanRow(line string, s *Schema, fn func(col int, field, text string, canonical bool) error) error {
 	rest, more := line, len(s.Cols) > 0 || line != ""
-	for col := range s.Cols {
+	for col, c := range s.Cols {
 		if !more {
 			return fieldCountError(line, s)
 		}
-		var text string
-		text, rest, more = strings.Cut(rest, "\t")
-		if err := field(col, text); err != nil {
+		var field, text string
+		var canonical bool
+		field, text, canonical, rest, more = CutField(rest, c.Type)
+		if err := fn(col, field, text, canonical); err != nil {
 			if strings.Count(line, "\t")+1 != len(s.Cols) {
 				return fieldCountError(line, s)
 			}

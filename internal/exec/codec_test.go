@@ -139,7 +139,7 @@ func TestDecodeColsIntoSlab(t *testing.T) {
 // not the text, settles which — for DecodeRow and ScanRow alike.
 func TestZeroColumnSchema(t *testing.T) {
 	none, one := NewSchema(), NewSchema(Column{Name: "s", Type: TypeString})
-	noField := func(int, string) error { return nil }
+	noField := func(int, string, string, bool) error { return nil }
 	if got, err := DecodeRow("", none); err != nil || got == nil || len(got) != 0 {
 		t.Errorf("zero columns, empty line: %v, %v; want the empty row", got, err)
 	}

@@ -178,7 +178,7 @@ func sign(x int) int {
 // and take whatever does not fail. DecodeField now pre-checks the syntax so
 // that ordinary strings never reach a parser; this is what it must equal.
 func inferFieldReference(field string) (Value, error) {
-	if field == nullField {
+	if field == NullField {
 		return Null(), nil
 	}
 	if i, err := strconv.ParseInt(field, 10, 64); err == nil {
@@ -289,8 +289,8 @@ func FuzzDecodeCols(f *testing.F) {
 		// ScanRow is the same pass without the row: it sees DecodeRow's
 		// values and fails with DecodeRow's text.
 		var scanned Row
-		scanErr := ScanRow(line, s, func(col int, text string) error {
-			v, err := DecodeField(text, s.Cols[col].Type)
+		scanErr := ScanRow(line, s, func(col int, field, _ string, _ bool) error {
+			v, err := DecodeField(field, s.Cols[col].Type)
 			scanned = append(scanned, v)
 			return err
 		})

@@ -120,7 +120,7 @@ func textValue(v exec.Value) string {
 
 // appendTextValue appends textValue(v) to dst without building the string —
 // the DataRow writer's form of the same rendering for the fields
-// exec.CanonicalText refuses (the wire golden and FuzzDataRowLine hold both
+// exec.CutField refuses (the wire golden and FuzzDataRowLine hold both
 // renderings, and the copy of an accepted field, to the same bytes).
 func appendTextValue(dst []byte, v exec.Value) []byte {
 	switch v.T {
@@ -331,45 +331,59 @@ func (w *wireWriter) rowDescription(schema *exec.Schema) error {
 }
 
 // dataRow writes one result row in text format straight from its codec line
-// (exec.EncodeRow's format). A field exec.CanonicalText accepts — nearly
-// every Int, Float and String field a plan writes — is copied: its wire
-// spelling is a substring of it. Every other field is parsed by its column's
-// type — the parse is the check, and a line exec.DecodeRow would refuse is
-// refused here with the same error — and re-rendered into the buffer as the
-// wire spells it. The two formats differ in four places: a float's ".0"
-// marker is the file's alone, bools are true/false there and t/f here, NULL
-// is the `\N` field there and length -1 here, and strings are escaped there
-// and raw here. An untyped (all-NULL) column lets the field's own syntax
-// decide, as the codec does. A refused line leaves no partial message behind.
+// (exec.EncodeRow's format), one exec.ScanRow pass. A field exec.CutField
+// finds canonical — nearly every Int, Float and String field a plan writes —
+// is copied: its wire spelling is a substring of it. Every other field is
+// parsed by its column's type — the parse is the check, and a line
+// exec.DecodeRow would refuse is refused here with the same error — and
+// written into the buffer as the wire spells it. The two formats differ in
+// four places: a float's ".0" marker is the file's alone, bools are
+// true/false there and t/f here, NULL is the `\N` field there and length -1
+// here, and strings are escaped there and raw here. An untyped (all-NULL)
+// column lets the field's own syntax decide, as the codec does. A refused
+// line leaves no partial message behind.
 func (w *wireWriter) dataRow(payload string, schema *exec.Schema) error {
 	w.begin()
 	w.int16(int16(len(schema.Cols)))
-	err := exec.ScanRow(payload, schema, func(col int, field string) error {
-		typ := schema.Cols[col].Type
-		if text, ok := exec.CanonicalText(field, typ); ok {
+	err := exec.ScanRow(payload, schema, func(col int, field, text string, canonical bool) error {
+		if canonical {
 			w.int32(int32(len(text)))
 			w.buf = append(w.buf, text...)
 			return nil
 		}
-		v, err := exec.DecodeField(field, typ)
-		if err != nil {
-			return err
-		}
-		if v.IsNull() {
-			w.int32(-1)
-			return nil
-		}
-		at := len(w.buf)
-		w.int32(0)
-		w.buf = appendTextValue(w.buf, v)
-		binary.BigEndian.PutUint32(w.buf[at:], uint32(len(w.buf)-at-4))
-		return nil
+		return w.parsedField(field, schema.Cols[col].Type)
 	})
 	if err != nil {
 		w.buf = w.buf[:w.start] // drop the partial row; the finished messages before it stand
 		return err
 	}
 	return w.end(msgDataRow)
+}
+
+// parsedField writes a field exec.CutField did not find canonical: NULL as
+// length -1, an escaped string unescaped straight into the buffer, anything
+// else parsed and rendered by appendTextValue.
+func (w *wireWriter) parsedField(field string, typ exec.Type) error {
+	if field == exec.NullField {
+		w.int32(-1)
+		return nil
+	}
+	at := len(w.buf)
+	w.int32(0)
+	if typ == exec.TypeString {
+		var err error
+		if w.buf, err = exec.AppendUnescaped(w.buf, field); err != nil {
+			return err
+		}
+	} else {
+		v, err := exec.DecodeField(field, typ)
+		if err != nil {
+			return err
+		}
+		w.buf = appendTextValue(w.buf, v)
+	}
+	binary.BigEndian.PutUint32(w.buf[at:], uint32(len(w.buf)-at-4))
+	return nil
 }
 
 // commandComplete finishes a successful command with its tag

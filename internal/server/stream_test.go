@@ -245,7 +245,7 @@ func FuzzDataRowLine(f *testing.F) {
 	f.Add("007", []byte{2, 2})
 	f.Add("", []byte{})
 	f.Add("a\tb", []byte{0, 6})
-	// The edges of exec.CanonicalText's float grammar, copied or not.
+	// The edges of exec.CutField's float grammar, copied or not.
 	f.Add("999999.0\t1000000.0\t0.0001\t0.00001", []byte{3, 3, 3, 3})
 	f.Add("-0.0\t0.10\t123456.789012345\t1234567.5", []byte{3, 3, 3, 3})
 	f.Fuzz(func(t *testing.T, line string, types []byte) {
@@ -259,7 +259,7 @@ func FuzzDataRowLine(f *testing.F) {
 // TestWireResultFieldsAreCanonical: every field the three large-result
 // statements of the wire_results benchmark workload select over datagen's
 // lineitem and orders (four times the default size, seed 1) — Int, Float
-// and String columns all — is one exec.CanonicalText copies, so their
+// and String columns all — is one exec.CutField finds canonical, so their
 // DataRows never take the parse-and-render fallback, and a change to the
 // data or the grammar that would quietly move them there fails here.
 func TestWireResultFieldsAreCanonical(t *testing.T) {
@@ -295,10 +295,10 @@ func TestWireResultFieldsAreCanonical(t *testing.T) {
 			t.Fatal(err)
 		}
 		err = res.EachRow(func(payload string) error {
-			return exec.ScanRow(payload, p.Schema, func(col int, field string) error {
+			return exec.ScanRow(payload, p.Schema, func(col int, field, _ string, canonical bool) error {
 				typ := p.Schema.Cols[col].Type
 				fields[typ]++
-				if _, ok := exec.CanonicalText(field, typ); !ok {
+				if !canonical {
 					return fmt.Errorf("%v field %q takes the fallback", typ, field)
 				}
 				return nil
@@ -426,9 +426,10 @@ func TestStreamResultMultiTagFile(t *testing.T) {
 
 // TestAllocBudgetServing pins the serving path's allocation counts (no race
 // detector: it changes them). Streaming a result costs nothing per row — the
-// total is the same for 100 rows and 10 000 — the client decodes a DataRow in
-// three allocations whatever its width, and opening a session costs the same
-// for 10-line tables as for 100 000-line ones.
+// total is the same for 100 rows and 10 000, an escaped string included — the
+// client decodes a DataRow in three allocations whatever its width, and
+// opening a session costs the same for 10-line tables as for 100 000-line
+// ones.
 func TestAllocBudgetServing(t *testing.T) {
 	schema := &exec.Schema{Cols: []exec.Column{
 		{Table: "l", Name: "l_orderkey", Type: exec.TypeInt},
@@ -436,8 +437,9 @@ func TestAllocBudgetServing(t *testing.T) {
 		{Table: "l", Name: "l_shipmode", Type: exec.TypeString},
 		{Table: "l", Name: "l_flag", Type: exec.TypeBool},
 		{Table: "l", Name: "l_untyped", Type: exec.TypeNull},
+		{Table: "l", Name: "l_comment", Type: exec.TypeString},
 	}}
-	const line = "1552\t24710.35\tDELIVER IN PERSON\ttrue\t\\N"
+	const line = "1552\t24710.35\tDELIVER IN PERSON\ttrue\t\\N\tfast\\tfurious\\\\"
 	stream := func(n int) float64 {
 		lines := make([]string, n)
 		for i := range lines {

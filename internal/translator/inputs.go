@@ -345,8 +345,8 @@ func (lw *lowerer) buildIntermediateInput(cj *cmf.CommonJob, op *correlation.Ope
 	wantTag := ref.tag
 	chain := newMapChain(ref.eff.schema, nil, stages)
 	decode := func(scratch *exec.Row, line string) (exec.Row, error) {
-		tag, payload := cmf.SplitTag(line)
-		if tag != wantTag {
+		payload, ok := cmf.CutTag(line, wantTag)
+		if !ok {
 			return nil, nil // another merged job's rows in the shared file
 		}
 		return chain.decode(scratch, payload)

@@ -91,8 +91,8 @@ func openResult(dfs *mapreduce.DFS, path, tag string, schema *exec.Schema) (resu
 // is returned naming the line.
 func (f resultFile) each(fn func(payload string) error) error {
 	for _, line := range f.lines {
-		lineTag, payload := cmf.SplitTag(line)
-		if lineTag != f.tag {
+		payload, ok := cmf.CutTag(line, f.tag)
+		if !ok {
 			continue
 		}
 		if err := fn(payload); err != nil {
@@ -120,16 +120,15 @@ func (f resultFile) rows() ([]exec.Row, error) {
 }
 
 // verify is rows without the rows: the same pass, the same errors. A field
-// exec.CanonicalText accepts is one DecodeField accepts, so only the rest
+// exec.CutField finds canonical is one DecodeField accepts, so only the rest
 // are parsed.
 func (f resultFile) verify() error {
 	return f.each(func(payload string) error {
-		return exec.ScanRow(payload, f.schema, func(col int, text string) error {
-			typ := f.schema.Cols[col].Type
-			if _, ok := exec.CanonicalText(text, typ); ok {
+		return exec.ScanRow(payload, f.schema, func(col int, field, _ string, canonical bool) error {
+			if canonical {
 				return nil
 			}
-			_, err := exec.DecodeField(text, typ)
+			_, err := exec.DecodeField(field, f.schema.Cols[col].Type)
 			return err
 		})
 	})
