@@ -20,26 +20,18 @@ type Stream struct {
 // CommonInput describes one map-side input of a common job.
 type CommonInput struct {
 	Path string
-	// Decode parses one input line into a row (typically a schema-typed
-	// decode for base tables, or a tag-stripping decode for intermediate
-	// files written by earlier common jobs); a nil row with no error drops
-	// the line. scratch is the calling map instance's scratch row (empty
-	// at first): a decoder may build its row anywhere in
-	// (*scratch)[:cap(*scratch)] instead of allocating, and grows the
-	// scratch by storing larger storage in *scratch — which the instance
-	// keeps whether or not the line passes, so an instance whose first
-	// lines are all filtered out allocates once, not per line. The returned
-	// row is only valid until the instance's next call.
-	Decode func(scratch *exec.Row, line string) (exec.Row, error)
+	// Decode is the input's line plan: a nil row drops the line.
+	Decode *Decoder
 	// Key computes the partition-key values of a row, one function per key
 	// column (none: every row shares the empty key). All streams of an
 	// input share the key — that is precisely the transit-correlation
 	// condition that allowed the merge.
 	Key []exec.Evaluator
-	// KeyEncode overrides the default injective key encoding. Distributed
-	// sort jobs use exec.EncodeOrderedKey so key byte-order equals value
-	// order. Keys are only partitioned and compared, never decoded.
-	KeyEncode func([]exec.Value) string
+	// Desc, set only for a distributed sort, keys by
+	// exec.AppendOrderedKey with these per-column descending flags, so key
+	// byte-order equals value order; otherwise a key is exec.AppendKey's.
+	// Keys are only partitioned and compared, never decoded.
+	Desc []bool
 	// Project lists the decoded-row positions that make up the common
 	// value — the union of the columns any stream needs; nil keeps the
 	// whole row.
@@ -214,32 +206,30 @@ type commonMapper struct {
 func (m *commonMapper) NewMapTask() mapreduce.MapTask { return &mapTask{m: m} }
 
 // mapTask is one instance of the common mapper. It decodes every line into
-// the same scratch row and keys through the same value slice. The lifetime
-// rule, the reducer arena's restated for mappers: nothing that outlives
-// Map(line) may alias the scratch. Key and tagged
-// value are rendered into one call-local buffer, cut as one string from
-// the task's pair chunks and emitted as its two halves — a pair costs no
-// allocation of its own, a chunk one per up to 4 KB of pairs — and a
+// the same scratch row. The lifetime rule, the reducer arena's restated for
+// mappers: nothing that outlives Map(line) may alias the scratch. Key and
+// tagged value are rendered into one call-local buffer, cut as one string
+// from the task's pair chunks and emitted as its two halves — a pair costs
+// no allocation of its own, a chunk one per up to 4 KB of pairs — and a
 // decoded string value points into the input line, not into the scratch
 // row. The chunks are append-only, so an emitted pair never changes; they
 // die with the job's shuffle, since a common job always reduces and its
 // pairs never reach the DFS.
 type mapTask struct {
 	m     *commonMapper
-	row   exec.Row     // Decode's scratch
-	vals  []exec.Value // key values for a KeyEncode input
-	pairs cutter       // the emitted pairs
+	row   exec.Row // Decode's scratch
+	pairs cutter   // the emitted pairs
 }
 
 // Map implements mapreduce.MapTask.
 func (t *mapTask) Map(line string, emit mapreduce.Emit) error {
 	in := &t.m.in
-	row, err := in.Decode(&t.row, line)
+	row, err := in.Decode.Decode(&t.row, line)
 	if err != nil {
 		return err
 	}
 	if row == nil {
-		return nil // decoder filtered the line (e.g. foreign tag)
+		return nil // the line plan dropped the line (e.g. foreign tag)
 	}
 	var exclBuf [8]int
 	excluded := exclBuf[:0]
@@ -258,30 +248,21 @@ func (t *mapTask) Map(line string, emit mapreduce.Emit) error {
 	if len(excluded) == len(in.Streams) {
 		return nil
 	}
+	var valBuf [8]exec.Value
+	vals := valBuf[:0]
+	for _, fn := range in.Key {
+		v, err := fn(row)
+		if err != nil {
+			return err
+		}
+		vals = append(vals, v)
+	}
 	var buf [512]byte
 	pair := buf[:0]
-	if in.KeyEncode != nil {
-		if cap(t.vals) < len(in.Key) {
-			t.vals = make([]exec.Value, len(in.Key))
-		}
-		vals := t.vals[:len(in.Key)]
-		for i, fn := range in.Key {
-			if vals[i], err = fn(row); err != nil {
-				return err
-			}
-		}
-		pair = append(pair, in.KeyEncode(vals)...)
+	if in.Desc != nil {
+		pair = exec.AppendOrderedKey(pair, vals, in.Desc)
 	} else {
-		for i, fn := range in.Key {
-			v, err := fn(row)
-			if err != nil {
-				return err
-			}
-			if i > 0 {
-				pair = append(pair, '\t')
-			}
-			pair = exec.AppendKeyField(pair, v)
-		}
+		pair = exec.AppendKey(pair, vals)
 	}
 	keyLen := len(pair)
 	pair = appendTagHeader(pair, t.m.input, excluded)

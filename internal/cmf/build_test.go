@@ -39,18 +39,8 @@ func typed(types ...exec.Type) *exec.Schema {
 	return s
 }
 
-func decodeClicks(scratch *exec.Row, line string) (exec.Row, error) {
-	return decodeInto(scratch, line, clicksSchema)
-}
-
-// decodeInto is a CommonInput.Decode over every column of s.
-func decodeInto(scratch *exec.Row, line string, s *exec.Schema) (exec.Row, error) {
-	row, err := exec.DecodeColsInto(*scratch, line, s, nil)
-	if row != nil {
-		*scratch = row
-	}
-	return row, err
-}
+// decodeClicks decodes every column of a clicks line.
+var decodeClicks = NewDecoder("", clicksSchema, nil, nil)
 
 func keyOn(idx ...int) []exec.Evaluator {
 	fns := make([]exec.Evaluator, len(idx))
@@ -258,14 +248,14 @@ func TestMergedJobWithPostJoin(t *testing.T) {
 		Inputs: []CommonInput{
 			{
 				Path:    "lineitem",
-				Decode:  func(scratch *exec.Row, l string) (exec.Row, error) { return decodeInto(scratch, l, liSchema) },
+				Decode:  NewDecoder("", liSchema, nil, nil),
 				Key:     keyOn(0),
 				Schema:  liSchema,
 				Streams: []Stream{{ID: 0}},
 			},
 			{
 				Path:    "part",
-				Decode:  func(scratch *exec.Row, l string) (exec.Row, error) { return decodeInto(scratch, l, partSchema) },
+				Decode:  NewDecoder("", partSchema, nil, nil),
 				Key:     keyOn(0),
 				Schema:  partSchema,
 				Streams: []Stream{{ID: 1}},
@@ -458,7 +448,7 @@ func TestGlobalAggregationJob(t *testing.T) {
 		Name: "global",
 		Inputs: []CommonInput{{
 			Path:    "in",
-			Decode:  func(scratch *exec.Row, l string) (exec.Row, error) { return decodeInto(scratch, l, schema) },
+			Decode:  NewDecoder("", schema, nil, nil),
 			Schema:  schema,
 			Streams: []Stream{{ID: 0}}, // no Key: every row shares the empty key
 		}},
@@ -575,11 +565,10 @@ func TestAllocBudgetEncodeTagged(t *testing.T) {
 var sinkString string
 
 // TestAllocBudgetMapTask pins what a line costs a warmed map task: the
-// decode goes into the task's scratch row, the key values into its scratch
-// slice and the pair into its pair chunks, so an emitted line costs nothing
-// but its share of a chunk — plus, with an ordered (KeyEncode) key, the
-// string the encoder returns — and a line every stream's selection rejects
-// costs nothing.
+// decode goes into the task's scratch row, the key values into a stack
+// buffer and the key and pair, ordered (Desc) or not, into its pair chunks,
+// so an emitted line costs nothing but its share of a chunk, and a line
+// every stream's selection rejects costs nothing.
 func TestAllocBudgetMapTask(t *testing.T) {
 	keep := func(r exec.Row) (bool, error) { return r[2].I == 10, nil }
 	for _, ordered := range []bool{false, true} {
@@ -587,8 +576,10 @@ func TestAllocBudgetMapTask(t *testing.T) {
 			Path: "clicks", Decode: decodeClicks, Key: keyOn(0, 3), Project: []int{0, 3}, Schema: ints(2),
 			Streams: []Stream{{ID: 0, Filter: keep}, {ID: 1, Filter: keep}},
 		}
+		wantKey := "7\t100"
 		if ordered {
-			in.KeyEncode = func(vals []exec.Value) string { return exec.EncodeOrderedKey(vals, nil) }
+			in.Desc = []bool{false, true}
+			wantKey = string(exec.AppendOrderedKey(nil, []exec.Value{exec.Int(7), exec.Int(100)}, in.Desc))
 		}
 		job, err := (&CommonJob{
 			Name: "scan", Inputs: []CommonInput{in}, Output: "out",
@@ -599,32 +590,26 @@ func TestAllocBudgetMapTask(t *testing.T) {
 			t.Fatal(err)
 		}
 		task := job.Inputs[0].Mapper.NewMapTask()
-		pairs := 0
-		emit := func(k, v string) { pairs++ }
+		var keys []string
+		emit := func(k, v string) { keys = append(keys, k) }
 		emitted, filtered := "7\t1\t10\t100", "7\t1\t20\t100"
 		for _, line := range []string{emitted, filtered} {
 			if err := task.Map(line, emit); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if pairs != 1 {
-			t.Fatalf("ordered=%v: %d pairs for one selected and one rejected line", ordered, pairs)
+		if len(keys) != 1 || keys[0] != wantKey {
+			t.Fatalf("ordered=%v: keys %q for one selected and one rejected line, want [%q]", ordered, keys, wantKey)
 		}
-		pairBudget := 0.0
-		if ordered {
-			pairBudget = 1
-		}
-		for _, c := range []struct {
-			line   string
-			budget float64
-		}{{emitted, pairBudget}, {filtered, 0}} {
+		discard := func(string, string) {}
+		for _, line := range []string{emitted, filtered} {
 			got := testing.AllocsPerRun(200, func() {
-				if err := task.Map(c.line, emit); err != nil {
+				if err := task.Map(line, discard); err != nil {
 					t.Fatal(err)
 				}
 			})
-			if got > c.budget {
-				t.Errorf("ordered=%v, line %q: %v allocations on a warmed map task, budget %v", ordered, c.line, got, c.budget)
+			if got > 0 {
+				t.Errorf("ordered=%v, line %q: %v allocations on a warmed map task, budget 0", ordered, line, got)
 			}
 		}
 	}
@@ -641,7 +626,7 @@ func TestMapTaskPairsStayPut(t *testing.T) {
 		Name: "pairs", Output: "out",
 		Inputs: []CommonInput{{
 			Path: "in", Key: keyOn(0), Schema: schema,
-			Decode:  func(scratch *exec.Row, line string) (exec.Row, error) { return decodeInto(scratch, line, schema) },
+			Decode:  NewDecoder("", schema, nil, nil),
 			Streams: []Stream{{ID: 0, Filter: keep}},
 		}},
 		Ops:     []Op{&FilterOp{OpName: "f", In: StreamSource(0), Pred: keep}},
@@ -693,7 +678,7 @@ func TestReduceLinesStayPut(t *testing.T) {
 		Name: "lines", Output: "out",
 		Inputs: []CommonInput{{
 			Path: "in", Key: keyOn(0), Schema: schema,
-			Decode:  func(scratch *exec.Row, line string) (exec.Row, error) { return decodeInto(scratch, line, schema) },
+			Decode:  NewDecoder("", schema, nil, nil),
 			Streams: []Stream{{ID: 0}},
 		}},
 		Ops:     []Op{&FilterOp{OpName: "f", In: StreamSource(0), Pred: keep}},

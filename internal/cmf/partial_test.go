@@ -144,7 +144,7 @@ func combineJob(t *testing.T, schema *exec.Schema, agg *AggOp) *mapreduce.Job {
 		Name: "combined",
 		Inputs: []CommonInput{{
 			Path:    "in",
-			Decode:  func(scratch *exec.Row, line string) (exec.Row, error) { return decodeInto(scratch, line, schema) },
+			Decode:  NewDecoder("", schema, nil, nil),
 			Key:     keyOn(0),
 			Schema:  schema,
 			Streams: []Stream{{ID: 0}},

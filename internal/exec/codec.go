@@ -429,26 +429,21 @@ func EncodeRow(r Row) string {
 // DecodeRow parses a tab-separated line into a row using the schema's
 // column types.
 func DecodeRow(line string, s *Schema) (Row, error) {
-	return DecodeCols(line, s, nil)
+	return DecodeColsInto(nil, line, s, nil)
 }
 
-// DecodeCols parses only the listed columns of a line (ascending schema
-// positions; nil means every column) straight into a row of that width, in
-// one pass over the line. The line must still have exactly the schema's
-// field count, and a malformed listed column is an error naming the
-// column; fields of unlisted columns are skipped unparsed, so a malformed
-// value there goes unnoticed — the lazy-SerDe contract: a reader only
-// vouches for the columns it reads.
-func DecodeCols(line string, s *Schema, cols []int) (Row, error) {
-	return DecodeColsInto(nil, line, s, cols)
-}
-
-// DecodeColsInto is DecodeCols into caller-owned storage: the row is built
-// in dst's storage — overwritten from its first element, not appended to —
-// when it has room, and in a fresh row otherwise, so a map task decoding
-// line after line into one scratch row allocates nothing. The row is never
-// nil, even when no column is listed. A zero-column schema reads the empty
-// line as the empty row, which a one-column schema reads as one empty field.
+// DecodeColsInto parses only the listed columns of a line (ascending
+// schema positions; nil means every column) straight into a row of that
+// width, in one pass over the line. The line must still have exactly the
+// schema's field count, and a malformed listed column is an error naming
+// the column; fields of unlisted columns are skipped unparsed, so a
+// malformed value there goes unnoticed — the lazy-SerDe contract: a reader
+// only vouches for the columns it reads. The row is built in dst's storage
+// — overwritten from its first element, not appended to — when it has
+// room, and in a fresh row otherwise, so a map task decoding line after
+// line into one scratch row allocates nothing. The row is never nil, even
+// when no column is listed. A zero-column schema reads the empty line as
+// the empty row, which a one-column schema reads as one empty field.
 func DecodeColsInto(dst Row, line string, s *Schema, cols []int) (Row, error) {
 	n := len(s.Cols)
 	if cols != nil {

@@ -333,7 +333,7 @@ func TestAllocBudgetCodec(t *testing.T) {
 		{"EncodeRow", 1, func() { sinkString = EncodeRow(row) }},
 		{"EncodeKey", 1, func() { sinkString = EncodeKey(row[:2]) }},
 		{"DecodeRow", 1, func() { sinkRow, _ = DecodeRow(tpchLineitemLine, tpchLineitem) }},
-		{"DecodeCols of 4 numeric columns", 1, func() { sinkRow, _ = DecodeCols(tpchLineitemLine, tpchLineitem, demand) }},
+		{"DecodeColsInto a fresh row, 4 numeric columns", 1, func() { sinkRow, _ = DecodeColsInto(nil, tpchLineitemLine, tpchLineitem, demand) }},
 		{"DecodeColsInto a scratch row", 0, func() { sinkRow, _ = DecodeColsInto(scratch, tpchLineitemLine, tpchLineitem, demand) }},
 		{"DecodeColsInto a scratch row, every column", 0, func() { sinkRow, _ = DecodeColsInto(slab, tpchLineitemLine, tpchLineitem, nil) }},
 		{"DecodeRow over TypeNull columns", 1, func() { sinkRow, _ = DecodeRow(tpchLineitemLine, untyped) }},
@@ -373,16 +373,16 @@ func TestDecodeColsLazyContract(t *testing.T) {
 		Column{Table: "t", Name: "c", Type: TypeString},
 		Column{Table: "t", Name: "d", Type: TypeInt},
 	)
-	got, err := DecodeCols("1\t2.5\tx\t4", s, []int{0, 3})
+	got, err := DecodeColsInto(nil, "1\t2.5\tx\t4", s, []int{0, 3})
 	if err != nil || !reflect.DeepEqual(got, Row{Int(1), Int(4)}) {
-		t.Fatalf("DecodeCols = %v, %v; want [1 4]", got, err)
+		t.Fatalf("DecodeColsInto = %v, %v; want [1 4]", got, err)
 	}
-	if got, err := DecodeCols("1\t2.5\tx\t4", s, []int{}); err != nil || len(got) != 0 {
+	if got, err := DecodeColsInto(nil, "1\t2.5\tx\t4", s, []int{}); err != nil || len(got) != 0 {
 		t.Errorf("empty demand = %v, %v; want an empty row", got, err)
 	}
 
 	// A malformed column nobody demanded is not parsed.
-	got, err = DecodeCols("1\tnot-a-float\tx\t4", s, []int{0, 3})
+	got, err = DecodeColsInto(nil, "1\tnot-a-float\tx\t4", s, []int{0, 3})
 	if err != nil || !reflect.DeepEqual(got, Row{Int(1), Int(4)}) {
 		t.Errorf("malformed undemanded column: got %v, %v; want [1 4]", got, err)
 	}
@@ -392,7 +392,7 @@ func TestDecodeColsLazyContract(t *testing.T) {
 	}
 
 	// A malformed demanded column is an error naming the column.
-	_, err = DecodeCols("1\t2.5\tx\tfour", s, []int{0, 3})
+	_, err = DecodeColsInto(nil, "1\t2.5\tx\tfour", s, []int{0, 3})
 	if err == nil || !strings.Contains(err.Error(), "column t.d") {
 		t.Errorf("malformed demanded column: err = %v, want one naming t.d", err)
 	}
@@ -401,15 +401,15 @@ func TestDecodeColsLazyContract(t *testing.T) {
 	// long lines, and whether or not the demanded fields are present.
 	for _, line := range []string{"1\t2.5\tx", "1\t2.5\tx\t4\t5", "1", ""} {
 		for _, cols := range [][]int{nil, {}, {0}, {3}, {0, 3}} {
-			_, err := DecodeCols(line, s, cols)
+			_, err := DecodeColsInto(nil, line, s, cols)
 			if err == nil || !strings.Contains(err.Error(), "fields") {
-				t.Errorf("DecodeCols(%q, %v): err = %v, want a field-count error", line, cols, err)
+				t.Errorf("DecodeColsInto(nil, %q, %v): err = %v, want a field-count error", line, cols, err)
 			}
 		}
 	}
 	// A wrong field count outranks a malformed demanded column, as in
 	// DecodeRow.
-	_, err = DecodeCols("one\t2.5\tx", s, []int{0})
+	_, err = DecodeColsInto(nil, "one\t2.5\tx", s, []int{0})
 	if err == nil || !strings.Contains(err.Error(), "fields") {
 		t.Errorf("short line with a malformed column: err = %v, want a field-count error", err)
 	}

@@ -159,7 +159,7 @@ func randomOrderValue(rng *rand.Rand) Value {
 
 // TestCompareTotalOrder: over random triples that include NaN, -0.0 and
 // the infinities, Compare is reflexive, antisymmetric and transitive, and
-// EncodeOrderedKey realizes it: Compare-equal values encode alike.
+// AppendOrderedKey realizes it: Compare-equal values encode alike.
 func TestCompareTotalOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	for trial := 0; trial < 20000; trial++ {
@@ -173,7 +173,7 @@ func TestCompareTotalOrder(t *testing.T) {
 		if Compare(x, y) <= 0 && Compare(y, z) <= 0 && Compare(x, z) > 0 {
 			t.Fatalf("%v <= %v <= %v but Compare(%v, %v) > 0", x, y, z, x, z)
 		}
-		kx, ky := EncodeOrderedKey([]Value{x}, nil), EncodeOrderedKey([]Value{y}, nil)
+		kx, ky := orderedKey([]Value{x}, nil), orderedKey([]Value{y}, nil)
 		if got, want := strCompare(kx, ky), Compare(x, y); got != want {
 			t.Fatalf("keys of %v and %v order %d, Compare %d", x, y, got, want)
 		}

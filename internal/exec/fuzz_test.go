@@ -83,7 +83,7 @@ func FuzzDecodeNullColumns(f *testing.F) {
 	})
 }
 
-// FuzzOrderedKey checks the memcomparable property EncodeOrderedKey exists
+// FuzzOrderedKey checks the memcomparable property AppendOrderedKey exists
 // for: byte order of the encodings must equal (Compare, desc-flag) order of
 // the value lists, and Compare-equal lists must encode identically. There
 // is deliberately no decoder, so order preservation is the whole contract.
@@ -137,8 +137,8 @@ func FuzzOrderedKey(f *testing.F) {
 			}
 		}
 
-		ka := EncodeOrderedKey(ra, desc)
-		kb := EncodeOrderedKey(rb, desc)
+		ka := string(AppendOrderedKey(nil, ra, desc))
+		kb := string(AppendOrderedKey(nil, rb, desc))
 		if got := sign(strings.Compare(ka, kb)); got != want {
 			t.Fatalf("byte order %d != value order %d for %v vs %v (desc %v)", got, want, ra, rb, desc)
 		}
@@ -258,8 +258,8 @@ func FuzzAppendRow(f *testing.F) {
 
 // FuzzDecodeCols checks the demand-driven decoder against the full one
 // over arbitrary lines, schemas and column demands: whenever DecodeRow
-// succeeds, DecodeCols returns exactly its projection; a wrong field count
-// fails in both; and DecodeCols never fails on a line DecodeRow accepts
+// succeeds, DecodeColsInto returns exactly its projection; a wrong field
+// count fails in both; and DecodeColsInto never fails on a line DecodeRow accepts
 // (it may accept more — columns it was not asked to read go unparsed).
 // ScanRow, the same walk with no row, is held to DecodeRow exactly: the same
 // values field by field, the same error text.
@@ -306,10 +306,10 @@ func FuzzDecodeCols(f *testing.F) {
 				}
 			}
 		}
-		got, err := DecodeCols(line, s, cols)
+		got, err := DecodeColsInto(nil, line, s, cols)
 		if strings.Count(line, "\t")+1 != n {
 			if fullErr == nil || err == nil {
-				t.Fatalf("%d fields against %d columns: DecodeRow err %v, DecodeCols err %v", strings.Count(line, "\t")+1, n, fullErr, err)
+				t.Fatalf("%d fields against %d columns: DecodeRow err %v, DecodeColsInto err %v", strings.Count(line, "\t")+1, n, fullErr, err)
 			}
 			return
 		}
@@ -317,18 +317,18 @@ func FuzzDecodeCols(f *testing.F) {
 			return
 		}
 		if err != nil {
-			t.Fatalf("DecodeCols(%q, %v) fails with %v on a line DecodeRow accepts", line, cols, err)
+			t.Fatalf("DecodeColsInto(nil, %q, %v) fails with %v on a line DecodeRow accepts", line, cols, err)
 		}
 		want := make(Row, len(cols))
 		for i, c := range cols {
 			want[i] = full[c]
 		}
 		if len(got) != len(want) {
-			t.Fatalf("DecodeCols(%q, %v) = %v, want %v", line, cols, got, want)
+			t.Fatalf("DecodeColsInto(nil, %q, %v) = %v, want %v", line, cols, got, want)
 		}
 		for i := range want {
 			if !sameValue(got[i], want[i]) {
-				t.Fatalf("DecodeCols(%q, %v) = %v, want %v", line, cols, got, want)
+				t.Fatalf("DecodeColsInto(nil, %q, %v) = %v, want %v", line, cols, got, want)
 			}
 		}
 	})

@@ -4,32 +4,29 @@ import (
 	"math"
 )
 
-// EncodeOrderedKey encodes a list of values into a string whose
-// lexicographic byte order equals the (Compare, desc-flag) order of the
-// values — a memcomparable encoding, the same idea Hadoop's
-// TotalOrderPartitioner relies on. Distributed ORDER BY jobs key their map
-// output with it, so range partitions (and the engine's sorted key
-// iteration) yield a total order without funnelling every row through one
-// reducer.
+// AppendOrderedKey appends a list of values as a key whose lexicographic
+// byte order equals the (Compare, desc-flag) order of the values — a
+// memcomparable encoding, the same idea Hadoop's TotalOrderPartitioner
+// relies on. Distributed ORDER BY jobs key their map output with it, so
+// range partitions (and the engine's sorted key iteration) yield a total
+// order without funnelling every row through one reducer.
 //
 // desc[i] inverts the i-th component's order; a nil desc means all
 // ascending. Numeric components compare int/float uniformly through
 // float64, so integers beyond 2^53 may collide; the workload's keys are
 // far below that. Every NaN encodes as one canonical NaN, above +Inf, and
 // -0.0 as 0.0, so values Compare calls equal encode identically.
-func EncodeOrderedKey(vals []Value, desc []bool) string {
-	var buf [encodeBuf]byte
-	b := buf[:0]
+func AppendOrderedKey(dst []byte, vals []Value, desc []bool) []byte {
 	for i, v := range vals {
-		start := len(b)
-		b = appendOrdered(b, v)
+		start := len(dst)
+		dst = appendOrdered(dst, v)
 		if i < len(desc) && desc[i] {
-			for j := start; j < len(b); j++ {
-				b[j] = ^b[j]
+			for j := start; j < len(dst); j++ {
+				dst[j] = ^dst[j]
 			}
 		}
 	}
-	return string(b)
+	return dst
 }
 
 // Component tags follow the total order of typeRank: NULL sorts first.

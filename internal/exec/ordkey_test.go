@@ -5,7 +5,22 @@ import (
 	"testing"
 )
 
-// mixedCompare is the reference order EncodeOrderedKey must realize:
+// orderedKey is AppendOrderedKey's key as a string.
+func orderedKey(vals []Value, desc []bool) string {
+	return string(AppendOrderedKey(nil, vals, desc))
+}
+
+// TestAppendOrderedKeyAppends: the key lands after what dst already holds,
+// which it leaves alone, and is the key a nil dst gets.
+func TestAppendOrderedKeyAppends(t *testing.T) {
+	vals, desc := []Value{Int(7), Str("a\x00b"), Float(-2.5)}, []bool{false, true, false}
+	got := AppendOrderedKey([]byte("key:"), vals, desc)
+	if want := "key:" + orderedKey(vals, desc); string(got) != want {
+		t.Errorf("AppendOrderedKey after a prefix = %q, want %q", got, want)
+	}
+}
+
+// mixedCompare is the reference order AppendOrderedKey must realize:
 // component-wise Compare with desc flags flipping individual components.
 func mixedCompare(a, b []Value, desc []bool) int {
 	for i := range a {
@@ -53,7 +68,7 @@ func TestOrderedKeyMatchesCompareProperty(t *testing.T) {
 			}
 		}
 		want := mixedCompare(a, b, desc)
-		got := strCompare(EncodeOrderedKey(a, desc), EncodeOrderedKey(b, desc))
+		got := strCompare(orderedKey(a, desc), orderedKey(b, desc))
 		if got != want {
 			t.Fatalf("trial %d: order mismatch for %v vs %v (desc %v): encoded %d, want %d",
 				trial, a, b, desc, got, want)
@@ -63,7 +78,7 @@ func TestOrderedKeyMatchesCompareProperty(t *testing.T) {
 
 // TestOrderedKeyNullAndBoundaryStrings pins the tricky cases explicitly.
 func TestOrderedKeyNullAndBoundaryStrings(t *testing.T) {
-	asc := func(vals ...Value) string { return EncodeOrderedKey(vals, nil) }
+	asc := func(vals ...Value) string { return orderedKey(vals, nil) }
 	pairs := []struct {
 		lo, hi Value
 	}{
@@ -95,14 +110,14 @@ func TestOrderedKeyNullAndBoundaryStrings(t *testing.T) {
 }
 
 func TestOrderedKeyDescFlips(t *testing.T) {
-	a := EncodeOrderedKey([]Value{Int(1), Str("x")}, []bool{true, false})
-	b := EncodeOrderedKey([]Value{Int(2), Str("x")}, []bool{true, false})
+	a := orderedKey([]Value{Int(1), Str("x")}, []bool{true, false})
+	b := orderedKey([]Value{Int(2), Str("x")}, []bool{true, false})
 	if !(b < a) {
 		t.Error("desc on first component should flip its order")
 	}
 	// The second (asc) component still breaks ties normally.
-	c := EncodeOrderedKey([]Value{Int(1), Str("a")}, []bool{true, false})
-	d := EncodeOrderedKey([]Value{Int(1), Str("b")}, []bool{true, false})
+	c := orderedKey([]Value{Int(1), Str("a")}, []bool{true, false})
+	d := orderedKey([]Value{Int(1), Str("b")}, []bool{true, false})
 	if !(c < d) {
 		t.Error("asc tiebreaker must keep its order under a desc prefix")
 	}

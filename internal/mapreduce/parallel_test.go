@@ -148,47 +148,85 @@ func benchJob() *Job {
 	}
 }
 
-// BenchmarkRunChain measures wall-clock scaling of one CPU-bound job
-// across worker counts. Results are asserted identical to the sequential
-// run, so the numbers are comparable by construction.
+// wideJob is the shuffle-heavy twin of benchJob: a light mapper emits every
+// field of a line as a key and no combiner folds them, so tens of
+// thousands of pairs over thousands of keys reach the shuffle and the
+// reduce key runs.
+func wideJob() *Job {
+	return &Job{
+		Name: "bench[AGG-wide]",
+		Inputs: []Input{{
+			Path: "in",
+			Mapper: MapperFunc(func(line string, emit Emit) error {
+				for _, w := range strings.Fields(line) {
+					emit(w, "1")
+				}
+				return nil
+			}),
+		}},
+		Reducer: benchReducer{},
+		Output:  "out",
+	}
+}
+
+// BenchmarkRunChain measures wall-clock scaling of one job across worker
+// counts, in two shapes: "combined" (benchJob) leaves the shuffle a few
+// hundred pairs, so it measures the map phase; "wide" (wideJob) ships
+// 40 000 pairs over 10 000 keys, so the shuffle and the reduce key runs
+// carry the weight. Results are asserted identical to the sequential run,
+// so the numbers are comparable by construction.
 func BenchmarkRunChain(b *testing.B) {
-	lines := make([]string, 2000)
 	words := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"}
-	for i := range lines {
-		lines[i] = fmt.Sprintf("%s %s %s %s",
+	combined := make([]string, 2000)
+	for i := range combined {
+		combined[i] = fmt.Sprintf("%s %s %s %s",
 			words[i%8], words[(i*3+1)%8], words[(i*5+2)%8], words[(i*7+3)%8])
+	}
+	wide := make([]string, 5000)
+	for i := range wide {
+		fields := make([]string, 8)
+		for j := range fields {
+			fields[j] = fmt.Sprintf("k%04d", (i*8+j)*7919%10000)
+		}
+		wide[i] = strings.Join(fields, " ")
 	}
 	cluster := SmallCluster()
 	cluster.Cost.SplitSize = 1024 // dozens of map tasks
 
-	var baseline []string
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			defer func() {
-				b.ReportMetric(float64(b.N*len(lines))/b.Elapsed().Seconds(), "rows/s")
-			}()
-			for i := 0; i < b.N; i++ {
-				dfs := NewDFS()
-				dfs.Write("in", lines)
-				e, err := NewEngine(dfs, cluster)
-				if err != nil {
-					b.Fatal(err)
+	for _, shape := range []struct {
+		name  string
+		lines []string
+		job   func() *Job
+	}{{"combined", combined, benchJob}, {"wide", wide, wideJob}} {
+		var baseline []string
+		for _, workers := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("%s/workers=%d", shape.name, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				defer func() {
+					b.ReportMetric(float64(b.N*len(shape.lines))/b.Elapsed().Seconds(), "rows/s")
+				}()
+				for i := 0; i < b.N; i++ {
+					dfs := NewDFS()
+					dfs.Write("in", shape.lines)
+					e, err := NewEngine(dfs, cluster)
+					if err != nil {
+						b.Fatal(err)
+					}
+					e.SetWorkers(workers)
+					if _, err := e.RunChain([]*Job{shape.job()}); err != nil {
+						b.Fatal(err)
+					}
+					out, err := dfs.Read("out")
+					if err != nil {
+						b.Fatal(err)
+					}
+					if baseline == nil {
+						baseline = out
+					} else if !reflect.DeepEqual(out, baseline) {
+						b.Fatalf("%s, workers=%d: output differs from sequential baseline", shape.name, workers)
+					}
 				}
-				e.SetWorkers(workers)
-				if _, err := e.RunChain([]*Job{benchJob()}); err != nil {
-					b.Fatal(err)
-				}
-				out, err := dfs.Read("out")
-				if err != nil {
-					b.Fatal(err)
-				}
-				if baseline == nil {
-					baseline = out
-				} else if !reflect.DeepEqual(out, baseline) {
-					b.Fatalf("workers=%d output differs from sequential baseline", workers)
-				}
-			}
-		})
+			})
+		}
 	}
 }

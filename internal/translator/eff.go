@@ -70,21 +70,12 @@ func (v effView) concat(o effView, leftFullWidth int) effView {
 	return effView{schema: s, cols: cols}
 }
 
-// stage is one step of a lowered transparent chain.
-type stage struct {
-	pred  exec.Predicate   // filter stage when non-nil
-	exprs []exec.Evaluator // projection stage when non-nil
-	out   effView
-}
-
-func (s stage) isFilter() bool { return s.pred != nil }
-
 // lowerChain lowers a transparent chain (Filter/Project/Rebind nodes
 // between an operation and its input, ordered top-down) into stages over
 // the input view. required supplies per-node column demands so projections
 // compute only what ancestors consume.
-func lowerChain(in effView, chain []plan.Node, required func(plan.Node) []int) ([]stage, effView, error) {
-	var stages []stage
+func lowerChain(in effView, chain []plan.Node, required func(plan.Node) []int) ([]cmf.Stage, effView, error) {
+	var stages []cmf.Stage
 	cur := in
 	// The chain is stored top-down; rows flow bottom-up.
 	for i := len(chain) - 1; i >= 0; i-- {
@@ -94,7 +85,7 @@ func lowerChain(in effView, chain []plan.Node, required func(plan.Node) []int) (
 			if err != nil {
 				return nil, effView{}, fmt.Errorf("chain filter %s: %w", n.Cond.SQL(), err)
 			}
-			stages = append(stages, stage{pred: pred, out: cur})
+			stages = append(stages, cmf.Stage{Pred: pred})
 		case *plan.Project:
 			req := required(n)
 			if req == nil {
@@ -108,17 +99,13 @@ func lowerChain(in effView, chain []plan.Node, required func(plan.Node) []int) (
 				}
 				exprs[ei] = ev
 			}
-			out := restrictView(n.Schema(), req)
-			stages = append(stages, stage{exprs: exprs, out: out})
-			cur = out
+			stages = append(stages, cmf.Stage{Exprs: exprs})
+			cur = restrictView(n.Schema(), req)
 		case *plan.Rebind:
 			// Adopt the rebind node's own schema (restricted to the live
 			// columns): it carries the bindings and visibility flags the
 			// planner set, which a plain re-qualification would lose.
 			cur = effView{schema: restrictView(n.Schema(), cur.cols).schema, cols: cur.cols}
-			if len(stages) > 0 {
-				stages[len(stages)-1].out = cur
-			}
 		case *plan.Limit:
 			return nil, effView{}, fmt.Errorf("LIMIT is only supported directly above the final ORDER BY")
 		default:
@@ -128,74 +115,15 @@ func lowerChain(in effView, chain []plan.Node, required func(plan.Node) []int) (
 	return stages, cur, nil
 }
 
-// mapChain is a mapper's per-line work short of the emit: decode the
-// demanded columns of a line (cols nil: all of them), then run the
-// map-side stages; a nil row means the line was filtered out. It works in
-// the map task's scratch row (cmf.CommonInput.Decode): the decoded row at
-// the scratch's start and each projection's output right after its input,
-// so need is the width of them all together.
-type mapChain struct {
-	schema *exec.Schema
-	cols   []int
-	stages []stage
-	width  int // decoded row width
-	need   int // scratch width: the decoded row plus every projection
-}
-
-func newMapChain(schema *exec.Schema, cols []int, stages []stage) *mapChain {
-	c := &mapChain{schema: schema, cols: cols, stages: stages, width: len(cols)}
-	if cols == nil {
-		c.width = schema.Len()
-	}
-	c.need = c.width
-	for _, s := range stages {
-		c.need += len(s.exprs)
-	}
-	return c
-}
-
-// decode is a cmf.CommonInput.Decode.
-func (c *mapChain) decode(scratch *exec.Row, line string) (exec.Row, error) {
-	if cap(*scratch) < c.need {
-		*scratch = make(exec.Row, c.need)
-	}
-	dst := (*scratch)[:c.need]
-	row, err := exec.DecodeColsInto(dst[:c.width], line, c.schema, c.cols)
-	if err != nil {
-		return nil, err
-	}
-	off := c.width
-	for _, s := range c.stages {
-		if s.pred != nil {
-			ok, err := s.pred(row)
-			if err != nil || !ok {
-				return nil, err
-			}
-			continue
-		}
-		out := dst[off : off+len(s.exprs)]
-		off += len(s.exprs)
-		for i, fn := range s.exprs {
-			v, err := fn(row)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		row = out
-	}
-	return row, nil
-}
-
 // stagesToOps turns stages into reduce-side cmf operators chained after
 // src, returning the final source.
-func stagesToOps(stages []stage, src cmf.Source, namePrefix string, add func(cmf.Op)) cmf.Source {
+func stagesToOps(stages []cmf.Stage, src cmf.Source, namePrefix string, add func(cmf.Op)) cmf.Source {
 	for i, s := range stages {
 		name := fmt.Sprintf("%s.c%d", namePrefix, i)
-		if s.isFilter() {
-			add(&cmf.FilterOp{OpName: name, In: src, Pred: s.pred})
+		if s.Pred != nil {
+			add(&cmf.FilterOp{OpName: name, In: src, Pred: s.Pred})
 		} else {
-			add(&cmf.ProjectOp{OpName: name, In: src, Exprs: s.exprs})
+			add(&cmf.ProjectOp{OpName: name, In: src, Exprs: s.Exprs})
 		}
 		src = cmf.OpSource(name)
 	}

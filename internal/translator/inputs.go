@@ -82,11 +82,11 @@ func (lw *lowerer) traceKeyToBase(op *correlation.Operation, inputIdx int) ([]in
 }
 
 // keySpec describes how an input keys its map output: the key value
-// functions plus an optional non-default encoding (order-preserving keys
-// for distributed sorts).
+// functions plus, for a distributed sort, the descending flags of its
+// order-preserving encoding (cmf.CommonInput.Desc).
 type keySpec struct {
-	fns    []exec.Evaluator
-	encode func([]exec.Value) string
+	fns  []exec.Evaluator
+	desc []bool
 }
 
 // keyFns compiles the map-output key of an operation input against the
@@ -142,10 +142,7 @@ func (lw *lowerer) keyFns(jb *jobBuild, op *correlation.Operation, inputIdx int,
 			fns[i] = ev
 			desc[i] = k.Desc
 		}
-		return keySpec{
-			fns:    fns,
-			encode: func(vals []exec.Value) string { return exec.EncodeOrderedKey(vals, desc) },
-		}, nil
+		return keySpec{fns: fns, desc: desc}, nil
 	default:
 		return keySpec{}, fmt.Errorf("unknown op kind")
 	}
@@ -157,38 +154,31 @@ func (lw *lowerer) parallelSort(op *correlation.Operation) bool {
 	return !(op == lw.analysis.RootOp && lw.topLimit > 0)
 }
 
-// buildSimpleScanInput lowers a single-stream base-table input: the mapper
-// decodes only the columns the plan demands of the scan, applies the whole
-// transparent chain (selection and projection in the map phase, §V.A), and
-// emits the chain-top row.
-func (lw *lowerer) buildSimpleScanInput(cj *cmf.CommonJob, ss *sharedStream, slots map[slotKey]slot) error {
-	scanEff := lw.view(ss.scan)
-	stages, topEff, err := lowerChain(scanEff, ss.chain, lw.requiredOf)
+// buildStreamInput lowers a single-stream input of op — a base-table scan
+// (tag "") or another job's output — into one common input. Its line plan
+// keeps the lines carrying tag, decodes cols of schema (nil: all of them)
+// and applies the whole transparent chain above view, selection and
+// projection in the map phase (§V.A); the input keys the chain-top row on
+// op's partition columns.
+func (lw *lowerer) buildStreamInput(cj *cmf.CommonJob, op *correlation.Operation, inputIdx, streamID int,
+	path, tag string, schema *exec.Schema, cols []int, view effView, chain []plan.Node, slots map[slotKey]slot) error {
+	stages, topEff, err := lowerChain(view, chain, lw.requiredOf)
 	if err != nil {
-		return fmt.Errorf("%s scan %s: %w", ss.op.Name(), ss.scan.Table, err)
+		return fmt.Errorf("%s input %d: %w", op.Name(), inputIdx, err)
 	}
-	jb := lw.jobOfOp(ss.op)
-	spec, err := lw.keyFns(jb, ss.op, ss.key.inputIdx, topEff)
+	spec, err := lw.keyFns(lw.jobOfOp(op), op, inputIdx, topEff)
 	if err != nil {
 		return err
 	}
-	decode := newMapChain(ss.scan.Schema(), scanEff.cols, stages).decode
-	fact := ScanFact{Job: cj.Name, InputIdx: len(cj.Inputs), Table: ss.scan.Table, Path: TablePath(ss.scan.Table)}
-	if n := mapFilterPrefixLen(ss.chain); n == 0 {
-		fact.Refusal = fmt.Sprintf("%s: no selection adjacent to the scan of %s", ss.op.Name(), ss.scan.Table)
-	} else {
-		fact.PredSQL = filterSQL(ss.chain[len(ss.chain)-n:])
-	}
-	lw.facts = append(lw.facts, fact)
 	cj.Inputs = append(cj.Inputs, cmf.CommonInput{
-		Path:      TablePath(ss.scan.Table),
-		Decode:    decode,
-		Key:       spec.fns,
-		KeyEncode: spec.encode,
-		Schema:    topEff.schema,
-		Streams:   []cmf.Stream{{ID: ss.id}},
+		Path:    path,
+		Decode:  cmf.NewDecoder(tag, schema, cols, stages),
+		Key:     spec.fns,
+		Desc:    spec.desc,
+		Schema:  topEff.schema,
+		Streams: []cmf.Stream{{ID: streamID}},
 	})
-	slots[ss.key] = slot{src: cmf.StreamSource(ss.id), eff: topEff}
+	slots[slotKey{op.ID, inputIdx}] = slot{src: cmf.StreamSource(streamID), eff: topEff}
 	return nil
 }
 
@@ -235,14 +225,8 @@ func (lw *lowerer) buildSharedInput(cj *cmf.CommonJob, table string, streams []*
 
 	decodeSchema := streams[0].scan.Schema()
 	input := cmf.CommonInput{
-		Path: TablePath(table),
-		Decode: func(scratch *exec.Row, line string) (exec.Row, error) {
-			row, err := exec.DecodeColsInto(*scratch, line, decodeSchema, decodeCols)
-			if row != nil {
-				*scratch = row
-			}
-			return row, err
-		},
+		Path:   TablePath(table),
+		Decode: cmf.NewDecoder("", decodeSchema, decodeCols, nil),
 		Key:    projectionFns(narrow(streams[0].keyBase)),
 		Schema: restrictView(decodeSchema, unionCols).schema,
 	}
@@ -322,44 +306,6 @@ func (lw *lowerer) buildSharedInput(cj *cmf.CommonJob, table string, streams []*
 	lw.facts = append(lw.facts, fact)
 
 	cj.Inputs = append(cj.Inputs, input)
-	return nil
-}
-
-// buildIntermediateInput lowers an input that reads another job's output:
-// the mapper strips the source tag, decodes the written rows, applies the
-// chain, and keys on this operation's partition columns.
-func (lw *lowerer) buildIntermediateInput(cj *cmf.CommonJob, op *correlation.Operation, inputIdx int, in *correlation.Input, streamID int, slots map[slotKey]slot) error {
-	ref, ok := lw.written[in.Op]
-	if !ok {
-		return fmt.Errorf("internal: %s consumed before %s was lowered", in.Op.Name(), op.Name())
-	}
-	stages, topEff, err := lowerChain(ref.eff, in.Chain, lw.requiredOf)
-	if err != nil {
-		return fmt.Errorf("%s intermediate input: %w", op.Name(), err)
-	}
-	jb := lw.jobOfOp(op)
-	spec, err := lw.keyFns(jb, op, inputIdx, topEff)
-	if err != nil {
-		return err
-	}
-	wantTag := ref.tag
-	chain := newMapChain(ref.eff.schema, nil, stages)
-	decode := func(scratch *exec.Row, line string) (exec.Row, error) {
-		payload, ok := cmf.CutTag(line, wantTag)
-		if !ok {
-			return nil, nil // another merged job's rows in the shared file
-		}
-		return chain.decode(scratch, payload)
-	}
-	cj.Inputs = append(cj.Inputs, cmf.CommonInput{
-		Path:      ref.path,
-		Decode:    decode,
-		Key:       spec.fns,
-		KeyEncode: spec.encode,
-		Schema:    topEff.schema,
-		Streams:   []cmf.Stream{{ID: streamID}},
-	})
-	slots[slotKey{op.ID, inputIdx}] = slot{src: cmf.StreamSource(streamID), eff: topEff}
 	return nil
 }
 

@@ -85,7 +85,7 @@ func (lw *lowerer) lowerSPQuery() (*Translation, error) {
 	if err != nil {
 		return nil, err
 	}
-	mapper := spMapper{newMapChain(scan.Schema(), scanEff.cols, stages)}
+	mapper := spMapper{cmf.NewDecoder("", scan.Schema(), scanEff.cols, stages)}
 	path := lw.jobPath(1)
 	name := fmt.Sprintf("%s-%s-j1[SP]", lw.opts.QueryName, lw.mode)
 	job := &mapreduce.Job{
@@ -93,12 +93,7 @@ func (lw *lowerer) lowerSPQuery() (*Translation, error) {
 		Inputs: []mapreduce.Input{{Path: TablePath(scan.Table), Mapper: mapper}},
 		Output: path,
 	}
-	fact := ScanFact{Job: name, Table: scan.Table, Path: TablePath(scan.Table)}
-	if n := mapFilterPrefixLen(in.Chain); n == 0 {
-		fact.Refusal = "no selection adjacent to the scan: every input line can reach the output"
-	} else {
-		fact.PredSQL = filterSQL(in.Chain[len(in.Chain)-n:])
-	}
+	fact := scanFact(name, 0, scan.Table, in.Chain, "no selection adjacent to the scan: every input line can reach the output")
 	return &Translation{
 		Mode:         lw.mode,
 		Analysis:     lw.analysis,
@@ -112,25 +107,24 @@ func (lw *lowerer) lowerSPQuery() (*Translation, error) {
 	}, nil
 }
 
-// spMapper is the SP job's mapper class: the scan's decode and map-side
-// chain, each surviving row re-encoded as an output line. Its instances
-// (spTask) keep the chain's scratch row from line to line, dropped lines
-// included.
-type spMapper struct{ chain *mapChain }
+// spMapper is the SP job's mapper class: the scan's line plan, each
+// surviving row re-encoded as an output line. Its instances (spTask) keep
+// the plan's scratch row from line to line, dropped lines included.
+type spMapper struct{ dec *cmf.Decoder }
 
 // NewMapTask implements mapreduce.Mapper.
-func (m spMapper) NewMapTask() mapreduce.MapTask { return &spTask{chain: m.chain} }
+func (m spMapper) NewMapTask() mapreduce.MapTask { return &spTask{dec: m.dec} }
 
 // spTask is one instance of the SP mapper. The emitted line is freshly
 // encoded, so nothing outliving Map(line) aliases the scratch row.
 type spTask struct {
-	chain *mapChain
-	row   exec.Row // the chain's scratch
+	dec *cmf.Decoder
+	row exec.Row // the plan's scratch
 }
 
 // Map implements mapreduce.MapTask.
 func (t *spTask) Map(line string, emit mapreduce.Emit) error {
-	out, err := t.chain.decode(&t.row, line)
+	out, err := t.dec.Decode(&t.row, line)
 	if err != nil || out == nil {
 		return err
 	}
@@ -370,7 +364,11 @@ func (lw *lowerer) lowerJob(jb *jobBuild, idx int, g *grouping, topChain []plan.
 	// Simple scan inputs.
 	sort.Slice(simpleScans, func(i, j int) bool { return simpleScans[i].id < simpleScans[j].id })
 	for _, ss := range simpleScans {
-		if err := lw.buildSimpleScanInput(cj, ss, slots); err != nil {
+		lw.facts = append(lw.facts, scanFact(cj.Name, len(cj.Inputs), ss.scan.Table, ss.chain,
+			fmt.Sprintf("%s: no selection adjacent to the scan of %s", ss.op.Name(), ss.scan.Table)))
+		view := lw.view(ss.scan)
+		if err := lw.buildStreamInput(cj, ss.op, ss.key.inputIdx, ss.id,
+			TablePath(ss.scan.Table), "", ss.scan.Schema(), view.cols, view, ss.chain, slots); err != nil {
 			return nil, err
 		}
 	}
@@ -380,7 +378,12 @@ func (lw *lowerer) lowerJob(jb *jobBuild, idx int, g *grouping, topChain []plan.
 			if in.Op == nil || inJob[in.Op] {
 				continue
 			}
-			if err := lw.buildIntermediateInput(cj, op, i, in, newStreamID(), slots); err != nil {
+			ref, ok := lw.written[in.Op]
+			if !ok {
+				return nil, fmt.Errorf("internal: %s consumed before %s was lowered", in.Op.Name(), op.Name())
+			}
+			if err := lw.buildStreamInput(cj, op, i, newStreamID(),
+				ref.path, ref.tag, ref.eff.schema, nil, ref.eff, in.Chain, slots); err != nil {
 				return nil, err
 			}
 		}

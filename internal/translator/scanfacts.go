@@ -42,6 +42,19 @@ func filterSQL(nodes []plan.Node) []string {
 	return out
 }
 
+// scanFact is the early-filter fact of a single-stream scan of table under
+// chain: the selections adjacent to the scan, or refusal when there are
+// none.
+func scanFact(job string, inputIdx int, table string, chain []plan.Node, refusal string) ScanFact {
+	fact := ScanFact{Job: job, InputIdx: inputIdx, Table: table, Path: TablePath(table)}
+	if n := mapFilterPrefixLen(chain); n == 0 {
+		fact.Refusal = refusal
+	} else {
+		fact.PredSQL = filterSQL(chain[len(chain)-n:])
+	}
+	return fact
+}
+
 // ApplyScanFacts makes the translation's applicable scan facts early
 // filters — the MANIMAL pipeline applied to generated code, where the
 // facts come from the plan instead of the AST (internal/optanalysis
