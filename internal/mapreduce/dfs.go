@@ -121,6 +121,23 @@ func (d *DFS) Read(path string) ([]string, error) {
 	return lines, nil
 }
 
+// Retain removes every file whose path keep does not hold and returns how
+// many it removed. Only map entries go: the line slices are never written
+// (ownership rule above), so a base table or a reuse artifact another DFS
+// or the store still holds is untouched, and a reader still iterating a
+// removed file keeps its lines. Like SizeBytes it is unobserved.
+func (d *DFS) Retain(keep map[string]bool) (removed int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for path := range d.files {
+		if !keep[path] {
+			delete(d.files, path)
+			removed++
+		}
+	}
+	return removed
+}
+
 // SizeBytes returns the byte size of path's content (line bytes plus one
 // newline per line), or 0 if absent.
 func (d *DFS) SizeBytes(path string) int64 {

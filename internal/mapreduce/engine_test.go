@@ -539,6 +539,45 @@ func TestDFSBasics(t *testing.T) {
 	}
 }
 
+// TestDFSRetain: Retain drops exactly the paths keep lacks, unobserved,
+// and never touches a dropped file's lines — a reader holding them, or
+// another DFS sharing the slice, still sees them whole.
+func TestDFSRetain(t *testing.T) {
+	d, other := NewDFS(), NewDFS()
+	reg := obs.NewRegistry()
+	d.Instrument(nil, reg, nil)
+	shared := []string{"a\t1", "b\t2"}
+	d.WriteShared("table/t", shared)
+	d.WriteShared("tmp/q1/j0", shared)
+	other.WriteShared("tmp/q1/j0", shared)
+	d.Write("restore/f", []string{"c"})
+	held, _ := d.Read("tmp/q1/j0")
+	writes, reads := reg.Value("ysmart_dfs_writes_total"), reg.Value("ysmart_dfs_reads_total")
+
+	keep := map[string]bool{"table/t": true, "absent": true}
+	if n := d.Retain(keep); n != 2 {
+		t.Errorf("Retain removed %d files, want 2", n)
+	}
+	if reg.Value("ysmart_dfs_writes_total") != writes || reg.Value("ysmart_dfs_reads_total") != reads {
+		t.Error("Retain counted as a read or a write")
+	}
+	if n := d.Retain(keep); n != 0 {
+		t.Errorf("a second Retain removed %d files, want 0", n)
+	}
+	if got, err := d.Read("table/t"); err != nil || len(got) != 2 {
+		t.Errorf("kept file = %q, %v", got, err)
+	}
+	if !absent(d, "tmp/q1/j0") || !absent(d, "restore/f") {
+		t.Error("a removed path is still readable")
+	}
+	if got, err := other.Read("tmp/q1/j0"); err != nil || len(got) != 2 || got[0] != "a\t1" {
+		t.Errorf("the other DFS's file = %q, %v; want its lines untouched", got, err)
+	}
+	if len(held) != 2 || held[1] != "b\t2" || shared[0] != "a\t1" {
+		t.Errorf("a removed file's lines changed under their reader: %q", held)
+	}
+}
+
 // TestDFSDigest: a file's digest follows its bytes, not its slice — the
 // same lines in a fresh slice digest equal, any changed line or line
 // boundary digests apart — and an absent path has none.

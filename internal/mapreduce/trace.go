@@ -266,11 +266,13 @@ func (e *Engine) recordJobMetrics(s *JobStats) {
 	}
 	m.Observe("ysmart_job_output_rows", float64(s.ReduceOutputRecords))
 	// Cost-model drift: measured versus analytically predicted job time.
-	// The totals reconstruct fleet-wide drift; the per-job gauge pinpoints
-	// which job the model misjudged.
+	// The totals reconstruct fleet-wide drift; the histogram shows how
+	// drift spreads over jobs. It carries no job label: a long-running
+	// server sees unboundedly many job names, and a series per name would
+	// never be freed (the job's own drift is in its job.done event).
 	m.Add("ysmart_costmodel_predicted_seconds_total", s.PredictedTime)
 	m.Add("ysmart_costmodel_actual_seconds_total", s.StartupTime+s.MapTime+s.ShuffleTime+s.ReduceTime)
-	m.Set("ysmart_costmodel_drift_ratio", s.CostDrift(), "job", s.Name)
+	m.Observe("ysmart_costmodel_drift_ratio", s.CostDrift())
 	for _, d := range s.Dispatch {
 		m.Add("ysmart_cmf_op_input_rows_total", float64(d.InRows), "op", d.Op)
 		m.Add("ysmart_cmf_op_output_rows_total", float64(d.OutRows), "op", d.Op)

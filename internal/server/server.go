@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"os"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -134,8 +136,38 @@ func New(cfg Config, tables map[string][]string) (*Server, error) {
 	if cfg.Reuse {
 		s.store = reuse.NewStore(cfg.ReuseCapBytes, reg)
 	}
+	percent, source := paceGC()
+	if s.logger.Enabled(obs.LevelInfo) {
+		s.logger.Info("server.gc_policy", obs.F("percent", int64(percent)), obs.F("source", source))
+	}
 	return s, nil
 }
+
+// gcPercent is the GC percent a server process runs at unless GOGC says
+// otherwise. A statement leaves nothing behind, so the live heap between
+// statements is a few megabytes; below about 4 MB Go's pacer collects
+// every (4 MB - live) bytes, which at the default 100 means a collection
+// every one or two queries. 400 was measured against 100, 200 and 800 on
+// the four bench workloads (EXPERIMENTS.md, "Memory and GC pacing"). The
+// memory limit is left to the runtime: GOMEMLIMIT caps RSS where that
+// matters more than CPU.
+const gcPercent = 400
+
+// paceGC sets the process's GC percent to gcPercent the first time a
+// server is built, unless GOGC is in the environment, whose setting the
+// runtime already applied and which then stands. It returns the percent
+// in force (-1: collection off) and where it came from: "GOGC" or
+// "server".
+var paceGC = sync.OnceValues(func() (percent int, source string) {
+	if _, ok := os.LookupEnv("GOGC"); ok {
+		// Read the percent back: setting it returns the old one.
+		percent = debug.SetGCPercent(-1)
+		debug.SetGCPercent(percent)
+		return percent, "GOGC"
+	}
+	debug.SetGCPercent(gcPercent)
+	return gcPercent, "server"
+})
 
 // ReuseStore exposes the cross-query reuse store (nil when Config.Reuse
 // is off) for stats endpoints and tests.

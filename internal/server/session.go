@@ -23,8 +23,9 @@ import (
 // the server's base tables by reference — the line slices registered with
 // the server, shared by every session and never written (DFS ownership
 // rule) — so opening a session costs one map entry per table, not one string
-// header per line; what is private is the namespace: the session's own tmp/
-// and restore/ files and its view of the tables as they were at connect. The
+// header per line; what is private is the namespace: its view of the tables
+// as they were at connect, and the tmp/ and restore/ files of the statement
+// it is running, which are dropped when the statement ends. The
 // simple query protocol is strictly serial per connection, and a query runs
 // on the session's own goroutine — a timeout or a drain stops the run rather
 // than leaving it behind — so the runtime never sees concurrent chains.
@@ -37,6 +38,10 @@ type session struct {
 
 	dfs    *mapreduce.DFS
 	engine *mapreduce.Engine
+	// base holds the DFS paths of the tables installed at connect: after
+	// each statement the session keeps only those (dropQueryFiles).
+	// Immutable after newSession.
+	base map[string]bool
 
 	// reuseEpochs is the validity-epoch snapshot taken when this session
 	// installed its base tables (nil when reuse is off). Lookups validate
@@ -118,8 +123,10 @@ func newSession(srv *Server, id int64, conn net.Conn) (*session, error) {
 	// The caller (acceptLoop) holds srv.mu, so the table install and — with
 	// reuse on — the epoch snapshot are atomic against RegisterDataset, which
 	// replaces a table's slice and never writes to one.
+	s.base = make(map[string]bool, len(srv.tables))
 	for name, lines := range srv.tables {
 		s.dfs.WriteShared(translator.TablePath(name), lines)
+		s.base[translator.TablePath(name)] = true
 	}
 	if srv.store != nil {
 		paths := make([]string, 0, len(srv.tables))
@@ -324,6 +331,7 @@ func (s *session) runQuery(sql string, start time.Time) error {
 	if err != nil {
 		return err
 	}
+	defer s.dropQueryFiles()
 	res, err := s.run(ctx, p, release)
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
@@ -352,6 +360,13 @@ func (s *session) run(ctx context.Context, p *Plan, release func()) (*translator
 	defer release()
 	return translator.Run(ctx, p.Translation, s.engine, s.srv.store, s.reuseEpochs)
 }
+
+// dropQueryFiles removes every DFS file but the session's base tables: a
+// statement's intermediate and result files, and the reuse artifacts it
+// installed, are its own and die with it, on every way out of runQuery
+// that ran it. Only map entries go, so the base tables, the store's
+// artifacts and a result still being streamed keep their lines.
+func (s *session) dropQueryFiles() { s.dfs.Retain(s.base) }
 
 // streamResult sends RowDescription, one DataRow per line of the result file
 // — rendered from the line's text straight into the write buffer, which goes
