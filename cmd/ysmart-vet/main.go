@@ -1,5 +1,5 @@
 // Command ysmart-vet runs the repo's custom static-analysis suite: the
-// determinism analyzer in internal/lint, which keeps the simulator's
+// determinism check in internal/lint, which keeps the simulator's
 // replay byte-identical — no wall-clock reads, no global rand, no
 // map-ordered emission, transitively through the call graph. It is the
 // one check kept because it catches what `go test` and `go test -race`
@@ -11,8 +11,8 @@
 //	ysmart-vet -optimize [-json] [package patterns]
 //
 // With no patterns it vets ./... from the current directory, applying
-// the analyzer's package scope. Explicit directory patterns bypass the
-// scopes (used by the golden corpora). -json emits the diagnostics as a
+// the check's package scope. Explicit directory patterns bypass the
+// scope (used by the golden corpora). -json emits the diagnostics as a
 // JSON array on stdout (one object per finding: file, line, col, check,
 // message) for CI annotation tooling. Exit status is 1 when any
 // diagnostic is reported and 2 on a driver error.
@@ -76,7 +76,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 0
 	}
 
-	diags, err := lint.Vet(".", patterns, lint.Analyzers)
+	diags, err := lint.Vet(".", patterns)
 	if err != nil {
 		fmt.Fprintf(stderr, "ysmart-vet: %v\n", err)
 		return 2

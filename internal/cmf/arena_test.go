@@ -290,12 +290,13 @@ func TestAllocBudgetTinyJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.SetWorkers(1)
-	var stats *mapreduce.JobStats
+	var cs *mapreduce.ChainStats
 	got := testing.AllocsPerRun(50, func() {
-		if stats, err = e.RunJob(job); err != nil {
+		if cs, err = e.RunChain([]*mapreduce.Job{job}); err != nil {
 			t.Fatal(err)
 		}
 	})
+	stats := cs.Jobs[0]
 	if stats.ReduceGroups != 6 || stats.ReduceOutputRecords == 0 {
 		t.Fatalf("job reduced %d groups to %d rows: not the job this budget is about", stats.ReduceGroups, stats.ReduceOutputRecords)
 	}

@@ -318,8 +318,8 @@ type commonReducer struct {
 // encoded into the line buffer and cut from the instance's line chunks, so
 // a line costs no allocation of its own, a chunk one per up to 4 KB of
 // lines. A chunk holds lines of this job's output only, written by this
-// instance in one phase: it lives and dies with the job's DFS file, or
-// with a replay's discarded output, never with another job's.
+// instance in one phase: it lives and dies with the job's DFS file, never
+// with another job's.
 type reduceTask struct {
 	cr             *commonReducer
 	slots, scratch [][]exec.Row // the graph's slot table; see graph.newSlots

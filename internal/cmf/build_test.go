@@ -70,7 +70,7 @@ func runCommonJob(t *testing.T, cj *CommonJob, dfs *mapreduce.DFS) (*mapreduce.J
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := e.RunJob(job)
+	cs, err := e.RunChain([]*mapreduce.Job{job})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -78,7 +78,7 @@ func runCommonJob(t *testing.T, cj *CommonJob, dfs *mapreduce.DFS) (*mapreduce.J
 	if err != nil {
 		t.Fatal(err)
 	}
-	return stats, out
+	return cs.Jobs[0], out
 }
 
 // TestAggregationJob runs a Q-AGG style job: count clicks per category.

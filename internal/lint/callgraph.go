@@ -9,9 +9,9 @@ import (
 	"strings"
 )
 
-// The call graph is the interprocedural backbone of the suite: a static
-// over-approximation of "who can run whom" inside the module, built once
-// per loaded Program and shared by every analyzer. Three edge kinds:
+// The call graph is the interprocedural backbone of the determinism
+// check: a static over-approximation of "who can run whom" inside the
+// module, built once per loaded Program. Three edge kinds:
 //
 //   - EdgeStatic: a direct call to a package function or a method on a
 //     concrete receiver.
@@ -70,8 +70,8 @@ type CallEdge struct {
 }
 
 // UnresolvedCall records a dynamic call the builder could not bound to
-// any in-module implementation. Analyzers degrade to a conservative
-// default at these sites.
+// any in-module implementation. The determinism check degrades to a
+// conservative default at these sites.
 type UnresolvedCall struct {
 	Pos  token.Pos
 	Desc string
@@ -86,7 +86,7 @@ type CallNode struct {
 }
 
 // declOf ties a function object back to its syntax and package, for
-// analyzers that re-walk bodies with type information.
+// checks that re-walk bodies with type information.
 type declOf struct {
 	Pkg  *Package
 	File *ast.File

@@ -106,11 +106,11 @@ func TestCallGraphUnresolved(t *testing.T) {
 }
 
 // TestConservativeDefaultFires: the unresolved call must surface as a
-// conservative assume-impure diagnostic when an analyzer that leans on
-// the graph runs over the fixture.
+// conservative assume-impure diagnostic when the determinism check,
+// which leans on the graph, runs over the fixture.
 func TestConservativeDefaultFires(t *testing.T) {
 	dir := filepath.Join("testdata", "src", "callgraph")
-	diags, err := Vet(dir, []string{"."}, []*Analyzer{Determinism})
+	diags, err := Vet(dir, []string{"."})
 	if err != nil {
 		t.Fatalf("Vet(callgraph): %v", err)
 	}

@@ -8,29 +8,25 @@ import (
 	"strings"
 )
 
-// Determinism flags the three sources of hidden nondeterminism that
-// break byte-identical replay in the simulator's data paths: wall-clock
-// reads, the globally seeded math/rand functions, and map iteration
-// that feeds an emission path unsorted. The scope is the packages whose
-// outputs must reproduce exactly — the engine, the CMF, the shared data
-// model, and the translator.
-//
-// The check is call-graph-transitive: a helper outside the replayed
-// packages that (through any chain of in-module calls, function values
-// handed off, or interface dispatch) reaches one of the three sources
-// taints every replayed call site, and the diagnostic prints the
-// offending call path. A chain that ends in a dynamic call the graph
-// cannot bound to an in-module implementation is conservatively treated
-// as nondeterministic too.
-var Determinism = &Analyzer{
-	Name: "determinism",
-	Packages: []string{
-		"internal/mapreduce",
-		"internal/cmf",
-		"internal/exec",
-		"internal/translator",
-	},
-	Run: runDeterminism,
+// replayed lists the module-relative import path prefixes of the packages
+// whose outputs must reproduce exactly: the engine, the CMF, the shared
+// data model, and the translator.
+var replayed = []string{
+	"internal/mapreduce",
+	"internal/cmf",
+	"internal/exec",
+	"internal/translator",
+}
+
+// inScope reports whether the module-relative package path rel is one of
+// the replayed packages or below one.
+func inScope(rel string) bool {
+	for _, p := range replayed {
+		if rel == p || strings.HasPrefix(rel, p+"/") {
+			return true
+		}
+	}
+	return false
 }
 
 // randConstructors are the package-level math/rand functions that build
@@ -39,18 +35,38 @@ var Determinism = &Analyzer{
 // flagged.
 var randConstructors = map[string]bool{"New": true, "NewSource": true, "NewZipf": true}
 
-func runDeterminism(pass *Pass) {
+// checkDeterminism flags in pkg the three sources of hidden
+// nondeterminism that break byte-identical replay in the simulator's data
+// paths: wall-clock reads, the globally seeded math/rand functions, and
+// map iteration that feeds an emission path unsorted.
+//
+// The check is call-graph-transitive: a helper outside the replayed
+// packages that (through any chain of in-module calls, function values
+// handed off, or interface dispatch) reaches one of the three sources
+// taints every replayed call site, and the diagnostic prints the
+// offending call path. A chain that ends in a dynamic call the graph
+// cannot bound to an in-module implementation is conservatively treated
+// as nondeterministic too.
+func checkDeterminism(prog *Program, pkg *Package) []Diagnostic {
+	var diags []Diagnostic
+	report := func(pos token.Pos, format string, args ...any) {
+		diags = append(diags, Diagnostic{
+			Pos:     prog.Fset.Position(pos),
+			Check:   "determinism",
+			Message: fmt.Sprintf(format, args...),
+		})
+	}
 	// Intraprocedural pass: sources written directly in this package.
-	for _, file := range pass.Pkg.Files {
+	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				if msg, _ := nondetCall(pass.Pkg, n); msg != "" {
-					pass.Reportf(n.Pos(), "%s", msg)
+				if msg, _ := nondetCall(pkg, n); msg != "" {
+					report(n.Pos(), "%s", msg)
 				}
 			case *ast.RangeStmt:
-				if msg, _ := nondetMapRange(pass.Pkg, file, n); msg != "" {
-					pass.Reportf(n.Pos(), "%s", msg)
+				if msg, _ := nondetMapRange(pkg, file, n); msg != "" {
+					report(n.Pos(), "%s", msg)
 				}
 			}
 			return true
@@ -61,14 +77,14 @@ func runDeterminism(pass *Pass) {
 	// replayed scope whose transitive closure reaches a source. Callees
 	// inside the replayed scope are skipped — their own package run
 	// reports the source directly.
-	g := pass.Prog.CallGraph()
-	for _, file := range pass.Pkg.Files {
+	g := prog.CallGraph()
+	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			fn, ok := pass.Pkg.Info.Defs[fd.Name].(*types.Func)
+			fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
 			if !ok {
 				continue
 			}
@@ -78,13 +94,13 @@ func runDeterminism(pass *Pass) {
 			}
 			reported := make(map[token.Pos]bool) // one diagnostic per call site
 			for _, e := range node.Out {
-				if pass.analyzer.appliesTo(pass.Prog.relOf(e.Callee.Pkg())) {
+				if inScope(prog.relOf(e.Callee.Pkg())) {
 					continue
 				}
 				if reported[e.Pos] {
 					continue
 				}
-				path, fact := g.reachFact(e.Callee, pass.Prog.nondetFact, true)
+				path, fact := g.reachFact(e.Callee, prog.nondetFact, true)
 				if fact == nil {
 					continue
 				}
@@ -93,16 +109,17 @@ func runDeterminism(pass *Pass) {
 				if e.Kind == EdgeRef {
 					verb = "reference to"
 				}
-				pass.Reportf(e.Pos, "%s %s reaches %s via %s; nondeterminism must not be reachable from replayed code",
+				report(e.Pos, "%s %s reaches %s via %s; nondeterminism must not be reachable from replayed code",
 					verb, shortFuncName(e.Callee), fact.Desc, pathString(path))
 			}
 			// A dynamic call the graph could not bound is itself a
 			// conservative finding: the callee may do anything.
 			for _, u := range node.Unresolved {
-				pass.Reportf(u.Pos, "dynamic call is unresolvable (%s); assume nondeterministic and keep it out of replayed code", u.Desc)
+				report(u.Pos, "dynamic call is unresolvable (%s); assume nondeterministic and keep it out of replayed code", u.Desc)
 			}
 		}
 	}
+	return diags
 }
 
 // nondetFact returns the function's first directly-written

@@ -12,25 +12,22 @@ import (
 // message on that line must match the quoted regexp.
 var wantRx = regexp.MustCompile(`// want "((?:[^"\\]|\\.)*)"`)
 
-// CheckCorpus runs the analyzers over the corpus package in dir and
-// compares the diagnostics against the corpus's `// want "regexp"`
+// CheckCorpus runs the determinism check over the corpus package in dir
+// and compares the diagnostics against the corpus's `// want "regexp"`
 // comments: every diagnostic must be expected by a want on its line,
 // and every want must be matched by a diagnostic. It returns one
 // mismatch per line, empty when the corpus is green.
 //
 // The corpus files are loaded through the same module-aware driver the
-// CLI uses, so they may import ysmart packages; analyzer package scopes
-// are bypassed, exactly as `ysmart-vet <dir>` bypasses them.
-func CheckCorpus(dir string, analyzers []*Analyzer) ([]string, error) {
+// CLI uses, so they may import ysmart packages; the check's package scope
+// is bypassed, exactly as `ysmart-vet <dir>` bypasses it.
+func CheckCorpus(dir string) ([]string, error) {
 	prog, targets, err := Load(dir, []string{"."})
 	if err != nil {
 		return nil, err
 	}
 	pkg := targets[0].Pkg
-	var diags []Diagnostic
-	for _, a := range analyzers {
-		diags = append(diags, runOne(prog, pkg, a)...)
-	}
+	diags := checkDeterminism(prog, pkg)
 	wants := corpusWants(prog.Fset, pkg)
 
 	var problems []string

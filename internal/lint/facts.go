@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// The fact-propagation layer: an analyzer describes what a single
+// The fact-propagation layer: a check describes what a single
 // function does (a base fact — determinism.go's nondeterminism sources:
 // a wall-clock read, a global math/rand draw, a map-ordered emission),
 // and the engine answers "is any such fact reachable from here?" over

@@ -6,14 +6,14 @@ import (
 	"testing"
 )
 
-// TestCorpora runs the full suite over the analyzer's golden corpus
+// TestCorpora runs the determinism check over its golden corpus
 // and checks the diagnostics against the // want comments — both that
 // every finding is expected and that every expectation fires.
 func TestCorpora(t *testing.T) {
 	for _, corpus := range []string{"determinism"} {
 		t.Run(corpus, func(t *testing.T) {
 			dir := filepath.Join("testdata", "src", corpus)
-			problems, err := CheckCorpus(dir, Analyzers)
+			problems, err := CheckCorpus(dir)
 			if err != nil {
 				t.Fatalf("CheckCorpus(%s): %v", dir, err)
 			}
@@ -26,12 +26,12 @@ func TestCorpora(t *testing.T) {
 
 // TestCorporaFail: each corpus must actually produce diagnostics when
 // run through the public driver (the CLI's exit-1 path); a corpus that
-// goes silent means its analyzer regressed.
+// goes silent means the check regressed.
 func TestCorporaFail(t *testing.T) {
 	for _, corpus := range []string{"determinism"} {
 		t.Run(corpus, func(t *testing.T) {
 			dir := filepath.Join("testdata", "src", corpus)
-			diags, err := Vet(dir, []string{"."}, Analyzers)
+			diags, err := Vet(dir, []string{"."})
 			if err != nil {
 				t.Fatalf("Vet(%s): %v", dir, err)
 			}
@@ -50,26 +50,26 @@ func TestCorporaFail(t *testing.T) {
 	}
 }
 
-// TestAnalyzerScopes: ./... expansion applies package scopes (the
-// determinism analyzer must not run outside the replayed packages), and
-// explicit directory targets bypass them.
+// TestAnalyzerScopes: ./... expansion applies the package scope (the
+// determinism check must not run outside the replayed packages), and
+// explicit directory targets bypass it.
 func TestAnalyzerScopes(t *testing.T) {
-	if !Determinism.appliesTo("internal/mapreduce") {
+	if !inScope("internal/mapreduce") {
 		t.Error("determinism must cover internal/mapreduce")
 	}
-	if Determinism.appliesTo("internal/obs") {
+	if inScope("internal/obs") {
 		t.Error("determinism must not cover internal/obs (exporters sort maps themselves)")
 	}
 }
 
-// TestVetCleanTree: the suite's reason to exist — ysmart-vet ./... on
+// TestVetCleanTree: the check's reason to exist — ysmart-vet ./... on
 // the real tree reports nothing. Every true positive it found was
 // fixed; there is no way to annotate an exception.
 func TestVetCleanTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped with -short")
 	}
-	diags, err := Vet(filepath.Join("..", ".."), []string{"./..."}, Analyzers)
+	diags, err := Vet(filepath.Join("..", ".."), []string{"./..."})
 	if err != nil {
 		t.Fatalf("Vet(./...): %v", err)
 	}

@@ -39,15 +39,15 @@ type Program struct {
 	loading map[string]bool
 	std     types.ImporterFrom
 
-	// Interprocedural caches, built lazily and shared by analyzers.
+	// Interprocedural caches, built lazily.
 	callgraph  *CallGraph
 	nondetOnce bool
 	nondet     map[*types.Func]*Fact
 }
 
 // Target is one package selected by the command-line patterns. Explicit
-// targets (named directories rather than ./... expansion) bypass
-// analyzer package scopes.
+// targets (named directories rather than ./... expansion) bypass the
+// determinism check's package scope.
 type Target struct {
 	Pkg      *Package
 	Explicit bool

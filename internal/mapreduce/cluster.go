@@ -93,9 +93,10 @@ type Cluster struct {
 	// Faults, when non-nil and non-zero, switches the engine from the
 	// analytic cost path to event-level scheduling: task attempts are
 	// placed on concrete slots, injected failures/node deaths/stragglers
-	// trigger real re-execution of user code, and phase times come from
-	// the resulting schedule. A nil or zero plan leaves results and
-	// JobStats byte-identical to a plan-free cluster.
+	// add attempts (each extra map launch re-reads its input from the DFS;
+	// none runs user code again), and phase times come from the resulting
+	// schedule. A nil or zero plan leaves results and JobStats
+	// byte-identical to a plan-free cluster.
 	Faults *FaultPlan
 	// Speculation enables backup attempts for stragglers. It only has an
 	// effect when Faults injects stragglers.

@@ -27,7 +27,7 @@ func costProbe(t *testing.T, mutate func(*Cluster), lines int) *JobStats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := e.RunJob(wordCountJob("in", "out"))
+	s, err := e.runJob(wordCountJob("in", "out"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,11 +13,10 @@ import (
 
 // Engine executes jobs against a DFS and costs them against a cluster
 // model. It is not safe for concurrent use: callers drive one chain at a
-// time. Internally, however, the engine fans map morsels, combiners,
-// reduce key runs and fault-path re-executions out across a pool of
-// worker goroutines (see parallel.go and shuffle.go); every gather follows
-// an order the data fixes, so output, stats and traces are byte-identical
-// at any worker count.
+// time. Internally, however, the engine fans map morsels, combiners and
+// reduce key runs out across a pool of worker goroutines (see parallel.go
+// and shuffle.go); every gather follows an order the data fixes, so
+// output, stats and traces are byte-identical at any worker count.
 type Engine struct {
 	dfs     *DFS
 	cluster *Cluster
@@ -83,12 +82,11 @@ func (e *Engine) RunChain(jobs []*Job) (*ChainStats, error) {
 // RunChainContext executes jobs sequentially in dependency order (the way
 // Hive drove its job chains) and returns per-job stats in execution order.
 // ctx stops the chain at the engine's work-item boundaries — before every
-// job, map morsel, combiner task, reduce key run and fault replay, never
-// per row — and the chain then fails with ctx's error
-// and no stats. A check that does not fire changes nothing: output, stats
-// and traces are those of a run that cannot be stopped. A panic in user
-// code, on a worker or on this goroutine, fails the job it ran in with an
-// error naming the panic.
+// job, map morsel, combiner task and reduce key run, never per row — and
+// the chain then fails with ctx's error and no stats. A check that does
+// not fire changes nothing: output, stats and traces are those of a run
+// that cannot be stopped. A panic in user code, on a worker or on this
+// goroutine, fails the job it ran in with an error naming the panic.
 func (e *Engine) RunChainContext(ctx context.Context, jobs []*Job) (*ChainStats, error) {
 	ordered, err := topoSort(jobs)
 	if err != nil {
@@ -126,7 +124,7 @@ func (e *Engine) RunChainContext(ctx context.Context, jobs []*Job) (*ChainStats,
 			}
 			e.simNow += gap
 		}
-		js, err := e.runJobRecovered(j)
+		js, err := e.runJob(j)
 		if err != nil {
 			return nil, e.chainFailed(j, err)
 		}
@@ -151,17 +149,6 @@ func (e *Engine) chainFailed(j *Job, err error) error {
 	e.logger.Error("chain.failed",
 		obs.F("job", j.Name), obs.F("error", err.Error()), obs.F("sim_s", e.simNow))
 	return fmt.Errorf("job %s: %w", j.Name, err)
-}
-
-// runJobRecovered is RunJob with a panic on the driver goroutine, outside
-// any work item, turned into the job's error.
-func (e *Engine) runJobRecovered(j *Job) (js *JobStats, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			js, err = nil, panicError(r)
-		}
-	}()
-	return e.RunJob(j)
 }
 
 // nextGap draws the contention-induced delay inserted before a job.
@@ -213,29 +200,33 @@ func topoSort(jobs []*Job) ([]*Job, error) {
 type kv struct{ key, value string }
 
 // mapTask is one map task's share of a job input (in indexes Job.Inputs),
-// kept so the fault path can re-execute the task's user code on retries and
-// recomputes.
+// kept so the fault path can re-read a relaunched task's input.
 type mapTask struct {
 	in    int
 	chunk []string
 }
 
-// RunJob executes a single job: map over every input, optional combine per
+// runJob executes a single job: map over every input, optional combine per
 // map task, shuffle/group, reduce, and write the output file. It returns
 // the job's counters and simulated times, and advances the simulated clock
-// past the job (emitting span events when a tracer is attached).
-func (e *Engine) RunJob(j *Job) (*JobStats, error) {
+// past the job (emitting span events when a tracer is attached). A panic
+// on the driver goroutine, outside any work item, becomes the job's error.
+func (e *Engine) runJob(j *Job) (js *JobStats, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			js, err = nil, panicError(r)
+		}
+	}()
 	jobStart := e.simNow
-	stats, err := e.runJob(j)
-	if err != nil {
+	if js, err = e.execJob(j); err != nil {
 		return nil, err
 	}
-	e.finishJob(j, stats, jobStart)
-	return stats, nil
+	e.finishJob(j, js, jobStart)
+	return js, nil
 }
 
-// runJob is the execution body of RunJob, free of any clock/trace concerns.
-func (e *Engine) runJob(j *Job) (*JobStats, error) {
+// execJob is the execution body of runJob, free of any clock/trace concerns.
+func (e *Engine) execJob(j *Job) (*JobStats, error) {
 	if err := j.Validate(); err != nil {
 		return nil, err
 	}
@@ -339,7 +330,7 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 		stats.MapOutputBytes = linesBytes(mapOnlyLines)
 		stats.ReduceOutputRecords = stats.MapOutputRecords
 		stats.ReduceOutputBytes = stats.MapOutputBytes
-		if err := e.costJob(j, stats, preCombineBytes, tasks, nil, workers); err != nil {
+		if err := e.costJob(j, stats, preCombineBytes, tasks); err != nil {
 			return nil, err
 		}
 		return stats, nil
@@ -377,7 +368,7 @@ func (e *Engine) runJob(j *Job) (*JobStats, error) {
 	stats.ReduceOutputRecords = int64(len(outLines))
 	stats.ReduceOutputBytes = linesBytes(outLines)
 
-	if err := e.costJob(j, stats, preCombineBytes, tasks, groups, workers); err != nil {
+	if err := e.costJob(j, stats, preCombineBytes, tasks); err != nil {
 		return nil, err
 	}
 	return stats, nil
@@ -618,13 +609,14 @@ func (e *Engine) phaseBases(s *JobStats, preCombineBytes int64) phaseBases {
 // base plus the scheduling overhead of its waves, and that is the model's
 // prediction too, so drift is exactly 1. Under an active FaultPlan the same
 // bases become per-task durations for the event scheduler (scheduleJob),
-// which also replays every extra attempt's user code over tasks and groups.
-func (e *Engine) costJob(j *Job, s *JobStats, preCombineBytes int64, tasks []mapTask, groups []keyGroup, workers []jobWorker) error {
+// which also charges every extra map launch a DFS re-read of its task's
+// input.
+func (e *Engine) costJob(j *Job, s *JobStats, preCombineBytes int64, tasks []mapTask) error {
 	b := e.phaseBases(s, preCombineBytes)
 	cm := e.cluster.Cost
 	s.StartupTime = cm.JobStartup
 	if e.faultsActive() {
-		return e.scheduleJob(j, s, b, tasks, groups, workers)
+		return e.scheduleJob(j, s, b, tasks)
 	}
 	s.MapTime = b.mapBase + b.mapWaves*cm.TaskOverhead
 	s.ShuffleTime = b.shuffle

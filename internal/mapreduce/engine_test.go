@@ -52,7 +52,7 @@ func wordCountJob(in, out string) *Job {
 func TestWordCountEndToEnd(t *testing.T) {
 	e := newTestEngine(t)
 	e.DFS().Write("in", []string{"a b a", "c b a", ""})
-	stats, err := e.RunJob(wordCountJob("in", "out"))
+	stats, err := e.runJob(wordCountJob("in", "out"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestDeterministicOutputOrder(t *testing.T) {
 	e.DFS().Write("in", []string{"z y x w v u t s r q p"})
 	var outs []string
 	for i := 0; i < 3; i++ {
-		if _, err := e.RunJob(wordCountJob("in", "out")); err != nil {
+		if _, err := e.runJob(wordCountJob("in", "out")); err != nil {
 			t.Fatal(err)
 		}
 		lines, _ := e.DFS().Read("out")
@@ -139,7 +139,7 @@ func TestCombinerShrinksShuffle(t *testing.T) {
 		if withCombiner {
 			j.Combiner = combiner
 		}
-		s, err := e.RunJob(j)
+		s, err := e.runJob(j)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestMapOnlyJob(t *testing.T) {
 		}},
 		Output: "out",
 	}
-	stats, err := e.RunJob(j)
+	stats, err := e.runJob(j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestMultiInputTaggedJoin(t *testing.T) {
 		}),
 		Output: "out",
 	}
-	if _, err := e.RunJob(j); err != nil {
+	if _, err := e.runJob(j); err != nil {
 		t.Fatal(err)
 	}
 	out, _ := e.DFS().Read("out")
@@ -299,7 +299,7 @@ func TestJobValidation(t *testing.T) {
 		{Name: "x", Inputs: []Input{{Path: "p", Mapper: MapperFunc(func(string, Emit) error { return nil })}}, NumReduceTasks: -1, Output: "o"},
 	}
 	for i, j := range bad {
-		if _, err := e.RunJob(j); err == nil {
+		if _, err := e.runJob(j); err == nil {
 			t.Errorf("job %d validated, want error", i)
 		}
 	}
@@ -307,7 +307,7 @@ func TestJobValidation(t *testing.T) {
 
 func TestMissingInputFile(t *testing.T) {
 	e := newTestEngine(t)
-	_, err := e.RunJob(wordCountJob("nope", "out"))
+	_, err := e.runJob(wordCountJob("nope", "out"))
 	var nf *FileNotFoundError
 	if err == nil || !strings.Contains(err.Error(), "not found") {
 		t.Fatalf("err = %v, want file-not-found", err)
@@ -331,7 +331,7 @@ func timedRun(t *testing.T, cluster *Cluster, lineCount int) *JobStats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := e.RunJob(wordCountJob("in", "out"))
+	s, err := e.runJob(wordCountJob("in", "out"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -639,8 +639,8 @@ func TestAllocBudgetDFS(t *testing.T) {
 	}
 }
 
-// TestAllocBudgetPartitionOf pins the partitioner at zero allocations: the
-// fault path calls it for every key of every replayed reduce task.
+// TestAllocBudgetPartitionOf pins the partitioner at zero allocations:
+// reducerSizes calls it for every key group of every job.
 func TestAllocBudgetPartitionOf(t *testing.T) {
 	key := "the\tquick\x00fox"
 	if got := testing.AllocsPerRun(200, func() { sinkInt += partitionOf(key, 7) }); got != 0 {

@@ -50,7 +50,7 @@ func TestMapperErrorAborts(t *testing.T) {
 		Reducer: okReducer(),
 		Output:  "out",
 	}
-	_, err := e.RunJob(j)
+	_, err := e.runJob(j)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want wrapped sentinel", err)
 	}
@@ -81,7 +81,7 @@ func TestReducerErrorAborts(t *testing.T) {
 		}),
 		Output: "out",
 	}
-	_, err := e.RunJob(j)
+	_, err := e.runJob(j)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want wrapped sentinel", err)
 	}
@@ -109,7 +109,7 @@ func TestCombinerErrorAborts(t *testing.T) {
 		Reducer: okReducer(),
 		Output:  "out",
 	}
-	_, err := e.RunJob(j)
+	_, err := e.runJob(j)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want wrapped sentinel", err)
 	}
@@ -140,7 +140,7 @@ func TestChainStopsAtFirstFailure(t *testing.T) {
 func TestEmptyInputJob(t *testing.T) {
 	e := newTestEngine(t)
 	e.DFS().Write("in", nil)
-	stats, err := e.RunJob(wordCountJob("in", "out"))
+	stats, err := e.runJob(wordCountJob("in", "out"))
 	if err != nil {
 		t.Fatal(err)
 	}

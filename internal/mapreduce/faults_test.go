@@ -3,7 +3,9 @@ package mapreduce
 import (
 	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -404,7 +406,7 @@ func TestMapOnlyJobUnderFaults(t *testing.T) {
 			}},
 			Output: "out",
 		}
-		if _, err := e.RunJob(job); err != nil {
+		if _, err := e.runJob(job); err != nil {
 			t.Fatal(err)
 		}
 		out, err := dfs.Read("out")
@@ -424,9 +426,8 @@ func TestMapOnlyJobUnderFaults(t *testing.T) {
 
 // TestGlobalReduceOverEmptyShuffle: a GlobalReduce job whose mapper emits
 // nothing still reduces the empty key's group once, with no values — a
-// plain job reduces nothing — and under faults the replays of that group's
-// reduce task find it, on the empty key's partition, without changing the
-// output.
+// plain job reduces nothing — and under faults that group is still reduced
+// once, to the same output.
 func TestGlobalReduceOverEmptyShuffle(t *testing.T) {
 	var calls atomic.Int64
 	run := func(c *Cluster, global bool) ([]string, *JobStats) {
@@ -447,7 +448,7 @@ func TestGlobalReduceOverEmptyShuffle(t *testing.T) {
 			Output:       "out",
 			GlobalReduce: global,
 		}
-		stats, err := e.RunJob(job)
+		stats, err := e.runJob(job)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -464,17 +465,130 @@ func TestGlobalReduceOverEmptyShuffle(t *testing.T) {
 	if out, stats := run(testFaultCluster(), true); !reflect.DeepEqual(out, want) || stats.ReduceGroups != 1 {
 		t.Errorf("global job over an empty shuffle wrote %q from %d groups, want %q from 1", out, stats.ReduceGroups, want)
 	}
-	replayed := false
 	for seed := int64(1); seed <= 20; seed++ {
 		c := testFaultCluster()
 		c.Faults = &FaultPlan{Seed: seed, TaskFailureProb: 0.5}
 		calls.Store(0)
-		if out, _ := run(c, true); !reflect.DeepEqual(out, want) {
-			t.Fatalf("seed %d: global job under faults wrote %q, want %q", seed, out, want)
+		if out, _ := run(c, true); !reflect.DeepEqual(out, want) || calls.Load() != 1 {
+			t.Fatalf("seed %d: global job under faults wrote %q in %d reduce calls, want %q in 1", seed, out, calls.Load(), want)
 		}
-		replayed = replayed || calls.Load() > 1
 	}
-	if !replayed {
-		t.Error("no seed replayed the empty key's reduce task: the fault path went untested")
+}
+
+// callCounts counts a job's user-code calls: Map per input line, Combine per
+// (map task, key) and Reduce per key. A combine group is named by its key
+// and first value, since no two lines of geometryInput's two inputs share a
+// (key, value) pair.
+type callCounts struct {
+	mu                      sync.Mutex
+	maps, combines, reduces map[string]int
+}
+
+func (c *callCounts) count(m map[string]int, k string) {
+	c.mu.Lock()
+	m[k]++
+	c.mu.Unlock()
+}
+
+// job returns a geometry job with a summing combiner whose every stage
+// counts its calls into c, reset.
+func (c *callCounts) job() *Job {
+	c.maps, c.combines, c.reduces = map[string]int{}, map[string]int{}, map[string]int{}
+	sum := func(values []string) (string, error) {
+		var n int64
+		for _, v := range values {
+			x, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				return "", err
+			}
+			n += x
+		}
+		return strconv.FormatInt(n, 10), nil
+	}
+	mapper := MapperFunc(func(line string, emit Emit) error {
+		c.count(c.maps, line)
+		key, value, _ := strings.Cut(line, " ")
+		emit(key, value)
+		return nil
+	})
+	job := geometryJob(mapper)
+	job.Combiner = CombinerFunc(func(key string, values []string) ([]string, error) {
+		c.count(c.combines, key+" "+values[0])
+		s, err := sum(values)
+		return []string{s}, err
+	})
+	job.Reducer = ReducerFunc(func(key string, values []string, emit func(string)) error {
+		c.count(c.reduces, key)
+		s, err := sum(values)
+		emit(key + "\t" + s)
+		return err
+	})
+	return job
+}
+
+// TestFaultRunsUserCodeOnce: a fault plan that retries map and reduce tasks,
+// recomputes map output lost to a node death in the map window and another
+// in the shuffle window, and races speculative backups charges all of it in
+// simulated seconds but runs the user code exactly as the fault-free run
+// does: Map once per line, Combine once per (map task, key), Reduce once
+// per key, at any worker count.
+func TestFaultRunsUserCodeOnce(t *testing.T) {
+	cluster := func(deaths ...NodeFailure) *Cluster {
+		c := geometryCluster()
+		c.Cost.SplitSize = 4 << 10 // 20 map tasks, so every node holds map output
+		if deaths != nil {
+			c.Faults = &FaultPlan{Seed: 5, TaskFailureProb: 0.3, StragglerProb: 0.3, StragglerFactor: 5,
+				NodeFailures: deaths}
+			c.Speculation = Speculation{Enabled: true}
+		}
+		return c
+	}
+	var clean callCounts
+	want := runGeometry(t, cluster(), clean.job(), 1)
+	if want.err != nil {
+		t.Fatal(want.err)
+	}
+	// The map-window death alone fixes when the map phase ends; a death
+	// halfway through the shuffle that follows cannot move that end.
+	mapDeath := NodeFailure{Node: 0, At: 14}
+	var probe callCounts
+	first := runGeometry(t, cluster(mapDeath), probe.job(), 1)
+	if first.err != nil {
+		t.Fatal(first.err)
+	}
+	shuffleDeath := NodeFailure{Node: 1, At: first.stats.StartupTime + first.stats.MapTime + first.stats.ShuffleTime/2}
+	for _, workers := range []int{1, 8} {
+		var got callCounts
+		run := runGeometry(t, cluster(mapDeath, shuffleDeath), got.job(), workers)
+		if run.err != nil {
+			t.Fatal(run.err)
+		}
+		s := run.stats
+		if s.MapTaskRetries == 0 || s.ReduceTaskRetries == 0 || s.SpeculativeTasks == 0 ||
+			s.RecomputedMapTasks <= first.stats.RecomputedMapTasks || first.stats.RecomputedMapTasks == 0 {
+			t.Fatalf("workers=%d: retries %d/%d, %d backups, %d recomputed (%d before the shuffle death): the plan does not exercise every recovery path",
+				workers, s.MapTaskRetries, s.ReduceTaskRetries, s.SpeculativeTasks, s.RecomputedMapTasks, first.stats.RecomputedMapTasks)
+		}
+		for _, c := range []struct {
+			stage     string
+			got, want map[string]int
+		}{
+			{"Map calls per line", got.maps, clean.maps},
+			{"Combine calls per (task, key)", got.combines, clean.combines},
+			{"Reduce calls per key", got.reduces, clean.reduces},
+		} {
+			if !reflect.DeepEqual(c.got, c.want) {
+				total := func(m map[string]int) (n int) {
+					for _, v := range m {
+						n += v
+					}
+					return n
+				}
+				t.Errorf("workers=%d: %s differ from the fault-free run's: %d calls, want %d", workers, c.stage, total(c.got), total(c.want))
+			}
+		}
+		if !reflect.DeepEqual(run.rows, want.rows) {
+			t.Errorf("workers=%d: rows differ from the fault-free run's", workers)
+		}
 	}
 }

@@ -7,10 +7,9 @@ import (
 
 // FuzzPartitionOf checks the shuffle partitioner's contract for arbitrary
 // keys: the result is always in [0, numReduce), stable across repeated
-// calls (a re-executed reduce partition must see exactly the keys the
-// original saw), collapses to 0 for a single partition, and matches the
-// documented FNV-32a definition — the function the differential harness
-// and the fault-replay paths both lean on.
+// calls, collapses to 0 for a single partition, and matches the
+// documented FNV-32a definition — the function JobStats' reducer sizes
+// (reducerSizes) lean on.
 func FuzzPartitionOf(f *testing.F) {
 	f.Add("", uint8(1))
 	f.Add("alpha", uint8(4))

@@ -213,7 +213,7 @@ func runGeometryOn(t *testing.T, cluster *Cluster, job *Job, workers int, a, b [
 	e.SetWorkers(workers)
 	col := obs.NewCollector()
 	e.Instrument(col, nil)
-	stats, err := e.RunJob(job)
+	stats, err := e.runJob(job)
 	if err != nil {
 		return geometryRun{err: err}
 	}
@@ -371,23 +371,21 @@ func TestGeometryReduceInstances(t *testing.T) {
 // and per input for mappers — and Done ends every reducer instance exactly
 // once, after it saw its keys in ascending order, as a map instance saw its
 // lines; rows, JobStats and trace bytes are the sequential run's. Under a
-// fault plan each replay phase builds at most one instance per worker
-// (per input for mappers) as well, where an instance per replayed task
-// would build more at one worker.
+// fault plan all of this holds unchanged: a relaunched attempt builds no
+// instance and runs no user code.
 func TestGeometryInstancesPerWorker(t *testing.T) {
 	// 18000 lines over 1000 keys: six map tasks, whose combiners fold each
 	// key's three values into one and leave 6000 pairs to reduce.
 	a, b := geometryInput(12000, 1000, 0), geometryInput(6000, 1000, 3)
-	// The map tasks and the morsels of an input's lines, cut as the engine
-	// cuts them.
-	cut := func(lines []string, workers int) (tasks, morsels int) {
+	// The morsels of an input's lines, cut as the engine cuts them.
+	morselsOf := func(lines []string, workers int) int {
 		c := geometryCluster()
 		chunks := appendChunks(nil, 0, lines, int(math.Ceil(float64(linesBytes(lines))*c.DataScale/float64(c.Cost.SplitSize))))
 		if workers == 1 {
-			return len(chunks), len(chunks)
+			return len(chunks)
 		}
 		m, _ := cutMorsels(chunks)
-		return len(chunks), len(m)
+		return len(m)
 	}
 	faulty := func() *Cluster {
 		c := geometryCluster()
@@ -417,51 +415,26 @@ func TestGeometryInstancesPerWorker(t *testing.T) {
 				t.Fatalf("%d map tasks, %d pairs over %d keys: the job is not the shape this test is about",
 					s.NumMapTasks, s.ReduceInputRecords, s.ReduceGroups)
 			}
-			// Every attempt past a task's first is a replay: one item of
-			// the map or the reduce replay phase.
-			tasksA, _ := cut(a, workers)
-			var mapReplays [2]int
-			var reduceReplays int
-			for _, at := range s.Attempts {
-				switch {
-				case at.Attempt == 0:
-				case at.Phase == "reduce":
-					reduceReplays++
-				case at.Task < tasksA:
-					mapReplays[0]++
-				default:
-					mapReplays[1]++
-				}
-			}
-			if faults && (mapReplays[0] < 3 || mapReplays[1] < 3 || reduceReplays < 3) {
-				t.Fatalf("%s: %v map and %d reduce replays: the fault plan does not replay enough", name, mapReplays, reduceReplays)
-			}
 			// At most min(workers, items) instances a phase; no phase with
 			// no items builds one.
-			bound := func(items ...int) int64 {
-				n := 0
-				for _, i := range items {
-					n += min(workers, i)
-				}
-				return int64(n)
-			}
+			bound := func(items int) int64 { return int64(min(workers, items)) }
 			r := job.Reducer.(*sumReducer)
 			runs := 1 // cutRuns: the pairs and keys above make at least 8 runs at 2 workers and up
 			if workers > 1 {
 				runs = min(workers*runsPerWorker, int(s.ReduceInputRecords)/runValues, int(s.ReduceGroups))
 			}
-			if n, most := r.mostPerPhase.Load(), max(bound(runs), bound(reduceReplays)); n < 1 || n > most {
-				t.Errorf("%s: a phase built %d reducer instances for %d key runs and %d replays, want 1 to %d", name, n, runs, reduceReplays, most)
+			if n, most := r.mostPerPhase.Load(), bound(runs); n < 1 || n > most {
+				t.Errorf("%s: a phase built %d reducer instances for %d key runs, want 1 to %d", name, n, runs, most)
 			}
-			if n, most := job.Combiner.(*sumCombiner).tasks.Load(), bound(s.NumMapTasks, mapReplays[0]+mapReplays[1]); n < 1 || n > most {
-				t.Errorf("%s: %d combiner instances for %d combine tasks and %v replays, want 1 to %d", name, n, s.NumMapTasks, mapReplays, most)
+			if n, most := job.Combiner.(*sumCombiner).tasks.Load(), bound(s.NumMapTasks); n < 1 || n > most {
+				t.Errorf("%s: %d combiner instances for %d combine tasks, want 1 to %d", name, n, s.NumMapTasks, most)
 			}
 			for in, lines := range [][]string{a, b} {
-				_, morsels := cut(lines, workers)
-				if n, most := mappers[in].tasks.Load(), bound(morsels, mapReplays[in]); n < 1 || n > most {
-					t.Errorf("%s: %d mapper instances for the %d morsels and %d replays of input %d, want 1 to %d", name, n, morsels, mapReplays[in], in, most)
+				morsels := morselsOf(lines, workers)
+				if n, most := mappers[in].tasks.Load(), bound(morsels); n < 1 || n > most {
+					t.Errorf("%s: %d mapper instances for the %d morsels of input %d, want 1 to %d", name, n, morsels, in, most)
 				}
-				if n := mappers[in].unsorted.Load(); n != 0 && !faults {
+				if n := mappers[in].unsorted.Load(); n != 0 {
 					t.Errorf("%s: %d lines of input %d reached an instance out of order", name, n, in)
 				}
 			}
@@ -469,7 +442,7 @@ func TestGeometryInstancesPerWorker(t *testing.T) {
 				t.Errorf("%s: %d Done calls for %d reducer instances, %d of them ended twice",
 					name, r.dones.Load(), r.tasks.Load(), r.redone.Load())
 			}
-			if n := r.unsorted.Load(); n != 0 && !faults {
+			if n := r.unsorted.Load(); n != 0 {
 				t.Errorf("%s: %d keys reached an instance out of ascending order", name, n)
 			}
 			if workers == 1 {
@@ -479,40 +452,6 @@ func TestGeometryInstancesPerWorker(t *testing.T) {
 			if !reflect.DeepEqual(got.rows, base.rows) || !reflect.DeepEqual(got.stats, base.stats) || !bytes.Equal(got.trace, base.trace) {
 				t.Errorf("%s: rows, JobStats or trace differ from the sequential run", name)
 			}
-		}
-	}
-}
-
-// TestReplayedReduceCountsDropped: under a fault plan that retries reduce
-// tasks the replays reduce keys again, on instances of their own, and what
-// those return from Done never reaches JobStats — the counts are the
-// fault-free run's.
-func TestReplayedReduceCountsDropped(t *testing.T) {
-	clean := runGeometry(t, geometryCluster(), geometryJob(geometryMapper()), 1)
-	if clean.err != nil {
-		t.Fatal(clean.err)
-	}
-	for _, workers := range []int{1, 8} {
-		faulty := geometryCluster()
-		faulty.Faults = &FaultPlan{Seed: 2, TaskFailureProb: 0.5}
-		job := geometryJob(geometryMapper())
-		got := runGeometry(t, faulty, job, workers)
-		if got.err != nil {
-			t.Fatal(got.err)
-		}
-		if got.stats.ReduceTaskRetries == 0 {
-			t.Fatal("the fault plan retried no reduce task")
-		}
-		r := job.Reducer.(*sumReducer)
-		if keys := r.keys.Load(); keys <= got.stats.ReduceGroups {
-			t.Errorf("workers=%d: %d keys reduced for %d key groups: the replays reduced nothing", workers, keys, got.stats.ReduceGroups)
-		}
-		if r.dones.Load() != r.tasks.Load() {
-			t.Errorf("workers=%d: %d Done calls for %d reducer instances", workers, r.dones.Load(), r.tasks.Load())
-		}
-		if got.stats.ReduceWorkRecords != clean.stats.ReduceWorkRecords || !reflect.DeepEqual(got.stats.Dispatch, clean.stats.Dispatch) {
-			t.Errorf("workers=%d: work %d dispatch %+v, want the fault-free run's %d %+v", workers,
-				got.stats.ReduceWorkRecords, got.stats.Dispatch, clean.stats.ReduceWorkRecords, clean.stats.Dispatch)
 		}
 	}
 }
@@ -592,7 +531,7 @@ func TestGeometrySkewedKeyStillCuts(t *testing.T) {
 		}
 		e.SetWorkers(workers)
 		job := geometryJob(geometryMapper())
-		stats, err := e.RunJob(job)
+		stats, err := e.runJob(job)
 		if err != nil {
 			t.Fatal(err)
 		}

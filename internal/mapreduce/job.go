@@ -33,10 +33,12 @@ type Emit func(key, value string)
 // the job holds the class — its wiring, fixed when the job is built and
 // never written again, so any number of engines may run one job at once —
 // and the engine asks it for instances, which hold the scratch a record's
-// work reuses. The lifetime rule is one for every stage and every phase
-// (map, combine, reduce, and each fault-path replay of map or reduce): a
-// pool worker builds an instance on the first item of the phase it takes
-// and feeds it every item it takes, in ascending order (jobWorker). A map
+// work reuses. A job has three phases, map, combine and reduce, and each
+// runs its stage once over every item: a fault plan's retried, recomputed
+// and backup attempts are charged in simulated seconds and run no user
+// code. The lifetime rule is one for every stage and every phase: a pool
+// worker builds an instance on the first item of the phase it takes and
+// feeds it every item it takes, in ascending order (jobWorker). A map
 // instance serves one input: a worker moving on to the next input builds
 // that input's instance, and since morsels are ordered by input that is at
 // most one instance per input per worker. Which items share an instance is
@@ -82,9 +84,7 @@ func (f MapperFunc) Map(line string, emit Emit) error { return f(line, emit) }
 // must be independent of one another: the host cuts the sorted key list
 // into runs that workers reduce concurrently, each run's lines gathered in
 // run order, so the output is byte-identical to one instance reducing
-// every key. In the reduce phase an instance sees its keys in ascending
-// order; in a replay phase, each replayed task's keys in ascending order,
-// task after task.
+// every key. An instance sees its keys in ascending order.
 type Reducer interface {
 	// NewReduceTask returns a fresh instance sharing nothing mutable with
 	// its class or its siblings.
@@ -98,9 +98,8 @@ type ReduceTask interface {
 	// Done ends the instance and returns what it counted; the instance is
 	// not used again. The engine calls it once per instance at the end of
 	// its phase and sums the counts (sums commute, so the totals do not
-	// depend on which worker reduced which keys), and drops those of
-	// fault-path replays. Nothing flows back into the class, which is what
-	// makes a job description a shareable value.
+	// depend on which worker reduced which keys). Nothing flows back into
+	// the class, which is what makes a job description a shareable value.
 	Done() ReduceCounts
 }
 

@@ -6,9 +6,9 @@ import (
 	"sync/atomic"
 )
 
-// The worker pool. Map morsels, per-task combiners, reduce key runs (see
-// shuffle.go for how a job is cut into them) and fault-path re-executions
-// fan out across Engine.Workers goroutines. Every parallel section follows
+// The worker pool. Map morsels, per-task combiners and reduce key runs (see
+// shuffle.go for how a job is cut into them) fan out across Engine.Workers
+// goroutines. Every parallel section follows
 // the same discipline:
 //
 //   - the driver builds the complete work list up front (DFS reads and
@@ -27,7 +27,7 @@ import (
 //     fixes: ascending item index.
 //
 // Host scheduling therefore never reaches anything observable: JobStats,
-// DFS contents, traces and fault replay are byte-identical at any worker
+// DFS contents, traces and fault schedules are byte-identical at any worker
 // count. Goroutine identity is deliberately absent from spans — task spans
 // carry the deterministic simulated slot instead (see emitWaves) — because
 // a host goroutine id would differ between runs and break replay.

@@ -47,7 +47,7 @@ func TestPrefilterByteIdenticalAndCheaper(t *testing.T) {
 		t.Helper()
 		e := newTestEngine(t)
 		e.DFS().Write("in", lines)
-		stats, err := e.RunJob(grepJob("in", "out", prefilter))
+		stats, err := e.runJob(grepJob("in", "out", prefilter))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,8 +87,8 @@ func TestPrefilterByteIdenticalAndCheaper(t *testing.T) {
 }
 
 // TestPrefilterFaultPath runs the same job under a fault plan at several
-// worker counts: retries re-execute through the same early filter, and output
-// stays byte-identical to the unfiltered fault-free run.
+// worker counts: the filtered-line count survives the fault path, and
+// output stays byte-identical to the unfiltered fault-free run.
 func TestPrefilterFaultPath(t *testing.T) {
 	lines := []string{"ax", "b", "cx", "d", "e", "fx", "g", "h", "ix", "j"}
 
@@ -105,7 +105,7 @@ func TestPrefilterFaultPath(t *testing.T) {
 			}
 			e.SetWorkers(workers)
 			e.DFS().Write("in", lines)
-			stats, err := e.RunJob(grepJob("in", "out", prefilter))
+			stats, err := e.runJob(grepJob("in", "out", prefilter))
 			if err != nil {
 				t.Fatalf("workers=%d prefilter=%v: %v", workers, prefilter, err)
 			}

@@ -21,7 +21,8 @@ import (
 // branches of it. The attempt log it appends to is the single record of
 // the schedule: the recovery counters in JobStats are read off it, and
 // per-task state (launch count, failures, standing attempt) sits in one
-// slice indexed by task, which the replays of the user code also read.
+// slice indexed by task, which the DFS re-reads of relaunched map tasks
+// also read.
 
 // slotPool tracks per-slot next-free times for one phase's slot class.
 // Slot s lives on node s % nodes; a node death permanently retires its
@@ -271,10 +272,10 @@ func (e *Engine) faultsActive() bool {
 }
 
 // scheduleJob times a job under the cluster's FaultPlan: the phase bases
-// become per-task durations, every task attempt is scheduled, and every extra
-// attempt re-executes the user's map/reduce code (reading its input again
-// from the DFS replicas).
-func (e *Engine) scheduleJob(j *Job, s *JobStats, b phaseBases, tasks []mapTask, groups []keyGroup, workers []jobWorker) error {
+// become per-task durations, every task attempt is scheduled, and every
+// extra map launch reads its input again from the DFS replicas. No attempt
+// runs user code: the primary pass's output and counts stand.
+func (e *Engine) scheduleJob(j *Job, s *JobStats, b phaseBases, tasks []mapTask) error {
 	cl := e.cluster
 	cm := cl.Cost
 	plan := cl.Faults
@@ -302,7 +303,7 @@ func (e *Engine) scheduleJob(j *Job, s *JobStats, b phaseBases, tasks []mapTask,
 		mapEnd := mp.end(mapStart)
 		s.MapTime = mapEnd - mapStart
 		e.fillFaultStats(s, mp, nil, e.simNow, mapEnd)
-		return e.reexecuteMap(j, tasks, mp, workers)
+		return e.rereadMapInputs(j, tasks, mp)
 	}
 
 	// ----- Map phase: in-phase recompute of output lost to node deaths.
@@ -357,11 +358,7 @@ func (e *Engine) scheduleJob(j *Job, s *JobStats, b phaseBases, tasks []mapTask,
 	s.ShuffleTime = shuffleEnd - mapEnd
 	s.ReduceTime = reduceEnd - shuffleEnd
 	e.fillFaultStats(s, mp, rp, e.simNow, reduceEnd)
-
-	if err := e.reexecuteMap(j, tasks, mp, workers); err != nil {
-		return err
-	}
-	return e.reexecuteReduce(j, s, groups, rp, workers)
+	return e.rereadMapInputs(j, tasks, mp)
 }
 
 // fillFaultStats moves the schedulers' attempt logs into JobStats and reads
@@ -395,79 +392,24 @@ func (e *Engine) fillFaultStats(s *JobStats, mp, rp *phaseSched, jobStart, jobEn
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Re-execution through the real user-code path
-// ---------------------------------------------------------------------------
-
-// reexecuteMap replays the mapper (and combiner) for every scheduled map
-// execution beyond each task's first: retries, recomputes and speculative
-// backups all re-read the task's input from the DFS (the surviving
-// replicas) and run the real user code again. The first execution's
-// output — already collected by the primary pass — stays canonical, so a
-// fault-injected run is byte-identical to a fault-free one. The replays are
-// a phase of their own: each worker runs them on fresh instances.
-func (e *Engine) reexecuteMap(j *Job, tasks []mapTask, mp *phaseSched, workers []jobWorker) error {
-	// The DFS re-reads run here on the driver goroutine, in ascending task
-	// order, so their trace instants keep one deterministic sequence; only
-	// the pure mapper/combiner re-execution fans out to the worker pool.
-	var replays []int // task index, one entry per extra execution
+// rereadMapInputs charges the DFS for every map launch beyond each task's
+// first: a retry, recompute or speculative backup reads its task's input
+// again from the surviving replicas. The reads run on the driver in
+// ascending task order, so their trace instants and read counters keep one
+// deterministic sequence. The user code is not run again: the first
+// launch's output stands, and the attempt log already charges every
+// launch's simulated seconds.
+func (e *Engine) rereadMapInputs(j *Job, tasks []mapTask, mp *phaseSched) error {
 	for task, ts := range mp.tasks {
 		if task >= len(tasks) {
 			break // phantom cost-model task with no data of its own
 		}
+		path := j.Inputs[tasks[task].in].Path
 		for n := ts.launches - 1; n > 0; n-- {
-			path := j.Inputs[tasks[task].in].Path
 			if _, err := e.dfs.Read(path); err != nil {
 				return fmt.Errorf("map retry %s: %w", path, err)
 			}
-			replays = append(replays, task)
 		}
 	}
-	err := e.forEachTask(len(replays), func(w, i int) error {
-		mt := tasks[replays[i]]
-		// Retries run the same mapper over the same lines as the primary
-		// pass, early filters included, so replayed attempts see the same
-		// rows.
-		out, err := runMapper(workers[w].mapTask(j, mt.in), mt.chunk)
-		if err != nil {
-			return fmt.Errorf("map retry %s: %w", j.Inputs[mt.in].Path, err)
-		}
-		if j.Reducer != nil && j.Combiner != nil {
-			if _, err := combineTask([]pairList{out}, workers[w].combineTask(j)); err != nil {
-				return fmt.Errorf("combine retry: %w", err)
-			}
-		}
-		return nil
-	})
-	endPhase(workers)
-	return err
-}
-
-// reexecuteReduce replays the reducer for every scheduled reduce execution
-// beyond each task's first, over the key groups hash-partitioned to that
-// task, on the worker pool like the primary reduce pass: a phase of its own,
-// whose instances are fresh. Outputs and counts are discarded — the primary
-// pass's are canonical.
-func (e *Engine) reexecuteReduce(j *Job, s *JobStats, groups []keyGroup, rp *phaseSched, workers []jobWorker) error {
-	var replays []int // reduce partition, one entry per extra execution
-	for task, ts := range rp.tasks {
-		for n := ts.launches - 1; n > 0; n-- {
-			replays = append(replays, task)
-		}
-	}
-	discard := func(string) {}
-	err := e.forEachTask(len(replays), func(w, i int) error {
-		reducer := workers[w].reduceTask(j)
-		for _, g := range groups {
-			if partitionOf(g.key, s.NumReduceTasks) != replays[i] {
-				continue
-			}
-			if err := reducer.Reduce(g.key, g.values, discard); err != nil {
-				return fmt.Errorf("reduce retry key %q: %w", g.key, err)
-			}
-		}
-		return nil
-	})
-	endPhase(workers) // a replay's counts never reach JobStats
-	return err
+	return nil
 }

@@ -288,7 +288,7 @@ func TestTasksElidedOverCap(t *testing.T) {
 	}
 	col := obs.NewCollector()
 	e.Instrument(col, nil)
-	if _, err := e.RunJob(wordCountJob("in", "out")); err != nil {
+	if _, err := e.runJob(wordCountJob("in", "out")); err != nil {
 		t.Fatal(err)
 	}
 	var taskSpans, elided, waves int
