@@ -458,7 +458,7 @@ type combineTask struct {
 
 // Combine implements mapreduce.CombineTask. The key is not decoded (see
 // appendPartialRow).
-func (t *combineTask) Combine(_ string, values []string) ([]string, error) {
+func (t *combineTask) Combine(_ string, values []string) (string, error) {
 	c := t.c
 	partial, accs, err := appendPartialRow(t.out[:0], c.agg, t.accs, len(values), func(i int) (exec.Row, error) {
 		tv, err := appendTagged(values[i], c.schemas, nil, t.row[:0])
@@ -470,8 +470,8 @@ func (t *combineTask) Combine(_ string, values []string) ([]string, error) {
 	})
 	t.accs = accs
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	t.out = partial[:0]
-	return []string{EncodeTagged(0, nil, partial)}, nil
+	return EncodeTagged(0, nil, partial), nil
 }

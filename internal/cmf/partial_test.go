@@ -173,8 +173,8 @@ func TestCombineInstanceMatchesStatelessCombine(t *testing.T) {
 	job := combinedJob(t)
 	task := job.Combiner.NewCombineTask()
 	type result struct {
-		vals []string
-		err  error
+		val string
+		err error
 	}
 	var reused, fresh []result
 	failures := 0
@@ -196,16 +196,16 @@ func TestCombineInstanceMatchesStatelessCombine(t *testing.T) {
 			}
 		}
 		key := fmt.Sprint(cid)
-		vals, err := task.Combine(key, values)
-		reused = append(reused, result{vals, err})
-		vals, err = job.Combiner.NewCombineTask().Combine(key, values)
-		fresh = append(fresh, result{vals, err})
+		val, err := task.Combine(key, values)
+		reused = append(reused, result{val, err})
+		val, err = job.Combiner.NewCombineTask().Combine(key, values)
+		fresh = append(fresh, result{val, err})
 		if err != nil {
 			failures++
 		}
 	}
 	for g := range fresh {
-		if got, want := fmt.Sprintf("%q %v", reused[g].vals, reused[g].err), fmt.Sprintf("%q %v", fresh[g].vals, fresh[g].err); got != want {
+		if got, want := fmt.Sprintf("%q %v", reused[g].val, reused[g].err), fmt.Sprintf("%q %v", fresh[g].val, fresh[g].err); got != want {
 			t.Fatalf("group %d: the reused instance returned %s, a fresh one %s", g, got, want)
 		}
 	}
@@ -215,8 +215,7 @@ func TestCombineInstanceMatchesStatelessCombine(t *testing.T) {
 }
 
 // TestAllocBudgetCombineInstance: on a warm instance a key group costs only
-// what it returns — its partial row's line and that line's one-element
-// slice — whatever its size.
+// what it returns — its partial row's line — whatever its size.
 func TestAllocBudgetCombineInstance(t *testing.T) {
 	job := combinedJob(t)
 	task := job.Combiner.NewCombineTask()
@@ -225,19 +224,19 @@ func TestAllocBudgetCombineInstance(t *testing.T) {
 		for v := range values {
 			values[v] = EncodeTagged(0, nil, exec.Row{exec.Int(7), exec.Float(float64(v) + 0.5), exec.Str(fmt.Sprint("tag", v))})
 		}
-		var out []string
+		var out string
 		got := testing.AllocsPerRun(100, func() {
-			vals, err := task.Combine("7", values)
+			val, err := task.Combine("7", values)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = vals
+			out = val
 		})
-		if want := []string{"0|7\t" + fmt.Sprint(size)}; len(out) != 1 || !strings.HasPrefix(out[0], want[0]) {
+		if want := "0|7\t" + fmt.Sprint(size); !strings.HasPrefix(out, want) {
 			t.Fatalf("%d values combined into %q", size, out)
 		}
-		if got > 2 {
-			t.Errorf("%d values: %v allocations per key group, budget 2", size, got)
+		if got > 1 {
+			t.Errorf("%d values: %v allocations per key group, budget 1", size, got)
 		}
 	}
 }
@@ -369,14 +368,7 @@ func TestCombineFoldMatchesPartialRow(t *testing.T) {
 				signs++
 			}
 		}
-		vals, err := task.Combine("k", values)
-		if err == nil && len(vals) != 1 {
-			t.Fatalf("group %d: %d lines, want 1", g, len(vals))
-		}
-		got := ""
-		if err == nil {
-			got = vals[0]
-		}
+		got, err := task.Combine("k", values)
 		lines, errs = append(lines, got), append(errs, fmt.Sprint(err))
 		wantLines, wantErrs = append(wantLines, want), append(wantErrs, fmt.Sprint(wantErr))
 	}

@@ -76,12 +76,12 @@ func QAGG(name string) *Program {
 				return nil
 			}),
 		}},
-		Combiner: mapreduce.CombinerFunc(func(_ string, values []string) ([]string, error) {
+		Combiner: mapreduce.CombinerFunc(func(_ string, values []string) (string, error) {
 			n, err := sumInts(values)
 			if err != nil {
-				return nil, err
+				return "", err
 			}
-			return []string{strconv.FormatInt(n, 10)}, nil
+			return strconv.FormatInt(n, 10), nil
 		}),
 		Reducer: mapreduce.ReducerFunc(func(key string, values []string, emit func(string)) error {
 			n, err := sumInts(values)
@@ -175,7 +175,6 @@ func QCSA(name string) *Program {
 		}),
 		Output:         out,
 		NumReduceTasks: 1,
-		DependsOn:      []*mapreduce.Job{j1},
 	}
 
 	return &Program{

@@ -1,6 +1,7 @@
 package handcoded
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -132,6 +133,29 @@ func TestQCSAMatchesOracle(t *testing.T) {
 	// One scan of clicks only.
 	if got := stats.Jobs[0].MapInputBytes; got != dfs.SizeBytes(translator.TablePath("clicks")) {
 		t.Errorf("job1 scanned %d bytes, want one clicks scan", got)
+	}
+}
+
+// TestChainRunsAsListed: the engine runs a chain in the order given and
+// does not reorder it by what the jobs read. Q-CSA's two jobs listed the
+// wrong way round fail at the first, which reads the path the second
+// writes: a FileNotFoundError names that path, and the second job never
+// runs.
+func TestChainRunsAsListed(t *testing.T) {
+	dfs, _ := workload(t)
+	p := QCSA("qcsa")
+	eng, err := mapreduce.NewEngine(dfs, mapreduce.SmallCluster())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := p.Jobs[1], p.Jobs[0]
+	stats, err := eng.RunChain([]*mapreduce.Job{first, second})
+	var nf *mapreduce.FileNotFoundError
+	if stats != nil || !errors.As(err, &nf) || nf.Path != second.Output || !strings.Contains(err.Error(), "job "+first.Name) {
+		t.Fatalf("stats %v, err %v; want %s to fail reading %s", stats, err, first.Name, second.Output)
+	}
+	if _, err := dfs.Read(second.Output); !errors.As(err, &nf) {
+		t.Errorf("%s ran after the chain failed", second.Name)
 	}
 }
 

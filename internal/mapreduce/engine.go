@@ -79,8 +79,11 @@ func (e *Engine) RunChain(jobs []*Job) (*ChainStats, error) {
 	return e.RunChainContext(context.Background(), jobs)
 }
 
-// RunChainContext executes jobs sequentially in dependency order (the way
-// Hive drove its job chains) and returns per-job stats in execution order.
+// RunChainContext executes jobs one after another in the order given (the
+// way Hive drove its job chains) and returns per-job stats in that order.
+// The order is the chain's producer's to settle: a job's intermediate inputs
+// are DFS paths an earlier job wrote, and an input no job has written yet
+// fails its job with a FileNotFoundError that stops the chain.
 // ctx stops the chain at the engine's work-item boundaries — before every
 // job, map morsel, combiner task and reduce key run, never per row — and
 // the chain then fails with ctx's error and no stats. A check that does
@@ -88,29 +91,25 @@ func (e *Engine) RunChain(jobs []*Job) (*ChainStats, error) {
 // that cannot be stopped. A panic in user code, on a worker or on this
 // goroutine, fails the job it ran in with an error naming the panic.
 func (e *Engine) RunChainContext(ctx context.Context, jobs []*Job) (*ChainStats, error) {
-	ordered, err := topoSort(jobs)
-	if err != nil {
-		return nil, err
-	}
 	e.ctx = ctx
 	defer func() { e.ctx = nil }()
 	stats := &ChainStats{}
 	chainStart := e.simNow
 	e.logger.Info("chain.start",
-		obs.F("jobs", int64(len(ordered))), obs.F("sim_s", chainStart))
+		obs.F("jobs", int64(len(jobs))), obs.F("sim_s", chainStart))
 	// The chain span brackets every job and survives early error returns
 	// (TestFailedChainClosesItsSpan); its byte totals are only known once
 	// the jobs have run.
 	defer func() {
 		if e.tracer.Enabled() {
-			e.tracer.Emit(obs.SpanEvent("chain", fmt.Sprintf("chain(%d jobs)", len(ordered)),
+			e.tracer.Emit(obs.SpanEvent("chain", fmt.Sprintf("chain(%d jobs)", len(jobs)),
 				"driver", chainStart, e.simNow-chainStart,
-				obs.F("jobs", int64(len(ordered))),
+				obs.F("jobs", int64(len(jobs))),
 				obs.F("map_input_bytes", stats.TotalMapInputBytes()),
 				obs.F("shuffle_bytes", stats.TotalShuffleBytes())))
 		}
 	}()
-	for i, j := range ordered {
+	for i, j := range jobs {
 		if err := ctx.Err(); err != nil {
 			return nil, e.chainFailed(j, err)
 		}
@@ -136,7 +135,7 @@ func (e *Engine) RunChainContext(ctx context.Context, jobs []*Job) (*ChainStats,
 	// the ysmart_chain_sim_seconds _bucket/_sum/_count families.
 	e.metrics.Observe("ysmart_chain_sim_seconds", e.simNow-chainStart)
 	e.logger.Info("chain.done",
-		obs.F("jobs", int64(len(ordered))),
+		obs.F("jobs", int64(len(jobs))),
 		obs.F("sim_s", e.simNow),
 		obs.F("total_s", e.simNow-chainStart),
 		obs.F("scan_bytes", stats.TotalMapInputBytes()),
@@ -158,42 +157,6 @@ func (e *Engine) nextGap() float64 {
 		return 0
 	}
 	return c.GapMin + e.gapRNG.Float64()*(c.GapMax-c.GapMin)
-}
-
-func topoSort(jobs []*Job) ([]*Job, error) {
-	state := make(map[*Job]int, len(jobs)) // 0 unseen, 1 visiting, 2 done
-	inSet := make(map[*Job]bool, len(jobs))
-	for _, j := range jobs {
-		inSet[j] = true
-	}
-	var out []*Job
-	var visit func(j *Job) error
-	visit = func(j *Job) error {
-		switch state[j] {
-		case 2:
-			return nil
-		case 1:
-			return fmt.Errorf("dependency cycle through job %s", j.Name)
-		}
-		state[j] = 1
-		for _, d := range j.DependsOn {
-			if !inSet[d] {
-				return fmt.Errorf("job %s depends on %s which is not in the chain", j.Name, d.Name)
-			}
-			if err := visit(d); err != nil {
-				return err
-			}
-		}
-		state[j] = 2
-		out = append(out, j)
-		return nil
-	}
-	for _, j := range jobs {
-		if err := visit(j); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // kv is one map output pair.
@@ -456,20 +419,18 @@ func runMapper(mapper MapTask, lines []string) (pairList, error) {
 }
 
 // combineTask groups one map task's output — the pair lists of its morsels,
-// in order — by key, in first-seen key order, and applies the combiner
-// instance c to every group.
+// in order — by key, in first-seen key order, and folds every group into one
+// pair with the combiner instance c.
 func combineTask(lists []pairList, c CombineTask) (pairList, error) {
 	groups := groupPairs(lists)
 	out := pairList{pairs: make([]kv, 0, len(groups))}
 	for _, g := range groups {
-		vals, err := c.Combine(g.key, g.values)
+		v, err := c.Combine(g.key, g.values)
 		if err != nil {
 			return out, err
 		}
-		for _, v := range vals {
-			out.pairs = append(out.pairs, kv{g.key, v})
-			out.bytes += int64(len(g.key) + len(v) + 2)
-		}
+		out.pairs = append(out.pairs, kv{g.key, v})
+		out.bytes += int64(len(g.key) + len(v) + 2)
 	}
 	return out, nil
 }

@@ -115,16 +115,16 @@ func TestCombinerShrinksShuffle(t *testing.T) {
 		emit(key + "\t" + strconv.Itoa(n))
 		return nil
 	})
-	combiner := CombinerFunc(func(key string, values []string) ([]string, error) {
+	combiner := CombinerFunc(func(key string, values []string) (string, error) {
 		n := 0
 		for _, v := range values {
 			c, err := strconv.Atoi(v)
 			if err != nil {
-				return nil, err
+				return "", err
 			}
 			n += c
 		}
-		return []string{strconv.Itoa(n)}, nil
+		return strconv.Itoa(n), nil
 	})
 
 	run := func(withCombiner bool) (*JobStats, []string) {
@@ -253,11 +253,9 @@ func TestRunChainDependencies(t *testing.T) {
 				return nil
 			}),
 		}},
-		Output:    "out",
-		DependsOn: []*Job{j1},
+		Output: "out",
 	}
-	// Submit out of order: RunChain must topologically sort.
-	stats, err := e.RunChain([]*Job{j2, j1})
+	stats, err := e.RunChain([]*Job{j1, j2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,22 +268,6 @@ func TestRunChainDependencies(t *testing.T) {
 	}
 	if stats.TotalTime() <= stats.Jobs[0].TotalTime() {
 		t.Error("chain total should exceed first job time")
-	}
-}
-
-func TestChainCycleAndMissingDeps(t *testing.T) {
-	a := wordCountJob("in", "a")
-	b := wordCountJob("in", "b")
-	a.DependsOn = []*Job{b}
-	b.DependsOn = []*Job{a}
-	e := newTestEngine(t)
-	if _, err := e.RunChain([]*Job{a, b}); err == nil || !strings.Contains(err.Error(), "cycle") {
-		t.Errorf("cycle err = %v", err)
-	}
-	c := wordCountJob("in", "c")
-	c.DependsOn = []*Job{wordCountJob("in", "x")}
-	if _, err := e.RunChain([]*Job{c}); err == nil || !strings.Contains(err.Error(), "not in the chain") {
-		t.Errorf("missing dep err = %v", err)
 	}
 }
 
@@ -396,9 +378,7 @@ func TestContentionAddsGapsDeterministically(t *testing.T) {
 		}
 		j1 := wordCountJob("in", "m")
 		j2 := wordCountJob("m", "o")
-		j2.DependsOn = []*Job{j1}
 		j3 := wordCountJob("o", "p")
-		j3.DependsOn = []*Job{j2}
 		st, err := e.RunChain([]*Job{j1, j2, j3})
 		if err != nil {
 			t.Fatal(err)
@@ -653,8 +633,7 @@ func TestAllocBudgetPartitionOf(t *testing.T) {
 // number of values per key — sixteen times the values of the same four
 // keys must cost no further allocation.
 func TestAllocBudgetCombineTask(t *testing.T) {
-	one := []string{"1"}
-	count := CombinerFunc(func(string, []string) ([]string, error) { return one, nil })
+	count := CombinerFunc(func(string, []string) (string, error) { return "1", nil })
 	pairsOf := func(perKey int) []kv {
 		var pairs []kv
 		for i := 0; i < 4*perKey; i++ {

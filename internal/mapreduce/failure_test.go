@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -103,8 +104,8 @@ func TestCombinerErrorAborts(t *testing.T) {
 			emit(line, "1")
 			return nil
 		})}},
-		Combiner: CombinerFunc(func(string, []string) ([]string, error) {
-			return nil, sentinel
+		Combiner: CombinerFunc(func(string, []string) (string, error) {
+			return "", sentinel
 		}),
 		Reducer: okReducer(),
 		Output:  "out",
@@ -125,7 +126,6 @@ func TestChainStopsAtFirstFailure(t *testing.T) {
 		Output:  "mid",
 	}
 	j2 := wordCountJob("mid", "out")
-	j2.DependsOn = []*Job{j1}
 	_, err := e.RunChain([]*Job{j1, j2})
 	if err == nil || !strings.Contains(err.Error(), "job j1") {
 		t.Fatalf("err = %v, want failure attributed to j1", err)
@@ -211,11 +211,11 @@ func TestUserCodePanicFailsTheJob(t *testing.T) {
 				return inner.Map(line, emit)
 			})
 		case "combiner":
-			j.Combiner = CombinerFunc(func(key string, values []string) ([]string, error) {
+			j.Combiner = CombinerFunc(func(key string, values []string) (string, error) {
 				if key == "boom" {
 					panic("combiner boom")
 				}
-				return values, nil
+				return strconv.Itoa(len(values)), nil // every value is "1"
 			})
 		case "reducer":
 			inner := j.Reducer.NewReduceTask() // a stateless ReducerFunc: its own instance
@@ -290,7 +290,6 @@ func TestRunChainContextStops(t *testing.T) {
 		}
 		j2 := wordCountJob("mid", "out")
 		j2.Name = "recount"
-		j2.DependsOn = []*Job{j1}
 		return []*Job{j1, j2}
 	}
 	for _, workers := range []int{1, 4} {

@@ -225,8 +225,8 @@ func TestFaultReplayIsDeterministic(t *testing.T) {
 // at one and four workers each: every seed must yield identical per-job
 // stats (including the full per-attempt log), output and trace bytes at
 // both worker counts. This is the fault-path half of the parallelism
-// proof — retries, recomputation and speculation all take the concurrent
-// re-execution paths.
+// proof — the schedules of retries, recomputation and speculation, and
+// what they are charged, do not depend on the host's worker count.
 func TestSeedSweepReplayAcrossWorkers(t *testing.T) {
 	run := func(seed int64, workers int) (*ChainStats, []string, []byte) {
 		c := testFaultCluster()
@@ -512,10 +512,9 @@ func (c *callCounts) job() *Job {
 		return nil
 	})
 	job := geometryJob(mapper)
-	job.Combiner = CombinerFunc(func(key string, values []string) ([]string, error) {
+	job.Combiner = CombinerFunc(func(key string, values []string) (string, error) {
 		c.count(c.combines, key+" "+values[0])
-		s, err := sum(values)
-		return []string{s}, err
+		return sum(values)
 	})
 	job.Reducer = ReducerFunc(func(key string, values []string, emit func(string)) error {
 		c.count(c.reduces, key)

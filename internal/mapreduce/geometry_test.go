@@ -97,19 +97,19 @@ func (c *sumCombiner) NewCombineTask() CombineTask {
 	return &sumCombineTask{}
 }
 
-type sumCombineTask struct{ buf []byte } // returned values must not alias it
+type sumCombineTask struct{ buf []byte } // the returned value must not alias it
 
-func (t *sumCombineTask) Combine(_ string, values []string) ([]string, error) {
+func (t *sumCombineTask) Combine(_ string, values []string) (string, error) {
 	var sum int64
 	for _, v := range values {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		sum += n
 	}
 	t.buf = strconv.AppendInt(t.buf[:0], sum, 10)
-	return []string{string(t.buf)}, nil
+	return string(t.buf), nil
 }
 
 // geometryInput is n lines "k<key> <i>" over nKeys keys, offset so that two

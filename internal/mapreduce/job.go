@@ -24,8 +24,9 @@ import (
 	"strings"
 )
 
-// Emit receives one output record from a mapper (key/value) or, with an
-// empty key, from a reducer (line).
+// Emit receives one key/value pair from a mapper. A map-only job's mapper
+// emits its output lines under the empty key; reducers emit lines through
+// func(line string).
 type Emit func(key, value string)
 
 // The stage contract. A job's mappers, combiner and reducer are classes, as
@@ -171,10 +172,10 @@ type OpDispatch struct {
 }
 
 // Combiner is a combine class: it optionally folds a key's map-side values
-// before the shuffle — Hive's map-phase hash aggregation (paper §I footnote
-// 2) is modelled this way. It must be algebraically compatible with the
-// job's reducer. The combine phase runs once per simulated map task, and
-// its instances count nothing.
+// into one before the shuffle — Hive's map-phase hash aggregation (paper §I
+// footnote 2) is modelled this way. It must be algebraically compatible
+// with the job's reducer. The combine phase runs once per simulated map
+// task, and its instances count nothing.
 type Combiner interface {
 	// NewCombineTask returns a fresh instance sharing nothing mutable with
 	// its class or its siblings.
@@ -183,18 +184,19 @@ type Combiner interface {
 
 // CombineTask is one combine instance.
 type CombineTask interface {
-	// Combine folds one key group's values.
-	Combine(key string, values []string) ([]string, error)
+	// Combine folds one key group's values into the one value the group
+	// carries into the shuffle.
+	Combine(key string, values []string) (string, error)
 }
 
 // CombinerFunc is a stateless Combiner: the function is its own instance.
-type CombinerFunc func(key string, values []string) ([]string, error)
+type CombinerFunc func(key string, values []string) (string, error)
 
 // NewCombineTask implements Combiner.
 func (f CombinerFunc) NewCombineTask() CombineTask { return f }
 
 // Combine implements CombineTask.
-func (f CombinerFunc) Combine(key string, values []string) ([]string, error) {
+func (f CombinerFunc) Combine(key string, values []string) (string, error) {
 	return f(key, values)
 }
 
@@ -283,8 +285,6 @@ type Job struct {
 	// global aggregate over no rows yields its one row (SQL). Lowering sets
 	// it (cmf.CommonJob.Build).
 	GlobalReduce bool
-	// DependsOn lists jobs that must complete before this one starts.
-	DependsOn []*Job
 }
 
 // Validate checks the job is runnable.

@@ -133,16 +133,16 @@ func benchJob() *Job {
 			}),
 		}},
 		Reducer: benchReducer{},
-		Combiner: CombinerFunc(func(key string, values []string) ([]string, error) {
+		Combiner: CombinerFunc(func(key string, values []string) (string, error) {
 			var sum int64
 			for _, v := range values {
 				n, err := strconv.ParseInt(v, 10, 64)
 				if err != nil {
-					return nil, err
+					return "", err
 				}
 				sum += n
 			}
-			return []string{strconv.FormatInt(sum, 10)}, nil
+			return strconv.FormatInt(sum, 10), nil
 		}),
 		Output: "out",
 	}

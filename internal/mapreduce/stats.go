@@ -171,8 +171,8 @@ type ChainStats struct {
 	Jobs []*JobStats
 }
 
-// TotalTime is the simulated end-to-end time of the chain (jobs run
-// sequentially in dependency order, as Hive did).
+// TotalTime is the simulated end-to-end time of the chain (jobs run one
+// after another in the order the chain lists them, as Hive did).
 func (c *ChainStats) TotalTime() float64 {
 	var t float64
 	for _, j := range c.Jobs {

@@ -16,56 +16,9 @@ func chainJobs() []*Job {
 	j1.Name = "j1"
 	j2 := wordCountJob("m", "o")
 	j2.Name = "j2"
-	j2.DependsOn = []*Job{j1}
 	j3 := wordCountJob("o", "p")
 	j3.Name = "j3"
-	j3.DependsOn = []*Job{j2}
 	return []*Job{j1, j2, j3}
-}
-
-func TestTopoSortDirect(t *testing.T) {
-	// Diamond: d depends on b and c, which both depend on a.
-	a := wordCountJob("in", "a")
-	a.Name = "a"
-	b := wordCountJob("a", "b")
-	b.Name = "b"
-	b.DependsOn = []*Job{a}
-	c := wordCountJob("a", "c")
-	c.Name = "c"
-	c.DependsOn = []*Job{a}
-	d := wordCountJob("b", "d")
-	d.Name = "d"
-	d.DependsOn = []*Job{b, c}
-	ordered, err := topoSort([]*Job{d, c, b, a})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos := make(map[string]int)
-	for i, j := range ordered {
-		pos[j.Name] = i
-	}
-	if len(ordered) != 4 || pos["a"] > pos["b"] || pos["a"] > pos["c"] || pos["b"] > pos["d"] || pos["c"] > pos["d"] {
-		t.Errorf("diamond order wrong: %v", pos)
-	}
-
-	// Cycle.
-	x := wordCountJob("in", "x")
-	x.Name = "x"
-	y := wordCountJob("x", "y")
-	y.Name = "y"
-	x.DependsOn = []*Job{y}
-	y.DependsOn = []*Job{x}
-	if _, err := topoSort([]*Job{x, y}); err == nil || !strings.Contains(err.Error(), "cycle") {
-		t.Errorf("cycle err = %v", err)
-	}
-
-	// Dependency outside the submitted set.
-	z := wordCountJob("in", "z")
-	z.Name = "z"
-	z.DependsOn = []*Job{a}
-	if _, err := topoSort([]*Job{z}); err == nil || !strings.Contains(err.Error(), "not in the chain") {
-		t.Errorf("outside-dep err = %v", err)
-	}
 }
 
 func TestChainStatsTotalsIncludeGaps(t *testing.T) {
@@ -164,7 +117,6 @@ func TestFailedChainClosesItsSpan(t *testing.T) {
 	j1.Name = "j1"
 	j2 := wordCountJob("missing", "out2")
 	j2.Name = "j2"
-	j2.DependsOn = []*Job{j1}
 
 	_, err = e.RunChain([]*Job{j1, j2})
 	var notFound *FileNotFoundError

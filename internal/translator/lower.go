@@ -103,7 +103,7 @@ func (lw *lowerer) lowerSPQuery() (*Translation, error) {
 		Output:       path,
 		OutputSchema: topEff.schema,
 		ScanFacts:    []ScanFact{fact},
-		fp:           lw.fingerprint(nil),
+		fp:           lw.fingerprint(nil, nil),
 	}, nil
 }
 
@@ -152,8 +152,9 @@ func (lw *lowerer) lowerJobs(g *grouping) (*Translation, error) {
 	lw.topLimit = topLimit
 
 	tr := &Translation{Mode: lw.mode, Analysis: lw.analysis}
-	mrOf := make(map[*jobBuild]*mapreduce.Job, len(order))
+	pos := make(map[*jobBuild]int, len(order))
 	jobOps := make([][]*correlation.Operation, 0, len(order))
+	deps := make([][]int, 0, len(order))
 	for idx, jb := range order {
 		cj, err := lw.lowerJob(jb, idx+1, g, topChain, topLimit, tr)
 		if err != nil {
@@ -163,10 +164,11 @@ func (lw *lowerer) lowerJobs(g *grouping) (*Translation, error) {
 		if err != nil {
 			return nil, fmt.Errorf("job %s: %w", cj.Name, err)
 		}
+		var di []int
 		for _, dep := range jobDeps(jb, g) {
-			mr.DependsOn = append(mr.DependsOn, mrOf[dep])
+			di = append(di, pos[dep])
 		}
-		mrOf[jb] = mr
+		pos[jb] = idx
 		tr.Jobs = append(tr.Jobs, mr)
 		tr.CommonJobs = append(tr.CommonJobs, cj)
 		group := make([]string, len(jb.ops))
@@ -175,9 +177,10 @@ func (lw *lowerer) lowerJobs(g *grouping) (*Translation, error) {
 		}
 		tr.Groups = append(tr.Groups, group)
 		jobOps = append(jobOps, jb.ops)
+		deps = append(deps, di)
 	}
 	tr.ScanFacts = lw.facts
-	tr.fp = lw.fingerprint(jobOps)
+	tr.fp = lw.fingerprint(jobOps, deps)
 	return tr, nil
 }
 

@@ -33,13 +33,15 @@ func ArtifactPath(fingerprint string) string { return "restore/" + fingerprint }
 
 // fingerprint is what a translation's artifacts are hashed from, kept from
 // lowering so that only a translation looked up in a reuse store pays for
-// the hashing: the operations lowered into each job (parallel to Jobs; none
-// for the map-only job of a selection-projection query), the LIMIT folded
-// into the root sort, and the lowering toggles that change generated job
-// bytes. The rest — mode, analysis, output tags, job dependencies — the
-// translation carries anyway.
+// the hashing: the operations lowered into each job and the indices of the
+// earlier jobs it reads intermediate results from (both parallel to Jobs;
+// none for the map-only job of a selection-projection query), the LIMIT
+// folded into the root sort, and the lowering toggles that change generated
+// job bytes. The rest — mode, analysis, output tags — the translation
+// carries anyway.
 type fingerprint struct {
 	jobOps                [][]*correlation.Operation
+	jobDeps               [][]int
 	topLimit              int
 	prune, combine, share bool
 
@@ -48,8 +50,8 @@ type fingerprint struct {
 }
 
 // fingerprint keeps the lowering's fingerprint inputs for the translation.
-func (lw *lowerer) fingerprint(jobOps [][]*correlation.Operation) *fingerprint {
-	return &fingerprint{jobOps: jobOps, topLimit: lw.topLimit, prune: lw.prune, combine: lw.combine, share: lw.share}
+func (lw *lowerer) fingerprint(jobOps [][]*correlation.Operation, jobDeps [][]int) *fingerprint {
+	return &fingerprint{jobOps: jobOps, jobDeps: jobDeps, topLimit: lw.topLimit, prune: lw.prune, combine: lw.combine, share: lw.share}
 }
 
 // Artifacts describes each job's output for the cross-query reuse store,
@@ -87,10 +89,8 @@ func (fp *fingerprint) compute(t *Translation) []JobArtifact {
 		rootLine(&sb)
 		return []JobArtifact{{Fingerprint: reuse.Fingerprint(sb.String()), Tables: tablePathsOf(plan.BaseTables(a.Root()))}}
 	}
-	index := make(map[*mapreduce.Job]int, len(t.Jobs))
 	arts := make([]JobArtifact, len(t.Jobs))
-	for i, j := range t.Jobs {
-		index[j] = i
+	for i := range t.Jobs {
 		var sb strings.Builder
 		sb.WriteString(header)
 		tables := make(map[string]bool)
@@ -109,10 +109,10 @@ func (fp *fingerprint) compute(t *Translation) []JobArtifact {
 		for _, out := range t.CommonJobs[i].Outputs {
 			fmt.Fprintf(&sb, "out;%s\n", out.Tag)
 		}
-		// Lowering wires DependsOn in the order the jobs are read from, and
-		// a job's dependencies precede it in Jobs.
-		for _, d := range j.DependsOn {
-			fmt.Fprintf(&sb, "dep;%s\n", arts[index[d]].Fingerprint)
+		// Lowering lists a job's dependencies in the order it reads them,
+		// and each precedes the job in Jobs.
+		for _, d := range fp.jobDeps[i] {
+			fmt.Fprintf(&sb, "dep;%s\n", arts[d].Fingerprint)
 		}
 		arts[i] = JobArtifact{Fingerprint: reuse.Fingerprint(sb.String()), Tables: tablePathsOf(tables)}
 	}
@@ -182,8 +182,9 @@ type ReusePlan struct {
 // restore/ paths (installed into dfs here by reference — the store keeps
 // the slice the producing job wrote, which nobody writes again under the
 // DFS ownership rule, so every query an artifact serves shares the one
-// slice) and their DependsOn edges rebuilt among the clones. With a nil
-// store the rewrite is the identity: tr's own jobs, to be run as compiled.
+// slice). The clones keep tr's order, so every job still runs after the
+// jobs whose outputs it reads. With a nil store the rewrite is the
+// identity: tr's own jobs, to be run as compiled.
 func ApplyReuseAt(tr *Translation, store *reuse.Store, dfs *mapreduce.DFS, epochs map[string]int64) *ReusePlan {
 	rp := &ReusePlan{Output: tr.Output, OutputTag: tr.OutputTag, OutputSchema: tr.OutputSchema, Total: len(tr.Jobs)}
 	if store == nil || len(tr.Jobs) == 0 || len(tr.Artifacts()) != len(tr.Jobs) {
@@ -267,7 +268,6 @@ func ApplyReuseAt(tr *Translation, store *reuse.Store, dfs *mapreduce.DFS, epoch
 	// Clone surviving jobs. Shallow copies share mappers and reducers with
 	// tr, which nothing writes once they are built (a reducer hands every
 	// reduce task an instance of its own).
-	cloneOf := make(map[*mapreduce.Job]*mapreduce.Job, n)
 	for i, j := range tr.Jobs {
 		if !needed[i] {
 			continue
@@ -279,13 +279,6 @@ func ApplyReuseAt(tr *Translation, store *reuse.Store, dfs *mapreduce.DFS, epoch
 				cp.Inputs[k].Path = ArtifactPath(arts[pi].Fingerprint)
 			}
 		}
-		cp.DependsOn = nil
-		for _, d := range j.DependsOn {
-			if dc, ok := cloneOf[d]; ok {
-				cp.DependsOn = append(cp.DependsOn, dc)
-			}
-		}
-		cloneOf[j] = &cp
 		rp.Jobs = append(rp.Jobs, &cp)
 		rp.records = append(rp.records, reuseRecord{
 			jobName:     j.Name,

@@ -118,7 +118,7 @@ func TestRunFailureRecordsNothing(t *testing.T) {
 	multi := translate(t, queries.Named()["Q-CSA"], OneToOne, Options{QueryName: "stop"})
 	dependents := 0
 	for _, j := range multi.Jobs {
-		if len(j.DependsOn) > 0 {
+		if readsIntermediate(multi.Jobs, j) {
 			dependents++
 		}
 	}
@@ -137,7 +137,7 @@ func TestRunFailureRecordsNothing(t *testing.T) {
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
 	for _, j := range multi.Jobs {
-		if len(j.DependsOn) > 0 {
+		if readsIntermediate(multi.Jobs, j) {
 			continue
 		}
 		for i := range j.Inputs {
@@ -150,7 +150,7 @@ func TestRunFailureRecordsNothing(t *testing.T) {
 	}
 	var nf *mapreduce.FileNotFoundError
 	for _, j := range multi.Jobs {
-		if _, err := dfs.Read(j.Output); len(j.DependsOn) > 0 && !errors.As(err, &nf) {
+		if _, err := dfs.Read(j.Output); readsIntermediate(multi.Jobs, j) && !errors.As(err, &nf) {
 			t.Errorf("job %s ran after the chain was cancelled", j.Name)
 		}
 	}

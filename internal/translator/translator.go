@@ -76,7 +76,9 @@ type Options struct {
 type Translation struct {
 	Mode     Mode
 	Analysis *correlation.Analysis
-	// Jobs are the executable jobs in dependency order.
+	// Jobs are the executable jobs in the order they run: every job comes
+	// after the jobs whose outputs it reads (RunChainContext runs them as
+	// listed).
 	Jobs []*mapreduce.Job
 	// CommonJobs holds the CMF description of each job (nil entry for the
 	// map-only SP job of an operation-free query).
