@@ -11,6 +11,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -96,8 +97,11 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "bench progress listening on http://%s\n", addr)
 	}
 
+	// A figure that fails does not end the run: the others still print, and
+	// run's error names each one that failed.
 	matched := false
 	var rows []experiments.BenchRow
+	var failed []error
 	for _, f := range figures {
 		if *fig != "all" && *fig != f.name {
 			continue
@@ -109,7 +113,11 @@ func run(args []string) error {
 		figStart := time.Now()
 		result, err := f.run()
 		if err != nil {
-			return fmt.Errorf("fig %s: %w", f.name, err)
+			failed = append(failed, fmt.Errorf("fig %s: %w", f.name, err))
+			progressMu.Lock()
+			progress[f.name] = "failed"
+			progressMu.Unlock()
+			continue
 		}
 		reg.Observe("ysmart_bench_figure_seconds", time.Since(figStart).Seconds(), "figure", f.name)
 		reg.Add("ysmart_bench_figures_total", 1)
@@ -130,7 +138,10 @@ func run(args []string) error {
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		return enc.Encode(rows)
+		if err := enc.Encode(rows); err != nil {
+			return err
+		}
+		return errors.Join(failed...)
 	}
 
 	var scanned, shuffled int64
@@ -140,5 +151,5 @@ func run(args []string) error {
 	}
 	fmt.Printf("bench totals: %d runs, %s scanned, %s shuffled (raw counters)\n",
 		len(rows), obs.FormatBytes(scanned), obs.FormatBytes(shuffled))
-	return nil
+	return errors.Join(failed...)
 }

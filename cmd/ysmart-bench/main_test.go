@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"os"
+	"strings"
 	"testing"
 
 	"ysmart/internal/experiments"
@@ -32,8 +33,8 @@ func TestListenFlag(t *testing.T) {
 }
 
 // captureStdout runs f with os.Stdout redirected to a pipe and returns what
-// it printed.
-func captureStdout(t *testing.T, f func() error) []byte {
+// it printed and its error.
+func captureStdout(t *testing.T, f func() error) ([]byte, error) {
 	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
@@ -59,14 +60,14 @@ func captureStdout(t *testing.T, f func() error) []byte {
 	w.Close()
 	out := <-done
 	os.Stdout = orig
-	if ferr != nil {
-		t.Fatalf("run: %v", ferr)
-	}
-	return out
+	return out, ferr
 }
 
 func TestJSONOutput(t *testing.T) {
-	out := captureStdout(t, func() error { return run([]string{"-fig", "9", "-json"}) })
+	out, err := captureStdout(t, func() error { return run([]string{"-fig", "9", "-json"}) })
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
 	var rows []experiments.BenchRow
 	if err := json.Unmarshal(out, &rows); err != nil {
 		t.Fatalf("-json output is not a JSON array: %v\n%s", err, out)
@@ -90,5 +91,42 @@ func TestJSONOutput(t *testing.T) {
 	if ys, oto := bySystem["ysmart"], bySystem["one-op-one-job"]; ys.Seconds >= oto.Seconds || ys.Jobs >= oto.Jobs {
 		t.Errorf("ysmart (%d jobs, %.0fs) should beat one-op-one-job (%d jobs, %.0fs)",
 			ys.Jobs, ys.Seconds, oto.Jobs, oto.Seconds)
+	}
+}
+
+// TestFailedFigureKeepsTheOthers: outside the module source -fig manimal
+// cannot find the jobs it analyzes. The run still prints every other
+// figure's rows as one JSON array, and its error names manimal.
+func TestFailedFigureKeepsTheOthers(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Fatal(err)
+		}
+	})
+	out, err := captureStdout(t, func() error { return run([]string{"-fig", "all", "-json"}) })
+	if err == nil || !strings.Contains(err.Error(), "fig manimal: ") {
+		t.Fatalf("run: %v, want an error naming fig manimal", err)
+	}
+	var rows []experiments.BenchRow
+	if err := json.Unmarshal(out, &rows); err != nil {
+		t.Fatalf("-json output is not a JSON array: %v\n%s", err, out)
+	}
+	for _, fig := range []string{"2b", "9", "10", "11", "12", "13", "ablations", "scaling", "robustness", "reuse", "manimal"} {
+		n := 0
+		for _, r := range rows {
+			if strings.HasPrefix(r.Figure, fig) {
+				n++
+			}
+		}
+		if want := fig != "manimal"; (n > 0) != want {
+			t.Errorf("fig %s: %d rows, want rows: %v", fig, n, want)
+		}
 	}
 }

@@ -16,36 +16,44 @@ type Evaluator func(Row) (Value, error)
 // WHERE condition.
 type Predicate func(Row) (bool, error)
 
-// CompilePredicate compiles a condition into a Predicate: Compile's
-// evaluator judged by the WHERE rule, under which only a non-NULL TRUE
-// passes and any other non-NULL value is an error.
+// CompilePredicate compiles a condition into a Predicate that passes a
+// row only when the condition is TRUE, as WHERE does: FALSE and NULL fail
+// it. It refuses what CheckCondition refuses, so the predicate never meets
+// a value that is not BOOL or NULL.
 func CompilePredicate(e sqlparser.Expr, s *Schema) (Predicate, error) {
-	ev, err := Compile(e, s)
+	if err := CheckCondition(e, s); err != nil {
+		return nil, err
+	}
+	ev, err := compile(e, s)
 	if err != nil {
 		return nil, err
 	}
 	return func(r Row) (bool, error) {
 		v, err := ev(r)
-		switch {
-		case err != nil:
-			return false, err
-		case v.T == TypeBool:
-			return v.B, nil
-		case v.T == TypeNull:
-			return false, nil
-		}
-		return false, fmt.Errorf("predicate evaluated to %s, want bool", v.T)
+		return v.T == TypeBool && v.B, err
 	}, nil
 }
 
 // Compile translates a scalar sqlparser expression into an evaluator bound
-// to the given schema: a closure tree returning Values. A comparison or an
-// IS [NOT] NULL reads its column and literal operands in place, so testing
-// a column against a constant or another column builds no Value but its
-// result and allocates nothing. Aggregate function calls are rejected: the planner rewrites them
-// into column references of aggregation outputs before any expression
-// reaches Compile.
+// to the given schema: a closure tree returning Values. Compile refuses
+// exactly what InferType refuses — unknown columns and functions, ill-typed
+// operands, aggregate calls (the planner replaces each with a column of its
+// aggregation) and IN-subqueries — by running it once, here, and builds
+// everything InferType accepts. The evaluators assume that well-typed
+// expression and rows whose values have their schema columns' types or are
+// NULL, so they check no type per row. A comparison or an IS [NOT] NULL
+// reads its column and literal operands in place, so testing a column
+// against a constant or another column builds no Value but its result and
+// allocates nothing.
 func Compile(e sqlparser.Expr, s *Schema) (Evaluator, error) {
+	if _, err := InferType(e, s); err != nil {
+		return nil, err
+	}
+	return compile(e, s)
+}
+
+// compile is Compile below its type check.
+func compile(e sqlparser.Expr, s *Schema) (Evaluator, error) {
 	switch x := e.(type) {
 	case *sqlparser.ColumnRef:
 		idx, err := s.Resolve(x.Qualifier, x.Name)
@@ -67,50 +75,25 @@ func Compile(e sqlparser.Expr, s *Schema) (Evaluator, error) {
 		return compileBinary(x, s)
 
 	case *sqlparser.UnaryExpr:
-		inner, err := Compile(x.X, s)
+		inner, err := compile(x.X, s)
 		if err != nil {
 			return nil, err
 		}
-		switch x.Op {
-		case sqlparser.OpNeg:
-			return func(r Row) (Value, error) {
-				v, err := inner(r)
-				if err != nil {
-					return Value{}, err
-				}
-				switch v.T {
-				case TypeNull:
-					return Null(), nil
-				case TypeInt:
-					return Int(-v.I), nil
-				case TypeFloat:
-					return Float(-v.F), nil
-				default:
-					return Value{}, fmt.Errorf("cannot negate %s", v.T)
-				}
-			}, nil
-		case sqlparser.OpNot:
-			return func(r Row) (Value, error) {
-				v, err := inner(r)
-				if err != nil {
-					return Value{}, err
-				}
-				if v.IsNull() {
-					return Null(), nil
-				}
-				if v.T != TypeBool {
-					return Value{}, fmt.Errorf("NOT applied to %s", v.T)
-				}
+		not := x.Op == sqlparser.OpNot
+		return func(r Row) (Value, error) {
+			v, err := inner(r)
+			switch {
+			case err != nil || v.IsNull():
+				return v, err
+			case not:
 				return Bool(!v.B), nil
-			}, nil
-		default:
-			return nil, fmt.Errorf("unknown unary operator")
-		}
+			case v.T == TypeInt:
+				return Int(-v.I), nil
+			}
+			return Float(-v.F), nil
+		}, nil
 
 	case *sqlparser.FuncCall:
-		if x.IsAggregate() {
-			return nil, fmt.Errorf("aggregate %s not allowed in scalar context", x.Name)
-		}
 		return compileScalarFunc(x, s)
 
 	case *sqlparser.IsNullExpr:
@@ -135,7 +118,7 @@ func Compile(e sqlparser.Expr, s *Schema) (Evaluator, error) {
 			L:  &sqlparser.BinaryExpr{Op: sqlparser.OpGe, L: x.X, R: x.Lo},
 			R:  &sqlparser.BinaryExpr{Op: sqlparser.OpLe, L: x.X, R: x.Hi},
 		}
-		ev, err := Compile(rewritten, s)
+		ev, err := compile(rewritten, s)
 		if err != nil {
 			return nil, err
 		}
@@ -151,13 +134,13 @@ func Compile(e sqlparser.Expr, s *Schema) (Evaluator, error) {
 		}, nil
 
 	case *sqlparser.InListExpr:
-		inner, err := Compile(x.X, s)
+		inner, err := compile(x.X, s)
 		if err != nil {
 			return nil, err
 		}
 		items := make([]Evaluator, len(x.Items))
 		for i, it := range x.Items {
-			ev, err := Compile(it, s)
+			ev, err := compile(it, s)
 			if err != nil {
 				return nil, err
 			}
@@ -200,11 +183,11 @@ func Compile(e sqlparser.Expr, s *Schema) (Evaluator, error) {
 		type arm struct{ cond, then Evaluator }
 		arms := make([]arm, len(x.Whens))
 		for i, w := range x.Whens {
-			c, err := Compile(w.Cond, s)
+			c, err := compile(w.Cond, s)
 			if err != nil {
 				return nil, err
 			}
-			t, err := Compile(w.Then, s)
+			t, err := compile(w.Then, s)
 			if err != nil {
 				return nil, err
 			}
@@ -212,7 +195,7 @@ func Compile(e sqlparser.Expr, s *Schema) (Evaluator, error) {
 		}
 		var elseEv Evaluator
 		if x.Else != nil {
-			ev, err := Compile(x.Else, s)
+			ev, err := compile(x.Else, s)
 			if err != nil {
 				return nil, err
 			}
@@ -224,7 +207,7 @@ func Compile(e sqlparser.Expr, s *Schema) (Evaluator, error) {
 				if err != nil {
 					return Value{}, err
 				}
-				if !cv.IsNull() && cv.T == TypeBool && cv.B {
+				if cv.T == TypeBool && cv.B {
 					return a.then(r)
 				}
 			}
@@ -233,9 +216,6 @@ func Compile(e sqlparser.Expr, s *Schema) (Evaluator, error) {
 			}
 			return Null(), nil
 		}, x, s)
-
-	case *sqlparser.InSubqueryExpr:
-		return nil, fmt.Errorf("IN (SELECT ...) is only supported as a top-level WHERE conjunct")
 
 	default:
 		return nil, fmt.Errorf("cannot compile expression %T", e)
@@ -261,11 +241,11 @@ func compileBinary(x *sqlparser.BinaryExpr, s *Schema) (Evaluator, error) {
 	if x.Op.IsComparison() {
 		return compileComparison(x.Op, x.L, x.R, s)
 	}
-	left, err := Compile(x.L, s)
+	left, err := compile(x.L, s)
 	if err != nil {
 		return nil, err
 	}
-	right, err := Compile(x.R, s)
+	right, err := compile(x.R, s)
 	if err != nil {
 		return nil, err
 	}
@@ -292,9 +272,6 @@ func compileBinary(x *sqlparser.BinaryExpr, s *Schema) (Evaluator, error) {
 			if lv.IsNull() || rv.IsNull() {
 				return Null(), nil
 			}
-			if lv.T != TypeBool || rv.T != TypeBool {
-				return Value{}, fmt.Errorf("AND requires booleans, got %s and %s", lv.T, rv.T)
-			}
 			return Bool(true), nil
 		}, nil
 	case sqlparser.OpOr:
@@ -316,9 +293,6 @@ func compileBinary(x *sqlparser.BinaryExpr, s *Schema) (Evaluator, error) {
 			if lv.IsNull() || rv.IsNull() {
 				return Null(), nil
 			}
-			if lv.T != TypeBool || rv.T != TypeBool {
-				return Value{}, fmt.Errorf("OR requires booleans, got %s and %s", lv.T, rv.T)
-			}
 			return Bool(false), nil
 		}, nil
 	}
@@ -332,7 +306,7 @@ func compileBinary(x *sqlparser.BinaryExpr, s *Schema) (Evaluator, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		return arithmetic(op, lv, rv)
+		return arithmetic(op, lv, rv), nil
 	}, nil
 }
 
@@ -352,7 +326,7 @@ func compileOperand(e sqlparser.Expr, s *Schema) (operand, error) {
 	case *sqlparser.Literal:
 		return operand{col: -1, c: literalValue(x)}, nil
 	}
-	ev, err := Compile(e, s)
+	ev, err := compile(e, s)
 	return operand{col: -1, ev: ev}, err
 }
 
@@ -476,157 +450,121 @@ func compareValues(op sqlparser.BinaryOp, a, b Value) (Value, error) {
 	}
 }
 
-// arithmetic implements +, -, *, /, % with NULL propagation. Integer
-// operands stay integral except for division, which always produces a
-// float (matching Hive's double division).
-func arithmetic(op sqlparser.BinaryOp, a, b Value) (Value, error) {
+// arithmetic implements +, -, *, /, % on numbers with NULL propagation.
+// Integer operands stay integral except for division, which always
+// produces a float (matching Hive's double division).
+func arithmetic(op sqlparser.BinaryOp, a, b Value) Value {
 	if a.IsNull() || b.IsNull() {
-		return Null(), nil
-	}
-	if !a.IsNumeric() || !b.IsNumeric() {
-		return Value{}, fmt.Errorf("arithmetic on %s and %s", a.T, b.T)
+		return Null()
 	}
 	if op == sqlparser.OpDiv {
 		af, _ := a.AsFloat()
 		bf, _ := b.AsFloat()
 		if bf == 0 {
-			return Null(), nil // SQL engines raise; NULL keeps pipelines total
+			return Null() // SQL engines raise; NULL keeps pipelines total
 		}
-		return Float(af / bf), nil
+		return Float(af / bf)
 	}
 	if a.T == TypeInt && b.T == TypeInt {
 		switch op {
 		case sqlparser.OpAdd:
-			return Int(a.I + b.I), nil
+			return Int(a.I + b.I)
 		case sqlparser.OpSub:
-			return Int(a.I - b.I), nil
+			return Int(a.I - b.I)
 		case sqlparser.OpMul:
-			return Int(a.I * b.I), nil
-		case sqlparser.OpMod:
-			if b.I == 0 {
-				return Null(), nil
-			}
-			return Int(a.I % b.I), nil
+			return Int(a.I * b.I)
 		}
+		if b.I == 0 {
+			return Null()
+		}
+		return Int(a.I % b.I)
 	}
 	af, _ := a.AsFloat()
 	bf, _ := b.AsFloat()
 	switch op {
 	case sqlparser.OpAdd:
-		return Float(af + bf), nil
+		return Float(af + bf)
 	case sqlparser.OpSub:
-		return Float(af - bf), nil
+		return Float(af - bf)
 	case sqlparser.OpMul:
-		return Float(af * bf), nil
-	case sqlparser.OpMod:
-		if bf == 0 {
-			return Null(), nil
-		}
-		return Float(math.Mod(af, bf)), nil
-	default:
-		return Value{}, fmt.Errorf("not an arithmetic operator: %v", op)
+		return Float(af * bf)
 	}
+	if bf == 0 {
+		return Null()
+	}
+	return Float(math.Mod(af, bf))
 }
 
-// compileScalarFunc supports a handful of non-aggregate helpers.
+// scalarFunc is the signature of a one-argument scalar function, with its
+// body: InferType checks a call against it and compileScalarFunc builds the
+// call from it. A NULL argument yields NULL without reaching apply.
+type scalarFunc struct {
+	takes  func(Type) bool // the argument types it accepts, NULL included
+	result Type            // its result type, or TypeNull for its argument's
+	apply  func(Value) Value
+}
+
+// scalarFuncs holds every scalar function but COALESCE, which takes one or
+// more arguments and is typed by armsType.
+var scalarFuncs = map[string]scalarFunc{
+	"ABS": {numericOrNull, TypeNull, func(v Value) Value {
+		if v.T == TypeFloat {
+			return Float(math.Abs(v.F))
+		}
+		if v.I < 0 {
+			return Int(-v.I)
+		}
+		return v
+	}},
+	"LOWER":  {stringOrNull, TypeString, func(v Value) Value { return Str(strings.ToLower(v.S)) }},
+	"UPPER":  {stringOrNull, TypeString, func(v Value) Value { return Str(strings.ToUpper(v.S)) }},
+	"LENGTH": {stringOrNull, TypeInt, func(v Value) Value { return Int(int64(len(v.S))) }},
+}
+
+// compileScalarFunc builds a call InferType accepted: COALESCE or one of
+// scalarFuncs.
 func compileScalarFunc(x *sqlparser.FuncCall, s *Schema) (Evaluator, error) {
 	args := make([]Evaluator, len(x.Args))
 	for i, a := range x.Args {
-		ev, err := Compile(a, s)
+		ev, err := compile(a, s)
 		if err != nil {
 			return nil, err
 		}
 		args[i] = ev
 	}
-	arity := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("%s takes %d argument(s), got %d", x.Name, n, len(args))
-		}
-		return nil
-	}
-	switch x.Name {
-	case "ABS":
-		if err := arity(1); err != nil {
-			return nil, err
-		}
-		return func(r Row) (Value, error) {
-			v, err := args[0](r)
-			if err != nil || v.IsNull() {
-				return v, err
-			}
-			switch v.T {
-			case TypeInt:
-				if v.I < 0 {
-					return Int(-v.I), nil
-				}
-				return v, nil
-			case TypeFloat:
-				return Float(math.Abs(v.F)), nil
-			default:
-				return Value{}, fmt.Errorf("ABS of %s", v.T)
-			}
-		}, nil
-	case "LOWER", "UPPER":
-		if err := arity(1); err != nil {
-			return nil, err
-		}
-		upper := x.Name == "UPPER"
-		return func(r Row) (Value, error) {
-			v, err := args[0](r)
-			if err != nil || v.IsNull() {
-				return v, err
-			}
-			if v.T != TypeString {
-				return Value{}, fmt.Errorf("%s of %s", x.Name, v.T)
-			}
-			if upper {
-				return Str(strings.ToUpper(v.S)), nil
-			}
-			return Str(strings.ToLower(v.S)), nil
-		}, nil
-	case "LENGTH":
-		if err := arity(1); err != nil {
-			return nil, err
-		}
-		return func(r Row) (Value, error) {
-			v, err := args[0](r)
-			if err != nil || v.IsNull() {
-				return v, err
-			}
-			if v.T != TypeString {
-				return Value{}, fmt.Errorf("LENGTH of %s", v.T)
-			}
-			return Int(int64(len(v.S))), nil
-		}, nil
-	case "COALESCE":
-		if len(args) == 0 {
-			return nil, fmt.Errorf("COALESCE needs at least one argument")
-		}
+	if x.Name == "COALESCE" {
 		return widenArms(func(r Row) (Value, error) {
 			for _, a := range args {
 				v, err := a(r)
-				if err != nil {
-					return Value{}, err
-				}
-				if !v.IsNull() {
-					return v, nil
+				if err != nil || !v.IsNull() {
+					return v, err
 				}
 			}
 			return Null(), nil
 		}, x, s)
-	default:
-		return nil, fmt.Errorf("unknown function %s", x.Name)
 	}
+	arg, apply := args[0], scalarFuncs[x.Name].apply
+	return func(r Row) (Value, error) {
+		v, err := arg(r)
+		if err != nil || v.IsNull() {
+			return v, err
+		}
+		return apply(v), nil
+	}, nil
 }
 
-// InferType predicts the runtime type of an expression against a schema.
-// It mirrors the evaluator's promotion rules and is used to type derived
-// schemas and conditions. What the evaluator would reject row by row is an
-// error here, as PostgreSQL rejects it while planning: arithmetic or unary
-// minus on an operand that is neither numeric nor NULL, a comparison (also
-// inside IN and BETWEEN) of types compareValues cannot compare, and AND,
-// OR, NOT or a CASE WHEN condition on an operand that is neither BOOL nor
-// NULL. NULL literals infer as TypeNull.
+// InferType predicts the runtime type of an expression against a schema,
+// and holds every SQL type rule: what it refuses is an error while
+// planning, as in PostgreSQL, and Compile refuses it too. It refuses an
+// unknown column or function; a call whose arity or argument type its
+// signature (scalarFuncs, COALESCE) refuses, or that says DISTINCT;
+// arithmetic or unary minus on an operand that is neither numeric nor
+// NULL; a comparison (also inside IN and BETWEEN) of types compareValues
+// cannot compare; AND, OR, NOT or a CASE WHEN condition on an operand that
+// is neither BOOL nor NULL; CASE or COALESCE arms that do not unify; an
+// aggregate call, which is never scalar (AggKind.ResultType types
+// aggregates); and an IN-subquery, which the planner takes only as a whole
+// WHERE conjunct. NULL literals infer as TypeNull.
 func InferType(e sqlparser.Expr, s *Schema) (Type, error) {
 	switch x := e.(type) {
 	case *sqlparser.ColumnRef:
@@ -692,23 +630,31 @@ func InferType(e sqlparser.Expr, s *Schema) (Type, error) {
 		}
 		return t, nil
 	case *sqlparser.FuncCall:
-		switch x.Name {
-		case "COUNT", "LENGTH":
-			return TypeInt, nil
-		case "AVG":
-			return TypeFloat, nil
-		case "SUM", "MIN", "MAX", "ABS":
-			if x.Star || len(x.Args) == 0 {
-				return TypeInt, nil
-			}
-			return InferType(x.Args[0], s)
-		case "COALESCE":
-			return armsType("COALESCE", x.Args, s)
-		case "LOWER", "UPPER":
-			return TypeString, nil
-		default:
+		f, ok := scalarFuncs[x.Name]
+		switch {
+		case x.IsAggregate():
+			return 0, fmt.Errorf("aggregate %s is not allowed here", x.Name)
+		case x.Distinct:
+			return 0, fmt.Errorf("DISTINCT specified, but %s is not an aggregate function", x.Name)
+		case x.Name == "COALESCE" && len(x.Args) == 0:
+			return 0, fmt.Errorf("COALESCE needs at least one argument")
+		case x.Name == "COALESCE":
+			return armsType("COALESCE", TypeNull, x.Args, s)
+		case !ok:
 			return 0, fmt.Errorf("unknown function %s", x.Name)
+		case len(x.Args) != 1:
+			return 0, fmt.Errorf("%s takes 1 argument(s), got %d", x.Name, len(x.Args))
 		}
+		t, err := InferType(x.Args[0], s)
+		switch {
+		case err != nil:
+			return 0, err
+		case !f.takes(t):
+			return 0, fmt.Errorf("%s of %s", x.Name, t)
+		case f.result == TypeNull:
+			return t, nil
+		}
+		return f.result, nil
 	case *sqlparser.IsNullExpr:
 		_, err := InferType(x.X, s)
 		return TypeBool, err
@@ -717,31 +663,49 @@ func InferType(e sqlparser.Expr, s *Schema) (Type, error) {
 	case *sqlparser.InListExpr:
 		return TypeBool, comparableAll(x.X, x.Items, s)
 	case *sqlparser.InSubqueryExpr:
-		return TypeBool, nil
+		return 0, fmt.Errorf("IN (SELECT ...) is only supported as a top-level WHERE conjunct")
 	case *sqlparser.CaseExpr:
-		arms := make([]sqlparser.Expr, 0, len(x.Whens)+1)
+		t := TypeNull
 		for _, w := range x.Whens {
-			t, err := InferType(w.Cond, s)
+			ct, err := InferType(w.Cond, s)
 			if err != nil {
 				return 0, err
 			}
-			if !boolOrNull(t) {
-				return 0, fmt.Errorf("CASE WHEN condition is %s, not bool", t)
+			if !boolOrNull(ct) {
+				return 0, fmt.Errorf("CASE WHEN condition is %s, not bool", ct)
 			}
-			arms = append(arms, w.Then)
+			if t, err = armsType("CASE", t, []sqlparser.Expr{w.Then}, s); err != nil {
+				return 0, err
+			}
 		}
-		if x.Else != nil {
-			arms = append(arms, x.Else)
+		if x.Else == nil {
+			return t, nil
 		}
-		return armsType("CASE", arms, s)
+		return armsType("CASE", t, []sqlparser.Expr{x.Else}, s)
 	default:
 		return 0, fmt.Errorf("cannot infer type of %T", e)
 	}
 }
 
+// CheckCondition types a condition — a WHERE conjunct, an ON residual, a
+// HAVING clause or what CompilePredicate compiles — against s: InferType
+// must accept it and type it BOOL or NULL, as PostgreSQL requires of a
+// condition while planning.
+func CheckCondition(cond sqlparser.Expr, s *Schema) error {
+	t, err := InferType(cond, s)
+	if err == nil && !boolOrNull(t) {
+		err = fmt.Errorf("condition is %s, not bool", t)
+	}
+	return err
+}
+
 // numericOrNull reports whether arithmetic accepts operands of type t:
 // INT and FLOAT compute, and NULL propagates.
 func numericOrNull(t Type) bool { return t == TypeInt || t == TypeFloat || t == TypeNull }
+
+// stringOrNull reports whether LOWER, UPPER and LENGTH accept an argument
+// of type t.
+func stringOrNull(t Type) bool { return t == TypeString || t == TypeNull }
 
 // boolOrNull reports whether AND, OR, NOT and CASE WHEN accept an operand
 // of type t.
@@ -776,12 +740,11 @@ func comparableAll(x sqlparser.Expr, items []sqlparser.Expr, s *Schema) error {
 }
 
 // armsType types a CASE from its THEN and ELSE arms, or a COALESCE (what)
-// from its arguments: the arms that can be non-NULL must share one type,
-// except that INT arms mixed with FLOAT ones make it FLOAT (Compile widens
-// the INT results to match, see widenArms). Any other mix is an error, as
-// in PostgreSQL.
-func armsType(what string, arms []sqlparser.Expr, s *Schema) (Type, error) {
-	t := TypeNull
+// from its arguments, given t, the type of the arms before these: the arms
+// that can be non-NULL must share one type, except that INT arms mixed
+// with FLOAT ones make it FLOAT (Compile widens the INT results to match,
+// see widenArms). Any other mix is an error, as in PostgreSQL.
+func armsType(what string, t Type, arms []sqlparser.Expr, s *Schema) (Type, error) {
 	for _, a := range arms {
 		at, err := InferType(a, s)
 		if err != nil {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"testing"
 
 	"ysmart/internal/sqlparser"
@@ -21,8 +22,6 @@ func TestInferTypeEdgeBranches(t *testing.T) {
 		{"NULL + i", TypeInt},
 		{"i BETWEEN 1 AND 2", TypeBool},
 		{"i IN (1, 2)", TypeBool},
-		{"count(distinct s)", TypeInt},
-		{"min(f)", TypeFloat},
 		{"coalesce(i, 2)", TypeInt},
 		{"coalesce(NULL, s)", TypeString}, // the first argument that can be non-NULL
 		{"coalesce(NULL, NULL, f)", TypeFloat},
@@ -69,7 +68,25 @@ func TestInferTypeErrors(t *testing.T) {
 		{"nosuchcol", ""},
 		{"nosuchcol + 1", ""},
 		{"nosuchfunc(i)", ""},
-		{"sum(nosuchcol)", ""},
+		// Aggregates are never scalar: the planner replaces each with a
+		// column of its aggregation, and AggKind.ResultType types it.
+		{"count(*)", "aggregate COUNT is not allowed here"},
+		{"count(distinct s)", "aggregate COUNT is not allowed here"},
+		{"avg(i)", "aggregate AVG is not allowed here"},
+		{"sum(nosuchcol)", "aggregate SUM is not allowed here"},
+		{"min(f)", "aggregate MIN is not allowed here"},
+		{"max(s)", "aggregate MAX is not allowed here"},
+		{"i IN (SELECT i FROM t)", "IN (SELECT ...) is only supported as a top-level WHERE conjunct"},
+		// Each scalar function's signature: its arity and argument types.
+		{"abs(i, f)", "ABS takes 1 argument(s), got 2"},
+		{"lower()", "LOWER takes 1 argument(s), got 0"},
+		{"coalesce()", "COALESCE needs at least one argument"},
+		{"lower(DISTINCT s)", "DISTINCT specified, but LOWER is not an aggregate function"},
+		{"abs(s)", "ABS of string"},
+		{"abs(b)", "ABS of bool"},
+		{"upper(f)", "UPPER of float"},
+		{"length(i)", "LENGTH of int"},
+		{"lower(nosuchcol)", ""},
 		{"CASE WHEN b THEN nosuchcol END", ""},
 		{"coalesce(NULL, nosuchcol)", ""},
 		// Arms that are neither one type nor an INT/FLOAT mix do not unify.
@@ -109,6 +126,56 @@ func TestInferTypeErrors(t *testing.T) {
 			t.Errorf("InferType(%q): %v, want %q", tt.expr, err, tt.errHas)
 		}
 	}
+}
+
+// typeSoundRows are rows of testSchema's types that stress the
+// evaluators: the sample row, all NULLs, the int64 extremes with NaN, and
+// -0.0 with a string the codec escapes.
+var typeSoundRows = []Row{
+	sampleRow,
+	NullRow(5),
+	{Int(math.MinInt64), Float(math.NaN()), Str(""), Bool(false), Int(math.MaxInt64)},
+	{Int(0), Float(math.Copysign(0, -1)), Str("\\N\t\n\\"), Bool(true), Int(-1)},
+}
+
+// FuzzTypeSound holds Compile to InferType: an expression InferType types
+// compiles, and on every row of the schema's types evaluates without error
+// to a value of the inferred type or NULL — so the evaluators need no type
+// check of their own.
+func FuzzTypeSound(f *testing.F) {
+	for _, tt := range inferTypeCases {
+		f.Add(tt.expr)
+	}
+	for _, probe := range []string{
+		"lower(i)", "abs(s)", "length(i)", "abs(i, n)", "coalesce()", "ABs()",
+		"count(*) > 1", "i IN (SELECT i FROM t)", "count(*)", "avg(i)", "sum(f)", "max(s)",
+		"-i", "i % n", "f / 0", "NOT (n = 0) OR b", "coalesce(n, f, i)",
+		"CASE WHEN f > i THEN i ELSE f END", "i NOT BETWEEN n AND 3", "s IN ('\\N', lower(s), NULL)",
+	} {
+		f.Add(probe)
+	}
+	s := testSchema()
+	f.Fuzz(func(t *testing.T, expr string) {
+		stmt, err := sqlparser.Parse("SELECT " + expr + " FROM t")
+		if err != nil || len(stmt.Select) == 0 || stmt.Select[0].Star {
+			return
+		}
+		e := stmt.Select[0].Expr
+		want, err := InferType(e, s)
+		if err != nil {
+			return
+		}
+		ev, err := Compile(e, s)
+		if err != nil {
+			t.Fatalf("InferType(%s) = %s, but Compile: %v", e.SQL(), want, err)
+		}
+		for _, row := range typeSoundRows {
+			v, err := ev(row)
+			if err != nil || v.T != want && !v.IsNull() {
+				t.Fatalf("%s over %v = (%v, %v), want a %s or NULL", e.SQL(), row, v, err, want)
+			}
+		}
+	})
 }
 
 func TestAggKindString(t *testing.T) {

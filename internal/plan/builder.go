@@ -60,9 +60,6 @@ func (b *builder) buildSelect(stmt *sqlparser.SelectStmt) (Node, error) {
 			inSubs = append(inSubs, is)
 			continue
 		}
-		if err := rejectNestedSubquery(c); err != nil {
-			return nil, err
-		}
 		conjs = append(conjs, c)
 	}
 	used := make([]bool, len(conjs))
@@ -137,16 +134,26 @@ func (b *builder) buildSelect(stmt *sqlparser.SelectStmt) (Node, error) {
 		cur = next
 	}
 
-	// 6. Aggregation.
+	// 6. Aggregation. A statement it rewrites (stmt != orig) reads its
+	// output (above) and no longer the columns below it.
 	var err error
+	orig, below := stmt, cur.Schema()
 	cur, stmt, err = b.buildAggregation(cur, stmt)
 	if err != nil {
 		return nil, err
 	}
+	above := cur.Schema()
 
 	// 6. Final projection.
 	proj, projSubs, err := b.buildProjection(cur, stmt)
 	if err != nil {
+		if stmt != orig {
+			for _, item := range stmt.Select {
+				if gerr := ungroupedColumn(item.Expr, above, below); gerr != nil {
+					return nil, gerr
+				}
+			}
+		}
 		return nil, err
 	}
 	cur = proj
@@ -167,13 +174,23 @@ func (b *builder) buildSelect(stmt *sqlparser.SelectStmt) (Node, error) {
 	}
 
 	// 8. ORDER BY / LIMIT. Order keys that name projected expressions are
-	// rewritten to references of the projection's output columns.
+	// rewritten to references of the projection's output columns; errors
+	// name the key as the statement spelled it.
 	if len(stmt.OrderBy) > 0 {
 		keys := make([]SortKey, len(stmt.OrderBy))
 		for i, o := range stmt.OrderBy {
 			e := RewriteExpr(o.Expr, projSubs)
 			if _, err := exec.InferType(e, cur.Schema()); err != nil {
-				return nil, fmt.Errorf("ORDER BY %s: %w", e.SQL(), err)
+				user := orig.OrderBy[i].Expr
+				if stmt != orig {
+					if gerr := ungroupedColumn(e, above, below); gerr != nil {
+						return nil, gerr
+					}
+					if sqlparser.ContainsAggregate(user) {
+						return nil, fmt.Errorf("ORDER BY %s: an aggregate that is not in the select list is not supported", user.SQL())
+					}
+				}
+				return nil, fmt.Errorf("ORDER BY %s: %w", user.SQL(), err)
 			}
 			keys[i] = SortKey{Expr: e, Desc: o.Desc}
 		}
@@ -356,19 +373,17 @@ func equiKeyPair(c sqlparser.Expr, left, right *exec.Schema) (int, int, bool) {
 	return 0, 0, false
 }
 
-// rejectNestedSubquery errors when e contains an IN-subquery anywhere; the
-// semi-join rewrite only applies to whole WHERE conjuncts.
-func rejectNestedSubquery(e sqlparser.Expr) error {
-	var found bool
-	sqlparser.WalkExpr(e, func(x sqlparser.Expr) bool {
-		if _, ok := x.(*sqlparser.InSubqueryExpr); ok {
-			found = true
-			return false
+// ungroupedColumn is PostgreSQL's error for the first column of e, an
+// expression read above an aggregation, that resolves below it but not
+// above it, or nil when e has none.
+func ungroupedColumn(e sqlparser.Expr, above, below *exec.Schema) error {
+	for _, ref := range sqlparser.ColumnRefs(e) {
+		if _, err := above.Resolve(ref.Qualifier, ref.Name); err == nil {
+			continue
 		}
-		return !found
-	})
-	if found {
-		return fmt.Errorf("IN (SELECT ...) is only supported as a top-level WHERE conjunct: %s", e.SQL())
+		if _, err := below.Resolve(ref.Qualifier, ref.Name); err == nil {
+			return fmt.Errorf("column %q must appear in the GROUP BY clause or be used in an aggregate function", ref.SQL())
+		}
 	}
 	return nil
 }
@@ -377,12 +392,8 @@ func rejectNestedSubquery(e sqlparser.Expr) error {
 // HAVING clause (what) — against s: it must resolve, type-check and be
 // BOOL or NULL, as PostgreSQL requires of a condition while planning.
 func checkCondition(what string, cond sqlparser.Expr, s *exec.Schema) error {
-	t, err := exec.InferType(cond, s)
-	if err != nil {
+	if err := exec.CheckCondition(cond, s); err != nil {
 		return fmt.Errorf("%s: %w", what, err)
-	}
-	if t != exec.TypeBool && t != exec.TypeNull {
-		return fmt.Errorf("%s: condition is %s, not bool", what, t)
 	}
 	return nil
 }
@@ -566,6 +577,9 @@ func (b *builder) buildAggregation(cur Node, stmt *sqlparser.SelectStmt) (Node, 
 	if stmt.Having != nil {
 		having := RewriteExpr(stmt.Having, subs)
 		if err := checkCondition("HAVING", having, out.Schema()); err != nil {
+			if gerr := ungroupedColumn(having, out.Schema(), cur.Schema()); gerr != nil {
+				return nil, nil, gerr
+			}
 			return nil, nil, err
 		}
 		out = &Filter{Child: out, Cond: having}

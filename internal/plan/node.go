@@ -112,7 +112,7 @@ func NewProject(child Node, exprs []sqlparser.Expr, names []string) (*Project, e
 	for i, e := range exprs {
 		t, err := exec.InferType(e, childSchema)
 		if err != nil {
-			return nil, fmt.Errorf("project column %q: %w", names[i], err)
+			return nil, fmt.Errorf("select list column %q: %w", names[i], err)
 		}
 		p.schema.Cols[i] = exec.Column{Name: names[i], Type: t}
 		if c, ok := e.(*sqlparser.ColumnRef); ok {

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -286,7 +287,7 @@ func TestBuildErrors(t *testing.T) {
 		{"cross join comma", "SELECT 1 FROM clicks, part", "equi-join"},
 		{"cross join explicit", "SELECT 1 FROM clicks CROSS JOIN part", "CROSS JOIN"},
 		{"join without equi", "SELECT 1 FROM clicks c1 JOIN part ON c1.uid > p_partkey", "equi-join"},
-		{"non-grouped column", "SELECT uid, count(*) FROM clicks GROUP BY cid", "unknown column"},
+		{"non-grouped column", "SELECT uid, count(*) FROM clicks GROUP BY cid", `column "uid" must appear in the GROUP BY clause or be used in an aggregate function`},
 		{"star with group by", "SELECT * FROM clicks GROUP BY cid", "aggregation"},
 		{"group by aggregate alias", "SELECT count(*) AS n FROM clicks GROUP BY n", "aggregate"},
 		{"no from", "SELECT 1", "FROM"},
@@ -346,6 +347,47 @@ func TestBuildRejectsIllTypedConditions(t *testing.T) {
 			t.Errorf("Build(%q): %v, want %q", tt.sql, err, tt.want)
 		}
 	}
+}
+
+// TestBuildRejectsWhatCannotRun: an expression InferType refuses — a
+// function call its signature refuses, an aggregate outside the select
+// list, HAVING and ORDER BY, an IN-subquery that is not a whole WHERE
+// conjunct — fails planning and names its clause, so no statement plans
+// that Compile would refuse or that a task would fail on.
+func TestBuildRejectsWhatCannotRun(t *testing.T) {
+	for _, tt := range []struct{ sql, want string }{
+		{"SELECT lower(cid) FROM clicks", `select list column "_c0": LOWER of int`},
+		{"SELECT abs('x') FROM clicks", `select list column "_c0": ABS of string`},
+		{"SELECT cid FROM clicks WHERE length(uid) > 1", "WHERE clause: LENGTH of int"},
+		{"SELECT abs(uid, cid) FROM clicks", `select list column "_c0": ABS takes 1 argument(s), got 2`},
+		{"SELECT coalesce() FROM clicks", `select list column "_c0": COALESCE needs at least one argument`},
+		{"SELECT cid FROM clicks WHERE count(*) > 1", "WHERE clause: aggregate COUNT is not allowed here"},
+		{"SELECT count(*) FROM clicks GROUP BY count(*)", "GROUP BY COUNT(*): aggregate COUNT is not allowed here"},
+		{"SELECT c1.uid FROM clicks c1 JOIN clicks c2 ON c1.uid = c2.uid AND count(*) > 1", "ON clause: aggregate COUNT is not allowed here"},
+		{"SELECT cid, count(*) FROM clicks GROUP BY cid HAVING lower(cid) = 'x'", "HAVING: LOWER of int"},
+		{"SELECT cid IN (SELECT cid FROM clicks) FROM clicks",
+			`select list column "_c0": IN (SELECT ...) is only supported as a top-level WHERE conjunct`},
+		{"SELECT cid, count(*) FROM clicks GROUP BY cid HAVING cid IN (SELECT cid FROM clicks)",
+			"HAVING: IN (SELECT ...) is only supported as a top-level WHERE conjunct"},
+		// A column read above the aggregation that only resolves below it,
+		// and an ORDER BY aggregate the select list lacks.
+		{"SELECT cid, count(*) FROM clicks GROUP BY cid ORDER BY uid",
+			`column "uid" must appear in the GROUP BY clause or be used in an aggregate function`},
+		{"SELECT cid, count(*) FROM clicks GROUP BY cid HAVING uid > 1",
+			`column "uid" must appear in the GROUP BY clause or be used in an aggregate function`},
+		{"SELECT cid, count(*) FROM clicks GROUP BY cid ORDER BY sum(uid)",
+			"ORDER BY SUM(uid): an aggregate that is not in the select list is not supported"},
+	} {
+		stmt, err := sqlparser.Parse(tt.sql)
+		if err != nil {
+			t.Fatalf("parse %q: %v", tt.sql, err)
+		}
+		if _, err := Build(stmt, testCatalog()); fmt.Sprint(err) != tt.want {
+			t.Errorf("Build(%q): %v, want %q", tt.sql, err, tt.want)
+		}
+	}
+	// A whole WHERE conjunct still becomes a semi-join.
+	mustBuild(t, "SELECT cid FROM clicks WHERE uid IN (SELECT uid FROM clicks WHERE page > 1)")
 }
 
 func TestFormatRendersTree(t *testing.T) {

@@ -107,9 +107,10 @@ func TestServerPlanCacheAcrossSessions(t *testing.T) {
 }
 
 // TestServerErrorsKeepConnectionUsable sends bad SQL, checks the SQLSTATE,
-// then reuses the same connection. SUM or AVG over text and arithmetic on
-// text fail at planning, as in PostgreSQL, instead of answering NULLs or
-// failing as a job (XX000).
+// then reuses the same connection. SUM or AVG over text, arithmetic on
+// text, a scalar function its signature refuses and an aggregate outside
+// the select list, HAVING and ORDER BY fail at planning, as in PostgreSQL,
+// instead of answering NULLs or failing as a job (XX000): no table is read.
 func TestServerErrorsKeepConnectionUsable(t *testing.T) {
 	srv, addr := startTestServer(t, nil)
 	cli := dialTest(t, addr)
@@ -120,24 +121,39 @@ func TestServerErrorsKeepConnectionUsable(t *testing.T) {
 		"SELECT avg(o_clerk) FROM orders",
 		"SELECT o_clerk + 1 FROM orders",
 		"SELECT -o_clerk FROM orders",
+		"SELECT lower(o_custkey) FROM orders",
+		"SELECT abs(o_clerk) FROM orders",
+		"SELECT o_orderkey FROM orders WHERE length(o_orderkey) > 1",
+		"SELECT abs(o_orderkey, o_custkey) FROM orders",
+		"SELECT coalesce() FROM orders",
+		"SELECT o_orderkey FROM orders WHERE count(*) > 1",
+		"SELECT o_custkey, count(*) FROM orders GROUP BY o_custkey HAVING lower(o_custkey) = 'x'",
 	}
 	for _, sql := range bad {
+		reads := srv.Registry().Value("ysmart_dfs_reads_total")
 		_, err := cli.Query(sql)
 		var srvErr *ServerError
-		if !errors.As(err, &srvErr) || srvErr.Code != sqlstateSyntaxError {
-			t.Fatalf("%s: err = %v, want SQLSTATE %s", sql, err, sqlstateSyntaxError)
+		if !errors.As(err, &srvErr) || srvErr.Code != sqlstateSyntaxError || !strings.HasPrefix(srvErr.Message, "plan: ") {
+			t.Fatalf("%s: err = %v, want SQLSTATE %s from planning", sql, err, sqlstateSyntaxError)
+		}
+		if got := srv.Registry().Value("ysmart_dfs_reads_total"); got != reads {
+			t.Fatalf("%s: ysmart_dfs_reads_total went from %v to %v, want no table read", sql, reads, got)
 		}
 	}
 	if got := srv.Registry().Value("ysmart_server_query_errors_total"); got != float64(len(bad)) {
 		t.Fatalf("query_errors_total = %v, want %d", got, len(bad))
 	}
 
+	reads := srv.Registry().Value("ysmart_dfs_reads_total")
 	res, err := cli.Query(queries.QAGG)
 	if err != nil {
 		t.Fatalf("query after error: %v", err)
 	}
 	if len(res.Rows) == 0 {
 		t.Fatal("query after error returned no rows")
+	}
+	if srv.Registry().Value("ysmart_dfs_reads_total") == reads {
+		t.Fatal("Q-AGG read no table: ysmart_dfs_reads_total does not count reads")
 	}
 }
 
