@@ -312,7 +312,7 @@ func (e *Engine) execJob(j *Job) (*JobStats, error) {
 	}
 	stats.NumReduceTasks = numReduce
 
-	groups := e.shuffle(lists)
+	groups := groupPairs(lists) // on the driver, at any worker count
 	if len(groups) == 0 && j.GlobalReduce {
 		groups = []keyGroup{{}} // the empty key's group, with no values
 	}
@@ -419,8 +419,9 @@ func runMapper(mapper MapTask, lines []string) (pairList, error) {
 }
 
 // combineTask groups one map task's output — the pair lists of its morsels,
-// in order — by key, in first-seen key order, and folds every group into one
-// pair with the combiner instance c.
+// in order — by key, as the shuffle does, and folds every group into one
+// pair with the combiner instance c. Its pairs leave in sorted key order,
+// which nothing downstream sees: the shuffle regroups them by key.
 func combineTask(lists []pairList, c CombineTask) (pairList, error) {
 	groups := groupPairs(lists)
 	out := pairList{pairs: make([]kv, 0, len(groups))}

@@ -629,7 +629,8 @@ func TestAllocBudgetPartitionOf(t *testing.T) {
 }
 
 // TestAllocBudgetCombineTask pins what combineTask's grouping is sized by:
-// the number of pairs (one values slice) and the number of keys, never the
+// the number of pairs (one values slab, cut by the keys' counts) and the
+// number of keys (the groups, their map and the output pairs), never the
 // number of values per key — sixteen times the values of the same four
 // keys must cost no further allocation.
 func TestAllocBudgetCombineTask(t *testing.T) {
@@ -653,7 +654,7 @@ func TestAllocBudgetCombineTask(t *testing.T) {
 	if many > few {
 		t.Errorf("combineTask: %v allocations for 256 values per key, %v for 16: grouping grows with the values", many, few)
 	}
-	const budget = 12
+	const budget = 6
 	if few > budget {
 		t.Errorf("combineTask over 4 keys: %v allocations, budget %d", few, budget)
 	}

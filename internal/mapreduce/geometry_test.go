@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -620,7 +621,8 @@ func sameGroups(got, want []keyGroup) error {
 
 // FuzzShuffleGrouping: for any pair lists, the shuffle yields the reference
 // shuffle's keys, in its order, each with its values in map-output order
-// and capped at them.
+// and capped at them; and combineTask yields one pair per key, in the same
+// order, folded from that key's values in list order.
 func FuzzShuffleGrouping(f *testing.F) {
 	f.Add([]byte(""), uint8(1))
 	f.Add([]byte("abcabcaab"), uint8(3))
@@ -635,8 +637,25 @@ func FuzzShuffleGrouping(f *testing.F) {
 			l := &lists[(i*31+int(b))%len(lists)]
 			l.pairs = append(l.pairs, kv{key, strconv.Itoa(i)})
 		}
-		if err := sameGroups(new(Engine).shuffle(lists), referenceShuffle(lists)); err != nil {
+		want := referenceShuffle(lists)
+		if err := sameGroups(groupPairs(lists), want); err != nil {
 			t.Fatal(err)
+		}
+		concat := CombinerFunc(func(_ string, values []string) (string, error) {
+			return strings.Join(values, ","), nil
+		})
+		out, err := combineTask(lists, concat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPairs := make([]kv, len(want))
+		var wantBytes int64
+		for i, g := range want {
+			wantPairs[i] = kv{g.key, strings.Join(g.values, ",")}
+			wantBytes += int64(len(g.key) + len(wantPairs[i].value) + 2)
+		}
+		if !reflect.DeepEqual(out.pairs, wantPairs) || out.bytes != wantBytes {
+			t.Fatalf("combineTask = %q (%d bytes), want %q (%d bytes)", out.pairs, out.bytes, wantPairs, wantBytes)
 		}
 	})
 }
@@ -646,7 +665,10 @@ func FuzzShuffleGrouping(f *testing.F) {
 // — every per-pair container is sized once from a count. At 2 workers,
 // with the keys fixed, more pairs cost the shuffle no more allocations (it
 // groups on the driver whatever the worker count) and more key runs cost
-// the reduce phase none (it allocates per worker, never per run).
+// the reduce phase none (it allocates per worker, never per run). The
+// shuffle counts each key's values before it places them, so its bytes are
+// the one values slab plus a fixed allowance for the groups and their map:
+// nothing else per pair.
 func TestAllocBudgetRunJob(t *testing.T) {
 	mapper := MapperFunc(func(line string, emit Emit) error {
 		emit(line[:1], line)
@@ -673,22 +695,39 @@ func TestAllocBudgetRunJob(t *testing.T) {
 		if many > few {
 			t.Errorf("%s: %v allocations for 8000 pairs, %v for 500: a container grows with the pairs", name, many, few)
 		}
-		const budget = 30
+		const budget = 20
 		if few > budget {
 			t.Errorf("%s: %v allocations for a one-task job over 8 keys, budget %d", name, few, budget)
 		}
 	}
 
 	e := &Engine{workers: 2}
-	shuffleAllocs := func(nPairs int) float64 {
+	over8Keys := func(nPairs int) []pairList {
 		lists := []pairList{{pairs: make([]kv, nPairs)}}
 		for i := range lists[0].pairs {
 			lists[0].pairs[i] = kv{string(rune('a' + i%8)), "payload"}
 		}
-		return testing.AllocsPerRun(20, func() { e.shuffle(lists) })
+		return lists
+	}
+	shuffleAllocs := func(nPairs int) float64 {
+		lists := over8Keys(nPairs)
+		return testing.AllocsPerRun(20, func() { groupPairs(lists) })
 	}
 	if few, many := shuffleAllocs(500), shuffleAllocs(8000); many > few {
 		t.Errorf("workers 2: %v allocations to shuffle 8000 pairs over 8 keys, %v for 500", many, few)
+	}
+	// The values slab is one string header (16 B) a pair; the 8 groups,
+	// their map and the slab's rounding up to whole pages fit the allowance.
+	lists := over8Keys(8000)
+	const runs, slab, allowance = 20, 8000 * 16, 8 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		groupPairs(lists)
+	}
+	runtime.ReadMemStats(&after)
+	if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; bytes > slab+allowance {
+		t.Errorf("shuffling 8000 pairs over 8 keys allocates %d bytes, budget %d: more than the values slab", bytes, slab+allowance)
 	}
 
 	job := &Job{Reducer: discard}

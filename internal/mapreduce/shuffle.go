@@ -67,69 +67,51 @@ func cutMorsels(tasks []mapTask) (morsels []mapTask, first []int) {
 	return morsels, append(first, len(morsels))
 }
 
-// groupPairs groups every pair of lists by key, keys in first-seen order
-// and every key's values in list order. A first pass numbers the keys and
-// counts their values, a second drops each value into its key's window of
-// one values slab sized by the number of pairs.
+// groupPairs groups every pair of lists by key: keys in sorted order, every
+// key's values in list order. It counts, then places: a first pass adds
+// each key's values up, one slab of every value is cut into a capped
+// window per key, sized by its count, and a second pass appends each value
+// to its key's window. Both passes walk key runs, since sorted inputs emit
+// a key's pairs back to back: only a change of key pays for the map.
 func groupPairs(lists []pairList) []keyGroup {
 	n := 0
+	count := make(map[string]int) // key -> its value count, then its group's index
 	for l := range lists {
-		n += len(lists[l].pairs)
-	}
-	index := make(map[string]int) // key -> position in groups
-	var groups []keyGroup
-	var next []int // per group: its value count, then where its next value goes
-	// Per pair, its key's group: 4 bytes a pair, since a job that could
-	// number its keys past an int32 would not fit in memory anyway.
-	groupOf := make([]int32, 0, n)
-	g := -1
-	for l := range lists {
-		for i := range lists[l].pairs {
-			// Sorted inputs emit a key's pairs back to back; only a change
-			// of key pays for the map.
-			if key := lists[l].pairs[i].key; g < 0 || groups[g].key != key {
-				var ok bool
-				if g, ok = index[key]; !ok {
-					g = len(groups)
-					index[key] = g
-					groups = append(groups, keyGroup{key: key})
-					next = append(next, 0)
-				}
+		pairs := lists[l].pairs
+		n += len(pairs)
+		for i := 0; i < len(pairs); {
+			j := i + 1
+			for j < len(pairs) && pairs[j].key == pairs[i].key {
+				j++
 			}
-			groupOf = append(groupOf, int32(g))
-			next[g]++
+			count[pairs[i].key] += j - i
+			i = j
 		}
 	}
-	sum := 0
-	for g, c := range next {
-		next[g], sum = sum, sum+c
+	groups := make([]keyGroup, 0, len(count))
+	for key := range count {
+		groups = append(groups, keyGroup{key: key})
 	}
+	slices.SortFunc(groups, func(a, b keyGroup) int { return strings.Compare(a.key, b.key) })
 	values := make([]string, n)
-	pair := 0
-	for l := range lists {
-		for i := range lists[l].pairs {
-			g := groupOf[pair]
-			values[next[g]] = lists[l].pairs[i].value
-			next[g]++
-			pair++
-		}
-	}
 	lo := 0
-	for g, hi := range next {
+	for g := range groups {
+		hi := lo + count[groups[g].key]
 		// Capped, so a reducer or combiner appending to its input cannot
 		// reach the next group's values.
-		groups[g].values = values[lo:hi:hi]
+		groups[g].values = values[lo:lo:hi]
+		count[groups[g].key] = g
 		lo = hi
 	}
-	return groups
-}
-
-// shuffle groups the job's map-output pairs by key and returns the groups
-// in sorted key order, every key's values in map-output order. It runs on
-// the driver at any worker count: one grouping pass and one sort.
-func (e *Engine) shuffle(lists []pairList) []keyGroup {
-	groups := groupPairs(lists)
-	slices.SortFunc(groups, func(a, b keyGroup) int { return strings.Compare(a.key, b.key) })
+	for l := range lists {
+		pairs := lists[l].pairs
+		for i := 0; i < len(pairs); {
+			g := &groups[count[pairs[i].key]]
+			for ; i < len(pairs) && pairs[i].key == g.key; i++ {
+				g.values = append(g.values, pairs[i].value)
+			}
+		}
+	}
 	return groups
 }
 

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -24,6 +25,12 @@ func (m MapCatalog) Table(name string) (*exec.Schema, bool) {
 	s, ok := m[strings.ToLower(name)]
 	return s, ok
 }
+
+// ErrUnsupported is what every refusal of valid SQL that the system does
+// not support wraps ("… is not supported"), so a caller can tell it from
+// malformed or ill-typed SQL: PostgreSQL's feature_not_supported, not
+// syntax_error.
+var ErrUnsupported = errors.New("not supported")
 
 // Build converts a parsed SELECT statement into a logical plan.
 func Build(stmt *sqlparser.SelectStmt, cat Catalog) (Node, error) {
@@ -175,7 +182,8 @@ func (b *builder) buildSelect(stmt *sqlparser.SelectStmt) (Node, error) {
 
 	// 8. ORDER BY / LIMIT. Order keys that name projected expressions are
 	// rewritten to references of the projection's output columns; errors
-	// name the key as the statement spelled it.
+	// name the key as the statement spelled it. A key that only resolves
+	// against the projection's input would need a hidden sort column.
 	if len(stmt.OrderBy) > 0 {
 		keys := make([]SortKey, len(stmt.OrderBy))
 		for i, o := range stmt.OrderBy {
@@ -187,8 +195,11 @@ func (b *builder) buildSelect(stmt *sqlparser.SelectStmt) (Node, error) {
 						return nil, gerr
 					}
 					if sqlparser.ContainsAggregate(user) {
-						return nil, fmt.Errorf("ORDER BY %s: an aggregate that is not in the select list is not supported", user.SQL())
+						return nil, fmt.Errorf("ORDER BY %s: an aggregate that is not in the select list is %w", user.SQL(), ErrUnsupported)
 					}
+				}
+				if _, ierr := exec.InferType(e, above); ierr == nil {
+					return nil, fmt.Errorf("ORDER BY %s: a column that is not in the select list is %w", user.SQL(), ErrUnsupported)
 				}
 				return nil, fmt.Errorf("ORDER BY %s: %w", user.SQL(), err)
 			}

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -377,13 +378,24 @@ func TestBuildRejectsWhatCannotRun(t *testing.T) {
 			`column "uid" must appear in the GROUP BY clause or be used in an aggregate function`},
 		{"SELECT cid, count(*) FROM clicks GROUP BY cid ORDER BY sum(uid)",
 			"ORDER BY SUM(uid): an aggregate that is not in the select list is not supported"},
+		// An ORDER BY column the projection reads but does not output, above
+		// an aggregation or not.
+		{"SELECT count(*) FROM clicks GROUP BY cid ORDER BY cid",
+			"ORDER BY cid: a column that is not in the select list is not supported"},
+		{"SELECT uid FROM clicks ORDER BY ts",
+			"ORDER BY ts: a column that is not in the select list is not supported"},
 	} {
 		stmt, err := sqlparser.Parse(tt.sql)
 		if err != nil {
 			t.Fatalf("parse %q: %v", tt.sql, err)
 		}
-		if _, err := Build(stmt, testCatalog()); fmt.Sprint(err) != tt.want {
+		_, err = Build(stmt, testCatalog())
+		if fmt.Sprint(err) != tt.want {
 			t.Errorf("Build(%q): %v, want %q", tt.sql, err, tt.want)
+		}
+		// Refusals of valid SQL, and only they, wrap ErrUnsupported.
+		if unsupported := strings.HasSuffix(tt.want, "is not supported"); errors.Is(err, ErrUnsupported) != unsupported {
+			t.Errorf("Build(%q): errors.Is(err, ErrUnsupported) = %v, want %v", tt.sql, !unsupported, unsupported)
 		}
 	}
 	// A whole WHERE conjunct still becomes a semi-join.

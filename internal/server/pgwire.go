@@ -420,6 +420,7 @@ func (w *wireWriter) errorResponse(sqlstate, message string) error {
 // SQLSTATE codes the server emits.
 const (
 	sqlstateSyntaxError       = "42601" // syntax_error: parse/plan/translate failures
+	sqlstateNotSupported      = "0A000" // feature_not_supported: valid SQL refused (plan.ErrUnsupported)
 	sqlstateInternalError     = "XX000" // internal_error: the compiled plan failed to execute
 	sqlstateQueryCanceled     = "57014" // query_canceled: per-query timeout
 	sqlstateTooManyConns      = "53300" // too_many_connections: admission queue full

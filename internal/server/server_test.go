@@ -183,6 +183,36 @@ func TestServerIllTypedConditionsAreSyntaxErrors(t *testing.T) {
 	diffLines(t, "Q17 after the rejected conditions", wireLines(res), oracleWireLines(t, queries.Q17))
 }
 
+// TestServerUnsupportedSQLIsFeatureNotSupported: valid SQL the planner or
+// the lowering refuses answers 0A000 (feature_not_supported), as in
+// PostgreSQL, and reads no table; a real syntax error still answers 42601,
+// and the session stays usable.
+func TestServerUnsupportedSQLIsFeatureNotSupported(t *testing.T) {
+	srv, addr := startTestServer(t, nil)
+	cli := dialTest(t, addr)
+	for _, tt := range []struct{ sql, code string }{
+		{"SELECT count(*) FROM clicks GROUP BY cid ORDER BY cid", sqlstateNotSupported},
+		{"SELECT cid, count(*) FROM clicks GROUP BY cid ORDER BY sum(uid)", sqlstateNotSupported},
+		{"SELECT uid FROM clicks LIMIT 2", sqlstateNotSupported},
+		{"SELECT uid FROM clicks WHERE", sqlstateSyntaxError},
+	} {
+		reads := srv.Registry().Value("ysmart_dfs_reads_total")
+		_, err := cli.Query(tt.sql)
+		var srvErr *ServerError
+		if !errors.As(err, &srvErr) || srvErr.Code != tt.code {
+			t.Fatalf("%s: err = %v, want SQLSTATE %s", tt.sql, err, tt.code)
+		}
+		if got := srv.Registry().Value("ysmart_dfs_reads_total"); got != reads {
+			t.Fatalf("%s: ysmart_dfs_reads_total went from %v to %v, want no table read", tt.sql, reads, got)
+		}
+	}
+	res, err := cli.Query(queries.Q17)
+	if err != nil {
+		t.Fatalf("query after the refused statements: %v", err)
+	}
+	diffLines(t, "Q17 after the refused statements", wireLines(res), oracleWireLines(t, queries.Q17))
+}
+
 // TestServerEngineFaultIsInternalError: a statement that compiles but cannot
 // run — its table is in the catalog with no dataset registered, so the
 // first job's DFS read fails — is the server's fault, not a syntax error,

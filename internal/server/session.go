@@ -15,6 +15,7 @@ import (
 	"ysmart/internal/exec"
 	"ysmart/internal/mapreduce"
 	"ysmart/internal/obs"
+	"ysmart/internal/plan"
 	"ysmart/internal/translator"
 )
 
@@ -270,6 +271,8 @@ func (s *session) handleQuery(sql string) error {
 		switch {
 		case errors.As(err, &execErr):
 			sqlstate = sqlstateInternalError
+		case errors.Is(err, plan.ErrUnsupported):
+			sqlstate = sqlstateNotSupported
 		case errors.Is(err, ErrQueryTimeout):
 			sqlstate = sqlstateQueryCanceled
 		case errors.Is(err, ErrQueueFull):

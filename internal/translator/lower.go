@@ -194,7 +194,7 @@ func (lw *lowerer) splitTopLimit() ([]plan.Node, int, error) {
 			continue
 		}
 		if i != len(chain)-1 || lw.analysis.RootOp.Kind != correlation.KindSort {
-			return nil, 0, fmt.Errorf("LIMIT is only supported directly above the final ORDER BY")
+			return nil, 0, fmt.Errorf("a LIMIT that is not directly above the final ORDER BY is %w", plan.ErrUnsupported)
 		}
 		limit = l.N
 		chain = chain[:i]
