@@ -50,9 +50,10 @@ const maxChunkBytes = 4 << 10
 // strings: one allocation per chunk, not one per string. It is a
 // strings.Builder that only ever appends, so a string cut earlier never
 // changes, and a string keeps its whole chunk alive — a cutter serves
-// strings that die together: a map task's pairs, which die with the job's
-// shuffle, a reducer instance's output lines, which die with the job's
-// output, and an AggOp's group keys, which die with its Eval. A cut that
+// strings that die together: a reducer instance's output lines, which die
+// with the job's output, and an AggOp's group keys, which die with its
+// Eval. (The map side's pairs go to the worker's mapreduce.Output, whose
+// chunks follow the same policy.) A cut that
 // does not fit starts a new chunk sized by demand: the request, or every
 // byte cut so far if that is larger, capped at maxChunkBytes. Like the
 // slabs it has no floor: the first chunk is the first request, and a cold

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"unsafe"
 
 	"ysmart/internal/exec"
 	"ysmart/internal/mapreduce"
@@ -207,18 +208,15 @@ func (m *commonMapper) NewMapTask() mapreduce.MapTask { return &mapTask{m: m} }
 
 // mapTask is one instance of the common mapper. It decodes every line into
 // the same scratch row. The lifetime rule, the reducer arena's restated for
-// mappers: nothing that outlives Map(line) may alias the scratch. Key and
-// tagged value are rendered into one call-local buffer, cut as one string
-// from the task's pair chunks and emitted as its two halves — a pair costs
-// no allocation of its own, a chunk one per up to 4 KB of pairs — and a
-// decoded string value points into the input line, not into the scratch
-// row. The chunks are append-only, so an emitted pair never changes; they
-// die with the job's shuffle, since a common job always reduces and its
-// pairs never reach the DFS.
+// mappers: nothing that outlives Map(line) may alias the scratch. A decoded
+// string value points into the input line, not into the scratch row, and
+// key and tagged value are rendered into the task's pair buffer and emitted
+// as two views of it, which the worker's Output copies into its chunks — a
+// pair costs no allocation of its own.
 type mapTask struct {
-	m     *commonMapper
-	row   exec.Row // Decode's scratch
-	pairs cutter   // the emitted pairs
+	m    *commonMapper
+	row  exec.Row // Decode's scratch
+	pair []byte   // the rendered pair's scratch
 }
 
 // Map implements mapreduce.MapTask.
@@ -257,8 +255,7 @@ func (t *mapTask) Map(line string, emit mapreduce.Emit) error {
 		}
 		vals = append(vals, v)
 	}
-	var buf [512]byte
-	pair := buf[:0]
+	pair := t.pair[:0]
 	if in.Desc != nil {
 		pair = exec.AppendOrderedKey(pair, vals, in.Desc)
 	} else {
@@ -275,7 +272,8 @@ func (t *mapTask) Map(line string, emit mapreduce.Emit) error {
 		}
 		pair = exec.AppendField(pair, row[c])
 	}
-	s := t.pairs.cut(pair)
+	t.pair = pair
+	s := unsafe.String(unsafe.SliceData(pair), len(pair))
 	emit(s[:keyLen], s[keyLen:])
 	return nil
 }

@@ -566,9 +566,11 @@ var sinkString string
 
 // TestAllocBudgetMapTask pins what a line costs a warmed map task: the
 // decode goes into the task's scratch row, the key values into a stack
-// buffer and the key and pair, ordered (Desc) or not, into its pair chunks,
-// so an emitted line costs nothing but its share of a chunk, and a line
-// every stream's selection rejects costs nothing.
+// buffer and the key and pair, ordered (Desc) or not, into its pair
+// buffer, whose views it emits (the worker's Output copies them; the
+// Output's own cost is mapreduce's TestAllocBudgetRunJob), so an emitted
+// line costs nothing, and neither does a line every stream's selection
+// rejects.
 func TestAllocBudgetMapTask(t *testing.T) {
 	keep := func(r exec.Row) (bool, error) { return r[2].I == 10, nil }
 	for _, ordered := range []bool{false, true} {
@@ -591,7 +593,7 @@ func TestAllocBudgetMapTask(t *testing.T) {
 		}
 		task := job.Inputs[0].Mapper.NewMapTask()
 		var keys []string
-		emit := func(k, v string) { keys = append(keys, k) }
+		emit := func(k, v string) { keys = append(keys, strings.Clone(k)) }
 		emitted, filtered := "7\t1\t10\t100", "7\t1\t20\t100"
 		for _, line := range []string{emitted, filtered} {
 			if err := task.Map(line, emit); err != nil {
@@ -615,59 +617,9 @@ func TestAllocBudgetMapTask(t *testing.T) {
 	}
 }
 
-// TestMapTaskPairsStayPut is the pair chunks' lifetime proof: every pair a
-// map task emitted still equals the copy taken when it was emitted after
-// the task has mapped thousands more lines — pairs of random sizes, some
-// longer than a chunk's cap, between lines the selection rejects.
-func TestMapTaskPairsStayPut(t *testing.T) {
-	schema := typed(exec.TypeInt, exec.TypeString)
-	keep := func(r exec.Row) (bool, error) { return r[0].I%5 != 0, nil }
-	job, err := (&CommonJob{
-		Name: "pairs", Output: "out",
-		Inputs: []CommonInput{{
-			Path: "in", Key: keyOn(0), Schema: schema,
-			Decode:  NewDecoder("", schema, nil, nil),
-			Streams: []Stream{{ID: 0, Filter: keep}},
-		}},
-		Ops:     []Op{&FilterOp{OpName: "f", In: StreamSource(0), Pred: keep}},
-		Outputs: []OutputSpec{{Op: "f"}},
-	}).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	task := job.Inputs[0].Mapper.NewMapTask()
-	type pair struct{ k, v, wantK, wantV string }
-	var pairs []pair
-	emit := func(k, v string) { pairs = append(pairs, pair{k, v, strings.Clone(k), strings.Clone(v)}) }
-	long := 0
-	for i := 0; i < 5000; i++ {
-		n := rng.Intn(40)
-		if rng.Intn(200) == 0 {
-			n = maxChunkBytes + rng.Intn(2*maxChunkBytes)
-		}
-		line := fmt.Sprintf("%d\t%s", rng.Intn(1000), strings.Repeat(string(rune('a'+i%26)), n))
-		before := len(pairs)
-		if err := task.Map(line, emit); err != nil {
-			t.Fatal(err)
-		}
-		if len(pairs) > before && len(pairs[before].k)+len(pairs[before].v) > maxChunkBytes {
-			long++
-		}
-	}
-	for i, p := range pairs {
-		if p.k != p.wantK || p.v != p.wantV {
-			t.Fatalf("pair %d of %d changed after later lines: %q|%.40q, emitted as %q|%.40q", i, len(pairs), p.k, p.v, p.wantK, p.wantV)
-		}
-	}
-	if long == 0 || len(pairs) == 5000 || len(pairs) == 0 {
-		t.Fatalf("%d pairs, %d longer than a chunk's cap: not the mix this test is about", len(pairs), long)
-	}
-}
-
 // TestReduceLinesStayPut is the line chunks' lifetime proof, the reduce
-// side's TestMapTaskPairsStayPut: every output line a reducer instance
-// emitted still equals the copy taken when it was emitted after the
+// side's mapreduce.TestMapTaskPairsStayPut: every output line a reducer
+// instance emitted still equals the copy taken when it was emitted after the
 // instance has reduced the later key groups — 5 000 lines of random sizes,
 // some longer than a chunk's cap, in key groups of random sizes, between
 // values the operator drops.

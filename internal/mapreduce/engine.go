@@ -36,6 +36,9 @@ type Engine struct {
 	// ctx is the context of the chain being run, checked before every work
 	// item (forEachTask); nil outside RunChainContext means never cancelled.
 	ctx context.Context
+	// outs are the pool workers' map outputs, one a worker, carried from
+	// job to job (outputs).
+	outs []Output
 }
 
 // NewEngine builds an engine. The cluster must validate.
@@ -159,9 +162,6 @@ func (e *Engine) nextGap() float64 {
 	return c.GapMin + e.gapRNG.Float64()*(c.GapMax-c.GapMin)
 }
 
-// kv is one map output pair.
-type kv struct{ key, value string }
-
 // mapTask is one map task's share of a job input (in indexes Job.Inputs),
 // kept so the fault path can re-read a relaunched task's input.
 type mapTask struct {
@@ -220,11 +220,17 @@ func (e *Engine) execJob(j *Job) (*JobStats, error) {
 		tasks = appendChunks(tasks, ii, lines, nTasks)
 	}
 	workers := make([]jobWorker, e.workers) // every phase's instances (job.go)
+	outs := e.outputs()
+	defer func() {
+		for w := range outs {
+			outs[w].endJob()
+		}
+	}()
 	// The mappers run morsel by morsel on the worker pool, each worker on
-	// its instance of the morsel's input's mapper. Each morsel writes only
-	// its own slot of lists, and everything downstream walks the slots in
-	// ascending order — (task, line) order, the sequential engine's map
-	// output order.
+	// its instance of the morsel's input's mapper and into its Output. Each
+	// morsel writes only its own slot of lists and its worker's chunks, and
+	// everything downstream walks the slots in ascending order — (task,
+	// line) order, the sequential engine's map output order.
 	morsels, first := tasks, []int(nil)
 	if e.workers > 1 {
 		morsels, first = cutMorsels(tasks)
@@ -233,7 +239,7 @@ func (e *Engine) execJob(j *Job) (*JobStats, error) {
 	err := e.forEachTask(len(morsels), func(w, i int) error {
 		m := morsels[i]
 		var err error
-		if lists[i], err = runMapper(workers[w].mapTask(j, m.in), m.chunk); err != nil {
+		if lists[i], err = runMapper(workers[w].mapTask(j, m.in), m.chunk, &outs[w]); err != nil {
 			return fmt.Errorf("map %s: %w", j.Inputs[m.in].Path, err)
 		}
 		return nil
@@ -261,7 +267,7 @@ func (e *Engine) execJob(j *Job) (*JobStats, error) {
 			if first != nil {
 				lo, hi = first[t], first[t+1]
 			}
-			out, err := combineTask(lists[lo:hi], workers[w].combineTask(j))
+			out, err := combineTask(lists[lo:hi], workers[w].combineTask(j), &outs[w])
 			if err != nil {
 				return fmt.Errorf("combine: %w", err)
 			}
@@ -276,16 +282,20 @@ func (e *Engine) execJob(j *Job) (*JobStats, error) {
 	}
 	var nPairs int
 	for i := range lists {
-		nPairs += len(lists[i].pairs)
+		nPairs += lists[i].len()
 		stats.MapOutputBytes += lists[i].bytes
 	}
 
 	// ----- Map-only jobs write straight to the DFS -----------------------
 	if j.Reducer == nil {
 		mapOnlyLines := make([]string, 0, nPairs)
-		for i := range lists {
-			for _, p := range lists[i].pairs {
-				mapOnlyLines = append(mapOnlyLines, p.value)
+		for l := range lists {
+			list := &lists[l]
+			for i := range list.segs {
+				s, p, end := list.segment(i)
+				for ; p < end; p++ {
+					mapOnlyLines = append(mapOnlyLines, s[list.ends[2*p]:list.ends[2*p+1]])
+				}
 			}
 		}
 		e.dfs.WriteShared(j.Output, mapOnlyLines)
@@ -399,41 +409,51 @@ func (e *Engine) reduce(j *Job, groups []keyGroup, n int, workers []jobWorker) (
 	return lines, counts, nil
 }
 
-// runMapper runs a map instance over lines, counting the lines it reports
-// as ErrFiltered. The pairs collect in a slab sized by the line count,
-// which holds them all whenever the mapper emits at most one pair a line.
-func runMapper(mapper MapTask, lines []string) (pairList, error) {
-	out := pairList{pairs: make([]kv, 0, len(lines))}
-	emit := func(key, value string) {
-		out.pairs = append(out.pairs, kv{key, value})
-		out.bytes += int64(len(key) + len(value) + 2)
+// outputs returns the pool workers' Outputs, one a worker, which the map
+// and combine phases write their pairs to. They outlive the job, so each
+// worker's open chunk and segment log serve every job the engine runs.
+func (e *Engine) outputs() []Output {
+	if len(e.outs) != e.workers {
+		e.outs = make([]Output, e.workers)
 	}
+	return e.outs
+}
+
+// runMapper runs a map instance over lines, emitting to out, its worker's
+// Output, and returns the lines' pairs as one list, counting the lines the
+// mapper reports as ErrFiltered.
+func runMapper(mapper MapTask, lines []string, out *Output) (pairList, error) {
+	out.begin(len(lines))
+	emit := out.emitter()
+	var filtered int64
 	for _, line := range lines {
 		if err := mapper.Map(line, emit); err == ErrFiltered {
-			out.filtered++
+			filtered++
 		} else if err != nil {
-			return out, err
+			return pairList{}, err
 		}
 	}
-	return out, nil
+	l := out.take()
+	l.filtered = filtered
+	return l, nil
 }
 
 // combineTask groups one map task's output — the pair lists of its morsels,
 // in order — by key, as the shuffle does, and folds every group into one
-// pair with the combiner instance c. Its pairs leave in sorted key order,
-// which nothing downstream sees: the shuffle regroups them by key.
-func combineTask(lists []pairList, c CombineTask) (pairList, error) {
+// pair with the combiner instance c, written to out, its worker's Output.
+// Its pairs leave in sorted key order, which nothing downstream sees: the
+// shuffle regroups them by key.
+func combineTask(lists []pairList, c CombineTask, out *Output) (pairList, error) {
 	groups := groupPairs(lists)
-	out := pairList{pairs: make([]kv, 0, len(groups))}
+	out.begin(len(groups))
 	for _, g := range groups {
 		v, err := c.Combine(g.key, g.values)
 		if err != nil {
-			return out, err
+			return pairList{}, err
 		}
-		out.pairs = append(out.pairs, kv{g.key, v})
-		out.bytes += int64(len(g.key) + len(v) + 2)
+		out.Emit(g.key, v)
 	}
-	return out, nil
+	return out.take(), nil
 }
 
 // appendChunks appends input in's lines to tasks as n map tasks of nearly

@@ -630,27 +630,30 @@ func TestAllocBudgetPartitionOf(t *testing.T) {
 
 // TestAllocBudgetCombineTask pins what combineTask's grouping is sized by:
 // the number of pairs (one values slab, cut by the keys' counts) and the
-// number of keys (the groups, their map and the output pairs), never the
-// number of values per key — sixteen times the values of the same four
-// keys must cost no further allocation.
+// number of keys (the groups, their map and the output pairs' index),
+// never the number of values per key — sixteen times the values of the
+// same four keys must cost no further allocation. The folded pairs go to
+// the worker's Output, which the job's earlier tasks have warmed.
 func TestAllocBudgetCombineTask(t *testing.T) {
 	count := CombinerFunc(func(string, []string) (string, error) { return "1", nil })
-	pairsOf := func(perKey int) []kv {
+	listFor := func(perKey int) []pairList {
 		var pairs []kv
 		for i := 0; i < 4*perKey; i++ {
 			pairs = append(pairs, kv{key: string(rune('a' + i%4)), value: "v"})
 		}
-		return pairs
+		return []pairList{listOf(&Output{}, pairs)}
 	}
-	allocs := func(pairs []kv) float64 {
+	allocs := func(lists []pairList) float64 {
+		var out Output
 		return testing.AllocsPerRun(50, func() {
-			out, err := combineTask([]pairList{{pairs: pairs}}, count)
-			if err != nil || len(out.pairs) != 4 {
-				t.Fatalf("combineTask = %v, %v; want 4 pairs", out.pairs, err)
+			folded, err := combineTask(lists, count, &out)
+			if err != nil || folded.len() != 4 {
+				t.Fatalf("combineTask = %q, %v; want 4 pairs", pairsOf(&folded), err)
 			}
+			out.endJob()
 		})
 	}
-	few, many := allocs(pairsOf(16)), allocs(pairsOf(256))
+	few, many := allocs(listFor(16)), allocs(listFor(256))
 	if many > few {
 		t.Errorf("combineTask: %v allocations for 256 values per key, %v for 16: grouping grows with the values", many, few)
 	}

@@ -188,13 +188,13 @@ func wordLines(n int) []string {
 func TestUserCodePanicFailsTheJob(t *testing.T) {
 	lines := wordLines(3000)
 	lines[2500] = "boom"
-	var pairs pairList
+	var pairs []kv
 	for _, line := range lines {
 		_ = wordCountJob("", "").Inputs[0].Mapper.NewMapTask().Map(line, func(key, value string) {
-			pairs.pairs = append(pairs.pairs, kv{key, value})
+			pairs = append(pairs, kv{key, value})
 		})
 	}
-	runs := (&Engine{workers: 4}).cutRuns(referenceShuffle([]pairList{pairs}), len(pairs.pairs))
+	runs := (&Engine{workers: 4}).cutRuns(referenceShuffle([][]kv{pairs}), len(pairs))
 	if len(runs) < 2 {
 		t.Fatalf("%d key runs at 4 workers: the late reducer needs a second", len(runs))
 	}

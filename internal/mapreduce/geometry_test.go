@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"ysmart/internal/obs"
 )
@@ -136,7 +137,7 @@ func (m *countingMapper) NewMapTask() MapTask {
 
 type countingTask struct {
 	m     *countingMapper
-	value []byte // reused from line to line: emitted pairs must not alias it
+	value []byte // reused from line to line: Emit copies the view emitted
 	last  int
 }
 
@@ -151,7 +152,7 @@ func (t *countingTask) Map(line string, emit Emit) error {
 	}
 	t.last = n
 	t.value = append(t.value[:0], value...)
-	emit(key, string(t.value))
+	emit(key, unsafe.String(unsafe.SliceData(t.value), len(t.value)))
 	return nil
 }
 
@@ -583,12 +584,40 @@ func TestReducerSizes(t *testing.T) {
 	}
 }
 
+// kv is one plain map output pair, what the tests' references are written
+// over.
+type kv struct{ key, value string }
+
+// pairsOf reads a pair list back as plain pairs.
+func pairsOf(l *pairList) []kv {
+	var pairs []kv
+	for i := range l.segs {
+		s, p, end := l.segment(i)
+		for off := int32(0); p < end; p++ {
+			k, v := l.ends[2*p], l.ends[2*p+1]
+			pairs = append(pairs, kv{s[off:k], s[k:v]})
+			off = v
+		}
+	}
+	return pairs
+}
+
+// listOf writes pairs to out as one list, the way a morsel's map output is
+// written, and returns it.
+func listOf(out *Output, pairs []kv) pairList {
+	out.begin(len(pairs))
+	for _, p := range pairs {
+		out.Emit(p.key, p.value)
+	}
+	return out.take()
+}
+
 // referenceShuffle is the shuffle's specification: one global map,
 // appended to in map-output order, and a sort over every key.
-func referenceShuffle(lists []pairList) []keyGroup {
+func referenceShuffle(lists [][]kv) []keyGroup {
 	byKey := make(map[string][]string)
 	for _, l := range lists {
-		for _, p := range l.pairs {
+		for _, p := range l {
 			byKey[p.key] = append(byKey[p.key], p.value)
 		}
 	}
@@ -619,70 +648,110 @@ func sameGroups(got, want []keyGroup) error {
 	return nil
 }
 
-// FuzzShuffleGrouping: for any pair lists, the shuffle yields the reference
-// shuffle's keys, in its order, each with its values in map-output order
-// and capped at them; and combineTask yields one pair per key, in the same
-// order, folded from that key's values in list order.
+// FuzzShuffleGrouping: for any pair lists, emitted to two workers' Outputs
+// as strings of their own or as views of a buffer the next pair
+// overwrites, each list reads back as the pairs written to it; the shuffle
+// yields the reference shuffle's keys, in its order, each with its values
+// in map-output order and capped at them; and combineTask yields one pair
+// per key, in the same order, folded from that key's values in list order.
+// Keys and values may be empty, a value may be longer than a chunk's cap,
+// and since a fresh Output's chunks start at the first pair's size, lists
+// span several chunks.
 func FuzzShuffleGrouping(f *testing.F) {
 	f.Add([]byte(""), uint8(1))
 	f.Add([]byte("abcabcaab"), uint8(3))
 	f.Add([]byte("the quick brown fox jumps over the lazy dog\x00\xff"), uint8(5))
 	f.Add(bytes.Repeat([]byte{7, 7, 7, 7, 9}, 40), uint8(2))
+	f.Add(bytes.Repeat([]byte{0xff, 0, 35, 70}, 30), uint8(4))
 	f.Fuzz(func(t *testing.T, data []byte, nLists uint8) {
-		lists := make([]pairList, int(nLists)%6+1)
+		plain := make([][]kv, int(nLists)%6+1)
 		for i, b := range data {
 			// Few distinct keys, so groups hold several values; the key's
 			// length varies so that sorted order is not insertion order.
-			key := strings.Repeat(string(rune('a'+b%5)), int(b>>5)%3+1)
-			l := &lists[(i*31+int(b))%len(lists)]
-			l.pairs = append(l.pairs, kv{key, strconv.Itoa(i)})
+			key := strings.Repeat(string(rune('a'+b%5)), int(b>>5)%4)
+			value := strconv.Itoa(i)
+			switch {
+			case b%7 == 0:
+				value = ""
+			case b == 0xff:
+				value = strings.Repeat(value, pairChunkBytes/len(value)+1)
+			}
+			l := (i*31 + int(b)) % len(plain)
+			plain[l] = append(plain[l], kv{key, value})
 		}
-		want := referenceShuffle(lists)
+		var outs [2]Output
+		var buf []byte
+		lists := make([]pairList, len(plain))
+		for l, pairs := range plain {
+			out := &outs[l%2]
+			out.begin(len(pairs) / 2) // an index that regrows
+			for i, p := range pairs {
+				if (i+l)%2 == 0 {
+					out.Emit(p.key, p.value)
+					continue
+				}
+				buf = append(append(buf[:0], p.key...), p.value...)
+				s := unsafe.String(unsafe.SliceData(buf), len(buf))
+				out.Emit(s[:len(p.key)], s[len(p.key):])
+			}
+			lists[l] = out.take()
+			if got := pairsOf(&lists[l]); !reflect.DeepEqual(got, plain[l]) {
+				t.Fatalf("list %d reads back as %q, written as %q", l, got, plain[l])
+			}
+		}
+		want := referenceShuffle(plain)
 		if err := sameGroups(groupPairs(lists), want); err != nil {
 			t.Fatal(err)
 		}
 		concat := CombinerFunc(func(_ string, values []string) (string, error) {
 			return strings.Join(values, ","), nil
 		})
-		out, err := combineTask(lists, concat)
+		out, err := combineTask(lists, concat, &outs[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantPairs := make([]kv, len(want))
+		var wantPairs []kv
 		var wantBytes int64
-		for i, g := range want {
-			wantPairs[i] = kv{g.key, strings.Join(g.values, ",")}
-			wantBytes += int64(len(g.key) + len(wantPairs[i].value) + 2)
+		for _, g := range want {
+			wantPairs = append(wantPairs, kv{g.key, strings.Join(g.values, ",")})
+			wantBytes += int64(len(g.key) + len(wantPairs[len(wantPairs)-1].value) + 2)
 		}
-		if !reflect.DeepEqual(out.pairs, wantPairs) || out.bytes != wantBytes {
-			t.Fatalf("combineTask = %q (%d bytes), want %q (%d bytes)", out.pairs, out.bytes, wantPairs, wantBytes)
+		if got := pairsOf(&out); !reflect.DeepEqual(got, wantPairs) || out.bytes != wantBytes {
+			t.Fatalf("combineTask = %q (%d bytes), want %q (%d bytes)", got, out.bytes, wantPairs, wantBytes)
 		}
 	})
 }
 
 // TestAllocBudgetRunJob pins the engine's own containers: with the tasks,
 // runs and keys fixed, a job's allocations do not grow with its pair count
-// — every per-pair container is sized once from a count. At 2 workers,
-// with the keys fixed, more pairs cost the shuffle no more allocations (it
-// groups on the driver whatever the worker count) and more key runs cost
-// the reduce phase none (it allocates per worker, never per run). The
-// shuffle counts each key's values before it places them, so its bytes are
-// the one values slab plus a fixed allowance for the groups and their map:
-// nothing else per pair.
+// — every per-pair container is sized once from a count — but for the
+// chunks the worker's Output copies the pairs into, one per pairChunkBytes
+// of pair bytes: the Output carries its open chunk and segment log from job
+// to job, so a job does not start them from empty. The map phase's bytes
+// are the index at 8 B a line, the pair bytes and a fixed allowance. At 2
+// workers, with the keys fixed, more pairs cost the shuffle no more
+// allocations (it groups on the driver whatever the worker count) and more
+// key runs cost the reduce phase none (it allocates per worker, never per
+// run). The shuffle counts each key's values before it places them, so its
+// bytes are the one values slab plus a fixed allowance for the groups and
+// their map: nothing else per pair.
 func TestAllocBudgetRunJob(t *testing.T) {
 	mapper := MapperFunc(func(line string, emit Emit) error {
 		emit(line[:1], line)
 		return nil
 	})
 	discard := ReducerFunc(func(string, []string, func(string)) error { return nil })
-	allocs := func(nLines int, reducer Reducer) float64 {
-		lines := make([]string, nLines)
+	linesOf := func(n int) []string {
+		lines := make([]string, n)
 		for i := range lines {
 			lines[i] = string(rune('a'+i%8)) + " payload"
 		}
+		return lines
+	}
+	allocs := func(nLines int, reducer Reducer) float64 {
 		e := newTestEngine(t)
 		e.SetWorkers(1)
-		e.DFS().Write("in", lines)
+		e.DFS().Write("in", linesOf(nLines))
 		job := &Job{Name: "budget", Inputs: []Input{{Path: "in", Mapper: mapper}}, Reducer: reducer, Output: "out"}
 		return testing.AllocsPerRun(20, func() {
 			if _, err := e.runJob(job); err != nil {
@@ -690,24 +759,45 @@ func TestAllocBudgetRunJob(t *testing.T) {
 			}
 		})
 	}
+	// Each line's pair is 10 B: its key "a" and its value "a payload".
+	const pairBytes = 10
 	for name, reducer := range map[string]Reducer{"reduce": discard, "map-only": nil} {
 		few, many := allocs(500, reducer), allocs(8000, reducer)
-		if many > few {
-			t.Errorf("%s: %v allocations for 8000 pairs, %v for 500: a container grows with the pairs", name, many, few)
+		if chunks := (8000-500)*pairBytes/pairChunkBytes + 1; many > few+float64(chunks) {
+			t.Errorf("%s: %v allocations for 8000 pairs, %v for 500: more than the %d chunks the further pairs fill, a container grows with the pairs", name, many, few, chunks)
 		}
 		const budget = 20
 		if few > budget {
 			t.Errorf("%s: %v allocations for a one-task job over 8 keys, budget %d", name, few, budget)
 		}
 	}
+	// The map phase's bytes, on an Output carried from run to run as a
+	// worker's is from job to job: the index is two int32 (8 B) a line, the
+	// pairs fill their chunks, and the chunks' unused ends and the Emit
+	// method value fit the allowance.
+	lines := linesOf(8000)
+	const mapRuns, index, mapAllowance = 20, 8000 * 8, 8 << 10
+	var out Output
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range mapRuns {
+		if _, err := runMapper(mapper, lines, &out); err != nil {
+			t.Fatal(err)
+		}
+		out.endJob()
+	}
+	runtime.ReadMemStats(&after)
+	if bytes := (after.TotalAlloc - before.TotalAlloc) / mapRuns; bytes > index+8000*pairBytes+mapAllowance {
+		t.Errorf("mapping 8000 lines allocates %d bytes, budget %d: more than the index and the pair bytes", bytes, index+8000*pairBytes+mapAllowance)
+	}
 
 	e := &Engine{workers: 2}
 	over8Keys := func(nPairs int) []pairList {
-		lists := []pairList{{pairs: make([]kv, nPairs)}}
-		for i := range lists[0].pairs {
-			lists[0].pairs[i] = kv{string(rune('a' + i%8)), "payload"}
+		pairs := make([]kv, nPairs)
+		for i := range pairs {
+			pairs[i] = kv{string(rune('a' + i%8)), "payload"}
 		}
-		return lists
+		return []pairList{listOf(&Output{}, pairs)}
 	}
 	shuffleAllocs := func(nPairs int) float64 {
 		lists := over8Keys(nPairs)
@@ -720,7 +810,6 @@ func TestAllocBudgetRunJob(t *testing.T) {
 	// their map and the slab's rounding up to whole pages fit the allowance.
 	lists := over8Keys(8000)
 	const runs, slab, allowance = 20, 8000 * 16, 8 << 10
-	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for range runs {
 		groupPairs(lists)

@@ -26,7 +26,11 @@ import (
 
 // Emit receives one key/value pair from a mapper. A map-only job's mapper
 // emits its output lines under the empty key; reducers emit lines through
-// func(line string).
+// func(line string). The Emit the engine gives a mapper is its pool
+// worker's Output.Emit, which copies key and value before it returns, so a
+// mapper may emit strings that view scratch it reuses for the next line. A
+// wrapper that hands an inner mapper an Emit of its own keeps that promise:
+// it uses the pair within the call, or copies it.
 type Emit func(key, value string)
 
 // The stage contract. A job's mappers, combiner and reducer are classes, as
@@ -45,10 +49,16 @@ type Emit func(key, value string)
 // most one instance per input per worker. Which items share an instance is
 // host scheduling, so a stage's output must depend on each item alone, and
 // what instances count is summed after the phase's join. An instance is
-// used by one goroutine for one phase of one job; nothing it emits or
-// returns may alias scratch it reuses for the next record. MapperFunc,
-// ReducerFunc and CombinerFunc are stateless classes that are their own
-// instances, so their functions must be safe for concurrent calls.
+// used by one goroutine for one phase of one job; nothing a reducer emits
+// or a combiner returns may alias scratch it reuses for the next record.
+// A mapper may, since its Emit copies (see Emit): each pool worker owns an
+// Output, its map instances' Emit writes every morsel's pairs into the
+// Output's append-only chunks and its combiner instance every folded pair,
+// and the chunks die with the last string that views them — a job's pairs
+// with its shuffle, a map-only job's with the output lines the DFS keeps.
+// MapperFunc, ReducerFunc and CombinerFunc are stateless classes that are
+// their own instances, so their functions must be safe for concurrent
+// calls.
 
 // Mapper is a map class: one job input's wiring.
 type Mapper interface {

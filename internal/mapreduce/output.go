@@ -1,0 +1,145 @@
+package mapreduce
+
+import "unsafe"
+
+// pairChunkBytes caps the chunk an Output starts ahead of demand.
+const pairChunkBytes = 4 << 10
+
+// Output is where a pool worker's map instances write their pairs, laid out
+// the way Hadoop's map-output buffer lays them out: the bytes of every pair,
+// its key and then its value, back to back in append-only chunks, and an
+// index of two int32 offsets a pair (where its key ends and where its value
+// ends) that the garbage collector never scans. Emit copies what it is
+// given, so a mapper may emit strings that view scratch it reuses.
+//
+// The engine keeps one Output per pool worker and carries it from job to
+// job (Engine.outputs). Each morsel a worker maps, and each simulated task
+// it combines, writes one list: begin opens it, take closes it. At a job's
+// end, endJob drops the job's lists; the open chunk and the segment log's
+// array stay for the next job, so a job does not start its chunks and its
+// log from empty. A chunk is never written again below its end, so a
+// string that views it — a pair in the shuffle, a map-only output line the
+// DFS keeps — stands as long as something refers to it. A chunk is sized
+// by demand — the pair, or every byte the Output has taken so far if that
+// is larger, capped at pairChunkBytes — and no pair straddles two chunks,
+// so a pair longer than the cap has a chunk of its own.
+type Output struct {
+	buf      []byte    // the open chunk: what was written to it, its capacity the chunk's size
+	n        int       // bytes taken so far
+	start    int       // where the open segment begins in buf
+	segFirst int       // the open segment's first pair, an index into the open list
+	ends     []int32   // the open list's index: two offsets a pair, from its segment's start
+	segs     []segment // the job's segments closed so far; the open list's are segs[first:]
+	first    int
+	emit     Emit // the Emit method value, built once
+}
+
+// segment is a run of one list's pairs that lie back to back in one chunk.
+type segment struct {
+	s     string // the run's bytes, from its first pair's key to its last pair's value
+	first int    // its first pair, an index into the list
+}
+
+// Emit copies key and value into the Output as one pair of the open list.
+func (o *Output) Emit(key, value string) {
+	off := o.reserve(len(key) + len(value))
+	o.buf = append(append(o.buf, key...), value...)
+	o.ends = append(o.ends, int32(off+len(key)), int32(off+len(key)+len(value)))
+}
+
+// emitter returns Emit as a method value, built on the first call: the
+// Emit the engine gives the worker's map instances.
+func (o *Output) emitter() Emit {
+	if o.emit == nil {
+		o.emit = o.Emit
+	}
+	return o.emit
+}
+
+// reserve makes room in the open chunk for a pair of n bytes and returns
+// the offset, from the open segment's start, at which the pair goes. A
+// pair that does not fit closes the segment and starts a chunk.
+func (o *Output) reserve(n int) int {
+	if cap(o.buf)-len(o.buf) < n {
+		o.closeSegment()
+		o.buf = make([]byte, 0, max(n, min(o.n, pairChunkBytes)))
+		o.start = 0
+	}
+	o.n += n
+	return len(o.buf) - o.start
+}
+
+// openSegment returns the open segment's bytes. They are never written
+// again — the chunk only grows past them — so a string may hold them.
+func (o *Output) openSegment() string {
+	b := o.buf[o.start:]
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// closeSegment records the open segment, if it holds a pair, and opens the
+// next at the chunk's end.
+func (o *Output) closeSegment() {
+	n := len(o.ends) / 2
+	if n > o.segFirst {
+		o.segs = append(o.segs, segment{s: o.openSegment(), first: o.segFirst})
+	}
+	o.start, o.segFirst = len(o.buf), n
+}
+
+// begin opens a list whose index has room for n pairs: a morsel's line
+// count, so it never regrows while the mapper emits at most a pair a line,
+// or a combined task's key count. The list's segments go to the Output's
+// log, which grows with the job and not with the list.
+func (o *Output) begin(n int) {
+	o.ends = make([]int32, 0, 2*n)
+	o.first, o.start, o.segFirst = len(o.segs), len(o.buf), 0
+}
+
+// take closes the open list and returns it.
+func (o *Output) take() pairList {
+	o.closeSegment()
+	l := pairList{ends: o.ends, segs: o.segs[o.first:len(o.segs):len(o.segs)]}
+	for _, s := range l.segs {
+		l.bytes += int64(len(s.s))
+	}
+	l.bytes += 2 * int64(l.len()) // a separator after the key and one after the value
+	o.ends = nil
+	return l
+}
+
+// endJob drops the job's lists from the Output, once nothing reads them:
+// its log no longer refers to their chunks, so they die with the last
+// string that views them, and the log's array and the open chunk's free
+// bytes serve the next job. A chunk longer than the cap is one long pair's
+// and full, so the Output lets it go too.
+func (o *Output) endJob() {
+	clear(o.segs)
+	o.segs, o.ends = o.segs[:0], nil
+	if cap(o.buf) > pairChunkBytes {
+		o.buf = nil
+	}
+}
+
+// pairList is the map output of one unit of host work — a morsel, or a
+// simulated task once its combiner ran — as the index and segments of an
+// Output's list, with the counters the driver sums.
+type pairList struct {
+	ends     []int32   // two offsets a pair: see Output
+	segs     []segment // segs[i] holds the pairs from segs[i].first to segs[i+1].first
+	bytes    int64     // encoded size of the pairs
+	filtered int64     // lines the mapper reported as ErrFiltered
+}
+
+// len returns the number of pairs.
+func (l *pairList) len() int { return len(l.ends) / 2 }
+
+// segment returns segment i's bytes and the range of pairs it holds: pair
+// p's key ends at ends[2p] and its value at ends[2p+1], and it begins where
+// the pair before it in the segment ends, or at 0.
+func (l *pairList) segment(i int) (s string, first, end int) {
+	end = l.len()
+	if i+1 < len(l.segs) {
+		end = l.segs[i+1].first
+	}
+	return l.segs[i].s, l.segs[i].first, end
+}

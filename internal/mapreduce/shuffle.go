@@ -26,14 +26,6 @@ const (
 	runsPerWorker = 4
 )
 
-// pairList is the map output of one unit of host work — a morsel, or a
-// simulated task once its combiner ran — with the counters the driver sums.
-type pairList struct {
-	pairs    []kv
-	bytes    int64 // encoded size of pairs
-	filtered int64 // lines the mapper reported as ErrFiltered
-}
-
 // keyGroup is one reduce key with its values in map-output order: a capped
 // window of one values slab shared by the job's groups.
 type keyGroup struct {
@@ -77,15 +69,26 @@ func groupPairs(lists []pairList) []keyGroup {
 	n := 0
 	count := make(map[string]int) // key -> its value count, then its group's index
 	for l := range lists {
-		pairs := lists[l].pairs
-		n += len(pairs)
-		for i := 0; i < len(pairs); {
-			j := i + 1
-			for j < len(pairs) && pairs[j].key == pairs[i].key {
-				j++
+		list := &lists[l]
+		n += list.len()
+		key, run := "", 0
+		for i := range list.segs {
+			s, p, end := list.segment(i)
+			for off := int32(0); p < end; p++ {
+				k := s[off:list.ends[2*p]]
+				off = list.ends[2*p+1]
+				if run > 0 && k == key {
+					run++
+					continue
+				}
+				if run > 0 {
+					count[key] += run
+				}
+				key, run = k, 1
 			}
-			count[pairs[i].key] += j - i
-			i = j
+		}
+		if run > 0 {
+			count[key] += run
 		}
 	}
 	groups := make([]keyGroup, 0, len(count))
@@ -104,11 +107,17 @@ func groupPairs(lists []pairList) []keyGroup {
 		lo = hi
 	}
 	for l := range lists {
-		pairs := lists[l].pairs
-		for i := 0; i < len(pairs); {
-			g := &groups[count[pairs[i].key]]
-			for ; i < len(pairs) && pairs[i].key == g.key; i++ {
-				g.values = append(g.values, pairs[i].value)
+		list := &lists[l]
+		var g *keyGroup
+		for i := range list.segs {
+			s, p, end := list.segment(i)
+			for off := int32(0); p < end; p++ {
+				k, v := list.ends[2*p], list.ends[2*p+1]
+				if key := s[off:k]; g == nil || key != g.key {
+					g = &groups[count[key]]
+				}
+				g.values = append(g.values, s[k:v])
+				off = v
 			}
 		}
 	}

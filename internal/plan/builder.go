@@ -105,7 +105,7 @@ func (b *builder) buildSelect(stmt *sqlparser.SelectStmt) (Node, error) {
 			used[ci] = true
 		}
 		if len(leftKeys) == 0 {
-			return nil, fmt.Errorf("no equi-join condition links %s to the preceding tables (cross joins are not supported)", describeRef(right))
+			return nil, fmt.Errorf("no equi-join condition links %s to the preceding tables: a cross join is %w", describeRef(right), ErrUnsupported)
 		}
 		j, err := NewJoin(sqlparser.InnerJoin, cur, right, leftKeys, rightKeys, nil)
 		if err != nil {

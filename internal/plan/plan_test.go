@@ -384,6 +384,9 @@ func TestBuildRejectsWhatCannotRun(t *testing.T) {
 			"ORDER BY cid: a column that is not in the select list is not supported"},
 		{"SELECT uid FROM clicks ORDER BY ts",
 			"ORDER BY ts: a column that is not in the select list is not supported"},
+		// A comma join that no WHERE conjunct links by equality.
+		{"SELECT c1.uid FROM clicks c1, clicks c2",
+			"no equi-join condition links c2 to the preceding tables: a cross join is not supported"},
 	} {
 		stmt, err := sqlparser.Parse(tt.sql)
 		if err != nil {

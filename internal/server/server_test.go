@@ -194,6 +194,7 @@ func TestServerUnsupportedSQLIsFeatureNotSupported(t *testing.T) {
 		{"SELECT count(*) FROM clicks GROUP BY cid ORDER BY cid", sqlstateNotSupported},
 		{"SELECT cid, count(*) FROM clicks GROUP BY cid ORDER BY sum(uid)", sqlstateNotSupported},
 		{"SELECT uid FROM clicks LIMIT 2", sqlstateNotSupported},
+		{"SELECT c1.uid FROM clicks c1, clicks c2", sqlstateNotSupported},
 		{"SELECT uid FROM clicks WHERE", sqlstateSyntaxError},
 	} {
 		reads := srv.Registry().Value("ysmart_dfs_reads_total")

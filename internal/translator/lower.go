@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"ysmart/internal/cmf"
 	"ysmart/internal/correlation"
@@ -115,20 +116,24 @@ type spMapper struct{ dec *cmf.Decoder }
 // NewMapTask implements mapreduce.Mapper.
 func (m spMapper) NewMapTask() mapreduce.MapTask { return &spTask{dec: m.dec} }
 
-// spTask is one instance of the SP mapper. The emitted line is freshly
-// encoded, so nothing outliving Map(line) aliases the scratch row.
+// spTask is one instance of the SP mapper. It encodes the output line into
+// its scratch buffer and emits a view of it under the empty key, which the
+// worker's Output copies, so nothing outliving Map(line) aliases the
+// scratch row or the buffer.
 type spTask struct {
-	dec *cmf.Decoder
-	row exec.Row // the plan's scratch
+	dec  *cmf.Decoder
+	row  exec.Row // the plan's scratch
+	line []byte   // the encoded output line's scratch
 }
 
 // Map implements mapreduce.MapTask.
 func (t *spTask) Map(line string, emit mapreduce.Emit) error {
-	out, err := t.dec.Decode(&t.row, line)
-	if err != nil || out == nil {
+	row, err := t.dec.Decode(&t.row, line)
+	if err != nil || row == nil {
 		return err
 	}
-	emit("", exec.EncodeRow(out))
+	t.line = exec.AppendRow(t.line[:0], row)
+	emit("", unsafe.String(unsafe.SliceData(t.line), len(t.line)))
 	return nil
 }
 

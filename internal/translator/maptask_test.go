@@ -65,8 +65,8 @@ func TestMapTaskMatchesOneLineMapper(t *testing.T) {
 // TestAllocBudgetScanMapTask holds generated scan mappers — shared scans
 // with per-stream selections, a single-stream scan with a map-side filter
 // stage — to the map task's budget: once warmed, a line that emits costs
-// only its share of a pair chunk, none amortised, and a line that is
-// filtered out costs nothing. Warmed
+// nothing (it emits views of the task's pair buffer, which the worker's
+// Output copies), and a line that is filtered out costs nothing. Warmed
 // means by any line, filtered or not: a fresh task fed nothing but
 // filtered lines keeps the scratch its first one grew, as a morsel of a
 // selective scan that emits nothing for a while must.
@@ -213,8 +213,9 @@ func TestAllocBudgetEarlyFilter(t *testing.T) {
 
 // TestAllocBudgetSPMapTask holds the SP job's map task, a selection and a
 // projection over the scan, to its budget: once warmed by any line, a line
-// the selection drops costs nothing and a line it keeps costs its output
-// line, the one string the job writes.
+// the selection drops costs nothing, and neither does a line it keeps,
+// whose output line is encoded into the task's scratch and emitted as a
+// view of it, which the worker's Output copies.
 func TestAllocBudgetSPMapTask(t *testing.T) {
 	dfs, _ := workload(t)
 	tr := translate(t, `SELECT l_orderkey, l_quantity * 2 AS q2 FROM lineitem WHERE l_quantity > 40`, YSmart, Options{QueryName: "sp"})
@@ -249,7 +250,7 @@ func TestAllocBudgetSPMapTask(t *testing.T) {
 	for _, c := range []struct {
 		line   string
 		budget float64
-	}{{dropped, 0}, {emitted, 1}} {
+	}{{dropped, 0}, {emitted, 0}} {
 		fresh := in.Mapper.NewMapTask()
 		// AllocsPerRun's warm-up call is the task's first line.
 		got := testing.AllocsPerRun(200, func() {
