@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"weak"
 
 	"ysmart/internal/obs"
 )
@@ -39,6 +40,9 @@ type Engine struct {
 	// outs are the pool workers' map outputs, one a worker, carried from
 	// job to job (outputs).
 	outs []Output
+	// scratchRef weakly holds the containers jobs fill and empty again
+	// (scratch.go): strongly held only while a chain runs.
+	scratchRef weak.Pointer[scratch]
 }
 
 // NewEngine builds an engine. The cluster must validate.
@@ -96,6 +100,9 @@ func (e *Engine) RunChain(jobs []*Job) (*ChainStats, error) {
 func (e *Engine) RunChainContext(ctx context.Context, jobs []*Job) (*ChainStats, error) {
 	e.ctx = ctx
 	defer func() { e.ctx = nil }()
+	// The chain's jobs share one scratch: held here until the chain ends,
+	// after which only the engine's weak pointer reaches it.
+	defer runtime.KeepAlive(e.scratch())
 	stats := &ChainStats{}
 	chainStart := e.simNow
 	e.logger.Info("chain.start",
@@ -220,12 +227,9 @@ func (e *Engine) execJob(j *Job) (*JobStats, error) {
 		tasks = appendChunks(tasks, ii, lines, nTasks)
 	}
 	workers := make([]jobWorker, e.workers) // every phase's instances (job.go)
-	outs := e.outputs()
-	defer func() {
-		for w := range outs {
-			outs[w].endJob()
-		}
-	}()
+	sc, outs := e.scratch(), e.outputs()
+	sc.lend(outs)
+	defer sc.endJob(outs)
 	// The mappers run morsel by morsel on the worker pool, each worker on
 	// its instance of the morsel's input's mapper and into its Output. Each
 	// morsel writes only its own slot of lists and its worker's chunks, and
@@ -267,7 +271,7 @@ func (e *Engine) execJob(j *Job) (*JobStats, error) {
 			if first != nil {
 				lo, hi = first[t], first[t+1]
 			}
-			out, err := combineTask(lists[lo:hi], workers[w].combineTask(j), &outs[w])
+			out, err := combineTask(&sc.workers[w].combine, lists[lo:hi], workers[w].combineTask(j), &outs[w])
 			if err != nil {
 				return fmt.Errorf("combine: %w", err)
 			}
@@ -322,7 +326,7 @@ func (e *Engine) execJob(j *Job) (*JobStats, error) {
 	}
 	stats.NumReduceTasks = numReduce
 
-	groups := groupPairs(lists) // on the driver, at any worker count
+	groups := sc.shuffle.groupPairs(lists) // on the driver, at any worker count
 	if len(groups) == 0 && j.GlobalReduce {
 		groups = []keyGroup{{}} // the empty key's group, with no values
 	}
@@ -439,12 +443,12 @@ func runMapper(mapper MapTask, lines []string, out *Output) (pairList, error) {
 }
 
 // combineTask groups one map task's output — the pair lists of its morsels,
-// in order — by key, as the shuffle does, and folds every group into one
-// pair with the combiner instance c, written to out, its worker's Output.
-// Its pairs leave in sorted key order, which nothing downstream sees: the
-// shuffle regroups them by key.
-func combineTask(lists []pairList, c CombineTask, out *Output) (pairList, error) {
-	groups := groupPairs(lists)
+// in order — by key on g, its worker's grouping, as the shuffle does, and
+// folds every group into one pair with the combiner instance c, written to
+// out, its worker's Output. Its pairs leave in sorted key order, which
+// nothing downstream sees: the shuffle regroups them by key.
+func combineTask(g *grouping, lists []pairList, c CombineTask, out *Output) (pairList, error) {
+	groups := g.groupPairs(lists)
 	out.begin(len(groups))
 	for _, g := range groups {
 		v, err := c.Combine(g.key, g.values)

@@ -628,12 +628,12 @@ func TestAllocBudgetPartitionOf(t *testing.T) {
 	}
 }
 
-// TestAllocBudgetCombineTask pins what combineTask's grouping is sized by:
-// the number of pairs (one values slab, cut by the keys' counts) and the
-// number of keys (the groups, their map and the output pairs' index),
-// never the number of values per key — sixteen times the values of the
-// same four keys must cost no further allocation. The folded pairs go to
-// the worker's Output, which the job's earlier tasks have warmed.
+// TestAllocBudgetCombineTask pins what combineTask allocates on a worker's
+// scratch carried from job to job: nothing for its grouping (the values
+// slab, the groups and their map) or for the output pairs' index, and never
+// anything by the number of values per key — sixteen times the values of
+// the same four keys must cost no further allocation. The folded pairs go
+// to the worker's Output, which fills a chunk now and then.
 func TestAllocBudgetCombineTask(t *testing.T) {
 	count := CombinerFunc(func(string, []string) (string, error) { return "1", nil })
 	listFor := func(perKey int) []pairList {
@@ -644,20 +644,21 @@ func TestAllocBudgetCombineTask(t *testing.T) {
 		return []pairList{listOf(&Output{}, pairs)}
 	}
 	allocs := func(lists []pairList) float64 {
-		var out Output
+		sc, outs := &scratch{workers: make([]workerScratch, 1)}, make([]Output, 1)
 		return testing.AllocsPerRun(50, func() {
-			folded, err := combineTask(lists, count, &out)
+			sc.lend(outs)
+			folded, err := combineTask(&sc.workers[0].combine, lists, count, &outs[0])
 			if err != nil || folded.len() != 4 {
 				t.Fatalf("combineTask = %q, %v; want 4 pairs", pairsOf(&folded), err)
 			}
-			out.endJob()
+			sc.endJob(outs)
 		})
 	}
 	few, many := allocs(listFor(16)), allocs(listFor(256))
 	if many > few {
 		t.Errorf("combineTask: %v allocations for 256 values per key, %v for 16: grouping grows with the values", many, few)
 	}
-	const budget = 6
+	const budget = 1
 	if few > budget {
 		t.Errorf("combineTask over 4 keys: %v allocations, budget %d", few, budget)
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -656,7 +657,10 @@ func sameGroups(got, want []keyGroup) error {
 // per key, in the same order, folded from that key's values in list order.
 // Keys and values may be empty, a value may be longer than a chunk's cap,
 // and since a fresh Output's chunks start at the first pair's size, lists
-// span several chunks.
+// span several chunks. Every input runs as three jobs back to back on one
+// scratch and one pair of Outputs, as an engine carries them: the lists,
+// the lists reversed, then the lists again, so a container the scratch
+// carries dirty from a job fails the next.
 func FuzzShuffleGrouping(f *testing.F) {
 	f.Add([]byte(""), uint8(1))
 	f.Add([]byte("abcabcaab"), uint8(3))
@@ -679,62 +683,87 @@ func FuzzShuffleGrouping(f *testing.F) {
 			l := (i*31 + int(b)) % len(plain)
 			plain[l] = append(plain[l], kv{key, value})
 		}
-		var outs [2]Output
-		var buf []byte
-		lists := make([]pairList, len(plain))
-		for l, pairs := range plain {
-			out := &outs[l%2]
-			out.begin(len(pairs) / 2) // an index that regrows
-			for i, p := range pairs {
-				if (i+l)%2 == 0 {
-					out.Emit(p.key, p.value)
-					continue
-				}
-				buf = append(append(buf[:0], p.key...), p.value...)
-				s := unsafe.String(unsafe.SliceData(buf), len(buf))
-				out.Emit(s[:len(p.key)], s[len(p.key):])
+		reversed := slices.Clone(plain)
+		slices.Reverse(reversed)
+		sc, outs := &scratch{workers: make([]workerScratch, 2)}, make([]Output, 2)
+		for job, input := range [][][]kv{plain, reversed, plain} {
+			sc.lend(outs)
+			if err := shuffleJob(sc, outs, input); err != nil {
+				t.Fatalf("job %d: %v", job, err)
 			}
-			lists[l] = out.take()
-			if got := pairsOf(&lists[l]); !reflect.DeepEqual(got, plain[l]) {
-				t.Fatalf("list %d reads back as %q, written as %q", l, got, plain[l])
-			}
-		}
-		want := referenceShuffle(plain)
-		if err := sameGroups(groupPairs(lists), want); err != nil {
-			t.Fatal(err)
-		}
-		concat := CombinerFunc(func(_ string, values []string) (string, error) {
-			return strings.Join(values, ","), nil
-		})
-		out, err := combineTask(lists, concat, &outs[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wantPairs []kv
-		var wantBytes int64
-		for _, g := range want {
-			wantPairs = append(wantPairs, kv{g.key, strings.Join(g.values, ",")})
-			wantBytes += int64(len(g.key) + len(wantPairs[len(wantPairs)-1].value) + 2)
-		}
-		if got := pairsOf(&out); !reflect.DeepEqual(got, wantPairs) || out.bytes != wantBytes {
-			t.Fatalf("combineTask = %q (%d bytes), want %q (%d bytes)", got, out.bytes, wantPairs, wantBytes)
+			sc.endJob(outs)
 		}
 	})
 }
 
+// shuffleJob emits input's lists to outs, alternating workers, and checks
+// what they read back as, the shuffle on sc and two combine tasks on
+// worker 0's grouping against the reference shuffle.
+func shuffleJob(sc *scratch, outs []Output, input [][]kv) error {
+	var buf []byte
+	lists := make([]pairList, len(input))
+	for l, pairs := range input {
+		out := &outs[l%2]
+		out.begin(len(pairs) / 2) // an index that regrows
+		for i, p := range pairs {
+			if (i+l)%2 == 0 {
+				out.Emit(p.key, p.value)
+				continue
+			}
+			buf = append(append(buf[:0], p.key...), p.value...)
+			s := unsafe.String(unsafe.SliceData(buf), len(buf))
+			out.Emit(s[:len(p.key)], s[len(p.key):])
+		}
+		lists[l] = out.take()
+		if got := pairsOf(&lists[l]); !reflect.DeepEqual(got, input[l]) {
+			return fmt.Errorf("list %d reads back as %q, written as %q", l, got, input[l])
+		}
+	}
+	want := referenceShuffle(input)
+	if err := sameGroups(sc.shuffle.groupPairs(lists), want); err != nil {
+		return err
+	}
+	concat := CombinerFunc(func(_ string, values []string) (string, error) {
+		return strings.Join(values, ","), nil
+	})
+	// Two tasks on one worker, as a job's combine phase runs them: the
+	// lists in reverse order, then in order.
+	revInput, revLists := slices.Clone(input), slices.Clone(lists)
+	slices.Reverse(revInput)
+	slices.Reverse(revLists)
+	for task, c := range []struct {
+		input [][]kv
+		lists []pairList
+	}{{revInput, revLists}, {input, lists}} {
+		out, err := combineTask(&sc.workers[0].combine, c.lists, concat, &outs[0])
+		if err != nil {
+			return err
+		}
+		var wantPairs []kv
+		var wantBytes int64
+		for _, g := range referenceShuffle(c.input) {
+			wantPairs = append(wantPairs, kv{g.key, strings.Join(g.values, ",")})
+			wantBytes += int64(len(g.key) + len(wantPairs[len(wantPairs)-1].value) + 2)
+		}
+		if got := pairsOf(&out); !reflect.DeepEqual(got, wantPairs) || out.bytes != wantBytes {
+			return fmt.Errorf("combine task %d = %q (%d bytes), want %q (%d bytes)", task, got, out.bytes, wantPairs, wantBytes)
+		}
+	}
+	return nil
+}
+
 // TestAllocBudgetRunJob pins the engine's own containers: with the tasks,
 // runs and keys fixed, a job's allocations do not grow with its pair count
-// — every per-pair container is sized once from a count — but for the
-// chunks the worker's Output copies the pairs into, one per pairChunkBytes
-// of pair bytes: the Output carries its open chunk and segment log from job
-// to job, so a job does not start them from empty. The map phase's bytes
-// are the index at 8 B a line, the pair bytes and a fixed allowance. At 2
-// workers, with the keys fixed, more pairs cost the shuffle no more
-// allocations (it groups on the driver whatever the worker count) and more
-// key runs cost the reduce phase none (it allocates per worker, never per
-// run). The shuffle counts each key's values before it places them, so its
-// bytes are the one values slab plus a fixed allowance for the groups and
-// their map: nothing else per pair.
+// — every per-pair container is carried in the engine's scratch, held as
+// a chain holds it — but for the chunks the worker's Output copies the
+// pairs into, one per pairChunkBytes of pair bytes: the Output carries its
+// open chunk and segment log from job to job, so a job does not start them
+// from empty. On a warm scratch the map phase's bytes are the pair bytes
+// and a fixed allowance, and the shuffle's the allowance alone: the index,
+// the groups, their map and the values slab are all carried. At 2 workers,
+// with the keys fixed, more pairs cost the shuffle no more allocations (it
+// groups on the driver whatever the worker count) and more key runs cost
+// the reduce phase none (it allocates per worker, never per run).
 func TestAllocBudgetRunJob(t *testing.T) {
 	mapper := MapperFunc(func(line string, emit Emit) error {
 		emit(line[:1], line)
@@ -753,6 +782,7 @@ func TestAllocBudgetRunJob(t *testing.T) {
 		e.SetWorkers(1)
 		e.DFS().Write("in", linesOf(nLines))
 		job := &Job{Name: "budget", Inputs: []Input{{Path: "in", Mapper: mapper}}, Reducer: reducer, Output: "out"}
+		defer runtime.KeepAlive(e.scratch()) // as RunChainContext holds it
 		return testing.AllocsPerRun(20, func() {
 			if _, err := e.runJob(job); err != nil {
 				t.Fatal(err)
@@ -766,29 +796,35 @@ func TestAllocBudgetRunJob(t *testing.T) {
 		if chunks := (8000-500)*pairBytes/pairChunkBytes + 1; many > few+float64(chunks) {
 			t.Errorf("%s: %v allocations for 8000 pairs, %v for 500: more than the %d chunks the further pairs fill, a container grows with the pairs", name, many, few, chunks)
 		}
-		const budget = 20
+		const budget = 12
 		if few > budget {
 			t.Errorf("%s: %v allocations for a one-task job over 8 keys, budget %d", name, few, budget)
 		}
 	}
-	// The map phase's bytes, on an Output carried from run to run as a
-	// worker's is from job to job: the index is two int32 (8 B) a line, the
-	// pairs fill their chunks, and the chunks' unused ends and the Emit
-	// method value fit the allowance.
+	// The map phase's bytes, on an Output and a scratch carried from run to
+	// run as a worker's are from job to job, the scratch warmed by a first
+	// run: the index array is the scratch's, the pairs fill their chunks,
+	// and the chunks' unused ends and the Emit method value fit the
+	// allowance.
 	lines := linesOf(8000)
-	const mapRuns, index, mapAllowance = 20, 8000 * 8, 8 << 10
-	var out Output
+	const mapRuns, mapAllowance = 20, 1 << 10
+	sc, outs := &scratch{workers: make([]workerScratch, 1)}, make([]Output, 1)
+	mapJob := func() {
+		sc.lend(outs)
+		if _, err := runMapper(mapper, lines, &outs[0]); err != nil {
+			t.Fatal(err)
+		}
+		sc.endJob(outs)
+	}
+	mapJob()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for range mapRuns {
-		if _, err := runMapper(mapper, lines, &out); err != nil {
-			t.Fatal(err)
-		}
-		out.endJob()
+		mapJob()
 	}
 	runtime.ReadMemStats(&after)
-	if bytes := (after.TotalAlloc - before.TotalAlloc) / mapRuns; bytes > index+8000*pairBytes+mapAllowance {
-		t.Errorf("mapping 8000 lines allocates %d bytes, budget %d: more than the index and the pair bytes", bytes, index+8000*pairBytes+mapAllowance)
+	if bytes := (after.TotalAlloc - before.TotalAlloc) / mapRuns; bytes > 8000*pairBytes+mapAllowance {
+		t.Errorf("mapping 8000 lines allocates %d bytes, budget %d: more than the pair bytes", bytes, 8000*pairBytes+mapAllowance)
 	}
 
 	e := &Engine{workers: 2}
@@ -799,24 +835,31 @@ func TestAllocBudgetRunJob(t *testing.T) {
 		}
 		return []pairList{listOf(&Output{}, pairs)}
 	}
+	shuffle := func(g *grouping, lists []pairList) {
+		g.groupPairs(lists)
+		g.release()
+	}
 	shuffleAllocs := func(nPairs int) float64 {
+		var g grouping
 		lists := over8Keys(nPairs)
-		return testing.AllocsPerRun(20, func() { groupPairs(lists) })
+		return testing.AllocsPerRun(20, func() { shuffle(&g, lists) })
 	}
 	if few, many := shuffleAllocs(500), shuffleAllocs(8000); many > few {
 		t.Errorf("workers 2: %v allocations to shuffle 8000 pairs over 8 keys, %v for 500", many, few)
 	}
-	// The values slab is one string header (16 B) a pair; the 8 groups,
-	// their map and the slab's rounding up to whole pages fit the allowance.
+	// On a warm grouping the values slab, the 8 groups and their map are
+	// carried: what is left fits the allowance.
+	var g grouping
 	lists := over8Keys(8000)
-	const runs, slab, allowance = 20, 8000 * 16, 8 << 10
+	const runs, allowance = 20, 1 << 10
+	shuffle(&g, lists)
 	runtime.ReadMemStats(&before)
 	for range runs {
-		groupPairs(lists)
+		shuffle(&g, lists)
 	}
 	runtime.ReadMemStats(&after)
-	if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; bytes > slab+allowance {
-		t.Errorf("shuffling 8000 pairs over 8 keys allocates %d bytes, budget %d: more than the values slab", bytes, slab+allowance)
+	if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; bytes > allowance {
+		t.Errorf("shuffling 8000 pairs over 8 keys on a warm grouping allocates %d bytes, budget %d", bytes, allowance)
 	}
 
 	job := &Job{Reducer: discard}

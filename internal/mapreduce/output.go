@@ -14,21 +14,26 @@ const pairChunkBytes = 4 << 10
 //
 // The engine keeps one Output per pool worker and carries it from job to
 // job (Engine.outputs). Each morsel a worker maps, and each simulated task
-// it combines, writes one list: begin opens it, take closes it. At a job's
-// end, endJob drops the job's lists; the open chunk and the segment log's
-// array stay for the next job, so a job does not start its chunks and its
-// log from empty. A chunk is never written again below its end, so a
-// string that views it — a pair in the shuffle, a map-only output line the
-// DFS keeps — stands as long as something refers to it. A chunk is sized
-// by demand — the pair, or every byte the Output has taken so far if that
-// is larger, capped at pairChunkBytes — and no pair straddles two chunks,
-// so a pair longer than the cap has a chunk of its own.
+// it combines, writes one list: begin opens it, take closes it. A list's
+// index is a window of an array the worker's scratch lends the Output for
+// the job (scratch.go), list after list, as a key group is a window of the
+// shuffle's values slab; an array too small for the open list is replaced
+// (growIndex). At a job's end, endJob drops the job's lists and hands the
+// index array back; the open chunk and the segment log's array stay for
+// the next job, so a job does not start its chunks and its log from empty.
+// A chunk is never written again below its end, so a string that views it
+// — a pair in the shuffle, a map-only output line the DFS keeps — stands
+// as long as something refers to it. A chunk is sized by demand — the
+// pair, or every byte the Output has taken so far if that is larger,
+// capped at pairChunkBytes — and no pair straddles two chunks, so a pair
+// longer than the cap has a chunk of its own.
 type Output struct {
 	buf      []byte    // the open chunk: what was written to it, its capacity the chunk's size
 	n        int       // bytes taken so far
 	start    int       // where the open segment begins in buf
 	segFirst int       // the open segment's first pair, an index into the open list
-	ends     []int32   // the open list's index: two offsets a pair, from its segment's start
+	index    []int32   // the array the open list indexes: two offsets a pair, from its segment's start
+	listAt   int       // where the open list's offsets begin in index
 	segs     []segment // the job's segments closed so far; the open list's are segs[first:]
 	first    int
 	emit     Emit // the Emit method value, built once
@@ -44,7 +49,25 @@ type segment struct {
 func (o *Output) Emit(key, value string) {
 	off := o.reserve(len(key) + len(value))
 	o.buf = append(append(o.buf, key...), value...)
-	o.ends = append(o.ends, int32(off+len(key)), int32(off+len(key)+len(value)))
+	if cap(o.index)-len(o.index) < 2 {
+		o.growIndex(2)
+	}
+	o.index = append(o.index, int32(off+len(key)), int32(off+len(key)+len(value)))
+}
+
+// growIndex makes room in the index for n more offsets. The lists taken so
+// far keep the array they are windows of; a new one, at least twice as
+// large, takes the open list's offsets and what follows them, so a job
+// that outgrows the index allocates about its own size and copies no
+// closed list.
+func (o *Output) growIndex(n int) {
+	if cap(o.index)-len(o.index) >= n {
+		return
+	}
+	open := o.index[o.listAt:]
+	index := make([]int32, len(open), max(2*cap(o.index), len(open)+n))
+	copy(index, open)
+	o.index, o.listAt = index, 0
 }
 
 // emitter returns Emit as a method value, built on the first call: the
@@ -79,45 +102,50 @@ func (o *Output) openSegment() string {
 // closeSegment records the open segment, if it holds a pair, and opens the
 // next at the chunk's end.
 func (o *Output) closeSegment() {
-	n := len(o.ends) / 2
+	n := (len(o.index) - o.listAt) / 2
 	if n > o.segFirst {
 		o.segs = append(o.segs, segment{s: o.openSegment(), first: o.segFirst})
 	}
 	o.start, o.segFirst = len(o.buf), n
 }
 
-// begin opens a list whose index has room for n pairs: a morsel's line
-// count, so it never regrows while the mapper emits at most a pair a line,
-// or a combined task's key count. The list's segments go to the Output's
-// log, which grows with the job and not with the list.
+// begin opens a list, with room in the index for n more pairs: a morsel's
+// line count or a combined task's key count. On an index carried from
+// earlier jobs the room is mostly there already; where it is not, the
+// index doubles, so a mapper that emits several pairs a line regrows it a
+// few times per scratch and not once a morsel. The list's segments go to
+// the Output's log, which grows with the job and not with the list.
 func (o *Output) begin(n int) {
-	o.ends = make([]int32, 0, 2*n)
+	o.listAt = len(o.index)
+	o.growIndex(2 * n)
 	o.first, o.start, o.segFirst = len(o.segs), len(o.buf), 0
 }
 
 // take closes the open list and returns it.
 func (o *Output) take() pairList {
 	o.closeSegment()
-	l := pairList{ends: o.ends, segs: o.segs[o.first:len(o.segs):len(o.segs)]}
+	n := len(o.index)
+	l := pairList{ends: o.index[o.listAt:n:n], segs: o.segs[o.first:len(o.segs):len(o.segs)]}
 	for _, s := range l.segs {
 		l.bytes += int64(len(s.s))
 	}
 	l.bytes += 2 * int64(l.len()) // a separator after the key and one after the value
-	o.ends = nil
 	return l
 }
 
-// endJob drops the job's lists from the Output, once nothing reads them:
-// its log no longer refers to their chunks, so they die with the last
-// string that views them, and the log's array and the open chunk's free
-// bytes serve the next job. A chunk longer than the cap is one long pair's
-// and full, so the Output lets it go too.
-func (o *Output) endJob() {
+// endJob drops the job's lists from the Output, once nothing reads them,
+// and returns their index array, emptied, for the next job: the Output
+// keeps no reference to it. Its log no longer refers to the lists' chunks,
+// so they die with the last string that views them, and the log's array
+// and the open chunk's free bytes serve the next job. A chunk longer than
+// the cap is one long pair's and full, so the Output lets it go too.
+func (o *Output) endJob() (index []int32) {
 	clear(o.segs)
-	o.segs, o.ends = o.segs[:0], nil
+	index, o.index, o.listAt, o.segs = o.index[:0], nil, 0, o.segs[:0]
 	if cap(o.buf) > pairChunkBytes {
 		o.buf = nil
 	}
+	return index
 }
 
 // pairList is the map output of one unit of host work — a morsel, or a

@@ -170,11 +170,15 @@ func wideJob() *Job {
 }
 
 // BenchmarkRunChain measures wall-clock scaling of one job across worker
-// counts, in two shapes: "combined" (benchJob) leaves the shuffle a few
+// counts, in three shapes: "combined" (benchJob) leaves the shuffle a few
 // hundred pairs, so it measures the map phase; "wide" (wideJob) ships
 // 40 000 pairs over 10 000 keys, so the shuffle and the reduce key runs
-// carry the weight. Results are asserted identical to the sequential run,
-// so the numbers are comparable by construction.
+// carry the weight; "wide/warm" runs the wide job on one engine across
+// ops, as a session runs its statements, so what the engine carries from
+// chain to chain (its scratch, while no collection has taken it) shows,
+// where the other shapes build a fresh engine per op. Results are asserted
+// identical to the sequential run, so the numbers are comparable by
+// construction.
 func BenchmarkRunChain(b *testing.B) {
 	words := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"}
 	combined := make([]string, 2000)
@@ -197,7 +201,8 @@ func BenchmarkRunChain(b *testing.B) {
 		name  string
 		lines []string
 		job   func() *Job
-	}{{"combined", combined, benchJob}, {"wide", wide, wideJob}} {
+		warm  bool // one engine for every op
+	}{{"combined", combined, benchJob, false}, {"wide", wide, wideJob, false}, {"wide/warm", wide, wideJob, true}} {
 		var baseline []string
 		for _, workers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/workers=%d", shape.name, workers), func(b *testing.B) {
@@ -205,18 +210,21 @@ func BenchmarkRunChain(b *testing.B) {
 				defer func() {
 					b.ReportMetric(float64(b.N*len(shape.lines))/b.Elapsed().Seconds(), "rows/s")
 				}()
+				var e *Engine
 				for i := 0; i < b.N; i++ {
-					dfs := NewDFS()
-					dfs.Write("in", shape.lines)
-					e, err := NewEngine(dfs, cluster)
-					if err != nil {
-						b.Fatal(err)
+					if e == nil || !shape.warm {
+						dfs := NewDFS()
+						dfs.Write("in", shape.lines)
+						var err error
+						if e, err = NewEngine(dfs, cluster); err != nil {
+							b.Fatal(err)
+						}
+						e.SetWorkers(workers)
 					}
-					e.SetWorkers(workers)
 					if _, err := e.RunChain([]*Job{shape.job()}); err != nil {
 						b.Fatal(err)
 					}
-					out, err := dfs.Read("out")
+					out, err := e.DFS().Read("out")
 					if err != nil {
 						b.Fatal(err)
 					}

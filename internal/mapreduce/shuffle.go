@@ -59,15 +59,31 @@ func cutMorsels(tasks []mapTask) (morsels []mapTask, first []int) {
 	return morsels, append(first, len(morsels))
 }
 
+// grouping holds the containers groupPairs fills: the map from key to
+// count and then to group index, the groups and the values slab. A scratch
+// carries one for the driver's shuffle and one for each worker's combiner
+// (scratch.go), so a job reuses what an earlier job grew. Each slice's
+// length is the most a call of the current job used, which release clears.
+type grouping struct {
+	count  map[string]int
+	groups []keyGroup
+	values []string
+}
+
 // groupPairs groups every pair of lists by key: keys in sorted order, every
 // key's values in list order. It counts, then places: a first pass adds
 // each key's values up, one slab of every value is cut into a capped
 // window per key, sized by its count, and a second pass appends each value
 // to its key's window. Both passes walk key runs, since sorted inputs emit
-// a key's pairs back to back: only a change of key pays for the map.
-func groupPairs(lists []pairList) []keyGroup {
+// a key's pairs back to back: only a change of key pays for the map. The
+// groups and their values are g's until its next call or release.
+func (g *grouping) groupPairs(lists []pairList) []keyGroup {
+	if g.count == nil {
+		g.count = make(map[string]int)
+	}
+	count := g.count // key -> its value count, then its group's index
+	clear(count)
 	n := 0
-	count := make(map[string]int) // key -> its value count, then its group's index
 	for l := range lists {
 		list := &lists[l]
 		n += list.len()
@@ -91,37 +107,55 @@ func groupPairs(lists []pairList) []keyGroup {
 			count[key] += run
 		}
 	}
-	groups := make([]keyGroup, 0, len(count))
+	groups := slices.Grow(g.groups[:0], len(count))
 	for key := range count {
 		groups = append(groups, keyGroup{key: key})
 	}
 	slices.SortFunc(groups, func(a, b keyGroup) int { return strings.Compare(a.key, b.key) })
-	values := make([]string, n)
+	values := slices.Grow(g.values[:0], n)[:n]
 	lo := 0
-	for g := range groups {
-		hi := lo + count[groups[g].key]
+	for i := range groups {
+		hi := lo + count[groups[i].key]
 		// Capped, so a reducer or combiner appending to its input cannot
 		// reach the next group's values.
-		groups[g].values = values[lo:lo:hi]
-		count[groups[g].key] = g
+		groups[i].values = values[lo:lo:hi]
+		count[groups[i].key] = i
 		lo = hi
 	}
 	for l := range lists {
 		list := &lists[l]
-		var g *keyGroup
+		var kg *keyGroup
 		for i := range list.segs {
 			s, p, end := list.segment(i)
 			for off := int32(0); p < end; p++ {
 				k, v := list.ends[2*p], list.ends[2*p+1]
-				if key := s[off:k]; g == nil || key != g.key {
-					g = &groups[count[key]]
+				if key := s[off:k]; kg == nil || key != kg.key {
+					kg = &groups[count[key]]
 				}
-				g.values = append(g.values, s[k:v])
+				kg.values = append(kg.values, s[k:v])
 				off = v
 			}
 		}
 	}
+	// g keeps the longest length a call of the job used (a shorter call
+	// reuses the same array), so release clears every string any call left.
+	if len(groups) > len(g.groups) {
+		g.groups = groups
+	}
+	if n > len(g.values) {
+		g.values = values
+	}
 	return groups
+}
+
+// release clears every string g holds, once the job's groups are dead, so
+// a carried grouping pins no chunk of a finished job; the map's buckets and
+// the arrays stay for the next job.
+func (g *grouping) release() {
+	clear(g.count)
+	clear(g.groups)
+	clear(g.values)
+	g.groups, g.values = g.groups[:0], g.values[:0]
 }
 
 // reducerSizes reports the largest share of groups and of values any one

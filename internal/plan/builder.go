@@ -44,7 +44,7 @@ type builder struct {
 
 func (b *builder) buildSelect(stmt *sqlparser.SelectStmt) (Node, error) {
 	if len(stmt.From) == 0 {
-		return nil, fmt.Errorf("SELECT without FROM is not supported")
+		return nil, fmt.Errorf("SELECT without FROM is %w", ErrUnsupported)
 	}
 
 	// 1. FROM items.
@@ -239,7 +239,7 @@ func (b *builder) buildTableRef(tr sqlparser.TableRef) (Node, error) {
 
 func (b *builder) buildExplicitJoin(x *sqlparser.Join) (Node, error) {
 	if x.Type == sqlparser.CrossJoin {
-		return nil, fmt.Errorf("CROSS JOIN is not supported")
+		return nil, fmt.Errorf("CROSS JOIN is %w", ErrUnsupported)
 	}
 	left, err := b.buildTableRef(x.Left)
 	if err != nil {
@@ -260,7 +260,7 @@ func (b *builder) buildExplicitJoin(x *sqlparser.Join) (Node, error) {
 		residual = append(residual, c)
 	}
 	if len(leftKeys) == 0 {
-		return nil, fmt.Errorf("%s requires at least one equi-join condition", x.Type)
+		return nil, fmt.Errorf("%s without an equi-join condition is %w", x.Type, ErrUnsupported)
 	}
 	res := sqlparser.JoinConjuncts(residual)
 	if res != nil {

@@ -387,6 +387,12 @@ func TestBuildRejectsWhatCannotRun(t *testing.T) {
 		// A comma join that no WHERE conjunct links by equality.
 		{"SELECT c1.uid FROM clicks c1, clicks c2",
 			"no equi-join condition links c2 to the preceding tables: a cross join is not supported"},
+		// A statement without a table, an explicit cross join, and an
+		// explicit join whose ON clause links its tables by no equality.
+		{"SELECT 1", "SELECT without FROM is not supported"},
+		{"SELECT c1.uid FROM clicks c1 CROSS JOIN clicks c2", "CROSS JOIN is not supported"},
+		{"SELECT c1.uid FROM clicks c1 JOIN clicks c2 ON c1.ts < c2.ts",
+			"JOIN without an equi-join condition is not supported"},
 	} {
 		stmt, err := sqlparser.Parse(tt.sql)
 		if err != nil {

@@ -195,6 +195,9 @@ func TestServerUnsupportedSQLIsFeatureNotSupported(t *testing.T) {
 		{"SELECT cid, count(*) FROM clicks GROUP BY cid ORDER BY sum(uid)", sqlstateNotSupported},
 		{"SELECT uid FROM clicks LIMIT 2", sqlstateNotSupported},
 		{"SELECT c1.uid FROM clicks c1, clicks c2", sqlstateNotSupported},
+		{"SELECT 1", sqlstateNotSupported},
+		{"SELECT c1.uid FROM clicks c1 CROSS JOIN clicks c2", sqlstateNotSupported},
+		{"SELECT c1.uid FROM clicks c1 JOIN clicks c2 ON c1.ts < c2.ts", sqlstateNotSupported},
 		{"SELECT uid FROM clicks WHERE", sqlstateSyntaxError},
 	} {
 		reads := srv.Registry().Value("ysmart_dfs_reads_total")
