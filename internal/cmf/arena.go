@@ -2,11 +2,13 @@ package cmf
 
 import (
 	"strings"
+	"sync"
+	"weak"
 
 	"ysmart/internal/exec"
 )
 
-// arena is the row storage of one reducer instance: the rows a key group's
+// arena is the row storage of a reducer instance: the rows a key group's
 // evaluation builds — decoded values, stream buckets, projected, joined,
 // filtered and aggregated rows, operator result slices — are carved from it
 // and all die together when the next key group resets it. The lifetime
@@ -18,10 +20,14 @@ import (
 // shuffle value it came from, not into a slab. (The map side has the same
 // rule for its scratch row: see mapTask.)
 //
-// The zero arena is ready to use. Its slabs size chunks by the demand
-// seen, doubling (see slab), so one that is never reset, as when an
-// operator is evaluated on its own, allocates its first request exactly and
-// then a chunk per doubling of what it holds.
+// An instance takes its arena from the free list (arenas) and gives it back,
+// released, at Done, so the next instance — of any job, any statement —
+// starts on the chunks earlier ones grew while no collection has taken the
+// list, as a task object on Hadoop keeps its buffers from task to task
+// under JVM reuse. The zero arena is ready to use. Its slabs size chunks by the demand seen, doubling (see slab), so
+// one that is never reset, as when an operator is evaluated on its own,
+// allocates its first request exactly and then a chunk per doubling of what
+// it holds.
 type arena struct {
 	vals slab[exec.Value] // row storage
 	rows slab[exec.Row]   // row headers: stream buckets, operator results
@@ -41,6 +47,63 @@ type arena struct {
 func (a *arena) reset() {
 	a.vals.reset()
 	a.rows.reset()
+}
+
+// release readies the arena for the free list: it clears every value and
+// string the arena holds — the slabs' carvings up to their high-water
+// marks, the accumulators (a MIN or MAX holds a value that may point into a
+// shuffle value), the aggregation groups and the group index — so a pooled
+// arena pins no chunk of a finished job. The chunks' capacity stays.
+func (a *arena) release() {
+	a.vals.release()
+	a.rows.release()
+	clear(a.accs[:cap(a.accs)])
+	clear(a.groups[:cap(a.groups)])
+	clear(a.index)
+}
+
+// arenaPool is the free list of released arenas. It is held only through a
+// weak pointer, so between statements, when every arena is back on it,
+// nothing strongly reaches it: the next collection reclaims it and every
+// arena on it, the live heap after one never counts them, and the next
+// instance starts a new list. (A sync.Pool would not do: its victim cache
+// survives one collection, so the arenas would count in the live heap the
+// collector paces by.) Instances of concurrent statements share it under
+// the mutex; an arena is one instance's at a time.
+type arenaPool struct {
+	mu   sync.Mutex
+	free weak.Pointer[[]*arena]
+}
+
+// arenas is the reducer instances' free list.
+var arenas arenaPool
+
+// get takes the arena released last, or a new one when none is free.
+func (p *arenaPool) get() *arena {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	l := p.free.Value()
+	if l == nil || len(*l) == 0 {
+		return new(arena)
+	}
+	a := (*l)[len(*l)-1]
+	(*l)[len(*l)-1] = nil
+	*l = (*l)[:len(*l)-1]
+	return a
+}
+
+// put releases a and returns it to the free list, starting a new list if
+// the collector took the last.
+func (p *arenaPool) put(a *arena) {
+	a.release()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	l := p.free.Value()
+	if l == nil {
+		l = new([]*arena)
+		p.free = weak.Make(l)
+	}
+	*l = append(*l, a)
 }
 
 // maxChunkBytes caps the chunk a cutter starts ahead of demand.
@@ -83,12 +146,15 @@ func (c *cutter) cut(p []byte) string {
 // the slack they skipped at the ends of chunks) holds at most
 // ceil(log2(n/first request))+1 chunks. There is no floor: a cold slab's
 // first chunk is exactly its first request, and a warm one allocates
-// nothing.
+// nothing. It records the furthest any key group carved since its last
+// release, so releasing clears what was written and not every chunk held.
 type slab[T any] struct {
 	chunks [][]T
 	held   int // elements in chunks
 	cur    int // chunk being carved
 	off    int // first free element of chunks[cur]
+	// hiCur and hiOff are the furthest (cur, off) since the last release.
+	hiCur, hiOff int
 }
 
 // take returns n elements to be overwritten (nil for none), capped so that
@@ -110,4 +176,26 @@ func (s *slab[T]) take(n int) []T {
 	return c[:n:n]
 }
 
-func (s *slab[T]) reset() { s.cur, s.off = 0, 0 }
+func (s *slab[T]) reset() {
+	s.mark()
+	s.cur, s.off = 0, 0
+}
+
+// mark raises the high-water mark to the carving position.
+func (s *slab[T]) mark() {
+	if s.cur > s.hiCur || s.cur == s.hiCur && s.off > s.hiOff {
+		s.hiCur, s.hiOff = s.cur, s.off
+	}
+}
+
+// release zeroes every element carved since the last release and resets.
+func (s *slab[T]) release() {
+	s.mark()
+	for _, c := range s.chunks[:s.hiCur] {
+		clear(c)
+	}
+	if s.hiCur < len(s.chunks) {
+		clear(s.chunks[s.hiCur][:s.hiOff])
+	}
+	s.cur, s.off, s.hiCur, s.hiOff = 0, 0, 0, 0
+}

@@ -6,8 +6,10 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"weak"
 
 	"ysmart/internal/exec"
 	"ysmart/internal/mapreduce"
@@ -165,11 +167,14 @@ var errPoison = errors.New("poisoned row")
 // of very different sizes — its slot table, exclusion scratch, arena,
 // accumulators with their COUNT(DISTINCT) sets, and line chunks recycled
 // every time, also after a failed group — produces the output lines, error
-// text, work and per-operator row counts of a fresh instance per key
-// group, which never recycles anything.
+// text, work and per-operator row counts of a fresh instance on a new
+// arena per key group, which never recycles anything. So does one instance
+// that starts on an arena another DAG's instance released: what the free
+// list hands on carries nothing from the job that grew it.
 func TestReusedInstanceMatchesFreshInstances(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	failures := 0
+	var dirty func() // reduces the previous DAG's key groups on one instance
 	for iter := 0; iter < 400; iter++ {
 		nStreams := 1 + rng.Intn(3)
 		ops := randomDAG(rng, nStreams, 9) // the largest key group below
@@ -213,12 +218,14 @@ func TestReusedInstanceMatchesFreshInstances(t *testing.T) {
 			work     int64
 			dispatch []mapreduce.OpDispatch
 		}
+		job, err := arenaJob(ops, nStreams).Build()
+		if err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
+		}
+		factory := job.Reducer
+		// run reduces the groups on one instance (reused) or on a fresh
+		// one per group, each starting on a new arena.
 		run := func(reused bool) result {
-			job, err := arenaJob(ops, nStreams).Build()
-			if err != nil {
-				t.Fatalf("iter %d: %v", iter, err)
-			}
-			factory := job.Reducer
 			var res result
 			// What the instances return from Done, summed index by index
 			// the way the engine sums a job's tasks.
@@ -234,10 +241,14 @@ func TestReusedInstanceMatchesFreshInstances(t *testing.T) {
 					res.dispatch[i].OutRows += d.OutRows
 				}
 			}
+			if !reused {
+				dropArenas()
+			}
 			var task mapreduce.ReduceTask = factory.NewReduceTask()
 			for _, g := range groups {
 				if !reused {
 					done(task)
+					dropArenas()
 					task = factory.NewReduceTask()
 				}
 				var lines []string
@@ -248,9 +259,28 @@ func TestReusedInstanceMatchesFreshInstances(t *testing.T) {
 			done(task)
 			return res
 		}
-		fresh, reused := run(false), run(true)
-		if !reflect.DeepEqual(reused, fresh) {
+		fresh := run(false)
+		dropArenas()
+		if reused := run(true); !reflect.DeepEqual(reused, fresh) {
 			t.Fatalf("iter %d: a reused instance differs from fresh instances\n got %+v\nwant %+v", iter, reused, fresh)
+		}
+		if dirty != nil {
+			held := holdArenas()
+			dirty()
+			if len(*held) != 1 {
+				t.Fatalf("iter %d: the previous DAG's instance left %d arenas on the free list, want 1", iter, len(*held))
+			}
+			if foreign := run(true); !reflect.DeepEqual(foreign, fresh) {
+				t.Fatalf("iter %d: an instance on an arena another DAG released differs from fresh instances\n got %+v\nwant %+v", iter, foreign, fresh)
+			}
+			runtime.KeepAlive(held)
+		}
+		dirty = func() {
+			task := factory.NewReduceTask()
+			for _, g := range groups {
+				_ = task.Reduce(g.key, g.values, func(string) {})
+			}
+			task.Done()
 		}
 		for _, e := range fresh.errs {
 			if e != "<nil>" {
@@ -263,13 +293,120 @@ func TestReusedInstanceMatchesFreshInstances(t *testing.T) {
 	}
 }
 
+// dropArenas empties the free list, so the next instance starts on a new
+// arena.
+func dropArenas() {
+	arenas.mu.Lock()
+	defer arenas.mu.Unlock()
+	arenas.free = weak.Pointer[[]*arena]{}
+}
+
+// holdArenas gives the free list a new, empty list that the caller holds
+// strongly, so no collection takes what instances release onto it while
+// the caller looks.
+func holdArenas() *[]*arena {
+	held := new([]*arena)
+	arenas.mu.Lock()
+	defer arenas.mu.Unlock()
+	arenas.free = weak.Make(held)
+	return held
+}
+
+// isZero reports whether every element of s is its type's zero value.
+func isZero[T any](s []T) bool {
+	for i := range s {
+		if !reflect.ValueOf(&s[i]).Elem().IsZero() {
+			return false
+		}
+	}
+	return true
+}
+
+// TestArenaPoolReclaimed pins the free list's lifetime. A reduce phase's
+// Done releases its arena onto the list holding nothing of the phase:
+// every slab element, accumulator and aggregation group is zero and the
+// group index is empty, so a pooled arena pins no chunk of a finished
+// job. An instance on a released arena reduces as one on a new arena did.
+// Once no instance is live, two collections reclaim the list, weakly held,
+// and the next instance, on a new arena, reduces the same again; the list
+// its Done starts is reclaimed the same way.
+func TestArenaPoolReclaimed(t *testing.T) {
+	job, err := q17Job().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, values := q17Group()
+	// phase reduces the Q17 group and a smaller one on one instance, as a
+	// worker's reduce phase does, and ends it.
+	phase := func() []string {
+		var out []string
+		emit := func(line string) { out = append(out, line) }
+		task := job.Reducer.NewReduceTask()
+		for _, vs := range [][]string{values, values[3:]} {
+			if err := task.Reduce(key, vs, emit); err != nil {
+				t.Fatal(err)
+			}
+		}
+		task.Done()
+		return out
+	}
+	released := func(pass string, held *[]*arena) {
+		if len(*held) != 1 {
+			t.Fatalf("%s: %d arenas on the free list after Done, want 1", pass, len(*held))
+		}
+		a := (*held)[0]
+		if len(a.vals.chunks) == 0 || cap(a.accs) == 0 {
+			t.Fatalf("%s: the released arena carved no values or accumulators: the check below pins nothing", pass)
+		}
+		for _, c := range a.vals.chunks {
+			if !isZero(c) {
+				t.Errorf("%s: a released value chunk holds values: %v", pass, c)
+			}
+		}
+		for _, c := range a.rows.chunks {
+			if !isZero(c) {
+				t.Errorf("%s: a released row chunk holds rows", pass)
+			}
+		}
+		if !isZero(a.accs[:cap(a.accs)]) || !isZero(a.groups[:cap(a.groups)]) || len(a.index) != 0 {
+			t.Errorf("%s: the released arena keeps accumulators, groups or index entries", pass)
+		}
+	}
+
+	held := holdArenas()
+	fresh := phase() // on a new arena: the list was empty
+	released("new arena", held)
+	if got := phase(); !reflect.DeepEqual(got, fresh) {
+		t.Errorf("on a released arena: %q, on a new one %q", got, fresh)
+	}
+	released("released arena", held)
+	runtime.KeepAlive(held)
+
+	reclaimed := func(pass string) {
+		runtime.GC()
+		runtime.GC()
+		if arenas.free.Value() != nil {
+			t.Fatalf("%s: two collections with no instance live left the free list reachable", pass)
+		}
+	}
+	reclaimed("the list held above")
+	if got := phase(); !reflect.DeepEqual(got, fresh) {
+		t.Errorf("after the list was reclaimed: %q, on a new arena %q", got, fresh)
+	}
+	reclaimed("the list Done started")
+}
+
 // TestAllocBudgetTinyJob is the guard for per-job fixed cost: a 30-line,
 // six-key, one-worker job — the size of the benchmark's plan_cold tables,
 // where every per-job constant is paid several times per statement — must
 // not allocate more than it did before mappers had task instances (168
-// allocations; 300 before reducers had instances and arenas). Chunks,
-// slabs, scratch rows and tables grow from the demand seen; nothing has a
-// floor.
+// allocations; 300 before reducers had instances and arenas), its
+// reducer instance on a new arena. Chunks, slabs, scratch rows and tables
+// grow from the demand seen; nothing has a floor. When the free list holds
+// the arena the last run released, as it does from job to job while a
+// collection has not taken it, the run's instance takes that arena and
+// grows no slab chunk, and the job allocates at most warmBudget (54
+// before arenas were pooled).
 func TestAllocBudgetTinyJob(t *testing.T) {
 	dfs := mapreduce.NewDFS()
 	var lineitem, part [][4]int64
@@ -291,18 +428,40 @@ func TestAllocBudgetTinyJob(t *testing.T) {
 	}
 	e.SetWorkers(1)
 	var cs *mapreduce.ChainStats
-	got := testing.AllocsPerRun(50, func() {
+	runChain := func() {
 		if cs, err = e.RunChain([]*mapreduce.Job{job}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	got := testing.AllocsPerRun(50, func() {
+		dropArenas()
+		runChain()
 	})
 	stats := cs.Jobs[0]
 	if stats.ReduceGroups != 6 || stats.ReduceOutputRecords == 0 {
 		t.Fatalf("job reduced %d groups to %d rows: not the job this budget is about", stats.ReduceGroups, stats.ReduceOutputRecords)
 	}
-	const before = 168
-	t.Logf("30-line Q17-shaped job: %v allocations (before map task instances: %d)", got, before)
+	const before, warmBudget = 168, 40
+	t.Logf("30-line Q17-shaped job: %v allocations on a new arena (before map task instances: %d)", got, before)
 	if got > before {
-		t.Errorf("30-line Q17-shaped job: %v allocations, the %d before map task instances is the budget", got, before)
+		t.Errorf("30-line Q17-shaped job: %v allocations on a new arena, the %d before map task instances is the budget", got, before)
 	}
+
+	held := holdArenas()
+	runChain()
+	if len(*held) != 1 {
+		t.Fatalf("a one-worker job released %d arenas, want 1", len(*held))
+	}
+	a := (*held)[0]
+	vals, rows := len(a.vals.chunks), len(a.rows.chunks)
+	warm := testing.AllocsPerRun(50, runChain)
+	t.Logf("30-line Q17-shaped job: %v allocations on the arena the last run released", warm)
+	if warm > warmBudget {
+		t.Errorf("30-line Q17-shaped job: %v allocations on the arena the last run released, budget %d", warm, warmBudget)
+	}
+	if len(*held) != 1 || (*held)[0] != a || len(a.vals.chunks) != vals || len(a.rows.chunks) != rows {
+		t.Errorf("runs on the released arena grew its slabs from %d+%d chunks to %d+%d, or took another",
+			vals, rows, len(a.vals.chunks), len(a.rows.chunks))
+	}
+	runtime.KeepAlive(held)
 }

@@ -312,17 +312,19 @@ type commonReducer struct {
 // object, whose scratch outlives a key: the slot table, the exclusion
 // scratch, the line buffer and the arena are reused from key group to key
 // group, across every key run its engine worker takes, and the row counts
-// are the instance's own until Done hands them over. Output lines are
-// encoded into the line buffer and cut from the instance's line chunks, so
-// a line costs no allocation of its own, a chunk one per up to 4 KB of
-// lines. A chunk holds lines of this job's output only, written by this
+// are the instance's own until Done hands them over. The arena outlives
+// the instance: it comes from the free list and goes back at Done, so a
+// phase starts on the chunks earlier phases grew (see arena). Output lines
+// are encoded into the line buffer and cut from the instance's line
+// chunks, so a line costs no allocation of its own, a chunk one per up to
+// 4 KB of lines. A chunk holds lines of this job's output only, written by this
 // instance in one phase: it lives and dies with the job's DFS file, never
 // with another job's.
 type reduceTask struct {
 	cr             *commonReducer
 	slots, scratch [][]exec.Row // the graph's slot table; see graph.newSlots
 	excluded       []int
-	arena          arena
+	arena          *arena                 // the free list's until NewReduceTask, again after Done
 	line           []byte                 // the output line being encoded
 	lines          cutter                 // the emitted output lines
 	counts         mapreduce.ReduceCounts // Dispatch indexed like graph.ops
@@ -330,7 +332,7 @@ type reduceTask struct {
 
 // NewReduceTask implements mapreduce.Reducer.
 func (cr *commonReducer) NewReduceTask() mapreduce.ReduceTask {
-	t := &reduceTask{cr: cr, counts: mapreduce.ReduceCounts{Dispatch: slices.Clone(cr.opCounts)}}
+	t := &reduceTask{cr: cr, arena: arenas.get(), counts: mapreduce.ReduceCounts{Dispatch: slices.Clone(cr.opCounts)}}
 	t.slots, t.scratch = cr.graph.newSlots()
 	return t
 }
@@ -338,7 +340,7 @@ func (cr *commonReducer) NewReduceTask() mapreduce.ReduceTask {
 // Reduce implements mapreduce.ReduceTask. The key is never decoded: no
 // operator reads it.
 func (t *reduceTask) Reduce(_ string, values []string, emit func(string)) error {
-	cr, g, a := t.cr, t.cr.graph, &t.arena
+	cr, g, a := t.cr, t.cr.graph, t.arena
 	a.reset()
 	clear(t.slots)
 	// Every value decodes into one carving, sized by a count of their
@@ -386,8 +388,15 @@ func (t *reduceTask) Reduce(_ string, values []string, emit func(string)) error 
 	return nil
 }
 
-// Done implements mapreduce.ReduceTask.
-func (t *reduceTask) Done() mapreduce.ReduceCounts { return t.counts }
+// Done implements mapreduce.ReduceTask. It returns the arena to the free
+// list, once: the instance reduces nothing after it.
+func (t *reduceTask) Done() mapreduce.ReduceCounts {
+	if t.arena != nil {
+		arenas.put(t.arena)
+		t.arena = nil
+	}
+	return t.counts
+}
 
 // buildCombiner wires map-side partial aggregation for a single-aggregation
 // job (paper §I footnote 2 — the optimization that makes Hive competitive

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -510,7 +511,10 @@ func q17Group() (key string, values []string) {
 // of the arena, the aggregation's accumulators out of its scratch, and the
 // two output lines out of the instance's line chunks. The same group on a
 // fresh instance per key — what every key group cost before instances
-// outlived a key — must overrun the budget, or it pins nothing.
+// outlived a key — must overrun the budget, or it pins nothing. And the
+// arena outlives its instance: a second instance of the class takes the
+// arena the first released at Done and reduces the group without a new
+// slab chunk.
 func TestAllocBudgetReduce(t *testing.T) {
 	job, err := q17Job().Build()
 	if err != nil {
@@ -548,6 +552,23 @@ func TestAllocBudgetReduce(t *testing.T) {
 	if fresh <= budget {
 		t.Errorf("a fresh instance per key group fits the budget (%v <= %d): the budget pins nothing", fresh, budget)
 	}
+
+	held, a := holdArenas(), task.(*reduceTask).arena
+	task.Done()
+	second := job.Reducer.NewReduceTask().(*reduceTask)
+	if second.arena != a {
+		t.Fatal("a second instance did not take the arena the first released")
+	}
+	vals, rows := len(a.vals.chunks), len(a.rows.chunks)
+	if err := second.Reduce(key, values, emit); err != nil {
+		t.Fatal(err)
+	}
+	if len(a.vals.chunks) != vals || len(a.rows.chunks) != rows {
+		t.Errorf("a second instance grew the released arena's slabs from %d+%d chunks to %d+%d",
+			vals, rows, len(a.vals.chunks), len(a.rows.chunks))
+	}
+	second.Done()
+	runtime.KeepAlive(held)
 }
 
 func TestAllocBudgetEncodeTagged(t *testing.T) {

@@ -335,7 +335,7 @@ func (e *Engine) execJob(j *Job) (*JobStats, error) {
 	stats.MaxPartitionGroups, stats.MaxPartitionValues = reducerSizes(groups, numReduce)
 
 	// ----- Reduce ---------------------------------------------------------
-	outLines, counts, err := e.reduce(j, groups, nPairs, workers)
+	outLines, counts, err := e.reduce(j, groups, nPairs, workers, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -355,60 +355,44 @@ func (e *Engine) execJob(j *Job) (*JobStats, error) {
 // and returns the output lines in key order with what the reducer counted.
 // The key list is cut into runs (cutRuns) for the worker pool, and every
 // worker reduces the runs it takes on its reducer instance, in ascending
-// run order. A run emits into its keys' window of one output slice, a line
-// a key being what most reducers emit; only a run that emits more lines
-// than it has keys outgrows its window into a slice of its own. So the
-// phase allocates per worker and never per run, and when every run filled
-// its window exactly the slice is the output as it stands. Otherwise the
-// runs' lines are concatenated in run order. Either way the instances'
-// counts are summed after the join: the output and counts of one instance
-// reducing every key. workers holds the job's slots.
-func (e *Engine) reduce(j *Job, groups []keyGroup, n int, workers []jobWorker) ([]string, ReduceCounts, error) {
+// run order, appending the lines to its own line slice in sc, the scratch,
+// which is carried from job to job. Before a run, the slice is given room
+// for a line a key, what most reducers emit, doubling, so a cold one does
+// not regrow line by line. A run records where its lines lie there, and
+// after the join they are gathered in run order into one slice of exactly
+// their count, the one the DFS keeps (scratch.gather), and the scratch's
+// slices are cleared: the output and counts of one instance reducing every
+// key, and a phase that allocates that slice and little else once the
+// scratch is warm. workers holds the job's slots.
+func (e *Engine) reduce(j *Job, groups []keyGroup, n int, workers []jobWorker, sc *scratch) ([]string, ReduceCounts, error) {
 	runs := e.cutRuns(groups, n)
-	for w := range workers[:min(len(workers), len(runs))] {
-		jw := &workers[w]
-		jw.emit = func(line string) { jw.lines = append(jw.lines, line) }
-	}
-	out := make([]string, len(groups))
-	for r, lo := 0, 0; r < len(runs); r++ {
-		hi := lo + len(runs[r].groups)
-		runs[r].lines, lo = out[lo:lo:hi], hi
-	}
 	err := e.forEachTask(len(runs), func(w, r int) error {
-		jw := &workers[w]
-		reducer := jw.reduceTask(j)
-		jw.lines = runs[r].lines
-		for _, g := range runs[r].groups {
-			if err := reducer.Reduce(g.key, g.values, jw.emit); err != nil {
+		reducer, ws := workers[w].reduceTask(j), &sc.workers[w]
+		run, emit := &runs[r], ws.emitter()
+		if room := cap(ws.lines) - len(ws.lines); room < len(run.groups) {
+			ws.lines = slices.Grow(ws.lines, max(len(run.groups), cap(ws.lines)))
+		}
+		run.worker, run.lo = w, len(ws.lines)
+		for _, g := range run.groups {
+			if err := reducer.Reduce(g.key, g.values, emit); err != nil {
 				return fmt.Errorf("reduce key %q: %w", g.key, err)
 			}
 		}
-		runs[r].lines = jw.lines
+		run.hi = len(ws.lines)
 		return nil
 	})
 	counts := endPhase(workers)
+	var lines []string
+	if err == nil {
+		lines = sc.gather(runs)
+	}
+	for w := range sc.workers {
+		ws := &sc.workers[w]
+		clear(ws.lines)
+		ws.lines = ws.lines[:0]
+	}
 	if err != nil {
 		return nil, ReduceCounts{}, err
-	}
-	if len(runs) == 1 {
-		lines := runs[0].lines
-		if cap(lines)-len(lines) > len(lines)/4 {
-			// The DFS keeps this slice for good: not with mostly unused capacity.
-			lines = slices.Clone(lines)
-		}
-		return lines, counts, nil
-	}
-	total, inPlace := 0, true
-	for _, run := range runs {
-		total += len(run.lines)
-		inPlace = inPlace && len(run.lines) == len(run.groups)
-	}
-	if inPlace {
-		return out, counts, nil
-	}
-	lines := make([]string, 0, total)
-	for _, run := range runs {
-		lines = append(lines, run.lines...)
 	}
 	return lines, counts, nil
 }

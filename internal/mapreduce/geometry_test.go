@@ -863,13 +863,18 @@ func TestAllocBudgetRunJob(t *testing.T) {
 	}
 
 	job := &Job{Reducer: discard}
-	reduceAllocs := func(perKey int) (runs int, allocs float64) {
-		groups := make([]keyGroup, 8)
+	keyGroups := func(keys, perKey int) []keyGroup {
+		groups := make([]keyGroup, keys)
 		for k := range groups {
-			groups[k] = keyGroup{key: string(rune('a' + k)), values: make([]string, perKey)}
+			groups[k] = keyGroup{key: fmt.Sprintf("k%04d", k), values: make([]string, perKey)}
 		}
+		return groups
+	}
+	reduceAllocs := func(perKey int) (runs int, allocs float64) {
+		groups := keyGroups(8, perKey)
+		sc := &scratch{workers: make([]workerScratch, e.workers)}
 		return len(e.cutRuns(groups, 8*perKey)), testing.AllocsPerRun(20, func() {
-			if _, _, err := e.reduce(job, groups, 8*perKey, make([]jobWorker, e.workers)); err != nil {
+			if _, _, err := e.reduce(job, groups, 8*perKey, make([]jobWorker, e.workers), sc); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -881,5 +886,41 @@ func TestAllocBudgetRunJob(t *testing.T) {
 	}
 	if many > few {
 		t.Errorf("workers 2: %v allocations for 8 key runs, %v for 2: the reduce phase allocates per run", many, few)
+	}
+	// The reduce phase's bytes on a warm scratch, for a reducer that emits
+	// three lines a key and allocates none: the output slice, 16 B a line,
+	// and what fits the allowance (the runs, the pool's goroutines). The lines
+	// a run emits past its keys' count cost no window regrown by doubling
+	// and no second copy. Which runs a worker takes is scheduling, so the
+	// scratch is warmed as every worker's is once it has reduced every key
+	// of the job, and 1 024 keys make the output slice a whole number of
+	// pages, the allocator's rounding for an object that large.
+	const reduceRuns, reduceAllowance, nKeys = 100, 1 << 10, 1024
+	three := ReducerFunc(func(key string, _ []string, emit func(string)) error {
+		emit(key)
+		emit(key)
+		emit(key)
+		return nil
+	})
+	groups := keyGroups(nKeys, 4)
+	sc = &scratch{workers: make([]workerScratch, e.workers)}
+	for w := range sc.workers {
+		sc.workers[w].lines = make([]string, 0, 3*nKeys)
+	}
+	threeJob, slots := &Job{Reducer: three}, make([]jobWorker, e.workers)
+	reducePhase := func() {
+		lines, _, err := e.reduce(threeJob, groups, 4*nKeys, slots, sc)
+		if err != nil || len(lines) != 3*nKeys || lines[3*nKeys-1] != groups[nKeys-1].key {
+			t.Fatalf("reduce: %d lines, error %v", len(lines), err)
+		}
+	}
+	reducePhase()
+	runtime.ReadMemStats(&before)
+	for range reduceRuns {
+		reducePhase()
+	}
+	runtime.ReadMemStats(&after)
+	if bytes, budget := (after.TotalAlloc-before.TotalAlloc)/reduceRuns, uint64(3*nKeys*16+reduceAllowance); bytes > budget {
+		t.Errorf("reducing %d keys to 3 lines each allocates %d bytes, budget %d: more than the output slice", nKeys, bytes, budget)
 	}
 }

@@ -211,8 +211,7 @@ func (f CombinerFunc) Combine(key string, values []string) (string, error) {
 }
 
 // jobWorker is one pool worker's slot through a job: the instances it
-// builds under the lifetime rule, and the emit function that appends to the
-// lines of the key run it is reducing. A job allocates its slots once
+// builds under the lifetime rule. A job allocates its slots once
 // (Engine.runJob) and shares them across its phases; every slot dies with
 // the job.
 type jobWorker struct {
@@ -220,8 +219,6 @@ type jobWorker struct {
 	mapper   MapTask
 	combiner CombineTask
 	reducer  ReduceTask
-	lines    []string
-	emit     func(line string)
 }
 
 // mapTask returns the worker's instance of input in's mapper in the current

@@ -4,9 +4,10 @@ import "weak"
 
 // scratch is what a job fills and empties again, carried so that the next
 // job, and the next chain, reuses what an earlier one grew: the grouping
-// of the driver's shuffle, and each pool worker's combiner grouping and
-// map-output index array. Hadoop allocates its map-side sort buffer and its
-// reduce-side merge buffers once per task JVM the same way.
+// of the driver's shuffle, and each pool worker's combiner grouping,
+// map-output index array and reduce output lines. Hadoop allocates its
+// map-side sort buffer and its reduce-side merge buffers once per task JVM
+// the same way.
 //
 // The engine holds its scratch through a weak pointer (Engine.scratch). A
 // chain holds it strongly from its first job to its last (RunChainContext),
@@ -26,6 +27,44 @@ type scratch struct {
 type workerScratch struct {
 	combine grouping
 	index   []int32 // lent to the worker's Output for a job (Output.index)
+	// lines are the lines the worker's reducer instance emitted in the
+	// reduce phase, until Engine.reduce gathers them; emit appends to it.
+	lines []string
+	emit  func(line string)
+}
+
+// emitter returns the function that appends a line to w's lines, built
+// once for the scratch's life.
+func (w *workerScratch) emitter() func(line string) {
+	if w.emit == nil {
+		w.emit = func(line string) { w.lines = append(w.lines, line) }
+	}
+	return w.emit
+}
+
+// gather returns the runs' lines in run order, in one slice of exactly
+// their count, for the DFS to keep. A lone run's lines are its worker's
+// whole slice: when that has little room to spare, it is handed over as
+// it stands and the worker grows a new one, as a fresh engine's would;
+// any other output is copied, and the workers keep their slices.
+func (s *scratch) gather(runs []keyRun) []string {
+	if len(runs) == 1 {
+		ws := &s.workers[runs[0].worker]
+		if n := len(ws.lines); n > 0 && cap(ws.lines)-n <= n/4 {
+			lines := ws.lines[:n:n]
+			ws.lines = nil
+			return lines
+		}
+	}
+	total := 0
+	for _, run := range runs {
+		total += run.hi - run.lo
+	}
+	lines := make([]string, 0, total)
+	for _, run := range runs {
+		lines = append(lines, s.workers[run.worker].lines[run.lo:run.hi]...)
+	}
+	return lines
 }
 
 // scratch returns the engine's scratch, sized for its workers, building a

@@ -179,11 +179,11 @@ func reducerSizes(groups []keyGroup, numReduce int) (maxGroups, maxValues int64)
 }
 
 // keyRun is one contiguous run of the sorted key list, the reduce phase's
-// work item, with the lines its worker's reducer instance emitted for it
-// (see Engine.reduce).
+// work item, with where its lines lie: lines[lo:hi] of the line slice of
+// the worker whose reducer instance emitted them (see Engine.reduce).
 type keyRun struct {
-	groups []keyGroup
-	lines  []string
+	groups         []keyGroup
+	worker, lo, hi int
 }
 
 // cutRuns cuts the sorted key list into contiguous runs of about equal

@@ -35,14 +35,16 @@ var ErrUnsupported = errors.New("not supported")
 // Build converts a parsed SELECT statement into a logical plan.
 func Build(stmt *sqlparser.SelectStmt, cat Catalog) (Node, error) {
 	b := &builder{cat: cat}
-	return b.buildSelect(stmt)
+	return b.buildSelect(stmt, true)
 }
 
 type builder struct {
 	cat Catalog
 }
 
-func (b *builder) buildSelect(stmt *sqlparser.SelectStmt) (Node, error) {
+// buildSelect builds one SELECT: the statement itself when top is set, or
+// a derived table or IN-subquery of it.
+func (b *builder) buildSelect(stmt *sqlparser.SelectStmt, top bool) (Node, error) {
 	if len(stmt.From) == 0 {
 		return nil, fmt.Errorf("SELECT without FROM is %w", ErrUnsupported)
 	}
@@ -183,7 +185,9 @@ func (b *builder) buildSelect(stmt *sqlparser.SelectStmt) (Node, error) {
 	// 8. ORDER BY / LIMIT. Order keys that name projected expressions are
 	// rewritten to references of the projection's output columns; errors
 	// name the key as the statement spelled it. A key that only resolves
-	// against the projection's input would need a hidden sort column.
+	// against the projection's input would need a hidden sort column. A
+	// LIMIT runs only as the cut of the final ORDER BY's single total-order
+	// reducer, so one anywhere else is refused here, before lowering.
 	if len(stmt.OrderBy) > 0 {
 		keys := make([]SortKey, len(stmt.OrderBy))
 		for i, o := range stmt.OrderBy {
@@ -208,6 +212,9 @@ func (b *builder) buildSelect(stmt *sqlparser.SelectStmt) (Node, error) {
 		cur = &Sort{Child: cur, Keys: keys}
 	}
 	if stmt.Limit >= 0 {
+		if !top || len(stmt.OrderBy) == 0 {
+			return nil, fmt.Errorf("a LIMIT that is not directly above the final ORDER BY is %w", ErrUnsupported)
+		}
 		cur = &Limit{Child: cur, N: stmt.Limit}
 	}
 	return cur, nil
@@ -223,7 +230,7 @@ func (b *builder) buildTableRef(tr sqlparser.TableRef) (Node, error) {
 		return NewScan(strings.ToLower(x.Name), x.Binding(), schema), nil
 
 	case *sqlparser.Subquery:
-		child, err := b.buildSelect(x.Select)
+		child, err := b.buildSelect(x.Select, false)
 		if err != nil {
 			return nil, fmt.Errorf("derived table %s: %w", x.Alias, err)
 		}
@@ -282,7 +289,7 @@ func (b *builder) applySemiJoin(cur Node, e *sqlparser.InSubqueryExpr, idx int) 
 	if err != nil {
 		return nil, fmt.Errorf("IN subquery: %w", err)
 	}
-	sub, err := b.buildSelect(e.Select)
+	sub, err := b.buildSelect(e.Select, false)
 	if err != nil {
 		return nil, fmt.Errorf("IN subquery: %w", err)
 	}

@@ -393,6 +393,12 @@ func TestBuildRejectsWhatCannotRun(t *testing.T) {
 		{"SELECT c1.uid FROM clicks c1 CROSS JOIN clicks c2", "CROSS JOIN is not supported"},
 		{"SELECT c1.uid FROM clicks c1 JOIN clicks c2 ON c1.ts < c2.ts",
 			"JOIN without an equi-join condition is not supported"},
+		// A LIMIT runs only as the final ORDER BY's cut: not without one,
+		// and not inside a derived table.
+		{"SELECT uid FROM clicks LIMIT 2",
+			"a LIMIT that is not directly above the final ORDER BY is not supported"},
+		{"SELECT x.uid FROM (SELECT uid FROM clicks ORDER BY uid LIMIT 5) AS x",
+			"derived table x: a LIMIT that is not directly above the final ORDER BY is not supported"},
 	} {
 		stmt, err := sqlparser.Parse(tt.sql)
 		if err != nil {

@@ -183,8 +183,8 @@ func TestServerIllTypedConditionsAreSyntaxErrors(t *testing.T) {
 	diffLines(t, "Q17 after the rejected conditions", wireLines(res), oracleWireLines(t, queries.Q17))
 }
 
-// TestServerUnsupportedSQLIsFeatureNotSupported: valid SQL the planner or
-// the lowering refuses answers 0A000 (feature_not_supported), as in
+// TestServerUnsupportedSQLIsFeatureNotSupported: valid SQL the planner
+// refuses answers 0A000 (feature_not_supported), as in
 // PostgreSQL, and reads no table; a real syntax error still answers 42601,
 // and the session stays usable.
 func TestServerUnsupportedSQLIsFeatureNotSupported(t *testing.T) {

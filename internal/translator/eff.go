@@ -106,8 +106,6 @@ func lowerChain(in effView, chain []plan.Node, required func(plan.Node) []int) (
 			// columns): it carries the bindings and visibility flags the
 			// planner set, which a plain re-qualification would lose.
 			cur = effView{schema: restrictView(n.Schema(), cur.cols).schema, cols: cur.cols}
-		case *plan.Limit:
-			return nil, effView{}, fmt.Errorf("a LIMIT that is not directly above the final ORDER BY is %w", plan.ErrUnsupported)
 		default:
 			return nil, effView{}, fmt.Errorf("unsupported chain node %T", n)
 		}

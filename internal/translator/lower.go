@@ -149,11 +149,8 @@ func (lw *lowerer) lowerJobs(g *grouping) (*Translation, error) {
 		return nil, err
 	}
 
-	// Strip a trailing LIMIT from the top chain; it folds into a root SORT.
-	topChain, topLimit, err := lw.splitTopLimit()
-	if err != nil {
-		return nil, err
-	}
+	// Strip the LIMIT from the top chain; it folds into the root SORT.
+	topChain, topLimit := lw.splitTopLimit()
 	lw.topLimit = topLimit
 
 	tr := &Translation{Mode: lw.mode, Analysis: lw.analysis}
@@ -189,22 +186,17 @@ func (lw *lowerer) lowerJobs(g *grouping) (*Translation, error) {
 	return tr, nil
 }
 
-// splitTopLimit validates and removes a LIMIT from the top chain.
-func (lw *lowerer) splitTopLimit() ([]plan.Node, int, error) {
+// splitTopLimit removes the LIMIT, if any, from the top chain. plan.Build
+// puts a LIMIT only directly above the final ORDER BY, so when there is
+// one it is the whole chain.
+func (lw *lowerer) splitTopLimit() ([]plan.Node, int) {
 	chain := lw.analysis.TopChain
-	limit := 0
-	for i, n := range chain {
-		l, ok := n.(*plan.Limit)
-		if !ok {
-			continue
+	if len(chain) == 1 {
+		if l, ok := chain[0].(*plan.Limit); ok {
+			return nil, l.N
 		}
-		if i != len(chain)-1 || lw.analysis.RootOp.Kind != correlation.KindSort {
-			return nil, 0, fmt.Errorf("a LIMIT that is not directly above the final ORDER BY is %w", plan.ErrUnsupported)
-		}
-		limit = l.N
-		chain = chain[:i]
 	}
-	return chain, limit, nil
+	return chain, 0
 }
 
 // jobDeps lists the jobs jb reads intermediate results from.

@@ -391,12 +391,6 @@ func (g *grouping) stepTwo() {
 		if target == nil || target == g.jobOf[op] {
 			continue
 		}
-		if g.chainBlocksMerge(op) {
-			g.fireRule("merge-blocked",
-				obs.F("rule", rule), obs.F("op", op.Name()),
-				obs.F("reason", "chain contains LIMIT"))
-			continue
-		}
 		src := g.jobOf[op]
 		if !g.mergeSafe(src, target) {
 			g.fireRule("merge-blocked",
@@ -409,19 +403,6 @@ func (g *grouping) stepTwo() {
 			obs.F("into", opNames(target)))
 		g.merge(target, src)
 	}
-}
-
-// chainBlocksMerge rejects merges when the chain between op and a same-job
-// child contains nodes the reduce-side dataflow cannot express (LIMIT).
-func (g *grouping) chainBlocksMerge(op *correlation.Operation) bool {
-	for _, in := range op.Inputs {
-		for _, n := range in.Chain {
-			if _, isLimit := n.(*plan.Limit); isLimit {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // mergeSafe reports whether merging src into dst keeps the job graph
