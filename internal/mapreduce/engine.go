@@ -229,7 +229,8 @@ func (e *Engine) execJob(j *Job) (*JobStats, error) {
 	workers := make([]jobWorker, e.workers) // every phase's instances (job.go)
 	sc, outs := e.scratch(), e.outputs()
 	sc.lend(outs)
-	defer sc.endJob(outs)
+	recycle := false // set once the job succeeds with no output line viewing its chunks
+	defer func() { sc.endJob(outs, recycle) }()
 	// The mappers run morsel by morsel on the worker pool, each worker on
 	// its instance of the morsel's input's mapper and into its Output. Each
 	// morsel writes only its own slot of lists and its worker's chunks, and
@@ -348,6 +349,7 @@ func (e *Engine) execJob(j *Job) (*JobStats, error) {
 	if err := e.costJob(j, stats, preCombineBytes, tasks); err != nil {
 		return nil, err
 	}
+	recycle = !sc.viewed(outLines, outs)
 	return stats, nil
 }
 
@@ -399,7 +401,8 @@ func (e *Engine) reduce(j *Job, groups []keyGroup, n int, workers []jobWorker, s
 
 // outputs returns the pool workers' Outputs, one a worker, which the map
 // and combine phases write their pairs to. They outlive the job, so each
-// worker's open chunk and segment log serve every job the engine runs.
+// worker's segment log, and its open chunk after a job that does not
+// recycle its chunks (Output.endJob), serve the next job.
 func (e *Engine) outputs() []Output {
 	if len(e.outs) != e.workers {
 		e.outs = make([]Output, e.workers)

@@ -651,7 +651,7 @@ func TestAllocBudgetCombineTask(t *testing.T) {
 			if err != nil || folded.len() != 4 {
 				t.Fatalf("combineTask = %q, %v; want 4 pairs", pairsOf(&folded), err)
 			}
-			sc.endJob(outs)
+			sc.endJob(outs, false)
 		})
 	}
 	few, many := allocs(listFor(16)), allocs(listFor(256))

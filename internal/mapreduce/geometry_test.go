@@ -659,8 +659,11 @@ func sameGroups(got, want []keyGroup) error {
 // and since a fresh Output's chunks start at the first pair's size, lists
 // span several chunks. Every input runs as three jobs back to back on one
 // scratch and one pair of Outputs, as an engine carries them: the lists,
-// the lists reversed, then the lists again, so a container the scratch
-// carries dirty from a job fails the next.
+// the lists reversed, then the lists again. Each job ends as one whose
+// output lines view no chunk does, freeing its chunks, so the next job's
+// lists read back from recycled chunks, and a container or chunk the
+// scratch carries dirty from a job — a chunk freed while its Output still
+// writes to it, or freed holding bytes — fails the fuzz.
 func FuzzShuffleGrouping(f *testing.F) {
 	f.Add([]byte(""), uint8(1))
 	f.Add([]byte("abcabcaab"), uint8(3))
@@ -691,7 +694,17 @@ func FuzzShuffleGrouping(f *testing.F) {
 			if err := shuffleJob(sc, outs, input); err != nil {
 				t.Fatalf("job %d: %v", job, err)
 			}
-			sc.endJob(outs)
+			sc.endJob(outs, true)
+			for w := range outs {
+				if outs[w].buf != nil {
+					t.Fatalf("job %d: worker %d's Output holds a chunk after a job that freed its chunks", job, w)
+				}
+				for _, c := range sc.workers[w].chunks {
+					if len(c) != 0 {
+						t.Fatalf("job %d: worker %d's free list holds a chunk of %d bytes", job, w, len(c))
+					}
+				}
+			}
 		}
 	})
 }
@@ -756,11 +769,13 @@ func shuffleJob(sc *scratch, outs []Output, input [][]kv) error {
 // runs and keys fixed, a job's allocations do not grow with its pair count
 // — every per-pair container is carried in the engine's scratch, held as
 // a chain holds it — but for the chunks the worker's Output copies the
-// pairs into, one per pairChunkBytes of pair bytes: the Output carries its
-// open chunk and segment log from job to job, so a job does not start them
-// from empty. On a warm scratch the map phase's bytes are the pair bytes
-// and a fixed allowance, and the shuffle's the allowance alone: the index,
-// the groups, their map and the values slab are all carried. At 2 workers,
+// pairs into, one per pairChunkBytes of pair bytes, and those only when
+// the last job's output lines viewed its chunks (a map-only job's do):
+// otherwise the job freed its chunks to the scratch and the next one
+// writes them again. On a warm scratch the map phase's bytes are the pair
+// bytes and a fixed allowance, a recycling reduce job's a budget that the
+// pair bytes alone exceed, and the shuffle's the allowance alone: the
+// index, the groups, their map and the values slab are all carried. At 2 workers,
 // with the keys fixed, more pairs cost the shuffle no more allocations (it
 // groups on the driver whatever the worker count) and more key runs cost
 // the reduce phase none (it allocates per worker, never per run).
@@ -793,7 +808,14 @@ func TestAllocBudgetRunJob(t *testing.T) {
 	const pairBytes = 10
 	for name, reducer := range map[string]Reducer{"reduce": discard, "map-only": nil} {
 		few, many := allocs(500, reducer), allocs(8000, reducer)
-		if chunks := (8000-500)*pairBytes/pairChunkBytes + 1; many > few+float64(chunks) {
+		// A map-only job's output lines view its chunks, so it starts new
+		// ones; the reduce job's view none, so it frees its chunks for the
+		// next run and starts none.
+		chunks := 0
+		if reducer == nil {
+			chunks = (8000-500)*pairBytes/pairChunkBytes + 1
+		}
+		if many > few+float64(chunks) {
 			t.Errorf("%s: %v allocations for 8000 pairs, %v for 500: more than the %d chunks the further pairs fill, a container grows with the pairs", name, many, few, chunks)
 		}
 		const budget = 12
@@ -814,7 +836,7 @@ func TestAllocBudgetRunJob(t *testing.T) {
 		if _, err := runMapper(mapper, lines, &outs[0]); err != nil {
 			t.Fatal(err)
 		}
-		sc.endJob(outs)
+		sc.endJob(outs, false)
 	}
 	mapJob()
 	var before, after runtime.MemStats
@@ -825,6 +847,31 @@ func TestAllocBudgetRunJob(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if bytes := (after.TotalAlloc - before.TotalAlloc) / mapRuns; bytes > 8000*pairBytes+mapAllowance {
 		t.Errorf("mapping 8000 lines allocates %d bytes, budget %d: more than the pair bytes", bytes, 8000*pairBytes+mapAllowance)
+	}
+	// A reduce job whose output lines view no chunk frees its chunks for
+	// the next, so on a warm engine, its scratch held as a chain holds it,
+	// 8 000 pairs (80 000 B) cost no chunk: what a run allocates — its
+	// stats, its slots, the DFS file — fits the budget.
+	const recycledRuns, recycledBudget = 20, 4 << 10
+	recycled := newTestEngine(t)
+	recycled.SetWorkers(1)
+	recycled.DFS().Write("in", lines)
+	reduceJob := &Job{Name: "recycled", Inputs: []Input{{Path: "in", Mapper: mapper}}, Reducer: discard, Output: "out"}
+	reduceRun := func() {
+		if _, err := recycled.runJob(reduceJob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := recycled.scratch()
+	reduceRun()
+	runtime.ReadMemStats(&before)
+	for range recycledRuns {
+		reduceRun()
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(held)
+	if bytes := (after.TotalAlloc - before.TotalAlloc) / recycledRuns; bytes > recycledBudget {
+		t.Errorf("a warm reduce job over 8000 pairs allocates %d bytes, budget %d: its pair chunks were not reused", bytes, recycledBudget)
 	}
 
 	e := &Engine{workers: 2}

@@ -53,9 +53,12 @@ type Emit func(key, value string)
 // or a combiner returns may alias scratch it reuses for the next record.
 // A mapper may, since its Emit copies (see Emit): each pool worker owns an
 // Output, its map instances' Emit writes every morsel's pairs into the
-// Output's append-only chunks and its combiner instance every folded pair,
-// and the chunks die with the last string that views them — a job's pairs
-// with its shuffle, a map-only job's with the output lines the DFS keeps.
+// Output's chunks and its combiner instance every folded pair. When a job
+// ends, its chunks go back to the worker's free list for later jobs to
+// write again if no output line the DFS keeps views them, and otherwise
+// die with the last string that views them, as a map-only job's output
+// lines do. So a key, value or folded pair outlives its job only in an
+// output line, which is what ending an instance with its phase keeps.
 // MapperFunc, ReducerFunc and CombinerFunc are stateless classes that are
 // their own instances, so their functions must be safe for concurrent
 // calls.

@@ -18,15 +18,21 @@ const pairChunkBytes = 4 << 10
 // index is a window of an array the worker's scratch lends the Output for
 // the job (scratch.go), list after list, as a key group is a window of the
 // shuffle's values slab; an array too small for the open list is replaced
-// (growIndex). At a job's end, endJob drops the job's lists and hands the
-// index array back; the open chunk and the segment log's array stay for
-// the next job, so a job does not start its chunks and its log from empty.
-// A chunk is never written again below its end, so a string that views it
-// — a pair in the shuffle, a map-only output line the DFS keeps — stands
-// as long as something refers to it. A chunk is sized by demand — the
-// pair, or every byte the Output has taken so far if that is larger,
-// capped at pairChunkBytes — and no pair straddles two chunks, so a pair
-// longer than the cap has a chunk of its own.
+// (growIndex). The scratch lends two more arrays: a free list of empty
+// chunks, which a new chunk is taken from before one is allocated, and a
+// log of the chunks the job started. A chunk is never written below its
+// end within a job, so a string that views it — a pair in the shuffle, a
+// map-only output line the DFS keeps — stands while the job runs. At a
+// job's end, endJob drops the job's lists and hands the lent arrays back;
+// the segment log's array stays for the next job. If no line the DFS keeps
+// views a chunk the job started (scratch.viewed), those chunks go on the
+// free list, emptied, and later jobs write them again, as Hadoop rewrites
+// its map-output buffer spill after spill; otherwise they die with the
+// last string that views them, and the open chunk stays for the next job,
+// so a job does not start its chunks from empty. A chunk is sized by
+// demand — the pair, or every byte the Output has taken so far if that is
+// larger, capped at pairChunkBytes — and no pair straddles two chunks, so
+// a pair longer than the cap has a chunk of its own.
 type Output struct {
 	buf      []byte    // the open chunk: what was written to it, its capacity the chunk's size
 	n        int       // bytes taken so far
@@ -36,7 +42,9 @@ type Output struct {
 	listAt   int       // where the open list's offsets begin in index
 	segs     []segment // the job's segments closed so far; the open list's are segs[first:]
 	first    int
-	emit     Emit // the Emit method value, built once
+	free     [][]byte // empty chunks, lent for the job: the last is taken first
+	started  [][]byte // the chunks the job started, each logged empty, lent for the job
+	emit     Emit     // the Emit method value, built once
 }
 
 // segment is a run of one list's pairs that lie back to back in one chunk.
@@ -85,11 +93,25 @@ func (o *Output) emitter() Emit {
 func (o *Output) reserve(n int) int {
 	if cap(o.buf)-len(o.buf) < n {
 		o.closeSegment()
-		o.buf = make([]byte, 0, max(n, min(o.n, pairChunkBytes)))
+		o.buf = o.newChunk(n)
 		o.start = 0
 	}
 	o.n += n
 	return len(o.buf) - o.start
+}
+
+// newChunk returns an empty chunk with room for n bytes, which the job
+// starts: the free list's last if it has the room, or a new one sized by
+// demand.
+func (o *Output) newChunk(n int) []byte {
+	var c []byte
+	if k := len(o.free) - 1; k >= 0 && cap(o.free[k]) >= n {
+		c, o.free[k], o.free = o.free[k], nil, o.free[:k]
+	} else {
+		c = make([]byte, 0, max(n, min(o.n, pairChunkBytes)))
+	}
+	o.started = append(o.started, c)
+	return c
 }
 
 // openSegment returns the open segment's bytes. They are never written
@@ -134,18 +156,29 @@ func (o *Output) take() pairList {
 }
 
 // endJob drops the job's lists from the Output, once nothing reads them,
-// and returns their index array, emptied, for the next job: the Output
-// keeps no reference to it. Its log no longer refers to the lists' chunks,
-// so they die with the last string that views them, and the log's array
-// and the open chunk's free bytes serve the next job. A chunk longer than
-// the cap is one long pair's and full, so the Output lets it go too.
-func (o *Output) endJob() (index []int32) {
+// and returns the arrays the scratch lent it — the index, emptied, the
+// free list and the log of the chunks the job started — so the Output
+// keeps no reference to them between jobs; its segment log keeps its
+// array but no string. If recycle is set, no string views a chunk the job
+// started (scratch.viewed), so each goes on the free list, emptied, the
+// open chunk with them; a chunk the job found open is never among them,
+// since a string may view its head. Otherwise the started chunks die with
+// the last string that views them, and the open chunk's free bytes serve
+// the next job, unless it is longer than the cap: then it is one long
+// pair's and full, and the Output lets it go too.
+func (o *Output) endJob(recycle bool) (index []int32, free, started [][]byte) {
 	clear(o.segs)
 	index, o.index, o.listAt, o.segs = o.index[:0], nil, 0, o.segs[:0]
+	free, started, o.free, o.started = o.free, o.started, nil, nil
+	if recycle && len(started) > 0 {
+		free = append(free, started...)
+		o.buf = nil // the last chunk started
+	}
+	clear(started)
 	if cap(o.buf) > pairChunkBytes {
 		o.buf = nil
 	}
-	return index
+	return index, free, started[:0]
 }
 
 // pairList is the map output of one unit of host work — a morsel, or a

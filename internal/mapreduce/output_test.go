@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -15,6 +17,8 @@ import (
 // longer than a chunk's cap, emitted as views of a buffer the mapper
 // reuses, in morsels of random lengths, between lines that emit nothing,
 // over several jobs that each carry the Output's open chunk to the next.
+// The across-jobs promise is for jobs that do not recycle their chunks:
+// one that does frees them for the next (TestRecycledChunksKeepOutputs).
 func TestMapTaskPairsStayPut(t *testing.T) {
 	var emitted []kv
 	var buf []byte // reused from line to line: Emit copies the views emitted
@@ -49,7 +53,7 @@ func TestMapTaskPairsStayPut(t *testing.T) {
 		early = append(early, pairsOf(&l)...)
 		lines += len(morsel)
 		if rng.Intn(4) == 0 {
-			out.endJob()
+			out.endJob(false)
 			jobs++
 		}
 	}
@@ -69,5 +73,114 @@ func TestMapTaskPairsStayPut(t *testing.T) {
 	}
 	if long == 0 || jobs == 0 || len(emitted) == 0 || len(emitted) == lines {
 		t.Fatalf("%d pairs from %d lines in %d jobs, %d longer than a chunk's cap: not the mix this test is about", len(emitted), lines, jobs, long)
+	}
+}
+
+// TestRecycledChunksKeepOutputs is the free list's safety proof: a job's
+// pair chunks serve a later job only when no line the DFS keeps views
+// them. On one engine, its scratch held as a chain holds it, run a job
+// whose reducer emits its keys and values as they stand, then a map-only
+// job, then chains of jobs whose reducers copy their lines, which recycle.
+// After every job, every file the DFS kept still equals the copy taken
+// when it was written, and each chain's files equal a fresh engine's, at
+// 1, 2 and 8 workers.
+func TestRecycledChunksKeepOutputs(t *testing.T) {
+	asTheyStand := ReducerFunc(func(key string, values []string, emit func(string)) error {
+		emit(key)
+		for _, v := range values {
+			emit(v)
+		}
+		return nil
+	})
+	mapOnly := MapperFunc(func(line string, emit Emit) error {
+		key, value, _ := strings.Cut(line, " ")
+		emit("", value+" "+key)
+		return nil
+	})
+	// chain is scratchChain writing files of its own: sums<i> and out<i>.
+	chain := func(i int) []*Job {
+		jobs := scratchChain()
+		jobs[0].Output = fmt.Sprintf("sums%d", i)
+		jobs[1].Inputs[1].Path, jobs[1].Output = jobs[0].Output, fmt.Sprintf("out%d", i)
+		return jobs
+	}
+	engine := func(workers int) *Engine {
+		dfs := NewDFS()
+		dfs.Write("a", geometryInput(5000, 400, 0))
+		dfs.Write("b", geometryInput(3000, 400, 3))
+		e, err := NewEngine(dfs, geometryCluster())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetWorkers(workers)
+		return e
+	}
+	read := func(e *Engine, path string) []string {
+		lines, err := e.DFS().Read(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lines
+	}
+	const chains = 3
+	for _, workers := range []int{1, 2, 8} {
+		fresh := engine(workers)
+		if _, err := fresh.RunChain(chain(0)); err != nil {
+			t.Fatal(err)
+		}
+		wantSums, wantOut := read(fresh, "sums0"), read(fresh, "out0")
+
+		e := engine(workers)
+		sc := e.scratch() // as RunChainContext holds it, so no collection takes the free list
+		kept := map[string][]string{}
+		keep := func(path, after string) {
+			for p, want := range kept {
+				if got := read(e, p); !slices.Equal(got, want) {
+					t.Fatalf("workers=%d: %s changed after %s: a chunk its lines view was written again", workers, p, after)
+				}
+			}
+			lines := read(e, path)
+			clone := make([]string, len(lines))
+			for i, l := range lines {
+				clone[i] = strings.Clone(l)
+			}
+			kept[path] = clone
+		}
+		job := geometryJob(geometryMapper())
+		job.Name, job.Reducer, job.Output = "as-they-stand", asTheyStand, "stand"
+		if _, err := e.RunChain([]*Job{job}); err != nil {
+			t.Fatal(err)
+		}
+		keep("stand", "its own job")
+		job = &Job{Name: "map-only", Inputs: []Input{{Path: "a", Mapper: mapOnly}}, Output: "maponly"}
+		if _, err := e.RunChain([]*Job{job}); err != nil {
+			t.Fatal(err)
+		}
+		keep("maponly", "a map-only job")
+		freed := 0
+		for w := range sc.workers {
+			freed += len(sc.workers[w].chunks)
+		}
+		if freed != 0 {
+			t.Fatalf("workers=%d: %d chunks freed by jobs whose output lines view them", workers, freed)
+		}
+		for i := range chains {
+			if _, err := e.RunChain(chain(i)); err != nil {
+				t.Fatal(err)
+			}
+			sums, out := fmt.Sprintf("sums%d", i), fmt.Sprintf("out%d", i)
+			if !slices.Equal(read(e, sums), wantSums) || !slices.Equal(read(e, out), wantOut) {
+				t.Fatalf("workers=%d: chain %d on recycled chunks differs from a fresh engine's", workers, i)
+			}
+			keep(sums, fmt.Sprintf("chain %d", i))
+			keep(out, fmt.Sprintf("chain %d", i))
+		}
+		for w := range sc.workers {
+			freed += len(sc.workers[w].chunks)
+		}
+		if freed == 0 {
+			t.Fatalf("workers=%d: the copying chains freed no chunk: not the run this test is about", workers)
+		}
+		runtime.KeepAlive(sc)
 	}
 }

@@ -1,13 +1,18 @@
 package mapreduce
 
-import "weak"
+import (
+	"cmp"
+	"slices"
+	"unsafe"
+	"weak"
+)
 
 // scratch is what a job fills and empties again, carried so that the next
 // job, and the next chain, reuses what an earlier one grew: the grouping
 // of the driver's shuffle, and each pool worker's combiner grouping,
-// map-output index array and reduce output lines. Hadoop allocates its
-// map-side sort buffer and its reduce-side merge buffers once per task JVM
-// the same way.
+// map-output index array, free pair chunks and reduce output lines.
+// Hadoop allocates its map-side sort buffer and its reduce-side merge
+// buffers once per task JVM the same way.
 //
 // The engine holds its scratch through a weak pointer (Engine.scratch). A
 // chain holds it strongly from its first job to its last (RunChainContext),
@@ -21,12 +26,19 @@ import "weak"
 type scratch struct {
 	shuffle grouping
 	workers []workerScratch // one a pool worker
+	spans   []span          // the started chunks' address ranges, for viewed
 }
+
+// span is the address range of a chunk's array, [lo, hi).
+type span struct{ lo, hi uintptr }
 
 // workerScratch is one pool worker's share of the scratch.
 type workerScratch struct {
 	combine grouping
 	index   []int32 // lent to the worker's Output for a job (Output.index)
+	// chunks are empty pair chunks, lent to the worker's Output for a job
+	// (Output.free), and started the log of those it starts (Output.started).
+	chunks, started [][]byte
 	// lines are the lines the worker's reducer instance emitted in the
 	// reduce phase, until Engine.reduce gathers them; emit appends to it.
 	lines []string
@@ -81,21 +93,59 @@ func (e *Engine) scratch() *scratch {
 	return s
 }
 
-// lend hands each worker's index array to its Output for a job.
+// lend hands each worker's index array, free chunks and chunk log to its
+// Output for a job.
 func (s *scratch) lend(outs []Output) {
 	for w := range outs {
-		outs[w].index = s.workers[w].index
+		ws := &s.workers[w]
+		outs[w].index, outs[w].free, outs[w].started = ws.index, ws.chunks, ws.started
 	}
 }
 
-// endJob ends a job on the scratch, once nothing reads the job's lists or
-// groups: it takes the index arrays back from the Outputs, which drop the
-// job's lists, and clears every string the groupings hold, so the scratch
-// pins no chunk of a finished job.
-func (s *scratch) endJob(outs []Output) {
+// viewed reports whether a non-empty line of lines views a chunk an
+// Output started this job: whether its bytes lie in a chunk's array, found
+// by a binary search of the chunks' sorted address ranges. A reducer that
+// copies its lines views none; one that emits a value as it stands does.
+func (s *scratch) viewed(lines []string, outs []Output) bool {
+	n := 0
 	for w := range outs {
-		s.workers[w].index = outs[w].endJob()
-		s.workers[w].combine.release()
+		n += len(outs[w].started)
+	}
+	spans := slices.Grow(s.spans[:0], n)
+	for w := range outs {
+		for _, c := range outs[w].started {
+			lo := uintptr(unsafe.Pointer(unsafe.SliceData(c)))
+			spans = append(spans, span{lo, lo + uintptr(cap(c))})
+		}
+	}
+	s.spans = spans[:0]
+	if len(spans) == 0 {
+		return false
+	}
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+	for _, line := range lines {
+		if len(line) == 0 {
+			continue
+		}
+		p := uintptr(unsafe.Pointer(unsafe.StringData(line)))
+		i, found := slices.BinarySearchFunc(spans, p, func(sp span, p uintptr) int { return cmp.Compare(sp.lo, p) })
+		if found || i > 0 && p < spans[i-1].hi {
+			return true
+		}
+	}
+	return false
+}
+
+// endJob ends a job on the scratch, once nothing reads the job's lists or
+// groups: it takes the index arrays, free chunks and chunk logs back from
+// the Outputs, which drop the job's lists and, if recycle is set, free the
+// chunks the job started (Output.endJob), and it clears every string the
+// groupings hold, so the scratch pins no chunk of a finished job.
+func (s *scratch) endJob(outs []Output, recycle bool) {
+	for w := range outs {
+		ws := &s.workers[w]
+		ws.index, ws.chunks, ws.started = outs[w].endJob(recycle)
+		ws.combine.release()
 	}
 	s.shuffle.release()
 }

@@ -50,8 +50,9 @@ func runScratchChain(t *testing.T, e *Engine) chainRun {
 
 // TestScratchReclaimedBetweenChains pins the scratch's lifetime. After a
 // chain the scratch holds no string, so it pins no chunk of the chain's
-// jobs, and no Output holds its index; only the engine's weak pointer
-// reaches it, so two collections reclaim it and every array it held. The
+// jobs but the free ones, and no Output holds its index or any chunk;
+// only the engine's weak pointer reaches it, so two collections reclaim it
+// and every array it held, each free chunk among them. The
 // chain on a scratch carried warm from the last and the chain on one built
 // anew both give a fresh engine's rows and JobStats, at 1, 2 and 8
 // workers.
@@ -95,22 +96,44 @@ func TestScratchReclaimedBetweenChains(t *testing.T) {
 }
 
 // cleanScratch runs the chain on e, holding e's scratch past it, checks
-// that the scratch holds no string and no Output its index, and returns a
-// probe for each array the scratch holds that reports whether it is still
-// allocated.
+// that the scratch holds no string and no Output its index or a chunk, and
+// returns a probe for each array the scratch holds, the free chunks among
+// them, that reports whether it is still allocated. Both of the chain's
+// jobs copy their output lines, so each frees its chunks at its end.
 func cleanScratch(t *testing.T, e *Engine) (arrays []func() bool) {
 	t.Helper()
 	sc := e.scratch()
 	runScratchChain(t, e)
 	for w := range e.outs {
-		if e.outs[w].index != nil {
-			t.Fatalf("worker %d's Output still holds its index after the chain", w)
+		o := &e.outs[w]
+		if o.index != nil || o.free != nil || o.started != nil {
+			t.Fatalf("worker %d's Output still holds an array the scratch lent it after the chain", w)
+		}
+		if o.buf != nil {
+			t.Fatalf("worker %d's Output still holds a chunk after a chain of jobs that free theirs", w)
 		}
 	}
+	chunks := 0
+	arrays = append(arrays, weakArray(sc.spans))
 	groupings := []*grouping{&sc.shuffle}
 	for w := range sc.workers {
-		groupings = append(groupings, &sc.workers[w].combine)
-		arrays = append(arrays, weakArray(sc.workers[w].index))
+		ws := &sc.workers[w]
+		groupings = append(groupings, &ws.combine)
+		arrays = append(arrays, weakArray(ws.index), weakArray(ws.chunks), weakArray(ws.started))
+		if slices.ContainsFunc(ws.started[:cap(ws.started)], func(c []byte) bool { return c != nil }) {
+			t.Fatalf("worker %d's chunk log still holds a chunk after the chain", w)
+		}
+		for _, c := range ws.chunks {
+			// A chunk under 16 B may share a tiny-allocator block with
+			// objects that outlive it, which would keep the probe set.
+			if cap(c) >= 16 {
+				arrays = append(arrays, weakArray(c))
+				chunks++
+			}
+		}
+	}
+	if chunks == 0 {
+		t.Fatal("the chain freed no chunk: not the chain this test is about")
 	}
 	used := 0
 	for i, g := range groupings {

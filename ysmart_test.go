@@ -266,3 +266,67 @@ func firstLineDiff(a, b []byte) string {
 	}
 	return "one log is a prefix of the other"
 }
+
+// TestBackToBackStatementsKeepRows runs every workload query in every
+// mode one after another on one Runtime, holding each statement's rows,
+// at 1 and 8 workers: the engine frees a job's pair chunks for the next
+// job when no output line views them, so rows read from an earlier
+// statement's output must not change as later statements run. After the
+// last statement every held result still equals a fresh runtime's.
+func TestBackToBackStatementsKeepRows(t *testing.T) {
+	tables, err := ysmart.WorkloadTables()
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := ysmart.WorkloadQueries()
+	names := make([]string, 0, len(named))
+	for name := range named {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	modes := []ysmart.Mode{ysmart.OneToOne, ysmart.PigLike, ysmart.ICTCOnly, ysmart.YSmart}
+	var trs []*ysmart.Translation
+	for _, name := range names {
+		q, err := ysmart.Parse(named[name], ysmart.WorkloadCatalog())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range modes {
+			tr, err := q.Translate(mode, ysmart.Options{QueryName: name})
+			if err != nil {
+				t.Fatalf("%s/%v: %v", name, mode, err)
+			}
+			trs = append(trs, tr)
+		}
+	}
+	runtimeOf := func(workers int) *ysmart.Runtime {
+		rt, err := ysmart.NewRuntime(ysmart.SmallCluster())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.LoadTables(tables)
+		rt.SetWorkers(workers)
+		return rt
+	}
+	for _, workers := range []int{1, 8} {
+		rt := runtimeOf(workers)
+		held := make([][]ysmart.Row, len(trs))
+		for i, tr := range trs {
+			res, err := rt.Run(tr)
+			if err != nil {
+				t.Fatalf("workers=%d, statement %d: %v", workers, i, err)
+			}
+			held[i] = res.Rows
+		}
+		for i, tr := range trs {
+			res, err := runtimeOf(workers).Run(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(held[i], res.Rows) {
+				t.Errorf("workers=%d: statement %d (%s/%v) changed after the statements that followed it:\n got %v\nwant %v",
+					workers, i, names[i/len(modes)], modes[i%len(modes)], held[i], res.Rows)
+			}
+		}
+	}
+}
