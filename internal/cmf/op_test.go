@@ -2,9 +2,11 @@ package cmf
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -592,7 +594,7 @@ func TestCompiledGraphMatchesEvalGraph(t *testing.T) {
 			continue
 		}
 		outcomes["ok"]++
-		if !reflect.DeepEqual(got, want) {
+		if !maps.EqualFunc(got, want, func(g, w []exec.Row) bool { return slices.EqualFunc(g, w, exec.Row.Identical) }) {
 			t.Fatalf("iter %d: results differ\n got %v\nwant %v", iter, got, want)
 		}
 		if !reflect.DeepEqual(gotStats, wantStats) {

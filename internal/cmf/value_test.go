@@ -49,7 +49,7 @@ func TestEncodeDecodeTagged(t *testing.T) {
 			if !reflect.DeepEqual(tv.Excluded, tt.excluded) {
 				t.Errorf("excluded = %v, want %v", tv.Excluded, tt.excluded)
 			}
-			if !reflect.DeepEqual(tv.Row, tt.row) {
+			if !tv.Row.Identical(tt.row) {
 				t.Errorf("row = %v, want %v", tv.Row, tt.row)
 			}
 		})

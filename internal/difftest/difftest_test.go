@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -74,7 +75,7 @@ func TestWorkersByteIdentical(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(got.Rows, base.Rows) {
+					if !slices.EqualFunc(got.Rows, base.Rows, ysmart.Row.Identical) {
 						t.Errorf("workers=%d: rows differ from workers=1 (got %d rows, want %d)",
 							w, len(got.Rows), len(base.Rows))
 					}

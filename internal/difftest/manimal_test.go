@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"ysmart"
@@ -42,7 +43,7 @@ func TestManimalByteIdentical(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if !reflect.DeepEqual(opt.Rows, base.Rows) {
+						if !slices.EqualFunc(opt.Rows, base.Rows, ysmart.Row.Identical) {
 							t.Errorf("workers=%d: optimized rows differ from analysis-off rows", workers)
 						}
 						if got := opt.SortedLines(); !reflect.DeepEqual(got, oracle) {

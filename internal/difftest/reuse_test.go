@@ -3,6 +3,7 @@ package difftest
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ysmart"
@@ -39,7 +40,7 @@ func TestReuseByteIdentical(t *testing.T) {
 						}
 						// Warm rows must match cold rows in order, and both
 						// must match the independent oracle.
-						if !reflect.DeepEqual(base.Warm.Rows, base.Cold.Rows) {
+						if !slices.EqualFunc(base.Warm.Rows, base.Cold.Rows, ysmart.Row.Identical) {
 							t.Errorf("warm rows differ from cold rows (%d vs %d)",
 								len(base.Warm.Rows), len(base.Cold.Rows))
 						}
@@ -66,7 +67,7 @@ func TestReuseByteIdentical(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							if !reflect.DeepEqual(got.Warm.Rows, base.Warm.Rows) {
+							if !slices.EqualFunc(got.Warm.Rows, base.Warm.Rows, ysmart.Row.Identical) {
 								t.Errorf("workers=%d: warm rows differ from workers=1", w)
 							}
 							if !reflect.DeepEqual(got.Warm.Jobs, base.Warm.Jobs) {

@@ -83,7 +83,7 @@ func TestAccumulators(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := feed(tt.kind, tt.in...); got != tt.want {
+			if got := feed(tt.kind, tt.in...); !got.Identical(tt.want) {
 				t.Errorf("got %v, want %v", got, tt.want)
 			}
 		})
@@ -226,7 +226,7 @@ func TestCountDistinctCountsEncodings(t *testing.T) {
 			if !v.IsNull() {
 				ref[string(AppendField(nil, v))] = struct{}{}
 			}
-			if got := acc.Result(); got != Int(int64(len(ref))) {
+			if got := acc.Result(); !got.Identical(Int(int64(len(ref)))) {
 				t.Fatalf("trial %d: count %v, want %d distinct encodings %q", trial, got, len(ref), ref)
 			}
 		}
@@ -286,7 +286,7 @@ func TestAccPartialRoundTrip(t *testing.T) {
 			if k == AggAvg && !want.IsNull() && math.Abs(got.F-want.F) < 1e-12 {
 				continue // the sums add in another order
 			}
-			if got != want {
+			if !got.Identical(want) {
 				t.Fatalf("%v over %v cut at %d: merged %v, whole %v", k, vals, cut, got, want)
 			}
 		}
@@ -375,7 +375,7 @@ func TestAllocBudgetAcc(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { distinct.Add(Int(next)); next++ }); got != 0 {
 		t.Errorf("COUNT(DISTINCT) of a new INT value on a warmed set: %v allocations, budget 0", got)
 	}
-	if got := distinct.Result(); got != Int(next) {
+	if got := distinct.Result(); !got.Identical(Int(next)) {
 		t.Fatalf("COUNT(DISTINCT) of 0..%d = %v", next-1, got)
 	}
 	// A reset keeps a set of up to maxKeptDistinct values: a group of that
@@ -400,7 +400,7 @@ func TestAllocBudgetAcc(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("COUNT(DISTINCT) reset, then %d new INT values: %v allocations, budget 0", maxKeptDistinct, got)
 	}
-	if got := distinct.Result(); got != Int(maxKeptDistinct) {
+	if got := distinct.Result(); !got.Identical(Int(maxKeptDistinct)) {
 		t.Fatalf("COUNT(DISTINCT) of %d values after a reset = %v", maxKeptDistinct, got)
 	}
 }

@@ -1,11 +1,12 @@
 package exec
 
 import (
+	"math"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEncodeFieldBasics(t *testing.T) {
@@ -95,7 +96,7 @@ func TestRowRoundTripTyped(t *testing.T) {
 		if err != nil {
 			t.Fatalf("DecodeRow(%q): %v", line, err)
 		}
-		if !reflect.DeepEqual(got, r) {
+		if !got.Identical(r) {
 			t.Errorf("round trip %v -> %q -> %v", r, line, got)
 		}
 	}
@@ -125,7 +126,7 @@ func TestDecodeColsIntoSlab(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := slab[windows[i][0]:windows[i][1]]
-		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+		if !got.Identical(want) {
 			t.Errorf("line %q: slab window %v, DecodeRow %v", line, got, want)
 		}
 	}
@@ -146,7 +147,7 @@ func TestZeroColumnSchema(t *testing.T) {
 	if err := ScanRow("", none, noField); err != nil {
 		t.Errorf("ScanRow, zero columns, empty line: %v", err)
 	}
-	if got, err := DecodeRow("", one); err != nil || !reflect.DeepEqual(got, Row{Str("")}) {
+	if got, err := DecodeRow("", one); err != nil || !got.Identical(Row{Str("")}) {
 		t.Errorf("one STRING column, empty line: %v, %v; want ['']", got, err)
 	}
 	for _, line := range []string{"x", "\t"} {
@@ -239,7 +240,7 @@ func TestTypedRoundTripProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: DecodeRow(%q): %v", trial, line, err)
 		}
-		if !reflect.DeepEqual(got, row) {
+		if !got.Identical(row) {
 			t.Fatalf("trial %d: %v -> %q -> %v", trial, row, line, got)
 		}
 	}
@@ -268,25 +269,13 @@ func TestEncodeKeyInjective(t *testing.T) {
 		}
 		key := EncodeKey(row)
 		if prev, ok := seen[key]; ok {
-			if !rowsIdentical(prev, row) {
+			if !prev.Identical(row) {
 				t.Fatalf("collision: %v and %v both encode to %q", prev, row, key)
 			}
 			continue
 		}
 		seen[key] = row.Clone()
 	}
-}
-
-func rowsIdentical(a, b Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // tpchLineitem is TPC-H's 16-column lineitem layout, the widest row the
@@ -320,11 +309,20 @@ func TestAllocBudgetCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every field of the line is canonical, so a warm decode of it is
+	// CutField's scan alone: each number is read by the scan and keeps its
+	// field as its text, and each string is its field.
+	for i, v := range row {
+		if v.IsNumeric() && v.S == "" {
+			t.Fatalf("column %d (%v) of the lineitem line kept no text: not the path this test is about", i, v)
+		}
+	}
 	demand := []int{0, 1, 4, 5} // l_orderkey, l_partkey, l_quantity, l_extendedprice
 	slab := make(Row, 0, len(row))
 	tail := make(Row, 2*len(row)) // a reducer's slab, one row already decoded
 	untyped := nullSchema(len(row))
 	scratch := make(Row, len(demand))
+	buf := make([]byte, 0, 2*len(tpchLineitemLine))
 	budgets := []struct {
 		name string
 		max  float64
@@ -335,7 +333,8 @@ func TestAllocBudgetCodec(t *testing.T) {
 		{"DecodeRow", 1, func() { sinkRow, _ = DecodeRow(tpchLineitemLine, tpchLineitem) }},
 		{"DecodeColsInto a fresh row, 4 numeric columns", 1, func() { sinkRow, _ = DecodeColsInto(nil, tpchLineitemLine, tpchLineitem, demand) }},
 		{"DecodeColsInto a scratch row", 0, func() { sinkRow, _ = DecodeColsInto(scratch, tpchLineitemLine, tpchLineitem, demand) }},
-		{"DecodeColsInto a scratch row, every column", 0, func() { sinkRow, _ = DecodeColsInto(slab, tpchLineitemLine, tpchLineitem, nil) }},
+		{"DecodeColsInto a scratch row, every column (canonical INT, FLOAT and STRING fields)", 0, func() { sinkRow, _ = DecodeColsInto(slab, tpchLineitemLine, tpchLineitem, nil) }},
+		{"AppendRow of a decoded row into a buffer with room", 0, func() { buf = AppendRow(buf[:0], row) }},
 		{"DecodeRow over TypeNull columns", 1, func() { sinkRow, _ = DecodeRow(tpchLineitemLine, untyped) }},
 		{"DecodeColsInto the tail of a slab", 0, func() { sinkRow, _ = DecodeColsInto(tail[len(row):], tpchLineitemLine, tpchLineitem, nil) }},
 	}
@@ -374,7 +373,7 @@ func TestDecodeColsLazyContract(t *testing.T) {
 		Column{Table: "t", Name: "d", Type: TypeInt},
 	)
 	got, err := DecodeColsInto(nil, "1\t2.5\tx\t4", s, []int{0, 3})
-	if err != nil || !reflect.DeepEqual(got, Row{Int(1), Int(4)}) {
+	if err != nil || !got.Identical(Row{Int(1), Int(4)}) {
 		t.Fatalf("DecodeColsInto = %v, %v; want [1 4]", got, err)
 	}
 	if got, err := DecodeColsInto(nil, "1\t2.5\tx\t4", s, []int{}); err != nil || len(got) != 0 {
@@ -383,7 +382,7 @@ func TestDecodeColsLazyContract(t *testing.T) {
 
 	// A malformed column nobody demanded is not parsed.
 	got, err = DecodeColsInto(nil, "1\tnot-a-float\tx\t4", s, []int{0, 3})
-	if err != nil || !reflect.DeepEqual(got, Row{Int(1), Int(4)}) {
+	if err != nil || !got.Identical(Row{Int(1), Int(4)}) {
 		t.Errorf("malformed undemanded column: got %v, %v; want [1 4]", got, err)
 	}
 	// The full decode of the same line still rejects it.
@@ -412,5 +411,99 @@ func TestDecodeColsLazyContract(t *testing.T) {
 	_, err = DecodeColsInto(nil, "one\t2.5\tx", s, []int{0})
 	if err == nil || !strings.Contains(err.Error(), "fields") {
 		t.Errorf("short line with a malformed column: err = %v, want a field-count error", err)
+	}
+}
+
+// TestDecodedNumbersKeepText: a number DecodeColsInto reads from a
+// canonical field keeps the field, viewed from the line, as its text, and
+// AppendField copies it; a field the grammar refuses is parsed and keeps
+// none. A float zero's key drops the text with the sign, and arithmetic on
+// a decoded number builds one without text.
+func TestDecodedNumbersKeepText(t *testing.T) {
+	s := NewSchema(Column{Name: "i", Type: TypeInt}, Column{Name: "x", Type: TypeFloat})
+	cases := []struct {
+		line   string
+		want   Row
+		kept   [2]bool
+		key    string
+		render string
+	}{
+		{"-42\t5.0", Row{Int(-42), Float(5)}, [2]bool{true, true}, "-42\t5.0", "-42\t5.0"},
+		{"7\t-0.0", Row{Int(7), Float(math.Copysign(0, -1))}, [2]bool{true, true}, "7\t0.0", "7\t-0.0"},
+		{"0\t0.0001", Row{Int(0), Float(0.0001)}, [2]bool{true, true}, "0\t0.0001", "0\t0.0001"},
+		{"007\t1.50", Row{Int(7), Float(1.5)}, [2]bool{false, false}, "7\t1.5", "7\t1.5"},
+		{"+5\t-0", Row{Int(5), Float(math.Copysign(0, -1))}, [2]bool{false, false}, "5\t0.0", "5\t-0.0"},
+		{"1000000000000000000\t1e3", Row{Int(1e18), Float(1000)}, [2]bool{false, false}, "1000000000000000000\t1000.0", "1000000000000000000\t1000.0"},
+	}
+	for _, c := range cases {
+		got, err := DecodeRow(c.line, s)
+		if err != nil {
+			t.Fatalf("DecodeRow(%q): %v", c.line, err)
+		}
+		if !got.Identical(c.want) {
+			t.Errorf("DecodeRow(%q) = %v, want %v", c.line, got, c.want)
+		}
+		off := 0 // where column i's field starts in the line
+		for i, v := range got {
+			field := strings.Split(c.line, "\t")[i]
+			switch {
+			case c.kept[i] && v.S != field:
+				t.Errorf("%q column %d: kept text %q, want the field %q", c.line, i, v.S, field)
+			case c.kept[i] && unsafe.StringData(v.S) != unsafe.StringData(c.line[off:]):
+				t.Errorf("%q column %d: kept text is a copy, not a view of the line", c.line, i)
+			case !c.kept[i] && v.S != "":
+				t.Errorf("%q column %d: refused field kept text %q", c.line, i, v.S)
+			}
+			off += len(field) + 1
+		}
+		if enc := EncodeRow(got); enc != c.render {
+			t.Errorf("EncodeRow(DecodeRow(%q)) = %q, want %q", c.line, enc, c.render)
+		}
+		if key := EncodeKey(got); key != c.key {
+			t.Errorf("EncodeKey(DecodeRow(%q)) = %q, want %q", c.line, key, c.key)
+		}
+		var sum Acc
+		sum.Reset(AggSum)
+		sum.Add(got[1])
+		sum.Add(got[1])
+		if r := sum.Result(); r.S != "" || !r.Identical(Float(0+got[1].F+got[1].F)) {
+			t.Errorf("SUM of %v twice = %#v, want a value without text", got[1], r)
+		}
+	}
+}
+
+// TestIdentical: the equality tests compare values by tells what Compare
+// does not — -0.0 from 0.0, a NaN from a number, an INT from an equal FLOAT
+// — ignores a number's kept text when it spells the number, and refuses a
+// number whose kept text does not.
+func TestIdentical(t *testing.T) {
+	negZero := Float(math.Copysign(0, -1))
+	differ := [][2]Value{
+		{Float(0), negZero},
+		{Float(math.NaN()), Float(1)},
+		{Int(1), Float(1)},
+		{Str(""), Null()},
+		{Bool(true), Bool(false)},
+		{Str("a"), Str("b")},
+		{Value{T: TypeInt, I: 7, S: "007"}, Int(7)},
+		{Value{T: TypeFloat, F: 5, S: "5"}, Float(5)},
+		{Value{T: TypeFloat, F: 1.5, S: "1.50"}, Value{T: TypeFloat, F: 1.5, S: "1.50"}},
+	}
+	for _, d := range differ {
+		if d[0].Identical(d[1]) || d[1].Identical(d[0]) {
+			t.Errorf("%#v and %#v are identical", d[0], d[1])
+		}
+	}
+	same := [][2]Value{
+		{Float(math.NaN()), Float(math.NaN())},
+		{negZero, Value{T: TypeFloat, F: math.Copysign(0, -1), S: "-0.0"}},
+		{Value{T: TypeFloat, F: 5, S: "5.0"}, Float(5)},
+		{Value{T: TypeInt, I: -3, S: "-3"}, Int(-3)},
+		{Null(), Null()},
+	}
+	for _, d := range same {
+		if !d[0].Identical(d[1]) || !d[1].Identical(d[0]) {
+			t.Errorf("%#v and %#v are not identical", d[0], d[1])
+		}
 	}
 }

@@ -129,7 +129,7 @@ func FuzzCompare(f *testing.F) {
 			want, wantErr := compareValues(op, a, b)
 			c := comparison{op: op, want: outcomesOf(op)}
 			got, err := c.compare(&a, &b)
-			if got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			if !got.Identical(want) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
 				t.Fatalf("compare(%v, %v, %v) = (%v, %v), compareValues (%v, %v)", op, a, b, got, err, want, wantErr)
 			}
 			ev, err := Compile(&sqlparser.BinaryExpr{Op: op, L: &sqlparser.ColumnRef{Name: "c0"}, R: &sqlparser.ColumnRef{Name: "c1"}}, nullSchema(2))
@@ -137,7 +137,7 @@ func FuzzCompare(f *testing.F) {
 				t.Fatal(err)
 			}
 			got, err = ev(row)
-			if got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			if !got.Identical(want) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
 				t.Fatalf("compiled %v over (%v, %v) = (%v, %v), compareValues (%v, %v)", op, a, b, got, err, want, wantErr)
 			}
 		}

@@ -63,7 +63,7 @@ func TestCompileColumnAndLiteral(t *testing.T) {
 		{"NULL", Null()},
 	}
 	for _, tt := range tests {
-		if got := evalOn(t, tt.expr, sampleRow); got != tt.want {
+		if got := evalOn(t, tt.expr, sampleRow); !got.Identical(tt.want) {
 			t.Errorf("%s = %v, want %v", tt.expr, got, tt.want)
 		}
 	}
@@ -91,7 +91,7 @@ func TestArithmetic(t *testing.T) {
 		{"i % 0", Null()},
 	}
 	for _, tt := range tests {
-		if got := evalOn(t, tt.expr, sampleRow); got != tt.want {
+		if got := evalOn(t, tt.expr, sampleRow); !got.Identical(tt.want) {
 			t.Errorf("%s = %v, want %v", tt.expr, got, tt.want)
 		}
 	}
@@ -117,7 +117,7 @@ func TestComparisons(t *testing.T) {
 		{"i = n", Null()},
 	}
 	for _, tt := range tests {
-		if got := evalOn(t, tt.expr, sampleRow); got != tt.want {
+		if got := evalOn(t, tt.expr, sampleRow); !got.Identical(tt.want) {
 			t.Errorf("%s = %v, want %v", tt.expr, got, tt.want)
 		}
 	}
@@ -140,7 +140,7 @@ func TestThreeValuedLogic(t *testing.T) {
 		{"NOT FALSE", Bool(true)},
 	}
 	for _, tt := range tests {
-		if got := evalOn(t, tt.expr, sampleRow); got != tt.want {
+		if got := evalOn(t, tt.expr, sampleRow); !got.Identical(tt.want) {
 			t.Errorf("%s = %v, want %v", tt.expr, got, tt.want)
 		}
 	}
@@ -173,7 +173,7 @@ func TestIsNullBetweenInCase(t *testing.T) {
 		{"CASE WHEN i > 5 THEN i WHEN b THEN f END", Float(10)},
 	}
 	for _, tt := range tests {
-		if got := evalOn(t, tt.expr, sampleRow); got != tt.want {
+		if got := evalOn(t, tt.expr, sampleRow); !got.Identical(tt.want) {
 			t.Errorf("%s = %v, want %v", tt.expr, got, tt.want)
 		}
 	}
@@ -196,7 +196,7 @@ func TestScalarFuncs(t *testing.T) {
 		{"coalesce(n, 3, f)", Float(3)},
 	}
 	for _, tt := range tests {
-		if got := evalOn(t, tt.expr, sampleRow); got != tt.want {
+		if got := evalOn(t, tt.expr, sampleRow); !got.Identical(tt.want) {
 			t.Errorf("%s = %v, want %v", tt.expr, got, tt.want)
 		}
 	}

@@ -64,7 +64,7 @@ func FuzzDecodeNullColumns(f *testing.F) {
 					}
 					break
 				}
-				if err == nil && (len(row) != len(fields) || !sameValue(row[i], want)) {
+				if err == nil && (len(row) != len(fields) || !row[i].Identical(want)) {
 					t.Fatalf("field %d of %q: got %v, reference infers %v", i, line, row, want)
 				}
 			}
@@ -196,14 +196,6 @@ func inferFieldReference(field string) (Value, error) {
 	return Str(s), err
 }
 
-// sameValue is == on values, with NaN equal to itself.
-func sameValue(a, b Value) bool {
-	if a.T == TypeFloat && b.T == TypeFloat && math.IsNaN(a.F) && math.IsNaN(b.F) {
-		return true
-	}
-	return a == b
-}
-
 // FuzzAppendRow checks the append-style encoders against the per-field
 // one: AppendRow after any prefix is that prefix plus the EncodeField
 // renderings joined by tabs, EncodeRow is the same bytes, EncodeKey is too
@@ -262,14 +254,28 @@ func FuzzAppendRow(f *testing.F) {
 // count fails in both; and DecodeColsInto never fails on a line DecodeRow accepts
 // (it may accept more — columns it was not asked to read go unparsed).
 // ScanRow, the same walk with no row, is held to DecodeRow exactly: the same
-// values field by field, the same error text.
+// values field by field, the same error text. Since DecodeRow is
+// DecodeColsInto too, each demanded value is also held to an independent
+// reference, DecodeField (strconv) on its field: the same value bit for bit,
+// and a number's kept text is exactly AppendField's rendering of the strconv
+// value.
 func FuzzDecodeCols(f *testing.F) {
+	// typeBits gives column i the type types[typeBits>>(2*i)&3]: INT 0,
+	// FLOAT 1, STRING 2, BOOL 3.
 	f.Add("x\t2\t3", uint32(0), uint16(0), uint8(0))
 	f.Add("x\t2", uint32(0), uint16(0), uint8(1))
 	f.Add("1\t2.5\ttext\ttrue", uint32(0x1b), uint16(0x9), uint8(0))
 	f.Add("1\tx\t3", uint32(0), uint16(0x5), uint8(0))
 	f.Add("1\t2", uint32(0), uint16(0x3), uint8(1))
 	f.Add("", uint32(3), uint16(0), uint8(0))
+	// The edges of CutField's grammar. INTs: 18 digits of either sign
+	// (accepted), 19 and -0 (refused, parsed by strconv).
+	f.Add("999999999999999999\t-999999999999999999\t1000000000000000000\t-0\t007\t+5", uint32(0), uint16(0x3f), uint8(0))
+	// FLOATs: 15 significant digits, three zeros after "0.", the signed
+	// and unsigned zero, an integral value and a half (accepted); four
+	// zeros after "0." and 16 significant digits (refused).
+	f.Add("999999.999999999\t0.0001\t0.00001\t-0.0\t0.0\t1.0\t123456.5\t123456.1234567891", uint32(0x5555), uint16(0xff), uint8(0))
+	f.Add("1.50\t1e3\t-0.00\t0.1234567890123456\t1234567.5\t\\N", uint32(0x555), uint16(0x3f), uint8(0))
 	f.Fuzz(func(t *testing.T, line string, typeBits uint32, demand uint16, extraCols uint8) {
 		// Mostly the line's own field count, sometimes up to 3 more.
 		n := strings.Count(line, "\t") + 1 + int(extraCols%4)
@@ -301,7 +307,7 @@ func FuzzDecodeCols(f *testing.F) {
 			t.Fatalf("ScanRow(%q) = %v, %v on a line DecodeRow reads as %v", line, scanned, scanErr, full)
 		case fullErr == nil:
 			for i := range full {
-				if !sameValue(scanned[i], full[i]) {
+				if !scanned[i].Identical(full[i]) {
 					t.Fatalf("ScanRow(%q) saw %v, DecodeRow %v", line, scanned, full)
 				}
 			}
@@ -327,8 +333,23 @@ func FuzzDecodeCols(f *testing.F) {
 			t.Fatalf("DecodeColsInto(nil, %q, %v) = %v, want %v", line, cols, got, want)
 		}
 		for i := range want {
-			if !sameValue(got[i], want[i]) {
+			if !got[i].Identical(want[i]) {
 				t.Fatalf("DecodeColsInto(nil, %q, %v) = %v, want %v", line, cols, got, want)
+			}
+		}
+		fields := strings.Split(line, "\t")
+		for i, c := range cols {
+			ref, err := DecodeField(fields[c], s.Cols[c].Type)
+			if err != nil {
+				t.Fatalf("column %d of %q: decoded as %v, DecodeField fails with %v", c, line, got[i], err)
+			}
+			v := got[i]
+			if v.T != ref.T || v.I != ref.I || math.Float64bits(v.F) != math.Float64bits(ref.F) || v.B != ref.B ||
+				v.T == TypeString && v.S != ref.S {
+				t.Fatalf("column %d of %q: decoded %#v, DecodeField %#v", c, line, v, ref)
+			}
+			if v.IsNumeric() && v.S != "" && v.S != EncodeField(ref) {
+				t.Fatalf("column %d of %q: kept text %q, AppendField of the strconv value %q", c, line, v.S, EncodeField(ref))
 			}
 		}
 	})
@@ -398,12 +419,9 @@ func FuzzRowRoundTrip(f *testing.F) {
 			t.Fatalf("%v -> %q -> %v", row, line, got)
 		}
 		for i := range row {
-			same := got[i] == row[i]
-			if row[i].T == TypeFloat && got[i].T == TypeFloat {
-				same = math.Float64bits(got[i].F) == math.Float64bits(row[i].F) ||
-					math.IsNaN(got[i].F) && math.IsNaN(row[i].F)
-			}
-			if !same {
+			// A NaN's payload is not kept: every NaN decodes as ParseFloat's.
+			nans := row[i].T == TypeFloat && got[i].T == TypeFloat && math.IsNaN(got[i].F) && math.IsNaN(row[i].F)
+			if !got[i].Identical(row[i]) && !nans {
 				t.Fatalf("column %d: %v -> %q -> %v", i, row, line, got)
 			}
 		}

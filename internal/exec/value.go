@@ -43,6 +43,17 @@ func (t Type) String() string {
 // Value is a dynamically typed SQL value. The zero Value is NOT valid; use
 // the constructors. NULL is represented by TypeNull. The two one-byte fields
 // are declared together so they share a word: 40 bytes, not 48.
+//
+// S is a string's value. On an INT or FLOAT it is the number's kept text:
+// empty, or — on a number DecodeColsInto read from a field CutField's
+// grammar accepts — that field as the line spells it ("5.0", "-0.0"),
+// which is exactly AppendField's rendering of the number, so AppendField
+// copies it instead of rendering. The text is a view of the decoded line
+// and lives as long as a decoded string would. The constructors,
+// arithmetic and the accumulators build numbers without it, and
+// AppendKeyField drops it from a float zero, whose key has no sign. The
+// text is a spelling, not part of the value: compare values with
+// Identical or Compare, never with == or reflect.DeepEqual.
 type Value struct {
 	T Type
 	B bool
@@ -201,6 +212,57 @@ func compareFloat(a, b float64) int {
 // Equal reports SQL equality treating NULL = NULL as true. Use Compare==0
 // semantics; for three-valued logic use the expression evaluator instead.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
+
+// Identical reports whether v and w are the same value bit for bit: the
+// same type and the same int, float bits (the sign of zero and a NaN's
+// payload included), bool or string. A number's kept text is a spelling
+// of it, not part of the value, so it is not compared; but a number whose
+// kept text is not exactly AppendField's rendering of it is identical to
+// nothing. Unlike Compare, Identical tells -0.0 from 0.0, a NaN from a
+// number and an INT from an equal FLOAT; it is the equality tests compare
+// decoded values by.
+func (v Value) Identical(w Value) bool {
+	if v.T != w.T || !v.textKept() || !w.textKept() {
+		return false
+	}
+	switch v.T {
+	case TypeInt:
+		return v.I == w.I
+	case TypeFloat:
+		return math.Float64bits(v.F) == math.Float64bits(w.F)
+	case TypeString:
+		return v.S == w.S
+	case TypeBool:
+		return v.B == w.B
+	}
+	return true
+}
+
+// textKept reports whether v's kept text, if it is a number that keeps
+// one, is exactly AppendField's rendering of the number.
+func (v Value) textKept() bool {
+	if v.S == "" || !v.IsNumeric() {
+		return true
+	}
+	bare := v
+	bare.S = ""
+	var buf [encodeBuf]byte
+	return string(AppendField(buf[:0], bare)) == v.S
+}
+
+// Identical reports whether r and s have the same width and identical
+// values position by position (Value.Identical).
+func (r Row) Identical(s Row) bool {
+	if len(r) != len(s) {
+		return false
+	}
+	for i := range r {
+		if !r[i].Identical(s[i]) {
+			return false
+		}
+	}
+	return true
+}
 
 // Row is an ordered tuple of values positioned by a Schema.
 type Row []Value

@@ -228,7 +228,7 @@ func (e *Engine) execJob(j *Job) (*JobStats, error) {
 	}
 	workers := make([]jobWorker, e.workers) // every phase's instances (job.go)
 	sc, outs := e.scratch(), e.outputs()
-	sc.lend(outs)
+	sc.lend(outs, j.Reducer != nil)
 	recycle := false // set once the job succeeds with no output line viewing its chunks
 	defer func() { sc.endJob(outs, recycle) }()
 	// The mappers run morsel by morsel on the worker pool, each worker on

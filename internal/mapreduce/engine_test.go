@@ -646,7 +646,7 @@ func TestAllocBudgetCombineTask(t *testing.T) {
 	allocs := func(lists []pairList) float64 {
 		sc, outs := &scratch{workers: make([]workerScratch, 1)}, make([]Output, 1)
 		return testing.AllocsPerRun(50, func() {
-			sc.lend(outs)
+			sc.lend(outs, true)
 			folded, err := combineTask(&sc.workers[0].combine, lists, count, &outs[0])
 			if err != nil || folded.len() != 4 {
 				t.Fatalf("combineTask = %q, %v; want 4 pairs", pairsOf(&folded), err)

@@ -690,7 +690,7 @@ func FuzzShuffleGrouping(f *testing.F) {
 		slices.Reverse(reversed)
 		sc, outs := &scratch{workers: make([]workerScratch, 2)}, make([]Output, 2)
 		for job, input := range [][][]kv{plain, reversed, plain} {
-			sc.lend(outs)
+			sc.lend(outs, true)
 			if err := shuffleJob(sc, outs, input); err != nil {
 				t.Fatalf("job %d: %v", job, err)
 			}
@@ -832,7 +832,7 @@ func TestAllocBudgetRunJob(t *testing.T) {
 	const mapRuns, mapAllowance = 20, 1 << 10
 	sc, outs := &scratch{workers: make([]workerScratch, 1)}, make([]Output, 1)
 	mapJob := func() {
-		sc.lend(outs)
+		sc.lend(outs, true)
 		if _, err := runMapper(mapper, lines, &outs[0]); err != nil {
 			t.Fatal(err)
 		}

@@ -19,10 +19,11 @@ const pairChunkBytes = 4 << 10
 // the job (scratch.go), list after list, as a key group is a window of the
 // shuffle's values slab; an array too small for the open list is replaced
 // (growIndex). The scratch lends two more arrays: a free list of empty
-// chunks, which a new chunk is taken from before one is allocated, and a
-// log of the chunks the job started. A chunk is never written below its
-// end within a job, so a string that views it — a pair in the shuffle, a
-// map-only output line the DFS keeps — stands while the job runs. At a
+// chunks, which a new chunk is taken from before one is allocated (lent
+// only to a job with a reducer: scratch.lend), and a log of the chunks the
+// job started. A chunk is never written below its end within a job, so a
+// string that views it — a pair in the shuffle, a map-only output line the
+// DFS keeps — stands while the job runs. At a
 // job's end, endJob drops the job's lists and hands the lent arrays back;
 // the segment log's array stays for the next job. If no line the DFS keeps
 // views a chunk the job started (scratch.viewed), those chunks go on the

@@ -80,10 +80,12 @@ func TestMapTaskPairsStayPut(t *testing.T) {
 // pair chunks serve a later job only when no line the DFS keeps views
 // them. On one engine, its scratch held as a chain holds it, run a job
 // whose reducer emits its keys and values as they stand, then a map-only
-// job, then chains of jobs whose reducers copy their lines, which recycle.
-// After every job, every file the DFS kept still equals the copy taken
-// when it was written, and each chain's files equal a fresh engine's, at
-// 1, 2 and 8 workers.
+// job, then chains of jobs whose reducers copy their lines, which recycle,
+// then a map-only job again and one more chain. After every job, every
+// file the DFS kept still equals the copy taken when it was written, and
+// each chain's files equal a fresh engine's, at 1, 2 and 8 workers. A
+// map-only job's lines are its pairs, so it is never lent the free list:
+// the one between the chains leaves the list as the chains left it.
 func TestRecycledChunksKeepOutputs(t *testing.T) {
 	asTheyStand := ReducerFunc(func(key string, values []string, emit func(string)) error {
 		emit(key)
@@ -152,19 +154,32 @@ func TestRecycledChunksKeepOutputs(t *testing.T) {
 			t.Fatal(err)
 		}
 		keep("stand", "its own job")
-		job = &Job{Name: "map-only", Inputs: []Input{{Path: "a", Mapper: mapOnly}}, Output: "maponly"}
-		if _, err := e.RunChain([]*Job{job}); err != nil {
-			t.Fatal(err)
+		mapOnlyJob := func(path string) {
+			job := &Job{Name: "map-only", Inputs: []Input{{Path: "a", Mapper: mapOnly}}, Output: path}
+			if _, err := e.RunChain([]*Job{job}); err != nil {
+				t.Fatal(err)
+			}
+			keep(path, "a map-only job")
 		}
-		keep("maponly", "a map-only job")
-		freed := 0
-		for w := range sc.workers {
-			freed += len(sc.workers[w].chunks)
+		freeLen := func() int {
+			n := 0
+			for w := range sc.workers {
+				n += len(sc.workers[w].chunks)
+			}
+			return n
 		}
-		if freed != 0 {
+		mapOnlyJob("maponly")
+		if freed := freeLen(); freed != 0 {
 			t.Fatalf("workers=%d: %d chunks freed by jobs whose output lines view them", workers, freed)
 		}
-		for i := range chains {
+		for i := range chains + 1 {
+			if i == chains {
+				before := freeLen()
+				mapOnlyJob("maponly2")
+				if after := freeLen(); after != before {
+					t.Fatalf("workers=%d: a map-only job left %d free chunks of %d", workers, after, before)
+				}
+			}
 			if _, err := e.RunChain(chain(i)); err != nil {
 				t.Fatal(err)
 			}
@@ -175,10 +190,7 @@ func TestRecycledChunksKeepOutputs(t *testing.T) {
 			keep(sums, fmt.Sprintf("chain %d", i))
 			keep(out, fmt.Sprintf("chain %d", i))
 		}
-		for w := range sc.workers {
-			freed += len(sc.workers[w].chunks)
-		}
-		if freed == 0 {
+		if freeLen() == 0 {
 			t.Fatalf("workers=%d: the copying chains freed no chunk: not the run this test is about", workers)
 		}
 		runtime.KeepAlive(sc)

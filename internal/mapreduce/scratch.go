@@ -93,12 +93,18 @@ func (e *Engine) scratch() *scratch {
 	return s
 }
 
-// lend hands each worker's index array, free chunks and chunk log to its
-// Output for a job.
-func (s *scratch) lend(outs []Output) {
+// lend hands each worker's index array and chunk log to its Output for a
+// job, and its free chunks too if reduce is set. A map-only job's output
+// lines are its pairs, which the DFS keeps, so the chunks it starts are
+// never freed: it starts new ones, and leaves the free list to the next
+// job with a reducer.
+func (s *scratch) lend(outs []Output, reduce bool) {
 	for w := range outs {
 		ws := &s.workers[w]
-		outs[w].index, outs[w].free, outs[w].started = ws.index, ws.chunks, ws.started
+		outs[w].index, outs[w].started = ws.index, ws.started
+		if reduce {
+			outs[w].free = ws.chunks
+		}
 	}
 }
 
@@ -137,14 +143,19 @@ func (s *scratch) viewed(lines []string, outs []Output) bool {
 }
 
 // endJob ends a job on the scratch, once nothing reads the job's lists or
-// groups: it takes the index arrays, free chunks and chunk logs back from
-// the Outputs, which drop the job's lists and, if recycle is set, free the
-// chunks the job started (Output.endJob), and it clears every string the
-// groupings hold, so the scratch pins no chunk of a finished job.
+// groups: it takes the index arrays, the free chunks it lent and the chunk
+// logs back from the Outputs, which drop the job's lists and, if recycle
+// is set, free the chunks the job started (Output.endJob), and it clears
+// every string the groupings hold, so the scratch pins no chunk of a
+// finished job.
 func (s *scratch) endJob(outs []Output, recycle bool) {
 	for w := range outs {
 		ws := &s.workers[w]
-		ws.index, ws.chunks, ws.started = outs[w].endJob(recycle)
+		var free [][]byte
+		ws.index, free, ws.started = outs[w].endJob(recycle)
+		if free != nil { // nil: the free list was not lent, or was and is still nil
+			ws.chunks = free
+		}
 		ws.combine.release()
 	}
 	s.shuffle.release()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestRunMatchesHandWrittenSequence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, mode, err)
 			}
-			if rows, err := res.Rows(); err != nil || !reflect.DeepEqual(rows, wantRows) {
+			if rows, err := res.Rows(); err != nil || !slices.EqualFunc(rows, wantRows, exec.Row.Identical) {
 				t.Errorf("%s/%v: rows differ from the hand-written sequence", name, mode)
 			}
 			if !reflect.DeepEqual(res.Stats, wantStats) {
@@ -208,7 +209,7 @@ func TestRunVerifiesOnlyWhatItPublishes(t *testing.T) {
 	}
 	coldRows, _ := cold.Rows()
 	warmRows, err := warm.Rows()
-	if err != nil || len(warmRows) == 0 || !reflect.DeepEqual(warmRows, coldRows) {
+	if err != nil || len(warmRows) == 0 || !slices.EqualFunc(warmRows, coldRows, exec.Row.Identical) {
 		t.Errorf("full-chain hit serves %d rows (%v), the cold run %d", len(warmRows), err, len(coldRows))
 	}
 }

@@ -3,6 +3,7 @@ package ysmart_test
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -193,7 +194,7 @@ func TestNilTracerIsOff(t *testing.T) {
 	var nilCollector *ysmart.Collector
 	got := run(ysmart.Options{QueryName: "q21", Tracer: nilCollector},
 		ysmart.WithTracer(nilCollector), ysmart.WithMetrics(nil))
-	if !reflect.DeepEqual(plain.Rows, got.Rows) {
+	if !slices.EqualFunc(plain.Rows, got.Rows, ysmart.Row.Identical) {
 		t.Errorf("nil sinks changed the rows:\nplain %v\ngot   %v", plain.Rows, got.Rows)
 	}
 	if !reflect.DeepEqual(plain.Stats, got.Stats) {
@@ -323,7 +324,7 @@ func TestBackToBackStatementsKeepRows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(held[i], res.Rows) {
+			if !slices.EqualFunc(held[i], res.Rows, ysmart.Row.Identical) {
 				t.Errorf("workers=%d: statement %d (%s/%v) changed after the statements that followed it:\n got %v\nwant %v",
 					workers, i, names[i/len(modes)], modes[i%len(modes)], held[i], res.Rows)
 			}
