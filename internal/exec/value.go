@@ -250,6 +250,16 @@ func (v Value) textKept() bool {
 	return string(AppendField(buf[:0], bare)) == v.S
 }
 
+// Row is an ordered tuple of values positioned by a Schema.
+type Row []Value
+
+// Clone returns a copy of the row sharing no slice storage.
+func (r Row) Clone() Row {
+	out := make(Row, len(r))
+	copy(out, r)
+	return out
+}
+
 // Identical reports whether r and s have the same width and identical
 // values position by position (Value.Identical).
 func (r Row) Identical(s Row) bool {
@@ -262,16 +272,6 @@ func (r Row) Identical(s Row) bool {
 		}
 	}
 	return true
-}
-
-// Row is an ordered tuple of values positioned by a Schema.
-type Row []Value
-
-// Clone returns a copy of the row sharing no slice storage.
-func (r Row) Clone() Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
 }
 
 // Concat returns a new row that is r followed by s.
